@@ -1,4 +1,6 @@
-//! Measurement harness shared by the figure-reproduction binaries.
+//! The fresh-VM timed run behind the `ablation` binary and the
+//! `suite_gates` integration test. Benchmarking proper lives in
+//! `tm_bench/` (see its README).
 
 use std::time::{Duration, Instant};
 
@@ -38,40 +40,4 @@ pub fn run_program(prog: &BenchProgram, engine: Engine, opts: JitOptions, repeat
         last_vm = Some(vm);
     }
     RunResult { time: best, value, vm: last_vm.expect("at least one run") }
-}
-
-/// Runs `prog` on all four engines and checks result consistency.
-///
-/// # Panics
-///
-/// Panics when engines disagree on the result (a correctness bug).
-pub fn run_all_engines(
-    prog: &BenchProgram,
-    opts: JitOptions,
-    repeats: u32,
-) -> [RunResult; 4] {
-    let interp = run_program(prog, Engine::Interp, opts, repeats);
-    let fast = run_program(prog, Engine::FastInterp, opts, repeats);
-    let method = run_program(prog, Engine::Method, opts, repeats);
-    let tracing = run_program(prog, Engine::Tracing, opts, repeats);
-    for (name, r) in
-        [("fast", &fast), ("method", &method), ("tracing", &tracing)]
-    {
-        assert_eq!(
-            interp.value, r.value,
-            "{}: {name} engine disagrees with the interpreter",
-            prog.name
-        );
-    }
-    [interp, fast, method, tracing]
-}
-
-/// Speedup of `t` relative to baseline `base`.
-pub fn speedup(base: Duration, t: Duration) -> f64 {
-    base.as_secs_f64() / t.as_secs_f64().max(1e-9)
-}
-
-/// Formats a duration in milliseconds with two decimals.
-pub fn ms(d: Duration) -> String {
-    format!("{:8.2}", d.as_secs_f64() * 1e3)
 }

@@ -1,12 +1,13 @@
 //! # tm-bench
 //!
-//! Benchmark suite and paper-figure harnesses for the TraceMonkey
-//! reproduction: JTS ports of the 26 SunSpider programs (the paper's
-//! evaluation workload) and binaries regenerating Figures 10, 11, and 12
-//! plus the ablation studies. See EXPERIMENTS.md for results.
+//! JTS ports of the 26 SunSpider programs (the paper's evaluation
+//! workload, [`SUITE`]) — what the benchmark harness in `tm_bench/`
+//! imports — plus the `ablation` binary behind EXPERIMENTS.md's
+//! Ablations table and the deterministic suite gates in
+//! `tests/suite_gates.rs`.
 
 pub mod harness;
 pub mod suite;
 
-pub use harness::{run_all_engines, run_program, speedup};
+pub use harness::run_program;
 pub use suite::{by_name, BenchProgram, SIEVE, SUITE};

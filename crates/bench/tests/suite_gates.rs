@@ -1,0 +1,314 @@
+//! The deterministic gates over the SunSpider suite. They check
+//! *counters*, never wall-clock: times are measured by `tm_bench/` (see
+//! its README).
+//!
+//! * fusion: the peephole pass removes at least a quarter of the
+//!   dispatched machine instructions on the fusion smoke set;
+//! * coverage: the recursion and date programs reach compiled code;
+//! * native tier: native and decoded runs are indistinguishable, and
+//!   every trace entry is one native exit or one fallback;
+//! * warm start: a `.tmc` written by one `Vm` lets a fresh `Vm` load
+//!   every tree and record nothing;
+//! * multi-tenant: concurrent realms answer like one realm and share
+//!   compiled trees.
+//!
+//! A few checks are relative to the last accepted state and read it from
+//! `tests/golden/suite_gates.txt`, one `program counter value` per line:
+//! `dispatched` and `warm_bytecodes` may not grow by more than 5 %, and a
+//! flag (`ran_native`, `fallback_free`, `warm_started`) that is 1 there
+//! must still be 1. Regenerate with
+//! `TM_UPDATE_GOLDEN=1 cargo test -p tm-bench --test suite_gates`.
+
+use std::collections::BTreeMap;
+use std::path::PathBuf;
+use std::sync::Mutex;
+
+use tm_bench::{by_name, run_program, BenchProgram};
+use tracemonkey::jit::profiler::ProfileStats;
+use tracemonkey::{Engine, JitOptions, MultiTenantVm, RealmJob, Vm};
+
+fn prog(name: &str) -> &'static BenchProgram {
+    by_name(name).unwrap_or_else(|| panic!("{name} is not in SUITE"))
+}
+
+/// One fresh tracing run: the displayed result and the run's counters.
+fn traced(name: &str, opts: JitOptions) -> (String, ProfileStats) {
+    let run = run_program(prog(name), Engine::Tracing, opts, 1);
+    let stats = run.vm.profile().expect("the tracing engine keeps a profile").clone();
+    (run.value, stats)
+}
+
+// ---- golden pins ------------------------------------------------------
+
+/// Growth a pinned count may show before the gate fails.
+const PIN_TOLERANCE: f64 = 1.05;
+
+/// Tests run on parallel threads; the golden file is read, and under
+/// `TM_UPDATE_GOLDEN` rewritten, by one of them at a time.
+static GOLDEN: Mutex<()> = Mutex::new(());
+
+type Pins = BTreeMap<(String, String), u64>;
+
+fn golden_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/suite_gates.txt")
+}
+
+fn read_pins() -> Pins {
+    let text = std::fs::read_to_string(golden_path()).unwrap_or_default();
+    text.lines()
+        .map(|line| {
+            let mut f = line.split_whitespace();
+            match (f.next(), f.next(), f.next().and_then(|v| v.parse().ok()), f.next()) {
+                (Some(p), Some(c), Some(v), None) => ((p.to_owned(), c.to_owned()), v),
+                _ => panic!("suite_gates.txt: not `program counter value`: {line:?}"),
+            }
+        })
+        .collect()
+}
+
+/// Holds `observed` against the golden file (or merges it in under
+/// `TM_UPDATE_GOLDEN`).
+fn check_pins(observed: &[(&str, &str, u64)]) {
+    let _one_at_a_time = GOLDEN.lock().unwrap_or_else(|e| e.into_inner());
+    let mut pins = read_pins();
+    if std::env::var("TM_UPDATE_GOLDEN").is_ok() {
+        for &(p, c, v) in observed {
+            pins.insert((p.to_owned(), c.to_owned()), v);
+        }
+        let text: String = pins.iter().map(|((p, c), v)| format!("{p} {c} {v}\n")).collect();
+        let path = golden_path();
+        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
+        std::fs::write(path, text).expect("write golden");
+        return;
+    }
+    for &(p, c, now) in observed {
+        let &was = pins.get(&(p.to_owned(), c.to_owned())).unwrap_or_else(|| {
+            panic!("{p} {c}: not in suite_gates.txt; regenerate with TM_UPDATE_GOLDEN=1")
+        });
+        match c {
+            "dispatched" | "warm_bytecodes" => {
+                let limit = (was as f64 * PIN_TOLERANCE).ceil() as u64;
+                assert!(now <= limit, "{p}: {c} {now} exceeds the accepted {was} by more than 5 %");
+            }
+            _ => assert!(was == 0 || now != 0, "{p}: {c} was set in the accepted state, not now"),
+        }
+    }
+}
+
+// ---- fusion ----------------------------------------------------------
+
+/// Three fast programs from the groups the superinstruction pass was
+/// built for, bitops and access. Their fused dispatched counts are pinned
+/// by the native-tier gate, whose smoke set contains them.
+const FUSION_SMOKE: &[&str] = &["bitops-bits-in-byte", "bitops-bitwise-and", "access-nsieve"];
+
+#[test]
+fn fusion_removes_a_quarter_of_dispatched_instructions() {
+    let raw_opts = JitOptions { enable_fusion: false, ..JitOptions::default() };
+    let (mut raw, mut fused) = (0u64, 0u64);
+    for name in FUSION_SMOKE {
+        raw += traced(name, raw_opts).1.native_insts;
+        fused += traced(name, JitOptions::default()).1.native_insts;
+    }
+    assert!(
+        fused * 4 <= raw * 3,
+        "raw {raw} -> fused {fused} dispatched instructions is less than a 25 % reduction"
+    );
+}
+
+// ---- coverage --------------------------------------------------------
+
+/// The programs that dispatched zero traced instructions before
+/// recursion and the string/date builtins became traceable.
+const COVERAGE_SMOKE: &[&str] =
+    &["access-binary-trees", "date-format-tofte", "date-format-xparb", "controlflow-recursive"];
+
+#[test]
+fn recursion_and_date_programs_dispatch_fused_instructions() {
+    for name in COVERAGE_SMOKE {
+        let (_, stats) = traced(name, JitOptions::default());
+        assert!(stats.native_insts_fused > 0, "{name}: zero fused dispatched instructions");
+    }
+}
+
+// ---- native tier -----------------------------------------------------
+
+/// The bitops group plus the shape-guard/array and string
+/// representatives of the full-coverage emitter.
+const NATIVE_SMOKE: &[&str] = &[
+    "bitops-3bit-bits-in-byte",
+    "bitops-bits-in-byte",
+    "bitops-bitwise-and",
+    "bitops-nsieve-bits",
+    "access-nsieve",
+    "string-fasta",
+];
+
+#[test]
+fn native_tier_is_invisible_and_its_accounting_balances() {
+    if !tracemonkey::nanojit::native_supported() {
+        return;
+    }
+    let decoded_opts = JitOptions { native_backend: false, ..JitOptions::default() };
+    let mut observed = Vec::new();
+    for name in NATIVE_SMOKE {
+        let (decoded_shown, decoded) = traced(name, decoded_opts);
+        let (shown, native) = traced(name, JitOptions::default());
+        assert_eq!(shown, decoded_shown, "{name}: the tiers print different results");
+        for (what, n, d) in [
+            ("dispatched insts", native.native_insts, decoded.native_insts),
+            ("trace enters", native.trace_enters, decoded.trace_enters),
+            ("side exits", native.side_exits, decoded.side_exits),
+            ("native bytecodes", native.bytecodes_native, decoded.bytecodes_native),
+        ] {
+            assert_eq!(n, d, "{name}: {what} differ between the native and decoded tiers");
+        }
+        assert_eq!(
+            native.native_exits + native.native_fallbacks,
+            native.trace_enters,
+            "{name}: every trace entry is one native exit or one fallback"
+        );
+        assert!(
+            native.native_exits > native.native_fallbacks,
+            "{name}: not majority-native ({} exits, {} fallbacks)",
+            native.native_exits,
+            native.native_fallbacks
+        );
+        observed.push((*name, "dispatched", native.native_insts));
+        observed.push((*name, "ran_native", u64::from(native.native_exits > 0)));
+        observed.push((*name, "fallback_free", u64::from(native.native_fallbacks == 0)));
+    }
+    check_pins(&observed);
+}
+
+// ---- warm start ------------------------------------------------------
+
+/// Cheap programs covering loops, floating point, strings and recursion:
+/// the trace shapes the cache must round-trip.
+const WARM_SMOKE: &[&str] = &[
+    "bitops-3bit-bits-in-byte",
+    "math-partial-sums",
+    "string-unpack-code",
+    "date-format-xparb",
+    "controlflow-recursive",
+];
+
+/// Fresh VMs (after the cold one) a cache may take to stop growing. A
+/// warmed run has native coverage from iteration 0, so exits the cold
+/// ramp never made hot can become hot and extend the trees.
+const MAX_WARM_RUNS: u32 = 6;
+
+/// One fresh tracing `Vm` against `cache`.
+fn cached_run(name: &str, cache: &std::path::Path) -> ProfileStats {
+    let mut vm = Vm::new(Engine::Tracing);
+    vm.set_cache_path(Some(cache.to_path_buf()));
+    vm.eval(prog(name).source).unwrap_or_else(|e| panic!("{name} failed under tracing: {e}"));
+    assert!(vm.last_cache_error().is_none(), "{name}: {:?}", vm.last_cache_error());
+    vm.profile().expect("the tracing engine keeps a profile").clone()
+}
+
+/// Bytecodes executed outside compiled traces: the time-to-peak proxy.
+fn warmup_bytecodes(s: &ProfileStats) -> u64 {
+    s.bytecodes_interp + s.bytecodes_recorded
+}
+
+#[test]
+fn a_warm_vm_loads_every_tree_and_records_nothing() {
+    let dir = std::env::temp_dir().join(format!("tm_suite_gates_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let mut observed = Vec::new();
+    for name in WARM_SMOKE {
+        let cache = dir.join(format!("{name}.tmc"));
+        let cold = cached_run(name, &cache);
+        assert_eq!(cold.cache_hits, 0, "{name}: the cold run starts without a cache entry");
+        assert!(cache.is_file(), "{name}: the cold run wrote no cache file");
+        let quiet = |s: &ProfileStats| s.traces_completed == 0 && s.traces_aborted == 0;
+        let converged = (0..MAX_WARM_RUNS).any(|_| {
+            let w = cached_run(name, &cache);
+            assert_eq!(w.cache_hits, 1, "{name}: a warmed run missed the cache");
+            quiet(&w)
+        });
+        assert!(converged, "{name}: the cache still grows after {MAX_WARM_RUNS} warmed runs");
+
+        let warm = cached_run(name, &cache);
+        assert_eq!(warm.cache_hits, 1, "{name}: the warm run missed the cache");
+        assert!(quiet(&warm), "{name}: the warm run recorded against a converged cache");
+        assert!(
+            warm.cache_loaded_trees >= cold.trees && warm.cache_loaded_fragments >= cold.fragments,
+            "{name}: loaded {} trees / {} fragments, the cold run recorded {} / {}",
+            warm.cache_loaded_trees,
+            warm.cache_loaded_fragments,
+            cold.trees,
+            cold.fragments
+        );
+        // A program may instead converge to no trace entries at all: the
+        // §3.3 machinery found tracing it unprofitable and the cache keeps
+        // that verdict, so the warm run skips the record/compile tax.
+        let warm_started = warm.trace_enters > 0;
+        if cold.trees > 0 && warm_started {
+            assert!(
+                warmup_bytecodes(&warm) < warmup_bytecodes(&cold),
+                "{name}: warm ran {} bytecodes outside traces, cold {}",
+                warmup_bytecodes(&warm),
+                warmup_bytecodes(&cold)
+            );
+        }
+        observed.push((*name, "warm_started", u64::from(warm_started)));
+        if warm_started {
+            observed.push((*name, "warm_bytecodes", warmup_bytecodes(&warm)));
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    check_pins(&observed);
+}
+
+// ---- multi-tenant ----------------------------------------------------
+
+/// Request-sized programs; every realm and every repetition must agree.
+/// The last one compiles nothing, so it has no code to share.
+const REQUESTS: &[(&str, bool)] = &[
+    ("var s = 0; for (var i = 0; i < 2000; i++) s += i * 3 - (i >> 1); s", true),
+    (
+        "var s = 0; \
+         for (var i = 0; i < 1500; i++) { if (i % 3 == 0) s += i * 2; else s -= i; } s",
+        true,
+    ),
+    (
+        "var p = { x: 0, y: 0 }; \
+         for (var i = 0; i < 1200; i++) { p.x += i; p.y = p.x - i; } p.x + p.y",
+        true,
+    ),
+    ("var s = ''; var n = 0; \
+      for (var i = 0; i < 600; i++) { s = 'ab' + s.substring(0, 6); n += s.length; } n", true),
+    ("var a = 1; var b = a + 41; var c = b * 2 - 42; c", false),
+];
+
+#[test]
+fn tenant_realms_agree_with_one_realm_and_share_trees() {
+    for &(source, traceable) in REQUESTS {
+        let mut single = Vm::new(Engine::Tracing);
+        single.set_cache_path(None);
+        let v = single.eval(source).expect("request runs");
+        let expected = Ok(tracemonkey::runtime::ops::to_display(&mut single.realm, v));
+
+        let host = MultiTenantVm::new(2);
+        // One realm ahead of the rest: what it compiled is published once
+        // its requests are answered, so the others' hits do not depend on
+        // which thread the OS runs first.
+        let mut reports = host.run(vec![RealmJob::repeat(source, 5)]);
+        reports.extend(host.run(vec![RealmJob::repeat(source, 5); 3]));
+        for (realm, report) in reports.iter().enumerate() {
+            for (request, result) in report.results.iter().enumerate() {
+                assert_eq!(*result, expected, "realm {realm} request {request}: {source}");
+            }
+        }
+        if traceable {
+            let shared = host.shared_stats();
+            let installed: u64 =
+                reports.iter().flat_map(|r| &r.stats).map(|s| s.shared_cache_installed_trees).sum();
+            assert!(shared.publishes > 0 && shared.hits > 0, "no sharing ({shared:?}): {source}");
+            assert!(installed > 0, "no realm installed a shared tree: {source}");
+            assert!(host.pool_stats().executed > 0, "nothing compiled in the background: {source}");
+        }
+    }
+}

@@ -18,18 +18,8 @@ pub struct JitOptions {
     pub blacklist: BlacklistConfig,
     /// Forward filter configuration (§5.1).
     pub filters: FilterOptions,
-    /// Abort recording beyond this many LIR instructions.
-    pub max_trace_len: usize,
     /// Maximum function-inlining depth on trace.
     pub max_inline_depth: usize,
-    /// Maximum fragments per tree (bounds code-cache growth).
-    pub max_fragments_per_tree: usize,
-    /// Disable a tree when, after `useless_probation` entries, its average
-    /// native bytecodes per call stays below this (the paper's §3.3
-    /// "short loop body" mitigation, proposed there as future work).
-    pub min_useful_bytecodes: u64,
-    /// Entries before the useless-tree check applies.
-    pub useless_probation: u64,
     /// Record nested trace trees (§4); off = the naive behaviour of
     /// aborting on inner loops.
     pub enable_nesting: bool,
@@ -53,7 +43,7 @@ pub struct JitOptions {
     pub verify: bool,
     /// Run the peephole superinstruction pass (`tm-nanojit::fuse`) on
     /// every compiled fragment. On by default; turning it off executes
-    /// the raw assembled code (the `bench_pr5` baseline configuration).
+    /// the raw assembled code (the `decoded-raw` rung of `tm_bench`'s ladder).
     pub enable_fusion: bool,
     /// Hand finished recordings to the attached background compiler pool
     /// (`Vm::attach_pool`) instead of compiling on the execution thread;
@@ -62,13 +52,14 @@ pub struct JitOptions {
     /// keep the paper's synchronous compile-on-record semantics.
     pub background_compile: bool,
     /// Execute trace trees through the native x86-64 backend
-    /// (`tm-nanojit::x64`) when the tree's fragments are fully
-    /// translatable; trees with untranslatable ops (heap access, helper
-    /// calls, nested trees) fall back per-tree to the decoded executor,
-    /// which remains the portable reference. On by default where the
-    /// backend exists (x86-64 Linux) so the whole suite runs the native
-    /// tier differentially; forced off elsewhere — enabling it on an
-    /// unsupported target silently degrades to the decoded executor.
+    /// (`tm-nanojit::x64`), which emits every `MachInst` family; the
+    /// decoded executor stays the portable reference. A tree still runs
+    /// decoded while its native code is not ready (emission in flight on
+    /// the pool, or deferred after a branch install) and when
+    /// `emit_tree` refuses it (a `CallHelper` wider than the inline
+    /// argument buffer, or a refused `mmap`). On by default where the
+    /// backend exists (x86-64 Linux) and forced off elsewhere, where
+    /// turning it on silently degrades to the decoded executor.
     pub native_backend: bool,
 }
 
@@ -79,11 +70,7 @@ impl Default for JitOptions {
             hot_exit_threshold: 2,
             blacklist: BlacklistConfig::default(),
             filters: FilterOptions::default(),
-            max_trace_len: 2048,
             max_inline_depth: 8,
-            max_fragments_per_tree: 32,
-            min_useful_bytecodes: 120,
-            useless_probation: 64,
             enable_nesting: true,
             enable_stitching: true,
             enable_oracle: true,

@@ -12,8 +12,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use tm_interp::{Flow, Interp, RunExit};
-use tm_lir::{run_backward_filters, ExitLiveness};
-use tm_nanojit::{assemble, emit_tree, execute, ExitTarget, Fragment, NativeTree, TreeHost};
+use tm_nanojit::{emit_tree, execute, ExitTarget, Fragment, NativeTree, TreeHost};
 use tm_runtime::{Realm, RuntimeError, Value};
 
 use crate::activation::{box_from_word, unbox_to_word, value_matches, SlotKey};
@@ -22,7 +21,10 @@ use crate::config::JitOptions;
 use crate::events::{AbortReason, EventLog, TraceEvent};
 use crate::exit::{ExitKind, SideExitInfo};
 use crate::oracle::Oracle;
-use crate::pool::{CompileJob, CompileOutcome, CompilerPool, EmitJob, EmitOutcome, EmitTicket, Ticket};
+use crate::pool::{
+    compile_trace, CompileJob, CompileOutcome, CompilerPool, EmitJob, EmitOutcome, EmitTicket,
+    Ticket,
+};
 use crate::profiler::{Activity, Profiler};
 use crate::recorder::{self, RecordAction, RecordedTrace, Recorder};
 use crate::shared_cache::{entry_digest, SharedCodeCache, SharedKey};
@@ -31,6 +33,15 @@ use crate::tree::{Anchor, AnchorKind, ExitState, TraceTree, TreeCache, TreeId, T
 /// Maximum sibling trees per loop header before the monitor stops
 /// recording new type-permutation trees.
 const MAX_SIBLING_TREES: usize = 8;
+
+/// Maximum fragments per tree (bounds code-cache growth).
+const MAX_FRAGMENTS_PER_TREE: usize = 32;
+
+/// §3.3 short-loop mitigation (proposed in the paper as future work): a
+/// tree is disabled when, after `USELESS_PROBATION` entries, its average
+/// native bytecodes per entry stays below `MIN_USEFUL_BYTECODES`.
+const MIN_USEFUL_BYTECODES: u64 = 120;
+const USELESS_PROBATION: u64 = 64;
 
 /// Whether an abort reason is *provisional* (demote-only): it counts
 /// toward the per-site failure budget but remains eligible for §4.2
@@ -656,35 +667,11 @@ impl Monitor {
         verify_base: &[(tm_lir::ArSlot, tm_lir::LirType)],
     ) -> Fragment {
         self.profiler.switch(Activity::Compile);
-        let liveness = ExitLiveness {
-            live_slots: recorded.exits.iter().map(SideExitInfo::live_slots).collect(),
-        };
-        run_backward_filters(&mut recorded.lir, &liveness, &recorded.loop_live);
-        if self.opts.verify {
-            // The recorder's output was already verified; what is handed
-            // to the backend is re-checked so a backward-filter defect
-            // (bad id compaction, dropped store an exit needs) surfaces
-            // here instead of as compiled garbage.
-            if let Err(err) = recorded.verify(verify_base) {
-                panic!("backward filters produced a malformed trace: {err}");
-            }
-        }
-        let mut frag = assemble(&recorded.lir);
-        if self.opts.enable_fusion {
-            frag = tm_nanojit::fuse(frag);
-            self.profiler.stats.fused_superinsts +=
-                u64::from(frag.fuse_stats.superinsts);
-            self.profiler.stats.fuse_insts_removed +=
-                u64::from(frag.fuse_stats.raw_insts - frag.fuse_stats.fused_insts);
-        }
-        if self.opts.verify {
-            // Backend output check: register allocation and the peephole
-            // pass must hand the executor structurally sound code.
-            if let Err(err) = tm_verifier::verify_fragment(&frag) {
-                panic!("backend produced a malformed fragment: {err}");
-            }
-        }
-        self.profiler.stats.fragments += 1;
+        // On the execution thread a verifier rejection is a bug in this
+        // program, not a condition to recover from.
+        let frag = compile_trace(recorded, verify_base, &self.opts)
+            .unwrap_or_else(|err| panic!("{err}"));
+        self.absorb_compiled_fragment_stats(&frag);
         self.profiler.switch(Activity::Monitor);
         frag
     }
@@ -1008,7 +995,7 @@ impl Monitor {
         }
         {
             let tree = self.cache.tree_mut(tid);
-            if tree.fragments.len() >= self.opts.max_fragments_per_tree {
+            if tree.fragments.len() >= MAX_FRAGMENTS_PER_TREE {
                 return Ok(());
             }
             let max_failures = self.opts.blacklist.max_failures;
@@ -1243,8 +1230,8 @@ impl Monitor {
         }
     }
 
-    /// The profiler accounting `compile_fragment` does inline, replayed
-    /// for a fragment that was compiled on a worker thread.
+    /// The profiler accounting for one compiled fragment, whichever
+    /// thread compiled it.
     fn absorb_compiled_fragment_stats(&mut self, frag: &Fragment) {
         if self.opts.enable_fusion {
             self.profiler.stats.fused_superinsts += u64::from(frag.fuse_stats.superinsts);
@@ -1410,13 +1397,11 @@ impl Monitor {
         // §3.3 short-loop mitigation: a tree whose calls execute too few
         // bytecodes costs more in transitions than it saves; disable it.
         {
-            let min_useful = self.opts.min_useful_bytecodes;
-            let probation = self.opts.useless_probation;
             let tree = self.cache.tree_mut(tid);
-            if tree.stats.enters >= probation {
+            if tree.stats.enters >= USELESS_PROBATION {
                 let avg = tree.stats.native_bytecodes(tree.fragment_bytecodes[0])
                     / tree.stats.enters.max(1);
-                if avg < min_useful {
+                if avg < MIN_USEFUL_BYTECODES {
                     tree.disabled = true;
                 }
             }

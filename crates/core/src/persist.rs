@@ -48,7 +48,7 @@ pub const MAGIC: [u8; 4] = *b"TMTC";
 /// Current format version. Readers reject any other value (there is no
 /// cross-version migration: a cache is a regenerable artifact, so version
 /// skew simply degrades to a cold start).
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Why a cache file or entry was rejected. Every variant degrades to a
 /// cold start; none is fatal to the VM.
@@ -144,13 +144,26 @@ pub fn program_checksum(prog: &Program) -> u64 {
 /// Fingerprint of the realm at trace-install time. Captured right after
 /// bytecode compilation — the exact point where a warm process loads the
 /// cache — so equal fingerprints mean the loaded traces' embedded heap
-/// references (callee function objects, interned symbols, global slots)
-/// resolve identically in this process.
+/// references (callee function objects, string constants, interned
+/// symbols, global slots) resolve identically in this process.
+///
+/// The heap enters as its allocation layout, not its live counts: a
+/// long-lived realm that has collected and recycled cells can return to
+/// the same counts with its constants at different handles. The
+/// collection count separates a realm from its own earlier self (between
+/// two evals it either allocated, which changes the layout, or
+/// collected). Fresh realms that compiled the same program have equal
+/// layouts and no collections, so they still share.
 pub fn realm_fingerprint(realm: &Realm) -> u64 {
     let mut h = Fnv1a64::new();
-    h.update_u64(realm.heap.live_objects() as u64);
-    h.update_u64(realm.heap.live_strings() as u64);
-    h.update_u64(realm.heap.live_doubles() as u64);
+    for (cells, free) in realm.heap.arena_layout() {
+        h.update_u64(cells as u64);
+        h.update_u64(free.len() as u64);
+        for &cell in free {
+            h.update_u32(cell);
+        }
+    }
+    h.update_u64(realm.heap.gc_stats().collections);
     h.update_u64(realm.shapes.len() as u64);
     h.update_u64(realm.symbols.len() as u64);
     h.update_u64(realm.globals.len() as u64);
@@ -218,7 +231,7 @@ pub struct CacheEntry {
 }
 
 // ---------------------------------------------------------------------------
-// Field codecs (format version 1; see docs/PERSISTENCE.md §4-§7).
+// Field codecs (see docs/PERSISTENCE.md §4-§7).
 // ---------------------------------------------------------------------------
 
 fn w_slotkey(k: SlotKey, w: &mut ByteWriter) {

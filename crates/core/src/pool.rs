@@ -317,48 +317,69 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
-/// The compile pipeline, identical to the monitor's synchronous
-/// `compile_fragment` but free of `&mut Monitor`: backward filters, the
-/// post-filter trace verification, assembly, fusion, and the backend
-/// fragment verification. Panics anywhere in the pipeline are caught and
-/// reported as [`CompileOutcome::Failed`].
+/// The compile pipeline, written once for both callers (the monitor's
+/// synchronous `compile_fragment` and the pool worker): backward filters,
+/// the post-filter trace verification, assembly, fusion, and the backend
+/// fragment verification. `Err` is a verifier rejection; what to do with
+/// it (panic on the execution thread, fail the job on a worker) is the
+/// caller's policy.
+pub(crate) fn compile_trace(
+    recorded: &mut RecordedTrace,
+    verify_base: &[(ArSlot, LirType)],
+    opts: &JitOptions,
+) -> Result<Fragment, String> {
+    let liveness = ExitLiveness {
+        live_slots: recorded.exits.iter().map(SideExitInfo::live_slots).collect(),
+    };
+    run_backward_filters(&mut recorded.lir, &liveness, &recorded.loop_live);
+    if opts.verify {
+        // The recorder's output was already verified; what is handed to
+        // the backend is re-checked so a backward-filter defect (bad id
+        // compaction, dropped store an exit needs) surfaces here instead
+        // of as compiled garbage.
+        recorded
+            .verify(verify_base)
+            .map_err(|err| format!("backward filters produced a malformed trace: {err}"))?;
+    }
+    let mut frag = assemble(&recorded.lir);
+    if opts.enable_fusion {
+        frag = tm_nanojit::fuse(frag);
+    }
+    if opts.verify {
+        // Backend output check: register allocation and the peephole
+        // pass must hand the executor structurally sound code.
+        tm_verifier::verify_fragment(&frag)
+            .map_err(|err| format!("backend produced a malformed fragment: {err}"))?;
+    }
+    Ok(frag)
+}
+
+/// The text of a caught panic payload.
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
+    panic
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| panic.downcast_ref::<&str>().copied())
+        .unwrap_or("<non-string panic payload>")
+}
+
+/// [`compile_trace`] under a panic fence: a filter or backend defect
+/// surfaces as [`CompileOutcome::Failed`], not a dead worker.
 fn run_pipeline(job: CompileJob) -> CompileOutcome {
     let CompileJob { mut recorded, verify_base, opts } = job;
-    let result = std::panic::catch_unwind(AssertUnwindSafe(move || {
-        let liveness = ExitLiveness {
-            live_slots: recorded.exits.iter().map(SideExitInfo::live_slots).collect(),
-        };
-        run_backward_filters(&mut recorded.lir, &liveness, &recorded.loop_live);
-        if opts.verify {
-            if let Err(err) = recorded.verify(&verify_base) {
-                return Err(format!("backward filters produced a malformed trace: {err}"));
-            }
-        }
-        let mut frag = assemble(&recorded.lir);
-        if opts.enable_fusion {
-            frag = tm_nanojit::fuse(frag);
-        }
-        if opts.verify {
-            if let Err(err) = tm_verifier::verify_fragment(&frag) {
-                return Err(format!("backend produced a malformed fragment: {err}"));
-            }
-        }
-        Ok((recorded, frag))
+    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        compile_trace(&mut recorded, &verify_base, &opts)
     }));
     match result {
-        Ok(Ok((recorded, frag))) => CompileOutcome::Done {
+        Ok(Ok(frag)) => CompileOutcome::Done {
             recorded: Box::new(recorded),
             fragment: Box::new(frag),
         },
         Ok(Err(msg)) => CompileOutcome::Failed(msg),
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "compile pipeline panicked".into());
-            CompileOutcome::Failed(format!("compile pipeline panicked: {msg}"))
-        }
+        Err(panic) => CompileOutcome::Failed(format!(
+            "compile pipeline panicked: {}",
+            panic_message(&*panic)
+        )),
     }
 }
 
@@ -371,14 +392,10 @@ fn run_emit(job: &EmitJob) -> EmitOutcome {
     match result {
         Ok(Ok(tree)) => EmitOutcome::Done(Box::new(tree)),
         Ok(Err(unsupported)) => EmitOutcome::Failed(unsupported.to_string()),
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "emission panicked".into());
-            EmitOutcome::Failed(format!("native emission panicked: {msg}"))
-        }
+        Err(panic) => EmitOutcome::Failed(format!(
+            "native emission panicked: {}",
+            panic_message(&*panic)
+        )),
     }
 }
 

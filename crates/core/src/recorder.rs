@@ -33,6 +33,9 @@ use crate::tree::{Anchor, AnchorKind, EntrySlot, NestedSite, TreeId};
 /// matter what `max_inline_depth` is configured to.
 const MAX_SHADOW_FRAMES: usize = 200;
 
+/// Recording aborts (`TraceTooLong`) beyond this many LIR instructions.
+const MAX_TRACE_LEN: usize = 2048;
+
 /// A shadow value: the SSA id computing an interpreter value, plus its
 /// unboxed type (never `Boxed` on the shadow stack).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -772,7 +775,7 @@ impl Recorder {
         oracle: &Oracle,
     ) -> RecordAction {
         debug_assert!(self.finish.is_none(), "recording after finish");
-        if self.buf.trace().code.len() > self.opts.max_trace_len
+        if self.buf.trace().code.len() > MAX_TRACE_LEN
             || self.buf.trace().num_exits > u16::MAX - 8
         {
             return RecordAction::Abort(AbortReason::TraceTooLong);

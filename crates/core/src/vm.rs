@@ -4,6 +4,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use tm_bytecode::Program;
 use tm_interp::{Interp, RunExit};
 use tm_runtime::{Realm, RuntimeError, Value};
 
@@ -153,6 +154,18 @@ impl Vm {
         self.engine
     }
 
+    /// Parses `source` and compiles it to bytecode against this VM's
+    /// realm: the front half of [`Vm::eval`], public so an engine that
+    /// lives outside this crate (the method JIT) shares it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VmError`] for parse or compile failures.
+    pub fn compile(&mut self, source: &str) -> Result<Program, VmError> {
+        let ast = tm_frontend::parse(source)?;
+        Ok(tm_bytecode::compile(&ast, &mut self.realm)?)
+    }
+
     /// Evaluates a program, returning its completion value.
     ///
     /// Each call compiles a fresh program against the shared realm; the
@@ -162,8 +175,7 @@ impl Vm {
     ///
     /// Returns [`VmError`] for parse, compile, or runtime failures.
     pub fn eval(&mut self, source: &str) -> Result<Value, VmError> {
-        let ast = tm_frontend::parse(source)?;
-        let prog = tm_bytecode::compile(&ast, &mut self.realm)?;
+        let prog = self.compile(source)?;
         let mut interp = Interp::new(prog, &mut self.realm);
         interp.steps_remaining = self.step_budget;
         let result = match self.engine {

@@ -8,7 +8,9 @@
 //! an unstitched exit returns control to the trace monitor.
 
 use tm_lir::{AluOp, ChkOp, CmpOp};
-use tm_runtime::trace_helpers::{call_helper, f64_from_word, i32_from_word, word_from_f64};
+use tm_runtime::trace_helpers::{
+    call_helper, f64_from_word, heap_ops, i32_from_word, word_from_f64,
+};
 use tm_runtime::value::{INT_MAX, INT_MIN};
 use tm_runtime::{ObjectId, Realm, RuntimeError, StringId, Value};
 
@@ -467,15 +469,10 @@ pub fn execute(
                 regs[r(d)] = x as u64;
             }
             MachInst::BoxI { d, a } => {
-                regs[r(d)] =
-                    realm.heap.number_i32(i32_from_word(regs[r(a)])).raw();
+                regs[r(d)] = heap_ops::box_i(realm, i32_from_word(regs[r(a)]));
             }
             MachInst::BoxD { d, a } => {
-                let v = realm.heap.number(f64_from_word(regs[r(a)]));
-                if realm.heap.should_collect() {
-                    realm.heap.gc_pending = true;
-                }
-                regs[r(d)] = v.raw();
+                regs[r(d)] = heap_ops::box_d(realm, regs[r(a)]);
             }
             MachInst::BoxB { d, a } => {
                 regs[r(d)] = Value::new_bool(regs[r(a)] != 0).raw();
@@ -493,9 +490,8 @@ pub fn execute(
                 }
             }
             MachInst::UnboxD { d, a, exit } => {
-                let v = Value::from_raw(regs[r(a)]);
-                match v.as_double_id() {
-                    Some(id) => regs[r(d)] = word_from_f64(realm.heap.double(id)),
+                match heap_ops::unbox_double(realm, regs[r(a)]) {
+                    Some(w) => regs[r(d)] = w,
                     None => take_exit!(exit),
                 }
             }
@@ -536,14 +532,12 @@ pub fn execute(
                 }
             }
             MachInst::GuardShape { obj, shape, exit } => {
-                let o = ObjectId(regs[r(obj)] as u32);
-                if realm.heap.object(o).shape.0 != shape {
+                if heap_ops::shape_of(realm, regs[r(obj)]) != u64::from(shape) {
                     take_exit!(exit);
                 }
             }
             MachInst::GuardClass { obj, class, exit } => {
-                let o = ObjectId(regs[r(obj)] as u32);
-                if realm.heap.object(o).class as u8 != class {
+                if heap_ops::class_of(realm, regs[r(obj)]) != u64::from(class) {
                     take_exit!(exit);
                 }
             }
@@ -553,45 +547,32 @@ pub fn execute(
                 }
             }
             MachInst::GuardBound { arr, idx, exit } => {
-                let o = ObjectId(regs[r(arr)] as u32);
                 let i = i32_from_word(regs[r(idx)]);
-                if i < 0 || i as usize >= realm.heap.object(o).elements.len() {
+                if i < 0 || i as u64 >= heap_ops::elems_len(realm, regs[r(arr)]) {
                     take_exit!(exit);
                 }
             }
 
             MachInst::LoadSlot { d, o, slot } => {
-                let oid = ObjectId(regs[r(o)] as u32);
-                regs[r(d)] = realm.heap.object(oid).slots[slot as usize].raw();
+                regs[r(d)] = heap_ops::load_slot(realm, regs[r(o)], u64::from(slot));
             }
             MachInst::StoreSlot { o, slot, s } => {
-                let oid = ObjectId(regs[r(o)] as u32);
-                realm.heap.object_mut(oid).slots[slot as usize] =
-                    Value::from_raw(regs[r(s)]);
+                heap_ops::store_slot(realm, regs[r(o)], u64::from(slot), regs[r(s)]);
             }
             MachInst::LoadProto { d, o } => {
-                let oid = ObjectId(regs[r(o)] as u32);
-                let proto = realm.heap.object(oid).proto.expect("proto guarded by recording");
-                regs[r(d)] = u64::from(proto.0);
+                regs[r(d)] = heap_ops::load_proto(realm, regs[r(o)]);
             }
             MachInst::LoadElem { d, a, i } => {
-                let oid = ObjectId(regs[r(a)] as u32);
-                let idx = i32_from_word(regs[r(i)]) as usize;
-                regs[r(d)] = realm.heap.object(oid).elements[idx].raw();
+                regs[r(d)] = heap_ops::load_elem(realm, regs[r(a)], i32_from_word(regs[r(i)]));
             }
             MachInst::StoreElem { a, i, s } => {
-                let oid = ObjectId(regs[r(a)] as u32);
-                let idx = i32_from_word(regs[r(i)]) as u32;
-                let v = Value::from_raw(regs[r(s)]);
-                realm.heap.object_mut(oid).set_element(idx, v);
+                heap_ops::store_elem(realm, regs[r(a)], i32_from_word(regs[r(i)]), regs[r(s)]);
             }
             MachInst::ArrayLen { d, a } => {
-                let oid = ObjectId(regs[r(a)] as u32);
-                regs[r(d)] = u64::from(realm.heap.object(oid).array_length());
+                regs[r(d)] = heap_ops::array_len(realm, regs[r(a)]);
             }
             MachInst::StrLen { d, a } => {
-                let sid = StringId(regs[r(a)] as u32);
-                regs[r(d)] = realm.heap.string(sid).len() as u64;
+                regs[r(d)] = heap_ops::str_len(realm, regs[r(a)]);
             }
 
             MachInst::CallHelper { d, helper, ref args, exit } => {

@@ -21,8 +21,9 @@
 //! Every `MachInst` family is covered. Pure int/double arithmetic,
 //! guards, and AR traffic emit inline; ops that walk realm heap
 //! structures (shape/class/bound guards, slot/element/proto loads and
-//! stores, `ArrayLen`/`StrLen`) call tiny `extern "sysv64"` shims whose
-//! bodies are the exact decoded-executor match arms — the heap's arenas
+//! stores, `ArrayLen`/`StrLen`) call tiny `extern "sysv64"` shims that
+//! forward to the `tm_runtime::trace_helpers::heap_ops` functions the
+//! decoded executor's match arms call — the heap's arenas
 //! are growable `Vec`s, so baking their data pointers into code would go
 //! stale on reallocation; a call through a stable shim address is the
 //! reliable form. `CallHelper` marshals its arguments into a ctx-inline
@@ -82,9 +83,11 @@ mod imp {
     use std::collections::HashMap;
     use std::mem::offset_of;
 
-    use tm_lir::{AluOp, ChkOp, CmpOp};
-    use tm_runtime::trace_helpers::{call_helper, f64_from_word, word_from_f64, Helper};
-    use tm_runtime::{ObjectId, Realm, RuntimeError, StringId, Value};
+    use tm_lir::{AluOp, ChkOp, CmpOp, NO_EXIT};
+    use tm_runtime::trace_helpers::{
+        call_helper, f64_from_word, heap_ops, word_from_f64, Helper,
+    };
+    use tm_runtime::{Realm, RuntimeError};
 
     use super::{unsupported_op, Unsupported, MAX_HELPER_ARGS};
     use crate::executor::{TraceExit, TreeHost};
@@ -173,9 +176,17 @@ mod imp {
 
     // ---- runtime shims --------------------------------------------------
     //
-    // Each shim is the exact body of the corresponding decoded-executor
-    // match arm (or the slow half of it); native code calls them with the
-    // System V convention, so the pinned callee-saved registers survive.
+    // Native code calls these with the System V convention, so the pinned
+    // callee-saved registers survive. The heap and box shims hold no
+    // semantics of their own: each forwards to the `tm_runtime` function
+    // (`trace_helpers::heap_ops`) that the decoded executor's match arm
+    // for the same instruction calls.
+    //
+    // Every `realm` argument is `NativeCtx::realm`, which
+    // `NativeTree::execute` fills from the `&mut Realm` it holds for the
+    // whole run; native code runs on that thread only and is suspended
+    // inside the call, so the reference each shim rebuilds is unique (or
+    // shared, for the `*const` ones) for the shim's duration.
 
     extern "sysv64" fn fmod_shim(a: u64, b: u64) -> u64 {
         word_from_f64(f64_from_word(a) % f64_from_word(b))
@@ -186,100 +197,81 @@ mod imp {
     }
 
     /// `BoxI` slow path: the value is outside the boxable 31-bit range,
-    /// so boxing allocates a heap double (`Heap::number_i32`).
+    /// so boxing allocates a heap double.
     extern "sysv64" fn boxi_slow_shim(realm: *mut Realm, i: u32) -> u64 {
-        let realm = unsafe { &mut *realm };
-        realm.heap.number_i32(i as i32).raw()
+        // SAFETY: `realm` is the run's realm (section comment).
+        heap_ops::box_i(unsafe { &mut *realm }, i as i32)
     }
 
     extern "sysv64" fn boxd_shim(realm: *mut Realm, bits: u64) -> u64 {
-        let realm = unsafe { &mut *realm };
-        let v = realm.heap.number(f64_from_word(bits));
-        if realm.heap.should_collect() {
-            realm.heap.gc_pending = true;
-        }
-        v.raw()
+        // SAFETY: `realm` is the run's realm (section comment).
+        heap_ops::box_d(unsafe { &mut *realm }, bits)
     }
 
     /// Reads the heap double behind an already-tag-checked boxed value.
     extern "sysv64" fn unbox_double_shim(realm: *const Realm, raw: u64) -> u64 {
-        let realm = unsafe { &*realm };
-        let id = Value::from_raw(raw).as_double_id().expect("tag checked by native code");
-        word_from_f64(realm.heap.double(id))
+        // SAFETY: `realm` is the run's realm (section comment).
+        heap_ops::unbox_double(unsafe { &*realm }, raw).expect("tag checked by native code")
     }
 
     // Heap-walking ops (shape/class/bound guards, slot/element/proto
     // access, lengths). The heap's object and string arenas are growable
     // `Vec`s whose data pointers move on reallocation, so the emitter
     // calls these stable shims instead of baking arena addresses into
-    // code; surrounding arithmetic still runs fully native, and the shim
-    // bodies mirror the decoded-executor arms verbatim.
+    // code; surrounding arithmetic still runs fully native.
 
-    /// `GuardShape` probe: the guarded object's current shape id.
+    /// `GuardShape` probe.
     extern "sysv64" fn shape_of_shim(realm: *const Realm, obj: u64) -> u64 {
-        let realm = unsafe { &*realm };
-        u64::from(realm.heap.object(ObjectId(obj as u32)).shape.0)
+        // SAFETY: `realm` is the run's realm (section comment).
+        heap_ops::shape_of(unsafe { &*realm }, obj)
     }
 
-    /// `GuardClass` probe: the guarded object's class discriminant.
+    /// `GuardClass` probe.
     extern "sysv64" fn class_of_shim(realm: *const Realm, obj: u64) -> u64 {
-        let realm = unsafe { &*realm };
-        realm.heap.object(ObjectId(obj as u32)).class as u64
+        // SAFETY: `realm` is the run's realm (section comment).
+        heap_ops::class_of(unsafe { &*realm }, obj)
     }
 
-    /// `GuardBound` probe: the dense element count (also `ArrayLen`'s
-    /// value, but kept separate so the guard compares `usize` length
-    /// while `ArrayLen` produces the decoded tier's `u32` result).
+    /// `GuardBound` probe.
     extern "sysv64" fn elems_len_shim(realm: *const Realm, obj: u64) -> u64 {
-        let realm = unsafe { &*realm };
-        realm.heap.object(ObjectId(obj as u32)).elements.len() as u64
+        // SAFETY: `realm` is the run's realm (section comment).
+        heap_ops::elems_len(unsafe { &*realm }, obj)
     }
 
     extern "sysv64" fn load_slot_shim(realm: *const Realm, obj: u64, slot: u64) -> u64 {
-        let realm = unsafe { &*realm };
-        realm.heap.object(ObjectId(obj as u32)).slots[slot as usize].raw()
+        // SAFETY: `realm` is the run's realm (section comment).
+        heap_ops::load_slot(unsafe { &*realm }, obj, slot)
     }
 
     extern "sysv64" fn store_slot_shim(realm: *mut Realm, obj: u64, slot: u64, v: u64) {
-        let realm = unsafe { &mut *realm };
-        realm.heap.object_mut(ObjectId(obj as u32)).slots[slot as usize] =
-            Value::from_raw(v);
+        // SAFETY: `realm` is the run's realm (section comment).
+        heap_ops::store_slot(unsafe { &mut *realm }, obj, slot, v);
     }
 
     extern "sysv64" fn load_proto_shim(realm: *const Realm, obj: u64) -> u64 {
-        let realm = unsafe { &*realm };
-        let proto = realm
-            .heap
-            .object(ObjectId(obj as u32))
-            .proto
-            .expect("proto guarded by recording");
-        u64::from(proto.0)
+        // SAFETY: `realm` is the run's realm (section comment).
+        heap_ops::load_proto(unsafe { &*realm }, obj)
     }
 
-    /// `idx` arrives sign-extended from the i32 vreg; the `as usize`
-    /// wrap below matches the decoded arm (a negative index panics out
-    /// of range there too — `GuardBound` precedes every access).
+    /// `idx` arrives sign-extended from the i32 vreg.
     extern "sysv64" fn load_elem_shim(realm: *const Realm, obj: u64, idx: i64) -> u64 {
-        let realm = unsafe { &*realm };
-        realm.heap.object(ObjectId(obj as u32)).elements[idx as usize].raw()
+        // SAFETY: `realm` is the run's realm (section comment).
+        heap_ops::load_elem(unsafe { &*realm }, obj, idx as i32)
     }
 
     extern "sysv64" fn store_elem_shim(realm: *mut Realm, obj: u64, idx: i64, v: u64) {
-        let realm = unsafe { &mut *realm };
-        realm
-            .heap
-            .object_mut(ObjectId(obj as u32))
-            .set_element(idx as u32, Value::from_raw(v));
+        // SAFETY: `realm` is the run's realm (section comment).
+        heap_ops::store_elem(unsafe { &mut *realm }, obj, idx as i32, v);
     }
 
     extern "sysv64" fn array_len_shim(realm: *const Realm, obj: u64) -> u64 {
-        let realm = unsafe { &*realm };
-        u64::from(realm.heap.object(ObjectId(obj as u32)).array_length())
+        // SAFETY: `realm` is the run's realm (section comment).
+        heap_ops::array_len(unsafe { &*realm }, obj)
     }
 
     extern "sysv64" fn str_len_shim(realm: *const Realm, s: u64) -> u64 {
-        let realm = unsafe { &*realm };
-        realm.heap.string(StringId(s as u32)).len() as u64
+        // SAFETY: `realm` is the run's realm (section comment).
+        heap_ops::str_len(unsafe { &*realm }, s)
     }
 
     // Runtime re-entry (helper calls, nested trees). Both return a
@@ -1965,7 +1957,10 @@ mod imp {
                 // -- runtime re-entry --
 
                 MachInst::CallHelper { d, helper, ref args, exit } => {
-                    let site = self.site(k, exit, path);
+                    // The soft-float filter's helper calls cannot re-enter
+                    // and carry the no-exit sentinel, which names no
+                    // trampoline.
+                    let site = (exit != NO_EXIT.0).then(|| self.site(k, exit, path));
                     let idx = self.helper_index(helper);
                     self.asm.note(|| format!("; helper table[{idx}] = {helper:?}"));
                     for (n, &s) in args.iter().enumerate() {
@@ -1987,8 +1982,10 @@ mod imp {
                     self.store_vreg64(d, RAX);
                     self.asm.cmp_r32_imm32(RCX, ST_ERR as i32);
                     self.asm.jcc(CC_E, Label::Epilogue);
-                    self.asm.test_rr32(RCX, RCX);
-                    self.asm.jcc(CC_NE, site);
+                    if let Some(site) = site {
+                        self.asm.test_rr32(RCX, RCX);
+                        self.asm.jcc(CC_NE, site);
+                    }
                 }
                 MachInst::CallTree { tree, exit } => {
                     let site = self.site(k, exit, path);
@@ -3211,6 +3208,15 @@ mod tests {
         );
         let e = run_both_with(&tree, &[d(0.5), d(3.0)], 0, u64::MAX, |_| {});
         assert_eq!(e.exit, 0, "pure helpers never take the reenter exit");
+
+        // The soft-float filter's calls carry the no-exit sentinel.
+        let tree = binop_tree(MachInst::CallHelper {
+            d: 2,
+            helper: Helper::SoftMul,
+            args: vec![0, 1].into(),
+            exit: tm_lir::NO_EXIT.0,
+        });
+        run_both(&tree, &[d(1.5), d(-4.0), 0], 0, u64::MAX);
 
         // An allocating string helper: both realms allocate identically.
         let (_, _, _, str_w) = probe_heap();

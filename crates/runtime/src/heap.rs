@@ -317,6 +317,19 @@ impl Heap {
         self.stats.collections += 1;
     }
 
+    /// Per arena (objects, strings, doubles): how many cells it has grown
+    /// to and its free list in reuse order. Heaps that agree on this hold
+    /// the same set of live handles and hand out the same handle for
+    /// every future allocation — what a realm fingerprint must pin, since
+    /// compiled traces embed handles.
+    pub fn arena_layout(&self) -> [(usize, &[u32]); 3] {
+        [
+            (self.objects.len(), &self.obj_free),
+            (self.strings.len(), &self.str_free),
+            (self.doubles.len(), &self.dbl_free),
+        ]
+    }
+
     /// Number of live objects (diagnostic).
     pub fn live_objects(&self) -> usize {
         self.objects.iter().filter(|c| c.is_some()).count()

@@ -46,6 +46,108 @@ pub fn i32_from_word(w: Word) -> i32 {
     w as i32
 }
 
+/// The one definition of each heap-walking or allocating machine
+/// instruction. The decoded executor's match arms call these directly; the
+/// native tier's `extern "sysv64"` shims are wrappers around the same
+/// functions, so the two tiers cannot drift. Object and string operands
+/// are handle words (zero-extended arena indexes), values are raw tagged
+/// words. Handles and slot indexes were guarded by the recording; an
+/// out-of-range one panics on the arena or slot bounds check.
+pub mod heap_ops {
+    use super::{f64_from_word, word_from_f64, Word};
+    use crate::realm::Realm;
+    use crate::value::{ObjectId, StringId, Value};
+
+    /// `GuardShape` probe: the object's current shape id.
+    #[inline]
+    pub fn shape_of(realm: &Realm, obj: Word) -> Word {
+        Word::from(realm.heap.object(ObjectId(obj as u32)).shape.0)
+    }
+
+    /// `GuardClass` probe: the object's class discriminant.
+    #[inline]
+    pub fn class_of(realm: &Realm, obj: Word) -> Word {
+        realm.heap.object(ObjectId(obj as u32)).class as Word
+    }
+
+    /// `GuardBound` probe: the dense element count (`ArrayLen` is
+    /// [`array_len`], the guest-visible `u32` length).
+    #[inline]
+    pub fn elems_len(realm: &Realm, obj: Word) -> Word {
+        realm.heap.object(ObjectId(obj as u32)).elements.len() as Word
+    }
+
+    /// `LoadSlot`.
+    #[inline]
+    pub fn load_slot(realm: &Realm, obj: Word, slot: Word) -> Word {
+        realm.heap.object(ObjectId(obj as u32)).slots[slot as usize].raw()
+    }
+
+    /// `StoreSlot`.
+    #[inline]
+    pub fn store_slot(realm: &mut Realm, obj: Word, slot: Word, v: Word) {
+        realm.heap.object_mut(ObjectId(obj as u32)).slots[slot as usize] = Value::from_raw(v);
+    }
+
+    /// `LoadProto`.
+    #[inline]
+    pub fn load_proto(realm: &Realm, obj: Word) -> Word {
+        let proto =
+            realm.heap.object(ObjectId(obj as u32)).proto.expect("proto guarded by recording");
+        Word::from(proto.0)
+    }
+
+    /// `LoadElem`. `GuardBound` precedes every access, so a negative `idx`
+    /// (which wraps to an out-of-range `usize`) is a bug and panics.
+    #[inline]
+    pub fn load_elem(realm: &Realm, obj: Word, idx: i32) -> Word {
+        realm.heap.object(ObjectId(obj as u32)).elements[idx as usize].raw()
+    }
+
+    /// `StoreElem` (grows the dense part like `Object::set_element`).
+    #[inline]
+    pub fn store_elem(realm: &mut Realm, obj: Word, idx: i32, v: Word) {
+        realm.heap.object_mut(ObjectId(obj as u32)).set_element(idx as u32, Value::from_raw(v));
+    }
+
+    /// `ArrayLen`.
+    #[inline]
+    pub fn array_len(realm: &Realm, obj: Word) -> Word {
+        Word::from(realm.heap.object(ObjectId(obj as u32)).array_length())
+    }
+
+    /// `StrLen`.
+    #[inline]
+    pub fn str_len(realm: &Realm, s: Word) -> Word {
+        realm.heap.string(StringId(s as u32)).len() as Word
+    }
+
+    /// `BoxI`: inline when `i` fits the 31-bit range, a heap double otherwise.
+    #[inline]
+    pub fn box_i(realm: &mut Realm, i: i32) -> Word {
+        realm.heap.number_i32(i).raw()
+    }
+
+    /// `BoxD`. An allocation that crosses the GC threshold only flags the
+    /// collection; the monitor runs it once the trace has exited.
+    #[inline]
+    pub fn box_d(realm: &mut Realm, bits: Word) -> Word {
+        let v = realm.heap.number(f64_from_word(bits));
+        if realm.heap.should_collect() {
+            realm.heap.gc_pending = true;
+        }
+        v.raw()
+    }
+
+    /// `UnboxD`: the heap double behind `raw`, `None` when `raw` is not a
+    /// boxed double (the guard's side exit).
+    #[inline]
+    pub fn unbox_double(realm: &Realm, raw: Word) -> Option<Word> {
+        let id = Value::from_raw(raw).as_double_id()?;
+        Some(word_from_f64(realm.heap.double(id)))
+    }
+}
+
 /// Unboxed argument/result types for typed fast-call natives (§6.5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FastTy {

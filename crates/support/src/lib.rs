@@ -1,8 +1,8 @@
 //! # `tm-support` — hermetic test & measurement support
 //!
 //! Zero-dependency stand-ins for the registry crates the workspace used
-//! before it went offline-hermetic (`rand`, `serde_json`, `proptest`,
-//! `criterion`). Everything here is implemented on `std` alone so that
+//! before it went offline-hermetic (`rand`, `serde_json`, `proptest`).
+//! Everything here is implemented on `std` alone so that
 //!
 //! ```sh
 //! cargo build --release --offline --locked && cargo test -q --offline --locked
@@ -15,9 +15,8 @@
 //! | module | replaces | used by |
 //! |---|---|---|
 //! | [`rng`] | `rand` (`StdRng::seed_from_u64`) | `tests/fuzz_differential.rs` |
-//! | [`json`] | `serde`/`serde_json` | `tm-bench` `results_json` |
+//! | [`json`] | `serde`/`serde_json` | `tm_bench/` (the benchmark harness) |
 //! | [`prop`] | `proptest` | `tests/property.rs` |
-//! | [`mod@bench`] | `criterion` | `tm-bench` `benches/` |
 //! | [`binio`] | `bincode`/`byteorder` | the persistent trace cache |
 //!
 //! Each module's own documentation states its algorithm and its
@@ -28,7 +27,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bench;
 pub mod binio;
 pub mod json;
 pub mod prop;

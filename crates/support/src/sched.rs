@@ -222,7 +222,6 @@ impl Schedule {
             let mut st = self.core.state.lock().unwrap();
             assert!(st.threads[tok] == Run::Unborn, "token {tok} attached twice");
             st.threads[tok] = Run::Runnable;
-            st.trace.push((tok, "attach"));
             self.core.cv.notify_all();
         }
         PARTICIPANT.with(|p| *p.borrow_mut() = Some((Arc::clone(&self.core), tok)));
@@ -247,6 +246,10 @@ impl Schedule {
                 panic!("sched: not every participant attached");
             }
         }
+        // Threads reach `attach` in whatever order the OS ran them; the
+        // trace lists them in token order so it depends on the seed only.
+        let n = st.threads.len();
+        st.trace.extend((0..n).map(|tok| (tok, "attach")));
         st.started = true;
         st.pick_next();
         self.core.cv.notify_all();
@@ -399,7 +402,9 @@ mod tests {
 
     #[test]
     fn unregistered_threads_ignore_the_hooks() {
-        // No schedule armed: all hooks are no-ops.
+        // No schedule armed (so none of the other tests may be mid-run):
+        // all hooks are no-ops.
+        let _g = RIG.lock().unwrap_or_else(|e| e.into_inner());
         yield_point("free");
         pre_park("free");
         post_park("free");

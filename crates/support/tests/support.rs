@@ -1,9 +1,8 @@
 //! Integration tests for `tm-support` itself: the support crate is the
-//! foundation the fuzzer, property suite, and bench harnesses stand on,
+//! foundation the fuzzer, property suite, and benchmark harness stand on,
 //! so its own guarantees (determinism, unbiased sampling, exact JSON
 //! bytes, replayable failure reports) get direct coverage here.
 
-use tm_support::bench::Runner;
 use tm_support::prop::{self, Config};
 use tm_support::{prop_assert, prop_assert_eq, Json, TmRng};
 
@@ -95,8 +94,8 @@ fn json_numbers_round_trip_through_rust_parsing() {
 
 #[test]
 fn json_results_schema_shape() {
-    // The shape `results_json` emits: object → programs array → per-
-    // program objects. Guard the exact bytes of a miniature instance.
+    // A results document: object → programs array → per-program
+    // objects. Guard the exact bytes of a miniature instance.
     let doc = Json::obj([
         ("repeats", Json::from(2u32)),
         (
@@ -150,23 +149,4 @@ fn meta_property_harness_passes_clean_properties() {
         prop_assert_eq!(a.wrapping_add(b), b.wrapping_add(a));
         Ok(())
     });
-}
-
-// ------------------------------------------------------- bench harness
-
-#[test]
-fn bench_runner_samples_and_orders() {
-    let mut runner = Runner::with_config(1, 9);
-    let stats = runner
-        .bench("meta-spin", || {
-            let mut acc = 0u64;
-            for i in 0..2_000u64 {
-                acc = acc.wrapping_mul(31).wrapping_add(i);
-            }
-            acc
-        })
-        .expect("unfiltered");
-    assert_eq!(stats.samples.len(), 9);
-    assert!(stats.min <= stats.median && stats.median <= stats.max);
-    assert!(stats.min > std::time::Duration::ZERO);
 }

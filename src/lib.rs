@@ -58,14 +58,12 @@ pub use tm_core::persist::{CacheError, CacheHandle};
 pub use tm_core::{
     CompilerPool, MultiTenantVm, RealmJob, RealmReport, SharedCacheStats, SharedCodeCache,
 };
+pub use tm_core::vm::VmError;
 pub use tm_runtime::{Realm, RuntimeError, Value};
 
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::ops::{Deref, DerefMut};
 
-use tm_core::persist::cache_path_from_env;
-use tm_core::profiler::ProfileStats;
-use tm_interp::{Interp, RunExit};
+use tm_core::vm::{Engine as CoreEngine, Vm as CoreVm};
 use tm_methodjit::MethodVm;
 
 /// Which execution engine a [`Vm`] uses.
@@ -82,50 +80,32 @@ pub enum Engine {
     Tracing,
 }
 
-/// An error from [`Vm::eval`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum VmError {
-    /// Lexing/parsing failed.
-    Parse(tm_frontend::ParseError),
-    /// Bytecode compilation failed.
-    Compile(tm_bytecode::CompileError),
-    /// The guest program raised an error.
-    Runtime(RuntimeError),
+/// A complete guest-language virtual machine over any of the four engines.
+///
+/// A thin wrapper over [`tm_core::vm::Vm`], which implements the
+/// interpreter and tracing engines and everything around them (realm,
+/// trace cache, compiler pool, profile); it derefs to that VM, so
+/// `vm.realm`, `vm.output()`, `vm.profile()`, `vm.monitor()`,
+/// `vm.set_cache_path(..)` and the rest are the one implementation. The
+/// wrapper adds only [`Engine::Method`], which `tm-core` cannot name.
+#[derive(Debug)]
+pub struct Vm {
+    core: CoreVm,
+    engine: Engine,
 }
 
-impl std::fmt::Display for VmError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            VmError::Parse(e) => e.fmt(f),
-            VmError::Compile(e) => e.fmt(f),
-            VmError::Runtime(e) => e.fmt(f),
-        }
+impl Deref for Vm {
+    type Target = CoreVm;
+
+    fn deref(&self) -> &CoreVm {
+        &self.core
     }
 }
 
-impl std::error::Error for VmError {}
-
-/// A complete guest-language virtual machine over any of the four engines.
-#[derive(Debug)]
-pub struct Vm {
-    /// The execution environment (globals persist across `eval` calls).
-    pub realm: Realm,
-    engine: Engine,
-    opts: JitOptions,
-    monitor: Option<Monitor>,
-    last_interp: Option<Interp>,
-    /// Step budget applied per eval (bounds runaway programs; mainly for
-    /// fuzzing).
-    pub step_budget: u64,
-    /// Persistent trace-cache file (tracing engine only). Defaults to the
-    /// `TM_CACHE` environment variable; `None` disables persistence.
-    cache_path: Option<PathBuf>,
-    /// Why the last eval's cache load or save was rejected, if it was.
-    last_cache_error: Option<CacheError>,
-    /// Shared background compiler pool (tracing engine only); when set
-    /// and `background_compile` is on, trace compilation and native
-    /// emission run on the pool's workers instead of the request thread.
-    pool: Option<Arc<CompilerPool>>,
+impl DerefMut for Vm {
+    fn deref_mut(&mut self) -> &mut CoreVm {
+        &mut self.core
+    }
 }
 
 impl Vm {
@@ -137,40 +117,18 @@ impl Vm {
     /// Creates a VM with explicit JIT options (relevant to
     /// [`Engine::Tracing`]).
     pub fn with_options(engine: Engine, opts: JitOptions) -> Vm {
-        Vm {
-            realm: Realm::new(),
-            engine,
-            opts,
-            monitor: None,
-            last_interp: None,
-            step_budget: u64::MAX,
-            cache_path: cache_path_from_env(),
-            last_cache_error: None,
-            pool: None,
-        }
-    }
-
-    /// Attaches a background compiler pool. Takes effect on the next
-    /// `eval` when `JitOptions::background_compile` is on.
-    pub fn attach_pool(&mut self, pool: Arc<CompilerPool>) {
-        self.pool = Some(pool);
+        let core_engine = match engine {
+            // The wrapped VM never evaluates under the method engine.
+            Engine::Interp | Engine::Method => CoreEngine::Interp,
+            Engine::FastInterp => CoreEngine::FastInterp,
+            Engine::Tracing => CoreEngine::Tracing,
+        };
+        Vm { core: CoreVm::with_options(core_engine, opts), engine }
     }
 
     /// The engine this VM runs.
     pub fn engine(&self) -> Engine {
         self.engine
-    }
-
-    /// Sets (or disables) the persistent trace-cache file, overriding the
-    /// `TM_CACHE` environment variable. See `docs/PERSISTENCE.md`.
-    pub fn set_cache_path(&mut self, path: Option<PathBuf>) {
-        self.cache_path = path;
-    }
-
-    /// Why the last eval's cache load or save was rejected, if it was.
-    /// Diagnostic only — a rejected cache degrades to a cold start.
-    pub fn last_cache_error(&self) -> Option<&CacheError> {
-        self.last_cache_error.as_ref()
     }
 
     /// Evaluates a program, returning its completion value (the value of
@@ -180,58 +138,13 @@ impl Vm {
     ///
     /// Returns [`VmError`] for parse, compile, or runtime failures.
     pub fn eval(&mut self, source: &str) -> Result<Value, VmError> {
-        let ast = tm_frontend::parse(source).map_err(VmError::Parse)?;
-        let prog = tm_bytecode::compile(&ast, &mut self.realm).map_err(VmError::Compile)?;
-        match self.engine {
-            Engine::Interp | Engine::FastInterp => {
-                let mut interp = Interp::new(prog, &mut self.realm);
-                interp.steps_remaining = self.step_budget;
-                interp.fast_paths = self.engine == Engine::FastInterp;
-                let r = match interp.run(&mut self.realm) {
-                    Ok(RunExit::Finished(v)) => Ok(v),
-                    Ok(RunExit::LoopEdge { .. } | RunExit::RecursiveCall { .. }) => {
-                        unreachable!("monitor disabled")
-                    }
-                    Err(e) => Err(VmError::Runtime(e)),
-                };
-                self.last_interp = Some(interp);
-                r
-            }
-            Engine::Method => {
-                let mut mvm = MethodVm::new(prog, &mut self.realm);
-                mvm.steps_remaining = self.step_budget;
-                mvm.run(&mut self.realm).map_err(VmError::Runtime)
-            }
-            Engine::Tracing => {
-                let mut interp = Interp::new(prog, &mut self.realm);
-                interp.steps_remaining = self.step_budget;
-                let mut monitor = Monitor::new(self.opts);
-                if let Some(pool) = &self.pool {
-                    monitor.attach_pool(Arc::clone(pool));
-                }
-                self.last_cache_error = None;
-                // Capture the cache key/fingerprint at the install point
-                // (post-compile, pre-run): the warm process must load
-                // against the same realm state the traces were saved for.
-                let handle = self.cache_path.as_ref().map(|p| {
-                    CacheHandle::capture(p.clone(), interp.prog(), &self.realm)
-                });
-                if let Some(h) = &handle {
-                    if let Err(e) = monitor.load_cache(h, &mut interp, &self.realm) {
-                        self.last_cache_error = Some(e);
-                    }
-                }
-                let r = monitor.run_program(&mut interp, &mut self.realm);
-                if let (Some(h), Ok(_)) = (&handle, &r) {
-                    if let Err(e) = monitor.save_cache(h, &self.realm) {
-                        self.last_cache_error = Some(e);
-                    }
-                }
-                self.monitor = Some(monitor);
-                self.last_interp = Some(interp);
-                r.map_err(VmError::Runtime)
-            }
+        if self.engine != Engine::Method {
+            return self.core.eval(source);
         }
+        let prog = self.core.compile(source)?;
+        let mut mvm = MethodVm::new(prog, &mut self.core.realm);
+        mvm.steps_remaining = self.core.step_budget;
+        Ok(mvm.run(&mut self.core.realm)?)
     }
 
     /// Evaluates and coerces the result to a number (`None` when the
@@ -242,26 +155,6 @@ impl Vm {
     /// See [`Vm::eval`].
     pub fn eval_number(&mut self, source: &str) -> Result<Option<f64>, VmError> {
         let v = self.eval(source)?;
-        Ok(self.realm.heap.number_value(v))
-    }
-
-    /// Accumulated `print` output.
-    pub fn output(&self) -> &str {
-        &self.realm.output
-    }
-
-    /// The monitor of the last tracing run (trees, events, profile).
-    pub fn monitor(&self) -> Option<&Monitor> {
-        self.monitor.as_ref()
-    }
-
-    /// The interpreter of the last interpreter/tracing run.
-    pub fn interp(&self) -> Option<&Interp> {
-        self.last_interp.as_ref()
-    }
-
-    /// Profile statistics of the last tracing run (Figures 11/12 data).
-    pub fn profile(&self) -> Option<&ProfileStats> {
-        self.monitor.as_ref().map(|m| &m.profiler.stats)
+        Ok(self.core.realm.heap.number_value(v))
     }
 }

@@ -92,7 +92,12 @@ fn concurrent_shared_realms_match_and_reuse_code() {
         .map(|(r, _, _)| r)
         .collect::<Vec<_>>();
     let mt = MultiTenantVm::new(2);
-    let reports = mt.run(vec![RealmJob::repeat(HOT_BRANCHY, 3); 4]);
+    // One realm runs ahead: its trees are published by the time its last
+    // eval has drained the pool. Four lock-stepped realms can all probe
+    // (and miss) before any of them publishes, which would make the
+    // `hits` assertion below a test of timing, not of sharing.
+    let mut reports = mt.run(vec![RealmJob::repeat(HOT_BRANCHY, 3)]);
+    reports.extend(mt.run(vec![RealmJob::repeat(HOT_BRANCHY, 3); 3]));
     for (i, rep) in reports.iter().enumerate() {
         for r in &rep.results {
             assert_eq!(*r, expected[0], "realm {i} diverged");
@@ -261,6 +266,56 @@ fn diverged_realm_misses_the_shared_key() {
         "pristine realm must reuse the published tree: {same_stats:?}"
     );
     assert!(same_stats.shared_cache_installed_trees >= 1);
+}
+
+/// Date-formatting string churn, `date-format-tofte`-shaped: string
+/// constants embedded in the trace, short-lived strings in the loop.
+fn string_churn(sep: &str, iterations: u32) -> String {
+    format!(
+        "function pad(n) {{ return n < 10 ? '0' + n : '' + n; }}\n\
+         var out = 0;\n\
+         var names = ['Jan','Feb','Mar','Apr','May','Jun'];\n\
+         for (var t = 0; t < {iterations}; t++) {{\n\
+             var str = pad(t % 28) + '{sep}' + names[t % 6] + '{sep}' + (1970 + t % 60)\n\
+                 + ' ' + pad(t % 24);\n\
+             var dd = +(str.charAt(0) + str.charAt(1));\n\
+             out = (out + dd + str.length) % 1000000;\n\
+         }}\n\
+         out"
+    )
+}
+
+/// Regression: the realm fingerprint hashed live *counts*, so a
+/// long-lived realm that had collected and recycled string cells could
+/// return to the counts it (or another realm) published under and
+/// install a tree whose embedded string handles were stale — `stale
+/// string handle` panic in `Heap::string` (round 24 of this sequence
+/// before the fix). One realm re-evaluates three churn programs in a
+/// fixed pseudo-random order against a shared cache, collecting often.
+#[test]
+fn recycled_heap_cells_never_install_stale_shared_trees() {
+    // Compiling on the request thread keeps the sequence exact.
+    let opts = JitOptions { background_compile: false, ..JitOptions::default() };
+    let mt = MultiTenantVm::with_options(opts, 1);
+    let programs = [string_churn("-", 600), string_churn("/", 500), string_churn("::", 700)];
+    let expected: Vec<_> = programs
+        .iter()
+        .map(|src| isolated_run(&[src.as_str()], JitOptions::default()).remove(0).0)
+        .collect();
+    let mut vm = mt.realm_vm();
+    vm.realm.heap.set_gc_threshold(512);
+    let mut x = 12345u32;
+    for round in 0..40 {
+        x = x.wrapping_mul(1664525).wrapping_add(1013904223);
+        let p = (x >> 16) as usize % programs.len();
+        let got = match vm.eval(&programs[p]) {
+            Ok(v) => Ok(tracemonkey::runtime::ops::to_display(&mut vm.realm, v)),
+            Err(e) => Err(e.to_string()),
+        };
+        assert_eq!(got, expected[p], "round {round}, program {p}");
+    }
+    assert!(vm.realm.heap.gc_stats().collections > 0, "the realm must have recycled cells");
+    assert!(mt.shared_stats().publishes >= 1, "the realm must have published trees");
 }
 
 /// Regression (Send-audit hazard): concurrent saves of the persistent
