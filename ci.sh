@@ -50,14 +50,27 @@ echo "==> native-tier fuzz smoke: native x86-64 vs decoded vs interpreter"
 # 33/57/71 are object/string-heavy generator outputs that exercise the
 # full-coverage emitter families (shape guards, slot/element traffic,
 # string helpers). TM_FUZZ_BG=1 attaches a compiler pool and runs the
-# native pass with background_compile on, so off-thread native emission
-# is part of the differential. The test self-skips on targets without
-# the backend; the guard here keeps the stage's OK/SKIP line honest.
+# native pass with background_compile on, so the differential covers
+# background compile followed by install-time append to the tree's
+# native code. The test self-skips on targets without the backend; the
+# guard here keeps the stage's OK/SKIP line honest.
 if [ "$(uname -sm)" = "Linux x86_64" ]; then
     TM_FUZZ_NATIVE=1 TM_FUZZ_BG=1 \
         TM_FUZZ_SEEDS="0,7,9,10,30,33,42,57,71,99,123,200,256" \
         cargo test -q --offline --locked --test fuzz_differential fuzz_native_tier
-    echo "    OK: native tier differentially identical on the seed list (off-thread emission on)"
+    echo "    OK: native tier differentially identical on the seed list (background compile, install-time append)"
+else
+    echo "    SKIP: native backend needs Linux x86_64"
+fi
+
+echo "==> native tier, release profile: x64 unit differentials and the tier's integration tests"
+# The benchmark and users run --release, where debug assertions and
+# overflow checks are off and the emitter is optimized; every other
+# native-tier test above runs in the debug profile only.
+if [ "$(uname -sm)" = "Linux x86_64" ]; then
+    cargo test -q --release --offline --locked -p tm-nanojit x64 \
+        && cargo test -q --release --offline --locked --test native_backend
+    echo "    OK: native tier passes as it ships"
 else
     echo "    SKIP: native backend needs Linux x86_64"
 fi

@@ -5,8 +5,9 @@
 //! * fusion: the peephole pass removes at least a quarter of the
 //!   dispatched machine instructions on the fusion smoke set;
 //! * coverage: the recursion and date programs reach compiled code;
-//! * native tier: native and decoded runs are indistinguishable, and
-//!   every trace entry is one native exit or one fallback;
+//! * native tier: native and decoded runs are indistinguishable, every
+//!   trace entry is one native exit or one fallback, and no fragment is
+//!   emitted twice;
 //! * warm start: a `.tmc` written by one `Vm` lets a fresh `Vm` load
 //!   every tree and record nothing;
 //! * multi-tenant: concurrent realms answer like one realm and share
@@ -173,6 +174,12 @@ fn native_tier_is_invisible_and_its_accounting_balances() {
             "{name}: not majority-native ({} exits, {} fallbacks)",
             native.native_exits,
             native.native_fallbacks
+        );
+        assert!(
+            native.native_fragments <= native.fragments,
+            "{name}: {} fragment bodies emitted for {} fragments",
+            native.native_fragments,
+            native.fragments
         );
         observed.push((*name, "dispatched", native.native_insts));
         observed.push((*name, "ran_native", u64::from(native.native_exits > 0)));

@@ -53,11 +53,11 @@ pub struct JitOptions {
     pub background_compile: bool,
     /// Execute trace trees through the native x86-64 backend
     /// (`tm-nanojit::x64`), which emits every `MachInst` family; the
-    /// decoded executor stays the portable reference. A tree still runs
-    /// decoded while its native code is not ready (emission in flight on
-    /// the pool, or deferred after a branch install) and when
-    /// `emit_tree` refuses it (a `CallHelper` wider than the inline
-    /// argument buffer, or a refused `mmap`). On by default where the
+    /// decoded executor stays the portable reference. A tree's code is
+    /// built at its first execution and grown in place by every branch
+    /// install, so a tree runs decoded only when the emitter refused it
+    /// (a `CallHelper` wider than the inline argument buffer, or a
+    /// refused `mmap`/`mprotect`). On by default where the
     /// backend exists (x86-64 Linux) and forced off elsewhere, where
     /// turning it on silently degrades to the decoded executor.
     pub native_backend: bool,

@@ -12,7 +12,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use tm_interp::{Flow, Interp, RunExit};
-use tm_nanojit::{emit_tree, execute, ExitTarget, Fragment, NativeTree, TreeHost};
+use tm_nanojit::{emit_tree, execute, ExitTarget, Fragment, TreeHost, Unsupported};
 use tm_runtime::{Realm, RuntimeError, Value};
 
 use crate::activation::{box_from_word, unbox_to_word, value_matches, SlotKey};
@@ -21,14 +21,13 @@ use crate::config::JitOptions;
 use crate::events::{AbortReason, EventLog, TraceEvent};
 use crate::exit::{ExitKind, SideExitInfo};
 use crate::oracle::Oracle;
-use crate::pool::{
-    compile_trace, CompileJob, CompileOutcome, CompilerPool, EmitJob, EmitOutcome, EmitTicket,
-    Ticket,
-};
-use crate::profiler::{Activity, Profiler};
+use crate::pool::{compile_trace, CompileJob, CompileOutcome, CompilerPool, Ticket};
+use crate::profiler::{Activity, ProfileStats, Profiler};
 use crate::recorder::{self, RecordAction, RecordedTrace, Recorder};
 use crate::shared_cache::{entry_digest, SharedCodeCache, SharedKey};
-use crate::tree::{Anchor, AnchorKind, ExitState, TraceTree, TreeCache, TreeId, TreeStats};
+use crate::tree::{
+    Anchor, AnchorKind, ExitState, NativeCode, TraceTree, TreeCache, TreeId, TreeStats,
+};
 
 /// Maximum sibling trees per loop header before the monitor stops
 /// recording new type-permutation trees.
@@ -125,46 +124,6 @@ pub struct Monitor {
     /// Side exits with a branch compile in flight (guards duplicate
     /// branch recordings; cleared on install or failure).
     in_flight_exits: HashSet<(TreeId, u32, u16)>,
-    /// Per-tree native x86-64 code, emitted lazily at the first execution
-    /// with `native_backend` on and invalidated whenever the tree's
-    /// fragments change (branch install). Keyed by local [`TreeId`] —
-    /// native buffers are never serialized or shared; trees installed from
-    /// the persistent or shared cache get fresh ids and re-emit here.
-    native: HashMap<TreeId, NativeState>,
-}
-
-/// Cached outcome of attempting native emission for one tree.
-#[derive(Debug)]
-enum NativeState {
-    /// Executable buffer covering every fragment of the tree. Shared
-    /// (`Arc`) because the native run needs the buffer alive while the
-    /// nesting host re-borrows the monitor for inner-tree calls.
-    Ready(Arc<NativeTree>),
-    /// The tree contains an op the native emitter does not support (or
-    /// emission failed); every execution falls back to the decoded
-    /// executor until the tree changes shape.
-    Unsupported,
-    /// Invalidated by a branch install while the tree is (likely still)
-    /// growing: executions count down through the decoded executor and
-    /// re-emission happens only once the countdown reaches zero without
-    /// another invalidation. Without this, a tree that installs a branch
-    /// every few entries pays a whole-tree emission per install — O(n²)
-    /// in the final fragment count. The countdown is set proportional to
-    /// the tree's fragment count, so re-emission cost (linear in the
-    /// fragments) stays amortized against a matching number of decoded
-    /// runs however often the tree grows.
-    Deferred(u32),
-    /// An off-thread emission is in flight on the compiler pool
-    /// (`background_compile`); executions fall back to the decoded
-    /// executor until the ticket resolves at a later entry
-    /// ([`Monitor::poll_native_emission`]). `nfrags` snapshots the
-    /// fragment count at submission. A branch install invalidates by
-    /// replacing this state (dropping the ticket), so a stale buffer is
-    /// discarded unreceived.
-    Emitting {
-        ticket: EmitTicket,
-        nfrags: usize,
-    },
 }
 
 /// One background compile the monitor is waiting on.
@@ -210,7 +169,6 @@ impl Monitor {
             pool: None,
             in_flight: Vec::new(),
             in_flight_exits: HashSet::new(),
-            native: HashMap::new(),
         }
     }
 
@@ -724,6 +682,7 @@ impl Monitor {
             lir: if self.opts.log_events { vec![recorded.lir] } else { vec![] },
             unstable,
             disabled: false,
+            native: NativeCode::NotEmitted,
             stats: TreeStats::default(),
         };
         let tid = self.cache.insert(tree);
@@ -798,16 +757,6 @@ impl Monitor {
         for m in recorded.oracle_marks.drain(..) {
             self.oracle.mark_double(m);
         }
-        // The tree's fragment set is about to change (new fragment plus a
-        // patched stitch target): drop any native buffer (or in-flight
-        // emission ticket — the worker's now-stale result is simply never
-        // received), and defer the re-emission for as many executions as
-        // the tree has fragments so a tree in its growth phase doesn't
-        // re-emit per install.
-        if self.opts.native_backend {
-            let delay = self.cache.tree(tid).fragments.len() as u32 + 1;
-            self.native.insert(tid, NativeState::Deferred(delay.max(2)));
-        }
         let stitch = self.opts.enable_stitching;
         let tree = self.cache.tree_mut(tid);
         let new_idx = tree.fragments.len() as u32;
@@ -819,6 +768,26 @@ impl Monitor {
                     .set_exit_target(parent_exit, ExitTarget::Fragment(new_idx));
             }
         }
+        // A tree that already has native code grows it in place: the new
+        // body goes at the tail and the parent's exit is patched to jump
+        // to it. Out of reserved capacity, or the code still referenced by
+        // a run (never the case at an install today): build the tree
+        // again, whole, as first execution does.
+        tree.native = match std::mem::take(&mut tree.native) {
+            NativeCode::Code(code) => {
+                let stats = &mut self.profiler.stats;
+                match Arc::try_unwrap(code).map(|nt| nt.append(&tree.fragments)) {
+                    Ok(Ok(nt)) => {
+                        stats.native_fragments += 1;
+                        stats.native_emissions_sync += 1;
+                        NativeCode::Code(Arc::new(nt))
+                    }
+                    Ok(Err(refused)) if refused != Unsupported::FULL => NativeCode::Refused,
+                    _ => build_native(&tree.fragments, stats),
+                }
+            }
+            other => other,
+        };
         tree.exit_states[parent_frag as usize][parent_exit as usize].branch = Some(new_idx);
         tree.frag_entry_reqs.push(parent_reqs);
         tree.layout = recorded.layout;
@@ -1287,83 +1256,33 @@ impl Monitor {
         // The interpreter's step budget extends to native execution: trace
         // loop edges bail out when the (approximate) fuel runs out.
         let fuel = interp.steps_remaining;
-        // Native tier: lazily emit x86-64 code for the whole tree on
-        // first execution (or once an invalidation countdown expires);
-        // trees with untranslatable ops are marked and fall back to the
-        // decoded executor until their shape changes. One map probe on
-        // the steady-state paths — this runs on every trace entry.
-        enum Plan {
-            Use,
-            Fallback,
-            Emit,
-        }
-        let plan = if self.opts.native_backend {
-            // Settle a finished off-thread emission first so the match
-            // below sees the installed state.
-            self.poll_native_emission(tid);
-            match self.native.get_mut(&tid) {
-                Some(NativeState::Ready(_)) => Plan::Use,
-                Some(NativeState::Unsupported) => Plan::Fallback,
-                Some(NativeState::Emitting { .. }) => Plan::Fallback,
-                Some(NativeState::Deferred(n)) => {
-                    if *n > 0 {
-                        *n -= 1;
-                        Plan::Fallback
-                    } else {
-                        Plan::Emit
-                    }
+        // Native tier: the tree's code is built from whatever fragments
+        // it has at its first execution (so trees loaded from a cache that
+        // never run cost nothing) and grown by `install_branch` after
+        // that. The handle is cloned out of the tree: the nesting host
+        // below needs `&mut self`, so the run cannot borrow the cache.
+        let native = if self.opts.native_backend {
+            let tree = self.cache.tree_mut(tid);
+            if matches!(tree.native, NativeCode::NotEmitted) {
+                tree.native = build_native(&frags, &mut self.profiler.stats);
+            }
+            match &tree.native {
+                NativeCode::Code(nt) => {
+                    self.profiler.stats.native_exits += 1;
+                    Some(Arc::clone(nt))
                 }
-                None => Plan::Emit,
+                _ => {
+                    self.profiler.stats.native_fallbacks += 1;
+                    None
+                }
             }
         } else {
-            Plan::Fallback
+            None
         };
-        let use_native = match plan {
-            Plan::Use => true,
-            Plan::Fallback => false,
-            Plan::Emit => {
-                if let Some(pool) = self.async_pool() {
-                    // Off-thread emission: ship the tree's fragment
-                    // snapshot to the pool, keep running decoded, and
-                    // install the buffer when the ticket resolves at a
-                    // later entry. The request thread never emits.
-                    let ticket = pool.submit_emit(EmitJob { fragments: frags.clone() });
-                    self.native
-                        .insert(tid, NativeState::Emitting { ticket, nfrags: frags.len() });
-                    false
-                } else {
-                    match emit_tree(&frags) {
-                        Ok(nt) => {
-                            self.profiler.stats.native_fragments += frags.len() as u64;
-                            self.profiler.stats.native_emissions_sync += 1;
-                            self.native.insert(tid, NativeState::Ready(Arc::new(nt)));
-                            true
-                        }
-                        Err(_) => {
-                            self.native.insert(tid, NativeState::Unsupported);
-                            false
-                        }
-                    }
-                }
-            }
-        };
-        let trace_exit = if use_native {
-            self.profiler.stats.native_exits += 1;
-            // Clone the buffer handle out of the map: the nesting host
-            // below needs `&mut self` (an inner `CallTree` may itself
-            // emit/install native trees), so the run cannot hold a
-            // borrow of `self.native`.
-            let nt = match self.native.get(&tid) {
-                Some(NativeState::Ready(nt)) => Arc::clone(nt),
-                _ => unreachable!("use_native checked Ready above"),
-            };
-            let mut host = NestHost { monitor: self, interp, outer: tid, entry_frame_idx };
+        let mut host = NestHost { monitor: self, interp, outer: tid, entry_frame_idx };
+        let trace_exit = if let Some(nt) = native {
             nt.execute(start, &mut ar, realm, &mut host, fuel)?
         } else {
-            if self.opts.native_backend {
-                self.profiler.stats.native_fallbacks += 1;
-            }
-            let mut host = NestHost { monitor: self, interp, outer: tid, entry_frame_idx };
             execute(&frags, start, &mut ar, realm, &mut host, fuel)?
         };
         self.profiler.switch(Activity::Monitor);
@@ -1397,12 +1316,20 @@ impl Monitor {
         // §3.3 short-loop mitigation: a tree whose calls execute too few
         // bytecodes costs more in transitions than it saves; disable it.
         {
-            let tree = self.cache.tree_mut(tid);
-            if tree.stats.enters >= USELESS_PROBATION {
+            let tree = self.cache.tree(tid);
+            if !tree.disabled && tree.stats.enters >= USELESS_PROBATION {
                 let avg = tree.stats.native_bytecodes(tree.fragment_bytecodes[0])
                     / tree.stats.enters.max(1);
                 if avg < MIN_USEFUL_BYTECODES {
+                    // The monitor never enters the tree again; only a
+                    // nested-call site recorded earlier still can. With no
+                    // such site the machine code is dead: give it back.
+                    let still_called = self.is_nested_callee(tid);
+                    let tree = self.cache.tree_mut(tid);
                     tree.disabled = true;
+                    if !still_called {
+                        tree.native = NativeCode::NotEmitted;
+                    }
                 }
             }
         }
@@ -1424,35 +1351,24 @@ impl Monitor {
         Ok(Some((trace_exit.fragment, trace_exit.exit, kind)))
     }
 
-    /// Resolves a finished off-thread emission for `tid`, if one is in
-    /// flight: installs the buffer as [`NativeState::Ready`] (counted in
-    /// `native_emissions_offthread`) or marks the tree `Unsupported` on
-    /// failure. Leaves the state untouched while the job is still
-    /// running. Branch installs invalidate by *replacing* the `Emitting`
-    /// state, so a stale buffer can never be installed here; the
-    /// fragment-count check is a belt-and-braces guard on that
-    /// invariant.
-    fn poll_native_emission(&mut self, tid: TreeId) {
-        let Some(NativeState::Emitting { ticket, nfrags }) = self.native.get_mut(&tid)
-        else {
-            return;
-        };
-        let nfrags = *nfrags;
-        let Some(outcome) = ticket.try_ready() else { return };
-        let state = match outcome {
-            EmitOutcome::Done(nt) if nt.num_fragments() == nfrags => {
-                self.profiler.stats.native_fragments += nfrags as u64;
-                self.profiler.stats.native_emissions_offthread += 1;
-                NativeState::Ready(Arc::from(nt))
-            }
-            // A buffer for a different fragment set (unreachable by the
-            // invalidation invariant): retry after one more decoded run.
-            EmitOutcome::Done(_) => NativeState::Deferred(1),
-            EmitOutcome::Failed(_) => NativeState::Unsupported,
-        };
-        self.native.insert(tid, state);
+    /// Whether any tree's nested-call site calls tree `tid`.
+    fn is_nested_callee(&self, tid: TreeId) -> bool {
+        self.cache.iter().any(|t| t.nested_sites.iter().any(|s| s.inner == tid))
     }
+}
 
+/// Builds a tree's native code from all of `frags`: what first execution
+/// does, and what a branch install falls back to when the code cannot
+/// grow in place.
+fn build_native(frags: &[Fragment], stats: &mut ProfileStats) -> NativeCode {
+    match emit_tree(frags) {
+        Ok(nt) => {
+            stats.native_fragments += frags.len() as u64;
+            stats.native_emissions_sync += 1;
+            NativeCode::Code(Arc::new(nt))
+        }
+        Err(_) => NativeCode::Refused,
+    }
 }
 
 /// Restores interpreter state from the activation record according to a
@@ -1759,6 +1675,46 @@ mod tests {
         for t in m.cache.iter() {
             assert_eq!(t.fragments.len(), 1, "no branch fragments without hot exits");
         }
+    }
+
+    /// A three-iteration loop in a function called 200 times: every entry
+    /// runs far fewer than `MIN_USEFUL_BYTECODES`, so the tree fails its
+    /// §3.3 probation.
+    const SHORT_LOOP_CALLS: &str = "\
+        function f() { var s = 0; for (var i = 0; i < 3; i++) s += i; return s; }
+        var t = 0; for (var j = 0; j < 200; j++) t += f(); t";
+
+    #[test]
+    fn a_tree_failing_probation_gives_its_code_back() {
+        if !tm_nanojit::native_supported() {
+            return;
+        }
+        // Nesting off: no outer tree, so nothing calls the loop's tree.
+        let opts = JitOptions { enable_nesting: false, profile: true, ..JitOptions::default() };
+        let mut vm = Vm::with_options(Engine::Tracing, opts);
+        vm.eval(SHORT_LOOP_CALLS).expect("runs");
+        let m = vm.monitor().unwrap();
+        assert!(m.profiler.stats.native_exits > 0, "the tree ran natively first");
+        let t = m.cache.iter().find(|t| t.disabled).expect("the short loop is disabled");
+        assert!(t.stats.enters >= USELESS_PROBATION);
+        assert!(matches!(t.native, NativeCode::NotEmitted), "{:?}", t.native);
+    }
+
+    #[test]
+    fn a_disabled_tree_an_outer_tree_still_calls_keeps_its_code() {
+        if !tm_nanojit::native_supported() {
+            return;
+        }
+        let opts = JitOptions { profile: true, ..JitOptions::default() };
+        let mut vm = Vm::with_options(Engine::Tracing, opts);
+        vm.eval(SHORT_LOOP_CALLS).expect("runs");
+        let m = vm.monitor().unwrap();
+        let t = m.cache.iter().find(|t| t.disabled).expect("the short loop is disabled");
+        assert!(m.is_nested_callee(t.id), "the outer loop's tree calls it");
+        assert!(matches!(t.native, NativeCode::Code(_)), "{:?}", t.native);
+        let s = &m.profiler.stats;
+        assert_eq!(s.native_fallbacks, 0, "nested calls stay native: {s:?}");
+        assert!(s.native_fragments <= s.fragments, "{s:?}");
     }
 
     #[test]

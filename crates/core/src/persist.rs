@@ -558,6 +558,7 @@ fn decode_tree(r: &mut ByteReader) -> Result<TraceTree, CacheError> {
         lir: Vec::new(), // diagnostics-only; never persisted
         unstable,
         disabled,
+        native: crate::tree::NativeCode::NotEmitted,
         stats: TreeStats::default(),
     })
 }

@@ -16,7 +16,10 @@
 //! the compiled [`Fragment`]; the monitor needs the (filtered) recording
 //! back to build the tree (entry maps, exits, oracle marks). Results are
 //! handed off on a per-job channel ([`Ticket`]), so a pool can serve any
-//! number of realms without routing state.
+//! number of realms without routing state. Compile jobs are the pool's
+//! only job kind: native code is emitted one fragment at a time — a
+//! single linear pass, comparable to `assemble` — by the thread that
+//! installs the fragment (`Monitor::install_branch`).
 //!
 //! A compile-pipeline panic (a filter or backend defect) is caught in
 //! the worker and surfaces as [`CompileOutcome::Failed`]; the submitting
@@ -35,7 +38,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use tm_lir::{run_backward_filters, ArSlot, ExitLiveness, LirType};
-use tm_nanojit::{assemble, emit_tree, Fragment, NativeTree};
+use tm_nanojit::{assemble, Fragment};
 use tm_support::sched;
 
 use crate::config::JitOptions;
@@ -70,48 +73,6 @@ pub enum CompileOutcome {
     /// The pipeline panicked or a verification stage rejected the trace;
     /// the monitor counts it as a recording failure at the site.
     Failed(String),
-}
-
-/// A unit of native emission: translate a tree's fragments to an
-/// executable buffer off the request thread. The fragments travel as the
-/// tree's own `Arc` snapshot — a branch install replaces that `Arc` (and
-/// invalidates the tree's native state), so a stale result is simply
-/// dropped by the monitor.
-#[derive(Debug)]
-pub struct EmitJob {
-    /// Post-peephole fragments of the whole tree (trunk + branches).
-    pub fragments: Arc<Vec<Fragment>>,
-}
-
-/// What came back from a worker for an [`EmitJob`].
-#[derive(Debug)]
-pub enum EmitOutcome {
-    /// The tree emitted; the monitor installs it as `NativeState::Ready`.
-    Done(Box<NativeTree>),
-    /// The emitter rejected the tree ([`tm_nanojit::x64::unsupported_op`])
-    /// or the emission panicked; the monitor marks the tree
-    /// `Unsupported` so it never re-tries, matching the sync path.
-    Failed(String),
-}
-
-/// The submitter's handle to one in-flight emission.
-#[derive(Debug)]
-pub struct EmitTicket {
-    rx: Receiver<EmitOutcome>,
-}
-
-impl EmitTicket {
-    /// Non-blocking poll. `None` while the emission is still queued or
-    /// running. A dead worker reports as [`EmitOutcome::Failed`].
-    pub fn try_ready(&self) -> Option<EmitOutcome> {
-        match self.rx.try_recv() {
-            Ok(outcome) => Some(outcome),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => {
-                Some(EmitOutcome::Failed("compiler pool shut down".into()))
-            }
-        }
-    }
 }
 
 /// The submitter's handle to one in-flight job.
@@ -154,20 +115,11 @@ impl Ticket {
     }
 }
 
-/// One queued unit of work: a trace compile or a native emission. Both
-/// kinds share the queue (and the `executed`/`peak_depth` counters) so
-/// worker scheduling stays a single FIFO. `CompileJob` is boxed: it
-/// embeds the recording inline (~400 bytes) while an `EmitJob` is a
-/// couple of pointers, and queue slots churn.
-#[derive(Debug)]
-enum WorkItem {
-    Compile(Box<CompileJob>, Sender<CompileOutcome>),
-    Emit(EmitJob, Sender<EmitOutcome>),
-}
-
 #[derive(Debug, Default)]
 struct Queue {
-    jobs: VecDeque<WorkItem>,
+    /// Boxed: a job embeds its recording inline (~400 bytes) and queue
+    /// slots churn.
+    jobs: VecDeque<(Box<CompileJob>, Sender<CompileOutcome>)>,
     shutdown: bool,
     /// High-water mark of queued-but-not-taken jobs (diagnostics).
     peak_depth: usize,
@@ -225,27 +177,14 @@ impl CompilerPool {
     pub fn submit(&self, job: CompileJob) -> Ticket {
         sched::yield_point("pool.submit");
         let (tx, rx) = channel();
-        self.enqueue(WorkItem::Compile(Box::new(job), tx));
-        Ticket { rx }
-    }
-
-    /// Enqueues a native-emission job (`background_compile` monitors use
-    /// this so `emit_tree` never runs on the request thread).
-    pub fn submit_emit(&self, job: EmitJob) -> EmitTicket {
-        sched::yield_point("pool.submit");
-        let (tx, rx) = channel();
-        self.enqueue(WorkItem::Emit(job, tx));
-        EmitTicket { rx }
-    }
-
-    fn enqueue(&self, item: WorkItem) {
         {
             let mut q = self.shared.queue.lock().unwrap();
-            q.jobs.push_back(item);
+            q.jobs.push_back((Box::new(job), tx));
             q.peak_depth = q.peak_depth.max(q.jobs.len());
         }
         self.shared.cv.notify_one();
         sched::wake_all();
+        Ticket { rx }
     }
 
     /// A snapshot of the pool counters.
@@ -289,15 +228,8 @@ fn worker_loop(shared: &PoolShared) {
             drop(q2);
             sched::post_park("pool.unpark");
         };
-        let Some(item) = next else { return };
-        enum Produced {
-            Compile(CompileOutcome, Sender<CompileOutcome>),
-            Emit(EmitOutcome, Sender<EmitOutcome>),
-        }
-        let produced = match item {
-            WorkItem::Compile(job, tx) => Produced::Compile(run_pipeline(*job), tx),
-            WorkItem::Emit(job, tx) => Produced::Emit(run_emit(&job), tx),
-        };
+        let Some((job, tx)) = next else { return };
+        let outcome = run_pipeline(*job);
         {
             let mut q = shared.queue.lock().unwrap();
             q.executed += 1;
@@ -305,14 +237,7 @@ fn worker_loop(shared: &PoolShared) {
         sched::yield_point("pool.result");
         // The submitter may have vanished (program ended and the monitor
         // dropped the ticket); a send failure is fine.
-        match produced {
-            Produced::Compile(outcome, tx) => {
-                let _ = tx.send(outcome);
-            }
-            Produced::Emit(outcome, tx) => {
-                let _ = tx.send(outcome);
-            }
-        }
+        let _ = tx.send(outcome);
         sched::wake_all();
     }
 }
@@ -383,22 +308,6 @@ fn run_pipeline(job: CompileJob) -> CompileOutcome {
     }
 }
 
-/// The emission pipeline: `emit_tree` under the same panic fence as the
-/// compile pipeline, so an encoder defect surfaces as a failed job (the
-/// monitor marks the tree unsupported) rather than a dead worker.
-fn run_emit(job: &EmitJob) -> EmitOutcome {
-    let result =
-        std::panic::catch_unwind(AssertUnwindSafe(|| emit_tree(&job.fragments)));
-    match result {
-        Ok(Ok(tree)) => EmitOutcome::Done(Box::new(tree)),
-        Ok(Err(unsupported)) => EmitOutcome::Failed(unsupported.to_string()),
-        Err(panic) => EmitOutcome::Failed(format!(
-            "native emission panicked: {}",
-            panic_message(&*panic)
-        )),
-    }
-}
-
 /// Compile-time Send audit for the pool's moving parts: jobs and
 /// outcomes cross threads by construction.
 const _: () = {
@@ -406,9 +315,6 @@ const _: () = {
     assert_send::<CompileJob>();
     assert_send::<CompileOutcome>();
     assert_send::<Ticket>();
-    assert_send::<EmitJob>();
-    assert_send::<EmitOutcome>();
-    assert_send::<EmitTicket>();
     assert_send::<CompilerPool>();
 };
 

@@ -114,24 +114,23 @@ pub struct ProfileStats {
     /// Background compile jobs that failed in the pipeline (counted
     /// against the site like a recording abort).
     pub compile_jobs_failed: u64,
-    /// Fragments emitted as native x86-64 code (counted once per
-    /// fragment when a tree's buffer is (re-)emitted).
+    /// Fragment bodies emitted as native x86-64 code. Every fragment is
+    /// emitted once — at its tree's first execution or when it is
+    /// installed — so this exceeds `fragments` only by the rebuilds of
+    /// trees that outgrew their reserved mapping.
     pub native_fragments: u64,
-    /// Tree executions that fell back to the decoded executor because
-    /// the tree contains an op the native emitter does not support (or
-    /// the native tier is disabled/unsupported, with `native_backend`
-    /// requested on).
+    /// Tree executions that ran decoded with `native_backend` requested
+    /// on: the emitter refused the tree (an oversized `CallHelper`, or a
+    /// refused `mmap`/`mprotect`), or the target has no native backend.
     pub native_fallbacks: u64,
     /// Tree executions that ran through the native x86-64 backend (each
     /// contributes exactly one native exit).
     pub native_exits: u64,
-    /// Native tree emissions performed on the background compiler pool
-    /// and installed by this monitor (`background_compile` on). Counted
-    /// at install time, when the ticket resolves.
+    /// Always 0: emission is per fragment and runs on the installing
+    /// thread. Kept because `tm_bench` reads the field.
     pub native_emissions_offthread: u64,
-    /// Native tree emissions performed synchronously on the request
-    /// thread (`background_compile` off, or no pool attached). With a
-    /// pool active this stays zero — pinned by test.
+    /// Runs of the native emitter: one per tree at its first execution,
+    /// one per fragment appended by a branch install, one per rebuild.
     pub native_emissions_sync: u64,
 }
 

@@ -130,6 +130,7 @@ impl SharedTree {
             lir: Vec::new(),
             unstable: self.unstable,
             disabled: false,
+            native: crate::tree::NativeCode::NotEmitted,
             stats: TreeStats::default(),
         }
     }

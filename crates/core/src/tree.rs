@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use tm_bytecode::{FuncId, LoopId};
 use tm_lir::{ArSlot, LirType};
-use tm_nanojit::Fragment;
+use tm_nanojit::{Fragment, NativeTree};
 use tm_runtime::{Realm, Value};
 
 use std::sync::Arc;
@@ -139,6 +139,23 @@ pub struct TreeStats {
     pub monitor_exits: u64,
 }
 
+/// A tree's native x86-64 code (`JitOptions::native_backend`). Never
+/// serialized or shared: trees loaded from a `.tmc` or the shared cache
+/// start at `NotEmitted` and cost nothing until they run.
+#[derive(Debug, Default)]
+pub enum NativeCode {
+    /// The tree has not executed yet (or the native tier is off).
+    #[default]
+    NotEmitted,
+    /// Machine code covering every fragment of the tree, grown in place
+    /// by each branch install. `Arc` because a run keeps the code alive
+    /// while the nesting host re-borrows the monitor.
+    Code(Arc<NativeTree>),
+    /// The emitter refused the tree (an oversized `CallHelper`) or the
+    /// OS refused `mmap`/`mprotect`: the tree runs decoded for good.
+    Refused,
+}
+
 /// A compiled trace tree.
 #[derive(Debug)]
 pub struct TraceTree {
@@ -177,6 +194,8 @@ pub struct TraceTree {
     /// Disabled trees are never entered (the §3.3 short-loop mitigation:
     /// calling them costs more than interpreting).
     pub disabled: bool,
+    /// Native code for `fragments`, built at the first execution.
+    pub native: NativeCode,
     /// Execution statistics.
     pub stats: TreeStats,
 }
@@ -313,6 +332,7 @@ mod tests {
             lir: vec![],
             unstable: false,
             disabled: false,
+            native: NativeCode::NotEmitted,
             stats: TreeStats::default(),
         }
     }

@@ -7,9 +7,11 @@
 //! tiny JIT calling convention ([`NativeCtx`] in the platform module):
 //! the activation record, register file, spill area, and realm travel as
 //! raw pointers; guards compile to compare-and-branch against per-exit
-//! trampolines that materialize the exit index; stitched exits compile to
-//! direct jumps between fragment bodies (re-emitted when the tree grows a
-//! branch, so stitch targets are always baked in).
+//! trampolines that materialize the exit index. A tree's code grows the
+//! way the tree does (§6.2): the mapping is reserved with spare capacity,
+//! a new branch fragment is appended at the tail, and the parent's exit
+//! trampoline is patched in place with a direct `jmp` to the new body —
+//! every fragment is emitted exactly once ([`NativeTree::append`]).
 //!
 //! The decoded executor remains the portable reference implementation and
 //! the differential oracle: a native tree must produce byte-identical AR
@@ -43,13 +45,20 @@
 use crate::machinst::MachInst;
 
 /// Why a tree could not be translated to native code. Carried as an
-/// `Err` from [`emit_tree`]; the monitor falls back to the decoded
-/// executor for the whole tree.
+/// `Err` from [`emit_tree`] and [`NativeTree::append`]; the monitor falls
+/// back to the decoded executor for the whole tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Unsupported {
-    /// Mnemonic of the first op the emitter does not translate (or
-    /// `"mmap"` when the OS refused an executable mapping).
+    /// Mnemonic of the first op the emitter does not translate, or
+    /// `"mmap"` / `"mprotect"` when the OS refused the call.
     pub what: &'static str,
+}
+
+impl Unsupported {
+    /// [`NativeTree::append`] ran out of reserved capacity. Unlike every
+    /// other value this is no verdict on the tree: the caller rebuilds it
+    /// whole with [`emit_tree`], which reserves a larger mapping.
+    pub const FULL: Unsupported = Unsupported { what: "capacity" };
 }
 
 impl std::fmt::Display for Unsupported {
@@ -120,9 +129,10 @@ mod imp {
         gc_pending: *const bool,
         /// Instruction budget: loop edges exit once `insts >= fuel`.
         fuel: u64,
-        /// Fragment index to enter at.
-        start: u32,
-        _pad: u32,
+        /// Address of the fragment body to enter at; the prologue jumps
+        /// through it, so fragments can be appended without touching the
+        /// prologue.
+        entry: *const u8,
         /// Out: completed loop-edge crossings.
         iterations: u64,
         /// Out: instructions dispatched (fused counts once).
@@ -165,7 +175,7 @@ mod imp {
     const CTX_INTERRUPT: i32 = offset_of!(NativeCtx, interrupt) as i32;
     const CTX_GC: i32 = offset_of!(NativeCtx, gc_pending) as i32;
     const CTX_FUEL: i32 = offset_of!(NativeCtx, fuel) as i32;
-    const CTX_START: i32 = offset_of!(NativeCtx, start) as i32;
+    const CTX_ENTRY: i32 = offset_of!(NativeCtx, entry) as i32;
     const CTX_ITER: i32 = offset_of!(NativeCtx, iterations) as i32;
     const CTX_INSTS: i32 = offset_of!(NativeCtx, insts) as i32;
     const CTX_FUSED: i32 = offset_of!(NativeCtx, fused) as i32;
@@ -343,22 +353,57 @@ mod imp {
 
     // ---- executable buffer ----------------------------------------------
 
-    const SYS_MMAP: isize = 9;
-    const SYS_MPROTECT: isize = 10;
+    pub(super) const SYS_MMAP: isize = 9;
+    pub(super) const SYS_MPROTECT: isize = 10;
     const SYS_MUNMAP: isize = 11;
     const PROT_RW: usize = 0x3;
     const PROT_RX: usize = 0x5;
     const MAP_PRIVATE_ANON: usize = 0x22;
 
-    unsafe fn syscall3(n: isize, a1: usize, a2: usize, a3: usize) -> isize {
+    /// Spare room reserved behind a tree's first emission so that branch
+    /// fragments append in place: the mapping is `CAPACITY_FACTOR` times
+    /// the first emission, and at least `CAPACITY_FLOOR`. Pages of an
+    /// anonymous mapping that are never written cost address space only,
+    /// so the floor is sized for the large trees: an unrolled-recursion
+    /// fragment alone reaches 55 KB and the SunSpider suite's largest
+    /// tree 134 KB. A tree that outgrows its mapping is rebuilt whole
+    /// into one `CAPACITY_FACTOR` times its new size.
+    const CAPACITY_FACTOR: usize = 4;
+    const CAPACITY_FLOOR: usize = 256 * 1024;
+
+    // Test-only failure switch: the next `mmap` or `mprotect` (by syscall
+    // number) issued on this thread is refused.
+    #[cfg(test)]
+    thread_local! {
+        pub(super) static REFUSE_NEXT: std::cell::Cell<Option<isize>> =
+            const { std::cell::Cell::new(None) };
+    }
+
+    #[cfg(test)]
+    fn refused(nr: isize) -> bool {
+        REFUSE_NEXT.with(|r| r.get() == Some(nr) && r.replace(None).is_some())
+    }
+
+    /// # Safety
+    ///
+    /// `n` with `args` must be a system call that is sound to issue: here
+    /// an anonymous `mmap` at a kernel-chosen address, or
+    /// `mprotect`/`munmap` on a range this module mapped and nothing else
+    /// references.
+    unsafe fn syscall(n: isize, args: [usize; 6]) -> isize {
         let ret: isize;
+        // SAFETY: the Linux x86-64 syscall convention; rcx/r11 are
+        // declared clobbered, and the caller vouches for the call itself.
         unsafe {
             core::arch::asm!(
                 "syscall",
                 inlateout("rax") n => ret,
-                in("rdi") a1,
-                in("rsi") a2,
-                in("rdx") a3,
+                in("rdi") args[0],
+                in("rsi") args[1],
+                in("rdx") args[2],
+                in("r10") args[3],
+                in("r8") args[4],
+                in("r9") args[5],
                 lateout("rcx") _,
                 lateout("r11") _,
                 options(nostack),
@@ -367,66 +412,60 @@ mod imp {
         ret
     }
 
-    unsafe fn sys_mmap_rw(len: usize) -> isize {
-        let ret: isize;
-        unsafe {
-            core::arch::asm!(
-                "syscall",
-                inlateout("rax") SYS_MMAP => ret,
-                in("rdi") 0usize,
-                in("rsi") len,
-                in("rdx") PROT_RW,
-                in("r10") MAP_PRIVATE_ANON,
-                in("r8") -1isize,
-                in("r9") 0usize,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    /// A page-rounded executable mapping holding one tree's code.
-    /// Installed write-then-protect: the pages are `rw-` while the code
-    /// is copied in, then flipped to `r-x` — never writable+executable.
+    /// A page-rounded mapping holding one tree's code, or nothing yet
+    /// (`len == 0`). The pages are `rw-` while code is copied in or
+    /// patched and `r-x` otherwise — never writable and executable at
+    /// once.
     struct ExecBuf {
         ptr: *mut u8,
         len: usize,
     }
 
-    // The buffer is immutable after install; executing it from any thread
-    // is safe (the code itself only touches memory through the ctx).
+    // SAFETY: `ptr` is this value's own mapping. Code in it only touches
+    // memory through the ctx it is called with, so executing through
+    // `&ExecBuf` from any thread is sound; the mapping is written only by
+    // `NativeTree::append`, which owns the tree by value (no `&` to it can
+    // exist), and trees are realm-local in the monitor.
     unsafe impl Send for ExecBuf {}
+    // SAFETY: as above.
     unsafe impl Sync for ExecBuf {}
 
     impl ExecBuf {
-        fn install(code: &[u8]) -> Option<ExecBuf> {
-            let len = code.len().max(1).div_ceil(4096) * 4096;
-            let addr = unsafe { sys_mmap_rw(len) };
+        const UNMAPPED: ExecBuf = ExecBuf { ptr: std::ptr::null_mut(), len: 0 };
+
+        /// Maps `len` (a page multiple) bytes `rw-`.
+        fn map(len: usize) -> Option<ExecBuf> {
+            #[cfg(test)]
+            if refused(SYS_MMAP) {
+                return None;
+            }
+            // SAFETY: a fresh private anonymous mapping aliases nothing.
+            let addr = unsafe {
+                syscall(SYS_MMAP, [0, len, PROT_RW, MAP_PRIVATE_ANON, usize::MAX, 0])
+            };
             if (-4095..0).contains(&addr) {
                 return None;
             }
-            let ptr = addr as *mut u8;
-            unsafe {
-                std::ptr::copy_nonoverlapping(code.as_ptr(), ptr, code.len());
-                if syscall3(SYS_MPROTECT, ptr as usize, len, PROT_RX) != 0 {
-                    syscall3(SYS_MUNMAP, ptr as usize, len, 0);
-                    return None;
-                }
-            }
-            Some(ExecBuf { ptr, len })
+            Some(ExecBuf { ptr: addr as *mut u8, len })
         }
 
-        fn entry(&self) -> extern "sysv64" fn(*mut NativeCtx) {
-            unsafe { std::mem::transmute::<*mut u8, extern "sysv64" fn(*mut NativeCtx)>(self.ptr) }
+        /// Flips the whole mapping to `prot`; `false` when the OS refuses.
+        fn protect(&self, prot: usize) -> bool {
+            #[cfg(test)]
+            if refused(SYS_MPROTECT) {
+                return false;
+            }
+            // SAFETY: `ptr..ptr+len` is this value's own live mapping.
+            unsafe { syscall(SYS_MPROTECT, [self.ptr as usize, self.len, prot, 0, 0, 0]) == 0 }
         }
     }
 
     impl Drop for ExecBuf {
         fn drop(&mut self) {
-            unsafe {
-                syscall3(SYS_MUNMAP, self.ptr as usize, self.len, 0);
+            if self.len != 0 {
+                // SAFETY: `ptr..ptr+len` is this value's own mapping, and
+                // no code in it is running: every run borrows the tree.
+                unsafe { syscall(SYS_MUNMAP, [self.ptr as usize, self.len, 0, 0, 0, 0]) };
             }
         }
     }
@@ -463,8 +502,8 @@ mod imp {
     /// A branch target resolved at finalize time.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
     enum Label {
-        /// Entry of fragment body `k`.
-        Frag(u32),
+        /// Entry of the trunk (fragment 0), where loop edges jump back to.
+        Trunk,
         /// Exit site `n` (see `SiteInfo`).
         Site(u32),
         /// An emitter-local label inside one instruction's expansion.
@@ -474,28 +513,31 @@ mod imp {
     }
 
     /// Byte-buffer assembler with rel32 label fixups and offset-keyed
-    /// annotations (consumed by the hexdump disassembler). Annotations
-    /// are only collected when `annotate` is set — formatting every
-    /// virtual instruction is far too expensive for the monitor's
-    /// (re-)emission path, which never reads them.
+    /// annotations (consumed by the hexdump disassembler). It assembles
+    /// the chunk of a tree's code that starts at offset `base`; label,
+    /// fixup and note positions are offsets into the tree's mapping, so a
+    /// chunk can jump to code laid before it. Annotations are only
+    /// collected when `notes` is `Some` — formatting every virtual
+    /// instruction is far too expensive for the monitor's emission path,
+    /// which never reads them.
     #[derive(Default)]
     struct Asm {
+        base: usize,
         code: Vec<u8>,
         labels: HashMap<Label, usize>,
         fixups: Vec<(usize, Label)>,
-        notes: Vec<(usize, String)>,
-        annotate: bool,
+        notes: Option<Vec<(usize, String)>>,
     }
 
     impl Asm {
         fn here(&self) -> usize {
-            self.code.len()
+            self.base + self.code.len()
         }
 
         fn note(&mut self, text: impl FnOnce() -> String) {
-            if self.annotate {
-                let t = text();
-                self.notes.push((self.here(), t));
+            let here = self.here();
+            if let Some(notes) = &mut self.notes {
+                notes.push((here, text()));
             }
         }
 
@@ -875,10 +917,20 @@ mod imp {
                     .unwrap_or_else(|| panic!("unbound label {label:?}"));
                 let rel = i32::try_from(target as i64 - (pos as i64 + 4))
                     .expect("jump displacement exceeds rel32");
-                self.code[pos..pos + 4].copy_from_slice(&rel.to_le_bytes());
+                let at = pos - self.base;
+                self.code[at..at + 4].copy_from_slice(&rel.to_le_bytes());
             }
             self.fixups.clear();
         }
+    }
+
+    /// Overwrites the five bytes at `code[at..]` with `jmp rel32` to
+    /// offset `target` of the same buffer.
+    fn patch_jmp(code: &mut [u8], at: usize, target: usize) {
+        let rel = i32::try_from(target as i64 - (at as i64 + 5))
+            .expect("jump displacement exceeds rel32");
+        code[at] = 0xE9;
+        code[at + 1..at + 5].copy_from_slice(&rel.to_le_bytes());
     }
 
     // ---- tree emitter ---------------------------------------------------
@@ -893,23 +945,34 @@ mod imp {
         fused: u32,
     }
 
-    /// One guard's exit trampoline: flush the path counts, then either
-    /// jump straight into the stitched fragment or store the exit record
-    /// and return.
+    /// One guard's exit trampoline: flush the path counts, then store the
+    /// exit record and return. Once a branch is stitched to the exit, the
+    /// part after the flush is overwritten with a jump to the branch.
     struct SiteInfo {
         frag: u32,
         exit: u16,
-        add_insts: u32,
-        add_fused: u32,
+        path: Path,
     }
 
-    struct Emitter<'a> {
+    /// Where a laid exit trampoline of `(frag, exit)` is patched when a
+    /// branch is stitched to it: `tail` is the mapping offset just past
+    /// the count flush.
+    struct SiteTail {
+        frag: u32,
+        exit: u16,
+        tail: u32,
+    }
+
+    /// Emits one chunk of a tree's code: the fragments of one
+    /// [`NativeTree::append`], preceded by the prologue and epilogue when
+    /// they are the tree's first.
+    struct Emitter {
         asm: Asm,
-        frags: &'a [Fragment],
+        /// Trampolines the chunk's bodies registered, laid after them.
         sites: Vec<SiteInfo>,
         next_local: u32,
-        /// Per-tree `CallHelper` side table, interned in emission order;
-        /// emitted sites pass an index into it to [`helper_shim`].
+        /// The tree's `CallHelper` side table, interned in emission
+        /// order; emitted sites pass an index into it to [`helper_shim`].
         helpers: Vec<Helper>,
     }
 
@@ -933,7 +996,7 @@ mod imp {
         }
     }
 
-    impl<'a> Emitter<'a> {
+    impl Emitter {
         fn local(&mut self) -> Label {
             self.next_local += 1;
             Label::Local(self.next_local - 1)
@@ -941,18 +1004,8 @@ mod imp {
 
         /// Registers an exit trampoline carrying `path`'s counts.
         fn site(&mut self, frag: u32, exit: u16, path: Path) -> Label {
-            self.sites.push(SiteInfo {
-                frag,
-                exit,
-                add_insts: path.insts,
-                add_fused: path.fused,
-            });
+            self.sites.push(SiteInfo { frag, exit, path });
             Label::Site(self.sites.len() as u32 - 1)
-        }
-
-        /// A site whose counts were already flushed inline (loop edges).
-        fn site_flushed(&mut self, frag: u32, exit: u16) -> Label {
-            self.site(frag, exit, Path { insts: 0, fused: 0 })
         }
 
         /// Index of `h` in the per-tree helper side table, interning it
@@ -1268,7 +1321,7 @@ mod imp {
         /// before jumping back to the tree anchor.
         fn loop_edge(&mut self, frag: u32, loop_exit: u16, path: Path) {
             self.flush_counts(path);
-            let site = self.site_flushed(frag, loop_exit);
+            let site = self.site(frag, loop_exit, Path { insts: 0, fused: 0 });
             self.asm.inc_mem64(R15, CTX_ITER);
             self.asm.mov_r64_mem(RAX, R15, CTX_INTERRUPT);
             self.asm.cmp_byte_at_rax_0();
@@ -1278,7 +1331,7 @@ mod imp {
             self.asm.jcc(CC_NE, site);
             self.asm.cmp_r64_mem(RBX, R15, CTX_FUEL);
             self.asm.jcc(CC_AE, site);
-            self.asm.jmp(Label::Frag(0));
+            self.asm.jmp(Label::Trunk);
         }
 
         /// Emits one virtual-ISA instruction of fragment `k`. `path`
@@ -2006,7 +2059,7 @@ mod imp {
 
         /// Function prologue: save callee-saved registers, align the
         /// stack for shim calls, pin the ctx/AR/regs/spill pointers, zero
-        /// the counters, and dispatch on `ctx.start`.
+        /// the counters, and jump to the body `ctx.entry` names.
         fn prologue(&mut self) {
             self.asm.note(|| "; prologue".into());
             for reg in [RBX, RBP, R12, R13, R14, R15] {
@@ -2019,41 +2072,8 @@ mod imp {
             self.asm.mov_r64_mem(R12, R15, CTX_SPILL);
             self.asm.xor_rr32(RBX);
             self.asm.xor_rr32(RBP);
-            self.asm.note(|| "; entry dispatch on ctx.start".into());
-            self.asm.mov_r32_mem(RAX, R15, CTX_START);
-            for key in 0..self.frags.len() as u32 {
-                self.asm.cmp_r32_imm32(RAX, key as i32);
-                self.asm.jcc(CC_E, Label::Frag(key));
-            }
-            self.asm.ud2();
-        }
-
-        /// Emits every registered exit trampoline. Stitched exits jump
-        /// straight into the target fragment (counts carried in the
-        /// pinned accumulators); unstitched exits record the exit and
-        /// leave through the epilogue.
-        fn emit_sites(&mut self) {
-            for n in 0..self.sites.len() {
-                let SiteInfo { frag, exit, add_insts, add_fused } = self.sites[n];
-                let target = self.frags[frag as usize].stitch[exit as usize];
-                self.asm.note(|| {
-                    let resolved = if target == EXIT_UNSTITCHED {
-                        "return".to_string()
-                    } else {
-                        format!("jmp fragment {target}")
-                    };
-                    format!("; exit site: fragment {frag} exit {exit} -> {resolved}")
-                });
-                self.asm.bind(Label::Site(n as u32));
-                self.flush_counts(Path { insts: add_insts, fused: add_fused });
-                if target == EXIT_UNSTITCHED {
-                    self.asm.mov_mem32_imm(R15, CTX_EXIT_FRAG, frag as i32);
-                    self.asm.mov_mem32_imm(R15, CTX_EXIT_ID, i32::from(exit));
-                    self.asm.jmp(Label::Epilogue);
-                } else {
-                    self.asm.jmp(Label::Frag(target));
-                }
-            }
+            self.asm.note(|| "; entry dispatch: jmp [ctx.entry]".into());
+            self.asm.op_mem(false, &[0xFF], 4, R15, CTX_ENTRY);
         }
 
         fn epilogue(&mut self) {
@@ -2067,10 +2087,47 @@ mod imp {
             }
             self.asm.ret();
         }
+
+        /// Emits the body of fragment `k`; its exits register sites.
+        fn body(&mut self, k: u32, frag: &Fragment) {
+            self.asm.note(|| format!("; fragment {k}"));
+            let mut fused_so_far: u32 = 0;
+            for (i, inst) in frag.code.iter().enumerate() {
+                if inst.is_fused() {
+                    fused_so_far += 1;
+                }
+                let path = Path { insts: i as u32 + 1, fused: fused_so_far };
+                self.asm.note(|| format!("f{k} {i:4}: {inst:?}"));
+                self.emit_inst(k, inst, path);
+            }
+            // Fragments end in LoopBack/End; anything past is a bug.
+            self.asm.ud2();
+        }
+
+        /// Emits every registered exit trampoline, unstitched: flush the
+        /// path counts, record the exit, leave through the epilogue.
+        /// Returns where each can later be patched into a stitch jump
+        /// (which then carries the counts in the pinned accumulators).
+        fn emit_sites(&mut self) -> Vec<SiteTail> {
+            let mut tails = Vec::with_capacity(self.sites.len());
+            for n in 0..self.sites.len() {
+                let SiteInfo { frag, exit, path } = self.sites[n];
+                self.asm
+                    .note(|| format!("; exit site: fragment {frag} exit {exit} -> return"));
+                self.asm.bind(Label::Site(n as u32));
+                self.flush_counts(path);
+                tails.push(SiteTail { frag, exit, tail: self.asm.here() as u32 });
+                self.asm.mov_mem32_imm(R15, CTX_EXIT_FRAG, frag as i32);
+                self.asm.mov_mem32_imm(R15, CTX_EXIT_ID, i32::from(exit));
+                self.asm.jmp(Label::Epilogue);
+            }
+            tails
+        }
     }
 
     /// Translates a whole trace tree (trunk fragment 0 plus stitched
-    /// branch fragments) into one executable buffer.
+    /// branch fragments) into one executable buffer: a tree with nothing
+    /// mapped yet, grown by every fragment ([`NativeTree::append`]).
     ///
     /// # Errors
     ///
@@ -2078,7 +2135,7 @@ mod imp {
     /// native subset, or when the OS refuses an executable mapping. The
     /// caller falls back to the decoded executor for the whole tree.
     pub fn emit_tree(fragments: &[Fragment]) -> Result<NativeTree, Unsupported> {
-        emit_tree_with(fragments, false)
+        NativeTree::unmapped(None).append(fragments)
     }
 
     /// [`emit_tree`], additionally collecting the per-instruction and
@@ -2086,56 +2143,7 @@ mod imp {
     /// with the code bytes. Diagnostics only: formatting the annotations
     /// costs more than the emission itself.
     pub fn emit_tree_annotated(fragments: &[Fragment]) -> Result<NativeTree, Unsupported> {
-        emit_tree_with(fragments, true)
-    }
-
-    fn emit_tree_with(fragments: &[Fragment], annotate: bool) -> Result<NativeTree, Unsupported> {
-        for frag in fragments {
-            for inst in &frag.code {
-                if let Some(what) = unsupported_op(inst) {
-                    return Err(Unsupported { what });
-                }
-            }
-        }
-        let mut e = Emitter {
-            asm: Asm { annotate, ..Asm::default() },
-            frags: fragments,
-            sites: Vec::new(),
-            next_local: 0,
-            helpers: Vec::new(),
-        };
-        e.prologue();
-        for (k, frag) in fragments.iter().enumerate() {
-            let k = k as u32;
-            e.asm.note(|| format!("; fragment {k}"));
-            e.asm.bind(Label::Frag(k));
-            let mut fused_so_far: u32 = 0;
-            for (i, inst) in frag.code.iter().enumerate() {
-                if inst.is_fused() {
-                    fused_so_far += 1;
-                }
-                let path = Path { insts: i as u32 + 1, fused: fused_so_far };
-                e.asm.note(|| format!("f{k} {i:4}: {inst:?}"));
-                e.emit_inst(k, inst, path);
-            }
-            // Fragments end in LoopBack/End; anything past is a bug.
-            e.asm.ud2();
-        }
-        e.emit_sites();
-        e.epilogue();
-        e.asm.finalize();
-
-        let max_spills = fragments.iter().map(|f| f.num_spills as usize).max().unwrap_or(0);
-        let code_len = e.asm.code.len();
-        let buf = ExecBuf::install(&e.asm.code).ok_or(Unsupported { what: "mmap" })?;
-        Ok(NativeTree {
-            buf,
-            max_spills,
-            notes: e.asm.notes,
-            code_len,
-            num_frags: fragments.len(),
-            helpers: e.helpers,
-        })
+        NativeTree::unmapped(Some(Vec::new())).append(fragments)
     }
 
     /// A trace tree compiled to native x86-64 code.
@@ -2145,10 +2153,20 @@ mod imp {
     /// effects, same [`TraceExit`] including all counters.
     pub struct NativeTree {
         buf: ExecBuf,
-        max_spills: usize,
-        notes: Vec<(usize, String)>,
+        /// Bytes of `buf` holding code; the rest is room to grow.
         code_len: usize,
-        num_frags: usize,
+        /// Offset of the common epilogue (laid right after the prologue,
+        /// so every later chunk can jump back to it).
+        epilogue: usize,
+        /// Offset of each fragment body; [`NativeTree::execute`] turns
+        /// the start fragment into the address the prologue jumps to.
+        frag_offsets: Vec<u32>,
+        /// The exit trampolines no branch is stitched to yet.
+        tails: Vec<SiteTail>,
+        max_spills: usize,
+        /// Hexdump annotations, collected only for
+        /// [`emit_tree_annotated`] trees.
+        notes: Option<Vec<(usize, String)>>,
         /// `CallHelper` side table; emitted sites index into it (the
         /// `Helper` enum carries a payload variant, so it cannot be an
         /// immediate in the code stream).
@@ -2159,12 +2177,115 @@ mod imp {
         fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
             f.debug_struct("NativeTree")
                 .field("code_len", &self.code_len)
-                .field("num_frags", &self.num_frags)
+                .field("num_frags", &self.frag_offsets.len())
                 .finish_non_exhaustive()
         }
     }
 
     impl NativeTree {
+        fn unmapped(notes: Option<Vec<(usize, String)>>) -> NativeTree {
+            NativeTree {
+                buf: ExecBuf::UNMAPPED,
+                code_len: 0,
+                epilogue: 0,
+                frag_offsets: Vec::new(),
+                tails: Vec::new(),
+                max_spills: 0,
+                notes,
+                helpers: Vec::new(),
+            }
+        }
+
+        /// Grows the tree to cover `fragments`: the bodies and exit
+        /// trampolines of `fragments[self.num_fragments()..]` are laid at
+        /// the tail of the mapping, and every stitch in `fragments` not
+        /// patched in yet overwrites the tail of the parent's exit
+        /// trampoline(s) with a `jmp` to the target body. Code laid
+        /// earlier is not emitted again and does not move.
+        /// `fragments[..self.num_fragments()]` must be the fragments the
+        /// tree was grown from so far, with stitches added at most. The
+        /// mapping is `rw-` while it is written and `r-x` again before
+        /// this returns.
+        ///
+        /// # Errors
+        ///
+        /// The tree is consumed and its mapping released.
+        /// [`Unsupported::FULL`] when the new code does not fit the
+        /// reserved capacity — rebuild with [`emit_tree`]; otherwise an
+        /// op the emitter refuses or a refused `mmap`/`mprotect`.
+        pub fn append(mut self, fragments: &[Fragment]) -> Result<NativeTree, Unsupported> {
+            let first = self.frag_offsets.len();
+            let new = &fragments[first..];
+            if let Some(what) = new.iter().flat_map(|f| &f.code).find_map(unsupported_op) {
+                return Err(Unsupported { what });
+            }
+            let mut e = Emitter {
+                asm: Asm { base: self.code_len, notes: self.notes.take(), ..Asm::default() },
+                sites: Vec::new(),
+                next_local: 0,
+                helpers: std::mem::take(&mut self.helpers),
+            };
+            if self.code_len == 0 {
+                e.prologue();
+                self.epilogue = e.asm.here();
+                e.epilogue();
+            } else {
+                e.asm.labels.insert(Label::Epilogue, self.epilogue);
+                e.asm.labels.insert(Label::Trunk, self.frag_offsets[0] as usize);
+            }
+            for (k, frag) in (first..).zip(new) {
+                if k == 0 {
+                    e.asm.bind(Label::Trunk);
+                }
+                self.frag_offsets.push(e.asm.here() as u32);
+                e.body(k as u32, frag);
+                self.max_spills = self.max_spills.max(frag.num_spills as usize);
+            }
+            self.tails.extend(e.emit_sites());
+            e.asm.finalize();
+            self.helpers = e.helpers;
+
+            let new_len = self.code_len + e.asm.code.len();
+            if self.buf.len == 0 {
+                let capacity =
+                    (new_len * CAPACITY_FACTOR).max(CAPACITY_FLOOR).div_ceil(4096) * 4096;
+                self.buf = ExecBuf::map(capacity).ok_or(Unsupported { what: "mmap" })?;
+            } else if new_len > self.buf.len {
+                return Err(Unsupported::FULL);
+            } else if !self.buf.protect(PROT_RW) {
+                return Err(Unsupported { what: "mprotect" });
+            }
+            // SAFETY: the mapping is `rw-` (fresh, or just flipped), at
+            // least `new_len` bytes long, and this tree — owned by value,
+            // so nothing is running in it — is the only thing naming it.
+            let code = unsafe { std::slice::from_raw_parts_mut(self.buf.ptr, new_len) };
+            code[self.code_len..].copy_from_slice(&e.asm.code);
+            // Stitch: every trampoline whose exit now has a target jumps
+            // there and leaves the table of unstitched ones.
+            self.tails.retain(|site| {
+                let target = fragments[site.frag as usize].stitch[usize::from(site.exit)];
+                if target == EXIT_UNSTITCHED {
+                    return true;
+                }
+                let tail = site.tail as usize;
+                patch_jmp(code, tail, self.frag_offsets[target as usize] as usize);
+                if let Some(notes) = &mut e.asm.notes {
+                    notes.push((tail, format!("; stitched: jmp fragment {target}")));
+                }
+                false
+            });
+            if !self.buf.protect(PROT_RX) {
+                return Err(Unsupported { what: "mprotect" });
+            }
+            self.code_len = new_len;
+            self.notes = e.asm.notes;
+            if let Some(notes) = &mut self.notes {
+                // Stable: a stitch note stays behind its trampoline's.
+                notes.sort_by_key(|&(off, _)| off);
+            }
+            Ok(self)
+        }
+
         /// Runs the tree from fragment `start` until an unstitched exit.
         ///
         /// Mirrors `executor::execute` — same signature shape, same
@@ -2185,7 +2306,7 @@ mod imp {
             host: &mut dyn TreeHost,
             fuel: u64,
         ) -> Result<TraceExit, RuntimeError> {
-            assert!((start as usize) < self.num_frags, "start fragment out of range");
+            let entry = self.frag_offsets[start as usize] as usize;
             let mut regs = [0u64; REG_FILE_WORDS];
             let mut spill = vec![0u64; self.max_spills];
             let mut error: Option<RuntimeError> = None;
@@ -2196,11 +2317,14 @@ mod imp {
                 regs: regs.as_mut_ptr(),
                 spill: spill.as_mut_ptr(),
                 realm: realm_ptr,
+                // SAFETY: `realm_ptr` comes from the `&mut Realm` above;
+                // taking a field address reads nothing.
                 interrupt: unsafe { &raw const (*realm_ptr).interrupt },
+                // SAFETY: as above.
                 gc_pending: unsafe { &raw const (*realm_ptr).heap.gc_pending },
                 fuel,
-                start,
-                _pad: 0,
+                // SAFETY: a fragment offset lies inside the mapping.
+                entry: unsafe { self.buf.ptr.add(entry) },
                 iterations: 0,
                 insts: 0,
                 fused: 0,
@@ -2213,7 +2337,15 @@ mod imp {
                 host: (&raw mut host).cast::<core::ffi::c_void>(),
                 error: &raw mut error,
             };
-            self.buf.entry()(&mut ctx);
+            // SAFETY: `buf` starts with the prologue this module emitted
+            // for exactly this signature and is `r-x`: `append` is the
+            // only writer and takes the tree by value, so it cannot run
+            // while `&self` is live. Every pointer in `ctx` outlives the
+            // call.
+            let run = unsafe {
+                std::mem::transmute::<*mut u8, extern "sysv64" fn(*mut NativeCtx)>(self.buf.ptr)
+            };
+            run(&mut ctx);
             if let Some(e) = error {
                 return Err(e);
             }
@@ -2226,7 +2358,7 @@ mod imp {
             })
         }
 
-        /// Emitted code size in bytes.
+        /// Bytes of emitted code (not the reserved capacity).
         pub fn code_size(&self) -> usize {
             self.code_len
         }
@@ -2238,17 +2370,21 @@ mod imp {
 
         /// Number of fragment bodies in the buffer.
         pub fn num_fragments(&self) -> usize {
-            self.num_frags
+            self.frag_offsets.len()
         }
 
         /// Annotated hexdump of the emitted buffer: each virtual-ISA
         /// instruction / exit trampoline line followed by the machine
-        /// bytes it compiled to.
+        /// bytes it compiled to. Empty unless the tree was built by
+        /// [`emit_tree_annotated`].
         pub fn hexdump(&self) -> String {
+            let notes = self.notes.as_deref().unwrap_or(&[]);
+            // SAFETY: the first `code_len` bytes of the mapping are
+            // initialized code, readable (`r-x`) while `&self` is live.
             let code = unsafe { std::slice::from_raw_parts(self.buf.ptr, self.code_len) };
             let mut out = String::new();
-            for (n, (off, text)) in self.notes.iter().enumerate() {
-                let end = self.notes.get(n + 1).map_or(self.code_len, |(o, _)| *o);
+            for (n, (off, text)) in notes.iter().enumerate() {
+                let end = notes.get(n + 1).map_or(self.code_len, |(o, _)| *o);
                 out.push_str(&format!("{off:08x}  {text}\n"));
                 for line in code[*off..end].chunks(16) {
                     let hex: Vec<String> = line.iter().map(|b| format!("{b:02x}")).collect();
@@ -2292,6 +2428,12 @@ mod imp {
             _host: &mut dyn TreeHost,
             _fuel: u64,
         ) -> Result<TraceExit, RuntimeError> {
+            match self.never {}
+        }
+
+        /// Unreachable: a stub `NativeTree` cannot be constructed.
+        #[allow(clippy::missing_errors_doc)]
+        pub fn append(self, _fragments: &[Fragment]) -> Result<NativeTree, Unsupported> {
             match self.never {}
         }
 
@@ -2345,7 +2487,7 @@ mod tests {
         Helper, NativeEffects, Object, ObjectClass, ObjectId, Realm, RuntimeError, Value,
     };
 
-    use super::{emit_tree, native_supported, unsupported_op, MAX_HELPER_ARGS};
+    use super::{emit_tree, native_supported, unsupported_op, NativeTree, MAX_HELPER_ARGS};
     use crate::assembler::assemble;
     use crate::executor::{execute, NoNesting, TraceExit, TreeHost};
     use crate::machinst::{ExitTarget, Fragment, MachInst};
@@ -2992,10 +3134,9 @@ mod tests {
         assert_eq!(nt.num_fragments(), 1);
     }
 
-    #[test]
-    fn wx_mapping_is_never_writable_and_executable() {
-        let tree = frag(vec![MachInst::End { exit: 0 }], 1);
-        let nt = emit_tree(&tree).unwrap();
+    /// Asserts that no mapping of the process is writable and executable
+    /// and that the one holding `nt`'s code is `r-x`.
+    fn assert_wx(nt: &NativeTree) {
         let maps = std::fs::read_to_string("/proc/self/maps").unwrap();
         let mut found = false;
         for line in maps.lines() {
@@ -3015,6 +3156,215 @@ mod tests {
             }
         }
         assert!(found, "JIT buffer not found in /proc/self/maps");
+    }
+
+    #[test]
+    fn wx_mapping_is_never_writable_and_executable() {
+        let (trunk, full) = growth_tree();
+        let nt = emit_tree(&trunk).unwrap();
+        assert_wx(&nt);
+        let nt = nt.append(&full).unwrap();
+        assert_wx(&nt);
+    }
+
+    // ---- growth: append a branch, patch the parent's exit ----
+
+    /// A counting loop and the branch its odd-`i` guard grows: the trunk
+    /// alone, then trunk (exit 1 stitched) plus branch. AR: `i`, `limit`,
+    /// `acc`; the branch adds `i` (left in r0 by the trunk) to `acc` and
+    /// loops back. Both fragments went through the peephole pass.
+    fn growth_tree() -> (Vec<Fragment>, Vec<Fragment>) {
+        let trunk = fuse(Fragment::new(
+            vec![
+                MachInst::ReadAr { d: 0, slot: 0 },
+                MachInst::ReadAr { d: 1, slot: 1 },
+                MachInst::ConstW { d: 2, w: 1 },
+                MachInst::AddI { d: 0, a: 0, b: 2 },
+                MachInst::WriteAr { slot: 0, s: 0 },
+                MachInst::LtI { d: 3, a: 0, b: 1 },
+                MachInst::GuardTrue { s: 3, exit: 0 },
+                MachInst::AndI { d: 4, a: 0, b: 2 },
+                MachInst::GuardFalse { s: 4, exit: 1 },
+                MachInst::LoopBack { exit: 2 },
+            ],
+            0,
+            3,
+        ));
+        let branch = fuse(Fragment::new(
+            vec![
+                MachInst::ReadAr { d: 5, slot: 2 },
+                MachInst::AddI { d: 5, a: 5, b: 0 },
+                MachInst::WriteAr { slot: 2, s: 5 },
+                MachInst::LoopBack { exit: 0 },
+            ],
+            0,
+            1,
+        ));
+        let mut stitched = trunk.clone();
+        stitched.set_exit_target(1, ExitTarget::Fragment(1));
+        (vec![trunk], vec![stitched, branch])
+    }
+
+    /// Runs `nt` and the decoded executor over `fragments` from the same
+    /// inputs and requires identical exit records and ARs.
+    fn agree(nt: &NativeTree, fragments: &[Fragment], ar_init: &[u64], start: u32) -> TraceExit {
+        let mut ar_dec = ar_init.to_vec();
+        let dec =
+            execute(fragments, start, &mut ar_dec, &mut Realm::new(), &mut NoNesting, u64::MAX)
+                .unwrap();
+        let mut ar_nat = ar_init.to_vec();
+        let nat = nt
+            .execute(start, &mut ar_nat, &mut Realm::new(), &mut NoNesting, u64::MAX)
+            .unwrap();
+        assert_eq!(dec, nat, "exit records diverge");
+        assert_eq!(ar_dec, ar_nat, "activation records diverge");
+        dec
+    }
+
+    #[test]
+    fn appended_branch_agrees_with_decoded_and_whole_emission() {
+        let (trunk, full) = growth_tree();
+        let ar = [w(0), w(20), w(0)];
+        let grown = emit_tree(&trunk).unwrap();
+        let first = agree(&grown, &trunk, &ar, 0);
+        assert_eq!((first.fragment, first.exit), (0, 1), "the first odd i leaves the trunk");
+        let ptr = grown.code_ptr();
+        let trunk_size = grown.code_size();
+
+        let grown = grown.append(&full).unwrap();
+        assert_eq!(grown.code_ptr(), ptr, "an in-capacity append does not move the code");
+        assert_eq!(grown.num_fragments(), 2);
+        let whole = emit_tree(&full).unwrap();
+        assert_eq!(grown.code_size(), whole.code_size(), "same bodies, laid once each");
+        assert!(grown.code_size() > trunk_size);
+        for start in [0, 1] {
+            let exit = agree(&grown, &full, &ar, start);
+            assert_eq!(exit, agree(&whole, &full, &ar, start));
+            assert_eq!((exit.fragment, exit.exit), (0, 0), "the loop now runs to its limit");
+            assert!(exit.iterations >= 18 && exit.fused_insts > 0, "{exit:?}");
+        }
+    }
+
+    #[test]
+    fn tree_grown_past_capacity_rebuilds_and_agrees() {
+        // A branch too large for any first reservation: 40 000 constant
+        // loads in front of the real branch body.
+        let (trunk, mut full) = growth_tree();
+        let mut code = vec![MachInst::ConstW { d: 6, w: 0x1234_5678_9ABC }; 40_000];
+        code.append(&mut full[1].code);
+        full[1].code = code;
+        let grown = emit_tree(&trunk).unwrap();
+        assert_eq!(grown.append(&full).unwrap_err(), super::Unsupported::FULL);
+        let rebuilt = emit_tree(&full).unwrap();
+        let exit = agree(&rebuilt, &full, &[w(0), w(20), w(0)], 0);
+        assert_eq!((exit.fragment, exit.exit), (0, 0));
+        // The rebuilt mapping has room again: the next branch appends.
+        let mut more = full.clone();
+        more[0].set_exit_target(0, ExitTarget::Fragment(2));
+        more.push(Fragment::new(vec![MachInst::End { exit: 0 }], 0, 1));
+        let ptr = rebuilt.code_ptr();
+        let grown = rebuilt.append(&more).unwrap();
+        assert_eq!(grown.code_ptr(), ptr);
+        assert_eq!(agree(&grown, &more, &[w(0), w(20), w(0)], 0).fragment, 2);
+    }
+
+    #[test]
+    fn loop_edge_exit_is_stitched_on_every_source() {
+        // The loop edge's interrupt, GC and fuel polls share one exit
+        // trampoline; stitching the loop exit must redirect all three.
+        let (trunk, _) = growth_tree();
+        let mut full = trunk.clone();
+        full[0].set_exit_target(2, ExitTarget::Fragment(1));
+        full.push(Fragment::new(
+            vec![
+                MachInst::ConstW { d: 7, w: 99 },
+                MachInst::WriteAr { slot: 2, s: 7 },
+                MachInst::End { exit: 0 },
+            ],
+            0,
+            1,
+        ));
+        let nt = emit_tree(&trunk).unwrap().append(&full).unwrap();
+        for source in 0..3 {
+            let setup = |realm: &mut Realm| match source {
+                0 => realm.interrupt = true,
+                1 => realm.heap.gc_pending = true,
+                _ => {}
+            };
+            let fuel = if source == 2 { 0 } else { u64::MAX };
+            // i = 1 → 2: even, so the run reaches the loop edge.
+            let (mut realm_dec, mut realm_nat) = (Realm::new(), Realm::new());
+            setup(&mut realm_dec);
+            setup(&mut realm_nat);
+            let mut ar_dec = vec![w(1), w(20), w(0)];
+            let mut ar_nat = ar_dec.clone();
+            let dec =
+                execute(&full, 0, &mut ar_dec, &mut realm_dec, &mut NoNesting, fuel).unwrap();
+            let nat = nt.execute(0, &mut ar_nat, &mut realm_nat, &mut NoNesting, fuel).unwrap();
+            assert_eq!(dec, nat, "source {source}");
+            assert_eq!(ar_dec, ar_nat, "source {source}");
+            assert_eq!((nat.fragment, nat.exit, ar_nat[2]), (1, 0, 99), "source {source}");
+        }
+    }
+
+    #[test]
+    fn hexdump_of_an_appended_tree_annotates_everything() {
+        let (trunk, full) = growth_tree();
+        let nt = super::emit_tree_annotated(&trunk).unwrap().append(&full).unwrap();
+        let dump = nt.hexdump();
+        for (k, frag) in full.iter().enumerate() {
+            assert!(dump.contains(&format!("; fragment {k}\n")), "{dump}");
+            for (i, inst) in frag.code.iter().enumerate() {
+                assert!(dump.contains(&format!("f{k} {i:4}: {inst:?}")), "f{k} {i}:\n{dump}");
+            }
+        }
+        // Trunk: exits 0 and 1 and the shared loop-edge site; branch: its
+        // loop-edge site. The stitch is reported where it was patched in.
+        assert_eq!(dump.matches("; exit site: fragment 0 ").count(), 3, "{dump}");
+        assert_eq!(dump.matches("; exit site: fragment 1 ").count(), 1, "{dump}");
+        assert_eq!(dump.matches("; stitched: jmp fragment 1").count(), 1, "{dump}");
+        // Every code byte is listed under some annotation.
+        let listed = dump
+            .lines()
+            .filter(|l| l.starts_with("          "))
+            .map(|l| l.split_whitespace().count())
+            .sum::<usize>();
+        assert_eq!(listed, nt.code_size());
+    }
+
+    #[test]
+    fn refused_syscalls_fail_one_tree_and_leave_the_process_running() {
+        use super::imp::{REFUSE_NEXT, SYS_MMAP, SYS_MPROTECT};
+        let (trunk, full) = growth_tree();
+        let ar = [w(0), w(20), w(0)];
+        // What the monitor does with a tree: native code when it has it,
+        // the decoded executor when the tree was refused.
+        let run = |code: Result<NativeTree, super::Unsupported>| {
+            let mut ar = ar.to_vec();
+            let exit = match &code {
+                Ok(nt) => nt.execute(0, &mut ar, &mut Realm::new(), &mut NoNesting, u64::MAX),
+                Err(_) => execute(&full, 0, &mut ar, &mut Realm::new(), &mut NoNesting, u64::MAX),
+            };
+            (exit.unwrap(), ar)
+        };
+        let decoded = run(Err(super::Unsupported::FULL));
+
+        // The mprotect of an append.
+        let nt = emit_tree(&trunk).unwrap();
+        REFUSE_NEXT.set(Some(SYS_MPROTECT));
+        let refused = nt.append(&full);
+        assert_eq!(refused.as_ref().unwrap_err().what, "mprotect");
+        assert_eq!(run(refused), decoded);
+
+        // The mmap of a rebuild.
+        REFUSE_NEXT.set(Some(SYS_MMAP));
+        let refused = emit_tree(&full);
+        assert_eq!(refused.as_ref().unwrap_err().what, "mmap");
+        assert_eq!(run(refused), decoded);
+
+        // The switch is spent: the next tree emits and agrees.
+        assert!(REFUSE_NEXT.get().is_none());
+        assert_eq!(run(emit_tree(&trunk).unwrap().append(&full)), decoded);
     }
 
     // ---- full-coverage tier: heap ops, helper calls, nested trees ----

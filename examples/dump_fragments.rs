@@ -23,8 +23,9 @@
 //! through the native backend (`tm-nanojit::x64`) and its machine code
 //! hexdumped, interleaved with the virtual instructions it implements
 //! and the exit trampolines (`exit site: ... -> return` materializes the
-//! exit index for the monitor; `-> jmp fragment N` is a stitched exit
-//! baked in as a direct jump). `CallHelper` sites carry a
+//! exit index for the monitor; a following `stitched: jmp fragment N`
+//! line is the direct jump patched over it when a branch was stitched
+//! to the exit). `CallHelper` sites carry a
 //! `; helper table[i] = <name>` line resolving the per-tree helper-table
 //! index to the helper it dispatches (e.g. `ConcatStrings`, or
 //! `CallNative(id)` for registered builtins). Works in the offline

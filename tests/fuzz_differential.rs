@@ -452,8 +452,9 @@ fn fuzz_replay_seeds() {
 /// reference). Returns the displayed result plus the monitor's
 /// `(native_exits, native_fallbacks, trace_enters)` counters.
 /// `background` additionally attaches a two-worker compiler pool and
-/// turns on `background_compile`, so trace compilation *and* native
-/// emission run off the request thread (the `TM_FUZZ_BG=1` mode).
+/// turns on `background_compile`, so traces compile off the request
+/// thread and their native code is appended when the monitor installs
+/// them (the `TM_FUZZ_BG=1` mode).
 fn run_tracing_native(
     src: &str,
     native: bool,

@@ -1,8 +1,8 @@
 //! Integration coverage for the native x86-64 tier (`tm-nanojit::x64`)
 //! behind `JitOptions::native_backend`: tier selection and fallback
 //! accounting, differential identity with the decoded executor, graceful
-//! degradation on targets without the backend, and invalidation when a
-//! tree grows a branch fragment. The instruction-level differential
+//! degradation on targets without the backend, and in-place growth when a
+//! tree gains a branch fragment. The instruction-level differential
 //! tests live in `crates/nanojit/src/x64.rs`; these drive the tier
 //! through whole programs, the way the monitor uses it.
 
@@ -24,6 +24,23 @@ fn run_with(
 }
 
 const INT_LOOP: &str = "var s = 0; for (var i = 0; i < 4000; i++) s = (s + (i ^ 3)) | 0; s";
+
+/// A branchy loop in a function called `calls` times: the tree grows
+/// branch fragments while entries keep coming.
+fn branchy_calls(calls: u32) -> String {
+    format!(
+        "function f(n) {{\n\
+             var s = 0;\n\
+             for (var i = 0; i < n; i++) {{\n\
+                 if ((i & 3) == 0) {{ s = (s + i) | 0; }} else {{ s = (s - 1) | 0; }}\n\
+             }}\n\
+             return s;\n\
+         }}\n\
+         var t = 0;\n\
+         for (var j = 0; j < {calls}; j++) {{ t = (t + f(150)) | 0; }}\n\
+         t"
+    )
+}
 
 const OBJ_LOOP: &str = "\
     var o = { a: 0, b: 1 };\n\
@@ -54,9 +71,7 @@ fn shape_guarded_trees_run_native() {
     }
     // Property access traces to GuardShape/LoadSlot/StoreSlot. Since the
     // full-coverage tier these emit natively: the tree runs through the
-    // x86-64 buffer (majority of entries; the emission-countdown entries
-    // before the buffer exists still fall back) and agrees with the
-    // decoded executor.
+    // x86-64 buffer and agrees with the decoded executor.
     let (shown, stats) = run_with(OBJ_LOOP, true);
     let (decoded_shown, _) = run_with(OBJ_LOOP, false);
     assert_eq!(shown, decoded_shown);
@@ -69,33 +84,20 @@ fn shape_guarded_trees_run_native() {
     assert_eq!(stats.native_exits + stats.native_fallbacks, stats.trace_enters);
 }
 
-/// With `background_compile` on and a pool attached, native emission runs
-/// on the pool's worker threads and never on the request thread — pinned
-/// by the two emission counters. The result must still agree with both
-/// the sync-emission run and the decoded executor.
+/// With `background_compile` on and a pool attached, fragments are
+/// compiled on the pool's workers and their native code is emitted by
+/// the monitor when it installs them: the first into a new mapping at the
+/// tree's first execution, the rest appended by `install_branch`. Nothing
+/// is emitted off-thread or twice, no entry runs on the tier below, and
+/// the result agrees with the synchronous run and the decoded executor.
 #[test]
-fn native_emission_runs_off_thread_with_pool() {
+fn background_compiled_fragments_append_at_install() {
     if !tracemonkey::nanojit::native_supported() {
         return;
     }
-    // The hot loop sits in a function called many times (nesting off, as
-    // in `branch_install_invalidates_and_reemits`) so the monitor keeps
-    // entering the tree — each entry polls the emission ticket, and once
-    // it resolves the remaining entries run native.
-    let int_calls = "\
-        function f(n) { var s = 0; for (var i = 0; i < n; i++) s = (s + (i ^ 3)) | 0; return s; }\n\
-        var t = 0;\n\
-        for (var j = 0; j < 80; j++) { t = (t + f(200)) | 0; }\n\
-        t";
-    let obj_calls = "\
-        function g(n) {\n\
-            var o = { a: 0, b: 1 };\n\
-            for (var i = 0; i < n; i++) { o.a = (o.a + o.b + i) | 0; }\n\
-            return o.a;\n\
-        }\n\
-        var t = 0;\n\
-        for (var j = 0; j < 80; j++) { t = (t + g(200)) | 0; }\n\
-        t";
+    // The hot loops sit in functions called many times (nesting off, as
+    // in `branch_install_appends_in_place`) so the monitor keeps entering
+    // the trees while background compiles land.
     let run = |src: &str, background: bool| {
         let mut opts = JitOptions::default();
         opts.native_backend = true;
@@ -110,26 +112,28 @@ fn native_emission_runs_off_thread_with_pool() {
         let shown = tracemonkey::runtime::ops::to_display(&mut vm.realm, v);
         (shown, vm.profile().expect("tracing engine profiles").clone())
     };
-    for src in [int_calls, obj_calls] {
+    // Long enough that the compiles land while the program still runs;
+    // the assertions hold whenever they land.
+    let obj_calls = "\
+        function g(n) {\n\
+            var o = { a: 0, b: 1 };\n\
+            for (var i = 0; i < n; i++) { o.a = (o.a + o.b + i) | 0; }\n\
+            return o.a;\n\
+        }\n\
+        var t = 0;\n\
+        for (var j = 0; j < 1500; j++) { t = (t + g(200)) | 0; }\n\
+        t";
+    for src in [branchy_calls(1500).as_str(), obj_calls] {
         let (shown, stats) = run(src, true);
-        let (sync_shown, sync_stats) = run(src, false);
+        let (sync_shown, _) = run(src, false);
         let (decoded_shown, _) = run_with(src, false);
         assert_eq!(shown, sync_shown);
         assert_eq!(shown, decoded_shown);
-        assert!(
-            stats.native_emissions_offthread >= 1,
-            "emission must happen on the pool: {stats:?}"
-        );
-        assert_eq!(
-            stats.native_emissions_sync, 0,
-            "zero emissions on the request thread with a pool attached: {stats:?}"
-        );
-        assert!(
-            sync_stats.native_emissions_sync >= 1 && sync_stats.native_emissions_offthread == 0,
-            "without a pool the same program emits synchronously: {sync_stats:?}"
-        );
-        assert!(stats.native_exits >= 1, "the pool-emitted tree must run: {stats:?}");
-        assert_eq!(stats.native_exits + stats.native_fallbacks, stats.trace_enters);
+        assert!(stats.compile_jobs_installed >= 1, "the pool must compile: {stats:?}");
+        assert_eq!(stats.native_emissions_offthread, 0, "{stats:?}");
+        assert!(stats.native_fragments <= stats.fragments, "emitted twice: {stats:?}");
+        assert_eq!(stats.native_fallbacks, 0, "an entry ran decoded: {stats:?}");
+        assert_eq!(stats.native_exits, stats.trace_enters);
     }
 }
 
@@ -168,51 +172,34 @@ fn native_backend_degrades_without_error() {
 }
 
 /// A branchy loop grows its tree by stitched branch fragments after the
-/// trunk was already emitted natively: the monitor must invalidate,
-/// run the tree decoded through the re-emission countdown, then re-emit
-/// the whole extended tree (counted again in `native_fragments`), and
-/// the result must still agree with the decoded executor. The loop sits
-/// in a function called many times so entries keep coming after the
-/// tree stops growing; nesting is disabled so the inner tree is the
-/// only tree and the static fragment count is directly comparable.
+/// trunk was already emitted natively: each new fragment is appended to
+/// the tree's code and its parent's exit patched, so every fragment is
+/// emitted exactly once, no entry ever runs decoded, and the result
+/// agrees with the decoded executor. The loop sits in a function called
+/// many times so entries keep coming while and after the tree grows;
+/// nesting is disabled so the inner tree is the only tree.
 #[test]
-fn branch_install_invalidates_and_reemits() {
+fn branch_install_appends_in_place() {
     if !tracemonkey::nanojit::native_supported() {
         return;
     }
-    let src = "\
-        function f(n) {\n\
-            var s = 0;\n\
-            for (var i = 0; i < n; i++) {\n\
-                if ((i & 3) == 0) { s = (s + i) | 0; } else { s = (s - 1) | 0; }\n\
-            }\n\
-            return s;\n\
-        }\n\
-        var t = 0;\n\
-        for (var j = 0; j < 60; j++) { t = (t + f(150)) | 0; }\n\
-        t";
     let run = |native: bool| {
         let mut opts = JitOptions::default();
         opts.native_backend = native;
         opts.enable_nesting = false;
         opts.profile = true;
         let mut vm = Vm::with_options(Engine::Tracing, opts);
-        let v = vm.eval(src).expect("program runs");
+        let v = vm.eval(&branchy_calls(60)).expect("program runs");
         let shown = tracemonkey::runtime::ops::to_display(&mut vm.realm, v);
         (shown, vm.profile().expect("tracing engine profiles").clone())
     };
     let (shown, stats) = run(true);
     let (decoded_shown, _) = run(false);
     assert_eq!(shown, decoded_shown);
-    assert!(stats.native_exits >= 1, "{stats:?}");
-    assert!(
-        stats.native_fragments > stats.fragments,
-        "re-emission after branch install re-counts the whole tree \
-         (native {} vs static {}): {stats:?}",
-        stats.native_fragments,
-        stats.fragments
-    );
-    assert_eq!(stats.native_exits + stats.native_fallbacks, stats.trace_enters);
+    assert!(stats.fragments >= 2, "the tree must grow a branch: {stats:?}");
+    assert_eq!(stats.native_fragments, stats.fragments, "{stats:?}");
+    assert_eq!(stats.native_fallbacks, 0, "{stats:?}");
+    assert_eq!(stats.native_exits, stats.trace_enters);
 }
 
 /// The full checksuite-style differential: a mixed program with doubles,
