@@ -63,14 +63,17 @@ else
     echo "    SKIP: native backend needs Linux x86_64"
 fi
 
-echo "==> native tier, release profile: x64 unit differentials and the tier's integration tests"
+echo "==> backend, release profile: every tm-nanojit unit test and the native tier's integration tests"
 # The benchmark and users run --release, where debug assertions and
 # overflow checks are off and the emitter is optimized; every other
-# native-tier test above runs in the debug profile only.
+# backend test above runs in the debug profile only. The whole crate, not
+# just the x64 differentials: the executor's family helpers (`alu_i`,
+# `chk_alu_i`) are wrapping/widening arithmetic whose debug build checks
+# overflow and whose release build does not.
 if [ "$(uname -sm)" = "Linux x86_64" ]; then
-    cargo test -q --release --offline --locked -p tm-nanojit x64 \
+    cargo test -q --release --offline --locked -p tm-nanojit \
         && cargo test -q --release --offline --locked --test native_backend
-    echo "    OK: native tier passes as it ships"
+    echo "    OK: the backend passes as it ships"
 else
     echo "    SKIP: native backend needs Linux x86_64"
 fi

@@ -12,7 +12,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use tm_interp::{Flow, Interp, RunExit};
-use tm_nanojit::{emit_tree, execute, ExitTarget, Fragment, TreeHost, Unsupported};
+use tm_nanojit::{emit_tree, execute, Fragment, TreeHost, Unsupported};
 use tm_runtime::{Realm, RuntimeError, Value};
 
 use crate::activation::{box_from_word, unbox_to_word, value_matches, SlotKey};
@@ -764,8 +764,7 @@ impl Monitor {
             let frags = Arc::make_mut(&mut tree.fragments);
             frags.push(frag);
             if stitch {
-                frags[parent_frag as usize]
-                    .set_exit_target(parent_exit, ExitTarget::Fragment(new_idx));
+                frags[parent_frag as usize].stitch_exit(parent_exit, new_idx);
             }
         }
         // A tree that already has native code grows it in place: the new
@@ -1630,8 +1629,8 @@ mod tests {
         assert_eq!(t.fragments.len(), 1);
         assert!(!t.unstable);
         assert!(t.stats.iterations > 90, "iterations: {}", t.stats.iterations);
-        // One loop-edge exit plus assorted guards, all Return targets.
-        assert!(t.fragments[0].exit_targets.iter().all(|e| matches!(e, ExitTarget::Return)));
+        // One loop-edge exit plus assorted guards, none stitched.
+        assert!(t.fragments[0].stitch.iter().all(|&e| e == tm_nanojit::EXIT_UNSTITCHED));
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub const MAGIC: [u8; 4] = *b"TMTC";
 /// Current format version. Readers reject any other value (there is no
 /// cross-version migration: a cache is a regenerable artifact, so version
 /// skew simply degrades to a cold start).
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 /// Why a cache file or entry was rejected. Every variant degrades to a
 /// cold start; none is fatal to the VM.
@@ -829,9 +829,7 @@ fn validate_tree(prog: &Program, globals_len: u32, ntrees: u32, t: &TraceTree) -
         return bad("per-fragment arrays are not parallel".into());
     }
     for (i, frag) in t.fragments.iter().enumerate() {
-        if t.exits[i].len() != frag.exit_targets.len()
-            || t.exit_states[i].len() != frag.exit_targets.len()
-        {
+        if t.exits[i].len() != frag.stitch.len() || t.exit_states[i].len() != frag.stitch.len() {
             return bad(format!("fragment {i}: exit arrays are not parallel"));
         }
     }
@@ -986,13 +984,16 @@ impl Monitor {
                 }
             }
             validate_tree(prog, globals_len, ntrees, tree)?;
-            tm_verifier::verify_loaded_fragments(&tree.fragments).map_err(
-                |(fragment, err)| CacheError::VerifyFailed {
-                    tree: i as u32,
-                    fragment,
-                    error: err.to_string(),
-                },
-            )?;
+            tm_verifier::verify_loaded_fragments(
+                &tree.fragments,
+                tree.layout.len(),
+                tree.nested_sites.len(),
+            )
+            .map_err(|(fragment, err)| CacheError::VerifyFailed {
+                tree: i as u32,
+                fragment,
+                error: err.to_string(),
+            })?;
         }
         let nloops = |f: FuncId| prog.functions[f.0 as usize].loops.len() as u16;
         for &(f, l) in &entry.silenced {
@@ -1252,5 +1253,80 @@ mod tests {
             })("off"),
             None
         ));
+    }
+
+    /// Runs `src` cold against a fresh cache file, rewrites the saved
+    /// entry through `corrupt` (re-encoded and re-checksummed, so only
+    /// revalidation can object), and runs it again.
+    fn run_with_corrupted_entry(name: &str, src: &str, corrupt: impl FnOnce(&mut TraceTree)) {
+        use crate::vm::{Engine, Vm};
+        let path = std::env::temp_dir()
+            .join(format!("tm_persist_unit_{}_{name}.tmc", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let mut expected = Vm::new(Engine::Interp);
+        expected.eval(src).unwrap();
+
+        let mut cold = Vm::new(Engine::Tracing);
+        cold.set_cache_path(Some(path.clone()));
+        cold.eval(src).unwrap();
+        let (key, body) = split_file(&std::fs::read(&path).unwrap()).unwrap().remove(0);
+        let mut e = decode_entry_body(key, &body).unwrap();
+        let tree = e.trees.iter_mut().find(|t| !t.nested_sites.is_empty()).expect("a nesting tree");
+        corrupt(tree);
+        let body = encode_entry_body(
+            e.fingerprint,
+            &e.shapes,
+            &e.oracle_vars,
+            &e.oracle_sites,
+            &e.blacklist,
+            &e.silenced,
+            &mut e.trees.iter(),
+            e.trees.len() as u32,
+        );
+        std::fs::write(&path, join_file(&[(key, body)])).unwrap();
+
+        let mut vm = Vm::new(Engine::Tracing);
+        vm.set_cache_path(Some(path.clone()));
+        vm.eval(src).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(vm.output(), expected.output());
+        assert!(
+            matches!(vm.last_cache_error(), Some(CacheError::VerifyFailed { .. })),
+            "{:?}",
+            vm.last_cache_error()
+        );
+        let stats = vm.profile().unwrap();
+        assert_eq!(stats.cache_revalidation_failures, 1);
+        assert_eq!((stats.cache_hits, stats.cache_loaded_trees), (0, 0), "monitor stayed cold");
+    }
+
+    /// A well-formed, well-checksummed entry whose *code* addresses one
+    /// slot past the activation record, or one site past the nested-site
+    /// table, is a revalidation failure and a cold run — not an
+    /// out-of-bounds access in whichever tier would have executed it.
+    #[test]
+    fn code_addressing_outside_the_tree_is_rejected() {
+        let src = "var n = 0;
+                   for (var i = 0; i < 60; i++) { for (var k = 0; k < 40; k++) n += k & i; }
+                   print(n);";
+        fn code(t: &mut TraceTree) -> &mut [MachInst] {
+            &mut Arc::get_mut(&mut t.fragments).unwrap()[0].code
+        }
+        run_with_corrupted_entry("ar", src, |t| {
+            let past = t.layout.len() as u16;
+            let slot = code(t)
+                .iter_mut()
+                .find_map(|i| if let MachInst::WriteAr { slot, .. } = i { Some(slot) } else { None })
+                .expect("a WriteAr in the trunk");
+            *slot = past;
+        });
+        run_with_corrupted_entry("site", src, |t| {
+            let past = t.nested_sites.len() as u32;
+            let site = code(t)
+                .iter_mut()
+                .find_map(|i| if let MachInst::CallTree { tree, .. } = i { Some(tree) } else { None })
+                .expect("a CallTree in the trunk");
+            *site = past;
+        });
     }
 }

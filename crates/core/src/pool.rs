@@ -272,8 +272,9 @@ pub(crate) fn compile_trace(
     }
     if opts.verify {
         // Backend output check: register allocation and the peephole
-        // pass must hand the executor structurally sound code.
-        tm_verifier::verify_fragment(&frag)
+        // pass must hand the executor structurally sound code, addressing
+        // only the activation record the recording laid out.
+        tm_verifier::verify_fragment(&frag, recorded.layout.len())
             .map_err(|err| format!("backend produced a malformed fragment: {err}"))?;
     }
     Ok(frag)

@@ -8,7 +8,7 @@
 //! free, the **oldest register-carried value** (least recently touched) is
 //! spilled — the paper's "minimum vm" heuristic.
 
-use tm_lir::{Lir, LirId, LirTrace};
+use tm_lir::{AluOp, ChkOp, CmpOp, Lir, LirId, LirTrace};
 
 use crate::machinst::{Fragment, MachInst, Reg, NREGS};
 
@@ -138,20 +138,14 @@ impl Assembler {
     fn lower(&mut self, id: LirId, inst: &Lir) {
         use Lir::*;
         let mut pinned: Vec<Reg> = Vec::with_capacity(4);
+        // `bin!(Variant { extra fields }, a, b)`: the families carry their
+        // op (and a checked op its exit) next to the allocated d/a/b.
         macro_rules! bin {
-            ($mk:ident, $a:expr, $b:expr) => {{
+            ($mk:ident $({ $($extra:tt)* })?, $a:expr, $b:expr) => {{
                 let a = self.use_reg(*$a, &mut pinned);
                 let b = self.use_reg(*$b, &mut pinned);
                 let d = self.def_reg(id, &mut pinned);
-                self.code.push(MachInst::$mk { d, a, b });
-            }};
-        }
-        macro_rules! bin_chk {
-            ($mk:ident, $a:expr, $b:expr, $e:expr) => {{
-                let a = self.use_reg(*$a, &mut pinned);
-                let b = self.use_reg(*$b, &mut pinned);
-                let d = self.def_reg(id, &mut pinned);
-                self.code.push(MachInst::$mk { d, a, b, exit: $e.0 });
+                self.code.push(MachInst::$mk { $($($extra)*,)? d, a, b });
             }};
         }
         macro_rules! un {
@@ -198,40 +192,40 @@ impl Assembler {
                 let s = self.use_reg(*v, &mut pinned);
                 self.code.push(MachInst::WriteAr { slot: *slot, s });
             }
-            AddI(a, b) => bin!(AddI, a, b),
-            SubI(a, b) => bin!(SubI, a, b),
-            MulI(a, b) => bin!(MulI, a, b),
-            AndI(a, b) => bin!(AndI, a, b),
-            OrI(a, b) => bin!(OrI, a, b),
-            XorI(a, b) => bin!(XorI, a, b),
-            ShlI(a, b) => bin!(ShlI, a, b),
-            ShrI(a, b) => bin!(ShrI, a, b),
-            UShrI(a, b) => bin!(UShrI, a, b),
+            AddI(a, b) => bin!(AluI { op: AluOp::Add }, a, b),
+            SubI(a, b) => bin!(AluI { op: AluOp::Sub }, a, b),
+            MulI(a, b) => bin!(AluI { op: AluOp::Mul }, a, b),
+            AndI(a, b) => bin!(AluI { op: AluOp::And }, a, b),
+            OrI(a, b) => bin!(AluI { op: AluOp::Or }, a, b),
+            XorI(a, b) => bin!(AluI { op: AluOp::Xor }, a, b),
+            ShlI(a, b) => bin!(AluI { op: AluOp::Shl }, a, b),
+            ShrI(a, b) => bin!(AluI { op: AluOp::Shr }, a, b),
+            UShrI(a, b) => bin!(AluI { op: AluOp::UShr }, a, b),
             NotI(a) => un!(NotI, a),
             NegI(a) => un!(NegI, a),
-            AddIChk(a, b, e) => bin_chk!(AddIChk, a, b, e),
-            SubIChk(a, b, e) => bin_chk!(SubIChk, a, b, e),
-            MulIChk(a, b, e) => bin_chk!(MulIChk, a, b, e),
+            AddIChk(a, b, e) => bin!(ChkAluI { op: ChkOp::Add, exit: e.0 }, a, b),
+            SubIChk(a, b, e) => bin!(ChkAluI { op: ChkOp::Sub, exit: e.0 }, a, b),
+            MulIChk(a, b, e) => bin!(ChkAluI { op: ChkOp::Mul, exit: e.0 }, a, b),
             NegIChk(a, e) => un_chk!(NegIChk, a, e),
-            ModIChk(a, b, e) => bin_chk!(ModIChk, a, b, e),
-            ShlIChk(a, b, e) => bin_chk!(ShlIChk, a, b, e),
-            UShrIChk(a, b, e) => bin_chk!(UShrIChk, a, b, e),
+            ModIChk(a, b, e) => bin!(ModIChk { exit: e.0 }, a, b),
+            ShlIChk(a, b, e) => bin!(ChkAluI { op: ChkOp::Shl, exit: e.0 }, a, b),
+            UShrIChk(a, b, e) => bin!(ChkAluI { op: ChkOp::UShr, exit: e.0 }, a, b),
             AddD(a, b) => bin!(AddD, a, b),
             SubD(a, b) => bin!(SubD, a, b),
             MulD(a, b) => bin!(MulD, a, b),
             DivD(a, b) => bin!(DivD, a, b),
             ModD(a, b) => bin!(ModD, a, b),
             NegD(a) => un!(NegD, a),
-            EqI(a, b) => bin!(EqI, a, b),
-            LtI(a, b) => bin!(LtI, a, b),
-            LeI(a, b) => bin!(LeI, a, b),
-            GtI(a, b) => bin!(GtI, a, b),
-            GeI(a, b) => bin!(GeI, a, b),
-            EqD(a, b) => bin!(EqD, a, b),
-            LtD(a, b) => bin!(LtD, a, b),
-            LeD(a, b) => bin!(LeD, a, b),
-            GtD(a, b) => bin!(GtD, a, b),
-            GeD(a, b) => bin!(GeD, a, b),
+            EqI(a, b) => bin!(CmpI { op: CmpOp::Eq }, a, b),
+            LtI(a, b) => bin!(CmpI { op: CmpOp::Lt }, a, b),
+            LeI(a, b) => bin!(CmpI { op: CmpOp::Le }, a, b),
+            GtI(a, b) => bin!(CmpI { op: CmpOp::Gt }, a, b),
+            GeI(a, b) => bin!(CmpI { op: CmpOp::Ge }, a, b),
+            EqD(a, b) => bin!(CmpD { op: CmpOp::Eq }, a, b),
+            LtD(a, b) => bin!(CmpD { op: CmpOp::Lt }, a, b),
+            LeD(a, b) => bin!(CmpD { op: CmpOp::Le }, a, b),
+            GtD(a, b) => bin!(CmpD { op: CmpOp::Gt }, a, b),
+            GeD(a, b) => bin!(CmpD { op: CmpOp::Ge }, a, b),
             NotB(a) => un!(NotB, a),
             I2D(a) => un!(I2D, a),
             U2D(a) => un!(U2D, a),
@@ -340,10 +334,10 @@ mod tests {
         b.emit(Lir::LoopBack(le));
         let frag = assemble(b.trace());
         assert!(matches!(frag.code[0], MachInst::ReadAr { slot: 0, .. }));
-        assert!(frag.code.iter().any(|i| matches!(i, MachInst::AddIChk { .. })));
+        assert!(frag.code.iter().any(|i| matches!(i, MachInst::ChkAluI { op: ChkOp::Add, .. })));
         assert!(matches!(frag.code.last(), Some(MachInst::LoopBack { .. })));
         assert_eq!(frag.num_spills, 0);
-        assert_eq!(frag.exit_targets.len(), 2);
+        assert_eq!(frag.stitch.len(), 2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Executor for compiled trace fragments.
 //!
 //! Executes the virtual ISA against a trace activation record and the
-//! realm. Guards that fail consult the fragment's exit-target table: a
+//! realm. Guards that fail consult the fragment's exit table: a
 //! stitched exit transfers directly into a branch fragment (the paper's
 //! trace stitching, §6.2 — values pass through the activation record,
 //! which is exactly what the exiting trace's live `WriteAr`s populated);
@@ -85,8 +85,8 @@ fn fits_i31(v: i64) -> bool {
     (INT_MIN..=INT_MAX).contains(&v)
 }
 
-/// Unchecked integer ALU shared by the fused immediate/AR/write-through
-/// forms; semantics identical to the raw per-op match arms.
+/// The unchecked integer ALU family (`AluI` and every fused form carrying
+/// an [`AluOp`]).
 #[inline]
 fn alu_i(op: AluOp, x: i32, y: i32) -> i32 {
     match op {
@@ -102,8 +102,9 @@ fn alu_i(op: AluOp, x: i32, y: i32) -> i32 {
     }
 }
 
-/// Checked integer arithmetic: `None` means the guard fails (result
-/// outside the boxable 31-bit range, or a `-0` multiply).
+/// The checked integer ALU family (`ChkAluI` and every fused form carrying
+/// a [`ChkOp`]): `None` means the guard fails (result outside the boxable
+/// 31-bit range, or a `-0` multiply).
 #[inline]
 fn chk_alu_i(op: ChkOp, x: i32, y: i32) -> Option<i64> {
     let res = match op {
@@ -118,9 +119,8 @@ fn chk_alu_i(op: ChkOp, x: i32, y: i32) -> Option<i64> {
             res
         }
         // The shifts operate on the 32-bit value, then range-check the
-        // result — identical to the raw ShlIChk/UShrIChk arms (a u32
-        // result is never below INT_MIN, so fits_i31 is exactly the
-        // raw upper-bound check).
+        // result (a u32 result is never below INT_MIN, so for UShr
+        // fits_i31 is exactly the upper-bound check).
         ChkOp::Shl => i64::from(x.wrapping_shl((y & 31) as u32)),
         ChkOp::UShr => i64::from((x as u32).wrapping_shr((y & 31) as u32)),
     };
@@ -181,8 +181,8 @@ pub fn execute(
 ) -> Result<TraceExit, RuntimeError> {
     let mut frag_idx = start;
     let mut frag = &fragments[frag_idx as usize];
-    // Decoded exit-resolution table, hoisted out of the dispatch loop and
-    // refreshed only on fragment switch (no per-exit `ExitTarget` match).
+    // The current fragment's exit table, hoisted out of the dispatch loop
+    // and refreshed only on fragment switch.
     let mut stitch: &[u32] = &frag.stitch;
     let mut pc = 0usize;
     // NREGS rounded up to a power of two so masked indexing elides bounds
@@ -246,50 +246,9 @@ pub fn execute(
             MachInst::ReadAr { d, slot } => regs[r(d)] = ar[slot as usize],
             MachInst::WriteAr { slot, s } => ar[slot as usize] = regs[r(s)],
 
-            MachInst::AddI { d, a, b } => {
-                regs[r(d)] = i64::from(
-                    i32_from_word(regs[r(a)]).wrapping_add(i32_from_word(regs[r(b)])),
-                ) as u64;
-            }
-            MachInst::SubI { d, a, b } => {
-                regs[r(d)] = i64::from(
-                    i32_from_word(regs[r(a)]).wrapping_sub(i32_from_word(regs[r(b)])),
-                ) as u64;
-            }
-            MachInst::MulI { d, a, b } => {
-                regs[r(d)] = i64::from(
-                    i32_from_word(regs[r(a)]).wrapping_mul(i32_from_word(regs[r(b)])),
-                ) as u64;
-            }
-            MachInst::AndI { d, a, b } => {
+            MachInst::AluI { op, d, a, b } => {
                 regs[r(d)] =
-                    i64::from(i32_from_word(regs[r(a)]) & i32_from_word(regs[r(b)]))
-                        as u64;
-            }
-            MachInst::OrI { d, a, b } => {
-                regs[r(d)] =
-                    i64::from(i32_from_word(regs[r(a)]) | i32_from_word(regs[r(b)]))
-                        as u64;
-            }
-            MachInst::XorI { d, a, b } => {
-                regs[r(d)] =
-                    i64::from(i32_from_word(regs[r(a)]) ^ i32_from_word(regs[r(b)]))
-                        as u64;
-            }
-            MachInst::ShlI { d, a, b } => {
-                let sh = (i32_from_word(regs[r(b)]) & 31) as u32;
-                regs[r(d)] =
-                    i64::from(i32_from_word(regs[r(a)]).wrapping_shl(sh)) as u64;
-            }
-            MachInst::ShrI { d, a, b } => {
-                let sh = (i32_from_word(regs[r(b)]) & 31) as u32;
-                regs[r(d)] =
-                    i64::from(i32_from_word(regs[r(a)]).wrapping_shr(sh)) as u64;
-            }
-            MachInst::UShrI { d, a, b } => {
-                let sh = (i32_from_word(regs[r(b)]) & 31) as u32;
-                regs[r(d)] =
-                    i64::from((i32_from_word(regs[r(a)]) as u32).wrapping_shr(sh) as i32)
+                    i64::from(alu_i(op, i32_from_word(regs[r(a)]), i32_from_word(regs[r(b)])))
                         as u64;
             }
             MachInst::NotI { d, a } => {
@@ -300,31 +259,11 @@ pub fn execute(
                     i64::from(i32_from_word(regs[r(a)]).wrapping_neg()) as u64;
             }
 
-            MachInst::AddIChk { d, a, b, exit } => {
-                let res = i64::from(i32_from_word(regs[r(a)]))
-                    + i64::from(i32_from_word(regs[r(b)]));
-                if !fits_i31(res) {
-                    take_exit!(exit);
+            MachInst::ChkAluI { op, d, a, b, exit } => {
+                match chk_alu_i(op, i32_from_word(regs[r(a)]), i32_from_word(regs[r(b)])) {
+                    Some(res) => regs[r(d)] = res as u64,
+                    None => take_exit!(exit),
                 }
-                regs[r(d)] = res as u64;
-            }
-            MachInst::SubIChk { d, a, b, exit } => {
-                let res = i64::from(i32_from_word(regs[r(a)]))
-                    - i64::from(i32_from_word(regs[r(b)]));
-                if !fits_i31(res) {
-                    take_exit!(exit);
-                }
-                regs[r(d)] = res as u64;
-            }
-            MachInst::MulIChk { d, a, b, exit } => {
-                let x = i64::from(i32_from_word(regs[r(a)]));
-                let y = i64::from(i32_from_word(regs[r(b)]));
-                let res = x * y;
-                // -0 results need the double path.
-                if !fits_i31(res) || (res == 0 && (x < 0 || y < 0)) {
-                    take_exit!(exit);
-                }
-                regs[r(d)] = res as u64;
             }
             MachInst::NegIChk { d, a, exit } => {
                 let x = i64::from(i32_from_word(regs[r(a)]));
@@ -345,22 +284,6 @@ pub fn execute(
                     take_exit!(exit);
                 }
                 regs[r(d)] = i64::from(res) as u64;
-            }
-            MachInst::ShlIChk { d, a, b, exit } => {
-                let sh = (i32_from_word(regs[r(b)]) & 31) as u32;
-                let res = i32_from_word(regs[r(a)]).wrapping_shl(sh);
-                if !fits_i31(i64::from(res)) {
-                    take_exit!(exit);
-                }
-                regs[r(d)] = i64::from(res) as u64;
-            }
-            MachInst::UShrIChk { d, a, b, exit } => {
-                let sh = (i32_from_word(regs[r(b)]) & 31) as u32;
-                let res = (i32_from_word(regs[r(a)]) as u32).wrapping_shr(sh);
-                if i64::from(res) > INT_MAX {
-                    take_exit!(exit);
-                }
-                regs[r(d)] = u64::from(res);
             }
 
             MachInst::AddD { d, a, b } => {
@@ -392,45 +315,19 @@ pub fn execute(
                 regs[r(d)] = word_from_f64(-f64_from_word(regs[r(a)]));
             }
 
-            MachInst::EqI { d, a, b } => {
-                regs[r(d)] =
-                    u64::from(i32_from_word(regs[r(a)]) == i32_from_word(regs[r(b)]));
+            MachInst::CmpI { op, d, a, b } => {
+                regs[r(d)] = u64::from(cmp_i(
+                    op,
+                    i32_from_word(regs[r(a)]),
+                    i32_from_word(regs[r(b)]),
+                ));
             }
-            MachInst::LtI { d, a, b } => {
-                regs[r(d)] =
-                    u64::from(i32_from_word(regs[r(a)]) < i32_from_word(regs[r(b)]));
-            }
-            MachInst::LeI { d, a, b } => {
-                regs[r(d)] =
-                    u64::from(i32_from_word(regs[r(a)]) <= i32_from_word(regs[r(b)]));
-            }
-            MachInst::GtI { d, a, b } => {
-                regs[r(d)] =
-                    u64::from(i32_from_word(regs[r(a)]) > i32_from_word(regs[r(b)]));
-            }
-            MachInst::GeI { d, a, b } => {
-                regs[r(d)] =
-                    u64::from(i32_from_word(regs[r(a)]) >= i32_from_word(regs[r(b)]));
-            }
-            MachInst::EqD { d, a, b } => {
-                regs[r(d)] =
-                    u64::from(f64_from_word(regs[r(a)]) == f64_from_word(regs[r(b)]));
-            }
-            MachInst::LtD { d, a, b } => {
-                regs[r(d)] =
-                    u64::from(f64_from_word(regs[r(a)]) < f64_from_word(regs[r(b)]));
-            }
-            MachInst::LeD { d, a, b } => {
-                regs[r(d)] =
-                    u64::from(f64_from_word(regs[r(a)]) <= f64_from_word(regs[r(b)]));
-            }
-            MachInst::GtD { d, a, b } => {
-                regs[r(d)] =
-                    u64::from(f64_from_word(regs[r(a)]) > f64_from_word(regs[r(b)]));
-            }
-            MachInst::GeD { d, a, b } => {
-                regs[r(d)] =
-                    u64::from(f64_from_word(regs[r(a)]) >= f64_from_word(regs[r(b)]));
+            MachInst::CmpD { op, d, a, b } => {
+                regs[r(d)] = u64::from(cmp_d(
+                    op,
+                    f64_from_word(regs[r(a)]),
+                    f64_from_word(regs[r(b)]),
+                ));
             }
             MachInst::NotB { d, a } => {
                 regs[r(d)] = u64::from(regs[r(a)] == 0);
@@ -786,7 +683,6 @@ pub fn execute(
 mod tests {
     use super::*;
     use crate::assembler::assemble;
-    use crate::machinst::ExitTarget;
     use crate::peephole::fuse;
     use tm_lir::{FilterOptions, Lir, LirBuffer, LirType};
 
@@ -883,7 +779,7 @@ mod tests {
         let branch = assemble(b2.trace());
 
         // Stitch trunk exit 0 to the branch fragment.
-        trunk.set_exit_target(0, ExitTarget::Fragment(1));
+        trunk.stitch_exit(0, 1);
         let frags = vec![trunk, branch];
 
         let mut realm = Realm::new();
@@ -1133,7 +1029,7 @@ mod tests {
         b2.emit(Lir::End(e_end));
         let branch = fuse(assemble(b2.trace()));
 
-        trunk.set_exit_target(0, ExitTarget::Fragment(1));
+        trunk.stitch_exit(0, 1);
         let frags = vec![trunk, branch];
 
         let mut realm = Realm::new();

@@ -24,7 +24,6 @@ pub use assembler::assemble;
 pub use executor::{execute, NoNesting, TraceExit, TreeHost};
 pub use x64::{emit_tree, emit_tree_annotated, native_supported, NativeTree, Unsupported};
 pub use machinst::{
-    ExitTarget, Fragment, FuseStats, MachInst, Reg, EXIT_UNSTITCHED, NREGS, REG_FILE_WORDS,
-    REG_MASK,
+    Fragment, FuseStats, MachInst, Reg, EXIT_UNSTITCHED, NREGS, REG_FILE_WORDS, REG_MASK,
 };
 pub use peephole::fuse;

@@ -22,18 +22,26 @@
 //! tier restores the paper's actual mechanism on the paper's actual
 //! target.
 //!
-//! The ISA has two layers:
+//! The ISA has two layers that speak one vocabulary — the integer ALU,
+//! overflow-checked ALU and compare families carry their operation as a
+//! [`tm_lir::AluOp`] / [`tm_lir::ChkOp`] / [`tm_lir::CmpOp`] field in both:
 //!
 //! * **Raw instructions** — what the assembler emits, one per LIR op (plus
-//!   allocator moves/spills).
+//!   allocator moves/spills): `AluI`, `ChkAluI`, `CmpI`, `CmpD` for the
+//!   families, one variant each for everything else.
 //! * **Fused superinstructions** — emitted only by the peephole pass
-//!   ([`crate::peephole::fuse`]), each standing in for 2–3 adjacent raw
-//!   instructions. These model what real NanoJIT gets for free from x86:
-//!   immediate operands, memory-operand addressing modes, and macro-fused
-//!   compare-and-branch. In the decode-loop tier every dispatched
-//!   instruction costs a match arm, so shrinking the dispatched stream is
-//!   the direct analogue of emitting denser machine code; the native
-//!   backend compiles each fused form to exactly that denser encoding.
+//!   ([`crate::peephole::fuse`]), each standing in for 2–4 adjacent raw
+//!   instructions (the same family op with an immediate, an AR operand, a
+//!   write-through or a branch folded in). These model what real NanoJIT
+//!   gets for free from x86: immediate operands, memory-operand addressing
+//!   modes, and macro-fused compare-and-branch. In the decode-loop tier
+//!   every dispatched instruction costs a match arm, so shrinking the
+//!   dispatched stream is the direct analogue of emitting denser machine
+//!   code; the native backend compiles each fused form to exactly that
+//!   denser encoding.
+//!
+//! Which register, exit and AR slot each variant touches is listed once,
+//! in [`MachInst::operands`].
 
 use tm_lir::{AluOp, ChkOp, CmpOp};
 use tm_runtime::Helper;
@@ -61,7 +69,7 @@ pub const EXIT_UNSTITCHED: u32 = u32::MAX;
 /// A machine instruction of the virtual ISA. `d` = destination register,
 /// `a`/`b`/`s` = source registers; doubles travel as IEEE-754 bit patterns
 /// in the same registers. `exit` fields are indexes into the fragment's
-/// exit-target table.
+/// exit table ([`Fragment::stitch`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum MachInst {
     /// Load a constant word.
@@ -107,44 +115,21 @@ pub enum MachInst {
         s: Reg,
     },
 
-    /// `d = a + b` (wrapping i32).
-    AddI { d: Reg, a: Reg, b: Reg },
-    /// `d = a - b` (wrapping i32).
-    SubI { d: Reg, a: Reg, b: Reg },
-    /// `d = a * b` (wrapping i32).
-    MulI { d: Reg, a: Reg, b: Reg },
-    /// `d = a & b`.
-    AndI { d: Reg, a: Reg, b: Reg },
-    /// `d = a | b`.
-    OrI { d: Reg, a: Reg, b: Reg },
-    /// `d = a ^ b`.
-    XorI { d: Reg, a: Reg, b: Reg },
-    /// `d = a << (b & 31)`.
-    ShlI { d: Reg, a: Reg, b: Reg },
-    /// `d = a >> (b & 31)` (arithmetic).
-    ShrI { d: Reg, a: Reg, b: Reg },
-    /// `d = a >>> (b & 31)` (logical, u32).
-    UShrI { d: Reg, a: Reg, b: Reg },
+    /// `d = op(a, b)` — unchecked i32 ALU (wrapping arithmetic, bitwise
+    /// ops, shifts by `b & 31`).
+    AluI { op: AluOp, d: Reg, a: Reg, b: Reg },
     /// `d = !a` (bitwise).
     NotI { d: Reg, a: Reg },
     /// `d = -a` (wrapping).
     NegI { d: Reg, a: Reg },
 
-    /// Checked add: exit when the exact result leaves the boxable 31-bit
-    /// integer range.
-    AddIChk { d: Reg, a: Reg, b: Reg, exit: u16 },
-    /// Checked subtract.
-    SubIChk { d: Reg, a: Reg, b: Reg, exit: u16 },
-    /// Checked multiply.
-    MulIChk { d: Reg, a: Reg, b: Reg, exit: u16 },
+    /// Checked `d = op(a, b)`: exit when the exact result leaves the
+    /// boxable 31-bit integer range (or a multiply yields `-0`).
+    ChkAluI { op: ChkOp, d: Reg, a: Reg, b: Reg, exit: u16 },
     /// Checked negate (exits on -0 and range overflow).
     NegIChk { d: Reg, a: Reg, exit: u16 },
     /// Checked remainder (exits on zero divisor / -0 result).
     ModIChk { d: Reg, a: Reg, b: Reg, exit: u16 },
-    /// Checked shift left.
-    ShlIChk { d: Reg, a: Reg, b: Reg, exit: u16 },
-    /// Checked unsigned shift right.
-    UShrIChk { d: Reg, a: Reg, b: Reg, exit: u16 },
 
     /// Double add.
     AddD { d: Reg, a: Reg, b: Reg },
@@ -159,26 +144,10 @@ pub enum MachInst {
     /// Double negate.
     NegD { d: Reg, a: Reg },
 
-    /// Integer compares producing 0/1.
-    EqI { d: Reg, a: Reg, b: Reg },
-    /// `<` (i32).
-    LtI { d: Reg, a: Reg, b: Reg },
-    /// `<=` (i32).
-    LeI { d: Reg, a: Reg, b: Reg },
-    /// `>` (i32).
-    GtI { d: Reg, a: Reg, b: Reg },
-    /// `>=` (i32).
-    GeI { d: Reg, a: Reg, b: Reg },
-    /// `==` (double; NaN false).
-    EqD { d: Reg, a: Reg, b: Reg },
-    /// `<` (double).
-    LtD { d: Reg, a: Reg, b: Reg },
-    /// `<=` (double).
-    LeD { d: Reg, a: Reg, b: Reg },
-    /// `>` (double).
-    GtD { d: Reg, a: Reg, b: Reg },
-    /// `>=` (double).
-    GeD { d: Reg, a: Reg, b: Reg },
+    /// `d = cmp_i(op, a, b)` — i32 compare producing 0/1.
+    CmpI { op: CmpOp, d: Reg, a: Reg, b: Reg },
+    /// `d = cmp_d(op, a, b)` — double compare producing 0/1 (NaN false).
+    CmpD { op: CmpOp, d: Reg, a: Reg, b: Reg },
     /// Boolean not.
     NotB { d: Reg, a: Reg },
 
@@ -336,276 +305,156 @@ pub enum MachInst {
     CmpImmWrBranchI { op: CmpOp, want: bool, d: Reg, a: Reg, imm: i32, slot: u16, exit: u16 },
 }
 
+/// One operand of a [`MachInst`], tagged with the role it plays — what
+/// liveness ([`crate::peephole`]) and bounds checking (`tm-verifier`) need
+/// to know about an instruction without knowing which instruction it is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Operand {
+    /// A register the instruction writes.
+    Def(Reg),
+    /// A register the instruction reads.
+    Use(Reg),
+    /// An exit id the instruction can take.
+    Exit(u16),
+    /// A trace-activation-record slot the instruction reads or writes.
+    Ar(u16),
+}
+
 impl MachInst {
+    /// Calls `f` once per operand, reads before the write. This is the
+    /// only per-variant list of operand roles: [`MachInst::dest`],
+    /// [`MachInst::for_each_src`] and [`MachInst::for_each_exit`] filter
+    /// it. (Spill slots index a per-fragment array with its own
+    /// store-before-load rule and are left to the verifier; the remaining
+    /// fields are immediates.) A register read twice is visited twice.
+    pub fn operands(&self, mut f: impl FnMut(Operand)) {
+        use MachInst::*;
+        use Operand::{Ar, Def, Exit, Use};
+        macro_rules! ops {
+            ($($role:ident $field:ident),*) => {{ $( f($role(*$field)); )* }};
+        }
+        match self {
+            ConstW { d, .. } | LoadSpill { d, .. } => ops!(Def d),
+            StoreSpill { s, .. } => ops!(Use s),
+            ReadAr { d, slot } => ops!(Ar slot, Def d),
+            WriteAr { slot, s } => ops!(Use s, Ar slot),
+            Mov { d, s: a }
+            | NotI { d, a }
+            | NegI { d, a }
+            | NegD { d, a }
+            | NotB { d, a }
+            | I2D { d, a }
+            | U2D { d, a }
+            | D2I32 { d, a }
+            | BoxI { d, a }
+            | BoxD { d, a }
+            | BoxB { d, a }
+            | BoxObj { d, a }
+            | BoxStr { d, a }
+            | LoadSlot { d, o: a, .. }
+            | LoadProto { d, o: a }
+            | ArrayLen { d, a }
+            | StrLen { d, a }
+            | AluImmI { d, a, .. }
+            | CmpImmI { d, a, .. } => ops!(Use a, Def d),
+            NegIChk { d, a, exit }
+            | D2IChk { d, a, exit }
+            | ChkRangeI { d, a, exit }
+            | UnboxI { d, a, exit }
+            | UnboxD { d, a, exit }
+            | UnboxNumD { d, a, exit }
+            | UnboxObj { d, a, exit }
+            | UnboxStr { d, a, exit }
+            | UnboxBool { d, a, exit }
+            | ChkAluImmI { d, a, exit, .. } => ops!(Use a, Def d, Exit exit),
+            AluI { d, a, b, .. }
+            | AddD { d, a, b }
+            | SubD { d, a, b }
+            | MulD { d, a, b }
+            | DivD { d, a, b }
+            | ModD { d, a, b }
+            | CmpI { d, a, b, .. }
+            | CmpD { d, a, b, .. }
+            | LoadElem { d, a, i: b } => ops!(Use a, Use b, Def d),
+            ChkAluI { d, a, b, exit, .. } | ModIChk { d, a, b, exit } => {
+                ops!(Use a, Use b, Def d, Exit exit);
+            }
+            GuardTrue { s: a, exit }
+            | GuardFalse { s: a, exit }
+            | GuardBoxedEq { s: a, exit, .. }
+            | GuardShape { obj: a, exit, .. }
+            | GuardClass { obj: a, exit, .. }
+            | CmpBranchImmI { a, exit, .. } => ops!(Use a, Exit exit),
+            GuardBound { arr: a, idx: b, exit }
+            | CmpBranchI { a, b, exit, .. }
+            | CmpBranchD { a, b, exit, .. } => ops!(Use a, Use b, Exit exit),
+            CmpBranchLoopI { a, b, exit, loop_exit, .. }
+            | CmpBranchLoopD { a, b, exit, loop_exit, .. } => {
+                ops!(Use a, Use b, Exit exit, Exit loop_exit);
+            }
+            StoreSlot { o, s, .. } => ops!(Use o, Use s),
+            StoreElem { a, i, s } => ops!(Use a, Use i, Use s),
+            CallHelper { d, args, exit, .. } => {
+                args.iter().for_each(|a| f(Use(*a)));
+                ops!(Def d, Exit exit);
+            }
+            CallTree { exit, .. } | LoopBack { exit } | End { exit } => ops!(Exit exit),
+            AluArI { d, slot, b, .. } => ops!(Ar slot, Use b, Def d),
+            AluWrI { d, a, b, slot, .. }
+            | CmpWrI { d, a, b, slot, .. }
+            | CmpWrD { d, a, b, slot, .. } => ops!(Use a, Use b, Def d, Ar slot),
+            AluImmWrI { d, a, slot, .. } | CmpImmWrI { d, a, slot, .. } => {
+                ops!(Use a, Def d, Ar slot);
+            }
+            ChkAluWrI { d, a, b, exit, slot, .. }
+            | CmpWrBranchI { d, a, b, slot, exit, .. }
+            | CmpWrBranchD { d, a, b, slot, exit, .. } => {
+                ops!(Use a, Use b, Def d, Ar slot, Exit exit);
+            }
+            ChkAluImmWrI { d, a, exit, slot, .. } | CmpImmWrBranchI { d, a, slot, exit, .. } => {
+                ops!(Use a, Def d, Ar slot, Exit exit);
+            }
+            ChkAluImmWrLoopI { d, a, slot, exit, loop_exit, .. } => {
+                ops!(Use a, Def d, Ar slot, Exit exit, Exit loop_exit);
+            }
+            ConstWrAr { d, slot, .. } => ops!(Def d, Ar slot),
+            MovAr { d, src, dst } => ops!(Ar src, Def d, Ar dst),
+            WriteAr2 { slot_a, s_a, slot_b, s_b } => ops!(Use s_a, Ar slot_a, Use s_b, Ar slot_b),
+            WriteAr3 { slot_a, s_a, slot_b, s_b, slot_c, s_c } => {
+                ops!(Use s_a, Ar slot_a, Use s_b, Ar slot_b, Use s_c, Ar slot_c);
+            }
+            AluArWrI { d, slot_a, b, slot_d, .. } => ops!(Ar slot_a, Use b, Def d, Ar slot_d),
+        }
+    }
+
     /// The register this instruction writes, if any.
     pub fn dest(&self) -> Option<Reg> {
-        use MachInst::*;
-        match self {
-            ConstW { d, .. }
-            | Mov { d, .. }
-            | LoadSpill { d, .. }
-            | ReadAr { d, .. }
-            | AddI { d, .. }
-            | SubI { d, .. }
-            | MulI { d, .. }
-            | AndI { d, .. }
-            | OrI { d, .. }
-            | XorI { d, .. }
-            | ShlI { d, .. }
-            | ShrI { d, .. }
-            | UShrI { d, .. }
-            | NotI { d, .. }
-            | NegI { d, .. }
-            | AddIChk { d, .. }
-            | SubIChk { d, .. }
-            | MulIChk { d, .. }
-            | NegIChk { d, .. }
-            | ModIChk { d, .. }
-            | ShlIChk { d, .. }
-            | UShrIChk { d, .. }
-            | AddD { d, .. }
-            | SubD { d, .. }
-            | MulD { d, .. }
-            | DivD { d, .. }
-            | ModD { d, .. }
-            | NegD { d, .. }
-            | EqI { d, .. }
-            | LtI { d, .. }
-            | LeI { d, .. }
-            | GtI { d, .. }
-            | GeI { d, .. }
-            | EqD { d, .. }
-            | LtD { d, .. }
-            | LeD { d, .. }
-            | GtD { d, .. }
-            | GeD { d, .. }
-            | NotB { d, .. }
-            | I2D { d, .. }
-            | U2D { d, .. }
-            | D2IChk { d, .. }
-            | D2I32 { d, .. }
-            | ChkRangeI { d, .. }
-            | BoxI { d, .. }
-            | BoxD { d, .. }
-            | BoxB { d, .. }
-            | BoxObj { d, .. }
-            | BoxStr { d, .. }
-            | UnboxI { d, .. }
-            | UnboxD { d, .. }
-            | UnboxNumD { d, .. }
-            | UnboxObj { d, .. }
-            | UnboxStr { d, .. }
-            | UnboxBool { d, .. }
-            | LoadSlot { d, .. }
-            | LoadProto { d, .. }
-            | LoadElem { d, .. }
-            | ArrayLen { d, .. }
-            | StrLen { d, .. }
-            | CallHelper { d, .. }
-            | AluImmI { d, .. }
-            | AluArI { d, .. }
-            | AluWrI { d, .. }
-            | AluImmWrI { d, .. }
-            | ChkAluImmI { d, .. }
-            | ChkAluWrI { d, .. }
-            | ChkAluImmWrI { d, .. }
-            | ChkAluImmWrLoopI { d, .. }
-            | ConstWrAr { d, .. }
-            | MovAr { d, .. }
-            | AluArWrI { d, .. }
-            | CmpImmI { d, .. }
-            | CmpWrI { d, .. }
-            | CmpWrD { d, .. }
-            | CmpImmWrI { d, .. }
-            | CmpWrBranchI { d, .. }
-            | CmpWrBranchD { d, .. }
-            | CmpImmWrBranchI { d, .. } => Some(*d),
-            StoreSpill { .. }
-            | WriteAr { .. }
-            | WriteAr2 { .. }
-            | WriteAr3 { .. }
-            | GuardTrue { .. }
-            | GuardFalse { .. }
-            | GuardShape { .. }
-            | GuardClass { .. }
-            | GuardBoxedEq { .. }
-            | GuardBound { .. }
-            | StoreSlot { .. }
-            | StoreElem { .. }
-            | CallTree { .. }
-            | LoopBack { .. }
-            | End { .. }
-            | CmpBranchI { .. }
-            | CmpBranchD { .. }
-            | CmpBranchLoopI { .. }
-            | CmpBranchLoopD { .. }
-            | CmpBranchImmI { .. } => None,
-        }
+        let mut dest = None;
+        self.operands(|o| {
+            if let Operand::Def(d) = o {
+                dest = Some(d);
+            }
+        });
+        dest
     }
 
     /// Calls `f` once per source register read (the same register may be
     /// visited more than once).
     pub fn for_each_src(&self, mut f: impl FnMut(Reg)) {
-        use MachInst::*;
-        match self {
-            ConstW { .. } | LoadSpill { .. } | ReadAr { .. } | CallTree { .. }
-            | LoopBack { .. } | End { .. } | ConstWrAr { .. } | MovAr { .. } => {}
-            Mov { s, .. } | StoreSpill { s, .. } | WriteAr { s, .. } => f(*s),
-            AddI { a, b, .. }
-            | SubI { a, b, .. }
-            | MulI { a, b, .. }
-            | AndI { a, b, .. }
-            | OrI { a, b, .. }
-            | XorI { a, b, .. }
-            | ShlI { a, b, .. }
-            | ShrI { a, b, .. }
-            | UShrI { a, b, .. }
-            | AddIChk { a, b, .. }
-            | SubIChk { a, b, .. }
-            | MulIChk { a, b, .. }
-            | ModIChk { a, b, .. }
-            | ShlIChk { a, b, .. }
-            | UShrIChk { a, b, .. }
-            | AddD { a, b, .. }
-            | SubD { a, b, .. }
-            | MulD { a, b, .. }
-            | DivD { a, b, .. }
-            | ModD { a, b, .. }
-            | EqI { a, b, .. }
-            | LtI { a, b, .. }
-            | LeI { a, b, .. }
-            | GtI { a, b, .. }
-            | GeI { a, b, .. }
-            | EqD { a, b, .. }
-            | LtD { a, b, .. }
-            | LeD { a, b, .. }
-            | GtD { a, b, .. }
-            | GeD { a, b, .. }
-            | AluWrI { a, b, .. }
-            | ChkAluWrI { a, b, .. }
-            | CmpBranchI { a, b, .. }
-            | CmpBranchD { a, b, .. }
-            | CmpBranchLoopI { a, b, .. }
-            | CmpBranchLoopD { a, b, .. }
-            | CmpWrI { a, b, .. }
-            | CmpWrD { a, b, .. }
-            | CmpWrBranchI { a, b, .. }
-            | CmpWrBranchD { a, b, .. } => {
-                f(*a);
-                f(*b);
+        self.operands(|o| {
+            if let Operand::Use(s) = o {
+                f(s);
             }
-            NotI { a, .. }
-            | NegI { a, .. }
-            | NegIChk { a, .. }
-            | NegD { a, .. }
-            | NotB { a, .. }
-            | I2D { a, .. }
-            | U2D { a, .. }
-            | D2IChk { a, .. }
-            | D2I32 { a, .. }
-            | ChkRangeI { a, .. }
-            | BoxI { a, .. }
-            | BoxD { a, .. }
-            | BoxB { a, .. }
-            | BoxObj { a, .. }
-            | BoxStr { a, .. }
-            | UnboxI { a, .. }
-            | UnboxD { a, .. }
-            | UnboxNumD { a, .. }
-            | UnboxObj { a, .. }
-            | UnboxStr { a, .. }
-            | UnboxBool { a, .. }
-            | ArrayLen { a, .. }
-            | StrLen { a, .. }
-            | AluImmI { a, .. }
-            | AluImmWrI { a, .. }
-            | ChkAluImmI { a, .. }
-            | ChkAluImmWrI { a, .. }
-            | ChkAluImmWrLoopI { a, .. }
-            | CmpImmI { a, .. }
-            | CmpImmWrI { a, .. }
-            | CmpBranchImmI { a, .. }
-            | CmpImmWrBranchI { a, .. } => f(*a),
-            GuardTrue { s, .. } | GuardFalse { s, .. } | GuardBoxedEq { s, .. } => f(*s),
-            GuardShape { obj, .. } | GuardClass { obj, .. } => f(*obj),
-            GuardBound { arr, idx, .. } => {
-                f(*arr);
-                f(*idx);
-            }
-            LoadSlot { o, .. } | LoadProto { o, .. } => f(*o),
-            StoreSlot { o, s, .. } => {
-                f(*o);
-                f(*s);
-            }
-            LoadElem { a, i, .. } => {
-                f(*a);
-                f(*i);
-            }
-            StoreElem { a, i, s } => {
-                f(*a);
-                f(*i);
-                f(*s);
-            }
-            CallHelper { args, .. } => args.iter().copied().for_each(f),
-            AluArI { b, .. } | AluArWrI { b, .. } => f(*b),
-            WriteAr2 { s_a, s_b, .. } => {
-                f(*s_a);
-                f(*s_b);
-            }
-            WriteAr3 { s_a, s_b, s_c, .. } => {
-                f(*s_a);
-                f(*s_b);
-                f(*s_c);
-            }
-        }
+        });
     }
 
     /// Calls `f` once per exit id this instruction can take.
     pub fn for_each_exit(&self, mut f: impl FnMut(u16)) {
-        use MachInst::*;
-        match self {
-            AddIChk { exit, .. }
-            | SubIChk { exit, .. }
-            | MulIChk { exit, .. }
-            | NegIChk { exit, .. }
-            | ModIChk { exit, .. }
-            | ShlIChk { exit, .. }
-            | UShrIChk { exit, .. }
-            | D2IChk { exit, .. }
-            | ChkRangeI { exit, .. }
-            | UnboxI { exit, .. }
-            | UnboxD { exit, .. }
-            | UnboxNumD { exit, .. }
-            | UnboxObj { exit, .. }
-            | UnboxStr { exit, .. }
-            | UnboxBool { exit, .. }
-            | GuardTrue { exit, .. }
-            | GuardFalse { exit, .. }
-            | GuardShape { exit, .. }
-            | GuardClass { exit, .. }
-            | GuardBoxedEq { exit, .. }
-            | GuardBound { exit, .. }
-            | CallHelper { exit, .. }
-            | CallTree { exit, .. }
-            | LoopBack { exit }
-            | End { exit }
-            | CmpBranchI { exit, .. }
-            | CmpBranchD { exit, .. }
-            | ChkAluImmI { exit, .. }
-            | ChkAluWrI { exit, .. }
-            | ChkAluImmWrI { exit, .. }
-            | CmpBranchImmI { exit, .. }
-            | CmpWrBranchI { exit, .. }
-            | CmpWrBranchD { exit, .. }
-            | CmpImmWrBranchI { exit, .. } => f(*exit),
-            CmpBranchLoopI { exit, loop_exit, .. }
-            | CmpBranchLoopD { exit, loop_exit, .. }
-            | ChkAluImmWrLoopI { exit, loop_exit, .. } => {
-                f(*exit);
-                f(*loop_exit);
+        self.operands(|o| {
+            if let Operand::Exit(e) = o {
+                f(e);
             }
-            _ => {}
-        }
+        });
     }
 
     /// Whether the instruction has no observable effect beyond writing its
@@ -619,15 +468,7 @@ impl MachInst {
                 | Mov { .. }
                 | LoadSpill { .. }
                 | ReadAr { .. }
-                | AddI { .. }
-                | SubI { .. }
-                | MulI { .. }
-                | AndI { .. }
-                | OrI { .. }
-                | XorI { .. }
-                | ShlI { .. }
-                | ShrI { .. }
-                | UShrI { .. }
+                | AluI { .. }
                 | NotI { .. }
                 | NegI { .. }
                 | AddD { .. }
@@ -636,16 +477,8 @@ impl MachInst {
                 | DivD { .. }
                 | ModD { .. }
                 | NegD { .. }
-                | EqI { .. }
-                | LtI { .. }
-                | LeI { .. }
-                | GtI { .. }
-                | GeI { .. }
-                | EqD { .. }
-                | LtD { .. }
-                | LeD { .. }
-                | GtD { .. }
-                | GeD { .. }
+                | CmpI { .. }
+                | CmpD { .. }
                 | NotB { .. }
                 | I2D { .. }
                 | U2D { .. }
@@ -709,17 +542,6 @@ impl MachInst {
     }
 }
 
-/// Where a side exit goes: back to the monitor, or — once a branch trace
-/// is attached by **trace stitching** (§6.2) — directly into another
-/// fragment of the same tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExitTarget {
-    /// Return control to the trace monitor with this exit id.
-    Return,
-    /// Jump into fragment `0`-indexed id (trace stitching).
-    Fragment(u32),
-}
-
 /// Static counters from the peephole pass, kept on the fragment so the
 /// disassembler can report how dense the compiled code is.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -742,13 +564,10 @@ pub struct Fragment {
     pub code: Vec<MachInst>,
     /// Number of spill slots used.
     pub num_spills: u16,
-    /// Exit targets, indexed by exit id; patched by trace stitching
-    /// (through [`Fragment::set_exit_target`], which keeps [`Fragment::stitch`]
-    /// in sync).
-    pub exit_targets: Vec<ExitTarget>,
-    /// Decoded exit-resolution table: `stitch[e]` is the fragment index a
-    /// stitched exit jumps to, or [`EXIT_UNSTITCHED`]. Always mirrors
-    /// `exit_targets`; the executor reads only this.
+    /// The exit table, indexed by exit id: `stitch[e]` is the fragment
+    /// index exit `e` jumps to once a branch trace is attached by **trace
+    /// stitching** (§6.2), or [`EXIT_UNSTITCHED`] while it still returns
+    /// to the monitor.
     pub stitch: Vec<u32>,
     /// Peephole statistics (zero until [`crate::peephole::fuse`] runs).
     pub fuse_stats: FuseStats,
@@ -760,20 +579,15 @@ impl Fragment {
         Fragment {
             code,
             num_spills,
-            exit_targets: vec![ExitTarget::Return; num_exits],
             stitch: vec![EXIT_UNSTITCHED; num_exits],
             fuse_stats: FuseStats::default(),
         }
     }
 
-    /// Retargets exit `exit`, keeping the decoded stitch table in sync
-    /// with `exit_targets`. All stitching must go through here.
-    pub fn set_exit_target(&mut self, exit: u16, target: ExitTarget) {
-        self.exit_targets[exit as usize] = target;
-        self.stitch[exit as usize] = match target {
-            ExitTarget::Return => EXIT_UNSTITCHED,
-            ExitTarget::Fragment(idx) => idx,
-        };
+    /// Trace stitching: exit `exit` jumps to fragment `target` of the same
+    /// tree from now on instead of returning to the monitor.
+    pub fn stitch_exit(&mut self, exit: u16, target: u32) {
+        self.stitch[exit as usize] = target;
     }
 
     /// Renders the fragment as a Figure-4 style listing. After the

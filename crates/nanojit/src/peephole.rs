@@ -28,8 +28,6 @@
 //! each). `tm-verifier::verify_fragment` re-checks the structural
 //! invariants after fusion.
 
-use tm_lir::{AluOp, ChkOp, CmpOp};
-
 use crate::machinst::{Fragment, FuseStats, MachInst, Reg, REG_FILE_WORDS, REG_MASK};
 
 /// Fuses a fragment in place and fills in its [`FuseStats`].
@@ -86,58 +84,6 @@ fn reg_dead(tail: &[MachInst], r: Reg) -> bool {
     true
 }
 
-fn alu_parts(inst: &MachInst) -> Option<(AluOp, Reg, Reg, Reg)> {
-    use MachInst::*;
-    match *inst {
-        AddI { d, a, b } => Some((AluOp::Add, d, a, b)),
-        SubI { d, a, b } => Some((AluOp::Sub, d, a, b)),
-        MulI { d, a, b } => Some((AluOp::Mul, d, a, b)),
-        AndI { d, a, b } => Some((AluOp::And, d, a, b)),
-        OrI { d, a, b } => Some((AluOp::Or, d, a, b)),
-        XorI { d, a, b } => Some((AluOp::Xor, d, a, b)),
-        ShlI { d, a, b } => Some((AluOp::Shl, d, a, b)),
-        ShrI { d, a, b } => Some((AluOp::Shr, d, a, b)),
-        UShrI { d, a, b } => Some((AluOp::UShr, d, a, b)),
-        _ => None,
-    }
-}
-
-fn chk_parts(inst: &MachInst) -> Option<(ChkOp, Reg, Reg, Reg, u16)> {
-    use MachInst::*;
-    match *inst {
-        AddIChk { d, a, b, exit } => Some((ChkOp::Add, d, a, b, exit)),
-        SubIChk { d, a, b, exit } => Some((ChkOp::Sub, d, a, b, exit)),
-        MulIChk { d, a, b, exit } => Some((ChkOp::Mul, d, a, b, exit)),
-        ShlIChk { d, a, b, exit } => Some((ChkOp::Shl, d, a, b, exit)),
-        UShrIChk { d, a, b, exit } => Some((ChkOp::UShr, d, a, b, exit)),
-        _ => None,
-    }
-}
-
-fn cmp_i_parts(inst: &MachInst) -> Option<(CmpOp, Reg, Reg, Reg)> {
-    use MachInst::*;
-    match *inst {
-        EqI { d, a, b } => Some((CmpOp::Eq, d, a, b)),
-        LtI { d, a, b } => Some((CmpOp::Lt, d, a, b)),
-        LeI { d, a, b } => Some((CmpOp::Le, d, a, b)),
-        GtI { d, a, b } => Some((CmpOp::Gt, d, a, b)),
-        GeI { d, a, b } => Some((CmpOp::Ge, d, a, b)),
-        _ => None,
-    }
-}
-
-fn cmp_d_parts(inst: &MachInst) -> Option<(CmpOp, Reg, Reg, Reg)> {
-    use MachInst::*;
-    match *inst {
-        EqD { d, a, b } => Some((CmpOp::Eq, d, a, b)),
-        LtD { d, a, b } => Some((CmpOp::Lt, d, a, b)),
-        LeD { d, a, b } => Some((CmpOp::Le, d, a, b)),
-        GtD { d, a, b } => Some((CmpOp::Gt, d, a, b)),
-        GeD { d, a, b } => Some((CmpOp::Ge, d, a, b)),
-        _ => None,
-    }
-}
-
 /// Pass 1: rewrite register operands that provably hold constants into
 /// immediate forms. The defining `ConstW` is left for DCE to collect.
 fn fold_immediates(code: &mut [MachInst]) -> bool {
@@ -145,32 +91,29 @@ fn fold_immediates(code: &mut [MachInst]) -> bool {
     let mut known: [Option<i32>; REG_FILE_WORDS] = [None; REG_FILE_WORDS];
     let mut changed = false;
     for inst in code.iter_mut() {
-        let replacement = if let Some((op, d, a, b)) = alu_parts(inst) {
-            match (known[reg_idx(a)], known[reg_idx(b)]) {
+        let replacement = match *inst {
+            AluI { op, d, a, b } => match (known[reg_idx(a)], known[reg_idx(b)]) {
                 // Both constant is left to the b-side fold (a stays a reg
                 // read; LIR-level folding already handles const⊕const).
                 (_, Some(imm)) => Some(AluImmI { op, d, a, imm }),
                 (Some(imm), None) if op.commutative() => Some(AluImmI { op, d, a: b, imm }),
                 _ => None,
-            }
-        } else if let Some((op, d, a, b, exit)) = chk_parts(inst) {
-            match (known[reg_idx(a)], known[reg_idx(b)]) {
+            },
+            ChkAluI { op, d, a, b, exit } => match (known[reg_idx(a)], known[reg_idx(b)]) {
                 (_, Some(imm)) => Some(ChkAluImmI { op, d, a, imm, exit }),
                 (Some(imm), None) if op.commutative() => {
                     Some(ChkAluImmI { op, d, a: b, imm, exit })
                 }
                 _ => None,
-            }
-        } else if let Some((op, d, a, b)) = cmp_i_parts(inst) {
+            },
             // Compares are not commutative, but every CmpOp has a swapped
             // twin, so a constant on either side folds.
-            match (known[reg_idx(a)], known[reg_idx(b)]) {
+            CmpI { op, d, a, b } => match (known[reg_idx(a)], known[reg_idx(b)]) {
                 (_, Some(imm)) => Some(CmpImmI { op, d, a, imm }),
                 (Some(imm), None) => Some(CmpImmI { op: op.swapped(), d, a: b, imm }),
                 _ => None,
-            }
-        } else {
-            None
+            },
+            _ => None,
         };
         if let Some(new) = replacement {
             *inst = new;
@@ -190,7 +133,7 @@ fn fold_immediates(code: &mut [MachInst]) -> bool {
 
 /// Pass 2: left fold over the instruction stream, fusing each instruction
 /// with the previously emitted one where a superinstruction exists.
-/// Chains compose in a single scan (`LtI`,`GuardTrue`,`LoopBack` →
+/// Chains compose in a single scan (`CmpI`,`GuardTrue`,`LoopBack` →
 /// `CmpBranchI`,`LoopBack` → `CmpBranchLoopI`).
 fn fuse_pairs(code: &mut Vec<MachInst>) -> bool {
     let old = std::mem::take(code);
@@ -218,22 +161,22 @@ fn try_fuse(prev: &MachInst, next: &MachInst, tail: &[MachInst]) -> Option<MachI
 
     // compare + guard → compare-branch (when the 0/1 result is unused
     // beyond the guard).
-    if let (Some((op, d, a, b)), &GuardTrue { s, exit }) = (cmp_i_parts(prev), next) {
+    if let (&CmpI { op, d, a, b }, &GuardTrue { s, exit }) = (prev, next) {
         if s == d && reg_dead(tail, d) {
             return Some(CmpBranchI { op, want: true, a, b, exit });
         }
     }
-    if let (Some((op, d, a, b)), &GuardFalse { s, exit }) = (cmp_i_parts(prev), next) {
+    if let (&CmpI { op, d, a, b }, &GuardFalse { s, exit }) = (prev, next) {
         if s == d && reg_dead(tail, d) {
             return Some(CmpBranchI { op, want: false, a, b, exit });
         }
     }
-    if let (Some((op, d, a, b)), &GuardTrue { s, exit }) = (cmp_d_parts(prev), next) {
+    if let (&CmpD { op, d, a, b }, &GuardTrue { s, exit }) = (prev, next) {
         if s == d && reg_dead(tail, d) {
             return Some(CmpBranchD { op, want: true, a, b, exit });
         }
     }
-    if let (Some((op, d, a, b)), &GuardFalse { s, exit }) = (cmp_d_parts(prev), next) {
+    if let (&CmpD { op, d, a, b }, &GuardFalse { s, exit }) = (prev, next) {
         if s == d && reg_dead(tail, d) {
             return Some(CmpBranchD { op, want: false, a, b, exit });
         }
@@ -318,7 +261,7 @@ fn try_fuse(prev: &MachInst, next: &MachInst, tail: &[MachInst]) -> Option<MachI
     // ReadAr + ALU → AR-operand ALU. The loaded register must die at the
     // ALU (it is either overwritten by it or never read again), and must
     // not feed the ALU's *other* operand, which would still read it.
-    if let (&ReadAr { d: r, slot }, Some((op, d, a, b))) = (prev, alu_parts(next)) {
+    if let (&ReadAr { d: r, slot }, &AluI { op, d, a, b }) = (prev, next) {
         let dead = d == r || reg_dead(tail, r);
         if a == r && b != r && dead {
             return Some(AluArI { op, d, slot, b });
@@ -331,7 +274,7 @@ fn try_fuse(prev: &MachInst, next: &MachInst, tail: &[MachInst]) -> Option<MachI
     // ALU + WriteAr of its result → combined write-through forms. The
     // destination register is still written, so later uses are unaffected.
     if let &WriteAr { slot, s } = next {
-        if let Some((op, d, a, b)) = alu_parts(prev) {
+        if let &AluI { op, d, a, b } = prev {
             if s == d {
                 return Some(AluWrI { op, d, a, b, slot });
             }
@@ -341,7 +284,7 @@ fn try_fuse(prev: &MachInst, next: &MachInst, tail: &[MachInst]) -> Option<MachI
                 return Some(AluImmWrI { op, d, a, imm, slot });
             }
         }
-        if let Some((op, d, a, b, exit)) = chk_parts(prev) {
+        if let &ChkAluI { op, d, a, b, exit } = prev {
             if s == d {
                 return Some(ChkAluWrI { op, d, a, b, exit, slot });
             }
@@ -353,12 +296,12 @@ fn try_fuse(prev: &MachInst, next: &MachInst, tail: &[MachInst]) -> Option<MachI
         }
         // Compare + store of its 0/1 result (the recorder stores every
         // branch condition to the AR before guarding on it).
-        if let Some((op, d, a, b)) = cmp_i_parts(prev) {
+        if let &CmpI { op, d, a, b } = prev {
             if s == d {
                 return Some(CmpWrI { op, d, a, b, slot });
             }
         }
-        if let Some((op, d, a, b)) = cmp_d_parts(prev) {
+        if let &CmpD { op, d, a, b } = prev {
             if s == d {
                 return Some(CmpWrD { op, d, a, b, slot });
             }
@@ -433,6 +376,7 @@ fn remove_dead(code: &mut Vec<MachInst>) -> u32 {
 mod tests {
     use super::*;
     use crate::machinst::MachInst::*;
+    use tm_lir::{AluOp, ChkOp, CmpOp};
 
     fn frag(code: Vec<MachInst>, num_exits: usize) -> Fragment {
         Fragment::new(code, 0, num_exits)
@@ -446,9 +390,9 @@ mod tests {
                 ReadAr { d: 0, slot: 0 },
                 ReadAr { d: 1, slot: 1 },
                 ConstW { d: 2, w: 1 },
-                AddIChk { d: 3, a: 0, b: 2, exit: 0 },
+                ChkAluI { op: ChkOp::Add, d: 3, a: 0, b: 2, exit: 0 },
                 WriteAr { slot: 0, s: 3 },
-                LtI { d: 4, a: 3, b: 1 },
+                CmpI { op: CmpOp::Lt, d: 4, a: 3, b: 1 },
                 GuardTrue { s: 4, exit: 1 },
                 LoopBack { exit: 2 },
             ],
@@ -476,7 +420,7 @@ mod tests {
             vec![
                 ReadAr { d: 0, slot: 0 },
                 ReadAr { d: 1, slot: 1 },
-                EqI { d: 2, a: 0, b: 1 },
+                CmpI { op: CmpOp::Eq, d: 2, a: 0, b: 1 },
                 GuardFalse { s: 2, exit: 0 },
                 End { exit: 1 },
             ],
@@ -496,14 +440,14 @@ mod tests {
             vec![
                 ReadAr { d: 0, slot: 0 },
                 ReadAr { d: 1, slot: 1 },
-                LtI { d: 2, a: 0, b: 1 },
+                CmpI { op: CmpOp::Lt, d: 2, a: 0, b: 1 },
                 GuardTrue { s: 2, exit: 0 },
                 WriteAr { slot: 2, s: 2 },
                 End { exit: 1 },
             ],
             2,
         ));
-        assert!(f.code.iter().any(|i| matches!(i, LtI { .. })));
+        assert!(f.code.iter().any(|i| matches!(i, CmpI { op: CmpOp::Lt, .. })));
         assert!(f.code.iter().any(|i| matches!(i, GuardTrue { .. })));
     }
 
@@ -514,7 +458,7 @@ mod tests {
         let f = fuse(frag(
             vec![
                 ReadAr { d: 0, slot: 0 },
-                SubI { d: 1, a: 0, b: 0 },
+                AluI { op: AluOp::Sub, d: 1, a: 0, b: 0 },
                 WriteAr { slot: 1, s: 1 },
                 End { exit: 0 },
             ],
@@ -529,7 +473,7 @@ mod tests {
             vec![
                 ReadAr { d: 1, slot: 1 },
                 ReadAr { d: 0, slot: 0 },
-                SubI { d: 2, a: 0, b: 1 },
+                AluI { op: AluOp::Sub, d: 2, a: 0, b: 1 },
                 WriteAr { slot: 1, s: 2 },
                 End { exit: 0 },
             ],
@@ -551,7 +495,7 @@ mod tests {
             vec![
                 ConstW { d: 0, w: 7 },
                 ReadAr { d: 1, slot: 0 },
-                MulI { d: 2, a: 0, b: 1 },
+                AluI { op: AluOp::Mul, d: 2, a: 0, b: 1 },
                 WriteAr { slot: 0, s: 2 },
                 End { exit: 0 },
             ],
@@ -575,7 +519,7 @@ mod tests {
             vec![
                 ConstW { d: 0, w: bits },
                 ReadAr { d: 1, slot: 0 },
-                AddI { d: 2, a: 1, b: 0 },
+                AluI { op: AluOp::Add, d: 2, a: 1, b: 0 },
                 WriteAr { slot: 0, s: 2 },
                 End { exit: 0 },
             ],
@@ -593,7 +537,7 @@ mod tests {
             vec![
                 ConstW { d: 0, w: 1 },
                 ReadAr { d: 1, slot: 0 },
-                AddI { d: 2, a: 1, b: 0 },
+                AluI { op: AluOp::Add, d: 2, a: 1, b: 0 },
                 WriteAr { slot: 0, s: 2 },
                 GuardTrue { s: 0, exit: 0 },
                 End { exit: 1 },
@@ -612,7 +556,7 @@ mod tests {
             vec![
                 ReadAr { d: 0, slot: 0 },
                 ReadAr { d: 1, slot: 1 },
-                LtI { d: 2, a: 0, b: 1 },
+                CmpI { op: CmpOp::Lt, d: 2, a: 0, b: 1 },
                 WriteAr { slot: 2, s: 2 },
                 GuardTrue { s: 2, exit: 0 },
                 End { exit: 1 },
@@ -640,7 +584,7 @@ mod tests {
             vec![
                 ReadAr { d: 0, slot: 0 },
                 ConstW { d: 1, w: 100 },
-                LtI { d: 2, a: 0, b: 1 },
+                CmpI { op: CmpOp::Lt, d: 2, a: 0, b: 1 },
                 GuardTrue { s: 2, exit: 0 },
                 End { exit: 1 },
             ],
@@ -660,7 +604,7 @@ mod tests {
             vec![
                 ReadAr { d: 0, slot: 0 },
                 ConstW { d: 1, w: 100 },
-                LtI { d: 2, a: 1, b: 0 },
+                CmpI { op: CmpOp::Lt, d: 2, a: 1, b: 0 },
                 WriteAr { slot: 1, s: 2 },
                 GuardTrue { s: 2, exit: 0 },
                 End { exit: 1 },
@@ -685,7 +629,7 @@ mod tests {
         );
     }
 
-    /// `EqI; NotB; Guard` — the boolean negation flips the guard's sense
+    /// `CmpI Eq; NotB; Guard` — the boolean negation flips the guard's sense
     /// and the compare then fuses into the flipped guard.
     #[test]
     fn notb_guard_flips_and_fuses_into_compare() {
@@ -693,7 +637,7 @@ mod tests {
             vec![
                 ReadAr { d: 0, slot: 0 },
                 ReadAr { d: 1, slot: 1 },
-                EqI { d: 2, a: 0, b: 1 },
+                CmpI { op: CmpOp::Eq, d: 2, a: 0, b: 1 },
                 NotB { d: 3, a: 2 },
                 GuardTrue { s: 3, exit: 0 },
                 End { exit: 1 },
@@ -742,7 +686,7 @@ mod tests {
                 ReadAr { d: 0, slot: 0 },
                 ReadAr { d: 1, slot: 1 },
                 ReadAr { d: 2, slot: 2 },
-                AddI { d: 3, a: 0, b: 1 },
+                AluI { op: AluOp::Add, d: 3, a: 0, b: 1 },
                 WriteAr { slot: 3, s: 0 },
                 WriteAr { slot: 4, s: 1 },
                 WriteAr { slot: 5, s: 2 },
@@ -785,7 +729,7 @@ mod tests {
             vec![
                 ReadAr { d: 0, slot: 0 },
                 ConstW { d: 1, w: 1 },
-                AddIChk { d: 2, a: 0, b: 1, exit: 0 },
+                ChkAluI { op: ChkOp::Add, d: 2, a: 0, b: 1, exit: 0 },
                 WriteAr { slot: 0, s: 2 },
                 LoopBack { exit: 1 },
             ],
@@ -816,7 +760,7 @@ mod tests {
             vec![
                 ReadAr { d: 0, slot: 0 },
                 ConstW { d: 1, w: 2 },
-                ShlIChk { d: 2, a: 0, b: 1, exit: 0 },
+                ChkAluI { op: ChkOp::Shl, d: 2, a: 0, b: 1, exit: 0 },
                 WriteAr { slot: 0, s: 2 },
                 End { exit: 1 },
             ],
@@ -839,9 +783,9 @@ mod tests {
                 ReadAr { d: 0, slot: 0 },
                 ReadAr { d: 1, slot: 1 },
                 ConstW { d: 2, w: 1 },
-                AddIChk { d: 3, a: 0, b: 2, exit: 0 },
+                ChkAluI { op: ChkOp::Add, d: 3, a: 0, b: 2, exit: 0 },
                 WriteAr { slot: 0, s: 3 },
-                LtI { d: 4, a: 3, b: 1 },
+                CmpI { op: CmpOp::Lt, d: 4, a: 3, b: 1 },
                 GuardTrue { s: 4, exit: 1 },
                 LoopBack { exit: 2 },
             ],

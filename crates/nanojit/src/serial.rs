@@ -16,7 +16,7 @@
 //! * **Hostile input is rejected, never trusted.** Decoding validates
 //!   opcode bytes, enum discriminants, and length prefixes; everything
 //!   *semantic* (register ranges, exit-table coverage, terminator
-//!   placement, stitch consistency) is deliberately left to
+//!   placement, AR-slot and stitch-target ranges) is deliberately left to
 //!   `tm-verifier`, which every loaded fragment must pass before
 //!   installation. The codec's job is only to guarantee that arbitrary
 //!   bytes produce either `Err` or a structurally well-typed `Fragment`.
@@ -24,7 +24,7 @@
 //! Opcode bytes are part of the on-disk format: renumbering them is a
 //! format-version bump (see `docs/PERSISTENCE.md` §7).
 
-use crate::machinst::{ExitTarget, Fragment, FuseStats, MachInst, Reg, EXIT_UNSTITCHED};
+use crate::machinst::{Fragment, FuseStats, MachInst, Reg};
 use tm_lir::{AluOp, ChkOp, CmpOp};
 use tm_runtime::{Helper, NativeId};
 use tm_support::binio::{BinError, ByteReader, ByteWriter};
@@ -211,6 +211,11 @@ macro_rules! machinst_codec {
                 t => Err(BinError::BadTag { at, tag: u64::from(t), what: "MachInst opcode" }),
             }
         }
+
+        /// The table itself, for tests: each opcode with its field types.
+        #[cfg(test)]
+        const OPCODE_FIELD_TYPES: &[(u8, &[&str])] =
+            &[ $( ($op, &[ $( stringify!($t) ),* ]) ),* ];
     };
 }
 
@@ -221,119 +226,92 @@ machinst_codec! {
     0x03 StoreSpill { slot: u16, s: Reg }
     0x04 ReadAr { d: Reg, slot: u16 }
     0x05 WriteAr { slot: u16, s: Reg }
-    0x06 AddI { d: Reg, a: Reg, b: Reg }
-    0x07 SubI { d: Reg, a: Reg, b: Reg }
-    0x08 MulI { d: Reg, a: Reg, b: Reg }
-    0x09 AndI { d: Reg, a: Reg, b: Reg }
-    0x0a OrI { d: Reg, a: Reg, b: Reg }
-    0x0b XorI { d: Reg, a: Reg, b: Reg }
-    0x0c ShlI { d: Reg, a: Reg, b: Reg }
-    0x0d ShrI { d: Reg, a: Reg, b: Reg }
-    0x0e UShrI { d: Reg, a: Reg, b: Reg }
-    0x0f NotI { d: Reg, a: Reg }
-    0x10 NegI { d: Reg, a: Reg }
-    0x11 AddIChk { d: Reg, a: Reg, b: Reg, exit: u16 }
-    0x12 SubIChk { d: Reg, a: Reg, b: Reg, exit: u16 }
-    0x13 MulIChk { d: Reg, a: Reg, b: Reg, exit: u16 }
-    0x14 NegIChk { d: Reg, a: Reg, exit: u16 }
-    0x15 ModIChk { d: Reg, a: Reg, b: Reg, exit: u16 }
-    0x16 ShlIChk { d: Reg, a: Reg, b: Reg, exit: u16 }
-    0x17 UShrIChk { d: Reg, a: Reg, b: Reg, exit: u16 }
-    0x18 AddD { d: Reg, a: Reg, b: Reg }
-    0x19 SubD { d: Reg, a: Reg, b: Reg }
-    0x1a MulD { d: Reg, a: Reg, b: Reg }
-    0x1b DivD { d: Reg, a: Reg, b: Reg }
-    0x1c ModD { d: Reg, a: Reg, b: Reg }
-    0x1d NegD { d: Reg, a: Reg }
-    0x1e EqI { d: Reg, a: Reg, b: Reg }
-    0x1f LtI { d: Reg, a: Reg, b: Reg }
-    0x20 LeI { d: Reg, a: Reg, b: Reg }
-    0x21 GtI { d: Reg, a: Reg, b: Reg }
-    0x22 GeI { d: Reg, a: Reg, b: Reg }
-    0x23 EqD { d: Reg, a: Reg, b: Reg }
-    0x24 LtD { d: Reg, a: Reg, b: Reg }
-    0x25 LeD { d: Reg, a: Reg, b: Reg }
-    0x26 GtD { d: Reg, a: Reg, b: Reg }
-    0x27 GeD { d: Reg, a: Reg, b: Reg }
-    0x28 NotB { d: Reg, a: Reg }
-    0x29 I2D { d: Reg, a: Reg }
-    0x2a U2D { d: Reg, a: Reg }
-    0x2b D2IChk { d: Reg, a: Reg, exit: u16 }
-    0x2c D2I32 { d: Reg, a: Reg }
-    0x2d ChkRangeI { d: Reg, a: Reg, exit: u16 }
-    0x2e BoxI { d: Reg, a: Reg }
-    0x2f BoxD { d: Reg, a: Reg }
-    0x30 BoxB { d: Reg, a: Reg }
-    0x31 BoxObj { d: Reg, a: Reg }
-    0x32 BoxStr { d: Reg, a: Reg }
-    0x33 UnboxI { d: Reg, a: Reg, exit: u16 }
-    0x34 UnboxD { d: Reg, a: Reg, exit: u16 }
-    0x35 UnboxNumD { d: Reg, a: Reg, exit: u16 }
-    0x36 UnboxObj { d: Reg, a: Reg, exit: u16 }
-    0x37 UnboxStr { d: Reg, a: Reg, exit: u16 }
-    0x38 UnboxBool { d: Reg, a: Reg, exit: u16 }
-    0x39 GuardTrue { s: Reg, exit: u16 }
-    0x3a GuardFalse { s: Reg, exit: u16 }
-    0x3b GuardShape { obj: Reg, shape: u32, exit: u16 }
-    0x3c GuardClass { obj: Reg, class: u8, exit: u16 }
-    0x3d GuardBoxedEq { s: Reg, w: u64, exit: u16 }
-    0x3e GuardBound { arr: Reg, idx: Reg, exit: u16 }
-    0x3f LoadSlot { d: Reg, o: Reg, slot: u32 }
-    0x40 StoreSlot { o: Reg, slot: u32, s: Reg }
-    0x41 LoadProto { d: Reg, o: Reg }
-    0x42 LoadElem { d: Reg, a: Reg, i: Reg }
-    0x43 StoreElem { a: Reg, i: Reg, s: Reg }
-    0x44 ArrayLen { d: Reg, a: Reg }
-    0x45 StrLen { d: Reg, a: Reg }
-    0x46 CallHelper { d: Reg, helper: Helper, args: Box<[Reg]>, exit: u16 }
-    0x47 CallTree { tree: u32, exit: u16 }
-    0x48 LoopBack { exit: u16 }
-    0x49 End { exit: u16 }
-    0x4a CmpBranchI { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16 }
-    0x4b CmpBranchD { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16 }
-    0x4c CmpBranchLoopI { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16, loop_exit: u16 }
-    0x4d CmpBranchLoopD { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16, loop_exit: u16 }
-    0x4e AluImmI { op: AluOp, d: Reg, a: Reg, imm: i32 }
-    0x4f AluArI { op: AluOp, d: Reg, slot: u16, b: Reg }
-    0x50 AluWrI { op: AluOp, d: Reg, a: Reg, b: Reg, slot: u16 }
-    0x51 AluImmWrI { op: AluOp, d: Reg, a: Reg, imm: i32, slot: u16 }
-    0x52 ChkAluImmI { op: ChkOp, d: Reg, a: Reg, imm: i32, exit: u16 }
-    0x53 ChkAluWrI { op: ChkOp, d: Reg, a: Reg, b: Reg, exit: u16, slot: u16 }
-    0x54 ChkAluImmWrI { op: ChkOp, d: Reg, a: Reg, imm: i32, exit: u16, slot: u16 }
-    0x55 ChkAluImmWrLoopI { op: ChkOp, d: Reg, a: Reg, imm: i32, slot: u16, exit: u16, loop_exit: u16 }
-    0x56 ConstWrAr { d: Reg, w: u64, slot: u16 }
-    0x57 MovAr { d: Reg, src: u16, dst: u16 }
-    0x58 WriteAr2 { slot_a: u16, s_a: Reg, slot_b: u16, s_b: Reg }
-    0x59 WriteAr3 { slot_a: u16, s_a: Reg, slot_b: u16, s_b: Reg, slot_c: u16, s_c: Reg }
-    0x5a AluArWrI { op: AluOp, d: Reg, slot_a: u16, b: Reg, slot_d: u16 }
-    0x5b CmpImmI { op: CmpOp, d: Reg, a: Reg, imm: i32 }
-    0x5c CmpWrI { op: CmpOp, d: Reg, a: Reg, b: Reg, slot: u16 }
-    0x5d CmpWrD { op: CmpOp, d: Reg, a: Reg, b: Reg, slot: u16 }
-    0x5e CmpImmWrI { op: CmpOp, d: Reg, a: Reg, imm: i32, slot: u16 }
-    0x5f CmpBranchImmI { op: CmpOp, want: bool, a: Reg, imm: i32, exit: u16 }
-    0x60 CmpWrBranchI { op: CmpOp, want: bool, d: Reg, a: Reg, b: Reg, slot: u16, exit: u16 }
-    0x61 CmpWrBranchD { op: CmpOp, want: bool, d: Reg, a: Reg, b: Reg, slot: u16, exit: u16 }
-    0x62 CmpImmWrBranchI { op: CmpOp, want: bool, d: Reg, a: Reg, imm: i32, slot: u16, exit: u16 }
+    0x06 AluI { op: AluOp, d: Reg, a: Reg, b: Reg }
+    0x07 NotI { d: Reg, a: Reg }
+    0x08 NegI { d: Reg, a: Reg }
+    0x09 ChkAluI { op: ChkOp, d: Reg, a: Reg, b: Reg, exit: u16 }
+    0x0a NegIChk { d: Reg, a: Reg, exit: u16 }
+    0x0b ModIChk { d: Reg, a: Reg, b: Reg, exit: u16 }
+    0x0c AddD { d: Reg, a: Reg, b: Reg }
+    0x0d SubD { d: Reg, a: Reg, b: Reg }
+    0x0e MulD { d: Reg, a: Reg, b: Reg }
+    0x0f DivD { d: Reg, a: Reg, b: Reg }
+    0x10 ModD { d: Reg, a: Reg, b: Reg }
+    0x11 NegD { d: Reg, a: Reg }
+    0x12 CmpI { op: CmpOp, d: Reg, a: Reg, b: Reg }
+    0x13 CmpD { op: CmpOp, d: Reg, a: Reg, b: Reg }
+    0x14 NotB { d: Reg, a: Reg }
+    0x15 I2D { d: Reg, a: Reg }
+    0x16 U2D { d: Reg, a: Reg }
+    0x17 D2IChk { d: Reg, a: Reg, exit: u16 }
+    0x18 D2I32 { d: Reg, a: Reg }
+    0x19 ChkRangeI { d: Reg, a: Reg, exit: u16 }
+    0x1a BoxI { d: Reg, a: Reg }
+    0x1b BoxD { d: Reg, a: Reg }
+    0x1c BoxB { d: Reg, a: Reg }
+    0x1d BoxObj { d: Reg, a: Reg }
+    0x1e BoxStr { d: Reg, a: Reg }
+    0x1f UnboxI { d: Reg, a: Reg, exit: u16 }
+    0x20 UnboxD { d: Reg, a: Reg, exit: u16 }
+    0x21 UnboxNumD { d: Reg, a: Reg, exit: u16 }
+    0x22 UnboxObj { d: Reg, a: Reg, exit: u16 }
+    0x23 UnboxStr { d: Reg, a: Reg, exit: u16 }
+    0x24 UnboxBool { d: Reg, a: Reg, exit: u16 }
+    0x25 GuardTrue { s: Reg, exit: u16 }
+    0x26 GuardFalse { s: Reg, exit: u16 }
+    0x27 GuardShape { obj: Reg, shape: u32, exit: u16 }
+    0x28 GuardClass { obj: Reg, class: u8, exit: u16 }
+    0x29 GuardBoxedEq { s: Reg, w: u64, exit: u16 }
+    0x2a GuardBound { arr: Reg, idx: Reg, exit: u16 }
+    0x2b LoadSlot { d: Reg, o: Reg, slot: u32 }
+    0x2c StoreSlot { o: Reg, slot: u32, s: Reg }
+    0x2d LoadProto { d: Reg, o: Reg }
+    0x2e LoadElem { d: Reg, a: Reg, i: Reg }
+    0x2f StoreElem { a: Reg, i: Reg, s: Reg }
+    0x30 ArrayLen { d: Reg, a: Reg }
+    0x31 StrLen { d: Reg, a: Reg }
+    0x32 CallHelper { d: Reg, helper: Helper, args: Box<[Reg]>, exit: u16 }
+    0x33 CallTree { tree: u32, exit: u16 }
+    0x34 LoopBack { exit: u16 }
+    0x35 End { exit: u16 }
+    0x36 CmpBranchI { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16 }
+    0x37 CmpBranchD { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16 }
+    0x38 CmpBranchLoopI { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16, loop_exit: u16 }
+    0x39 CmpBranchLoopD { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16, loop_exit: u16 }
+    0x3a AluImmI { op: AluOp, d: Reg, a: Reg, imm: i32 }
+    0x3b AluArI { op: AluOp, d: Reg, slot: u16, b: Reg }
+    0x3c AluWrI { op: AluOp, d: Reg, a: Reg, b: Reg, slot: u16 }
+    0x3d AluImmWrI { op: AluOp, d: Reg, a: Reg, imm: i32, slot: u16 }
+    0x3e ChkAluImmI { op: ChkOp, d: Reg, a: Reg, imm: i32, exit: u16 }
+    0x3f ChkAluWrI { op: ChkOp, d: Reg, a: Reg, b: Reg, exit: u16, slot: u16 }
+    0x40 ChkAluImmWrI { op: ChkOp, d: Reg, a: Reg, imm: i32, exit: u16, slot: u16 }
+    0x41 ChkAluImmWrLoopI { op: ChkOp, d: Reg, a: Reg, imm: i32, slot: u16, exit: u16, loop_exit: u16 }
+    0x42 ConstWrAr { d: Reg, w: u64, slot: u16 }
+    0x43 MovAr { d: Reg, src: u16, dst: u16 }
+    0x44 WriteAr2 { slot_a: u16, s_a: Reg, slot_b: u16, s_b: Reg }
+    0x45 WriteAr3 { slot_a: u16, s_a: Reg, slot_b: u16, s_b: Reg, slot_c: u16, s_c: Reg }
+    0x46 AluArWrI { op: AluOp, d: Reg, slot_a: u16, b: Reg, slot_d: u16 }
+    0x47 CmpImmI { op: CmpOp, d: Reg, a: Reg, imm: i32 }
+    0x48 CmpWrI { op: CmpOp, d: Reg, a: Reg, b: Reg, slot: u16 }
+    0x49 CmpWrD { op: CmpOp, d: Reg, a: Reg, b: Reg, slot: u16 }
+    0x4a CmpImmWrI { op: CmpOp, d: Reg, a: Reg, imm: i32, slot: u16 }
+    0x4b CmpBranchImmI { op: CmpOp, want: bool, a: Reg, imm: i32, exit: u16 }
+    0x4c CmpWrBranchI { op: CmpOp, want: bool, d: Reg, a: Reg, b: Reg, slot: u16, exit: u16 }
+    0x4d CmpWrBranchD { op: CmpOp, want: bool, d: Reg, a: Reg, b: Reg, slot: u16, exit: u16 }
+    0x4e CmpImmWrBranchI { op: CmpOp, want: bool, d: Reg, a: Reg, imm: i32, slot: u16, exit: u16 }
 }
 
 /// Appends the encoded form of `frag` to `w` (PERSISTENCE.md §4:
-/// instruction stream, spill count, exit-target table, fuse stats).
-///
-/// The `stitch` mirror is *not* written — it is redundant with
-/// `exit_targets` and is rebuilt on decode, so a cache file cannot carry
-/// an inconsistent pair.
+/// instruction stream, spill count, exit table, fuse stats).
 pub fn encode_fragment(frag: &Fragment, w: &mut ByteWriter) {
     w.u32(frag.code.len() as u32);
     for inst in &frag.code {
         encode_inst(inst, w);
     }
     w.u16(frag.num_spills);
-    w.u32(frag.exit_targets.len() as u32);
-    for t in &frag.exit_targets {
-        w.u32(match *t {
-            ExitTarget::Return => EXIT_UNSTITCHED,
-            ExitTarget::Fragment(idx) => idx,
-        });
+    w.u32(frag.stitch.len() as u32);
+    for &target in &frag.stitch {
+        w.u32(target);
     }
     let fs = frag.fuse_stats;
     w.u32(fs.raw_insts);
@@ -342,8 +320,7 @@ pub fn encode_fragment(frag: &Fragment, w: &mut ByteWriter) {
     w.u32(fs.dce_removed);
 }
 
-/// Decodes one fragment, rebuilding the `stitch` mirror from the
-/// exit-target table. Structural validation only — callers must run
+/// Decodes one fragment. Structural validation only — callers must run
 /// `tm-verifier` on the result before installing it.
 pub fn decode_fragment(r: &mut ByteReader) -> Result<Fragment, BinError> {
     let n_code = r.seq_len(1)?;
@@ -353,16 +330,9 @@ pub fn decode_fragment(r: &mut ByteReader) -> Result<Fragment, BinError> {
     }
     let num_spills = r.u16()?;
     let n_exits = r.seq_len(4)?;
-    let mut exit_targets = Vec::with_capacity(n_exits);
     let mut stitch = Vec::with_capacity(n_exits);
     for _ in 0..n_exits {
-        let v = r.u32()?;
-        exit_targets.push(if v == EXIT_UNSTITCHED {
-            ExitTarget::Return
-        } else {
-            ExitTarget::Fragment(v)
-        });
-        stitch.push(v);
+        stitch.push(r.u32()?);
     }
     let fuse_stats = FuseStats {
         raw_insts: r.u32()?,
@@ -370,34 +340,34 @@ pub fn decode_fragment(r: &mut ByteReader) -> Result<Fragment, BinError> {
         superinsts: r.u32()?,
         dce_removed: r.u32()?,
     };
-    Ok(Fragment { code, num_spills, exit_targets, stitch, fuse_stats })
+    Ok(Fragment { code, num_spills, stitch, fuse_stats })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machinst::Operand;
 
+    /// The all-zero instance of opcode `op` (discriminant 0 is valid for
+    /// every operand enum; `args` is empty), or `None` past the table.
+    fn zero_inst(op: u8) -> Option<MachInst> {
+        let mut bytes = [0u8; 40];
+        bytes[0] = op;
+        decode_inst(&mut ByteReader::new(&bytes)).ok()
+    }
+
+    /// One instance of every variant, enumerated through the codec, plus
+    /// the payload shapes zeros do not reach (wide words, negative
+    /// immediates, helper arguments, the `CallNative` escape).
     fn sample_insts() -> Vec<MachInst> {
         use MachInst::*;
-        vec![
+        let mut insts: Vec<MachInst> = (0..=u8::MAX).filter_map(zero_inst).collect();
+        assert_eq!(insts.len(), OPCODE_FIELD_TYPES.len(), "every table opcode decodes");
+        insts.extend([
             ConstW { d: 0, w: u64::MAX },
-            Mov { d: 1, s: 0 },
-            LoadSpill { d: 2, slot: 7 },
-            StoreSpill { slot: 7, s: 2 },
-            ReadAr { d: 3, slot: 1 },
-            WriteAr { slot: 2, s: 3 },
-            AddI { d: 0, a: 1, b: 2 },
-            MulIChk { d: 0, a: 1, b: 2, exit: 4 },
-            NegIChk { d: 5, a: 5, exit: 0 },
-            DivD { d: 6, a: 7, b: 8 },
-            GeD { d: 0, a: 1, b: 2 },
-            D2IChk { d: 1, a: 2, exit: 9 },
             GuardShape { obj: 3, shape: 0xdead_beef, exit: 2 },
-            GuardClass { obj: 3, class: 5, exit: 2 },
             GuardBoxedEq { s: 4, w: 0x8000_0000_0000_0001, exit: 3 },
-            GuardBound { arr: 1, idx: 2, exit: 6 },
             LoadSlot { d: 0, o: 1, slot: 123_456 },
-            StoreSlot { o: 1, slot: 3, s: 2 },
             CallHelper {
                 d: 0,
                 helper: Helper::StrToNum,
@@ -410,25 +380,50 @@ mod tests {
                 args: Box::from([] as [Reg; 0]),
                 exit: 0,
             },
-            CallTree { tree: 17, exit: 5 },
-            CmpBranchLoopD { op: CmpOp::Lt, want: true, a: 0, b: 1, exit: 2, loop_exit: 3 },
             AluImmI { op: AluOp::Xor, d: 0, a: 1, imm: -123 },
-            ChkAluImmWrLoopI { op: ChkOp::Add, d: 0, a: 0, imm: 1, slot: 4, exit: 1, loop_exit: 2 },
-            ConstWrAr { d: 2, w: 0x3ff0_0000_0000_0000, slot: 9 },
-            MovAr { d: 1, src: 3, dst: 4 },
-            WriteAr3 { slot_a: 0, s_a: 1, slot_b: 2, s_b: 3, slot_c: 4, s_c: 5 },
             AluArWrI { op: AluOp::UShr, d: 1, slot_a: 2, b: 3, slot_d: 4 },
             CmpImmWrBranchI { op: CmpOp::Ge, want: false, d: 0, a: 1, imm: 100, slot: 2, exit: 3 },
-            End { exit: 0 },
-        ]
+            ChkAluImmWrLoopI { op: ChkOp::UShr, d: 0, a: 0, imm: 1, slot: 4, exit: 1, loop_exit: 2 },
+        ]);
+        insts
     }
 
     fn sample_fragment() -> Fragment {
         let mut f = Fragment::new(sample_insts(), 3, 10);
-        f.set_exit_target(4, ExitTarget::Fragment(2));
-        f.set_exit_target(9, ExitTarget::Fragment(0));
+        f.stitch_exit(4, 2);
+        f.stitch_exit(9, 0);
         f.fuse_stats = FuseStats { raw_insts: 40, fused_insts: 30, superinsts: 6, dce_removed: 4 };
         f
+    }
+
+    /// [`MachInst::operands`] against the codec table's field types: every
+    /// `Reg` field is reported as a `Def` or `Use`, and every `u16` field
+    /// as an `Exit` or `Ar` (the two spill instructions' slot aside) — a
+    /// field the role table forgets, or invents, changes a count.
+    #[test]
+    fn operand_roles_account_for_every_register_and_u16_field() {
+        for &(op, types) in OPCODE_FIELD_TYPES {
+            let inst = zero_inst(op).unwrap();
+            let (mut regs, mut u16s) = (0, 0);
+            inst.operands(|o| match o {
+                Operand::Def(_) | Operand::Use(_) => regs += 1,
+                Operand::Exit(_) | Operand::Ar(_) => u16s += 1,
+            });
+            if matches!(inst, MachInst::LoadSpill { .. } | MachInst::StoreSpill { .. }) {
+                u16s += 1;
+            }
+            let count = |ty: &str| types.iter().filter(|t| **t == ty).count();
+            assert_eq!(regs, count("Reg"), "{inst:?}: register roles");
+            assert_eq!(u16s, count("u16"), "{inst:?}: exit/AR-slot roles");
+        }
+        // The one variable-length operand list.
+        let call = MachInst::CallHelper { d: 9, helper: Helper::Pow, args: vec![4, 5].into(), exit: 3 };
+        let mut seen = Vec::new();
+        call.operands(|o| seen.push(o));
+        assert_eq!(
+            seen,
+            [Operand::Use(4), Operand::Use(5), Operand::Def(9), Operand::Exit(3)]
+        );
     }
 
     #[test]
@@ -455,7 +450,6 @@ mod tests {
         assert!(r.is_at_end());
         assert_eq!(back.code, frag.code);
         assert_eq!(back.num_spills, frag.num_spills);
-        assert_eq!(back.exit_targets, frag.exit_targets);
         assert_eq!(back.stitch, frag.stitch);
         assert_eq!(back.fuse_stats, frag.fuse_stats);
 
@@ -477,12 +471,12 @@ mod tests {
     #[test]
     fn bad_enum_discriminants_rejected() {
         // CmpBranchI with an out-of-range CmpOp.
-        let mut r = ByteReader::new(&[0x4a, 0x09]);
+        let mut r = ByteReader::new(&[0x36, 0x09]);
         assert!(matches!(decode_inst(&mut r), Err(BinError::BadTag { what: "CmpOp", .. })));
         // CallHelper with an unknown helper index (77 is past the table,
         // not the CallNative escape).
         let mut w = ByteWriter::new();
-        w.u8(0x46); // CallHelper opcode
+        w.u8(0x32); // CallHelper opcode
         w.u8(0); // d
         w.u8(77); // invalid helper
         let bytes = w.into_bytes();
@@ -503,21 +497,6 @@ mod tests {
                 "truncation at {cut}/{} decoded successfully",
                 bytes.len()
             );
-        }
-    }
-
-    #[test]
-    fn stitch_mirror_rebuilt_from_exit_targets() {
-        let frag = sample_fragment();
-        let mut w = ByteWriter::new();
-        encode_fragment(&frag, &mut w);
-        let bytes = w.into_bytes();
-        let back = decode_fragment(&mut ByteReader::new(&bytes)).unwrap();
-        for (t, &s) in back.exit_targets.iter().zip(&back.stitch) {
-            match t {
-                ExitTarget::Return => assert_eq!(s, EXIT_UNSTITCHED),
-                ExitTarget::Fragment(idx) => assert_eq!(s, *idx),
-            }
         }
     }
 }

@@ -1364,26 +1364,7 @@ mod imp {
                     self.store_ar64(slot, RAX);
                 }
 
-                MachInst::AddI { d, a, b }
-                | MachInst::SubI { d, a, b }
-                | MachInst::MulI { d, a, b }
-                | MachInst::AndI { d, a, b }
-                | MachInst::OrI { d, a, b }
-                | MachInst::XorI { d, a, b }
-                | MachInst::ShlI { d, a, b }
-                | MachInst::ShrI { d, a, b }
-                | MachInst::UShrI { d, a, b } => {
-                    let op = match inst {
-                        MachInst::AddI { .. } => AluOp::Add,
-                        MachInst::SubI { .. } => AluOp::Sub,
-                        MachInst::MulI { .. } => AluOp::Mul,
-                        MachInst::AndI { .. } => AluOp::And,
-                        MachInst::OrI { .. } => AluOp::Or,
-                        MachInst::XorI { .. } => AluOp::Xor,
-                        MachInst::ShlI { .. } => AluOp::Shl,
-                        MachInst::ShrI { .. } => AluOp::Shr,
-                        _ => AluOp::UShr,
-                    };
+                MachInst::AluI { op, d, a, b } => {
                     self.load_vreg32(RCX, b);
                     self.load_vreg32(RAX, a);
                     self.alu_i_rr(op);
@@ -1402,29 +1383,9 @@ mod imp {
                     self.store_vreg64(d, RAX);
                 }
 
-                MachInst::AddIChk { d, a, b, exit } => {
+                MachInst::ChkAluI { op, d, a, b, exit } => {
                     let site = self.site(k, exit, path);
-                    self.chk_alu_rr(ChkOp::Add, a, b, site);
-                    self.store_vreg64(d, RAX);
-                }
-                MachInst::SubIChk { d, a, b, exit } => {
-                    let site = self.site(k, exit, path);
-                    self.chk_alu_rr(ChkOp::Sub, a, b, site);
-                    self.store_vreg64(d, RAX);
-                }
-                MachInst::MulIChk { d, a, b, exit } => {
-                    let site = self.site(k, exit, path);
-                    self.chk_alu_rr(ChkOp::Mul, a, b, site);
-                    self.store_vreg64(d, RAX);
-                }
-                MachInst::ShlIChk { d, a, b, exit } => {
-                    let site = self.site(k, exit, path);
-                    self.chk_alu_rr(ChkOp::Shl, a, b, site);
-                    self.store_vreg64(d, RAX);
-                }
-                MachInst::UShrIChk { d, a, b, exit } => {
-                    let site = self.site(k, exit, path);
-                    self.chk_alu_rr(ChkOp::UShr, a, b, site);
+                    self.chk_alu_rr(op, a, b, site);
                     self.store_vreg64(d, RAX);
                 }
                 MachInst::NegIChk { d, a, exit } => {
@@ -1495,33 +1456,11 @@ mod imp {
                     self.store_vreg64(d, RAX);
                 }
 
-                MachInst::EqI { d, a, b }
-                | MachInst::LtI { d, a, b }
-                | MachInst::LeI { d, a, b }
-                | MachInst::GtI { d, a, b }
-                | MachInst::GeI { d, a, b } => {
-                    let op = match inst {
-                        MachInst::EqI { .. } => CmpOp::Eq,
-                        MachInst::LtI { .. } => CmpOp::Lt,
-                        MachInst::LeI { .. } => CmpOp::Le,
-                        MachInst::GtI { .. } => CmpOp::Gt,
-                        _ => CmpOp::Ge,
-                    };
+                MachInst::CmpI { op, d, a, b } => {
                     self.cmp_i_set_rr(op, a, b);
                     self.store_vreg64(d, RAX);
                 }
-                MachInst::EqD { d, a, b }
-                | MachInst::LtD { d, a, b }
-                | MachInst::LeD { d, a, b }
-                | MachInst::GtD { d, a, b }
-                | MachInst::GeD { d, a, b } => {
-                    let op = match inst {
-                        MachInst::EqD { .. } => CmpOp::Eq,
-                        MachInst::LtD { .. } => CmpOp::Lt,
-                        MachInst::LeD { .. } => CmpOp::Le,
-                        MachInst::GtD { .. } => CmpOp::Gt,
-                        _ => CmpOp::Ge,
-                    };
+                MachInst::CmpD { op, d, a, b } => {
                     self.cmp_d_set(op, a, b);
                     self.store_vreg64(d, RAX);
                 }
@@ -2490,7 +2429,7 @@ mod tests {
     use super::{emit_tree, native_supported, unsupported_op, NativeTree, MAX_HELPER_ARGS};
     use crate::assembler::assemble;
     use crate::executor::{execute, NoNesting, TraceExit, TreeHost};
-    use crate::machinst::{ExitTarget, Fragment, MachInst};
+    use crate::machinst::{Fragment, MachInst};
     use crate::peephole::fuse;
 
     /// Runs `fragments` through the decoded executor and the native
@@ -2570,6 +2509,21 @@ mod tests {
         word_from_f64(x)
     }
 
+    /// Every op of each family, for the tests that sweep one.
+    const ALU_OPS: [AluOp; 9] = [
+        AluOp::Add,
+        AluOp::Sub,
+        AluOp::Mul,
+        AluOp::And,
+        AluOp::Or,
+        AluOp::Xor,
+        AluOp::Shl,
+        AluOp::Shr,
+        AluOp::UShr,
+    ];
+    const CHK_OPS: [ChkOp; 5] = [ChkOp::Add, ChkOp::Sub, ChkOp::Mul, ChkOp::Shl, ChkOp::UShr];
+    const CMP_OPS: [CmpOp; 5] = [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+
     #[test]
     fn supported_on_this_target() {
         assert!(native_supported());
@@ -2581,18 +2535,8 @@ mod tests {
             0, 1, -1, 2, -2, 31, 32, 33, -31, -32, 0x3FFF_FFFF, -0x4000_0000, i32::MAX,
             i32::MIN, 12345, -9876,
         ];
-        for op in [
-            MachInst::AddI { d: 2, a: 0, b: 1 },
-            MachInst::SubI { d: 2, a: 0, b: 1 },
-            MachInst::MulI { d: 2, a: 0, b: 1 },
-            MachInst::AndI { d: 2, a: 0, b: 1 },
-            MachInst::OrI { d: 2, a: 0, b: 1 },
-            MachInst::XorI { d: 2, a: 0, b: 1 },
-            MachInst::ShlI { d: 2, a: 0, b: 1 },
-            MachInst::ShrI { d: 2, a: 0, b: 1 },
-            MachInst::UShrI { d: 2, a: 0, b: 1 },
-        ] {
-            let tree = binop_tree(op);
+        for op in ALU_OPS {
+            let tree = binop_tree(MachInst::AluI { op, d: 2, a: 0, b: 1 });
             for &x in cases {
                 for &y in cases {
                     run_both(&tree, &[w(x), w(y), 0], 0, u64::MAX);
@@ -2624,14 +2568,8 @@ mod tests {
             0, 1, -1, 2, -2, 3, 0x3FFF_FFFF, -0x4000_0000, 0x2000_0000, -0x2000_0000,
             46341, -46341, i32::MAX, i32::MIN, 31, 33,
         ];
-        for op in [
-            MachInst::AddIChk { d: 2, a: 0, b: 1, exit: 1 },
-            MachInst::SubIChk { d: 2, a: 0, b: 1, exit: 1 },
-            MachInst::MulIChk { d: 2, a: 0, b: 1, exit: 1 },
-            MachInst::ShlIChk { d: 2, a: 0, b: 1, exit: 1 },
-            MachInst::UShrIChk { d: 2, a: 0, b: 1, exit: 1 },
-            MachInst::ModIChk { d: 2, a: 0, b: 1, exit: 1 },
-        ] {
+        let chk = CHK_OPS.map(|op| MachInst::ChkAluI { op, d: 2, a: 0, b: 1, exit: 1 });
+        for op in chk.into_iter().chain([MachInst::ModIChk { d: 2, a: 0, b: 1, exit: 1 }]) {
             let tree = binop_tree(op);
             for &x in cases {
                 for &y in cases {
@@ -2647,18 +2585,15 @@ mod tests {
             0.0, -0.0, 1.0, -1.5, 2.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY,
             1e300, -1e300, 0.1, 1073741824.0, -1073741825.0,
         ];
-        for op in [
+        let arith = [
             MachInst::AddD { d: 2, a: 0, b: 1 },
             MachInst::SubD { d: 2, a: 0, b: 1 },
             MachInst::MulD { d: 2, a: 0, b: 1 },
             MachInst::DivD { d: 2, a: 0, b: 1 },
             MachInst::ModD { d: 2, a: 0, b: 1 },
-            MachInst::EqD { d: 2, a: 0, b: 1 },
-            MachInst::LtD { d: 2, a: 0, b: 1 },
-            MachInst::LeD { d: 2, a: 0, b: 1 },
-            MachInst::GtD { d: 2, a: 0, b: 1 },
-            MachInst::GeD { d: 2, a: 0, b: 1 },
-        ] {
+        ];
+        let cmps = CMP_OPS.map(|op| MachInst::CmpD { op, d: 2, a: 0, b: 1 });
+        for op in arith.into_iter().chain(cmps) {
             let tree = binop_tree(op);
             for &x in cases {
                 for &y in cases {
@@ -2671,14 +2606,8 @@ mod tests {
     #[test]
     fn int_compares_and_conversions() {
         let ints: &[i32] = &[0, 1, -1, 5, -5, i32::MAX, i32::MIN];
-        for op in [
-            MachInst::EqI { d: 2, a: 0, b: 1 },
-            MachInst::LtI { d: 2, a: 0, b: 1 },
-            MachInst::LeI { d: 2, a: 0, b: 1 },
-            MachInst::GtI { d: 2, a: 0, b: 1 },
-            MachInst::GeI { d: 2, a: 0, b: 1 },
-        ] {
-            let tree = binop_tree(op);
+        for op in CMP_OPS {
+            let tree = binop_tree(MachInst::CmpI { op, d: 2, a: 0, b: 1 });
             for &x in ints {
                 for &y in ints {
                     run_both(&tree, &[w(x), w(y), 0], 0, u64::MAX);
@@ -2899,7 +2828,7 @@ mod tests {
 
     #[test]
     fn fused_ar_and_imm_forms() {
-        for op in [AluOp::Add, AluOp::Sub, AluOp::Mul, AluOp::Xor, AluOp::Shl, AluOp::UShr] {
+        for op in ALU_OPS {
             let tree = frag(
                 vec![
                     MachInst::ReadAr { d: 1, slot: 1 },
@@ -2917,7 +2846,7 @@ mod tests {
                 run_both(&tree, &[w(x), w(x ^ 3), 0, 0, 0, 0, 0, 0], 0, u64::MAX);
             }
         }
-        for op in [ChkOp::Add, ChkOp::Sub, ChkOp::Mul, ChkOp::Shl, ChkOp::UShr] {
+        for op in CHK_OPS {
             for imm in [-5i32, 0, 3, 29] {
                 let tree = frag(
                     vec![
@@ -2949,7 +2878,7 @@ mod tests {
     #[test]
     fn fused_compare_forms() {
         let ints: &[i32] = &[0, 1, -1, 9, i32::MAX, i32::MIN];
-        for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+        for op in CMP_OPS {
             for want in [true, false] {
                 let tree = frag(
                     vec![
@@ -2986,7 +2915,7 @@ mod tests {
         }
         // Double compare-write and compare-branch, NaN included.
         let doubles: &[f64] = &[0.0, -0.0, 1.5, -2.0, f64::NAN, f64::INFINITY];
-        for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+        for op in CMP_OPS {
             for want in [true, false] {
                 let tree = frag(
                     vec![
@@ -3033,7 +2962,7 @@ mod tests {
             0,
             2,
         );
-        f0.set_exit_target(1, ExitTarget::Fragment(1));
+        f0.stitch_exit(1, 1);
         let f1 = Fragment::new(
             vec![
                 // Reads r3 written by fragment 0: registers persist
@@ -3179,11 +3108,11 @@ mod tests {
                 MachInst::ReadAr { d: 0, slot: 0 },
                 MachInst::ReadAr { d: 1, slot: 1 },
                 MachInst::ConstW { d: 2, w: 1 },
-                MachInst::AddI { d: 0, a: 0, b: 2 },
+                MachInst::AluI { op: AluOp::Add, d: 0, a: 0, b: 2 },
                 MachInst::WriteAr { slot: 0, s: 0 },
-                MachInst::LtI { d: 3, a: 0, b: 1 },
+                MachInst::CmpI { op: CmpOp::Lt, d: 3, a: 0, b: 1 },
                 MachInst::GuardTrue { s: 3, exit: 0 },
-                MachInst::AndI { d: 4, a: 0, b: 2 },
+                MachInst::AluI { op: AluOp::And, d: 4, a: 0, b: 2 },
                 MachInst::GuardFalse { s: 4, exit: 1 },
                 MachInst::LoopBack { exit: 2 },
             ],
@@ -3193,7 +3122,7 @@ mod tests {
         let branch = fuse(Fragment::new(
             vec![
                 MachInst::ReadAr { d: 5, slot: 2 },
-                MachInst::AddI { d: 5, a: 5, b: 0 },
+                MachInst::AluI { op: AluOp::Add, d: 5, a: 5, b: 0 },
                 MachInst::WriteAr { slot: 2, s: 5 },
                 MachInst::LoopBack { exit: 0 },
             ],
@@ -3201,7 +3130,7 @@ mod tests {
             1,
         ));
         let mut stitched = trunk.clone();
-        stitched.set_exit_target(1, ExitTarget::Fragment(1));
+        stitched.stitch_exit(1, 1);
         (vec![trunk], vec![stitched, branch])
     }
 
@@ -3260,7 +3189,7 @@ mod tests {
         assert_eq!((exit.fragment, exit.exit), (0, 0));
         // The rebuilt mapping has room again: the next branch appends.
         let mut more = full.clone();
-        more[0].set_exit_target(0, ExitTarget::Fragment(2));
+        more[0].stitch_exit(0, 2);
         more.push(Fragment::new(vec![MachInst::End { exit: 0 }], 0, 1));
         let ptr = rebuilt.code_ptr();
         let grown = rebuilt.append(&more).unwrap();
@@ -3274,7 +3203,7 @@ mod tests {
         // trampoline; stitching the loop exit must redirect all three.
         let (trunk, _) = growth_tree();
         let mut full = trunk.clone();
-        full[0].set_exit_target(2, ExitTarget::Fragment(1));
+        full[0].stitch_exit(2, 1);
         full.push(Fragment::new(
             vec![
                 MachInst::ConstW { d: 7, w: 99 },

@@ -10,12 +10,16 @@
 //! * every spill-slot reference is below `num_spills`, and every reload
 //!   reads a slot some earlier instruction stored;
 //! * every exit id (including the fused forms' second, loop-edge exit) has
-//!   an entry in the exit-target table;
+//!   an entry in the exit table;
+//! * every activation-record slot the code addresses is inside the tree's
+//!   activation record (both executors index it unchecked);
 //! * the fragment ends with exactly one terminator (`LoopBack`, `End`, or
-//!   a fused loop-edge compare-branch), and none appears earlier;
-//! * the decoded `stitch` table mirrors `exit_targets` entry for entry.
+//!   a fused loop-edge compare-branch), and none appears earlier.
+//!
+//! Registers, exits and AR slots are found through
+//! [`MachInst::operands`], so the checks cover every variant the ISA has.
 
-use tm_nanojit::machinst::{ExitTarget, Fragment, MachInst, EXIT_UNSTITCHED, NREGS};
+use tm_nanojit::machinst::{Fragment, MachInst, Operand, EXIT_UNSTITCHED, NREGS};
 
 /// A structural violation in a compiled fragment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,7 +45,7 @@ pub enum FragmentError {
         /// The offending slot.
         slot: u16,
     },
-    /// An exit id has no entry in the exit-target table.
+    /// An exit id has no entry in the exit table.
     ExitOutOfRange {
         /// Instruction index.
         pc: usize,
@@ -55,17 +59,21 @@ pub enum FragmentError {
     },
     /// The fragment does not end with a terminator (or is empty).
     MissingTerminator,
-    /// `stitch[exit]` disagrees with `exit_targets[exit]`.
-    StitchTableMismatch {
-        /// The inconsistent exit id.
-        exit: u16,
+    /// An instruction addresses an AR slot outside the activation record.
+    ArSlotOutOfRange {
+        /// Instruction index.
+        pc: usize,
+        /// The offending slot.
+        slot: u16,
     },
-    /// `stitch` and `exit_targets` have different lengths.
-    StitchTableLength {
-        /// `exit_targets.len()`.
-        targets: usize,
-        /// `stitch.len()`.
-        stitch: usize,
+    /// A `CallTree` names a nested call site the tree does not have (only
+    /// reachable through [`verify_loaded_fragments`]; the recorder numbers
+    /// the sites it creates).
+    NestedSiteOutOfRange {
+        /// Instruction index.
+        pc: usize,
+        /// The offending site id.
+        site: u32,
     },
     /// A stitched exit targets a fragment index outside the tree (only
     /// reachable through [`verify_loaded_fragments`]; in-process stitching
@@ -93,7 +101,7 @@ impl std::fmt::Display for FragmentError {
                 write!(f, "pc {pc}: reload of spill slot {slot} before any store")
             }
             FragmentError::ExitOutOfRange { pc, exit } => {
-                write!(f, "pc {pc}: exit {exit} has no exit-target entry")
+                write!(f, "pc {pc}: exit {exit} has no exit-table entry")
             }
             FragmentError::TerminatorNotLast { pc } => {
                 write!(f, "pc {pc}: terminator before the end of the fragment")
@@ -101,11 +109,11 @@ impl std::fmt::Display for FragmentError {
             FragmentError::MissingTerminator => {
                 write!(f, "fragment does not end with a terminator")
             }
-            FragmentError::StitchTableMismatch { exit } => {
-                write!(f, "stitch table disagrees with exit_targets at exit {exit}")
+            FragmentError::ArSlotOutOfRange { pc, slot } => {
+                write!(f, "pc {pc}: AR slot {slot} outside the activation record")
             }
-            FragmentError::StitchTableLength { targets, stitch } => {
-                write!(f, "stitch table length {stitch} != exit_targets length {targets}")
+            FragmentError::NestedSiteOutOfRange { pc, site } => {
+                write!(f, "pc {pc}: nested call site {site} outside the tree's site table")
             }
             FragmentError::StitchTargetOutOfRange { fragment, exit, target } => {
                 write!(
@@ -117,44 +125,34 @@ impl std::fmt::Display for FragmentError {
     }
 }
 
-/// Verifies the structural invariants of a compiled fragment.
+/// Verifies the structural invariants of a compiled fragment that runs
+/// against an activation record of `ar_slots` words.
 ///
 /// # Errors
 ///
 /// Returns the first [`FragmentError`] found, scanning in program order.
-pub fn verify_fragment(frag: &Fragment) -> Result<(), FragmentError> {
-    if frag.stitch.len() != frag.exit_targets.len() {
-        return Err(FragmentError::StitchTableLength {
-            targets: frag.exit_targets.len(),
-            stitch: frag.stitch.len(),
-        });
-    }
-    for (e, target) in frag.exit_targets.iter().enumerate() {
-        let want = match target {
-            ExitTarget::Return => EXIT_UNSTITCHED,
-            ExitTarget::Fragment(idx) => *idx,
-        };
-        if frag.stitch[e] != want {
-            return Err(FragmentError::StitchTableMismatch { exit: e as u16 });
-        }
-    }
-
+pub fn verify_fragment(frag: &Fragment, ar_slots: usize) -> Result<(), FragmentError> {
     let mut stored_spills = vec![false; frag.num_spills as usize];
     let last = frag.code.len().checked_sub(1);
     for (pc, inst) in frag.code.iter().enumerate() {
-        let mut bad_reg = None;
-        inst.for_each_src(|s| {
-            if (s as usize) >= NREGS {
-                bad_reg.get_or_insert(s);
-            }
+        let mut bad = None;
+        inst.operands(|o| {
+            let err = match o {
+                Operand::Def(reg) | Operand::Use(reg) if usize::from(reg) >= NREGS => {
+                    FragmentError::RegOutOfRange { pc, reg }
+                }
+                Operand::Exit(exit) if usize::from(exit) >= frag.stitch.len() => {
+                    FragmentError::ExitOutOfRange { pc, exit }
+                }
+                Operand::Ar(slot) if usize::from(slot) >= ar_slots => {
+                    FragmentError::ArSlotOutOfRange { pc, slot }
+                }
+                _ => return,
+            };
+            bad.get_or_insert(err);
         });
-        if let Some(d) = inst.dest() {
-            if (d as usize) >= NREGS {
-                bad_reg.get_or_insert(d);
-            }
-        }
-        if let Some(reg) = bad_reg {
-            return Err(FragmentError::RegOutOfRange { pc, reg });
+        if let Some(err) = bad {
+            return Err(err);
         }
 
         match *inst {
@@ -175,16 +173,6 @@ pub fn verify_fragment(frag: &Fragment) -> Result<(), FragmentError> {
             _ => {}
         }
 
-        let mut bad_exit = None;
-        inst.for_each_exit(|e| {
-            if (e as usize) >= frag.exit_targets.len() {
-                bad_exit.get_or_insert(e);
-            }
-        });
-        if let Some(exit) = bad_exit {
-            return Err(FragmentError::ExitOutOfRange { pc, exit });
-        }
-
         if inst.is_terminator() && Some(pc) != last {
             return Err(FragmentError::TerminatorNotLast { pc });
         }
@@ -196,30 +184,37 @@ pub fn verify_fragment(frag: &Fragment) -> Result<(), FragmentError> {
 }
 
 /// Verifies a whole tree of fragments loaded from the persistent trace
-/// cache: every fragment passes [`verify_fragment`], and every stitched
-/// exit targets a fragment inside the tree. This is the **mandatory**
-/// gate between deserialization and installation (`docs/PERSISTENCE.md`
-/// §5) — in-process compilation establishes these invariants by
-/// construction, but bytes from disk prove nothing until checked.
+/// cache, given the tree's activation-record length and nested-site
+/// count: every fragment passes [`verify_fragment`], every stitched exit
+/// targets a fragment inside the tree, and every `CallTree` names a site
+/// the tree has. This is the **mandatory** gate between deserialization
+/// and installation (`docs/PERSISTENCE.md` §5) — in-process compilation
+/// establishes these invariants by construction, but bytes from disk
+/// prove nothing until checked.
 ///
 /// # Errors
 ///
 /// Returns the offending fragment's index and the first [`FragmentError`]
 /// found in it.
-pub fn verify_loaded_fragments(fragments: &[Fragment]) -> Result<(), (usize, FragmentError)> {
+pub fn verify_loaded_fragments(
+    fragments: &[Fragment],
+    ar_slots: usize,
+    nested_sites: usize,
+) -> Result<(), (usize, FragmentError)> {
     for (i, frag) in fragments.iter().enumerate() {
-        verify_fragment(frag).map_err(|e| (i, e))?;
-        for (e, target) in frag.exit_targets.iter().enumerate() {
-            if let ExitTarget::Fragment(idx) = *target {
-                if idx as usize >= fragments.len() {
-                    return Err((
-                        i,
-                        FragmentError::StitchTargetOutOfRange {
-                            fragment: i,
-                            exit: e as u16,
-                            target: idx,
-                        },
-                    ));
+        verify_fragment(frag, ar_slots).map_err(|e| (i, e))?;
+        for (e, &target) in frag.stitch.iter().enumerate() {
+            if target != EXIT_UNSTITCHED && target as usize >= fragments.len() {
+                return Err((
+                    i,
+                    FragmentError::StitchTargetOutOfRange { fragment: i, exit: e as u16, target },
+                ));
+            }
+        }
+        for (pc, inst) in frag.code.iter().enumerate() {
+            if let MachInst::CallTree { tree: site, .. } = *inst {
+                if site as usize >= nested_sites {
+                    return Err((i, FragmentError::NestedSiteOutOfRange { pc, site }));
                 }
             }
         }
@@ -231,6 +226,11 @@ pub fn verify_loaded_fragments(fragments: &[Fragment]) -> Result<(), (usize, Fra
 mod tests {
     use super::*;
     use tm_nanojit::machinst::MachInst::*;
+    use tm_nanojit::serial::{decode_inst, encode_inst};
+    use tm_support::binio::{ByteReader, ByteWriter};
+
+    /// Activation-record length the hand-built fragments run against.
+    const AR: usize = 8;
 
     fn ok_frag() -> Fragment {
         Fragment::new(
@@ -248,7 +248,7 @@ mod tests {
 
     #[test]
     fn accepts_well_formed_fragment() {
-        assert_eq!(verify_fragment(&ok_frag()), Ok(()));
+        assert_eq!(verify_fragment(&ok_frag(), AR), Ok(()));
     }
 
     #[test]
@@ -269,7 +269,7 @@ mod tests {
             0,
             2,
         );
-        assert_eq!(verify_fragment(&frag), Ok(()));
+        assert_eq!(verify_fragment(&frag, AR), Ok(()));
     }
 
     #[test]
@@ -304,7 +304,7 @@ mod tests {
             0,
             3,
         );
-        assert_eq!(verify_fragment(&frag), Ok(()));
+        assert_eq!(verify_fragment(&frag, AR), Ok(()));
     }
 
     #[test]
@@ -325,7 +325,7 @@ mod tests {
             2,
         );
         assert!(matches!(
-            verify_fragment(&frag),
+            verify_fragment(&frag, AR),
             Err(FragmentError::ExitOutOfRange { exit: 9, .. })
         ));
 
@@ -346,7 +346,7 @@ mod tests {
             2,
         );
         assert!(matches!(
-            verify_fragment(&frag),
+            verify_fragment(&frag, AR),
             Err(FragmentError::TerminatorNotLast { pc: 0 })
         ));
     }
@@ -362,7 +362,7 @@ mod tests {
             1,
         );
         assert!(matches!(
-            verify_fragment(&frag),
+            verify_fragment(&frag, AR),
             Err(FragmentError::RegOutOfRange { pc: 0, .. })
         ));
     }
@@ -372,7 +372,7 @@ mod tests {
         let mut frag = ok_frag();
         frag.code[0] = ReadAr { d: NREGS as u8, slot: 0 };
         assert!(matches!(
-            verify_fragment(&frag),
+            verify_fragment(&frag, AR),
             Err(FragmentError::RegOutOfRange { pc: 0, .. })
         ));
     }
@@ -382,7 +382,7 @@ mod tests {
         let mut frag = ok_frag();
         frag.code.remove(1);
         assert!(matches!(
-            verify_fragment(&frag),
+            verify_fragment(&frag, AR),
             Err(FragmentError::SpillReadBeforeWrite { slot: 0, .. })
         ));
     }
@@ -392,7 +392,7 @@ mod tests {
         let mut frag = ok_frag();
         frag.code[4] = End { exit: 3 };
         assert!(matches!(
-            verify_fragment(&frag),
+            verify_fragment(&frag, AR),
             Err(FragmentError::ExitOutOfRange { exit: 3, .. })
         ));
     }
@@ -413,7 +413,7 @@ mod tests {
             2,
         );
         assert!(matches!(
-            verify_fragment(&frag),
+            verify_fragment(&frag, AR),
             Err(FragmentError::ExitOutOfRange { exit: 5, .. })
         ));
     }
@@ -423,7 +423,7 @@ mod tests {
         let mut frag = ok_frag();
         frag.code[1] = End { exit: 0 };
         assert!(matches!(
-            verify_fragment(&frag),
+            verify_fragment(&frag, AR),
             Err(FragmentError::TerminatorNotLast { pc: 1 })
         ));
     }
@@ -432,21 +432,21 @@ mod tests {
     fn rejects_missing_terminator() {
         let mut frag = ok_frag();
         frag.code.pop();
-        assert_eq!(verify_fragment(&frag), Err(FragmentError::MissingTerminator));
+        assert_eq!(verify_fragment(&frag, AR), Err(FragmentError::MissingTerminator));
     }
 
     #[test]
     fn loaded_tree_rejects_out_of_range_stitch_target() {
         let mut a = ok_frag();
         let b = ok_frag();
-        assert_eq!(verify_loaded_fragments(&[a.clone(), b.clone()]), Ok(()));
+        assert_eq!(verify_loaded_fragments(&[a.clone(), b.clone()], AR, 0), Ok(()));
 
         // Stitch into fragment 1: fine in a two-fragment tree...
-        a.set_exit_target(0, ExitTarget::Fragment(1));
-        assert_eq!(verify_loaded_fragments(&[a.clone(), b]), Ok(()));
+        a.stitch_exit(0, 1);
+        assert_eq!(verify_loaded_fragments(&[a.clone(), b], AR, 0), Ok(()));
         // ...fatal when the tree has only the one fragment.
         assert!(matches!(
-            verify_loaded_fragments(&[a]),
+            verify_loaded_fragments(&[a], AR, 0),
             Err((0, FragmentError::StitchTargetOutOfRange { exit: 0, target: 1, .. }))
         ));
     }
@@ -456,21 +456,94 @@ mod tests {
         let mut bad = ok_frag();
         bad.code.pop();
         assert_eq!(
-            verify_loaded_fragments(&[ok_frag(), bad]),
+            verify_loaded_fragments(&[ok_frag(), bad], AR, 0),
             Err((1, FragmentError::MissingTerminator))
         );
     }
 
     #[test]
-    fn rejects_desynced_stitch_table() {
+    fn loaded_tree_rejects_ar_slot_and_nested_site_outside_the_tree() {
         let mut frag = ok_frag();
-        // Bypassing set_exit_target leaves the decoded table stale.
-        frag.exit_targets[0] = ExitTarget::Fragment(1);
+        frag.code[3] = WriteAr { slot: AR as u16, s: 1 };
         assert_eq!(
-            verify_fragment(&frag),
-            Err(FragmentError::StitchTableMismatch { exit: 0 })
+            verify_loaded_fragments(&[frag], AR, 0),
+            Err((0, FragmentError::ArSlotOutOfRange { pc: 3, slot: AR as u16 }))
         );
-        frag.set_exit_target(0, ExitTarget::Fragment(1));
-        assert_eq!(verify_fragment(&frag), Ok(()));
+
+        let mut frag = ok_frag();
+        frag.code.insert(0, CallTree { tree: 2, exit: 0 });
+        assert_eq!(verify_loaded_fragments(std::slice::from_ref(&frag), AR, 3), Ok(()));
+        assert_eq!(
+            verify_loaded_fragments(&[frag], AR, 2),
+            Err((0, FragmentError::NestedSiteOutOfRange { pc: 0, site: 2 }))
+        );
+    }
+
+    fn operands_of(inst: &MachInst) -> Vec<Operand> {
+        let mut ops = Vec::new();
+        inst.operands(|o| ops.push(o));
+        ops
+    }
+
+    /// Every opcode, every operand role, with no hand-kept variant list:
+    /// the ISA is enumerated through the codec (opcode byte + zeros decodes
+    /// to one instance of each variant), and each operand the role table
+    /// reports is pushed out of range by rewriting its encoded bytes. The
+    /// verifier must name exactly that operand at exactly that pc.
+    #[test]
+    fn every_operand_of_every_opcode_is_bounds_checked() {
+        // One limit for registers, exits, AR slots and spills alike, so a
+        // single probe value is out of range whatever role the byte has.
+        const LIMIT: u8 = NREGS as u8;
+        let wrap = |inst: MachInst| {
+            let mut code = vec![StoreSpill { slot: 0, s: 0 }, inst];
+            if !code[1].is_terminator() {
+                code.push(End { exit: 0 });
+            }
+            Fragment::new(code, u16::from(LIMIT), usize::from(LIMIT))
+        };
+        let mut variants = 0;
+        for op in 0..=u8::MAX {
+            let mut bytes = [0u8; 40];
+            bytes[0] = op;
+            let mut r = ByteReader::new(&bytes);
+            let Ok(base) = decode_inst(&mut r) else { continue };
+            let len = r.pos();
+            assert_eq!(usize::from(op), variants, "opcodes are dense");
+            variants += 1;
+
+            let mut w = ByteWriter::new();
+            encode_inst(&base, &mut w);
+            assert_eq!(w.into_bytes(), bytes[..len], "{base:?} re-encodes to its bytes");
+            assert_eq!(verify_fragment(&wrap(base.clone()), usize::from(LIMIT)), Ok(()));
+
+            let base_ops = operands_of(&base);
+            let mut probed = vec![false; base_ops.len()];
+            for at in 1..len {
+                let mut poked = bytes;
+                poked[at] = LIMIT;
+                // Enum discriminants and booleans reject the probe value.
+                let Ok(inst) = decode_inst(&mut ByteReader::new(&poked)) else { continue };
+                let ops = operands_of(&inst);
+                if ops.len() != base_ops.len() {
+                    continue; // the helper-argument count
+                }
+                let changed: Vec<usize> = (0..ops.len()).filter(|&k| ops[k] != base_ops[k]).collect();
+                let &[k] = changed.as_slice() else {
+                    assert!(changed.is_empty(), "{inst:?}: one byte moved two operands");
+                    continue; // an immediate, a spill slot, a site id
+                };
+                probed[k] = true;
+                let pc = 1;
+                let want = match ops[k] {
+                    Operand::Def(reg) | Operand::Use(reg) => FragmentError::RegOutOfRange { pc, reg },
+                    Operand::Exit(exit) => FragmentError::ExitOutOfRange { pc, exit },
+                    Operand::Ar(slot) => FragmentError::ArSlotOutOfRange { pc, slot },
+                };
+                assert_eq!(verify_fragment(&wrap(inst), usize::from(LIMIT)), Err(want));
+            }
+            assert!(probed.iter().all(|&p| p), "{base:?}: an operand with no encoded field");
+        }
+        assert_eq!(variants, 79);
     }
 }

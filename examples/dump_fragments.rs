@@ -3,7 +3,10 @@
 //!
 //! With JTS source as argv[1] (or no argument), runs it and prints each
 //! compiled fragment's post-peephole virtual-ISA listing, including the
-//! `; fuse:` header with its raw→fused instruction counts:
+//! `; fuse:` header with its raw→fused instruction counts. Integer ALU,
+//! checked-ALU and compare lines print their operation as a field —
+//! `AluI { op: Add, .. }`, `ChkAluI { op: Mul, .. }`, `CmpD { op: Lt, .. }`
+//! — the same `op` the fused forms (`AluImmI`, `CmpBranchI`, ...) print:
 //!
 //! ```sh
 //! cargo run --release --example dump_fragments -- 'var s=0; for (var i=0;i<500;i++) s+=i; s'

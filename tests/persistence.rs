@@ -231,16 +231,20 @@ fn version_skew_and_bad_magic_are_rejected() {
     eval_num(&mut vm_with_cache(&cache.0), src);
     let bytes = std::fs::read(&cache.0).unwrap();
 
-    // Future format version.
-    let mut skewed = bytes.clone();
-    skewed[4] = 0xff;
-    std::fs::write(&cache.0, &skewed).unwrap();
-    let mut vm = vm_with_cache(&cache.0);
-    vm.eval(src).unwrap();
-    assert!(matches!(
-        vm.last_cache_error(),
-        Some(tracemonkey::CacheError::BadVersion { .. })
-    ));
+    // The previous format version (same container, the ISA numbered
+    // differently) and a future one: neither is read, both run cold.
+    for version in [tracemonkey::jit::persist::VERSION as u8 - 1, 0xff] {
+        let mut skewed = bytes.clone();
+        skewed[4] = version;
+        std::fs::write(&cache.0, &skewed).unwrap();
+        let mut vm = vm_with_cache(&cache.0);
+        vm.eval(src).unwrap();
+        assert!(matches!(
+            vm.last_cache_error(),
+            Some(tracemonkey::CacheError::BadVersion { found }) if *found == u32::from(version)
+        ));
+        assert_eq!(vm.profile().unwrap().cache_hits, 0);
+    }
 
     // Not a cache file at all.
     std::fs::write(&cache.0, b"#!/bin/sh\necho hello\n").unwrap();

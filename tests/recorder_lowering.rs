@@ -26,12 +26,8 @@ fn has(code: &[MachInst], pred: impl Fn(&MachInst) -> bool) -> bool {
 /// peephole pass may fold the operand/`WriteAr` but keeps the check.
 fn has_checked(code: &[MachInst], op: ChkOp) -> bool {
     has(code, |i| match *i {
-        MachInst::AddIChk { .. } => op == ChkOp::Add,
-        MachInst::SubIChk { .. } => op == ChkOp::Sub,
-        MachInst::MulIChk { .. } => op == ChkOp::Mul,
-        MachInst::ShlIChk { .. } => op == ChkOp::Shl,
-        MachInst::UShrIChk { .. } => op == ChkOp::UShr,
-        MachInst::ChkAluImmI { op: o, .. }
+        MachInst::ChkAluI { op: o, .. }
+        | MachInst::ChkAluImmI { op: o, .. }
         | MachInst::ChkAluWrI { op: o, .. }
         | MachInst::ChkAluImmWrI { op: o, .. }
         | MachInst::ChkAluImmWrLoopI { op: o, .. } => o == op,
@@ -43,12 +39,8 @@ fn has_checked(code: &[MachInst], op: ChkOp) -> bool {
 /// form.
 fn has_cmp_i(code: &[MachInst], op: CmpOp) -> bool {
     has(code, |i| match *i {
-        MachInst::EqI { .. } => op == CmpOp::Eq,
-        MachInst::LtI { .. } => op == CmpOp::Lt,
-        MachInst::LeI { .. } => op == CmpOp::Le,
-        MachInst::GtI { .. } => op == CmpOp::Gt,
-        MachInst::GeI { .. } => op == CmpOp::Ge,
-        MachInst::CmpImmI { op: o, .. }
+        MachInst::CmpI { op: o, .. }
+        | MachInst::CmpImmI { op: o, .. }
         | MachInst::CmpWrI { op: o, .. }
         | MachInst::CmpImmWrI { op: o, .. }
         | MachInst::CmpBranchI { op: o, .. }
@@ -63,12 +55,8 @@ fn has_cmp_i(code: &[MachInst], op: CmpOp) -> bool {
 /// Double comparison of class `op`, raw or fused.
 fn has_cmp_d(code: &[MachInst], op: CmpOp) -> bool {
     has(code, |i| match *i {
-        MachInst::EqD { .. } => op == CmpOp::Eq,
-        MachInst::LtD { .. } => op == CmpOp::Lt,
-        MachInst::LeD { .. } => op == CmpOp::Le,
-        MachInst::GtD { .. } => op == CmpOp::Gt,
-        MachInst::GeD { .. } => op == CmpOp::Ge,
-        MachInst::CmpWrD { op: o, .. }
+        MachInst::CmpD { op: o, .. }
+        | MachInst::CmpWrD { op: o, .. }
         | MachInst::CmpBranchD { op: o, .. }
         | MachInst::CmpWrBranchD { op: o, .. }
         | MachInst::CmpBranchLoopD { op: o, .. } => o == op,
@@ -79,9 +67,8 @@ fn has_cmp_d(code: &[MachInst], op: CmpOp) -> bool {
 /// Plain int ALU of class `op`, raw or fused.
 fn has_alu(code: &[MachInst], op: AluOp) -> bool {
     has(code, |i| match *i {
-        MachInst::XorI { .. } => op == AluOp::Xor,
-        MachInst::AndI { .. } => op == AluOp::And,
-        MachInst::AluImmI { op: o, .. }
+        MachInst::AluI { op: o, .. }
+        | MachInst::AluImmI { op: o, .. }
         | MachInst::AluArI { op: o, .. }
         | MachInst::AluWrI { op: o, .. }
         | MachInst::AluImmWrI { op: o, .. } => o == op,

@@ -82,11 +82,10 @@ fn trace_tree_topology_trunk_and_branch() {
         tree.fragments.len()
     );
     // The branch is reachable by stitching from some trunk exit.
-    let stitched = tree.fragments.iter().any(|f| {
-        f.exit_targets
-            .iter()
-            .any(|t| matches!(t, tracemonkey::nanojit::ExitTarget::Fragment(_)))
-    });
+    let stitched = tree
+        .fragments
+        .iter()
+        .any(|f| f.stitch.iter().any(|&t| t != tracemonkey::nanojit::EXIT_UNSTITCHED));
     assert!(stitched, "branch fragments are stitched to parent exits");
 }
 
