@@ -18,6 +18,26 @@ if grep -nE '=[[:space:]]*\{[^}]*version[[:space:]]*=|^[a-z0-9_-]+[[:space:]]*=[
 fi
 echo "    OK: ${#manifests[@]} manifests are path-only"
 
+echo "==> report: Rust lines outside tests/ directories and outside each file's trailing #[cfg(test)] mod tests"
+# The number every PR reports ("net line count", ROADMAP north star #2):
+# run this stage on the parent and on the change and quote both. Tracked
+# files only; read-only; gates nothing. Every column-0 `#[cfg(test)]` in
+# this repository opens a file's trailing `mod tests`.
+git ls-files '*.rs' | grep -vE '(^|/)tests/' | xargs awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests {
+        split(FILENAME, p, "/")
+        crate = p[1] == "crates" ? "crates/" p[2] : (p[1] == "tm_bench" ? "tm_bench" : "root package")
+        lines[crate]++
+        if (crate != "tm_bench") total++
+    }
+    END {
+        for (c in lines) printf "    %-18s %6d\n", c, lines[c] | "sort"
+        close("sort")
+        printf "    %-18s %6d  (without tm_bench)\n", "total", total
+    }'
+
 echo "==> tier-1: hermetic release build"
 cargo build --release --workspace --offline --locked
 

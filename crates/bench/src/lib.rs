@@ -10,4 +10,4 @@ pub mod harness;
 pub mod suite;
 
 pub use harness::run_program;
-pub use suite::{by_name, BenchProgram, SIEVE, SUITE};
+pub use suite::{by_name, BenchProgram, SUITE};

@@ -1,5 +1,5 @@
 //! The benchmark suite: JTS ports of the 26 SunSpider programs the paper
-//! evaluates (Figures 10–12), plus the paper's Figure 1 sieve.
+//! evaluates (Figures 10–12).
 //!
 //! Ports preserve each program's computational kernel. The paper reports
 //! three benchmarks as never tracing (they depend on regexps/`eval`):
@@ -74,14 +74,6 @@ pub const SUITE: &[BenchProgram] = &[
     prog!("string-unpack-code", "string", "string-unpack-code.js"),
     prog!("string-validate-input", "string", "string-validate-input.js"),
 ];
-
-/// The paper's Figure 1 sieve, scaled up (used by examples and tests).
-pub const SIEVE: BenchProgram = BenchProgram {
-    name: "sieve",
-    group: "extra",
-    source: include_str!("../suite/extra-sieve.js"),
-    untraceable: false,
-};
 
 /// Looks up a program by name.
 pub fn by_name(name: &str) -> Option<&'static BenchProgram> {

@@ -10,8 +10,11 @@
 
 use std::collections::HashMap;
 
+use tm_interp::Interp;
 use tm_lir::{ArSlot, LirType};
 use tm_runtime::{Realm, Unpacked, Value};
+
+use crate::exit::SideExitInfo;
 
 /// An interpreter-visible storage location, relative to the frame in which
 /// the trace was entered (depth 0).
@@ -43,6 +46,20 @@ pub enum SlotKey {
         /// Ordinal within the site.
         idx: u16,
     },
+}
+
+/// One activation-record slot bound to the interpreter location it
+/// shadows and the unboxed type it holds there: the element of every
+/// type map (entry requirements, exit write-backs and type maps, loop
+/// writes, nested-call re-imports).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotBinding {
+    /// The AR slot.
+    pub ar: ArSlot,
+    /// Interpreter location it shadows.
+    pub key: SlotKey,
+    /// Unboxed type of the slot.
+    pub ty: LirType,
 }
 
 /// Maps slot keys to activation-record slots for one trace tree.
@@ -96,8 +113,8 @@ impl ArLayout {
 ///
 /// `Double` accepts any number (ints are widened at entry), `Int` requires
 /// the inline integer representation, `Boxed` accepts anything.
-pub fn value_matches(realm: &Realm, v: Value, ty: LirType) -> bool {
-    let _ = realm;
+#[inline]
+pub fn value_matches(v: Value, ty: LirType) -> bool {
     match ty {
         LirType::Int => v.is_int(),
         LirType::Double => v.is_number(),
@@ -112,6 +129,7 @@ pub fn value_matches(realm: &Realm, v: Value, ty: LirType) -> bool {
 
 /// Unboxes a value into the raw word representation for an AR slot of the
 /// given type. The caller must have verified [`value_matches`].
+#[inline]
 pub fn unbox_to_word(realm: &Realm, v: Value, ty: LirType) -> u64 {
     match ty {
         LirType::Int => i64::from(v.as_int().expect("entry check")) as u64,
@@ -154,6 +172,156 @@ pub fn observed_type(v: Value) -> LirType {
     }
 }
 
+/// Reads the interpreter-visible value for `key` relative to
+/// `entry_frame_idx`, or `None` when the location is not materialized.
+#[inline]
+pub fn read_slot(
+    interp: &Interp,
+    realm: &Realm,
+    entry_frame_idx: usize,
+    key: SlotKey,
+) -> Option<Value> {
+    match key {
+        SlotKey::Global(g) => Some(realm.global(g)),
+        SlotKey::Local { depth, slot } => {
+            let fidx = entry_frame_idx + depth as usize;
+            if fidx >= interp.frames.len() {
+                return None;
+            }
+            Some(interp.local_at(fidx, slot))
+        }
+        SlotKey::Stack { depth, idx } => {
+            let fidx = entry_frame_idx + depth as usize;
+            if fidx >= interp.frames.len() {
+                return None;
+            }
+            let frame = interp.frames[fidx];
+            let nlocals = interp.prog().function(frame.func).nlocals as usize;
+            let pos = frame.base as usize + nlocals + idx as usize;
+            // The entry must be within this frame's live operand stack.
+            let limit = interp
+                .frames
+                .get(fidx + 1)
+                .map(|next| next.base as usize - 1)
+                .unwrap_or(interp.stack.len());
+            if pos >= limit {
+                return None;
+            }
+            Some(interp.stack[pos])
+        }
+        SlotKey::Reimport { .. } => None,
+    }
+}
+
+/// Interpreter state → activation record: type-checks and unboxes every
+/// binding in one pass (§6.1: "check the type map, unbox into the
+/// activation record"). Returns `false` at the first location that is not
+/// materialized or whose value does not match its binding's type; `ar` is
+/// then partially written and must not be run.
+///
+/// Generic, so instantiated in the caller's codegen unit: the three
+/// per-slot helpers are `#[inline]` so that the loop body does not become
+/// three out-of-line calls per slot (8 % of a `heap-strings` round).
+pub fn import<'a>(
+    bindings: impl IntoIterator<Item = &'a SlotBinding>,
+    interp: &Interp,
+    realm: &Realm,
+    entry_frame_idx: usize,
+    ar: &mut [u64],
+) -> bool {
+    bindings.into_iter().all(|b| match read_slot(interp, realm, entry_frame_idx, b.key) {
+        Some(v) if value_matches(v, b.ty) => {
+            ar[b.ar as usize] = unbox_to_word(realm, v, b.ty);
+            true
+        }
+        _ => false,
+    })
+}
+
+/// Activation record → interpreter state, according to a side exit's
+/// recipe: boxes written slots back, synthesizes inlined frames, and
+/// positions the pc (§6.1: "it pops or synthesizes interpreter JavaScript
+/// call stack frames as needed \[and\] copies the imported variables back").
+pub fn export(
+    exit: &SideExitInfo,
+    ar: &[u64],
+    entry_frame_idx: usize,
+    interp: &mut Interp,
+    realm: &mut Realm,
+) {
+    // Drop any frames above the entry frame (stale state from an inner
+    // tree's deeper exit, superseded by this outer exit).
+    interp.frames.truncate(entry_frame_idx + 1);
+    let entry_base = interp.frames[entry_frame_idx].base as usize;
+    let entry_func = interp.frames[entry_frame_idx].func;
+    let entry_nlocals = interp.prog().function(entry_func).nlocals as usize;
+    interp.stack.truncate(entry_base + entry_nlocals);
+
+    // Globals and entry-frame locals write back in place.
+    for b in &exit.write_back {
+        match b.key {
+            SlotKey::Global(g) => {
+                let v = box_from_word(realm, ar[b.ar as usize], b.ty);
+                realm.set_global(g, v);
+            }
+            SlotKey::Local { depth: 0, slot: l } => {
+                let v = box_from_word(realm, ar[b.ar as usize], b.ty);
+                interp.stack[entry_base + l as usize] = v;
+            }
+            _ => {}
+        }
+    }
+    // Entry-frame operand stack, in push order.
+    push_frame_stack(exit, 0, ar, interp, realm);
+    interp.frames[entry_frame_idx].pc = exit.frames[0].resume_pc;
+
+    // Synthesize inlined frames (§3.1 frame reconstruction).
+    for (d, fd) in exit.frames.iter().enumerate().skip(1) {
+        let d8 = d as u8;
+        // The callee function object sits beneath the frame.
+        interp.stack.push(Value::from_raw(fd.callee_raw));
+        let base = interp.stack.len();
+        let nlocals = interp.prog().function(fd.func).nlocals;
+        for want in 0..nlocals {
+            let mut v = Value::UNDEFINED;
+            for b in &exit.write_back {
+                if b.key == (SlotKey::Local { depth: d8, slot: want }) {
+                    v = box_from_word(realm, ar[b.ar as usize], b.ty);
+                    break;
+                }
+            }
+            interp.stack.push(v);
+        }
+        push_frame_stack(exit, d8, ar, interp, realm);
+        interp.frames.push(tm_interp::Frame {
+            func: fd.func,
+            pc: fd.resume_pc,
+            base: base as u32,
+            is_construct: fd.is_construct,
+        });
+    }
+}
+
+/// Pushes frame `depth`'s operand-stack entries in index order.
+fn push_frame_stack(
+    exit: &SideExitInfo,
+    depth: u8,
+    ar: &[u64],
+    interp: &mut Interp,
+    realm: &mut Realm,
+) {
+    for want in 0..exit.frames[depth as usize].stack_depth {
+        let mut found = None;
+        for b in &exit.write_back {
+            if b.key == (SlotKey::Stack { depth, idx: want }) {
+                found = Some(box_from_word(realm, ar[b.ar as usize], b.ty));
+                break;
+            }
+        }
+        interp.stack.push(found.expect("exit stack entries are written"));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,11 +344,11 @@ mod tests {
         let mut realm = Realm::new();
         // Int.
         let v = Value::new_int(-7);
-        assert!(value_matches(&realm, v, LirType::Int));
+        assert!(value_matches(v, LirType::Int));
         let w = unbox_to_word(&realm, v, LirType::Int);
         assert_eq!(box_from_word(&mut realm, w, LirType::Int), v);
         // Double slot accepts ints and re-compresses on exit.
-        assert!(value_matches(&realm, v, LirType::Double));
+        assert!(value_matches(v, LirType::Double));
         let w = unbox_to_word(&realm, v, LirType::Double);
         assert_eq!(f64::from_bits(w), -7.0);
         assert_eq!(box_from_word(&mut realm, w, LirType::Double), v);
@@ -203,13 +371,13 @@ mod tests {
         let mut realm = Realm::new();
         let i = Value::new_int(1);
         let d = realm.heap.alloc_double(0.5);
-        assert!(value_matches(&realm, i, LirType::Int));
-        assert!(!value_matches(&realm, d, LirType::Int), "Int slots are strict");
-        assert!(value_matches(&realm, d, LirType::Double));
-        assert!(value_matches(&realm, i, LirType::Double), "Double slots accept ints");
-        assert!(value_matches(&realm, Value::NULL, LirType::Null));
-        assert!(!value_matches(&realm, Value::NULL, LirType::Undefined));
-        assert!(value_matches(&realm, Value::NULL, LirType::Boxed));
+        assert!(value_matches(i, LirType::Int));
+        assert!(!value_matches(d, LirType::Int), "Int slots are strict");
+        assert!(value_matches(d, LirType::Double));
+        assert!(value_matches(i, LirType::Double), "Double slots accept ints");
+        assert!(value_matches(Value::NULL, LirType::Null));
+        assert!(!value_matches(Value::NULL, LirType::Undefined));
+        assert!(value_matches(Value::NULL, LirType::Boxed));
     }
 
     #[test]
@@ -219,5 +387,163 @@ mod tests {
         let d = realm.heap.alloc_double(0.5);
         assert_eq!(observed_type(d), LirType::Double);
         assert_eq!(observed_type(Value::UNDEFINED), LirType::Undefined);
+    }
+
+    use crate::exit::{ExitKind, FrameDesc};
+    use tm_runtime::ObjectId;
+
+    const TYPES: [LirType; 8] = [
+        LirType::Int,
+        LirType::Double,
+        LirType::Object,
+        LirType::String,
+        LirType::Bool,
+        LirType::Null,
+        LirType::Undefined,
+        LirType::Boxed,
+    ];
+
+    /// A value of exactly type `ty` (for `Boxed`: any value).
+    fn sample(realm: &mut Realm, ty: LirType) -> Value {
+        match ty {
+            LirType::Int => Value::new_int(-7),
+            LirType::Double => realm.heap.alloc_double(2.5),
+            LirType::Object => Value::new_object(ObjectId(3)),
+            LirType::String => realm.heap.alloc_string("x"),
+            LirType::Bool => Value::TRUE,
+            LirType::Null => Value::NULL,
+            LirType::Undefined => Value::UNDEFINED,
+            LirType::Boxed => Value::new_int(9),
+        }
+    }
+
+    /// An interpreter stopped in an eight-local function, eight globals,
+    /// and an exit that writes every type through every key kind: globals,
+    /// entry-frame locals and operand stack, and an inlined frame of the
+    /// same function whose operand stack holds three entries.
+    fn fixture() -> (Realm, Interp, Vec<u32>, SideExitInfo, Vec<u64>) {
+        let mut realm = Realm::new();
+        let src = "function f(a, b, c, d, e, f, g) { return a; }
+                   var g0, g1, g2, g3, g4, g5, g6, g7;";
+        let prog = tm_bytecode::compile(&tm_frontend::parse(src).unwrap(), &mut realm).unwrap();
+        let func = tm_bytecode::FuncId(
+            prog.functions.iter().position(|f| f.nlocals == 8).expect("this + 7 parameters") as u32,
+        );
+        let mut interp = Interp::new(prog, &mut realm);
+        interp.frames[0].func = func;
+        interp.stack.resize(8, Value::UNDEFINED);
+        let globals: Vec<u32> =
+            (0..8).map(|i| realm.lookup_global(&format!("g{i}")).unwrap()).collect();
+
+        let mut write_back = Vec::new();
+        let mut ar = Vec::new();
+        let mut bind = |realm: &mut Realm, key, ty| {
+            let v = sample(realm, ty);
+            write_back.push(SlotBinding { ar: ar.len() as ArSlot, key, ty });
+            ar.push(unbox_to_word(realm, v, ty));
+        };
+        for (i, &ty) in TYPES.iter().enumerate() {
+            let i = i as u16;
+            bind(&mut realm, SlotKey::Global(globals[i as usize]), ty);
+            bind(&mut realm, SlotKey::Local { depth: 0, slot: i }, ty);
+            bind(&mut realm, SlotKey::Stack { depth: 0, idx: i }, ty);
+            bind(&mut realm, SlotKey::Local { depth: 1, slot: i }, ty);
+            if i < 3 {
+                bind(&mut realm, SlotKey::Stack { depth: 1, idx: i }, ty);
+            }
+        }
+        let frame = |resume_pc, stack_depth, callee_raw| FrameDesc {
+            func,
+            resume_pc,
+            stack_depth,
+            is_construct: false,
+            callee_raw,
+        };
+        let exit = SideExitInfo {
+            kind: ExitKind::Branch,
+            frames: vec![frame(1, 8, 0), frame(2, 3, Value::new_int(77).raw())],
+            write_back,
+            oracle_hint: vec![],
+            typemap: vec![],
+            arith_site: None,
+        };
+        (realm, interp, globals, exit, ar)
+    }
+
+    #[test]
+    fn import_and_export_round_trip_every_type_through_every_key_kind() {
+        let (mut realm, mut interp, _, exit, ar) = fixture();
+        export(&exit, &ar, 0, &mut interp, &mut realm);
+        // Entry frame: 8 locals + 8 operands; callee; inlined frame: 8 + 3.
+        assert_eq!(interp.stack.len(), 16 + 1 + 11);
+        assert_eq!(interp.stack[16], Value::new_int(77), "callee sits beneath the frame");
+        assert_eq!(interp.frames.len(), 2);
+        assert_eq!((interp.frames[0].pc, interp.frames[1].pc), (1, 2));
+        assert_eq!(interp.frames[1].base, 17);
+
+        let mut back = vec![0u64; ar.len()];
+        assert!(import(&exit.write_back, &interp, &realm, 0, &mut back));
+        assert_eq!(back, ar);
+
+        // And the other way round, from a state with frames to drop.
+        let shown = |interp: &Interp, realm: &mut Realm| -> Vec<String> {
+            let stack = interp.stack.clone();
+            stack.into_iter().map(|v| tm_runtime::ops::to_display(realm, v)).collect()
+        };
+        let before = shown(&interp, &mut realm);
+        interp.stack.push(Value::NULL);
+        interp.frames.push(interp.frames[1]);
+        export(&exit, &back, 0, &mut interp, &mut realm);
+        assert_eq!(shown(&interp, &mut realm), before);
+        assert_eq!(interp.frames.len(), 2);
+    }
+
+    #[test]
+    fn import_refuses_each_mismatch_and_leaves_the_interpreter_alone() {
+        let (mut realm, mut interp, globals, exit, ar) = fixture();
+        export(&exit, &ar, 0, &mut interp, &mut realm);
+        let (stack, nframes) = (interp.stack.clone(), interp.frames.len());
+        let global_words: Vec<u64> = globals.iter().map(|&g| realm.global(g).raw()).collect();
+        let refused = |key, ty| {
+            let mut scratch = vec![0u64; 1];
+            !import(&[SlotBinding { ar: 0, key, ty }], &interp, &realm, 0, &mut scratch)
+        };
+
+        // A value of another type, for every type that excludes one, at
+        // every kind of location. `TYPES[i]` lives at index `i` everywhere.
+        for (i, &have) in TYPES.iter().enumerate() {
+            let i = i as u16;
+            for want in TYPES {
+                let accepts = want == have
+                    || want == LirType::Boxed
+                    || (want == LirType::Double && have == LirType::Int)
+                    // The `Boxed` sample is an int.
+                    || (have == LirType::Boxed
+                        && matches!(want, LirType::Int | LirType::Double));
+                for key in [
+                    SlotKey::Global(globals[i as usize]),
+                    SlotKey::Local { depth: 0, slot: i },
+                    SlotKey::Stack { depth: 0, idx: i },
+                    SlotKey::Local { depth: 1, slot: i },
+                ] {
+                    assert_eq!(refused(key, want), !accepts, "{have:?} at {key:?} as {want:?}");
+                }
+            }
+        }
+        // Locations that are not materialized.
+        assert!(refused(SlotKey::Local { depth: 2, slot: 0 }, LirType::Boxed), "no such frame");
+        assert!(refused(SlotKey::Stack { depth: 2, idx: 0 }, LirType::Boxed), "no such frame");
+        assert!(refused(SlotKey::Stack { depth: 0, idx: 8 }, LirType::Boxed), "the callee slot");
+        assert!(refused(SlotKey::Stack { depth: 1, idx: 3 }, LirType::Boxed), "above the top");
+        assert!(!refused(SlotKey::Stack { depth: 1, idx: 2 }, LirType::Boxed), "the top entry");
+        assert!(refused(SlotKey::Reimport { site: 0, idx: 0 }, LirType::Boxed));
+        // One bad binding refuses the whole list.
+        let mut all = exit.write_back.clone();
+        all.push(SlotBinding { ar: 0, key: SlotKey::Global(globals[0]), ty: LirType::String });
+        assert!(!import(&all, &interp, &realm, 0, &mut vec![0u64; ar.len()]));
+
+        assert_eq!((&interp.stack, interp.frames.len()), (&stack, nframes));
+        let now: Vec<u64> = globals.iter().map(|&g| realm.global(g).raw()).collect();
+        assert_eq!(now, global_words);
     }
 }

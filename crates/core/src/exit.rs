@@ -8,9 +8,9 @@
 //! module is that structure.
 
 use tm_bytecode::FuncId;
-use tm_lir::{ArSlot, LirType};
+use tm_lir::ArSlot;
 
-use crate::activation::SlotKey;
+use crate::activation::{SlotBinding, SlotKey};
 
 /// Why this exit exists — drives the monitor's policy on taking it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,16 +62,16 @@ pub struct SideExitInfo {
     pub kind: ExitKind,
     /// Frames at the exit point; `frames[0]` is the entry frame.
     pub frames: Vec<FrameDesc>,
-    /// AR slots to box back into interpreter state: `(ar slot, where it
-    /// goes, how to box it)`. Covers every slot the trace wrote up to this
+    /// AR slots to box back into interpreter state (which slot, where it
+    /// goes, how to box it). Covers every slot the trace wrote up to this
     /// exit, including all operand-stack entries.
-    pub write_back: Vec<(ArSlot, SlotKey, LirType)>,
+    pub write_back: Vec<SlotBinding>,
     /// Hint for the oracle: slot keys whose integer speculation failed at
     /// this exit (set on overflow-guard exits).
     pub oracle_hint: Vec<SlotKey>,
     /// Exit-side type map used by branch-trace recording: observed types of
     /// every live slot at this exit (`write_back` plus untouched imports).
-    pub typemap: Vec<(ArSlot, SlotKey, LirType)>,
+    pub typemap: Vec<SlotBinding>,
     /// Set when this exit guards an integer-speculated arithmetic result:
     /// the bytecode site to demote in the oracle when the exit goes hot.
     pub arith_site: Option<(FuncId, u32)>,
@@ -80,13 +80,14 @@ pub struct SideExitInfo {
 impl SideExitInfo {
     /// The AR slots this exit reads (feeds LIR dead-store elimination).
     pub fn live_slots(&self) -> Vec<ArSlot> {
-        self.write_back.iter().map(|&(s, _, _)| s).collect()
+        self.write_back.iter().map(|b| b.ar).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tm_lir::LirType;
 
     #[test]
     fn live_slots_come_from_write_back() {
@@ -100,8 +101,12 @@ mod tests {
                 callee_raw: 0,
             }],
             write_back: vec![
-                (0, SlotKey::Global(1), LirType::Int),
-                (3, SlotKey::Stack { depth: 0, idx: 0 }, LirType::Double),
+                SlotBinding { ar: 0, key: SlotKey::Global(1), ty: LirType::Int },
+                SlotBinding {
+                    ar: 3,
+                    key: SlotKey::Stack { depth: 0, idx: 0 },
+                    ty: LirType::Double,
+                },
             ],
             oracle_hint: vec![],
             typemap: vec![],

@@ -5,12 +5,15 @@
 //! built on the substrate crates:
 //!
 //! * [`monitor`] — the mixed-mode state machine (Figure 2): hotness
-//!   counting, trace-cache lookup, activation-record entry/exit, side-exit
-//!   restoration with frame synthesis, branch extension, stability
-//!   linking, and the nested-tree host (§4);
+//!   counting, trace-cache lookup, branch extension, stability linking,
+//!   and the nested-tree host (§4);
+//! * [`activation`] — the state transfer between interpreter and
+//!   activation record: [`activation::import`] at tree entry,
+//!   [`activation::export`] (with frame synthesis) at side exits;
 //! * [`recorder`] — bytecode → type-specialized SSA LIR with guards
 //!   (§3.1, §6.3);
-//! * [`tree`] — trace trees and the pc+typemap-indexed trace cache;
+//! * [`tree`] — trace trees: the shared, immutable [`tree::TreeCode`] and
+//!   each realm's [`tree::TraceTree`] handle on it;
 //! * [`oracle`] — integer-demotion advisory (§3.2);
 //! * [`blacklist`] — abort backoff and permanent blacklisting with
 //!   bytecode patching and nesting forgiveness (§3.3, §4.2);

@@ -2,31 +2,31 @@
 //!
 //! The interpreter returns control here at every (unpatched) loop header.
 //! The monitor counts hotness, starts and drives recordings, enters
-//! compiled trees (building the activation record), restores interpreter
-//! state at side exits (synthesizing inlined frames), grows trace trees at
-//! hot side exits, links type-unstable siblings (Figure 6), executes
+//! compiled trees and leaves them at side exits (the state transfer
+//! itself is [`crate::activation`]'s), grows trace trees at hot side
+//! exits, links type-unstable siblings (Figure 6), executes
 //! nested tree calls as the [`TreeHost`] (§4), and applies blacklisting
 //! with nesting forgiveness (§3.3, §4.2).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use tm_interp::{Flow, Interp, RunExit};
 use tm_nanojit::{emit_tree, execute, Fragment, TreeHost, Unsupported};
 use tm_runtime::{Realm, RuntimeError, Value};
 
-use crate::activation::{box_from_word, unbox_to_word, value_matches, SlotKey};
+use crate::activation::{export, import, SlotBinding, SlotKey};
 use crate::blacklist::{Blacklist, Verdict};
 use crate::config::JitOptions;
 use crate::events::{AbortReason, EventLog, TraceEvent};
-use crate::exit::{ExitKind, SideExitInfo};
+use crate::exit::ExitKind;
 use crate::oracle::Oracle;
 use crate::pool::{compile_trace, CompileJob, CompileOutcome, CompilerPool, Ticket};
 use crate::profiler::{Activity, ProfileStats, Profiler};
 use crate::recorder::{self, RecordAction, RecordedTrace, Recorder};
 use crate::shared_cache::{entry_digest, SharedCodeCache, SharedKey};
 use crate::tree::{
-    Anchor, AnchorKind, ExitState, NativeCode, TraceTree, TreeCache, TreeId, TreeStats,
+    Anchor, AnchorKind, ExitState, NativeCode, TraceTree, TreeCache, TreeCode, TreeId,
 };
 
 /// Maximum sibling trees per loop header before the monitor stops
@@ -113,9 +113,6 @@ pub struct Monitor {
     /// Sibling digests already installed from (or published to) the
     /// shared cache, so repeated probes never install duplicates.
     shared_seen: HashSet<u64>,
-    /// Stable sibling identity per local tree: the digest used at first
-    /// publish, reused on republish so branch extensions replace.
-    published_digests: HashMap<TreeId, u64>,
     /// Background compiler pool, when attached ([`Monitor::attach_pool`]).
     pool: Option<Arc<CompilerPool>>,
     /// In-flight background compiles awaiting installation at the next
@@ -146,6 +143,14 @@ enum RecResult {
     Abort(AbortReason),
 }
 
+/// A tree entered but not yet run: the handle on its code and the
+/// activation record [`import`] filled from interpreter state.
+struct Entered {
+    tid: TreeId,
+    code: Arc<TreeCode>,
+    ar: Vec<u64>,
+}
+
 impl Monitor {
     /// Creates a monitor with the given configuration.
     pub fn new(opts: JitOptions) -> Monitor {
@@ -165,7 +170,6 @@ impl Monitor {
             finished_during_recording: None,
             shared: None,
             shared_seen: HashSet::new(),
-            published_digests: HashMap::new(),
             pool: None,
             in_flight: Vec::new(),
             in_flight_exits: HashSet::new(),
@@ -280,19 +284,32 @@ impl Monitor {
         }
     }
 
-    /// Finds a matching compiled tree for `anchor` through its dense
-    /// monitor slot (no hash lookup; the hot trace-cache probe of §6.1).
-    fn find_match_slot(
+    /// Enters tree `tid` at fragment `start` (0 = trunk; >0 =
+    /// monitor-mediated branch call): builds the activation record from
+    /// interpreter state. `None` when the fragment's entry requirements
+    /// don't match it — the type-map check and the unboxing are one pass.
+    fn enter_tree(
         &self,
-        anchor: Anchor,
-        realm: &Realm,
+        tid: TreeId,
+        start: u32,
         interp: &Interp,
-    ) -> Option<TreeId> {
+        realm: &Realm,
+    ) -> Option<Entered> {
+        let code = &self.cache.tree(tid).code;
+        let mut ar = vec![0u64; code.layout.len()];
+        import(&code.entry_reqs[start as usize], interp, realm, interp.frames.len() - 1, &mut ar)
+            .then(|| Entered { tid, code: Arc::clone(code), ar })
+    }
+
+    /// The trace-cache probe of §6.1 through the anchor's dense monitor
+    /// slot (no hash lookup): enters the first enabled sibling whose entry
+    /// type map the interpreter state matches.
+    fn enter_anchor(&self, anchor: Anchor, interp: &Interp, realm: &Realm) -> Option<Entered> {
         let slot = &self.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize];
-        slot.trees.iter().copied().find(|&id| {
-            let t = self.cache.tree(id);
-            !t.disabled && t.entry_matches(realm, interp)
-        })
+        slot.trees
+            .iter()
+            .filter(|&&tid| !self.cache.tree(tid).disabled)
+            .find_map(|&tid| self.enter_tree(tid, 0, interp, realm))
     }
 
     /// Handles one loop-edge crossing. Returns `Ok(Some(value))` if the
@@ -311,9 +328,9 @@ impl Monitor {
         }
 
         // 1. A matching compiled tree? Enter it. Pure dense-slot work.
-        if let Some(tid) = self.find_match_slot(anchor, realm, interp) {
+        if let Some(entered) = self.enter_anchor(anchor, interp, realm) {
             self.profiler.stats.monitor_slot_fast += 1;
-            self.run_tree(tid, interp, realm)?;
+            self.run_tree(entered, interp, realm)?;
             return Ok(None);
         }
 
@@ -361,8 +378,8 @@ impl Monitor {
         // this anchor? Install every new shared-cache sibling and enter
         // one if it matches the current types.
         if self.try_shared_install(anchor) {
-            if let Some(tid) = self.find_match_slot(anchor, realm, interp) {
-                self.run_tree(tid, interp, realm)?;
+            if let Some(entered) = self.enter_anchor(anchor, interp, realm) {
+                self.run_tree(entered, interp, realm)?;
                 return Ok(None);
             }
         }
@@ -383,15 +400,14 @@ impl Monitor {
         }
         self.profiler.stats.shared_cache_hits += 1;
         let mut installed = false;
-        for shared_tree in found {
-            if !self.shared_seen.insert(shared_tree.digest) {
+        for code in found {
+            if !self.shared_seen.insert(code.digest) {
                 continue;
             }
-            let tid = self.cache.insert(shared_tree.instantiate());
+            let tid = self.cache.insert(TraceTree::new(code));
             self.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize]
                 .trees
                 .push(tid);
-            self.published_digests.insert(tid, shared_tree.digest);
             self.profiler.stats.shared_cache_installed_trees += 1;
             installed = true;
         }
@@ -401,18 +417,10 @@ impl Monitor {
     /// Publishes tree `tid` to the shared code cache (no-op without an
     /// attached cache, or for trees with nested-call sites).
     pub(crate) fn publish_shared(&mut self, tid: TreeId) {
-        let Some((cache, key)) = self.shared.clone() else { return };
-        let tree = self.cache.tree(tid);
-        let digest = match self.published_digests.get(&tid) {
-            Some(&d) => d,
-            None => {
-                let d = entry_digest(tree.anchor, &tree.entry);
-                self.published_digests.insert(tid, d);
-                d
-            }
-        };
-        if cache.publish(key, digest, self.cache.tree(tid)) {
-            self.shared_seen.insert(digest);
+        let Some((cache, key)) = &self.shared else { return };
+        let code = &self.cache.tree(tid).code;
+        if cache.publish(*key, code) {
+            self.shared_seen.insert(code.digest);
             self.profiler.stats.shared_cache_publishes += 1;
         }
     }
@@ -583,7 +591,7 @@ impl Monitor {
         if !self.opts.enable_nesting {
             return Ok(Err(AbortReason::InnerTreeNotReady));
         }
-        let Some(tid) = self.find_match_slot(inner_anchor, realm, interp) else {
+        let Some(entered) = self.enter_anchor(inner_anchor, interp, realm) else {
             // "We simply abort recording the first trace. The trace
             // monitor will see the inner loop header, and will immediately
             // start recording the inner loop."
@@ -597,20 +605,18 @@ impl Monitor {
             Ok(Flow::Finished(v)) => return Err(RecordError::ProgramFinished(v)),
             Err(e) => return Err(RecordError::Guest(e)),
         }
+        let (tid, code) = (entered.tid, Arc::clone(&entered.code));
         self.events.push(TraceEvent::NestedCall { tree: tid.0 });
-        let (frag, exit, kind) = match self.execute_tree_once(tid, interp, realm) {
+        let (frag, exit, kind) = match self.execute_tree(entered, 0, interp, realm) {
             Ok(r) => r,
             Err(e) => return Err(RecordError::Guest(e)),
         };
-        let acceptable = matches!(kind, ExitKind::Branch | ExitKind::LeaveLoop)
-            && self.cache.tree(tid).exits[frag as usize][exit as usize].frames.len() == 1;
-        if !acceptable {
+        let frames = &code.exits[frag as usize][exit as usize].frames;
+        if !matches!(kind, ExitKind::Branch | ExitKind::LeaveLoop) || frames.len() != 1 {
             rec.cancel_nested();
             return Ok(Err(AbortReason::InnerTreeCallFailed));
         }
-        let stack_depth =
-            self.cache.tree(tid).exits[frag as usize][exit as usize].frames[0].stack_depth;
-        rec.finish_nested_with_stack(tid, (frag, exit), stack_depth, interp);
+        rec.finish_nested_with_stack(tid, (frag, exit), frames[0].stack_depth, interp);
         Ok(Ok(()))
     }
 
@@ -665,32 +671,23 @@ impl Monitor {
         for m in recorded.oracle_marks.drain(..) {
             self.oracle.mark_double(m);
         }
-        let unstable = recorded.finish == recorder::FinishKind::UnstableLoop;
-        let exit_states = vec![vec![ExitState::default(); recorded.exits.len()]];
-        let tree = TraceTree {
-            id: TreeId(0), // assigned by the cache
+        let mut tree = TraceTree::new(Arc::new(TreeCode {
             anchor,
+            digest: entry_digest(anchor, &recorded.new_entry),
             layout: recorded.layout,
-            entry: recorded.new_entry,
             fragments: Arc::new(vec![frag]),
+            branches: vec![vec![None; recorded.exits.len()]],
             exits: vec![recorded.exits],
             fragment_bytecodes: vec![recorded.bytecodes],
-            exit_states,
-            frag_entry_reqs: Vec::new(),
+            entry_reqs: vec![recorded.new_entry],
             nested_sites: recorded.nested_sites,
             loop_writes: recorded.loop_writes,
-            lir: if self.opts.log_events { vec![recorded.lir] } else { vec![] },
-            unstable,
-            disabled: false,
-            native: NativeCode::NotEmitted,
-            stats: TreeStats::default(),
-        };
-        let tid = self.cache.insert(tree);
-        {
-            let t = self.cache.tree_mut(tid);
-            let reqs = t.entry.iter().map(|e| (e.ar, e.key, e.ty)).collect();
-            t.frag_entry_reqs.push(reqs);
+            unstable: recorded.finish == recorder::FinishKind::UnstableLoop,
+        }));
+        if self.opts.log_events {
+            tree.lir.push(recorded.lir);
         }
+        let tid = self.cache.insert(tree);
         // Register the sibling in the loop's dense monitor slot — the
         // structure the hot loop-edge path consults.
         self.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize].trees.push(tid);
@@ -713,14 +710,14 @@ impl Monitor {
         tid: TreeId,
         parent_frag: u32,
         parent_exit: u16,
-    ) -> Vec<(tm_lir::ArSlot, SlotKey, tm_lir::LirType)> {
+    ) -> Vec<SlotBinding> {
         let tree = self.cache.tree(tid);
         let mut reqs = tree.exits[parent_frag as usize][parent_exit as usize]
             .typemap
             .clone();
-        for e in &tree.entry {
-            if !reqs.iter().any(|&(a, _, _)| a == e.ar) {
-                reqs.push((e.ar, e.key, e.ty));
+        for e in tree.entry() {
+            if !reqs.iter().any(|r| r.ar == e.ar) {
+                reqs.push(*e);
             }
         }
         reqs
@@ -732,14 +729,10 @@ impl Monitor {
         parent_frag: u32,
         parent_exit: u16,
         mut recorded: RecordedTrace,
+        verify_base: &[(tm_lir::ArSlot, tm_lir::LirType)],
     ) {
         self.count_fast_helpers(&mut recorded);
-        let verify_base: Vec<(tm_lir::ArSlot, tm_lir::LirType)> = self
-            .branch_parent_reqs(tid, parent_frag, parent_exit)
-            .iter()
-            .map(|&(s, _, t)| (s, t))
-            .collect();
-        let frag = self.compile_fragment(&mut recorded, &verify_base);
+        let frag = self.compile_fragment(&mut recorded, verify_base);
         self.install_branch(tid, parent_frag, parent_exit, recorded, frag);
     }
 
@@ -759,9 +752,13 @@ impl Monitor {
         }
         let stitch = self.opts.enable_stitching;
         let tree = self.cache.tree_mut(tid);
-        let new_idx = tree.fragments.len() as u32;
+        // Grows the tree in place when this realm is its only holder; when
+        // the shared cache or another realm still holds this version, they
+        // keep it and this realm continues on one copy.
+        let code = Arc::make_mut(&mut tree.code);
+        let new_idx = code.fragments.len() as u32;
         {
-            let frags = Arc::make_mut(&mut tree.fragments);
+            let frags = Arc::make_mut(&mut code.fragments);
             frags.push(frag);
             if stitch {
                 frags[parent_frag as usize].stitch_exit(parent_exit, new_idx);
@@ -773,33 +770,31 @@ impl Monitor {
         // a run (never the case at an install today): build the tree
         // again, whole, as first execution does.
         tree.native = match std::mem::take(&mut tree.native) {
-            NativeCode::Code(code) => {
+            NativeCode::Code(native) => {
                 let stats = &mut self.profiler.stats;
-                match Arc::try_unwrap(code).map(|nt| nt.append(&tree.fragments)) {
+                match Arc::try_unwrap(native).map(|nt| nt.append(&code.fragments)) {
                     Ok(Ok(nt)) => {
                         stats.native_fragments += 1;
                         stats.native_emissions_sync += 1;
                         NativeCode::Code(Arc::new(nt))
                     }
                     Ok(Err(refused)) if refused != Unsupported::FULL => NativeCode::Refused,
-                    _ => build_native(&tree.fragments, stats),
+                    _ => build_native(&code.fragments, stats),
                 }
             }
             other => other,
         };
-        tree.exit_states[parent_frag as usize][parent_exit as usize].branch = Some(new_idx);
-        tree.frag_entry_reqs.push(parent_reqs);
-        tree.layout = recorded.layout;
+        code.branches[parent_frag as usize][parent_exit as usize] = Some(new_idx);
+        code.entry_reqs.push(parent_reqs);
+        code.layout = recorded.layout;
         for e in recorded.new_entry {
-            if !tree.entry.iter().any(|x| x.ar == e.ar) {
-                tree.entry.push(e);
-                // Every fragment's monitor-entry requirements must cover
-                // every entry slot: fragments reached by stitching or
-                // loop-back may read slots this fragment's own path never
-                // touches.
-                for reqs in &mut tree.frag_entry_reqs {
-                    if !reqs.iter().any(|&(a, _, _)| a == e.ar) {
-                        reqs.push((e.ar, e.key, e.ty));
+            // Every fragment's monitor-entry requirements must cover every
+            // entry slot: fragments reached by stitching or loop-back may
+            // read slots this fragment's own path never touches.
+            if !code.entry().iter().any(|x| x.ar == e.ar) {
+                for reqs in &mut code.entry_reqs {
+                    if !reqs.iter().any(|r| r.ar == e.ar) {
+                        reqs.push(e);
                     }
                 }
             }
@@ -810,31 +805,32 @@ impl Monitor {
         // exits must restore the branch's new loop writes.
         let mut branch_exits = recorded.exits;
         for e in &mut branch_exits {
-            crate::recorder::union_writes(&mut e.write_back, &tree.loop_writes);
-            crate::recorder::union_writes(&mut e.typemap, &tree.loop_writes);
+            crate::recorder::union_writes(&mut e.write_back, &code.loop_writes);
+            crate::recorder::union_writes(&mut e.typemap, &code.loop_writes);
         }
-        let mut new_loop_writes = tree.loop_writes.clone();
+        let mut new_loop_writes = code.loop_writes.clone();
         crate::recorder::union_writes(&mut new_loop_writes, &recorded.loop_writes);
-        if new_loop_writes.len() != tree.loop_writes.len() {
-            for frag_exits in &mut tree.exits {
+        if new_loop_writes.len() != code.loop_writes.len() {
+            for frag_exits in &mut code.exits {
                 for e in frag_exits {
                     crate::recorder::union_writes(&mut e.write_back, &new_loop_writes);
                     crate::recorder::union_writes(&mut e.typemap, &new_loop_writes);
                 }
             }
-            for site in &mut tree.nested_sites {
+            for site in &mut code.nested_sites {
                 crate::recorder::union_writes(&mut site.callsite.write_back, &new_loop_writes);
                 crate::recorder::union_writes(&mut site.callsite.typemap, &new_loop_writes);
             }
         }
-        tree.loop_writes = new_loop_writes;
+        code.loop_writes = new_loop_writes;
         tree.exit_states.push(vec![ExitState::default(); branch_exits.len()]);
-        tree.exits.push(branch_exits);
+        code.branches.push(vec![None; branch_exits.len()]);
+        code.exits.push(branch_exits);
         if self.opts.log_events {
             tree.lir.push(recorded.lir);
         }
-        tree.fragment_bytecodes.push(recorded.bytecodes);
-        tree.nested_sites.extend(recorded.nested_sites);
+        code.fragment_bytecodes.push(recorded.bytecodes);
+        code.nested_sites.extend(recorded.nested_sites);
         self.events.push(TraceEvent::Stitch {
             tree: tid.0,
             from_fragment: parent_frag,
@@ -858,18 +854,16 @@ impl Monitor {
     /// interpreter.
     fn run_tree(
         &mut self,
-        mut tid: TreeId,
+        mut entered: Entered,
         interp: &mut Interp,
         realm: &mut Realm,
     ) -> Result<(), RuntimeError> {
         let mut transfers = 0usize;
         let mut start = 0u32;
         loop {
+            let (tid, anchor) = (entered.tid, entered.code.anchor);
             self.events.push(TraceEvent::EnterTree { tree: tid.0 });
-            let Some((frag, exit, kind)) = self.execute_tree_from(tid, start, interp, realm)?
-            else {
-                return Ok(()); // entry requirements not met: interpret
-            };
+            let (frag, exit, kind) = self.execute_tree(entered, start, interp, realm)?;
             start = 0;
             match kind {
                 ExitKind::LoopEdge => {
@@ -881,15 +875,11 @@ impl Monitor {
                     if realm.interrupt {
                         return Err(RuntimeError::Interrupted);
                     }
-                    // Re-enter if still matching (the common case) — via
-                    // the dense slot, not the anchor hash.
-                    if let Some(next) =
-                        self.find_match_slot(self.cache.tree(tid).anchor, realm, interp)
-                    {
-                        tid = next;
-                        continue;
+                    // Re-enter if still matching (the common case).
+                    match self.enter_anchor(anchor, interp, realm) {
+                        Some(next) => entered = next,
+                        None => return Ok(()),
                     }
-                    return Ok(());
                 }
                 ExitKind::Unstable => {
                     // Figure 6: look for a sibling tree whose entry map
@@ -897,19 +887,20 @@ impl Monitor {
                     if !self.opts.enable_stability_linking {
                         return Ok(());
                     }
-                    let anchor = self.cache.tree(tid).anchor;
-                    if let Some(next) = self.find_match_slot(anchor, realm, interp) {
-                        transfers += 1;
-                        if next != tid {
-                            self.events
-                                .push(TraceEvent::StableTransfer { from_tree: tid.0, to_tree: next.0 });
-                        }
-                        if transfers < 1_000_000 {
-                            tid = next;
-                            continue;
-                        }
+                    let Some(next) = self.enter_anchor(anchor, interp, realm) else {
+                        return Ok(());
+                    };
+                    transfers += 1;
+                    if next.tid != tid {
+                        self.events.push(TraceEvent::StableTransfer {
+                            from_tree: tid.0,
+                            to_tree: next.tid.0,
+                        });
                     }
-                    return Ok(());
+                    if transfers >= 1_000_000 {
+                        return Ok(());
+                    }
+                    entered = next;
                 }
                 ExitKind::Branch => {
                     if !self.opts.enable_stitching {
@@ -917,8 +908,14 @@ impl Monitor {
                         // fragment from the monitor, paying the transition
                         // cost stitching avoids.
                         if let Some(bfrag) =
-                            self.cache.tree(tid).exit_state(frag, exit).branch
+                            self.cache.tree(tid).branches[frag as usize][exit as usize]
                         {
+                            // Entry requirements not met: interpret.
+                            let Some(next) = self.enter_tree(tid, bfrag, interp, realm)
+                            else {
+                                return Ok(());
+                            };
+                            entered = next;
                             start = bfrag;
                             continue;
                         }
@@ -966,14 +963,14 @@ impl Monitor {
             if tree.fragments.len() >= MAX_FRAGMENTS_PER_TREE {
                 return Ok(());
             }
-            let max_failures = self.opts.blacklist.max_failures;
-            let hot = self.opts.hot_exit_threshold;
-            let st = tree.exit_state_mut(frag, exit);
-            if st.branch.is_some() {
+            if tree.branches[frag as usize][exit as usize].is_some() {
                 // Already extended (reachable only via the monitor when
                 // stitching is disabled).
                 return Ok(());
             }
+            let max_failures = self.opts.blacklist.max_failures;
+            let hot = self.opts.hot_exit_threshold;
+            let st = tree.exit_state_mut(frag, exit);
             if st.failures >= max_failures {
                 return Ok(());
             }
@@ -1010,7 +1007,7 @@ impl Monitor {
             let tree = self.cache.tree(tid);
             (
                 tree.layout.clone(),
-                tree.entry.clone(),
+                tree.entry().to_vec(),
                 tree.nested_sites.len() as u32,
                 tree.exits[frag as usize][exit as usize].clone(),
             )
@@ -1020,14 +1017,7 @@ impl Monitor {
         // the base state the verifier checks imports and exit maps
         // against.
         let verify_base: Vec<(tm_lir::ArSlot, tm_lir::LirType)> = if self.opts.verify {
-            let mut base: Vec<(tm_lir::ArSlot, tm_lir::LirType)> =
-                parent_exit.typemap.iter().map(|&(s, _, t)| (s, t)).collect();
-            for e in &entry {
-                if !base.iter().any(|&(s, _)| s == e.ar) {
-                    base.push((e.ar, e.ty));
-                }
-            }
-            base
+            self.branch_parent_reqs(tid, frag, exit).iter().map(|b| (b.ar, b.ty)).collect()
         } else {
             Vec::new()
         };
@@ -1073,7 +1063,7 @@ impl Monitor {
                     self.profiler.stats.compile_jobs_submitted += 1;
                     return Ok(());
                 }
-                self.attach_branch(tid, frag, exit, recorded);
+                self.attach_branch(tid, frag, exit, recorded, &verify_base);
                 Ok(())
             }
             Ok(RecResult::Abort(reason)) => {
@@ -1172,10 +1162,7 @@ impl Monitor {
                 CompileOutcome::Done { recorded, fragment },
             ) => {
                 self.in_flight_exits.remove(&(tid, frag, exit));
-                if self.cache.tree(tid).exit_states[frag as usize][exit as usize]
-                    .branch
-                    .is_some()
-                {
+                if self.cache.tree(tid).branches[frag as usize][exit as usize].is_some() {
                     // Raced with another install path (e.g. the whole tree
                     // arrived from the shared cache meanwhile); drop it.
                     return;
@@ -1209,45 +1196,19 @@ impl Monitor {
         self.profiler.stats.fragments += 1;
     }
 
-    /// Enters tree `tid` at its trunk: builds the activation record from
-    /// interpreter state, executes fragments natively, and restores
-    /// interpreter state at the exit.
-    fn execute_tree_once(
+    /// Runs an entered tree from fragment `start`: executes fragments
+    /// natively and restores interpreter state at the exit. Every read of
+    /// the tree's code goes through the handle taken at entry — the
+    /// nesting host needs `&mut self` while the run is in progress.
+    fn execute_tree(
         &mut self,
-        tid: TreeId,
-        interp: &mut Interp,
-        realm: &mut Realm,
-    ) -> Result<(u32, u16, ExitKind), RuntimeError> {
-        Ok(self
-            .execute_tree_from(tid, 0, interp, realm)?
-            .expect("trunk entry was checked by the caller"))
-    }
-
-    /// Enters tree `tid` at fragment `start` (0 = trunk; >0 =
-    /// monitor-mediated branch call). Returns `None` when the fragment's
-    /// entry requirements don't match the interpreter state.
-    fn execute_tree_from(
-        &mut self,
-        tid: TreeId,
+        entered: Entered,
         start: u32,
         interp: &mut Interp,
         realm: &mut Realm,
-    ) -> Result<Option<(u32, u16, ExitKind)>, RuntimeError> {
+    ) -> Result<(u32, u16, ExitKind), RuntimeError> {
+        let Entered { tid, code, mut ar } = entered;
         let entry_frame_idx = interp.frames.len() - 1;
-        let (frags, mut ar) = {
-            let tree = self.cache.tree(tid);
-            let mut ar = vec![0u64; tree.layout.len()];
-            for &(slot, key, ty) in &tree.frag_entry_reqs[start as usize] {
-                let Some(v) = read_slot_value(interp, realm, entry_frame_idx, key) else {
-                    return Ok(None);
-                };
-                if !value_matches(realm, v, ty) {
-                    return Ok(None);
-                }
-                ar[slot as usize] = unbox_to_word(realm, v, ty);
-            }
-            (tree.fragments.clone(), ar)
-        };
         self.cache.tree_mut(tid).stats.enters += 1;
         self.profiler.stats.trace_enters += 1;
 
@@ -1258,12 +1219,11 @@ impl Monitor {
         // Native tier: the tree's code is built from whatever fragments
         // it has at its first execution (so trees loaded from a cache that
         // never run cost nothing) and grown by `install_branch` after
-        // that. The handle is cloned out of the tree: the nesting host
-        // below needs `&mut self`, so the run cannot borrow the cache.
+        // that.
         let native = if self.opts.native_backend {
             let tree = self.cache.tree_mut(tid);
             if matches!(tree.native, NativeCode::NotEmitted) {
-                tree.native = build_native(&frags, &mut self.profiler.stats);
+                tree.native = build_native(&code.fragments, &mut self.profiler.stats);
             }
             match &tree.native {
                 NativeCode::Code(nt) => {
@@ -1278,58 +1238,51 @@ impl Monitor {
         } else {
             None
         };
-        let mut host = NestHost { monitor: self, interp, outer: tid, entry_frame_idx };
+        let mut host = NestHost { monitor: self, interp, outer: &code, entry_frame_idx };
         let trace_exit = if let Some(nt) = native {
             nt.execute(start, &mut ar, realm, &mut host, fuel)?
         } else {
-            execute(&frags, start, &mut ar, realm, &mut host, fuel)?
+            execute(&code.fragments, start, &mut ar, realm, &mut host, fuel)?
         };
         self.profiler.switch(Activity::Monitor);
+        let exit_info = &code.exits[trace_exit.fragment as usize][trace_exit.exit as usize];
+        let kind = exit_info.kind;
         interp.steps_remaining = interp.steps_remaining.saturating_sub(trace_exit.insts);
         if interp.steps_remaining == 0 {
             // Restore state first so the error surfaces cleanly.
             interp.steps_remaining = 1;
-            let exit_info = &self.cache.tree(tid).exits[trace_exit.fragment as usize]
-                [trace_exit.exit as usize];
-            if exit_info.kind != ExitKind::NestedUnexpected {
-                restore_exit_state(exit_info, &ar, entry_frame_idx, interp, realm);
+            if kind != ExitKind::NestedUnexpected {
+                export(exit_info, &ar, entry_frame_idx, interp, realm);
             }
             return Err(RuntimeError::StepBudgetExhausted);
         }
 
         // Figure 11 accounting: bytecode-equivalents executed natively.
-        {
-            let tree = self.cache.tree_mut(tid);
-            tree.stats.iterations += trace_exit.iterations;
-            tree.stats.monitor_exits += 1;
-            let trunk_bc = u64::from(tree.fragment_bytecodes[0]);
-            let exit_bc =
-                u64::from(tree.fragment_bytecodes[trace_exit.fragment as usize]) / 2;
-            self.profiler.stats.bytecodes_native +=
-                trace_exit.iterations * trunk_bc + exit_bc;
-            self.profiler.stats.native_insts += trace_exit.insts;
-            self.profiler.stats.native_insts_fused += trace_exit.fused_insts;
-            self.profiler.stats.side_exits += 1;
-        }
+        let trunk_bc = code.fragment_bytecodes[0];
+        let exit_bc = u64::from(code.fragment_bytecodes[trace_exit.fragment as usize]) / 2;
+        self.profiler.stats.bytecodes_native +=
+            trace_exit.iterations * u64::from(trunk_bc) + exit_bc;
+        self.profiler.stats.native_insts += trace_exit.insts;
+        self.profiler.stats.native_insts_fused += trace_exit.fused_insts;
+        self.profiler.stats.side_exits += 1;
+        let tree = self.cache.tree_mut(tid);
+        tree.stats.iterations += trace_exit.iterations;
+        tree.stats.monitor_exits += 1;
 
         // §3.3 short-loop mitigation: a tree whose calls execute too few
         // bytecodes costs more in transitions than it saves; disable it.
+        if !tree.disabled
+            && tree.stats.enters >= USELESS_PROBATION
+            && tree.stats.native_bytecodes(trunk_bc) / tree.stats.enters < MIN_USEFUL_BYTECODES
         {
-            let tree = self.cache.tree(tid);
-            if !tree.disabled && tree.stats.enters >= USELESS_PROBATION {
-                let avg = tree.stats.native_bytecodes(tree.fragment_bytecodes[0])
-                    / tree.stats.enters.max(1);
-                if avg < MIN_USEFUL_BYTECODES {
-                    // The monitor never enters the tree again; only a
-                    // nested-call site recorded earlier still can. With no
-                    // such site the machine code is dead: give it back.
-                    let still_called = self.is_nested_callee(tid);
-                    let tree = self.cache.tree_mut(tid);
-                    tree.disabled = true;
-                    if !still_called {
-                        tree.native = NativeCode::NotEmitted;
-                    }
-                }
+            // The monitor never enters the tree again; only a nested-call
+            // site recorded earlier still can. With no such site the
+            // machine code is dead: give it back.
+            let still_called = self.is_nested_callee(tid);
+            let tree = self.cache.tree_mut(tid);
+            tree.disabled = true;
+            if !still_called {
+                tree.native = NativeCode::NotEmitted;
             }
         }
         self.events.push(TraceEvent::SideExit {
@@ -1337,17 +1290,14 @@ impl Monitor {
             fragment: trace_exit.fragment,
             exit: trace_exit.exit,
         });
-        let exit_info = &self.cache.tree(tid).exits[trace_exit.fragment as usize]
-            [trace_exit.exit as usize];
-        let kind = exit_info.kind;
         if kind != ExitKind::NestedUnexpected {
-            restore_exit_state(exit_info, &ar, entry_frame_idx, interp, realm);
+            export(exit_info, &ar, entry_frame_idx, interp, realm);
         }
         if realm.heap.gc_pending {
             let roots = interp.roots();
             realm.collect_garbage(&roots);
         }
-        Ok(Some((trace_exit.fragment, trace_exit.exit, kind)))
+        Ok((trace_exit.fragment, trace_exit.exit, kind))
     }
 
     /// Whether any tree's nested-call site calls tree `tid`.
@@ -1370,131 +1320,6 @@ fn build_native(frags: &[Fragment], stats: &mut ProfileStats) -> NativeCode {
     }
 }
 
-/// Restores interpreter state from the activation record according to a
-/// side exit's recipe: boxes written slots back, synthesizes inlined
-/// frames, and positions the pc (§6.1: "it pops or synthesizes interpreter
-/// JavaScript call stack frames as needed [and] copies the imported
-/// variables back").
-fn restore_exit_state(
-    exit: &SideExitInfo,
-    ar: &[u64],
-    entry_frame_idx: usize,
-    interp: &mut Interp,
-    realm: &mut Realm,
-) {
-    // Drop any frames above the entry frame (stale state from an inner
-    // tree's deeper exit, superseded by this outer exit).
-    interp.frames.truncate(entry_frame_idx + 1);
-    let entry_base = interp.frames[entry_frame_idx].base as usize;
-    let entry_func = interp.frames[entry_frame_idx].func;
-    let entry_nlocals = interp.prog().function(entry_func).nlocals as usize;
-    interp.stack.truncate(entry_base + entry_nlocals);
-
-    // Globals and entry-frame locals write back in place.
-    for &(slot, key, ty) in &exit.write_back {
-        match key {
-            SlotKey::Global(g) => {
-                let v = box_from_word(realm, ar[slot as usize], ty);
-                realm.set_global(g, v);
-            }
-            SlotKey::Local { depth: 0, slot: l } => {
-                let v = box_from_word(realm, ar[slot as usize], ty);
-                interp.stack[entry_base + l as usize] = v;
-            }
-            _ => {}
-        }
-    }
-    // Entry-frame operand stack, in push order.
-    push_frame_stack(exit, 0, ar, interp, realm);
-    interp.frames[entry_frame_idx].pc = exit.frames[0].resume_pc;
-
-    // Synthesize inlined frames (§3.1 frame reconstruction).
-    for (d, fd) in exit.frames.iter().enumerate().skip(1) {
-        let d8 = d as u8;
-        // The callee function object sits beneath the frame.
-        interp.stack.push(Value::from_raw(fd.callee_raw));
-        let base = interp.stack.len();
-        let nlocals = interp.prog().function(fd.func).nlocals;
-        for want in 0..nlocals {
-            let mut v = Value::UNDEFINED;
-            for &(slot, key, ty) in &exit.write_back {
-                if key == (SlotKey::Local { depth: d8, slot: want }) {
-                    v = box_from_word(realm, ar[slot as usize], ty);
-                    break;
-                }
-            }
-            interp.stack.push(v);
-        }
-        push_frame_stack(exit, d8, ar, interp, realm);
-        interp.frames.push(tm_interp::Frame {
-            func: fd.func,
-            pc: fd.resume_pc,
-            base: base as u32,
-            is_construct: fd.is_construct,
-        });
-    }
-}
-
-/// Reads the interpreter-visible value for `key` relative to
-/// `entry_frame_idx`, or `None` when the location is not materialized.
-fn read_slot_value(
-    interp: &Interp,
-    realm: &Realm,
-    entry_frame_idx: usize,
-    key: SlotKey,
-) -> Option<Value> {
-    match key {
-        SlotKey::Global(g) => Some(realm.global(g)),
-        SlotKey::Local { depth, slot } => {
-            let fidx = entry_frame_idx + depth as usize;
-            if fidx >= interp.frames.len() {
-                return None;
-            }
-            Some(interp.local_at(fidx, slot))
-        }
-        SlotKey::Stack { depth, idx } => {
-            let fidx = entry_frame_idx + depth as usize;
-            if fidx >= interp.frames.len() {
-                return None;
-            }
-            let frame = interp.frames[fidx];
-            let nlocals = interp.prog().function(frame.func).nlocals as usize;
-            let pos = frame.base as usize + nlocals + idx as usize;
-            // The entry must be within this frame's live operand stack.
-            let limit = interp
-                .frames
-                .get(fidx + 1)
-                .map(|next| next.base as usize - 1)
-                .unwrap_or(interp.stack.len());
-            if pos >= limit {
-                return None;
-            }
-            Some(interp.stack[pos])
-        }
-        SlotKey::Reimport { .. } => None,
-    }
-}
-
-/// Pushes frame `depth`'s operand-stack entries in index order.
-fn push_frame_stack(
-    exit: &SideExitInfo,
-    depth: u8,
-    ar: &[u64],
-    interp: &mut Interp,
-    realm: &mut Realm,
-) {
-    for want in 0..exit.frames[depth as usize].stack_depth {
-        let mut found = None;
-        for &(slot, key, ty) in &exit.write_back {
-            if key == (SlotKey::Stack { depth, idx: want }) {
-                found = Some(box_from_word(realm, ar[slot as usize], ty));
-                break;
-            }
-        }
-        interp.stack.push(found.expect("exit stack entries are written"));
-    }
-}
-
 /// Errors internal to the recording driver.
 enum RecordError {
     Guest(RuntimeError),
@@ -1506,7 +1331,8 @@ enum RecordError {
 struct NestHost<'a> {
     monitor: &'a mut Monitor,
     interp: &'a mut Interp,
-    outer: TreeId,
+    /// The running outer tree's code, as taken at its entry.
+    outer: &'a TreeCode,
     entry_frame_idx: usize,
 }
 
@@ -1517,27 +1343,22 @@ impl TreeHost for NestHost<'_> {
         ar: &mut [u64],
         realm: &mut Realm,
     ) -> Result<bool, RuntimeError> {
-        let (inner, expected_exit) = {
-            let tree = self.monitor.cache.tree(self.outer);
-            let site = &tree.nested_sites[site_id as usize];
-            // 1. Sync outer AR → interpreter state at the call site.
-            restore_exit_state(&site.callsite, ar, self.entry_frame_idx, self.interp, realm);
-            (site.inner, site.expected_exit)
-        };
+        let site = &self.outer.nested_sites[site_id as usize];
+        // 1. Sync outer AR → interpreter state at the call site.
+        export(&site.callsite, ar, self.entry_frame_idx, self.interp, realm);
 
-        // 2. Entry check for the inner tree.
-        if !self.monitor.cache.tree(inner).entry_matches(realm, self.interp) {
+        // 2. Entry check and import for the inner tree.
+        let Some(entered) = self.monitor.enter_tree(site.inner, 0, self.interp, realm) else {
             return Ok(false);
-        }
+        };
 
         // 3. Execute the inner tree (recursing through this host for its
         //    own nested calls).
-        let (frag, exit, _kind) =
-            self.monitor.execute_tree_once(inner, self.interp, realm)?;
-        if (frag, exit) != expected_exit {
+        let (frag, exit, _kind) = self.monitor.execute_tree(entered, 0, self.interp, realm)?;
+        if (frag, exit) != site.expected_exit {
             // §4.1 "we must guard on it after the call, and side exit if
             // the property does not hold."
-            self.monitor.pending_inner_exit = Some((inner, frag, exit));
+            self.monitor.pending_inner_exit = Some((site.inner, frag, exit));
             return Ok(false);
         }
 
@@ -1547,63 +1368,23 @@ impl TreeHost for NestHost<'_> {
         // site or is a loop-persistent write — the inner tree may have
         // modified those interpreter locations, and later outer exits
         // write them back from the AR.
-        let tree = self.monitor.cache.tree(self.outer);
-        let site = &tree.nested_sites[site_id as usize];
-        let inner_top = self.interp.frames.len() - 1;
         // Later entries overwrite earlier ones, so the call-site types
         // (what post-call exits expect for slots written before the call)
         // take precedence over generic entry/loop-edge types; reimports
         // use private slots and never collide. Entry slots must also be
         // refreshed: branch fragments read them, and the inner tree may
         // have changed the underlying location.
-        let entry_refresh = tree
-            .entry
+        let is_variable =
+            |b: &&SlotBinding| matches!(b.key, SlotKey::Global(_) | SlotKey::Local { .. });
+        let refresh = self
+            .outer
+            .entry()
             .iter()
-            .filter(|e| matches!(e.key, SlotKey::Global(_) | SlotKey::Local { .. }))
-            .map(|e| (e.ar, e.key, e.ty));
-        let refresh = entry_refresh
-            .chain(tree.loop_writes.iter().copied())
-            .chain(
-                site.callsite
-                    .write_back
-                    .iter()
-                    .filter(|&&(_, key, _)| {
-                        matches!(key, SlotKey::Global(_) | SlotKey::Local { .. })
-                    })
-                    .copied(),
-            )
-            .chain(site.reimports.iter().copied());
-        for (slot, key, ty) in refresh {
-            let v = match key {
-                SlotKey::Global(g) => realm.global(g),
-                SlotKey::Local { depth, slot } => {
-                    let idx = self.entry_frame_idx + depth as usize;
-                    if idx > inner_top {
-                        return Ok(false);
-                    }
-                    self.interp.local_at(idx, slot)
-                }
-                SlotKey::Stack { depth, idx } => {
-                    let fidx = self.entry_frame_idx + depth as usize;
-                    if fidx > inner_top {
-                        return Ok(false);
-                    }
-                    let frame = self.interp.frames[fidx];
-                    let nlocals =
-                        self.interp.prog().function(frame.func).nlocals as usize;
-                    let pos = frame.base as usize + nlocals + idx as usize;
-                    self.interp.stack[pos]
-                }
-                SlotKey::Reimport { .. } => {
-                    unreachable!("reimport lists store source keys")
-                }
-            };
-            if !value_matches(realm, v, ty) {
-                return Ok(false);
-            }
-            ar[slot as usize] = unbox_to_word(realm, v, ty);
-        }
-        Ok(true)
+            .filter(is_variable)
+            .chain(&self.outer.loop_writes)
+            .chain(site.callsite.write_back.iter().filter(is_variable))
+            .chain(&site.reimports);
+        Ok(import(refresh, self.interp, realm, self.entry_frame_idx, ar))
     }
 }
 
@@ -1716,23 +1497,62 @@ mod tests {
         assert!(s.native_fragments <= s.fragments, "{s:?}");
     }
 
+    /// Sibling selection over the slot path: creation order, and the
+    /// first enabled sibling whose entry map imports wins.
     #[test]
-    fn read_slot_value_covers_frames_and_stack() {
+    fn the_first_enabled_matching_sibling_is_entered() {
         let mut realm = Realm::new();
-        let ast = tm_frontend::parse("var g = 7; var x = 0;").unwrap();
+        let ast = tm_frontend::parse("var g = 1; for (var i = 0; i < 2; i++) g;").unwrap();
         let prog = tm_bytecode::compile(&ast, &mut realm).unwrap();
-        let mut interp = Interp::new(prog, &mut realm);
-        let _ = interp.run(&mut realm).unwrap();
-        interp.reset();
+        let l = &prog.function(prog.main).loops[0];
+        let anchor = Anchor::loop_header(prog.main, l.header, tm_bytecode::LoopId(0));
+        let interp = Interp::new(prog, &mut realm);
         let g = realm.lookup_global("g").unwrap();
-        let v = read_slot_value(&interp, &realm, 0, SlotKey::Global(g));
-        assert!(v.is_some());
-        // Locals of the entry frame are readable; deeper frames are not.
-        assert!(read_slot_value(&interp, &realm, 0, SlotKey::Local { depth: 0, slot: 0 })
-            .is_some());
-        assert!(read_slot_value(&interp, &realm, 0, SlotKey::Local { depth: 3, slot: 0 })
-            .is_none());
-        assert!(read_slot_value(&interp, &realm, 0, SlotKey::Reimport { site: 0, idx: 0 })
-            .is_none());
+        let mut m = Monitor::new(JitOptions::default());
+        m.ensure_slots(&interp);
+        let mut sibling = |ty| {
+            let entry = vec![SlotBinding { ar: 0, key: SlotKey::Global(g), ty }];
+            let mut layout = crate::activation::ArLayout::new();
+            layout.slot(SlotKey::Global(g));
+            let tid = m.cache.insert(TraceTree::new(Arc::new(TreeCode {
+                anchor,
+                digest: entry_digest(anchor, &entry),
+                layout,
+                fragments: Arc::new(vec![]),
+                exits: vec![],
+                fragment_bytecodes: vec![],
+                branches: vec![],
+                entry_reqs: vec![entry],
+                nested_sites: vec![],
+                loop_writes: vec![],
+                unstable: false,
+            })));
+            m.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize].trees.push(tid);
+            tid
+        };
+        use tm_lir::LirType;
+        let (undef, int, dbl) =
+            (sibling(LirType::Undefined), sibling(LirType::Int), sibling(LirType::Double));
+        assert_eq!(
+            m.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize].trees,
+            [undef, int, dbl]
+        );
+        let entered = |m: &Monitor, realm: &Realm| {
+            m.enter_anchor(anchor, &interp, realm).map(|e| (e.tid, e.ar))
+        };
+
+        realm.set_global(g, Value::new_int(5));
+        assert_eq!(entered(&m, &realm), Some((int, vec![5])), "Int precedes Double");
+        realm.set_global(g, Value::UNDEFINED);
+        assert_eq!(entered(&m, &realm).map(|e| e.0), Some(undef));
+        let half = realm.heap.alloc_double(0.5);
+        realm.set_global(g, half);
+        assert_eq!(entered(&m, &realm), Some((dbl, vec![0.5f64.to_bits()])));
+        realm.set_global(g, Value::NULL);
+        assert_eq!(entered(&m, &realm), None, "no sibling's entry map matches");
+        // A disabled sibling is passed over even when it matches.
+        realm.set_global(g, Value::new_int(5));
+        m.cache.tree_mut(int).disabled = true;
+        assert_eq!(entered(&m, &realm), Some((dbl, vec![5.0f64.to_bits()])));
     }
 }

@@ -33,14 +33,13 @@ use tm_nanojit::{Fragment, MachInst};
 use tm_runtime::{Realm, ShapeId};
 use tm_support::{fnv1a64, BinError, ByteReader, ByteWriter, Fnv1a64};
 
-use crate::activation::{ArLayout, SlotKey};
+use crate::activation::{ArLayout, SlotBinding, SlotKey};
 use crate::blacklist::PersistedEntry;
 use crate::exit::{ExitKind, FrameDesc, SideExitInfo};
 use crate::monitor::Monitor;
 use crate::oracle::{Site, VarKey};
-use crate::tree::{
-    Anchor, AnchorKind, EntrySlot, ExitState, NestedSite, TraceTree, TreeStats,
-};
+use crate::shared_cache::entry_digest;
+use crate::tree::{Anchor, AnchorKind, NestedSite, TraceTree, TreeCode};
 
 /// File magic: the first four bytes of every trace-cache file.
 pub const MAGIC: [u8; 4] = *b"TMTC";
@@ -48,7 +47,7 @@ pub const MAGIC: [u8; 4] = *b"TMTC";
 /// Current format version. Readers reject any other value (there is no
 /// cross-version migration: a cache is a regenerable artifact, so version
 /// skew simply degrades to a cold start).
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
 /// Why a cache file or entry was rejected. Every variant degrades to a
 /// cold start; none is fatal to the VM.
@@ -321,23 +320,20 @@ fn r_exitkind(r: &mut ByteReader) -> Result<ExitKind, BinError> {
     })
 }
 
-fn w_triples(ts: &[(ArSlot, SlotKey, LirType)], w: &mut ByteWriter) {
-    w.u32(ts.len() as u32);
-    for &(ar, key, ty) in ts {
-        w.u16(ar);
-        w_slotkey(key, w);
-        w_lirtype(ty, w);
+fn w_bindings(bs: &[SlotBinding], w: &mut ByteWriter) {
+    w.u32(bs.len() as u32);
+    for b in bs {
+        w.u16(b.ar);
+        w_slotkey(b.key, w);
+        w_lirtype(b.ty, w);
     }
 }
 
-fn r_triples(r: &mut ByteReader) -> Result<Vec<(ArSlot, SlotKey, LirType)>, BinError> {
+fn r_bindings(r: &mut ByteReader) -> Result<Vec<SlotBinding>, BinError> {
     let n = r.seq_len(5)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let ar = r.u16()?;
-        let key = r_slotkey(r)?;
-        let ty = r_lirtype(r)?;
-        out.push((ar, key, ty));
+        out.push(SlotBinding { ar: r.u16()?, key: r_slotkey(r)?, ty: r_lirtype(r)? });
     }
     Ok(out)
 }
@@ -352,12 +348,12 @@ fn w_exit(e: &SideExitInfo, w: &mut ByteWriter) {
         w.bool(f.is_construct);
         w.u64(f.callee_raw);
     }
-    w_triples(&e.write_back, w);
+    w_bindings(&e.write_back, w);
     w.u32(e.oracle_hint.len() as u32);
     for &k in &e.oracle_hint {
         w_slotkey(k, w);
     }
-    w_triples(&e.typemap, w);
+    w_bindings(&e.typemap, w);
     match e.arith_site {
         Some((f, pc)) => {
             w.bool(true);
@@ -381,13 +377,13 @@ fn r_exit(r: &mut ByteReader) -> Result<SideExitInfo, BinError> {
             callee_raw: r.u64()?,
         });
     }
-    let write_back = r_triples(r)?;
+    let write_back = r_bindings(r)?;
     let nhints = r.seq_len(5)?;
     let mut oracle_hint = Vec::with_capacity(nhints);
     for _ in 0..nhints {
         oracle_hint.push(r_slotkey(r)?);
     }
-    let typemap = r_triples(r)?;
+    let typemap = r_bindings(r)?;
     let arith_site =
         if r.bool()? { Some((FuncId(r.u32()?), r.u32()?)) } else { None };
     Ok(SideExitInfo { kind, frames, write_back, oracle_hint, typemap, arith_site })
@@ -420,7 +416,7 @@ fn w_nested(n: &NestedSite, w: &mut ByteWriter) {
     w.u32(n.inner.0);
     w.u32(n.expected_exit.0);
     w.u16(n.expected_exit.1);
-    w_triples(&n.reimports, w);
+    w_bindings(&n.reimports, w);
     w_exit(&n.callsite, w);
     w.u16(n.callsite_exit);
 }
@@ -429,7 +425,7 @@ fn r_nested(r: &mut ByteReader) -> Result<NestedSite, BinError> {
     Ok(NestedSite {
         inner: crate::tree::TreeId(r.u32()?),
         expected_exit: (r.u32()?, r.u16()?),
-        reimports: r_triples(r)?,
+        reimports: r_bindings(r)?,
         callsite: r_exit(r)?,
         callsite_exit: r.u16()?,
     })
@@ -441,12 +437,6 @@ fn encode_tree(t: &TraceTree, w: &mut ByteWriter) {
     w.u32(nslots as u32);
     for s in 0..nslots {
         w_slotkey(t.layout.key(s as ArSlot), w);
-    }
-    w.u32(t.entry.len() as u32);
-    for e in &t.entry {
-        w.u16(e.ar);
-        w_slotkey(e.key, w);
-        w_lirtype(e.ty, w);
     }
     w.u32(t.fragments.len() as u32);
     for f in t.fragments.iter() {
@@ -461,21 +451,24 @@ fn encode_tree(t: &TraceTree, w: &mut ByteWriter) {
     for &bc in &t.fragment_bytecodes {
         w.u32(bc);
     }
-    for states in &t.exit_states {
-        for st in states {
-            w.u32(st.failures);
-            w.u32(st.branch.unwrap_or(u32::MAX));
-        }
+    for &branch in t.branches.iter().flatten() {
+        w.u32(branch.unwrap_or(u32::MAX));
     }
-    for reqs in &t.frag_entry_reqs {
-        w_triples(reqs, w);
+    for reqs in &t.entry_reqs {
+        w_bindings(reqs, w);
     }
     w.u32(t.nested_sites.len() as u32);
     for n in &t.nested_sites {
         w_nested(n, w);
     }
-    w_triples(&t.loop_writes, w);
+    w_bindings(&t.loop_writes, w);
     w.bool(t.unstable);
+    // Realm-local state. The hotness counters are not stored: a warm
+    // process counts its own exit passes exactly like the cold process
+    // did, so it never crosses a threshold the cold process did not cross.
+    for st in t.exit_states.iter().flatten() {
+        w.u32(st.failures);
+    }
     w.bool(t.disabled);
 }
 
@@ -488,11 +481,6 @@ fn decode_tree(r: &mut ByteReader) -> Result<TraceTree, CacheError> {
     }
     if layout.len() != nkeys {
         return Err(CacheError::BadTree("duplicate slot key in layout".into()));
-    }
-    let nentry = r.seq_len(5)?;
-    let mut entry = Vec::with_capacity(nentry);
-    for _ in 0..nentry {
-        entry.push(EntrySlot { ar: r.u16()?, key: r_slotkey(r)?, ty: r_lirtype(r)? });
     }
     let nfrags = r.seq_len(8)?;
     if nfrags == 0 {
@@ -515,52 +503,43 @@ fn decode_tree(r: &mut ByteReader) -> Result<TraceTree, CacheError> {
     for _ in 0..nfrags {
         fragment_bytecodes.push(r.u32()?);
     }
-    let mut exit_states = Vec::with_capacity(nfrags);
+    let mut branches = Vec::with_capacity(nfrags);
     for es in &exits {
-        let mut states = Vec::with_capacity(es.len());
+        let mut links = Vec::with_capacity(es.len());
         for _ in 0..es.len() {
-            let failures = r.u32()?;
-            let branch = match r.u32()? {
-                u32::MAX => None,
-                b => Some(b),
-            };
-            // The hotness counter restarts at zero: a warm process counts
-            // its own exit passes exactly like the cold process did, so it
-            // never crosses a threshold the cold process did not cross.
-            states.push(ExitState { counter: 0, failures, branch });
+            links.push(Some(r.u32()?).filter(|&b| b != u32::MAX));
         }
-        exit_states.push(states);
+        branches.push(links);
     }
-    let mut frag_entry_reqs = Vec::with_capacity(nfrags);
+    let mut entry_reqs = Vec::with_capacity(nfrags);
     for _ in 0..nfrags {
-        frag_entry_reqs.push(r_triples(r)?);
+        entry_reqs.push(r_bindings(r)?);
     }
     let nsites = r.seq_len(20)?;
     let mut nested_sites = Vec::with_capacity(nsites);
     for _ in 0..nsites {
         nested_sites.push(r_nested(r)?);
     }
-    let loop_writes = r_triples(r)?;
+    let loop_writes = r_bindings(r)?;
     let unstable = r.bool()?;
-    let disabled = r.bool()?;
-    Ok(TraceTree {
-        id: crate::tree::TreeId(0), // assigned by TreeCache::insert
+    let mut tree = TraceTree::new(Arc::new(TreeCode {
         anchor,
+        digest: entry_digest(anchor, &entry_reqs[0]),
         layout,
-        entry,
         fragments: Arc::new(fragments),
         exits,
         fragment_bytecodes,
-        exit_states,
-        frag_entry_reqs,
+        branches,
+        entry_reqs,
         nested_sites,
         loop_writes,
-        lir: Vec::new(), // diagnostics-only; never persisted
         unstable,
-        disabled,
-        native: crate::tree::NativeCode::NotEmitted,
-        stats: TreeStats::default(),
-    })
+    }));
+    for st in tree.exit_states.iter_mut().flatten() {
+        st.failures = r.u32()?;
+    }
+    tree.disabled = r.bool()?;
+    Ok(tree)
 }
 
 fn encode_entry_body(
@@ -795,7 +774,7 @@ fn apply_shape_remap(frag: &mut Fragment, remap: &HashMap<u32, u32>) {
 /// Validates one decoded tree against the running program: anchor
 /// consistency, parallel-array shapes, AR-slot and frame bounds. Runs
 /// before the verifier pass (which checks the fragment code itself).
-fn validate_tree(prog: &Program, globals_len: u32, ntrees: u32, t: &TraceTree) -> Result<(), CacheError> {
+fn validate_tree(prog: &Program, globals_len: u32, ntrees: u32, t: &TreeCode) -> Result<(), CacheError> {
     let bad = |msg: String| Err(CacheError::BadTree(msg));
     let nfuncs = prog.functions.len() as u32;
     if t.anchor.func.0 >= nfuncs {
@@ -822,41 +801,44 @@ fn validate_tree(prog: &Program, globals_len: u32, ntrees: u32, t: &TraceTree) -
     }
     let nfrags = t.fragments.len();
     if t.exits.len() != nfrags
-        || t.exit_states.len() != nfrags
+        || t.branches.len() != nfrags
         || t.fragment_bytecodes.len() != nfrags
-        || t.frag_entry_reqs.len() != nfrags
+        || t.entry_reqs.len() != nfrags
     {
         return bad("per-fragment arrays are not parallel".into());
     }
     for (i, frag) in t.fragments.iter().enumerate() {
-        if t.exits[i].len() != frag.stitch.len() || t.exit_states[i].len() != frag.stitch.len() {
+        if t.exits[i].len() != frag.stitch.len() || t.branches[i].len() != frag.stitch.len() {
             return bad(format!("fragment {i}: exit arrays are not parallel"));
+        }
+        // The monitor enters at a linked fragment when stitching is off.
+        if let Some(b) = t.branches[i].iter().flatten().find(|&&b| b as usize >= nfrags) {
+            return bad(format!("fragment {i}: branch link {b} out of range"));
         }
     }
     let nslots = t.layout.len() as u32;
+    // Depth 0 is the frame the tree is entered in: the anchor's function.
+    let entry_nlocals = func.nlocals;
     let check_key = |key: SlotKey| -> Result<(), CacheError> {
-        if let SlotKey::Global(g) = key {
-            if g >= globals_len {
-                return Err(CacheError::BadTree(format!("global slot {g} out of range")));
+        match key {
+            SlotKey::Global(g) if g >= globals_len => {
+                Err(CacheError::BadTree(format!("global slot {g} out of range")))
             }
+            SlotKey::Local { depth: 0, slot } if slot >= entry_nlocals => {
+                Err(CacheError::BadTree(format!("entry-frame local {slot} out of range")))
+            }
+            _ => Ok(()),
+        }
+    };
+    let check_bindings = |what: &str, bs: &[SlotBinding]| -> Result<(), CacheError> {
+        for b in bs {
+            if u32::from(b.ar) >= nslots {
+                return Err(CacheError::BadTree(format!("{what}: AR slot {} out of range", b.ar)));
+            }
+            check_key(b.key)?;
         }
         Ok(())
     };
-    let check_triples = |what: &str, ts: &[(ArSlot, SlotKey, LirType)]| -> Result<(), CacheError> {
-        for &(ar, key, _) in ts {
-            if u32::from(ar) >= nslots {
-                return Err(CacheError::BadTree(format!("{what}: AR slot {ar} out of range")));
-            }
-            check_key(key)?;
-        }
-        Ok(())
-    };
-    for e in &t.entry {
-        if u32::from(e.ar) >= nslots {
-            return bad(format!("entry map: AR slot {} out of range", e.ar));
-        }
-        check_key(e.key)?;
-    }
     let check_exit = |what: &str, e: &SideExitInfo| -> Result<(), CacheError> {
         if e.frames.is_empty() {
             return Err(CacheError::BadTree(format!("{what}: exit with no frames")));
@@ -876,10 +858,22 @@ fn validate_tree(prog: &Program, globals_len: u32, ntrees: u32, t: &TraceTree) -
                 )));
             }
         }
-        check_triples(what, &e.write_back)?;
-        check_triples(what, &e.typemap)?;
+        check_bindings(what, &e.write_back)?;
+        check_bindings(what, &e.typemap)?;
         for &k in &e.oracle_hint {
             check_key(k)?;
+        }
+        // Restoring the exit pushes every operand-stack entry each frame
+        // holds; each must have a slot to come from.
+        for (depth, f) in e.frames.iter().enumerate() {
+            for idx in 0..f.stack_depth {
+                let key = SlotKey::Stack { depth: depth as u8, idx };
+                if !e.write_back.iter().any(|b| b.key == key) {
+                    return Err(CacheError::BadTree(format!(
+                        "{what}: frame {depth} stack entry {idx} is not written back"
+                    )));
+                }
+            }
         }
         Ok(())
     };
@@ -888,15 +882,15 @@ fn validate_tree(prog: &Program, globals_len: u32, ntrees: u32, t: &TraceTree) -
             check_exit(&format!("fragment {i} exit {j}"), e)?;
         }
     }
-    for reqs in &t.frag_entry_reqs {
-        check_triples("fragment entry requirements", reqs)?;
+    for reqs in &t.entry_reqs {
+        check_bindings("fragment entry requirements", reqs)?;
     }
-    check_triples("loop writes", &t.loop_writes)?;
+    check_bindings("loop writes", &t.loop_writes)?;
     for (i, site) in t.nested_sites.iter().enumerate() {
         if site.inner.0 >= ntrees {
             return bad(format!("nested site {i}: inner tree {} out of range", site.inner.0));
         }
-        check_triples("nested reimports", &site.reimports)?;
+        check_bindings("nested reimports", &site.reimports)?;
         check_exit(&format!("nested site {i} callsite"), &site.callsite)?;
     }
     Ok(())
@@ -976,14 +970,13 @@ impl Monitor {
         let globals_len = realm.globals.len() as u32;
         let ntrees = entry.trees.len() as u32;
         for (i, tree) in entry.trees.iter_mut().enumerate() {
-            {
-                let frags = Arc::get_mut(&mut tree.fragments)
-                    .expect("decoded fragments are uniquely owned");
-                for frag in frags.iter_mut() {
-                    apply_shape_remap(frag, &remap);
-                }
+            let code = Arc::get_mut(&mut tree.code).expect("a decoded tree is uniquely owned");
+            let frags = Arc::get_mut(&mut code.fragments)
+                .expect("decoded fragments are uniquely owned");
+            for frag in frags.iter_mut() {
+                apply_shape_remap(frag, &remap);
             }
-            validate_tree(prog, globals_len, ntrees, tree)?;
+            validate_tree(prog, globals_len, ntrees, code)?;
             tm_verifier::verify_loaded_fragments(
                 &tree.fragments,
                 tree.layout.len(),
@@ -1012,11 +1005,10 @@ impl Monitor {
             // cold process already proved unprofitable: restored exit
             // failures are saturated so `maybe_extend` treats them as
             // exhausted (the same policy as `Blacklist::restore`).
-            for states in &mut tree.exit_states {
-                for st in states {
-                    if st.failures > 0 && st.branch.is_none() {
-                        st.failures = u32::MAX;
-                    }
+            let links = tree.code.branches.iter().flatten();
+            for (st, link) in tree.exit_states.iter_mut().flatten().zip(links) {
+                if st.failures > 0 && link.is_none() {
+                    st.failures = u32::MAX;
                 }
             }
             loaded_fragments += tree.fragments.len() as u64;
@@ -1210,9 +1202,13 @@ mod tests {
                 is_construct: true,
                 callee_raw: 0xdead_beef_cafe,
             }],
-            write_back: vec![(0, SlotKey::Global(1), LirType::Int)],
+            write_back: vec![SlotBinding { ar: 0, key: SlotKey::Global(1), ty: LirType::Int }],
             oracle_hint: vec![SlotKey::Local { depth: 0, slot: 2 }],
-            typemap: vec![(1, SlotKey::Stack { depth: 0, idx: 0 }, LirType::Double)],
+            typemap: vec![SlotBinding {
+                ar: 1,
+                key: SlotKey::Stack { depth: 0, idx: 0 },
+                ty: LirType::Double,
+            }],
             arith_site: Some((FuncId(3), 16)),
         };
         let mut w = ByteWriter::new();
@@ -1257,8 +1253,15 @@ mod tests {
 
     /// Runs `src` cold against a fresh cache file, rewrites the saved
     /// entry through `corrupt` (re-encoded and re-checksummed, so only
-    /// revalidation can object), and runs it again.
-    fn run_with_corrupted_entry(name: &str, src: &str, corrupt: impl FnOnce(&mut TraceTree)) {
+    /// revalidation can object), and runs it again: the entry must be
+    /// rejected, nothing installed, and the output the interpreter's.
+    /// Returns the rejection.
+    fn run_with_corrupted_entry(
+        name: &str,
+        src: &str,
+        opts: crate::JitOptions,
+        corrupt: impl FnOnce(&mut TreeCode),
+    ) -> CacheError {
         use crate::vm::{Engine, Vm};
         let path = std::env::temp_dir()
             .join(format!("tm_persist_unit_{}_{name}.tmc", std::process::id()));
@@ -1266,13 +1269,13 @@ mod tests {
         let mut expected = Vm::new(Engine::Interp);
         expected.eval(src).unwrap();
 
-        let mut cold = Vm::new(Engine::Tracing);
+        let mut cold = Vm::with_options(Engine::Tracing, opts);
         cold.set_cache_path(Some(path.clone()));
         cold.eval(src).unwrap();
         let (key, body) = split_file(&std::fs::read(&path).unwrap()).unwrap().remove(0);
         let mut e = decode_entry_body(key, &body).unwrap();
         let tree = e.trees.iter_mut().find(|t| !t.nested_sites.is_empty()).expect("a nesting tree");
-        corrupt(tree);
+        corrupt(Arc::get_mut(&mut tree.code).unwrap());
         let body = encode_entry_body(
             e.fingerprint,
             &e.shapes,
@@ -1285,20 +1288,20 @@ mod tests {
         );
         std::fs::write(&path, join_file(&[(key, body)])).unwrap();
 
-        let mut vm = Vm::new(Engine::Tracing);
+        let mut vm = Vm::with_options(Engine::Tracing, opts);
         vm.set_cache_path(Some(path.clone()));
         vm.eval(src).unwrap();
         let _ = std::fs::remove_file(&path);
         assert_eq!(vm.output(), expected.output());
-        assert!(
-            matches!(vm.last_cache_error(), Some(CacheError::VerifyFailed { .. })),
-            "{:?}",
-            vm.last_cache_error()
-        );
         let stats = vm.profile().unwrap();
         assert_eq!(stats.cache_revalidation_failures, 1);
         assert_eq!((stats.cache_hits, stats.cache_loaded_trees), (0, 0), "monitor stayed cold");
+        vm.last_cache_error().expect("the entry was rejected").clone()
     }
+
+    const NESTED_LOOPS: &str = "var n = 0;
+        for (var i = 0; i < 60; i++) { for (var k = 0; k < 40; k++) n += k & i; }
+        print(n);";
 
     /// A well-formed, well-checksummed entry whose *code* addresses one
     /// slot past the activation record, or one site past the nested-site
@@ -1306,13 +1309,11 @@ mod tests {
     /// out-of-bounds access in whichever tier would have executed it.
     #[test]
     fn code_addressing_outside_the_tree_is_rejected() {
-        let src = "var n = 0;
-                   for (var i = 0; i < 60; i++) { for (var k = 0; k < 40; k++) n += k & i; }
-                   print(n);";
-        fn code(t: &mut TraceTree) -> &mut [MachInst] {
+        fn code(t: &mut TreeCode) -> &mut [MachInst] {
             &mut Arc::get_mut(&mut t.fragments).unwrap()[0].code
         }
-        run_with_corrupted_entry("ar", src, |t| {
+        let opts = crate::JitOptions::default();
+        let err = run_with_corrupted_entry("ar", NESTED_LOOPS, opts, |t| {
             let past = t.layout.len() as u16;
             let slot = code(t)
                 .iter_mut()
@@ -1320,7 +1321,8 @@ mod tests {
                 .expect("a WriteAr in the trunk");
             *slot = past;
         });
-        run_with_corrupted_entry("site", src, |t| {
+        assert!(matches!(err, CacheError::VerifyFailed { .. }), "{err:?}");
+        let err = run_with_corrupted_entry("site", NESTED_LOOPS, opts, |t| {
             let past = t.nested_sites.len() as u32;
             let site = code(t)
                 .iter_mut()
@@ -1328,5 +1330,35 @@ mod tests {
                 .expect("a CallTree in the trunk");
             *site = past;
         });
+        assert!(matches!(err, CacheError::VerifyFailed { .. }), "{err:?}");
+    }
+
+    /// The same for the state-transfer recipes: each of these was an index
+    /// or `expect` panic in the monitor, at tree entry or at a side exit.
+    #[test]
+    fn recipes_the_monitor_cannot_follow_are_rejected() {
+        let opts = crate::JitOptions::default();
+        // An entry-map slot shadowing a local the entry frame does not have.
+        let err = run_with_corrupted_entry("local", NESTED_LOOPS, opts, |t| {
+            t.entry_reqs[0][0].key = SlotKey::Local { depth: 0, slot: u16::MAX };
+        });
+        assert!(matches!(err, CacheError::BadTree(_)), "{err:?}");
+        // Exits that push one more operand-stack entry than they write back.
+        let err = run_with_corrupted_entry("stack", NESTED_LOOPS, opts, |t| {
+            for e in t.exits.iter_mut().flatten() {
+                e.frames[0].stack_depth += 1;
+            }
+        });
+        assert!(matches!(err, CacheError::BadTree(_)), "{err:?}");
+        // Branch links past the last fragment, which the monitor enters at
+        // when stitching is off.
+        let unstitched = crate::JitOptions { enable_stitching: false, ..opts };
+        let err = run_with_corrupted_entry("link", NESTED_LOOPS, unstitched, |t| {
+            let past = t.fragments.len() as u32;
+            for link in t.branches.iter_mut().flatten() {
+                *link = Some(past);
+            }
+        });
+        assert!(matches!(err, CacheError::BadTree(_)), "{err:?}");
     }
 }

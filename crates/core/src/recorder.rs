@@ -21,12 +21,12 @@ use tm_lir::{ArSlot, ExitId, Lir, LirBuffer, LirTrace, LirType};
 use tm_runtime::trace_helpers::FastTy;
 use tm_runtime::{ops as rt_ops, Callee, Helper, IcKind, NativeId, ObjectClass, PropIc, Realm, Sym, Value};
 
-use crate::activation::{observed_type, ArLayout, SlotKey};
+use crate::activation::{observed_type, ArLayout, SlotBinding, SlotKey};
 use crate::config::JitOptions;
 use crate::events::AbortReason;
 use crate::exit::{ExitKind, FrameDesc, SideExitInfo};
 use crate::oracle::{var_key, Oracle, VarKey};
-use crate::tree::{Anchor, AnchorKind, EntrySlot, NestedSite, TreeId};
+use crate::tree::{Anchor, AnchorKind, NestedSite, TreeId};
 
 /// Hard cap on shadow frames per recording: `SlotKey::Local` keys frame
 /// depth in a `u8`, so side exits cannot describe deeper inlining no
@@ -102,7 +102,7 @@ pub struct RecordedTrace {
     /// Side-exit descriptors, indexed by exit id.
     pub exits: Vec<SideExitInfo>,
     /// Imports that must be added to the tree's entry type map.
-    pub new_entry: Vec<EntrySlot>,
+    pub new_entry: Vec<SlotBinding>,
     /// The (possibly grown) AR layout.
     pub layout: ArLayout,
     /// Bytecodes covered by this trace.
@@ -118,7 +118,7 @@ pub struct RecordedTrace {
     /// Loop-persistent writes (globals and entry-frame locals written by a
     /// looping trace): their values survive across iterations in the AR,
     /// so *every* exit of the tree must write them back.
-    pub loop_writes: Vec<(ArSlot, SlotKey, LirType)>,
+    pub loop_writes: Vec<SlotBinding>,
     /// Builtin helpers emitted as typed fast calls (per-builtin trace
     /// counters; see DIAGNOSTICS.md).
     pub fast_helpers: Vec<Helper>,
@@ -133,13 +133,13 @@ pub fn exit_view(e: &SideExitInfo) -> tm_verifier::ExitView {
         stack_writes: e
             .write_back
             .iter()
-            .filter_map(|&(_, key, _)| match key {
+            .filter_map(|b| match b.key {
                 SlotKey::Stack { depth, idx } => Some((depth, idx)),
                 _ => None,
             })
             .collect(),
-        write_back: e.write_back.iter().map(|&(s, _, t)| (s, t)).collect(),
-        typemap: e.typemap.iter().map(|&(s, _, t)| (s, t)).collect(),
+        write_back: e.write_back.iter().map(|b| (b.ar, b.ty)).collect(),
+        typemap: e.typemap.iter().map(|b| (b.ar, b.ty)).collect(),
     }
 }
 
@@ -187,7 +187,7 @@ pub struct Recorder {
     /// Known entry types per key (branch: seeded from the parent exit's
     /// type map; root: filled as imports happen).
     entry_types: HashMap<SlotKey, LirType>,
-    new_entry: Vec<EntrySlot>,
+    new_entry: Vec<SlotBinding>,
     frames: Vec<ShadowFrame>,
     globals: HashMap<u32, Sv>,
     /// Cumulative write set: AR slots whose interpreter locations are
@@ -200,7 +200,7 @@ pub struct Recorder {
     anchor_range: (u32, u32),
     /// The tree entry map the loop edge must re-establish (empty for root
     /// recordings, which build their own in `new_entry`).
-    existing_entry: Vec<EntrySlot>,
+    existing_entry: Vec<SlotBinding>,
     opts: JitOptions,
     ops_recorded: u32,
     nested_sites: Vec<NestedSite>,
@@ -215,7 +215,7 @@ pub struct Recorder {
     pending_native: Option<(PendingNative, u32)>,
     oracle_marks: Vec<VarKey>,
     finish: Option<FinishKind>,
-    loop_writes: Vec<(ArSlot, SlotKey, LirType)>,
+    loop_writes: Vec<SlotBinding>,
     // Per-op guard-exit state (see module docs).
     cur_exit: Option<ExitId>,
     pre_pc: u32,
@@ -301,7 +301,7 @@ impl Recorder {
         anchor: Anchor,
         anchor_range: (u32, u32),
         layout: ArLayout,
-        existing_entry: Vec<EntrySlot>,
+        existing_entry: Vec<SlotBinding>,
         parent_exit: &SideExitInfo,
         nested_site_base: u32,
         interp: &Interp,
@@ -348,12 +348,12 @@ impl Recorder {
         // recorded type (overriding the entry type when the parent path
         // rewrote the slot); the parent's cumulative writes remain *our*
         // writes for later exits.
-        for &(ar, key, ty) in &parent_exit.typemap {
-            rec.entry_types.insert(key, ty);
-            rec.known.insert(ar, (key, ty));
+        for b in &parent_exit.typemap {
+            rec.entry_types.insert(b.key, b.ty);
+            rec.known.insert(b.ar, (b.key, b.ty));
         }
-        for &(ar, key, ty) in &parent_exit.write_back {
-            rec.written.insert(ar, (key, ty));
+        for b in &parent_exit.write_back {
+            rec.written.insert(b.ar, (b.key, b.ty));
         }
         // Rebuild shadow frames; locals import lazily (deeper-frame locals
         // not in the parent type map are still their initial undefined).
@@ -477,20 +477,20 @@ impl Recorder {
                 SlotKey::Reimport { .. } => false,
             }
         };
-        let mut write_back: Vec<(ArSlot, SlotKey, LirType)> = self
+        let mut write_back: Vec<SlotBinding> = self
             .written
             .iter()
             .filter(|&(_, &(key, _))| keep(key))
-            .map(|(&ar, &(key, ty))| (ar, key, ty))
+            .map(|(&ar, &(key, ty))| SlotBinding { ar, key, ty })
             .collect();
-        write_back.sort_by_key(|&(ar, _, _)| ar);
-        let mut typemap: Vec<(ArSlot, SlotKey, LirType)> = self
+        write_back.sort_by_key(|b| b.ar);
+        let mut typemap: Vec<SlotBinding> = self
             .known
             .iter()
             .filter(|&(_, &(key, _))| keep(key))
-            .map(|(&ar, &(key, ty))| (ar, key, ty))
+            .map(|(&ar, &(key, ty))| SlotBinding { ar, key, ty })
             .collect();
-        typemap.sort_by_key(|&(ar, _, _)| ar);
+        typemap.sort_by_key(|b| b.ar);
 
         self.exits.push(SideExitInfo {
             kind,
@@ -520,7 +520,7 @@ impl Recorder {
             let idx = self.nested_sites[site].reimports.len() as u16;
             let site_id = self.nested_site_base + site as u32;
             let ar = self.layout.slot(SlotKey::Reimport { site: site_id, idx });
-            self.nested_sites[site].reimports.push((ar, key, ty));
+            self.nested_sites[site].reimports.push(SlotBinding { ar, key, ty });
             let id = self.emit(Lir::Import { slot: ar, ty });
             return Sv { id, ty };
         }
@@ -531,7 +531,7 @@ impl Recorder {
                 let v = observed.expect("fresh import needs an observed value");
                 let ty = observed_type(v);
                 self.entry_types.insert(key, ty);
-                self.new_entry.push(EntrySlot { ar, key, ty });
+                self.new_entry.push(SlotBinding { ar, key, ty });
                 ty
             }
         };
@@ -583,7 +583,7 @@ impl Recorder {
                 if !oracle.may_speculate_int(vk) && self.active_site.is_none() {
                     let ar = self.layout.slot(key);
                     self.entry_types.insert(key, LirType::Double);
-                    self.new_entry.push(EntrySlot { ar, key, ty: LirType::Double });
+                    self.new_entry.push(SlotBinding { ar, key, ty: LirType::Double });
                 }
             }
         }
@@ -2174,14 +2174,14 @@ impl Recorder {
     fn finish_at_anchor(&mut self) {
         // Type-stability analysis (§3.2): compare the loop-edge types of
         // every entry slot with the entry map.
-        let entries: Vec<EntrySlot> = self
+        let entries: Vec<SlotBinding> = self
             .existing_entry
             .iter()
             .chain(self.new_entry.iter())
             .copied()
             .collect();
         let mut unstable = false;
-        let mut coerce: Vec<(EntrySlot, Sv)> = Vec::new();
+        let mut coerce: Vec<(SlotBinding, Sv)> = Vec::new();
         for e in &entries {
             let cur_ty = self.known.get(&e.ar).map(|&(_, t)| t).unwrap_or(e.ty);
             if cur_ty == e.ty {
@@ -2218,10 +2218,10 @@ impl Recorder {
             // write back garbage), and (b) *every* exit must write them
             // back (an exit on iteration k may be reached after the write
             // happened on iteration k-1).
-            let mut loop_writes: Vec<(ArSlot, SlotKey, LirType)> = Vec::new();
+            let mut loop_writes: Vec<SlotBinding> = Vec::new();
             for (&ar, &(key, ty)) in &self.written {
                 if matches!(key, SlotKey::Global(_) | SlotKey::Local { depth: 0, .. }) {
-                    loop_writes.push((ar, key, ty));
+                    loop_writes.push(SlotBinding { ar, key, ty });
                     // Must be a *tree entry* slot (populated on every
                     // entry): the entry_types map also contains parent-path
                     // imports that are not entry slots, so check the entry
@@ -2230,11 +2230,11 @@ impl Recorder {
                         || self.new_entry.iter().any(|e| e.key == key);
                     if !is_entry {
                         self.entry_types.insert(key, ty);
-                        self.new_entry.push(EntrySlot { ar, key, ty });
+                        self.new_entry.push(SlotBinding { ar, key, ty });
                     }
                 }
             }
-            loop_writes.sort_by_key(|&(ar, _, _)| ar);
+            loop_writes.sort_by_key(|b| b.ar);
             self.loop_writes = loop_writes;
             let e = self.snapshot_exit(ExitKind::LoopEdge, self.anchor.pc, None);
             self.emit(Lir::LoopBack(e));
@@ -2345,14 +2345,11 @@ fn bitnot_value(realm: &Realm, a: Value) -> i64 {
 
 /// Adds loop-persistent writes missing from an exit's slot list (existing
 /// entries keep their more precise per-exit types).
-pub(crate) fn union_writes(
-    list: &mut Vec<(ArSlot, SlotKey, LirType)>,
-    extra: &[(ArSlot, SlotKey, LirType)],
-) {
-    for &(ar, key, ty) in extra {
-        if !list.iter().any(|&(a, _, _)| a == ar) {
-            list.push((ar, key, ty));
+pub(crate) fn union_writes(list: &mut Vec<SlotBinding>, extra: &[SlotBinding]) {
+    for b in extra {
+        if !list.iter().any(|x| x.ar == b.ar) {
+            list.push(*b);
         }
     }
-    list.sort_by_key(|&(ar, _, _)| ar);
+    list.sort_by_key(|b| b.ar);
 }

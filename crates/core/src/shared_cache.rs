@@ -19,7 +19,11 @@
 //! compile. A realm whose shapes diverged (different fingerprint) misses
 //! the key entirely — there is no false sharing, only cold recording.
 //!
-//! Entries are immutable snapshots behind `Arc`: eviction (LRU over a
+//! An entry is the publisher's own `Arc<TreeCode>`: publishing and
+//! installing clone the handle, never the tree. The record is immutable
+//! while shared — a realm that extends its tree does so through
+//! `Arc::make_mut`, which copies it once and leaves every other holder on
+//! the version it installed — and eviction (LRU over a
 //! machine-instruction budget) merely drops the cache's reference, so a
 //! realm mid-execution of an evicted fragment keeps it alive until it
 //! exits — an in-use fragment is never freed.
@@ -39,10 +43,9 @@ use tm_nanojit::Fragment;
 use tm_runtime::Realm;
 use tm_support::{sched, Fnv1a64};
 
-use crate::activation::{ArLayout, SlotKey};
-use crate::exit::SideExitInfo;
+use crate::activation::{SlotBinding, SlotKey};
 use crate::persist::{program_checksum, realm_fingerprint};
-use crate::tree::{Anchor, EntrySlot, ExitState, TraceTree, TreeId, TreeStats};
+use crate::tree::{Anchor, TreeCode};
 
 /// Identifies "the same program in an indistinguishable realm": the two
 /// halves of every shared-cache key that are fixed per `(program, realm)`
@@ -66,79 +69,9 @@ impl SharedKey {
     }
 }
 
-/// An immutable published snapshot of a compiled trace tree — everything
-/// a realm needs to install and execute it, and nothing realm-local (no
-/// ids, no counters, no nested sites).
-#[derive(Debug)]
-pub struct SharedTree {
-    /// Anchor the tree compiles.
-    pub anchor: Anchor,
-    /// Identity digest of this sibling (anchor + entry map at first
-    /// publish); stable across republishes so branch extensions replace
-    /// rather than duplicate, and so installing realms can deduplicate.
-    pub digest: u64,
-    /// Activation-record layout.
-    pub layout: ArLayout,
-    /// Entry type map.
-    pub entry: Vec<EntrySlot>,
-    /// Compiled fragments, shared by reference with every installing
-    /// realm and with the publisher.
-    pub fragments: Arc<Vec<Fragment>>,
-    /// Side-exit descriptors per fragment.
-    pub exits: Vec<Vec<SideExitInfo>>,
-    /// Bytecodes covered per fragment.
-    pub fragment_bytecodes: Vec<u32>,
-    /// Which exits already carry a stitched branch fragment, per
-    /// fragment and exit (the publisher's `ExitState::branch`).
-    pub branch_links: Vec<Vec<Option<u32>>>,
-    /// Per-fragment monitor-entry requirements.
-    pub frag_entry_reqs: Vec<Vec<(tm_lir::ArSlot, SlotKey, tm_lir::LirType)>>,
-    /// Loop-persistent writes.
-    pub loop_writes: Vec<(tm_lir::ArSlot, SlotKey, tm_lir::LirType)>,
-    /// Whether the trunk is type-unstable.
-    pub unstable: bool,
-    /// Total machine instructions across fragments (the LRU cost unit).
-    pub insts: usize,
-}
-
-impl SharedTree {
-    /// Materializes a realm-local [`TraceTree`] from this snapshot, with
-    /// fresh execution statistics and exit counters but the publisher's
-    /// branch links preserved (a stitched exit must never be re-recorded).
-    pub fn instantiate(&self) -> TraceTree {
-        let exit_states = self
-            .branch_links
-            .iter()
-            .map(|frag| {
-                frag.iter()
-                    .map(|&branch| ExitState { counter: 0, failures: 0, branch })
-                    .collect()
-            })
-            .collect();
-        TraceTree {
-            id: TreeId(0), // assigned by the installing cache
-            anchor: self.anchor,
-            layout: self.layout.clone(),
-            entry: self.entry.clone(),
-            fragments: Arc::clone(&self.fragments),
-            exits: self.exits.clone(),
-            fragment_bytecodes: self.fragment_bytecodes.clone(),
-            exit_states,
-            frag_entry_reqs: self.frag_entry_reqs.clone(),
-            nested_sites: Vec::new(),
-            loop_writes: self.loop_writes.clone(),
-            lir: Vec::new(),
-            unstable: self.unstable,
-            disabled: false,
-            native: crate::tree::NativeCode::NotEmitted,
-            stats: TreeStats::default(),
-        }
-    }
-}
-
 /// Digest of a tree's identity within a program: its anchor plus its
 /// entry type map. Used as the sibling-level key component.
-pub fn entry_digest(anchor: Anchor, entry: &[EntrySlot]) -> u64 {
+pub fn entry_digest(anchor: Anchor, entry: &[SlotBinding]) -> u64 {
     let mut h = Fnv1a64::new();
     h.update_u64(u64::from(anchor.func.0));
     h.update_u64(u64::from(anchor.pc));
@@ -190,7 +123,9 @@ pub struct SharedCacheStats {
 
 #[derive(Debug)]
 struct Slot {
-    tree: Arc<SharedTree>,
+    code: Arc<TreeCode>,
+    /// Total machine instructions across fragments (the LRU cost unit).
+    insts: usize,
     /// LRU stamp: bumped on every hit and publish.
     stamp: u64,
 }
@@ -233,7 +168,7 @@ impl SharedCodeCache {
 
     /// All published siblings for `anchor` under `key`, most recently
     /// published first. Bumps the LRU stamp of every returned entry.
-    pub fn lookup(&self, key: SharedKey, anchor: Anchor) -> Vec<Arc<SharedTree>> {
+    pub fn lookup(&self, key: SharedKey, anchor: Anchor) -> Vec<Arc<TreeCode>> {
         sched::yield_point("shared.lookup");
         let mut inner = self.inner.lock().unwrap();
         let inner = &mut *inner;
@@ -243,7 +178,7 @@ impl SharedCodeCache {
             if let Some(slot) = inner.entries.get_mut(&(key, d)) {
                 inner.clock += 1;
                 slot.stamp = inner.clock;
-                found.push(Arc::clone(&slot.tree));
+                found.push(Arc::clone(&slot.code));
             }
         }
         if found.is_empty() {
@@ -254,58 +189,37 @@ impl SharedCodeCache {
         found
     }
 
-    /// Publishes a snapshot of `tree` under `key` with sibling identity
-    /// `digest`, replacing any previous snapshot with the same identity
-    /// (a branch extension republishes). Returns `false` (and counts)
-    /// when the tree is not shareable (nested-call sites) — or when it is
-    /// larger than the whole budget, in which case caching it would only
-    /// thrash. May evict least-recently-used entries.
-    pub fn publish(&self, key: SharedKey, digest: u64, tree: &TraceTree) -> bool {
+    /// Publishes `code` under `key` and its own sibling identity
+    /// (`code.digest`), replacing any previous version with the same
+    /// identity (a branch extension republishes). Returns `false` (and
+    /// counts) when the tree is not shareable (nested-call sites name
+    /// other trees by realm-local id) — or when it is larger than the
+    /// whole budget, in which case caching it would only thrash. May
+    /// evict least-recently-used entries.
+    pub fn publish(&self, key: SharedKey, code: &Arc<TreeCode>) -> bool {
         sched::yield_point("shared.publish");
-        if !tree.nested_sites.is_empty() {
+        if !code.nested_sites.is_empty() {
             self.inner.lock().unwrap().stats.skipped_nested += 1;
             return false;
         }
-        let snapshot = SharedTree {
-            anchor: tree.anchor,
-            digest,
-            layout: tree.layout.clone(),
-            entry: tree.entry.clone(),
-            fragments: Arc::clone(&tree.fragments),
-            exits: tree.exits.clone(),
-            fragment_bytecodes: tree.fragment_bytecodes.clone(),
-            branch_links: tree
-                .exit_states
-                .iter()
-                .map(|frag| frag.iter().map(|st| st.branch).collect())
-                .collect(),
-            frag_entry_reqs: tree.frag_entry_reqs.clone(),
-            loop_writes: tree.loop_writes.clone(),
-            unstable: tree.unstable,
-            insts: tree.fragments.iter().map(Fragment::len).sum(),
-        };
-        if snapshot.insts > self.budget_insts {
+        let insts: usize = code.fragments.iter().map(Fragment::len).sum();
+        if insts > self.budget_insts {
             return false;
         }
         let evicted;
         {
             let mut inner = self.inner.lock().unwrap();
             inner.clock += 1;
-            let stamp = inner.clock;
-            let anchor = snapshot.anchor;
-            let insts = snapshot.insts;
-            match inner.entries.insert(
-                (key, digest),
-                Slot { tree: Arc::new(snapshot), stamp },
-            ) {
+            let slot = Slot { code: Arc::clone(code), insts, stamp: inner.clock };
+            match inner.entries.insert((key, code.digest), slot) {
                 Some(old) => {
                     inner.stats.replaced += 1;
-                    inner.stats.insts -= old.tree.insts as u64;
+                    inner.stats.insts -= old.insts as u64;
                 }
                 None => {
                     inner.stats.publishes += 1;
                     inner.stats.entries += 1;
-                    inner.by_anchor.entry((key, anchor)).or_default().push(digest);
+                    inner.by_anchor.entry((key, code.anchor)).or_default().push(code.digest);
                 }
             }
             inner.stats.insts += insts as u64;
@@ -345,11 +259,11 @@ impl Inner {
                 break;
             };
             let slot = self.entries.remove(&victim_key).expect("victim exists");
-            self.stats.insts -= slot.tree.insts as u64;
+            self.stats.insts -= slot.insts as u64;
             self.stats.entries -= 1;
             self.stats.evictions += 1;
             evicted += 1;
-            if let Some(list) = self.by_anchor.get_mut(&(victim_key.0, slot.tree.anchor)) {
+            if let Some(list) = self.by_anchor.get_mut(&(victim_key.0, slot.code.anchor)) {
                 list.retain(|&d| d != victim_key.1);
             }
         }
@@ -360,8 +274,12 @@ impl Inner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::TraceTree;
     use crate::vm::{Engine, Vm};
-    use crate::JitOptions;
+    use crate::{JitOptions, Monitor};
+    use tm_interp::Interp;
+
+    const HOT: &str = "var s = 0; for (var i = 0; i < 100; i++) s += i; s";
 
     /// Runs a hot loop and returns the VM (so its monitor's trees can be
     /// published by hand in these unit tests).
@@ -371,24 +289,26 @@ mod tests {
         vm
     }
 
-    fn first_tree(vm: &Vm) -> (SharedKey, u64, &TraceTree) {
-        let m = vm.monitor().expect("traced");
-        let t = m.cache.iter().next().expect("one tree");
-        let key = SharedKey { program_key: 1, fingerprint: 2 };
-        let digest = entry_digest(t.anchor, &t.entry);
-        (key, digest, t)
+    const KEY: SharedKey = SharedKey { program_key: 1, fingerprint: 2 };
+
+    fn first_tree(vm: &Vm) -> &TraceTree {
+        vm.monitor().expect("traced").cache.iter().next().expect("one tree")
+    }
+
+    /// `code` under another sibling identity.
+    fn with_digest(code: &TreeCode, digest: u64) -> Arc<TreeCode> {
+        Arc::new(TreeCode { digest, ..code.clone() })
     }
 
     #[test]
     fn publish_then_lookup_roundtrip() {
-        let vm = traced("var s = 0; for (var i = 0; i < 100; i++) s += i; s");
-        let (key, digest, tree) = first_tree(&vm);
+        let vm = traced(HOT);
+        let tree = first_tree(&vm);
         let cache = SharedCodeCache::default();
-        assert!(cache.publish(key, digest, tree));
-        let got = cache.lookup(key, tree.anchor);
+        assert!(cache.publish(KEY, &tree.code));
+        let got = cache.lookup(KEY, tree.anchor);
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].digest, digest);
-        assert_eq!(got[0].fragments.len(), tree.fragments.len());
+        assert!(Arc::ptr_eq(&got[0], &tree.code), "the cache holds the publisher's record");
         // A different fingerprint misses.
         let other = SharedKey { program_key: 1, fingerprint: 3 };
         assert!(cache.lookup(other, tree.anchor).is_empty());
@@ -398,39 +318,129 @@ mod tests {
 
     #[test]
     fn republish_replaces_not_duplicates() {
-        let vm = traced("var s = 0; for (var i = 0; i < 100; i++) s += i; s");
-        let (key, digest, tree) = first_tree(&vm);
+        let vm = traced(HOT);
+        let tree = first_tree(&vm);
         let cache = SharedCodeCache::default();
-        assert!(cache.publish(key, digest, tree));
-        assert!(cache.publish(key, digest, tree));
+        assert!(cache.publish(KEY, &tree.code));
+        assert!(cache.publish(KEY, &tree.code));
         assert_eq!(cache.len(), 1);
         let s = cache.stats();
         assert_eq!((s.publishes, s.replaced), (1, 1));
     }
 
+    /// One realm of a multi-tenant process, driven at the monitor level
+    /// so one monitor can run its program more than once.
+    struct Tenant {
+        key: SharedKey,
+        realm: Realm,
+        interp: Interp,
+        monitor: Monitor,
+    }
+
+    impl Tenant {
+        fn new(cache: &Arc<SharedCodeCache>, src: &str, hot_exit_threshold: u32) -> Tenant {
+            let mut realm = Realm::new();
+            let prog =
+                tm_bytecode::compile(&tm_frontend::parse(src).unwrap(), &mut realm).unwrap();
+            let key = SharedKey::capture(&prog, &realm);
+            let interp = Interp::new(prog, &mut realm);
+            let opts = JitOptions {
+                background_compile: false,
+                hot_exit_threshold,
+                ..JitOptions::default()
+            };
+            let mut monitor = Monitor::new(opts);
+            monitor.attach_shared(Arc::clone(cache), key);
+            Tenant { key, realm, interp, monitor }
+        }
+
+        fn run(&mut self) -> String {
+            self.interp.reset();
+            let v = self.monitor.run_program(&mut self.interp, &mut self.realm).expect("runs");
+            tm_runtime::ops::to_display(&mut self.realm, v)
+        }
+
+        fn tree(&self) -> &TraceTree {
+            self.monitor.cache.iter().next().expect("one tree")
+        }
+    }
+
+    /// The sharing contract: a tenant install is the publisher's record by
+    /// reference; a branch install in one realm leaves every other holder
+    /// on the version it has, and republishes the extended version under
+    /// the same identity.
+    #[test]
+    fn installs_share_the_record_and_extensions_copy_it_once() {
+        // The odd branch is taken four times a run: below the publisher's
+        // hot-exit threshold in its first run, above it in its second.
+        let src = "var a = 0;
+                   for (var i = 0; i < 200; i++) { if (i % 50 == 49) a += 2; else a++; }
+                   a";
+        let mut interp_vm = Vm::new(Engine::Interp);
+        let v = interp_vm.eval(src).unwrap();
+        let expected = tm_runtime::ops::to_display(&mut interp_vm.realm, v);
+
+        let cache = Arc::new(SharedCodeCache::default());
+        let mut publisher = Tenant::new(&cache, src, 6);
+        assert_eq!(publisher.run(), expected);
+        let v1 = Arc::clone(&publisher.tree().code);
+        assert_eq!(v1.fragments.len(), 1);
+
+        // (i) Installing is taking a reference.
+        let mut installer = Tenant::new(&cache, src, u32::MAX);
+        assert_eq!(installer.run(), expected);
+        assert_eq!(installer.monitor.profiler.stats.shared_cache_installed_trees, 1);
+        assert!(Arc::ptr_eq(&installer.tree().code, &v1));
+
+        // (ii) The publisher grows its tree; the installer's does not move.
+        let before = cache.stats();
+        assert_eq!(publisher.run(), expected);
+        let v2 = Arc::clone(&publisher.tree().code);
+        assert_eq!(v2.fragments.len(), 2, "the hot exit was extended");
+        assert_eq!((v2.exits.len(), v2.entry_reqs.len(), v2.branches.len()), (2, 2, 2));
+        assert!(v2.branches[0].contains(&Some(1)));
+        assert_eq!(v2.digest, v1.digest);
+        assert!(Arc::ptr_eq(&installer.tree().code, &v1));
+        assert_eq!((v1.fragments.len(), v1.exits.len(), v1.entry_reqs.len()), (1, 1, 1));
+        assert!(v1.branches[0].iter().all(Option::is_none));
+        assert!(v1.fragments[0].stitch.iter().all(|&e| e == tm_nanojit::EXIT_UNSTITCHED));
+        assert_eq!(installer.run(), expected);
+        let after = cache.stats();
+        assert_eq!((after.replaced, after.entries), (before.replaced + 1, before.entries));
+
+        // A realm started afterwards gets the extended version.
+        let mut late = Tenant::new(&cache, src, u32::MAX);
+        assert_eq!(late.run(), expected);
+        assert!(Arc::ptr_eq(&late.tree().code, &v2));
+    }
+
+    /// (iii) Eviction only drops the cache's reference.
     #[test]
     fn lru_evicts_under_small_budget_but_in_use_trees_survive() {
-        let vm = traced("var s = 0; for (var i = 0; i < 100; i++) s += i; s");
-        let (key, digest, tree) = first_tree(&vm);
-        let insts: usize = tree.fragments.iter().map(Fragment::len).sum();
+        let mut publisher = Tenant::new(&Arc::new(SharedCodeCache::default()), HOT, u32::MAX);
+        let expected = publisher.run();
+        let code = Arc::clone(&publisher.tree().code);
+        let insts: usize = code.fragments.iter().map(Fragment::len).sum();
         // Budget fits exactly two copies of this tree.
-        let cache = SharedCodeCache::new(insts * 2);
-        for i in 0..4u64 {
-            assert!(cache.publish(key, digest.wrapping_add(i), tree));
+        let cache = Arc::new(SharedCodeCache::new(insts * 2));
+        let mut holder = Tenant::new(&cache, HOT, u32::MAX);
+        let key = holder.key;
+        assert!(cache.publish(key, &code));
+        assert_eq!(holder.run(), expected);
+        assert!(Arc::ptr_eq(&holder.tree().code, &code), "the realm runs the cached record");
+        for i in 1..4u64 {
+            assert!(cache.publish(key, &with_digest(&code, code.digest.wrapping_add(i))));
         }
-        let held = cache.lookup(key, tree.anchor);
         assert_eq!(cache.len(), 2, "LRU kept only the two newest");
         assert!(cache.stats().evictions >= 2);
-        // The `Arc` returned by lookup keeps evicted-later entries alive:
-        // publish more to evict everything we hold...
-        for i in 10..20u64 {
-            cache.publish(key, digest.wrapping_add(i), tree);
-        }
-        // ...and the fragments we obtained earlier are still executable
-        // state (non-empty, readable) — eviction never frees in-use code.
-        for t in &held {
-            assert!(t.fragments.iter().map(Fragment::len).sum::<usize>() > 0);
-        }
+        assert!(
+            cache.lookup(key, code.anchor).iter().all(|c| !Arc::ptr_eq(c, &code)),
+            "the held record was evicted"
+        );
+        // ...and the realm holding it keeps running it.
+        assert_eq!(holder.run(), expected);
+        assert!(Arc::ptr_eq(&holder.tree().code, &code));
+        assert!(holder.tree().stats.enters >= 2);
     }
 
     #[test]
@@ -450,19 +460,17 @@ mod tests {
             m.cache.iter().filter(|t| !t.nested_sites.is_empty()).collect();
         assert!(!nested.is_empty(), "outer tree has a nested site");
         let cache = SharedCodeCache::default();
-        let key = SharedKey { program_key: 1, fingerprint: 2 };
         for t in nested {
-            assert!(!cache.publish(key, entry_digest(t.anchor, &t.entry), t));
+            assert!(!cache.publish(KEY, &t.code));
         }
         assert!(cache.stats().skipped_nested > 0);
     }
 
     #[test]
     fn oversized_tree_is_refused_without_thrashing() {
-        let vm = traced("var s = 0; for (var i = 0; i < 100; i++) s += i; s");
-        let (key, digest, tree) = first_tree(&vm);
+        let vm = traced(HOT);
         let cache = SharedCodeCache::new(1); // smaller than any real tree
-        assert!(!cache.publish(key, digest, tree));
+        assert!(!cache.publish(KEY, &first_tree(&vm).code));
         assert_eq!(cache.len(), 0);
     }
 }

@@ -4,20 +4,16 @@
 //! fragments sharing one activation-record layout: fragment 0 is the trunk
 //! trace, later fragments are branch traces attached by stitching.
 //! "Compiled traces are stored in a trace cache, indexed by interpreter PC
-//! and type map" — [`TreeCache`] keeps, per loop-header PC, the list of
-//! sibling trees (one per entry type map; several when the loop is
-//! type-unstable, Figure 6).
-
-use std::collections::HashMap;
-
-use tm_bytecode::{FuncId, LoopId};
-use tm_lir::{ArSlot, LirType};
-use tm_nanojit::{Fragment, NativeTree};
-use tm_runtime::{Realm, Value};
+//! and type map" — [`TreeCache`] owns the trees; the monitor's dense slot
+//! table keeps, per loop-header PC, the list of sibling trees (one per
+//! entry type map; several when the loop is type-unstable, Figure 6).
 
 use std::sync::Arc;
 
-use crate::activation::{value_matches, ArLayout, SlotKey};
+use tm_bytecode::{FuncId, LoopId};
+use tm_nanojit::{Fragment, NativeTree};
+
+use crate::activation::{ArLayout, SlotBinding};
 use crate::exit::SideExitInfo;
 
 /// Identifies a tree in the [`TreeCache`].
@@ -82,8 +78,8 @@ impl Anchor {
 pub const ENTRY_SITE_PC: u32 = u32::MAX;
 
 /// Per-side-exit monitor state, stored densely parallel to
-/// [`TraceTree::exits`] — a bounds-checked array access on the hot
-/// exit-handling path where three `HashMap<(u32, u16), u32>`s used to be.
+/// [`TreeCode::exits`] — a bounds-checked array access on the hot
+/// exit-handling path where two `HashMap<(u32, u16), u32>`s used to be.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ExitState {
     /// Hotness counter toward branch recording (§3.2: hot side exits grow
@@ -93,20 +89,6 @@ pub struct ExitState {
     /// Branch-recording failures at this exit; at the blacklist threshold
     /// the exit is never extended again.
     pub failures: u32,
-    /// Attached branch fragment, if any (used for monitor-mediated branch
-    /// calls when stitching is disabled, and to avoid re-recording).
-    pub branch: Option<u32>,
-}
-
-/// One entry-type-map slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EntrySlot {
-    /// AR slot populated at entry.
-    pub ar: ArSlot,
-    /// Interpreter location it shadows.
-    pub key: SlotKey,
-    /// Required unboxed type.
-    pub ty: LirType,
 }
 
 /// A nested-tree call site recorded in an outer trace (§4.1).
@@ -119,7 +101,7 @@ pub struct NestedSite {
     pub expected_exit: (u32, u16),
     /// Outer AR slots to refresh from interpreter state after the call,
     /// with the types the outer trace re-imports them at.
-    pub reimports: Vec<(ArSlot, SlotKey, LirType)>,
+    pub reimports: Vec<SlotBinding>,
     /// State-transfer recipe for the call site: how the nesting host syncs
     /// the outer AR into interpreter state before entering the inner tree.
     pub callsite: SideExitInfo,
@@ -156,41 +138,67 @@ pub enum NativeCode {
     Refused,
 }
 
-/// A compiled trace tree.
-#[derive(Debug)]
-pub struct TraceTree {
-    /// The tree's id in the cache.
-    pub id: TreeId,
+/// Everything about a compiled tree that is fixed when a fragment is
+/// installed: the one description the monitor, the nesting host, the
+/// shared code cache and the `.tmc` codec all hold, behind an `Arc`.
+/// Immutable once shared — a branch install grows it through
+/// `Arc::make_mut`, so every other holder keeps the version it has.
+#[derive(Debug, Clone)]
+pub struct TreeCode {
     /// Loop header this tree anchors at.
     pub anchor: Anchor,
+    /// Sibling identity in the shared code cache: anchor plus the entry
+    /// map the tree was first installed with. Stable across branch
+    /// extensions, so a republish replaces rather than duplicates.
+    pub digest: u64,
     /// Activation-record layout shared by all fragments.
     pub layout: ArLayout,
-    /// Entry type map: slots the monitor populates (and checks) on entry.
-    pub entry: Vec<EntrySlot>,
-    /// Compiled fragments; `[0]` is the trunk. Shared so the executor can
-    /// run them while the monitor (the nesting host) stays borrowable.
+    /// Compiled fragments; `[0]` is the trunk.
     pub fragments: Arc<Vec<Fragment>>,
     /// Side-exit descriptors, per fragment, indexed by exit id.
     pub exits: Vec<Vec<SideExitInfo>>,
     /// Bytecodes covered by each fragment (Figure 11 accounting).
     pub fragment_bytecodes: Vec<u32>,
-    /// Monitor state per side exit (hotness, failures, attached branch),
-    /// parallel to [`TraceTree::exits`].
-    pub exit_states: Vec<Vec<ExitState>>,
-    /// Per-fragment entry requirements: the AR slots (with types) that must
-    /// be populated to enter execution at that fragment from the monitor.
-    pub frag_entry_reqs: Vec<Vec<(ArSlot, SlotKey, LirType)>>,
+    /// The branch fragment attached at each exit, if any, parallel to
+    /// `exits` (used for monitor-mediated branch calls when stitching is
+    /// disabled, and so a stitched exit is never re-recorded).
+    pub branches: Vec<Vec<Option<u32>>>,
+    /// Per-fragment entry requirements: the AR slots that must be
+    /// populated to enter execution at that fragment from the monitor.
+    /// `[0]` is the tree's entry type map.
+    pub entry_reqs: Vec<Vec<SlotBinding>>,
     /// Nested call sites embedded in this tree's fragments.
     pub nested_sites: Vec<NestedSite>,
     /// Loop-persistent writes across all stable fragments: every exit must
     /// write these back.
-    pub loop_writes: Vec<(ArSlot, SlotKey, LirType)>,
+    pub loop_writes: Vec<SlotBinding>,
+    /// Whether the trunk ends type-unstable (`End` instead of `LoopBack`).
+    pub unstable: bool,
+}
+
+impl TreeCode {
+    /// The entry type map: slots the monitor populates (and checks) on
+    /// entry at the trunk.
+    pub fn entry(&self) -> &[SlotBinding] {
+        &self.entry_reqs[0]
+    }
+}
+
+/// A compiled trace tree as one realm holds it: the shared [`TreeCode`]
+/// plus the realm's own counters and native code.
+#[derive(Debug)]
+pub struct TraceTree {
+    /// The tree's id in the cache.
+    pub id: TreeId,
+    /// The compiled product (fields are reachable through `Deref`).
+    pub code: Arc<TreeCode>,
+    /// Monitor state per side exit (hotness, failures), parallel to
+    /// [`TreeCode::exits`].
+    pub exit_states: Vec<Vec<ExitState>>,
     /// Final (backward-filtered) LIR per fragment, retained when
     /// `JitOptions::log_events` is set — diagnostics and golden tests read
     /// the exact IR the backend compiled.
     pub lir: Vec<tm_lir::LirTrace>,
-    /// Whether the trunk ends type-unstable (`End` instead of `LoopBack`).
-    pub unstable: bool,
     /// Disabled trees are never entered (the §3.3 short-loop mitigation:
     /// calling them costs more than interpreting).
     pub disabled: bool,
@@ -198,6 +206,14 @@ pub struct TraceTree {
     pub native: NativeCode,
     /// Execution statistics.
     pub stats: TreeStats,
+}
+
+impl std::ops::Deref for TraceTree {
+    type Target = TreeCode;
+
+    fn deref(&self) -> &TreeCode {
+        &self.code
+    }
 }
 
 impl TreeStats {
@@ -208,10 +224,20 @@ impl TreeStats {
 }
 
 impl TraceTree {
-    /// Monitor state for exit `(frag, exit)`.
-    #[inline]
-    pub fn exit_state(&self, frag: u32, exit: u16) -> &ExitState {
-        &self.exit_states[frag as usize][exit as usize]
+    /// A realm's fresh handle on `code`: zeroed exit counters and
+    /// statistics, no native code. The id is assigned by the cache.
+    pub fn new(code: Arc<TreeCode>) -> TraceTree {
+        let exit_states =
+            code.exits.iter().map(|e| vec![ExitState::default(); e.len()]).collect();
+        TraceTree {
+            id: TreeId(0),
+            code,
+            exit_states,
+            lir: Vec::new(),
+            disabled: false,
+            native: NativeCode::NotEmitted,
+            stats: TreeStats::default(),
+        }
     }
 
     /// Mutable monitor state for exit `(frag, exit)`.
@@ -219,37 +245,13 @@ impl TraceTree {
     pub fn exit_state_mut(&mut self, frag: u32, exit: u16) -> &mut ExitState {
         &mut self.exit_states[frag as usize][exit as usize]
     }
-
-    /// Reads the current interpreter-visible value for an entry key.
-    /// Returns `None` for keys that are not observable at a loop header
-    /// (they never appear in entry maps).
-    pub fn read_entry_value(
-        realm: &Realm,
-        interp: &tm_interp::Interp,
-        key: SlotKey,
-    ) -> Option<Value> {
-        match key {
-            SlotKey::Global(g) => Some(realm.global(g)),
-            SlotKey::Local { depth: 0, slot } => Some(interp.local(slot)),
-            _ => None,
-        }
-    }
-
-    /// Whether the current interpreter state matches this tree's entry
-    /// type map.
-    pub fn entry_matches(&self, realm: &Realm, interp: &tm_interp::Interp) -> bool {
-        self.entry.iter().all(|e| {
-            TraceTree::read_entry_value(realm, interp, e.key)
-                .is_some_and(|v| value_matches(realm, v, e.ty))
-        })
-    }
 }
 
-/// The trace cache: all compiled trees, indexed by anchor.
+/// The trace cache: all compiled trees by id. The per-anchor sibling
+/// lists live in the monitor's dense slot table.
 #[derive(Debug, Default)]
 pub struct TreeCache {
     trees: Vec<TraceTree>,
-    by_anchor: HashMap<Anchor, Vec<TreeId>>,
 }
 
 impl TreeCache {
@@ -262,7 +264,6 @@ impl TreeCache {
     pub fn insert(&mut self, mut tree: TraceTree) -> TreeId {
         let id = TreeId(self.trees.len() as u32);
         tree.id = id;
-        self.by_anchor.entry(tree.anchor).or_default().push(id);
         self.trees.push(tree);
         id
     }
@@ -275,25 +276,6 @@ impl TreeCache {
     /// Mutable access to a tree.
     pub fn tree_mut(&mut self, id: TreeId) -> &mut TraceTree {
         &mut self.trees[id.0 as usize]
-    }
-
-    /// All sibling trees anchored at `anchor`.
-    pub fn trees_at(&self, anchor: Anchor) -> &[TreeId] {
-        self.by_anchor.get(&anchor).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Finds a tree at `anchor` whose entry type map matches the current
-    /// interpreter state — the trace-cache lookup of §6.1.
-    pub fn find_match(
-        &self,
-        anchor: Anchor,
-        realm: &Realm,
-        interp: &tm_interp::Interp,
-    ) -> Option<TreeId> {
-        self.trees_at(anchor)
-            .iter()
-            .copied()
-            .find(|&id| !self.tree(id).disabled && self.tree(id).entry_matches(realm, interp))
     }
 
     /// Number of trees.
@@ -309,94 +291,5 @@ impl TreeCache {
     /// Iterates over all trees.
     pub fn iter(&self) -> impl Iterator<Item = &TraceTree> {
         self.trees.iter()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tree_with_entry(entry: Vec<EntrySlot>) -> TraceTree {
-        TraceTree {
-            id: TreeId(0),
-            anchor: Anchor::loop_header(FuncId(0), 3, LoopId(0)),
-            layout: ArLayout::new(),
-            entry,
-            fragments: Arc::new(vec![]),
-            exits: vec![],
-            fragment_bytecodes: vec![],
-            exit_states: vec![],
-            frag_entry_reqs: vec![],
-            nested_sites: vec![],
-            loop_writes: vec![],
-            lir: vec![],
-            unstable: false,
-            disabled: false,
-            native: NativeCode::NotEmitted,
-            stats: TreeStats::default(),
-        }
-    }
-
-    fn setup() -> (Realm, tm_interp::Interp) {
-        let ast = tm_frontend::parse("var g = 1; var x = 0;").unwrap();
-        let mut realm = Realm::new();
-        let prog = tm_bytecode::compile(&ast, &mut realm).unwrap();
-        let mut interp = tm_interp::Interp::new(prog, &mut realm);
-        let _ = interp.run(&mut realm).unwrap();
-        interp.reset();
-        (realm, interp)
-    }
-
-    #[test]
-    fn entry_matching_against_interp_state() {
-        let (mut realm, interp) = setup();
-        let g = realm.lookup_global("g").unwrap();
-        realm.set_global(g, Value::new_int(5));
-
-        let t_int = tree_with_entry(vec![EntrySlot {
-            ar: 0,
-            key: SlotKey::Global(g),
-            ty: LirType::Int,
-        }]);
-        assert!(t_int.entry_matches(&realm, &interp));
-
-        let d = realm.heap.alloc_double(0.5);
-        realm.set_global(g, d);
-        assert!(!t_int.entry_matches(&realm, &interp), "double does not match Int entry");
-
-        let t_dbl = tree_with_entry(vec![EntrySlot {
-            ar: 0,
-            key: SlotKey::Global(g),
-            ty: LirType::Double,
-        }]);
-        assert!(t_dbl.entry_matches(&realm, &interp));
-    }
-
-    #[test]
-    fn cache_finds_first_matching_sibling() {
-        let (mut realm, interp) = setup();
-        let g = realm.lookup_global("g").unwrap();
-        realm.set_global(g, Value::new_int(5));
-
-        let mut cache = TreeCache::new();
-        let anchor = Anchor::loop_header(FuncId(0), 3, LoopId(0));
-        let t_dbl = tree_with_entry(vec![EntrySlot {
-            ar: 0,
-            key: SlotKey::Global(g),
-            ty: LirType::Undefined,
-        }]);
-        let id_a = cache.insert(t_dbl);
-        let t_int = tree_with_entry(vec![EntrySlot {
-            ar: 0,
-            key: SlotKey::Global(g),
-            ty: LirType::Int,
-        }]);
-        let id_b = cache.insert(t_int);
-
-        assert_eq!(cache.trees_at(anchor), &[id_a, id_b]);
-        assert_eq!(cache.find_match(anchor, &realm, &interp), Some(id_b));
-        realm.set_global(g, Value::UNDEFINED);
-        assert_eq!(cache.find_match(anchor, &realm, &interp), Some(id_a));
-        assert_eq!(cache.len(), 2);
     }
 }

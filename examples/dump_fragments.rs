@@ -124,7 +124,7 @@ fn dump_cache(path: &std::path::Path, native: bool) {
             let layout: Vec<_> = (0..tree.layout.len()).map(|i| tree.layout.key(i as u16)).collect();
             println!("layout ({} AR slots): {layout:?}", layout.len());
             println!("entry map:");
-            for s in &tree.entry {
+            for s in tree.entry() {
                 println!("  ar {:<3} {:?} : {:?}", s.ar, s.key, s.ty);
             }
             if !tree.loop_writes.is_empty() {
@@ -147,18 +147,18 @@ fn dump_cache(path: &std::path::Path, native: bool) {
                     "\n--- fragment {f} ({} bytecodes/iteration) ---",
                     tree.fragment_bytecodes[f]
                 );
-                if !tree.frag_entry_reqs[f].is_empty() {
-                    println!("entry reqs: {:?}", tree.frag_entry_reqs[f]);
+                // Fragment 0's requirements are the entry map printed above.
+                if f > 0 {
+                    println!("entry reqs: {:?}", tree.entry_reqs[f]);
                 }
                 for (x, info) in tree.exits[f].iter().enumerate() {
-                    let st = &tree.exit_states[f][x];
                     println!(
                         "exit {x}: {:?}, {} frames, {} write-backs, failures {}, branch {:?}",
                         info.kind,
                         info.frames.len(),
                         info.write_back.len(),
-                        st.failures,
-                        st.branch
+                        tree.exit_states[f][x].failures,
+                        tree.branches[f][x]
                     );
                 }
                 println!("{}", frag.listing());
