@@ -18,6 +18,20 @@ if grep -nE '=[[:space:]]*\{[^}]*version[[:space:]]*=|^[a-z0-9_-]+[[:space:]]*=[
 fi
 echo "    OK: ${#manifests[@]} manifests are path-only"
 
+echo "==> policy: every Helper is named by something that emits it"
+# A `Helper` variant that only its own `call_helper` arm and codec row
+# (trace_helpers.rs, serial.rs) mention is one no compiler here emits, yet
+# a .tmc could still ask the runtime for it: the table must not regrow.
+helpers=$(sed -n '/^pub enum Helper {/,/^}/s/^    \([A-Z][A-Za-z0-9]*\)[,(].*/\1/p' crates/runtime/src/trace_helpers.rs)
+orphans=$(for h in $helpers; do
+    git ls-files '*.rs' | grep -vE '/(trace_helpers|serial)\.rs$' | xargs grep -qE "Helper::$h\b" || echo "$h"
+done)
+if [ -n "$orphans" ]; then
+    echo "error: Helper variants nothing emits:" $orphans >&2
+    exit 1
+fi
+echo "    OK: $(echo "$helpers" | wc -w) helpers, each named outside its own table"
+
 echo "==> report: Rust lines outside tests/ directories and outside each file's trailing #[cfg(test)] mod tests"
 # The number every PR reports ("net line count", ROADMAP north star #2):
 # run this stage on the parent and on the change and quote both. Tracked
@@ -83,15 +97,16 @@ else
     echo "    SKIP: native backend needs Linux x86_64"
 fi
 
-echo "==> backend, release profile: every tm-nanojit unit test and the native tier's integration tests"
+echo "==> backend, release profile: every tm-lir and tm-nanojit unit test and the native tier's integration tests"
 # The benchmark and users run --release, where debug assertions and
 # overflow checks are off and the emitter is optimized; every other
-# backend test above runs in the debug profile only. The whole crate, not
-# just the x64 differentials: the executor's family helpers (`alu_i`,
-# `chk_alu_i`) are wrapping/widening arithmetic whose debug build checks
-# overflow and whose release build does not.
+# backend test above runs in the debug profile only. Both whole crates,
+# not just the x64 differentials: the families' reference semantics
+# (`opclass::eval`, which folding, the executor and the recorder share) is
+# wrapping/widening arithmetic whose debug build checks overflow and whose
+# release build does not.
 if [ "$(uname -sm)" = "Linux x86_64" ]; then
-    cargo test -q --release --offline --locked -p tm-nanojit \
+    cargo test -q --release --offline --locked -p tm-lir -p tm-nanojit \
         && cargo test -q --release --offline --locked --test native_backend
     echo "    OK: the backend passes as it ships"
 else

@@ -30,7 +30,7 @@ use tm_interp::Interp;
 use tm_lir::{ArSlot, LirType};
 use tm_nanojit::serial::{decode_fragment, encode_fragment};
 use tm_nanojit::{Fragment, MachInst};
-use tm_runtime::{Realm, ShapeId};
+use tm_runtime::{Helper, Realm, ShapeId};
 use tm_support::{fnv1a64, BinError, ByteReader, ByteWriter, Fnv1a64};
 
 use crate::activation::{ArLayout, SlotBinding, SlotKey};
@@ -47,7 +47,7 @@ pub const MAGIC: [u8; 4] = *b"TMTC";
 /// Current format version. Readers reject any other value (there is no
 /// cross-version migration: a cache is a regenerable artifact, so version
 /// skew simply degrades to a cold start).
-pub const VERSION: u32 = 4;
+pub const VERSION: u32 = 5;
 
 /// Why a cache file or entry was rejected. Every variant degrades to a
 /// cold start; none is fatal to the VM.
@@ -771,11 +771,13 @@ fn apply_shape_remap(frag: &mut Fragment, remap: &HashMap<u32, u32>) {
     }
 }
 
-/// Validates one decoded tree against the running program: anchor
-/// consistency, parallel-array shapes, AR-slot and frame bounds. Runs
-/// before the verifier pass (which checks the fragment code itself).
-fn validate_tree(prog: &Program, globals_len: u32, ntrees: u32, t: &TreeCode) -> Result<(), CacheError> {
+/// Validates one decoded tree against the running program and realm:
+/// anchor consistency, parallel-array shapes, AR-slot, frame, global and
+/// native-function bounds. Runs before the verifier pass (which checks the
+/// fragment code against the tree alone).
+fn validate_tree(prog: &Program, realm: &Realm, ntrees: u32, t: &TreeCode) -> Result<(), CacheError> {
     let bad = |msg: String| Err(CacheError::BadTree(msg));
+    let globals_len = realm.globals.len() as u32;
     let nfuncs = prog.functions.len() as u32;
     if t.anchor.func.0 >= nfuncs {
         return bad(format!("anchor function {} out of range", t.anchor.func.0));
@@ -814,6 +816,14 @@ fn validate_tree(prog: &Program, globals_len: u32, ntrees: u32, t: &TreeCode) ->
         // The monitor enters at a linked fragment when stitching is off.
         if let Some(b) = t.branches[i].iter().flatten().find(|&&b| b as usize >= nfrags) {
             return bad(format!("fragment {i}: branch link {b} out of range"));
+        }
+        // `call_helper` indexes the realm's native table with the id.
+        for inst in &frag.code {
+            if let MachInst::CallHelper { helper: Helper::CallNative(id), .. } = inst {
+                if id.0 as usize >= realm.natives.len() {
+                    return bad(format!("fragment {i}: native function {} out of range", id.0));
+                }
+            }
         }
     }
     let nslots = t.layout.len() as u32;
@@ -967,7 +977,6 @@ impl Monitor {
         }
         let remap = resolve_shapes(realm, &entry.shapes)?;
         let prog = interp.prog();
-        let globals_len = realm.globals.len() as u32;
         let ntrees = entry.trees.len() as u32;
         for (i, tree) in entry.trees.iter_mut().enumerate() {
             let code = Arc::get_mut(&mut tree.code).expect("a decoded tree is uniquely owned");
@@ -976,7 +985,7 @@ impl Monitor {
             for frag in frags.iter_mut() {
                 apply_shape_remap(frag, &remap);
             }
-            validate_tree(prog, globals_len, ntrees, code)?;
+            validate_tree(prog, realm, ntrees, code)?;
             tm_verifier::verify_loaded_fragments(
                 &tree.fragments,
                 tree.layout.len(),
@@ -1358,6 +1367,41 @@ mod tests {
             for link in t.branches.iter_mut().flatten() {
                 *link = Some(past);
             }
+        });
+        assert!(matches!(err, CacheError::BadTree(_)), "{err:?}");
+    }
+
+    /// A helper call the runtime cannot serve — fewer argument words than
+    /// the helper reads, or a native function the realm does not have —
+    /// was an index panic inside `call_helper`, which on the native tier
+    /// runs under an `extern "sysv64"` shim and aborts the process.
+    #[test]
+    fn helper_calls_the_runtime_cannot_serve_are_rejected() {
+        const HELPER_LOOPS: &str = "var n = 0;
+            for (var i = 0; i < 60; i++) {
+                for (var k = 0; k < 40; k++) n += k & i;
+                n += Math.atan2(i, 3) + Math.min(i, 3, 5);
+            }
+            print(n);";
+        fn calls(t: &mut TreeCode) -> impl Iterator<Item = (&mut Helper, &mut Box<[u8]>)> {
+            let frags = Arc::get_mut(&mut t.fragments).unwrap();
+            frags.iter_mut().flat_map(|f| f.code.iter_mut()).filter_map(|i| match i {
+                MachInst::CallHelper { helper, args, .. } => Some((helper, args)),
+                _ => None,
+            })
+        }
+        let opts = crate::JitOptions::default();
+        let err = run_with_corrupted_entry("arity", HELPER_LOOPS, opts, |t| {
+            let (_, args) =
+                calls(t).find(|(h, _)| **h == Helper::Atan2).expect("the fast-native call");
+            *args = Box::default();
+        });
+        assert!(matches!(err, CacheError::VerifyFailed { .. }), "{err:?}");
+        let err = run_with_corrupted_entry("native", HELPER_LOOPS, opts, |t| {
+            let (helper, _) = calls(t)
+                .find(|(h, _)| matches!(h, Helper::CallNative(_)))
+                .expect("the generic native call");
+            *helper = Helper::CallNative(tm_runtime::NativeId(u32::MAX));
         });
         assert!(matches!(err, CacheError::BadTree(_)), "{err:?}");
     }

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 use tm_bytecode::{FuncId, LoopId, Op};
 use tm_interp::Interp;
-use tm_lir::{ArSlot, ExitId, Lir, LirBuffer, LirTrace, LirType};
+use tm_lir::{AluOp, ArSlot, ChkOp, CmpOp, ExitId, FOp, Lir, LirBuffer, LirTrace, LirType, Tag};
 use tm_runtime::trace_helpers::FastTy;
 use tm_runtime::{ops as rt_ops, Callee, Helper, IcKind, NativeId, ObjectClass, PropIc, Realm, Sym, Value};
 
@@ -383,7 +383,7 @@ impl Recorder {
             for idx in 0..depth {
                 let key = SlotKey::Stack { depth: d as u8, idx };
                 debug_assert!(rec.entry_types.contains_key(&key), "stack entry not in parent map");
-                let sv = rec.import_slot(key, None, interp);
+                let sv = rec.import_slot(key, None);
                 rec.frames[d].stack.push(sv);
             }
         }
@@ -509,8 +509,7 @@ impl Recorder {
     /// type map. After a nested call ("re-import"), the type is taken from
     /// the freshly observed value and the slot is refreshed by the nesting
     /// host instead of at tree entry.
-    fn import_slot(&mut self, key: SlotKey, observed: Option<Value>, interp: &Interp) -> Sv {
-        let _ = interp;
+    fn import_slot(&mut self, key: SlotKey, observed: Option<Value>) -> Sv {
         if let Some(site) = self.active_site {
             // Post-nested-call re-import: the canonical slot keeps its
             // pre-call type for exits, so the refreshed value gets a
@@ -607,7 +606,7 @@ impl Recorder {
         let sv = if importable {
             let v = interp.local(slot);
             self.oracle_adjust(key, v, oracle);
-            self.import_slot(key, Some(v), interp)
+            self.import_slot(key, Some(v))
         } else {
             debug_assert!(interp.local(slot).is_undefined());
             self.undefined_sv()
@@ -622,14 +621,14 @@ impl Recorder {
         self.write_ar(SlotKey::Local { depth: depth as u8, slot }, sv);
     }
 
-    fn global_sv(&mut self, slot: u32, realm: &Realm, interp: &Interp, oracle: &Oracle) -> Sv {
+    fn global_sv(&mut self, slot: u32, realm: &Realm, oracle: &Oracle) -> Sv {
         if let Some(&sv) = self.globals.get(&slot) {
             return sv;
         }
         let key = SlotKey::Global(slot);
         let v = realm.global(slot);
         self.oracle_adjust(key, v, oracle);
-        let sv = self.import_slot(key, Some(v), interp);
+        let sv = self.import_slot(key, Some(v));
         self.globals.insert(slot, sv);
         sv
     }
@@ -655,19 +654,16 @@ impl Recorder {
     /// guarding the type.
     fn unbox_observed(&mut self, boxed: u32, actual: Value) -> Sv {
         let e = self.guard_exit();
-        match observed_type(actual) {
-            LirType::Int => Sv { id: self.emit(Lir::UnboxI(boxed, e)), ty: LirType::Int },
-            LirType::Double => {
-                Sv { id: self.emit(Lir::UnboxNumD(boxed, e)), ty: LirType::Double }
-            }
-            LirType::Object => Sv { id: self.emit(Lir::UnboxObj(boxed, e)), ty: LirType::Object },
-            LirType::String => Sv { id: self.emit(Lir::UnboxStr(boxed, e)), ty: LirType::String },
-            LirType::Bool => Sv { id: self.emit(Lir::UnboxBool(boxed, e)), ty: LirType::Bool },
-            LirType::Null => {
+        let ty = observed_type(actual);
+        match Tag::of(ty) {
+            // A number observed as a double may be int-tagged next time.
+            Some(Tag::Double) => Sv { id: self.emit(Lir::UnboxNumD(boxed, e)), ty },
+            Some(tag) => Sv { id: self.emit(Lir::Unbox(tag, boxed, e)), ty },
+            None if ty == LirType::Null => {
                 self.emit(Lir::GuardBoxedEq(boxed, Value::NULL.raw(), e));
                 self.null_sv()
             }
-            _ => {
+            None => {
                 self.emit(Lir::GuardBoxedEq(boxed, Value::UNDEFINED.raw(), e));
                 self.undefined_sv()
             }
@@ -676,13 +672,9 @@ impl Recorder {
 
     /// Boxes a shadow value into a raw tagged word.
     fn box_sv(&mut self, sv: Sv) -> u32 {
-        match sv.ty {
-            LirType::Int => self.emit(Lir::BoxI(sv.id)),
-            LirType::Double => self.emit(Lir::BoxD(sv.id)),
-            LirType::Bool => self.emit(Lir::BoxB(sv.id)),
-            LirType::Object => self.emit(Lir::BoxObj(sv.id)),
-            LirType::String => self.emit(Lir::BoxStr(sv.id)),
-            LirType::Null | LirType::Undefined | LirType::Boxed => sv.id,
+        match Tag::of(sv.ty) {
+            Some(tag) => self.emit(Lir::Box(tag, sv.id)),
+            None => sv.id,
         }
     }
 
@@ -743,19 +735,19 @@ impl Recorder {
             LirType::Bool => sv.id,
             LirType::Int => {
                 let zero = self.emit(Lir::ConstI(0));
-                let is_zero = self.emit(Lir::EqI(sv.id, zero));
+                let is_zero = self.emit(Lir::CmpI(CmpOp::Eq, sv.id, zero));
                 self.emit(Lir::NotB(is_zero))
             }
             LirType::Double => {
                 let zero = self.emit(Lir::ConstD(0.0f64.to_bits()));
-                let lt = self.emit(Lir::LtD(sv.id, zero));
-                let gt = self.emit(Lir::GtD(sv.id, zero));
-                self.emit(Lir::OrI(lt, gt))
+                let lt = self.emit(Lir::CmpD(CmpOp::Lt, sv.id, zero));
+                let gt = self.emit(Lir::CmpD(CmpOp::Gt, sv.id, zero));
+                self.emit(Lir::AluI(AluOp::Or, lt, gt))
             }
             LirType::String => {
                 let len = self.emit(Lir::StrLen(sv.id));
                 let zero = self.emit(Lir::ConstI(0));
-                self.emit(Lir::GtI(len, zero))
+                self.emit(Lir::CmpI(CmpOp::Gt, len, zero))
             }
             LirType::Object => self.emit(Lir::ConstBool(true)),
             LirType::Null | LirType::Undefined => self.emit(Lir::ConstBool(false)),
@@ -859,7 +851,7 @@ impl Recorder {
                 self.set_local(s, v);
             }
             Op::GetGlobal(g) => {
-                let sv = self.global_sv(g, realm, interp, oracle);
+                let sv = self.global_sv(g, realm, oracle);
                 self.push(sv);
             }
             Op::SetGlobal(g) => {
@@ -881,20 +873,11 @@ impl Recorder {
                 self.set_stack_from_top(1, a);
             }
 
-            Op::Add => self.record_add(interp, realm)?,
-            Op::Sub => self.record_arith(ArithKind::Sub, interp, realm)?,
-            Op::Mul => self.record_arith(ArithKind::Mul, interp, realm)?,
-            Op::Div => {
-                let b = self.pop();
-                let a = self.pop();
-                let (bi, bd) = self.to_num(b)?;
-                let (ai, ad) = self.to_num(a)?;
-                let bd2 = self.as_double(bi, bd);
-                let ad2 = self.as_double(ai, ad);
-                let id = self.emit(Lir::DivD(ad2, bd2));
-                self.push(Sv { id, ty: LirType::Double });
-            }
-            Op::Mod => self.record_arith(ArithKind::Mod, interp, realm)?,
+            Op::Add => self.record_arith(FOp::Add, interp, realm)?,
+            Op::Sub => self.record_arith(FOp::Sub, interp, realm)?,
+            Op::Mul => self.record_arith(FOp::Mul, interp, realm)?,
+            Op::Div => self.record_arith(FOp::Div, interp, realm)?,
+            Op::Mod => self.record_arith(FOp::Mod, interp, realm)?,
             Op::Neg => {
                 let a = self.pop();
                 let actual = top_value(interp, 0);
@@ -926,12 +909,12 @@ impl Recorder {
                 }
             }
 
-            Op::BitAnd => self.record_bitop(BitKind::And, interp, realm)?,
-            Op::BitOr => self.record_bitop(BitKind::Or, interp, realm)?,
-            Op::BitXor => self.record_bitop(BitKind::Xor, interp, realm)?,
-            Op::Shl => self.record_bitop(BitKind::Shl, interp, realm)?,
-            Op::Shr => self.record_bitop(BitKind::Shr, interp, realm)?,
-            Op::UShr => self.record_bitop(BitKind::UShr, interp, realm)?,
+            Op::BitAnd => self.record_bitop(AluOp::And, interp, realm)?,
+            Op::BitOr => self.record_bitop(AluOp::Or, interp, realm)?,
+            Op::BitXor => self.record_bitop(AluOp::Xor, interp, realm)?,
+            Op::Shl => self.record_bitop(AluOp::Shl, interp, realm)?,
+            Op::Shr => self.record_bitop(AluOp::Shr, interp, realm)?,
+            Op::UShr => self.record_bitop(AluOp::UShr, interp, realm)?,
             Op::BitNot => {
                 let a = self.pop();
                 let actual = top_value(interp, 0);
@@ -940,10 +923,10 @@ impl Recorder {
                 self.push_i32_result(id, full, bitnot_value(realm, actual));
             }
 
-            Op::Lt => self.record_rel(RelKind::Lt, interp, realm)?,
-            Op::Le => self.record_rel(RelKind::Le, interp, realm)?,
-            Op::Gt => self.record_rel(RelKind::Gt, interp, realm)?,
-            Op::Ge => self.record_rel(RelKind::Ge, interp, realm)?,
+            Op::Lt => self.record_rel(CmpOp::Lt)?,
+            Op::Le => self.record_rel(CmpOp::Le)?,
+            Op::Gt => self.record_rel(CmpOp::Gt)?,
+            Op::Ge => self.record_rel(CmpOp::Ge)?,
             Op::Eq => self.record_eq(false, false)?,
             Op::Ne => self.record_eq(false, true)?,
             Op::StrictEq => self.record_eq(true, false)?,
@@ -1028,7 +1011,7 @@ impl Recorder {
                 let base = self.pop();
                 let actual = top_value(interp, 0);
                 let ic = interp.ics.get(site as usize).copied().unwrap_or_default();
-                let result = self.record_get_prop(base, sym, actual, ic, interp, realm)?;
+                let result = self.record_get_prop(base, sym, actual, ic, realm)?;
                 self.push(result);
             }
             Op::SetProp(sym, site) => {
@@ -1175,12 +1158,12 @@ impl Recorder {
                             .is_none_or(f64::is_nan);
                         let e = self.guard_exit();
                         if is_nan {
-                            let ltz = self.emit(Lir::LtI(call_id, zero));
+                            let ltz = self.emit(Lir::CmpI(CmpOp::Lt, call_id, zero));
                             self.emit(Lir::GuardTrue(ltz, e));
                             let id = self.emit(Lir::ConstD(f64::NAN.to_bits()));
                             Sv { id, ty: LirType::Double }
                         } else {
-                            let gez = self.emit(Lir::GeI(call_id, zero));
+                            let gez = self.emit(Lir::CmpI(CmpOp::Ge, call_id, zero));
                             self.emit(Lir::GuardTrue(gez, e));
                             Sv { id: call_id, ty: LirType::Int }
                         }
@@ -1194,41 +1177,6 @@ impl Recorder {
     }
 
     // ==== complex op recorders ====
-
-    fn record_add(&mut self, interp: &Interp, realm: &mut Realm) -> Result<(), AbortReason> {
-        let b_actual = top_value(interp, 0);
-        let a_actual = top_value(interp, 1);
-        let b = self.pop();
-        let a = self.pop();
-        if a.ty == LirType::String || b.ty == LirType::String {
-            let a_str = self.stringify(a)?;
-            let b_str = self.stringify(b)?;
-            let e = self.guard_exit();
-            let id = self.emit(Lir::Call {
-                helper: Helper::ConcatStrings,
-                args: vec![a_str, b_str].into_boxed_slice(),
-                ret: LirType::String,
-                exit: e,
-            });
-            self.push(Sv { id, ty: LirType::String });
-            return Ok(());
-        }
-        let stays_int = self.int_result(a, b, a_actual, b_actual, realm, |x, y| x + y)
-            && self.site_may_speculate();
-        let (bi, bd) = self.to_num(b)?;
-        let (ai, ad) = self.to_num(a)?;
-        if stays_int {
-            let e = self.arith_guard_exit();
-            let id = self.emit(Lir::AddIChk(ai, bi, e));
-            self.push(Sv { id, ty: LirType::Int });
-        } else {
-            let bd2 = self.as_double(bi, bd);
-            let ad2 = self.as_double(ai, ad);
-            let id = self.emit(Lir::AddD(ad2, bd2));
-            self.push(Sv { id, ty: LirType::Double });
-        }
-        Ok(())
-    }
 
     /// Converts a shadow value to a string SSA id (for concatenation).
     fn stringify(&mut self, sv: Sv) -> Result<u32, AbortReason> {
@@ -1256,30 +1204,13 @@ impl Recorder {
         }
     }
 
-    /// Whether an int fast path applies: both operands int-like and the
-    /// exact result is a boxable integer right now.
-    fn int_result(
-        &self,
-        a: Sv,
-        b: Sv,
-        a_actual: Value,
-        b_actual: Value,
-        realm: &Realm,
-        f: impl Fn(i64, i64) -> i64,
-    ) -> bool {
-        let int_like =
-            |sv: Sv| matches!(sv.ty, LirType::Int | LirType::Bool | LirType::Null);
-        if !int_like(a) || !int_like(b) {
-            return false;
-        }
-        let ax = rt_ops::to_number(realm, a_actual) as i64;
-        let bx = rt_ops::to_number(realm, b_actual) as i64;
-        Value::fits_int(f(ax, bx))
-    }
-
+    /// `+ - * / %`: string concatenation for `+` on a string, otherwise the
+    /// overflow-checked integer op while the observed exact result is a
+    /// boxable integer (and the site may still speculate), else the double
+    /// op.
     fn record_arith(
         &mut self,
-        kind: ArithKind,
+        op: FOp,
         interp: &Interp,
         realm: &mut Realm,
     ) -> Result<(), AbortReason> {
@@ -1287,49 +1218,61 @@ impl Recorder {
         let a_actual = top_value(interp, 1);
         let b = self.pop();
         let a = self.pop();
-        let stays_int = match kind {
-            ArithKind::Sub => self.int_result(a, b, a_actual, b_actual, realm, |x, y| x - y),
-            ArithKind::Mul => {
-                self.int_result(a, b, a_actual, b_actual, realm, |x, y| x * y)
-                    && !mul_is_neg_zero(realm, a_actual, b_actual)
-            }
-            ArithKind::Mod => {
-                self.int_result(a, b, a_actual, b_actual, realm, |x, y| {
-                    if y == 0 {
-                        i64::MAX // force the double path
-                    } else {
-                        x % y
-                    }
-                }) && mod_stays_int(realm, a_actual, b_actual)
-            }
+        if op == FOp::Add && (a.ty == LirType::String || b.ty == LirType::String) {
+            let a_str = self.stringify(a)?;
+            let b_str = self.stringify(b)?;
+            let e = self.guard_exit();
+            let id = self.emit(Lir::Call {
+                helper: Helper::ConcatStrings,
+                args: vec![a_str, b_str].into_boxed_slice(),
+                ret: LirType::String,
+                exit: e,
+            });
+            self.push(Sv { id, ty: LirType::String });
+            return Ok(());
+        }
+        let chk = match op {
+            FOp::Add => Some(ChkOp::Add),
+            FOp::Sub => Some(ChkOp::Sub),
+            FOp::Mul => Some(ChkOp::Mul),
+            FOp::Div | FOp::Mod => None,
         };
-        let stays_int = stays_int && self.site_may_speculate();
+        let int_like = |sv: Sv| matches!(sv.ty, LirType::Int | LirType::Bool | LirType::Null);
+        // Int-like operands are integers in the boxable range, so the
+        // checked op's `eval` on them is the exact observed result.
+        let stays_int = int_like(a)
+            && int_like(b)
+            && match chk {
+                Some(chk) => {
+                    let x = rt_ops::to_number(realm, a_actual) as i32;
+                    let y = rt_ops::to_number(realm, b_actual) as i32;
+                    chk.eval(x, y).is_some()
+                }
+                None => op == FOp::Mod && mod_stays_int(realm, a_actual, b_actual),
+            }
+            && self.site_may_speculate();
         let (bi, bd) = self.to_num(b)?;
         let (ai, ad) = self.to_num(a)?;
         if stays_int {
             let e = self.arith_guard_exit();
-            let id = match kind {
-                ArithKind::Sub => self.emit(Lir::SubIChk(ai, bi, e)),
-                ArithKind::Mul => self.emit(Lir::MulIChk(ai, bi, e)),
-                ArithKind::Mod => self.emit(Lir::ModIChk(ai, bi, e)),
+            let id = match chk {
+                Some(chk) => self.emit(Lir::ChkAluI(chk, ai, bi, e)),
+                None => self.emit(Lir::ModIChk(ai, bi, e)),
             };
             self.push(Sv { id, ty: LirType::Int });
         } else {
             let bd2 = self.as_double(bi, bd);
             let ad2 = self.as_double(ai, ad);
-            let id = match kind {
-                ArithKind::Sub => self.emit(Lir::SubD(ad2, bd2)),
-                ArithKind::Mul => self.emit(Lir::MulD(ad2, bd2)),
-                ArithKind::Mod => self.emit(Lir::ModD(ad2, bd2)),
-            };
+            let id = self.emit(Lir::AluD(op, ad2, bd2));
             self.push(Sv { id, ty: LirType::Double });
         }
         Ok(())
     }
 
+    /// `& | ^ << >> >>>` on ToInt32 operands.
     fn record_bitop(
         &mut self,
-        kind: BitKind,
+        op: AluOp,
         interp: &Interp,
         realm: &mut Realm,
     ) -> Result<(), AbortReason> {
@@ -1341,48 +1284,32 @@ impl Recorder {
         let (ai, afull) = self.to_i32(a)?;
         let ax = rt_ops::to_int32(realm, a_actual);
         let bx = rt_ops::to_int32(realm, b_actual);
-        match kind {
-            BitKind::And | BitKind::Or | BitKind::Xor | BitKind::Shr => {
-                let id = match kind {
-                    BitKind::And => self.emit(Lir::AndI(ai, bi)),
-                    BitKind::Or => self.emit(Lir::OrI(ai, bi)),
-                    BitKind::Xor => self.emit(Lir::XorI(ai, bi)),
-                    _ => self.emit(Lir::ShrI(ai, bi)),
-                };
-                let actual_res: i64 = match kind {
-                    BitKind::And => i64::from(ax & bx),
-                    BitKind::Or => i64::from(ax | bx),
-                    BitKind::Xor => i64::from(ax ^ bx),
-                    _ => i64::from(ax.wrapping_shr((bx & 31) as u32)),
-                };
-                // &,|,^,>> are closed over the boxable range (see the LIR
-                // docs); a range check is only needed when an operand came
-                // from a full-range ToInt32.
-                self.push_i32_result(id, afull || bfull, actual_res);
+        // The left and unsigned right shifts can leave the boxable range on
+        // in-range operands: checked while the observed result fits, widened
+        // to a double otherwise.
+        let chk = match op {
+            AluOp::Shl => Some(ChkOp::Shl),
+            AluOp::UShr => Some(ChkOp::UShr),
+            _ => None,
+        };
+        match chk {
+            Some(chk) if chk.eval(ax, bx).is_some() && self.site_may_speculate() => {
+                let e = self.arith_guard_exit();
+                let id = self.emit(Lir::ChkAluI(chk, ai, bi, e));
+                self.push(Sv { id, ty: LirType::Int });
             }
-            BitKind::Shl => {
-                let actual_res = i64::from(ax.wrapping_shl((bx & 31) as u32));
-                if Value::fits_int(actual_res) && self.site_may_speculate() {
-                    let e = self.arith_guard_exit();
-                    let id = self.emit(Lir::ShlIChk(ai, bi, e));
-                    self.push(Sv { id, ty: LirType::Int });
-                } else {
-                    let id = self.emit(Lir::ShlI(ai, bi));
-                    let d = self.emit(Lir::I2D(id));
-                    self.push(Sv { id: d, ty: LirType::Double });
-                }
+            Some(_) => {
+                let id = self.emit(Lir::AluI(op, ai, bi));
+                // A `>>>` result is a u32.
+                let d = self.emit(if op == AluOp::UShr { Lir::U2D(id) } else { Lir::I2D(id) });
+                self.push(Sv { id: d, ty: LirType::Double });
             }
-            BitKind::UShr => {
-                let actual_res = i64::from((ax as u32).wrapping_shr((bx & 31) as u32));
-                if Value::fits_int(actual_res) && self.site_may_speculate() {
-                    let e = self.arith_guard_exit();
-                    let id = self.emit(Lir::UShrIChk(ai, bi, e));
-                    self.push(Sv { id, ty: LirType::Int });
-                } else {
-                    let id = self.emit(Lir::UShrI(ai, bi));
-                    let d = self.emit(Lir::U2D(id));
-                    self.push(Sv { id: d, ty: LirType::Double });
-                }
+            // &,|,^,>> are closed over the boxable range (see the LIR
+            // docs); a range check is only needed when an operand came
+            // from a full-range ToInt32.
+            None => {
+                let id = self.emit(Lir::AluI(op, ai, bi));
+                self.push_i32_result(id, afull || bfull, i64::from(op.eval(ax, bx)));
             }
         }
         Ok(())
@@ -1405,13 +1332,7 @@ impl Recorder {
         }
     }
 
-    fn record_rel(
-        &mut self,
-        kind: RelKind,
-        interp: &Interp,
-        realm: &mut Realm,
-    ) -> Result<(), AbortReason> {
-        let _ = (interp, realm);
+    fn record_rel(&mut self, op: CmpOp) -> Result<(), AbortReason> {
         let b = self.pop();
         let a = self.pop();
         if a.ty == LirType::String && b.ty == LirType::String {
@@ -1423,22 +1344,18 @@ impl Recorder {
                 exit: e,
             });
             let zero = self.emit(Lir::ConstI(0));
-            let id = match kind {
-                RelKind::Lt => self.emit(Lir::LtI(cmp, zero)),
-                RelKind::Le => self.emit(Lir::LeI(cmp, zero)),
-                RelKind::Gt => self.emit(Lir::GtI(cmp, zero)),
-                RelKind::Ge => self.emit(Lir::GeI(cmp, zero)),
-            };
+            let id = self.emit(Lir::CmpI(op, cmp, zero));
             self.push(Sv { id, ty: LirType::Bool });
             return Ok(());
         }
         if a.ty == LirType::String || b.ty == LirType::String {
             // Mixed string/number comparison: generic helper.
-            let helper = match kind {
-                RelKind::Lt => Helper::LtAny,
-                RelKind::Le => Helper::LeAny,
-                RelKind::Gt => Helper::GtAny,
-                RelKind::Ge => Helper::GeAny,
+            let helper = match op {
+                CmpOp::Eq => Helper::EqAny,
+                CmpOp::Lt => Helper::LtAny,
+                CmpOp::Le => Helper::LeAny,
+                CmpOp::Gt => Helper::GtAny,
+                CmpOp::Ge => Helper::GeAny,
             };
             let ab = self.box_sv(a);
             let bb = self.box_sv(b);
@@ -1450,7 +1367,7 @@ impl Recorder {
                 exit: e,
             });
             let e2 = self.guard_exit();
-            let id = self.emit(Lir::UnboxBool(r, e2));
+            let id = self.emit(Lir::Unbox(Tag::Bool, r, e2));
             self.push(Sv { id, ty: LirType::Bool });
             return Ok(());
         }
@@ -1459,19 +1376,9 @@ impl Recorder {
         let id = if ad || bd {
             let bd2 = self.as_double(bi, bd);
             let ad2 = self.as_double(ai, ad);
-            match kind {
-                RelKind::Lt => self.emit(Lir::LtD(ad2, bd2)),
-                RelKind::Le => self.emit(Lir::LeD(ad2, bd2)),
-                RelKind::Gt => self.emit(Lir::GtD(ad2, bd2)),
-                RelKind::Ge => self.emit(Lir::GeD(ad2, bd2)),
-            }
+            self.emit(Lir::CmpD(op, ad2, bd2))
         } else {
-            match kind {
-                RelKind::Lt => self.emit(Lir::LtI(ai, bi)),
-                RelKind::Le => self.emit(Lir::LeI(ai, bi)),
-                RelKind::Gt => self.emit(Lir::GtI(ai, bi)),
-                RelKind::Ge => self.emit(Lir::GeI(ai, bi)),
-            }
+            self.emit(Lir::CmpI(op, ai, bi))
         };
         self.push(Sv { id, ty: LirType::Bool });
         Ok(())
@@ -1486,11 +1393,11 @@ impl Recorder {
             rec.push(Sv { id, ty: LirType::Bool });
         };
         let id = match (a.ty, b.ty) {
-            (Int, Int) | (Bool, Bool) | (Object, Object) => self.emit(Lir::EqI(a.id, b.id)),
+            (Int, Int) | (Bool, Bool) | (Object, Object) => self.emit(Lir::CmpI(CmpOp::Eq, a.id, b.id)),
             (Int | Double, Int | Double) => {
                 let ad = self.as_double(a.id, a.ty == Double);
                 let bd = self.as_double(b.id, b.ty == Double);
-                self.emit(Lir::EqD(ad, bd))
+                self.emit(Lir::CmpD(CmpOp::Eq, ad, bd))
             }
             (Str, Str) => {
                 let e = self.guard_exit();
@@ -1516,9 +1423,9 @@ impl Recorder {
                 if ad || bd {
                     let a2 = self.as_double(ai, ad);
                     let b2 = self.as_double(bi, bd);
-                    self.emit(Lir::EqD(a2, b2))
+                    self.emit(Lir::CmpD(CmpOp::Eq, a2, b2))
                 } else {
-                    self.emit(Lir::EqI(ai, bi))
+                    self.emit(Lir::CmpI(CmpOp::Eq, ai, bi))
                 }
             }
             (Str, Int | Double) | (Int | Double, Str) if !strict => {
@@ -1532,7 +1439,7 @@ impl Recorder {
                     exit: e,
                 });
                 let e2 = self.guard_exit();
-                self.emit(Lir::UnboxBool(r, e2))
+                self.emit(Lir::Unbox(Tag::Bool, r, e2))
             }
             // Remaining combinations are statically unequal under both
             // strict and (our simplified) loose semantics.
@@ -1552,10 +1459,8 @@ impl Recorder {
         sym: Sym,
         actual_base: Value,
         ic: PropIc,
-        interp: &Interp,
         realm: &mut Realm,
     ) -> Result<Sv, AbortReason> {
-        let _ = interp;
         match base.ty {
             LirType::Object => {
                 let oid = actual_base.as_object().expect("object-typed shadow");
@@ -1620,7 +1525,7 @@ impl Recorder {
                 let proto_sv = self.emit(Lir::ConstObj(proto.0));
                 let proto_val = Value::new_object(proto);
                 let sv = Sv { id: proto_sv, ty: LirType::Object };
-                self.record_get_prop(sv, sym, proto_val, PropIc::default(), interp, realm)
+                self.record_get_prop(sv, sym, proto_val, PropIc::default(), realm)
             }
             _ => Err(AbortReason::Unsupported),
         }
@@ -1769,7 +1674,7 @@ impl Recorder {
                     // The paper's Figure 3 path: call js_Array_set.
                     let e2 = self.guard_exit();
                     let zero = self.emit(Lir::ConstI(0));
-                    let ge0 = self.emit(Lir::GeI(idx_int, zero));
+                    let ge0 = self.emit(Lir::CmpI(CmpOp::Ge, idx_int, zero));
                     self.emit(Lir::GuardTrue(ge0, e2));
                     let e3 = self.guard_exit();
                     self.emit(Lir::Call {
@@ -2014,7 +1919,7 @@ impl Recorder {
         self.emit(Lir::GuardShape { obj: callee_sv.id, shape: shape.0, exit: e });
         let boxed_proto = self.emit(Lir::LoadSlot(callee_sv.id, slot));
         let e2 = self.guard_exit();
-        let proto = self.emit(Lir::UnboxObj(boxed_proto, e2));
+        let proto = self.emit(Lir::Unbox(Tag::Object, boxed_proto, e2));
         let e3 = self.guard_exit();
         let obj = self.emit(Lir::Call {
             helper: Helper::NewObject,
@@ -2151,7 +2056,7 @@ impl Recorder {
         for idx in 0..stack_depth {
             let key = SlotKey::Stack { depth, idx };
             let v = top_value(interp, (stack_depth - 1 - idx) as usize);
-            let sv = self.import_slot(key, Some(v), interp);
+            let sv = self.import_slot(key, Some(v));
             self.frames.last_mut().expect("frame").stack.push(sv);
         }
         site
@@ -2292,41 +2197,10 @@ impl Recorder {
 
 }
 
-#[derive(Debug, Clone, Copy)]
-enum ArithKind {
-    Sub,
-    Mul,
-    Mod,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum BitKind {
-    And,
-    Or,
-    Xor,
-    Shl,
-    Shr,
-    UShr,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum RelKind {
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
-
 /// Reads the interpreter operand `from_top` entries below the top.
 fn top_value(interp: &Interp, from_top: usize) -> Value {
     let ops = interp.operands();
     ops[ops.len() - 1 - from_top]
-}
-
-fn mul_is_neg_zero(realm: &Realm, a: Value, b: Value) -> bool {
-    let x = rt_ops::to_number(realm, a);
-    let y = rt_ops::to_number(realm, b);
-    x * y == 0.0 && (x * y).is_sign_negative()
 }
 
 fn mod_stays_int(realm: &Realm, a: Value, b: Value) -> bool {

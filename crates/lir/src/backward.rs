@@ -169,64 +169,13 @@ fn compact(trace: &mut LirTrace, keep: &[bool]) {
         }
     }
     for inst in &mut new_code {
-        remap_operands(inst, &remap);
+        inst.operands_mut(|id| {
+            let new = remap[*id as usize];
+            debug_assert_ne!(new, LirId::MAX, "operand {id} was removed while still in use");
+            *id = new;
+        });
     }
     trace.code = new_code;
-}
-
-fn remap_operands(inst: &mut Lir, remap: &[LirId]) {
-    use Lir::*;
-    let m = |id: &mut LirId| {
-        let new = remap[*id as usize];
-        debug_assert_ne!(new, LirId::MAX, "operand {id} was removed while still in use");
-        *id = new;
-    };
-    match inst {
-        ConstI(_) | ConstD(_) | ConstObj(_) | ConstStr(_) | ConstBool(_) | ConstBoxed(_)
-        | Import { .. } | CallTree { .. } | LoopBack(_) | End(_) => {}
-        WriteAr { v, .. } => m(v),
-        AddI(a, b) | SubI(a, b) | MulI(a, b) | AndI(a, b) | OrI(a, b) | XorI(a, b)
-        | ShlI(a, b) | ShrI(a, b) | UShrI(a, b) | AddD(a, b) | SubD(a, b) | MulD(a, b)
-        | DivD(a, b) | ModD(a, b) | EqI(a, b) | LtI(a, b) | LeI(a, b) | GtI(a, b) | GeI(a, b)
-        | EqD(a, b) | LtD(a, b) | LeD(a, b) | GtD(a, b) | GeD(a, b) => {
-            m(a);
-            m(b);
-        }
-        AddIChk(a, b, _) | SubIChk(a, b, _) | MulIChk(a, b, _) | ModIChk(a, b, _)
-        | ShlIChk(a, b, _) | UShrIChk(a, b, _) => {
-            m(a);
-            m(b);
-        }
-        NotI(a) | NegI(a) | NegD(a) | NotB(a) | I2D(a) | U2D(a) | D2I32(a) | BoxI(a) | BoxD(a)
-        | BoxB(a) | BoxObj(a) | BoxStr(a) | NegIChk(a, _) | D2IChk(a, _) | ChkRangeI(a, _) | UnboxI(a, _) | UnboxD(a, _)
-        | UnboxNumD(a, _) | UnboxObj(a, _) | UnboxStr(a, _) | UnboxBool(a, _)
-        | GuardTrue(a, _) | GuardFalse(a, _) | GuardBoxedEq(a, _, _) | LoadProto(a)
-        | ArrayLen(a) | StrLen(a) => m(a),
-        GuardShape { obj, .. } | GuardClass { obj, .. } => m(obj),
-        GuardBound { arr, idx, .. } => {
-            m(arr);
-            m(idx);
-        }
-        LoadSlot(o, _) => m(o),
-        StoreSlot(o, _, v) => {
-            m(o);
-            m(v);
-        }
-        LoadElem(a, i) => {
-            m(a);
-            m(i);
-        }
-        StoreElem(a, i, v) => {
-            m(a);
-            m(i);
-            m(v);
-        }
-        Call { args, .. } => {
-            for a in args.iter_mut() {
-                m(a);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -234,6 +183,7 @@ mod tests {
     use super::*;
     use crate::buffer::{FilterOptions, LirBuffer};
     use crate::ir::{ExitId, LirType};
+    use crate::opclass::{AluOp, ChkOp};
 
     #[test]
     fn overwritten_store_before_exit_is_dead() {
@@ -279,7 +229,7 @@ mod tests {
         let x = b.emit(Lir::Import { slot: 0, ty: LirType::Int });
         let one = b.emit(Lir::ConstI(1));
         let e = b.alloc_exit();
-        let sum = b.emit(Lir::AddIChk(x, one, e));
+        let sum = b.emit(Lir::ChkAluI(ChkOp::Add, x, one, e));
         b.emit(Lir::WriteAr { slot: 0, v: sum });
         let le = b.alloc_exit();
         b.emit(Lir::LoopBack(le));
@@ -295,17 +245,17 @@ mod tests {
         let mut b = LirBuffer::new(FilterOptions { fold: false, ..Default::default() });
         let x = b.emit(Lir::Import { slot: 0, ty: LirType::Int });
         let y = b.emit(Lir::Import { slot: 1, ty: LirType::Int });
-        let _unused = b.emit(Lir::MulI(x, y));
+        let _unused = b.emit(Lir::AluI(AluOp::Mul, x, y));
         let e = b.alloc_exit();
-        let _checked_unused = b.emit(Lir::AddIChk(x, y, e)); // guard: kept
+        let _checked_unused = b.emit(Lir::ChkAluI(ChkOp::Add, x, y, e)); // guard: kept
         let le = b.alloc_exit();
         b.emit(Lir::LoopBack(le));
         let mut trace = b.into_trace();
         let exits = ExitLiveness { live_slots: vec![vec![], vec![]] };
         let stats = run_backward_filters(&mut trace, &exits, &[]);
-        assert_eq!(stats.dead_code, 1, "only the pure MulI should die");
-        assert!(trace.code.iter().any(|i| matches!(i, Lir::AddIChk(..))));
-        assert!(!trace.code.iter().any(|i| matches!(i, Lir::MulI(..))));
+        assert_eq!(stats.dead_code, 1, "only the pure multiply should die");
+        assert!(trace.code.iter().any(|i| matches!(i, Lir::ChkAluI(..))));
+        assert!(!trace.code.iter().any(|i| matches!(i, Lir::AluI(..))));
     }
 
     #[test]
@@ -315,7 +265,7 @@ mod tests {
         let _ = dead;
         let x = b.emit(Lir::Import { slot: 0, ty: LirType::Int });
         let one = b.emit(Lir::ConstI(1));
-        let sum = b.emit(Lir::AddI(x, one));
+        let sum = b.emit(Lir::AluI(AluOp::Add, x, one));
         b.emit(Lir::WriteAr { slot: 0, v: sum });
         let le = b.alloc_exit();
         b.emit(Lir::LoopBack(le));
@@ -323,9 +273,9 @@ mod tests {
         let exits = ExitLiveness { live_slots: vec![vec![0]] };
         run_backward_filters(&mut trace, &exits, &[0]);
         // After removing the leading dead constant every id shifts by one;
-        // the AddI must reference the renumbered import/const.
-        let add_idx = trace.code.iter().position(|i| matches!(i, Lir::AddI(..))).unwrap();
-        let Lir::AddI(a, c) = trace.code[add_idx] else { unreachable!() };
+        // the add must reference the renumbered import/const.
+        let add_idx = trace.code.iter().position(|i| matches!(i, Lir::AluI(..))).unwrap();
+        let Lir::AluI(_, a, c) = trace.code[add_idx] else { unreachable!() };
         assert!(matches!(trace.code[a as usize], Lir::Import { .. }));
         assert!(matches!(trace.code[c as usize], Lir::ConstI(1)));
     }

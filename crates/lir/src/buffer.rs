@@ -10,7 +10,7 @@
 //! 2. **expression simplification**: constant folding and algebraic
 //!    identities (`a - a = 0`, `x * 1 = x`, ...);
 //! 3. the **semantic-specific** filter: INT↔DOUBLE identities that let
-//!    DOUBLE be replaced with INT (e.g. `BoxD(I2D(x)) → BoxI(x)`,
+//!    DOUBLE be replaced with INT (e.g. `Box(Double, I2D(x)) → Box(Int, x)`,
 //!    `D2IChk(I2D(x)) → x`);
 //! 4. **CSE** over pure/guarded computations and (memory-generation-aware)
 //!    loads.
@@ -21,9 +21,8 @@
 
 use std::collections::HashMap;
 
-use tm_runtime::Helper;
-
-use crate::ir::{ExitId, Lir, LirId, LirTrace, LirType};
+use crate::ir::{ExitId, Lir, LirId, LirTrace, LirType, NO_EXIT};
+use crate::opclass::{AluOp, FOp, Tag};
 
 /// Which forward filters run (all on by default; individually toggleable
 /// for the ablation benchmarks).
@@ -115,7 +114,7 @@ impl LirBuffer {
     /// the resulting value. Returns [`NO_VALUE`] when an effect-only
     /// instruction was dropped.
     pub fn emit(&mut self, inst: Lir) -> LirId {
-        let inst = if self.opts.softfloat { self.softfloat(inst) } else { inst };
+        let inst = if self.opts.softfloat { softfloat(inst) } else { inst };
         let inst = if self.opts.fold {
             match self.fold(inst) {
                 Filtered::Value(id) => return id,
@@ -158,9 +157,15 @@ impl LirBuffer {
         id
     }
 
+    /// Guarded ops key on everything but their exit id (it differs per
+    /// site; the earlier identical computation's guard already ran).
     fn cse_key(&self, inst: &Lir) -> (Lir, u32) {
         let gen = if inst.is_load() { self.mem_gen } else { 0 };
-        (normalize_for_cse(inst), gen)
+        let mut key = inst.clone();
+        if let Some(e) = key.exit_mut() {
+            *e = ExitId(0);
+        }
+        (key, gen)
     }
 
     fn try_cse(&self, inst: &Lir) -> Option<LirId> {
@@ -170,316 +175,203 @@ impl LirBuffer {
         self.cse.get(&self.cse_key(inst)).copied()
     }
 
-    // ---- soft-float filter ----
-
-    fn softfloat(&mut self, inst: Lir) -> Lir {
-        let (helper, a, b) = match inst {
-            Lir::AddD(a, b) => (Helper::SoftAdd, a, b),
-            Lir::SubD(a, b) => (Helper::SoftSub, a, b),
-            Lir::MulD(a, b) => (Helper::SoftMul, a, b),
-            Lir::DivD(a, b) => (Helper::SoftDiv, a, b),
-            other => return other,
-        };
-        // Soft-float helpers cannot bail, so they use the no-exit
-        // sentinel instead of allocating a real side exit (which would
-        // desynchronize the recorder's exit table).
-        Lir::Call {
-            helper,
-            args: vec![a, b].into_boxed_slice(),
-            ret: LirType::Double,
-            exit: crate::ir::NO_EXIT,
-        }
-    }
-
     // ---- expression simplification ----
 
-    #[allow(clippy::too_many_lines)]
     fn fold(&mut self, inst: Lir) -> Filtered {
+        use Filtered::{Keep, Value};
         use Lir::*;
-        let ci = |buf: &Self, id: LirId| -> Option<i32> {
-            match buf.trace.code[id as usize] {
-                ConstI(v) => Some(v),
-                _ => None,
-            }
+        let code = &self.trace.code;
+        let ci = |id: LirId| match code[id as usize] {
+            ConstI(v) => Some(v),
+            _ => None,
         };
-        let cd = |buf: &Self, id: LirId| -> Option<f64> {
-            match buf.trace.code[id as usize] {
-                ConstD(bits) => Some(f64::from_bits(bits)),
-                _ => None,
-            }
+        let cd = |id: LirId| match code[id as usize] {
+            ConstD(bits) => Some(f64::from_bits(bits)),
+            _ => None,
         };
-        let cb = |buf: &Self, id: LirId| -> Option<bool> {
-            match buf.trace.code[id as usize] {
-                ConstBool(v) => Some(v),
-                _ => None,
-            }
+        let cb = |id: LirId| match code[id as usize] {
+            ConstBool(v) => Some(v),
+            _ => None,
         };
+        let const_d = |x: f64| ConstD(x.to_bits());
 
-        macro_rules! rewrite {
-            ($inst:expr) => {{
-                self.stats.folded += 1;
-                return Filtered::Keep($inst);
-            }};
-        }
-        macro_rules! subst {
-            ($id:expr) => {{
-                self.stats.folded += 1;
-                return Filtered::Value($id);
-            }};
-        }
-
-        match inst {
-            AddI(a, b) => match (ci(self, a), ci(self, b)) {
-                (Some(x), Some(y)) => rewrite!(ConstI(x.wrapping_add(y))),
-                (_, Some(0)) => subst!(a),
-                (Some(0), _) => subst!(b),
-                _ => {}
+        let folded = match inst {
+            AluI(op, a, b) => {
+                let eval = |x, y| op.eval(x, y);
+                fold_binary(alu_identities(op), (a, b), (ci(a), ci(b)), eval, ConstI)
+            }
+            AluD(op, a, b) => {
+                let bits = |id| cd(id).map(f64::to_bits);
+                let eval = |x, y| op.eval(f64::from_bits(x), f64::from_bits(y)).to_bits();
+                fold_binary(f_identities(op), (a, b), (bits(a), bits(b)), eval, ConstD)
+            }
+            CmpI(op, a, b) => ci(a).zip(ci(b)).map(|(x, y)| Keep(ConstBool(op.eval(x, y)))),
+            CmpD(op, a, b) => cd(a).zip(cd(b)).map(|(x, y)| Keep(ConstBool(op.eval(x, y)))),
+            NotI(a) => ci(a).map(|x| Keep(ConstI(!x))),
+            NegI(a) => ci(a).map(|x| Keep(ConstI(x.wrapping_neg()))),
+            NegD(a) => cd(a).map(|x| Keep(const_d(-x))),
+            NotB(a) => match code[a as usize] {
+                ConstBool(x) => Some(Keep(ConstBool(!x))),
+                NotB(inner) => Some(Value(inner)),
+                _ => None,
             },
-            SubI(a, b) => match (ci(self, a), ci(self, b)) {
-                (Some(x), Some(y)) => rewrite!(ConstI(x.wrapping_sub(y))),
-                (_, Some(0)) => subst!(a),
-                _ if a == b => rewrite!(ConstI(0)), // the paper's a - a = 0
-                _ => {}
-            },
-            MulI(a, b) => match (ci(self, a), ci(self, b)) {
-                (Some(x), Some(y)) => rewrite!(ConstI(x.wrapping_mul(y))),
-                (_, Some(1)) => subst!(a),
-                (Some(1), _) => subst!(b),
-                (_, Some(0)) | (Some(0), _) => rewrite!(ConstI(0)),
-                _ => {}
-            },
-            AndI(a, b) => match (ci(self, a), ci(self, b)) {
-                (Some(x), Some(y)) => rewrite!(ConstI(x & y)),
-                (_, Some(-1)) => subst!(a),
-                (Some(-1), _) => subst!(b),
-                (_, Some(0)) | (Some(0), _) => rewrite!(ConstI(0)),
-                _ if a == b => subst!(a),
-                _ => {}
-            },
-            OrI(a, b) => match (ci(self, a), ci(self, b)) {
-                (Some(x), Some(y)) => rewrite!(ConstI(x | y)),
-                (_, Some(0)) => subst!(a),
-                (Some(0), _) => subst!(b),
-                _ if a == b => subst!(a),
-                _ => {}
-            },
-            XorI(a, b) => match (ci(self, a), ci(self, b)) {
-                (Some(x), Some(y)) => rewrite!(ConstI(x ^ y)),
-                (_, Some(0)) => subst!(a),
-                _ if a == b => rewrite!(ConstI(0)),
-                _ => {}
-            },
-            ShlI(a, b) => match (ci(self, a), ci(self, b)) {
-                (Some(x), Some(y)) => rewrite!(ConstI(x.wrapping_shl((y & 31) as u32))),
-                (_, Some(0)) => subst!(a),
-                _ => {}
-            },
-            ShrI(a, b) => match (ci(self, a), ci(self, b)) {
-                (Some(x), Some(y)) => rewrite!(ConstI(x.wrapping_shr((y & 31) as u32))),
-                (_, Some(0)) => subst!(a),
-                _ => {}
-            },
-            UShrI(a, b) => {
-                if let (Some(x), Some(y)) = (ci(self, a), ci(self, b)) {
-                    rewrite!(ConstI(((x as u32).wrapping_shr((y & 31) as u32)) as i32));
-                }
-            }
-            NotI(a) => {
-                if let Some(x) = ci(self, a) {
-                    rewrite!(ConstI(!x));
-                }
-            }
-            NegI(a) => {
-                if let Some(x) = ci(self, a) {
-                    rewrite!(ConstI(x.wrapping_neg()));
-                }
-            }
-            AddD(a, b) => {
-                if let (Some(x), Some(y)) = (cd(self, a), cd(self, b)) {
-                    rewrite!(ConstD((x + y).to_bits()));
-                }
-            }
-            SubD(a, b) => match (cd(self, a), cd(self, b)) {
-                (Some(x), Some(y)) => rewrite!(ConstD((x - y).to_bits())),
-                // x - 0.0 == x for every x including -0 and NaN.
-                (_, Some(y)) if y == 0.0 && y.is_sign_positive() => subst!(a),
-                _ => {}
-            },
-            MulD(a, b) => match (cd(self, a), cd(self, b)) {
-                (Some(x), Some(y)) => rewrite!(ConstD((x * y).to_bits())),
-                // x * 1.0 == x for every x including NaN/-0/inf.
-                (_, Some(y)) if y == 1.0 => subst!(a),
-                (Some(x), _) if x == 1.0 => subst!(b),
-                _ => {}
-            },
-            DivD(a, b) => match (cd(self, a), cd(self, b)) {
-                (Some(x), Some(y)) => rewrite!(ConstD((x / y).to_bits())),
-                (_, Some(y)) if y == 1.0 => subst!(a),
-                _ => {}
-            },
-            ModD(a, b) => {
-                if let (Some(x), Some(y)) = (cd(self, a), cd(self, b)) {
-                    rewrite!(ConstD((x % y).to_bits()));
-                }
-            }
-            NegD(a) => {
-                if let Some(x) = cd(self, a) {
-                    rewrite!(ConstD((-x).to_bits()));
-                }
-            }
-            EqI(a, b) => {
-                if let (Some(x), Some(y)) = (ci(self, a), ci(self, b)) {
-                    rewrite!(ConstBool(x == y));
-                }
-            }
-            LtI(a, b) => {
-                if let (Some(x), Some(y)) = (ci(self, a), ci(self, b)) {
-                    rewrite!(ConstBool(x < y));
-                }
-            }
-            LeI(a, b) => {
-                if let (Some(x), Some(y)) = (ci(self, a), ci(self, b)) {
-                    rewrite!(ConstBool(x <= y));
-                }
-            }
-            GtI(a, b) => {
-                if let (Some(x), Some(y)) = (ci(self, a), ci(self, b)) {
-                    rewrite!(ConstBool(x > y));
-                }
-            }
-            GeI(a, b) => {
-                if let (Some(x), Some(y)) = (ci(self, a), ci(self, b)) {
-                    rewrite!(ConstBool(x >= y));
-                }
-            }
-            LtD(a, b) => {
-                if let (Some(x), Some(y)) = (cd(self, a), cd(self, b)) {
-                    rewrite!(ConstBool(x < y));
-                }
-            }
-            LeD(a, b) => {
-                if let (Some(x), Some(y)) = (cd(self, a), cd(self, b)) {
-                    rewrite!(ConstBool(x <= y));
-                }
-            }
-            GtD(a, b) => {
-                if let (Some(x), Some(y)) = (cd(self, a), cd(self, b)) {
-                    rewrite!(ConstBool(x > y));
-                }
-            }
-            GeD(a, b) => {
-                if let (Some(x), Some(y)) = (cd(self, a), cd(self, b)) {
-                    rewrite!(ConstBool(x >= y));
-                }
-            }
-            EqD(a, b) => {
-                if let (Some(x), Some(y)) = (cd(self, a), cd(self, b)) {
-                    rewrite!(ConstBool(x == y));
-                }
-            }
-            NotB(a) => {
-                if let Some(x) = cb(self, a) {
-                    rewrite!(ConstBool(!x));
-                }
-                if let NotB(inner) = self.trace.code[a as usize] {
-                    subst!(inner);
-                }
-            }
-            I2D(a) => {
-                if let Some(x) = ci(self, a) {
-                    rewrite!(ConstD(f64::from(x).to_bits()));
-                }
-            }
-            U2D(a) => {
-                if let Some(x) = ci(self, a) {
-                    rewrite!(ConstD(f64::from(x as u32).to_bits()));
-                }
-            }
-            D2I32(a) => {
-                if let Some(x) = cd(self, a) {
-                    rewrite!(ConstI(tm_runtime::ops::double_to_int32(x)));
-                }
-            }
-            GuardTrue(c, _) => {
-                if cb(self, c) == Some(true) {
+            I2D(a) => ci(a).map(|x| Keep(const_d(f64::from(x)))),
+            U2D(a) => ci(a).map(|x| Keep(const_d(f64::from(x as u32)))),
+            D2I32(a) => cd(a).map(|x| Keep(ConstI(tm_runtime::ops::double_to_int32(x)))),
+            GuardTrue(c, _) | GuardFalse(c, _) => {
+                if cb(c) == Some(matches!(inst, GuardTrue(..))) {
                     self.stats.guards_elided += 1;
                     return Filtered::Dropped;
                 }
+                None
             }
-            GuardFalse(c, _) => {
-                if cb(self, c) == Some(false) {
-                    self.stats.guards_elided += 1;
-                    return Filtered::Dropped;
-                }
+            Box(Tag::Int, a) => ci(a)
+                .and_then(|x| tm_runtime::Value::new_int_checked(i64::from(x)))
+                .map(|v| Keep(ConstBoxed(v.raw()))),
+            Box(Tag::Bool, a) => {
+                cb(a).map(|x| Keep(ConstBoxed(tm_runtime::Value::new_bool(x).raw())))
             }
-            BoxI(a) => {
-                if let Some(x) = ci(self, a) {
-                    rewrite!(ConstBoxed(tm_runtime::Value::new_int(x).raw()));
-                }
-            }
-            BoxB(a) => {
-                if let Some(x) = cb(self, a) {
-                    rewrite!(ConstBoxed(tm_runtime::Value::new_bool(x).raw()));
-                }
-            }
-            _ => {}
-        }
-        Filtered::Keep(inst)
+            _ => None,
+        };
+        self.stats.folded += u64::from(folded.is_some());
+        folded.unwrap_or(Keep(inst))
     }
 
     // ---- INT↔DOUBLE demotion identities ----
 
     fn demote(&mut self, inst: Lir) -> Filtered {
         use Lir::*;
-        match inst {
+        let def = |id: LirId| &self.trace.code[id as usize];
+        let demoted = match inst {
             // int → double → int round trips vanish.
-            D2IChk(a, _) | D2I32(a) => {
-                if let I2D(x) = self.trace.code[a as usize] {
-                    self.stats.demoted += 1;
-                    return Filtered::Value(x);
-                }
-            }
-            // double → guarded int → double: the guard proved integrality.
-            I2D(a) => {
-                if let D2IChk(x, _) = self.trace.code[a as usize] {
-                    self.stats.demoted += 1;
-                    return Filtered::Value(x);
-                }
-            }
-            // Boxing an int-valued double is boxing the int: no allocation.
-            BoxD(a) => {
-                if let I2D(x) = self.trace.code[a as usize] {
-                    self.stats.demoted += 1;
-                    return Filtered::Keep(BoxI(x));
-                }
-            }
-            // Unboxing a value we just boxed.
-            UnboxI(a, _) => {
-                if let BoxI(x) = self.trace.code[a as usize] {
-                    self.stats.demoted += 1;
-                    return Filtered::Value(x);
-                }
-            }
-            UnboxD(a, _) | UnboxNumD(a, _) => match self.trace.code[a as usize] {
-                BoxD(x) => {
-                    self.stats.demoted += 1;
-                    return Filtered::Value(x);
-                }
-                BoxI(x) => {
-                    self.stats.demoted += 1;
-                    return Filtered::Keep(I2D(x));
-                }
-                _ => {}
+            D2IChk(a, _) | D2I32(a) => match *def(a) {
+                I2D(x) => Some(Filtered::Value(x)),
+                _ => None,
             },
-            UnboxBool(a, _) => {
-                if let BoxB(x) = self.trace.code[a as usize] {
-                    self.stats.demoted += 1;
-                    return Filtered::Value(x);
-                }
-            }
-            _ => {}
+            // double → guarded int → double: the guard proved integrality.
+            I2D(a) => match *def(a) {
+                D2IChk(x, _) => Some(Filtered::Value(x)),
+                _ => None,
+            },
+            // Boxing an int-valued double is boxing the int: no allocation
+            // while the int is in the boxable range.
+            Box(Tag::Double, a) => match *def(a) {
+                I2D(x) => Some(Filtered::Keep(Box(Tag::Int, x))),
+                _ => None,
+            },
+            // Unboxing a value we just boxed.
+            Unbox(Tag::Double, a, _) | UnboxNumD(a, _) => match *def(a) {
+                Box(Tag::Double, x) => Some(Filtered::Value(x)),
+                Box(Tag::Int, x) => Some(Filtered::Keep(I2D(x))),
+                _ => None,
+            },
+            Unbox(tag @ (Tag::Int | Tag::Bool), a, _) => match *def(a) {
+                Box(t, x) if t == tag => Some(Filtered::Value(x)),
+                _ => None,
+            },
+            _ => None,
+        };
+        self.stats.demoted += u64::from(demoted.is_some());
+        demoted.unwrap_or(Filtered::Keep(inst))
+    }
+}
+
+/// Soft-float filter: double arithmetic becomes a helper call. The helpers
+/// cannot bail, so the call carries the no-exit sentinel instead of
+/// allocating a real side exit (which would desynchronize the recorder's
+/// exit table).
+fn softfloat(inst: Lir) -> Lir {
+    if let Lir::AluD(op, a, b) = inst {
+        if let Some(helper) = op.soft_helper() {
+            return Lir::Call {
+                helper,
+                args: vec![a, b].into_boxed_slice(),
+                ret: LirType::Double,
+                exit: NO_EXIT,
+            };
         }
-        Filtered::Keep(inst)
+    }
+    inst
+}
+
+/// The algebraic identities `fold` applies to one binary op, as data. Every
+/// row is checked against the op's `eval` by the tests below.
+struct Identities<T> {
+    /// `x ⊗ right == x`.
+    right: Option<T>,
+    /// `left ⊗ x == x`.
+    left: Option<T>,
+    /// `x ⊗ zero == zero ⊗ x == zero`.
+    zero: Option<T>,
+    /// What `x ⊗ x` is.
+    same: Option<Same<T>>,
+}
+
+#[derive(Clone, Copy)]
+enum Same<T> {
+    /// `x ⊗ x` is this constant (the paper's `a − a = 0`).
+    Const(T),
+    /// `x ⊗ x == x`.
+    Operand,
+}
+
+fn alu_identities(op: AluOp) -> Identities<i32> {
+    let row = |right, left, zero, same| Identities { right, left, zero, same };
+    match op {
+        AluOp::Add => row(Some(0), Some(0), None, None),
+        AluOp::Sub => row(Some(0), None, None, Some(Same::Const(0))),
+        AluOp::Mul => row(Some(1), Some(1), Some(0), None),
+        AluOp::And => row(Some(-1), Some(-1), Some(0), Some(Same::Operand)),
+        AluOp::Or => row(Some(0), Some(0), None, Some(Same::Operand)),
+        AluOp::Xor => row(Some(0), None, None, Some(Same::Const(0))),
+        AluOp::Shl | AluOp::Shr => row(Some(0), None, None, None),
+        AluOp::UShr => row(None, None, None, None),
+    }
+}
+
+/// Double identities, as bit patterns: a row must hold for every `x`
+/// including `-0.0`, NaN and the infinities, so `x + 0.0` (which turns
+/// `-0.0` into `+0.0`) is absent and `x - 0.0` matches `+0.0` only.
+fn f_identities(op: FOp) -> Identities<u64> {
+    let row = |right: Option<f64>, left: Option<f64>| Identities {
+        right: right.map(f64::to_bits),
+        left: left.map(f64::to_bits),
+        zero: None,
+        same: None,
+    };
+    match op {
+        FOp::Add | FOp::Mod => row(None, None),
+        FOp::Sub => row(Some(0.0), None),
+        FOp::Mul => row(Some(1.0), Some(1.0)),
+        FOp::Div => row(Some(1.0), None),
+    }
+}
+
+/// Folds `a ⊗ b` given the operands' constant values, if any: constant ⊗
+/// constant through `eval`, then the identity table. `konst` makes the
+/// instruction for a constant result.
+fn fold_binary<T: Copy + PartialEq>(
+    ids: Identities<T>,
+    (a, b): (LirId, LirId),
+    (x, y): (Option<T>, Option<T>),
+    eval: impl FnOnce(T, T) -> T,
+    konst: fn(T) -> Lir,
+) -> Option<Filtered> {
+    if let (Some(x), Some(y)) = (x, y) {
+        return Some(Filtered::Keep(konst(eval(x, y))));
+    }
+    if y.is_some() && y == ids.right {
+        return Some(Filtered::Value(a));
+    }
+    if x.is_some() && x == ids.left {
+        return Some(Filtered::Value(b));
+    }
+    if let Some(z) = ids.zero.filter(|&z| x == Some(z) || y == Some(z)) {
+        return Some(Filtered::Keep(konst(z)));
+    }
+    match ids.same.filter(|_| a == b)? {
+        Same::Const(c) => Some(Filtered::Keep(konst(c))),
+        Same::Operand => Some(Filtered::Value(a)),
     }
 }
 
@@ -493,59 +385,18 @@ enum Filtered {
 }
 
 /// Checked/guarded value-producing ops may be CSE'd against an earlier
-/// identical computation (whose guard already ran); their exit ids differ
-/// per site, so keys normalize the exit away.
+/// identical computation (whose guard already ran), and so may the one
+/// allocating box (two boxes of one double are interchangeable).
 fn cse_guarded(inst: &Lir) -> bool {
-    use Lir::*;
-    matches!(
-        inst,
-        AddIChk(..)
-            | SubIChk(..)
-            | MulIChk(..)
-            | NegIChk(..)
-            | ModIChk(..)
-            | ShlIChk(..)
-            | UShrIChk(..)
-            | D2IChk(..)
-            | ChkRangeI(..)
-            | UnboxI(..)
-            | UnboxD(..)
-            | UnboxNumD(..)
-            | UnboxObj(..)
-            | UnboxStr(..)
-            | UnboxBool(..)
-            | BoxD(..)
-    )
-}
-
-/// Normalizes exit ids to zero so structurally identical guarded ops
-/// collide in the CSE map.
-fn normalize_for_cse(inst: &Lir) -> Lir {
-    use Lir::*;
-    let z = ExitId(0);
-    match inst.clone() {
-        AddIChk(a, b, _) => AddIChk(a, b, z),
-        SubIChk(a, b, _) => SubIChk(a, b, z),
-        MulIChk(a, b, _) => MulIChk(a, b, z),
-        NegIChk(a, _) => NegIChk(a, z),
-        ModIChk(a, b, _) => ModIChk(a, b, z),
-        ShlIChk(a, b, _) => ShlIChk(a, b, z),
-        UShrIChk(a, b, _) => UShrIChk(a, b, z),
-        D2IChk(a, _) => D2IChk(a, z),
-        ChkRangeI(a, _) => ChkRangeI(a, z),
-        UnboxI(a, _) => UnboxI(a, z),
-        UnboxD(a, _) => UnboxD(a, z),
-        UnboxNumD(a, _) => UnboxNumD(a, z),
-        UnboxObj(a, _) => UnboxObj(a, z),
-        UnboxStr(a, _) => UnboxStr(a, z),
-        UnboxBool(a, _) => UnboxBool(a, z),
-        other => other,
-    }
+    inst.exit().is_some() && inst.result_ty().is_some() && !inst.clobbers_memory()
+        || matches!(inst, Lir::Box(Tag::Double, _))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opclass::{ChkOp, CmpOp};
+    use tm_runtime::Helper;
 
     fn buf() -> LirBuffer {
         LirBuffer::new(FilterOptions::default())
@@ -556,7 +407,7 @@ mod tests {
         let mut b = buf();
         let two = b.emit(Lir::ConstI(2));
         let three = b.emit(Lir::ConstI(3));
-        let sum = b.emit(Lir::AddI(two, three));
+        let sum = b.emit(Lir::AluI(AluOp::Add, two, three));
         assert_eq!(*b.inst(sum), Lir::ConstI(5));
         assert!(b.stats().folded >= 1);
     }
@@ -567,11 +418,11 @@ mod tests {
         let x = b.emit(Lir::Import { slot: 0, ty: LirType::Int });
         let zero = b.emit(Lir::ConstI(0));
         let one = b.emit(Lir::ConstI(1));
-        assert_eq!(b.emit(Lir::AddI(x, zero)), x);
-        assert_eq!(b.emit(Lir::MulI(x, one)), x);
-        let diff = b.emit(Lir::SubI(x, x));
+        assert_eq!(b.emit(Lir::AluI(AluOp::Add, x, zero)), x);
+        assert_eq!(b.emit(Lir::AluI(AluOp::Mul, x, one)), x);
+        let diff = b.emit(Lir::AluI(AluOp::Sub, x, x));
         assert_eq!(*b.inst(diff), Lir::ConstI(0), "the paper's a - a = 0");
-        let xor = b.emit(Lir::XorI(x, x));
+        let xor = b.emit(Lir::AluI(AluOp::Xor, x, x));
         assert_eq!(*b.inst(xor), Lir::ConstI(0));
     }
 
@@ -581,10 +432,10 @@ mod tests {
         let x = b.emit(Lir::Import { slot: 0, ty: LirType::Double });
         let one = b.emit(Lir::ConstD(1.0f64.to_bits()));
         let zero = b.emit(Lir::ConstD(0.0f64.to_bits()));
-        assert_eq!(b.emit(Lir::MulD(x, one)), x);
-        assert_eq!(b.emit(Lir::SubD(x, zero)), x);
+        assert_eq!(b.emit(Lir::AluD(FOp::Mul, x, one)), x);
+        assert_eq!(b.emit(Lir::AluD(FOp::Sub, x, zero)), x);
         // x + 0.0 must NOT simplify: (-0.0) + 0.0 == +0.0.
-        let add = b.emit(Lir::AddD(x, zero));
+        let add = b.emit(Lir::AluD(FOp::Add, x, zero));
         assert_ne!(add, x);
     }
 
@@ -593,8 +444,8 @@ mod tests {
         let mut b = buf();
         let x = b.emit(Lir::Import { slot: 0, ty: LirType::Int });
         let y = b.emit(Lir::Import { slot: 1, ty: LirType::Int });
-        let a1 = b.emit(Lir::AddI(x, y));
-        let a2 = b.emit(Lir::AddI(x, y));
+        let a1 = b.emit(Lir::AluI(AluOp::Add, x, y));
+        let a2 = b.emit(Lir::AluI(AluOp::Add, x, y));
         assert_eq!(a1, a2);
         assert_eq!(b.stats().csed, 1);
     }
@@ -605,8 +456,8 @@ mod tests {
         let x = b.emit(Lir::Import { slot: 0, ty: LirType::Boxed });
         let e1 = b.alloc_exit();
         let e2 = b.alloc_exit();
-        let u1 = b.emit(Lir::UnboxI(x, e1));
-        let u2 = b.emit(Lir::UnboxI(x, e2));
+        let u1 = b.emit(Lir::Unbox(Tag::Int, x, e1));
+        let u2 = b.emit(Lir::Unbox(Tag::Int, x, e2));
         assert_eq!(u1, u2);
     }
 
@@ -633,8 +484,8 @@ mod tests {
         // again would be removed by this filter."
         assert_eq!(b.emit(Lir::D2IChk(d, e)), x);
         assert_eq!(b.emit(Lir::D2I32(d)), x);
-        let boxed = b.emit(Lir::BoxD(d));
-        assert_eq!(*b.inst(boxed), Lir::BoxI(x), "boxing an int-valued double boxes the int");
+        let boxed = b.emit(Lir::Box(Tag::Double, d));
+        assert_eq!(*b.inst(boxed), Lir::Box(Tag::Int, x), "boxing an int-valued double boxes the int");
         assert!(b.stats().demoted >= 3);
     }
 
@@ -642,11 +493,11 @@ mod tests {
     fn box_unbox_round_trips() {
         let mut b = buf();
         let x = b.emit(Lir::Import { slot: 0, ty: LirType::Int });
-        let boxed = b.emit(Lir::BoxI(x));
+        let boxed = b.emit(Lir::Box(Tag::Int, x));
         let e = b.alloc_exit();
-        assert_eq!(b.emit(Lir::UnboxI(boxed, e)), x);
+        assert_eq!(b.emit(Lir::Unbox(Tag::Int, boxed, e)), x);
         let xd = b.emit(Lir::Import { slot: 1, ty: LirType::Double });
-        let boxed_d = b.emit(Lir::BoxD(xd));
+        let boxed_d = b.emit(Lir::Box(Tag::Double, xd));
         let e2 = b.alloc_exit();
         assert_eq!(b.emit(Lir::UnboxNumD(boxed_d, e2)), xd);
     }
@@ -672,7 +523,7 @@ mod tests {
         });
         let x = b.emit(Lir::Import { slot: 0, ty: LirType::Double });
         let y = b.emit(Lir::Import { slot: 1, ty: LirType::Double });
-        let sum = b.emit(Lir::AddD(x, y));
+        let sum = b.emit(Lir::AluD(FOp::Add, x, y));
         assert!(
             matches!(b.inst(sum), Lir::Call { helper: Helper::SoftAdd, .. }),
             "soft-float converts double add to a call: {:?}",
@@ -690,9 +541,124 @@ mod tests {
         });
         let two = b.emit(Lir::ConstI(2));
         let three = b.emit(Lir::ConstI(3));
-        let sum = b.emit(Lir::AddI(two, three));
-        assert_eq!(*b.inst(sum), Lir::AddI(two, three));
-        let sum2 = b.emit(Lir::AddI(two, three));
+        let sum = b.emit(Lir::AluI(AluOp::Add, two, three));
+        assert_eq!(*b.inst(sum), Lir::AluI(AluOp::Add, two, three));
+        let sum2 = b.emit(Lir::AluI(AluOp::Add, two, three));
         assert_ne!(sum, sum2);
+    }
+
+    const INT_EDGES: [i32; 10] =
+        [0, 1, -1, -(1 << 30), (1 << 30) - 1, i32::MIN, i32::MAX, 31, 32, -32];
+    const DOUBLE_EDGES: [f64; 7] =
+        [0.0, -0.0, 1.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+    /// `fold(op(const, const)) == Const(op.eval(..))` for every op of every
+    /// family over the edge sets (checked ops are never folded).
+    #[test]
+    fn constant_folding_is_eval() {
+        let mut b = buf();
+        for x in INT_EDGES {
+            for y in INT_EDGES {
+                let (a, c) = (b.emit(Lir::ConstI(x)), b.emit(Lir::ConstI(y)));
+                for &op in AluOp::ALL {
+                    let r = b.emit(Lir::AluI(op, a, c));
+                    assert_eq!(*b.inst(r), Lir::ConstI(op.eval(x, y)), "{op:?}({x}, {y})");
+                }
+                for &op in CmpOp::ALL {
+                    let r = b.emit(Lir::CmpI(op, a, c));
+                    assert_eq!(*b.inst(r), Lir::ConstBool(op.eval(x, y)), "{op:?}({x}, {y})");
+                }
+                for &op in ChkOp::ALL {
+                    let e = b.alloc_exit();
+                    let r = b.emit(Lir::ChkAluI(op, a, c, e));
+                    assert!(matches!(b.inst(r), Lir::ChkAluI(..)), "{op:?} keeps its guard");
+                }
+            }
+        }
+        for x in DOUBLE_EDGES {
+            for y in DOUBLE_EDGES {
+                let a = b.emit(Lir::ConstD(x.to_bits()));
+                let c = b.emit(Lir::ConstD(y.to_bits()));
+                for &op in FOp::ALL {
+                    let r = b.emit(Lir::AluD(op, a, c));
+                    let want = Lir::ConstD(op.eval(x, y).to_bits());
+                    assert_eq!(*b.inst(r), want, "{op:?}({x}, {y})");
+                }
+                for &op in CmpOp::ALL {
+                    let r = b.emit(Lir::CmpD(op, a, c));
+                    assert_eq!(*b.inst(r), Lir::ConstBool(op.eval(x, y)), "{op:?}({x}, {y})");
+                }
+            }
+        }
+    }
+
+    /// Every row of the identity tables holds in the op's `eval`, bit for
+    /// bit, for every edge value of `x`.
+    #[test]
+    fn identity_tables_agree_with_eval() {
+        fn check<T: Copy + PartialEq + std::fmt::Debug>(
+            what: &dyn std::fmt::Debug,
+            ids: Identities<T>,
+            edges: &[T],
+            eval: impl Fn(T, T) -> T,
+        ) {
+            for &x in edges {
+                if let Some(r) = ids.right {
+                    assert_eq!(eval(x, r), x, "{what:?}: x ⊗ right, x = {x:?}");
+                }
+                if let Some(l) = ids.left {
+                    assert_eq!(eval(l, x), x, "{what:?}: left ⊗ x, x = {x:?}");
+                }
+                if let Some(z) = ids.zero {
+                    assert_eq!(eval(x, z), z, "{what:?}: x ⊗ zero, x = {x:?}");
+                    assert_eq!(eval(z, x), z, "{what:?}: zero ⊗ x, x = {x:?}");
+                }
+                match ids.same {
+                    Some(Same::Const(c)) => assert_eq!(eval(x, x), c, "{what:?}: x ⊗ x"),
+                    Some(Same::Operand) => assert_eq!(eval(x, x), x, "{what:?}: x ⊗ x"),
+                    None => {}
+                }
+            }
+        }
+        for &op in AluOp::ALL {
+            check(&op, alu_identities(op), &INT_EDGES, |x, y| op.eval(x, y));
+        }
+        let edges = DOUBLE_EDGES.map(f64::to_bits);
+        for &op in FOp::ALL {
+            check(&op, f_identities(op), &edges, |x, y| {
+                op.eval(f64::from_bits(x), f64::from_bits(y)).to_bits()
+            });
+        }
+    }
+
+    /// The identities `fold` leaves alone, so the table cannot silently
+    /// grow one that changes instruction counts: a commutative op's missing
+    /// left identity, and the IEEE traps.
+    #[test]
+    fn fold_applies_exactly_the_table() {
+        let mut b = buf();
+        let x = b.emit(Lir::Import { slot: 0, ty: LirType::Int });
+        let zero = b.emit(Lir::ConstI(0));
+        let ones = b.emit(Lir::ConstI(-1));
+        for inst in [
+            Lir::AluI(AluOp::Xor, zero, x),
+            Lir::AluI(AluOp::Or, x, ones),
+            Lir::AluI(AluOp::UShr, x, zero),
+            Lir::AluI(AluOp::Sub, zero, x),
+        ] {
+            let r = b.emit(inst.clone());
+            assert_eq!(*b.inst(r), inst);
+        }
+        assert_eq!(b.emit(Lir::AluI(AluOp::Or, x, x)), x);
+        assert_eq!(b.emit(Lir::AluI(AluOp::And, ones, x)), x);
+        let r = b.emit(Lir::AluI(AluOp::And, x, zero));
+        assert_eq!(*b.inst(r), Lir::ConstI(0));
+        let d = b.emit(Lir::Import { slot: 1, ty: LirType::Double });
+        let nzero = b.emit(Lir::ConstD((-0.0f64).to_bits()));
+        let one = b.emit(Lir::ConstD(1.0f64.to_bits()));
+        assert_ne!(b.emit(Lir::AluD(FOp::Sub, d, nzero)), d, "x - (-0.0) is not x for x = -0.0");
+        assert_ne!(b.emit(Lir::AluD(FOp::Div, one, d)), d);
+        assert_eq!(b.emit(Lir::AluD(FOp::Div, d, one)), d);
+        assert_eq!(b.emit(Lir::AluD(FOp::Mul, one, d)), d);
     }
 }

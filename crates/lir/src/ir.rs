@@ -9,11 +9,13 @@
 //!
 //! Integer values on trace are 32-bit two's-complement, but the *boxable*
 //! integer range is the 31-bit inline range of the value tagging scheme, so
-//! the checked arithmetic ops (`AddIChk`, ...) guard the 31-bit range: this
+//! the checked arithmetic ops ([`Lir::ChkAluI`], ...) guard the 31-bit range: this
 //! is exactly the "adding two integers can produce a value too large for
 //! the integer representation" guard of §3.1.
 
 use tm_runtime::Helper;
+
+use crate::opclass::{AluOp, ChkOp, CmpOp, FOp, Tag};
 
 /// Index of an instruction within a trace (SSA value id).
 pub type LirId = u32;
@@ -105,84 +107,30 @@ pub enum Lir {
         v: LirId,
     },
 
-    // ---- integer arithmetic (unchecked: result provably in range or
-    //      wrap semantics wanted) ----
-    /// 32-bit wrapping add.
-    AddI(LirId, LirId),
-    /// 32-bit wrapping subtract.
-    SubI(LirId, LirId),
-    /// 32-bit wrapping multiply.
-    MulI(LirId, LirId),
-    /// Bitwise and.
-    AndI(LirId, LirId),
-    /// Bitwise or.
-    OrI(LirId, LirId),
-    /// Bitwise xor.
-    XorI(LirId, LirId),
-    /// Shift left (count masked to 5 bits).
-    ShlI(LirId, LirId),
-    /// Arithmetic shift right.
-    ShrI(LirId, LirId),
-    /// Logical shift right (result viewed as u32 bits).
-    UShrI(LirId, LirId),
+    // ---- arithmetic and comparison families (the operation is the
+    //      `opclass` enum; its `eval` is the semantics) ----
+    /// Unchecked 32-bit integer ALU op: the result is provably in range,
+    /// or wrap semantics are wanted (shift counts are masked to 5 bits).
+    AluI(AluOp, LirId, LirId),
     /// Bitwise not.
     NotI(LirId),
     /// Integer negate (unchecked).
     NegI(LirId),
-
-    // ---- checked integer arithmetic: exit when the exact result leaves
-    //      the boxable 31-bit range (§3.1 overflow guards) ----
-    /// Checked add.
-    AddIChk(LirId, LirId, ExitId),
-    /// Checked subtract.
-    SubIChk(LirId, LirId, ExitId),
-    /// Checked multiply.
-    MulIChk(LirId, LirId, ExitId),
+    /// Checked integer ALU op: exits when the exact result leaves the
+    /// boxable 31-bit range (§3.1 overflow guards).
+    ChkAluI(ChkOp, LirId, LirId, ExitId),
     /// Checked negate (also exits on -0).
     NegIChk(LirId, ExitId),
     /// Checked remainder (exits on zero divisor or -0 result).
     ModIChk(LirId, LirId, ExitId),
-    /// Checked shift left (exits when the result leaves the 31-bit range).
-    ShlIChk(LirId, LirId, ExitId),
-    /// Checked unsigned shift right (exits when the u32 result leaves the
-    /// 31-bit range).
-    UShrIChk(LirId, LirId, ExitId),
-
-    // ---- double arithmetic ----
-    /// Double add.
-    AddD(LirId, LirId),
-    /// Double subtract.
-    SubD(LirId, LirId),
-    /// Double multiply.
-    MulD(LirId, LirId),
-    /// Double divide.
-    DivD(LirId, LirId),
-    /// Double remainder (fmod).
-    ModD(LirId, LirId),
+    /// Double arithmetic.
+    AluD(FOp, LirId, LirId),
     /// Double negate.
     NegD(LirId),
-
-    // ---- comparisons (produce Bool) ----
-    /// Integer compare.
-    EqI(LirId, LirId),
-    /// Integer compare.
-    LtI(LirId, LirId),
-    /// Integer compare.
-    LeI(LirId, LirId),
-    /// Integer compare.
-    GtI(LirId, LirId),
-    /// Integer compare.
-    GeI(LirId, LirId),
-    /// Double compare (NaN compares false).
-    EqD(LirId, LirId),
-    /// Double compare.
-    LtD(LirId, LirId),
-    /// Double compare.
-    LeD(LirId, LirId),
-    /// Double compare.
-    GtD(LirId, LirId),
-    /// Double compare.
-    GeD(LirId, LirId),
+    /// Integer compare (produces Bool).
+    CmpI(CmpOp, LirId, LirId),
+    /// Double compare (produces Bool; NaN compares false).
+    CmpD(CmpOp, LirId, LirId),
     /// Boolean not (input Bool).
     NotB(LirId),
 
@@ -203,28 +151,20 @@ pub enum Lir {
     ChkRangeI(LirId, ExitId),
 
     // ---- boxing / unboxing ----
-    /// Box an int (always fits the inline representation; pure).
-    BoxI(LirId),
-    /// Box a double (allocates when non-integral).
-    BoxD(LirId),
-    /// Box a bool.
-    BoxB(LirId),
-    /// Box an object handle (pure bit tagging).
-    BoxObj(LirId),
-    /// Box a string handle (pure bit tagging).
-    BoxStr(LirId),
-    /// Unbox an int, exiting when the tag is not int.
-    UnboxI(LirId, ExitId),
-    /// Unbox a double, exiting when the tag is not double.
-    UnboxD(LirId, ExitId),
+    /// Box an unboxed value of representation `Tag` into a tagged word.
+    /// `Bool`, `Object` and `String` are pure bit tagging. `Double`
+    /// allocates a heap double unless the value is integral and fits the
+    /// inline 31-bit range; `Int` is inline in that range and allocates a
+    /// heap double outside it (the demotion filter turns `Box(Double,
+    /// I2D(x))` into `Box(Int, x)` for full-range `x`). An allocation that
+    /// crosses the GC threshold flags the collection for the next loop
+    /// edge or exit.
+    Box(Tag, LirId),
+    /// Unbox a tagged word as `Tag`, exiting when it carries another tag
+    /// (`Double` accepts only a heap double, not an inline int).
+    Unbox(Tag, LirId, ExitId),
     /// Unbox any number as double, exiting when not a number.
     UnboxNumD(LirId, ExitId),
-    /// Unbox an object handle.
-    UnboxObj(LirId, ExitId),
-    /// Unbox a string handle.
-    UnboxStr(LirId, ExitId),
-    /// Unbox a boolean.
-    UnboxBool(LirId, ExitId),
 
     // ---- guards ----
     /// Exit unless the Bool operand is true.
@@ -312,6 +252,90 @@ pub enum Lir {
     End(ExitId),
 }
 
+/// The one per-variant list of operand fields: calls `$f` on each operand
+/// of `$inst` in order, by `&` or `&mut` following `$inst`'s borrow.
+macro_rules! for_each_operand {
+    ($inst:expr, $f:expr) => {{
+        use Lir::*;
+        match $inst {
+            ConstI(_) | ConstD(_) | ConstObj(_) | ConstStr(_) | ConstBool(_) | ConstBoxed(_)
+            | Import { .. } | CallTree { .. } | LoopBack(_) | End(_) => {}
+            WriteAr { v: a, .. }
+            | NotI(a)
+            | NegI(a)
+            | NegIChk(a, _)
+            | NegD(a)
+            | NotB(a)
+            | I2D(a)
+            | U2D(a)
+            | D2IChk(a, _)
+            | D2I32(a)
+            | ChkRangeI(a, _)
+            | Box(_, a)
+            | Unbox(_, a, _)
+            | UnboxNumD(a, _)
+            | GuardTrue(a, _)
+            | GuardFalse(a, _)
+            | GuardShape { obj: a, .. }
+            | GuardClass { obj: a, .. }
+            | GuardBoxedEq(a, _, _)
+            | LoadSlot(a, _)
+            | LoadProto(a)
+            | ArrayLen(a)
+            | StrLen(a) => $f(a),
+            AluI(_, a, b)
+            | ChkAluI(_, a, b, _)
+            | ModIChk(a, b, _)
+            | AluD(_, a, b)
+            | CmpI(_, a, b)
+            | CmpD(_, a, b)
+            | GuardBound { arr: a, idx: b, .. }
+            | StoreSlot(a, _, b)
+            | LoadElem(a, b) => {
+                $f(a);
+                $f(b);
+            }
+            StoreElem(a, i, v) => {
+                $f(a);
+                $f(i);
+                $f(v);
+            }
+            Call { args, .. } => {
+                for a in args {
+                    $f(a);
+                }
+            }
+        }
+    }};
+}
+
+/// The one per-variant list of exit fields (`&` or `&mut` like above).
+macro_rules! exit_field {
+    ($inst:expr) => {{
+        use Lir::*;
+        match $inst {
+            ChkAluI(_, _, _, e)
+            | ModIChk(_, _, e)
+            | NegIChk(_, e)
+            | D2IChk(_, e)
+            | ChkRangeI(_, e)
+            | Unbox(_, _, e)
+            | UnboxNumD(_, e)
+            | GuardTrue(_, e)
+            | GuardFalse(_, e)
+            | GuardBoxedEq(_, _, e)
+            | GuardShape { exit: e, .. }
+            | GuardClass { exit: e, .. }
+            | GuardBound { exit: e, .. }
+            | Call { exit: e, .. }
+            | CallTree { exit: e, .. }
+            | LoopBack(e)
+            | End(e) => Some(e),
+            _ => None,
+        }
+    }};
+}
+
 impl Lir {
     /// The type of the SSA value this instruction defines, or `None` for
     /// pure effects (stores, guards, trace ends).
@@ -325,24 +349,13 @@ impl Lir {
             ConstBool(_) => LirType::Bool,
             ConstBoxed(_) => LirType::Boxed,
             Import { ty, .. } => *ty,
-            AddI(..) | SubI(..) | MulI(..) | AndI(..) | OrI(..) | XorI(..) | ShlI(..)
-            | ShrI(..) | UShrI(..) | NotI(_) | NegI(_) => LirType::Int,
-            AddIChk(..) | SubIChk(..) | MulIChk(..) | NegIChk(..) | ModIChk(..)
-            | ShlIChk(..) | UShrIChk(..) => LirType::Int,
-            AddD(..) | SubD(..) | MulD(..) | DivD(..) | ModD(..) | NegD(_) => LirType::Double,
-            EqI(..) | LtI(..) | LeI(..) | GtI(..) | GeI(..) | EqD(..) | LtD(..) | LeD(..)
-            | GtD(..) | GeD(..) | NotB(_) => LirType::Bool,
-            I2D(_) | U2D(_) => LirType::Double,
-            D2IChk(..) | D2I32(_) | ChkRangeI(..) => LirType::Int,
-            BoxI(_) | BoxD(_) | BoxB(_) | BoxObj(_) | BoxStr(_) => LirType::Boxed,
-            UnboxI(..) => LirType::Int,
-            UnboxD(..) | UnboxNumD(..) => LirType::Double,
-            UnboxObj(..) => LirType::Object,
-            UnboxStr(..) => LirType::String,
-            UnboxBool(..) => LirType::Bool,
-            LoadSlot(..) | LoadElem(..) => LirType::Boxed,
+            AluI(..) | NotI(_) | NegI(_) | ChkAluI(..) | NegIChk(..) | ModIChk(..) => LirType::Int,
+            AluD(..) | NegD(_) | I2D(_) | U2D(_) | UnboxNumD(..) => LirType::Double,
+            CmpI(..) | CmpD(..) | NotB(_) => LirType::Bool,
+            D2IChk(..) | D2I32(_) | ChkRangeI(..) | ArrayLen(_) | StrLen(_) => LirType::Int,
+            Box(..) | LoadSlot(..) | LoadElem(..) => LirType::Boxed,
+            Unbox(tag, ..) => tag.ty(),
             LoadProto(_) => LirType::Object,
-            ArrayLen(_) | StrLen(_) => LirType::Int,
             Call { ret, .. } => *ret,
             WriteAr { .. } | StoreSlot(..) | StoreElem(..) | GuardTrue(..) | GuardFalse(..)
             | GuardShape { .. } | GuardClass { .. } | GuardBoxedEq(..) | GuardBound { .. }
@@ -354,69 +367,23 @@ impl Lir {
     /// CSE and to remove when unused.
     pub fn is_pure(&self) -> bool {
         use Lir::*;
-        matches!(
-            self,
-            ConstI(_)
-                | ConstD(_)
-                | ConstObj(_)
-                | ConstStr(_)
-                | ConstBool(_)
-                | ConstBoxed(_)
-                | AddI(..)
-                | SubI(..)
-                | MulI(..)
-                | AndI(..)
-                | OrI(..)
-                | XorI(..)
-                | ShlI(..)
-                | ShrI(..)
-                | UShrI(..)
-                | NotI(_)
-                | NegI(_)
-                | AddD(..)
-                | SubD(..)
-                | MulD(..)
-                | DivD(..)
-                | ModD(..)
-                | NegD(_)
-                | EqI(..)
-                | LtI(..)
-                | LeI(..)
-                | GtI(..)
-                | GeI(..)
-                | EqD(..)
-                | LtD(..)
-                | LeD(..)
-                | GtD(..)
-                | GeD(..)
-                | NotB(_)
-                | I2D(_)
-                | U2D(_)
-                | D2I32(_)
-                | BoxI(_)
-                | BoxB(_)
-                | BoxObj(_)
-                | BoxStr(_)
-        )
+        match self {
+            ConstI(_) | ConstD(_) | ConstObj(_) | ConstStr(_) | ConstBool(_) | ConstBoxed(_)
+            | AluI(..) | NotI(_) | NegI(_) | AluD(..) | NegD(_) | CmpI(..) | CmpD(..)
+            | NotB(_) | I2D(_) | U2D(_) | D2I32(_) => true,
+            Box(tag, _) => *tag != Tag::Double,
+            _ => false,
+        }
     }
 
-    /// Whether this is a guard or checked op (can take a side exit).
+    /// The side exit this guard or checked op can take, if any.
     pub fn exit(&self) -> Option<ExitId> {
-        use Lir::*;
-        match self {
-            AddIChk(_, _, e) | SubIChk(_, _, e) | MulIChk(_, _, e) | ModIChk(_, _, e)
-            | ShlIChk(_, _, e) | UShrIChk(_, _, e) => Some(*e),
-            NegIChk(_, e) | D2IChk(_, e) | ChkRangeI(_, e) => Some(*e),
-            UnboxI(_, e) | UnboxD(_, e) | UnboxNumD(_, e) | UnboxObj(_, e) | UnboxStr(_, e)
-            | UnboxBool(_, e) => Some(*e),
-            GuardTrue(_, e) | GuardFalse(_, e) | GuardBoxedEq(_, _, e) => Some(*e),
-            GuardShape { exit, .. } | GuardClass { exit, .. } | GuardBound { exit, .. } => {
-                Some(*exit)
-            }
-            Call { exit, .. } | CallTree { exit, .. } => Some(*exit),
-            LoopBack(e) | End(e) => Some(*e),
-            _ => None,
-        }
+        exit_field!(self).copied()
+    }
+
+    /// Mutable access to the exit of [`Lir::exit`].
+    pub fn exit_mut(&mut self) -> Option<&mut ExitId> {
+        exit_field!(self)
     }
 
     /// Whether this is a memory load (invalidated by stores/calls for CSE).
@@ -440,52 +407,15 @@ impl Lir {
         )
     }
 
-    /// Collects the operand ids into `out`.
+    /// Collects the operand ids into `out`, in field order.
     pub fn operands(&self, out: &mut Vec<LirId>) {
-        use Lir::*;
-        match self {
-            ConstI(_) | ConstD(_) | ConstObj(_) | ConstStr(_) | ConstBool(_) | ConstBoxed(_)
-            | Import { .. } | CallTree { .. } | LoopBack(_) | End(_) => {}
-            WriteAr { v, .. } => out.push(*v),
-            AddI(a, b) | SubI(a, b) | MulI(a, b) | AndI(a, b) | OrI(a, b) | XorI(a, b)
-            | ShlI(a, b) | ShrI(a, b) | UShrI(a, b) | AddD(a, b) | SubD(a, b) | MulD(a, b)
-            | DivD(a, b) | ModD(a, b) | EqI(a, b) | LtI(a, b) | LeI(a, b) | GtI(a, b)
-            | GeI(a, b) | EqD(a, b) | LtD(a, b) | LeD(a, b) | GtD(a, b) | GeD(a, b) => {
-                out.push(*a);
-                out.push(*b);
-            }
-            AddIChk(a, b, _) | SubIChk(a, b, _) | MulIChk(a, b, _) | ModIChk(a, b, _)
-            | ShlIChk(a, b, _) | UShrIChk(a, b, _) => {
-                out.push(*a);
-                out.push(*b);
-            }
-            NotI(a) | NegI(a) | NegD(a) | NotB(a) | I2D(a) | U2D(a) | D2I32(a) | BoxI(a)
-            | BoxD(a) | BoxB(a) | BoxObj(a) | BoxStr(a) | NegIChk(a, _) | D2IChk(a, _)
-            | ChkRangeI(a, _) | UnboxI(a, _) | UnboxD(a, _)
-            | UnboxNumD(a, _) | UnboxObj(a, _) | UnboxStr(a, _) | UnboxBool(a, _)
-            | GuardTrue(a, _) | GuardFalse(a, _) | GuardBoxedEq(a, _, _) | LoadProto(a)
-            | ArrayLen(a) | StrLen(a) => out.push(*a),
-            GuardShape { obj, .. } | GuardClass { obj, .. } => out.push(*obj),
-            GuardBound { arr, idx, .. } => {
-                out.push(*arr);
-                out.push(*idx);
-            }
-            LoadSlot(o, _) => out.push(*o),
-            StoreSlot(o, _, v) => {
-                out.push(*o);
-                out.push(*v);
-            }
-            LoadElem(a, i) => {
-                out.push(*a);
-                out.push(*i);
-            }
-            StoreElem(a, i, v) => {
-                out.push(*a);
-                out.push(*i);
-                out.push(*v);
-            }
-            Call { args, .. } => out.extend(args.iter().copied()),
-        }
+        let mut f = |id: &LirId| out.push(*id);
+        for_each_operand!(self, f);
+    }
+
+    /// Calls `f` on every operand id, in the order of [`Lir::operands`].
+    pub fn operands_mut(&mut self, mut f: impl FnMut(&mut LirId)) {
+        for_each_operand!(self, f);
     }
 }
 
@@ -521,20 +451,26 @@ mod tests {
     #[test]
     fn result_types() {
         assert_eq!(Lir::ConstI(3).result_ty(), Some(LirType::Int));
-        assert_eq!(Lir::AddD(0, 1).result_ty(), Some(LirType::Double));
-        assert_eq!(Lir::LtI(0, 1).result_ty(), Some(LirType::Bool));
+        assert_eq!(Lir::AluD(FOp::Add, 0, 1).result_ty(), Some(LirType::Double));
+        assert_eq!(Lir::CmpI(CmpOp::Lt, 0, 1).result_ty(), Some(LirType::Bool));
         assert_eq!(Lir::LoadSlot(0, 2).result_ty(), Some(LirType::Boxed));
         assert_eq!(Lir::GuardTrue(0, ExitId(0)).result_ty(), None);
-        assert_eq!(Lir::UnboxI(0, ExitId(1)).result_ty(), Some(LirType::Int));
+        for &tag in Tag::ALL {
+            assert_eq!(Lir::Unbox(tag, 0, ExitId(1)).result_ty(), Some(tag.ty()));
+            assert_eq!(Tag::of(tag.ty()), Some(tag));
+        }
+        assert_eq!(Tag::of(LirType::Boxed), None);
     }
 
     #[test]
     fn purity_and_exits() {
-        assert!(Lir::AddI(0, 1).is_pure());
-        assert!(!Lir::AddIChk(0, 1, ExitId(0)).is_pure());
+        assert!(Lir::AluI(AluOp::Add, 0, 1).is_pure());
+        assert!(!Lir::ChkAluI(ChkOp::Add, 0, 1, ExitId(0)).is_pure());
+        assert!(Lir::Box(Tag::Int, 0).is_pure());
+        assert!(!Lir::Box(Tag::Double, 0).is_pure(), "allocates");
         assert!(!Lir::LoadSlot(0, 0).is_pure(), "loads are not CSE-pure without memory tracking");
-        assert_eq!(Lir::AddIChk(0, 1, ExitId(3)).exit(), Some(ExitId(3)));
-        assert_eq!(Lir::AddI(0, 1).exit(), None);
+        assert_eq!(Lir::ChkAluI(ChkOp::Add, 0, 1, ExitId(3)).exit(), Some(ExitId(3)));
+        assert_eq!(Lir::AluI(AluOp::Add, 0, 1).exit(), None);
         assert!(Lir::StoreElem(0, 1, 2).clobbers_memory());
         assert!(Lir::LoadElem(0, 1).is_load());
     }

@@ -11,13 +11,13 @@
 //! "just two loop passes ... one forward and one backward".
 //!
 //! ```
-//! use tm_lir::{Lir, LirBuffer, LirType, FilterOptions};
+//! use tm_lir::{AluOp, FilterOptions, Lir, LirBuffer, LirType};
 //!
 //! let mut buf = LirBuffer::new(FilterOptions::default());
 //! let x = buf.emit(Lir::Import { slot: 0, ty: LirType::Int });
 //! let k = buf.emit(Lir::ConstI(0));
 //! // The algebraic filter folds x + 0 to x as it streams through.
-//! assert_eq!(buf.emit(Lir::AddI(x, k)), x);
+//! assert_eq!(buf.emit(Lir::AluI(AluOp::Add, x, k)), x);
 //! ```
 
 pub mod backward;
@@ -29,5 +29,5 @@ pub mod printer;
 pub use backward::{run_backward_filters, BackwardStats, ExitLiveness};
 pub use buffer::{FilterOptions, FilterStats, LirBuffer, NO_VALUE};
 pub use ir::{ArSlot, ExitId, Lir, LirId, LirTrace, LirType, NO_EXIT};
-pub use opclass::{AluOp, ChkOp, CmpOp};
+pub use opclass::{AluOp, ChkOp, CmpOp, FOp, Tag};
 pub use printer::print_trace;

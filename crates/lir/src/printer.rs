@@ -1,7 +1,6 @@
 //! LIR pretty-printer, in the style of the paper's Figure 3.
 
 use crate::ir::{Lir, LirTrace};
-use crate::opclass::{AluOp, ChkOp, CmpOp};
 
 /// Renders a trace one instruction per line, e.g.:
 ///
@@ -28,7 +27,6 @@ pub fn print_trace(trace: &LirTrace) -> String {
     out
 }
 
-#[allow(clippy::too_many_lines)]
 fn render(inst: &Lir, idx: usize, name: &dyn Fn(u32) -> String) -> String {
     use Lir::*;
     let def = |body: String| -> String {
@@ -44,63 +42,27 @@ fn render(inst: &Lir, idx: usize, name: &dyn Fn(u32) -> String) -> String {
         ConstBoxed(w) => def(format!("constboxed {w:#x}")),
         Import { slot, ty } => def(format!("import slot[{slot}] {ty:?}")),
         WriteAr { slot, v } => eff(format!("st ar[{slot}], {}", name(*v))),
-        AddI(a, b) => def(format!("{} {}, {}", AluOp::Add.mnemonic(), name(*a), name(*b))),
-        SubI(a, b) => def(format!("{} {}, {}", AluOp::Sub.mnemonic(), name(*a), name(*b))),
-        MulI(a, b) => def(format!("{} {}, {}", AluOp::Mul.mnemonic(), name(*a), name(*b))),
-        AndI(a, b) => def(format!("{} {}, {}", AluOp::And.mnemonic(), name(*a), name(*b))),
-        OrI(a, b) => def(format!("{} {}, {}", AluOp::Or.mnemonic(), name(*a), name(*b))),
-        XorI(a, b) => def(format!("{} {}, {}", AluOp::Xor.mnemonic(), name(*a), name(*b))),
-        ShlI(a, b) => def(format!("{} {}, {}", AluOp::Shl.mnemonic(), name(*a), name(*b))),
-        ShrI(a, b) => def(format!("{} {}, {}", AluOp::Shr.mnemonic(), name(*a), name(*b))),
-        UShrI(a, b) => def(format!("{} {}, {}", AluOp::UShr.mnemonic(), name(*a), name(*b))),
+        AluI(op, a, b) => def(format!("{} {}, {}", op.mnemonic(), name(*a), name(*b))),
         NotI(a) => def(format!("noti {}", name(*a))),
         NegI(a) => def(format!("negi {}", name(*a))),
-        AddIChk(a, b, e) => {
-            def(format!("{} {}, {} -> exit{}", ChkOp::Add.mnemonic(), name(*a), name(*b), e.0))
-        }
-        SubIChk(a, b, e) => {
-            def(format!("{} {}, {} -> exit{}", ChkOp::Sub.mnemonic(), name(*a), name(*b), e.0))
-        }
-        MulIChk(a, b, e) => {
-            def(format!("{} {}, {} -> exit{}", ChkOp::Mul.mnemonic(), name(*a), name(*b), e.0))
+        ChkAluI(op, a, b, e) => {
+            def(format!("{} {}, {} -> exit{}", op.mnemonic(), name(*a), name(*b), e.0))
         }
         NegIChk(a, e) => def(format!("negi.chk {} -> exit{}", name(*a), e.0)),
         ModIChk(a, b, e) => def(format!("modi.chk {}, {} -> exit{}", name(*a), name(*b), e.0)),
-        ShlIChk(a, b, e) => def(format!("shli.chk {}, {} -> exit{}", name(*a), name(*b), e.0)),
-        UShrIChk(a, b, e) => def(format!("ushri.chk {}, {} -> exit{}", name(*a), name(*b), e.0)),
-        AddD(a, b) => def(format!("addd {}, {}", name(*a), name(*b))),
-        SubD(a, b) => def(format!("subd {}, {}", name(*a), name(*b))),
-        MulD(a, b) => def(format!("muld {}, {}", name(*a), name(*b))),
-        DivD(a, b) => def(format!("divd {}, {}", name(*a), name(*b))),
-        ModD(a, b) => def(format!("modd {}, {}", name(*a), name(*b))),
+        AluD(op, a, b) => def(format!("{} {}, {}", op.mnemonic(), name(*a), name(*b))),
         NegD(a) => def(format!("negd {}", name(*a))),
-        EqI(a, b) => def(format!("{} {}, {}", CmpOp::Eq.mnemonic_i(), name(*a), name(*b))),
-        LtI(a, b) => def(format!("{} {}, {}", CmpOp::Lt.mnemonic_i(), name(*a), name(*b))),
-        LeI(a, b) => def(format!("{} {}, {}", CmpOp::Le.mnemonic_i(), name(*a), name(*b))),
-        GtI(a, b) => def(format!("{} {}, {}", CmpOp::Gt.mnemonic_i(), name(*a), name(*b))),
-        GeI(a, b) => def(format!("{} {}, {}", CmpOp::Ge.mnemonic_i(), name(*a), name(*b))),
-        EqD(a, b) => def(format!("{} {}, {}", CmpOp::Eq.mnemonic_d(), name(*a), name(*b))),
-        LtD(a, b) => def(format!("{} {}, {}", CmpOp::Lt.mnemonic_d(), name(*a), name(*b))),
-        LeD(a, b) => def(format!("{} {}, {}", CmpOp::Le.mnemonic_d(), name(*a), name(*b))),
-        GtD(a, b) => def(format!("{} {}, {}", CmpOp::Gt.mnemonic_d(), name(*a), name(*b))),
-        GeD(a, b) => def(format!("{} {}, {}", CmpOp::Ge.mnemonic_d(), name(*a), name(*b))),
+        CmpI(op, a, b) => def(format!("{} {}, {}", op.mnemonic_i(), name(*a), name(*b))),
+        CmpD(op, a, b) => def(format!("{} {}, {}", op.mnemonic_d(), name(*a), name(*b))),
         NotB(a) => def(format!("notb {}", name(*a))),
         I2D(a) => def(format!("i2d {}", name(*a))),
         U2D(a) => def(format!("u2d {}", name(*a))),
         D2IChk(a, e) => def(format!("d2i.chk {} -> exit{}", name(*a), e.0)),
         D2I32(a) => def(format!("d2i32 {}", name(*a))),
         ChkRangeI(a, e) => def(format!("chkrange {} -> exit{}", name(*a), e.0)),
-        BoxI(a) => def(format!("boxi {}", name(*a))),
-        BoxD(a) => def(format!("boxd {}", name(*a))),
-        BoxB(a) => def(format!("boxb {}", name(*a))),
-        BoxObj(a) => def(format!("boxobj {}", name(*a))),
-        BoxStr(a) => def(format!("boxstr {}", name(*a))),
-        UnboxI(a, e) => def(format!("unboxi {} -> exit{}", name(*a), e.0)),
-        UnboxD(a, e) => def(format!("unboxd {} -> exit{}", name(*a), e.0)),
+        Box(tag, a) => def(format!("{} {}", tag.box_mnemonic(), name(*a))),
+        Unbox(tag, a, e) => def(format!("{} {} -> exit{}", tag.unbox_mnemonic(), name(*a), e.0)),
         UnboxNumD(a, e) => def(format!("unboxnum {} -> exit{}", name(*a), e.0)),
-        UnboxObj(a, e) => def(format!("unboxobj {} -> exit{}", name(*a), e.0)),
-        UnboxStr(a, e) => def(format!("unboxstr {} -> exit{}", name(*a), e.0)),
-        UnboxBool(a, e) => def(format!("unboxbool {} -> exit{}", name(*a), e.0)),
         GuardTrue(a, e) => eff(format!("xf {} -> exit{}", name(*a), e.0)),
         GuardFalse(a, e) => eff(format!("xt {} -> exit{}", name(*a), e.0)),
         GuardShape { obj, shape, exit } => {
@@ -137,6 +99,7 @@ mod tests {
     use super::*;
     use crate::buffer::{FilterOptions, LirBuffer};
     use crate::ir::LirType;
+    use crate::opclass::ChkOp;
 
     #[test]
     fn prints_figure3_style() {
@@ -144,7 +107,7 @@ mod tests {
         let x = b.emit(Lir::Import { slot: 0, ty: LirType::Int });
         let one = b.emit(Lir::ConstI(1));
         let e = b.alloc_exit();
-        let sum = b.emit(Lir::AddIChk(x, one, e));
+        let sum = b.emit(Lir::ChkAluI(ChkOp::Add, x, one, e));
         b.emit(Lir::WriteAr { slot: 0, v: sum });
         let le = b.alloc_exit();
         b.emit(Lir::LoopBack(le));

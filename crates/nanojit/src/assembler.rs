@@ -8,7 +8,7 @@
 //! free, the **oldest register-carried value** (least recently touched) is
 //! spilled — the paper's "minimum vm" heuristic.
 
-use tm_lir::{AluOp, ChkOp, CmpOp, Lir, LirId, LirTrace};
+use tm_lir::{Lir, LirId, LirTrace};
 
 use crate::machinst::{Fragment, MachInst, Reg, NREGS};
 
@@ -134,12 +134,12 @@ impl Assembler {
         victim_reg
     }
 
-    #[allow(clippy::too_many_lines)]
     fn lower(&mut self, id: LirId, inst: &Lir) {
         use Lir::*;
         let mut pinned: Vec<Reg> = Vec::with_capacity(4);
-        // `bin!(Variant { extra fields }, a, b)`: the families carry their
-        // op (and a checked op its exit) next to the allocated d/a/b.
+        // `bin!(Variant { extra fields }, a, b)` / `un!(Variant { .. }, a)`:
+        // the families carry their op or tag (and a checked op its exit)
+        // next to the allocated d/a/b.
         macro_rules! bin {
             ($mk:ident $({ $($extra:tt)* })?, $a:expr, $b:expr) => {{
                 let a = self.use_reg(*$a, &mut pinned);
@@ -149,17 +149,10 @@ impl Assembler {
             }};
         }
         macro_rules! un {
-            ($mk:ident, $a:expr) => {{
+            ($mk:ident $({ $($extra:tt)* })?, $a:expr) => {{
                 let a = self.use_reg(*$a, &mut pinned);
                 let d = self.def_reg(id, &mut pinned);
-                self.code.push(MachInst::$mk { d, a });
-            }};
-        }
-        macro_rules! un_chk {
-            ($mk:ident, $a:expr, $e:expr) => {{
-                let a = self.use_reg(*$a, &mut pinned);
-                let d = self.def_reg(id, &mut pinned);
-                self.code.push(MachInst::$mk { d, a, exit: $e.0 });
+                self.code.push(MachInst::$mk { $($($extra)*,)? d, a });
             }};
         }
 
@@ -192,57 +185,25 @@ impl Assembler {
                 let s = self.use_reg(*v, &mut pinned);
                 self.code.push(MachInst::WriteAr { slot: *slot, s });
             }
-            AddI(a, b) => bin!(AluI { op: AluOp::Add }, a, b),
-            SubI(a, b) => bin!(AluI { op: AluOp::Sub }, a, b),
-            MulI(a, b) => bin!(AluI { op: AluOp::Mul }, a, b),
-            AndI(a, b) => bin!(AluI { op: AluOp::And }, a, b),
-            OrI(a, b) => bin!(AluI { op: AluOp::Or }, a, b),
-            XorI(a, b) => bin!(AluI { op: AluOp::Xor }, a, b),
-            ShlI(a, b) => bin!(AluI { op: AluOp::Shl }, a, b),
-            ShrI(a, b) => bin!(AluI { op: AluOp::Shr }, a, b),
-            UShrI(a, b) => bin!(AluI { op: AluOp::UShr }, a, b),
+            AluI(op, a, b) => bin!(AluI { op: *op }, a, b),
             NotI(a) => un!(NotI, a),
             NegI(a) => un!(NegI, a),
-            AddIChk(a, b, e) => bin!(ChkAluI { op: ChkOp::Add, exit: e.0 }, a, b),
-            SubIChk(a, b, e) => bin!(ChkAluI { op: ChkOp::Sub, exit: e.0 }, a, b),
-            MulIChk(a, b, e) => bin!(ChkAluI { op: ChkOp::Mul, exit: e.0 }, a, b),
-            NegIChk(a, e) => un_chk!(NegIChk, a, e),
+            ChkAluI(op, a, b, e) => bin!(ChkAluI { op: *op, exit: e.0 }, a, b),
+            NegIChk(a, e) => un!(NegIChk { exit: e.0 }, a),
             ModIChk(a, b, e) => bin!(ModIChk { exit: e.0 }, a, b),
-            ShlIChk(a, b, e) => bin!(ChkAluI { op: ChkOp::Shl, exit: e.0 }, a, b),
-            UShrIChk(a, b, e) => bin!(ChkAluI { op: ChkOp::UShr, exit: e.0 }, a, b),
-            AddD(a, b) => bin!(AddD, a, b),
-            SubD(a, b) => bin!(SubD, a, b),
-            MulD(a, b) => bin!(MulD, a, b),
-            DivD(a, b) => bin!(DivD, a, b),
-            ModD(a, b) => bin!(ModD, a, b),
+            AluD(op, a, b) => bin!(AluD { op: *op }, a, b),
             NegD(a) => un!(NegD, a),
-            EqI(a, b) => bin!(CmpI { op: CmpOp::Eq }, a, b),
-            LtI(a, b) => bin!(CmpI { op: CmpOp::Lt }, a, b),
-            LeI(a, b) => bin!(CmpI { op: CmpOp::Le }, a, b),
-            GtI(a, b) => bin!(CmpI { op: CmpOp::Gt }, a, b),
-            GeI(a, b) => bin!(CmpI { op: CmpOp::Ge }, a, b),
-            EqD(a, b) => bin!(CmpD { op: CmpOp::Eq }, a, b),
-            LtD(a, b) => bin!(CmpD { op: CmpOp::Lt }, a, b),
-            LeD(a, b) => bin!(CmpD { op: CmpOp::Le }, a, b),
-            GtD(a, b) => bin!(CmpD { op: CmpOp::Gt }, a, b),
-            GeD(a, b) => bin!(CmpD { op: CmpOp::Ge }, a, b),
+            CmpI(op, a, b) => bin!(CmpI { op: *op }, a, b),
+            CmpD(op, a, b) => bin!(CmpD { op: *op }, a, b),
             NotB(a) => un!(NotB, a),
             I2D(a) => un!(I2D, a),
             U2D(a) => un!(U2D, a),
-            D2IChk(a, e) => un_chk!(D2IChk, a, e),
+            D2IChk(a, e) => un!(D2IChk { exit: e.0 }, a),
             D2I32(a) => un!(D2I32, a),
-            ChkRangeI(a, e) => un_chk!(ChkRangeI, a, e),
-            BoxI(a) => un!(BoxI, a),
-            BoxD(a) => un!(BoxD, a),
-            BoxB(a) => un!(BoxB, a),
-            BoxObj(a) => un!(BoxObj, a),
-            BoxStr(a) => un!(BoxStr, a),
-            UnboxI(a, e) => un_chk!(UnboxI, a, e),
-            UnboxD(a, e) => un_chk!(UnboxD, a, e),
-            UnboxNumD(a, e) => un_chk!(UnboxNumD, a, e),
-            UnboxObj(a, e) => un_chk!(UnboxObj, a, e),
-            UnboxStr(a, e) => un_chk!(UnboxStr, a, e),
-            UnboxBool(a, e) => un_chk!(UnboxBool, a, e),
+            ChkRangeI(a, e) => un!(ChkRangeI { exit: e.0 }, a),
+            Box(tag, a) => un!(Box { tag: *tag }, a),
+            Unbox(tag, a, e) => un!(Unbox { tag: *tag, exit: e.0 }, a),
+            UnboxNumD(a, e) => un!(UnboxNumD { exit: e.0 }, a),
             GuardTrue(a, e) => {
                 let s = self.use_reg(*a, &mut pinned);
                 self.code.push(MachInst::GuardTrue { s, exit: e.0 });
@@ -320,7 +281,7 @@ impl Assembler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_lir::{ExitId, FilterOptions, LirBuffer, LirType};
+    use tm_lir::{AluOp, ChkOp, ExitId, FilterOptions, LirBuffer, LirType};
 
     #[test]
     fn straight_line_assembly() {
@@ -328,7 +289,7 @@ mod tests {
         let x = b.emit(Lir::Import { slot: 0, ty: LirType::Int });
         let one = b.emit(Lir::ConstI(1));
         let e = b.alloc_exit();
-        let sum = b.emit(Lir::AddIChk(x, one, e));
+        let sum = b.emit(Lir::ChkAluI(ChkOp::Add, x, one, e));
         b.emit(Lir::WriteAr { slot: 0, v: sum });
         let le = b.alloc_exit();
         b.emit(Lir::LoopBack(le));
@@ -356,7 +317,7 @@ mod tests {
         // Sum all of them pairwise, keeping everything live to the end.
         let mut acc = vals[0];
         for &v in &vals[1..] {
-            acc = b.emit(Lir::AddI(acc, v));
+            acc = b.emit(Lir::AluI(AluOp::Add, acc, v));
         }
         b.emit(Lir::WriteAr { slot: 0, v: acc });
         let le = b.alloc_exit();
@@ -379,7 +340,7 @@ mod tests {
         // Use them in reverse so early values must be reloaded late.
         let mut acc = vals[n - 1];
         for &v in vals.iter().rev().skip(1) {
-            acc = b.emit(Lir::AddI(acc, v));
+            acc = b.emit(Lir::AluI(AluOp::Add, acc, v));
         }
         b.emit(Lir::WriteAr { slot: 0, v: acc });
         let le = b.alloc_exit();

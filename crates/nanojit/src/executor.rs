@@ -7,7 +7,7 @@
 //! which is exactly what the exiting trace's live `WriteAr`s populated);
 //! an unstitched exit returns control to the trace monitor.
 
-use tm_lir::{AluOp, ChkOp, CmpOp};
+use tm_lir::Tag;
 use tm_runtime::trace_helpers::{
     call_helper, f64_from_word, heap_ops, i32_from_word, word_from_f64,
 };
@@ -85,67 +85,31 @@ fn fits_i31(v: i64) -> bool {
     (INT_MIN..=INT_MAX).contains(&v)
 }
 
-/// The unchecked integer ALU family (`AluI` and every fused form carrying
-/// an [`AluOp`]).
+/// `Box { tag }`: the tagged word for the unboxed `tag` value `w`. The two
+/// allocating tags go through `heap_ops` (which flags a due collection);
+/// the native tier's slow-path shims call this same function.
 #[inline]
-fn alu_i(op: AluOp, x: i32, y: i32) -> i32 {
-    match op {
-        AluOp::Add => x.wrapping_add(y),
-        AluOp::Sub => x.wrapping_sub(y),
-        AluOp::Mul => x.wrapping_mul(y),
-        AluOp::And => x & y,
-        AluOp::Or => x | y,
-        AluOp::Xor => x ^ y,
-        AluOp::Shl => x.wrapping_shl((y & 31) as u32),
-        AluOp::Shr => x.wrapping_shr((y & 31) as u32),
-        AluOp::UShr => (x as u32).wrapping_shr((y & 31) as u32) as i32,
+pub(crate) fn box_word(realm: &mut Realm, tag: Tag, w: u64) -> u64 {
+    match tag {
+        Tag::Int => heap_ops::box_i(realm, i32_from_word(w)),
+        Tag::Double => heap_ops::box_d(realm, w),
+        Tag::Bool => Value::new_bool(w != 0).raw(),
+        Tag::Object => Value::new_object(ObjectId(w as u32)).raw(),
+        Tag::String => Value::new_string(StringId(w as u32)).raw(),
     }
 }
 
-/// The checked integer ALU family (`ChkAluI` and every fused form carrying
-/// a [`ChkOp`]): `None` means the guard fails (result outside the boxable
-/// 31-bit range, or a `-0` multiply).
+/// `Unbox { tag }`: the unboxed value behind the tagged word `raw`, or
+/// `None` when it carries another tag (the guard's side exit).
 #[inline]
-fn chk_alu_i(op: ChkOp, x: i32, y: i32) -> Option<i64> {
-    let res = match op {
-        ChkOp::Add => i64::from(x) + i64::from(y),
-        ChkOp::Sub => i64::from(x) - i64::from(y),
-        ChkOp::Mul => {
-            let res = i64::from(x) * i64::from(y);
-            // -0 results need the double path.
-            if res == 0 && (x < 0 || y < 0) {
-                return None;
-            }
-            res
-        }
-        // The shifts operate on the 32-bit value, then range-check the
-        // result (a u32 result is never below INT_MIN, so for UShr
-        // fits_i31 is exactly the upper-bound check).
-        ChkOp::Shl => i64::from(x.wrapping_shl((y & 31) as u32)),
-        ChkOp::UShr => i64::from((x as u32).wrapping_shr((y & 31) as u32)),
-    };
-    fits_i31(res).then_some(res)
-}
-
-#[inline]
-fn cmp_i(op: CmpOp, x: i32, y: i32) -> bool {
-    match op {
-        CmpOp::Eq => x == y,
-        CmpOp::Lt => x < y,
-        CmpOp::Le => x <= y,
-        CmpOp::Gt => x > y,
-        CmpOp::Ge => x >= y,
-    }
-}
-
-#[inline]
-fn cmp_d(op: CmpOp, x: f64, y: f64) -> bool {
-    match op {
-        CmpOp::Eq => x == y,
-        CmpOp::Lt => x < y,
-        CmpOp::Le => x <= y,
-        CmpOp::Gt => x > y,
-        CmpOp::Ge => x >= y,
+pub(crate) fn unbox_word(realm: &Realm, tag: Tag, raw: u64) -> Option<u64> {
+    let v = Value::from_raw(raw);
+    match tag {
+        Tag::Int => v.as_int().map(|i| i64::from(i) as u64),
+        Tag::Double => heap_ops::unbox_double(realm, raw),
+        Tag::Bool => v.as_bool().map(u64::from),
+        Tag::Object => v.as_object().map(|id| u64::from(id.0)),
+        Tag::String => v.as_string().map(|id| u64::from(id.0)),
     }
 }
 
@@ -180,19 +144,34 @@ pub fn execute(
     fuel: u64,
 ) -> Result<TraceExit, RuntimeError> {
     let mut frag_idx = start;
-    let mut frag = &fragments[frag_idx as usize];
-    // The current fragment's exit table, hoisted out of the dispatch loop
-    // and refreshed only on fragment switch.
-    let mut stitch: &[u32] = &frag.stitch;
+    // The current fragment's code and exit table, hoisted out of the
+    // dispatch loop and refreshed only on fragment switch.
+    let mut code: &[MachInst] = &[];
+    let mut stitch: &[u32] = &[];
     let mut pc = 0usize;
     // NREGS rounded up to a power of two so masked indexing elides bounds
     // checks in the hot dispatch loop.
     let mut regs = [0u64; REG_FILE_WORDS];
-    let mut spill = vec![0u64; frag.num_spills as usize];
+    let mut spill: Vec<u64> = Vec::new();
     let mut insts: u64 = 0;
     let mut fused: u64 = 0;
     let mut iterations: u64 = 0;
     let mut helper_args: Vec<u64> = Vec::with_capacity(8);
+
+    // Fragment switch: entry, a stitched exit, the loop edge.
+    macro_rules! enter {
+        ($idx:expr) => {{
+            frag_idx = $idx;
+            let frag = &fragments[frag_idx as usize];
+            code = &frag.code;
+            stitch = &frag.stitch;
+            if spill.len() < frag.num_spills as usize {
+                spill.resize(frag.num_spills as usize, 0);
+            }
+            pc = 0;
+        }};
+    }
+    enter!(start);
 
     macro_rules! take_exit {
         ($exit:expr) => {{
@@ -204,13 +183,7 @@ pub fn execute(
             // Trace stitching fast path: continue in the branch fragment
             // (resolved to a fragment index at link time) without leaving
             // the dispatch loop.
-            frag_idx = target;
-            frag = &fragments[frag_idx as usize];
-            stitch = &frag.stitch;
-            if spill.len() < frag.num_spills as usize {
-                spill.resize(frag.num_spills as usize, 0);
-            }
-            pc = 0;
+            enter!(target);
             continue;
         }};
     }
@@ -224,18 +197,12 @@ pub fn execute(
             if realm.interrupt || realm.heap.gc_pending || insts >= fuel {
                 take_exit!($exit);
             }
-            frag_idx = 0;
-            frag = &fragments[0];
-            stitch = &frag.stitch;
-            if spill.len() < frag.num_spills as usize {
-                spill.resize(frag.num_spills as usize, 0);
-            }
-            pc = 0;
+            enter!(0);
         }};
     }
 
     loop {
-        let inst = &frag.code[pc];
+        let inst = &code[pc];
         pc += 1;
         insts += 1;
         match *inst {
@@ -248,7 +215,7 @@ pub fn execute(
 
             MachInst::AluI { op, d, a, b } => {
                 regs[r(d)] =
-                    i64::from(alu_i(op, i32_from_word(regs[r(a)]), i32_from_word(regs[r(b)])))
+                    i64::from(op.eval(i32_from_word(regs[r(a)]), i32_from_word(regs[r(b)])))
                         as u64;
             }
             MachInst::NotI { d, a } => {
@@ -260,7 +227,7 @@ pub fn execute(
             }
 
             MachInst::ChkAluI { op, d, a, b, exit } => {
-                match chk_alu_i(op, i32_from_word(regs[r(a)]), i32_from_word(regs[r(b)])) {
+                match op.eval(i32_from_word(regs[r(a)]), i32_from_word(regs[r(b)])) {
                     Some(res) => regs[r(d)] = res as u64,
                     None => take_exit!(exit),
                 }
@@ -286,46 +253,21 @@ pub fn execute(
                 regs[r(d)] = i64::from(res) as u64;
             }
 
-            MachInst::AddD { d, a, b } => {
-                regs[r(d)] = word_from_f64(
-                    f64_from_word(regs[r(a)]) + f64_from_word(regs[r(b)]),
-                );
-            }
-            MachInst::SubD { d, a, b } => {
-                regs[r(d)] = word_from_f64(
-                    f64_from_word(regs[r(a)]) - f64_from_word(regs[r(b)]),
-                );
-            }
-            MachInst::MulD { d, a, b } => {
-                regs[r(d)] = word_from_f64(
-                    f64_from_word(regs[r(a)]) * f64_from_word(regs[r(b)]),
-                );
-            }
-            MachInst::DivD { d, a, b } => {
-                regs[r(d)] = word_from_f64(
-                    f64_from_word(regs[r(a)]) / f64_from_word(regs[r(b)]),
-                );
-            }
-            MachInst::ModD { d, a, b } => {
-                regs[r(d)] = word_from_f64(
-                    f64_from_word(regs[r(a)]) % f64_from_word(regs[r(b)]),
-                );
+            MachInst::AluD { op, d, a, b } => {
+                regs[r(d)] =
+                    word_from_f64(op.eval(f64_from_word(regs[r(a)]), f64_from_word(regs[r(b)])));
             }
             MachInst::NegD { d, a } => {
                 regs[r(d)] = word_from_f64(-f64_from_word(regs[r(a)]));
             }
 
             MachInst::CmpI { op, d, a, b } => {
-                regs[r(d)] = u64::from(cmp_i(
-                    op,
-                    i32_from_word(regs[r(a)]),
+                regs[r(d)] = u64::from(op.eval(i32_from_word(regs[r(a)]),
                     i32_from_word(regs[r(b)]),
                 ));
             }
             MachInst::CmpD { op, d, a, b } => {
-                regs[r(d)] = u64::from(cmp_d(
-                    op,
-                    f64_from_word(regs[r(a)]),
+                regs[r(d)] = u64::from(op.eval(f64_from_word(regs[r(a)]),
                     f64_from_word(regs[r(b)]),
                 ));
             }
@@ -365,55 +307,15 @@ pub fn execute(
                 }
                 regs[r(d)] = x as u64;
             }
-            MachInst::BoxI { d, a } => {
-                regs[r(d)] = heap_ops::box_i(realm, i32_from_word(regs[r(a)]));
-            }
-            MachInst::BoxD { d, a } => {
-                regs[r(d)] = heap_ops::box_d(realm, regs[r(a)]);
-            }
-            MachInst::BoxB { d, a } => {
-                regs[r(d)] = Value::new_bool(regs[r(a)] != 0).raw();
-            }
-            MachInst::BoxObj { d, a } => {
-                regs[r(d)] = Value::new_object(ObjectId(regs[r(a)] as u32)).raw();
-            }
-            MachInst::BoxStr { d, a } => {
-                regs[r(d)] = Value::new_string(StringId(regs[r(a)] as u32)).raw();
-            }
-            MachInst::UnboxI { d, a, exit } => {
-                match Value::from_raw(regs[r(a)]).as_int() {
-                    Some(i) => regs[r(d)] = i64::from(i) as u64,
-                    None => take_exit!(exit),
-                }
-            }
-            MachInst::UnboxD { d, a, exit } => {
-                match heap_ops::unbox_double(realm, regs[r(a)]) {
-                    Some(w) => regs[r(d)] = w,
-                    None => take_exit!(exit),
-                }
-            }
+            MachInst::Box { tag, d, a } => regs[r(d)] = box_word(realm, tag, regs[r(a)]),
+            MachInst::Unbox { tag, d, a, exit } => match unbox_word(realm, tag, regs[r(a)]) {
+                Some(w) => regs[r(d)] = w,
+                None => take_exit!(exit),
+            },
             MachInst::UnboxNumD { d, a, exit } => {
                 let v = Value::from_raw(regs[r(a)]);
                 match realm.heap.number_value(v) {
                     Some(x) => regs[r(d)] = word_from_f64(x),
-                    None => take_exit!(exit),
-                }
-            }
-            MachInst::UnboxObj { d, a, exit } => {
-                match Value::from_raw(regs[r(a)]).as_object() {
-                    Some(id) => regs[r(d)] = u64::from(id.0),
-                    None => take_exit!(exit),
-                }
-            }
-            MachInst::UnboxStr { d, a, exit } => {
-                match Value::from_raw(regs[r(a)]).as_string() {
-                    Some(id) => regs[r(d)] = u64::from(id.0),
-                    None => take_exit!(exit),
-                }
-            }
-            MachInst::UnboxBool { d, a, exit } => {
-                match Value::from_raw(regs[r(a)]).as_bool() {
-                    Some(b) => regs[r(d)] = u64::from(b),
                     None => take_exit!(exit),
                 }
             }
@@ -495,63 +397,63 @@ pub fn execute(
             // ----- fused superinstructions (emitted by the peephole pass) -----
             MachInst::CmpBranchI { op, want, a, b, exit } => {
                 fused += 1;
-                if cmp_i(op, i32_from_word(regs[r(a)]), i32_from_word(regs[r(b)])) != want {
+                if op.eval(i32_from_word(regs[r(a)]), i32_from_word(regs[r(b)])) != want {
                     take_exit!(exit);
                 }
             }
             MachInst::CmpBranchD { op, want, a, b, exit } => {
                 fused += 1;
-                if cmp_d(op, f64_from_word(regs[r(a)]), f64_from_word(regs[r(b)])) != want {
+                if op.eval(f64_from_word(regs[r(a)]), f64_from_word(regs[r(b)])) != want {
                     take_exit!(exit);
                 }
             }
             MachInst::CmpBranchLoopI { op, want, a, b, exit, loop_exit } => {
                 fused += 1;
-                if cmp_i(op, i32_from_word(regs[r(a)]), i32_from_word(regs[r(b)])) != want {
+                if op.eval(i32_from_word(regs[r(a)]), i32_from_word(regs[r(b)])) != want {
                     take_exit!(exit);
                 }
                 loop_edge!(loop_exit);
             }
             MachInst::CmpBranchLoopD { op, want, a, b, exit, loop_exit } => {
                 fused += 1;
-                if cmp_d(op, f64_from_word(regs[r(a)]), f64_from_word(regs[r(b)])) != want {
+                if op.eval(f64_from_word(regs[r(a)]), f64_from_word(regs[r(b)])) != want {
                     take_exit!(exit);
                 }
                 loop_edge!(loop_exit);
             }
             MachInst::AluImmI { op, d, a, imm } => {
                 fused += 1;
-                regs[r(d)] = i64::from(alu_i(op, i32_from_word(regs[r(a)]), imm)) as u64;
+                regs[r(d)] = i64::from(op.eval(i32_from_word(regs[r(a)]), imm)) as u64;
             }
             MachInst::AluArI { op, d, slot, b } => {
                 fused += 1;
                 let x = i32_from_word(ar[slot as usize]);
-                regs[r(d)] = i64::from(alu_i(op, x, i32_from_word(regs[r(b)]))) as u64;
+                regs[r(d)] = i64::from(op.eval(x, i32_from_word(regs[r(b)]))) as u64;
             }
             MachInst::AluWrI { op, d, a, b, slot } => {
                 fused += 1;
                 let v =
-                    i64::from(alu_i(op, i32_from_word(regs[r(a)]), i32_from_word(regs[r(b)])))
+                    i64::from(op.eval(i32_from_word(regs[r(a)]), i32_from_word(regs[r(b)])))
                         as u64;
                 regs[r(d)] = v;
                 ar[slot as usize] = v;
             }
             MachInst::AluImmWrI { op, d, a, imm, slot } => {
                 fused += 1;
-                let v = i64::from(alu_i(op, i32_from_word(regs[r(a)]), imm)) as u64;
+                let v = i64::from(op.eval(i32_from_word(regs[r(a)]), imm)) as u64;
                 regs[r(d)] = v;
                 ar[slot as usize] = v;
             }
             MachInst::ChkAluImmI { op, d, a, imm, exit } => {
                 fused += 1;
-                match chk_alu_i(op, i32_from_word(regs[r(a)]), imm) {
+                match op.eval(i32_from_word(regs[r(a)]), imm) {
                     Some(res) => regs[r(d)] = res as u64,
                     None => take_exit!(exit),
                 }
             }
             MachInst::ChkAluWrI { op, d, a, b, exit, slot } => {
                 fused += 1;
-                match chk_alu_i(op, i32_from_word(regs[r(a)]), i32_from_word(regs[r(b)])) {
+                match op.eval(i32_from_word(regs[r(a)]), i32_from_word(regs[r(b)])) {
                     Some(res) => {
                         regs[r(d)] = res as u64;
                         ar[slot as usize] = res as u64;
@@ -561,7 +463,7 @@ pub fn execute(
             }
             MachInst::ChkAluImmWrI { op, d, a, imm, exit, slot } => {
                 fused += 1;
-                match chk_alu_i(op, i32_from_word(regs[r(a)]), imm) {
+                match op.eval(i32_from_word(regs[r(a)]), imm) {
                     Some(res) => {
                         regs[r(d)] = res as u64;
                         ar[slot as usize] = res as u64;
@@ -571,7 +473,7 @@ pub fn execute(
             }
             MachInst::ChkAluImmWrLoopI { op, d, a, imm, slot, exit, loop_exit } => {
                 fused += 1;
-                match chk_alu_i(op, i32_from_word(regs[r(a)]), imm) {
+                match op.eval(i32_from_word(regs[r(a)]), imm) {
                     Some(res) => {
                         regs[r(d)] = res as u64;
                         ar[slot as usize] = res as u64;
@@ -605,19 +507,17 @@ pub fn execute(
             MachInst::AluArWrI { op, d, slot_a, b, slot_d } => {
                 fused += 1;
                 let x = i32_from_word(ar[slot_a as usize]);
-                let v = i64::from(alu_i(op, x, i32_from_word(regs[r(b)]))) as u64;
+                let v = i64::from(op.eval(x, i32_from_word(regs[r(b)]))) as u64;
                 regs[r(d)] = v;
                 ar[slot_d as usize] = v;
             }
             MachInst::CmpImmI { op, d, a, imm } => {
                 fused += 1;
-                regs[r(d)] = u64::from(cmp_i(op, i32_from_word(regs[r(a)]), imm));
+                regs[r(d)] = u64::from(op.eval(i32_from_word(regs[r(a)]), imm));
             }
             MachInst::CmpWrI { op, d, a, b, slot } => {
                 fused += 1;
-                let v = u64::from(cmp_i(
-                    op,
-                    i32_from_word(regs[r(a)]),
+                let v = u64::from(op.eval(i32_from_word(regs[r(a)]),
                     i32_from_word(regs[r(b)]),
                 ));
                 regs[r(d)] = v;
@@ -625,9 +525,7 @@ pub fn execute(
             }
             MachInst::CmpWrD { op, d, a, b, slot } => {
                 fused += 1;
-                let v = u64::from(cmp_d(
-                    op,
-                    f64_from_word(regs[r(a)]),
+                let v = u64::from(op.eval(f64_from_word(regs[r(a)]),
                     f64_from_word(regs[r(b)]),
                 ));
                 regs[r(d)] = v;
@@ -635,13 +533,13 @@ pub fn execute(
             }
             MachInst::CmpImmWrI { op, d, a, imm, slot } => {
                 fused += 1;
-                let v = u64::from(cmp_i(op, i32_from_word(regs[r(a)]), imm));
+                let v = u64::from(op.eval(i32_from_word(regs[r(a)]), imm));
                 regs[r(d)] = v;
                 ar[slot as usize] = v;
             }
             MachInst::CmpBranchImmI { op, want, a, imm, exit } => {
                 fused += 1;
-                if cmp_i(op, i32_from_word(regs[r(a)]), imm) != want {
+                if op.eval(i32_from_word(regs[r(a)]), imm) != want {
                     take_exit!(exit);
                 }
             }
@@ -650,7 +548,7 @@ pub fn execute(
             // exit must see the stored condition).
             MachInst::CmpWrBranchI { op, want, d, a, b, slot, exit } => {
                 fused += 1;
-                let c = cmp_i(op, i32_from_word(regs[r(a)]), i32_from_word(regs[r(b)]));
+                let c = op.eval(i32_from_word(regs[r(a)]), i32_from_word(regs[r(b)]));
                 regs[r(d)] = u64::from(c);
                 ar[slot as usize] = u64::from(c);
                 if c != want {
@@ -659,7 +557,7 @@ pub fn execute(
             }
             MachInst::CmpWrBranchD { op, want, d, a, b, slot, exit } => {
                 fused += 1;
-                let c = cmp_d(op, f64_from_word(regs[r(a)]), f64_from_word(regs[r(b)]));
+                let c = op.eval(f64_from_word(regs[r(a)]), f64_from_word(regs[r(b)]));
                 regs[r(d)] = u64::from(c);
                 ar[slot as usize] = u64::from(c);
                 if c != want {
@@ -668,7 +566,7 @@ pub fn execute(
             }
             MachInst::CmpImmWrBranchI { op, want, d, a, imm, slot, exit } => {
                 fused += 1;
-                let c = cmp_i(op, i32_from_word(regs[r(a)]), imm);
+                let c = op.eval(i32_from_word(regs[r(a)]), imm);
                 regs[r(d)] = u64::from(c);
                 ar[slot as usize] = u64::from(c);
                 if c != want {
@@ -684,7 +582,7 @@ mod tests {
     use super::*;
     use crate::assembler::assemble;
     use crate::peephole::fuse;
-    use tm_lir::{FilterOptions, Lir, LirBuffer, LirType};
+    use tm_lir::{AluOp, ChkOp, CmpOp, FOp, FilterOptions, Lir, LirBuffer, LirType};
 
     /// Builds the classic counting loop: slot0 += 1 until slot0 >= slot1.
     fn counting_tree() -> Vec<Fragment> {
@@ -693,9 +591,9 @@ mod tests {
         let limit = b.emit(Lir::Import { slot: 1, ty: LirType::Int });
         let one = b.emit(Lir::ConstI(1));
         let e_ovf = b.alloc_exit();
-        let next = b.emit(Lir::AddIChk(i, one, e_ovf));
+        let next = b.emit(Lir::ChkAluI(ChkOp::Add, i, one, e_ovf));
         b.emit(Lir::WriteAr { slot: 0, v: next });
-        let cond = b.emit(Lir::LtI(next, limit));
+        let cond = b.emit(Lir::CmpI(CmpOp::Lt, next, limit));
         let e_done = b.alloc_exit();
         b.emit(Lir::GuardTrue(cond, e_done));
         let e_loop = b.alloc_exit();
@@ -723,7 +621,7 @@ mod tests {
         let i = b.emit(Lir::Import { slot: 0, ty: LirType::Int });
         let one = b.emit(Lir::ConstI(1));
         let e_ovf = b.alloc_exit();
-        let next = b.emit(Lir::AddIChk(i, one, e_ovf));
+        let next = b.emit(Lir::ChkAluI(ChkOp::Add, i, one, e_ovf));
         b.emit(Lir::WriteAr { slot: 0, v: next });
         let e_loop = b.alloc_exit();
         b.emit(Lir::LoopBack(e_loop));
@@ -756,12 +654,12 @@ mod tests {
         let mut b = LirBuffer::new(FilterOptions::default());
         let i = b.emit(Lir::Import { slot: 0, ty: LirType::Int });
         let ten = b.emit(Lir::ConstI(10));
-        let cond = b.emit(Lir::LtI(i, ten));
+        let cond = b.emit(Lir::CmpI(CmpOp::Lt, i, ten));
         let e_branch = b.alloc_exit();
         b.emit(Lir::GuardTrue(cond, e_branch));
         let one = b.emit(Lir::ConstI(1));
         let e_ovf = b.alloc_exit();
-        let next = b.emit(Lir::AddIChk(i, one, e_ovf));
+        let next = b.emit(Lir::ChkAluI(ChkOp::Add, i, one, e_ovf));
         b.emit(Lir::WriteAr { slot: 0, v: next });
         let e_loop = b.alloc_exit();
         b.emit(Lir::LoopBack(e_loop));
@@ -772,7 +670,7 @@ mod tests {
         let i2 = b2.emit(Lir::Import { slot: 0, ty: LirType::Int });
         let two = b2.emit(Lir::ConstI(2));
         let e2 = b2.alloc_exit();
-        let dbl = b2.emit(Lir::MulIChk(i2, two, e2));
+        let dbl = b2.emit(Lir::ChkAluI(ChkOp::Mul, i2, two, e2));
         b2.emit(Lir::WriteAr { slot: 1, v: dbl });
         let e_end = b2.alloc_exit();
         b2.emit(Lir::End(e_end));
@@ -798,9 +696,9 @@ mod tests {
         let x = b.emit(Lir::Import { slot: 0, ty: LirType::Double });
         let limit = b.emit(Lir::Import { slot: 1, ty: LirType::Double });
         let half = b.emit(Lir::ConstD(0.5f64.to_bits()));
-        let next = b.emit(Lir::AddD(x, half));
+        let next = b.emit(Lir::AluD(FOp::Add, x, half));
         b.emit(Lir::WriteAr { slot: 0, v: next });
-        let cond = b.emit(Lir::LtD(next, limit));
+        let cond = b.emit(Lir::CmpD(CmpOp::Lt, next, limit));
         let e_done = b.alloc_exit();
         b.emit(Lir::GuardTrue(cond, e_done));
         let e_loop = b.alloc_exit();
@@ -841,7 +739,7 @@ mod tests {
         let mut b = LirBuffer::new(FilterOptions::default());
         let v = b.emit(Lir::Import { slot: 0, ty: LirType::Boxed });
         let e_tag = b.alloc_exit();
-        let i = b.emit(Lir::UnboxI(v, e_tag));
+        let i = b.emit(Lir::Unbox(Tag::Int, v, e_tag));
         b.emit(Lir::WriteAr { slot: 1, v: i });
         let e_end = b.alloc_exit();
         b.emit(Lir::End(e_end));
@@ -926,7 +824,7 @@ mod tests {
         // Consume in reverse so early values must be reloaded from spill.
         let mut acc = vals[n - 1];
         for &v in vals.iter().rev().skip(1) {
-            acc = b.emit(Lir::AddI(acc, v));
+            acc = b.emit(Lir::AluI(AluOp::Add, acc, v));
         }
         b.emit(Lir::WriteAr { slot: 0, v: acc });
         let e_end = b.alloc_exit();
@@ -957,7 +855,7 @@ mod tests {
         let x = b.emit(Lir::Import { slot: 0, ty: LirType::Int });
         let one = b.emit(Lir::ConstI(1));
         let e_ovf = b.alloc_exit();
-        let next = b.emit(Lir::AddIChk(x, one, e_ovf));
+        let next = b.emit(Lir::ChkAluI(ChkOp::Add, x, one, e_ovf));
         b.emit(Lir::WriteAr { slot: 0, v: next });
         let e_end = b.alloc_exit();
         b.emit(Lir::End(e_end));
@@ -985,7 +883,7 @@ mod tests {
         let x = b.emit(Lir::Import { slot: 0, ty: LirType::Int });
         let one = b.emit(Lir::ConstI(1));
         let e_ovf = b.alloc_exit();
-        let next = b.emit(Lir::SubIChk(x, one, e_ovf));
+        let next = b.emit(Lir::ChkAluI(ChkOp::Sub, x, one, e_ovf));
         b.emit(Lir::WriteAr { slot: 0, v: next });
         let e_end = b.alloc_exit();
         b.emit(Lir::End(e_end));
@@ -1008,12 +906,12 @@ mod tests {
         let mut b = LirBuffer::new(FilterOptions::default());
         let i = b.emit(Lir::Import { slot: 0, ty: LirType::Int });
         let ten = b.emit(Lir::ConstI(10));
-        let cond = b.emit(Lir::LtI(i, ten));
+        let cond = b.emit(Lir::CmpI(CmpOp::Lt, i, ten));
         let e_branch = b.alloc_exit();
         b.emit(Lir::GuardTrue(cond, e_branch));
         let one = b.emit(Lir::ConstI(1));
         let e_ovf = b.alloc_exit();
-        let next = b.emit(Lir::AddIChk(i, one, e_ovf));
+        let next = b.emit(Lir::ChkAluI(ChkOp::Add, i, one, e_ovf));
         b.emit(Lir::WriteAr { slot: 0, v: next });
         let e_loop = b.alloc_exit();
         b.emit(Lir::LoopBack(e_loop));
@@ -1023,7 +921,7 @@ mod tests {
         let i2 = b2.emit(Lir::Import { slot: 0, ty: LirType::Int });
         let two = b2.emit(Lir::ConstI(2));
         let e2 = b2.alloc_exit();
-        let dbl = b2.emit(Lir::MulIChk(i2, two, e2));
+        let dbl = b2.emit(Lir::ChkAluI(ChkOp::Mul, i2, two, e2));
         b2.emit(Lir::WriteAr { slot: 1, v: dbl });
         let e_end = b2.alloc_exit();
         b2.emit(Lir::End(e_end));

@@ -22,13 +22,14 @@
 //! tier restores the paper's actual mechanism on the paper's actual
 //! target.
 //!
-//! The ISA has two layers that speak one vocabulary — the integer ALU,
-//! overflow-checked ALU and compare families carry their operation as a
-//! [`tm_lir::AluOp`] / [`tm_lir::ChkOp`] / [`tm_lir::CmpOp`] field in both:
+//! The ISA has two layers that speak the LIR's vocabulary — the integer
+//! ALU, overflow-checked ALU, double ALU, compare and box/unbox families
+//! carry their operation as a [`tm_lir::AluOp`] / [`tm_lir::ChkOp`] /
+//! [`tm_lir::FOp`] / [`tm_lir::CmpOp`] / [`tm_lir::Tag`] field:
 //!
 //! * **Raw instructions** — what the assembler emits, one per LIR op (plus
-//!   allocator moves/spills): `AluI`, `ChkAluI`, `CmpI`, `CmpD` for the
-//!   families, one variant each for everything else.
+//!   allocator moves/spills): `AluI`, `ChkAluI`, `AluD`, `CmpI`, `CmpD`,
+//!   `Box`, `Unbox` for the families, one variant each for everything else.
 //! * **Fused superinstructions** — emitted only by the peephole pass
 //!   ([`crate::peephole::fuse`]), each standing in for 2–4 adjacent raw
 //!   instructions (the same family op with an immediate, an AR operand, a
@@ -43,7 +44,7 @@
 //! Which register, exit and AR slot each variant touches is listed once,
 //! in [`MachInst::operands`].
 
-use tm_lir::{AluOp, ChkOp, CmpOp};
+use tm_lir::{AluOp, ChkOp, CmpOp, FOp, Tag};
 use tm_runtime::Helper;
 
 /// A virtual register index.
@@ -131,16 +132,8 @@ pub enum MachInst {
     /// Checked remainder (exits on zero divisor / -0 result).
     ModIChk { d: Reg, a: Reg, b: Reg, exit: u16 },
 
-    /// Double add.
-    AddD { d: Reg, a: Reg, b: Reg },
-    /// Double subtract.
-    SubD { d: Reg, a: Reg, b: Reg },
-    /// Double multiply.
-    MulD { d: Reg, a: Reg, b: Reg },
-    /// Double divide.
-    DivD { d: Reg, a: Reg, b: Reg },
-    /// Double remainder (fmod).
-    ModD { d: Reg, a: Reg, b: Reg },
+    /// `d = op(a, b)` — double arithmetic.
+    AluD { op: FOp, d: Reg, a: Reg, b: Reg },
     /// Double negate.
     NegD { d: Reg, a: Reg },
 
@@ -162,28 +155,14 @@ pub enum MachInst {
     /// Guard an i32 fits the boxable 31-bit range (result = input).
     ChkRangeI { d: Reg, a: Reg, exit: u16 },
 
-    /// Box an int (inline tagging, never allocates).
-    BoxI { d: Reg, a: Reg },
-    /// Box a double (allocates when non-integral).
-    BoxD { d: Reg, a: Reg },
-    /// Box a bool.
-    BoxB { d: Reg, a: Reg },
-    /// Box an object handle (bit tagging).
-    BoxObj { d: Reg, a: Reg },
-    /// Box a string handle (bit tagging).
-    BoxStr { d: Reg, a: Reg },
-    /// Unbox with tag guard.
-    UnboxI { d: Reg, a: Reg, exit: u16 },
-    /// Unbox a double (strict tag).
-    UnboxD { d: Reg, a: Reg, exit: u16 },
+    /// Box the unboxed `tag` value in `a` (see [`tm_lir::Lir::Box`]:
+    /// `Double`, and `Int` outside the 31-bit range, allocate and may flag
+    /// a collection; the other tags are bit tagging).
+    Box { tag: Tag, d: Reg, a: Reg },
+    /// Unbox the tagged word in `a` as `tag`, exiting on any other tag.
+    Unbox { tag: Tag, d: Reg, a: Reg, exit: u16 },
     /// Unbox any number as double.
     UnboxNumD { d: Reg, a: Reg, exit: u16 },
-    /// Unbox an object handle.
-    UnboxObj { d: Reg, a: Reg, exit: u16 },
-    /// Unbox a string handle.
-    UnboxStr { d: Reg, a: Reg, exit: u16 },
-    /// Unbox a boolean.
-    UnboxBool { d: Reg, a: Reg, exit: u16 },
 
     /// Exit unless `s` is true (1).
     GuardTrue { s: Reg, exit: u16 },
@@ -346,11 +325,7 @@ impl MachInst {
             | I2D { d, a }
             | U2D { d, a }
             | D2I32 { d, a }
-            | BoxI { d, a }
-            | BoxD { d, a }
-            | BoxB { d, a }
-            | BoxObj { d, a }
-            | BoxStr { d, a }
+            | Box { d, a, .. }
             | LoadSlot { d, o: a, .. }
             | LoadProto { d, o: a }
             | ArrayLen { d, a }
@@ -360,19 +335,11 @@ impl MachInst {
             NegIChk { d, a, exit }
             | D2IChk { d, a, exit }
             | ChkRangeI { d, a, exit }
-            | UnboxI { d, a, exit }
-            | UnboxD { d, a, exit }
+            | Unbox { d, a, exit, .. }
             | UnboxNumD { d, a, exit }
-            | UnboxObj { d, a, exit }
-            | UnboxStr { d, a, exit }
-            | UnboxBool { d, a, exit }
             | ChkAluImmI { d, a, exit, .. } => ops!(Use a, Def d, Exit exit),
             AluI { d, a, b, .. }
-            | AddD { d, a, b }
-            | SubD { d, a, b }
-            | MulD { d, a, b }
-            | DivD { d, a, b }
-            | ModD { d, a, b }
+            | AluD { d, a, b, .. }
             | CmpI { d, a, b, .. }
             | CmpD { d, a, b, .. }
             | LoadElem { d, a, i: b } => ops!(Use a, Use b, Def d),
@@ -471,11 +438,7 @@ impl MachInst {
                 | AluI { .. }
                 | NotI { .. }
                 | NegI { .. }
-                | AddD { .. }
-                | SubD { .. }
-                | MulD { .. }
-                | DivD { .. }
-                | ModD { .. }
+                | AluD { .. }
                 | NegD { .. }
                 | CmpI { .. }
                 | CmpD { .. }

@@ -25,7 +25,7 @@
 //! format-version bump (see `docs/PERSISTENCE.md` §7).
 
 use crate::machinst::{Fragment, FuseStats, MachInst, Reg};
-use tm_lir::{AluOp, ChkOp, CmpOp};
+use tm_lir::{AluOp, ChkOp, CmpOp, FOp, Tag};
 use tm_runtime::{Helper, NativeId};
 use tm_support::binio::{BinError, ByteReader, ByteWriter};
 
@@ -135,6 +135,14 @@ enum_codec!(ChkOp, "ChkOp", {
     0 => Add, 1 => Sub, 2 => Mul, 3 => Shl, 4 => UShr,
 });
 
+enum_codec!(FOp, "FOp", {
+    0 => Add, 1 => Sub, 2 => Mul, 3 => Div, 4 => Mod,
+});
+
+enum_codec!(Tag, "Tag", {
+    0 => Int, 1 => Double, 2 => Bool, 3 => Object, 4 => String,
+});
+
 /// [`Helper`] codec: fieldless variants get a one-byte index from the
 /// table; `CallNative(id)` is `0xff` followed by the id. Exhaustive
 /// encode match — a new helper variant fails to compile until it gets a
@@ -163,26 +171,21 @@ macro_rules! helper_codec {
     };
 }
 
+// Index 0 is the one helper that takes no arguments, so the all-zero
+// `CallHelper` (no argument registers) is a well-formed call.
 helper_codec!(
-    0 => Sin, 1 => Cos, 2 => Tan, 3 => Asin, 4 => Acos, 5 => Atan,
-    6 => Exp, 7 => Log, 8 => Sqrt, 9 => Floor, 10 => Ceil, 11 => Round,
-    12 => AbsD, 13 => Atan2, 14 => Pow, 15 => MinD, 16 => MaxD, 17 => ModD,
-    18 => SoftAdd, 19 => SoftSub, 20 => SoftMul, 21 => SoftDiv, 22 => Random,
-    23 => NumberToString, 24 => IntToString, 25 => ConcatStrings,
-    26 => StrEq, 27 => StrCmp, 28 => CharCodeAt, 29 => CharAt,
-    30 => StrLength, 31 => StrIndexOf, 32 => Substring, 33 => FromCharCode,
-    34 => StrToNum, 35 => ToLowerCase, 36 => ToUpperCase,
-    37 => ArraySetElem, 38 => ArrayGetElem, 39 => ArrayLength,
-    40 => ArrayPush, 41 => ArrayPop, 42 => NewArray, 43 => NewObject,
-    44 => LoadSlot, 45 => StoreSlot, 46 => SetPropSlow,
-    47 => BoxDouble, 48 => BoxInt,
-    49 => AddAny, 50 => SubAny, 51 => MulAny, 52 => DivAny, 53 => ModAny,
-    54 => NegAny, 55 => BitAndAny, 56 => BitOrAny, 57 => BitXorAny,
-    58 => ShlAny, 59 => ShrAny, 60 => UShrAny, 61 => BitNotAny,
-    62 => LtAny, 63 => LeAny, 64 => GtAny, 65 => GeAny,
-    66 => EqAny, 67 => NeAny, 68 => StrictEqAny, 69 => StrictNeAny,
-    70 => NotAny, 71 => TruthyAny, 72 => TypeofAny,
-    73 => GetPropAny, 74 => SetPropAny, 75 => GetElemAny, 76 => SetElemAny,
+    0 => Random,
+    1 => Sin, 2 => Cos, 3 => Tan, 4 => Asin, 5 => Acos, 6 => Atan,
+    7 => Exp, 8 => Log, 9 => Sqrt, 10 => Floor, 11 => Ceil, 12 => Round,
+    13 => AbsD, 14 => Atan2, 15 => Pow, 16 => MinD, 17 => MaxD,
+    18 => SoftAdd, 19 => SoftSub, 20 => SoftMul, 21 => SoftDiv,
+    22 => NumberToString, 23 => IntToString, 24 => ConcatStrings,
+    25 => StrEq, 26 => StrCmp, 27 => CharCodeAt, 28 => CharAt,
+    29 => Substring, 30 => FromCharCode, 31 => StrToNum,
+    32 => ToLowerCase, 33 => ToUpperCase,
+    34 => ArraySetElem, 35 => NewArray, 36 => NewObject, 37 => SetPropSlow,
+    38 => LtAny, 39 => LeAny, 40 => GtAny, 41 => GeAny, 42 => EqAny,
+    43 => GetElemAny, 44 => SetElemAny,
 );
 
 /// Generates [`encode_inst`]/[`decode_inst`] from the opcode table. Each
@@ -232,73 +235,61 @@ machinst_codec! {
     0x09 ChkAluI { op: ChkOp, d: Reg, a: Reg, b: Reg, exit: u16 }
     0x0a NegIChk { d: Reg, a: Reg, exit: u16 }
     0x0b ModIChk { d: Reg, a: Reg, b: Reg, exit: u16 }
-    0x0c AddD { d: Reg, a: Reg, b: Reg }
-    0x0d SubD { d: Reg, a: Reg, b: Reg }
-    0x0e MulD { d: Reg, a: Reg, b: Reg }
-    0x0f DivD { d: Reg, a: Reg, b: Reg }
-    0x10 ModD { d: Reg, a: Reg, b: Reg }
-    0x11 NegD { d: Reg, a: Reg }
-    0x12 CmpI { op: CmpOp, d: Reg, a: Reg, b: Reg }
-    0x13 CmpD { op: CmpOp, d: Reg, a: Reg, b: Reg }
-    0x14 NotB { d: Reg, a: Reg }
-    0x15 I2D { d: Reg, a: Reg }
-    0x16 U2D { d: Reg, a: Reg }
-    0x17 D2IChk { d: Reg, a: Reg, exit: u16 }
-    0x18 D2I32 { d: Reg, a: Reg }
-    0x19 ChkRangeI { d: Reg, a: Reg, exit: u16 }
-    0x1a BoxI { d: Reg, a: Reg }
-    0x1b BoxD { d: Reg, a: Reg }
-    0x1c BoxB { d: Reg, a: Reg }
-    0x1d BoxObj { d: Reg, a: Reg }
-    0x1e BoxStr { d: Reg, a: Reg }
-    0x1f UnboxI { d: Reg, a: Reg, exit: u16 }
-    0x20 UnboxD { d: Reg, a: Reg, exit: u16 }
-    0x21 UnboxNumD { d: Reg, a: Reg, exit: u16 }
-    0x22 UnboxObj { d: Reg, a: Reg, exit: u16 }
-    0x23 UnboxStr { d: Reg, a: Reg, exit: u16 }
-    0x24 UnboxBool { d: Reg, a: Reg, exit: u16 }
-    0x25 GuardTrue { s: Reg, exit: u16 }
-    0x26 GuardFalse { s: Reg, exit: u16 }
-    0x27 GuardShape { obj: Reg, shape: u32, exit: u16 }
-    0x28 GuardClass { obj: Reg, class: u8, exit: u16 }
-    0x29 GuardBoxedEq { s: Reg, w: u64, exit: u16 }
-    0x2a GuardBound { arr: Reg, idx: Reg, exit: u16 }
-    0x2b LoadSlot { d: Reg, o: Reg, slot: u32 }
-    0x2c StoreSlot { o: Reg, slot: u32, s: Reg }
-    0x2d LoadProto { d: Reg, o: Reg }
-    0x2e LoadElem { d: Reg, a: Reg, i: Reg }
-    0x2f StoreElem { a: Reg, i: Reg, s: Reg }
-    0x30 ArrayLen { d: Reg, a: Reg }
-    0x31 StrLen { d: Reg, a: Reg }
-    0x32 CallHelper { d: Reg, helper: Helper, args: Box<[Reg]>, exit: u16 }
-    0x33 CallTree { tree: u32, exit: u16 }
-    0x34 LoopBack { exit: u16 }
-    0x35 End { exit: u16 }
-    0x36 CmpBranchI { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16 }
-    0x37 CmpBranchD { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16 }
-    0x38 CmpBranchLoopI { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16, loop_exit: u16 }
-    0x39 CmpBranchLoopD { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16, loop_exit: u16 }
-    0x3a AluImmI { op: AluOp, d: Reg, a: Reg, imm: i32 }
-    0x3b AluArI { op: AluOp, d: Reg, slot: u16, b: Reg }
-    0x3c AluWrI { op: AluOp, d: Reg, a: Reg, b: Reg, slot: u16 }
-    0x3d AluImmWrI { op: AluOp, d: Reg, a: Reg, imm: i32, slot: u16 }
-    0x3e ChkAluImmI { op: ChkOp, d: Reg, a: Reg, imm: i32, exit: u16 }
-    0x3f ChkAluWrI { op: ChkOp, d: Reg, a: Reg, b: Reg, exit: u16, slot: u16 }
-    0x40 ChkAluImmWrI { op: ChkOp, d: Reg, a: Reg, imm: i32, exit: u16, slot: u16 }
-    0x41 ChkAluImmWrLoopI { op: ChkOp, d: Reg, a: Reg, imm: i32, slot: u16, exit: u16, loop_exit: u16 }
-    0x42 ConstWrAr { d: Reg, w: u64, slot: u16 }
-    0x43 MovAr { d: Reg, src: u16, dst: u16 }
-    0x44 WriteAr2 { slot_a: u16, s_a: Reg, slot_b: u16, s_b: Reg }
-    0x45 WriteAr3 { slot_a: u16, s_a: Reg, slot_b: u16, s_b: Reg, slot_c: u16, s_c: Reg }
-    0x46 AluArWrI { op: AluOp, d: Reg, slot_a: u16, b: Reg, slot_d: u16 }
-    0x47 CmpImmI { op: CmpOp, d: Reg, a: Reg, imm: i32 }
-    0x48 CmpWrI { op: CmpOp, d: Reg, a: Reg, b: Reg, slot: u16 }
-    0x49 CmpWrD { op: CmpOp, d: Reg, a: Reg, b: Reg, slot: u16 }
-    0x4a CmpImmWrI { op: CmpOp, d: Reg, a: Reg, imm: i32, slot: u16 }
-    0x4b CmpBranchImmI { op: CmpOp, want: bool, a: Reg, imm: i32, exit: u16 }
-    0x4c CmpWrBranchI { op: CmpOp, want: bool, d: Reg, a: Reg, b: Reg, slot: u16, exit: u16 }
-    0x4d CmpWrBranchD { op: CmpOp, want: bool, d: Reg, a: Reg, b: Reg, slot: u16, exit: u16 }
-    0x4e CmpImmWrBranchI { op: CmpOp, want: bool, d: Reg, a: Reg, imm: i32, slot: u16, exit: u16 }
+    0x0c AluD { op: FOp, d: Reg, a: Reg, b: Reg }
+    0x0d NegD { d: Reg, a: Reg }
+    0x0e CmpI { op: CmpOp, d: Reg, a: Reg, b: Reg }
+    0x0f CmpD { op: CmpOp, d: Reg, a: Reg, b: Reg }
+    0x10 NotB { d: Reg, a: Reg }
+    0x11 I2D { d: Reg, a: Reg }
+    0x12 U2D { d: Reg, a: Reg }
+    0x13 D2IChk { d: Reg, a: Reg, exit: u16 }
+    0x14 D2I32 { d: Reg, a: Reg }
+    0x15 ChkRangeI { d: Reg, a: Reg, exit: u16 }
+    0x16 Box { tag: Tag, d: Reg, a: Reg }
+    0x17 Unbox { tag: Tag, d: Reg, a: Reg, exit: u16 }
+    0x18 UnboxNumD { d: Reg, a: Reg, exit: u16 }
+    0x19 GuardTrue { s: Reg, exit: u16 }
+    0x1a GuardFalse { s: Reg, exit: u16 }
+    0x1b GuardShape { obj: Reg, shape: u32, exit: u16 }
+    0x1c GuardClass { obj: Reg, class: u8, exit: u16 }
+    0x1d GuardBoxedEq { s: Reg, w: u64, exit: u16 }
+    0x1e GuardBound { arr: Reg, idx: Reg, exit: u16 }
+    0x1f LoadSlot { d: Reg, o: Reg, slot: u32 }
+    0x20 StoreSlot { o: Reg, slot: u32, s: Reg }
+    0x21 LoadProto { d: Reg, o: Reg }
+    0x22 LoadElem { d: Reg, a: Reg, i: Reg }
+    0x23 StoreElem { a: Reg, i: Reg, s: Reg }
+    0x24 ArrayLen { d: Reg, a: Reg }
+    0x25 StrLen { d: Reg, a: Reg }
+    0x26 CallHelper { d: Reg, helper: Helper, args: Box<[Reg]>, exit: u16 }
+    0x27 CallTree { tree: u32, exit: u16 }
+    0x28 LoopBack { exit: u16 }
+    0x29 End { exit: u16 }
+    0x2a CmpBranchI { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16 }
+    0x2b CmpBranchD { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16 }
+    0x2c CmpBranchLoopI { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16, loop_exit: u16 }
+    0x2d CmpBranchLoopD { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16, loop_exit: u16 }
+    0x2e AluImmI { op: AluOp, d: Reg, a: Reg, imm: i32 }
+    0x2f AluArI { op: AluOp, d: Reg, slot: u16, b: Reg }
+    0x30 AluWrI { op: AluOp, d: Reg, a: Reg, b: Reg, slot: u16 }
+    0x31 AluImmWrI { op: AluOp, d: Reg, a: Reg, imm: i32, slot: u16 }
+    0x32 ChkAluImmI { op: ChkOp, d: Reg, a: Reg, imm: i32, exit: u16 }
+    0x33 ChkAluWrI { op: ChkOp, d: Reg, a: Reg, b: Reg, exit: u16, slot: u16 }
+    0x34 ChkAluImmWrI { op: ChkOp, d: Reg, a: Reg, imm: i32, exit: u16, slot: u16 }
+    0x35 ChkAluImmWrLoopI { op: ChkOp, d: Reg, a: Reg, imm: i32, slot: u16, exit: u16, loop_exit: u16 }
+    0x36 ConstWrAr { d: Reg, w: u64, slot: u16 }
+    0x37 MovAr { d: Reg, src: u16, dst: u16 }
+    0x38 WriteAr2 { slot_a: u16, s_a: Reg, slot_b: u16, s_b: Reg }
+    0x39 WriteAr3 { slot_a: u16, s_a: Reg, slot_b: u16, s_b: Reg, slot_c: u16, s_c: Reg }
+    0x3a AluArWrI { op: AluOp, d: Reg, slot_a: u16, b: Reg, slot_d: u16 }
+    0x3b CmpImmI { op: CmpOp, d: Reg, a: Reg, imm: i32 }
+    0x3c CmpWrI { op: CmpOp, d: Reg, a: Reg, b: Reg, slot: u16 }
+    0x3d CmpWrD { op: CmpOp, d: Reg, a: Reg, b: Reg, slot: u16 }
+    0x3e CmpImmWrI { op: CmpOp, d: Reg, a: Reg, imm: i32, slot: u16 }
+    0x3f CmpBranchImmI { op: CmpOp, want: bool, a: Reg, imm: i32, exit: u16 }
+    0x40 CmpWrBranchI { op: CmpOp, want: bool, d: Reg, a: Reg, b: Reg, slot: u16, exit: u16 }
+    0x41 CmpWrBranchD { op: CmpOp, want: bool, d: Reg, a: Reg, b: Reg, slot: u16, exit: u16 }
+    0x42 CmpImmWrBranchI { op: CmpOp, want: bool, d: Reg, a: Reg, imm: i32, slot: u16, exit: u16 }
 }
 
 /// Appends the encoded form of `frag` to `w` (PERSISTENCE.md §4:
@@ -377,7 +368,7 @@ mod tests {
             CallHelper {
                 d: 1,
                 helper: Helper::CallNative(NativeId(42)),
-                args: Box::from([] as [Reg; 0]),
+                args: [].into(),
                 exit: 0,
             },
             AluImmI { op: AluOp::Xor, d: 0, a: 1, imm: -123 },
@@ -470,17 +461,26 @@ mod tests {
 
     #[test]
     fn bad_enum_discriminants_rejected() {
-        // CmpBranchI with an out-of-range CmpOp.
-        let mut r = ByteReader::new(&[0x36, 0x09]);
-        assert!(matches!(decode_inst(&mut r), Err(BinError::BadTag { what: "CmpOp", .. })));
-        // CallHelper with an unknown helper index (77 is past the table,
-        // not the CallNative escape).
-        let mut w = ByteWriter::new();
-        w.u8(0x32); // CallHelper opcode
-        w.u8(0); // d
-        w.u8(77); // invalid helper
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
+        // The op/tag byte follows the opcode: one past each enum's last
+        // discriminant.
+        for (opcode, past, what) in [
+            (0x2a, 5, "CmpOp"), // CmpBranchI
+            (0x06, 9, "AluOp"), // AluI
+            (0x09, 5, "ChkOp"), // ChkAluI
+            (0x0c, 5, "FOp"),   // AluD
+            (0x16, 5, "Tag"),   // Box
+            (0x17, 5, "Tag"),   // Unbox
+        ] {
+            let bytes = [opcode, past];
+            let mut r = ByteReader::new(&bytes);
+            assert!(
+                matches!(decode_inst(&mut r), Err(BinError::BadTag { what: w, .. }) if w == what),
+                "opcode {opcode:#x}: {what}"
+            );
+        }
+        // CallHelper, d, then a helper index one past the table (and not
+        // the 0xff CallNative escape).
+        let mut r = ByteReader::new(&[0x26, 0, 45]);
         assert!(matches!(decode_inst(&mut r), Err(BinError::BadTag { what: "Helper", .. })));
     }
 

@@ -92,14 +92,14 @@ mod imp {
     use std::collections::HashMap;
     use std::mem::offset_of;
 
-    use tm_lir::{AluOp, ChkOp, CmpOp, NO_EXIT};
+    use tm_lir::{AluOp, ChkOp, CmpOp, FOp, Tag, NO_EXIT};
     use tm_runtime::trace_helpers::{
         call_helper, f64_from_word, heap_ops, word_from_f64, Helper,
     };
     use tm_runtime::{Realm, RuntimeError};
 
     use super::{unsupported_op, Unsupported, MAX_HELPER_ARGS};
-    use crate::executor::{TraceExit, TreeHost};
+    use crate::executor::{box_word, unbox_word, TraceExit, TreeHost};
     use crate::machinst::{Fragment, MachInst, Reg, EXIT_UNSTITCHED, REG_FILE_WORDS, REG_MASK};
 
     /// Whether this build can emit and run native code.
@@ -199,29 +199,29 @@ mod imp {
     // shared, for the `*const` ones) for the shim's duration.
 
     extern "sysv64" fn fmod_shim(a: u64, b: u64) -> u64 {
-        word_from_f64(f64_from_word(a) % f64_from_word(b))
+        word_from_f64(FOp::Mod.eval(f64_from_word(a), f64_from_word(b)))
     }
 
     extern "sysv64" fn d2i32_shim(a: u64) -> u64 {
         i64::from(tm_runtime::ops::double_to_int32(f64_from_word(a))) as u64
     }
 
-    /// `BoxI` slow path: the value is outside the boxable 31-bit range,
-    /// so boxing allocates a heap double.
+    /// `Box(Int)` slow path: the value is outside the boxable 31-bit
+    /// range, so boxing allocates a heap double.
     extern "sysv64" fn boxi_slow_shim(realm: *mut Realm, i: u32) -> u64 {
         // SAFETY: `realm` is the run's realm (section comment).
-        heap_ops::box_i(unsafe { &mut *realm }, i as i32)
+        box_word(unsafe { &mut *realm }, Tag::Int, u64::from(i))
     }
 
     extern "sysv64" fn boxd_shim(realm: *mut Realm, bits: u64) -> u64 {
         // SAFETY: `realm` is the run's realm (section comment).
-        heap_ops::box_d(unsafe { &mut *realm }, bits)
+        box_word(unsafe { &mut *realm }, Tag::Double, bits)
     }
 
     /// Reads the heap double behind an already-tag-checked boxed value.
     extern "sysv64" fn unbox_double_shim(realm: *const Realm, raw: u64) -> u64 {
         // SAFETY: `realm` is the run's realm (section comment).
-        heap_ops::unbox_double(unsafe { &*realm }, raw).expect("tag checked by native code")
+        unbox_word(unsafe { &*realm }, Tag::Double, raw).expect("tag checked by native code")
     }
 
     // Heap-walking ops (shape/class/bound guards, slot/element/proto
@@ -986,6 +986,18 @@ mod imp {
     }
 
     /// Integer compare condition code for a signed 32-bit `cmp a, b`.
+    /// The `F2 0F xx` opcode byte of a double op, or `None` where SSE2 has
+    /// no instruction (the remainder calls [`fmod_shim`]).
+    fn sse_arith_opcode(op: FOp) -> Option<u8> {
+        match op {
+            FOp::Add => Some(0x58),
+            FOp::Sub => Some(0x5C),
+            FOp::Mul => Some(0x59),
+            FOp::Div => Some(0x5E),
+            FOp::Mod => None,
+        }
+    }
+
     fn int_cc(op: CmpOp) -> u8 {
         match op {
             CmpOp::Eq => CC_E,
@@ -1091,7 +1103,7 @@ mod imp {
 
         // -- grouped op bodies --
 
-        /// Unchecked 32-bit ALU: `eax = alu_i(op, eax, ecx-or-imm)`,
+        /// Unchecked 32-bit ALU: `eax = op.eval(eax, ecx-or-imm)`,
         /// then sign-extend into rax (the executor stores
         /// `i64::from(result)`).
         fn alu_i_rr(&mut self, op: AluOp) {
@@ -1127,7 +1139,7 @@ mod imp {
         }
 
         /// Checked ALU, register-register: result in rax (sign-extended,
-        /// range-checked); exits to `site` per `chk_alu_i`. Clobbers
+        /// range-checked); exits to `site` per `ChkOp::eval`. Clobbers
         /// rcx/rdx/rsi.
         fn chk_alu_rr(&mut self, op: ChkOp, a: Reg, b: Reg, site: Label) {
             match op {
@@ -1430,26 +1442,19 @@ mod imp {
                     self.store_vreg64(d, RAX);
                 }
 
-                MachInst::AddD { d, a, b }
-                | MachInst::SubD { d, a, b }
-                | MachInst::MulD { d, a, b }
-                | MachInst::DivD { d, a, b } => {
-                    let opc = match inst {
-                        MachInst::AddD { .. } => 0x58,
-                        MachInst::SubD { .. } => 0x5C,
-                        MachInst::MulD { .. } => 0x59,
-                        _ => 0x5E,
-                    };
-                    self.asm.movsd_load(XMM0, R13, vdisp(a));
-                    self.asm.sse_arith_mem(opc, XMM0, R13, vdisp(b));
-                    self.asm.movsd_store(R13, vdisp(d), XMM0);
-                }
-                MachInst::ModD { d, a, b } => {
-                    self.load_vreg64(RDI, a);
-                    self.load_vreg64(RSI, b);
-                    self.call_shim(fmod_shim as extern "sysv64" fn(u64, u64) -> u64 as usize);
-                    self.store_vreg64(d, RAX);
-                }
+                MachInst::AluD { op, d, a, b } => match sse_arith_opcode(op) {
+                    Some(opc) => {
+                        self.asm.movsd_load(XMM0, R13, vdisp(a));
+                        self.asm.sse_arith_mem(opc, XMM0, R13, vdisp(b));
+                        self.asm.movsd_store(R13, vdisp(d), XMM0);
+                    }
+                    None => {
+                        self.load_vreg64(RDI, a);
+                        self.load_vreg64(RSI, b);
+                        self.call_shim(fmod_shim as extern "sysv64" fn(u64, u64) -> u64 as usize);
+                        self.store_vreg64(d, RAX);
+                    }
+                },
                 MachInst::NegD { d, a } => {
                     self.load_vreg64(RAX, a);
                     self.asm.btc_r64_imm8(RAX, 63);
@@ -1515,80 +1520,109 @@ mod imp {
                     self.store_vreg64(d, RAX);
                 }
 
-                MachInst::BoxI { d, a } => {
-                    // Fast path: in-range ints box inline (tag bit 0 = 1);
-                    // out-of-range values allocate a heap double.
-                    self.load_vreg32(RAX, a);
-                    let l_slow = self.local();
-                    let l_done = self.local();
-                    self.asm.mov_rr32(RCX, RAX);
-                    self.asm.alu_r32_imm32(0, RCX, 0x4000_0000);
-                    self.asm.test_rr32(RCX, RCX);
-                    self.asm.jcc(CC_S, l_slow);
-                    self.asm.shift_imm64(4, RAX, 1);
-                    self.asm.or_r64_imm8(RAX, 1);
-                    self.asm.jmp(l_done);
-                    self.asm.bind(l_slow);
-                    self.asm.mov_r64_mem(RDI, R15, CTX_REALM);
-                    self.asm.mov_rr32(RSI, RAX);
-                    self.call_shim(
-                        boxi_slow_shim as extern "sysv64" fn(*mut Realm, u32) -> u64 as usize,
-                    );
-                    self.asm.bind(l_done);
-                    self.store_vreg64(d, RAX);
-                }
-                MachInst::BoxD { d, a } => {
-                    self.asm.mov_r64_mem(RDI, R15, CTX_REALM);
-                    self.load_vreg64(RSI, a);
-                    self.call_shim(
-                        boxd_shim as extern "sysv64" fn(*mut Realm, u64) -> u64 as usize,
-                    );
-                    self.store_vreg64(d, RAX);
-                }
-                MachInst::BoxB { d, a } => {
-                    // (b as u64) << 3 | SPECIAL tag: false → 6, true → 14.
-                    self.load_vreg64(RAX, a);
-                    self.asm.test_rr64(RAX, RAX);
-                    self.asm.setcc(CC_NE, RAX);
-                    self.asm.movzx_r32_r8(RAX, RAX);
-                    self.asm.shift_imm64(4, RAX, 3);
-                    self.asm.add_r64_imm8(RAX, 6);
-                    self.store_vreg64(d, RAX);
-                }
-                MachInst::BoxObj { d, a } => {
-                    self.load_vreg32(RAX, a);
-                    self.asm.shift_imm64(4, RAX, 3);
-                    self.store_vreg64(d, RAX);
-                }
-                MachInst::BoxStr { d, a } => {
-                    self.load_vreg32(RAX, a);
-                    self.asm.shift_imm64(4, RAX, 3);
-                    self.asm.or_r64_imm8(RAX, 4);
+                MachInst::Box { tag, d, a } => {
+                    match tag {
+                        Tag::Int => {
+                            // Fast path: in-range ints box inline (tag bit 0 = 1);
+                            // out-of-range values allocate a heap double.
+                            self.load_vreg32(RAX, a);
+                            let l_slow = self.local();
+                            let l_done = self.local();
+                            self.asm.mov_rr32(RCX, RAX);
+                            self.asm.alu_r32_imm32(0, RCX, 0x4000_0000);
+                            self.asm.test_rr32(RCX, RCX);
+                            self.asm.jcc(CC_S, l_slow);
+                            self.asm.shift_imm64(4, RAX, 1);
+                            self.asm.or_r64_imm8(RAX, 1);
+                            self.asm.jmp(l_done);
+                            self.asm.bind(l_slow);
+                            self.asm.mov_r64_mem(RDI, R15, CTX_REALM);
+                            self.asm.mov_rr32(RSI, RAX);
+                            self.call_shim(
+                                boxi_slow_shim as extern "sysv64" fn(*mut Realm, u32) -> u64 as usize,
+                            );
+                            self.asm.bind(l_done);
+                        }
+                        Tag::Double => {
+                            self.asm.mov_r64_mem(RDI, R15, CTX_REALM);
+                            self.load_vreg64(RSI, a);
+                            self.call_shim(
+                                boxd_shim as extern "sysv64" fn(*mut Realm, u64) -> u64 as usize,
+                            );
+                        }
+                        Tag::Bool => {
+                            // (b as u64) << 3 | SPECIAL tag: false → 6, true → 14.
+                            self.load_vreg64(RAX, a);
+                            self.asm.test_rr64(RAX, RAX);
+                            self.asm.setcc(CC_NE, RAX);
+                            self.asm.movzx_r32_r8(RAX, RAX);
+                            self.asm.shift_imm64(4, RAX, 3);
+                            self.asm.add_r64_imm8(RAX, 6);
+                        }
+                        Tag::Object => {
+                            self.load_vreg32(RAX, a);
+                            self.asm.shift_imm64(4, RAX, 3);
+                        }
+                        Tag::String => {
+                            self.load_vreg32(RAX, a);
+                            self.asm.shift_imm64(4, RAX, 3);
+                            self.asm.or_r64_imm8(RAX, 4);
+                        }
+                    }
                     self.store_vreg64(d, RAX);
                 }
 
-                MachInst::UnboxI { d, a, exit } => {
+                MachInst::Unbox { tag, d, a, exit } => {
                     let site = self.site(k, exit, path);
                     self.load_vreg64(RAX, a);
-                    self.asm.test_al_imm8(1);
-                    self.asm.jcc(CC_E, site);
-                    // ((raw as u32) as i32) >> 1, stored sign-extended.
-                    self.asm.shift_imm32(7, RAX, 1);
-                    self.asm.movsxd_r64_r32(RAX, RAX);
-                    self.store_vreg64(d, RAX);
-                }
-                MachInst::UnboxD { d, a, exit } => {
-                    let site = self.site(k, exit, path);
-                    self.load_vreg64(RAX, a);
-                    self.asm.mov_rr32(RCX, RAX);
-                    self.asm.alu_r32_imm32(4, RCX, 7);
-                    self.asm.cmp_r32_imm32(RCX, 2);
-                    self.asm.jcc(CC_NE, site);
-                    self.asm.mov_r64_mem(RDI, R15, CTX_REALM);
-                    self.asm.mov_rr64(RSI, RAX);
-                    self.call_shim(
-                        unbox_double_shim as extern "sysv64" fn(*const Realm, u64) -> u64 as usize,
-                    );
+                    match tag {
+                        Tag::Int => {
+                            self.asm.test_al_imm8(1);
+                            self.asm.jcc(CC_E, site);
+                            // ((raw as u32) as i32) >> 1, stored sign-extended.
+                            self.asm.shift_imm32(7, RAX, 1);
+                            self.asm.movsxd_r64_r32(RAX, RAX);
+                        }
+                        Tag::Double => {
+                            self.asm.mov_rr32(RCX, RAX);
+                            self.asm.alu_r32_imm32(4, RCX, 7);
+                            self.asm.cmp_r32_imm32(RCX, 2);
+                            self.asm.jcc(CC_NE, site);
+                            self.asm.mov_r64_mem(RDI, R15, CTX_REALM);
+                            self.asm.mov_rr64(RSI, RAX);
+                            self.call_shim(
+                                unbox_double_shim as extern "sysv64" fn(*const Realm, u64) -> u64 as usize,
+                            );
+                        }
+                        Tag::Object => {
+                            self.asm.test_al_imm8(7);
+                            self.asm.jcc(CC_NE, site);
+                            self.asm.shift_imm64(5, RAX, 3);
+                            // Object ids are u32: truncate like `(raw >> 3) as u32`.
+                            self.asm.mov_rr32(RAX, RAX);
+                        }
+                        Tag::String => {
+                            self.asm.mov_rr32(RCX, RAX);
+                            self.asm.alu_r32_imm32(4, RCX, 7);
+                            self.asm.cmp_r32_imm32(RCX, 4);
+                            self.asm.jcc(CC_NE, site);
+                            self.asm.shift_imm64(5, RAX, 3);
+                            self.asm.mov_rr32(RAX, RAX);
+                        }
+                        Tag::Bool => {
+                            let l_nottrue = self.local();
+                            let l_done = self.local();
+                            self.asm.cmp_r64_imm32(RAX, 14);
+                            self.asm.jcc(CC_NE, l_nottrue);
+                            self.asm.mov_r32_imm(RAX, 1);
+                            self.asm.jmp(l_done);
+                            self.asm.bind(l_nottrue);
+                            self.asm.cmp_r64_imm32(RAX, 6);
+                            self.asm.jcc(CC_NE, site);
+                            self.asm.xor_rr32(RAX);
+                            self.asm.bind(l_done);
+                        }
+                    }
                     self.store_vreg64(d, RAX);
                 }
                 MachInst::UnboxNumD { d, a, exit } => {
@@ -1614,43 +1648,6 @@ mod imp {
                     );
                     self.store_vreg64(d, RAX);
                     self.asm.bind(l_done);
-                }
-                MachInst::UnboxObj { d, a, exit } => {
-                    let site = self.site(k, exit, path);
-                    self.load_vreg64(RAX, a);
-                    self.asm.test_al_imm8(7);
-                    self.asm.jcc(CC_NE, site);
-                    self.asm.shift_imm64(5, RAX, 3);
-                    // Object ids are u32: truncate like `(raw >> 3) as u32`.
-                    self.asm.mov_rr32(RAX, RAX);
-                    self.store_vreg64(d, RAX);
-                }
-                MachInst::UnboxStr { d, a, exit } => {
-                    let site = self.site(k, exit, path);
-                    self.load_vreg64(RAX, a);
-                    self.asm.mov_rr32(RCX, RAX);
-                    self.asm.alu_r32_imm32(4, RCX, 7);
-                    self.asm.cmp_r32_imm32(RCX, 4);
-                    self.asm.jcc(CC_NE, site);
-                    self.asm.shift_imm64(5, RAX, 3);
-                    self.asm.mov_rr32(RAX, RAX);
-                    self.store_vreg64(d, RAX);
-                }
-                MachInst::UnboxBool { d, a, exit } => {
-                    let site = self.site(k, exit, path);
-                    self.load_vreg64(RAX, a);
-                    let l_nottrue = self.local();
-                    let l_done = self.local();
-                    self.asm.cmp_r64_imm32(RAX, 14);
-                    self.asm.jcc(CC_NE, l_nottrue);
-                    self.asm.mov_r32_imm(RAX, 1);
-                    self.asm.jmp(l_done);
-                    self.asm.bind(l_nottrue);
-                    self.asm.cmp_r64_imm32(RAX, 6);
-                    self.asm.jcc(CC_NE, site);
-                    self.asm.xor_rr32(RAX);
-                    self.asm.bind(l_done);
-                    self.store_vreg64(d, RAX);
                 }
 
                 MachInst::GuardTrue { s, exit } => {
@@ -2340,7 +2337,7 @@ mod imp {
     use tm_runtime::{Realm, RuntimeError};
 
     use super::Unsupported;
-    use crate::executor::{TraceExit, TreeHost};
+    use crate::executor::{box_word, unbox_word, TraceExit, TreeHost};
     use crate::machinst::Fragment;
 
     /// Whether this build can emit and run native code (it cannot; the
@@ -2420,7 +2417,7 @@ pub use imp::{emit_tree, emit_tree_annotated, native_supported, NativeTree};
 
 #[cfg(all(test, target_arch = "x86_64", target_os = "linux"))]
 mod tests {
-    use tm_lir::{AluOp, ChkOp, CmpOp, FilterOptions, Lir, LirBuffer, LirType};
+    use tm_lir::{AluOp, ChkOp, CmpOp, FOp, FilterOptions, Lir, LirBuffer, LirType, Tag};
     use tm_runtime::trace_helpers::{word_from_f64, word_from_i32};
     use tm_runtime::{
         Helper, NativeEffects, Object, ObjectClass, ObjectId, Realm, RuntimeError, Value,
@@ -2509,21 +2506,6 @@ mod tests {
         word_from_f64(x)
     }
 
-    /// Every op of each family, for the tests that sweep one.
-    const ALU_OPS: [AluOp; 9] = [
-        AluOp::Add,
-        AluOp::Sub,
-        AluOp::Mul,
-        AluOp::And,
-        AluOp::Or,
-        AluOp::Xor,
-        AluOp::Shl,
-        AluOp::Shr,
-        AluOp::UShr,
-    ];
-    const CHK_OPS: [ChkOp; 5] = [ChkOp::Add, ChkOp::Sub, ChkOp::Mul, ChkOp::Shl, ChkOp::UShr];
-    const CMP_OPS: [CmpOp; 5] = [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
-
     #[test]
     fn supported_on_this_target() {
         assert!(native_supported());
@@ -2535,7 +2517,7 @@ mod tests {
             0, 1, -1, 2, -2, 31, 32, 33, -31, -32, 0x3FFF_FFFF, -0x4000_0000, i32::MAX,
             i32::MIN, 12345, -9876,
         ];
-        for op in ALU_OPS {
+        for &op in AluOp::ALL {
             let tree = binop_tree(MachInst::AluI { op, d: 2, a: 0, b: 1 });
             for &x in cases {
                 for &y in cases {
@@ -2568,7 +2550,7 @@ mod tests {
             0, 1, -1, 2, -2, 3, 0x3FFF_FFFF, -0x4000_0000, 0x2000_0000, -0x2000_0000,
             46341, -46341, i32::MAX, i32::MIN, 31, 33,
         ];
-        let chk = CHK_OPS.map(|op| MachInst::ChkAluI { op, d: 2, a: 0, b: 1, exit: 1 });
+        let chk = ChkOp::ALL.iter().map(|&op| MachInst::ChkAluI { op, d: 2, a: 0, b: 1, exit: 1 });
         for op in chk.into_iter().chain([MachInst::ModIChk { d: 2, a: 0, b: 1, exit: 1 }]) {
             let tree = binop_tree(op);
             for &x in cases {
@@ -2585,15 +2567,9 @@ mod tests {
             0.0, -0.0, 1.0, -1.5, 2.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY,
             1e300, -1e300, 0.1, 1073741824.0, -1073741825.0,
         ];
-        let arith = [
-            MachInst::AddD { d: 2, a: 0, b: 1 },
-            MachInst::SubD { d: 2, a: 0, b: 1 },
-            MachInst::MulD { d: 2, a: 0, b: 1 },
-            MachInst::DivD { d: 2, a: 0, b: 1 },
-            MachInst::ModD { d: 2, a: 0, b: 1 },
-        ];
-        let cmps = CMP_OPS.map(|op| MachInst::CmpD { op, d: 2, a: 0, b: 1 });
-        for op in arith.into_iter().chain(cmps) {
+        let arith = FOp::ALL.iter().map(|&op| MachInst::AluD { op, d: 2, a: 0, b: 1 });
+        let cmps = CmpOp::ALL.iter().map(|&op| MachInst::CmpD { op, d: 2, a: 0, b: 1 });
+        for op in arith.chain(cmps) {
             let tree = binop_tree(op);
             for &x in cases {
                 for &y in cases {
@@ -2606,7 +2582,7 @@ mod tests {
     #[test]
     fn int_compares_and_conversions() {
         let ints: &[i32] = &[0, 1, -1, 5, -5, i32::MAX, i32::MIN];
-        for op in CMP_OPS {
+        for &op in CmpOp::ALL {
             let tree = binop_tree(MachInst::CmpI { op, d: 2, a: 0, b: 1 });
             for &x in ints {
                 for &y in ints {
@@ -2644,31 +2620,25 @@ mod tests {
 
     #[test]
     fn box_unbox_all_tags() {
-        // BoxI across the full i32 range: out-of-range values allocate a
-        // heap double in both tiers (fresh realms allocate the same id,
-        // so the raw words still match).
-        let tree = unop_tree(MachInst::BoxI { d: 2, a: 0 });
-        for x in [0, 1, -1, 0x3FFF_FFFF, 0x4000_0000, -0x4000_0000, -0x4000_0001, i32::MAX, i32::MIN]
-        {
-            run_both(&tree, &[w(x), 0, 0], 0, u64::MAX);
-        }
-        let tree = unop_tree(MachInst::BoxD { d: 2, a: 0 });
-        for x in [0.0, -0.5, f64::NAN, 1e300] {
-            run_both(&tree, &[d(x), 0, 0], 0, u64::MAX);
-        }
-        let tree = unop_tree(MachInst::BoxB { d: 2, a: 0 });
-        for v in [0u64, 1, 7, u64::MAX] {
-            run_both(&tree, &[v, 0, 0], 0, u64::MAX);
-        }
-        for op in [MachInst::BoxObj { d: 2, a: 0 }, MachInst::BoxStr { d: 2, a: 0 }] {
-            let tree = unop_tree(op.clone());
-            for v in [0u64, 1, 42, u64::from(u32::MAX)] {
+        // Every tag boxes every word: ints across the full i32 range
+        // (out-of-range values allocate a heap double in both tiers; fresh
+        // realms allocate the same id, so the raw words still match),
+        // double bit patterns, truthy words and handles.
+        let words = [
+            w(0), w(1), w(-1), w(0x3FFF_FFFF), w(0x4000_0000), w(-0x4000_0000), w(-0x4000_0001),
+            w(i32::MAX), w(i32::MIN), d(-0.5), d(f64::NAN), d(1e300), d(3.0), 7, 42,
+            u64::from(u32::MAX), u64::MAX,
+        ];
+        for &tag in Tag::ALL {
+            let tree = unop_tree(MachInst::Box { tag, d: 2, a: 0 });
+            for v in words {
                 run_both(&tree, &[v, 0, 0], 0, u64::MAX);
             }
         }
 
-        // Unbox ops over every tag class: ints, specials, handles.
-        let raws: Vec<u64> = vec![
+        // Every tag unboxes every tag class: ints, specials, handles, and
+        // a heap double allocated in each tier's realm.
+        let raws = [
             Value::new_int(0).raw(),
             Value::new_int(5).raw(),
             Value::new_int(-7).raw(),
@@ -2681,63 +2651,16 @@ mod tests {
             4,  // string id 0
             12, // string id 1
         ];
-        for op in [
-            MachInst::UnboxI { d: 2, a: 0, exit: 1 },
-            MachInst::UnboxObj { d: 2, a: 0, exit: 1 },
-            MachInst::UnboxStr { d: 2, a: 0, exit: 1 },
-            MachInst::UnboxBool { d: 2, a: 0, exit: 1 },
-        ] {
-            let tree = unop_tree(op.clone());
-            for &raw in &raws {
-                run_both(&tree, &[raw, 0, 0], 0, u64::MAX);
+        for x in [2.5f64, -0.0, f64::NAN] {
+            let boxed = Realm::new().heap.number(x).raw();
+            let alloc = move |realm: &mut Realm| assert_eq!(realm.heap.number(x).raw(), boxed);
+            let unbox = Tag::ALL.iter().map(|&tag| MachInst::Unbox { tag, d: 2, a: 0, exit: 1 });
+            for op in unbox.chain([MachInst::UnboxNumD { d: 2, a: 0, exit: 1 }]) {
+                let tree = unop_tree(op);
+                for raw in raws.into_iter().chain([boxed]) {
+                    run_both_with(&tree, &[raw, 0, 0], 0, u64::MAX, alloc);
+                }
             }
-        }
-    }
-
-    #[test]
-    fn unbox_double_reads_the_heap() {
-        // UnboxD/UnboxNumD read a heap double, so the double must exist:
-        // allocate it in each realm, then unbox the boxed value.
-        for op in [
-            MachInst::UnboxD { d: 2, a: 0, exit: 1 },
-            MachInst::UnboxNumD { d: 2, a: 0, exit: 1 },
-        ] {
-            let ops = vec![
-                MachInst::ReadAr { d: 0, slot: 0 },
-                op.clone(),
-                MachInst::WriteAr { slot: 2, s: 2 },
-                MachInst::End { exit: 0 },
-            ];
-            let fragments = frag(ops, 2);
-            for x in [2.5f64, -0.0, f64::NAN] {
-                let mut realm_dec = Realm::new();
-                let boxed = realm_dec.heap.number(x).raw();
-                let mut ar_dec = vec![boxed, 0, 0];
-                let dec = execute(&fragments, 0, &mut ar_dec, &mut realm_dec, &mut NoNesting, u64::MAX)
-                    .unwrap();
-                let mut realm_nat = Realm::new();
-                let boxed_n = realm_nat.heap.number(x).raw();
-                assert_eq!(boxed, boxed_n);
-                let mut ar_nat = vec![boxed_n, 0, 0];
-                let nt = emit_tree(&fragments).unwrap();
-                let nat = nt
-                    .execute(0, &mut ar_nat, &mut realm_nat, &mut NoNesting, u64::MAX)
-                    .unwrap();
-                assert_eq!(dec, nat);
-                assert_eq!(ar_dec, ar_nat);
-            }
-            // Int input: UnboxNumD converts, UnboxD exits.
-            let fragments = frag(
-                vec![
-                    MachInst::ReadAr { d: 0, slot: 0 },
-                    op,
-                    MachInst::WriteAr { slot: 2, s: 2 },
-                    MachInst::End { exit: 0 },
-                ],
-                2,
-            );
-            run_both(&fragments, &[Value::new_int(41).raw(), 0, 0], 0, u64::MAX);
-            run_both(&fragments, &[Value::TRUE.raw(), 0, 0], 0, u64::MAX);
         }
     }
 
@@ -2809,9 +2732,9 @@ mod tests {
         let limit = b.emit(Lir::Import { slot: 1, ty: LirType::Int });
         let one = b.emit(Lir::ConstI(1));
         let e_ovf = b.alloc_exit();
-        let next = b.emit(Lir::AddIChk(i, one, e_ovf));
+        let next = b.emit(Lir::ChkAluI(ChkOp::Add, i, one, e_ovf));
         b.emit(Lir::WriteAr { slot: 0, v: next });
-        let cont = b.emit(Lir::LtI(next, limit));
+        let cont = b.emit(Lir::CmpI(CmpOp::Lt, next, limit));
         let e_done = b.alloc_exit();
         b.emit(Lir::GuardTrue(cont, e_done));
         let e_loop = b.alloc_exit();
@@ -2828,7 +2751,7 @@ mod tests {
 
     #[test]
     fn fused_ar_and_imm_forms() {
-        for op in ALU_OPS {
+        for &op in AluOp::ALL {
             let tree = frag(
                 vec![
                     MachInst::ReadAr { d: 1, slot: 1 },
@@ -2846,7 +2769,7 @@ mod tests {
                 run_both(&tree, &[w(x), w(x ^ 3), 0, 0, 0, 0, 0, 0], 0, u64::MAX);
             }
         }
-        for op in CHK_OPS {
+        for &op in ChkOp::ALL {
             for imm in [-5i32, 0, 3, 29] {
                 let tree = frag(
                     vec![
@@ -2878,7 +2801,7 @@ mod tests {
     #[test]
     fn fused_compare_forms() {
         let ints: &[i32] = &[0, 1, -1, 9, i32::MAX, i32::MIN];
-        for op in CMP_OPS {
+        for &op in CmpOp::ALL {
             for want in [true, false] {
                 let tree = frag(
                     vec![
@@ -2915,7 +2838,7 @@ mod tests {
         }
         // Double compare-write and compare-branch, NaN included.
         let doubles: &[f64] = &[0.0, -0.0, 1.5, -2.0, f64::NAN, f64::INFINITY];
-        for op in CMP_OPS {
+        for &op in CmpOp::ALL {
             for want in [true, false] {
                 let tree = frag(
                     vec![
@@ -2989,9 +2912,9 @@ mod tests {
         let limit = b.emit(Lir::Import { slot: 1, ty: LirType::Int });
         let one = b.emit(Lir::ConstI(1));
         let e_ovf = b.alloc_exit();
-        let next = b.emit(Lir::AddIChk(i, one, e_ovf));
+        let next = b.emit(Lir::ChkAluI(ChkOp::Add, i, one, e_ovf));
         b.emit(Lir::WriteAr { slot: 0, v: next });
-        let cont = b.emit(Lir::LtI(next, limit));
+        let cont = b.emit(Lir::CmpI(CmpOp::Lt, next, limit));
         let e_done = b.alloc_exit();
         b.emit(Lir::GuardTrue(cont, e_done));
         let e_loop = b.alloc_exit();

@@ -122,25 +122,28 @@ pub mod heap_ops {
         realm.heap.string(StringId(s as u32)).len() as Word
     }
 
-    /// `BoxI`: inline when `i` fits the 31-bit range, a heap double otherwise.
+    /// `Box(Int)`: inline when `i` fits the 31-bit range, a heap double
+    /// otherwise. Like every allocating box, an allocation that crosses the
+    /// GC threshold only flags the collection ([`super::maybe_defer_gc`]);
+    /// the monitor runs it once the trace has exited.
     #[inline]
     pub fn box_i(realm: &mut Realm, i: i32) -> Word {
-        realm.heap.number_i32(i).raw()
-    }
-
-    /// `BoxD`. An allocation that crosses the GC threshold only flags the
-    /// collection; the monitor runs it once the trace has exited.
-    #[inline]
-    pub fn box_d(realm: &mut Realm, bits: Word) -> Word {
-        let v = realm.heap.number(f64_from_word(bits));
-        if realm.heap.should_collect() {
-            realm.heap.gc_pending = true;
-        }
+        let v = realm.heap.number_i32(i);
+        super::maybe_defer_gc(realm);
         v.raw()
     }
 
-    /// `UnboxD`: the heap double behind `raw`, `None` when `raw` is not a
-    /// boxed double (the guard's side exit).
+    /// `Box(Double)`: inline when the double is an in-range integer, a heap
+    /// double otherwise.
+    #[inline]
+    pub fn box_d(realm: &mut Realm, bits: Word) -> Word {
+        let v = realm.heap.number(f64_from_word(bits));
+        super::maybe_defer_gc(realm);
+        v.raw()
+    }
+
+    /// `Unbox(Double)`: the heap double behind `raw`, `None` when `raw` is
+    /// not a boxed double (the guard's side exit).
     #[inline]
     pub fn unbox_double(realm: &Realm, raw: Word) -> Option<Word> {
         let id = Value::from_raw(raw).as_double_id()?;
@@ -215,8 +218,6 @@ pub enum Helper {
     MinD,
     /// `Math.max` (2-arg double case)
     MaxD,
-    /// `%` on doubles (fmod)
-    ModD,
     // -- soft-float (§5.1's soft-float forward filter targets: double
     //    arithmetic as out-of-line calls for FP-less ISAs) --
     /// Soft-float add: (double bits, double bits) -> double bits
@@ -245,10 +246,6 @@ pub enum Helper {
     CharCodeAt,
     /// (str, i32) -> str (empty when out of range). Allocates.
     CharAt,
-    /// str -> i32 length
-    StrLength,
-    /// (str, str) -> i32 indexOf (-1 when absent)
-    StrIndexOf,
     /// (str, i32, i32) -> str substring. Allocates.
     Substring,
     /// (i32 code) -> str. Allocates. (`String.fromCharCode`, 1-arg case)
@@ -262,58 +259,15 @@ pub enum Helper {
     // -- arrays / objects --
     /// (obj, i32 index, boxed value) -> 1. The paper's `js_Array_set`.
     ArraySetElem,
-    /// (obj, i32 index) -> boxed value (undefined when out of range)
-    ArrayGetElem,
-    /// obj -> i32 dense length
-    ArrayLength,
-    /// (obj, boxed value) -> i32 new length (`Array.push`, 1-arg case)
-    ArrayPush,
-    /// obj -> boxed value (`Array.pop`)
-    ArrayPop,
     /// (i32 len) -> obj handle. Allocates.
     NewArray,
     /// (obj proto handle or NO_PROTO) -> obj handle. Allocates.
     NewObject,
-    /// (obj, u32 slot) -> boxed value from the shape-resolved slot
-    LoadSlot,
-    /// (obj, u32 slot, boxed value) -> 0 store into an existing slot
-    StoreSlot,
     /// (obj, u32 sym, boxed value) -> 0 full property store (may transition
     /// the object's shape)
     SetPropSlow,
-    // -- boxing --
-    /// (double bits) -> boxed number value. Allocates when non-integral.
-    BoxDouble,
-    /// (i32) -> boxed number value. Allocates when outside the i31 range.
-    BoxInt,
-    // -- generic dynamic-typed operations (the method JIT's bread and
-    //    butter; boxed words in and out) --
-    /// `+`
-    AddAny,
-    /// binary `-`
-    SubAny,
-    /// `*`
-    MulAny,
-    /// `/`
-    DivAny,
-    /// `%`
-    ModAny,
-    /// unary `-`
-    NegAny,
-    /// `&`
-    BitAndAny,
-    /// `|`
-    BitOrAny,
-    /// `^`
-    BitXorAny,
-    /// `<<`
-    ShlAny,
-    /// `>>`
-    ShrAny,
-    /// `>>>`
-    UShrAny,
-    /// `~`
-    BitNotAny,
+    // -- generic dynamic-typed operations (mixed string/number operands;
+    //    boxed words in and out) --
     /// `<`
     LtAny,
     /// `<=`
@@ -324,28 +278,32 @@ pub enum Helper {
     GeAny,
     /// `==`
     EqAny,
-    /// `!=`
-    NeAny,
-    /// `===`
-    StrictEqAny,
-    /// `!==`
-    StrictNeAny,
-    /// `!` -> boxed bool
-    NotAny,
-    /// boxed -> 0/1 truthiness
-    TruthyAny,
-    /// boxed -> string handle of `typeof`
-    TypeofAny,
-    /// (boxed base, u32 sym) -> boxed value
-    GetPropAny,
-    /// (boxed base, u32 sym, boxed value) -> 0
-    SetPropAny,
     /// (boxed base, boxed index) -> boxed value
     GetElemAny,
     /// (boxed base, boxed index, boxed value) -> 0
     SetElemAny,
     /// Call a registered native with boxed args: (native id, argc, args...)
     CallNative(NativeId),
+}
+
+impl Helper {
+    /// How many argument words [`call_helper`] reads, or `None` for the
+    /// variadic [`Helper::CallNative`]. A call site with another count is
+    /// malformed (the fragment verifier rejects it before it can run).
+    pub fn arity(self) -> Option<usize> {
+        use Helper::*;
+        Some(match self {
+            Random => 0,
+            Sin | Cos | Tan | Asin | Acos | Atan | Exp | Log | Sqrt | Floor | Ceil | Round
+            | AbsD | NumberToString | IntToString | FromCharCode | StrToNum | ToLowerCase
+            | ToUpperCase | NewArray | NewObject => 1,
+            Atan2 | Pow | MinD | MaxD | SoftAdd | SoftSub | SoftMul | SoftDiv | ConcatStrings
+            | StrEq | StrCmp | CharCodeAt | CharAt | LtAny | LeAny | GtAny | GeAny | EqAny
+            | GetElemAny => 2,
+            Substring | ArraySetElem | SetPropSlow | SetElemAny => 3,
+            CallNative(_) => return None,
+        })
+    }
 }
 
 /// Sentinel "no prototype" handle argument for [`Helper::NewObject`].
@@ -366,6 +324,7 @@ fn boxed(w: Word) -> Value {
     Value::from_raw(w)
 }
 
+#[inline]
 fn maybe_defer_gc(realm: &mut Realm) {
     if realm.heap.should_collect() {
         // On-trace allocation: defer collection to the next safe point
@@ -379,10 +338,15 @@ fn maybe_defer_gc(realm: &mut Realm) {
 ///
 /// # Errors
 ///
-/// Propagates guest [`RuntimeError`]s (e.g. type errors raised by generic
-/// operations on behalf of the method JIT). Compiled traces only call
-/// helpers whose error paths were guarded away during recording, so an
-/// error from trace execution aborts the whole trace run.
+/// Propagates guest [`RuntimeError`]s. Compiled traces only call helpers
+/// whose error paths were guarded away during recording, so an error from
+/// trace execution aborts the whole trace run.
+///
+/// # Panics
+///
+/// Panics when `args` is shorter than [`Helper::arity`], or a
+/// [`Helper::CallNative`] id is not a registered native: the fragment
+/// verifier and the cache loader reject such call sites.
 pub fn call_helper(realm: &mut Realm, h: Helper, args: &[Word]) -> Result<Word, RuntimeError> {
     let w = |v: Value| v.raw();
     // String-producing helpers return raw handles (the trace convention),
@@ -428,7 +392,6 @@ pub fn call_helper(realm: &mut Realm, h: Helper, args: &[Word]) -> Result<Word, 
                 b
             })
         }
-        Helper::ModD => word_from_f64(f64_from_word(args[0]) % f64_from_word(args[1])),
         Helper::SoftAdd => word_from_f64(f64_from_word(args[0]) + f64_from_word(args[1])),
         Helper::SoftSub => word_from_f64(f64_from_word(args[0]) - f64_from_word(args[1])),
         Helper::SoftMul => word_from_f64(f64_from_word(args[0]) * f64_from_word(args[1])),
@@ -487,13 +450,6 @@ pub fn call_helper(realm: &mut Realm, h: Helper, args: &[Word]) -> Result<Word, 
             maybe_defer_gc(realm);
             hs(v)
         }
-        Helper::StrLength => word_from_i32(realm.heap.string(strid(args[0])).len() as i32),
-        Helper::StrIndexOf => {
-            let hay = realm.heap.string(strid(args[0]));
-            let needle = realm.heap.string(strid(args[1]));
-            let pos = find_sub(hay, needle).map(|p| p as i32).unwrap_or(-1);
-            word_from_i32(pos)
-        }
         Helper::Substring => {
             let s = realm.heap.string(strid(args[0]));
             let len = s.len() as i32;
@@ -538,27 +494,6 @@ pub fn call_helper(realm: &mut Realm, h: Helper, args: &[Word]) -> Result<Word, 
             maybe_defer_gc(realm);
             word_from_i32(1)
         }
-        Helper::ArrayGetElem => {
-            let id = obj(args[0]);
-            let i = i32_from_word(args[1]);
-            let v = if i >= 0 { realm.heap.object(id).element(i as u32) } else { Value::UNDEFINED };
-            w(v)
-        }
-        Helper::ArrayLength => {
-            word_from_i32(realm.heap.object(obj(args[0])).array_length() as i32)
-        }
-        Helper::ArrayPush => {
-            let id = obj(args[0]);
-            let o = realm.heap.object_mut(id);
-            o.elements.push(boxed(args[1]));
-            let len = o.elements.len() as i32;
-            maybe_defer_gc(realm);
-            word_from_i32(len)
-        }
-        Helper::ArrayPop => {
-            let id = obj(args[0]);
-            w(realm.heap.object_mut(id).elements.pop().unwrap_or(Value::UNDEFINED))
-        }
         Helper::NewArray => {
             let len = i32_from_word(args[0]).max(0) as usize;
             let id = realm.new_array(len);
@@ -571,74 +506,17 @@ pub fn call_helper(realm: &mut Realm, h: Helper, args: &[Word]) -> Result<Word, 
             maybe_defer_gc(realm);
             u64::from(id.0)
         }
-        Helper::LoadSlot => {
-            let id = obj(args[0]);
-            w(realm.heap.object(id).slots[args[1] as u32 as usize])
-        }
-        Helper::StoreSlot => {
-            let id = obj(args[0]);
-            realm.heap.object_mut(id).slots[args[1] as u32 as usize] = boxed(args[2]);
-            0
-        }
         Helper::SetPropSlow => {
             let id = obj(args[0]);
             realm.set_prop(Value::new_object(id), Sym(args[1] as u32), boxed(args[2]))?;
             maybe_defer_gc(realm);
             0
         }
-        Helper::BoxDouble => {
-            let v = realm.heap.number(f64_from_word(args[0]));
-            maybe_defer_gc(realm);
-            w(v)
-        }
-        Helper::BoxInt => {
-            let v = realm.heap.number_i32(i32_from_word(args[0]));
-            maybe_defer_gc(realm);
-            w(v)
-        }
-        Helper::AddAny => w(ops::add_values(realm, boxed(args[0]), boxed(args[1]))?),
-        Helper::SubAny => w(ops::sub_values(realm, boxed(args[0]), boxed(args[1]))?),
-        Helper::MulAny => w(ops::mul_values(realm, boxed(args[0]), boxed(args[1]))?),
-        Helper::DivAny => w(ops::div_values(realm, boxed(args[0]), boxed(args[1]))?),
-        Helper::ModAny => w(ops::mod_values(realm, boxed(args[0]), boxed(args[1]))?),
-        Helper::NegAny => w(ops::neg_value(realm, boxed(args[0]))?),
-        Helper::BitAndAny => {
-            w(ops::bit_op(realm, ops::BitOp::And, boxed(args[0]), boxed(args[1]))?)
-        }
-        Helper::BitOrAny => w(ops::bit_op(realm, ops::BitOp::Or, boxed(args[0]), boxed(args[1]))?),
-        Helper::BitXorAny => {
-            w(ops::bit_op(realm, ops::BitOp::Xor, boxed(args[0]), boxed(args[1]))?)
-        }
-        Helper::ShlAny => w(ops::bit_op(realm, ops::BitOp::Shl, boxed(args[0]), boxed(args[1]))?),
-        Helper::ShrAny => w(ops::bit_op(realm, ops::BitOp::Shr, boxed(args[0]), boxed(args[1]))?),
-        Helper::UShrAny => w(ops::bit_op(realm, ops::BitOp::UShr, boxed(args[0]), boxed(args[1]))?),
-        Helper::BitNotAny => w(ops::bitnot_value(realm, boxed(args[0]))?),
         Helper::LtAny => w(ops::rel_op(realm, ops::RelOp::Lt, boxed(args[0]), boxed(args[1]))?),
         Helper::LeAny => w(ops::rel_op(realm, ops::RelOp::Le, boxed(args[0]), boxed(args[1]))?),
         Helper::GtAny => w(ops::rel_op(realm, ops::RelOp::Gt, boxed(args[0]), boxed(args[1]))?),
         Helper::GeAny => w(ops::rel_op(realm, ops::RelOp::Ge, boxed(args[0]), boxed(args[1]))?),
         Helper::EqAny => w(Value::new_bool(ops::loose_eq(realm, boxed(args[0]), boxed(args[1])))),
-        Helper::NeAny => w(Value::new_bool(!ops::loose_eq(realm, boxed(args[0]), boxed(args[1])))),
-        Helper::StrictEqAny => {
-            w(Value::new_bool(ops::strict_eq(realm, boxed(args[0]), boxed(args[1]))))
-        }
-        Helper::StrictNeAny => {
-            w(Value::new_bool(!ops::strict_eq(realm, boxed(args[0]), boxed(args[1]))))
-        }
-        Helper::NotAny => w(Value::new_bool(!ops::truthy(realm, boxed(args[0])))),
-        Helper::TruthyAny => word_from_i32(i32::from(ops::truthy(realm, boxed(args[0])))),
-        Helper::TypeofAny => {
-            let s = ops::typeof_str(realm, boxed(args[0]));
-            let v = realm.heap.alloc_string(s);
-            maybe_defer_gc(realm);
-            w(v)
-        }
-        Helper::GetPropAny => w(realm.get_prop(boxed(args[0]), Sym(args[1] as u32))?),
-        Helper::SetPropAny => {
-            realm.set_prop(boxed(args[0]), Sym(args[1] as u32), boxed(args[2]))?;
-            maybe_defer_gc(realm);
-            0
-        }
         Helper::GetElemAny => w(realm.get_elem(boxed(args[0]), boxed(args[1]))?),
         Helper::SetElemAny => {
             realm.set_elem(boxed(args[0]), boxed(args[1]), boxed(args[2]))?;
@@ -660,13 +538,6 @@ pub fn call_helper(realm: &mut Realm, h: Helper, args: &[Word]) -> Result<Word, 
         }
     };
     Ok(r)
-}
-
-fn find_sub(hay: &[u8], needle: &[u8]) -> Option<usize> {
-    if needle.is_empty() {
-        return Some(0);
-    }
-    hay.windows(needle.len()).position(|win| win == needle)
 }
 
 /// True when the object's class word matches `Array` — the check behind the
@@ -730,28 +601,37 @@ mod tests {
         assert!(neg.is_err());
     }
 
+    /// [`Helper::arity`] is exactly what [`call_helper`] reads: a call with
+    /// `arity` zero words runs (results and guest errors aside), one word
+    /// fewer index-panics.
     #[test]
-    fn generic_add_matches_ops() {
-        let mut realm = Realm::new();
-        let r = call_helper(
-            &mut realm,
-            Helper::AddAny,
-            &[Value::new_int(2).raw(), Value::new_int(40).raw()],
-        )
-        .unwrap();
-        assert_eq!(Value::from_raw(r).as_int(), Some(42));
-    }
-
-    #[test]
-    fn box_helpers() {
-        let mut realm = Realm::new();
-        let r = call_helper(&mut realm, Helper::BoxInt, &[word_from_i32(7)]).unwrap();
-        assert_eq!(Value::from_raw(r).as_int(), Some(7));
-        let r = call_helper(&mut realm, Helper::BoxDouble, &[word_from_f64(2.5)]).unwrap();
-        assert_eq!(realm.heap.number_value(Value::from_raw(r)), Some(2.5));
-        // BoxDouble of an integral double re-compresses to the int rep.
-        let r = call_helper(&mut realm, Helper::BoxDouble, &[word_from_f64(3.0)]).unwrap();
-        assert_eq!(Value::from_raw(r).as_int(), Some(3));
+    fn arity_is_what_call_helper_reads() {
+        use Helper::*;
+        let all = [
+            Sin, Cos, Tan, Asin, Acos, Atan, Exp, Log, Sqrt, Floor, Ceil, Round, AbsD, Atan2, Pow,
+            MinD, MaxD, SoftAdd, SoftSub, SoftMul, SoftDiv, Random, NumberToString, IntToString,
+            ConcatStrings, StrEq, StrCmp, CharCodeAt, CharAt, Substring, FromCharCode, StrToNum,
+            ToLowerCase, ToUpperCase, ArraySetElem, NewArray, NewObject, SetPropSlow, LtAny,
+            LeAny, GtAny, GeAny, EqAny, GetElemAny, SetElemAny,
+        ];
+        assert_eq!(all.len(), 45, "every helper but CallNative");
+        assert_eq!(CallNative(NativeId(0)).arity(), None);
+        for h in all {
+            let n = h.arity().expect("fixed arity");
+            // Handle 0 is a live object and, after one allocation, a live
+            // string.
+            let args = vec![0u64; n];
+            let mut realm = Realm::new();
+            realm.heap.alloc_string("x");
+            let _ = call_helper(&mut realm, h, &args);
+            if n > 0 {
+                let short = std::panic::catch_unwind(|| {
+                    let mut realm = Realm::new();
+                    let _ = call_helper(&mut realm, h, &args[..n - 1]);
+                });
+                assert!(short.is_err(), "{h:?} reads fewer than {n} words");
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //!   an entry in the exit table;
 //! * every activation-record slot the code addresses is inside the tree's
 //!   activation record (both executors index it unchecked);
+//! * every `CallHelper` passes exactly the argument words its helper reads
+//!   (`call_helper` indexes them by position, inside an `extern "sysv64"`
+//!   shim on the native tier, where a panic aborts the process);
 //! * the fragment ends with exactly one terminator (`LoopBack`, `End`, or
 //!   a fused loop-edge compare-branch), and none appears earlier.
 //!
@@ -66,6 +69,16 @@ pub enum FragmentError {
         /// The offending slot.
         slot: u16,
     },
+    /// A `CallHelper` passes another number of arguments than its helper
+    /// reads (`Helper::arity`).
+    HelperArity {
+        /// Instruction index.
+        pc: usize,
+        /// How many arguments the call site passes.
+        passed: usize,
+        /// How many the helper reads.
+        arity: usize,
+    },
     /// A `CallTree` names a nested call site the tree does not have (only
     /// reachable through [`verify_loaded_fragments`]; the recorder numbers
     /// the sites it creates).
@@ -111,6 +124,9 @@ impl std::fmt::Display for FragmentError {
             }
             FragmentError::ArSlotOutOfRange { pc, slot } => {
                 write!(f, "pc {pc}: AR slot {slot} outside the activation record")
+            }
+            FragmentError::HelperArity { pc, passed, arity } => {
+                write!(f, "pc {pc}: helper call passes {passed} arguments, the helper reads {arity}")
             }
             FragmentError::NestedSiteOutOfRange { pc, site } => {
                 write!(f, "pc {pc}: nested call site {site} outside the tree's site table")
@@ -168,6 +184,11 @@ pub fn verify_fragment(frag: &Fragment, ar_slots: usize) -> Result<(), FragmentE
                 }
                 if !stored_spills[slot as usize] {
                     return Err(FragmentError::SpillReadBeforeWrite { pc, slot });
+                }
+            }
+            MachInst::CallHelper { helper, ref args, .. } => {
+                if let Some(arity) = helper.arity().filter(|&n| n != args.len()) {
+                    return Err(FragmentError::HelperArity { pc, passed: args.len(), arity });
                 }
             }
             _ => {}
@@ -479,6 +500,27 @@ mod tests {
         );
     }
 
+    #[test]
+    fn rejects_helper_call_with_the_wrong_argument_count() {
+        use tm_runtime::{Helper, NativeId};
+        let call = |helper, args: &[u8]| {
+            let mut frag = ok_frag();
+            frag.code.insert(1, CallHelper { d: 1, helper, args: args.into(), exit: 0 });
+            verify_fragment(&frag, AR)
+        };
+        assert_eq!(call(Helper::Atan2, &[0, 0]), Ok(()));
+        assert_eq!(
+            call(Helper::Atan2, &[]),
+            Err(FragmentError::HelperArity { pc: 1, passed: 0, arity: 2 })
+        );
+        assert_eq!(
+            call(Helper::Random, &[0]),
+            Err(FragmentError::HelperArity { pc: 1, passed: 1, arity: 0 })
+        );
+        // `CallNative` is variadic; its id is the loader's to check.
+        assert_eq!(call(Helper::CallNative(NativeId(9)), &[0, 0, 0]), Ok(()));
+    }
+
     fn operands_of(inst: &MachInst) -> Vec<Operand> {
         let mut ops = Vec::new();
         inst.operands(|o| ops.push(o));
@@ -544,6 +586,6 @@ mod tests {
             }
             assert!(probed.iter().all(|&p| p), "{base:?}: an operand with no encoded field");
         }
-        assert_eq!(variants, 79);
+        assert_eq!(variants, 67);
     }
 }

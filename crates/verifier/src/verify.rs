@@ -19,7 +19,7 @@
 //!    type map, and map types must be consistent with the types the trace
 //!    (or its entry map) actually puts in those activation-record slots.
 
-use tm_lir::{ArSlot, Lir, LirId, LirTrace, LirType, NO_EXIT};
+use tm_lir::{ArSlot, CmpOp, Lir, LirId, LirTrace, LirType, Tag, NO_EXIT};
 
 /// What an operand position accepts. Coarser than [`LirType`] because the
 /// recorder works on raw words: a `Bool` is a 0/1 word and is valid
@@ -40,7 +40,7 @@ pub enum TypeClass {
     /// A raw tagged value word: `Boxed`, `Null`, or `Undefined`.
     BoxedWord,
     /// Integer-comparable word: `IntWord` plus object handles (identity
-    /// comparison via `EqI`).
+    /// comparison via `CmpI(Eq)`).
     EqWord,
     /// Any value (helper-call arguments, raw AR stores).
     Any,
@@ -241,7 +241,7 @@ impl std::error::Error for VerifyError {}
 /// slot holding an SSA value of LIR type `lir_ty`.
 ///
 /// `Int` and `Bool` are one word class in both directions: the recorder
-/// labels 0/1 integer words (e.g. the `OrI` that truthiness tests compile
+/// labels 0/1 integer words (e.g. the `AluI(Or)` that truthiness tests compile
 /// to) as boolean shadow values and feeds booleans to integer arithmetic
 /// after `ToNumber`, so either label may back either map type. The three
 /// boxed-word types are likewise interchangeable at the word level
@@ -265,26 +265,24 @@ fn operand_classes(op: &Lir, out: &mut Vec<TypeClass>) {
         // Raw word into the activation record; boxing type is the exit
         // map's business, not the store's.
         WriteAr { .. } => out.push(Any),
-        AddI(..) | SubI(..) | MulI(..) | AndI(..) | OrI(..) | XorI(..) | ShlI(..) | ShrI(..)
-        | UShrI(..) | AddIChk(..) | SubIChk(..) | MulIChk(..) | ModIChk(..) | ShlIChk(..)
-        | UShrIChk(..) => out.extend([IntWord, IntWord]),
-        NotI(_) | NegI(_) | NegIChk(..) | I2D(_) | U2D(_) | ChkRangeI(..) | BoxI(_) => {
-            out.push(IntWord);
-        }
-        AddD(..) | SubD(..) | MulD(..) | DivD(..) | ModD(..) | EqD(..) | LtD(..) | LeD(..)
-        | GtD(..) | GeD(..) => out.extend([Double, Double]),
-        NegD(_) | D2IChk(..) | D2I32(_) | BoxD(_) => out.push(Double),
+        AluI(..) | ChkAluI(..) | ModIChk(..) => out.extend([IntWord, IntWord]),
+        NotI(_) | NegI(_) | NegIChk(..) | I2D(_) | U2D(_) | ChkRangeI(..) => out.push(IntWord),
+        AluD(..) | CmpD(..) => out.extend([Double, Double]),
+        NegD(_) | D2IChk(..) | D2I32(_) => out.push(Double),
         // Object handles compare by identity through the integer comparator.
-        EqI(..) => out.extend([EqWord, EqWord]),
-        LtI(..) | LeI(..) | GtI(..) | GeI(..) => out.extend([IntWord, IntWord]),
-        NotB(_) | BoxB(_) | GuardTrue(..) | GuardFalse(..) => out.push(Bool),
-        BoxObj(_) | LoadProto(_) | ArrayLen(_) | GuardShape { .. } | GuardClass { .. } => {
-            out.push(Object);
-        }
-        BoxStr(_) | StrLen(_) => out.push(String),
-        UnboxI(..) | UnboxD(..) | UnboxNumD(..) | UnboxObj(..) | UnboxStr(..) | UnboxBool(..) => {
-            out.push(BoxedWord);
-        }
+        CmpI(CmpOp::Eq, ..) => out.extend([EqWord, EqWord]),
+        CmpI(..) => out.extend([IntWord, IntWord]),
+        NotB(_) | GuardTrue(..) | GuardFalse(..) => out.push(Bool),
+        LoadProto(_) | ArrayLen(_) | GuardShape { .. } | GuardClass { .. } => out.push(Object),
+        StrLen(_) => out.push(String),
+        Box(tag, _) => out.push(match tag {
+            Tag::Int => IntWord,
+            Tag::Double => Double,
+            Tag::Bool => Bool,
+            Tag::Object => Object,
+            Tag::String => String,
+        }),
+        Unbox(..) | UnboxNumD(..) => out.push(BoxedWord),
         // Guards the raw word of a boxed value — or an object handle's
         // identity (function-callee guards compare the handle directly).
         GuardBoxedEq(..) => out.push(Any),
@@ -467,7 +465,7 @@ mod tests {
             code: vec![
                 Lir::Import { slot: 0, ty: LirType::Int },
                 Lir::ConstI(1),
-                Lir::AddIChk(0, 1, ExitId(0)),
+                Lir::ChkAluI(tm_lir::ChkOp::Add, 0, 1, ExitId(0)),
                 Lir::WriteAr { slot: 0, v: 2 },
                 Lir::LoopBack(ExitId(1)),
             ],

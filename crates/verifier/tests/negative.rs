@@ -4,7 +4,7 @@
 //! rejects it with the *specific* [`VerifyError`] variant — not just any
 //! error.
 
-use tm_lir::{ArSlot, ExitId, Lir, LirTrace, LirType};
+use tm_lir::{ArSlot, ChkOp, CmpOp, ExitId, Lir, LirTrace, LirType};
 use tm_verifier::{verify_trace, ExitView, TypeClass, VerifyError};
 
 /// A well-formed single-loop trace shaped like the paper's Figure 3:
@@ -18,11 +18,11 @@ fn valid() -> (LirTrace, Vec<ExitView>, Vec<(ArSlot, LirType)>) {
         code: vec![
             /* 0 */ Lir::Import { slot: 0, ty: LirType::Int },
             /* 1 */ Lir::ConstI(10),
-            /* 2 */ Lir::LtI(0, 1),
+            /* 2 */ Lir::CmpI(CmpOp::Lt, 0, 1),
             /* 3 */ Lir::WriteAr { slot: 1, v: 2 },
             /* 4 */ Lir::GuardTrue(2, ExitId(0)),
             /* 5 */ Lir::ConstI(1),
-            /* 6 */ Lir::AddIChk(0, 5, ExitId(1)),
+            /* 6 */ Lir::ChkAluI(ChkOp::Add, 0, 5, ExitId(1)),
             /* 7 */ Lir::WriteAr { slot: 0, v: 6 },
             /* 8 */ Lir::LoopBack(ExitId(2)),
         ],
@@ -78,7 +78,7 @@ fn guard_referencing_an_undeclared_exit_is_missing() {
 #[test]
 fn swapping_an_operand_to_double_is_a_type_mismatch() {
     let (mut t, e, entry) = valid();
-    // The AddIChk increment becomes a double constant.
+    // The checked-add increment becomes a double constant.
     t.code[5] = Lir::ConstD(0x3FF0000000000000);
     assert_eq!(
         verify_trace(&t, &e, &entry),
@@ -105,7 +105,7 @@ fn removing_a_stack_write_unbalances_the_exit() {
 #[test]
 fn forward_operand_reference_is_use_before_def() {
     let (mut t, e, entry) = valid();
-    t.code[2] = Lir::LtI(0, 7);
+    t.code[2] = Lir::CmpI(CmpOp::Lt, 0, 7);
     assert_eq!(
         verify_trace(&t, &e, &entry),
         Err(VerifyError::UseBeforeDef { at: 2, operand: 7 })

@@ -6,7 +6,7 @@
 //! cargo run --release --example dump_lir
 //! ```
 
-use tracemonkey::lir::{FilterOptions, Lir, LirBuffer, LirType};
+use tracemonkey::lir::{CmpOp, FilterOptions, Lir, LirBuffer, LirType};
 use tracemonkey::nanojit::assemble;
 use tracemonkey::runtime::Helper;
 
@@ -34,7 +34,7 @@ fn main() {
         exit: e2,
     });
     let zero = buf.emit(Lir::ConstI(0));
-    let ok = buf.emit(Lir::EqI(set, zero));
+    let ok = buf.emit(Lir::CmpI(CmpOp::Eq, set, zero));
     let e3 = buf.alloc_exit();
     buf.emit(Lir::GuardFalse(ok, e3)); // xt: side exit if js_Array_set failed
     let e4 = buf.alloc_exit();

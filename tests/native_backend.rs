@@ -226,3 +226,33 @@ fn mixed_program_agrees_across_tiers_and_interpreter() {
     assert_eq!(native_shown, interp_shown);
     assert_eq!(decoded_shown, interp_shown);
 }
+
+/// Boxing an out-of-range int on trace allocates a heap double (the
+/// demotion filter turns `Box(Double, I2D(x))` into `Box(Int, x)` for a
+/// full-range `x` such as `i << 16`), so it must flag the collection like
+/// every other on-trace allocation: loop edges poll only that flag.
+#[test]
+fn boxing_an_out_of_range_int_on_trace_asks_for_gc() {
+    const SRC: &str = "var a = [0]; for (var i = 0; i < 200000; i++) { a[0] = i << 16; } a[0]";
+    let run = |engine: Engine, native: bool| {
+        let mut opts = JitOptions::default();
+        opts.native_backend = native;
+        let mut vm = Vm::with_options(engine, opts);
+        vm.realm.heap.set_gc_threshold(10_000);
+        let v = vm.eval(SRC).expect("program runs");
+        let shown = tracemonkey::runtime::ops::to_display(&mut vm.realm, v);
+        let doubles_arena = vm.realm.heap.arena_layout()[2].0;
+        (shown, vm.realm.heap.gc_stats().collections, doubles_arena)
+    };
+    let (expected, interp_collections, interp_arena) = run(Engine::Interp, false);
+    assert!(interp_collections > 0, "the program allocates past the threshold");
+    for native in [true, false] {
+        let (shown, collections, arena) = run(Engine::Tracing, native);
+        assert_eq!(shown, expected);
+        assert!(collections > 0, "native={native}: no collection in {arena} double cells");
+        assert!(
+            arena <= 2 * interp_arena,
+            "native={native}: doubles arena grew to {arena} cells, the interpreter's to {interp_arena}"
+        );
+    }
+}

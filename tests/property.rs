@@ -16,7 +16,7 @@
 
 use tm_support::prop::{self, Config};
 use tm_support::{prop_assert, prop_assert_eq, TmRng};
-use tracemonkey::lir::{FilterOptions, Lir, LirBuffer, LirType};
+use tracemonkey::lir::{AluOp, CmpOp, FilterOptions, Lir, LirBuffer, LirType};
 use tracemonkey::nanojit::{assemble, execute, NoNesting};
 use tracemonkey::runtime::{ops, Realm};
 use tracemonkey::Value;
@@ -102,12 +102,15 @@ fn add_values_matches_f64_semantics() {
 enum Node {
     Import(u8),
     Const(i32),
-    Bin(u8, Box<Node>, Box<Node>),
+    Alu(AluOp, Box<Node>, Box<Node>),
+    /// A comparison, whose 0/1 result feeds integer arithmetic.
+    Cmp(CmpOp, Box<Node>, Box<Node>),
     Un(u8, Box<Node>),
 }
 
 /// The old recursive strategy: leaves are imports/constants, inner nodes
-/// binary (3:1 over unary), recursion capped at `depth`.
+/// binary (3:1 over unary) with the op drawn from the op enums' `ALL`,
+/// recursion capped at `depth`.
 fn gen_node(g: &mut TmRng, depth: u32) -> Node {
     if depth == 0 || g.gen_bool(0.3) {
         if g.gen_bool(0.4) {
@@ -116,11 +119,12 @@ fn gen_node(g: &mut TmRng, depth: u32) -> Node {
             Node::Const(g.gen_range(-1000i32..1000))
         }
     } else if g.gen_bool(0.75) {
-        Node::Bin(
-            g.gen_range(0u32..8) as u8,
-            Box::new(gen_node(g, depth - 1)),
-            Box::new(gen_node(g, depth - 1)),
-        )
+        let op = g.gen_range(0usize..AluOp::ALL.len() + CmpOp::ALL.len());
+        let (a, b) = (Box::new(gen_node(g, depth - 1)), Box::new(gen_node(g, depth - 1)));
+        match AluOp::ALL.get(op) {
+            Some(&alu) => Node::Alu(alu, a, b),
+            None => Node::Cmp(CmpOp::ALL[op - AluOp::ALL.len()], a, b),
+        }
     } else {
         Node::Un(g.gen_range(0u32..2) as u8, Box::new(gen_node(g, depth - 1)))
     }
@@ -130,19 +134,15 @@ fn emit(node: &Node, buf: &mut LirBuffer, imports: &[u32; 2]) -> u32 {
     match node {
         Node::Import(i) => imports[*i as usize % 2],
         Node::Const(c) => buf.emit(Lir::ConstI(*c)),
-        Node::Bin(op, a, b) => {
+        Node::Alu(op, a, b) => {
             let x = emit(a, buf, imports);
             let y = emit(b, buf, imports);
-            buf.emit(match op % 8 {
-                0 => Lir::AddI(x, y),
-                1 => Lir::SubI(x, y),
-                2 => Lir::MulI(x, y),
-                3 => Lir::AndI(x, y),
-                4 => Lir::OrI(x, y),
-                5 => Lir::XorI(x, y),
-                6 => Lir::ShlI(x, y),
-                _ => Lir::ShrI(x, y),
-            })
+            buf.emit(Lir::AluI(*op, x, y))
+        }
+        Node::Cmp(op, a, b) => {
+            let x = emit(a, buf, imports);
+            let y = emit(b, buf, imports);
+            buf.emit(Lir::CmpI(*op, x, y))
         }
         Node::Un(op, a) => {
             let x = emit(a, buf, imports);
@@ -199,19 +199,8 @@ fn regalloc_is_correct_under_pressure() {
             Node::Import(0) => a,
             Node::Import(_) => b,
             Node::Const(c) => *c,
-            Node::Bin(op, x, y) => {
-                let (x, y) = (direct(x, a, b), direct(y, a, b));
-                match op % 8 {
-                    0 => x.wrapping_add(y),
-                    1 => x.wrapping_sub(y),
-                    2 => x.wrapping_mul(y),
-                    3 => x & y,
-                    4 => x | y,
-                    5 => x ^ y,
-                    6 => x.wrapping_shl((y & 31) as u32),
-                    _ => x.wrapping_shr((y & 31) as u32),
-                }
-            }
+            Node::Alu(op, x, y) => op.eval(direct(x, a, b), direct(y, a, b)),
+            Node::Cmp(op, x, y) => i32::from(op.eval(direct(x, a, b), direct(y, a, b))),
             Node::Un(op, x) => {
                 let x = direct(x, a, b);
                 if op % 2 == 0 { !x } else { x.wrapping_neg() }
@@ -231,7 +220,7 @@ fn regalloc_is_correct_under_pressure() {
         let vals: Vec<u32> = nodes.iter().map(|n| emit(n, &mut buf, &[i0, i1])).collect();
         let mut accum = vals[0];
         for &v in &vals[1..] {
-            accum = buf.emit(Lir::XorI(accum, v));
+            accum = buf.emit(Lir::AluI(AluOp::Xor, accum, v));
         }
         buf.emit(Lir::WriteAr { slot: 2, v: accum });
         let e = buf.alloc_exit();

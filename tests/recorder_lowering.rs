@@ -6,7 +6,7 @@
 use tracemonkey::nanojit::MachInst;
 use tracemonkey::runtime::Helper;
 use tracemonkey::{Engine, Vm};
-use tm_lir::{AluOp, ChkOp, CmpOp};
+use tm_lir::{AluOp, ChkOp, CmpOp, FOp};
 
 /// Runs `src` under tracing and returns the trunk instructions of the
 /// first compiled tree.
@@ -81,7 +81,7 @@ fn int_loops_use_checked_int_arithmetic() {
     let code = trunk_of("var s = 0; for (var i = 0; i < 500; i++) s += i; s");
     assert!(has_checked(&code, ChkOp::Add),
         "int accumulation compiles to overflow-guarded int add");
-    assert!(!has(&code, |i| matches!(i, MachInst::AddD { .. })),
+    assert!(!has(&code, |i| matches!(i, MachInst::AluD { op: FOp::Add, .. })),
         "no double arithmetic in a pure int loop");
     assert!(!has(&code, |i| matches!(i, MachInst::CallHelper { .. })),
         "no helper calls in a pure int loop");
@@ -90,7 +90,7 @@ fn int_loops_use_checked_int_arithmetic() {
 #[test]
 fn double_loops_use_double_arithmetic_without_guards() {
     let code = trunk_of("var s = 0.5; for (var i = 0; i < 500; i++) s = s + 1.5; s");
-    assert!(has(&code, |i| matches!(i, MachInst::AddD { .. })),
+    assert!(has(&code, |i| matches!(i, MachInst::AluD { op: FOp::Add, .. })),
         "double accumulation compiles to unguarded double add");
 }
 
@@ -204,15 +204,24 @@ fn string_char_code_uses_sentinel_helper() {
 
 #[test]
 fn typeof_needs_no_runtime_dispatch() {
-    // typeof on a type-known value folds to a constant string handle.
+    // typeof on a type-known value is resolved at record time: what reaches
+    // the comparison is a constant string handle, like the literal's.
     let code = trunk_of(
         "var n = 0; for (var i = 0; i < 500; i++) if (typeof i === 'number') n++; n",
     );
-    assert!(
-        !has(&code, |i| matches!(
-            i,
-            MachInst::CallHelper { helper: Helper::TypeofAny, .. }
-        )),
-        "typeof of a typed value is resolved at record time"
-    );
+    let (at, args) = code
+        .iter()
+        .enumerate()
+        .find_map(|(at, i)| match i {
+            MachInst::CallHelper { helper: Helper::StrEq, args, .. } => Some((at, args)),
+            _ => None,
+        })
+        .expect("the string comparison");
+    for &reg in args.iter() {
+        let def = code[..at].iter().rev().find(|i| i.dest() == Some(reg));
+        assert!(
+            matches!(def, Some(MachInst::ConstW { .. } | MachInst::ConstWrAr { .. })),
+            "operand r{reg} of the comparison is computed: {def:?}"
+        );
+    }
 }
