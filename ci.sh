@@ -97,6 +97,27 @@ else
     echo "    SKIP: native backend needs Linux x86_64"
 fi
 
+echo "==> nested-call fuzz smoke: the nested family on every engine, then native vs decoded vs interpreter"
+# The generator's second family (`n<seed>`, tests/fuzz_differential.rs):
+# functions that loop over their locals and a global, called from a hot
+# loop with inner loops of its own — nested tree calls (§4) under both
+# kinds of transfer plan. n59/n145/n348 call mostly from inlined frames
+# (the call site is exported first), n61/n89/n64 mostly from the outer
+# tree's entry frame (export deferred), n211 half and half, and n95 is
+# the dead-local regression (a returned inlined frame's locals read back
+# past the interpreter's stack). First pass: all engines against the
+# interpreter, verifier on; second: both tiers of the tracing JIT.
+NESTED_SEEDS="n59,n61,n64,n89,n95,n145,n211,n348"
+TM_FUZZ_SEEDS="$NESTED_SEEDS" \
+    cargo test -q --offline --locked --test fuzz_differential fuzz_replay_seeds
+if [ "$(uname -sm)" = "Linux x86_64" ]; then
+    TM_FUZZ_NATIVE=1 TM_FUZZ_SEEDS="$NESTED_SEEDS" \
+        cargo test -q --offline --locked --test fuzz_differential fuzz_native_tier
+    echo "    OK: nested calls differentially identical on both tiers"
+else
+    echo "    SKIP: native backend needs Linux x86_64"
+fi
+
 echo "==> backend, release profile: every tm-lir and tm-nanojit unit test and the native tier's integration tests"
 # The benchmark and users run --release, where debug assertions and
 # overflow checks are off and the emitter is optimized; every other

@@ -8,6 +8,9 @@
 //! * native tier: native and decoded runs are indistinguishable, every
 //!   trace entry is one native exit or one fallback, and no fragment is
 //!   emitted twice;
+//! * nesting: nested tree calls run under the transfer plans they are
+//!   pinned to — deferred where the call site is in the outer tree's entry
+//!   frame and the inner tree is a leaf;
 //! * warm start: a `.tmc` written by one `Vm` lets a fresh `Vm` load
 //!   every tree and record nothing;
 //! * multi-tenant: concurrent realms answer like one realm and share
@@ -15,9 +18,10 @@
 //!
 //! A few checks are relative to the last accepted state and read it from
 //! `tests/golden/suite_gates.txt`, one `program counter value` per line:
-//! `dispatched` and `warm_bytecodes` may not grow by more than 5 %, and a
-//! flag (`ran_native`, `fallback_free`, `warm_started`) that is 1 there
-//! must still be 1. Regenerate with
+//! `dispatched` and `warm_bytecodes` may not grow by more than 5 %,
+//! `nested_calls` and `nested_deferred` are exact, and a flag
+//! (`ran_native`, `fallback_free`, `warm_started`) that is 1 there must
+//! still be 1. Regenerate with
 //! `TM_UPDATE_GOLDEN=1 cargo test -p tm-bench --test suite_gates`.
 
 use std::collections::BTreeMap;
@@ -90,6 +94,9 @@ fn check_pins(observed: &[(&str, &str, u64)]) {
             "dispatched" | "warm_bytecodes" => {
                 let limit = (was as f64 * PIN_TOLERANCE).ceil() as u64;
                 assert!(now <= limit, "{p}: {c} {now} exceeds the accepted {was} by more than 5 %");
+            }
+            "nested_calls" | "nested_deferred" => {
+                assert_eq!(now, was, "{p}: {c} moved from the accepted count")
             }
             _ => assert!(was == 0 || now != 0, "{p}: {c} was set in the accepted state, not now"),
         }
@@ -184,6 +191,40 @@ fn native_tier_is_invisible_and_its_accounting_balances() {
         observed.push((*name, "dispatched", native.native_insts));
         observed.push((*name, "ran_native", u64::from(native.native_exits > 0)));
         observed.push((*name, "fallback_free", u64::from(native.native_fallbacks == 0)));
+    }
+    check_pins(&observed);
+}
+
+// ---- nesting ---------------------------------------------------------
+
+/// One call site in the outer tree's entry frame calling a leaf
+/// (`string-fasta`, `3d-cube`), a mix of leaf and non-leaf callees
+/// (`access-fannkuch`), and a call site inside an inlined frame
+/// (`bitops-bits-in-byte`: the plan exports first; deferring there needs
+/// slot keys shifted by the frame depth).
+const NESTED_SMOKE: &[&str] =
+    &["string-fasta", "3d-cube", "access-fannkuch", "bitops-bits-in-byte"];
+
+#[test]
+fn nested_calls_run_under_the_plans_they_are_pinned_to() {
+    let decoded_opts = JitOptions { native_backend: false, ..JitOptions::default() };
+    let mut observed = Vec::new();
+    for name in NESTED_SMOKE {
+        let (_, stats) = traced(name, JitOptions::default());
+        let (_, decoded) = traced(name, decoded_opts);
+        let calls = |s: &ProfileStats| (s.nested_calls, s.nested_deferred);
+        assert_eq!(calls(&stats), calls(&decoded), "{name}: the tiers run different plans");
+        assert!(stats.nested_calls > 0 && stats.nested_calls < stats.trace_enters, "{name}");
+        let deferred_share = stats.nested_deferred as f64 / stats.nested_calls as f64;
+        match *name {
+            "string-fasta" | "3d-cube" => {
+                assert!(deferred_share >= 0.99, "{name}: {deferred_share:.3} deferred")
+            }
+            "bitops-bits-in-byte" => assert_eq!(stats.nested_deferred, 0, "{name}"),
+            _ => {}
+        }
+        observed.push((*name, "nested_calls", stats.nested_calls));
+        observed.push((*name, "nested_deferred", stats.nested_deferred));
     }
     check_pins(&observed);
 }

@@ -107,6 +107,27 @@ impl ArLayout {
     }
 }
 
+/// A free list of activation-record buffers: a tree entry takes one and
+/// the exit gives it back, so a warm monitor enters trees without
+/// allocating.
+#[derive(Debug, Default)]
+pub struct ArPool(Vec<Vec<u64>>);
+
+impl ArPool {
+    /// A zeroed record of `len` words.
+    pub fn take(&mut self, len: usize) -> Vec<u64> {
+        let mut ar = self.0.pop().unwrap_or_default();
+        ar.clear();
+        ar.resize(len, 0);
+        ar
+    }
+
+    /// Returns a record to the list.
+    pub fn give(&mut self, ar: Vec<u64>) {
+        self.0.push(ar);
+    }
+}
+
 /// Checks whether a boxed interpreter value matches an entry type — the
 /// trace-cache lookup test ("a trace can be entered if the PC and the types
 /// of values match those observed when recording was started").
@@ -155,6 +176,37 @@ pub fn box_from_word(realm: &mut Realm, w: u64, ty: LirType) -> Value {
         LirType::Null => Value::NULL,
         LirType::Undefined => Value::UNDEFINED,
         LirType::Boxed => Value::from_raw(w),
+    }
+}
+
+/// Moves a word between two activation records: what `box_from_word`
+/// at `from` followed by the entry check and `unbox_to_word` at `to`
+/// yields, without the trip through the heap for the numeric, boolean and
+/// handle pairs. `None` where the entry check would have refused the
+/// boxed value: an `Int` word outside the inline 31-bit range boxes as a
+/// double cell, which an `Int` slot rejects, and only an integral double
+/// other than `-0.0` re-compresses to an inline integer.
+#[inline]
+pub fn transfer(realm: &mut Realm, w: u64, from: LirType, to: LirType) -> Option<u64> {
+    use LirType::{Bool, Double, Int, Object, String};
+    match (from, to) {
+        (Int, Int) => {
+            let i = i64::from(w as i32);
+            Value::fits_int(i).then_some(i as u64)
+        }
+        (Int, Double) => Some(f64::from(w as i32).to_bits()),
+        (Double, Double) => Some(w),
+        (Double, Int) => {
+            let d = f64::from_bits(w);
+            let inline = d == d.trunc() && !(d == 0.0 && d.is_sign_negative());
+            (inline && Value::fits_int(d as i64)).then_some(d as i64 as u64)
+        }
+        (Bool, Bool) => Some(u64::from(w != 0)),
+        (Object, Object) | (String, String) => Some(u64::from(w as u32)),
+        _ => {
+            let v = box_from_word(realm, w, from);
+            value_matches(v, to).then(|| unbox_to_word(realm, v, to))
+        }
     }
 }
 
@@ -257,20 +309,7 @@ pub fn export(
     let entry_nlocals = interp.prog().function(entry_func).nlocals as usize;
     interp.stack.truncate(entry_base + entry_nlocals);
 
-    // Globals and entry-frame locals write back in place.
-    for b in &exit.write_back {
-        match b.key {
-            SlotKey::Global(g) => {
-                let v = box_from_word(realm, ar[b.ar as usize], b.ty);
-                realm.set_global(g, v);
-            }
-            SlotKey::Local { depth: 0, slot: l } => {
-                let v = box_from_word(realm, ar[b.ar as usize], b.ty);
-                interp.stack[entry_base + l as usize] = v;
-            }
-            _ => {}
-        }
-    }
+    write_variables(&exit.write_back, ar, entry_frame_idx, interp, realm);
     // Entry-frame operand stack, in push order.
     push_frame_stack(exit, 0, ar, interp, realm);
     interp.frames[entry_frame_idx].pc = exit.frames[0].resume_pc;
@@ -299,6 +338,33 @@ pub fn export(
             base: base as u32,
             is_construct: fd.is_construct,
         });
+    }
+}
+
+/// Boxes the variables among `bindings` — globals and entry-frame locals —
+/// back in place; operand-stack entries and inlined frames are
+/// [`export`]'s. All of a nested call's return that a later exit of the
+/// calling trace would not redo.
+pub fn write_variables(
+    bindings: &[SlotBinding],
+    ar: &[u64],
+    entry_frame_idx: usize,
+    interp: &mut Interp,
+    realm: &mut Realm,
+) {
+    let entry_base = interp.frames[entry_frame_idx].base as usize;
+    for b in bindings {
+        match b.key {
+            SlotKey::Global(g) => {
+                let v = box_from_word(realm, ar[b.ar as usize], b.ty);
+                realm.set_global(g, v);
+            }
+            SlotKey::Local { depth: 0, slot: l } => {
+                let v = box_from_word(realm, ar[b.ar as usize], b.ty);
+                interp.stack[entry_base + l as usize] = v;
+            }
+            _ => {}
+        }
     }
 }
 
@@ -468,6 +534,110 @@ mod tests {
             arith_site: None,
         };
         (realm, interp, globals, exit, ar)
+    }
+
+    /// The reference for [`transfer`] is the round trip it replaces.
+    #[test]
+    fn transfer_is_box_then_entry_check_then_unbox_for_every_type_pair() {
+        use tm_runtime::value::{INT_MAX, INT_MIN};
+        let mut realm = Realm::new();
+        let object = u64::from(realm.heap.alloc_object(tm_runtime::Object::new_plain(None)).0);
+        let string = u64::from(realm.heap.alloc_string("live").as_string().unwrap().0);
+        let half = realm.heap.alloc_double(0.5).raw();
+        let int = |i: i64| i as u64;
+        let mut words = vec![
+            0,
+            1,
+            int(-1),
+            int(INT_MAX),
+            int(INT_MAX + 1),
+            int(INT_MIN),
+            int(INT_MIN - 1),
+            int(i64::from(i32::MIN)),
+            int(i64::from(i32::MAX)),
+            // The same integers as a native 32-bit store leaves them.
+            u64::from(-1i32 as u32),
+            u64::from((INT_MIN - 1) as i32 as u32),
+            object,
+            string,
+        ];
+        // What a boxed slot can hold: values.
+        let values = [
+            Value::TRUE.raw(),
+            Value::FALSE.raw(),
+            Value::NULL.raw(),
+            Value::UNDEFINED.raw(),
+            Value::new_int(-7).raw(),
+            Value::new_int(INT_MAX as i32).raw(),
+            Value::new_object(ObjectId(object as u32)).raw(),
+            Value::new_string(tm_runtime::StringId(string as u32)).raw(),
+            half,
+        ];
+        words.extend(values);
+        let doubles = [
+            0.0,
+            -0.0,
+            0.5,
+            -1.0,
+            INT_MAX as f64,
+            (INT_MAX + 1) as f64,
+            INT_MIN as f64,
+            (INT_MIN - 1) as f64,
+            2f64.powi(31),
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        words.extend(doubles.map(f64::to_bits));
+
+        // What a word means at a type, so that two boxings of one double
+        // (distinct cells) compare equal.
+        let meaning = |realm: &mut Realm, w: u64, ty: LirType| match ty {
+            LirType::Boxed => match Value::from_raw(w).unpack() {
+                Unpacked::Double(d) => format!("double {:#x}", realm.heap.double(d).to_bits()),
+                other => format!("{other:?}"),
+            },
+            _ => format!("{w:#x}"),
+        };
+        for from in TYPES {
+            for to in TYPES {
+                for &w in &words {
+                    // A handle type only ever holds a live handle, and a
+                    // boxed slot a value.
+                    let holds = match from {
+                        LirType::Object => w == object,
+                        LirType::String => w == string,
+                        LirType::Boxed => values.contains(&w),
+                        _ => true,
+                    };
+                    if !holds {
+                        continue;
+                    }
+                    let boxed = box_from_word(&mut realm, w, from);
+                    let reference =
+                        value_matches(boxed, to).then(|| unbox_to_word(&realm, boxed, to));
+                    let moved = transfer(&mut realm, w, from, to);
+                    assert_eq!(moved.is_some(), reference.is_some(), "{w:#x} {from:?}->{to:?}");
+                    if let (Some(m), Some(r)) = (moved, reference) {
+                        let (m, r) = (meaning(&mut realm, m, to), meaning(&mut realm, r, to));
+                        assert_eq!(m, r, "{w:#x} {from:?}->{to:?}");
+                    }
+                }
+            }
+        }
+        // The refusals the nesting host relies on, spelled out.
+        let mut t = |w, from, to| transfer(&mut realm, w, from, to);
+        assert_eq!(t(int(INT_MAX + 1), LirType::Int, LirType::Int), None, "boxes as a double");
+        assert_eq!(
+            t(int(INT_MAX + 1), LirType::Int, LirType::Double),
+            Some(((INT_MAX + 1) as f64).to_bits())
+        );
+        assert_eq!(t(3f64.to_bits(), LirType::Double, LirType::Int), Some(3));
+        assert_eq!(t((-3f64).to_bits(), LirType::Double, LirType::Int), Some(int(-3)));
+        assert_eq!(t((-0f64).to_bits(), LirType::Double, LirType::Int), None);
+        assert_eq!(t(0.5f64.to_bits(), LirType::Double, LirType::Int), None);
+        assert_eq!(t(7, LirType::Bool, LirType::Bool), Some(1), "normalised");
+        assert_eq!(t(object, LirType::Object, LirType::String), None);
     }
 
     #[test]

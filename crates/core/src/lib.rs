@@ -5,11 +5,15 @@
 //! built on the substrate crates:
 //!
 //! * [`monitor`] — the mixed-mode state machine (Figure 2): hotness
-//!   counting, trace-cache lookup, branch extension, stability linking,
-//!   and the nested-tree host (§4);
+//!   counting, trace-cache lookup, tree runs, branch extension and
+//!   stability linking;
 //! * [`activation`] — the state transfer between interpreter and
 //!   activation record: [`activation::import`] at tree entry,
-//!   [`activation::export`] (with frame synthesis) at side exits;
+//!   [`activation::export`] (with frame synthesis) at side exits,
+//!   [`activation::transfer`] between two records;
+//! * [`nest`] — nested tree calls (§4): per-site transfer plans between
+//!   the outer and the inner activation record, and the host that
+//!   executes them;
 //! * [`recorder`] — bytecode → type-specialized SSA LIR with guards
 //!   (§3.1, §6.3);
 //! * [`tree`] — trace trees: the shared, immutable [`tree::TreeCode`] and
@@ -38,6 +42,7 @@ pub mod events;
 pub mod exit;
 pub mod monitor;
 pub mod mt;
+pub mod nest;
 pub mod oracle;
 pub mod persist;
 pub mod pool;

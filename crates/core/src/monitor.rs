@@ -4,22 +4,23 @@
 //! The monitor counts hotness, starts and drives recordings, enters
 //! compiled trees and leaves them at side exits (the state transfer
 //! itself is [`crate::activation`]'s), grows trace trees at hot side
-//! exits, links type-unstable siblings (Figure 6), executes
-//! nested tree calls as the [`TreeHost`] (§4), and applies blacklisting
-//! with nesting forgiveness (§3.3, §4.2).
+//! exits, links type-unstable siblings (Figure 6), runs trees — for
+//! itself and for [`crate::nest`]'s nested calls (§4) — and applies
+//! blacklisting with nesting forgiveness (§3.3, §4.2).
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use tm_interp::{Flow, Interp, RunExit};
-use tm_nanojit::{emit_tree, execute, Fragment, TreeHost, Unsupported};
+use tm_nanojit::{emit_tree, execute, Fragment, Unsupported};
 use tm_runtime::{Realm, RuntimeError, Value};
 
-use crate::activation::{export, import, SlotBinding, SlotKey};
+use crate::activation::{export, import, ArPool, SlotBinding};
 use crate::blacklist::{Blacklist, Verdict};
 use crate::config::JitOptions;
 use crate::events::{AbortReason, EventLog, TraceEvent};
 use crate::exit::ExitKind;
+use crate::nest::NestHost;
 use crate::oracle::Oracle;
 use crate::pool::{compile_trace, CompileJob, CompileOutcome, CompilerPool, Ticket};
 use crate::profiler::{Activity, ProfileStats, Profiler};
@@ -103,7 +104,9 @@ pub struct Monitor {
     pub(crate) slots: Vec<Vec<MonitorSlot>>,
     /// Set by the nesting host when an inner tree took an unexpected exit,
     /// so the top-level loop can extend the *inner* tree (§4.1).
-    pending_inner_exit: Option<(TreeId, u32, u16)>,
+    pub(crate) pending_inner_exit: Option<(TreeId, u32, u16)>,
+    /// Activation records not in use.
+    pub(crate) ars: ArPool,
     /// Completion value captured when the program finished while a branch
     /// recording was shadowing execution.
     finished_during_recording: Option<Value>,
@@ -143,12 +146,23 @@ enum RecResult {
     Abort(AbortReason),
 }
 
-/// A tree entered but not yet run: the handle on its code and the
-/// activation record [`import`] filled from interpreter state.
-struct Entered {
-    tid: TreeId,
-    code: Arc<TreeCode>,
-    ar: Vec<u64>,
+/// A tree entered but not yet run: the handle on its code, the
+/// activation record filled from interpreter state (or, for a nested
+/// call, from the calling trace's record) and the interpreter frame its
+/// slot keys are relative to.
+pub(crate) struct Entered {
+    pub(crate) tid: TreeId,
+    pub(crate) code: Arc<TreeCode>,
+    pub(crate) ar: Vec<u64>,
+    pub(crate) frame: usize,
+}
+
+/// The exit a tree run came back through. `out_of_fuel`: the step budget
+/// ran out on the way, and the caller owes a `StepBudgetExhausted`.
+pub(crate) struct Ran {
+    pub(crate) frag: u32,
+    pub(crate) exit: u16,
+    pub(crate) out_of_fuel: bool,
 }
 
 impl Monitor {
@@ -167,6 +181,7 @@ impl Monitor {
             opts,
             slots: Vec::new(),
             pending_inner_exit: None,
+            ars: ArPool::default(),
             finished_during_recording: None,
             shared: None,
             shared_seen: HashSet::new(),
@@ -289,27 +304,32 @@ impl Monitor {
     /// interpreter state. `None` when the fragment's entry requirements
     /// don't match it — the type-map check and the unboxing are one pass.
     fn enter_tree(
-        &self,
+        cache: &TreeCache,
+        ars: &mut ArPool,
         tid: TreeId,
         start: u32,
         interp: &Interp,
         realm: &Realm,
     ) -> Option<Entered> {
-        let code = &self.cache.tree(tid).code;
-        let mut ar = vec![0u64; code.layout.len()];
-        import(&code.entry_reqs[start as usize], interp, realm, interp.frames.len() - 1, &mut ar)
-            .then(|| Entered { tid, code: Arc::clone(code), ar })
+        let code = &cache.tree(tid).code;
+        let frame = interp.frames.len() - 1;
+        let mut ar = ars.take(code.layout.len());
+        if import(&code.entry_reqs[start as usize], interp, realm, frame, &mut ar) {
+            return Some(Entered { tid, code: Arc::clone(code), ar, frame });
+        }
+        ars.give(ar);
+        None
     }
 
     /// The trace-cache probe of §6.1 through the anchor's dense monitor
     /// slot (no hash lookup): enters the first enabled sibling whose entry
     /// type map the interpreter state matches.
-    fn enter_anchor(&self, anchor: Anchor, interp: &Interp, realm: &Realm) -> Option<Entered> {
+    fn enter_anchor(&mut self, anchor: Anchor, interp: &Interp, realm: &Realm) -> Option<Entered> {
         let slot = &self.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize];
         slot.trees
             .iter()
             .filter(|&&tid| !self.cache.tree(tid).disabled)
-            .find_map(|&tid| self.enter_tree(tid, 0, interp, realm))
+            .find_map(|&tid| Self::enter_tree(&self.cache, &mut self.ars, tid, 0, interp, realm))
     }
 
     /// Handles one loop-edge crossing. Returns `Ok(Some(value))` if the
@@ -751,7 +771,7 @@ impl Monitor {
             self.oracle.mark_double(m);
         }
         let stitch = self.opts.enable_stitching;
-        let tree = self.cache.tree_mut(tid);
+        let tree = self.cache.tree_to_grow(tid);
         // Grows the tree in place when this realm is its only holder; when
         // the shared cache or another realm still holds this version, they
         // keep it and this realm continues on one copy.
@@ -911,7 +931,8 @@ impl Monitor {
                             self.cache.tree(tid).branches[frag as usize][exit as usize]
                         {
                             // Entry requirements not met: interpret.
-                            let Some(next) = self.enter_tree(tid, bfrag, interp, realm)
+                            let (cache, ars) = (&self.cache, &mut self.ars);
+                            let Some(next) = Self::enter_tree(cache, ars, tid, bfrag, interp, realm)
                             else {
                                 return Ok(());
                             };
@@ -1196,20 +1217,34 @@ impl Monitor {
         self.profiler.stats.fragments += 1;
     }
 
-    /// Runs an entered tree from fragment `start`: executes fragments
-    /// natively and restores interpreter state at the exit. Every read of
-    /// the tree's code goes through the handle taken at entry — the
-    /// nesting host needs `&mut self` while the run is in progress.
+    /// Runs an entered tree from the monitor and restores interpreter
+    /// state at the exit it took.
     fn execute_tree(
         &mut self,
-        entered: Entered,
+        mut entered: Entered,
         start: u32,
         interp: &mut Interp,
         realm: &mut Realm,
     ) -> Result<(u32, u16, ExitKind), RuntimeError> {
-        let Entered { tid, code, mut ar } = entered;
-        let entry_frame_idx = interp.frames.len() - 1;
-        self.cache.tree_mut(tid).stats.enters += 1;
+        let ran = self.run_entered(&mut entered, start, interp, realm)?;
+        let kind = self.settle(&entered, &ran, interp, realm);
+        self.ars.give(entered.ar);
+        kind.map(|kind| (ran.frag, ran.exit, kind))
+    }
+
+    /// Runs an entered tree from fragment `start` and does the bookkeeping
+    /// of one trace enter; interpreter state is the caller's to restore
+    /// ([`Monitor::settle`], or a nested site's transfer plan). Every read
+    /// of the tree's code goes through the handle taken at entry — the
+    /// nesting host needs `&mut self` while the run is in progress.
+    pub(crate) fn run_entered(
+        &mut self,
+        entered: &mut Entered,
+        start: u32,
+        interp: &mut Interp,
+        realm: &mut Realm,
+    ) -> Result<Ran, RuntimeError> {
+        let (tid, code) = (entered.tid, &*entered.code);
         self.profiler.stats.trace_enters += 1;
 
         self.profiler.switch(Activity::Native);
@@ -1220,8 +1255,10 @@ impl Monitor {
         // it has at its first execution (so trees loaded from a cache that
         // never run cost nothing) and grown by `install_branch` after
         // that.
+        let installs = self.cache.installs();
+        let tree = self.cache.tree_mut(tid);
+        tree.stats.enters += 1;
         let native = if self.opts.native_backend {
-            let tree = self.cache.tree_mut(tid);
             if matches!(tree.native, NativeCode::NotEmitted) {
                 tree.native = build_native(&code.fragments, &mut self.profiler.stats);
             }
@@ -1238,23 +1275,27 @@ impl Monitor {
         } else {
             None
         };
-        let mut host = NestHost { monitor: self, interp, outer: &code, entry_frame_idx };
+        // The tree's transfer plans travel with the run (a plan is in use
+        // while the monitor runs the tree it calls) and come back after.
+        let mut plans = std::mem::take(&mut tree.plans).current(installs);
+        let frame = entered.frame;
+        let mut host = NestHost { monitor: self, interp, outer: code, plans: &mut plans, frame };
+        let ar = &mut entered.ar[..];
         let trace_exit = if let Some(nt) = native {
-            nt.execute(start, &mut ar, realm, &mut host, fuel)?
+            nt.execute(start, ar, realm, &mut host, fuel)
         } else {
-            execute(&code.fragments, start, &mut ar, realm, &mut host, fuel)?
+            execute(&code.fragments, start, ar, realm, &mut host, fuel)
         };
+        self.cache.tree_mut(tid).plans = plans;
+        let trace_exit = trace_exit?;
         self.profiler.switch(Activity::Monitor);
-        let exit_info = &code.exits[trace_exit.fragment as usize][trace_exit.exit as usize];
-        let kind = exit_info.kind;
+        let mut ran = Ran { frag: trace_exit.fragment, exit: trace_exit.exit, out_of_fuel: false };
         interp.steps_remaining = interp.steps_remaining.saturating_sub(trace_exit.insts);
         if interp.steps_remaining == 0 {
-            // Restore state first so the error surfaces cleanly.
+            // State is restored first so the error surfaces cleanly.
             interp.steps_remaining = 1;
-            if kind != ExitKind::NestedUnexpected {
-                export(exit_info, &ar, entry_frame_idx, interp, realm);
-            }
-            return Err(RuntimeError::StepBudgetExhausted);
+            ran.out_of_fuel = true;
+            return Ok(ran);
         }
 
         // Figure 11 accounting: bytecode-equivalents executed natively.
@@ -1290,14 +1331,32 @@ impl Monitor {
             fragment: trace_exit.fragment,
             exit: trace_exit.exit,
         });
-        if kind != ExitKind::NestedUnexpected {
-            export(exit_info, &ar, entry_frame_idx, interp, realm);
+        Ok(ran)
+    }
+
+    /// Restores interpreter state at the exit `entered` came back
+    /// through: [`export`] (an inner tree's unexpected exit already did),
+    /// the step-budget error if one is owed, and the collection a helper
+    /// asked for, now that the roots are all in interpreter state.
+    pub(crate) fn settle(
+        &mut self,
+        entered: &Entered,
+        ran: &Ran,
+        interp: &mut Interp,
+        realm: &mut Realm,
+    ) -> Result<ExitKind, RuntimeError> {
+        let exit = &entered.code.exits[ran.frag as usize][ran.exit as usize];
+        if exit.kind != ExitKind::NestedUnexpected {
+            export(exit, &entered.ar, entered.frame, interp, realm);
+        }
+        if ran.out_of_fuel {
+            return Err(RuntimeError::StepBudgetExhausted);
         }
         if realm.heap.gc_pending {
             let roots = interp.roots();
             realm.collect_garbage(&roots);
         }
-        Ok((trace_exit.fragment, trace_exit.exit, kind))
+        Ok(exit.kind)
     }
 
     /// Whether any tree's nested-call site calls tree `tid`.
@@ -1326,71 +1385,10 @@ enum RecordError {
     ProgramFinished(Value),
 }
 
-/// The nesting host: executes inner trees on behalf of `CallTree`
-/// instructions in outer traces (§4.1).
-struct NestHost<'a> {
-    monitor: &'a mut Monitor,
-    interp: &'a mut Interp,
-    /// The running outer tree's code, as taken at its entry.
-    outer: &'a TreeCode,
-    entry_frame_idx: usize,
-}
-
-impl TreeHost for NestHost<'_> {
-    fn call_tree(
-        &mut self,
-        site_id: u32,
-        ar: &mut [u64],
-        realm: &mut Realm,
-    ) -> Result<bool, RuntimeError> {
-        let site = &self.outer.nested_sites[site_id as usize];
-        // 1. Sync outer AR → interpreter state at the call site.
-        export(&site.callsite, ar, self.entry_frame_idx, self.interp, realm);
-
-        // 2. Entry check and import for the inner tree.
-        let Some(entered) = self.monitor.enter_tree(site.inner, 0, self.interp, realm) else {
-            return Ok(false);
-        };
-
-        // 3. Execute the inner tree (recursing through this host for its
-        //    own nested calls).
-        let (frag, exit, _kind) = self.monitor.execute_tree(entered, 0, self.interp, realm)?;
-        if (frag, exit) != site.expected_exit {
-            // §4.1 "we must guard on it after the call, and side exit if
-            // the property does not hold."
-            self.monitor.pending_inner_exit = Some((site.inner, frag, exit));
-            return Ok(false);
-        }
-
-        // 4. Refresh the outer AR from interpreter state: everything the
-        // outer trace re-reads (`reimports`, in private slots), plus every
-        // global/local slot that was synced to the interpreter at the call
-        // site or is a loop-persistent write — the inner tree may have
-        // modified those interpreter locations, and later outer exits
-        // write them back from the AR.
-        // Later entries overwrite earlier ones, so the call-site types
-        // (what post-call exits expect for slots written before the call)
-        // take precedence over generic entry/loop-edge types; reimports
-        // use private slots and never collide. Entry slots must also be
-        // refreshed: branch fragments read them, and the inner tree may
-        // have changed the underlying location.
-        let is_variable =
-            |b: &&SlotBinding| matches!(b.key, SlotKey::Global(_) | SlotKey::Local { .. });
-        let refresh = self
-            .outer
-            .entry()
-            .iter()
-            .filter(is_variable)
-            .chain(&self.outer.loop_writes)
-            .chain(site.callsite.write_back.iter().filter(is_variable))
-            .chain(&site.reimports);
-        Ok(import(refresh, self.interp, realm, self.entry_frame_idx, ar))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activation::SlotKey;
     use crate::vm::{Engine, Vm};
 
     fn traced(src: &str) -> Vm {
@@ -1537,22 +1535,22 @@ mod tests {
             m.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize].trees,
             [undef, int, dbl]
         );
-        let entered = |m: &Monitor, realm: &Realm| {
+        let entered = |m: &mut Monitor, realm: &Realm| {
             m.enter_anchor(anchor, &interp, realm).map(|e| (e.tid, e.ar))
         };
 
         realm.set_global(g, Value::new_int(5));
-        assert_eq!(entered(&m, &realm), Some((int, vec![5])), "Int precedes Double");
+        assert_eq!(entered(&mut m, &realm), Some((int, vec![5])), "Int precedes Double");
         realm.set_global(g, Value::UNDEFINED);
-        assert_eq!(entered(&m, &realm).map(|e| e.0), Some(undef));
+        assert_eq!(entered(&mut m, &realm).map(|e| e.0), Some(undef));
         let half = realm.heap.alloc_double(0.5);
         realm.set_global(g, half);
-        assert_eq!(entered(&m, &realm), Some((dbl, vec![0.5f64.to_bits()])));
+        assert_eq!(entered(&mut m, &realm), Some((dbl, vec![0.5f64.to_bits()])));
         realm.set_global(g, Value::NULL);
-        assert_eq!(entered(&m, &realm), None, "no sibling's entry map matches");
+        assert_eq!(entered(&mut m, &realm), None, "no sibling's entry map matches");
         // A disabled sibling is passed over even when it matches.
         realm.set_global(g, Value::new_int(5));
         m.cache.tree_mut(int).disabled = true;
-        assert_eq!(entered(&m, &realm), Some((dbl, vec![5.0f64.to_bits()])));
+        assert_eq!(entered(&mut m, &realm), Some((dbl, vec![5.0f64.to_bits()])));
     }
 }

@@ -1,0 +1,828 @@
+//! Nested tree calls (§4.1): the outer trace "calls the inner loop's tree
+//! like a subroutine".
+//!
+//! Three binding lists the recorder produced meet at a call site: what the
+//! outer trace has written by then (`NestedSite::callsite`), what the
+//! inner tree wants on entry, and what the inner tree's expected exit
+//! writes back. All three are fixed when the trees are installed, so the
+//! traffic between the two activation records is worked out once, as a
+//! [`TransferPlan`], and a call executes the plan: arguments go from the
+//! outer record to the inner one, results come back the same way, and
+//! interpreter state is touched only where neither record holds the value.
+//! The words themselves are moved by [`crate::activation`].
+
+use std::sync::Arc;
+
+use tm_bytecode::Program;
+use tm_interp::Interp;
+use tm_lir::{ArSlot, LirType};
+use tm_nanojit::TreeHost;
+use tm_runtime::{Realm, RuntimeError};
+
+use crate::activation::{export, import, transfer, write_variables, SlotBinding, SlotKey};
+use crate::monitor::{Entered, Monitor};
+use crate::profiler::Activity;
+use crate::tree::{NestedSite, TreeCache, TreeCode};
+
+/// The activation record a moved word is read from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Record {
+    /// The calling trace's, as it is at the call.
+    Outer,
+    /// The inner tree's, as it is at its expected exit.
+    Inner,
+}
+
+/// One word moved between the two records: `to` is filled from `slot` of
+/// `from`, which holds a `ty` there.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Move {
+    from: Record,
+    slot: ArSlot,
+    ty: LirType,
+    to: SlotBinding,
+}
+
+/// What one nested-call site does around the inner tree's run.
+///
+/// A site whose inner tree calls no tree itself, reached in the outer
+/// trace's entry frame, is **deferred**: the call site is not exported.
+/// Nothing reads interpreter state during such a run but the plan's own
+/// interpreter-sourced bindings, and those name locations neither trace
+/// has written. The export is made up for whenever the call does not come
+/// back as expected. Every other site gets the same plan with every source
+/// the interpreter — export, import, run, export, import.
+#[derive(Debug)]
+pub struct TransferPlan {
+    /// Whether the call-site export is deferred.
+    pub deferred: bool,
+    /// The inner tree's entry map: the bindings the outer record holds,
+    /// and the ones only the interpreter does.
+    args: Vec<Move>,
+    args_interp: Vec<SlotBinding>,
+    /// Deferred only: the variables of the inner exit's write-back that no
+    /// later exit of the outer trace restores (it never wrote them).
+    flush: Vec<SlotBinding>,
+    /// What the outer record takes back after the expected exit: its
+    /// tree's entry variables, its loop writes, the call site's variables
+    /// and the site's re-imports, in that order (the last binding of a
+    /// slot wins), split the same way.
+    refresh: Vec<Move>,
+    refresh_interp: Vec<SlotBinding>,
+}
+
+fn is_variable(b: &&SlotBinding) -> bool {
+    matches!(b.key, SlotKey::Global(_) | SlotKey::Local { .. })
+}
+
+/// The binding of `list` that holds `key`.
+fn held(list: &[SlotBinding], key: SlotKey) -> Option<&SlotBinding> {
+    list.iter().find(|b| b.key == key)
+}
+
+/// Drops every element that a later one repeats.
+fn keep_last<T: PartialEq + Copy>(list: &mut Vec<T>) {
+    let all = list.clone();
+    let mut later = all.iter();
+    list.retain(|x| {
+        later.next();
+        !later.as_slice().contains(x)
+    });
+}
+
+impl TransferPlan {
+    /// The plan of `site`, a nested-call site of `outer` calling `inner`,
+    /// in `prog`.
+    pub fn build(
+        prog: &Program,
+        outer: &TreeCode,
+        site: &NestedSite,
+        inner: &TreeCode,
+    ) -> TransferPlan {
+        let (callsite, frames) = (&site.callsite.write_back, &site.callsite.frames);
+        let (frag, exit) = site.expected_exit;
+        let returned = &inner.exits[frag as usize][exit as usize].write_back;
+        // With no export, the interpreter is only known to be current in
+        // its globals and the entry frame's locals: whatever else the call
+        // reads, one of the records has to hold.
+        let in_place =
+            |b: &SlotBinding| matches!(b.key, SlotKey::Global(_) | SlotKey::Local { depth: 0, .. });
+        let holds = |list, b: &SlotBinding| in_place(b) || held(list, b.key).is_some();
+        let deferred = inner.nested_sites.is_empty()
+            && frames.len() == 1
+            && inner.entry().iter().all(|b| holds(callsite, b))
+            && site.reimports.iter().all(|b| holds(returned, b) || holds(callsite, b));
+        let mut plan = TransferPlan {
+            deferred,
+            args: Vec::new(),
+            args_interp: Vec::new(),
+            flush: Vec::new(),
+            refresh: Vec::new(),
+            refresh_interp: Vec::new(),
+        };
+        // A record is a binding's source only while the interpreter has
+        // not been brought up to date with it.
+        let held_in = |from, list: &[SlotBinding], to: SlotBinding| {
+            held(list, to.key).filter(|_| deferred).map(|b| Move { from, slot: b.ar, ty: b.ty, to })
+        };
+        for &to in inner.entry() {
+            match held_in(Record::Outer, callsite, to) {
+                Some(m) => plan.args.push(m),
+                None => plan.args_interp.push(to),
+            }
+        }
+        // A call site's write-back still lists the locals of inlined calls
+        // that have returned: a slot past the locals of the function now
+        // running at its depth names nothing (`export` never looks for it).
+        let alive = |b: &&SlotBinding| match b.key {
+            SlotKey::Local { depth, slot } => {
+                slot < prog.function(frames[depth as usize].func).nlocals
+            }
+            _ => true,
+        };
+        let canonical = outer
+            .entry()
+            .iter()
+            .filter(is_variable)
+            .chain(&outer.loop_writes)
+            .chain(callsite.iter().filter(is_variable).filter(alive));
+        let reimports = site.reimports.iter().map(|b| (b, true));
+        for (&to, reimport) in canonical.map(|b| (b, false)).chain(reimports) {
+            let moved = held_in(Record::Inner, returned, to)
+                .or_else(|| held_in(Record::Outer, callsite, to));
+            match moved {
+                Some(m) => plan.refresh.push(m),
+                // Deferred, a canonical slot whose location neither trace
+                // has written still mirrors it; a re-import slot is the
+                // site's own and has to be filled.
+                None if deferred && !reimport => {}
+                None => plan.refresh_interp.push(to),
+            }
+        }
+        keep_last(&mut plan.refresh);
+        keep_last(&mut plan.refresh_interp);
+        // A double or a boxed word converted to itself neither changes nor
+        // refuses: where nothing else writes its slot, the move is idle.
+        let moves = plan.refresh.clone();
+        plan.refresh.retain(|m| {
+            (m.from, m.slot, m.ty) != (Record::Outer, m.to.ar, m.to.ty)
+                || !matches!(m.ty, LirType::Double | LirType::Boxed)
+                || moves.iter().filter(|o| o.to.ar == m.to.ar).count() > 1
+        });
+        if deferred {
+            let unwritten = |b: &&SlotBinding| held(callsite, b.key).is_none();
+            plan.flush = returned.iter().filter(is_variable).filter(unwritten).copied().collect();
+        }
+        plan
+    }
+
+    /// How many of the plan's bindings are read from the outer activation
+    /// record, the inner one, and interpreter state.
+    pub fn sources(&self) -> (usize, usize, usize) {
+        let moves = self.args.iter().chain(&self.refresh);
+        let inner = moves.clone().filter(|m| m.from == Record::Inner).count();
+        (moves.count() - inner, inner, self.args_interp.len() + self.refresh_interp.len())
+    }
+
+    /// Fills the inner record's entry slots. `false`: the inner tree's
+    /// entry check refused a value.
+    fn load_args(
+        &self,
+        outer: &[u64],
+        inner: &mut [u64],
+        inner_frame: usize,
+        interp: &Interp,
+        realm: &mut Realm,
+    ) -> bool {
+        import(&self.args_interp, interp, realm, inner_frame, inner)
+            && self.args.iter().all(|m| {
+                transfer(realm, outer[m.slot as usize], m.ty, m.to.ty)
+                    .map(|w| inner[m.to.ar as usize] = w)
+                    .is_some()
+            })
+    }
+
+    /// Brings the outer record up to date with what the inner tree left.
+    /// `false`: a value no longer has the type the outer trace holds it
+    /// at; the slots its exits write back are then as they were. The
+    /// moved words are all read before any is written (a canonical slot
+    /// can be listed at two types); `words` is scratch.
+    fn refresh(
+        &self,
+        outer: &mut [u64],
+        inner: &[u64],
+        outer_frame: usize,
+        interp: &Interp,
+        realm: &mut Realm,
+        words: &mut Vec<u64>,
+    ) -> bool {
+        if !import(&self.refresh_interp, interp, realm, outer_frame, outer) {
+            return false;
+        }
+        words.clear();
+        for m in &self.refresh {
+            let from = match m.from {
+                Record::Outer => &*outer,
+                Record::Inner => inner,
+            };
+            match transfer(realm, from[m.slot as usize], m.ty, m.to.ty) {
+                Some(w) => words.push(w),
+                None => return false,
+            }
+        }
+        for (m, &w) in self.refresh.iter().zip(words.iter()) {
+            outer[m.to.ar as usize] = w;
+        }
+        true
+    }
+}
+
+/// One tree's transfer plans, by nested-site id: built at a site's first
+/// call and dropped when any tree of the realm is installed or grown —
+/// the inner tree gaining a branch re-unions its exits' write-backs,
+/// gaining a nested site makes it a caller itself.
+#[derive(Debug, Default)]
+pub struct SitePlans {
+    installs: u64,
+    sites: Vec<Option<TransferPlan>>,
+    /// Scratch of [`TransferPlan::refresh`].
+    words: Vec<u64>,
+}
+
+impl SitePlans {
+    /// These plans if they were built at `installs`, else none.
+    pub(crate) fn current(mut self, installs: u64) -> SitePlans {
+        if self.installs != installs {
+            self.installs = installs;
+            self.sites.clear();
+        }
+        self
+    }
+
+    fn site(
+        &mut self,
+        id: u32,
+        prog: &Program,
+        outer: &TreeCode,
+        cache: &TreeCache,
+    ) -> (&TransferPlan, &mut Vec<u64>) {
+        if self.sites.len() < outer.nested_sites.len() {
+            self.sites.resize_with(outer.nested_sites.len(), || None);
+        }
+        let plan = self.sites[id as usize].get_or_insert_with(|| {
+            let site = &outer.nested_sites[id as usize];
+            TransferPlan::build(prog, outer, site, &cache.tree(site.inner).code)
+        });
+        (plan, &mut self.words)
+    }
+}
+
+/// The nesting host: executes inner trees on behalf of `CallTree`
+/// instructions in outer traces.
+pub(crate) struct NestHost<'a> {
+    pub(crate) monitor: &'a mut Monitor,
+    pub(crate) interp: &'a mut Interp,
+    /// The running outer tree's code, as taken at its entry.
+    pub(crate) outer: &'a TreeCode,
+    pub(crate) plans: &'a mut SitePlans,
+    /// The interpreter frame the outer tree was entered in.
+    pub(crate) frame: usize,
+}
+
+impl TreeHost for NestHost<'_> {
+    fn call_tree(
+        &mut self,
+        site_id: u32,
+        ar: &mut [u64],
+        realm: &mut Realm,
+    ) -> Result<bool, RuntimeError> {
+        // Figure 12: the plan's marshalling is the monitor's time; the
+        // inner run and what the outer trace does next are native time.
+        self.monitor.profiler.switch(Activity::Monitor);
+        let returned = self.call_site(site_id, ar, realm);
+        self.monitor.profiler.switch(Activity::Native);
+        returned
+    }
+}
+
+impl NestHost<'_> {
+    fn call_site(
+        &mut self,
+        site_id: u32,
+        outer_ar: &mut [u64],
+        realm: &mut Realm,
+    ) -> Result<bool, RuntimeError> {
+        let NestHost { monitor, interp, outer, plans, frame } = self;
+        let frame = *frame;
+        let site = &outer.nested_sites[site_id as usize];
+        let (plan, words) = plans.site(site_id, interp.prog(), outer, &monitor.cache);
+        monitor.profiler.stats.nested_calls += 1;
+        monitor.profiler.stats.nested_deferred += u64::from(plan.deferred);
+        if !plan.deferred {
+            export(&site.callsite, outer_ar, frame, interp, realm);
+        }
+
+        let code = Arc::clone(&monitor.cache.tree(site.inner).code);
+        let mut inner = Entered {
+            tid: site.inner,
+            ar: monitor.ars.take(code.layout.len()),
+            code,
+            frame: frame + site.callsite.frames.len() - 1,
+        };
+        let run = if plan.load_args(outer_ar, &mut inner.ar, inner.frame, interp, realm) {
+            monitor.run_entered(&mut inner, 0, interp, realm).map(Some)
+        } else {
+            Ok(None)
+        };
+        let ran = match run {
+            Ok(Some(ran)) => ran,
+            refused_or_failed => {
+                // The inner tree did not run, or a helper of it raised:
+                // the interpreter is left at the call site.
+                if plan.deferred {
+                    export(&site.callsite, outer_ar, frame, interp, realm);
+                }
+                monitor.ars.give(inner.ar);
+                return refused_or_failed.map(|_| false);
+            }
+        };
+
+        // §4.1: "we must guard on it after the call, and side exit if the
+        // property does not hold."
+        let expected = !ran.out_of_fuel && (ran.frag, ran.exit) == site.expected_exit;
+        if !expected {
+            monitor.pending_inner_exit = Some((site.inner, ran.frag, ran.exit));
+        }
+        if !plan.deferred {
+            monitor.settle(&inner, &ran, interp, realm)?;
+        }
+        let returned =
+            expected && plan.refresh(outer_ar, &inner.ar, frame, interp, realm, words);
+        if plan.deferred {
+            if returned {
+                // No collection here: the outer trace's roots are in its
+                // record. `gc_pending` stays set and its loop edge exits
+                // to the monitor.
+                write_variables(&plan.flush, &inner.ar, frame, interp, realm);
+            } else {
+                // The outer trace's `NestedUnexpected` exit restores
+                // nothing: leave the interpreter where the eager sequence
+                // would have, call site first, then the inner exit.
+                export(&site.callsite, outer_ar, frame, interp, realm);
+                monitor.settle(&inner, &ran, interp, realm)?;
+            }
+        }
+        monitor.ars.give(inner.ar);
+        Ok(returned)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::activation::{box_from_word, ArLayout};
+    use crate::exit::{ExitKind, FrameDesc, SideExitInfo};
+    use crate::shared_cache::entry_digest;
+    use crate::tree::{Anchor, TreeId};
+    use tm_runtime::{Unpacked, Value};
+    use tm_support::prop::{self, Config};
+    use tm_support::{prop_assert, prop_assert_eq, TmRng};
+
+    const TYPES: [LirType; 8] = [
+        LirType::Int,
+        LirType::Double,
+        LirType::Object,
+        LirType::String,
+        LirType::Bool,
+        LirType::Null,
+        LirType::Undefined,
+        LirType::Boxed,
+    ];
+    const NVARS: u16 = 6;
+
+    /// Two trees that meet at a call site, the two activation records, and
+    /// an interpreter stopped in a function of `NVARS` locals with `NVARS`
+    /// globals: everything drawn from one seed, so that two builds are
+    /// one state twice.
+    struct Case {
+        realm: Realm,
+        interp: Interp,
+        globals: Vec<u32>,
+        outer: TreeCode,
+        inner: TreeCode,
+        outer_ar: Vec<u64>,
+        /// What the inner tree's run leaves in its record.
+        inner_exit_words: Vec<u64>,
+        /// A later exit of the outer trace: what makes deferred state
+        /// observable.
+        later: SideExitInfo,
+        /// The type each outer slot holds once the call has returned.
+        outer_types: Vec<LirType>,
+    }
+
+    /// A word a slot of type `ty` can hold; the integers and doubles lean
+    /// on the edges where the two numeric types refuse each other.
+    fn word(g: &mut TmRng, realm: &mut Realm, handles: (u64, u64), ty: LirType) -> u64 {
+        use tm_runtime::value::{INT_MAX, INT_MIN};
+        let ints = [INT_MAX + 1, INT_MIN - 1, INT_MAX, INT_MIN, 0, 1, -1, 7];
+        let doubles = [-0.0, (INT_MAX + 1) as f64, 1e300, f64::NAN, 0.5, 0.0, 3.0, -4.0];
+        // The first few of each refuse the other numeric type.
+        let edge = |g: &mut TmRng| match g.gen_bool(0.05) {
+            true => g.gen_range(0usize..8),
+            false => 5 + g.gen_range(0usize..3),
+        };
+        match ty {
+            LirType::Int => ints[edge(g)] as u64,
+            LirType::Double => doubles[edge(g)].to_bits(),
+            LirType::Object => handles.0,
+            LirType::String => handles.1,
+            LirType::Bool => g.below(2),
+            LirType::Null => Value::NULL.raw(),
+            LirType::Undefined => Value::UNDEFINED.raw(),
+            LirType::Boxed => {
+                let of = TYPES[g.gen_range(0usize..7)];
+                let w = word(g, realm, handles, of);
+                box_from_word(realm, w, of).raw()
+            }
+        }
+    }
+
+    fn any_type(g: &mut TmRng) -> LirType {
+        // Mostly numbers: that is where conversions happen.
+        if g.gen_bool(0.7) {
+            [LirType::Int, LirType::Double][g.gen_range(0usize..2)]
+        } else {
+            TYPES[g.gen_range(0usize..TYPES.len())]
+        }
+    }
+
+    fn exit(kind: ExitKind, func: tm_bytecode::FuncId, stack_depth: u16) -> SideExitInfo {
+        SideExitInfo {
+            kind,
+            frames: vec![FrameDesc {
+                func,
+                resume_pc: 1,
+                stack_depth,
+                is_construct: false,
+                callee_raw: 0,
+            }],
+            write_back: vec![],
+            oracle_hint: vec![],
+            typemap: vec![],
+            arith_site: None,
+        }
+    }
+
+    fn tree(
+        anchor: Anchor,
+        layout: ArLayout,
+        entry: Vec<SlotBinding>,
+        exits: Vec<SideExitInfo>,
+    ) -> TreeCode {
+        TreeCode {
+            anchor,
+            digest: entry_digest(anchor, &entry),
+            layout,
+            fragments: Arc::new(vec![]),
+            fragment_bytecodes: vec![],
+            branches: vec![],
+            exits: vec![exits],
+            entry_reqs: vec![entry],
+            nested_sites: vec![],
+            loop_writes: vec![],
+            unstable: false,
+        }
+    }
+
+    fn case(seed: u64) -> Case {
+        let g = &mut TmRng::seed_from_u64(seed);
+        let mut realm = Realm::new();
+        let names: Vec<String> = (0..NVARS).map(|i| format!("g{i}")).collect();
+        let params: Vec<String> = (1..NVARS).map(|i| format!("p{i}")).collect();
+        let src =
+            format!("function f({}) {{ return 0; }} var {};", params.join(", "), names.join(", "));
+        let prog = tm_bytecode::compile(&tm_frontend::parse(&src).unwrap(), &mut realm).unwrap();
+        let func = prog.functions.iter().position(|f| f.nlocals == NVARS).expect("this + params");
+        let func = tm_bytecode::FuncId(func as u32);
+        let anchor = Anchor::func_entry(func, 0);
+        let mut interp = Interp::new(prog, &mut realm);
+        interp.frames[0].func = func;
+        interp.stack.resize(NVARS as usize, Value::UNDEFINED);
+        let globals: Vec<u32> = names.iter().map(|n| realm.lookup_global(n).unwrap()).collect();
+        let object = realm.heap.alloc_object(tm_runtime::Object::new_plain(None));
+        let string = realm.heap.alloc_string("s").as_string().unwrap();
+        let handles = (u64::from(object.0), u64::from(string.0));
+
+        // The variables, holding values of any type.
+        let variables: Vec<SlotKey> = (0..NVARS)
+            .flat_map(|i| {
+                [SlotKey::Global(globals[i as usize]), SlotKey::Local { depth: 0, slot: i }]
+            })
+            .collect();
+        let mut observed = Vec::new();
+        for (i, &key) in variables.iter().enumerate() {
+            let ty = TYPES[g.gen_range(0usize..7)];
+            let w = word(g, &mut realm, handles, ty);
+            let v = box_from_word(&mut realm, w, ty);
+            match key {
+                SlotKey::Global(global) => realm.set_global(global, v),
+                _ => interp.stack[i / 2] = v,
+            }
+            observed.push(crate::activation::observed_type(v));
+        }
+        let subset = |g: &mut TmRng, p: f64| -> Vec<usize> {
+            (0..variables.len()).filter(|_| g.gen_bool(p)).collect()
+        };
+
+        // The outer tree: entry slots hold what the interpreter holds (an
+        // integer sometimes widened), written slots whatever the trace put
+        // there, at types that need not agree from list to list.
+        let mut layout = ArLayout::new();
+        let bind = |layout: &mut ArLayout, key, ty| SlotBinding { ar: layout.slot(key), key, ty };
+        let entry: Vec<SlotBinding> = subset(g, 0.6)
+            .into_iter()
+            .map(|i| {
+                let widen = observed[i] == LirType::Int && g.gen_bool(0.3);
+                bind(&mut layout, variables[i], if widen { LirType::Double } else { observed[i] })
+            })
+            .collect();
+        let loop_writes: Vec<SlotBinding> = subset(g, 0.3)
+            .into_iter()
+            .map(|i| {
+                let ty = match held(&entry, variables[i]) {
+                    Some(b) if g.gen_bool(0.95) => b.ty,
+                    _ => any_type(g),
+                };
+                bind(&mut layout, variables[i], ty)
+            })
+            .collect();
+        let mut written: Vec<SlotBinding> = loop_writes
+            .iter()
+            .map(|b| if g.gen_bool(0.97) { *b } else { SlotBinding { ty: any_type(g), ..*b } })
+            .collect();
+        for i in subset(g, 0.4) {
+            if held(&written, variables[i]).is_none() {
+                let ty = match held(&entry, variables[i]) {
+                    Some(b) if g.gen_bool(0.95) => b.ty,
+                    _ => any_type(g),
+                };
+                written.push(bind(&mut layout, variables[i], ty));
+            }
+        }
+        let outer_depth = g.below(3) as u16;
+        for idx in 0..outer_depth {
+            written.push(bind(&mut layout, SlotKey::Stack { depth: 0, idx }, any_type(g)));
+        }
+        let inner_depth = g.below(3) as u16;
+        let mut callsite = exit(ExitKind::NestedUnexpected, func, outer_depth);
+        callsite.write_back = written;
+
+        // The inner tree: wants and returns what it likes.
+        let mut inner_layout = ArLayout::new();
+        let inner_entry: Vec<SlotBinding> = subset(g, 0.4)
+            .into_iter()
+            .map(|i| {
+                // Usually the type the value has, so that calls go through.
+                let ty = if g.gen_bool(0.95) {
+                    held(&callsite.write_back, variables[i]).map_or(observed[i], |b| b.ty)
+                } else {
+                    any_type(g)
+                };
+                bind(&mut inner_layout, variables[i], ty)
+            })
+            .collect();
+        let mut expected = exit(ExitKind::LeaveLoop, func, inner_depth);
+        for i in subset(g, 0.4) {
+            // Usually at the type the outer trace holds the variable at.
+            let ty = if g.gen_bool(0.95) {
+                held(&callsite.write_back, variables[i])
+                    .or_else(|| held(&entry, variables[i]))
+                    .map_or_else(|| any_type(g), |b| b.ty)
+            } else {
+                any_type(g)
+            };
+            expected.write_back.push(bind(&mut inner_layout, variables[i], ty));
+        }
+        for idx in 0..inner_depth {
+            let key = SlotKey::Stack { depth: 0, idx };
+            expected.write_back.push(bind(&mut inner_layout, key, any_type(g)));
+        }
+        let mut inner_exit_words = vec![0u64; inner_layout.len()];
+        for b in &expected.write_back {
+            inner_exit_words[b.ar as usize] = word(g, &mut realm, handles, b.ty);
+        }
+        // What the outer trace reads again after the call, usually at
+        // the type it will find.
+        let mut reimports = Vec::new();
+        let keys = subset(g, 0.3).into_iter().map(|i| variables[i]);
+        let keys = keys.chain((0..inner_depth).map(|idx| SlotKey::Stack { depth: 0, idx }));
+        for (n, key) in keys.enumerate() {
+            let found = held(&expected.write_back, key)
+                .or_else(|| held(&callsite.write_back, key))
+                .or_else(|| held(&entry, key));
+            let ty = match found {
+                Some(b) if g.gen_bool(0.95) => b.ty,
+                _ => any_type(g),
+            };
+            let slot = SlotKey::Reimport { site: 0, idx: n as u16 };
+            reimports.push(SlotBinding { ar: layout.slot(slot), key, ty });
+        }
+        let mut outer_ar = vec![0u64; layout.len()];
+        assert!(import(&entry, &interp, &realm, 0, &mut outer_ar), "entry types were observed");
+        let mut outer_types = vec![LirType::Int; layout.len()];
+        for b in entry.iter().chain(&callsite.write_back) {
+            outer_types[b.ar as usize] = b.ty;
+        }
+        for b in &callsite.write_back {
+            outer_ar[b.ar as usize] = word(g, &mut realm, handles, b.ty);
+        }
+        let mut later = exit(ExitKind::Branch, func, outer_depth);
+        later.write_back = callsite.write_back.clone();
+        let mut inner = tree(anchor, inner_layout, inner_entry, vec![expected]);
+        let site = NestedSite {
+            inner: TreeId(0),
+            expected_exit: (0, 0),
+            reimports,
+            callsite,
+            callsite_exit: 0,
+        };
+        if g.gen_bool(0.2) {
+            // A caller itself: not a tree to defer the export for.
+            inner.nested_sites.push(site.clone());
+        }
+        let mut outer = tree(anchor, layout, entry, vec![]);
+        outer.loop_writes = loop_writes;
+        for b in outer.loop_writes.iter().chain(&site.reimports) {
+            outer_types[b.ar as usize] = b.ty;
+        }
+        for b in site.callsite.write_back.iter().filter(is_variable) {
+            outer_types[b.ar as usize] = b.ty;
+        }
+        outer.nested_sites.push(site);
+        Case {
+            realm,
+            interp,
+            globals,
+            outer,
+            inner,
+            outer_ar,
+            inner_exit_words,
+            later,
+            outer_types,
+        }
+    }
+
+    /// How far a call got.
+    #[derive(Debug, PartialEq)]
+    enum Outcome {
+        ArgumentRefused,
+        RefreshRefused,
+        Returned,
+    }
+
+    /// Interpreter state as a program could see it.
+    fn visible(c: &mut Case) -> Vec<String> {
+        let values = c.globals.iter().map(|&g| c.realm.global(g)).chain(c.interp.stack.clone());
+        let mut shown: Vec<String> =
+            values.collect::<Vec<_>>().into_iter().map(|v| shown_value(&mut c.realm, v)).collect();
+        shown.push(format!("{:?}", c.interp.frames));
+        shown
+    }
+
+    fn shown_value(realm: &mut Realm, v: Value) -> String {
+        match v.unpack() {
+            // `-0` and `NaN` payloads included.
+            Unpacked::Double(d) => format!("double {:#x}", realm.heap.double(d).to_bits()),
+            other => format!("{other:?}"),
+        }
+    }
+
+    /// The sequence a plan replaces: everything through the interpreter.
+    fn reference(c: &mut Case) -> Outcome {
+        let Case { realm, interp, outer, inner, outer_ar, .. } = c;
+        let site = &outer.nested_sites[0];
+        export(&site.callsite, outer_ar, 0, interp, realm);
+        let mut inner_ar = vec![0u64; inner.layout.len()];
+        if !import(inner.entry(), interp, realm, 0, &mut inner_ar) {
+            return Outcome::ArgumentRefused;
+        }
+        inner_ar.copy_from_slice(&c.inner_exit_words);
+        export(&inner.exits[0][0], &inner_ar, 0, interp, realm);
+        let refresh = outer
+            .entry()
+            .iter()
+            .filter(is_variable)
+            .chain(&outer.loop_writes)
+            .chain(site.callsite.write_back.iter().filter(is_variable))
+            .chain(&site.reimports);
+        if import(refresh, interp, realm, 0, outer_ar) {
+            Outcome::Returned
+        } else {
+            Outcome::RefreshRefused
+        }
+    }
+
+    /// `NestHost::call_site` with the inner tree's run replaced by its
+    /// effect on the inner record.
+    fn planned(c: &mut Case, plan: &TransferPlan) -> Outcome {
+        let Case { realm, interp, outer, inner, outer_ar, .. } = c;
+        let site = &outer.nested_sites[0];
+        if !plan.deferred {
+            export(&site.callsite, outer_ar, 0, interp, realm);
+        }
+        let mut inner_ar = vec![0u64; inner.layout.len()];
+        if !plan.load_args(outer_ar, &mut inner_ar, 0, interp, realm) {
+            if plan.deferred {
+                export(&site.callsite, outer_ar, 0, interp, realm);
+            }
+            return Outcome::ArgumentRefused;
+        }
+        inner_ar.copy_from_slice(&c.inner_exit_words);
+        if !plan.deferred {
+            export(&inner.exits[0][0], &inner_ar, 0, interp, realm);
+        }
+        let returned = plan.refresh(outer_ar, &inner_ar, 0, interp, realm, &mut Vec::new());
+        if plan.deferred {
+            if returned {
+                write_variables(&plan.flush, &inner_ar, 0, interp, realm);
+            } else {
+                export(&site.callsite, outer_ar, 0, interp, realm);
+                export(&inner.exits[0][0], &inner_ar, 0, interp, realm);
+            }
+        }
+        if returned {
+            Outcome::Returned
+        } else {
+            Outcome::RefreshRefused
+        }
+    }
+
+    #[test]
+    fn a_plan_leaves_what_the_round_trip_through_the_interpreter_leaves() {
+        let (mut deferred, mut eager, mut refused) = (0, 0, 0);
+        prop::check("nest_plan_matches_reference", &Config::with_cases(2000), |g| {
+            let seed = g.next_u64();
+            let (mut a, mut b) = (case(seed), case(seed));
+            let site = &b.outer.nested_sites[0];
+            let plan = TransferPlan::build(b.interp.prog(), &b.outer, site, &b.inner);
+            prop_assert_eq!(plan.deferred, b.inner.nested_sites.is_empty());
+            let (want, got) = (reference(&mut a), planned(&mut b, &plan));
+            prop_assert_eq!(&want, &got);
+            if want == Outcome::Returned {
+                // The outer trace runs on from its record...
+                for (slot, &ty) in a.outer_types.clone().iter().enumerate() {
+                    let (wa, wb) = (a.outer_ar[slot], b.outer_ar[slot]);
+                    let (sa, sb) = match ty {
+                        LirType::Boxed => (
+                            shown_value(&mut a.realm, Value::from_raw(wa)),
+                            shown_value(&mut b.realm, Value::from_raw(wb)),
+                        ),
+                        _ => (format!("{wa:#x}"), format!("{wb:#x}")),
+                    };
+                    prop_assert!(sa == sb, "outer slot {slot} ({ty:?}): {sa} vs {sb}\n{plan:#?}");
+                }
+                // ... and at its next exit the interpreter sees the call.
+                let (later_a, later_b) = (a.later.clone(), b.later.clone());
+                export(&later_a, &a.outer_ar, 0, &mut a.interp, &mut a.realm);
+                export(&later_b, &b.outer_ar, 0, &mut b.interp, &mut b.realm);
+                *if plan.deferred { &mut deferred } else { &mut eager } += 1;
+            } else {
+                refused += 1;
+            }
+            let (va, vb) = (visible(&mut a), visible(&mut b));
+            prop_assert!(va == vb, "{want:?}:\n{va:?}\n{vb:?}\n{plan:#?}");
+            Ok(())
+        });
+        if std::env::var_os("TM_PROP_SEED").is_none() {
+            assert!(deferred > 200 && eager > 50 && refused > 200, "{deferred} {eager} {refused}");
+        }
+    }
+
+    #[test]
+    fn a_plan_names_each_moved_binding_once() {
+        // `g` is written by both loops and read after the inner one; `n`
+        // only read by the inner loop: one binding the interpreter keeps.
+        let mut vm = crate::vm::Vm::new(crate::vm::Engine::Tracing);
+        vm.eval(
+            "var g = 0; var n = 3;
+             for (var i = 0; i < 50; i++) { g += 1; for (var j = 0; j < n; j++) g += j; g += 2; }",
+        )
+        .unwrap();
+        let m = vm.monitor().unwrap();
+        let outer = m.cache.iter().find(|t| !t.nested_sites.is_empty()).expect("a nest");
+        let prog = vm.interp().unwrap().prog();
+        let site = &outer.nested_sites[0];
+        let plan = TransferPlan::build(prog, outer, site, m.cache.tree(site.inner));
+        assert!(plan.deferred);
+        let n = SlotKey::Global(vm.realm.lookup_global("n").unwrap());
+        assert!(plan.args_interp.iter().any(|b| b.key == n));
+        for (i, m) in plan.refresh.iter().enumerate() {
+            assert!(!plan.refresh[i + 1..].contains(m), "{plan:#?}");
+        }
+        assert!(plan.flush.is_empty(), "the outer trace wrote g, i and j itself: {plan:#?}");
+        let (outer_ar, inner_ar, _) = plan.sources();
+        assert_eq!(outer_ar + inner_ar, plan.args.len() + plan.refresh.len());
+        assert_eq!(m.profiler.stats.nested_calls, m.profiler.stats.nested_deferred);
+        assert!(m.profiler.stats.nested_calls >= 40, "{:?}", m.profiler.stats);
+    }
+}

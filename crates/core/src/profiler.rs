@@ -56,8 +56,14 @@ pub struct ProfileStats {
     /// Instructions the peephole pass removed from compiled code (static:
     /// raw minus fused length, summed over fragments).
     pub fuse_insts_removed: u64,
-    /// Trace entries (monitor → native transitions).
+    /// Tree runs: monitor → native transitions plus nested calls.
     pub trace_enters: u64,
+    /// Of `trace_enters`, the runs an outer trace's `CallTree` started
+    /// (§4); the rest are the monitor's own.
+    pub nested_calls: u64,
+    /// Of `nested_calls`, how many ran with the call-site export deferred
+    /// (`nest::TransferPlan::deferred`).
+    pub nested_deferred: u64,
     /// Side exits taken back to the monitor.
     pub side_exits: u64,
     /// Traces recorded successfully.

@@ -15,6 +15,7 @@ use tm_nanojit::{Fragment, NativeTree};
 
 use crate::activation::{ArLayout, SlotBinding};
 use crate::exit::SideExitInfo;
+use crate::nest::SitePlans;
 
 /// Identifies a tree in the [`TreeCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -204,6 +205,9 @@ pub struct TraceTree {
     pub disabled: bool,
     /// Native code for `fragments`, built at the first execution.
     pub native: NativeCode,
+    /// Transfer plans of this tree's nested-call sites: derived from this
+    /// realm's trees, so never part of the shared [`TreeCode`].
+    pub plans: SitePlans,
     /// Execution statistics.
     pub stats: TreeStats,
 }
@@ -236,6 +240,7 @@ impl TraceTree {
             lir: Vec::new(),
             disabled: false,
             native: NativeCode::NotEmitted,
+            plans: SitePlans::default(),
             stats: TreeStats::default(),
         }
     }
@@ -252,6 +257,7 @@ impl TraceTree {
 #[derive(Debug, Default)]
 pub struct TreeCache {
     trees: Vec<TraceTree>,
+    installs: u64,
 }
 
 impl TreeCache {
@@ -262,6 +268,7 @@ impl TreeCache {
 
     /// Registers a new tree, returning its id.
     pub fn insert(&mut self, mut tree: TraceTree) -> TreeId {
+        self.installs += 1;
         let id = TreeId(self.trees.len() as u32);
         tree.id = id;
         self.trees.push(tree);
@@ -276,6 +283,20 @@ impl TreeCache {
     /// Mutable access to a tree.
     pub fn tree_mut(&mut self, id: TreeId) -> &mut TraceTree {
         &mut self.trees[id.0 as usize]
+    }
+
+    /// Access to a tree in order to grow its code: like an insertion, it
+    /// moves [`TreeCache::installs`].
+    pub fn tree_to_grow(&mut self, id: TreeId) -> &mut TraceTree {
+        self.installs += 1;
+        self.tree_mut(id)
+    }
+
+    /// How many times a tree was inserted or grown. Whatever is derived
+    /// from several trees' code (a nested site's transfer plan) is current
+    /// while this has not moved.
+    pub fn installs(&self) -> u64 {
+        self.installs
     }
 
     /// Number of trees.

@@ -156,7 +156,10 @@ pub fn execute(
     let mut insts: u64 = 0;
     let mut fused: u64 = 0;
     let mut iterations: u64 = 0;
-    let mut helper_args: Vec<u64> = Vec::with_capacity(8);
+    // Allocated by the first `CallHelper`, if there is one; any width (the
+    // native tier caps a call at `MAX_HELPER_ARGS`, this one serves the
+    // rest).
+    let mut helper_args: Vec<u64> = Vec::new();
 
     // Fragment switch: entry, a stitched exit, the loop edge.
     macro_rules! enter {

@@ -6,7 +6,11 @@
 //! `; fuse:` header with its raw→fused instruction counts. Integer ALU,
 //! checked-ALU and compare lines print their operation as a field —
 //! `AluI { op: Add, .. }`, `ChkAluI { op: Mul, .. }`, `CmpD { op: Lt, .. }`
-//! — the same `op` the fused forms (`AluImmI`, `CmpBranchI`, ...) print:
+//! — the same `op` the fused forms (`AluImmI`, `CmpBranchI`, ...) print.
+//! Each nested-call site (§4) follows its tree: the inner tree, the exit it
+//! must return through, whether the call-site export is deferred, and how
+//! many of the transfer plan's bindings are read from the outer activation
+//! record, the inner one, or interpreter state:
 //!
 //! ```sh
 //! cargo run --release --example dump_fragments -- 'var s=0; for (var i=0;i<500;i++) s+=i; s'
@@ -34,6 +38,7 @@
 //! `CallNative(id)` for registered builtins). Works in the offline
 //! `.tmc` mode too — the emitter only needs the fragments, not a VM.
 
+use tracemonkey::jit::nest::TransferPlan;
 use tracemonkey::jit::persist::read_cache_file;
 use tracemonkey::nanojit::{emit_tree_annotated, native_supported, Fragment};
 use tracemonkey::{Engine, Vm};
@@ -60,15 +65,38 @@ fn main() {
     let mut vm = Vm::new(Engine::Tracing);
     vm.eval(&src).expect("program runs");
     let m = vm.monitor().expect("tracing engine has a monitor");
+    let prog = vm.interp().expect("the program ran").prog();
     for (t, tree) in m.cache.iter().enumerate() {
         for (f, frag) in tree.fragments.iter().enumerate() {
             println!("=== tree {t} fragment {f} ===");
             println!("{}", frag.listing());
         }
+        for (s, site) in tree.nested_sites.iter().enumerate() {
+            let plan = TransferPlan::build(prog, tree, site, m.cache.tree(site.inner));
+            let (outer_ar, inner_ar, interp) = plan.sources();
+            println!(
+                "=== tree {t} nested site {s}: calls tree {} expecting exit {:?}, call-site export {}; \
+                 bindings from outer AR {}, inner AR {}, interpreter {} ===",
+                site.inner.0,
+                site.expected_exit,
+                if plan.deferred { "deferred" } else { "eager" },
+                outer_ar,
+                inner_ar,
+                interp,
+            );
+        }
         if native {
             dump_native(t, &tree.fragments);
         }
     }
+    let stats = &m.profiler.stats;
+    println!(
+        "=== {} tree runs: {} nested calls ({} with the call-site export deferred), {} from the monitor ===",
+        stats.trace_enters,
+        stats.nested_calls,
+        stats.nested_deferred,
+        stats.trace_enters - stats.nested_calls,
+    );
 }
 
 /// Emits tree `t`'s fragments through the native backend and prints the

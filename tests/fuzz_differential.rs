@@ -4,7 +4,11 @@
 //! certain constructs we suspected would reveal flaws" — here: nested
 //! loops, type-unstable variables, integer overflow boundaries, arrays,
 //! function calls (including bounded recursion), object property access,
-//! string concatenation, and branchy control flow.
+//! string concatenation, and branchy control flow. A second family
+//! ([`Gen::nested`], seeds written `n<number>`) leans on nested tree calls
+//! (§4): functions that loop over their own locals and a global, called
+//! from a hot loop that has inner loops of its own and may itself sit in
+//! a function.
 //!
 //! On a divergence the harness runs the `tm-verifier` delta-debugging
 //! reducer over the failing program and panics with the minimized source
@@ -25,11 +29,14 @@ struct Gen {
     next_id: u32,
     out: String,
     indent: usize,
+    /// Generate the nested-call family.
+    nested: bool,
 }
 
 impl Gen {
     fn new(seed: u64) -> Gen {
         Gen {
+            nested: false,
             rng: TmRng::seed_from_u64(seed),
             vars: Vec::new(),
             arrays: Vec::new(),
@@ -41,6 +48,12 @@ impl Gen {
             out: String::new(),
             indent: 0,
         }
+    }
+
+    /// The nested-call family; its programs are unrelated to
+    /// [`Gen::new`]'s of the same seed.
+    fn nested(seed: u64) -> Gen {
+        Gen { nested: true, ..Gen::new(seed ^ 0x6e65_7374_6564) }
     }
 
     fn fresh(&mut self, prefix: &str) -> String {
@@ -162,7 +175,11 @@ impl Gen {
             }
             2 | 3 => {
                 // Assignment / compound assignment.
-                if let Some(i) = self.pick_var() {
+                // The nested family keeps its loop counters (`main`, `i7`)
+                // read-only: every loop stays as short as it was written.
+                let counter = |v: &str| v == "main" || v.starts_with('i');
+                let writable = |g: &Gen, i: usize| !(g.nested && counter(&g.vars[i]));
+                if let Some(i) = self.pick_var().filter(|&i| writable(self, i)) {
                     let v = self.vars[i].clone();
                     let e = self.expr(2);
                     let op = ["=", "+=", "-=", "*=", "&=", "^=", "|="]
@@ -263,7 +280,8 @@ impl Gen {
                 // Loop (bounded, nesting-limited).
                 if self.loop_depth < 3 {
                     let i = self.fresh("i");
-                    let n = self.rng.gen_range(3..60);
+                    // The nested family's loops call functions that loop.
+                    let n = self.rng.gen_range(3..if self.nested { 12 } else { 60 });
                     self.line(&format!("for (var {i} = 0; {i} < {n}; {i}++) {{"));
                     self.vars.push(i);
                     self.indent += 1;
@@ -290,7 +308,125 @@ impl Gen {
         }
     }
 
+    /// A bounded loop whose body bumps the global `glob` and then does
+    /// what any loop body does.
+    fn loop_over_glob(&mut self, budget: &mut u32) {
+        let i = self.fresh("i");
+        let n = self.rng.gen_range(2..12);
+        self.line(&format!("for (var {i} = 0; {i} < {n}; {i}++) {{"));
+        let scope = self.vars.len();
+        self.vars.push(i);
+        self.indent += 1;
+        self.loop_depth += 1;
+        let e = self.expr(2);
+        let op = ["+", "^", "-"][self.rng.gen_range(0..3usize)];
+        self.line(&format!("glob = (glob {op} ({e})) | 0;"));
+        for _ in 0..self.rng.gen_range(0..3u32).min(*budget) {
+            self.statement(budget);
+        }
+        self.loop_depth -= 1;
+        self.indent -= 1;
+        self.line("}");
+        self.vars.truncate(scope);
+    }
+
+    /// Emits a top-level function that loops over its own locals and
+    /// `glob`: called from the hot loop, its loop's tree is a nested call
+    /// inside an inlined frame.
+    fn looping_decl(&mut self) {
+        let name = self.fresh("loopy");
+        let p1 = self.fresh("p");
+        let p2 = self.fresh("p");
+        let t = self.fresh("t");
+        let scope = vec![p1.clone(), p2.clone(), t.clone(), "glob".to_owned()];
+        let saved = std::mem::replace(&mut self.vars, scope);
+        // One loop level of its own, and no calls: what a call costs stays
+        // bounded wherever the hot loop makes it.
+        let saved_depth = std::mem::replace(&mut self.loop_depth, 2);
+        let saved_funcs = std::mem::take(&mut self.funcs);
+        self.line(&format!("function {name}({p1}, {p2}) {{"));
+        self.indent += 1;
+        let e = self.expr(1);
+        self.line(&format!("var {t} = ({e}) | 0;"));
+        let mut budget = self.rng.gen_range(1..4u32);
+        self.loop_over_glob(&mut budget);
+        if self.rng.gen_bool(0.3) {
+            self.loop_over_glob(&mut budget);
+        }
+        let e = self.expr(1);
+        self.line(&format!("return ({t} + ({e})) | 0;"));
+        self.indent -= 1;
+        self.line("}");
+        self.vars = saved;
+        self.loop_depth = saved_depth;
+        self.funcs = saved_funcs;
+        self.funcs.push((name, false));
+    }
+
+    /// The nested-call family's program.
+    fn nested_program(mut self) -> String {
+        self.line("var acc = 0;");
+        self.line("var dbl = 0.5;");
+        self.line("var glob = 1;");
+        for _ in 0..self.rng.gen_range(1..4u32) {
+            self.looping_decl();
+        }
+        let loopy = self.funcs.clone();
+        if self.rng.gen_bool(0.3) {
+            self.recursive_decl();
+        }
+        for _ in 0..self.rng.gen_range(0..2u32) {
+            let o = self.fresh("obj");
+            self.line(&format!("var {o} = {{ a: 1, b: 2 }};"));
+            self.objs.push(o);
+        }
+        // Half the time the hot loop's variables are a function's locals.
+        let in_function = self.rng.gen_bool(0.5);
+        if in_function {
+            self.line("function hot() {");
+            self.indent += 1;
+        }
+        self.vars = vec!["acc".into(), "dbl".into(), "glob".into()];
+        let outer = self.rng.gen_range(20..60);
+        self.line(&format!("for (var main = 0; main < {outer}; main++) {{"));
+        self.vars.push("main".into());
+        self.indent += 1;
+        self.loop_depth += 1;
+        let mut budget = self.rng.gen_range(3..10u32);
+        for (name, _) in loopy {
+            if budget > 0 && self.rng.gen_bool(0.5) {
+                self.statement(&mut budget);
+            }
+            let (a, b) = (self.expr(1), self.expr(1));
+            let v = self.fresh("v");
+            self.line(&format!("var {v} = {name}(({a}) | 0, ({b}) | 0) | 0;"));
+            self.vars.push(v);
+        }
+        for _ in 0..self.rng.gen_range(1..3u32) {
+            self.loop_over_glob(&mut budget);
+            if budget > 0 {
+                self.statement(&mut budget);
+            }
+        }
+        let mut terms: Vec<String> = self.vars.iter().map(|v| format!("({v} | 0)")).collect();
+        terms.extend(self.objs.iter().map(|o| format!("({o}.a | 0) + ({o}.b | 0)")));
+        self.line(&format!("acc = (acc + {}) | 0;", terms.join(" + ")));
+        self.loop_depth -= 1;
+        self.indent -= 1;
+        self.line("}");
+        if in_function {
+            self.indent -= 1;
+            self.line("}");
+            self.line("hot();");
+        }
+        self.line("(acc + glob) | 0");
+        self.out
+    }
+
     fn program(mut self) -> String {
+        if self.nested {
+            return self.nested_program();
+        }
         // Top-level helper functions, including (sometimes) a bounded
         // recursive one.
         for _ in 0..self.rng.gen_range(0..3u32) {
@@ -379,7 +515,7 @@ fn engines_disagree(src: &str) -> bool {
 /// Shrinks a failing program with the `tm-verifier` delta-debugging
 /// reducer and panics with the minimized source and a ready-to-paste
 /// regression test.
-fn reduce_and_report(seed: u64, engine: Engine, src: &str) -> ! {
+fn reduce_and_report(seed: Seed, engine: Engine, src: &str) -> ! {
     // The reducer re-runs the engines hundreds of times and most probes
     // are expected to panic; silence the per-probe backtraces.
     let prev_hook = std::panic::take_hook();
@@ -395,8 +531,42 @@ fn reduce_and_report(seed: u64, engine: Engine, src: &str) -> ! {
     );
 }
 
-fn fuzz_one(seed: u64) {
-    let src = Gen::new(seed).program();
+/// A generated program's name: the family and the number it grew from.
+/// Written `17`, or `n17` for the nested-call family.
+#[derive(Debug, Clone, Copy)]
+struct Seed {
+    nested: bool,
+    n: u64,
+}
+
+impl Seed {
+    fn program(self) -> String {
+        if self.nested { Gen::nested(self.n) } else { Gen::new(self.n) }.program()
+    }
+
+    /// `TM_FUZZ_SEEDS`: comma-separated seeds, or `None` when unset.
+    fn list_from_env() -> Option<Vec<Seed>> {
+        let list = std::env::var("TM_FUZZ_SEEDS").ok()?;
+        let parse = |part: &str| {
+            let (nested, digits) = match part.strip_prefix('n') {
+                Some(digits) => (true, digits),
+                None => (false, part),
+            };
+            let n = digits.parse().expect("TM_FUZZ_SEEDS: comma-separated seeds, `17` or `n17`");
+            Seed { nested, n }
+        };
+        Some(list.split(',').map(str::trim).filter(|p| !p.is_empty()).map(parse).collect())
+    }
+}
+
+impl std::fmt::Display for Seed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}{}", if self.nested { "n" } else { "" }, self.n)
+    }
+}
+
+fn fuzz_one(seed: Seed) {
+    let src = seed.program();
     let baseline = run(Engine::Interp, &src);
     for engine in JIT_ENGINES {
         let got = run(engine, &src);
@@ -407,8 +577,8 @@ fn fuzz_one(seed: u64) {
 }
 
 fn fuzz_range(seeds: std::ops::Range<u64>) {
-    for seed in seeds {
-        fuzz_one(seed);
+    for n in seeds {
+        fuzz_one(Seed { nested: false, n });
     }
 }
 
@@ -427,6 +597,13 @@ fn fuzz_seeds_200_to_300() {
     fuzz_range(200..300);
 }
 
+#[test]
+fn fuzz_nested_0_to_100() {
+    for n in 0..100 {
+        fuzz_one(Seed { nested: true, n });
+    }
+}
+
 /// Extended sweep, enabled with `TM_FUZZ_RANGE=start..end` (not run by
 /// default; used for deeper soak testing).
 #[test]
@@ -436,14 +613,13 @@ fn fuzz_extended_sweep() {
     fuzz_range(a.parse().expect("start")..b.parse().expect("end"));
 }
 
-/// Replays specific seeds: `TM_FUZZ_SEEDS=3,17,250` (comma-separated).
-/// Used to re-check a seed a previous run flagged without sweeping its
-/// whole range.
+/// Replays specific seeds: `TM_FUZZ_SEEDS=3,17,n250` (comma-separated;
+/// `n` names the nested-call family). Used to re-check a seed a previous
+/// run flagged without sweeping its whole range.
 #[test]
 fn fuzz_replay_seeds() {
-    let Ok(list) = std::env::var("TM_FUZZ_SEEDS") else { return };
-    for part in list.split(',').filter(|p| !p.trim().is_empty()) {
-        fuzz_one(part.trim().parse().expect("TM_FUZZ_SEEDS: comma-separated integer seeds"));
+    for seed in Seed::list_from_env().unwrap_or_default() {
+        fuzz_one(seed);
     }
 }
 
@@ -494,17 +670,11 @@ fn fuzz_native_tier() {
         eprintln!("native backend unavailable on this target; nothing to compare");
         return;
     }
-    let seeds: Vec<u64> = match std::env::var("TM_FUZZ_SEEDS") {
-        Ok(list) => list
-            .split(',')
-            .filter(|p| !p.trim().is_empty())
-            .map(|p| p.trim().parse().expect("TM_FUZZ_SEEDS: integer seeds"))
-            .collect(),
-        Err(_) => (0..40).collect(),
-    };
+    let seeds = Seed::list_from_env()
+        .unwrap_or_else(|| (0..40).map(|n| Seed { nested: false, n }).collect());
     let mut total_native_exits = 0;
     for seed in seeds {
-        let src = Gen::new(seed).program();
+        let src = seed.program();
         let baseline = run(Engine::Interp, &src);
         let background = std::env::var("TM_FUZZ_BG").as_deref() == Ok("1");
         let (decoded, _) = run_tracing_native(&src, false, false);
@@ -536,16 +706,10 @@ fn fuzz_native_tier() {
 fn fuzz_multi_realm() {
     let Ok(k) = std::env::var("TM_FUZZ_THREADS") else { return };
     let k: usize = k.parse().expect("TM_FUZZ_THREADS: a thread count");
-    let seeds: Vec<u64> = match std::env::var("TM_FUZZ_SEEDS") {
-        Ok(list) => list
-            .split(',')
-            .filter(|p| !p.trim().is_empty())
-            .map(|p| p.trim().parse().expect("TM_FUZZ_SEEDS: integer seeds"))
-            .collect(),
-        Err(_) => (0..8).collect(),
-    };
+    let seeds = Seed::list_from_env()
+        .unwrap_or_else(|| (0..8).map(|n| Seed { nested: false, n }).collect());
     for seed in seeds {
-        let src = Gen::new(seed).program();
+        let src = seed.program();
         let baseline = run(Engine::Interp, &src);
         let mt = tracemonkey::MultiTenantVm::new(2);
         // Match the baseline's step budget: a budget-exhausting program
@@ -630,4 +794,20 @@ fn reducer_shrinks_generated_program() {
     );
     assert!(stats.lines_out < stats.lines_in, "must actually shrink");
     println!("seed {seed}: reduced {} -> {} lines:\n{small}", stats.lines_in, stats.lines_out);
+}
+
+/// The generated programs are what the pinned seed lists in `ci.sh` and
+/// the regression tests above name: a change to a generator that moves
+/// them silently retires those seeds. FNV-1a over the programs of seeds
+/// 0..300 of each family.
+#[test]
+fn both_families_keep_their_programs() {
+    let hash = |family: fn(u64) -> Gen| {
+        let programs = (0..300).map(|n| family(n).program());
+        programs.flat_map(String::into_bytes).fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    };
+    assert_eq!(hash(Gen::new), 0x919c_d484_304f_71b1);
+    assert_eq!(hash(Gen::nested), 0x6b0c_1e3f_0260_ad90);
 }

@@ -1,0 +1,368 @@
+//! Nested tree calls (§4) under transfer plans (`tm-core::nest`): every
+//! program runs on the interpreter and on the tracing JIT's two tiers and
+//! must print the same, leave the same globals and, through
+//! `nested_deferred`, show which kind of plan carried its calls — the
+//! deferred one (nothing exported at the call site) or the eager one.
+//! The plan-level property test is in `crates/core/src/nest.rs`.
+
+use tracemonkey::jit::profiler::ProfileStats;
+use tracemonkey::runtime::ops::to_display;
+use tracemonkey::{Engine, JitOptions, RuntimeError, Vm, VmError};
+
+/// What a run leaves for a program to see: output, completion value and
+/// the globals named.
+fn visible(vm: &mut Vm, result: Result<tracemonkey::Value, VmError>, globals: &[&str]) -> String {
+    let done = match result {
+        Ok(v) => to_display(&mut vm.realm, v),
+        Err(e) => format!("error: {e}"),
+    };
+    let mut shown = format!("{}=> {done}", vm.output());
+    for name in globals {
+        let v = vm.realm.lookup_global(name).map(|g| vm.realm.global(g));
+        let v = v.map_or("unbound".to_owned(), |v| to_display(&mut vm.realm, v));
+        shown.push_str(&format!("\n{name} = {v}"));
+    }
+    shown
+}
+
+/// Runs `src` everywhere; returns the native tier's VM (the decoded
+/// tier's again where there is no native one) after checking that both
+/// tiers agree with the interpreter and with each other on the counters
+/// that say how calls were made.
+fn differential_with(src: &str, globals: &[&str], tune: fn(&mut Vm)) -> Vm {
+    let mut interp = Vm::new(Engine::Interp);
+    tune(&mut interp);
+    let result = interp.eval(src);
+    let want = visible(&mut interp, result, globals);
+    let mut ran: Vec<Vm> = Vec::new();
+    for native_backend in [false, true] {
+        let opts = JitOptions { native_backend, ..JitOptions::default() };
+        let mut vm = Vm::with_options(Engine::Tracing, opts);
+        tune(&mut vm);
+        let result = vm.eval(src);
+        assert_eq!(visible(&mut vm, result, globals), want, "native_backend: {native_backend}");
+        ran.push(vm);
+    }
+    let [decoded, native] = [0, 1].map(|i| ran[i].profile().expect("tracing"));
+    assert_eq!(
+        (decoded.nested_calls, decoded.nested_deferred, decoded.trace_enters),
+        (native.nested_calls, native.nested_deferred, native.trace_enters),
+        "the tiers run the same plans"
+    );
+    assert!(native.nested_deferred <= native.nested_calls);
+    assert!(native.nested_calls < native.trace_enters, "the monitor entered the outer tree");
+    ran.pop().expect("two runs")
+}
+
+fn differential(src: &str, globals: &[&str]) -> ProfileStats {
+    differential_with(src, globals, |_| {}).profile().expect("tracing").clone()
+}
+
+/// All calls deferred, and there were some.
+fn assert_all_deferred(s: &ProfileStats, at_least: u64) {
+    assert!(s.nested_calls >= at_least, "{s:?}");
+    assert_eq!(s.nested_deferred, s.nested_calls, "{s:?}");
+}
+
+#[test]
+fn inner_tree_reads_a_global_the_outer_never_names() {
+    // `limit` and `step` reach the inner tree from the interpreter, not
+    // from the outer record.
+    let s = differential(
+        "var limit = 7; var step = 2; var total = 0;
+         for (var i = 0; i < 300; i++) {
+             var j = 0;
+             while (j < limit) { total += j; j += step; }
+         }
+         total",
+        &["total", "i", "j", "limit"],
+    );
+    assert_all_deferred(&s, 250);
+}
+
+#[test]
+fn inner_tree_writes_a_global_only_it_names_and_the_outer_exits_right_after() {
+    // `seen` is the inner tree's alone: no exit of the outer trace writes
+    // it back, so the call itself has to. The outer loop leaves through a
+    // side exit on the iteration after `i == 150`'s call.
+    let s = differential(
+        "var seen = 0; var data = [3, 1, 4, 1, 5, 9, 2, 6]; var out = 0;
+         for (var i = 0; i < 400; i++) {
+             for (var k = 0; k < 8; k++) seen = seen + data[k] * (i & 3);
+             if (i == 150) { out = seen; break; }
+         }
+         print(seen); out",
+        &["seen", "out", "i", "k"],
+    );
+    assert_all_deferred(&s, 100);
+}
+
+#[test]
+fn two_call_sites_in_one_outer_body_the_second_reading_what_the_first_wrote() {
+    let s = differential(
+        "var acc = 0; var carry = 1;
+         for (var i = 0; i < 300; i++) {
+             for (var a = 0; a < 5; a++) carry = (carry * 3 + a) % 1009;
+             for (var b = 0; b < 4; b++) acc = (acc + carry + b) % 100003;
+         }
+         acc * 10000 + carry",
+        &["acc", "carry", "a", "b", "i"],
+    );
+    assert_all_deferred(&s, 500);
+}
+
+#[test]
+fn a_value_leaving_the_31_bit_range_at_the_call_site() {
+    // `big` is an integer argument of the inner tree until `i << 23`
+    // passes 2^30: the outer trace's checked shift exits, `big` becomes a
+    // double there, and what the inner tree is handed from then on is a
+    // double too large for its integer entry.
+    let s = differential(
+        "var big = 1; var sum = 0;
+         for (var i = 0; i < 200; i++) {
+             big = (i < 120) ? (i << 3) : (i << 23);
+             for (var j = 0; j < 4; j++) sum = (sum + (big & 1023) + j) | 0;
+         }
+         print(big); sum",
+        &["big", "sum", "i", "j"],
+    );
+    assert!(s.nested_deferred >= 100, "{s:?}");
+}
+
+/// The monitor took the outer tree back at least `n` times: a nested call
+/// that does not return as expected ends the outer run. The programs that
+/// provoke it count their iterations on the heap, where a trace's writes
+/// are immediate: an interpreter resumed from stale state would run an
+/// iteration again and count it twice.
+fn assert_outer_exits(s: &ProfileStats, n: u64) {
+    assert!(s.trace_enters - s.nested_calls >= n, "{s:?}");
+}
+
+#[test]
+fn a_refused_argument_leaves_the_interpreter_at_the_call_site() {
+    // The outer trace holds `v` as a double (a quotient); the inner tree
+    // was recorded while it was integral and wants an integer. From
+    // `i == 60` every other `v` has a fraction: the argument is refused
+    // with nothing exported yet, and the interpreter has to find `v`, `i`
+    // and `s` as the outer trace left them.
+    let s = differential(
+        "var v = 0; var s = 0; var runs = { n: 0 };
+         for (var i = 0; i < 120; i++) {
+             runs.n = runs.n + 1;
+             v = i / ((i < 60) ? 1 : 2);
+             for (var j = 0; j < 4; j++) s = s + (v | 0) + j;
+         }
+         print(runs.n); s",
+        &["v", "s", "i", "j"],
+    );
+    assert_all_deferred(&s, 100);
+    assert_outer_exits(&s, 25);
+}
+
+#[test]
+fn a_refused_refresh_leaves_the_interpreter_at_the_inner_exit() {
+    // The inner tree returns `q` as a double (a quotient); the outer trace
+    // re-reads it as the integer it was when recorded. From `i == 60`
+    // every other `q` has a fraction.
+    let s = differential(
+        "var q = 0; var s = 0; var d = 1; var runs = { n: 0 };
+         for (var i = 0; i < 120; i++) {
+             runs.n = runs.n + 1;
+             if (i == 60) d = 2;
+             for (var j = 0; j < 4; j++) { q = (i + j) / d; }
+             s = s + q;
+         }
+         print(runs.n); s",
+        &["q", "s", "d", "i", "j"],
+    );
+    assert_all_deferred(&s, 100);
+    assert_outer_exits(&s, 25);
+}
+
+#[test]
+fn an_unexpected_inner_exit_leaves_the_interpreter_there() {
+    // From `i == 60` the inner tree's integer addition meets a fraction
+    // and leaves through a guard instead of its loop exit, every call.
+    let s = differential(
+        "var w = 1; var s = 0; var runs = { n: 0 };
+         for (var i = 0; i < 120; i++) {
+             runs.n = runs.n + 1;
+             for (var j = 0; j < 4; j++) { w = (i < 60) ? w + 1 : w + 0.5; }
+             s = s + w;
+         }
+         print(runs.n); s",
+        &["w", "s", "i", "j"],
+    );
+    assert_all_deferred(&s, 100);
+    assert_outer_exits(&s, 50);
+}
+
+#[test]
+fn an_int_slot_meets_a_double_typed_inner_entry_and_the_reverse() {
+    // The inner tree is recorded while `x` holds a double and `n` an
+    // integer; later calls pass an integer `x` (widened) and, in the
+    // second half, a double `n` (refused, or accepted where integral).
+    let s = differential(
+        "var x = 0.5; var n = 3; var r = 0;
+         for (var i = 0; i < 400; i++) {
+             for (var j = 0; j < n; j++) r = r + x * j;
+             x = (i % 3 == 0) ? i : i + 0.25;
+             n = (i < 200) ? 3 : ((i & 1) ? 2.5 : 4);
+         }
+         r",
+        &["x", "n", "r", "i", "j"],
+    );
+    assert!(s.nested_deferred >= 100, "{s:?}");
+}
+
+#[test]
+fn an_inner_loop_in_a_called_function_runs_under_the_eager_plan() {
+    // The call site is inside an inlined frame: slot keys shift by the
+    // frame depth, which plans do not do yet.
+    let s = differential(
+        "var weights = [1, 2, 3, 4, 5];
+         function dot(scale) {
+             var t = 0;
+             for (var k = 0; k < 5; k++) t += weights[k] * scale;
+             return t;
+         }
+         var total = 0;
+         for (var i = 0; i < 300; i++) total = (total + dot(i & 7)) % 65521;
+         total",
+        &["total", "i"],
+    );
+    assert!(s.nested_calls >= 250, "{s:?}");
+    assert_eq!(s.nested_deferred, 0, "{s:?}");
+}
+
+#[test]
+fn a_returned_inlined_frames_locals_are_not_read_back_after_a_later_call() {
+    // Found by `Gen::nested` (seed n95): `wide` has more locals than
+    // `narrow`, both are inlined at depth 1, and the call site in `narrow`
+    // still lists `wide`'s last local. Reading it back after the call
+    // indexed past the interpreter's stack.
+    let s = differential(
+        "var glob = 1;
+         function wide(p, q) {
+             var t = p | 0; var u = q | 0; var w = 3;
+             for (var k = 0; k < 6; k++) glob = (glob + t + u + w + k) | 0;
+             return (t + u) | 0;
+         }
+         function narrow(p) {
+             for (var k = 0; k < 5; k++) glob = (glob ^ (p + k)) | 0;
+             return glob | 0;
+         }
+         var acc = 0;
+         for (var main = 0; main < 60; main++) {
+             var a = wide(main, acc) | 0;
+             var b = narrow(a) | 0;
+             acc = (acc + a + b) | 0;
+         }
+         (acc + glob) | 0",
+        &["acc", "glob", "main"],
+    );
+    assert!(s.nested_calls >= 30, "{s:?}");
+    assert_eq!(s.nested_deferred, 0, "{s:?}");
+}
+
+#[test]
+fn a_three_deep_nest_is_eager_outside_and_deferred_inside() {
+    let s = differential(
+        "var cube = 0;
+         for (var i = 0; i < 60; i++) {
+             for (var j = 0; j < 6; j++) {
+                 for (var k = 0; k < 5; k++) cube = (cube + i * j + k) % 99991;
+             }
+         }
+         cube",
+        &["cube", "i", "j", "k"],
+    );
+    // Calls of the leaf (from the middle tree, and from the outer tree's
+    // own inlined copy of the middle body if any) are deferred; calls of
+    // the middle tree are not.
+    assert!(s.nested_deferred >= 200, "{s:?}");
+    assert!(s.nested_calls - s.nested_deferred >= 40, "{s:?}");
+}
+
+#[test]
+fn the_inner_tree_grows_a_branch_and_then_a_nested_site_after_the_outer_plan_was_built() {
+    // Phase 1 (i < 150): the inner j-loop takes one path. Phase 2: the
+    // other arm gets hot and is stitched in, which re-unions the inner
+    // exits' write-backs (`odd` is new). Phase 3 (i >= 300): that arm
+    // starts running its own loop, so the inner tree gains a nested site
+    // and stops being a leaf.
+    let s = differential(
+        "var even = 0; var odd = 0; var deep = 0;
+         for (var i = 0; i < 450; i++) {
+             for (var j = 0; j < 6; j++) {
+                 if (i < 150 || (j & 1) == 0) { even = even + j; }
+                 else {
+                     odd = odd + j;
+                     if (i >= 300) { for (var k = 0; k < 3; k++) deep = deep + k; }
+                 }
+             }
+         }
+         even * 1000000 + odd * 1000 + deep",
+        &["even", "odd", "deep", "i", "j", "k"],
+    );
+    assert!(s.nested_deferred >= 150, "{s:?}");
+    assert!(s.nested_calls > s.nested_deferred, "phase 3's calls export first: {s:?}");
+}
+
+#[test]
+fn a_collection_due_inside_a_deferred_call_waits_for_the_outer_loop_edge() {
+    // The inner loop allocates strings — in its condition, so that it can
+    // leave through its expected exit with a collection due — while the
+    // outer trace holds a fresh object in a local across the call: with
+    // the call site not exported, that object is in no root until the
+    // outer trace exits, and the collection has to wait until it does.
+    let vm = differential_with(
+        "function run() {
+             var kept = 0;
+             for (var i = 0; i < 200; i++) {
+                 var fresh = { tag: i, name: 'n' + i };
+                 var text = '';
+                 var j = 0;
+                 while ((text = text + 'ab' + j).length < 18) j++;
+                 kept = kept + fresh.tag + text.length + fresh.name.length;
+             }
+             return kept;
+         }
+         run()",
+        &[],
+        |vm| vm.realm.heap.set_gc_threshold(64),
+    );
+    let s = vm.profile().expect("tracing");
+    assert!(s.nested_deferred >= 100, "{s:?}");
+    let collections = vm.realm.heap.gc_stats().collections;
+    assert!(collections > 20, "the threshold was crossed again and again: {collections}");
+    // Each one cost the outer trace an exit at its loop edge (or the inner
+    // tree one at its own, which ends the outer run as well).
+    assert!(s.trace_enters - s.nested_calls >= collections, "{s:?}");
+}
+
+#[test]
+fn the_step_budget_running_out_inside_a_nested_call() {
+    let src = "var spins = 0;
+               for (var i = 0; i < 100000; i++) { for (var j = 0; j < 50; j++) spins = spins + 1; }
+               spins";
+    for native_backend in [false, true] {
+        let opts = JitOptions { native_backend, ..JitOptions::default() };
+        let mut vm = Vm::with_options(Engine::Tracing, opts);
+        vm.step_budget = 200_000;
+        match vm.eval(src) {
+            Err(VmError::Runtime(RuntimeError::StepBudgetExhausted)) => {}
+            other => panic!("expected the budget to run out, got {other:?}"),
+        }
+        let s = vm.profile().unwrap();
+        assert!(s.nested_deferred > 0, "{s:?}");
+        // Interpreter state was restored before the error surfaced: the
+        // counters it holds are those of a loop still running.
+        let spins = vm.realm.lookup_global("spins").map(|g| vm.realm.global(g)).unwrap();
+        let spins = vm.realm.heap.number_value(spins).expect("a number");
+        let i = vm.realm.lookup_global("i").map(|g| vm.realm.global(g)).unwrap();
+        let i = vm.realm.heap.number_value(i).expect("a number");
+        assert!(spins > 1000.0 && i > 20.0, "spins {spins}, i {i}");
+        assert!(spins >= i * 50.0 && spins <= (i + 1.0) * 50.0, "spins {spins}, i {i}");
+    }
+}

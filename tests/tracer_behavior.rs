@@ -245,3 +245,34 @@ fn step_budget_is_enforced_under_tracing() {
         tracemonkey::VmError::Runtime(tracemonkey::RuntimeError::StepBudgetExhausted)
     ));
 }
+
+#[test]
+fn time_after_a_nested_call_is_the_outer_traces_not_the_monitors() {
+    // Figure 12: the outer trace calls a two-iteration inner tree and then
+    // does 80 statements of arithmetic of its own (11 LIR instructions
+    // each: 150 of them would not fit a trace). Billing the return from
+    // the nested call to the monitor, and leaving it there, would put all
+    // of that arithmetic in the monitor's column.
+    use tracemonkey::jit::profiler::Activity;
+    let body: String = (0..80)
+        .map(|k| {
+            let f = if k % 2 == 0 { "sin" } else { "sqrt" };
+            format!("x = Math.{f}(x + {k}) + 1;\n")
+        })
+        .collect();
+    let src = format!(
+        "var x = 0.5; var n = 0;
+         for (var i = 0; i < 3000; i++) {{
+             for (var j = 0; j < 2; j++) n = n + j;
+             {body}
+         }}
+         x + n"
+    );
+    let opts = JitOptions { profile: true, ..JitOptions::default() };
+    let mut vm = Vm::with_options(Engine::Tracing, opts);
+    vm.eval(&src).expect("program runs");
+    let s = vm.profile().unwrap();
+    assert!(s.nested_calls >= 2900, "the nest was traced: {s:?}");
+    let (native, monitor) = (s.time_in(Activity::Native), s.time_in(Activity::Monitor));
+    assert!(native > monitor, "native {native:?} <= monitor {monitor:?}");
+}
