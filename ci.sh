@@ -134,6 +134,26 @@ else
     echo "    SKIP: native backend needs Linux x86_64"
 fi
 
+echo "==> persist: the .tmc container in the release profile, and an offline dump of a two-program file"
+# The benchmark's warm-start workload times the load path in --release, so
+# the persistence suite runs there too. Then two programs write one file
+# through TM_CACHE (the quickstart sieve, and a nested loop run by
+# dump_fragments itself), and the offline dump — the header index, then
+# every entry, every body checksum verified — must decode both.
+cargo test -q --release --offline --locked --test persistence
+tmc_dir=$(mktemp -d)
+TM_CACHE="$tmc_dir/two.tmc" cargo run -q --release --offline --locked --example quickstart >/dev/null
+TM_CACHE="$tmc_dir/two.tmc" cargo run -q --release --offline --locked --example dump_fragments -- \
+    'var s = 0; for (var i = 0; i < 500; i++) { for (var j = 0; j < 20; j++) s += i ^ j; } s' >/dev/null
+dump=$(cargo run -q --release --offline --locked --example dump_fragments -- "$tmc_dir/two.tmc")
+rm -rf "$tmc_dir"
+records=$(grep -c '^  program_key=' <<<"$dump" || true)
+if [ "$records" != 2 ]; then
+    echo "error: the dump's index lists $records records, expected 2" >&2
+    exit 1
+fi
+echo "    OK: persistence suite passes in release; a two-program .tmc dumps index and entries"
+
 echo "==> workspace member tests (per-crate units, tm-support, tm-bench suite gates)"
 cargo test -q --workspace --exclude tracemonkey --offline --locked
 

@@ -22,6 +22,8 @@
 //! unverified, and a corrupt cache never aborts the VM.
 
 use std::collections::HashMap;
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -47,7 +49,7 @@ pub const MAGIC: [u8; 4] = *b"TMTC";
 /// Current format version. Readers reject any other value (there is no
 /// cross-version migration: a cache is a regenerable artifact, so version
 /// skew simply degrades to a cold start).
-pub const VERSION: u32 = 5;
+pub const VERSION: u32 = 6;
 
 /// Why a cache file or entry was rejected. Every variant degrades to a
 /// cold start; none is fatal to the VM.
@@ -129,6 +131,12 @@ impl std::error::Error for CacheError {}
 impl From<BinError> for CacheError {
     fn from(e: BinError) -> Self {
         CacheError::Corrupt(e)
+    }
+}
+
+impl From<std::io::Error> for CacheError {
+    fn from(e: std::io::Error) -> Self {
+        CacheError::Io(e.to_string())
     }
 }
 
@@ -268,57 +276,32 @@ fn r_slotkey(r: &mut ByteReader) -> Result<SlotKey, BinError> {
     }
 }
 
-fn w_lirtype(t: LirType, w: &mut ByteWriter) {
-    w.u8(match t {
-        LirType::Int => 0,
-        LirType::Double => 1,
-        LirType::Object => 2,
-        LirType::String => 3,
-        LirType::Bool => 4,
-        LirType::Null => 5,
-        LirType::Undefined => 6,
-        LirType::Boxed => 7,
-    });
+/// The one-byte codec of a fieldless enum (§4): the writer's match is
+/// exhaustive, and the reader rejects any byte not in the table.
+macro_rules! byte_codec {
+    ($w:ident, $r:ident, $ty:ident, { $($idx:literal => $name:ident),* $(,)? }) => {
+        fn $w(v: $ty, w: &mut ByteWriter) {
+            w.u8(match v { $( $ty::$name => $idx, )* });
+        }
+        fn $r(r: &mut ByteReader) -> Result<$ty, BinError> {
+            let at = r.pos();
+            match r.u8()? {
+                $( $idx => Ok($ty::$name), )*
+                t => Err(BinError::BadTag { at, tag: u64::from(t), what: stringify!($ty) }),
+            }
+        }
+    };
 }
 
-fn r_lirtype(r: &mut ByteReader) -> Result<LirType, BinError> {
-    let at = r.pos();
-    Ok(match r.u8()? {
-        0 => LirType::Int,
-        1 => LirType::Double,
-        2 => LirType::Object,
-        3 => LirType::String,
-        4 => LirType::Bool,
-        5 => LirType::Null,
-        6 => LirType::Undefined,
-        7 => LirType::Boxed,
-        tag => return Err(BinError::BadTag { at, tag: u64::from(tag), what: "LirType" }),
-    })
-}
-
-fn w_exitkind(k: ExitKind, w: &mut ByteWriter) {
-    w.u8(match k {
-        ExitKind::Branch => 0,
-        ExitKind::LoopEdge => 1,
-        ExitKind::Unstable => 2,
-        ExitKind::LeaveLoop => 3,
-        ExitKind::DeepBail => 4,
-        ExitKind::NestedUnexpected => 5,
-    });
-}
-
-fn r_exitkind(r: &mut ByteReader) -> Result<ExitKind, BinError> {
-    let at = r.pos();
-    Ok(match r.u8()? {
-        0 => ExitKind::Branch,
-        1 => ExitKind::LoopEdge,
-        2 => ExitKind::Unstable,
-        3 => ExitKind::LeaveLoop,
-        4 => ExitKind::DeepBail,
-        5 => ExitKind::NestedUnexpected,
-        tag => return Err(BinError::BadTag { at, tag: u64::from(tag), what: "ExitKind" }),
-    })
-}
+byte_codec!(w_lirtype, r_lirtype, LirType, {
+    0 => Int, 1 => Double, 2 => Object, 3 => String, 4 => Bool, 5 => Null, 6 => Undefined,
+    7 => Boxed,
+});
+byte_codec!(w_exitkind, r_exitkind, ExitKind, {
+    0 => Branch, 1 => LoopEdge, 2 => Unstable, 3 => LeaveLoop, 4 => DeepBail,
+    5 => NestedUnexpected,
+});
+byte_codec!(w_anchorkind, r_anchorkind, AnchorKind, { 0 => LoopHeader, 1 => FuncEntry });
 
 fn w_bindings(bs: &[SlotBinding], w: &mut ByteWriter) {
     w.u32(bs.len() as u32);
@@ -393,23 +376,16 @@ fn w_anchor(a: Anchor, w: &mut ByteWriter) {
     w.u32(a.func.0);
     w.u32(a.pc);
     w.u16(a.loop_id.0);
-    w.u8(match a.kind {
-        AnchorKind::LoopHeader => 0,
-        AnchorKind::FuncEntry => 1,
-    });
+    w_anchorkind(a.kind, w);
 }
 
 fn r_anchor(r: &mut ByteReader) -> Result<Anchor, BinError> {
-    let func = FuncId(r.u32()?);
-    let pc = r.u32()?;
-    let loop_id = LoopId(r.u16()?);
-    let at = r.pos();
-    let kind = match r.u8()? {
-        0 => AnchorKind::LoopHeader,
-        1 => AnchorKind::FuncEntry,
-        tag => return Err(BinError::BadTag { at, tag: u64::from(tag), what: "AnchorKind" }),
-    };
-    Ok(Anchor { func, pc, loop_id, kind })
+    Ok(Anchor {
+        func: FuncId(r.u32()?),
+        pc: r.u32()?,
+        loop_id: LoopId(r.u16()?),
+        kind: r_anchorkind(r)?,
+    })
 }
 
 fn w_nested(n: &NestedSite, w: &mut ByteWriter) {
@@ -621,13 +597,7 @@ fn decode_entry_body(program_key: u64, body: &[u8]) -> Result<CacheEntry, CacheE
         oracle_vars.push(match r.u8()? {
             0 => VarKey::Global(r.u32()?),
             1 => VarKey::Local(FuncId(r.u32()?), r.u16()?),
-            tag => {
-                return Err(CacheError::Corrupt(BinError::BadTag {
-                    at,
-                    tag: u64::from(tag),
-                    what: "VarKey",
-                }))
-            }
+            tag => return Err(BinError::BadTag { at, tag: u64::from(tag), what: "VarKey" }.into()),
         });
     }
     let nsites = r.seq_len(8)?;
@@ -670,50 +640,98 @@ fn decode_entry_body(program_key: u64, body: &[u8]) -> Result<CacheEntry, CacheE
 }
 
 // ---------------------------------------------------------------------------
-// File container (docs/PERSISTENCE.md §3): magic, version, raw entries.
+// File container (docs/PERSISTENCE.md §3): a checksummed header index, then
+// the entry bodies contiguously in index order.
 // ---------------------------------------------------------------------------
 
-/// Splits a cache file into `(program_key, body)` pairs, validating the
-/// container structure and each entry's trailing checksum but not the
-/// entry bodies themselves.
-fn split_file(bytes: &[u8]) -> Result<Vec<(u64, Vec<u8>)>, CacheError> {
-    let mut r = ByteReader::new(bytes);
-    if r.raw(4).map_err(CacheError::Corrupt)? != MAGIC.as_slice() {
+/// One index record: program key, body offset, length and FNV-1a checksum.
+/// The offset is derived from the lengths before it, not stored, so no
+/// record can point past EOF or into another entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndexRecord {
+    pub program_key: u64,
+    pub offset: u64,
+    pub len: u32,
+    pub checksum: u64,
+}
+
+/// Reads and validates a file's header and index, leaving `f` at the first
+/// body. The entry count is bounded by the file length before anything is
+/// allocated; the index must match its checksum and hold each key once,
+/// and the bodies must end exactly at EOF (truncation, trailing bytes).
+pub fn read_index(f: &mut (impl Read + Seek)) -> Result<Vec<IndexRecord>, CacheError> {
+    let file_len = f.seek(SeekFrom::End(0))?;
+    f.rewind()?;
+    let mut header = vec![0u8; 12];
+    f.read_exact(&mut header)?;
+    let mut r = ByteReader::new(&header);
+    if r.raw(4)? != MAGIC.as_slice() {
         return Err(CacheError::BadMagic);
     }
-    let version = r.u32()?;
+    let (version, count) = (r.u32()?, r.u32()?);
     if version != VERSION {
         return Err(CacheError::BadVersion { found: version });
     }
-    let nentries = r.seq_len(16)?;
-    let mut entries = Vec::with_capacity(nentries);
-    for _ in 0..nentries {
-        let key = r.u64()?;
-        let body = r.bytes_u32()?;
-        let stored = r.u64()?;
-        if fnv1a64(body) != stored {
-            return Err(CacheError::ChecksumMismatch);
+    let header_len = 12 + 20 * u64::from(count) + 8;
+    if header_len > file_len {
+        return Err(BinError::BadLength { at: 8, len: count.into() }.into());
+    }
+    header.resize(header_len as usize, 0);
+    f.read_exact(&mut header[12..])?;
+    let (covered, stored) = header.split_at(header.len() - 8);
+    if fnv1a64(covered).to_le_bytes() != stored {
+        return Err(CacheError::ChecksumMismatch);
+    }
+    let mut r = ByteReader::new(&covered[12..]);
+    let mut index: Vec<IndexRecord> = Vec::with_capacity(count as usize);
+    let mut offset = header_len;
+    for i in 0..count as usize {
+        let e = IndexRecord { program_key: r.u64()?, offset, len: r.u32()?, checksum: r.u64()? };
+        if index.iter().any(|o| o.program_key == e.program_key) {
+            let what = "duplicate program key";
+            return Err(BinError::BadTag { at: 12 + 20 * i, tag: e.program_key, what }.into());
         }
-        entries.push((key, body.to_vec()));
+        offset += u64::from(e.len);
+        index.push(e);
     }
-    if !r.is_at_end() {
-        return Err(CacheError::Corrupt(BinError::BadLength {
-            at: r.pos(),
-            len: r.remaining() as u64,
-        }));
+    if offset != file_len {
+        return Err(BinError::BadLength { at: header_len as usize, len: offset }.into());
     }
-    Ok(entries)
+    Ok(index)
 }
 
-fn join_file(entries: &[(u64, Vec<u8>)]) -> Vec<u8> {
+/// Reads one entry's body through `f` and checks it against its record.
+fn read_body(f: &mut (impl Read + Seek), e: &IndexRecord) -> Result<Vec<u8>, CacheError> {
+    let mut body = vec![0u8; e.len as usize];
+    f.seek(SeekFrom::Start(e.offset))?;
+    f.read_exact(&mut body)?;
+    if fnv1a64(&body) != e.checksum {
+        return Err(CacheError::ChecksumMismatch);
+    }
+    Ok(body)
+}
+
+/// Reads the index, then only `key`'s body, through the one handle `f` (so
+/// a concurrent save's rename cannot mix two files). `None` is a miss.
+fn read_entry(f: &mut (impl Read + Seek), key: u64) -> Result<Option<Vec<u8>>, CacheError> {
+    let index = read_index(f)?;
+    index.iter().find(|e| e.program_key == key).map(|e| read_body(f, e)).transpose()
+}
+
+/// Lays out a file from `(program_key, body, body checksum)` triples.
+fn join_file(entries: &[(u64, Vec<u8>, u64)]) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.raw(&MAGIC);
     w.u32(VERSION);
     w.u32(entries.len() as u32);
-    for (key, body) in entries {
+    for (key, body, checksum) in entries {
         w.u64(*key);
-        w.bytes_u32(body);
-        w.u64(fnv1a64(body));
+        w.u32(body.len() as u32);
+        w.u64(*checksum);
+    }
+    w.u64(fnv1a64(w.bytes()));
+    for (_, body, _) in entries {
+        w.raw(body);
     }
     w.into_bytes()
 }
@@ -723,9 +741,9 @@ fn join_file(entries: &[(u64, Vec<u8>)]) -> Vec<u8> {
 /// checksum-verified and structurally decoded, but *not* revalidated
 /// against any program or realm (there is none to validate against).
 pub fn read_cache_file(path: &Path) -> Result<Vec<CacheEntry>, CacheError> {
-    let bytes = std::fs::read(path).map_err(|e| CacheError::Io(e.to_string()))?;
-    let raw = split_file(&bytes)?;
-    raw.into_iter().map(|(key, body)| decode_entry_body(key, &body)).collect()
+    let mut f = File::open(path)?;
+    let index = read_index(&mut f)?;
+    index.iter().map(|e| decode_entry_body(e.program_key, &read_body(&mut f, e)?)).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -771,12 +789,15 @@ fn apply_shape_remap(frag: &mut Fragment, remap: &HashMap<u32, u32>) {
     }
 }
 
+fn bad<T>(msg: String) -> Result<T, CacheError> {
+    Err(CacheError::BadTree(msg))
+}
+
 /// Validates one decoded tree against the running program and realm:
 /// anchor consistency, parallel-array shapes, AR-slot, frame, global and
 /// native-function bounds. Runs before the verifier pass (which checks the
 /// fragment code against the tree alone).
 fn validate_tree(prog: &Program, realm: &Realm, ntrees: u32, t: &TreeCode) -> Result<(), CacheError> {
-    let bad = |msg: String| Err(CacheError::BadTree(msg));
     let globals_len = realm.globals.len() as u32;
     let nfuncs = prog.functions.len() as u32;
     if t.anchor.func.0 >= nfuncs {
@@ -831,11 +852,9 @@ fn validate_tree(prog: &Program, realm: &Realm, ntrees: u32, t: &TreeCode) -> Re
     let entry_nlocals = func.nlocals;
     let check_key = |key: SlotKey| -> Result<(), CacheError> {
         match key {
-            SlotKey::Global(g) if g >= globals_len => {
-                Err(CacheError::BadTree(format!("global slot {g} out of range")))
-            }
+            SlotKey::Global(g) if g >= globals_len => bad(format!("global slot {g} out of range")),
             SlotKey::Local { depth: 0, slot } if slot >= entry_nlocals => {
-                Err(CacheError::BadTree(format!("entry-frame local {slot} out of range")))
+                bad(format!("entry-frame local {slot} out of range"))
             }
             _ => Ok(()),
         }
@@ -843,7 +862,7 @@ fn validate_tree(prog: &Program, realm: &Realm, ntrees: u32, t: &TreeCode) -> Re
     let check_bindings = |what: &str, bs: &[SlotBinding]| -> Result<(), CacheError> {
         for b in bs {
             if u32::from(b.ar) >= nslots {
-                return Err(CacheError::BadTree(format!("{what}: AR slot {} out of range", b.ar)));
+                return bad(format!("{what}: AR slot {} out of range", b.ar));
             }
             check_key(b.key)?;
         }
@@ -851,21 +870,15 @@ fn validate_tree(prog: &Program, realm: &Realm, ntrees: u32, t: &TreeCode) -> Re
     };
     let check_exit = |what: &str, e: &SideExitInfo| -> Result<(), CacheError> {
         if e.frames.is_empty() {
-            return Err(CacheError::BadTree(format!("{what}: exit with no frames")));
+            return bad(format!("{what}: exit with no frames"));
         }
         for f in &e.frames {
             if f.func.0 >= nfuncs {
-                return Err(CacheError::BadTree(format!(
-                    "{what}: frame function {} out of range",
-                    f.func.0
-                )));
+                return bad(format!("{what}: frame function {} out of range", f.func.0));
             }
             let code_len = prog.functions[f.func.0 as usize].code.len() as u32;
             if f.resume_pc >= code_len {
-                return Err(CacheError::BadTree(format!(
-                    "{what}: resume pc {} out of range",
-                    f.resume_pc
-                )));
+                return bad(format!("{what}: resume pc {} out of range", f.resume_pc));
             }
         }
         check_bindings(what, &e.write_back)?;
@@ -879,9 +892,7 @@ fn validate_tree(prog: &Program, realm: &Realm, ntrees: u32, t: &TreeCode) -> Re
             for idx in 0..f.stack_depth {
                 let key = SlotKey::Stack { depth: depth as u8, idx };
                 if !e.write_back.iter().any(|b| b.key == key) {
-                    return Err(CacheError::BadTree(format!(
-                        "{what}: frame {depth} stack entry {idx} is not written back"
-                    )));
+                    return bad(format!("{what}: frame {depth} stack entry {idx} not written back"));
                 }
             }
         }
@@ -910,9 +921,10 @@ impl Monitor {
     /// Loads this program's entry from the cache at `handle`, installing
     /// its trees, oracle, blacklist, and silenced anchors into a cold
     /// monitor. Returns `Ok(true)` on a hit, `Ok(false)` on a clean miss
-    /// (no file, or no entry for this program), and `Err` when an entry
-    /// existed but failed revalidation — in every non-`Ok(true)` case the
-    /// monitor is left untouched and the run proceeds cold.
+    /// (no file, or no entry for this program), and `Err` when the file's
+    /// index or this program's entry failed revalidation — in every
+    /// non-`Ok(true)` case the monitor is untouched and the run proceeds
+    /// cold. Other programs' entries are never read.
     ///
     /// Counters: a hit bumps `cache_hits`, `cache_loaded_trees`, and
     /// `cache_loaded_fragments`; a miss bumps `cache_misses`; a rejection
@@ -923,25 +935,17 @@ impl Monitor {
         interp: &mut Interp,
         realm: &Realm,
     ) -> Result<bool, CacheError> {
-        let bytes = match std::fs::read(&handle.path) {
-            Ok(b) => b,
-            Err(_) => {
+        let found = File::open(&handle.path)
+            .map_or(Ok(None), |mut f| read_entry(&mut f, handle.program_key));
+        let installed = match found {
+            Ok(None) => {
                 self.profiler.stats.cache_misses += 1;
                 return Ok(false);
             }
+            Ok(Some(body)) => self.revalidate_and_install(&body, handle, interp, realm),
+            Err(e) => Err(e),
         };
-        let raw = match split_file(&bytes) {
-            Ok(raw) => raw,
-            Err(e) => {
-                self.profiler.stats.cache_revalidation_failures += 1;
-                return Err(e);
-            }
-        };
-        let Some((key, body)) = raw.into_iter().find(|&(k, _)| k == handle.program_key) else {
-            self.profiler.stats.cache_misses += 1;
-            return Ok(false);
-        };
-        match self.revalidate_and_install(key, &body, handle, interp, realm) {
+        match installed {
             Ok(()) => {
                 self.profiler.stats.cache_hits += 1;
                 Ok(true)
@@ -959,7 +963,6 @@ impl Monitor {
     /// installation. Nothing is installed unless everything passes.
     fn revalidate_and_install(
         &mut self,
-        key: u64,
         body: &[u8],
         handle: &CacheHandle,
         interp: &mut Interp,
@@ -968,7 +971,7 @@ impl Monitor {
         if !self.cache.is_empty() {
             return Err(CacheError::NotCold);
         }
-        let mut entry = decode_entry_body(key, body)?;
+        let mut entry = decode_entry_body(handle.program_key, body)?;
         if entry.fingerprint != handle.fingerprint {
             return Err(CacheError::FingerprintMismatch {
                 stored: entry.fingerprint,
@@ -1000,10 +1003,7 @@ impl Monitor {
         let nloops = |f: FuncId| prog.functions[f.0 as usize].loops.len() as u16;
         for &(f, l) in &entry.silenced {
             if f.0 >= prog.functions.len() as u32 || l > nloops(f) {
-                return Err(CacheError::BadTree(format!(
-                    "silenced anchor ({}, {l}) out of range",
-                    f.0
-                )));
+                return bad(format!("silenced anchor ({}, {l}) out of range", f.0));
             }
         }
         // Everything validated — install. From here on nothing can fail.
@@ -1076,28 +1076,22 @@ impl Monitor {
             return Ok(false);
         }
         // Collect the identity (property path) of every guarded shape.
-        let mut shapes: Vec<ShapePath> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for tree in self.cache.iter() {
-            for frag in tree.fragments.iter() {
-                for inst in &frag.code {
-                    if let MachInst::GuardShape { shape, .. } = inst {
-                        if seen.insert(*shape) {
-                            if let Some(path) = realm.shapes.path(ShapeId(*shape)) {
-                                shapes.push(ShapePath {
-                                    id: *shape,
-                                    path: path
-                                        .iter()
-                                        .map(|&s| realm.symbols.name(s).to_string())
-                                        .collect(),
-                                });
-                            }
-                        }
-                    }
-                }
+        let mut ids: Vec<u32> = Vec::new();
+        for inst in self.cache.iter().flat_map(|t| t.fragments.iter()).flat_map(|f| &f.code) {
+            if let MachInst::GuardShape { shape, .. } = inst {
+                ids.push(*shape);
             }
         }
-        shapes.sort_by_key(|s| s.id);
+        ids.sort_unstable();
+        ids.dedup();
+        let shapes: Vec<ShapePath> = ids
+            .into_iter()
+            .filter_map(|id| {
+                let path = realm.shapes.path(ShapeId(id))?.into_iter();
+                let path = path.map(|s| realm.symbols.name(s).to_string()).collect();
+                Some(ShapePath { id, path })
+            })
+            .collect();
         let body = encode_entry_body(
             handle.fingerprint,
             &shapes,
@@ -1108,15 +1102,24 @@ impl Monitor {
             &mut self.cache.iter(),
             self.cache.len() as u32,
         );
-        // Upsert into the existing file, preserving other programs'
-        // entries; an unreadable or invalid file is simply replaced.
-        let mut entries = std::fs::read(&handle.path)
+        // Upsert into the existing file, copying the other programs' bodies
+        // and stored checksums verbatim (not re-hashed); a file without a
+        // valid index is replaced by a one-entry file.
+        let mut entries: Vec<_> = File::open(&handle.path)
             .ok()
-            .and_then(|bytes| split_file(&bytes).ok())
+            .and_then(|mut f| {
+                let index = read_index(&mut f).ok()?;
+                index.iter().map(|e| {
+                    let mut body = vec![0u8; e.len as usize];
+                    f.read_exact(&mut body).ok().map(|()| (e.program_key, body, e.checksum))
+                }).collect()
+            })
             .unwrap_or_default();
-        match entries.iter_mut().find(|(k, _)| *k == handle.program_key) {
-            Some(slot) => slot.1 = body,
-            None => entries.push((handle.program_key, body)),
+        let checksum = fnv1a64(&body);
+        let own = (handle.program_key, body, checksum);
+        match entries.iter_mut().find(|e| e.0 == handle.program_key) {
+            Some(slot) => *slot = own,
+            None => entries.push(own),
         }
         let out = join_file(&entries);
         // The temp name must be unique per *writer*, not just per process:
@@ -1130,11 +1133,8 @@ impl Monitor {
         let tmp = handle
             .path
             .with_extension(format!("tmp.{}.{}", std::process::id(), seq));
-        std::fs::write(&tmp, &out).map_err(|e| CacheError::Io(e.to_string()))?;
-        std::fs::rename(&tmp, &handle.path).map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
-            CacheError::Io(e.to_string())
-        })?;
+        std::fs::write(&tmp, &out)?;
+        std::fs::rename(&tmp, &handle.path).inspect_err(|_| drop(std::fs::remove_file(&tmp)))?;
         Ok(true)
     }
 }
@@ -1227,24 +1227,105 @@ mod tests {
         assert_eq!(back, e);
     }
 
+    const KEYS: [u64; 3] = [0xa, 0xb, 0xc];
+    /// Where the three-entry file's header checksum starts.
+    const SEAL_AT: usize = 12 + 3 * 20;
+
+    /// A three-entry file whose bodies differ in length, so an offset
+    /// derived from the wrong record reads the wrong bytes.
+    fn three_entries() -> (Vec<u8>, Vec<Vec<u8>>) {
+        let bodies = vec![vec![1, 2, 3], vec![9; 40], vec![7, 7]];
+        let entries: Vec<_> =
+            KEYS.iter().zip(&bodies).map(|(&k, b)| (k, b.clone(), fnv1a64(b))).collect();
+        (join_file(&entries), bodies)
+    }
+
+    /// The load path: the index, then `key`'s body alone.
+    fn load(bytes: &[u8], key: u64) -> Result<Option<Vec<u8>>, CacheError> {
+        read_entry(&mut std::io::Cursor::new(bytes), key)
+    }
+
+    /// Rewrites the header checksum after an edit to the index, so only
+    /// the index's structure can object.
+    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+        let sum = fnv1a64(&bytes[..SEAL_AT]);
+        bytes[SEAL_AT..SEAL_AT + 8].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
     #[test]
-    fn container_round_trips_and_detects_bit_flips() {
-        let entries = vec![(0x1111u64, vec![1, 2, 3]), (0x2222, vec![9, 8])];
-        let bytes = join_file(&entries);
-        assert_eq!(split_file(&bytes).unwrap(), entries);
-        // Flip one bit inside the first entry's body.
-        let mut bad = bytes.clone();
-        let body_at = 4 + 4 + 4 + 8 + 4; // magic, version, count, key, len
-        bad[body_at] ^= 0x40;
-        assert_eq!(split_file(&bad), Err(CacheError::ChecksumMismatch));
-        // Truncations anywhere never panic and never pass.
-        for cut in 0..bytes.len() {
-            assert!(split_file(&bytes[..cut]).is_err(), "cut at {cut}");
+    fn container_round_trips_with_derived_offsets() {
+        let (bytes, bodies) = three_entries();
+        let index = read_index(&mut std::io::Cursor::new(&bytes)).unwrap();
+        let offsets: Vec<u64> = index.iter().map(|e| e.offset).collect();
+        let header_len = SEAL_AT as u64 + 8;
+        assert_eq!(offsets, [header_len, header_len + 3, header_len + 43]);
+        for (key, body) in KEYS.into_iter().zip(bodies) {
+            assert_eq!(load(&bytes, key), Ok(Some(body)));
         }
-        // Version skew is detected before any entry is touched.
+        assert_eq!(load(&bytes, 0xd), Ok(None), "an absent key is a clean miss");
+        // Version skew is detected before the index is read.
         let mut skewed = bytes;
         skewed[4] = 0xfe;
-        assert!(matches!(split_file(&skewed), Err(CacheError::BadVersion { .. })));
+        assert_eq!(load(&skewed, KEYS[0]), Err(CacheError::BadVersion { found: 0xfe }));
+    }
+
+    #[test]
+    fn every_truncation_and_a_trailing_byte_are_errors_for_every_key() {
+        let (bytes, _) = three_entries();
+        for cut in 0..bytes.len() {
+            for key in KEYS.into_iter().chain([0xd]) {
+                assert!(load(&bytes[..cut], key).is_err(), "cut at {cut}, key {key:#x}");
+            }
+        }
+        let mut long = bytes;
+        long.push(0);
+        for key in KEYS {
+            assert!(matches!(load(&long, key), Err(CacheError::Corrupt(BinError::BadLength { .. }))));
+        }
+    }
+
+    #[test]
+    fn damaged_indexes_are_rejected() {
+        let (bytes, _) = three_entries();
+        let at = |record: usize, field: usize| 12 + 20 * record + field;
+        let mut flipped = bytes.clone();
+        flipped[SEAL_AT + 3] ^= 0x01;
+        assert_eq!(load(&flipped, KEYS[0]), Err(CacheError::ChecksumMismatch));
+        // Entry B's body_len runs past EOF: the lengths no longer sum to
+        // the file length, whichever key is asked for.
+        let mut overrun = bytes.clone();
+        overrun[at(1, 8)..at(1, 12)].copy_from_slice(&u32::MAX.to_le_bytes());
+        let overrun = reseal(overrun);
+        for key in KEYS {
+            assert!(matches!(load(&overrun, key), Err(CacheError::Corrupt(BinError::BadLength { .. }))));
+        }
+        // A count claiming more records than the file holds fails before
+        // the index buffer is allocated (4 G records would be 80 GB).
+        for count in [4 + bytes.len() as u32 / 20, u32::MAX] {
+            let mut many = bytes.clone();
+            many[8..12].copy_from_slice(&count.to_le_bytes());
+            let err = load(&many, KEYS[0]);
+            assert_eq!(err, Err(CacheError::Corrupt(BinError::BadLength { at: 8, len: count.into() })));
+        }
+        let mut dup = bytes;
+        dup[at(2, 0)..at(2, 8)].copy_from_slice(&KEYS[0].to_le_bytes());
+        let dup = reseal(dup);
+        for key in KEYS {
+            let err = load(&dup, key);
+            assert!(matches!(err, Err(CacheError::Corrupt(BinError::BadTag { tag: 0xa, .. }))), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn a_damaged_body_costs_only_its_own_entry() {
+        let (bytes, bodies) = three_entries();
+        let index = read_index(&mut std::io::Cursor::new(&bytes)).unwrap();
+        let mut bad = bytes;
+        bad[index[1].offset as usize + 17] ^= 0x40;
+        assert_eq!(load(&bad, KEYS[0]), Ok(Some(bodies[0].clone())));
+        assert_eq!(load(&bad, KEYS[1]), Err(CacheError::ChecksumMismatch));
+        assert_eq!(load(&bad, KEYS[2]), Ok(Some(bodies[2].clone())));
     }
 
     #[test]
@@ -1281,7 +1362,9 @@ mod tests {
         let mut cold = Vm::with_options(Engine::Tracing, opts);
         cold.set_cache_path(Some(path.clone()));
         cold.eval(src).unwrap();
-        let (key, body) = split_file(&std::fs::read(&path).unwrap()).unwrap().remove(0);
+        let mut file = File::open(&path).unwrap();
+        let key = read_index(&mut file).unwrap()[0].program_key;
+        let body = read_entry(&mut file, key).unwrap().unwrap();
         let mut e = decode_entry_body(key, &body).unwrap();
         let tree = e.trees.iter_mut().find(|t| !t.nested_sites.is_empty()).expect("a nesting tree");
         corrupt(Arc::get_mut(&mut tree.code).unwrap());
@@ -1295,7 +1378,8 @@ mod tests {
             &mut e.trees.iter(),
             e.trees.len() as u32,
         );
-        std::fs::write(&path, join_file(&[(key, body)])).unwrap();
+        let checksum = fnv1a64(&body);
+        std::fs::write(&path, join_file(&[(key, body, checksum)])).unwrap();
 
         let mut vm = Vm::with_options(Engine::Tracing, opts);
         vm.set_cache_path(Some(path.clone()));

@@ -18,8 +18,10 @@
 //!
 //! If argv[1] names an existing file, it is decoded as a trace-cache
 //! file instead (no program or realm needed) and dumped section by
-//! section against the layout of docs/PERSISTENCE.md — the mechanical
-//! check that the spec and the codecs agree:
+//! section against the layout of docs/PERSISTENCE.md — the header index
+//! (each record's program key, derived offset, length and checksum),
+//! then every entry — the mechanical check that the spec and the codecs
+//! agree:
 //!
 //! ```sh
 //! TM_CACHE=/tmp/sieve.tmc cargo run --release --example quickstart
@@ -39,7 +41,7 @@
 //! `.tmc` mode too — the emitter only needs the fragments, not a VM.
 
 use tracemonkey::jit::nest::TransferPlan;
-use tracemonkey::jit::persist::read_cache_file;
+use tracemonkey::jit::persist::{read_cache_file, read_index};
 use tracemonkey::nanojit::{emit_tree_annotated, native_supported, Fragment};
 use tracemonkey::{Engine, Vm};
 
@@ -116,12 +118,16 @@ fn dump_native(t: usize, fragments: &[Fragment]) {
     }
 }
 
-/// Offline cache-file dump: container → entries → per-entry sections in
-/// the order docs/PERSISTENCE.md §4 specifies them. Decoding validates
-/// magic, version, and every checksum; nothing here needs (or touches)
-/// a VM.
+/// Offline cache-file dump: the header index (docs/PERSISTENCE.md §3),
+/// then each entry's sections in the order §4 specifies them. Decoding
+/// validates magic, version, the index and every body checksum; nothing
+/// here needs (or touches) a VM.
 fn dump_cache(path: &std::path::Path, native: bool) {
-    let entries = match read_cache_file(path) {
+    let read = || -> Result<_, tracemonkey::CacheError> {
+        let index = read_index(&mut std::fs::File::open(path)?)?;
+        Ok((index, read_cache_file(path)?))
+    };
+    let (index, entries) = match read() {
         Ok(e) => e,
         Err(e) => {
             eprintln!("{}: {e:?}", path.display());
@@ -130,6 +136,15 @@ fn dump_cache(path: &std::path::Path, native: bool) {
     };
     println!("cache file {} — {} entr{}", path.display(), entries.len(),
         if entries.len() == 1 { "y" } else { "ies" });
+    // Offsets are derived from the lengths, not stored: the first is the
+    // header length (20 + 20 × entries), each next one adds a length.
+    println!("index ({} records):", index.len());
+    for r in &index {
+        println!(
+            "  program_key={:#018x} offset={:<8} len={:<8} checksum={:#018x}",
+            r.program_key, r.offset, r.len, r.checksum
+        );
+    }
     for e in &entries {
         println!("\n== entry program_key={:#018x} fingerprint={:#018x} ==", e.program_key, e.fingerprint);
         println!("shapes ({}):", e.shapes.len());

@@ -171,15 +171,24 @@ fn truncated_files_fall_back_to_cold_start() {
     let (_, src) = CORPUS[1];
     let mut interp_vm = Vm::new(Engine::Interp);
     let expected = eval_num(&mut interp_vm, src);
+    // Two programs' entries, so the index has more than one record.
+    eval_num(&mut vm_with_cache(&cache.0), CORPUS[0].1);
     eval_num(&mut vm_with_cache(&cache.0), src);
     let bytes = std::fs::read(&cache.0).unwrap();
+    let index = tracemonkey::jit::persist::read_index(&mut std::fs::File::open(&cache.0).unwrap())
+        .expect("a valid two-entry file");
+    assert_eq!(index.len(), 2);
+    let header_len = index[0].offset as usize;
 
-    // Sampled prefixes of the file must be rejected cleanly (no panic,
-    // no wrong result) and counted as a revalidation failure. (Every
-    // single-byte truncation of the *container* is covered cheaply by the
-    // unit tests in `tm_core::persist`; here we pay for whole VM runs.)
-    let cuts: Vec<usize> =
-        (0..12).map(|i| i * bytes.len() / 12).chain([bytes.len() - 1]).collect();
+    // Every cut inside the header and index, and sampled prefixes of the
+    // rest, must be rejected cleanly (no panic, no wrong result) and
+    // counted as a revalidation failure. (Every single-byte truncation of
+    // the *container* is covered cheaply by the unit tests in
+    // `tm_core::persist`; here we pay for whole VM runs.)
+    let cuts: Vec<usize> = (0..header_len)
+        .chain((0..12).map(|i| i * bytes.len() / 12))
+        .chain([bytes.len() - 1])
+        .collect();
     for cut in cuts {
         std::fs::write(&cache.0, &bytes[..cut]).unwrap();
         let mut vm = vm_with_cache(&cache.0);
@@ -190,6 +199,54 @@ fn truncated_files_fall_back_to_cold_start() {
         assert_eq!(stats.cache_revalidation_failures, 1, "cut at {cut}");
         assert!(vm.last_cache_error().is_some(), "cut at {cut}: error reported");
     }
+}
+
+/// A damaged entry costs only its own program: loading reads the index and
+/// one body, so program A warm-starts past program B's garbage, and B's
+/// cold run rewrites B's entry while copying A's bytes verbatim.
+#[test]
+fn a_damaged_entry_does_not_cold_start_other_programs() {
+    let cache = CacheFile::new("damaged_other");
+    let (_, src_a) = CORPUS[0];
+    let (_, src_b) = CORPUS[4];
+    let mut cold_a = vm_with_cache(&cache.0);
+    let expected_a = eval_num(&mut cold_a, src_a);
+    let trees_a = cold_a.monitor().unwrap().cache.len() as u64;
+    eval_num(&mut vm_with_cache(&cache.0), src_b);
+    let read_index = || {
+        let mut f = std::fs::File::open(&cache.0).unwrap();
+        tracemonkey::jit::persist::read_index(&mut f).expect("the index is intact")
+    };
+    let index = read_index();
+    let (a, b) = (index[0], index[1]);
+    let mut bytes = std::fs::read(&cache.0).unwrap();
+    let body_a = bytes[a.offset as usize..][..a.len as usize].to_vec();
+    bytes[b.offset as usize..][..b.len as usize].fill(0xa5);
+    std::fs::write(&cache.0, &bytes).unwrap();
+
+    let mut warm_a = vm_with_cache(&cache.0);
+    assert_eq!(eval_num(&mut warm_a, src_a), expected_a);
+    let s = warm_a.profile().unwrap();
+    assert_eq!((s.cache_hits, s.cache_loaded_trees), (1, trees_a), "A loads every tree");
+    assert_eq!(s.cache_revalidation_failures, 0);
+
+    let mut interp_b = Vm::new(Engine::Interp);
+    let expected_b = eval_num(&mut interp_b, src_b);
+    let mut vm_b = vm_with_cache(&cache.0);
+    assert_eq!(eval_num(&mut vm_b, src_b), expected_b);
+    assert_eq!(vm_b.output(), interp_b.output());
+    let s = vm_b.profile().unwrap();
+    assert_eq!((s.cache_hits, s.cache_revalidation_failures), (0, 1));
+    assert_eq!(vm_b.last_cache_error(), Some(&tracemonkey::CacheError::ChecksumMismatch));
+
+    // B's save repaired its own entry and left A's bytes as they were.
+    let index = read_index();
+    let bytes = std::fs::read(&cache.0).unwrap();
+    assert_eq!(index[0], a);
+    assert_eq!(bytes[a.offset as usize..][..a.len as usize], body_a[..]);
+    let mut warm_b = vm_with_cache(&cache.0);
+    assert_eq!(eval_num(&mut warm_b, src_b), expected_b);
+    assert_eq!(warm_b.profile().unwrap().cache_hits, 1);
 }
 
 #[test]
