@@ -265,15 +265,27 @@ pub fn read_slot(
     }
 }
 
+/// The word an interpreter location holds for binding `b`, or `None` when
+/// the location is not materialized or its value does not match `b`'s
+/// type: the per-slot step of [`import`] and of [`run_moves`]'s
+/// interpreter-sourced moves.
+#[inline]
+fn unboxed(interp: &Interp, realm: &Realm, frame: usize, b: &SlotBinding) -> Option<u64> {
+    let v = read_slot(interp, realm, frame, b.key)?;
+    value_matches(v, b.ty).then(|| unbox_to_word(realm, v, b.ty))
+}
+
 /// Interpreter state → activation record: type-checks and unboxes every
 /// binding in one pass (§6.1: "check the type map, unbox into the
 /// activation record"). Returns `false` at the first location that is not
 /// materialized or whose value does not match its binding's type; `ar` is
-/// then partially written and must not be run.
+/// then partially written and must not be run. The interpreter-only case
+/// of [`run_moves`], written in place because tree entry takes it on
+/// every monitor transition.
 ///
-/// Generic, so instantiated in the caller's codegen unit: the three
-/// per-slot helpers are `#[inline]` so that the loop body does not become
-/// three out-of-line calls per slot (8 % of a `heap-strings` round).
+/// Generic, so instantiated in the caller's codegen unit: the per-slot
+/// helpers are `#[inline]` so that the loop body does not become
+/// out-of-line calls per slot (8 % of a `heap-strings` round).
 pub fn import<'a>(
     bindings: impl IntoIterator<Item = &'a SlotBinding>,
     interp: &Interp,
@@ -281,13 +293,63 @@ pub fn import<'a>(
     entry_frame_idx: usize,
     ar: &mut [u64],
 ) -> bool {
-    bindings.into_iter().all(|b| match read_slot(interp, realm, entry_frame_idx, b.key) {
-        Some(v) if value_matches(v, b.ty) => {
-            ar[b.ar as usize] = unbox_to_word(realm, v, b.ty);
-            true
-        }
-        _ => false,
+    bindings.into_iter().all(|b| {
+        unboxed(interp, realm, entry_frame_idx, b).map(|w| ar[b.ar as usize] = w).is_some()
     })
+}
+
+/// Where a word moved into an activation record is read from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Source {
+    /// The interpreter location the destination binding shadows.
+    Interp,
+    /// A slot of the record being written, holding a value of this type.
+    Own(ArSlot, LirType),
+    /// A slot of the other record, holding a value of this type.
+    Other(ArSlot, LirType),
+}
+
+/// One word moved into an activation record: `to` is filled from `from`,
+/// converted the way a round trip through the interpreter would have
+/// ([`transfer`]; [`import`]'s entry check for [`Source::Interp`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Move {
+    /// Where the word is read.
+    pub from: Source,
+    /// The slot it is written to, and the location and type it holds there.
+    pub to: SlotBinding,
+}
+
+/// Runs `moves` into `dst`, whose interpreter locations are relative to
+/// `frame`; `other` is the second record. Every word is read and converted
+/// (into `words`, scratch) before any is written: a slot can be listed at
+/// two types, and a later move may read what an earlier one replaces.
+/// `false` at the first refusal, with `dst` untouched.
+pub fn run_moves(
+    moves: &[Move],
+    dst: &mut [u64],
+    other: &[u64],
+    interp: &Interp,
+    realm: &mut Realm,
+    frame: usize,
+    words: &mut Vec<u64>,
+) -> bool {
+    words.clear();
+    for m in moves {
+        let w = match m.from {
+            Source::Interp => unboxed(interp, realm, frame, &m.to),
+            Source::Own(slot, ty) => transfer(realm, dst[slot as usize], ty, m.to.ty),
+            Source::Other(slot, ty) => transfer(realm, other[slot as usize], ty, m.to.ty),
+        };
+        match w {
+            Some(w) => words.push(w),
+            None => return false,
+        }
+    }
+    for (m, &w) in moves.iter().zip(words.iter()) {
+        dst[m.to.ar as usize] = w;
+    }
+    true
 }
 
 /// Activation record → interpreter state, according to a side exit's

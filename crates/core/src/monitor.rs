@@ -102,9 +102,6 @@ pub struct Monitor {
     /// `[func][loop_id]`; sized from the installed program on entry to
     /// [`Monitor::run_program`].
     pub(crate) slots: Vec<Vec<MonitorSlot>>,
-    /// Set by the nesting host when an inner tree took an unexpected exit,
-    /// so the top-level loop can extend the *inner* tree (§4.1).
-    pub(crate) pending_inner_exit: Option<(TreeId, u32, u16)>,
     /// Activation records not in use.
     pub(crate) ars: ArPool,
     /// Completion value captured when the program finished while a branch
@@ -159,10 +156,14 @@ pub(crate) struct Entered {
 
 /// The exit a tree run came back through. `out_of_fuel`: the step budget
 /// ran out on the way, and the caller owes a `StepBudgetExhausted`.
+/// `inner_exit`: the run left through a `NestedUnexpected` exit because
+/// the inner tree took this `(tree, fragment, exit)` instead of the one
+/// its site expects (§4.1).
 pub(crate) struct Ran {
     pub(crate) frag: u32,
     pub(crate) exit: u16,
     pub(crate) out_of_fuel: bool,
+    pub(crate) inner_exit: Option<(TreeId, u32, u16)>,
 }
 
 impl Monitor {
@@ -180,7 +181,6 @@ impl Monitor {
             },
             opts,
             slots: Vec::new(),
-            pending_inner_exit: None,
             ars: ArPool::default(),
             finished_during_recording: None,
             shared: None,
@@ -627,16 +627,17 @@ impl Monitor {
         }
         let (tid, code) = (entered.tid, Arc::clone(&entered.code));
         self.events.push(TraceEvent::NestedCall { tree: tid.0 });
-        let (frag, exit, kind) = match self.execute_tree(entered, 0, interp, realm) {
+        // `ran.inner_exit` is not grown from here: the recording aborts.
+        let (ran, kind) = match self.execute_tree(entered, 0, interp, realm) {
             Ok(r) => r,
             Err(e) => return Err(RecordError::Guest(e)),
         };
-        let frames = &code.exits[frag as usize][exit as usize].frames;
+        let frames = &code.exits[ran.frag as usize][ran.exit as usize].frames;
         if !matches!(kind, ExitKind::Branch | ExitKind::LeaveLoop) || frames.len() != 1 {
             rec.cancel_nested();
             return Ok(Err(AbortReason::InnerTreeCallFailed));
         }
-        rec.finish_nested_with_stack(tid, (frag, exit), frames[0].stack_depth, interp);
+        rec.finish_nested_with_stack(tid, (ran.frag, ran.exit), frames[0].stack_depth, interp);
         Ok(Ok(()))
     }
 
@@ -883,7 +884,8 @@ impl Monitor {
         loop {
             let (tid, anchor) = (entered.tid, entered.code.anchor);
             self.events.push(TraceEvent::EnterTree { tree: tid.0 });
-            let (frag, exit, kind) = self.execute_tree(entered, start, interp, realm)?;
+            let (ran, kind) = self.execute_tree(entered, start, interp, realm)?;
+            let (frag, exit) = (ran.frag, ran.exit);
             start = 0;
             match kind {
                 ExitKind::LoopEdge => {
@@ -947,7 +949,7 @@ impl Monitor {
                 ExitKind::NestedUnexpected => {
                     // §4.1: "we simply exit the outer trace and start
                     // recording a new branch in the inner tree."
-                    if let Some((itid, ifrag, iexit)) = self.pending_inner_exit.take() {
+                    if let Some((itid, ifrag, iexit)) = ran.inner_exit {
                         let ikind =
                             self.cache.tree(itid).exits[ifrag as usize][iexit as usize].kind;
                         if ikind == ExitKind::Branch {
@@ -1225,11 +1227,11 @@ impl Monitor {
         start: u32,
         interp: &mut Interp,
         realm: &mut Realm,
-    ) -> Result<(u32, u16, ExitKind), RuntimeError> {
+    ) -> Result<(Ran, ExitKind), RuntimeError> {
         let ran = self.run_entered(&mut entered, start, interp, realm)?;
         let kind = self.settle(&entered, &ran, interp, realm);
         self.ars.give(entered.ar);
-        kind.map(|kind| (ran.frag, ran.exit, kind))
+        kind.map(|kind| (ran, kind))
     }
 
     /// Runs an entered tree from fragment `start` and does the bookkeeping
@@ -1278,18 +1280,21 @@ impl Monitor {
         // The tree's transfer plans travel with the run (a plan is in use
         // while the monitor runs the tree it calls) and come back after.
         let mut plans = std::mem::take(&mut tree.plans).current(installs);
-        let frame = entered.frame;
-        let mut host = NestHost { monitor: self, interp, outer: code, plans: &mut plans, frame };
+        let (outer, frame) = (code, entered.frame);
+        let mut host =
+            NestHost { monitor: self, interp, outer, plans: &mut plans, frame, unexpected: None };
         let ar = &mut entered.ar[..];
         let trace_exit = if let Some(nt) = native {
             nt.execute(start, ar, realm, &mut host, fuel)
         } else {
             execute(&code.fragments, start, ar, realm, &mut host, fuel)
         };
+        let inner_exit = host.unexpected;
         self.cache.tree_mut(tid).plans = plans;
         let trace_exit = trace_exit?;
         self.profiler.switch(Activity::Monitor);
-        let mut ran = Ran { frag: trace_exit.fragment, exit: trace_exit.exit, out_of_fuel: false };
+        let (frag, exit) = (trace_exit.fragment, trace_exit.exit);
+        let mut ran = Ran { frag, exit, out_of_fuel: false, inner_exit };
         interp.steps_remaining = interp.steps_remaining.saturating_sub(trace_exit.insts);
         if interp.steps_remaining == 0 {
             // State is restored first so the error surfaces cleanly.

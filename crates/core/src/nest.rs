@@ -13,42 +13,22 @@
 
 use std::sync::Arc;
 
-use tm_bytecode::Program;
 use tm_interp::Interp;
 use tm_lir::{ArSlot, LirType};
 use tm_nanojit::TreeHost;
 use tm_runtime::{Realm, RuntimeError};
 
-use crate::activation::{export, import, transfer, write_variables, SlotBinding, SlotKey};
+use crate::activation::{export, run_moves, write_variables, Move, SlotBinding, SlotKey, Source};
 use crate::monitor::{Entered, Monitor};
 use crate::profiler::Activity;
-use crate::tree::{NestedSite, TreeCache, TreeCode};
-
-/// The activation record a moved word is read from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Record {
-    /// The calling trace's, as it is at the call.
-    Outer,
-    /// The inner tree's, as it is at its expected exit.
-    Inner,
-}
-
-/// One word moved between the two records: `to` is filled from `slot` of
-/// `from`, which holds a `ty` there.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Move {
-    from: Record,
-    slot: ArSlot,
-    ty: LirType,
-    to: SlotBinding,
-}
+use crate::tree::{NestedSite, TreeCache, TreeCode, TreeId};
 
 /// What one nested-call site does around the inner tree's run.
 ///
 /// A site whose inner tree calls no tree itself, reached in the outer
 /// trace's entry frame, is **deferred**: the call site is not exported.
 /// Nothing reads interpreter state during such a run but the plan's own
-/// interpreter-sourced bindings, and those name locations neither trace
+/// interpreter-sourced moves, and those name locations neither trace
 /// has written. The export is made up for whenever the call does not come
 /// back as expected. Every other site gets the same plan with every source
 /// the interpreter — export, import, run, export, import.
@@ -56,19 +36,18 @@ struct Move {
 pub struct TransferPlan {
     /// Whether the call-site export is deferred.
     pub deferred: bool,
-    /// The inner tree's entry map: the bindings the outer record holds,
-    /// and the ones only the interpreter does.
+    /// The inner tree's entry map, filled from the outer record (the
+    /// other one) or the interpreter.
     args: Vec<Move>,
-    args_interp: Vec<SlotBinding>,
     /// Deferred only: the variables of the inner exit's write-back that no
     /// later exit of the outer trace restores (it never wrote them).
     flush: Vec<SlotBinding>,
     /// What the outer record takes back after the expected exit: its
     /// tree's entry variables, its loop writes, the call site's variables
-    /// and the site's re-imports, in that order (the last binding of a
-    /// slot wins), split the same way.
+    /// and the site's re-imports, in that order (the last move into a
+    /// slot wins), from the inner record (the other one), the outer record
+    /// itself or the interpreter.
     refresh: Vec<Move>,
-    refresh_interp: Vec<SlotBinding>,
 }
 
 fn is_variable(b: &&SlotBinding) -> bool {
@@ -80,25 +59,9 @@ fn held(list: &[SlotBinding], key: SlotKey) -> Option<&SlotBinding> {
     list.iter().find(|b| b.key == key)
 }
 
-/// Drops every element that a later one repeats.
-fn keep_last<T: PartialEq + Copy>(list: &mut Vec<T>) {
-    let all = list.clone();
-    let mut later = all.iter();
-    list.retain(|x| {
-        later.next();
-        !later.as_slice().contains(x)
-    });
-}
-
 impl TransferPlan {
-    /// The plan of `site`, a nested-call site of `outer` calling `inner`,
-    /// in `prog`.
-    pub fn build(
-        prog: &Program,
-        outer: &TreeCode,
-        site: &NestedSite,
-        inner: &TreeCode,
-    ) -> TransferPlan {
+    /// The plan of `site`, a nested-call site of `outer` calling `inner`.
+    pub fn build(outer: &TreeCode, site: &NestedSite, inner: &TreeCode) -> TransferPlan {
         let (callsite, frames) = (&site.callsite.write_back, &site.callsite.frames);
         let (frag, exit) = site.expected_exit;
         let returned = &inner.exits[frag as usize][exit as usize].write_back;
@@ -112,61 +75,46 @@ impl TransferPlan {
             && frames.len() == 1
             && inner.entry().iter().all(|b| holds(callsite, b))
             && site.reimports.iter().all(|b| holds(returned, b) || holds(callsite, b));
-        let mut plan = TransferPlan {
-            deferred,
-            args: Vec::new(),
-            args_interp: Vec::new(),
-            flush: Vec::new(),
-            refresh: Vec::new(),
-            refresh_interp: Vec::new(),
-        };
         // A record is a binding's source only while the interpreter has
         // not been brought up to date with it.
-        let held_in = |from, list: &[SlotBinding], to: SlotBinding| {
-            held(list, to.key).filter(|_| deferred).map(|b| Move { from, slot: b.ar, ty: b.ty, to })
+        let held_in = |list: &[SlotBinding], key, record: fn(ArSlot, LirType) -> Source| {
+            held(list, key).filter(|_| deferred).map(|b| record(b.ar, b.ty))
         };
-        for &to in inner.entry() {
-            match held_in(Record::Outer, callsite, to) {
-                Some(m) => plan.args.push(m),
-                None => plan.args_interp.push(to),
-            }
-        }
-        // A call site's write-back still lists the locals of inlined calls
-        // that have returned: a slot past the locals of the function now
-        // running at its depth names nothing (`export` never looks for it).
-        let alive = |b: &&SlotBinding| match b.key {
-            SlotKey::Local { depth, slot } => {
-                slot < prog.function(frames[depth as usize].func).nlocals
-            }
-            _ => true,
-        };
+        let args = inner.entry().iter().map(|&to| Move {
+            from: held_in(callsite, to.key, Source::Other).unwrap_or(Source::Interp),
+            to,
+        });
+        let mut plan =
+            TransferPlan { deferred, args: args.collect(), flush: Vec::new(), refresh: Vec::new() };
         let canonical = outer
             .entry()
             .iter()
             .filter(is_variable)
             .chain(&outer.loop_writes)
-            .chain(callsite.iter().filter(is_variable).filter(alive));
+            .chain(callsite.iter().filter(is_variable));
         let reimports = site.reimports.iter().map(|b| (b, true));
         for (&to, reimport) in canonical.map(|b| (b, false)).chain(reimports) {
-            let moved = held_in(Record::Inner, returned, to)
-                .or_else(|| held_in(Record::Outer, callsite, to));
-            match moved {
-                Some(m) => plan.refresh.push(m),
+            let from = match held_in(returned, to.key, Source::Other)
+                .or_else(|| held_in(callsite, to.key, Source::Own))
+            {
+                Some(from) => from,
                 // Deferred, a canonical slot whose location neither trace
                 // has written still mirrors it; a re-import slot is the
                 // site's own and has to be filled.
-                None if deferred && !reimport => {}
-                None => plan.refresh_interp.push(to),
-            }
+                None if deferred && !reimport => continue,
+                None => Source::Interp,
+            };
+            // Listed once, at its last place.
+            let m = Move { from, to };
+            plan.refresh.retain(|&o| o != m);
+            plan.refresh.push(m);
         }
-        keep_last(&mut plan.refresh);
-        keep_last(&mut plan.refresh_interp);
         // A double or a boxed word converted to itself neither changes nor
         // refuses: where nothing else writes its slot, the move is idle.
         let moves = plan.refresh.clone();
         plan.refresh.retain(|m| {
-            (m.from, m.slot, m.ty) != (Record::Outer, m.to.ar, m.to.ty)
-                || !matches!(m.ty, LirType::Double | LirType::Boxed)
+            m.from != Source::Own(m.to.ar, m.to.ty)
+                || !matches!(m.to.ty, LirType::Double | LirType::Boxed)
                 || moves.iter().filter(|o| o.to.ar == m.to.ar).count() > 1
         });
         if deferred {
@@ -176,64 +124,14 @@ impl TransferPlan {
         plan
     }
 
-    /// How many of the plan's bindings are read from the outer activation
-    /// record, the inner one, and interpreter state.
+    /// How many of the plan's moves read the outer activation record, the
+    /// inner one, and interpreter state.
     pub fn sources(&self) -> (usize, usize, usize) {
-        let moves = self.args.iter().chain(&self.refresh);
-        let inner = moves.clone().filter(|m| m.from == Record::Inner).count();
-        (moves.count() - inner, inner, self.args_interp.len() + self.refresh_interp.len())
-    }
-
-    /// Fills the inner record's entry slots. `false`: the inner tree's
-    /// entry check refused a value.
-    fn load_args(
-        &self,
-        outer: &[u64],
-        inner: &mut [u64],
-        inner_frame: usize,
-        interp: &Interp,
-        realm: &mut Realm,
-    ) -> bool {
-        import(&self.args_interp, interp, realm, inner_frame, inner)
-            && self.args.iter().all(|m| {
-                transfer(realm, outer[m.slot as usize], m.ty, m.to.ty)
-                    .map(|w| inner[m.to.ar as usize] = w)
-                    .is_some()
-            })
-    }
-
-    /// Brings the outer record up to date with what the inner tree left.
-    /// `false`: a value no longer has the type the outer trace holds it
-    /// at; the slots its exits write back are then as they were. The
-    /// moved words are all read before any is written (a canonical slot
-    /// can be listed at two types); `words` is scratch.
-    fn refresh(
-        &self,
-        outer: &mut [u64],
-        inner: &[u64],
-        outer_frame: usize,
-        interp: &Interp,
-        realm: &mut Realm,
-        words: &mut Vec<u64>,
-    ) -> bool {
-        if !import(&self.refresh_interp, interp, realm, outer_frame, outer) {
-            return false;
-        }
-        words.clear();
-        for m in &self.refresh {
-            let from = match m.from {
-                Record::Outer => &*outer,
-                Record::Inner => inner,
-            };
-            match transfer(realm, from[m.slot as usize], m.ty, m.to.ty) {
-                Some(w) => words.push(w),
-                None => return false,
-            }
-        }
-        for (m, &w) in self.refresh.iter().zip(words.iter()) {
-            outer[m.to.ar as usize] = w;
-        }
-        true
+        let all = self.args.len() + self.refresh.len();
+        let interp = self.args.iter().chain(&self.refresh).filter(|m| m.from == Source::Interp);
+        let interp = interp.count();
+        let inner = self.refresh.iter().filter(|m| matches!(m.from, Source::Other(..))).count();
+        (all - inner - interp, inner, interp)
     }
 }
 
@@ -245,7 +143,7 @@ impl TransferPlan {
 pub struct SitePlans {
     installs: u64,
     sites: Vec<Option<TransferPlan>>,
-    /// Scratch of [`TransferPlan::refresh`].
+    /// Scratch of [`run_moves`].
     words: Vec<u64>,
 }
 
@@ -262,7 +160,6 @@ impl SitePlans {
     fn site(
         &mut self,
         id: u32,
-        prog: &Program,
         outer: &TreeCode,
         cache: &TreeCache,
     ) -> (&TransferPlan, &mut Vec<u64>) {
@@ -271,7 +168,7 @@ impl SitePlans {
         }
         let plan = self.sites[id as usize].get_or_insert_with(|| {
             let site = &outer.nested_sites[id as usize];
-            TransferPlan::build(prog, outer, site, &cache.tree(site.inner).code)
+            TransferPlan::build(outer, site, &cache.tree(site.inner).code)
         });
         (plan, &mut self.words)
     }
@@ -287,6 +184,10 @@ pub(crate) struct NestHost<'a> {
     pub(crate) plans: &'a mut SitePlans,
     /// The interpreter frame the outer tree was entered in.
     pub(crate) frame: usize,
+    /// The exit `(tree, fragment, exit)` the last call's inner tree took
+    /// where its site expected another: the branch §4.1 grows once the
+    /// outer trace has left through its `NestedUnexpected` exit.
+    pub(crate) unexpected: Option<(TreeId, u32, u16)>,
 }
 
 impl TreeHost for NestHost<'_> {
@@ -296,6 +197,7 @@ impl TreeHost for NestHost<'_> {
         ar: &mut [u64],
         realm: &mut Realm,
     ) -> Result<bool, RuntimeError> {
+        self.unexpected = None;
         // Figure 12: the plan's marshalling is the monitor's time; the
         // inner run and what the outer trace does next are native time.
         self.monitor.profiler.switch(Activity::Monitor);
@@ -312,10 +214,10 @@ impl NestHost<'_> {
         outer_ar: &mut [u64],
         realm: &mut Realm,
     ) -> Result<bool, RuntimeError> {
-        let NestHost { monitor, interp, outer, plans, frame } = self;
+        let NestHost { monitor, interp, outer, plans, frame, unexpected } = self;
         let frame = *frame;
         let site = &outer.nested_sites[site_id as usize];
-        let (plan, words) = plans.site(site_id, interp.prog(), outer, &monitor.cache);
+        let (plan, words) = plans.site(site_id, outer, &monitor.cache);
         monitor.profiler.stats.nested_calls += 1;
         monitor.profiler.stats.nested_deferred += u64::from(plan.deferred);
         if !plan.deferred {
@@ -329,7 +231,9 @@ impl NestHost<'_> {
             code,
             frame: frame + site.callsite.frames.len() - 1,
         };
-        let run = if plan.load_args(outer_ar, &mut inner.ar, inner.frame, interp, realm) {
+        let loaded =
+            run_moves(&plan.args, &mut inner.ar, outer_ar, interp, realm, inner.frame, words);
+        let run = if loaded {
             monitor.run_entered(&mut inner, 0, interp, realm).map(Some)
         } else {
             Ok(None)
@@ -351,13 +255,13 @@ impl NestHost<'_> {
         // property does not hold."
         let expected = !ran.out_of_fuel && (ran.frag, ran.exit) == site.expected_exit;
         if !expected {
-            monitor.pending_inner_exit = Some((site.inner, ran.frag, ran.exit));
+            *unexpected = Some((site.inner, ran.frag, ran.exit));
         }
         if !plan.deferred {
             monitor.settle(&inner, &ran, interp, realm)?;
         }
         let returned =
-            expected && plan.refresh(outer_ar, &inner.ar, frame, interp, realm, words);
+            expected && run_moves(&plan.refresh, outer_ar, &inner.ar, interp, realm, frame, words);
         if plan.deferred {
             if returned {
                 // No collection here: the outer trace's roots are in its
@@ -380,10 +284,10 @@ impl NestHost<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activation::{box_from_word, ArLayout};
+    use crate::activation::{box_from_word, import, ArLayout};
     use crate::exit::{ExitKind, FrameDesc, SideExitInfo};
     use crate::shared_cache::entry_digest;
-    use crate::tree::{Anchor, TreeId};
+    use crate::tree::Anchor;
     use tm_runtime::{Unpacked, Value};
     use tm_support::prop::{self, Config};
     use tm_support::{prop_assert, prop_assert_eq, TmRng};
@@ -730,8 +634,8 @@ mod tests {
         if !plan.deferred {
             export(&site.callsite, outer_ar, 0, interp, realm);
         }
-        let mut inner_ar = vec![0u64; inner.layout.len()];
-        if !plan.load_args(outer_ar, &mut inner_ar, 0, interp, realm) {
+        let (mut inner_ar, words) = (vec![0u64; inner.layout.len()], &mut Vec::new());
+        if !run_moves(&plan.args, &mut inner_ar, outer_ar, interp, realm, 0, words) {
             if plan.deferred {
                 export(&site.callsite, outer_ar, 0, interp, realm);
             }
@@ -741,7 +645,7 @@ mod tests {
         if !plan.deferred {
             export(&inner.exits[0][0], &inner_ar, 0, interp, realm);
         }
-        let returned = plan.refresh(outer_ar, &inner_ar, 0, interp, realm, &mut Vec::new());
+        let returned = run_moves(&plan.refresh, outer_ar, &inner_ar, interp, realm, 0, words);
         if plan.deferred {
             if returned {
                 write_variables(&plan.flush, &inner_ar, 0, interp, realm);
@@ -764,7 +668,7 @@ mod tests {
             let seed = g.next_u64();
             let (mut a, mut b) = (case(seed), case(seed));
             let site = &b.outer.nested_sites[0];
-            let plan = TransferPlan::build(b.interp.prog(), &b.outer, site, &b.inner);
+            let plan = TransferPlan::build(&b.outer, site, &b.inner);
             prop_assert_eq!(plan.deferred, b.inner.nested_sites.is_empty());
             let (want, got) = (reference(&mut a), planned(&mut b, &plan));
             prop_assert_eq!(&want, &got);
@@ -810,18 +714,18 @@ mod tests {
         .unwrap();
         let m = vm.monitor().unwrap();
         let outer = m.cache.iter().find(|t| !t.nested_sites.is_empty()).expect("a nest");
-        let prog = vm.interp().unwrap().prog();
         let site = &outer.nested_sites[0];
-        let plan = TransferPlan::build(prog, outer, site, m.cache.tree(site.inner));
+        let plan = TransferPlan::build(outer, site, m.cache.tree(site.inner));
         assert!(plan.deferred);
         let n = SlotKey::Global(vm.realm.lookup_global("n").unwrap());
-        assert!(plan.args_interp.iter().any(|b| b.key == n));
+        assert!(plan.args.iter().any(|m| m.to.key == n && m.from == Source::Interp));
         for (i, m) in plan.refresh.iter().enumerate() {
             assert!(!plan.refresh[i + 1..].contains(m), "{plan:#?}");
         }
         assert!(plan.flush.is_empty(), "the outer trace wrote g, i and j itself: {plan:#?}");
-        let (outer_ar, inner_ar, _) = plan.sources();
-        assert_eq!(outer_ar + inner_ar, plan.args.len() + plan.refresh.len());
+        let (outer_ar, inner_ar, interp) = plan.sources();
+        assert_eq!(outer_ar + inner_ar + interp, plan.args.len() + plan.refresh.len());
+        assert_eq!(interp, 1, "only n: {plan:#?}");
         assert_eq!(m.profiler.stats.nested_calls, m.profiler.stats.nested_deferred);
         assert!(m.profiler.stats.nested_calls >= 40, "{:?}", m.profiler.stats);
     }

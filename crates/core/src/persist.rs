@@ -883,6 +883,16 @@ fn validate_tree(prog: &Program, realm: &Realm, ntrees: u32, t: &TreeCode) -> Re
         }
         check_bindings(what, &e.write_back)?;
         check_bindings(what, &e.typemap)?;
+        // A local an exit names is one of the function running at its
+        // depth: a nested call's plan reads the call site's back from there.
+        for b in e.write_back.iter().chain(&e.typemap) {
+            if let SlotKey::Local { depth, slot } = b.key {
+                let f = e.frames.get(depth as usize);
+                if f.is_none_or(|f| slot >= prog.functions[f.func.0 as usize].nlocals) {
+                    return bad(format!("{what}: local {slot} of frame {depth} out of range"));
+                }
+            }
+        }
         for &k in &e.oracle_hint {
             check_key(k)?;
         }
@@ -1434,6 +1444,14 @@ mod tests {
         // An entry-map slot shadowing a local the entry frame does not have.
         let err = run_with_corrupted_entry("local", NESTED_LOOPS, opts, |t| {
             t.entry_reqs[0][0].key = SlotKey::Local { depth: 0, slot: u16::MAX };
+        });
+        assert!(matches!(err, CacheError::BadTree(_)), "{err:?}");
+        // Exits that name a local of a frame they do not have.
+        let err = run_with_corrupted_entry("frame", NESTED_LOOPS, opts, |t| {
+            for e in t.exits.iter_mut().flatten() {
+                let key = SlotKey::Local { depth: e.frames.len() as u8, slot: 0 };
+                e.write_back.push(SlotBinding { ar: 0, key, ty: LirType::Boxed });
+            }
         });
         assert!(matches!(err, CacheError::BadTree(_)), "{err:?}");
         // Exits that push one more operand-stack entry than they write back.

@@ -307,6 +307,10 @@ impl Recorder {
         interp: &Interp,
         opts: JitOptions,
     ) -> Recorder {
+        // A branch recorded from anywhere but where its parent exit
+        // resumes describes another state.
+        let resume_pc = parent_exit.frames.last().expect("frames").resume_pc;
+        debug_assert_eq!(interp.frame().pc, resume_pc, "a branch starts at its parent's resume pc");
         let mut rec = Recorder {
             buf: LirBuffer::new(opts.filters),
             layout,
@@ -373,7 +377,7 @@ impl Recorder {
             });
         }
         // Guard exits before the first op need a valid pre-state.
-        rec.pre_pc = parent_exit.frames.last().expect("frames").resume_pc;
+        rec.pre_pc = resume_pc;
         rec.pre_depths = parent_exit.frames.iter().map(|f| f.stack_depth).collect();
         // Materialize operand stacks eagerly (stack shadows are
         // structural); types come from the parent exit's type map (every
@@ -1058,6 +1062,15 @@ impl Recorder {
                     self.undefined_sv()
                 };
                 let frame = self.frames.pop().expect("frame");
+                // The returned frame's slots name nothing now, and a call
+                // inlined at this depth next may have fewer locals.
+                let gone = self.frames.len() as u8;
+                let alive = |_: &ArSlot, &mut (key, _): &mut (SlotKey, LirType)| match key {
+                    SlotKey::Local { depth, .. } | SlotKey::Stack { depth, .. } => depth != gone,
+                    _ => true,
+                };
+                self.written.retain(alive);
+                self.known.retain(alive);
                 let result = if frame.is_construct && result.ty != LirType::Object {
                     frame.locals[0].expect("this is always set")
                 } else {

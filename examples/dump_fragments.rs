@@ -67,14 +67,13 @@ fn main() {
     let mut vm = Vm::new(Engine::Tracing);
     vm.eval(&src).expect("program runs");
     let m = vm.monitor().expect("tracing engine has a monitor");
-    let prog = vm.interp().expect("the program ran").prog();
     for (t, tree) in m.cache.iter().enumerate() {
         for (f, frag) in tree.fragments.iter().enumerate() {
             println!("=== tree {t} fragment {f} ===");
             println!("{}", frag.listing());
         }
         for (s, site) in tree.nested_sites.iter().enumerate() {
-            let plan = TransferPlan::build(prog, tree, site, m.cache.tree(site.inner));
+            let plan = TransferPlan::build(tree, site, m.cache.tree(site.inner));
             let (outer_ar, inner_ar, interp) = plan.sources();
             println!(
                 "=== tree {t} nested site {s}: calls tree {} expecting exit {:?}, call-site export {}; \

@@ -544,17 +544,20 @@ impl Seed {
         if self.nested { Gen::nested(self.n) } else { Gen::new(self.n) }.program()
     }
 
+    /// `17` or `n17`.
+    fn parse(part: &str, var: &str) -> Seed {
+        let (nested, digits) = match part.strip_prefix('n') {
+            Some(digits) => (true, digits),
+            None => (false, part),
+        };
+        let n = digits.parse().unwrap_or_else(|_| panic!("{var}: seeds are `17` or `n17`"));
+        Seed { nested, n }
+    }
+
     /// `TM_FUZZ_SEEDS`: comma-separated seeds, or `None` when unset.
     fn list_from_env() -> Option<Vec<Seed>> {
         let list = std::env::var("TM_FUZZ_SEEDS").ok()?;
-        let parse = |part: &str| {
-            let (nested, digits) = match part.strip_prefix('n') {
-                Some(digits) => (true, digits),
-                None => (false, part),
-            };
-            let n = digits.parse().expect("TM_FUZZ_SEEDS: comma-separated seeds, `17` or `n17`");
-            Seed { nested, n }
-        };
+        let parse = |part| Seed::parse(part, "TM_FUZZ_SEEDS");
         Some(list.split(',').map(str::trim).filter(|p| !p.is_empty()).map(parse).collect())
     }
 }
@@ -576,41 +579,42 @@ fn fuzz_one(seed: Seed) {
     }
 }
 
-fn fuzz_range(seeds: std::ops::Range<u64>) {
+fn fuzz_range(nested: bool, seeds: std::ops::Range<u64>) {
     for n in seeds {
-        fuzz_one(Seed { nested: false, n });
+        fuzz_one(Seed { nested, n });
     }
 }
 
 #[test]
 fn fuzz_seeds_0_to_100() {
-    fuzz_range(0..100);
+    fuzz_range(false, 0..100);
 }
 
 #[test]
 fn fuzz_seeds_100_to_200() {
-    fuzz_range(100..200);
+    fuzz_range(false, 100..200);
 }
 
 #[test]
 fn fuzz_seeds_200_to_300() {
-    fuzz_range(200..300);
+    fuzz_range(false, 200..300);
 }
 
 #[test]
 fn fuzz_nested_0_to_100() {
-    for n in 0..100 {
-        fuzz_one(Seed { nested: true, n });
-    }
+    fuzz_range(true, 0..100);
 }
 
 /// Extended sweep, enabled with `TM_FUZZ_RANGE=start..end` (not run by
-/// default; used for deeper soak testing).
+/// default; used for deeper soak testing). `n0..n2000` sweeps the
+/// nested-call family.
 #[test]
 fn fuzz_extended_sweep() {
     let Ok(range) = std::env::var("TM_FUZZ_RANGE") else { return };
-    let (a, b) = range.split_once("..").expect("start..end");
-    fuzz_range(a.parse().expect("start")..b.parse().expect("end"));
+    let (a, b) = range.split_once("..").expect("TM_FUZZ_RANGE: start..end");
+    let (a, b) = (Seed::parse(a, "TM_FUZZ_RANGE"), Seed::parse(b, "TM_FUZZ_RANGE"));
+    assert_eq!(a.nested, b.nested, "TM_FUZZ_RANGE: both ends in one family");
+    fuzz_range(a.nested, a.n..b.n);
 }
 
 /// Replays specific seeds: `TM_FUZZ_SEEDS=3,17,n250` (comma-separated;

@@ -5,6 +5,7 @@
 //! deferred one (nothing exported at the call site) or the eager one.
 //! The plan-level property test is in `crates/core/src/nest.rs`.
 
+use tracemonkey::jit::activation::SlotKey;
 use tracemonkey::jit::profiler::ProfileStats;
 use tracemonkey::runtime::ops::to_display;
 use tracemonkey::{Engine, JitOptions, RuntimeError, Vm, VmError};
@@ -198,6 +199,65 @@ fn an_unexpected_inner_exit_leaves_the_interpreter_there() {
 }
 
 #[test]
+fn a_stale_unexpected_inner_exit_is_not_extended_by_a_later_refused_call() {
+    // `Gen::nested` seed n968. Recording an outer loop, the monitor runs a
+    // middle tree whose inner call leaves through an overflow guard; the
+    // recording aborts. Later the inner tree refuses a (now double)
+    // argument. The monitor used to grow the first call's inner exit
+    // then, from an interpreter standing somewhere else: the branch it
+    // stitched jumped back to the loop header on every overflow, and the
+    // budget here is what ends that.
+    differential_with(
+        "var acc = 0;
+         var dbl = 0.5;
+         var glob = 1;
+         function loopy1(p2, p3) {
+             var t4 = (((-17) | (p3))) | 0;
+             for (var i5 = 0; i5 < 6; i5++) {
+                 glob = (glob + (-0.07851388176124008)) | 0;
+             }
+             return (t4 + (p3)) | 0;
+         }
+         function loopy6(p7, p8) {
+             var t9 = (p7) | 0;
+             for (var i10 = 0; i10 < 7; i10++) {
+                 glob = (glob + (((((t9) << (p8))) - (((2.9744654906756685) << (glob)))))) | 0;
+             }
+             for (var i11 = 0; i11 < 9; i11++) {
+                 glob = (glob + (t9)) | 0;
+             }
+             return (t9 + (-6)) | 0;
+         }
+         var obj12 = { a: 1, b: 2 };
+         for (var main = 0; main < 47; main++) {
+             var v13 = loopy1((((main) & (1073741822))) | 0, (((glob) << (acc))) | 0) | 0;
+             obj12.a = (((15) | (dbl))) | 0;
+             var v14 = loopy6((-92) | 0, (((-70) * (-1.9479948674426615))) | 0) | 0;
+             for (var i15 = 0; i15 < 8; i15++) {
+                 glob = (glob ^ (((i15) ^ (((55) << (i15)))))) | 0;
+                 if ((1073741822) <= (((v14) >>> (-1.917755434398279)))) {
+                     for (var i16 = 0; i16 < 8; i16++) {
+                         if ((((i15) >> (1.3279454413674445))) === (1073741823)) {
+                         }
+                     }
+                 }
+                 for (var i17 = 0; i17 < 4; i17++) {
+                     var v18 = ((((i15) | (main))) << (acc));
+                     v14 -= ((1073741823) ^ (glob));
+                 }
+             }
+             for (var i19 = 0; i19 < 7; i19++) {
+                 glob = (glob - (((((-1.6074018976036737) % (((dbl) & 7) + 2))) % (((((57) << (1073741822))) & 7) + 2)))) | 0;
+             }
+             acc = (acc + (acc | 0) + (dbl | 0) + (glob | 0) + (main | 0) + (v13 | 0) + (v14 | 0) + (obj12.a | 0) + (obj12.b | 0)) | 0;
+         }
+         (acc + glob) | 0",
+        &["acc", "glob", "main"],
+        |vm| vm.step_budget = 10_000_000,
+    );
+}
+
+#[test]
 fn an_int_slot_meets_a_double_typed_inner_entry_and_the_reverse() {
     // The inner tree is recorded while `x` holds a double and `n` an
     // integer; later calls pass an integer `x` (widened) and, in the
@@ -241,7 +301,7 @@ fn a_returned_inlined_frames_locals_are_not_read_back_after_a_later_call() {
     // `narrow`, both are inlined at depth 1, and the call site in `narrow`
     // still lists `wide`'s last local. Reading it back after the call
     // indexed past the interpreter's stack.
-    let s = differential(
+    let vm = differential_with(
         "var glob = 1;
          function wide(p, q) {
              var t = p | 0; var u = q | 0; var w = 3;
@@ -260,9 +320,24 @@ fn a_returned_inlined_frames_locals_are_not_read_back_after_a_later_call() {
          }
          (acc + glob) | 0",
         &["acc", "glob", "main"],
+        |_| {},
     );
+    let s = vm.profile().expect("tracing");
     assert!(s.nested_calls >= 30, "{s:?}");
     assert_eq!(s.nested_deferred, 0, "{s:?}");
+    // No exit lists a returned frame's locals: every local an exit names
+    // is one of the function running at its depth.
+    let prog = vm.interp().expect("the program ran").prog();
+    for tree in vm.monitor().expect("tracing").cache.iter() {
+        for exit in tree.exits.iter().flatten() {
+            for b in exit.write_back.iter().chain(&exit.typemap) {
+                if let SlotKey::Local { depth, slot } = b.key {
+                    let nlocals = prog.function(exit.frames[depth as usize].func).nlocals;
+                    assert!(slot < nlocals, "{:?} at {exit:?}", b.key);
+                }
+            }
+        }
+    }
 }
 
 #[test]
