@@ -32,6 +32,18 @@ if [ -n "$orphans" ]; then
 fi
 echo "    OK: $(echo "$helpers" | wc -w) helpers, each named outside its own table"
 
+echo "==> policy: recursion is not traced"
+# A recursive call ends the recording (AbortReason::Recursive), as in
+# TraceMonkey. Function-entry anchors, the interpreter's recursion reports
+# and their silencing were deleted; none of their names may come back,
+# behind a flag or otherwise.
+recursion_names='FuncEntry|AnchorKind|RecursiveCall|silence_recursion|recursion_silenced|ENTRY_SITE_PC|func_entry'
+if git ls-files '*.rs' | xargs grep -nE "$recursion_names"; then
+    echo "error: the recursion-tracing machinery named above was deleted; do not regrow it" >&2
+    exit 1
+fi
+echo "    OK: no tracked .rs file names the recursion-tracing machinery"
+
 echo "==> report: Rust lines outside tests/ directories and outside each file's trailing #[cfg(test)] mod tests"
 # The number every PR reports ("net line count", ROADMAP north star #2):
 # run this stage on the parent and on the change and quote both. Tracked

@@ -4,7 +4,9 @@
 //!
 //! * fusion: the peephole pass removes at least a quarter of the
 //!   dispatched machine instructions on the fusion smoke set;
-//! * coverage: the recursion and date programs reach compiled code;
+//! * coverage: the date programs reach compiled code;
+//! * recursion: the two recursion-bound programs build no tree and record
+//!   almost nothing, and every other program builds the trees it did;
 //! * native tier: native and decoded runs are indistinguishable, every
 //!   trace entry is one native exit or one fallback, and no fragment is
 //!   emitted twice;
@@ -19,7 +21,8 @@
 //! A few checks are relative to the last accepted state and read it from
 //! `tests/golden/suite_gates.txt`, one `program counter value` per line:
 //! `dispatched` and `warm_bytecodes` may not grow by more than 5 %,
-//! `nested_calls` and `nested_deferred` are exact, and a flag
+//! `nested_calls`, `nested_deferred`, `trees`, `fragments` and
+//! `traces_completed` are exact, and a flag
 //! (`ran_native`, `fallback_free`, `warm_started`) that is 1 there must
 //! still be 1. Regenerate with
 //! `TM_UPDATE_GOLDEN=1 cargo test -p tm-bench --test suite_gates`.
@@ -95,7 +98,7 @@ fn check_pins(observed: &[(&str, &str, u64)]) {
                 let limit = (was as f64 * PIN_TOLERANCE).ceil() as u64;
                 assert!(now <= limit, "{p}: {c} {now} exceeds the accepted {was} by more than 5 %");
             }
-            "nested_calls" | "nested_deferred" => {
+            "nested_calls" | "nested_deferred" | "trees" | "fragments" | "traces_completed" => {
                 assert_eq!(now, was, "{p}: {c} moved from the accepted count")
             }
             _ => assert!(was == 0 || now != 0, "{p}: {c} was set in the accepted state, not now"),
@@ -126,17 +129,49 @@ fn fusion_removes_a_quarter_of_dispatched_instructions() {
 
 // ---- coverage --------------------------------------------------------
 
-/// The programs that dispatched zero traced instructions before
-/// recursion and the string/date builtins became traceable.
-const COVERAGE_SMOKE: &[&str] =
-    &["access-binary-trees", "date-format-tofte", "date-format-xparb", "controlflow-recursive"];
+/// The programs that dispatched zero traced instructions before the
+/// string/date builtins became traceable.
+const COVERAGE_SMOKE: &[&str] = &["date-format-tofte", "date-format-xparb"];
 
 #[test]
-fn recursion_and_date_programs_dispatch_fused_instructions() {
+fn date_programs_dispatch_fused_instructions() {
     for name in COVERAGE_SMOKE {
         let (_, stats) = traced(name, JitOptions::default());
         assert!(stats.native_insts_fused > 0, "{name}: zero fused dispatched instructions");
     }
+}
+
+// ---- recursion -------------------------------------------------------
+
+/// The suite's recursion-bound programs: every hot loop in them calls into
+/// a recursion, which ends the recording (`AbortReason::Recursive`).
+const RECURSIVE: &[&str] = &["access-binary-trees", "controlflow-recursive"];
+
+/// Bytecodes a recursion-bound program may record in a run: each hot loop
+/// is recorded up to its first recursive call, a few times, until the
+/// blacklist silences it.
+const MAX_RECURSIVE_RECORDED: u64 = 100;
+
+#[test]
+fn recursion_is_not_traced_and_every_other_tree_stays() {
+    let mut observed = Vec::new();
+    for p in tm_bench::SUITE {
+        let (_, stats) = traced(p.name, JitOptions::default());
+        if RECURSIVE.contains(&p.name) {
+            assert_eq!(stats.trees, 0, "{}: a recursion-bound program built a tree", p.name);
+            assert!(
+                stats.bytecodes_recorded <= MAX_RECURSIVE_RECORDED,
+                "{}: recorded {} bytecodes",
+                p.name,
+                stats.bytecodes_recorded
+            );
+        } else {
+            observed.push((p.name, "trees", stats.trees));
+            observed.push((p.name, "fragments", stats.fragments));
+            observed.push((p.name, "traces_completed", stats.traces_completed));
+        }
+    }
+    check_pins(&observed);
 }
 
 // ---- native tier -----------------------------------------------------

@@ -93,6 +93,8 @@ pub enum AbortReason {
     TraceTooLong,
     /// Inlining exceeded the depth budget.
     TooDeep,
+    /// A scripted call re-entered a function already on the trace.
+    Recursive,
     /// A construct the recorder does not support (e.g. reentrant native).
     Unsupported,
     /// The callee at a recorded call is not a callable object; the

@@ -27,7 +27,7 @@ use crate::profiler::{Activity, ProfileStats, Profiler};
 use crate::recorder::{self, RecordAction, RecordedTrace, Recorder};
 use crate::shared_cache::{entry_digest, SharedCodeCache, SharedKey};
 use crate::tree::{
-    Anchor, AnchorKind, ExitState, NativeCode, TraceTree, TreeCache, TreeCode, TreeId,
+    Anchor, ExitState, NativeCode, TraceTree, TreeCache, TreeCode, TreeId,
 };
 
 /// Maximum sibling trees per loop header before the monitor stops
@@ -47,16 +47,17 @@ const USELESS_PROBATION: u64 = 64;
 /// toward the per-site failure budget but remains eligible for §4.2
 /// nesting forgiveness instead of permanently condemning the site.
 /// `InnerTreeNotReady`/`InnerTreeCallFailed` mean an inner tree was not
-/// compiled (or misbehaved) *yet*; `TooDeep` means recursion exceeded the
-/// unroll budget — the site itself is not hostile to tracing, and the
-/// recursion paths must be able to retry it once entry trees exist.
+/// compiled (or misbehaved) *yet*; every other reason is hard.
 pub fn abort_is_provisional(reason: &AbortReason) -> bool {
-    matches!(
-        reason,
-        AbortReason::InnerTreeNotReady
-            | AbortReason::InnerTreeCallFailed
-            | AbortReason::TooDeep
-    )
+    matches!(reason, AbortReason::InnerTreeNotReady | AbortReason::InnerTreeCallFailed)
+}
+
+/// The pc range `[header, end)` of the anchor's loop: a recording that
+/// leaves it at the anchor's frame ends the trace.
+fn anchor_range(anchor: Anchor, interp: &Interp) -> (u32, u32) {
+    let f = interp.prog().function(anchor.func);
+    let l = f.loop_with_header(anchor.pc).expect("anchor is a loop header");
+    (l.header, l.end)
 }
 
 /// Inline monitor state for one loop header.
@@ -252,20 +253,6 @@ impl Monitor {
                     }
                     self.profiler.switch(Activity::Interpret);
                 }
-                Ok(RunExit::RecursiveCall { func }) => {
-                    self.profiler.switch(Activity::Monitor);
-                    let nloops = interp.prog().function(func).loops.len();
-                    match self.on_loop_edge(Anchor::func_entry(func, nloops), interp, realm)
-                    {
-                        Ok(None) => {}
-                        Ok(Some(v)) => break Ok(v),
-                        Err(e) => break Err(e),
-                    }
-                    if let Some(v) = self.finished_during_recording.take() {
-                        break Ok(v);
-                    }
-                    self.profiler.switch(Activity::Interpret);
-                }
                 Err(e) => break Err(e),
             }
         };
@@ -283,16 +270,15 @@ impl Monitor {
     }
 
     /// Sizes the dense slot table to the installed program: one slot per
-    /// loop per function, plus one extra slot per function for its
-    /// function-entry (recursion) anchor. Idempotent; re-running the same
-    /// interpreter keeps accumulated state.
+    /// loop per function. Idempotent; re-running the same interpreter
+    /// keeps accumulated state.
     pub(crate) fn ensure_slots(&mut self, interp: &Interp) {
         let prog = interp.prog();
         if self.slots.len() < prog.functions.len() {
             self.slots.resize_with(prog.functions.len(), Vec::new);
         }
         for (f, slots) in self.slots.iter_mut().enumerate() {
-            let nslots = prog.functions[f].loops.len() + 1;
+            let nslots = prog.functions[f].loops.len();
             if slots.len() < nslots {
                 slots.resize_with(nslots, MonitorSlot::default);
             }
@@ -385,7 +371,7 @@ impl Monitor {
         }
 
         // 3. Blacklist / backoff.
-        match self.blacklist.check(anchor.site_key()) {
+        match self.blacklist.check((anchor.func, anchor.pc)) {
             Verdict::Blacklisted => {
                 self.silence_header(anchor, interp);
                 return Ok(None);
@@ -445,18 +431,6 @@ impl Monitor {
         }
     }
 
-    fn anchor_range(&self, anchor: Anchor, interp: &Interp) -> (u32, u32) {
-        let f = interp.prog().function(anchor.func);
-        match anchor.kind {
-            AnchorKind::LoopHeader => {
-                let l = f.loop_with_header(anchor.pc).expect("anchor is a loop header");
-                (l.header, l.end)
-            }
-            // An entry anchor "contains" the whole function body.
-            AnchorKind::FuncEntry => (0, f.code.len() as u32),
-        }
-    }
-
     fn record_root(
         &mut self,
         anchor: Anchor,
@@ -464,7 +438,7 @@ impl Monitor {
         realm: &mut Realm,
     ) -> Result<Option<Value>, RuntimeError> {
         self.events.push(TraceEvent::RecordStartRoot { func: anchor.func, pc: anchor.pc });
-        let range = self.anchor_range(anchor, interp);
+        let range = anchor_range(anchor, interp);
         let mut rec = Recorder::new_root(anchor, range, interp, self.opts);
         self.profiler.switch(Activity::Record);
         let rec_start_ops = interp.ops_executed;
@@ -518,39 +492,31 @@ impl Monitor {
     fn handle_record_failure(&mut self, anchor: Anchor, reason: AbortReason, interp: &mut Interp) {
         self.events.push(TraceEvent::RecordAbort { reason });
         self.profiler.stats.traces_aborted += 1;
-        if self.blacklist.record_failure(anchor.site_key(), abort_is_provisional(&reason)) {
+        let site = (anchor.func, anchor.pc);
+        if self.blacklist.record_failure(site, abort_is_provisional(&reason)) {
             self.silence_header(anchor, interp);
         }
     }
 
-    /// Silences the anchor permanently: a loop header is patched to `Nop`,
-    /// a function-entry anchor stops the interpreter's recursion reports.
-    /// Either way its monitor slot is marked silenced — neither the
+    /// Silences the anchor permanently: its loop header is patched to
+    /// `Nop` and its monitor slot is marked silenced — neither the
     /// interpreter nor the monitor will ever touch this anchor again.
     pub(crate) fn silence_header(&mut self, anchor: Anchor, interp: &mut Interp) {
-        match anchor.kind {
-            AnchorKind::LoopHeader => interp.patch_loop_header(anchor.func, anchor.pc),
-            AnchorKind::FuncEntry => interp.silence_recursion(anchor.func),
-        }
+        interp.patch_loop_header(anchor.func, anchor.pc);
         self.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize].silenced = true;
-        let (_, site_pc) = anchor.site_key();
-        self.events.push(TraceEvent::Blacklist { func: anchor.func, pc: site_pc });
+        self.events.push(TraceEvent::Blacklist { func: anchor.func, pc: anchor.pc });
     }
 
     /// §4.2: an inner tree completed a trace; forgive outer loops that
-    /// aborted waiting for it. The function-entry anchor encloses every
-    /// loop in the function, so it is always forgiven alongside them.
+    /// aborted waiting for it.
     fn forgive_outer_loops(&mut self, anchor: Anchor, interp: &Interp) {
         let f = interp.prog().function(anchor.func);
-        let mut outer_headers: Vec<u32> = f
+        let outer_headers: Vec<u32> = f
             .loops
             .iter()
             .filter(|l| l.contains_pc(anchor.pc) && l.header != anchor.pc)
             .map(|l| l.header)
             .collect();
-        if anchor.kind == AnchorKind::LoopHeader {
-            outer_headers.push(crate::tree::ENTRY_SITE_PC);
-        }
         self.blacklist.forgive_outer(anchor.func, &outer_headers);
     }
 
@@ -564,9 +530,7 @@ impl Monitor {
         loop {
             match rec.record_op(interp, realm, &self.oracle) {
                 RecordAction::Step { observe } => match interp.step(realm) {
-                    // `RecursiveCall` is informational: while recording, the
-                    // recorder has already shadowed the call in `record_call`.
-                    Ok(Flow::Normal | Flow::LoopHeader(_) | Flow::RecursiveCall { .. }) => {
+                    Ok(Flow::Normal | Flow::LoopHeader(_)) => {
                         if observe {
                             rec.after_step(interp, realm);
                         }
@@ -621,7 +585,7 @@ impl Monitor {
         // The LoopHeader op at the inner header has *not* been stepped;
         // step past it so interpreter state matches a normal tree entry.
         match interp.step(realm) {
-            Ok(Flow::LoopHeader(_) | Flow::Normal | Flow::RecursiveCall { .. }) => {}
+            Ok(Flow::LoopHeader(_) | Flow::Normal) => {}
             Ok(Flow::Finished(v)) => return Err(RecordError::ProgramFinished(v)),
             Err(e) => return Err(RecordError::Guest(e)),
         }
@@ -1024,7 +988,7 @@ impl Monitor {
             self.oracle.mark_site(site);
         }
         let anchor = self.cache.tree(tid).anchor;
-        let range = self.anchor_range(anchor, interp);
+        let range = anchor_range(anchor, interp);
         self.events.push(TraceEvent::RecordStartBranch { func: anchor.func, pc: anchor.pc });
         let (layout, entry, site_base, parent_exit) = {
             let tree = self.cache.tree(tid);

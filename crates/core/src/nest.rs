@@ -408,7 +408,7 @@ mod tests {
         let prog = tm_bytecode::compile(&tm_frontend::parse(&src).unwrap(), &mut realm).unwrap();
         let func = prog.functions.iter().position(|f| f.nlocals == NVARS).expect("this + params");
         let func = tm_bytecode::FuncId(func as u32);
-        let anchor = Anchor::func_entry(func, 0);
+        let anchor = Anchor::loop_header(func, 0, tm_bytecode::LoopId(0));
         let mut interp = Interp::new(prog, &mut realm);
         interp.frames[0].func = func;
         interp.stack.resize(NVARS as usize, Value::UNDEFINED);

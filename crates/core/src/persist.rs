@@ -41,7 +41,7 @@ use crate::exit::{ExitKind, FrameDesc, SideExitInfo};
 use crate::monitor::Monitor;
 use crate::oracle::{Site, VarKey};
 use crate::shared_cache::entry_digest;
-use crate::tree::{Anchor, AnchorKind, NestedSite, TraceTree, TreeCode};
+use crate::tree::{Anchor, NestedSite, TraceTree, TreeCode};
 
 /// File magic: the first four bytes of every trace-cache file.
 pub const MAGIC: [u8; 4] = *b"TMTC";
@@ -49,7 +49,7 @@ pub const MAGIC: [u8; 4] = *b"TMTC";
 /// Current format version. Readers reject any other value (there is no
 /// cross-version migration: a cache is a regenerable artifact, so version
 /// skew simply degrades to a cold start).
-pub const VERSION: u32 = 6;
+pub const VERSION: u32 = 7;
 
 /// Why a cache file or entry was rejected. Every variant degrades to a
 /// cold start; none is fatal to the VM.
@@ -230,8 +230,7 @@ pub struct CacheEntry {
     pub oracle_sites: Vec<Site>,
     /// Durable blacklist entries (§3.3).
     pub blacklist: Vec<PersistedEntry>,
-    /// Silenced anchors as `(function, dense loop index)`; the loop index
-    /// equals the function's loop count for function-entry anchors.
+    /// Silenced anchors as `(function, loop id)`.
     pub silenced: Vec<(FuncId, u16)>,
     /// The trace trees, in [`crate::tree::TreeId`] order.
     pub trees: Vec<TraceTree>,
@@ -301,7 +300,6 @@ byte_codec!(w_exitkind, r_exitkind, ExitKind, {
     0 => Branch, 1 => LoopEdge, 2 => Unstable, 3 => LeaveLoop, 4 => DeepBail,
     5 => NestedUnexpected,
 });
-byte_codec!(w_anchorkind, r_anchorkind, AnchorKind, { 0 => LoopHeader, 1 => FuncEntry });
 
 fn w_bindings(bs: &[SlotBinding], w: &mut ByteWriter) {
     w.u32(bs.len() as u32);
@@ -376,7 +374,6 @@ fn w_anchor(a: Anchor, w: &mut ByteWriter) {
     w.u32(a.func.0);
     w.u32(a.pc);
     w.u16(a.loop_id.0);
-    w_anchorkind(a.kind, w);
 }
 
 fn r_anchor(r: &mut ByteReader) -> Result<Anchor, BinError> {
@@ -384,7 +381,6 @@ fn r_anchor(r: &mut ByteReader) -> Result<Anchor, BinError> {
         func: FuncId(r.u32()?),
         pc: r.u32()?,
         loop_id: LoopId(r.u16()?),
-        kind: r_anchorkind(r)?,
     })
 }
 
@@ -804,23 +800,11 @@ fn validate_tree(prog: &Program, realm: &Realm, ntrees: u32, t: &TreeCode) -> Re
         return bad(format!("anchor function {} out of range", t.anchor.func.0));
     }
     let func = &prog.functions[t.anchor.func.0 as usize];
-    let nloops = func.loops.len() as u16;
-    match t.anchor.kind {
-        AnchorKind::LoopHeader => {
-            if t.anchor.loop_id.0 >= nloops
-                || func.loops[t.anchor.loop_id.0 as usize].header != t.anchor.pc
-            {
-                return bad(format!(
-                    "loop anchor ({}, pc {}) does not name a loop header",
-                    t.anchor.func.0, t.anchor.pc
-                ));
-            }
-        }
-        AnchorKind::FuncEntry => {
-            if t.anchor.loop_id.0 != nloops || t.anchor.pc != 0 {
-                return bad("malformed function-entry anchor".into());
-            }
-        }
+    if func.loops.get(t.anchor.loop_id.0 as usize).map(|l| l.header) != Some(t.anchor.pc) {
+        return bad(format!(
+            "loop anchor ({}, pc {}) does not name a loop header",
+            t.anchor.func.0, t.anchor.pc
+        ));
     }
     let nfrags = t.fragments.len();
     if t.exits.len() != nfrags
@@ -1012,7 +996,7 @@ impl Monitor {
         }
         let nloops = |f: FuncId| prog.functions[f.0 as usize].loops.len() as u16;
         for &(f, l) in &entry.silenced {
-            if f.0 >= prog.functions.len() as u32 || l > nloops(f) {
+            if f.0 >= prog.functions.len() as u32 || l >= nloops(f) {
                 return bad(format!("silenced anchor ({}, {l}) out of range", f.0));
             }
         }
@@ -1044,13 +1028,8 @@ impl Monitor {
         self.oracle.restore(&entry.oracle_vars, &entry.oracle_sites);
         self.blacklist.restore(&entry.blacklist);
         for (f, l) in entry.silenced {
-            let func = &interp.prog().functions[f.0 as usize];
-            let anchor = if (l as usize) < func.loops.len() {
-                Anchor::loop_header(f, func.loops[l as usize].header, LoopId(l))
-            } else {
-                Anchor::func_entry(f, func.loops.len())
-            };
-            self.silence_header(anchor, interp);
+            let header = interp.prog().functions[f.0 as usize].loops[l as usize].header;
+            self.silence_header(Anchor::loop_header(f, header, LoopId(l)), interp);
         }
         Ok(())
     }

@@ -26,7 +26,7 @@ use crate::config::JitOptions;
 use crate::events::AbortReason;
 use crate::exit::{ExitKind, FrameDesc, SideExitInfo};
 use crate::oracle::{var_key, Oracle, VarKey};
-use crate::tree::{Anchor, AnchorKind, NestedSite, TreeId};
+use crate::tree::{Anchor, NestedSite, TreeId};
 
 /// Hard cap on shadow frames per recording: `SlotKey::Local` keys frame
 /// depth in a `u8`, so side exits cannot describe deeper inlining no
@@ -1118,8 +1118,7 @@ impl Recorder {
 
             Op::LoopHeader(loop_id) => {
                 let frame = interp.frame();
-                if self.anchor.kind == AnchorKind::LoopHeader
-                    && self.depth() == 0
+                if self.depth() == 0
                     && frame.func == self.anchor.func
                     && frame.pc == self.anchor.pc
                 {
@@ -1756,68 +1755,15 @@ impl Recorder {
                 let nparams = f.nparams as usize;
                 let nlocals = f.nlocals as usize;
 
-                // Tail recursion back to the entry anchor closes into a
-                // loop: the arguments become loop-carried values and the
-                // trace ends with a loop-back (classic TCO — sound because
-                // every tail call returns the callee's result unchanged,
-                // so no intermediate frame is observable). The entry frame
-                // must not be a construct frame: its `this` local doubles
-                // as the `new`-fixup value on return.
-                if self.anchor.kind == AnchorKind::FuncEntry
-                    && !is_construct
-                    && self.depth() == 0
-                    && func == self.anchor.func
-                    && !interp.frame().is_construct
-                    && self.frames[0].stack.len() == argc + 2
-                    && matches!(
-                        interp
-                            .prog()
-                            .function(self.anchor.func)
-                            .code
-                            .get(self.pre_pc as usize + 1),
-                        Some(Op::Return)
-                    )
-                {
-                    let mut args = Vec::with_capacity(argc);
-                    for _ in 0..argc {
-                        args.push(self.pop());
-                    }
-                    args.reverse();
-                    let this_sv = self.pop();
-                    let _callee = self.pop();
-                    self.set_local(0, this_sv);
-                    for i in 0..nparams {
-                        let sv = if i < args.len() {
-                            args[i]
-                        } else {
-                            self.undefined_sv()
-                        };
-                        self.set_local(1 + i as u16, sv);
-                    }
-                    for slot in (1 + nparams)..nlocals {
-                        let sv = self.undefined_sv();
-                        self.set_local(slot as u16, sv);
-                    }
-                    self.finish_at_anchor();
-                    return Ok(RecordAction::Finished);
+                // Recursion is not traced, as in TraceMonkey: inlining a
+                // function that is already on the trace has no bound.
+                if self.frames.iter().any(|f| f.func == func) {
+                    return Err(AbortReason::Recursive);
                 }
-
-                // `SlotKey::Local` carries the frame depth in a u8; never
-                // record beyond what exits can describe.
-                if self.frames.len() >= MAX_SHADOW_FRAMES {
-                    return Err(AbortReason::TooDeep);
-                }
-                if self.frames.len() >= self.opts.max_inline_depth {
-                    if self.anchor.kind == AnchorKind::FuncEntry {
-                        // Call-depth-specialized unrolling: end the trace
-                        // with a Leave exit at the call op. Resuming
-                        // re-executes the call, the interpreter reports the
-                        // recursion, and the monitor re-enters this same
-                        // entry tree at the deeper frame instead of
-                        // aborting the recording.
-                        self.finish_leave(self.pre_pc);
-                        return Ok(RecordAction::Finished);
-                    }
+                // Inline at most `max_inline_depth` frames, and never more
+                // than exits can describe (`SlotKey::Local` carries the
+                // frame depth in a u8).
+                if self.frames.len() >= MAX_SHADOW_FRAMES.min(self.opts.max_inline_depth) {
                     return Err(AbortReason::TooDeep);
                 }
 

@@ -76,7 +76,6 @@ pub fn entry_digest(anchor: Anchor, entry: &[SlotBinding]) -> u64 {
     h.update_u64(u64::from(anchor.func.0));
     h.update_u64(u64::from(anchor.pc));
     h.update_u64(anchor.loop_id.0 as u64);
-    h.update_u64(matches!(anchor.kind, crate::tree::AnchorKind::FuncEntry) as u64);
     for e in entry {
         h.update_u64(u64::from(e.ar));
         h.update_u64(slot_key_digest(e.key));

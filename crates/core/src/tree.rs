@@ -21,62 +21,24 @@ use crate::nest::SitePlans;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TreeId(pub u32);
 
-/// What kind of program point a trace tree anchors at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AnchorKind {
-    /// A `LoopHeader` op — the paper's loop anchors.
-    LoopHeader,
-    /// A function entry (pc 0), used to trace recursion: tail recursion
-    /// closes into a loop at the entry, downward recursion unrolls to the
-    /// inline-depth budget and re-enters the monitor at the deeper frame.
-    FuncEntry,
-}
-
-/// A trace anchor: a loop header or a function entry.
+/// A trace anchor: a loop header, the only place a trace starts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Anchor {
-    /// Function containing the anchor.
+    /// Function containing the loop.
     pub func: FuncId,
-    /// Instruction index of the `LoopHeader` op (loop anchors) or 0
-    /// (function-entry anchors).
+    /// Instruction index of the `LoopHeader` op.
     pub pc: u32,
-    /// The dense index into the monitor's per-function slot table: the
-    /// loop's id for loop anchors, or one past the function's last loop id
-    /// for the (single) entry anchor. Fully determined by `(func, pc, kind)`.
+    /// The loop's id: the dense index into the monitor's per-function
+    /// slot table. Fully determined by `(func, pc)`.
     pub loop_id: LoopId,
-    /// Loop header or function entry.
-    pub kind: AnchorKind,
 }
 
 impl Anchor {
-    /// A loop-header anchor.
+    /// The anchor of the loop `loop_id`, whose header is at `func:pc`.
     pub fn loop_header(func: FuncId, pc: u32, loop_id: LoopId) -> Anchor {
-        Anchor { func, pc, loop_id, kind: AnchorKind::LoopHeader }
-    }
-
-    /// The function-entry anchor of `func`, where `nloops` is the number
-    /// of loops in `func` (the entry anchor uses the slot just past them).
-    pub fn func_entry(func: FuncId, nloops: usize) -> Anchor {
-        Anchor {
-            func,
-            pc: 0,
-            loop_id: LoopId(nloops as u16),
-            kind: AnchorKind::FuncEntry,
-        }
-    }
-
-    /// Blacklist site key. Entry anchors use a sentinel pc so they never
-    /// collide with a real loop header at pc 0.
-    pub fn site_key(&self) -> (FuncId, u32) {
-        match self.kind {
-            AnchorKind::LoopHeader => (self.func, self.pc),
-            AnchorKind::FuncEntry => (self.func, ENTRY_SITE_PC),
-        }
+        Anchor { func, pc, loop_id }
     }
 }
-
-/// Sentinel pc used as the blacklist key of function-entry anchors.
-pub const ENTRY_SITE_PC: u32 = u32::MAX;
 
 /// Per-side-exit monitor state, stored densely parallel to
 /// [`TreeCode::exits`] — a bounds-checked array access on the hot

@@ -183,7 +183,7 @@ impl Vm {
                 interp.fast_paths = self.engine == Engine::FastInterp;
                 match interp.run(&mut self.realm) {
                     Ok(RunExit::Finished(v)) => Ok(v),
-                    Ok(RunExit::LoopEdge { .. } | RunExit::RecursiveCall { .. }) => {
+                    Ok(RunExit::LoopEdge { .. }) => {
                         unreachable!("monitor disabled")
                     }
                     Err(e) => Err(VmError::Runtime(e)),

@@ -44,13 +44,6 @@ pub enum Flow {
     /// A loop header was crossed (monitoring enabled); `pc` has already
     /// advanced past the header op.
     LoopHeader(LoopId),
-    /// A scripted call re-entered a function already on the frame stack
-    /// (monitoring enabled); the callee frame has already been pushed, so
-    /// the running frame is `func` at pc 0.
-    RecursiveCall {
-        /// The recursive callee.
-        func: FuncId,
-    },
     /// The program finished with a completion value.
     Finished(Value),
 }
@@ -68,12 +61,6 @@ pub enum RunExit {
         header_pc: u32,
         /// The loop id.
         loop_id: LoopId,
-    },
-    /// A monitored recursive call was made; the callee frame is already
-    /// pushed and the running frame sits at `func` pc 0.
-    RecursiveCall {
-        /// The recursive callee.
-        func: FuncId,
     },
 }
 
@@ -95,10 +82,6 @@ pub struct Interp {
     pub ops_executed: u64,
     /// Remaining instruction budget (guards runaway fuzz programs).
     pub steps_remaining: u64,
-    /// Per-function flag: when set, recursive calls into that function are
-    /// no longer reported to the monitor (the function-entry analogue of
-    /// patching a blacklisted loop header into a `Nop`).
-    recursion_silenced: Vec<bool>,
     /// Per-site property inline caches, indexed by the site id carried in
     /// `GetProp`/`SetProp`/`InitProp` (see [`Program::prop_sites`]).
     ///
@@ -114,7 +97,6 @@ impl Interp {
     pub fn new(prog: Program, realm: &mut Realm) -> Interp {
         let installed = install(&prog, realm);
         let ics = vec![PropIc::default(); prog.prop_sites as usize];
-        let recursion_silenced = vec![false; prog.functions.len()];
         let mut interp = Interp {
             prog,
             installed,
@@ -124,7 +106,6 @@ impl Interp {
             fast_paths: false,
             ops_executed: 0,
             steps_remaining: u64::MAX,
-            recursion_silenced,
             ics,
             ic_stats: IcStats::default(),
         };
@@ -164,13 +145,6 @@ impl Interp {
         let op = &mut self.prog.functions[func.0 as usize].code[pc as usize];
         assert!(matches!(op, Op::LoopHeader(_)), "patching non-header {op:?}");
         *op = Op::Nop;
-    }
-
-    /// Stops reporting recursive calls into `func` to the monitor — the
-    /// function-entry analogue of [`Interp::patch_loop_header`] for
-    /// blacklisted recursion anchors.
-    pub fn silence_recursion(&mut self, func: FuncId) {
-        self.recursion_silenced[func.0 as usize] = true;
     }
 
     /// The currently running frame.
@@ -248,9 +222,6 @@ impl Interp {
                         header_pc: f.pc - 1,
                         loop_id,
                     });
-                }
-                Flow::RecursiveCall { func } => {
-                    return Ok(RunExit::RecursiveCall { func });
                 }
             }
         }
@@ -503,11 +474,7 @@ impl Interp {
                 push!(v);
             }
 
-            Op::Call(argc) => {
-                if let Some(func) = self.do_call(realm, argc, false)? {
-                    return Ok(Flow::RecursiveCall { func });
-                }
-            }
+            Op::Call(argc) => self.do_call(realm, argc, false)?,
             Op::New(argc) => {
                 let argc_us = argc as usize;
                 let callee_idx = self.stack.len() - argc_us - 1;
@@ -518,8 +485,6 @@ impl Interp {
                     realm.heap.alloc_object(tm_runtime::Object::new_plain(proto));
                 self.stack.insert(callee_idx + 1, Value::new_object(this_obj));
                 self.maybe_gc(realm);
-                // Construct calls never report recursion (`do_call` returns
-                // `None` when `is_construct`).
                 self.do_call(realm, argc, true)?;
             }
             Op::Return => {
@@ -582,16 +547,14 @@ impl Interp {
         Ok(Flow::Normal)
     }
 
-    /// Performs a call. Returns `Some(func)` when a monitored, non-construct
-    /// scripted call re-entered a function already on the frame stack (the
-    /// callee frame is pushed either way; the caller decides whether to
-    /// surface [`Flow::RecursiveCall`]).
+    /// Performs a call: pushes a scripted callee's frame, or runs a native
+    /// one and pushes its result.
     fn do_call(
         &mut self,
         realm: &mut Realm,
         argc: u8,
         is_construct: bool,
-    ) -> Result<Option<FuncId>, RuntimeError> {
+    ) -> Result<(), RuntimeError> {
         let argc = argc as usize;
         // Stack: [callee, this, args...]
         let callee_idx = self.stack.len() - argc - 2;
@@ -604,10 +567,6 @@ impl Interp {
         };
         match callee_kind {
             Callee::Scripted(fidx) => {
-                let recursive = self.monitor_enabled
-                    && !is_construct
-                    && !self.recursion_silenced[fidx as usize]
-                    && self.frames.iter().any(|f| f.func.0 == fidx);
                 let func = &self.prog.functions[fidx as usize];
                 let nparams = func.nparams as usize;
                 let nlocals = func.nlocals as usize;
@@ -624,9 +583,6 @@ impl Interp {
                     base: base as u32,
                     is_construct,
                 });
-                if recursive {
-                    return Ok(Some(FuncId(fidx)));
-                }
             }
             Callee::Native(nid) => {
                 let args: Vec<Value> = self.stack[callee_idx + 1..].to_vec();
@@ -641,7 +597,7 @@ impl Interp {
                 self.maybe_gc(realm);
             }
         }
-        Ok(None)
+        Ok(())
     }
 
     fn do_return(&mut self, v: Value) -> Option<Flow> {
@@ -858,7 +814,6 @@ mod tests {
                     assert_eq!(realm.heap.number_value(v), Some(3.0));
                     break;
                 }
-                RunExit::RecursiveCall { .. } => panic!("no recursion in this program"),
             }
         }
         // Header crossed on entry plus once per completed iteration check:
@@ -884,44 +839,28 @@ mod tests {
     }
 
     #[test]
-    fn recursive_calls_report_to_monitor_and_can_be_silenced() {
-        let src = "function f(n) { if (n == 0) return 0; return f(n - 1); } f(5)";
+    fn monitored_recursion_reports_only_loop_edges() {
+        // A recursive call is an ordinary call to the interpreter: the
+        // monitor hears about loop headers and the finish, nothing else.
+        let src = "function f(n) { if (n == 0) return 0; for (var i = 0; i < 2; i++) {} \
+                   return f(n - 1); } f(5)";
         let ast = tm_frontend::parse(src).unwrap();
         let mut realm = Realm::new();
         let prog = tm_bytecode::compile(&ast, &mut realm).unwrap();
         let mut interp = Interp::new(prog, &mut realm);
         interp.monitor_enabled = true;
-        let mut reports = 0;
+        let mut edges = 0;
         loop {
             match interp.run(&mut realm).unwrap() {
-                RunExit::RecursiveCall { func } => {
-                    assert_eq!(interp.frame().func, func);
-                    assert_eq!(interp.frame().pc, 0);
-                    reports += 1;
-                }
-                RunExit::LoopEdge { .. } => {}
+                RunExit::LoopEdge { .. } => edges += 1,
                 RunExit::Finished(v) => {
                     assert_eq!(realm.heap.number_value(v), Some(0.0));
                     break;
                 }
             }
         }
-        // The top-level f(5) is not recursive; f(4)..f(0) are.
-        assert_eq!(reports, 5);
-
-        // Silencing a function stops the reports entirely.
-        let mut realm = Realm::new();
-        let ast = tm_frontend::parse(src).unwrap();
-        let prog = tm_bytecode::compile(&ast, &mut realm).unwrap();
-        let mut interp = Interp::new(prog, &mut realm);
-        interp.monitor_enabled = true;
-        for i in 0..interp.prog().functions.len() {
-            interp.silence_recursion(FuncId(i as u32));
-        }
-        match interp.run(&mut realm).unwrap() {
-            RunExit::Finished(v) => assert_eq!(realm.heap.number_value(v), Some(0.0)),
-            other => panic!("silenced recursion still reported: {other:?}"),
-        }
+        // f(5)..f(1) each cross their loop header three times.
+        assert_eq!(edges, 15);
     }
 
     #[test]

@@ -364,9 +364,8 @@ mod imp {
     /// fragments append in place: the mapping is `CAPACITY_FACTOR` times
     /// the first emission, and at least `CAPACITY_FLOOR`. Pages of an
     /// anonymous mapping that are never written cost address space only,
-    /// so the floor is sized for the large trees: an unrolled-recursion
-    /// fragment alone reaches 55 KB and the SunSpider suite's largest
-    /// tree 134 KB. A tree that outgrows its mapping is rebuilt whole
+    /// so the floor is sized for the large trees: the SunSpider suite's
+    /// largest tree is 63 KB. A tree that outgrows its mapping is rebuilt whole
     /// into one `CAPACITY_FACTOR` times its new size.
     const CAPACITY_FACTOR: usize = 4;
     const CAPACITY_FLOOR: usize = 256 * 1024;
@@ -2083,8 +2082,7 @@ mod imp {
     }
 
     /// Spill words [`NativeTree::execute`] keeps on its own frame. On the
-    /// SunSpider suite 162 of 170 trees spill 9 words or fewer (134 none);
-    /// the rest are `access-binary-trees`' unrolled recursion at 31 to 61.
+    /// SunSpider suite all 135 trees spill 9 words or fewer (123 none).
     const INLINE_SPILLS: usize = 16;
 
     /// A trace tree compiled to native x86-64 code.

@@ -162,7 +162,8 @@ fn dump_cache(path: &std::path::Path, native: bool) {
         // Decoded trees carry a placeholder id (TreeCache::insert assigns
         // the real one); file order IS TreeId order, so index by position.
         for (t, tree) in e.trees.iter().enumerate() {
-            println!("\n-- tree {t} anchor {:?} --", tree.anchor);
+            let a = tree.anchor;
+            println!("\n-- tree {t} anchor: loop {} of function {}, header pc {} --", a.loop_id.0, a.func.0, a.pc);
             let layout: Vec<_> = (0..tree.layout.len()).map(|i| tree.layout.key(i as u16)).collect();
             println!("layout ({} AR slots): {layout:?}", layout.len());
             println!("entry map:");

@@ -316,6 +316,50 @@ fn version_skew_and_bad_magic_are_rejected() {
     assert_eq!(healed.profile().unwrap().cache_hits, 1);
 }
 
+/// Silenced anchors name loops: an entry that silences loop id `nloops`
+/// (one past the function's last loop) is refused and the run is cold.
+#[test]
+fn a_silenced_anchor_past_the_last_loop_is_refused() {
+    let cache = CacheFile::new("silenced_past");
+    let src = "var s = 0; for (var i = 0; i < 300; i++) s = (s + i) | 0; s";
+    let mut cold = vm_with_cache(&cache.0);
+    let expected = eval_num(&mut cold, src);
+    let prog = cold.interp().unwrap().prog();
+    let (main, nloops) = (prog.main, prog.function(prog.main).loops.len() as u16);
+    let bytes = std::fs::read(&cache.0).unwrap();
+    let index = tracemonkey::jit::persist::read_index(&mut std::fs::File::open(&cache.0).unwrap())
+        .expect("a valid one-entry file");
+    let body = &bytes[index[0].offset as usize..];
+
+    // The body opens with the fingerprint and five counts — shapes, oracle
+    // variables and sites, blacklist, silenced anchors — all zero for this
+    // loop. Silence loop `nloops` of the main function.
+    assert_eq!(body[8..28], [0; 20]);
+    let mut forged = body[..24].to_vec();
+    forged.extend(1u32.to_le_bytes());
+    forged.extend(main.0.to_le_bytes());
+    forged.extend(nloops.to_le_bytes());
+    forged.extend(&body[28..]);
+    let mut w = tm_support::ByteWriter::new();
+    w.raw(&tracemonkey::jit::persist::MAGIC);
+    w.u32(tracemonkey::jit::persist::VERSION);
+    w.u32(1);
+    w.u64(index[0].program_key);
+    w.u32(forged.len() as u32);
+    w.u64(tm_support::fnv1a64(&forged));
+    w.u64(tm_support::fnv1a64(w.bytes()));
+    w.raw(&forged);
+    std::fs::write(&cache.0, w.bytes()).unwrap();
+
+    let mut vm = vm_with_cache(&cache.0);
+    assert_eq!(eval_num(&mut vm, src), expected);
+    assert!(matches!(vm.last_cache_error(), Some(tracemonkey::CacheError::BadTree(_))));
+    let stats = vm.profile().unwrap();
+    assert_eq!((stats.cache_hits, stats.cache_loaded_trees), (0, 0), "the run is cold");
+    assert_eq!(stats.cache_revalidation_failures, 1);
+    assert!(stats.traces_completed > 0, "and records the loop afresh");
+}
+
 #[test]
 fn different_programs_share_one_cache_file() {
     let cache = CacheFile::new("multi");

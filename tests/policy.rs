@@ -135,16 +135,17 @@ fn disabled_blacklist_keeps_reattempting() {
 }
 
 #[test]
-fn too_deep_is_demote_only_in_the_abort_taxonomy() {
-    // §3.3/§4.2: depth-budget aborts are provisional (like nesting
-    // not-ready) — the site may become traceable once inner/entry trees
-    // exist, so forgiveness can undo the failure count. Hard aborts are
-    // not forgivable.
+fn too_deep_and_recursive_are_hard_aborts() {
+    // §3.3/§4.2: only an inner tree that is not ready (or misbehaved) is
+    // provisional — the outer site may become traceable once the inner
+    // tree exists, so forgiveness can undo the failure count. Every other
+    // reason, the depth budget and recursion included, is hard.
     use tracemonkey::jit::events::AbortReason;
     use tracemonkey::jit::monitor::abort_is_provisional;
-    assert!(abort_is_provisional(&AbortReason::TooDeep));
     assert!(abort_is_provisional(&AbortReason::InnerTreeNotReady));
     assert!(abort_is_provisional(&AbortReason::InnerTreeCallFailed));
+    assert!(!abort_is_provisional(&AbortReason::TooDeep));
+    assert!(!abort_is_provisional(&AbortReason::Recursive));
     assert!(!abort_is_provisional(&AbortReason::Unsupported));
     assert!(!abort_is_provisional(&AbortReason::NotCallable));
     assert!(!abort_is_provisional(&AbortReason::GuestError));
