@@ -44,6 +44,18 @@ if git ls-files '*.rs' | xargs grep -nE "$recursion_names"; then
 fi
 echo "    OK: no tracked .rs file names the recursion-tracing machinery"
 
+echo "==> policy: stitching, nesting, the oracle, sibling linking and blacklisting are always on"
+# They are the design (§6.2, §4, §3.2, Figure 6, §3.3), not options. Their
+# off switches were deleted, with what only those needed: the monitor's
+# second link table, per-fragment entry maps, and the fast-path
+# interpreter that no harness measured. None of the names may come back.
+switch_names='enable_nesting|enable_stitching|enable_oracle|enable_stability_linking|Oracle::disabled|FastInterp|fast_paths|entry_reqs'
+if git ls-files '*.rs' | xargs grep -nE "$switch_names"; then
+    echo "error: the ablation switches named above were deleted; do not regrow them" >&2
+    exit 1
+fi
+echo "    OK: no tracked .rs file names a deleted ablation switch"
+
 echo "==> report: Rust lines outside tests/ directories and outside each file's trailing #[cfg(test)] mod tests"
 # The number every PR reports ("net line count", ROADMAP north star #2):
 # run this stage on the parent and on the change and quote both. Tracked

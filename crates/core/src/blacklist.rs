@@ -37,13 +37,11 @@ pub struct BlacklistConfig {
     pub max_failures: u32,
     /// Passes to skip after a failure (paper: 32).
     pub backoff: u32,
-    /// Whether blacklisting is enabled at all (ablation).
-    pub enabled: bool,
 }
 
 impl Default for BlacklistConfig {
     fn default() -> Self {
-        BlacklistConfig { max_failures: 2, backoff: 32, enabled: true }
+        BlacklistConfig { max_failures: 2, backoff: 32 }
     }
 }
 
@@ -86,9 +84,6 @@ impl Blacklist {
     /// Consults the table before attempting to record at `start`,
     /// consuming one backoff credit when backing off.
     pub fn check(&mut self, start: FragmentStart) -> Verdict {
-        if !self.config.enabled {
-            return Verdict::Record;
-        }
         let e = self.entries.entry(start).or_default();
         if e.blacklisted {
             Verdict::Blacklisted
@@ -104,9 +99,6 @@ impl Blacklist {
     /// failure provisional (§4.2). Returns `true` when the fragment just
     /// became blacklisted.
     pub fn record_failure(&mut self, start: FragmentStart, inner_not_ready: bool) -> bool {
-        if !self.config.enabled {
-            return false;
-        }
         let max_failures = self.config.max_failures;
         let backoff = self.config.backoff;
         let e = self.entries.entry(start).or_default();
@@ -127,9 +119,6 @@ impl Blacklist {
     /// ("when the inner tree finishes a trace, we decrement the blacklist
     /// counter on the outer loop ... we also undo the backoff").
     pub fn forgive_outer(&mut self, func: FuncId, outer_headers: &[u32]) {
-        if !self.config.enabled {
-            return;
-        }
         for &pc in outer_headers {
             if let Some(e) = self.entries.get_mut(&(func, pc)) {
                 if e.provisional > 0 && !e.blacklisted {
@@ -166,9 +155,6 @@ impl Blacklist {
     /// cache's zero-recordings-when-warm guarantee). Deleting the cache
     /// file restores cold-start adaptivity.
     pub fn restore(&mut self, persisted: &[PersistedEntry]) {
-        if !self.config.enabled {
-            return;
-        }
         for p in persisted {
             let e = self.entries.entry(p.start).or_default();
             e.failures = e.failures.max(p.failures);
@@ -198,7 +184,7 @@ mod tests {
 
     #[test]
     fn failure_backoff_then_blacklist() {
-        let mut bl = Blacklist::new(BlacklistConfig { max_failures: 2, backoff: 3, enabled: true });
+        let mut bl = Blacklist::new(BlacklistConfig { max_failures: 2, backoff: 3 });
         assert_eq!(bl.check(START), Verdict::Record);
         assert!(!bl.record_failure(START, false));
         // Backing off for 3 passes.
@@ -215,7 +201,7 @@ mod tests {
 
     #[test]
     fn forgiveness_undoes_provisional_failures() {
-        let mut bl = Blacklist::new(BlacklistConfig { max_failures: 2, backoff: 32, enabled: true });
+        let mut bl = Blacklist::new(BlacklistConfig { max_failures: 2, backoff: 32 });
         assert!(!bl.record_failure(START, true));
         assert_eq!(bl.check(START), Verdict::Skip);
         // Inner tree completed: outer is forgiven and retried immediately.
@@ -229,7 +215,7 @@ mod tests {
     #[test]
     fn single_failure_threshold_blacklists_immediately() {
         let mut bl =
-            Blacklist::new(BlacklistConfig { max_failures: 1, backoff: 32, enabled: true });
+            Blacklist::new(BlacklistConfig { max_failures: 1, backoff: 32 });
         assert_eq!(bl.check(START), Verdict::Record);
         // With the threshold at one there is no backoff phase at all.
         assert!(bl.record_failure(START, false));
@@ -240,7 +226,7 @@ mod tests {
     #[test]
     fn forgiveness_does_not_resurrect_blacklisted_fragments() {
         let mut bl =
-            Blacklist::new(BlacklistConfig { max_failures: 1, backoff: 2, enabled: true });
+            Blacklist::new(BlacklistConfig { max_failures: 1, backoff: 2 });
         assert!(bl.record_failure(START, true));
         // Even though the failure was provisional, blacklisting is final.
         bl.forgive_outer(FuncId(0), &[5]);
@@ -251,7 +237,7 @@ mod tests {
     #[test]
     fn forgiveness_only_covers_provisional_failures() {
         let mut bl =
-            Blacklist::new(BlacklistConfig { max_failures: 3, backoff: 4, enabled: true });
+            Blacklist::new(BlacklistConfig { max_failures: 3, backoff: 4 });
         assert!(!bl.record_failure(START, false)); // a real abort, not inner-not-ready
         bl.forgive_outer(FuncId(0), &[5]);
         // Nothing was provisional: the failure stands and the backoff holds.
@@ -261,7 +247,7 @@ mod tests {
     #[test]
     fn fragments_fail_independently() {
         let mut bl =
-            Blacklist::new(BlacklistConfig { max_failures: 2, backoff: 2, enabled: true });
+            Blacklist::new(BlacklistConfig { max_failures: 2, backoff: 2 });
         let other: FragmentStart = (FuncId(1), 9);
         assert!(!bl.record_failure(START, false));
         assert_eq!(bl.check(START), Verdict::Skip);
@@ -273,15 +259,5 @@ mod tests {
         assert!(bl.is_blacklisted(other));
         assert!(!bl.is_blacklisted(START));
         assert_eq!(bl.blacklisted_count(), 1);
-    }
-
-    #[test]
-    fn disabled_blacklist_always_records() {
-        let mut bl = Blacklist::new(BlacklistConfig { enabled: false, ..Default::default() });
-        for _ in 0..10 {
-            bl.record_failure(START, false);
-        }
-        assert_eq!(bl.check(START), Verdict::Record);
-        assert!(!bl.is_blacklisted(START));
     }
 }

@@ -6,7 +6,10 @@ use crate::blacklist::BlacklistConfig;
 
 /// Tunables of the tracing JIT. Defaults follow the paper's reported
 /// constants (hotness 2, side-exit hotness 2, blacklist after 2 failures
-/// with a 32-pass backoff).
+/// with a 32-pass backoff). Nested trees (§4), trace stitching (§6.2),
+/// the integer-demotion oracle (§3.2), type-unstable sibling linking
+/// (Figure 6) and blacklisting (§3.3) are the design, not options:
+/// nothing here turns them off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JitOptions {
     /// Loop-edge crossings before a loop is considered hot (paper: 2).
@@ -20,16 +23,6 @@ pub struct JitOptions {
     pub filters: FilterOptions,
     /// Maximum function-inlining depth on trace.
     pub max_inline_depth: usize,
-    /// Record nested trace trees (§4); off = the naive behaviour of
-    /// aborting on inner loops.
-    pub enable_nesting: bool,
-    /// Patch side exits to jump directly to branch fragments (§6.2); off =
-    /// every exit returns through the monitor.
-    pub enable_stitching: bool,
-    /// Consult the integer-demotion oracle (§3.2).
-    pub enable_oracle: bool,
-    /// Link type-unstable sibling trees through the monitor (Figure 6).
-    pub enable_stability_linking: bool,
     /// Collect per-activity wall-clock times (Figure 12).
     pub profile: bool,
     /// Record trace events (tests / diagnostics).
@@ -71,10 +64,6 @@ impl Default for JitOptions {
             blacklist: BlacklistConfig::default(),
             filters: FilterOptions::default(),
             max_inline_depth: 8,
-            enable_nesting: true,
-            enable_stitching: true,
-            enable_oracle: true,
-            enable_stability_linking: true,
             profile: false,
             log_events: false,
             verify: cfg!(debug_assertions),

@@ -12,7 +12,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use tm_interp::{Flow, Interp, RunExit};
-use tm_nanojit::{emit_tree, execute, Fragment, Unsupported};
+use tm_nanojit::{emit_tree, execute, Fragment, Unsupported, EXIT_UNSTITCHED};
 use tm_runtime::{Realm, RuntimeError, Value};
 
 use crate::activation::{export, import, ArPool, SlotBinding};
@@ -173,7 +173,7 @@ impl Monitor {
         Monitor {
             cache: TreeCache::new(),
             blacklist: Blacklist::new(opts.blacklist),
-            oracle: if opts.enable_oracle { Oracle::new() } else { Oracle::disabled() },
+            oracle: Oracle::new(),
             profiler: Profiler::new(opts.profile),
             events: {
                 let mut log = EventLog::new();
@@ -285,22 +285,20 @@ impl Monitor {
         }
     }
 
-    /// Enters tree `tid` at fragment `start` (0 = trunk; >0 =
-    /// monitor-mediated branch call): builds the activation record from
-    /// interpreter state. `None` when the fragment's entry requirements
-    /// don't match it — the type-map check and the unboxing are one pass.
+    /// Enters tree `tid` at its trunk: builds the activation record from
+    /// interpreter state. `None` when the tree's entry type map doesn't
+    /// match it — the type-map check and the unboxing are one pass.
     fn enter_tree(
         cache: &TreeCache,
         ars: &mut ArPool,
         tid: TreeId,
-        start: u32,
         interp: &Interp,
         realm: &Realm,
     ) -> Option<Entered> {
         let code = &cache.tree(tid).code;
         let frame = interp.frames.len() - 1;
         let mut ar = ars.take(code.layout.len());
-        if import(&code.entry_reqs[start as usize], interp, realm, frame, &mut ar) {
+        if import(&code.entry, interp, realm, frame, &mut ar) {
             return Some(Entered { tid, code: Arc::clone(code), ar, frame });
         }
         ars.give(ar);
@@ -315,7 +313,7 @@ impl Monitor {
         slot.trees
             .iter()
             .filter(|&&tid| !self.cache.tree(tid).disabled)
-            .find_map(|&tid| Self::enter_tree(&self.cache, &mut self.ars, tid, 0, interp, realm))
+            .find_map(|&tid| Self::enter_tree(&self.cache, &mut self.ars, tid, interp, realm))
     }
 
     /// Handles one loop-edge crossing. Returns `Ok(Some(value))` if the
@@ -572,9 +570,6 @@ impl Monitor {
         interp: &mut Interp,
         realm: &mut Realm,
     ) -> Result<Result<(), AbortReason>, RecordError> {
-        if !self.opts.enable_nesting {
-            return Ok(Err(AbortReason::InnerTreeNotReady));
-        }
         let Some(entered) = self.enter_anchor(inner_anchor, interp, realm) else {
             // "We simply abort recording the first trace. The trace
             // monitor will see the inner loop header, and will immediately
@@ -592,7 +587,7 @@ impl Monitor {
         let (tid, code) = (entered.tid, Arc::clone(&entered.code));
         self.events.push(TraceEvent::NestedCall { tree: tid.0 });
         // `ran.inner_exit` is not grown from here: the recording aborts.
-        let (ran, kind) = match self.execute_tree(entered, 0, interp, realm) {
+        let (ran, kind) = match self.execute_tree(entered, interp, realm) {
             Ok(r) => r,
             Err(e) => return Err(RecordError::Guest(e)),
         };
@@ -661,10 +656,9 @@ impl Monitor {
             digest: entry_digest(anchor, &recorded.new_entry),
             layout: recorded.layout,
             fragments: Arc::new(vec![frag]),
-            branches: vec![vec![None; recorded.exits.len()]],
             exits: vec![recorded.exits],
             fragment_bytecodes: vec![recorded.bytecodes],
-            entry_reqs: vec![recorded.new_entry],
+            entry: recorded.new_entry,
             nested_sites: recorded.nested_sites,
             loop_writes: recorded.loop_writes,
             unstable: recorded.finish == recorder::FinishKind::UnstableLoop,
@@ -686,10 +680,10 @@ impl Monitor {
         tid
     }
 
-    /// Entry requirements for monitor-mediated entry at a branch fragment
-    /// stitched to `(parent_frag, parent_exit)`: everything the parent
-    /// exit's type map describes plus the tree's entry slots. Doubles as
-    /// the entry base for trace verification.
+    /// The state a branch fragment stitched to `(parent_frag,
+    /// parent_exit)` starts from: everything the parent exit's type map
+    /// describes plus the tree's entry slots. The entry base for trace
+    /// verification.
     fn branch_parent_reqs(
         &self,
         tid: TreeId,
@@ -700,7 +694,7 @@ impl Monitor {
         let mut reqs = tree.exits[parent_frag as usize][parent_exit as usize]
             .typemap
             .clone();
-        for e in tree.entry() {
+        for e in &tree.entry {
             if !reqs.iter().any(|r| r.ar == e.ar) {
                 reqs.push(*e);
             }
@@ -731,11 +725,9 @@ impl Monitor {
         mut recorded: RecordedTrace,
         frag: Fragment,
     ) {
-        let parent_reqs = self.branch_parent_reqs(tid, parent_frag, parent_exit);
         for m in recorded.oracle_marks.drain(..) {
             self.oracle.mark_double(m);
         }
-        let stitch = self.opts.enable_stitching;
         let tree = self.cache.tree_to_grow(tid);
         // Grows the tree in place when this realm is its only holder; when
         // the shared cache or another realm still holds this version, they
@@ -745,9 +737,7 @@ impl Monitor {
         {
             let frags = Arc::make_mut(&mut code.fragments);
             frags.push(frag);
-            if stitch {
-                frags[parent_frag as usize].stitch_exit(parent_exit, new_idx);
-            }
+            frags[parent_frag as usize].stitch_exit(parent_exit, new_idx);
         }
         // A tree that already has native code grows it in place: the new
         // body goes at the tail and the parent's exit is patched to jump
@@ -769,19 +759,15 @@ impl Monitor {
             }
             other => other,
         };
-        code.branches[parent_frag as usize][parent_exit as usize] = Some(new_idx);
-        code.entry_reqs.push(parent_reqs);
         code.layout = recorded.layout;
         for e in recorded.new_entry {
-            // Every fragment's monitor-entry requirements must cover every
-            // entry slot: fragments reached by stitching or loop-back may
-            // read slots this fragment's own path never touches.
-            if !code.entry().iter().any(|x| x.ar == e.ar) {
-                for reqs in &mut code.entry_reqs {
-                    if !reqs.iter().any(|r| r.ar == e.ar) {
-                        reqs.push(e);
-                    }
-                }
+            // A branch runs on the activation record the monitor filled
+            // at tree entry (a stitched exit carries it over), so the
+            // entry map must cover every slot the branch reads before
+            // writing it. Appended in arrival order: a `.tmc` load
+            // recomputes the sibling digest from the map as saved.
+            if !code.entry.iter().any(|x| x.ar == e.ar) {
+                code.entry.push(e);
             }
         }
         // The branch's exits must also restore the *tree's* loop-persistent
@@ -809,7 +795,6 @@ impl Monitor {
         }
         code.loop_writes = new_loop_writes;
         tree.exit_states.push(vec![ExitState::default(); branch_exits.len()]);
-        code.branches.push(vec![None; branch_exits.len()]);
         code.exits.push(branch_exits);
         if self.opts.log_events {
             tree.lir.push(recorded.lir);
@@ -844,13 +829,11 @@ impl Monitor {
         realm: &mut Realm,
     ) -> Result<(), RuntimeError> {
         let mut transfers = 0usize;
-        let mut start = 0u32;
         loop {
             let (tid, anchor) = (entered.tid, entered.code.anchor);
             self.events.push(TraceEvent::EnterTree { tree: tid.0 });
-            let (ran, kind) = self.execute_tree(entered, start, interp, realm)?;
+            let (ran, kind) = self.execute_tree(entered, interp, realm)?;
             let (frag, exit) = (ran.frag, ran.exit);
-            start = 0;
             match kind {
                 ExitKind::LoopEdge => {
                     // Preemption or pending GC at the loop edge (§6.4).
@@ -870,9 +853,6 @@ impl Monitor {
                 ExitKind::Unstable => {
                     // Figure 6: look for a sibling tree whose entry map
                     // matches the exit state.
-                    if !self.opts.enable_stability_linking {
-                        return Ok(());
-                    }
                     let Some(next) = self.enter_anchor(anchor, interp, realm) else {
                         return Ok(());
                     };
@@ -889,24 +869,6 @@ impl Monitor {
                     entered = next;
                 }
                 ExitKind::Branch => {
-                    if !self.opts.enable_stitching {
-                        // §6.2's alternative to stitching: call the branch
-                        // fragment from the monitor, paying the transition
-                        // cost stitching avoids.
-                        if let Some(bfrag) =
-                            self.cache.tree(tid).branches[frag as usize][exit as usize]
-                        {
-                            // Entry requirements not met: interpret.
-                            let (cache, ars) = (&self.cache, &mut self.ars);
-                            let Some(next) = Self::enter_tree(cache, ars, tid, bfrag, interp, realm)
-                            else {
-                                return Ok(());
-                            };
-                            entered = next;
-                            start = bfrag;
-                            continue;
-                        }
-                    }
                     self.maybe_extend(tid, frag, exit, interp, realm)?;
                     return Ok(());
                 }
@@ -950,9 +912,8 @@ impl Monitor {
             if tree.fragments.len() >= MAX_FRAGMENTS_PER_TREE {
                 return Ok(());
             }
-            if tree.branches[frag as usize][exit as usize].is_some() {
-                // Already extended (reachable only via the monitor when
-                // stitching is disabled).
+            if tree.fragments[frag as usize].stitch[exit as usize] != EXIT_UNSTITCHED {
+                // Already extended since the exit was taken.
                 return Ok(());
             }
             let max_failures = self.opts.blacklist.max_failures;
@@ -994,7 +955,7 @@ impl Monitor {
             let tree = self.cache.tree(tid);
             (
                 tree.layout.clone(),
-                tree.entry().to_vec(),
+                tree.entry.clone(),
                 tree.nested_sites.len() as u32,
                 tree.exits[frag as usize][exit as usize].clone(),
             )
@@ -1149,7 +1110,9 @@ impl Monitor {
                 CompileOutcome::Done { recorded, fragment },
             ) => {
                 self.in_flight_exits.remove(&(tid, frag, exit));
-                if self.cache.tree(tid).branches[frag as usize][exit as usize].is_some() {
+                if self.cache.tree(tid).fragments[frag as usize].stitch[exit as usize]
+                    != EXIT_UNSTITCHED
+                {
                     // Raced with another install path (e.g. the whole tree
                     // arrived from the shared cache meanwhile); drop it.
                     return;
@@ -1188,17 +1151,16 @@ impl Monitor {
     fn execute_tree(
         &mut self,
         mut entered: Entered,
-        start: u32,
         interp: &mut Interp,
         realm: &mut Realm,
     ) -> Result<(Ran, ExitKind), RuntimeError> {
-        let ran = self.run_entered(&mut entered, start, interp, realm)?;
+        let ran = self.run_entered(&mut entered, interp, realm)?;
         let kind = self.settle(&entered, &ran, interp, realm);
         self.ars.give(entered.ar);
         kind.map(|kind| (ran, kind))
     }
 
-    /// Runs an entered tree from fragment `start` and does the bookkeeping
+    /// Runs an entered tree from its trunk and does the bookkeeping
     /// of one trace enter; interpreter state is the caller's to restore
     /// ([`Monitor::settle`], or a nested site's transfer plan). Every read
     /// of the tree's code goes through the handle taken at entry — the
@@ -1206,7 +1168,6 @@ impl Monitor {
     pub(crate) fn run_entered(
         &mut self,
         entered: &mut Entered,
-        start: u32,
         interp: &mut Interp,
         realm: &mut Realm,
     ) -> Result<Ran, RuntimeError> {
@@ -1249,9 +1210,9 @@ impl Monitor {
             NestHost { monitor: self, interp, outer, plans: &mut plans, frame, unexpected: None };
         let ar = &mut entered.ar[..];
         let trace_exit = if let Some(nt) = native {
-            nt.execute(start, ar, realm, &mut host, fuel)
+            nt.execute(ar, realm, &mut host, fuel)
         } else {
-            execute(&code.fragments, start, ar, realm, &mut host, fuel)
+            execute(&code.fragments, ar, realm, &mut host, fuel)
         };
         let inner_exit = host.unexpected;
         self.cache.tree_mut(tid).plans = plans;
@@ -1378,7 +1339,7 @@ mod tests {
         assert!(!t.unstable);
         assert!(t.stats.iterations > 90, "iterations: {}", t.stats.iterations);
         // One loop-edge exit plus assorted guards, none stitched.
-        assert!(t.fragments[0].stitch.iter().all(|&e| e == tm_nanojit::EXIT_UNSTITCHED));
+        assert!(t.fragments[0].stitch.iter().all(|&e| e == EXIT_UNSTITCHED));
     }
 
     #[test]
@@ -1431,16 +1392,25 @@ mod tests {
         function f() { var s = 0; for (var i = 0; i < 3; i++) s += i; return s; }
         var t = 0; for (var j = 0; j < 200; j++) t += f(); t";
 
+    /// The same calls from a loop that also makes a one-deep recursive
+    /// call, which aborts every recording of it (`Recursive`): the calling
+    /// loop gets no tree, so nothing calls the short loop's.
+    const SHORT_LOOP_CALLS_UNTRACED: &str = "\
+        function f() { var s = 0; for (var i = 0; i < 3; i++) s += i; return s; }
+        function once(d) { if (d > 0) return once(d - 1); return 0; }
+        var t = 0; for (var j = 0; j < 200; j++) t += once(1) + f(); t";
+
     #[test]
     fn a_tree_failing_probation_gives_its_code_back() {
         if !tm_nanojit::native_supported() {
             return;
         }
-        // Nesting off: no outer tree, so nothing calls the loop's tree.
-        let opts = JitOptions { enable_nesting: false, profile: true, ..JitOptions::default() };
+        let opts = JitOptions { profile: true, ..JitOptions::default() };
         let mut vm = Vm::with_options(Engine::Tracing, opts);
-        vm.eval(SHORT_LOOP_CALLS).expect("runs");
+        vm.eval(SHORT_LOOP_CALLS_UNTRACED).expect("runs");
         let m = vm.monitor().unwrap();
+        let main = vm.interp().unwrap().prog().main;
+        assert!(m.cache.iter().all(|t| t.anchor.func != main), "the calling loop has no tree");
         assert!(m.profiler.stats.native_exits > 0, "the tree ran natively first");
         let t = m.cache.iter().find(|t| t.disabled).expect("the short loop is disabled");
         assert!(t.stats.enters >= USELESS_PROBATION);
@@ -1488,8 +1458,7 @@ mod tests {
                 fragments: Arc::new(vec![]),
                 exits: vec![],
                 fragment_bytecodes: vec![],
-                branches: vec![],
-                entry_reqs: vec![entry],
+                entry,
                 nested_sites: vec![],
                 loop_writes: vec![],
                 unstable: false,

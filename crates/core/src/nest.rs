@@ -73,21 +73,21 @@ impl TransferPlan {
         let holds = |list, b: &SlotBinding| in_place(b) || held(list, b.key).is_some();
         let deferred = inner.nested_sites.is_empty()
             && frames.len() == 1
-            && inner.entry().iter().all(|b| holds(callsite, b))
+            && inner.entry.iter().all(|b| holds(callsite, b))
             && site.reimports.iter().all(|b| holds(returned, b) || holds(callsite, b));
         // A record is a binding's source only while the interpreter has
         // not been brought up to date with it.
         let held_in = |list: &[SlotBinding], key, record: fn(ArSlot, LirType) -> Source| {
             held(list, key).filter(|_| deferred).map(|b| record(b.ar, b.ty))
         };
-        let args = inner.entry().iter().map(|&to| Move {
+        let args = inner.entry.iter().map(|&to| Move {
             from: held_in(callsite, to.key, Source::Other).unwrap_or(Source::Interp),
             to,
         });
         let mut plan =
             TransferPlan { deferred, args: args.collect(), flush: Vec::new(), refresh: Vec::new() };
         let canonical = outer
-            .entry()
+            .entry
             .iter()
             .filter(is_variable)
             .chain(&outer.loop_writes)
@@ -234,7 +234,7 @@ impl NestHost<'_> {
         let loaded =
             run_moves(&plan.args, &mut inner.ar, outer_ar, interp, realm, inner.frame, words);
         let run = if loaded {
-            monitor.run_entered(&mut inner, 0, interp, realm).map(Some)
+            monitor.run_entered(&mut inner, interp, realm).map(Some)
         } else {
             Ok(None)
         };
@@ -389,9 +389,8 @@ mod tests {
             layout,
             fragments: Arc::new(vec![]),
             fragment_bytecodes: vec![],
-            branches: vec![],
             exits: vec![exits],
-            entry_reqs: vec![entry],
+            entry,
             nested_sites: vec![],
             loop_writes: vec![],
             unstable: false,
@@ -607,13 +606,13 @@ mod tests {
         let site = &outer.nested_sites[0];
         export(&site.callsite, outer_ar, 0, interp, realm);
         let mut inner_ar = vec![0u64; inner.layout.len()];
-        if !import(inner.entry(), interp, realm, 0, &mut inner_ar) {
+        if !import(&inner.entry, interp, realm, 0, &mut inner_ar) {
             return Outcome::ArgumentRefused;
         }
         inner_ar.copy_from_slice(&c.inner_exit_words);
         export(&inner.exits[0][0], &inner_ar, 0, interp, realm);
         let refresh = outer
-            .entry()
+            .entry
             .iter()
             .filter(is_variable)
             .chain(&outer.loop_writes)

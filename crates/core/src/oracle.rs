@@ -33,44 +33,33 @@ pub struct Oracle {
     /// (overflow guards taken repeatedly): future recordings use the
     /// double path there directly.
     demoted_sites: HashSet<Site>,
-    enabled: bool,
 }
 
 impl Oracle {
-    /// Creates an enabled oracle.
+    /// Creates an empty oracle.
     pub fn new() -> Oracle {
-        Oracle { demoted: HashSet::new(), demoted_sites: HashSet::new(), enabled: true }
-    }
-
-    /// Creates a disabled oracle (ablation: every number speculates int,
-    /// so unstable loops keep re-recording).
-    pub fn disabled() -> Oracle {
-        Oracle { demoted: HashSet::new(), demoted_sites: HashSet::new(), enabled: false }
+        Oracle::default()
     }
 
     /// Records that `key` was observed holding a non-integer value.
     pub fn mark_double(&mut self, key: VarKey) {
-        if self.enabled {
-            self.demoted.insert(key);
-        }
+        self.demoted.insert(key);
     }
 
     /// Whether `key` may be speculated as an integer.
     pub fn may_speculate_int(&self, key: VarKey) -> bool {
-        !self.enabled || !self.demoted.contains(&key)
+        !self.demoted.contains(&key)
     }
 
     /// Records that integer speculation at arithmetic site `site` failed
     /// at runtime (its overflow guard went hot).
     pub fn mark_site(&mut self, site: Site) {
-        if self.enabled {
-            self.demoted_sites.insert(site);
-        }
+        self.demoted_sites.insert(site);
     }
 
     /// Whether the arithmetic at `site` may speculate integer results.
     pub fn may_speculate_int_site(&self, site: Site) -> bool {
-        !self.enabled || !self.demoted_sites.contains(&site)
+        !self.demoted_sites.contains(&site)
     }
 
     /// Snapshots the demotion state in a deterministic (sorted) order, for
@@ -89,12 +78,8 @@ impl Oracle {
         (vars, sites)
     }
 
-    /// Merges a previously [`Oracle::export`]ed snapshot back in (no-op
-    /// when the oracle is disabled, like the mark methods).
+    /// Merges a previously [`Oracle::export`]ed snapshot back in.
     pub fn restore(&mut self, vars: &[VarKey], sites: &[Site]) {
-        if !self.enabled {
-            return;
-        }
         self.demoted.extend(vars.iter().copied());
         self.demoted_sites.extend(sites.iter().copied());
     }
@@ -138,15 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_oracle_never_blocks() {
-        let mut o = Oracle::disabled();
-        let k = VarKey::Global(0);
-        o.mark_double(k);
-        assert!(o.may_speculate_int(k));
-        assert!(o.is_empty());
-    }
-
-    #[test]
     fn site_demotion_blocks_int_speculation_at_that_site_only() {
         let mut o = Oracle::new();
         let site = (FuncId(3), 17);
@@ -159,14 +135,6 @@ mod tests {
         // Site demotions are independent of variable demotions.
         assert!(o.is_empty());
         assert!(o.may_speculate_int(VarKey::Local(FuncId(3), 0)));
-    }
-
-    #[test]
-    fn disabled_oracle_ignores_site_marks() {
-        let mut o = Oracle::disabled();
-        let site = (FuncId(0), 0);
-        o.mark_site(site);
-        assert!(o.may_speculate_int_site(site));
     }
 
     #[test]

@@ -31,7 +31,7 @@ use tm_bytecode::{FuncId, LoopId, Program};
 use tm_interp::Interp;
 use tm_lir::{ArSlot, LirType};
 use tm_nanojit::serial::{decode_fragment, encode_fragment};
-use tm_nanojit::{Fragment, MachInst};
+use tm_nanojit::{Fragment, MachInst, EXIT_UNSTITCHED};
 use tm_runtime::{Helper, Realm, ShapeId};
 use tm_support::{fnv1a64, BinError, ByteReader, ByteWriter, Fnv1a64};
 
@@ -49,7 +49,7 @@ pub const MAGIC: [u8; 4] = *b"TMTC";
 /// Current format version. Readers reject any other value (there is no
 /// cross-version migration: a cache is a regenerable artifact, so version
 /// skew simply degrades to a cold start).
-pub const VERSION: u32 = 7;
+pub const VERSION: u32 = 8;
 
 /// Why a cache file or entry was rejected. Every variant degrades to a
 /// cold start; none is fatal to the VM.
@@ -423,12 +423,7 @@ fn encode_tree(t: &TraceTree, w: &mut ByteWriter) {
     for &bc in &t.fragment_bytecodes {
         w.u32(bc);
     }
-    for &branch in t.branches.iter().flatten() {
-        w.u32(branch.unwrap_or(u32::MAX));
-    }
-    for reqs in &t.entry_reqs {
-        w_bindings(reqs, w);
-    }
+    w_bindings(&t.entry, w);
     w.u32(t.nested_sites.len() as u32);
     for n in &t.nested_sites {
         w_nested(n, w);
@@ -475,18 +470,7 @@ fn decode_tree(r: &mut ByteReader) -> Result<TraceTree, CacheError> {
     for _ in 0..nfrags {
         fragment_bytecodes.push(r.u32()?);
     }
-    let mut branches = Vec::with_capacity(nfrags);
-    for es in &exits {
-        let mut links = Vec::with_capacity(es.len());
-        for _ in 0..es.len() {
-            links.push(Some(r.u32()?).filter(|&b| b != u32::MAX));
-        }
-        branches.push(links);
-    }
-    let mut entry_reqs = Vec::with_capacity(nfrags);
-    for _ in 0..nfrags {
-        entry_reqs.push(r_bindings(r)?);
-    }
+    let entry = r_bindings(r)?;
     let nsites = r.seq_len(20)?;
     let mut nested_sites = Vec::with_capacity(nsites);
     for _ in 0..nsites {
@@ -496,13 +480,12 @@ fn decode_tree(r: &mut ByteReader) -> Result<TraceTree, CacheError> {
     let unstable = r.bool()?;
     let mut tree = TraceTree::new(Arc::new(TreeCode {
         anchor,
-        digest: entry_digest(anchor, &entry_reqs[0]),
+        digest: entry_digest(anchor, &entry),
         layout,
         fragments: Arc::new(fragments),
         exits,
         fragment_bytecodes,
-        branches,
-        entry_reqs,
+        entry,
         nested_sites,
         loop_writes,
         unstable,
@@ -807,20 +790,12 @@ fn validate_tree(prog: &Program, realm: &Realm, ntrees: u32, t: &TreeCode) -> Re
         ));
     }
     let nfrags = t.fragments.len();
-    if t.exits.len() != nfrags
-        || t.branches.len() != nfrags
-        || t.fragment_bytecodes.len() != nfrags
-        || t.entry_reqs.len() != nfrags
-    {
+    if t.exits.len() != nfrags || t.fragment_bytecodes.len() != nfrags {
         return bad("per-fragment arrays are not parallel".into());
     }
     for (i, frag) in t.fragments.iter().enumerate() {
-        if t.exits[i].len() != frag.stitch.len() || t.branches[i].len() != frag.stitch.len() {
+        if t.exits[i].len() != frag.stitch.len() {
             return bad(format!("fragment {i}: exit arrays are not parallel"));
-        }
-        // The monitor enters at a linked fragment when stitching is off.
-        if let Some(b) = t.branches[i].iter().flatten().find(|&&b| b as usize >= nfrags) {
-            return bad(format!("fragment {i}: branch link {b} out of range"));
         }
         // `call_helper` indexes the realm's native table with the id.
         for inst in &frag.code {
@@ -897,9 +872,7 @@ fn validate_tree(prog: &Program, realm: &Realm, ntrees: u32, t: &TreeCode) -> Re
             check_exit(&format!("fragment {i} exit {j}"), e)?;
         }
     }
-    for reqs in &t.entry_reqs {
-        check_bindings("fragment entry requirements", reqs)?;
-    }
+    check_bindings("entry type map", &t.entry)?;
     check_bindings("loop writes", &t.loop_writes)?;
     for (i, site) in t.nested_sites.iter().enumerate() {
         if site.inner.0 >= ntrees {
@@ -1008,9 +981,9 @@ impl Monitor {
             // cold process already proved unprofitable: restored exit
             // failures are saturated so `maybe_extend` treats them as
             // exhausted (the same policy as `Blacklist::restore`).
-            let links = tree.code.branches.iter().flatten();
-            for (st, link) in tree.exit_states.iter_mut().flatten().zip(links) {
-                if st.failures > 0 && link.is_none() {
+            let links = tree.code.fragments.iter().flat_map(|f| f.stitch.iter());
+            for (st, &link) in tree.exit_states.iter_mut().flatten().zip(links) {
+                if st.failures > 0 && link == EXIT_UNSTITCHED {
                     st.failures = u32::MAX;
                 }
             }
@@ -1386,9 +1359,10 @@ mod tests {
         print(n);";
 
     /// A well-formed, well-checksummed entry whose *code* addresses one
-    /// slot past the activation record, or one site past the nested-site
-    /// table, is a revalidation failure and a cold run — not an
-    /// out-of-bounds access in whichever tier would have executed it.
+    /// slot past the activation record, one site past the nested-site
+    /// table, or (by a stitched exit) one fragment past the tree, is a
+    /// revalidation failure and a cold run — not an out-of-bounds access
+    /// in whichever tier would have executed it.
     #[test]
     fn code_addressing_outside_the_tree_is_rejected() {
         fn code(t: &mut TreeCode) -> &mut [MachInst] {
@@ -1413,6 +1387,11 @@ mod tests {
             *site = past;
         });
         assert!(matches!(err, CacheError::VerifyFailed { .. }), "{err:?}");
+        let err = run_with_corrupted_entry("link", NESTED_LOOPS, opts, |t| {
+            let past = t.fragments.len() as u32;
+            Arc::get_mut(&mut t.fragments).unwrap()[0].stitch_exit(0, past);
+        });
+        assert!(matches!(err, CacheError::VerifyFailed { .. }), "{err:?}");
     }
 
     /// The same for the state-transfer recipes: each of these was an index
@@ -1422,7 +1401,7 @@ mod tests {
         let opts = crate::JitOptions::default();
         // An entry-map slot shadowing a local the entry frame does not have.
         let err = run_with_corrupted_entry("local", NESTED_LOOPS, opts, |t| {
-            t.entry_reqs[0][0].key = SlotKey::Local { depth: 0, slot: u16::MAX };
+            t.entry[0].key = SlotKey::Local { depth: 0, slot: u16::MAX };
         });
         assert!(matches!(err, CacheError::BadTree(_)), "{err:?}");
         // Exits that name a local of a frame they do not have.
@@ -1437,16 +1416,6 @@ mod tests {
         let err = run_with_corrupted_entry("stack", NESTED_LOOPS, opts, |t| {
             for e in t.exits.iter_mut().flatten() {
                 e.frames[0].stack_depth += 1;
-            }
-        });
-        assert!(matches!(err, CacheError::BadTree(_)), "{err:?}");
-        // Branch links past the last fragment, which the monitor enters at
-        // when stitching is off.
-        let unstitched = crate::JitOptions { enable_stitching: false, ..opts };
-        let err = run_with_corrupted_entry("link", NESTED_LOOPS, unstitched, |t| {
-            let past = t.fragments.len() as u32;
-            for link in t.branches.iter_mut().flatten() {
-                *link = Some(past);
             }
         });
         assert!(matches!(err, CacheError::BadTree(_)), "{err:?}");

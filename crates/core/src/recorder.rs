@@ -577,7 +577,7 @@ impl Recorder {
 
     /// Applies the oracle before an Int entry type is chosen (§3.2).
     fn oracle_adjust(&mut self, key: SlotKey, v: Value, oracle: &Oracle) {
-        if !self.opts.enable_oracle || self.entry_types.contains_key(&key) {
+        if self.entry_types.contains_key(&key) {
             return;
         }
         if observed_type(v) == LirType::Int {

@@ -396,12 +396,12 @@ mod tests {
         assert_eq!(publisher.run(), expected);
         let v2 = Arc::clone(&publisher.tree().code);
         assert_eq!(v2.fragments.len(), 2, "the hot exit was extended");
-        assert_eq!((v2.exits.len(), v2.entry_reqs.len(), v2.branches.len()), (2, 2, 2));
-        assert!(v2.branches[0].contains(&Some(1)));
+        assert_eq!(v2.exits.len(), 2);
+        assert!(v2.fragments[0].stitch.contains(&1));
+        assert_eq!(v2.entry[..v1.entry.len()], v1.entry[..], "the entry map only grows");
         assert_eq!(v2.digest, v1.digest);
         assert!(Arc::ptr_eq(&installer.tree().code, &v1));
-        assert_eq!((v1.fragments.len(), v1.exits.len(), v1.entry_reqs.len()), (1, 1, 1));
-        assert!(v1.branches[0].iter().all(Option::is_none));
+        assert_eq!((v1.fragments.len(), v1.exits.len()), (1, 1));
         assert!(v1.fragments[0].stitch.iter().all(|&e| e == tm_nanojit::EXIT_UNSTITCHED));
         assert_eq!(installer.run(), expected);
         let after = cache.stats();

@@ -104,6 +104,8 @@ pub enum NativeCode {
 /// Everything about a compiled tree that is fixed when a fragment is
 /// installed: the one description the monitor, the nesting host, the
 /// shared code cache and the `.tmc` codec all hold, behind an `Arc`.
+/// Branch links live in the fragments themselves: `Fragment::stitch` is
+/// the only link table, and an exit with a branch is never re-recorded.
 /// Immutable once shared — a branch install grows it through
 /// `Arc::make_mut`, so every other holder keeps the version it has.
 #[derive(Debug, Clone)]
@@ -122,14 +124,11 @@ pub struct TreeCode {
     pub exits: Vec<Vec<SideExitInfo>>,
     /// Bytecodes covered by each fragment (Figure 11 accounting).
     pub fragment_bytecodes: Vec<u32>,
-    /// The branch fragment attached at each exit, if any, parallel to
-    /// `exits` (used for monitor-mediated branch calls when stitching is
-    /// disabled, and so a stitched exit is never re-recorded).
-    pub branches: Vec<Vec<Option<u32>>>,
-    /// Per-fragment entry requirements: the AR slots that must be
-    /// populated to enter execution at that fragment from the monitor.
-    /// `[0]` is the tree's entry type map.
-    pub entry_reqs: Vec<Vec<SlotBinding>>,
+    /// The entry type map: the AR slots the monitor populates (and checks)
+    /// on entry. The monitor only ever enters at the trunk, so one map
+    /// covers every fragment; a branch install appends the slots its
+    /// fragment reads that the map lacks.
+    pub entry: Vec<SlotBinding>,
     /// Nested call sites embedded in this tree's fragments.
     pub nested_sites: Vec<NestedSite>,
     /// Loop-persistent writes across all stable fragments: every exit must
@@ -137,14 +136,6 @@ pub struct TreeCode {
     pub loop_writes: Vec<SlotBinding>,
     /// Whether the trunk ends type-unstable (`End` instead of `LoopBack`).
     pub unstable: bool,
-}
-
-impl TreeCode {
-    /// The entry type map: slots the monitor populates (and checks) on
-    /// entry at the trunk.
-    pub fn entry(&self) -> &[SlotBinding] {
-        &self.entry_reqs[0]
-    }
 }
 
 /// A compiled trace tree as one realm holds it: the shared [`TreeCode`]

@@ -21,9 +21,6 @@ pub enum Engine {
     /// The baseline bytecode interpreter (the paper's SpiderMonkey
     /// baseline, Figure 10's 1.0x).
     Interp,
-    /// The interpreter with inline fast paths (the SquirrelFish Extreme
-    /// stand-in).
-    FastInterp,
     /// The tracing JIT (TraceMonkey).
     Tracing,
 }
@@ -179,8 +176,7 @@ impl Vm {
         let mut interp = Interp::new(prog, &mut self.realm);
         interp.steps_remaining = self.step_budget;
         let result = match self.engine {
-            Engine::Interp | Engine::FastInterp => {
-                interp.fast_paths = self.engine == Engine::FastInterp;
+            Engine::Interp => {
                 match interp.run(&mut self.realm) {
                     Ok(RunExit::Finished(v)) => Ok(v),
                     Ok(RunExit::LoopEdge { .. }) => {
@@ -261,7 +257,7 @@ mod tests {
 
     #[test]
     fn eval_number_on_all_engines() {
-        for engine in [Engine::Interp, Engine::FastInterp, Engine::Tracing] {
+        for engine in [Engine::Interp, Engine::Tracing] {
             let mut vm = Vm::new(engine);
             let v = vm.eval_number("var s = 0; for (var i = 1; i <= 10; i++) s += i; s");
             assert_eq!(v.unwrap(), Some(55.0), "{engine:?}");

@@ -12,14 +12,10 @@
 //! * [`Interp::step`] — single instruction, used while the trace recorder
 //!   shadows execution (§6.3: the recorder observes each bytecode as the
 //!   interpreter executes it).
-//!
-//! The `fast_paths` flag enables inline integer fast paths in the dispatch
-//! loop, modelling the call-threaded SquirrelFish Extreme baseline of the
-//! paper's Figure 10.
 
 use tm_bytecode::{FuncId, LoopId, Op, Program};
 use tm_runtime::ops;
-use tm_runtime::{Callee, IcStats, ObjectClass, PropIc, Realm, RuntimeError, Value};
+use tm_runtime::{Callee, IcStats, PropIc, Realm, RuntimeError, Value};
 
 use crate::install::{install, Installed};
 
@@ -76,8 +72,6 @@ pub struct Interp {
     /// When true, crossing a `LoopHeader` returns control to the caller
     /// (the trace monitor).
     pub monitor_enabled: bool,
-    /// Enable inline integer fast paths (the SFX-style configuration).
-    pub fast_paths: bool,
     /// Dynamic count of bytecodes executed by this interpreter.
     pub ops_executed: u64,
     /// Remaining instruction budget (guards runaway fuzz programs).
@@ -103,7 +97,6 @@ impl Interp {
             stack: Vec::with_capacity(256),
             frames: Vec::with_capacity(16),
             monitor_enabled: false,
-            fast_paths: false,
             ops_executed: 0,
             steps_remaining: u64::MAX,
             ics,
@@ -264,32 +257,10 @@ impl Interp {
                 push!($f(realm, a, b)?);
             }};
         }
-        macro_rules! int_fast_binop {
-            ($f:path, $op:tt) => {{
+        macro_rules! relop {
+            ($rel:expr) => {{
                 let b = pop!();
                 let a = pop!();
-                if self.fast_paths {
-                    if let (Some(x), Some(y)) = (a.as_int(), b.as_int()) {
-                        let r = i64::from(x) $op i64::from(y);
-                        if let Some(v) = Value::new_int_checked(r) {
-                            push!(v);
-                            return Ok(Flow::Normal);
-                        }
-                    }
-                }
-                push!($f(realm, a, b)?);
-            }};
-        }
-        macro_rules! int_fast_relop {
-            ($rel:expr, $op:tt) => {{
-                let b = pop!();
-                let a = pop!();
-                if self.fast_paths {
-                    if let (Some(x), Some(y)) = (a.as_int(), b.as_int()) {
-                        push!(Value::new_bool(x $op y));
-                        return Ok(Flow::Normal);
-                    }
-                }
                 push!(ops::rel_op(realm, $rel, a, b)?);
             }};
         }
@@ -326,8 +297,8 @@ impl Interp {
                 self.stack.swap(len - 1, len - 2);
             }
 
-            Op::Add => int_fast_binop!(ops::add_values, +),
-            Op::Sub => int_fast_binop!(ops::sub_values, -),
+            Op::Add => binop!(ops::add_values),
+            Op::Sub => binop!(ops::sub_values),
             Op::Mul => binop!(ops::mul_values),
             Op::Div => binop!(ops::div_values),
             Op::Mod => binop!(ops::mod_values),
@@ -378,10 +349,10 @@ impl Interp {
                 let a = pop!();
                 push!(ops::bitnot_value(realm, a)?);
             }
-            Op::Lt => int_fast_relop!(ops::RelOp::Lt, <),
-            Op::Le => int_fast_relop!(ops::RelOp::Le, <=),
-            Op::Gt => int_fast_relop!(ops::RelOp::Gt, >),
-            Op::Ge => int_fast_relop!(ops::RelOp::Ge, >=),
+            Op::Lt => relop!(ops::RelOp::Lt),
+            Op::Le => relop!(ops::RelOp::Le),
+            Op::Gt => relop!(ops::RelOp::Gt),
+            Op::Ge => relop!(ops::RelOp::Ge),
             Op::Eq => {
                 let b = pop!();
                 let a = pop!();
@@ -454,16 +425,6 @@ impl Interp {
             Op::GetElem => {
                 let idx = pop!();
                 let obj = pop!();
-                // Dense-array int fast path mirrors the fat `getelem`
-                // bytecode's special case.
-                if self.fast_paths {
-                    if let (Some(id), Some(i)) = (obj.as_object(), idx.as_int()) {
-                        if i >= 0 && realm.heap.object(id).class == ObjectClass::Array {
-                            push!(realm.heap.object(id).element(i as u32));
-                            return Ok(Flow::Normal);
-                        }
-                    }
-                }
                 push!(realm.get_elem(obj, idx)?);
             }
             Op::SetElem => {
@@ -890,19 +851,6 @@ mod tests {
         let prog = tm_bytecode::compile(&ast, &mut realm).unwrap();
         let mut interp = Interp::new(prog, &mut realm);
         assert!(matches!(interp.run(&mut realm), Err(RuntimeError::NotCallable(_))));
-    }
-
-    #[test]
-    fn fast_paths_agree_with_generic() {
-        let src = "var s = 0; for (var i = 0; i < 100; i++) { s = s + i * 2 - 1; } s";
-        let slow = eval_num(src);
-        let ast = tm_frontend::parse(src).unwrap();
-        let mut realm = Realm::new();
-        let prog = tm_bytecode::compile(&ast, &mut realm).unwrap();
-        let mut interp = Interp::new(prog, &mut realm);
-        interp.fast_paths = true;
-        let RunExit::Finished(v) = interp.run(&mut realm).unwrap() else { panic!() };
-        assert_eq!(realm.heap.number_value(v), Some(slow));
     }
 
     #[test]

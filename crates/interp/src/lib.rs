@@ -3,14 +3,9 @@
 //! The bytecode interpreter of the TraceMonkey reproduction — the
 //! SpiderMonkey stand-in the paper's tracer extends.
 //!
-//! Two baseline configurations of the same interpreter are exposed:
-//!
-//! * default — generic dispatch through the shared operator semantics of
-//!   `tm_runtime::ops` (models the 2009 SpiderMonkey interpreter,
-//!   Figure 10's 1.0x baseline);
-//! * `fast_paths = true` — inline integer fast paths in the dispatch loop
-//!   (models the call-threaded SquirrelFish Extreme interpreter of
-//!   Figure 10).
+//! Dispatch is generic, through the shared operator semantics of
+//! `tm_runtime::ops` (the 2009 SpiderMonkey interpreter, Figure 10's 1.0x
+//! baseline).
 //!
 //! The interpreter owns the installed program so the trace monitor can
 //! patch blacklisted loop headers to no-ops (§3.3), and returns control at

@@ -123,8 +123,9 @@ fn trace_exit(fragment: u32, exit: u16, insts: u64, fused_insts: u64, iterations
     TraceExit { fragment, exit, insts, fused_insts, iterations }
 }
 
-/// Executes `fragments[start]` (and any fragments reachable through
-/// stitched exits and loop-backs) until an unstitched exit is taken.
+/// Executes the tree `fragments` from its trunk, `fragments[0]`, and any
+/// fragments reachable through stitched exits and loop-backs, until an
+/// unstitched exit is taken.
 ///
 /// `ar` is the trace activation record: unboxed words per the tree's slot
 /// layout, already populated by the monitor.
@@ -137,22 +138,22 @@ fn trace_exit(fragment: u32, exit: u16, insts: u64, fused_insts: u64, iterations
 #[allow(clippy::too_many_lines)]
 pub fn execute(
     fragments: &[Fragment],
-    start: u32,
     ar: &mut [u64],
     realm: &mut Realm,
     host: &mut dyn TreeHost,
     fuel: u64,
 ) -> Result<TraceExit, RuntimeError> {
-    let mut frag_idx = start;
     // The current fragment's code and exit table, hoisted out of the
     // dispatch loop and refreshed only on fragment switch.
-    let mut code: &[MachInst] = &[];
-    let mut stitch: &[u32] = &[];
+    let trunk = &fragments[0];
+    let mut frag_idx = 0u32;
+    let mut code: &[MachInst] = &trunk.code;
+    let mut stitch: &[u32] = &trunk.stitch;
     let mut pc = 0usize;
     // NREGS rounded up to a power of two so masked indexing elides bounds
     // checks in the hot dispatch loop.
     let mut regs = [0u64; REG_FILE_WORDS];
-    let mut spill: Vec<u64> = Vec::new();
+    let mut spill: Vec<u64> = vec![0; trunk.num_spills as usize];
     let mut insts: u64 = 0;
     let mut fused: u64 = 0;
     let mut iterations: u64 = 0;
@@ -161,7 +162,7 @@ pub fn execute(
     // rest).
     let mut helper_args: Vec<u64> = Vec::new();
 
-    // Fragment switch: entry, a stitched exit, the loop edge.
+    // Fragment switch: a stitched exit, the loop edge.
     macro_rules! enter {
         ($idx:expr) => {{
             frag_idx = $idx;
@@ -174,7 +175,6 @@ pub fn execute(
             pc = 0;
         }};
     }
-    enter!(start);
 
     macro_rules! take_exit {
         ($exit:expr) => {{
@@ -609,7 +609,7 @@ mod tests {
         let frags = counting_tree();
         let mut realm = Realm::new();
         let mut ar = vec![0u64, 100u64];
-        let exit = execute(&frags, 0, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
+        let exit = execute(&frags, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
         assert_eq!(exit.exit, 1, "loop-done guard exit");
         assert_eq!(ar[0] as i64, 100);
         assert_eq!(exit.iterations, 99);
@@ -633,7 +633,7 @@ mod tests {
         let mut realm = Realm::new();
         let start = INT_MAX - 5;
         let mut ar = vec![start as u64];
-        let exit = execute(&frags, 0, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
+        let exit = execute(&frags, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
         assert_eq!(exit.exit, 0, "overflow guard exit");
         // The AR still holds the last in-range value.
         assert_eq!(ar[0] as i64, INT_MAX);
@@ -646,7 +646,7 @@ mod tests {
         let mut realm = Realm::new();
         realm.interrupt = true;
         let mut ar = vec![0u64, 1000u64];
-        let exit = execute(&frags, 0, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
+        let exit = execute(&frags, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
         assert_eq!(exit.exit, 2, "interrupt takes the loop-edge exit");
         assert_eq!(exit.iterations, 1);
     }
@@ -685,7 +685,7 @@ mod tests {
 
         let mut realm = Realm::new();
         let mut ar = vec![0u64, 0u64];
-        let exit = execute(&frags, 0, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
+        let exit = execute(&frags, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
         assert_eq!(exit.fragment, 1, "ended in the branch fragment");
         assert_eq!(exit.exit, 1, "the branch's End exit");
         assert_eq!(ar[0] as i64, 10);
@@ -709,7 +709,7 @@ mod tests {
         let frags = vec![assemble(b.trace())];
         let mut realm = Realm::new();
         let mut ar = vec![0.0f64.to_bits(), 10.0f64.to_bits()];
-        let exit = execute(&frags, 0, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
+        let exit = execute(&frags, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
         assert_eq!(exit.exit, 0);
         assert_eq!(f64::from_bits(ar[0]), 10.0);
     }
@@ -732,7 +732,7 @@ mod tests {
         let frags = vec![assemble(b.trace())];
         let mut realm = Realm::new();
         let mut ar = vec![81.0f64.to_bits(), 0];
-        let exit = execute(&frags, 0, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
+        let exit = execute(&frags, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
         assert_eq!(exit.exit, 1);
         assert_eq!(f64::from_bits(ar[1]), 9.0);
     }
@@ -750,13 +750,13 @@ mod tests {
         let mut realm = Realm::new();
         // An int-tagged word unboxes fine.
         let mut ar = vec![Value::new_int(5).raw(), 0];
-        let exit = execute(&frags, 0, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
+        let exit = execute(&frags, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
         assert_eq!(exit.exit, 1);
         assert_eq!(ar[1] as i64, 5);
         // A string-tagged word takes the type guard exit.
         let s = realm.heap.alloc_string("x");
         let mut ar = vec![s.raw(), 0];
-        let exit = execute(&frags, 0, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
+        let exit = execute(&frags, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
         assert_eq!(exit.exit, 0);
     }
 
@@ -777,12 +777,12 @@ mod tests {
         let a = realm.new_array(3);
         realm.heap.object_mut(a).set_element(2, Value::new_int(42));
         let mut ar = vec![u64::from(a.0), 2, 0];
-        let exit = execute(&frags, 0, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
+        let exit = execute(&frags, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
         assert_eq!(exit.exit, 1);
         assert_eq!(Value::from_raw(ar[2]).as_int(), Some(42));
         // Out of bounds takes the guard exit.
         let mut ar = vec![u64::from(a.0), 7, 0];
-        let exit = execute(&frags, 0, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
+        let exit = execute(&frags, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
         assert_eq!(exit.exit, 0);
     }
 
@@ -794,12 +794,12 @@ mod tests {
         let mut realm = Realm::new();
         let mut ar = vec![0u64, 100u64];
         let raw_exit =
-            execute(&raw, 0, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
+            execute(&raw, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
 
         let mut realm = Realm::new();
         let mut ar2 = vec![0u64, 100u64];
         let fused_exit =
-            execute(&fused, 0, &mut ar2, &mut realm, &mut NoNesting, u64::MAX).unwrap();
+            execute(&fused, &mut ar2, &mut realm, &mut NoNesting, u64::MAX).unwrap();
 
         assert_eq!(fused_exit.exit, raw_exit.exit);
         assert_eq!(fused_exit.iterations, raw_exit.iterations);
@@ -840,7 +840,7 @@ mod tests {
             let mut realm = Realm::new();
             let mut ar: Vec<u64> = (1..=n as u64).collect();
             let exit =
-                execute(&[frag], 0, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
+                execute(&[frag], &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
             assert_eq!(exit.exit, 0);
             assert_eq!(ar[0] as i64, expected);
         }
@@ -870,13 +870,13 @@ mod tests {
             let mut realm = Realm::new();
             let mut ar = vec![(INT_MAX - 1) as u64];
             let exit =
-                execute(&frags, 0, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
+                execute(&frags, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
             assert_eq!(exit.exit, 1);
             assert_eq!(ar[0] as i64, i64::from(INT_MAX));
             // INT_MAX + 1: exactly one past the boundary takes the guard.
             let mut ar = vec![INT_MAX as u64];
             let exit =
-                execute(&frags, 0, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
+                execute(&frags, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
             assert_eq!(exit.exit, 0, "overflow guard fires exactly at the boundary");
             assert_eq!(ar[0] as i64, i64::from(INT_MAX), "AR unchanged on guard exit");
         }
@@ -896,7 +896,7 @@ mod tests {
             let mut realm = Realm::new();
             let mut ar = vec![INT_MIN as i64 as u64];
             let exit =
-                execute(&frags, 0, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
+                execute(&frags, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
             assert_eq!(exit.exit, 0, "underflow guard fires exactly at the boundary");
         }
     }
@@ -935,7 +935,7 @@ mod tests {
 
         let mut realm = Realm::new();
         let mut ar = vec![0u64, 0u64];
-        let exit = execute(&frags, 0, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
+        let exit = execute(&frags, &mut ar, &mut realm, &mut NoNesting, u64::MAX).unwrap();
         assert_eq!(exit.fragment, 1);
         assert_eq!(exit.exit, 1);
         assert_eq!(ar[0] as i64, 10, "trunk's final WriteAr visible across the stitch");
@@ -970,14 +970,14 @@ mod tests {
         // the CallTree's side exit without running the rest.
         let mut realm = Realm::new();
         let mut ar = vec![0u64, 0u64];
-        let exit = execute(&frags, 0, &mut ar, &mut realm, &mut Scripted(false), u64::MAX)
+        let exit = execute(&frags, &mut ar, &mut realm, &mut Scripted(false), u64::MAX)
             .unwrap();
         assert_eq!(exit.exit, 0, "Ok(false) takes the CallTree exit");
         assert_eq!(ar[0], 0, "code after the call must not run");
 
         // Ok(true): execution continues past the nested call.
         let mut ar = vec![0u64, 0u64];
-        let exit = execute(&frags, 0, &mut ar, &mut realm, &mut Scripted(true), u64::MAX)
+        let exit = execute(&frags, &mut ar, &mut realm, &mut Scripted(true), u64::MAX)
             .unwrap();
         assert_eq!(exit.exit, 1);
         assert_eq!(ar[0], 7, "inner tree's AR writes visible to the outer trace");

@@ -530,7 +530,8 @@ pub struct Fragment {
     /// The exit table, indexed by exit id: `stitch[e]` is the fragment
     /// index exit `e` jumps to once a branch trace is attached by **trace
     /// stitching** (§6.2), or [`EXIT_UNSTITCHED`] while it still returns
-    /// to the monitor.
+    /// to the monitor. This is the tree's only link table: the monitor
+    /// reads it to tell an exit that already has a branch.
     pub stitch: Vec<u32>,
     /// Peephole statistics (zero until [`crate::peephole::fuse`] runs).
     pub fuse_stats: FuseStats,

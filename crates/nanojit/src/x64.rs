@@ -2225,7 +2225,7 @@ mod imp {
             Ok(self)
         }
 
-        /// Runs the tree from fragment `start` until an unstitched exit.
+        /// Runs the tree from its trunk until an unstitched exit.
         ///
         /// Mirrors `executor::execute` — same signature shape, same
         /// semantics: fresh zeroed register file and spill area, loop
@@ -2239,13 +2239,12 @@ mod imp {
         /// exactly as the decoded executor would return it.
         pub fn execute(
             &self,
-            start: u32,
             ar: &mut [u64],
             realm: &mut Realm,
             host: &mut dyn TreeHost,
             fuel: u64,
         ) -> Result<TraceExit, RuntimeError> {
-            let entry = self.frag_offsets[start as usize] as usize;
+            let entry = self.frag_offsets[0] as usize;
             let mut regs = [0u64; REG_FILE_WORDS];
             // The spill area lives on this frame; only a tree that spills
             // more than `INLINE_SPILLS` words takes it from the heap.
@@ -2370,7 +2369,6 @@ mod imp {
         #[allow(clippy::missing_errors_doc)]
         pub fn execute(
             &self,
-            _start: u32,
             _ar: &mut [u64],
             _realm: &mut Realm,
             _host: &mut dyn TreeHost,
@@ -2444,8 +2442,8 @@ mod tests {
     /// Runs `fragments` through the decoded executor and the native
     /// backend with identical inputs and asserts byte-identical ARs and
     /// identical exit records (including every counter).
-    fn run_both(fragments: &[Fragment], ar_init: &[u64], start: u32, fuel: u64) -> TraceExit {
-        run_both_with(fragments, ar_init, start, fuel, |_| {})
+    fn run_both(fragments: &[Fragment], ar_init: &[u64], fuel: u64) -> TraceExit {
+        run_both_with(fragments, ar_init, fuel, |_| {})
     }
 
     /// [`run_both`] with a realm-setup hook applied identically to both
@@ -2454,14 +2452,13 @@ mod tests {
     fn run_both_with(
         fragments: &[Fragment],
         ar_init: &[u64],
-        start: u32,
         fuel: u64,
         setup: impl Fn(&mut Realm),
     ) -> TraceExit {
         let mut realm_dec = Realm::new();
         setup(&mut realm_dec);
         let mut ar_dec = ar_init.to_vec();
-        let dec = execute(fragments, start, &mut ar_dec, &mut realm_dec, &mut NoNesting, fuel)
+        let dec = execute(fragments, &mut ar_dec, &mut realm_dec, &mut NoNesting, fuel)
             .expect("decoded execution failed");
 
         let mut realm_nat = Realm::new();
@@ -2469,7 +2466,7 @@ mod tests {
         let mut ar_nat = ar_init.to_vec();
         let nt = emit_tree(fragments).expect("native emission failed");
         let nat = nt
-            .execute(start, &mut ar_nat, &mut realm_nat, &mut NoNesting, fuel)
+            .execute(&mut ar_nat, &mut realm_nat, &mut NoNesting, fuel)
             .expect("native execution failed");
 
         assert_eq!(dec, nat, "exit records diverge");
@@ -2533,7 +2530,7 @@ mod tests {
             let tree = binop_tree(MachInst::AluI { op, d: 2, a: 0, b: 1 });
             for &x in cases {
                 for &y in cases {
-                    run_both(&tree, &[w(x), w(y), 0], 0, u64::MAX);
+                    run_both(&tree, &[w(x), w(y), 0], u64::MAX);
                 }
             }
         }
@@ -2551,7 +2548,7 @@ mod tests {
         ] {
             let tree = unop_tree(op.clone());
             for &x in cases {
-                run_both(&tree, &[w(x), 0, 0], 0, u64::MAX);
+                run_both(&tree, &[w(x), 0, 0], u64::MAX);
             }
         }
     }
@@ -2567,7 +2564,7 @@ mod tests {
             let tree = binop_tree(op);
             for &x in cases {
                 for &y in cases {
-                    run_both(&tree, &[w(x), w(y), 0], 0, u64::MAX);
+                    run_both(&tree, &[w(x), w(y), 0], u64::MAX);
                 }
             }
         }
@@ -2585,7 +2582,7 @@ mod tests {
             let tree = binop_tree(op);
             for &x in cases {
                 for &y in cases {
-                    run_both(&tree, &[d(x), d(y), 0], 0, u64::MAX);
+                    run_both(&tree, &[d(x), d(y), 0], u64::MAX);
                 }
             }
         }
@@ -2598,20 +2595,20 @@ mod tests {
             let tree = binop_tree(MachInst::CmpI { op, d: 2, a: 0, b: 1 });
             for &x in ints {
                 for &y in ints {
-                    run_both(&tree, &[w(x), w(y), 0], 0, u64::MAX);
+                    run_both(&tree, &[w(x), w(y), 0], u64::MAX);
                 }
             }
         }
         for op in [MachInst::I2D { d: 2, a: 0 }, MachInst::U2D { d: 2, a: 0 }] {
             let tree = unop_tree(op.clone());
             for &x in ints {
-                run_both(&tree, &[w(x), 0, 0], 0, u64::MAX);
+                run_both(&tree, &[w(x), 0, 0], u64::MAX);
             }
         }
         // NotB over boolean-ish words.
         let tree = unop_tree(MachInst::NotB { d: 2, a: 0 });
         for v in [0u64, 1, 2, u64::MAX] {
-            run_both(&tree, &[v, 0, 0], 0, u64::MAX);
+            run_both(&tree, &[v, 0, 0], u64::MAX);
         }
     }
 
@@ -2625,7 +2622,7 @@ mod tests {
         for op in [MachInst::D2IChk { d: 2, a: 0, exit: 1 }, MachInst::D2I32 { d: 2, a: 0 }] {
             let tree = unop_tree(op.clone());
             for &x in cases {
-                run_both(&tree, &[d(x), 0, 0], 0, u64::MAX);
+                run_both(&tree, &[d(x), 0, 0], u64::MAX);
             }
         }
     }
@@ -2644,7 +2641,7 @@ mod tests {
         for &tag in Tag::ALL {
             let tree = unop_tree(MachInst::Box { tag, d: 2, a: 0 });
             for v in words {
-                run_both(&tree, &[v, 0, 0], 0, u64::MAX);
+                run_both(&tree, &[v, 0, 0], u64::MAX);
             }
         }
 
@@ -2670,7 +2667,7 @@ mod tests {
             for op in unbox.chain([MachInst::UnboxNumD { d: 2, a: 0, exit: 1 }]) {
                 let tree = unop_tree(op);
                 for raw in raws.into_iter().chain([boxed]) {
-                    run_both_with(&tree, &[raw, 0, 0], 0, u64::MAX, alloc);
+                    run_both_with(&tree, &[raw, 0, 0], u64::MAX, alloc);
                 }
             }
         }
@@ -2686,8 +2683,8 @@ mod tests {
             ],
             2,
         );
-        run_both(&tree, &[0], 0, u64::MAX);
-        run_both(&tree, &[1], 0, u64::MAX);
+        run_both(&tree, &[0], u64::MAX);
+        run_both(&tree, &[1], u64::MAX);
         let tree = frag(
             vec![
                 MachInst::ReadAr { d: 0, slot: 0 },
@@ -2696,8 +2693,8 @@ mod tests {
             ],
             2,
         );
-        run_both(&tree, &[0], 0, u64::MAX);
-        run_both(&tree, &[u64::MAX], 0, u64::MAX);
+        run_both(&tree, &[0], u64::MAX);
+        run_both(&tree, &[u64::MAX], u64::MAX);
         for wv in [0u64, 6, 14, 0x8000_0000, u64::MAX, 0xFFFF_FFFF_8000_0000] {
             let tree = frag(
                 vec![
@@ -2707,8 +2704,8 @@ mod tests {
                 ],
                 2,
             );
-            run_both(&tree, &[wv], 0, u64::MAX);
-            run_both(&tree, &[wv.wrapping_add(1)], 0, u64::MAX);
+            run_both(&tree, &[wv], u64::MAX);
+            run_both(&tree, &[wv.wrapping_add(1)], u64::MAX);
         }
     }
 
@@ -2732,7 +2729,7 @@ mod tests {
             1,
         );
         fr.num_spills = 4;
-        run_both(&[fr], &[0, 0, 0, 0], 0, u64::MAX);
+        run_both(&[fr], &[0, 0, 0, 0], u64::MAX);
     }
 
     #[test]
@@ -2755,9 +2752,9 @@ mod tests {
         let fused = fuse(raw.clone());
 
         for fragments in [vec![raw], vec![fused]] {
-            run_both(&fragments, &[w(0), w(100)], 0, u64::MAX);
+            run_both(&fragments, &[w(0), w(100)], u64::MAX);
             // Fuel exhaustion exits at the loop edge.
-            run_both(&fragments, &[w(0), w(1000)], 0, 50);
+            run_both(&fragments, &[w(0), w(1000)], 50);
         }
     }
 
@@ -2778,7 +2775,7 @@ mod tests {
                 1,
             );
             for x in [0, 5, -17, i32::MAX, i32::MIN] {
-                run_both(&tree, &[w(x), w(x ^ 3), 0, 0, 0, 0, 0, 0], 0, u64::MAX);
+                run_both(&tree, &[w(x), w(x ^ 3), 0, 0, 0, 0, 0, 0], u64::MAX);
             }
         }
         for &op in ChkOp::ALL {
@@ -2795,7 +2792,7 @@ mod tests {
                     2,
                 );
                 for x in [0, 1, -1, 1000, 0x3FFF_FFFF, -0x4000_0000, i32::MIN] {
-                    run_both(&tree, &[w(x), 0, 0, 0], 0, u64::MAX);
+                    run_both(&tree, &[w(x), 0, 0, 0], u64::MAX);
                 }
             }
         }
@@ -2807,7 +2804,7 @@ mod tests {
             ],
             1,
         );
-        run_both(&tree, &[0, 0], 0, u64::MAX);
+        run_both(&tree, &[0, 0], u64::MAX);
     }
 
     #[test]
@@ -2829,7 +2826,7 @@ mod tests {
                 );
                 for &x in ints {
                     for &y in ints {
-                        run_both(&tree, &[w(x), w(y), 0, 0], 0, u64::MAX);
+                        run_both(&tree, &[w(x), w(y), 0, 0], u64::MAX);
                     }
                 }
             }
@@ -2845,7 +2842,7 @@ mod tests {
                 1,
             );
             for &x in ints {
-                run_both(&tree, &[w(x), w(1), 0, 0], 0, u64::MAX);
+                run_both(&tree, &[w(x), w(1), 0, 0], u64::MAX);
             }
         }
         // Double compare-write and compare-branch, NaN included.
@@ -2864,7 +2861,7 @@ mod tests {
                 );
                 for &x in doubles {
                     for &y in doubles {
-                        run_both(&tree, &[d(x), d(y), 0], 0, u64::MAX);
+                        run_both(&tree, &[d(x), d(y), 0], u64::MAX);
                     }
                 }
             }
@@ -2878,7 +2875,7 @@ mod tests {
                 1,
             );
             for &x in doubles {
-                run_both(&tree, &[d(x), d(1.5), 0], 0, u64::MAX);
+                run_both(&tree, &[d(x), d(1.5), 0], u64::MAX);
             }
         }
     }
@@ -2909,12 +2906,10 @@ mod tests {
             1,
         );
         let fragments = vec![f0, f1];
-        let taken = run_both(&fragments, &[0, 0], 0, u64::MAX);
+        let taken = run_both(&fragments, &[0, 0], u64::MAX);
         assert_eq!(taken.fragment, 1);
-        let not_taken = run_both(&fragments, &[1, 0], 0, u64::MAX);
+        let not_taken = run_both(&fragments, &[1, 0], u64::MAX);
         assert_eq!(not_taken.fragment, 0);
-        // Entering at fragment 1 directly also works (side-exit starts).
-        run_both(&fragments, &[5, 0], 1, u64::MAX);
     }
 
     #[test]
@@ -2945,11 +2940,11 @@ mod tests {
             }
             let mut ar_dec = vec![w(0), w(100)];
             let mut ar_nat = ar_dec.clone();
-            let dec = execute(&fragments, 0, &mut ar_dec, &mut realm_dec, &mut NoNesting, u64::MAX)
+            let dec = execute(&fragments, &mut ar_dec, &mut realm_dec, &mut NoNesting, u64::MAX)
                 .unwrap();
             let nt = emit_tree(&fragments).unwrap();
             let nat = nt
-                .execute(0, &mut ar_nat, &mut realm_nat, &mut NoNesting, u64::MAX)
+                .execute(&mut ar_nat, &mut realm_nat, &mut NoNesting, u64::MAX)
                 .unwrap();
             assert_eq!(dec, nat);
             assert_eq!(ar_dec, ar_nat);
@@ -3071,15 +3066,13 @@ mod tests {
 
     /// Runs `nt` and the decoded executor over `fragments` from the same
     /// inputs and requires identical exit records and ARs.
-    fn agree(nt: &NativeTree, fragments: &[Fragment], ar_init: &[u64], start: u32) -> TraceExit {
+    fn agree(nt: &NativeTree, fragments: &[Fragment], ar_init: &[u64]) -> TraceExit {
         let mut ar_dec = ar_init.to_vec();
         let dec =
-            execute(fragments, start, &mut ar_dec, &mut Realm::new(), &mut NoNesting, u64::MAX)
-                .unwrap();
+            execute(fragments, &mut ar_dec, &mut Realm::new(), &mut NoNesting, u64::MAX).unwrap();
         let mut ar_nat = ar_init.to_vec();
-        let nat = nt
-            .execute(start, &mut ar_nat, &mut Realm::new(), &mut NoNesting, u64::MAX)
-            .unwrap();
+        let nat =
+            nt.execute(&mut ar_nat, &mut Realm::new(), &mut NoNesting, u64::MAX).unwrap();
         assert_eq!(dec, nat, "exit records diverge");
         assert_eq!(ar_dec, ar_nat, "activation records diverge");
         dec
@@ -3090,7 +3083,7 @@ mod tests {
         let (trunk, full) = growth_tree();
         let ar = [w(0), w(20), w(0)];
         let grown = emit_tree(&trunk).unwrap();
-        let first = agree(&grown, &trunk, &ar, 0);
+        let first = agree(&grown, &trunk, &ar);
         assert_eq!((first.fragment, first.exit), (0, 1), "the first odd i leaves the trunk");
         let ptr = grown.code_ptr();
         let trunk_size = grown.code_size();
@@ -3101,12 +3094,10 @@ mod tests {
         let whole = emit_tree(&full).unwrap();
         assert_eq!(grown.code_size(), whole.code_size(), "same bodies, laid once each");
         assert!(grown.code_size() > trunk_size);
-        for start in [0, 1] {
-            let exit = agree(&grown, &full, &ar, start);
-            assert_eq!(exit, agree(&whole, &full, &ar, start));
-            assert_eq!((exit.fragment, exit.exit), (0, 0), "the loop now runs to its limit");
-            assert!(exit.iterations >= 18 && exit.fused_insts > 0, "{exit:?}");
-        }
+        let exit = agree(&grown, &full, &ar);
+        assert_eq!(exit, agree(&whole, &full, &ar));
+        assert_eq!((exit.fragment, exit.exit), (0, 0), "the loop now runs to its limit");
+        assert!(exit.iterations >= 18 && exit.fused_insts > 0, "{exit:?}");
     }
 
     #[test]
@@ -3120,7 +3111,7 @@ mod tests {
         let grown = emit_tree(&trunk).unwrap();
         assert_eq!(grown.append(&full).unwrap_err(), super::Unsupported::FULL);
         let rebuilt = emit_tree(&full).unwrap();
-        let exit = agree(&rebuilt, &full, &[w(0), w(20), w(0)], 0);
+        let exit = agree(&rebuilt, &full, &[w(0), w(20), w(0)]);
         assert_eq!((exit.fragment, exit.exit), (0, 0));
         // The rebuilt mapping has room again: the next branch appends.
         let mut more = full.clone();
@@ -3129,7 +3120,7 @@ mod tests {
         let ptr = rebuilt.code_ptr();
         let grown = rebuilt.append(&more).unwrap();
         assert_eq!(grown.code_ptr(), ptr);
-        assert_eq!(agree(&grown, &more, &[w(0), w(20), w(0)], 0).fragment, 2);
+        assert_eq!(agree(&grown, &more, &[w(0), w(20), w(0)]).fragment, 2);
     }
 
     #[test]
@@ -3163,8 +3154,8 @@ mod tests {
             let mut ar_dec = vec![w(1), w(20), w(0)];
             let mut ar_nat = ar_dec.clone();
             let dec =
-                execute(&full, 0, &mut ar_dec, &mut realm_dec, &mut NoNesting, fuel).unwrap();
-            let nat = nt.execute(0, &mut ar_nat, &mut realm_nat, &mut NoNesting, fuel).unwrap();
+                execute(&full, &mut ar_dec, &mut realm_dec, &mut NoNesting, fuel).unwrap();
+            let nat = nt.execute(&mut ar_nat, &mut realm_nat, &mut NoNesting, fuel).unwrap();
             assert_eq!(dec, nat, "source {source}");
             assert_eq!(ar_dec, ar_nat, "source {source}");
             assert_eq!((nat.fragment, nat.exit, ar_nat[2]), (1, 0, 99), "source {source}");
@@ -3206,8 +3197,8 @@ mod tests {
         let run = |code: Result<NativeTree, super::Unsupported>| {
             let mut ar = ar.to_vec();
             let exit = match &code {
-                Ok(nt) => nt.execute(0, &mut ar, &mut Realm::new(), &mut NoNesting, u64::MAX),
-                Err(_) => execute(&full, 0, &mut ar, &mut Realm::new(), &mut NoNesting, u64::MAX),
+                Ok(nt) => nt.execute(&mut ar, &mut Realm::new(), &mut NoNesting, u64::MAX),
+                Err(_) => execute(&full, &mut ar, &mut Realm::new(), &mut NoNesting, u64::MAX),
             };
             (exit.unwrap(), ar)
         };
@@ -3274,11 +3265,11 @@ mod tests {
                 2,
             )
         };
-        let hit = run_both_with(&tree(shape), &[obj_w, 0], 0, u64::MAX, |r| {
+        let hit = run_both_with(&tree(shape), &[obj_w, 0], u64::MAX, |r| {
             setup_heap(r);
         });
         assert_eq!(hit.exit, 0, "matching shape falls through");
-        let miss = run_both_with(&tree(shape + 1), &[obj_w, 0], 0, u64::MAX, |r| {
+        let miss = run_both_with(&tree(shape + 1), &[obj_w, 0], u64::MAX, |r| {
             setup_heap(r);
         });
         assert_eq!(miss.exit, 1, "shape-guard miss takes the side exit");
@@ -3303,7 +3294,7 @@ mod tests {
             (arr_w, ObjectClass::Array as u8, 0),
             (arr_w, ObjectClass::Function as u8, 1),
         ] {
-            let e = run_both_with(&tree(class), &[objw], 0, u64::MAX, |r| {
+            let e = run_both_with(&tree(class), &[objw], u64::MAX, |r| {
                 setup_heap(r);
             });
             assert_eq!(e.exit, want);
@@ -3323,7 +3314,7 @@ mod tests {
             2,
         );
         for (i, want) in [(0, 0), (2, 0), (3, 1), (-1, 1)] {
-            let e = run_both_with(&tree, &[arr_w, w(i)], 0, u64::MAX, |r| {
+            let e = run_both_with(&tree, &[arr_w, w(i)], u64::MAX, |r| {
                 setup_heap(r);
             });
             assert_eq!(e.exit, want, "index {i}");
@@ -3345,7 +3336,7 @@ mod tests {
             ],
             1,
         );
-        run_both_with(&tree, &[obj_w, 0], 0, u64::MAX, |r| {
+        run_both_with(&tree, &[obj_w, 0], u64::MAX, |r| {
             setup_heap(r);
         });
     }
@@ -3369,10 +3360,10 @@ mod tests {
             ],
             1,
         );
-        run_both_with(&tree, &[arr_w, w(2), w(0)], 0, u64::MAX, |r| {
+        run_both_with(&tree, &[arr_w, w(2), w(0)], u64::MAX, |r| {
             setup_heap(r);
         });
-        run_both_with(&tree, &[arr_w, w(1), w(5)], 0, u64::MAX, |r| {
+        run_both_with(&tree, &[arr_w, w(1), w(5)], u64::MAX, |r| {
             setup_heap(r);
         });
     }
@@ -3395,7 +3386,7 @@ mod tests {
             ],
             1,
         );
-        run_both_with(&tree, &[obj_w, arr_w, str_w], 0, u64::MAX, |r| {
+        run_both_with(&tree, &[obj_w, arr_w, str_w], u64::MAX, |r| {
             setup_heap(r);
         });
     }
@@ -3420,7 +3411,7 @@ mod tests {
             ],
             2,
         );
-        let e = run_both_with(&tree, &[d(0.5), d(3.0)], 0, u64::MAX, |_| {});
+        let e = run_both_with(&tree, &[d(0.5), d(3.0)], u64::MAX, |_| {});
         assert_eq!(e.exit, 0, "pure helpers never take the reenter exit");
 
         // The soft-float filter's calls carry the no-exit sentinel.
@@ -3430,7 +3421,7 @@ mod tests {
             args: vec![0, 1].into(),
             exit: tm_lir::NO_EXIT.0,
         });
-        run_both(&tree, &[d(1.5), d(-4.0), 0], 0, u64::MAX);
+        run_both(&tree, &[d(1.5), d(-4.0), 0], u64::MAX);
 
         // An allocating string helper: both realms allocate identically.
         let (_, _, _, str_w) = probe_heap();
@@ -3449,7 +3440,7 @@ mod tests {
             ],
             2,
         );
-        run_both_with(&tree, &[str_w], 0, u64::MAX, |r| {
+        run_both_with(&tree, &[str_w], u64::MAX, |r| {
             setup_heap(r);
         });
     }
@@ -3488,7 +3479,7 @@ mod tests {
             ],
             2,
         );
-        let e = run_both_with(&tree, &[Value::new_int(1).raw()], 0, u64::MAX, |r| {
+        let e = run_both_with(&tree, &[Value::new_int(1).raw()], u64::MAX, |r| {
             register(r);
         });
         assert_eq!(e.exit, 1, "§6.5: reentrant native forces the side exit");
@@ -3522,14 +3513,14 @@ mod tests {
         register(&mut realm_dec);
         let mut ar_dec = vec![Value::new_int(1).raw()];
         let dec =
-            execute(&tree, 0, &mut ar_dec, &mut realm_dec, &mut NoNesting, u64::MAX)
+            execute(&tree, &mut ar_dec, &mut realm_dec, &mut NoNesting, u64::MAX)
                 .unwrap_err();
         let mut realm_nat = Realm::new();
         register(&mut realm_nat);
         let mut ar_nat = vec![Value::new_int(1).raw()];
         let nt = emit_tree(&tree).unwrap();
         let nat = nt
-            .execute(0, &mut ar_nat, &mut realm_nat, &mut NoNesting, u64::MAX)
+            .execute(&mut ar_nat, &mut realm_nat, &mut NoNesting, u64::MAX)
             .unwrap_err();
         assert_eq!(dec, nat, "both tiers surface the helper's RuntimeError");
     }
@@ -3582,14 +3573,14 @@ mod tests {
             let mut realm_dec = Realm::new();
             let mut ar_dec = vec![0u64, 0];
             let mut h_dec = Scripted { cont, seen_site: u32::MAX };
-            let dec = execute(&fragments, 0, &mut ar_dec, &mut realm_dec, &mut h_dec, u64::MAX)
+            let dec = execute(&fragments, &mut ar_dec, &mut realm_dec, &mut h_dec, u64::MAX)
                 .unwrap();
             let mut realm_nat = Realm::new();
             let mut ar_nat = vec![0u64, 0];
             let mut h_nat = Scripted { cont, seen_site: u32::MAX };
             let nt = emit_tree(&fragments).unwrap();
             let nat = nt
-                .execute(0, &mut ar_nat, &mut realm_nat, &mut h_nat, u64::MAX)
+                .execute(&mut ar_nat, &mut realm_nat, &mut h_nat, u64::MAX)
                 .unwrap();
             assert_eq!(dec, nat, "exit records diverge");
             assert_eq!(ar_dec, ar_nat, "activation records diverge");
@@ -3602,11 +3593,11 @@ mod tests {
         let nt = emit_tree(&fragments).unwrap();
         let mut ar = vec![0u64, 0];
         let err = nt
-            .execute(0, &mut ar, &mut Realm::new(), &mut NoNesting, u64::MAX)
+            .execute(&mut ar, &mut Realm::new(), &mut NoNesting, u64::MAX)
             .unwrap_err();
         let mut ar = vec![0u64, 0];
         let dec_err =
-            execute(&fragments, 0, &mut ar, &mut Realm::new(), &mut NoNesting, u64::MAX)
+            execute(&fragments, &mut ar, &mut Realm::new(), &mut NoNesting, u64::MAX)
                 .unwrap_err();
         assert_eq!(dec_err, err);
     }

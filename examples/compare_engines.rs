@@ -1,4 +1,4 @@
-//! Runs one workload under all four engines and reports times — a
+//! Runs one workload under all three engines and reports times — a
 //! miniature of the paper's Figure 10 experiment.
 //!
 //! ```sh
@@ -17,7 +17,6 @@ fn main() {
     let mut base = None;
     for (name, engine) in [
         ("interpreter (SpiderMonkey baseline)", Engine::Interp),
-        ("fast interpreter (SFX stand-in)", Engine::FastInterp),
         ("method JIT (V8-2009 stand-in)", Engine::Method),
         ("tracing JIT (TraceMonkey)", Engine::Tracing),
     ] {

@@ -42,7 +42,7 @@
 
 use tracemonkey::jit::nest::TransferPlan;
 use tracemonkey::jit::persist::{read_cache_file, read_index};
-use tracemonkey::nanojit::{emit_tree_annotated, native_supported, Fragment};
+use tracemonkey::nanojit::{emit_tree_annotated, native_supported, Fragment, EXIT_UNSTITCHED};
 use tracemonkey::{Engine, Vm};
 
 fn main() {
@@ -167,7 +167,7 @@ fn dump_cache(path: &std::path::Path, native: bool) {
             let layout: Vec<_> = (0..tree.layout.len()).map(|i| tree.layout.key(i as u16)).collect();
             println!("layout ({} AR slots): {layout:?}", layout.len());
             println!("entry map:");
-            for s in tree.entry() {
+            for s in &tree.entry {
                 println!("  ar {:<3} {:?} : {:?}", s.ar, s.key, s.ty);
             }
             if !tree.loop_writes.is_empty() {
@@ -190,18 +190,15 @@ fn dump_cache(path: &std::path::Path, native: bool) {
                     "\n--- fragment {f} ({} bytecodes/iteration) ---",
                     tree.fragment_bytecodes[f]
                 );
-                // Fragment 0's requirements are the entry map printed above.
-                if f > 0 {
-                    println!("entry reqs: {:?}", tree.entry_reqs[f]);
-                }
                 for (x, info) in tree.exits[f].iter().enumerate() {
+                    let branch = Some(frag.stitch[x]).filter(|&b| b != EXIT_UNSTITCHED);
                     println!(
                         "exit {x}: {:?}, {} frames, {} write-backs, failures {}, branch {:?}",
                         info.kind,
                         info.frames.len(),
                         info.write_back.len(),
                         tree.exit_states[f][x].failures,
-                        tree.branches[f][x]
+                        branch
                     );
                 }
                 println!("{}", frag.listing());

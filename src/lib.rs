@@ -33,8 +33,6 @@
 //!
 //! * [`Engine::Interp`] — baseline bytecode interpreter (the paper's
 //!   SpiderMonkey baseline);
-//! * [`Engine::FastInterp`] — interpreter with inline fast paths (the
-//!   SquirrelFish Extreme stand-in);
 //! * [`Engine::Method`] — whole-function compiler without type
 //!   specialization (the 2009 V8 stand-in);
 //! * [`Engine::Tracing`] — the TraceMonkey tracing JIT.
@@ -71,8 +69,6 @@ use tm_methodjit::MethodVm;
 pub enum Engine {
     /// Baseline bytecode interpreter (SpiderMonkey stand-in, 1.0x).
     Interp,
-    /// Interpreter with inline fast paths (SquirrelFish Extreme stand-in).
-    FastInterp,
     /// Method-at-a-time compiler without type specialization (2009 V8
     /// stand-in).
     Method,
@@ -80,7 +76,7 @@ pub enum Engine {
     Tracing,
 }
 
-/// A complete guest-language virtual machine over any of the four engines.
+/// A complete guest-language virtual machine over any of the three engines.
 ///
 /// A thin wrapper over [`tm_core::vm::Vm`], which implements the
 /// interpreter and tracing engines and everything around them (realm,
@@ -120,7 +116,6 @@ impl Vm {
         let core_engine = match engine {
             // The wrapped VM never evaluates under the method engine.
             Engine::Interp | Engine::Method => CoreEngine::Interp,
-            Engine::FastInterp => CoreEngine::FastInterp,
             Engine::Tracing => CoreEngine::Tracing,
         };
         Vm { core: CoreVm::with_options(core_engine, opts), engine }

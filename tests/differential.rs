@@ -13,7 +13,7 @@ fn run(engine: Engine, src: &str) -> (String, String) {
 
 fn check(src: &str) {
     let baseline = run(Engine::Interp, src);
-    for engine in [Engine::FastInterp, Engine::Method, Engine::Tracing] {
+    for engine in [Engine::Method, Engine::Tracing] {
         let got = run(engine, src);
         assert_eq!(baseline, got, "{engine:?} disagrees on: {src}");
     }

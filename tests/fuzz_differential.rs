@@ -480,7 +480,7 @@ impl Gen {
     }
 }
 
-const JIT_ENGINES: [Engine; 3] = [Engine::Tracing, Engine::Method, Engine::FastInterp];
+const JIT_ENGINES: [Engine; 2] = [Engine::Tracing, Engine::Method];
 
 fn run(engine: Engine, src: &str) -> Result<String, String> {
     let mut vm = Vm::new(engine);

@@ -25,11 +25,17 @@ fn run_with(
 
 const INT_LOOP: &str = "var s = 0; for (var i = 0; i < 4000; i++) s = (s + (i ^ 3)) | 0; s";
 
-/// A branchy loop in a function called `calls` times: the tree grows
-/// branch fragments while entries keep coming.
+/// A function that calls itself once. Recursion is not traced: a recording
+/// that reaches `once(1)` aborts (`Recursive`), so a loop calling it in its
+/// body never gets a tree, and the loops it calls are the only trees.
+const ONCE: &str = "function once(d) { if (d > 0) return once(d - 1); return 0; }\n";
+
+/// A branchy loop in a function called `calls` times from an untraceable
+/// loop: the tree grows branch fragments while entries keep coming.
 fn branchy_calls(calls: u32) -> String {
     format!(
-        "function f(n) {{\n\
+        "{ONCE}\
+         function f(n) {{\n\
              var s = 0;\n\
              for (var i = 0; i < n; i++) {{\n\
                  if ((i & 3) == 0) {{ s = (s + i) | 0; }} else {{ s = (s - 1) | 0; }}\n\
@@ -37,9 +43,15 @@ fn branchy_calls(calls: u32) -> String {
              return s;\n\
          }}\n\
          var t = 0;\n\
-         for (var j = 0; j < {calls}; j++) {{ t = (t + f(150)) | 0; }}\n\
+         for (var j = 0; j < {calls}; j++) {{ t = (t + once(1) + f(150)) | 0; }}\n\
          t"
     )
+}
+
+/// Trees anchored in the script body: the calling loop's.
+fn outer_trees(vm: &Vm) -> usize {
+    let main = vm.interp().expect("tracing engine keeps its interpreter").prog().main;
+    vm.monitor().expect("tracing monitor").cache.iter().filter(|t| t.anchor.func == main).count()
 }
 
 const OBJ_LOOP: &str = "\
@@ -95,35 +107,40 @@ fn background_compiled_fragments_append_at_install() {
     if !tracemonkey::nanojit::native_supported() {
         return;
     }
-    // The hot loops sit in functions called many times (nesting off, as
-    // in `branch_install_appends_in_place`) so the monitor keeps entering
-    // the trees while background compiles land.
+    // The hot loops sit in functions called many times from a loop that
+    // cannot be traced (as in `branch_install_appends_in_place`) so the
+    // monitor keeps entering the trees while background compiles land.
     let run = |src: &str, background: bool| {
-        let mut opts = JitOptions::default();
-        opts.native_backend = true;
-        opts.background_compile = background;
-        opts.enable_nesting = false;
-        opts.profile = true;
+        let opts = JitOptions {
+            native_backend: true,
+            background_compile: background,
+            profile: true,
+            ..JitOptions::default()
+        };
         let mut vm = Vm::with_options(Engine::Tracing, opts);
         if background {
             vm.attach_pool(std::sync::Arc::new(tracemonkey::CompilerPool::new(2)));
         }
         let v = vm.eval(src).expect("program runs");
         let shown = tracemonkey::runtime::ops::to_display(&mut vm.realm, v);
+        assert_eq!(outer_trees(&vm), 0, "the calling loop is untraceable");
         (shown, vm.profile().expect("tracing engine profiles").clone())
     };
     // Long enough that the compiles land while the program still runs;
     // the assertions hold whenever they land.
-    let obj_calls = "\
-        function g(n) {\n\
-            var o = { a: 0, b: 1 };\n\
-            for (var i = 0; i < n; i++) { o.a = (o.a + o.b + i) | 0; }\n\
-            return o.a;\n\
-        }\n\
-        var t = 0;\n\
-        for (var j = 0; j < 1500; j++) { t = (t + g(200)) | 0; }\n\
-        t";
-    for src in [branchy_calls(1500).as_str(), obj_calls] {
+    let obj_calls = format!(
+        "{ONCE}\
+         function g(n) {{\n\
+             var o = {{ a: 0, b: 1 }};\n\
+             for (var i = 0; i < n; i++) {{ o.a = (o.a + o.b + i) | 0; }}\n\
+             return o.a;\n\
+         }}\n\
+         var t = 0;\n\
+         for (var j = 0; j < 1500; j++) {{ t = (t + once(1) + g(200)) | 0; }}\n\
+         t"
+    );
+    for src in [branchy_calls(1500), obj_calls] {
+        let src = src.as_str();
         let (shown, stats) = run(src, true);
         let (sync_shown, _) = run(src, false);
         let (decoded_shown, _) = run_with(src, false);
@@ -176,21 +193,19 @@ fn native_backend_degrades_without_error() {
 /// the tree's code and its parent's exit patched, so every fragment is
 /// emitted exactly once, no entry ever runs decoded, and the result
 /// agrees with the decoded executor. The loop sits in a function called
-/// many times so entries keep coming while and after the tree grows;
-/// nesting is disabled so the inner tree is the only tree.
+/// many times so entries keep coming while and after the tree grows; the
+/// calling loop cannot be traced, so the inner tree is the only tree.
 #[test]
 fn branch_install_appends_in_place() {
     if !tracemonkey::nanojit::native_supported() {
         return;
     }
     let run = |native: bool| {
-        let mut opts = JitOptions::default();
-        opts.native_backend = native;
-        opts.enable_nesting = false;
-        opts.profile = true;
+        let opts = JitOptions { native_backend: native, profile: true, ..JitOptions::default() };
         let mut vm = Vm::with_options(Engine::Tracing, opts);
         let v = vm.eval(&branchy_calls(60)).expect("program runs");
         let shown = tracemonkey::runtime::ops::to_display(&mut vm.realm, v);
+        assert_eq!(outer_trees(&vm), 0, "the calling loop is untraceable");
         (shown, vm.profile().expect("tracing engine profiles").clone())
     };
     let (shown, stats) = run(true);

@@ -121,20 +121,6 @@ fn backoff_spaces_attempts_but_does_not_change_the_budget() {
 }
 
 #[test]
-fn disabled_blacklist_keeps_reattempting() {
-    let vm = traced_vm_with(UNTRACEABLE_SRC, |o| o.blacklist.enabled = false);
-    let (aborts, blacklists) = abort_and_blacklist_counts(&vm);
-    assert!(
-        aborts > 4,
-        "with blacklisting off the monitor keeps re-recording the hot loop, got {aborts} aborts"
-    );
-    assert_eq!(blacklists, 0);
-    // Ablation changes policy, never observable results.
-    let m = vm.monitor().unwrap();
-    assert_eq!(m.blacklist.blacklisted_count(), 0);
-}
-
-#[test]
 fn too_deep_and_recursive_are_hard_aborts() {
     // §3.3/§4.2: only an inner tree that is not ready (or misbehaved) is
     // provisional — the outer site may become traceable once the inner

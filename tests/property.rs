@@ -169,7 +169,7 @@ fn eval_node(node: &Node, a: i32, b: i32, opts: FilterOptions) -> i32 {
     let frag = assemble(&trace);
     let mut realm = Realm::new();
     let mut ar = vec![i64::from(a) as u64, i64::from(b) as u64, 0];
-    execute(&[frag], 0, &mut ar, &mut realm, &mut NoNesting, u64::MAX).expect("pure trace");
+    execute(&[frag], &mut ar, &mut realm, &mut NoNesting, u64::MAX).expect("pure trace");
     ar[2] as i32
 }
 
@@ -229,7 +229,7 @@ fn regalloc_is_correct_under_pressure() {
         let frag = assemble(&trace);
         let mut realm = Realm::new();
         let mut ar = vec![i64::from(a) as u64, i64::from(b) as u64, 0];
-        execute(&[frag], 0, &mut ar, &mut realm, &mut NoNesting, u64::MAX).expect("pure trace");
+        execute(&[frag], &mut ar, &mut realm, &mut NoNesting, u64::MAX).expect("pure trace");
 
         let mut expect = direct(&nodes[0], a, b);
         for n in &nodes[1..] {
