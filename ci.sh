@@ -87,8 +87,9 @@ cargo test -q --offline --locked
 echo "==> fuzz smoke: fixed seed replay, verifier enabled (debug profile)"
 # Deterministic: a pinned seed list (including past regression seeds) run
 # through the differential harness on every engine. Seed 30 is the
-# recursive-branch resume-pc regression; keep it in the list.
-TM_FUZZ_SEEDS="0,7,30,42,99,123,200,256" \
+# recursive-branch resume-pc regression; keep it in the list. Seed 135 is
+# the retyped-refresh regression (n49's twin in the plain family).
+TM_FUZZ_SEEDS="0,7,30,42,99,123,135,200,256" \
     cargo test -q --offline --locked --test fuzz_differential fuzz_replay_seeds
 
 echo "==> multi-realm fuzz smoke: fixed seeds, 4 realms sharing one code cache"
@@ -132,9 +133,15 @@ echo "==> nested-call fuzz smoke: the nested family on every engine, then native
 # past the interpreter's stack). First pass: all engines against the
 # interpreter, verifier on; second: both tiers of the tracing JIT.
 # n968/n1948: a stale unexpected inner exit grown after a later refused call (hang).
-NESTED_SEEDS="n59,n61,n64,n89,n95,n145,n211,n348,n968,n1948"
+# n49: a variable retyped by a nested call whose other refresh moves still
+# named its old type (wrong value at a later exit).
+NESTED_SEEDS="n49,n59,n61,n64,n89,n95,n145,n211,n348,n968,n1948"
 TM_FUZZ_SEEDS="$NESTED_SEEDS" \
     cargo test -q --offline --locked --test fuzz_differential fuzz_replay_seeds
+# Every root recording's entry map depends on the start-state typing of
+# loop-written slots: sweep 2000 nested programs in release (~6-8 s).
+TM_FUZZ_RANGE=n0..n2000 \
+    cargo test -q --release --offline --locked --test fuzz_differential fuzz_extended_sweep
 if [ "$(uname -sm)" = "Linux x86_64" ]; then
     TM_FUZZ_NATIVE=1 TM_FUZZ_SEEDS="$NESTED_SEEDS" \
         cargo test -q --offline --locked --test fuzz_differential fuzz_native_tier

@@ -13,6 +13,8 @@
 //! * nesting: nested tree calls run under the transfer plans they are
 //!   pinned to — deferred where the call site is in the outer tree's entry
 //!   frame and the inner tree is a leaf;
+//! * siblings: the trees at one loop header have distinct entry maps,
+//!   and the same ones in every process;
 //! * warm start: a `.tmc` written by one `Vm` lets a fresh `Vm` load
 //!   every tree and record nothing;
 //! * multi-tenant: concurrent realms answer like one realm and share
@@ -21,18 +23,19 @@
 //! A few checks are relative to the last accepted state and read it from
 //! `tests/golden/suite_gates.txt`, one `program counter value` per line:
 //! `dispatched` and `warm_bytecodes` may not grow by more than 5 %,
-//! `nested_calls`, `nested_deferred`, `trees`, `fragments` and
-//! `traces_completed` are exact, and a flag
+//! `nested_calls`, `nested_deferred`, `trees`, `fragments`,
+//! `traces_completed` and `duplicate_siblings` are exact, and a flag
 //! (`ran_native`, `fallback_free`, `warm_started`) that is 1 there must
 //! still be 1. Regenerate with
 //! `TM_UPDATE_GOLDEN=1 cargo test -p tm-bench --test suite_gates`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
 use tm_bench::{by_name, run_program, BenchProgram};
 use tracemonkey::jit::profiler::ProfileStats;
+use tracemonkey::jit::tree::TraceTree;
 use tracemonkey::{Engine, JitOptions, MultiTenantVm, RealmJob, Vm};
 
 fn prog(name: &str) -> &'static BenchProgram {
@@ -98,7 +101,8 @@ fn check_pins(observed: &[(&str, &str, u64)]) {
                 let limit = (was as f64 * PIN_TOLERANCE).ceil() as u64;
                 assert!(now <= limit, "{p}: {c} {now} exceeds the accepted {was} by more than 5 %");
             }
-            "nested_calls" | "nested_deferred" | "trees" | "fragments" | "traces_completed" => {
+            "nested_calls" | "nested_deferred" | "trees" | "fragments" | "traces_completed"
+            | "duplicate_siblings" => {
                 assert_eq!(now, was, "{p}: {c} moved from the accepted count")
             }
             _ => assert!(was == 0 || now != 0, "{p}: {c} was set in the accepted state, not now"),
@@ -262,6 +266,46 @@ fn nested_calls_run_under_the_plans_they_are_pinned_to() {
         observed.push((*name, "nested_deferred", stats.nested_deferred));
     }
     check_pins(&observed);
+}
+
+// ---- siblings --------------------------------------------------------
+
+/// Trees whose anchor already has an earlier tree with the same entry map,
+/// compared as a set of (key, type) pairs: a sibling repeating a type map
+/// that one tree should cover (Figure 6).
+fn duplicate_siblings(vm: &Vm) -> u64 {
+    let trees: Vec<_> = vm.monitor().expect("tracing").cache.iter().collect();
+    let map = |t: &TraceTree| t.entry.iter().map(|b| (b.key, b.ty)).collect::<HashSet<_>>();
+    let repeats = |(i, t): (usize, &&TraceTree)| {
+        trees[..i].iter().any(|u| u.anchor == t.anchor && map(u) == map(t))
+    };
+    trees.iter().enumerate().filter(|&it| repeats(it)).count() as u64
+}
+
+#[test]
+fn siblings_at_one_anchor_have_distinct_entry_maps() {
+    let mut observed = Vec::new();
+    for p in tm_bench::SUITE {
+        let run = run_program(p, Engine::Tracing, JitOptions::default(), 1);
+        observed.push((p.name, "duplicate_siblings", duplicate_siblings(&run.vm)));
+    }
+    check_pins(&observed);
+}
+
+/// Programs whose entry maps used to come out in hash order.
+const DIGEST_SMOKE: &[&str] = &["3d-raytrace", "crypto-aes"];
+
+#[test]
+fn every_process_builds_the_same_entry_maps() {
+    let digests = |name| {
+        let run = run_program(prog(name), Engine::Tracing, JitOptions::default(), 1);
+        let m = run.vm.monitor().expect("tracing");
+        m.cache.iter().map(|t| t.digest).collect::<Vec<_>>()
+    };
+    for name in DIGEST_SMOKE {
+        // Two `Vm`s seed their hash maps differently, as two processes do.
+        assert_eq!(digests(name), digests(name), "{name}: per-tree digests differ between runs");
+    }
 }
 
 // ---- warm start ------------------------------------------------------

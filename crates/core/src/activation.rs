@@ -48,6 +48,19 @@ pub enum SlotKey {
     },
 }
 
+impl SlotKey {
+    /// A variable key of a tree entered `depth` inline frames below the
+    /// entry frame, as the outer trace names it; `None` for anything but
+    /// a variable.
+    pub fn variable_from(self, depth: u8) -> Option<SlotKey> {
+        match self {
+            SlotKey::Global(_) => Some(self),
+            SlotKey::Local { depth: d, slot } => Some(SlotKey::Local { depth: d + depth, slot }),
+            SlotKey::Stack { .. } | SlotKey::Reimport { .. } => None,
+        }
+    }
+}
+
 /// One activation-record slot bound to the interpreter location it
 /// shadows and the unboxed type it holds there: the element of every
 /// type map (entry requirements, exit write-backs and type maps, loop

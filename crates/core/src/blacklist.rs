@@ -7,9 +7,10 @@
 //! a `Nop` so the interpreter never calls the monitor again.
 //!
 //! Nested-loop forgiveness (§4.2): when an outer recording aborts because
-//! an inner tree was not ready, the abort is provisional — once the inner
-//! tree finishes a trace, the outer fragment's failure count is decremented
-//! and its backoff undone.
+//! an inner tree was not ready, the abort is provisional and remembers the
+//! inner loop header it waited on — once a tree at that header is created
+//! or grows, in whatever function, the outer fragment's failure count is
+//! decremented and its backoff undone.
 
 use std::collections::HashMap;
 
@@ -28,6 +29,8 @@ struct Entry {
     /// Failures attributable to an inner tree not being ready, eligible
     /// for forgiveness.
     provisional: u32,
+    /// The inner loop header the last provisional failure waited on.
+    waiting_on: Option<FragmentStart>,
 }
 
 /// Blacklist policy configuration.
@@ -95,16 +98,21 @@ impl Blacklist {
         }
     }
 
-    /// Records a recording failure at `start`. `inner_not_ready` marks the
-    /// failure provisional (§4.2). Returns `true` when the fragment just
-    /// became blacklisted.
-    pub fn record_failure(&mut self, start: FragmentStart, inner_not_ready: bool) -> bool {
+    /// Records a recording failure at `start`. `waited_on`, the inner loop
+    /// header whose tree was not ready, marks the failure provisional
+    /// (§4.2). Returns `true` when the fragment just became blacklisted.
+    pub fn record_failure(
+        &mut self,
+        start: FragmentStart,
+        waited_on: Option<FragmentStart>,
+    ) -> bool {
         let max_failures = self.config.max_failures;
         let backoff = self.config.backoff;
         let e = self.entries.entry(start).or_default();
         e.failures += 1;
-        if inner_not_ready {
+        if waited_on.is_some() {
             e.provisional += 1;
+            e.waiting_on = waited_on;
         }
         if e.failures >= max_failures {
             e.blacklisted = true;
@@ -114,18 +122,16 @@ impl Blacklist {
         false
     }
 
-    /// Forgives one provisional failure on every fragment inside
-    /// `outer_range` of `func` — called when an inner tree finishes a trace
-    /// ("when the inner tree finishes a trace, we decrement the blacklist
-    /// counter on the outer loop ... we also undo the backoff").
-    pub fn forgive_outer(&mut self, func: FuncId, outer_headers: &[u32]) {
-        for &pc in outer_headers {
-            if let Some(e) = self.entries.get_mut(&(func, pc)) {
-                if e.provisional > 0 && !e.blacklisted {
-                    e.provisional -= 1;
-                    e.failures = e.failures.saturating_sub(1);
-                    e.backoff = 0;
-                }
+    /// Forgives one provisional failure on every fragment that last waited
+    /// on `inner` — called when a tree at that loop header is created or
+    /// grows ("when the inner tree finishes a trace, we decrement the
+    /// blacklist counter on the outer loop ... we also undo the backoff").
+    pub fn forgive_waiting_on(&mut self, inner: FragmentStart) {
+        for e in self.entries.values_mut() {
+            if e.provisional > 0 && !e.blacklisted && e.waiting_on == Some(inner) {
+                e.provisional -= 1;
+                e.failures = e.failures.saturating_sub(1);
+                e.backoff = 0;
             }
         }
     }
@@ -181,19 +187,20 @@ mod tests {
     use super::*;
 
     const START: FragmentStart = (FuncId(0), 5);
+    const INNER: FragmentStart = (FuncId(1), 2);
 
     #[test]
     fn failure_backoff_then_blacklist() {
         let mut bl = Blacklist::new(BlacklistConfig { max_failures: 2, backoff: 3 });
         assert_eq!(bl.check(START), Verdict::Record);
-        assert!(!bl.record_failure(START, false));
+        assert!(!bl.record_failure(START, None));
         // Backing off for 3 passes.
         assert_eq!(bl.check(START), Verdict::Skip);
         assert_eq!(bl.check(START), Verdict::Skip);
         assert_eq!(bl.check(START), Verdict::Skip);
         assert_eq!(bl.check(START), Verdict::Record);
         // Second failure: permanent.
-        assert!(bl.record_failure(START, false));
+        assert!(bl.record_failure(START, None));
         assert_eq!(bl.check(START), Verdict::Blacklisted);
         assert!(bl.is_blacklisted(START));
         assert_eq!(bl.blacklisted_count(), 1);
@@ -202,14 +209,31 @@ mod tests {
     #[test]
     fn forgiveness_undoes_provisional_failures() {
         let mut bl = Blacklist::new(BlacklistConfig { max_failures: 2, backoff: 32 });
-        assert!(!bl.record_failure(START, true));
+        assert!(!bl.record_failure(START, Some(INNER)));
         assert_eq!(bl.check(START), Verdict::Skip);
         // Inner tree completed: outer is forgiven and retried immediately.
-        bl.forgive_outer(FuncId(0), &[5]);
+        bl.forgive_waiting_on(INNER);
         assert_eq!(bl.check(START), Verdict::Record);
         // The forgiven failure no longer counts towards blacklisting.
-        assert!(!bl.record_failure(START, false));
+        assert!(!bl.record_failure(START, None));
         assert!(!bl.is_blacklisted(START));
+    }
+
+    #[test]
+    fn forgiveness_is_keyed_on_the_inner_header_waited_on() {
+        let mut bl = Blacklist::new(BlacklistConfig { max_failures: 2, backoff: 32 });
+        assert!(!bl.record_failure(START, Some(INNER)));
+        // A tree at another header, even in the outer loop's own function,
+        // forgives nothing.
+        bl.forgive_waiting_on((FuncId(0), 9));
+        assert_eq!(bl.check(START), Verdict::Skip);
+        bl.forgive_waiting_on(INNER);
+        assert_eq!(bl.check(START), Verdict::Record);
+        // Forgiven once: the next tree at the inner header finds nothing
+        // provisional left.
+        assert!(!bl.record_failure(START, None));
+        bl.forgive_waiting_on(INNER);
+        assert_eq!(bl.check(START), Verdict::Skip);
     }
 
     #[test]
@@ -218,7 +242,7 @@ mod tests {
             Blacklist::new(BlacklistConfig { max_failures: 1, backoff: 32 });
         assert_eq!(bl.check(START), Verdict::Record);
         // With the threshold at one there is no backoff phase at all.
-        assert!(bl.record_failure(START, false));
+        assert!(bl.record_failure(START, None));
         assert_eq!(bl.check(START), Verdict::Blacklisted);
         assert_eq!(bl.blacklisted_count(), 1);
     }
@@ -227,9 +251,9 @@ mod tests {
     fn forgiveness_does_not_resurrect_blacklisted_fragments() {
         let mut bl =
             Blacklist::new(BlacklistConfig { max_failures: 1, backoff: 2 });
-        assert!(bl.record_failure(START, true));
+        assert!(bl.record_failure(START, Some(INNER)));
         // Even though the failure was provisional, blacklisting is final.
-        bl.forgive_outer(FuncId(0), &[5]);
+        bl.forgive_waiting_on(INNER);
         assert_eq!(bl.check(START), Verdict::Blacklisted);
         assert!(bl.is_blacklisted(START));
     }
@@ -238,8 +262,8 @@ mod tests {
     fn forgiveness_only_covers_provisional_failures() {
         let mut bl =
             Blacklist::new(BlacklistConfig { max_failures: 3, backoff: 4 });
-        assert!(!bl.record_failure(START, false)); // a real abort, not inner-not-ready
-        bl.forgive_outer(FuncId(0), &[5]);
+        assert!(!bl.record_failure(START, None)); // a real abort, not inner-not-ready
+        bl.forgive_waiting_on(INNER);
         // Nothing was provisional: the failure stands and the backoff holds.
         assert_eq!(bl.check(START), Verdict::Skip);
     }
@@ -249,13 +273,13 @@ mod tests {
         let mut bl =
             Blacklist::new(BlacklistConfig { max_failures: 2, backoff: 2 });
         let other: FragmentStart = (FuncId(1), 9);
-        assert!(!bl.record_failure(START, false));
+        assert!(!bl.record_failure(START, None));
         assert_eq!(bl.check(START), Verdict::Skip);
         // The other fragment is unaffected by START's backoff...
         assert_eq!(bl.check(other), Verdict::Record);
         // ...and blacklists on its own count.
-        bl.record_failure(other, false);
-        bl.record_failure(other, false);
+        bl.record_failure(other, None);
+        bl.record_failure(other, None);
         assert!(bl.is_blacklisted(other));
         assert!(!bl.is_blacklisted(START));
         assert_eq!(bl.blacklisted_count(), 1);

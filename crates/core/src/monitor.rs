@@ -11,6 +11,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
+use tm_bytecode::FuncId;
 use tm_interp::{Flow, Interp, RunExit};
 use tm_nanojit::{emit_tree, execute, Fragment, Unsupported, EXIT_UNSTITCHED};
 use tm_runtime::{Realm, RuntimeError, Value};
@@ -27,7 +28,7 @@ use crate::profiler::{Activity, ProfileStats, Profiler};
 use crate::recorder::{self, RecordAction, RecordedTrace, Recorder};
 use crate::shared_cache::{entry_digest, SharedCodeCache, SharedKey};
 use crate::tree::{
-    Anchor, ExitState, NativeCode, TraceTree, TreeCache, TreeCode, TreeId,
+    Anchor, ExitState, NativeCode, NestedSite, TraceTree, TreeCache, TreeCode, TreeId,
 };
 
 /// Maximum sibling trees per loop header before the monitor stops
@@ -159,12 +160,14 @@ pub(crate) struct Entered {
 /// ran out on the way, and the caller owes a `StepBudgetExhausted`.
 /// `inner_exit`: the run left through a `NestedUnexpected` exit because
 /// the inner tree took this `(tree, fragment, exit)` instead of the one
-/// its site expects (§4.1).
+/// its site expects (§4.1). `bytecodes`: the trunk bytecodes its loop
+/// iterations ran, what §3.3 probation counts.
 pub(crate) struct Ran {
     pub(crate) frag: u32,
     pub(crate) exit: u16,
     pub(crate) out_of_fuel: bool,
     pub(crate) inner_exit: Option<(TreeId, u32, u16)>,
+    pub(crate) bytecodes: u64,
 }
 
 impl Monitor {
@@ -309,11 +312,38 @@ impl Monitor {
     /// slot (no hash lookup): enters the first enabled sibling whose entry
     /// type map the interpreter state matches.
     fn enter_anchor(&mut self, anchor: Anchor, interp: &Interp, realm: &Realm) -> Option<Entered> {
+        self.enter_sibling(anchor, None, false, interp, realm)
+    }
+
+    /// The probe of a `nested` call (§4.1) or a monitor run, either at its
+    /// start or at the link a type-unstable exit of `from` takes (Figure
+    /// 6). Enabled siblings come first, then the disabled ones, which
+    /// only a nested call enters: §3.3 disables a tree whose entries from
+    /// the monitor cost more in transitions than they run, and a call
+    /// from an outer tree pays none. `from` comes last: the state its exit
+    /// left enters it again only where a double it left is integral,
+    /// which the interpreter holds as an int.
+    pub(crate) fn enter_sibling(
+        &mut self,
+        anchor: Anchor,
+        from: Option<TreeId>,
+        nested: bool,
+        interp: &Interp,
+        realm: &Realm,
+    ) -> Option<Entered> {
+        let other = |t: &TraceTree| Some(t.id) != from;
+        let picks: [&dyn Fn(&TraceTree) -> bool; 3] = [
+            &|t| other(t) && !t.disabled,
+            &|t| other(t) && t.disabled && nested,
+            &|t| !other(t) && (nested || !t.disabled),
+        ];
         let slot = &self.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize];
-        slot.trees
-            .iter()
-            .filter(|&&tid| !self.cache.tree(tid).disabled)
-            .find_map(|&tid| Self::enter_tree(&self.cache, &mut self.ars, tid, interp, realm))
+        picks.iter().find_map(|pick| {
+            slot.trees
+                .iter()
+                .filter(|&&tid| pick(self.cache.tree(tid)))
+                .find_map(|&tid| Self::enter_tree(&self.cache, &mut self.ars, tid, interp, realm))
+        })
     }
 
     /// Handles one loop-edge crossing. Returns `Ok(Some(value))` if the
@@ -366,6 +396,15 @@ impl Monitor {
                 self.silence_header(anchor, interp);
             }
             return Ok(None);
+        }
+        let judged = slot.trees.iter().filter(|&&t| judged(self.cache.tree(t), &self.oracle));
+        for &tid in judged {
+            if let Some(e) = Self::enter_tree(&self.cache, &mut self.ars, tid, interp, realm) {
+                // §3.3 already judged this type map: a new recording
+                // would only repeat it.
+                self.ars.give(e.ar);
+                return Ok(None);
+            }
         }
 
         // 3. Blacklist / backoff.
@@ -437,7 +476,7 @@ impl Monitor {
     ) -> Result<Option<Value>, RuntimeError> {
         self.events.push(TraceEvent::RecordStartRoot { func: anchor.func, pc: anchor.pc });
         let range = anchor_range(anchor, interp);
-        let mut rec = Recorder::new_root(anchor, range, interp, self.opts);
+        let mut rec = Recorder::new_root(anchor, range, interp, realm, self.opts);
         self.profiler.switch(Activity::Record);
         let rec_start_ops = interp.ops_executed;
         let outcome = self.record_loop(&mut rec, interp, realm);
@@ -448,11 +487,8 @@ impl Monitor {
                 let recorded = rec.into_recorded();
                 if self.opts.verify {
                     if let Err(err) = recorded.verify(&[]) {
-                        self.handle_record_failure(
-                            anchor,
-                            AbortReason::VerifyFailed(err),
-                            interp,
-                        );
+                        let reason = AbortReason::VerifyFailed(err);
+                        self.handle_record_failure(anchor, reason, None, interp);
                         return Ok(None);
                     }
                 }
@@ -475,11 +511,10 @@ impl Monitor {
                     return Ok(None);
                 }
                 self.build_root_tree(anchor, recorded);
-                self.forgive_outer_loops(anchor, interp);
                 Ok(None)
             }
             Ok(RecResult::Abort(reason)) => {
-                self.handle_record_failure(anchor, reason, interp);
+                self.handle_record_failure(anchor, reason, rec.last_inner(), interp);
                 Ok(None)
             }
             Err(RecordError::Guest(e)) => Err(e),
@@ -487,11 +522,21 @@ impl Monitor {
         }
     }
 
-    fn handle_record_failure(&mut self, anchor: Anchor, reason: AbortReason, interp: &mut Interp) {
+    /// Counts a failed root recording at `anchor`. A provisional abort is
+    /// charged to the inner loop header it reached last, the one it waited
+    /// on (§4.2).
+    fn handle_record_failure(
+        &mut self,
+        anchor: Anchor,
+        reason: AbortReason,
+        last_inner: Option<(FuncId, u32)>,
+        interp: &mut Interp,
+    ) {
         self.events.push(TraceEvent::RecordAbort { reason });
         self.profiler.stats.traces_aborted += 1;
         let site = (anchor.func, anchor.pc);
-        if self.blacklist.record_failure(site, abort_is_provisional(&reason)) {
+        let waited_on = last_inner.filter(|_| abort_is_provisional(&reason));
+        if self.blacklist.record_failure(site, waited_on) {
             self.silence_header(anchor, interp);
         }
     }
@@ -503,19 +548,6 @@ impl Monitor {
         interp.patch_loop_header(anchor.func, anchor.pc);
         self.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize].silenced = true;
         self.events.push(TraceEvent::Blacklist { func: anchor.func, pc: anchor.pc });
-    }
-
-    /// §4.2: an inner tree completed a trace; forgive outer loops that
-    /// aborted waiting for it.
-    fn forgive_outer_loops(&mut self, anchor: Anchor, interp: &Interp) {
-        let f = interp.prog().function(anchor.func);
-        let outer_headers: Vec<u32> = f
-            .loops
-            .iter()
-            .filter(|l| l.contains_pc(anchor.pc) && l.header != anchor.pc)
-            .map(|l| l.header)
-            .collect();
-        self.blacklist.forgive_outer(anchor.func, &outer_headers);
     }
 
     /// Drives one recording to completion, stepping the interpreter.
@@ -570,7 +602,7 @@ impl Monitor {
         interp: &mut Interp,
         realm: &mut Realm,
     ) -> Result<Result<(), AbortReason>, RecordError> {
-        let Some(entered) = self.enter_anchor(inner_anchor, interp, realm) else {
+        let Some(entered) = self.enter_sibling(inner_anchor, None, true, interp, realm) else {
             // "We simply abort recording the first trace. The trace
             // monitor will see the inner loop header, and will immediately
             // start recording the inner loop."
@@ -584,20 +616,33 @@ impl Monitor {
             Ok(Flow::Finished(v)) => return Err(RecordError::ProgramFinished(v)),
             Err(e) => return Err(RecordError::Guest(e)),
         }
-        let (tid, code) = (entered.tid, Arc::clone(&entered.code));
-        self.events.push(TraceEvent::NestedCall { tree: tid.0 });
-        // `ran.inner_exit` is not grown from here: the recording aborts.
-        let (ran, kind) = match self.execute_tree(entered, interp, realm) {
-            Ok(r) => r,
-            Err(e) => return Err(RecordError::Guest(e)),
-        };
-        let frames = &code.exits[ran.frag as usize][ran.exit as usize].frames;
-        if !matches!(kind, ExitKind::Branch | ExitKind::LeaveLoop) || frames.len() != 1 {
-            rec.cancel_nested();
-            return Ok(Err(AbortReason::InnerTreeCallFailed));
+        let inner = entered.tid;
+        self.events.push(TraceEvent::NestedCall { tree: inner.0 });
+        let mut entered = entered;
+        loop {
+            let (tid, code) = (entered.tid, Arc::clone(&entered.code));
+            // `ran.inner_exit` is not grown from here: the recording aborts.
+            let (ran, kind) = match self.execute_tree(entered, interp, realm) {
+                Ok(r) => r,
+                Err(e) => return Err(RecordError::Guest(e)),
+            };
+            if kind == ExitKind::Unstable {
+                // Figure 6 inside the call: go on in the sibling the
+                // exit state enters, as `run_tree` does.
+                if let Some(next) = self.enter_sibling(inner_anchor, Some(tid), true, interp, realm) {
+                    entered = next;
+                    continue;
+                }
+            }
+            let frames = &code.exits[ran.frag as usize][ran.exit as usize].frames;
+            if !matches!(kind, ExitKind::Branch | ExitKind::LeaveLoop) || frames.len() != 1 {
+                rec.cancel_nested();
+                return Ok(Err(AbortReason::InnerTreeCallFailed));
+            }
+            let exit = &code.exits[ran.frag as usize][ran.exit as usize];
+            rec.finish_nested_with_stack(inner, tid, exit, (ran.frag, ran.exit), interp);
+            return Ok(Ok(()));
         }
-        rec.finish_nested_with_stack(tid, (ran.frag, ran.exit), frames[0].stack_depth, interp);
-        Ok(Ok(()))
     }
 
     // ==== tree construction ====
@@ -677,6 +722,9 @@ impl Monitor {
             lir_len: self.cache.tree(tid).fragments[0].len() as u32,
         });
         self.publish_shared(tid);
+        // §4.2: outer loops that aborted waiting on this anchor may try
+        // again.
+        self.blacklist.forgive_waiting_on((anchor.func, anchor.pc));
         tid
     }
 
@@ -815,6 +863,8 @@ impl Monitor {
         // Republish: the tree grew a fragment, so realms installing it
         // from the shared cache later get the extended version.
         self.publish_shared(tid);
+        let anchor = self.cache.tree(tid).anchor;
+        self.blacklist.forgive_waiting_on((anchor.func, anchor.pc));
     }
 
     // ==== tree execution ====
@@ -829,11 +879,39 @@ impl Monitor {
         realm: &mut Realm,
     ) -> Result<(), RuntimeError> {
         let mut transfers = 0usize;
+        // §3.3 probation charges a chain of sibling links to the tree the
+        // monitor entered, as one entry.
+        let (mut first, mut chain_bytecodes) = (entered.tid, 0);
         loop {
             let (tid, anchor) = (entered.tid, entered.code.anchor);
             self.events.push(TraceEvent::EnterTree { tree: tid.0 });
             let (ran, kind) = self.execute_tree(entered, interp, realm)?;
             let (frag, exit) = (ran.frag, ran.exit);
+            chain_bytecodes += ran.bytecodes;
+            if kind == ExitKind::Unstable {
+                // Figure 6: look for a sibling tree whose entry map
+                // matches the exit state.
+                if let Some(next) = self.enter_sibling(anchor, Some(tid), false, interp, realm) {
+                    transfers += 1;
+                    if transfers < 1_000_000 {
+                        if next.tid == tid {
+                            // The state the tree left enters it again: no
+                            // sibling link, another entry of its own.
+                            self.charge_entry(first, chain_bytecodes);
+                            (first, chain_bytecodes) = (tid, 0);
+                        } else {
+                            self.events.push(TraceEvent::StableTransfer {
+                                from_tree: tid.0,
+                                to_tree: next.tid.0,
+                            });
+                        }
+                        entered = next;
+                        continue;
+                    }
+                    self.ars.give(next.ar);
+                }
+            }
+            self.charge_entry(first, chain_bytecodes);
             match kind {
                 ExitKind::LoopEdge => {
                     // Preemption or pending GC at the loop edge (§6.4).
@@ -846,27 +924,12 @@ impl Monitor {
                     }
                     // Re-enter if still matching (the common case).
                     match self.enter_anchor(anchor, interp, realm) {
-                        Some(next) => entered = next,
+                        Some(next) => {
+                            (first, chain_bytecodes) = (next.tid, 0);
+                            entered = next;
+                        }
                         None => return Ok(()),
                     }
-                }
-                ExitKind::Unstable => {
-                    // Figure 6: look for a sibling tree whose entry map
-                    // matches the exit state.
-                    let Some(next) = self.enter_anchor(anchor, interp, realm) else {
-                        return Ok(());
-                    };
-                    transfers += 1;
-                    if next.tid != tid {
-                        self.events.push(TraceEvent::StableTransfer {
-                            from_tree: tid.0,
-                            to_tree: next.tid.0,
-                        });
-                    }
-                    if transfers >= 1_000_000 {
-                        return Ok(());
-                    }
-                    entered = next;
                 }
                 ExitKind::Branch => {
                     self.maybe_extend(tid, frag, exit, interp, realm)?;
@@ -884,8 +947,33 @@ impl Monitor {
                     }
                     return Ok(());
                 }
-                ExitKind::LeaveLoop | ExitKind::DeepBail => return Ok(()),
+                ExitKind::Unstable | ExitKind::LeaveLoop | ExitKind::DeepBail => return Ok(()),
             }
+        }
+    }
+
+    /// Charges one monitor entry of `tid` whose run, sibling chain
+    /// included, executed `bytecodes` trunk bytecodes natively, and
+    /// applies the §3.3 short-loop mitigation: a tree whose entries
+    /// execute too few bytecodes costs more in transitions than it saves;
+    /// disable it.
+    fn charge_entry(&mut self, tid: TreeId, bytecodes: u64) {
+        let stats = &mut self.cache.tree_mut(tid).stats;
+        stats.enters += 1;
+        stats.native_bytecodes += bytecodes;
+        let useless = stats.enters >= USELESS_PROBATION
+            && stats.native_bytecodes / stats.enters < MIN_USEFUL_BYTECODES;
+        if !useless || self.cache.tree(tid).disabled {
+            return;
+        }
+        // The monitor never enters the tree again; only a nested-call site
+        // recorded earlier still can. With no such site the machine code
+        // is dead: give it back.
+        let still_called = self.is_nested_callee(tid);
+        let tree = self.cache.tree_mut(tid);
+        tree.disabled = true;
+        if !still_called {
+            tree.native = NativeCode::NotEmitted;
         }
     }
 
@@ -1035,7 +1123,7 @@ impl Monitor {
         self.cache.iter().any(|t| {
             t.nested_sites
                 .iter()
-                .any(|s| s.inner == tid && s.expected_exit == (frag, exit))
+                .any(|s| s.returns == tid && s.expected_exit == (frag, exit))
         })
     }
 
@@ -1096,14 +1184,13 @@ impl Monitor {
                 self.count_fast_helpers(&mut recorded);
                 self.absorb_compiled_fragment_stats(&fragment);
                 self.install_root_tree(anchor, recorded, *fragment);
-                self.forgive_outer_loops(anchor, interp);
                 self.profiler.stats.compile_jobs_installed += 1;
             }
             (PendingKind::Root { anchor }, CompileOutcome::Failed(_)) => {
                 self.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize]
                     .compiling = false;
                 self.profiler.stats.compile_jobs_failed += 1;
-                self.handle_record_failure(anchor, AbortReason::CompileFailed, interp);
+                self.handle_record_failure(anchor, AbortReason::CompileFailed, None, interp);
             }
             (
                 PendingKind::Branch { tid, frag, exit },
@@ -1184,7 +1271,6 @@ impl Monitor {
         // that.
         let installs = self.cache.installs();
         let tree = self.cache.tree_mut(tid);
-        tree.stats.enters += 1;
         let native = if self.opts.native_backend {
             if matches!(tree.native, NativeCode::NotEmitted) {
                 tree.native = build_native(&code.fragments, &mut self.profiler.stats);
@@ -1219,7 +1305,7 @@ impl Monitor {
         let trace_exit = trace_exit?;
         self.profiler.switch(Activity::Monitor);
         let (frag, exit) = (trace_exit.fragment, trace_exit.exit);
-        let mut ran = Ran { frag, exit, out_of_fuel: false, inner_exit };
+        let mut ran = Ran { frag, exit, out_of_fuel: false, inner_exit, bytecodes: 0 };
         interp.steps_remaining = interp.steps_remaining.saturating_sub(trace_exit.insts);
         if interp.steps_remaining == 0 {
             // State is restored first so the error surfaces cleanly.
@@ -1229,33 +1315,13 @@ impl Monitor {
         }
 
         // Figure 11 accounting: bytecode-equivalents executed natively.
-        let trunk_bc = code.fragment_bytecodes[0];
+        ran.bytecodes = trace_exit.iterations * u64::from(code.fragment_bytecodes[0]);
         let exit_bc = u64::from(code.fragment_bytecodes[trace_exit.fragment as usize]) / 2;
-        self.profiler.stats.bytecodes_native +=
-            trace_exit.iterations * u64::from(trunk_bc) + exit_bc;
+        self.profiler.stats.bytecodes_native += ran.bytecodes + exit_bc;
         self.profiler.stats.native_insts += trace_exit.insts;
         self.profiler.stats.native_insts_fused += trace_exit.fused_insts;
         self.profiler.stats.side_exits += 1;
-        let tree = self.cache.tree_mut(tid);
-        tree.stats.iterations += trace_exit.iterations;
-        tree.stats.monitor_exits += 1;
-
-        // §3.3 short-loop mitigation: a tree whose calls execute too few
-        // bytecodes costs more in transitions than it saves; disable it.
-        if !tree.disabled
-            && tree.stats.enters >= USELESS_PROBATION
-            && tree.stats.native_bytecodes(trunk_bc) / tree.stats.enters < MIN_USEFUL_BYTECODES
-        {
-            // The monitor never enters the tree again; only a nested-call
-            // site recorded earlier still can. With no such site the
-            // machine code is dead: give it back.
-            let still_called = self.is_nested_callee(tid);
-            let tree = self.cache.tree_mut(tid);
-            tree.disabled = true;
-            if !still_called {
-                tree.native = NativeCode::NotEmitted;
-            }
-        }
+        self.cache.tree_mut(tid).stats.iterations += trace_exit.iterations;
         self.events.push(TraceEvent::SideExit {
             tree: tid.0,
             fragment: trace_exit.fragment,
@@ -1289,9 +1355,11 @@ impl Monitor {
         Ok(exit.kind)
     }
 
-    /// Whether any tree's nested-call site calls tree `tid`.
+    /// Whether any tree's nested-call site calls tree `tid`, or returns
+    /// from it.
     fn is_nested_callee(&self, tid: TreeId) -> bool {
-        self.cache.iter().any(|t| t.nested_sites.iter().any(|s| s.inner == tid))
+        let calls = |s: &NestedSite| s.inner == tid || s.returns == tid;
+        self.cache.iter().any(|t| t.nested_sites.iter().any(calls))
     }
 }
 
@@ -1307,6 +1375,22 @@ fn build_native(frags: &[Fragment], stats: &mut ProfileStats) -> NativeCode {
         }
         Err(_) => NativeCode::Refused,
     }
+}
+
+/// Whether §3.3's verdict on `t` covers a new recording from a state it
+/// accepts: it is disabled, and a recording would find what it found —
+/// unless its entries never ran an iteration (a trunk that leaves the loop
+/// says nothing of it), it calls inner trees (whose siblings may since
+/// have changed), or `oracle` has since demoted one of its integer slots.
+fn judged(t: &TraceTree, oracle: &Oracle) -> bool {
+    let speculates = |b: &SlotBinding| {
+        let var = crate::oracle::var_key(b.key, &[t.anchor.func]);
+        b.ty != tm_lir::LirType::Int || var.is_none_or(|v| oracle.may_speculate_int(v))
+    };
+    t.disabled
+        && t.stats.native_bytecodes > 0
+        && t.nested_sites.is_empty()
+        && t.entry.iter().all(speculates)
 }
 
 /// Errors internal to the recording driver.
@@ -1417,6 +1501,15 @@ mod tests {
         assert!(matches!(t.native, NativeCode::NotEmitted), "{:?}", t.native);
     }
 
+    /// The short loop is first called from a traceable loop, whose tree
+    /// nests it, then from the untraceable one, whose monitor entries
+    /// disable it.
+    const SHORT_LOOP_NESTED_THEN_CALLS: &str = "\
+        function f() { var s = 0; for (var i = 0; i < 3; i++) s += i; return s; }
+        function once(d) { if (d > 0) return once(d - 1); return 0; }
+        var t = 0; for (var k = 0; k < 20; k++) t += f();
+        for (var j = 0; j < 200; j++) t += once(1) + f(); t";
+
     #[test]
     fn a_disabled_tree_an_outer_tree_still_calls_keeps_its_code() {
         if !tm_nanojit::native_supported() {
@@ -1424,14 +1517,38 @@ mod tests {
         }
         let opts = JitOptions { profile: true, ..JitOptions::default() };
         let mut vm = Vm::with_options(Engine::Tracing, opts);
-        vm.eval(SHORT_LOOP_CALLS).expect("runs");
+        vm.eval(SHORT_LOOP_NESTED_THEN_CALLS).expect("runs");
         let m = vm.monitor().unwrap();
         let t = m.cache.iter().find(|t| t.disabled).expect("the short loop is disabled");
-        assert!(m.is_nested_callee(t.id), "the outer loop's tree calls it");
+        assert!(m.is_nested_callee(t.id), "the first loop's tree calls it");
         assert!(matches!(t.native, NativeCode::Code(_)), "{:?}", t.native);
         let s = &m.profiler.stats;
+        assert!(s.nested_calls >= 10, "{s:?}");
         assert_eq!(s.native_fallbacks, 0, "nested calls stay native: {s:?}");
         assert!(s.native_fragments <= s.fragments, "{s:?}");
+    }
+
+    #[test]
+    fn nested_calls_do_not_count_toward_probation() {
+        let vm = traced(SHORT_LOOP_CALLS);
+        let m = vm.monitor().unwrap();
+        let main = vm.interp().unwrap().prog().main;
+        let outer = m.cache.iter().find(|t| t.anchor.func == main).expect("the calling tree");
+        let inner = m.cache.tree(outer.nested_sites[0].inner);
+        assert!(!inner.disabled, "{:?}", inner.stats);
+        assert!(inner.stats.enters < USELESS_PROBATION, "{:?}", inner.stats);
+        assert!(m.profiler.stats.nested_calls >= 190, "{:?}", m.profiler.stats);
+    }
+
+    #[test]
+    fn a_disabled_sibling_accepting_the_state_is_not_recorded_again() {
+        let vm = traced(SHORT_LOOP_CALLS_UNTRACED);
+        let m = vm.monitor().unwrap();
+        let f = vm.interp().unwrap().prog().functions.iter().position(|f| f.name == "f");
+        let short: Vec<_> =
+            m.cache.iter().filter(|t| Some(t.anchor.func.0 as usize) == f).collect();
+        assert_eq!(short.len(), 1, "one tree at the short loop");
+        assert!(short[0].disabled);
     }
 
     /// Sibling selection over the slot path: creation order, and the

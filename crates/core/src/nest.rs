@@ -19,25 +19,28 @@ use tm_nanojit::TreeHost;
 use tm_runtime::{Realm, RuntimeError};
 
 use crate::activation::{export, run_moves, write_variables, Move, SlotBinding, SlotKey, Source};
+use crate::exit::ExitKind;
 use crate::monitor::{Entered, Monitor};
 use crate::profiler::Activity;
 use crate::tree::{NestedSite, TreeCache, TreeCode, TreeId};
 
 /// What one nested-call site does around the inner tree's run.
 ///
-/// A site whose inner tree calls no tree itself, reached in the outer
-/// trace's entry frame, is **deferred**: the call site is not exported.
-/// Nothing reads interpreter state during such a run but the plan's own
-/// interpreter-sourced moves, and those name locations neither trace
-/// has written. The export is made up for whenever the call does not come
-/// back as expected. Every other site gets the same plan with every source
-/// the interpreter — export, import, run, export, import.
+/// A site whose inner tree calls no tree itself and returns itself,
+/// reached in the outer trace's entry frame, is **deferred**: the call
+/// site is not exported. Nothing reads interpreter state during such a run
+/// but the plan's own interpreter-sourced moves, and those name locations
+/// neither trace has written. The export is made up for whenever the call
+/// does not come back as expected. Every other site is eager: export, enter
+/// whichever sibling accepts the interpreter state (following type-unstable
+/// links, Figure 6), export, and a refresh with every source the
+/// interpreter.
 #[derive(Debug)]
 pub struct TransferPlan {
     /// Whether the call-site export is deferred.
     pub deferred: bool,
-    /// The inner tree's entry map, filled from the outer record (the
-    /// other one) or the interpreter.
+    /// Deferred only: the inner tree's entry map, filled from the outer
+    /// record (the other one) or the interpreter.
     args: Vec<Move>,
     /// Deferred only: the variables of the inner exit's write-back that no
     /// later exit of the outer trace restores (it never wrote them).
@@ -60,7 +63,8 @@ fn held(list: &[SlotBinding], key: SlotKey) -> Option<&SlotBinding> {
 }
 
 impl TransferPlan {
-    /// The plan of `site`, a nested-call site of `outer` calling `inner`.
+    /// The plan of `site`, a nested-call site of `outer`, whose calls
+    /// return from `inner` (the tree `site.returns`).
     pub fn build(outer: &TreeCode, site: &NestedSite, inner: &TreeCode) -> TransferPlan {
         let (callsite, frames) = (&site.callsite.write_back, &site.callsite.frames);
         let (frag, exit) = site.expected_exit;
@@ -71,7 +75,10 @@ impl TransferPlan {
         let in_place =
             |b: &SlotBinding| matches!(b.key, SlotKey::Global(_) | SlotKey::Local { depth: 0, .. });
         let holds = |list, b: &SlotBinding| in_place(b) || held(list, b.key).is_some();
-        let deferred = inner.nested_sites.is_empty()
+        // A sibling link is followed through interpreter state; without
+        // one, `inner` is also the tree the call enters.
+        let deferred = site.inner == site.returns
+            && inner.nested_sites.is_empty()
             && frames.len() == 1
             && inner.entry.iter().all(|b| holds(callsite, b))
             && site.reimports.iter().all(|b| holds(returned, b) || holds(callsite, b));
@@ -80,7 +87,7 @@ impl TransferPlan {
         let held_in = |list: &[SlotBinding], key, record: fn(ArSlot, LirType) -> Source| {
             held(list, key).filter(|_| deferred).map(|b| record(b.ar, b.ty))
         };
-        let args = inner.entry.iter().map(|&to| Move {
+        let args = inner.entry.iter().filter(|_| deferred).map(|&to| Move {
             from: held_in(callsite, to.key, Source::Other).unwrap_or(Source::Interp),
             to,
         });
@@ -92,8 +99,11 @@ impl TransferPlan {
             .filter(is_variable)
             .chain(&outer.loop_writes)
             .chain(callsite.iter().filter(is_variable));
-        let reimports = site.reimports.iter().map(|b| (b, true));
-        for (&to, reimport) in canonical.map(|b| (b, false)).chain(reimports) {
+        // A retyped variable is refreshed at the type the inner exit
+        // leaves it, whichever list names it.
+        let retype = |to: &SlotBinding| held(&site.retyped, to.key).copied().unwrap_or(*to);
+        let reimports = site.reimports.iter().map(|&b| (b, true));
+        for (to, reimport) in canonical.map(|b| (retype(b), false)).chain(reimports) {
             let from = match held_in(returned, to.key, Source::Other)
                 .or_else(|| held_in(callsite, to.key, Source::Own))
             {
@@ -168,7 +178,7 @@ impl SitePlans {
         }
         let plan = self.sites[id as usize].get_or_insert_with(|| {
             let site = &outer.nested_sites[id as usize];
-            TransferPlan::build(outer, site, &cache.tree(site.inner).code)
+            TransferPlan::build(outer, site, &cache.tree(site.returns).code)
         });
         (plan, &mut self.words)
     }
@@ -220,45 +230,71 @@ impl NestHost<'_> {
         let (plan, words) = plans.site(site_id, outer, &monitor.cache);
         monitor.profiler.stats.nested_calls += 1;
         monitor.profiler.stats.nested_deferred += u64::from(plan.deferred);
-        if !plan.deferred {
-            export(&site.callsite, outer_ar, frame, interp, realm);
-        }
-
-        let code = Arc::clone(&monitor.cache.tree(site.inner).code);
-        let mut inner = Entered {
-            tid: site.inner,
-            ar: monitor.ars.take(code.layout.len()),
-            code,
-            frame: frame + site.callsite.frames.len() - 1,
-        };
-        let loaded =
-            run_moves(&plan.args, &mut inner.ar, outer_ar, interp, realm, inner.frame, words);
-        let run = if loaded {
-            monitor.run_entered(&mut inner, interp, realm).map(Some)
+        let entered = if plan.deferred {
+            let code = Arc::clone(&monitor.cache.tree(site.inner).code);
+            let mut inner = Entered {
+                tid: site.inner,
+                ar: monitor.ars.take(code.layout.len()),
+                code,
+                frame: frame + site.callsite.frames.len() - 1,
+            };
+            if run_moves(&plan.args, &mut inner.ar, outer_ar, interp, realm, inner.frame, words) {
+                Some(inner)
+            } else {
+                monitor.ars.give(inner.ar);
+                None
+            }
         } else {
-            Ok(None)
+            // From interpreter state, the call enters whichever sibling
+            // accepts it, as a monitor run does.
+            export(&site.callsite, outer_ar, frame, interp, realm);
+            let anchor = monitor.cache.tree(site.inner).anchor;
+            monitor.enter_sibling(anchor, None, true, interp, realm)
         };
-        let ran = match run {
-            Ok(Some(ran)) => ran,
-            refused_or_failed => {
-                // The inner tree did not run, or a helper of it raised:
-                // the interpreter is left at the call site.
+        let Some(mut inner) = entered else {
+            // The interpreter is left at the call site.
+            if plan.deferred {
+                export(&site.callsite, outer_ar, frame, interp, realm);
+            }
+            return Ok(false);
+        };
+        let mut ran = match monitor.run_entered(&mut inner, interp, realm) {
+            Ok(ran) => ran,
+            Err(e) => {
+                // A helper of the inner tree raised.
                 if plan.deferred {
                     export(&site.callsite, outer_ar, frame, interp, realm);
                 }
                 monitor.ars.give(inner.ar);
-                return refused_or_failed.map(|_| false);
+                return Err(e);
             }
         };
 
+        if !plan.deferred {
+            // Figure 6 inside the call: a type-unstable exit goes on in
+            // the sibling its state enters, as in a monitor run.
+            while monitor.settle(&inner, &ran, interp, realm)? == ExitKind::Unstable {
+                let (anchor, from) = (inner.code.anchor, Some(inner.tid));
+                let Some(next) = monitor.enter_sibling(anchor, from, true, interp, realm) else {
+                    break;
+                };
+                monitor.ars.give(std::mem::replace(&mut inner, next).ar);
+                ran = match monitor.run_entered(&mut inner, interp, realm) {
+                    Ok(ran) => ran,
+                    Err(e) => {
+                        monitor.ars.give(inner.ar);
+                        return Err(e);
+                    }
+                };
+            }
+        }
         // §4.1: "we must guard on it after the call, and side exit if the
         // property does not hold."
-        let expected = !ran.out_of_fuel && (ran.frag, ran.exit) == site.expected_exit;
+        let expected = !ran.out_of_fuel
+            && inner.tid == site.returns
+            && (ran.frag, ran.exit) == site.expected_exit;
         if !expected {
-            *unexpected = Some((site.inner, ran.frag, ran.exit));
-        }
-        if !plan.deferred {
-            monitor.settle(&inner, &ran, interp, realm)?;
+            *unexpected = Some((inner.tid, ran.frag, ran.exit));
         }
         let returned =
             expected && run_moves(&plan.refresh, outer_ar, &inner.ar, interp, realm, frame, words);
@@ -544,8 +580,10 @@ mod tests {
         let mut inner = tree(anchor, inner_layout, inner_entry, vec![expected]);
         let site = NestedSite {
             inner: TreeId(0),
+            returns: TreeId(0),
             expected_exit: (0, 0),
             reimports,
+            retyped: vec![],
             callsite,
             callsite_exit: 0,
         };
@@ -634,7 +672,12 @@ mod tests {
             export(&site.callsite, outer_ar, 0, interp, realm);
         }
         let (mut inner_ar, words) = (vec![0u64; inner.layout.len()], &mut Vec::new());
-        if !run_moves(&plan.args, &mut inner_ar, outer_ar, interp, realm, 0, words) {
+        // An eager call enters the inner tree from interpreter state.
+        let loaded = match plan.deferred {
+            true => run_moves(&plan.args, &mut inner_ar, outer_ar, interp, realm, 0, words),
+            false => import(&inner.entry, interp, realm, 0, &mut inner_ar),
+        };
+        if !loaded {
             if plan.deferred {
                 export(&site.callsite, outer_ar, 0, interp, realm);
             }
@@ -714,7 +757,7 @@ mod tests {
         let m = vm.monitor().unwrap();
         let outer = m.cache.iter().find(|t| !t.nested_sites.is_empty()).expect("a nest");
         let site = &outer.nested_sites[0];
-        let plan = TransferPlan::build(outer, site, m.cache.tree(site.inner));
+        let plan = TransferPlan::build(outer, site, m.cache.tree(site.returns));
         assert!(plan.deferred);
         let n = SlotKey::Global(vm.realm.lookup_global("n").unwrap());
         assert!(plan.args.iter().any(|m| m.to.key == n && m.from == Source::Interp));

@@ -49,7 +49,7 @@ pub const MAGIC: [u8; 4] = *b"TMTC";
 /// Current format version. Readers reject any other value (there is no
 /// cross-version migration: a cache is a regenerable artifact, so version
 /// skew simply degrades to a cold start).
-pub const VERSION: u32 = 8;
+pub const VERSION: u32 = 9;
 
 /// Why a cache file or entry was rejected. Every variant degrades to a
 /// cold start; none is fatal to the VM.
@@ -386,9 +386,11 @@ fn r_anchor(r: &mut ByteReader) -> Result<Anchor, BinError> {
 
 fn w_nested(n: &NestedSite, w: &mut ByteWriter) {
     w.u32(n.inner.0);
+    w.u32(n.returns.0);
     w.u32(n.expected_exit.0);
     w.u16(n.expected_exit.1);
     w_bindings(&n.reimports, w);
+    w_bindings(&n.retyped, w);
     w_exit(&n.callsite, w);
     w.u16(n.callsite_exit);
 }
@@ -396,8 +398,10 @@ fn w_nested(n: &NestedSite, w: &mut ByteWriter) {
 fn r_nested(r: &mut ByteReader) -> Result<NestedSite, BinError> {
     Ok(NestedSite {
         inner: crate::tree::TreeId(r.u32()?),
+        returns: crate::tree::TreeId(r.u32()?),
         expected_exit: (r.u32()?, r.u16()?),
         reimports: r_bindings(r)?,
+        retyped: r_bindings(r)?,
         callsite: r_exit(r)?,
         callsite_exit: r.u16()?,
     })
@@ -875,10 +879,12 @@ fn validate_tree(prog: &Program, realm: &Realm, ntrees: u32, t: &TreeCode) -> Re
     check_bindings("entry type map", &t.entry)?;
     check_bindings("loop writes", &t.loop_writes)?;
     for (i, site) in t.nested_sites.iter().enumerate() {
-        if site.inner.0 >= ntrees {
-            return bad(format!("nested site {i}: inner tree {} out of range", site.inner.0));
+        if site.inner.0 >= ntrees || site.returns.0 >= ntrees {
+            let (inner, returns) = (site.inner.0, site.returns.0);
+            return bad(format!("nested site {i}: tree {inner} or {returns} out of range"));
         }
         check_bindings("nested reimports", &site.reimports)?;
+        check_bindings("nested retyped", &site.retyped)?;
         check_exit(&format!("nested site {i} callsite"), &site.callsite)?;
     }
     Ok(())

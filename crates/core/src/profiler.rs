@@ -56,15 +56,19 @@ pub struct ProfileStats {
     /// Instructions the peephole pass removed from compiled code (static:
     /// raw minus fused length, summed over fragments).
     pub fuse_insts_removed: u64,
-    /// Tree runs: monitor → native transitions plus nested calls.
+    /// Tree runs: monitor → native transitions plus nested calls, each
+    /// type-unstable sibling link followed (Figure 6) a run of its own.
     pub trace_enters: u64,
-    /// Of `trace_enters`, the runs an outer trace's `CallTree` started
-    /// (§4); the rest are the monitor's own.
+    /// Calls an outer trace's `CallTree` made (§4), each counted once
+    /// however many sibling links it followed; the other runs of
+    /// `trace_enters` are the monitor's own and the links.
     pub nested_calls: u64,
     /// Of `nested_calls`, how many ran with the call-site export deferred
     /// (`nest::TransferPlan::deferred`).
     pub nested_deferred: u64,
-    /// Side exits taken back to the monitor.
+    /// Tree runs that ended, one per run of `trace_enters`: back to the
+    /// monitor, or, for a nested call, back to the calling trace
+    /// (docs/DIAGNOSTICS.md).
     pub side_exits: u64,
     /// Traces recorded successfully.
     pub traces_completed: u64,

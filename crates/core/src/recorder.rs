@@ -180,6 +180,27 @@ enum PendingNative {
     Fast(Helper, FastTy),
 }
 
+/// What the entry frame's locals and the globals held when a root
+/// recording started: the entry types of the loop-persistent writes the
+/// trace never imports.
+#[derive(Debug)]
+struct StartTypes {
+    locals: Vec<LirType>,
+    globals: Vec<LirType>,
+}
+
+impl StartTypes {
+    fn of(&self, key: SlotKey) -> Option<LirType> {
+        match key {
+            SlotKey::Global(g) => {
+                Some(self.globals.get(g as usize).copied().unwrap_or(LirType::Undefined))
+            }
+            SlotKey::Local { depth: 0, slot } => self.locals.get(slot as usize).copied(),
+            _ => None,
+        }
+    }
+}
+
 /// The trace recorder. One instance per recording attempt.
 pub struct Recorder {
     buf: LirBuffer,
@@ -205,12 +226,23 @@ pub struct Recorder {
     ops_recorded: u32,
     nested_sites: Vec<NestedSite>,
     nested_site_base: u32,
-    /// Inner anchors nested-called during this recording: hitting the same
-    /// anchor twice means the inner tree exited mid-loop and we are
-    /// circling it — the paper's "the interpreter PC is in the inner tree,
-    /// so we cannot continue recording" case (§4.1).
-    nested_anchors: Vec<(FuncId, u32)>,
+    /// Inner anchors nested-called during this recording, by the frame
+    /// depth they were reached at: hitting the same anchor twice in one
+    /// frame means the inner tree exited mid-loop and we are circling it —
+    /// the paper's "the interpreter PC is in the inner tree, so we cannot
+    /// continue recording" case (§4.1). A frame's anchors go when it
+    /// returns, so a second call of the same function is a second site.
+    nested_anchors: Vec<(u8, FuncId, u32)>,
+    /// The inner anchor this recording last reached: the one a provisional
+    /// abort waited on (§4.2).
+    last_inner: Option<(FuncId, u32)>,
+    /// Root recordings only: the types the entry frame's locals and the
+    /// globals held when recording started.
+    start: Option<StartTypes>,
     active_site: Option<usize>,
+    /// The variables the last nested call's expected exit writes back, in
+    /// this trace's keys, at the types the host refreshes them with.
+    returned: Vec<(SlotKey, LirType)>,
     pending_nested_exit: Option<ExitId>,
     pending_native: Option<(PendingNative, u32)>,
     oracle_marks: Vec<VarKey>,
@@ -248,11 +280,16 @@ impl Recorder {
         anchor: Anchor,
         anchor_range: (u32, u32),
         interp: &Interp,
+        realm: &Realm,
         opts: JitOptions,
     ) -> Recorder {
         let frame = interp.frame();
         let func = frame.func;
         let nlocals = interp.prog().function(func).nlocals;
+        let start = StartTypes {
+            locals: (0..nlocals).map(|l| observed_type(interp.local(l))).collect(),
+            globals: realm.globals.iter().map(|&v| observed_type(v)).collect(),
+        };
         Recorder {
             buf: LirBuffer::new(opts.filters),
             layout: ArLayout::new(),
@@ -278,6 +315,7 @@ impl Recorder {
             nested_sites: Vec::new(),
             nested_site_base: 0,
             active_site: None,
+            returned: Vec::new(),
             pending_nested_exit: None,
             pending_native: None,
             oracle_marks: Vec::new(),
@@ -290,6 +328,8 @@ impl Recorder {
             last_was_fast: false,
             fast_helpers: Vec::new(),
             nested_anchors: Vec::new(),
+            last_inner: None,
+            start: Some(start),
         }
     }
 
@@ -329,6 +369,7 @@ impl Recorder {
             nested_sites: Vec::new(),
             nested_site_base,
             active_site: None,
+            returned: Vec::new(),
             pending_nested_exit: None,
             pending_native: None,
             oracle_marks: Vec::new(),
@@ -341,6 +382,8 @@ impl Recorder {
             last_was_fast: false,
             fast_helpers: Vec::new(),
             nested_anchors: Vec::new(),
+            last_inner: None,
+            start: None,
         };
         // Every existing tree-entry slot is already populated at tree
         // entry: seed its type first so the branch never re-adds it as a
@@ -402,6 +445,12 @@ impl Recorder {
     /// Number of bytecodes recorded so far.
     pub fn ops_recorded(&self) -> u32 {
         self.ops_recorded
+    }
+
+    /// The inner loop header this recording last reached, if any: what an
+    /// `InnerTreeNotReady`/`InnerTreeCallFailed` abort waited on.
+    pub fn last_inner(&self) -> Option<(FuncId, u32)> {
+        self.last_inner
     }
 
     // ==== shadow-state primitives ====
@@ -515,11 +564,13 @@ impl Recorder {
     /// host instead of at tree entry.
     fn import_slot(&mut self, key: SlotKey, observed: Option<Value>) -> Sv {
         if let Some(site) = self.active_site {
-            // Post-nested-call re-import: the canonical slot keeps its
-            // pre-call type for exits, so the refreshed value gets a
-            // private slot the host populates after the inner call.
-            let v = observed.expect("re-import needs an observed value");
-            let ty = observed_type(v);
+            // Post-nested-call re-import: the refreshed value gets a
+            // private slot the host populates after the inner call, at the
+            // type the inner exit leaves, or else the one observed.
+            let ty = match self.returned.iter().find(|&&(k, _)| k == key) {
+                Some(&(_, ty)) => ty,
+                None => observed_type(observed.expect("re-import needs an observed value")),
+            };
             let idx = self.nested_sites[site].reimports.len() as u16;
             let site_id = self.nested_site_base + site as u32;
             let ar = self.layout.slot(SlotKey::Reimport { site: site_id, idx });
@@ -619,10 +670,18 @@ impl Recorder {
         sv
     }
 
-    fn set_local(&mut self, slot: u16, sv: Sv) {
-        let depth = self.depth();
-        self.frames[depth].locals[slot as usize] = Some(sv);
-        self.write_ar(SlotKey::Local { depth: depth as u8, slot }, sv);
+    /// Writes variable `key`, a local of a live frame or a global.
+    fn set_var(&mut self, key: SlotKey, sv: Sv) {
+        match key {
+            SlotKey::Global(g) => {
+                self.globals.insert(g, sv);
+            }
+            SlotKey::Local { depth, slot } => {
+                self.frames[depth as usize].locals[slot as usize] = Some(sv);
+            }
+            SlotKey::Stack { .. } | SlotKey::Reimport { .. } => unreachable!("not a variable"),
+        }
+        self.write_ar(key, sv);
     }
 
     fn global_sv(&mut self, slot: u32, realm: &Realm, oracle: &Oracle) -> Sv {
@@ -635,11 +694,6 @@ impl Recorder {
         let sv = self.import_slot(key, Some(v));
         self.globals.insert(slot, sv);
         sv
-    }
-
-    fn set_global_sv(&mut self, slot: u32, sv: Sv) {
-        self.globals.insert(slot, sv);
-        self.write_ar(SlotKey::Global(slot), sv);
     }
 
     fn undefined_sv(&mut self) -> Sv {
@@ -852,7 +906,7 @@ impl Recorder {
             }
             Op::SetLocal(s) => {
                 let v = self.pop();
-                self.set_local(s, v);
+                self.set_var(SlotKey::Local { depth: self.depth() as u8, slot: s }, v);
             }
             Op::GetGlobal(g) => {
                 let sv = self.global_sv(g, realm, oracle);
@@ -860,7 +914,7 @@ impl Recorder {
             }
             Op::SetGlobal(g) => {
                 let v = self.pop();
-                self.set_global_sv(g, v);
+                self.set_var(SlotKey::Global(g), v);
             }
 
             Op::Pop => {
@@ -1071,6 +1125,7 @@ impl Recorder {
                 };
                 self.written.retain(alive);
                 self.known.retain(alive);
+                self.nested_anchors.retain(|&(depth, ..)| depth != gone);
                 let result = if frame.is_construct && result.ty != LirType::Object {
                     frame.locals[0].expect("this is always set")
                 } else {
@@ -1129,15 +1184,17 @@ impl Recorder {
                     self.finish_at_anchor();
                     return Ok(RecordAction::Finished);
                 }
-                if self.nested_anchors.contains(&(frame.func, frame.pc)) {
-                    // We already called this inner tree during this
-                    // recording and came back around to its header: the
-                    // inner call exited mid-loop, so the outer trace cannot
-                    // treat it as a subroutine. Abort and let the inner
-                    // tree grow (§4.1/§4.2).
+                self.last_inner = Some((frame.func, frame.pc));
+                let site = (self.depth() as u8, frame.func, frame.pc);
+                if self.nested_anchors.contains(&site) {
+                    // We already called this inner tree from this frame
+                    // and came back around to its header: the inner call
+                    // exited mid-loop, so the outer trace cannot treat it
+                    // as a subroutine. Abort and let the inner tree grow
+                    // (§4.1/§4.2).
                     return Err(AbortReason::InnerTreeCallFailed);
                 }
-                self.nested_anchors.push((frame.func, frame.pc));
+                self.nested_anchors.push(site);
                 return Ok(RecordAction::InnerLoop { func: frame.func, pc: frame.pc, loop_id });
             }
             Op::Nop => {}
@@ -1971,18 +2028,28 @@ impl Recorder {
         self.pending_nested_exit = Some(e);
     }
 
-    /// Completes a nested call after the monitor ran the inner tree:
-    /// records the `CallTree`, registers the site, and invalidates shadow
-    /// state the inner tree may have changed.
-    pub fn finish_nested(&mut self, inner: TreeId, expected_exit: (u32, u16)) -> u32 {
+    /// Completes a nested call after the monitor ran the inner tree (and
+    /// the siblings its type-unstable exits led to, returning from
+    /// `returns` through an exit writing back `returned`): records the
+    /// `CallTree`, registers the site, and invalidates shadow state the
+    /// inner tree may have changed.
+    pub fn finish_nested(
+        &mut self,
+        inner: TreeId,
+        returns: TreeId,
+        expected_exit: (u32, u16),
+        returned: &[SlotBinding],
+    ) -> u32 {
         let exit = self.pending_nested_exit.take().expect("begin_nested first");
         let local = self.nested_sites.len();
         let site_id = self.nested_site_base + local as u32;
         let callsite = self.exits[exit.0 as usize].clone();
         self.nested_sites.push(NestedSite {
             inner,
+            returns,
             expected_exit,
             reimports: Vec::new(),
+            retyped: Vec::new(),
             callsite,
             callsite_exit: exit.0,
         });
@@ -1996,6 +2063,27 @@ impl Recorder {
         }
         self.globals.clear();
         self.active_site = Some(local);
+        // The inner exit's keys are relative to the inner loop's frame.
+        let depth = self.depth() as u8;
+        self.returned =
+            returned.iter().filter_map(|b| Some((b.key.variable_from(depth)?, b.ty))).collect();
+        // The host refreshes a variable the inner exit writes back at the
+        // exit's type: where this trace knew the slot at another, it
+        // takes the refreshed value through a re-import, so that its
+        // exits and loop edge see the type the slot holds.
+        for (key, ty) in self.returned.clone() {
+            let retyped = self
+                .layout
+                .lookup(key)
+                .and_then(|ar| self.known.get(&ar))
+                .is_some_and(|&(_, was)| was != ty);
+            if retyped {
+                let sv = self.import_slot(key, None);
+                self.set_var(key, sv);
+                let ar = self.layout.slot(key);
+                self.nested_sites[local].retyped.push(SlotBinding { ar, key, ty });
+            }
+        }
         site_id
     }
 
@@ -2005,11 +2093,13 @@ impl Recorder {
     pub fn finish_nested_with_stack(
         &mut self,
         inner: TreeId,
-        expected_exit: (u32, u16),
-        stack_depth: u16,
+        returns: TreeId,
+        expected_exit: &SideExitInfo,
+        exit: (u32, u16),
         interp: &Interp,
     ) -> u32 {
-        let site = self.finish_nested(inner, expected_exit);
+        let site = self.finish_nested(inner, returns, exit, &expected_exit.write_back);
+        let stack_depth = expected_exit.frames[0].stack_depth;
         let depth = self.depth() as u8;
         self.frames.last_mut().expect("frame").stack.clear();
         for idx in 0..stack_depth {
@@ -2036,6 +2126,35 @@ impl Recorder {
     }
 
     fn finish_at_anchor(&mut self) {
+        // A loop-persistent write (a global or entry-frame local) the
+        // trace never imported must still be populated at entry. A root
+        // recording enters it at the type it held when recording started,
+        // so that the tree can be entered from the state it was recorded
+        // in (an int start takes a double edge as a double; a double
+        // start, an int edge through the widening below); a branch has no
+        // start state and keeps it only if the loop closes stable, at its
+        // edge type. Pushed in AR order: the entry map, and with it the
+        // sibling digest, is the same in every process.
+        let mut fresh: Vec<SlotBinding> = self
+            .written
+            .iter()
+            .filter(|&(_, &(key, _))| is_persistent(key) && !self.is_entry(key))
+            .map(|(&ar, &(key, ty))| SlotBinding { ar, key, ty })
+            .collect();
+        fresh.sort_by_key(|b| b.ar);
+        if let Some(start) = &self.start {
+            for b in &mut fresh {
+                let at_start = start.of(b.key).expect("persistent keys have a start type");
+                b.ty = match (at_start, b.ty) {
+                    (LirType::Int, LirType::Double) | (LirType::Double, LirType::Int) => {
+                        LirType::Double
+                    }
+                    _ => at_start,
+                };
+                self.entry_types.insert(b.key, b.ty);
+            }
+            self.new_entry.append(&mut fresh);
+        }
         // Type-stability analysis (§3.2): compare the loop-edge types of
         // every entry slot with the entry map.
         let entries: Vec<SlotBinding> = self
@@ -2053,7 +2172,7 @@ impl Recorder {
             }
             if e.ty == LirType::Double && cur_ty == LirType::Int {
                 // An int flowed into a double slot: widen at the edge.
-                if let Some(sv) = self.current_sv_for(e.key) {
+                if let Some(sv) = self.edge_sv(e.key, cur_ty) {
                     coerce.push((*e, sv));
                     continue;
                 }
@@ -2082,22 +2201,16 @@ impl Recorder {
             // write back garbage), and (b) *every* exit must write them
             // back (an exit on iteration k may be reached after the write
             // happened on iteration k-1).
-            let mut loop_writes: Vec<SlotBinding> = Vec::new();
-            for (&ar, &(key, ty)) in &self.written {
-                if matches!(key, SlotKey::Global(_) | SlotKey::Local { depth: 0, .. }) {
-                    loop_writes.push(SlotBinding { ar, key, ty });
-                    // Must be a *tree entry* slot (populated on every
-                    // entry): the entry_types map also contains parent-path
-                    // imports that are not entry slots, so check the entry
-                    // lists themselves.
-                    let is_entry = self.existing_entry.iter().any(|e| e.key == key)
-                        || self.new_entry.iter().any(|e| e.key == key);
-                    if !is_entry {
-                        self.entry_types.insert(key, ty);
-                        self.new_entry.push(SlotBinding { ar, key, ty });
-                    }
-                }
+            for b in fresh {
+                self.entry_types.insert(b.key, b.ty);
+                self.new_entry.push(b);
             }
+            let mut loop_writes: Vec<SlotBinding> = self
+                .written
+                .iter()
+                .filter(|&(_, &(key, _))| is_persistent(key))
+                .map(|(&ar, &(key, ty))| SlotBinding { ar, key, ty })
+                .collect();
             loop_writes.sort_by_key(|b| b.ar);
             self.loop_writes = loop_writes;
             let e = self.snapshot_exit(ExitKind::LoopEdge, self.anchor.pc, None);
@@ -2108,6 +2221,28 @@ impl Recorder {
             }
             self.finish = Some(FinishKind::StableLoop);
         }
+    }
+
+    /// Whether `key` is a *tree entry* slot (populated on every entry):
+    /// `entry_types` also holds parent-path imports that are not, so this
+    /// reads the entry lists themselves.
+    fn is_entry(&self, key: SlotKey) -> bool {
+        self.existing_entry.iter().chain(&self.new_entry).any(|e| e.key == key)
+    }
+
+    /// The value of `key` at the loop edge, as a `ty` the slot holds: its
+    /// shadow value, or, for a slot a branch's parent path wrote and the
+    /// branch never touched, an import of it. `None` after a nested call
+    /// whose re-import is of another type than the slot's own.
+    fn edge_sv(&mut self, key: SlotKey, ty: LirType) -> Option<Sv> {
+        let sv = match self.current_sv_for(key) {
+            Some(sv) => sv,
+            None if self.active_site.is_none() && self.entry_types.get(&key) == Some(&ty) => {
+                self.import_slot(key, None)
+            }
+            None => return None,
+        };
+        (sv.ty == ty).then_some(sv)
     }
 
     fn current_sv_for(&self, key: SlotKey) -> Option<Sv> {
@@ -2154,6 +2289,12 @@ impl Recorder {
         }
     }
 
+}
+
+/// Whether a write to `key` persists across loop iterations in the
+/// activation record: globals and the entry frame's locals.
+fn is_persistent(key: SlotKey) -> bool {
+    matches!(key, SlotKey::Global(_) | SlotKey::Local { depth: 0, .. })
 }
 
 /// Reads the interpreter operand `from_top` entries below the top.

@@ -59,12 +59,20 @@ pub struct ExitState {
 pub struct NestedSite {
     /// The inner tree called.
     pub inner: TreeId,
-    /// The (fragment, exit) the inner tree is expected to take — the
-    /// "return to the same point every time" guard of §4.1.
+    /// The tree the call returns from: `inner`, or the sibling a chain of
+    /// type-unstable exits led to (Figure 6), followed inside the call.
+    pub returns: TreeId,
+    /// The (fragment, exit) of `returns` the call is expected to take —
+    /// the "return to the same point every time" guard of §4.1.
     pub expected_exit: (u32, u16),
     /// Outer AR slots to refresh from interpreter state after the call,
     /// with the types the outer trace re-imports them at.
     pub reimports: Vec<SlotBinding>,
+    /// Outer variables the outer trace knew at another type than the one
+    /// the expected exit writes back: their slots are refreshed at that
+    /// exit's type, as listed here, and the trace takes them over from a
+    /// re-import.
+    pub retyped: Vec<SlotBinding>,
     /// State-transfer recipe for the call site: how the nesting host syncs
     /// the outer AR into interpreter state before entering the inner tree.
     pub callsite: SideExitInfo,
@@ -76,12 +84,15 @@ pub struct NestedSite {
 /// Execution statistics for a tree.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct TreeStats {
-    /// Times entered from the monitor.
+    /// Times entered from the monitor. A chain of type-unstable sibling
+    /// links the monitor follows counts once, against the tree it entered;
+    /// nested calls never count.
     pub enters: u64,
-    /// Loop-edge crossings executed natively.
+    /// Loop-edge crossings executed natively, nested calls included.
     pub iterations: u64,
-    /// Side exits taken back to the monitor.
-    pub monitor_exits: u64,
+    /// Trunk bytecodes the monitor's entries ran natively, their sibling
+    /// chains included: what §3.3 probation weighs against `enters`.
+    pub native_bytecodes: u64,
 }
 
 /// A tree's native x86-64 code (`JitOptions::native_backend`). Never
@@ -170,13 +181,6 @@ impl std::ops::Deref for TraceTree {
 
     fn deref(&self) -> &TreeCode {
         &self.code
-    }
-}
-
-impl TreeStats {
-    /// Native bytecodes attributed to this tree (Figure 11 accounting).
-    pub fn native_bytecodes(&self, trunk_bc: u32) -> u64 {
-        self.iterations * u64::from(trunk_bc)
     }
 }
 

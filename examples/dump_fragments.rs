@@ -73,12 +73,13 @@ fn main() {
             println!("{}", frag.listing());
         }
         for (s, site) in tree.nested_sites.iter().enumerate() {
-            let plan = TransferPlan::build(tree, site, m.cache.tree(site.inner));
+            let plan = TransferPlan::build(tree, site, m.cache.tree(site.returns));
             let (outer_ar, inner_ar, interp) = plan.sources();
             println!(
-                "=== tree {t} nested site {s}: calls tree {} expecting exit {:?}, call-site export {}; \
-                 bindings from outer AR {}, inner AR {}, interpreter {} ===",
+                "=== tree {t} nested site {s}: calls tree {} expecting tree {} exit {:?}, \
+                 call-site export {}; bindings from outer AR {}, inner AR {}, interpreter {} ===",
                 site.inner.0,
+                site.returns.0,
                 site.expected_exit,
                 if plan.deferred { "deferred" } else { "eager" },
                 outer_ar,
@@ -175,8 +176,14 @@ fn dump_cache(path: &std::path::Path, native: bool) {
             }
             for site in &tree.nested_sites {
                 println!(
-                    "nested call: inner tree {:?} expected_exit {:?} callsite_exit {} reimports {:?}",
-                    site.inner, site.expected_exit, site.callsite_exit, site.reimports
+                    "nested call: inner tree {:?} returns {:?} expected_exit {:?} callsite_exit {} \
+                     reimports {:?} retyped {:?}",
+                    site.inner,
+                    site.returns,
+                    site.expected_exit,
+                    site.callsite_exit,
+                    site.reimports,
+                    site.retyped
                 );
             }
             if tree.unstable {

@@ -441,3 +441,85 @@ fn the_step_budget_running_out_inside_a_nested_call() {
         assert!(spins >= i * 50.0 && spins <= (i + 1.0) * 50.0, "spins {spins}, i {i}");
     }
 }
+
+// ---- convergence --------------------------------------------------------
+
+/// Share of the run's bytecodes that ran natively.
+fn native_share(s: &ProfileStats) -> f64 {
+    s.bytecodes_native as f64 / (s.bytecodes_native + s.bytecodes_interp) as f64
+}
+
+#[test]
+fn a_loop_written_slot_holding_minus_zero_at_the_header_enters_as_a_double() {
+    // 3d-raytrace, reduced: `o` is written before it is read, and at the
+    // inner header it holds the last iteration's value — `-0` after the
+    // first element. Typed from the loop edge alone, the tree wanted an
+    // int there and could not be entered from the state it was recorded
+    // in: a sibling per outer iteration until §3.3 disabled them all.
+    let s = differential(
+        "var xs = [0, 2, -2]; var acc = 0;
+         for (var p = 0; p < 3000; p++) {
+             for (var s = 0; s < 3; s++) { var o = -xs[s]; acc += o * 0.5 + p; }
+         }
+         acc",
+        &["acc", "o", "s", "p"],
+    );
+    assert!(native_share(&s) >= 0.99, "{s:?}");
+    assert!(s.nested_calls >= 2900, "{s:?}");
+    assert!(s.trees <= 4, "{s:?}");
+}
+
+#[test]
+fn a_callees_loop_variable_undefined_at_each_first_header() {
+    // math-cordic, reduced: `n` is undefined when each call reaches the
+    // header and a double on the loop edge. The first tree closes
+    // type-unstable (Figure 6) and links to the double one, inside the
+    // outer tree's nested call as in a monitor run.
+    let s = differential(
+        "function g() {
+             var x = 0.5;
+             for (var s = 0; s < 12; s++) { var n; n = x + s; x = n; }
+             return x;
+         }
+         var total = 0;
+         for (var i = 0; i < 5000; i++) total += g();
+         total",
+        &["total", "i"],
+    );
+    assert!(s.nested_calls >= 4990, "{s:?}");
+    assert!(native_share(&s) >= 0.99, "{s:?}");
+    assert!(s.traces_aborted <= 1, "{s:?}");
+}
+
+#[test]
+fn two_calls_of_one_function_in_one_outer_iteration_are_two_sites() {
+    // The second call reaches the inner header the first call's site was
+    // recorded at, from a fresh frame: a site of its own, not a revisit.
+    let s = differential(
+        "function f(n) { var s = 0; for (var k = 0; k < 4; k++) s += n + k; return s; }
+         var t = 0;
+         for (var i = 0; i < 20000; i++) { t += f(i); t -= f(1); }
+         t",
+        &["t", "i"],
+    );
+    assert_eq!(s.traces_aborted, 0, "{s:?}");
+    assert!(s.nested_calls >= 39_990, "{s:?}");
+    assert!(native_share(&s) >= 0.99, "{s:?}");
+}
+
+#[test]
+fn an_outer_loop_is_forgiven_when_its_inner_loop_in_a_callee_compiles() {
+    // The outer loop in the main script gets hot first and aborts at the
+    // callee's loop, which has no tree yet (§4.2). Its tree arrives during
+    // the next call, in another function: the outer loop is retried at
+    // once instead of after its backoff.
+    let s = differential(
+        "function inner(n) { var s = 0; for (var k = 0; k < n; k++) s += k; return s; }
+         var t = 0;
+         for (var i = 0; i < 40; i++) t += inner(i);
+         t",
+        &["t", "i"],
+    );
+    assert_eq!(s.traces_aborted, 1, "{s:?}");
+    assert!(s.nested_calls >= 30, "{s:?}");
+}
