@@ -56,6 +56,19 @@ if git ls-files '*.rs' | xargs grep -nE "$switch_names"; then
 fi
 echo "    OK: no tracked .rs file names a deleted ablation switch"
 
+echo "==> policy: superinstructions are the decoded executor's own"
+# The shared ISA (`MachInst`) is the raw instructions the assembler emits:
+# what .tmc files store, tm-verifier checks and the native tier lowers
+# (with its own instruction selection). The 25 fused forms are the
+# decoded executor's private dispatch form; no other file may name them.
+fused_names='CmpBranchI|CmpBranchD|CmpBranchLoopI|CmpBranchLoopD|AluImmI|AluArI|AluWrI|AluImmWrI|ChkAluImmI|ChkAluWrI|ChkAluImmWrI|ChkAluImmWrLoopI|ConstWrAr|MovAr|WriteAr2|WriteAr3|AluArWrI|CmpImmI|CmpWrI|CmpWrD|CmpImmWrI|CmpBranchImmI|CmpWrBranchI|CmpWrBranchD|CmpImmWrBranchI'
+if git ls-files '*.rs' | grep -vE '^crates/nanojit/src/(peephole|executor)\.rs$' \
+    | xargs grep -nwE "$fused_names"; then
+    echo "error: only the decoded executor (peephole.rs, executor.rs) may name a superinstruction" >&2
+    exit 1
+fi
+echo "    OK: the fused forms are named only in crates/nanojit/src/{peephole,executor}.rs"
+
 echo "==> report: Rust lines outside tests/ directories and outside each file's trailing #[cfg(test)] mod tests"
 # The number every PR reports ("net line count", ROADMAP north star #2):
 # run this stage on the parent and on the change and quote both. Tracked

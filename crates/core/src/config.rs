@@ -31,12 +31,17 @@ pub struct JitOptions {
     /// (`tm-verifier`): a malformed trace aborts recording with
     /// `AbortReason::VerifyFailed` instead of being compiled. On by
     /// default in debug/test builds, off in release (hot-path) builds.
-    /// When on, compiled fragments are additionally re-verified after the
-    /// superinstruction pass (`tm-verifier::verify_fragment`).
+    /// When on, every compiled fragment is also re-verified after
+    /// register allocation (`tm-verifier::verify_fragment`), and the
+    /// decoded executor checks that each superinstruction it fuses names
+    /// only registers, exits and AR slots of the raw instructions it
+    /// replaced (`tm-nanojit::peephole::decode`).
     pub verify: bool,
-    /// Run the peephole superinstruction pass (`tm-nanojit::fuse`) on
-    /// every compiled fragment. On by default; turning it off executes
-    /// the raw assembled code (the `decoded-raw` rung of `tm_bench`'s ladder).
+    /// Whether the decoded executor fuses a tree's raw fragments into
+    /// superinstructions (`tm-nanojit::peephole`) when it first runs the
+    /// tree. On by default; turning it off dispatches the raw assembled
+    /// code (the `decoded-raw` rung of `tm_bench`'s ladder). The native
+    /// tier, `.tmc` files and the verifier see raw code either way.
     pub enable_fusion: bool,
     /// Hand finished recordings to the attached background compiler pool
     /// (`Vm::attach_pool`) instead of compiling on the execution thread;

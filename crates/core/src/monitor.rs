@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use tm_bytecode::FuncId;
 use tm_interp::{Flow, Interp, RunExit};
-use tm_nanojit::{emit_tree, execute, Fragment, Unsupported, EXIT_UNSTITCHED};
+use tm_nanojit::{emit_tree, Decoded, DecodedTree, Fragment, Unsupported, EXIT_UNSTITCHED};
 use tm_runtime::{Realm, RuntimeError, Value};
 
 use crate::activation::{export, import, ArPool, SlotBinding};
@@ -28,7 +28,7 @@ use crate::profiler::{Activity, ProfileStats, Profiler};
 use crate::recorder::{self, RecordAction, RecordedTrace, Recorder};
 use crate::shared_cache::{entry_digest, SharedCodeCache, SharedKey};
 use crate::tree::{
-    Anchor, ExitState, NativeCode, NestedSite, TraceTree, TreeCache, TreeCode, TreeId,
+    Anchor, ExecCode, ExitState, NestedSite, TraceTree, TreeCache, TreeCode, TreeId,
 };
 
 /// Maximum sibling trees per loop header before the monitor stops
@@ -660,7 +660,7 @@ impl Monitor {
         // program, not a condition to recover from.
         let frag = compile_trace(recorded, verify_base, &self.opts)
             .unwrap_or_else(|err| panic!("{err}"));
-        self.absorb_compiled_fragment_stats(&frag);
+        self.profiler.stats.fragments += 1;
         self.profiler.switch(Activity::Monitor);
         frag
     }
@@ -791,21 +791,33 @@ impl Monitor {
         // body goes at the tail and the parent's exit is patched to jump
         // to it. Out of reserved capacity, or the code still referenced by
         // a run (never the case at an install today): build the tree
-        // again, whole, as first execution does.
-        tree.native = match std::mem::take(&mut tree.native) {
-            NativeCode::Code(native) => {
-                let stats = &mut self.profiler.stats;
+        // again, whole, as first execution does. A decoded tree decodes
+        // the new fragment and follows the new stitch.
+        let stats = &mut self.profiler.stats;
+        tree.exec = match std::mem::take(&mut tree.exec) {
+            ExecCode::Native(native) => {
                 match Arc::try_unwrap(native).map(|nt| nt.append(&code.fragments)) {
                     Ok(Ok(nt)) => {
                         stats.native_fragments += 1;
                         stats.native_emissions_sync += 1;
-                        NativeCode::Code(Arc::new(nt))
+                        ExecCode::Native(Arc::new(nt))
                     }
-                    Ok(Err(refused)) if refused != Unsupported::FULL => NativeCode::Refused,
-                    _ => build_native(&code.fragments, stats),
+                    Ok(Err(refused)) if refused != Unsupported::FULL => {
+                        build_decoded(&code.fragments, &self.opts, stats)
+                    }
+                    _ => build_exec(&code.fragments, &self.opts, stats),
                 }
             }
-            other => other,
+            ExecCode::Decoded(mut decoded) => {
+                let new = Arc::make_mut(&mut decoded).append(
+                    &code.fragments,
+                    self.opts.enable_fusion,
+                    self.opts.verify,
+                );
+                count_fusion(new, stats);
+                ExecCode::Decoded(decoded)
+            }
+            ExecCode::NotBuilt => ExecCode::NotBuilt,
         };
         code.layout = recorded.layout;
         for e in recorded.new_entry {
@@ -973,7 +985,7 @@ impl Monitor {
         let tree = self.cache.tree_mut(tid);
         tree.disabled = true;
         if !still_called {
-            tree.native = NativeCode::NotEmitted;
+            tree.exec = ExecCode::NotBuilt;
         }
     }
 
@@ -1182,7 +1194,7 @@ impl Monitor {
                     .compiling = false;
                 let mut recorded = *recorded;
                 self.count_fast_helpers(&mut recorded);
-                self.absorb_compiled_fragment_stats(&fragment);
+                self.profiler.stats.fragments += 1;
                 self.install_root_tree(anchor, recorded, *fragment);
                 self.profiler.stats.compile_jobs_installed += 1;
             }
@@ -1206,7 +1218,7 @@ impl Monitor {
                 }
                 let mut recorded = *recorded;
                 self.count_fast_helpers(&mut recorded);
-                self.absorb_compiled_fragment_stats(&fragment);
+                self.profiler.stats.fragments += 1;
                 self.install_branch(tid, frag, exit, recorded, *fragment);
                 self.profiler.stats.compile_jobs_installed += 1;
             }
@@ -1220,17 +1232,6 @@ impl Monitor {
                 self.record_exit_failure(tid, frag, exit);
             }
         }
-    }
-
-    /// The profiler accounting for one compiled fragment, whichever
-    /// thread compiled it.
-    fn absorb_compiled_fragment_stats(&mut self, frag: &Fragment) {
-        if self.opts.enable_fusion {
-            self.profiler.stats.fused_superinsts += u64::from(frag.fuse_stats.superinsts);
-            self.profiler.stats.fuse_insts_removed +=
-                u64::from(frag.fuse_stats.raw_insts - frag.fuse_stats.fused_insts);
-        }
-        self.profiler.stats.fragments += 1;
     }
 
     /// Runs an entered tree from the monitor and restores interpreter
@@ -1265,29 +1266,20 @@ impl Monitor {
         // The interpreter's step budget extends to native execution: trace
         // loop edges bail out when the (approximate) fuel runs out.
         let fuel = interp.steps_remaining;
-        // Native tier: the tree's code is built from whatever fragments
-        // it has at its first execution (so trees loaded from a cache that
-        // never run cost nothing) and grown by `install_branch` after
-        // that.
+        // The tree's code is built from whatever fragments it has at its
+        // first execution (so trees loaded from a cache that never run
+        // cost nothing) and grown by `install_branch` after that.
         let installs = self.cache.installs();
         let tree = self.cache.tree_mut(tid);
-        let native = if self.opts.native_backend {
-            if matches!(tree.native, NativeCode::NotEmitted) {
-                tree.native = build_native(&code.fragments, &mut self.profiler.stats);
-            }
-            match &tree.native {
-                NativeCode::Code(nt) => {
-                    self.profiler.stats.native_exits += 1;
-                    Some(Arc::clone(nt))
-                }
-                _ => {
-                    self.profiler.stats.native_fallbacks += 1;
-                    None
-                }
-            }
-        } else {
-            None
-        };
+        if matches!(tree.exec, ExecCode::NotBuilt) {
+            tree.exec = build_exec(&code.fragments, &self.opts, &mut self.profiler.stats);
+        }
+        let exec = tree.exec.clone();
+        match exec {
+            ExecCode::Native(_) => self.profiler.stats.native_exits += 1,
+            _ if self.opts.native_backend => self.profiler.stats.native_fallbacks += 1,
+            _ => {}
+        }
         // The tree's transfer plans travel with the run (a plan is in use
         // while the monitor runs the tree it calls) and come back after.
         let mut plans = std::mem::take(&mut tree.plans).current(installs);
@@ -1295,10 +1287,10 @@ impl Monitor {
         let mut host =
             NestHost { monitor: self, interp, outer, plans: &mut plans, frame, unexpected: None };
         let ar = &mut entered.ar[..];
-        let trace_exit = if let Some(nt) = native {
-            nt.execute(ar, realm, &mut host, fuel)
-        } else {
-            execute(&code.fragments, ar, realm, &mut host, fuel)
+        let trace_exit = match &exec {
+            ExecCode::Native(nt) => nt.execute(ar, realm, &mut host, fuel),
+            ExecCode::Decoded(decoded) => decoded.execute(ar, realm, &mut host, fuel),
+            ExecCode::NotBuilt => unreachable!("built above"),
         };
         let inner_exit = host.unexpected;
         self.cache.tree_mut(tid).plans = plans;
@@ -1319,7 +1311,7 @@ impl Monitor {
         let exit_bc = u64::from(code.fragment_bytecodes[trace_exit.fragment as usize]) / 2;
         self.profiler.stats.bytecodes_native += ran.bytecodes + exit_bc;
         self.profiler.stats.native_insts += trace_exit.insts;
-        self.profiler.stats.native_insts_fused += trace_exit.fused_insts;
+        self.profiler.stats.native_insts_fused += trace_exit.insts - trace_exit.dispatched;
         self.profiler.stats.side_exits += 1;
         self.cache.tree_mut(tid).stats.iterations += trace_exit.iterations;
         self.events.push(TraceEvent::SideExit {
@@ -1363,17 +1355,33 @@ impl Monitor {
     }
 }
 
-/// Builds a tree's native code from all of `frags`: what first execution
-/// does, and what a branch install falls back to when the code cannot
-/// grow in place.
-fn build_native(frags: &[Fragment], stats: &mut ProfileStats) -> NativeCode {
-    match emit_tree(frags) {
-        Ok(nt) => {
+/// Builds a tree's code from all of `frags`: native when the tier is on
+/// and the emitter takes the tree, decoded otherwise. What first
+/// execution does, and what a branch install falls back to when native
+/// code cannot grow in place.
+fn build_exec(frags: &[Fragment], opts: &JitOptions, stats: &mut ProfileStats) -> ExecCode {
+    if opts.native_backend {
+        if let Ok(nt) = emit_tree(frags) {
             stats.native_fragments += frags.len() as u64;
             stats.native_emissions_sync += 1;
-            NativeCode::Code(Arc::new(nt))
+            return ExecCode::Native(Arc::new(nt));
         }
-        Err(_) => NativeCode::Refused,
+    }
+    build_decoded(frags, opts, stats)
+}
+
+/// Decodes all of `frags` for the decoded executor.
+fn build_decoded(frags: &[Fragment], opts: &JitOptions, stats: &mut ProfileStats) -> ExecCode {
+    let mut decoded = DecodedTree::default();
+    count_fusion(decoded.append(frags, opts.enable_fusion, opts.verify), stats);
+    ExecCode::Decoded(Arc::new(decoded))
+}
+
+/// The static fusion counters of newly decoded fragments.
+fn count_fusion(new: &[Decoded], stats: &mut ProfileStats) {
+    for d in new {
+        stats.fused_superinsts += d.superinsts() as u64;
+        stats.fuse_insts_removed += (d.raw_len() - d.len()) as u64;
     }
 }
 
@@ -1498,7 +1506,7 @@ mod tests {
         assert!(m.profiler.stats.native_exits > 0, "the tree ran natively first");
         let t = m.cache.iter().find(|t| t.disabled).expect("the short loop is disabled");
         assert!(t.stats.enters >= USELESS_PROBATION);
-        assert!(matches!(t.native, NativeCode::NotEmitted), "{:?}", t.native);
+        assert!(matches!(t.exec, ExecCode::NotBuilt), "{:?}", t.exec);
     }
 
     /// The short loop is first called from a traceable loop, whose tree
@@ -1521,7 +1529,7 @@ mod tests {
         let m = vm.monitor().unwrap();
         let t = m.cache.iter().find(|t| t.disabled).expect("the short loop is disabled");
         assert!(m.is_nested_callee(t.id), "the first loop's tree calls it");
-        assert!(matches!(t.native, NativeCode::Code(_)), "{:?}", t.native);
+        assert!(matches!(t.exec, ExecCode::Native(_)), "{:?}", t.exec);
         let s = &m.profiler.stats;
         assert!(s.nested_calls >= 10, "{s:?}");
         assert_eq!(s.native_fallbacks, 0, "nested calls stay native: {s:?}");

@@ -49,7 +49,7 @@ pub const MAGIC: [u8; 4] = *b"TMTC";
 /// Current format version. Readers reject any other value (there is no
 /// cross-version migration: a cache is a regenerable artifact, so version
 /// skew simply degrades to a cold start).
-pub const VERSION: u32 = 9;
+pub const VERSION: u32 = 10;
 
 /// Why a cache file or entry was rejected. Every variant degrades to a
 /// cold start; none is fatal to the VM.

@@ -62,12 +62,11 @@ pub struct CompileJob {
 #[derive(Debug)]
 pub enum CompileOutcome {
     /// The pipeline succeeded: the (now backward-filtered) recording and
-    /// its compiled fragment, plus the fusion statistics deltas the
-    /// submitting monitor's profiler should absorb.
+    /// its compiled fragment.
     Done {
         /// The recording, post-backward-filters.
         recorded: Box<RecordedTrace>,
-        /// The compiled (and, if enabled, fused and verified) fragment.
+        /// The compiled (and, if enabled, verified) fragment.
         fragment: Box<Fragment>,
     },
     /// The pipeline panicked or a verification stage rejected the trace;
@@ -244,7 +243,7 @@ fn worker_loop(shared: &PoolShared) {
 
 /// The compile pipeline, written once for both callers (the monitor's
 /// synchronous `compile_fragment` and the pool worker): backward filters,
-/// the post-filter trace verification, assembly, fusion, and the backend
+/// the post-filter trace verification, assembly, and the backend
 /// fragment verification. `Err` is a verifier rejection; what to do with
 /// it (panic on the execution thread, fail the job on a worker) is the
 /// caller's policy.
@@ -266,14 +265,11 @@ pub(crate) fn compile_trace(
             .verify(verify_base)
             .map_err(|err| format!("backward filters produced a malformed trace: {err}"))?;
     }
-    let mut frag = assemble(&recorded.lir);
-    if opts.enable_fusion {
-        frag = tm_nanojit::fuse(frag);
-    }
+    let frag = assemble(&recorded.lir);
     if opts.verify {
-        // Backend output check: register allocation and the peephole
-        // pass must hand the executor structurally sound code, addressing
-        // only the activation record the recording laid out.
+        // Backend output check: register allocation must hand both tiers
+        // structurally sound code, addressing only the activation record
+        // the recording laid out.
         tm_verifier::verify_fragment(&frag, recorded.layout.len())
             .map_err(|err| format!("backend produced a malformed fragment: {err}"))?;
     }

@@ -45,16 +45,20 @@ pub struct ProfileStats {
     /// Bytecode-equivalents executed natively (trace bytecode length ×
     /// iterations).
     pub bytecodes_native: u64,
-    /// Machine instructions dispatched on trace (a fused superinstruction
-    /// counts once).
+    /// Raw machine instructions retired on trace, the same count on either
+    /// tier (what the step budget is charged).
     pub native_insts: u64,
-    /// Of `native_insts`, how many were fused superinstructions.
+    /// Of `native_insts`, how many the decoded executor retired without a
+    /// dispatch of their own: the second and later raw instructions of
+    /// each superinstruction, and those fusion deleted as dead. Zero for
+    /// native code; `native_insts - native_insts_fused` is what was
+    /// dispatched.
     pub native_insts_fused: u64,
-    /// Superinstructions emitted by the peephole pass (static, per
-    /// compile).
+    /// Superinstructions in decoded trees' dispatch form (static, counted
+    /// as fragments are decoded).
     pub fused_superinsts: u64,
-    /// Instructions the peephole pass removed from compiled code (static:
-    /// raw minus fused length, summed over fragments).
+    /// Raw instructions fusion removed from decoded trees' dispatch form
+    /// (static: raw minus fused length, summed over decoded fragments).
     pub fuse_insts_removed: u64,
     /// Tree runs: monitor → native transitions plus nested calls, each
     /// type-unstable sibling link followed (Figure 6) a run of its own.

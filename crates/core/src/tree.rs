@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use tm_bytecode::{FuncId, LoopId};
-use tm_nanojit::{Fragment, NativeTree};
+use tm_nanojit::{DecodedTree, Fragment, NativeTree};
 
 use crate::activation::{ArLayout, SlotBinding};
 use crate::exit::SideExitInfo;
@@ -95,21 +95,24 @@ pub struct TreeStats {
     pub native_bytecodes: u64,
 }
 
-/// A tree's native x86-64 code (`JitOptions::native_backend`). Never
-/// serialized or shared: trees loaded from a `.tmc` or the shared cache
-/// start at `NotEmitted` and cost nothing until they run.
-#[derive(Debug, Default)]
-pub enum NativeCode {
-    /// The tree has not executed yet (or the native tier is off).
+/// What a realm runs a tree's fragments as: native x86-64 code, or the
+/// decoded executor's dispatch form. Built at the tree's first run and
+/// grown by each branch install; never serialized or shared, so trees
+/// loaded from a `.tmc` or the shared cache start at `NotBuilt` and cost
+/// nothing until they run. `Arc` because a run keeps the code alive while
+/// the nesting host re-borrows the monitor.
+#[derive(Debug, Default, Clone)]
+pub enum ExecCode {
+    /// The tree has not executed yet.
     #[default]
-    NotEmitted,
-    /// Machine code covering every fragment of the tree, grown in place
-    /// by each branch install. `Arc` because a run keeps the code alive
-    /// while the nesting host re-borrows the monitor.
-    Code(Arc<NativeTree>),
-    /// The emitter refused the tree (an oversized `CallHelper`) or the
-    /// OS refused `mmap`/`mprotect`: the tree runs decoded for good.
-    Refused,
+    NotBuilt,
+    /// Machine code covering every fragment (`JitOptions::native_backend`).
+    Native(Arc<NativeTree>),
+    /// Every fragment decoded, and fused under
+    /// `JitOptions::enable_fusion`: the native tier is off, or the emitter
+    /// refused the tree (an oversized `CallHelper`) or the OS refused
+    /// `mmap`/`mprotect`, and the tree runs decoded for good.
+    Decoded(Arc<DecodedTree>),
 }
 
 /// Everything about a compiled tree that is fixed when a fragment is
@@ -167,8 +170,8 @@ pub struct TraceTree {
     /// Disabled trees are never entered (the §3.3 short-loop mitigation:
     /// calling them costs more than interpreting).
     pub disabled: bool,
-    /// Native code for `fragments`, built at the first execution.
-    pub native: NativeCode,
+    /// The code `fragments` run as, built at the first execution.
+    pub exec: ExecCode,
     /// Transfer plans of this tree's nested-call sites: derived from this
     /// realm's trees, so never part of the shared [`TreeCode`].
     pub plans: SitePlans,
@@ -196,7 +199,7 @@ impl TraceTree {
             exit_states,
             lir: Vec::new(),
             disabled: false,
-            native: NativeCode::NotEmitted,
+            exec: ExecCode::NotBuilt,
             plans: SitePlans::default(),
             stats: TreeStats::default(),
         }

@@ -21,9 +21,7 @@ pub mod serial;
 pub mod x64;
 
 pub use assembler::assemble;
-pub use executor::{execute, NoNesting, TraceExit, TreeHost};
+pub use executor::{execute, DecodedTree, NoNesting, TraceExit, TreeHost};
 pub use x64::{emit_tree, emit_tree_annotated, native_supported, NativeTree, Unsupported};
-pub use machinst::{
-    Fragment, FuseStats, MachInst, Reg, EXIT_UNSTITCHED, NREGS, REG_FILE_WORDS, REG_MASK,
-};
-pub use peephole::fuse;
+pub use machinst::{Fragment, MachInst, Reg, EXIT_UNSTITCHED, NREGS, REG_FILE_WORDS, REG_MASK};
+pub use peephole::{fuse, Decoded};

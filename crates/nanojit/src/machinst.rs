@@ -7,7 +7,7 @@
 //! * the **decoded executor** ([`crate::executor`]) — a tight decode loop,
 //!   portable to any target, and the reference semantics;
 //! * the **native x86-64 backend** ([`crate::x64`]) — translates the same
-//!   post-peephole `MachInst` stream into real machine code in an
+//!   `MachInst` stream into real machine code in an
 //!   executable buffer (on by default on x86-64 Linux, selected per tree
 //!   by the monitor, with whole-tree fallback to the decoded executor for
 //!   any instruction it doesn't cover).
@@ -22,24 +22,19 @@
 //! tier restores the paper's actual mechanism on the paper's actual
 //! target.
 //!
-//! The ISA has two layers that speak the LIR's vocabulary — the integer
-//! ALU, overflow-checked ALU, double ALU, compare and box/unbox families
-//! carry their operation as a [`tm_lir::AluOp`] / [`tm_lir::ChkOp`] /
-//! [`tm_lir::FOp`] / [`tm_lir::CmpOp`] / [`tm_lir::Tag`] field:
-//!
-//! * **Raw instructions** — what the assembler emits, one per LIR op (plus
-//!   allocator moves/spills): `AluI`, `ChkAluI`, `AluD`, `CmpI`, `CmpD`,
-//!   `Box`, `Unbox` for the families, one variant each for everything else.
-//! * **Fused superinstructions** — emitted only by the peephole pass
-//!   ([`crate::peephole::fuse`]), each standing in for 2–4 adjacent raw
-//!   instructions (the same family op with an immediate, an AR operand, a
-//!   write-through or a branch folded in). These model what real NanoJIT
-//!   gets for free from x86: immediate operands, memory-operand addressing
-//!   modes, and macro-fused compare-and-branch. In the decode-loop tier
-//!   every dispatched instruction costs a match arm, so shrinking the
-//!   dispatched stream is the direct analogue of emitting denser machine
-//!   code; the native backend compiles each fused form to exactly that
-//!   denser encoding.
+//! The ISA is what the assembler emits, one instruction per LIR op plus
+//! allocator moves and spills. The integer ALU, overflow-checked ALU,
+//! double ALU, compare and box/unbox families carry their operation as a
+//! [`tm_lir::AluOp`] / [`tm_lir::ChkOp`] / [`tm_lir::FOp`] /
+//! [`tm_lir::CmpOp`] / [`tm_lir::Tag`] field (`AluI`, `ChkAluI`, `AluD`,
+//! `CmpI`, `CmpD`, `Box`, `Unbox`); everything else is one variant each.
+//! This one vocabulary is what `.tmc` files store, `tm-verifier` checks
+//! and both tiers run. What real NanoJIT gets for free from x86 —
+//! immediate operands, memory operands, macro-fused compare-and-branch —
+//! each tier gets in its own way: the native backend by local instruction
+//! selection inside its lowering, the decoded executor by fusing adjacent
+//! instructions into superinstructions of its private dispatch form
+//! ([`crate::peephole`]).
 //!
 //! Which register, exit and AR slot each variant touches is listed once,
 //! in [`MachInst::operands`].
@@ -62,6 +57,13 @@ pub const REG_FILE_WORDS: usize = NREGS.next_power_of_two();
 /// executor and the allocator's `debug_assert!`s — the only in-range
 /// registers are `0..NREGS`, so masking is a no-op on well-formed code.
 pub const REG_MASK: u8 = (REG_FILE_WORDS - 1) as Reg;
+
+/// Whether `w` (a `ConstW` payload) is a sign-extended 32-bit integer,
+/// i.e. usable verbatim as an `i32` immediate operand.
+pub(crate) fn as_imm(w: u64) -> Option<i32> {
+    let v = w as i32;
+    (i64::from(v) as u64 == w).then_some(v)
+}
 
 /// Sentinel in [`Fragment::stitch`]: this exit returns to the monitor
 /// rather than jumping to a stitched fragment.
@@ -215,73 +217,6 @@ pub enum MachInst {
     LoopBack { exit: u16 },
     /// Unconditional exit.
     End { exit: u16 },
-
-    // ----- fused superinstructions (peephole pass only) -----
-    /// Fused compare + guard: exit unless `cmp_i(op, a, b) == want`.
-    /// Replaces a compare whose result fed exactly one `GuardTrue`
-    /// (`want: true`) / `GuardFalse` (`want: false`).
-    CmpBranchI { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16 },
-    /// Fused double compare + guard.
-    CmpBranchD { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16 },
-    /// Fused loop-edge triple: compare + guard + `LoopBack`. Exits via
-    /// `exit` when the compare misses `want`, via `loop_exit` on
-    /// preemption/GC at the loop edge, otherwise jumps to the anchor.
-    CmpBranchLoopI { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16, loop_exit: u16 },
-    /// Double-compare flavour of the loop-edge triple.
-    CmpBranchLoopD { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16, loop_exit: u16 },
-    /// `d = op(a, imm)` — immediate-operand ALU (`ConstW` folded in).
-    AluImmI { op: AluOp, d: Reg, a: Reg, imm: i32 },
-    /// `d = op(ar[slot], b)` — AR-operand ALU (`ReadAr` folded in).
-    AluArI { op: AluOp, d: Reg, slot: u16, b: Reg },
-    /// `d = op(a, b); ar[slot] = d` — ALU + `WriteAr`.
-    AluWrI { op: AluOp, d: Reg, a: Reg, b: Reg, slot: u16 },
-    /// `d = op(a, imm); ar[slot] = d` — immediate ALU + `WriteAr`.
-    AluImmWrI { op: AluOp, d: Reg, a: Reg, imm: i32, slot: u16 },
-    /// Checked `d = op(a, imm)`; exits on overflow like the raw checked op.
-    ChkAluImmI { op: ChkOp, d: Reg, a: Reg, imm: i32, exit: u16 },
-    /// Checked `d = op(a, b); ar[slot] = d`.
-    ChkAluWrI { op: ChkOp, d: Reg, a: Reg, b: Reg, exit: u16, slot: u16 },
-    /// Checked `d = op(a, imm); ar[slot] = d`.
-    ChkAluImmWrI { op: ChkOp, d: Reg, a: Reg, imm: i32, exit: u16, slot: u16 },
-    /// Loop-tail quad: checked `d = op(a, imm); ar[slot] = d`, then the
-    /// loop edge (`LoopBack` semantics: `loop_exit` on preemption/GC,
-    /// otherwise jump to the anchor). The overflow check exits *before*
-    /// the register/AR writes, exactly like the raw sequence.
-    ChkAluImmWrLoopI { op: ChkOp, d: Reg, a: Reg, imm: i32, slot: u16, exit: u16, loop_exit: u16 },
-    /// `d = w; ar[slot] = w` — `ConstW` + `WriteAr` (any word: int,
-    /// double bits, or a boxed value).
-    ConstWrAr { d: Reg, w: u64, slot: u16 },
-    /// `d = ar[src]; ar[dst] = d` — `ReadAr` + `WriteAr`, an AR-to-AR
-    /// move through a register (stack shuffles at call boundaries).
-    MovAr { d: Reg, src: u16, dst: u16 },
-    /// Two consecutive AR stores (performed in order, so duplicate slots
-    /// behave exactly like the raw pair).
-    WriteAr2 { slot_a: u16, s_a: Reg, slot_b: u16, s_b: Reg },
-    /// Three consecutive AR stores (in order).
-    WriteAr3 { slot_a: u16, s_a: Reg, slot_b: u16, s_b: Reg, slot_c: u16, s_c: Reg },
-    /// `d = op(ar[slot_a], b); ar[slot_d] = d` — `ReadAr` + ALU +
-    /// `WriteAr`, the full memory-to-memory x86 addressing-mode analogue.
-    AluArWrI { op: AluOp, d: Reg, slot_a: u16, b: Reg, slot_d: u16 },
-    /// `d = cmp_i(op, a, imm)` — integer compare with immediate.
-    CmpImmI { op: CmpOp, d: Reg, a: Reg, imm: i32 },
-    /// `d = cmp_i(op, a, b); ar[slot] = d` — compare + result write-back
-    /// (the recorder stores every branch condition to the AR for exits).
-    CmpWrI { op: CmpOp, d: Reg, a: Reg, b: Reg, slot: u16 },
-    /// Double flavour of [`MachInst::CmpWrI`].
-    CmpWrD { op: CmpOp, d: Reg, a: Reg, b: Reg, slot: u16 },
-    /// `d = cmp_i(op, a, imm); ar[slot] = d`.
-    CmpImmWrI { op: CmpOp, d: Reg, a: Reg, imm: i32, slot: u16 },
-    /// Immediate compare + guard (the 0/1 result was dead): exit unless
-    /// `cmp_i(op, a, imm) == want`.
-    CmpBranchImmI { op: CmpOp, want: bool, a: Reg, imm: i32, exit: u16 },
-    /// Compare + result write-back + guard. `d` and `ar[slot]` are
-    /// written (in that order) *before* the exit check, exactly like the
-    /// raw triple — a failing exit still sees the stored condition.
-    CmpWrBranchI { op: CmpOp, want: bool, d: Reg, a: Reg, b: Reg, slot: u16, exit: u16 },
-    /// Double flavour of [`MachInst::CmpWrBranchI`].
-    CmpWrBranchD { op: CmpOp, want: bool, d: Reg, a: Reg, b: Reg, slot: u16, exit: u16 },
-    /// Immediate compare + result write-back + guard.
-    CmpImmWrBranchI { op: CmpOp, want: bool, d: Reg, a: Reg, imm: i32, slot: u16, exit: u16 },
 }
 
 /// One operand of a [`MachInst`], tagged with the role it plays — what
@@ -329,15 +264,12 @@ impl MachInst {
             | LoadSlot { d, o: a, .. }
             | LoadProto { d, o: a }
             | ArrayLen { d, a }
-            | StrLen { d, a }
-            | AluImmI { d, a, .. }
-            | CmpImmI { d, a, .. } => ops!(Use a, Def d),
+            | StrLen { d, a } => ops!(Use a, Def d),
             NegIChk { d, a, exit }
             | D2IChk { d, a, exit }
             | ChkRangeI { d, a, exit }
             | Unbox { d, a, exit, .. }
-            | UnboxNumD { d, a, exit }
-            | ChkAluImmI { d, a, exit, .. } => ops!(Use a, Def d, Exit exit),
+            | UnboxNumD { d, a, exit } => ops!(Use a, Def d, Exit exit),
             AluI { d, a, b, .. }
             | AluD { d, a, b, .. }
             | CmpI { d, a, b, .. }
@@ -350,15 +282,8 @@ impl MachInst {
             | GuardFalse { s: a, exit }
             | GuardBoxedEq { s: a, exit, .. }
             | GuardShape { obj: a, exit, .. }
-            | GuardClass { obj: a, exit, .. }
-            | CmpBranchImmI { a, exit, .. } => ops!(Use a, Exit exit),
-            GuardBound { arr: a, idx: b, exit }
-            | CmpBranchI { a, b, exit, .. }
-            | CmpBranchD { a, b, exit, .. } => ops!(Use a, Use b, Exit exit),
-            CmpBranchLoopI { a, b, exit, loop_exit, .. }
-            | CmpBranchLoopD { a, b, exit, loop_exit, .. } => {
-                ops!(Use a, Use b, Exit exit, Exit loop_exit);
-            }
+            | GuardClass { obj: a, exit, .. } => ops!(Use a, Exit exit),
+            GuardBound { arr: a, idx: b, exit } => ops!(Use a, Use b, Exit exit),
             StoreSlot { o, s, .. } => ops!(Use o, Use s),
             StoreElem { a, i, s } => ops!(Use a, Use i, Use s),
             CallHelper { d, args, exit, .. } => {
@@ -366,31 +291,6 @@ impl MachInst {
                 ops!(Def d, Exit exit);
             }
             CallTree { exit, .. } | LoopBack { exit } | End { exit } => ops!(Exit exit),
-            AluArI { d, slot, b, .. } => ops!(Ar slot, Use b, Def d),
-            AluWrI { d, a, b, slot, .. }
-            | CmpWrI { d, a, b, slot, .. }
-            | CmpWrD { d, a, b, slot, .. } => ops!(Use a, Use b, Def d, Ar slot),
-            AluImmWrI { d, a, slot, .. } | CmpImmWrI { d, a, slot, .. } => {
-                ops!(Use a, Def d, Ar slot);
-            }
-            ChkAluWrI { d, a, b, exit, slot, .. }
-            | CmpWrBranchI { d, a, b, slot, exit, .. }
-            | CmpWrBranchD { d, a, b, slot, exit, .. } => {
-                ops!(Use a, Use b, Def d, Ar slot, Exit exit);
-            }
-            ChkAluImmWrI { d, a, exit, slot, .. } | CmpImmWrBranchI { d, a, slot, exit, .. } => {
-                ops!(Use a, Def d, Ar slot, Exit exit);
-            }
-            ChkAluImmWrLoopI { d, a, slot, exit, loop_exit, .. } => {
-                ops!(Use a, Def d, Ar slot, Exit exit, Exit loop_exit);
-            }
-            ConstWrAr { d, slot, .. } => ops!(Def d, Ar slot),
-            MovAr { d, src, dst } => ops!(Ar src, Def d, Ar dst),
-            WriteAr2 { slot_a, s_a, slot_b, s_b } => ops!(Use s_a, Ar slot_a, Use s_b, Ar slot_b),
-            WriteAr3 { slot_a, s_a, slot_b, s_b, slot_c, s_c } => {
-                ops!(Use s_a, Ar slot_a, Use s_b, Ar slot_b, Use s_c, Ar slot_c);
-            }
-            AluArWrI { d, slot_a, b, slot_d, .. } => ops!(Ar slot_a, Use b, Def d, Ar slot_d),
         }
     }
 
@@ -446,77 +346,13 @@ impl MachInst {
                 | I2D { .. }
                 | U2D { .. }
                 | D2I32 { .. }
-                | AluImmI { .. }
-                | AluArI { .. }
-                | CmpImmI { .. }
         )
     }
 
     /// Whether this instruction ends the fragment (nothing may follow it).
     pub fn is_terminator(&self) -> bool {
-        use MachInst::*;
-        matches!(
-            self,
-            LoopBack { .. }
-                | End { .. }
-                | CmpBranchLoopI { .. }
-                | CmpBranchLoopD { .. }
-                | ChkAluImmWrLoopI { .. }
-        )
+        matches!(self, MachInst::LoopBack { .. } | MachInst::End { .. })
     }
-
-    /// Whether this is a fused superinstruction (never emitted by the
-    /// assembler, only by the peephole pass).
-    pub fn is_fused(&self) -> bool {
-        self.raw_width() > 1
-    }
-
-    /// How many raw (pre-fusion) instructions this instruction stands for
-    /// (immediate forms count the folded `ConstW`).
-    pub fn raw_width(&self) -> u64 {
-        use MachInst::*;
-        match self {
-            ChkAluImmWrLoopI { .. } | CmpImmWrBranchI { .. } => 4,
-            CmpBranchLoopI { .. }
-            | CmpBranchLoopD { .. }
-            | AluImmWrI { .. }
-            | ChkAluImmWrI { .. }
-            | WriteAr3 { .. }
-            | AluArWrI { .. }
-            | CmpImmWrI { .. }
-            | CmpBranchImmI { .. }
-            | CmpWrBranchI { .. }
-            | CmpWrBranchD { .. } => 3,
-            CmpBranchI { .. }
-            | CmpBranchD { .. }
-            | AluImmI { .. }
-            | AluArI { .. }
-            | AluWrI { .. }
-            | ChkAluImmI { .. }
-            | ChkAluWrI { .. }
-            | ConstWrAr { .. }
-            | MovAr { .. }
-            | WriteAr2 { .. }
-            | CmpImmI { .. }
-            | CmpWrI { .. }
-            | CmpWrD { .. } => 2,
-            _ => 1,
-        }
-    }
-}
-
-/// Static counters from the peephole pass, kept on the fragment so the
-/// disassembler can report how dense the compiled code is.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FuseStats {
-    /// Instruction count before fusion (as assembled).
-    pub raw_insts: u32,
-    /// Instruction count after fusion + dead-code removal.
-    pub fused_insts: u32,
-    /// Fused superinstructions emitted.
-    pub superinsts: u32,
-    /// Pure instructions deleted because their destination was dead.
-    pub dce_removed: u32,
 }
 
 /// A compiled trace fragment: straight-line machine code whose only
@@ -533,19 +369,12 @@ pub struct Fragment {
     /// to the monitor. This is the tree's only link table: the monitor
     /// reads it to tell an exit that already has a branch.
     pub stitch: Vec<u32>,
-    /// Peephole statistics (zero until [`crate::peephole::fuse`] runs).
-    pub fuse_stats: FuseStats,
 }
 
 impl Fragment {
     /// A fragment whose `num_exits` exits all return to the monitor.
     pub fn new(code: Vec<MachInst>, num_spills: u16, num_exits: usize) -> Self {
-        Fragment {
-            code,
-            num_spills,
-            stitch: vec![EXIT_UNSTITCHED; num_exits],
-            fuse_stats: FuseStats::default(),
-        }
+        Fragment { code, num_spills, stitch: vec![EXIT_UNSTITCHED; num_exits] }
     }
 
     /// Trace stitching: exit `exit` jumps to fragment `target` of the same
@@ -554,22 +383,9 @@ impl Fragment {
         self.stitch[exit as usize] = target;
     }
 
-    /// Renders the fragment as a Figure-4 style listing. After the
-    /// peephole pass has run, a header line reports the raw/fused
-    /// instruction counts.
+    /// Renders the fragment as a Figure-4 style listing.
     pub fn listing(&self) -> String {
-        let mut out = String::new();
-        let fs = &self.fuse_stats;
-        if fs.raw_insts != 0 {
-            out.push_str(&format!(
-                "  ; fuse: {} raw -> {} fused ({} superinsts, {} dce)\n",
-                fs.raw_insts, fs.fused_insts, fs.superinsts, fs.dce_removed
-            ));
-        }
-        for (pc, inst) in self.code.iter().enumerate() {
-            out.push_str(&format!("  {pc:4}: {inst:?}\n"));
-        }
-        out
+        self.code.iter().enumerate().map(|(pc, inst)| format!("  {pc:4}: {inst:?}\n")).collect()
     }
 
     /// Number of machine instructions.

@@ -24,7 +24,7 @@
 //! Opcode bytes are part of the on-disk format: renumbering them is a
 //! format-version bump (see `docs/PERSISTENCE.md` §7).
 
-use crate::machinst::{Fragment, FuseStats, MachInst, Reg};
+use crate::machinst::{Fragment, MachInst, Reg};
 use tm_lir::{AluOp, ChkOp, CmpOp, FOp, Tag};
 use tm_runtime::{Helper, NativeId};
 use tm_support::binio::{BinError, ByteReader, ByteWriter};
@@ -72,24 +72,6 @@ impl Codec for u64 {
     }
     fn dec(r: &mut ByteReader) -> Result<u64, BinError> {
         r.u64()
-    }
-}
-
-impl Codec for i32 {
-    fn enc(&self, w: &mut ByteWriter) {
-        w.i32(*self);
-    }
-    fn dec(r: &mut ByteReader) -> Result<i32, BinError> {
-        r.i32()
-    }
-}
-
-impl Codec for bool {
-    fn enc(&self, w: &mut ByteWriter) {
-        w.bool(*self);
-    }
-    fn dec(r: &mut ByteReader) -> Result<bool, BinError> {
-        r.bool()
     }
 }
 
@@ -265,35 +247,10 @@ machinst_codec! {
     0x27 CallTree { tree: u32, exit: u16 }
     0x28 LoopBack { exit: u16 }
     0x29 End { exit: u16 }
-    0x2a CmpBranchI { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16 }
-    0x2b CmpBranchD { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16 }
-    0x2c CmpBranchLoopI { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16, loop_exit: u16 }
-    0x2d CmpBranchLoopD { op: CmpOp, want: bool, a: Reg, b: Reg, exit: u16, loop_exit: u16 }
-    0x2e AluImmI { op: AluOp, d: Reg, a: Reg, imm: i32 }
-    0x2f AluArI { op: AluOp, d: Reg, slot: u16, b: Reg }
-    0x30 AluWrI { op: AluOp, d: Reg, a: Reg, b: Reg, slot: u16 }
-    0x31 AluImmWrI { op: AluOp, d: Reg, a: Reg, imm: i32, slot: u16 }
-    0x32 ChkAluImmI { op: ChkOp, d: Reg, a: Reg, imm: i32, exit: u16 }
-    0x33 ChkAluWrI { op: ChkOp, d: Reg, a: Reg, b: Reg, exit: u16, slot: u16 }
-    0x34 ChkAluImmWrI { op: ChkOp, d: Reg, a: Reg, imm: i32, exit: u16, slot: u16 }
-    0x35 ChkAluImmWrLoopI { op: ChkOp, d: Reg, a: Reg, imm: i32, slot: u16, exit: u16, loop_exit: u16 }
-    0x36 ConstWrAr { d: Reg, w: u64, slot: u16 }
-    0x37 MovAr { d: Reg, src: u16, dst: u16 }
-    0x38 WriteAr2 { slot_a: u16, s_a: Reg, slot_b: u16, s_b: Reg }
-    0x39 WriteAr3 { slot_a: u16, s_a: Reg, slot_b: u16, s_b: Reg, slot_c: u16, s_c: Reg }
-    0x3a AluArWrI { op: AluOp, d: Reg, slot_a: u16, b: Reg, slot_d: u16 }
-    0x3b CmpImmI { op: CmpOp, d: Reg, a: Reg, imm: i32 }
-    0x3c CmpWrI { op: CmpOp, d: Reg, a: Reg, b: Reg, slot: u16 }
-    0x3d CmpWrD { op: CmpOp, d: Reg, a: Reg, b: Reg, slot: u16 }
-    0x3e CmpImmWrI { op: CmpOp, d: Reg, a: Reg, imm: i32, slot: u16 }
-    0x3f CmpBranchImmI { op: CmpOp, want: bool, a: Reg, imm: i32, exit: u16 }
-    0x40 CmpWrBranchI { op: CmpOp, want: bool, d: Reg, a: Reg, b: Reg, slot: u16, exit: u16 }
-    0x41 CmpWrBranchD { op: CmpOp, want: bool, d: Reg, a: Reg, b: Reg, slot: u16, exit: u16 }
-    0x42 CmpImmWrBranchI { op: CmpOp, want: bool, d: Reg, a: Reg, imm: i32, slot: u16, exit: u16 }
 }
 
 /// Appends the encoded form of `frag` to `w` (PERSISTENCE.md §4:
-/// instruction stream, spill count, exit table, fuse stats).
+/// instruction stream, spill count, exit table).
 pub fn encode_fragment(frag: &Fragment, w: &mut ByteWriter) {
     w.u32(frag.code.len() as u32);
     for inst in &frag.code {
@@ -304,11 +261,6 @@ pub fn encode_fragment(frag: &Fragment, w: &mut ByteWriter) {
     for &target in &frag.stitch {
         w.u32(target);
     }
-    let fs = frag.fuse_stats;
-    w.u32(fs.raw_insts);
-    w.u32(fs.fused_insts);
-    w.u32(fs.superinsts);
-    w.u32(fs.dce_removed);
 }
 
 /// Decodes one fragment. Structural validation only — callers must run
@@ -325,13 +277,7 @@ pub fn decode_fragment(r: &mut ByteReader) -> Result<Fragment, BinError> {
     for _ in 0..n_exits {
         stitch.push(r.u32()?);
     }
-    let fuse_stats = FuseStats {
-        raw_insts: r.u32()?,
-        fused_insts: r.u32()?,
-        superinsts: r.u32()?,
-        dce_removed: r.u32()?,
-    };
-    Ok(Fragment { code, num_spills, stitch, fuse_stats })
+    Ok(Fragment { code, num_spills, stitch })
 }
 
 #[cfg(test)]
@@ -348,8 +294,8 @@ mod tests {
     }
 
     /// One instance of every variant, enumerated through the codec, plus
-    /// the payload shapes zeros do not reach (wide words, negative
-    /// immediates, helper arguments, the `CallNative` escape).
+    /// the payload shapes zeros do not reach (wide words, last operation
+    /// discriminants, helper arguments, the `CallNative` escape).
     fn sample_insts() -> Vec<MachInst> {
         use MachInst::*;
         let mut insts: Vec<MachInst> = (0..=u8::MAX).filter_map(zero_inst).collect();
@@ -371,10 +317,9 @@ mod tests {
                 args: [].into(),
                 exit: 0,
             },
-            AluImmI { op: AluOp::Xor, d: 0, a: 1, imm: -123 },
-            AluArWrI { op: AluOp::UShr, d: 1, slot_a: 2, b: 3, slot_d: 4 },
-            CmpImmWrBranchI { op: CmpOp::Ge, want: false, d: 0, a: 1, imm: 100, slot: 2, exit: 3 },
-            ChkAluImmWrLoopI { op: ChkOp::UShr, d: 0, a: 0, imm: 1, slot: 4, exit: 1, loop_exit: 2 },
+            AluI { op: AluOp::UShr, d: 1, a: 2, b: 3 },
+            ChkAluI { op: ChkOp::UShr, d: 0, a: 0, b: 1, exit: 2 },
+            CmpD { op: CmpOp::Ge, d: 0, a: 1, b: 2 },
         ]);
         insts
     }
@@ -383,7 +328,6 @@ mod tests {
         let mut f = Fragment::new(sample_insts(), 3, 10);
         f.stitch_exit(4, 2);
         f.stitch_exit(9, 0);
-        f.fuse_stats = FuseStats { raw_insts: 40, fused_insts: 30, superinsts: 6, dce_removed: 4 };
         f
     }
 
@@ -442,7 +386,6 @@ mod tests {
         assert_eq!(back.code, frag.code);
         assert_eq!(back.num_spills, frag.num_spills);
         assert_eq!(back.stitch, frag.stitch);
-        assert_eq!(back.fuse_stats, frag.fuse_stats);
 
         // Re-encoding the decoded fragment reproduces the bytes exactly.
         let mut w2 = ByteWriter::new();
@@ -464,7 +407,7 @@ mod tests {
         // The op/tag byte follows the opcode: one past each enum's last
         // discriminant.
         for (opcode, past, what) in [
-            (0x2a, 5, "CmpOp"), // CmpBranchI
+            (0x0e, 5, "CmpOp"), // CmpI
             (0x06, 9, "AluOp"), // AluI
             (0x09, 5, "ChkOp"), // ChkAluI
             (0x0c, 5, "FOp"),   // AluD

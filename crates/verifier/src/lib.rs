@@ -10,8 +10,8 @@
 //! to the backend; a violation is reported as a structured [`VerifyError`]
 //! instead of compiled into garbage. [`verify_fragment`] re-checks the
 //! backend's *output* — register ranges, spill discipline, exit tables,
-//! AR slots, terminator placement — after register allocation and
-//! superinstruction fusion.
+//! AR slots, terminator placement — in the raw machine code register
+//! allocation produces, which is also what a `.tmc` file hands back.
 //!
 //! The companion [`reduce`] module shrinks failing guest programs (found by
 //! the differential fuzzer or by a verifier rejection) to minimal

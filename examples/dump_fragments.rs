@@ -2,11 +2,11 @@
 //! under tracing, or offline, from a persistent trace-cache file.
 //!
 //! With JTS source as argv[1] (or no argument), runs it and prints each
-//! compiled fragment's post-peephole virtual-ISA listing, including the
-//! `; fuse:` header with its raw→fused instruction counts. Integer ALU,
-//! checked-ALU and compare lines print their operation as a field —
-//! `AluI { op: Add, .. }`, `ChkAluI { op: Mul, .. }`, `CmpD { op: Lt, .. }`
-//! — the same `op` the fused forms (`AluImmI`, `CmpBranchI`, ...) print.
+//! compiled fragment's raw virtual-ISA listing — the code `.tmc` files
+//! store and both tiers take; the decoded executor's superinstructions
+//! are its own (`tm-nanojit::fuse`). Integer ALU, checked-ALU and compare
+//! lines print their operation as a field — `AluI { op: Add, .. }`,
+//! `ChkAluI { op: Mul, .. }`, `CmpD { op: Lt, .. }`.
 //! Each nested-call site (§4) follows its tree: the inner tree, the exit it
 //! must return through, whether the call-site export is deferred, and how
 //! many of the transfer plan's bindings are read from the outer activation

@@ -180,10 +180,14 @@ fn native_backend_degrades_without_error() {
         assert_eq!(stats.native_fallbacks, stats.trace_enters);
     }
     // The tier is invisible to the paper's Figure 11 accounting: both
-    // executors report identical per-trace instruction counts.
+    // executors report identical per-trace instruction counts, raw
+    // instructions retired. Only the decoded executor fuses.
     assert_eq!(stats.trace_enters, decoded_stats.trace_enters);
     assert_eq!(stats.native_insts, decoded_stats.native_insts);
-    assert_eq!(stats.native_insts_fused, decoded_stats.native_insts_fused);
+    assert!(decoded_stats.native_insts_fused > 0, "{decoded_stats:?}");
+    if tracemonkey::nanojit::native_supported() {
+        assert_eq!(stats.native_insts_fused, 0, "native code retires what it dispatches");
+    }
     assert_eq!(stats.bytecodes_native, decoded_stats.bytecodes_native);
     assert_eq!(stats.side_exits, decoded_stats.side_exits);
 }

@@ -22,58 +22,24 @@ fn has(code: &[MachInst], pred: impl Fn(&MachInst) -> bool) -> bool {
     code.iter().any(pred)
 }
 
-/// Overflow-checked int arithmetic of class `op`, raw or fused — the
-/// peephole pass may fold the operand/`WriteAr` but keeps the check.
+/// Overflow-checked int arithmetic of class `op`.
 fn has_checked(code: &[MachInst], op: ChkOp) -> bool {
-    has(code, |i| match *i {
-        MachInst::ChkAluI { op: o, .. }
-        | MachInst::ChkAluImmI { op: o, .. }
-        | MachInst::ChkAluWrI { op: o, .. }
-        | MachInst::ChkAluImmWrI { op: o, .. }
-        | MachInst::ChkAluImmWrLoopI { op: o, .. } => o == op,
-        _ => false,
-    })
+    has(code, |i| matches!(*i, MachInst::ChkAluI { op: o, .. } if o == op))
 }
 
-/// Int comparison of class `op`, raw or in any fused compare-carrying
-/// form.
+/// Int comparison of class `op`.
 fn has_cmp_i(code: &[MachInst], op: CmpOp) -> bool {
-    has(code, |i| match *i {
-        MachInst::CmpI { op: o, .. }
-        | MachInst::CmpImmI { op: o, .. }
-        | MachInst::CmpWrI { op: o, .. }
-        | MachInst::CmpImmWrI { op: o, .. }
-        | MachInst::CmpBranchI { op: o, .. }
-        | MachInst::CmpBranchImmI { op: o, .. }
-        | MachInst::CmpWrBranchI { op: o, .. }
-        | MachInst::CmpImmWrBranchI { op: o, .. }
-        | MachInst::CmpBranchLoopI { op: o, .. } => o == op,
-        _ => false,
-    })
+    has(code, |i| matches!(*i, MachInst::CmpI { op: o, .. } if o == op))
 }
 
-/// Double comparison of class `op`, raw or fused.
+/// Double comparison of class `op`.
 fn has_cmp_d(code: &[MachInst], op: CmpOp) -> bool {
-    has(code, |i| match *i {
-        MachInst::CmpD { op: o, .. }
-        | MachInst::CmpWrD { op: o, .. }
-        | MachInst::CmpBranchD { op: o, .. }
-        | MachInst::CmpWrBranchD { op: o, .. }
-        | MachInst::CmpBranchLoopD { op: o, .. } => o == op,
-        _ => false,
-    })
+    has(code, |i| matches!(*i, MachInst::CmpD { op: o, .. } if o == op))
 }
 
-/// Plain int ALU of class `op`, raw or fused.
+/// Plain int ALU of class `op`.
 fn has_alu(code: &[MachInst], op: AluOp) -> bool {
-    has(code, |i| match *i {
-        MachInst::AluI { op: o, .. }
-        | MachInst::AluImmI { op: o, .. }
-        | MachInst::AluArI { op: o, .. }
-        | MachInst::AluWrI { op: o, .. }
-        | MachInst::AluImmWrI { op: o, .. } => o == op,
-        _ => false,
-    })
+    has(code, |i| matches!(*i, MachInst::AluI { op: o, .. } if o == op))
 }
 
 #[test]
@@ -169,15 +135,7 @@ fn function_calls_are_inlined_with_identity_guards() {
 fn loop_back_is_the_last_instruction_of_a_stable_trunk() {
     let code = trunk_of("var s = 0; for (var i = 0; i < 500; i++) s += i; s");
     assert!(
-        matches!(
-            code.last(),
-            Some(
-                MachInst::LoopBack { .. }
-                    | MachInst::CmpBranchLoopI { .. }
-                    | MachInst::CmpBranchLoopD { .. }
-                    | MachInst::ChkAluImmWrLoopI { .. }
-            )
-        ),
+        matches!(code.last(), Some(MachInst::LoopBack { .. })),
         "a type-stable loop trace ends by jumping to its anchor"
     );
 }
@@ -220,7 +178,7 @@ fn typeof_needs_no_runtime_dispatch() {
     for &reg in args.iter() {
         let def = code[..at].iter().rev().find(|i| i.dest() == Some(reg));
         assert!(
-            matches!(def, Some(MachInst::ConstW { .. } | MachInst::ConstWrAr { .. })),
+            matches!(def, Some(MachInst::ConstW { .. })),
             "operand r{reg} of the comparison is computed: {def:?}"
         );
     }
