@@ -158,6 +158,11 @@ TM_FUZZ_RANGE=n0..n2000 \
 if [ "$(uname -sm)" = "Linux x86_64" ]; then
     TM_FUZZ_NATIVE=1 TM_FUZZ_SEEDS="$NESTED_SEEDS" \
         cargo test -q --offline --locked --test fuzz_differential fuzz_native_tier
+    # The native tier calls deferred sites' inner trees directly: 500
+    # nested programs three ways in release, the tiers' nested calls,
+    # tree runs and side exits compared too (~2 s).
+    TM_FUZZ_NATIVE=1 TM_FUZZ_RANGE=n0..n500 \
+        cargo test -q --release --offline --locked --test fuzz_differential fuzz_native_tier
     echo "    OK: nested calls differentially identical on both tiers"
 else
     echo "    SKIP: native backend needs Linux x86_64"

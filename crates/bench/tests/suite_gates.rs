@@ -101,8 +101,8 @@ fn check_pins(observed: &[(&str, &str, u64)]) {
                 let limit = (was as f64 * PIN_TOLERANCE).ceil() as u64;
                 assert!(now <= limit, "{p}: {c} {now} exceeds the accepted {was} by more than 5 %");
             }
-            "nested_calls" | "nested_deferred" | "trees" | "fragments" | "traces_completed"
-            | "duplicate_siblings" => {
+            "nested_calls" | "nested_deferred" | "nested_direct" | "trees" | "fragments"
+            | "traces_completed" | "duplicate_siblings" => {
                 assert_eq!(now, was, "{p}: {c} moved from the accepted count")
             }
             _ => assert!(was == 0 || now != 0, "{p}: {c} was set in the accepted state, not now"),
@@ -260,15 +260,26 @@ fn nested_calls_run_under_the_plans_they_are_pinned_to() {
         assert_eq!(calls(&stats), calls(&decoded), "{name}: the tiers run different plans");
         assert!(stats.nested_calls > 0 && stats.nested_calls < stats.trace_enters, "{name}");
         let deferred_share = stats.nested_deferred as f64 / stats.nested_calls as f64;
+        let direct_share = stats.nested_direct as f64 / stats.nested_calls as f64;
+        assert_eq!(decoded.nested_direct, 0, "{name}: the decoded tier calls through the host");
         match *name {
             "string-fasta" | "3d-cube" => {
-                assert!(deferred_share >= 0.99, "{name}: {deferred_share:.3} deferred")
+                assert!(deferred_share >= 0.99, "{name}: {deferred_share:.3} deferred");
+                if tracemonkey::nanojit::native_supported() {
+                    assert!(direct_share >= 0.99, "{name}: {direct_share:.3} direct");
+                }
             }
-            "bitops-bits-in-byte" => assert_eq!(stats.nested_deferred, 0, "{name}"),
+            "bitops-bits-in-byte" => {
+                assert_eq!(stats.nested_deferred, 0, "{name}");
+                assert_eq!(stats.nested_direct, 0, "{name}: an eager plan is never direct");
+            }
             _ => {}
         }
         observed.push((*name, "nested_calls", stats.nested_calls));
         observed.push((*name, "nested_deferred", stats.nested_deferred));
+        if tracemonkey::nanojit::native_supported() {
+            observed.push((*name, "nested_direct", stats.nested_direct));
+        }
     }
     check_pins(&observed);
 }

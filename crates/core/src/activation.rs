@@ -283,7 +283,12 @@ pub fn read_slot(
 /// type: the per-slot step of [`import`] and of [`run_moves`]'s
 /// interpreter-sourced moves.
 #[inline]
-fn unboxed(interp: &Interp, realm: &Realm, frame: usize, b: &SlotBinding) -> Option<u64> {
+pub(crate) fn unboxed(
+    interp: &Interp,
+    realm: &Realm,
+    frame: usize,
+    b: &SlotBinding,
+) -> Option<u64> {
     let v = read_slot(interp, realm, frame, b.key)?;
     value_matches(v, b.ty).then(|| unbox_to_word(realm, v, b.ty))
 }

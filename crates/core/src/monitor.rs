@@ -13,7 +13,10 @@ use std::sync::Arc;
 
 use tm_bytecode::FuncId;
 use tm_interp::{Flow, Interp, RunExit};
-use tm_nanojit::{emit_tree, Decoded, DecodedTree, Fragment, Unsupported, EXIT_UNSTITCHED};
+use tm_nanojit::{
+    Decoded, DecodedTree, DirectSite, Fragment, NativeTree, TraceExit, Unsupported,
+    EXIT_UNSTITCHED,
+};
 use tm_runtime::{Realm, RuntimeError, Value};
 
 use crate::activation::{export, import, ArPool, SlotBinding};
@@ -21,7 +24,7 @@ use crate::blacklist::{Blacklist, Verdict};
 use crate::config::JitOptions;
 use crate::events::{AbortReason, EventLog, TraceEvent};
 use crate::exit::ExitKind;
-use crate::nest::NestHost;
+use crate::nest::{NestHost, SitePlans};
 use crate::oracle::Oracle;
 use crate::pool::{compile_trace, CompileJob, CompileOutcome, CompilerPool, Ticket};
 use crate::profiler::{Activity, ProfileStats, Profiler};
@@ -787,38 +790,6 @@ impl Monitor {
             frags.push(frag);
             frags[parent_frag as usize].stitch_exit(parent_exit, new_idx);
         }
-        // A tree that already has native code grows it in place: the new
-        // body goes at the tail and the parent's exit is patched to jump
-        // to it. Out of reserved capacity, or the code still referenced by
-        // a run (never the case at an install today): build the tree
-        // again, whole, as first execution does. A decoded tree decodes
-        // the new fragment and follows the new stitch.
-        let stats = &mut self.profiler.stats;
-        tree.exec = match std::mem::take(&mut tree.exec) {
-            ExecCode::Native(native) => {
-                match Arc::try_unwrap(native).map(|nt| nt.append(&code.fragments)) {
-                    Ok(Ok(nt)) => {
-                        stats.native_fragments += 1;
-                        stats.native_emissions_sync += 1;
-                        ExecCode::Native(Arc::new(nt))
-                    }
-                    Ok(Err(refused)) if refused != Unsupported::FULL => {
-                        build_decoded(&code.fragments, &self.opts, stats)
-                    }
-                    _ => build_exec(&code.fragments, &self.opts, stats),
-                }
-            }
-            ExecCode::Decoded(mut decoded) => {
-                let new = Arc::make_mut(&mut decoded).append(
-                    &code.fragments,
-                    self.opts.enable_fusion,
-                    self.opts.verify,
-                );
-                count_fusion(new, stats);
-                ExecCode::Decoded(decoded)
-            }
-            ExecCode::NotBuilt => ExecCode::NotBuilt,
-        };
         code.layout = recorded.layout;
         for e in recorded.new_entry {
             // A branch runs on the activation record the monitor filled
@@ -872,11 +843,143 @@ impl Monitor {
             fragment: new_idx,
             lir_len: self.cache.tree(tid).fragments[new_idx as usize].len() as u32,
         });
+        self.grow_exec(tid);
         // Republish: the tree grew a fragment, so realms installing it
         // from the shared cache later get the extended version.
         self.publish_shared(tid);
         let anchor = self.cache.tree(tid).anchor;
         self.blacklist.forgive_waiting_on((anchor.func, anchor.pc));
+    }
+
+    /// Grows tree `tid`'s code by the fragment just installed. Native
+    /// code grows in place: the new body goes at the tail, with direct
+    /// sites from fresh plans, and the parent's exit is patched to jump
+    /// to it; the tree's older direct sites are checked at its next run
+    /// (`run_entered`). The trees whose direct sites call this code give
+    /// theirs up first, to be emitted again, whole, at their next run.
+    /// Out of reserved capacity, the tree is built again, whole, as first
+    /// execution does. A decoded tree decodes the new fragment and
+    /// follows the new stitch.
+    fn grow_exec(&mut self, tid: TreeId) {
+        let code = Arc::clone(&self.cache.tree(tid).code);
+        let exec = match std::mem::take(&mut self.cache.tree_mut(tid).exec) {
+            ExecCode::Native(native) => {
+                for caller in self.cache.iter_mut() {
+                    if let ExecCode::Native(nt) = &caller.exec {
+                        let mut callees = nt.direct_sites().iter().flatten();
+                        if callees.any(|d| Arc::ptr_eq(&d.callee, &native)) {
+                            caller.exec = ExecCode::NotBuilt;
+                        }
+                    }
+                }
+                let mut plans = SitePlans::default().current(self.cache.installs());
+                let sites = self.direct_sites(&code, &mut plans);
+                let stats = &mut self.profiler.stats;
+                match Arc::try_unwrap(native).map(|nt| nt.append(&code.fragments, &sites)) {
+                    Ok(Ok(nt)) => {
+                        stats.native_fragments += 1;
+                        stats.native_emissions_sync += 1;
+                        ExecCode::Native(Arc::new(nt))
+                    }
+                    Ok(Err(refused)) if refused != Unsupported::FULL => {
+                        build_decoded(&code.fragments, &self.opts, stats)
+                    }
+                    _ => self.emit(&code, &sites),
+                }
+            }
+            ExecCode::Decoded(mut decoded) => {
+                let new = Arc::make_mut(&mut decoded).append(
+                    &code.fragments,
+                    self.opts.enable_fusion,
+                    self.opts.verify,
+                );
+                count_fusion(new, &mut self.profiler.stats);
+                ExecCode::Decoded(decoded)
+            }
+            ExecCode::NotBuilt => ExecCode::NotBuilt,
+        };
+        self.cache.tree_mut(tid).exec = exec;
+    }
+
+    /// Builds tree `tid`'s code from all its fragments, and its plans: at
+    /// its first execution, so that trees loaded from a cache that never
+    /// run cost nothing.
+    fn build_exec(&mut self, tid: TreeId) {
+        let code = Arc::clone(&self.cache.tree(tid).code);
+        let installs = self.cache.installs();
+        let mut plans = std::mem::take(&mut self.cache.tree_mut(tid).plans).current(installs);
+        let exec = if self.opts.native_backend {
+            let sites = self.direct_sites(&code, &mut plans);
+            self.emit(&code, &sites)
+        } else {
+            build_decoded(&code.fragments, &self.opts, &mut self.profiler.stats)
+        };
+        let tree = self.cache.tree_mut(tid);
+        (tree.exec, tree.plans) = (exec, plans);
+    }
+
+    /// The one staleness rule of direct sites: once any tree was
+    /// installed or grown since tree `tid`'s plans were built, they are
+    /// built again, and when a direct site of its native code no longer
+    /// matches its plan or its callee's code, the tree is emitted again,
+    /// whole, as at its first run. Nothing is patched.
+    fn refresh_exec(&mut self, tid: TreeId) {
+        let installs = self.cache.installs();
+        let tree = self.cache.tree_mut(tid);
+        let mut plans = std::mem::take(&mut tree.plans).current(installs);
+        let native = match &tree.exec {
+            ExecCode::Native(nt) if nt.direct_sites().iter().any(Option::is_some) => {
+                Some(Arc::clone(nt))
+            }
+            _ => None,
+        };
+        if let Some(native) = native {
+            let code = Arc::clone(&self.cache.tree(tid).code);
+            let sites = self.direct_sites(&code, &mut plans);
+            let stale = native.direct_sites().iter().enumerate().any(|(id, d)| {
+                d.is_some() && d.as_ref() != sites.get(id).and_then(Option::as_ref)
+            });
+            if stale {
+                drop(native);
+                self.cache.tree_mut(tid).exec = self.emit(&code, &sites);
+            }
+        }
+        self.cache.tree_mut(tid).plans = plans;
+    }
+
+    /// By site id, the direct site (`TransferPlan::direct_site`) of each
+    /// of `code`'s nested-call sites that has one, from `plans`. A
+    /// deferred site's callee has its code built first, as its first run
+    /// would.
+    fn direct_sites(&mut self, code: &TreeCode, plans: &mut SitePlans) -> Vec<Option<DirectSite>> {
+        let mut sites = Vec::with_capacity(code.nested_sites.len());
+        for (id, site) in code.nested_sites.iter().enumerate() {
+            let id = id as u32;
+            if !plans.site(id, code, &self.cache).0.deferred {
+                sites.push(None);
+                continue;
+            }
+            if matches!(self.cache.tree(site.inner).exec, ExecCode::NotBuilt) {
+                self.build_exec(site.inner);
+            }
+            let (plan, _) = plans.site(id, code, &self.cache);
+            sites.push(plan.direct_site(site, self.cache.tree(site.inner)).ok());
+        }
+        sites
+    }
+
+    /// `code`'s fragments as native code with `sites` direct, or decoded
+    /// when the emitter refuses them.
+    fn emit(&mut self, code: &TreeCode, sites: &[Option<DirectSite>]) -> ExecCode {
+        let stats = &mut self.profiler.stats;
+        match NativeTree::emit(&code.fragments, sites) {
+            Ok(nt) => {
+                stats.native_fragments += code.fragments.len() as u64;
+                stats.native_emissions_sync += 1;
+                ExecCode::Native(Arc::new(nt))
+            }
+            Err(_) => build_decoded(&code.fragments, &self.opts, stats),
+        }
     }
 
     // ==== tree execution ====
@@ -1243,7 +1346,7 @@ impl Monitor {
         realm: &mut Realm,
     ) -> Result<(Ran, ExitKind), RuntimeError> {
         let ran = self.run_entered(&mut entered, interp, realm)?;
-        let kind = self.settle(&entered, &ran, interp, realm);
+        let kind = self.settle(&entered.code, &entered.ar, entered.frame, &ran, interp, realm);
         self.ars.give(entered.ar);
         kind.map(|kind| (ran, kind))
     }
@@ -1267,13 +1370,16 @@ impl Monitor {
         // loop edges bail out when the (approximate) fuel runs out.
         let fuel = interp.steps_remaining;
         // The tree's code is built from whatever fragments it has at its
-        // first execution (so trees loaded from a cache that never run
-        // cost nothing) and grown by `install_branch` after that.
+        // first execution and grown by `install_branch` after that; its
+        // direct sites follow the installs of other trees.
         let installs = self.cache.installs();
-        let tree = self.cache.tree_mut(tid);
+        let tree = self.cache.tree(tid);
         if matches!(tree.exec, ExecCode::NotBuilt) {
-            tree.exec = build_exec(&code.fragments, &self.opts, &mut self.profiler.stats);
+            self.build_exec(tid);
+        } else if tree.plans.installs() != installs {
+            self.refresh_exec(tid);
         }
+        let tree = self.cache.tree_mut(tid);
         let exec = tree.exec.clone();
         match exec {
             ExecCode::Native(_) => self.profiler.stats.native_exits += 1,
@@ -1282,7 +1388,7 @@ impl Monitor {
         }
         // The tree's transfer plans travel with the run (a plan is in use
         // while the monitor runs the tree it calls) and come back after.
-        let mut plans = std::mem::take(&mut tree.plans).current(installs);
+        let mut plans = std::mem::take(&mut tree.plans);
         let (outer, frame) = (code, entered.frame);
         let mut host =
             NestHost { monitor: self, interp, outer, plans: &mut plans, frame, unexpected: None };
@@ -1296,6 +1402,20 @@ impl Monitor {
         self.cache.tree_mut(tid).plans = plans;
         let trace_exit = trace_exit?;
         self.profiler.switch(Activity::Monitor);
+        Ok(self.account(tid, code, &trace_exit, inner_exit, interp))
+    }
+
+    /// The accounting of one finished run of tree `tid`: the step budget
+    /// it spent (the run is cut short there when it spent all of it), and
+    /// the bytecodes and instructions it ran natively.
+    pub(crate) fn account(
+        &mut self,
+        tid: TreeId,
+        code: &TreeCode,
+        trace_exit: &TraceExit,
+        inner_exit: Option<(TreeId, u32, u16)>,
+        interp: &mut Interp,
+    ) -> Ran {
         let (frag, exit) = (trace_exit.fragment, trace_exit.exit);
         let mut ran = Ran { frag, exit, out_of_fuel: false, inner_exit, bytecodes: 0 };
         interp.steps_remaining = interp.steps_remaining.saturating_sub(trace_exit.insts);
@@ -1303,7 +1423,7 @@ impl Monitor {
             // State is restored first so the error surfaces cleanly.
             interp.steps_remaining = 1;
             ran.out_of_fuel = true;
-            return Ok(ran);
+            return ran;
         }
 
         // Figure 11 accounting: bytecode-equivalents executed natively.
@@ -1319,7 +1439,7 @@ impl Monitor {
             fragment: trace_exit.fragment,
             exit: trace_exit.exit,
         });
-        Ok(ran)
+        ran
     }
 
     /// Restores interpreter state at the exit `entered` came back
@@ -1328,14 +1448,16 @@ impl Monitor {
     /// asked for, now that the roots are all in interpreter state.
     pub(crate) fn settle(
         &mut self,
-        entered: &Entered,
+        code: &TreeCode,
+        ar: &[u64],
+        frame: usize,
         ran: &Ran,
         interp: &mut Interp,
         realm: &mut Realm,
     ) -> Result<ExitKind, RuntimeError> {
-        let exit = &entered.code.exits[ran.frag as usize][ran.exit as usize];
+        let exit = &code.exits[ran.frag as usize][ran.exit as usize];
         if exit.kind != ExitKind::NestedUnexpected {
-            export(exit, &entered.ar, entered.frame, interp, realm);
+            export(exit, ar, frame, interp, realm);
         }
         if ran.out_of_fuel {
             return Err(RuntimeError::StepBudgetExhausted);
@@ -1353,21 +1475,6 @@ impl Monitor {
         let calls = |s: &NestedSite| s.inner == tid || s.returns == tid;
         self.cache.iter().any(|t| t.nested_sites.iter().any(calls))
     }
-}
-
-/// Builds a tree's code from all of `frags`: native when the tier is on
-/// and the emitter takes the tree, decoded otherwise. What first
-/// execution does, and what a branch install falls back to when native
-/// code cannot grow in place.
-fn build_exec(frags: &[Fragment], opts: &JitOptions, stats: &mut ProfileStats) -> ExecCode {
-    if opts.native_backend {
-        if let Ok(nt) = emit_tree(frags) {
-            stats.native_fragments += frags.len() as u64;
-            stats.native_emissions_sync += 1;
-            return ExecCode::Native(Arc::new(nt));
-        }
-    }
-    build_decoded(frags, opts, stats)
 }
 
 /// Decodes all of `frags` for the decoded executor.

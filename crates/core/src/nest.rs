@@ -10,19 +10,33 @@
 //! outer record to the inner one, results come back the same way, and
 //! interpreter state is touched only where neither record holds the value.
 //! The words themselves are moved by [`crate::activation`].
+//!
+//! On the native tier a deferred plan whose callee runs native and whose
+//! record-to-record moves need no heap becomes a direct site
+//! ([`TransferPlan::direct_site`]): the caller's machine code makes the
+//! moves and calls the callee's code itself (`tm-nanojit::x64`). The
+//! host keeps three small parts of such a call ([`NestHost`]'s
+//! `TreeHost` methods): the plan's interpreter variables, the finish of
+//! a call that did not come back as expected (the same tail the host
+//! path runs), and folding the counts of completed calls into the
+//! profile exactly as the host path counts each call. The monitor
+//! decides which sites are direct when it emits a caller, and emits it
+//! again when a direct site's plan or callee changes.
 
 use std::sync::Arc;
 
 use tm_interp::Interp;
 use tm_lir::{ArSlot, LirType};
-use tm_nanojit::TreeHost;
+use tm_nanojit::{DirectCounts, DirectSite, TraceExit, TreeHost, Variables, WordFrom, WordMove};
 use tm_runtime::{Realm, RuntimeError};
 
-use crate::activation::{export, run_moves, write_variables, Move, SlotBinding, SlotKey, Source};
+use crate::activation::{
+    export, run_moves, unboxed, write_variables, Move, SlotBinding, SlotKey, Source,
+};
 use crate::exit::ExitKind;
-use crate::monitor::{Entered, Monitor};
+use crate::monitor::{Entered, Monitor, Ran};
 use crate::profiler::Activity;
-use crate::tree::{NestedSite, TreeCache, TreeCode, TreeId};
+use crate::tree::{ExecCode, NestedSite, TraceTree, TreeCache, TreeCode, TreeId};
 
 /// What one nested-call site does around the inner tree's run.
 ///
@@ -134,6 +148,46 @@ impl TransferPlan {
         plan
     }
 
+    /// The direct site the native tier runs this plan's calls of `callee`
+    /// (`site`'s inner tree) through, or why it goes through the host:
+    /// `"eager plan"`, `"callee decoded"` (or not built yet) or `"boxed
+    /// move"` — a conversion that takes the heap ([`WordMove::lowers`]).
+    pub fn direct_site(
+        &self,
+        site: &NestedSite,
+        callee: &TraceTree,
+    ) -> Result<DirectSite, &'static str> {
+        if !self.deferred {
+            return Err("eager plan");
+        }
+        let ExecCode::Native(code) = &callee.exec else {
+            return Err("callee decoded");
+        };
+        // `Other` is the outer record for an argument, the inner one for
+        // a refresh word.
+        let words = |moves: &[Move], other: fn(ArSlot, LirType) -> WordFrom| -> Vec<WordMove> {
+            let from = |m: &Move| match m.from {
+                Source::Interp => WordFrom::Host,
+                Source::Own(slot, ty) => WordFrom::Outer(slot, ty),
+                Source::Other(slot, ty) => other(slot, ty),
+            };
+            moves.iter().map(|m| WordMove { from: from(m), to: m.to.ar, ty: m.to.ty }).collect()
+        };
+        let args = words(&self.args, WordFrom::Outer);
+        let refresh = words(&self.refresh, WordFrom::Inner);
+        if !args.iter().chain(&refresh).all(WordMove::lowers) {
+            return Err("boxed move");
+        }
+        Ok(DirectSite {
+            callee: Arc::clone(code),
+            callee_ar: callee.layout.len(),
+            args,
+            expected: site.expected_exit,
+            refresh,
+            flush: !self.flush.is_empty(),
+        })
+    }
+
     /// How many of the plan's moves read the outer activation record, the
     /// inner one, and interpreter state.
     pub fn sources(&self) -> (usize, usize, usize) {
@@ -167,7 +221,13 @@ impl SitePlans {
         self
     }
 
-    fn site(
+    /// The `installs` these plans were built at.
+    pub(crate) fn installs(&self) -> u64 {
+        self.installs
+    }
+
+    /// The plan of site `id`, built on first use.
+    pub(crate) fn site(
         &mut self,
         id: u32,
         outer: &TreeCode,
@@ -182,10 +242,16 @@ impl SitePlans {
         });
         (plan, &mut self.words)
     }
+
+    /// The plan of site `id`, if it was built.
+    fn built(&self, id: u32) -> Option<&TransferPlan> {
+        self.sites.get(id as usize)?.as_ref()
+    }
 }
 
 /// The nesting host: executes inner trees on behalf of `CallTree`
-/// instructions in outer traces.
+/// instructions in outer traces, and the host's part of the direct calls
+/// the native tier makes itself (`tm-nanojit::x64::DirectSite`).
 pub(crate) struct NestHost<'a> {
     pub(crate) monitor: &'a mut Monitor,
     pub(crate) interp: &'a mut Interp,
@@ -215,6 +281,83 @@ impl TreeHost for NestHost<'_> {
         self.monitor.profiler.switch(Activity::Native);
         returned
     }
+
+    /// Interpreter variables only: no monitor, no activation-record pool.
+    fn variables(
+        &mut self,
+        site_id: u32,
+        part: Variables,
+        inner: &mut [u64],
+        staged: &mut [u64],
+        realm: &mut Realm,
+    ) -> bool {
+        let Some(plan) = self.plans.built(site_id) else { return false };
+        let (interp, frame) = (&mut *self.interp, self.frame);
+        let read = |m: &Move, slot: Option<&mut u64>| {
+            let w = unboxed(interp, realm, frame, &m.to);
+            w.zip(slot).map(|(w, slot)| *slot = w).is_some()
+        };
+        let from_interp = |m: &&Move| m.from == Source::Interp;
+        match part {
+            Variables::Args => {
+                let mut moves = plan.args.iter().filter(from_interp);
+                moves.all(|m| read(m, inner.get_mut(m.to.ar as usize)))
+            }
+            Variables::Refresh => {
+                let mut moves = plan.refresh.iter().enumerate();
+                moves.all(|(i, m)| m.from != Source::Interp || read(m, staged.get_mut(i)))
+            }
+            Variables::Flush => {
+                write_variables(&plan.flush, inner, frame, interp, realm);
+                true
+            }
+        }
+    }
+
+    fn finish_call(
+        &mut self,
+        site_id: u32,
+        ar: &mut [u64],
+        inner: &[u64],
+        exit: Option<TraceExit>,
+        realm: &mut Realm,
+    ) -> Result<bool, RuntimeError> {
+        self.unexpected = None;
+        self.monitor.profiler.switch(Activity::Monitor);
+        let returned = self.finish_direct(site_id, ar, inner, exit, realm);
+        self.monitor.profiler.switch(Activity::Native);
+        returned
+    }
+
+    /// Each completed direct call counts what `call_site` and the inner
+    /// tree's `run_entered` would have counted for it.
+    fn fold(&mut self, counts: &mut [DirectCounts]) -> u64 {
+        let NestHost { monitor, interp, outer, .. } = self;
+        for (site, c) in outer.nested_sites.iter().zip(counts) {
+            let c = std::mem::take(c);
+            let Some(callee) = monitor.cache.get_mut(site.inner).filter(|_| c.calls > 0) else {
+                continue;
+            };
+            callee.stats.iterations += c.iterations;
+            let bytecodes = |f: u32| callee.fragment_bytecodes.get(f as usize).map_or(0, |&b| b);
+            let exit_bc = u64::from(bytecodes(site.expected_exit.0)) / 2;
+            let s = &mut monitor.profiler.stats;
+            s.bytecodes_native += c.iterations * u64::from(bytecodes(0)) + c.calls * exit_bc;
+            s.native_insts += c.insts;
+            for n in [
+                &mut s.trace_enters,
+                &mut s.nested_calls,
+                &mut s.nested_deferred,
+                &mut s.nested_direct,
+                &mut s.native_exits,
+                &mut s.side_exits,
+            ] {
+                *n += c.calls;
+            }
+            interp.steps_remaining = interp.steps_remaining.saturating_sub(c.insts);
+        }
+        interp.steps_remaining
+    }
 }
 
 impl NestHost<'_> {
@@ -224,13 +367,14 @@ impl NestHost<'_> {
         outer_ar: &mut [u64],
         realm: &mut Realm,
     ) -> Result<bool, RuntimeError> {
-        let NestHost { monitor, interp, outer, plans, frame, unexpected } = self;
-        let frame = *frame;
+        let (outer, frame) = (self.outer, self.frame);
         let site = &outer.nested_sites[site_id as usize];
-        let (plan, words) = plans.site(site_id, outer, &monitor.cache);
+        let (plan, words) = self.plans.site(site_id, outer, &self.monitor.cache);
+        let (monitor, interp) = (&mut *self.monitor, &mut *self.interp);
+        let deferred = plan.deferred;
         monitor.profiler.stats.nested_calls += 1;
-        monitor.profiler.stats.nested_deferred += u64::from(plan.deferred);
-        let entered = if plan.deferred {
+        monitor.profiler.stats.nested_deferred += u64::from(deferred);
+        let entered = if deferred {
             let code = Arc::clone(&monitor.cache.tree(site.inner).code);
             let mut inner = Entered {
                 tid: site.inner,
@@ -253,7 +397,7 @@ impl NestHost<'_> {
         };
         let Some(mut inner) = entered else {
             // The interpreter is left at the call site.
-            if plan.deferred {
+            if deferred {
                 export(&site.callsite, outer_ar, frame, interp, realm);
             }
             return Ok(false);
@@ -262,7 +406,7 @@ impl NestHost<'_> {
             Ok(ran) => ran,
             Err(e) => {
                 // A helper of the inner tree raised.
-                if plan.deferred {
+                if deferred {
                     export(&site.callsite, outer_ar, frame, interp, realm);
                 }
                 monitor.ars.give(inner.ar);
@@ -270,10 +414,12 @@ impl NestHost<'_> {
             }
         };
 
-        if !plan.deferred {
+        if !deferred {
             // Figure 6 inside the call: a type-unstable exit goes on in
             // the sibling its state enters, as in a monitor run.
-            while monitor.settle(&inner, &ran, interp, realm)? == ExitKind::Unstable {
+            while monitor.settle(&inner.code, &inner.ar, inner.frame, &ran, interp, realm)?
+                == ExitKind::Unstable
+            {
                 let (anchor, from) = (inner.code.anchor, Some(inner.tid));
                 let Some(next) = monitor.enter_sibling(anchor, from, true, interp, realm) else {
                     break;
@@ -288,31 +434,83 @@ impl NestHost<'_> {
                 };
             }
         }
+        let callee = (inner.tid, &*inner.code, &inner.ar[..], inner.frame);
+        let returned = self.returned(site_id, callee, &ran, outer_ar, realm);
+        self.monitor.ars.give(inner.ar);
+        returned
+    }
+
+    /// The host's part of a direct call at site `site_id` that did not
+    /// come back as expected: the counting `call_site` and the callee's
+    /// `run_entered` do, then `call_site`'s tail from the callee's
+    /// record. `exit` is `None` when a helper of the callee raised.
+    fn finish_direct(
+        &mut self,
+        site_id: u32,
+        outer_ar: &mut [u64],
+        inner_ar: &[u64],
+        exit: Option<TraceExit>,
+        realm: &mut Realm,
+    ) -> Result<bool, RuntimeError> {
+        let (outer, frame) = (self.outer, self.frame);
+        let site = outer.nested_sites.get(site_id as usize);
+        let site = site.ok_or_else(|| RuntimeError::Other("direct call at no site".into()))?;
+        let monitor = &mut *self.monitor;
+        let s = &mut monitor.profiler.stats;
+        let counted = [&mut s.trace_enters, &mut s.nested_calls, &mut s.nested_deferred];
+        for n in counted.into_iter().chain([&mut s.native_exits]) {
+            *n += 1;
+        }
+        let Some(exit) = exit else {
+            export(&site.callsite, outer_ar, frame, self.interp, realm);
+            return Ok(false);
+        };
+        let code = monitor.cache.get_mut(site.inner).map(|t| Arc::clone(&t.code));
+        let code = code.ok_or_else(|| RuntimeError::Other("direct call of no tree".into()))?;
+        let ran = monitor.account(site.inner, &code, &exit, None, self.interp);
+        self.returned(site_id, (site.inner, &code, inner_ar, frame), &ran, outer_ar, realm)
+    }
+
+    /// What a call does once its inner tree `callee` (its id, code,
+    /// record and frame) has run: §4.1's guard on the exit it took, the
+    /// refresh and, deferred, the flush — or, deferred, the export the
+    /// call put off and the inner exit's when the call did not come back
+    /// as expected.
+    fn returned(
+        &mut self,
+        site_id: u32,
+        callee: (TreeId, &TreeCode, &[u64], usize),
+        ran: &Ran,
+        outer_ar: &mut [u64],
+        realm: &mut Realm,
+    ) -> Result<bool, RuntimeError> {
+        let NestHost { monitor, interp, outer, plans, frame, unexpected } = self;
+        let (tid, code, inner_ar, inner_frame) = callee;
+        let site = &outer.nested_sites[site_id as usize];
+        let (plan, words) = plans.site(site_id, outer, &monitor.cache);
         // §4.1: "we must guard on it after the call, and side exit if the
         // property does not hold."
-        let expected = !ran.out_of_fuel
-            && inner.tid == site.returns
-            && (ran.frag, ran.exit) == site.expected_exit;
+        let expected =
+            !ran.out_of_fuel && tid == site.returns && (ran.frag, ran.exit) == site.expected_exit;
         if !expected {
-            *unexpected = Some((inner.tid, ran.frag, ran.exit));
+            *unexpected = Some((tid, ran.frag, ran.exit));
         }
         let returned =
-            expected && run_moves(&plan.refresh, outer_ar, &inner.ar, interp, realm, frame, words);
+            expected && run_moves(&plan.refresh, outer_ar, inner_ar, interp, realm, *frame, words);
         if plan.deferred {
             if returned {
                 // No collection here: the outer trace's roots are in its
                 // record. `gc_pending` stays set and its loop edge exits
                 // to the monitor.
-                write_variables(&plan.flush, &inner.ar, frame, interp, realm);
+                write_variables(&plan.flush, inner_ar, *frame, interp, realm);
             } else {
                 // The outer trace's `NestedUnexpected` exit restores
                 // nothing: leave the interpreter where the eager sequence
                 // would have, call site first, then the inner exit.
-                export(&site.callsite, outer_ar, frame, interp, realm);
-                monitor.settle(&inner, &ran, interp, realm)?;
+                export(&site.callsite, outer_ar, *frame, interp, realm);
+                monitor.settle(code, inner_ar, inner_frame, ran, interp, realm)?;
             }
         }
-        monitor.ars.give(inner.ar);
         Ok(returned)
     }
 }

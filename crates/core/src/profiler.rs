@@ -70,6 +70,10 @@ pub struct ProfileStats {
     /// Of `nested_calls`, how many ran with the call-site export deferred
     /// (`nest::TransferPlan::deferred`).
     pub nested_deferred: u64,
+    /// Of `nested_deferred`, how many the native tier completed through a
+    /// direct site (`tm-nanojit::x64::DirectSite`) without entering the
+    /// host; a call the host finished after the callee ran is not one.
+    pub nested_direct: u64,
     /// Tree runs that ended, one per run of `trace_enters`: back to the
     /// monitor, or, for a nested call, back to the calling trace
     /// (docs/DIAGNOSTICS.md).

@@ -245,6 +245,11 @@ impl TreeCache {
         &mut self.trees[id.0 as usize]
     }
 
+    /// Mutable access to a tree, if `id` names one.
+    pub fn get_mut(&mut self, id: TreeId) -> Option<&mut TraceTree> {
+        self.trees.get_mut(id.0 as usize)
+    }
+
     /// Access to a tree in order to grow its code: like an insertion, it
     /// moves [`TreeCache::installs`].
     pub fn tree_to_grow(&mut self, id: TreeId) -> &mut TraceTree {
@@ -272,5 +277,10 @@ impl TreeCache {
     /// Iterates over all trees.
     pub fn iter(&self) -> impl Iterator<Item = &TraceTree> {
         self.trees.iter()
+    }
+
+    /// Iterates mutably over all trees.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut TraceTree> {
+        self.trees.iter_mut()
     }
 }

@@ -38,6 +38,70 @@ pub trait TreeHost {
         ar: &mut [u64],
         realm: &mut Realm,
     ) -> Result<bool, RuntimeError>;
+
+    /// A direct call's interpreter variables at site `tree` (native tier,
+    /// [`crate::x64::DirectSite`]): `Args` fills the callee's record
+    /// `inner`, `Refresh` fills `staged[i]` for the `i`-th refresh move,
+    /// `Flush` writes the callee's returned variables back. `false` on a
+    /// value that does not match its type.
+    fn variables(
+        &mut self,
+        _tree: u32,
+        _part: Variables,
+        _inner: &mut [u64],
+        _staged: &mut [u64],
+        _realm: &mut Realm,
+    ) -> bool {
+        false
+    }
+
+    /// Finishes a direct call at site `tree` that did not come back as
+    /// expected, from the callee's record `inner` and its exit (`None`: a
+    /// helper of the callee raised). Returns what
+    /// [`TreeHost::call_tree`] would have.
+    ///
+    /// # Errors
+    ///
+    /// Restoring the interpreter at the callee's exit raised.
+    fn finish_call(
+        &mut self,
+        _tree: u32,
+        _ar: &mut [u64],
+        _inner: &[u64],
+        _exit: Option<TraceExit>,
+        _realm: &mut Realm,
+    ) -> Result<bool, RuntimeError> {
+        Ok(false)
+    }
+
+    /// Counts the direct calls in `counts` (by site) and zeroes them;
+    /// returns the step budget the next callee run may use.
+    fn fold(&mut self, _counts: &mut [DirectCounts]) -> u64 {
+        u64::MAX
+    }
+}
+
+/// The parts of a direct call [`TreeHost::variables`] serves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Variables {
+    /// Arguments read from interpreter variables.
+    Args,
+    /// Refresh words read from interpreter variables.
+    Refresh,
+    /// The callee's returned variables no later exit writes back.
+    Flush,
+}
+
+/// The calls a direct site completed since the host last folded them.
+#[repr(C)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct DirectCounts {
+    /// Calls that came back through the expected exit.
+    pub calls: u64,
+    /// The callee's loop-edge crossings in them.
+    pub iterations: u64,
+    /// The callee's raw instructions retired in them.
+    pub insts: u64,
 }
 
 /// A no-op host for trees without nested calls.

@@ -21,7 +21,12 @@ pub mod serial;
 pub mod x64;
 
 pub use assembler::assemble;
-pub use executor::{execute, DecodedTree, NoNesting, TraceExit, TreeHost};
-pub use x64::{emit_tree, emit_tree_annotated, native_supported, NativeTree, Unsupported};
+pub use executor::{
+    execute, DecodedTree, DirectCounts, NoNesting, TraceExit, TreeHost, Variables,
+};
+pub use x64::{
+    emit_tree, emit_tree_annotated, native_supported, DirectSite, NativeTree, Unsupported,
+    WordFrom, WordMove,
+};
 pub use machinst::{Fragment, MachInst, Reg, EXIT_UNSTITCHED, NREGS, REG_FILE_WORDS, REG_MASK};
 pub use peephole::{fuse, Decoded};

@@ -36,18 +36,40 @@
 //! are growable `Vec`s, so baking their data pointers into code would go
 //! stale on reallocation; a call through a stable shim address is the
 //! reliable form. `CallHelper` marshals its arguments into a ctx-inline
-//! buffer and dispatches through a per-tree [`Helper`] side table;
-//! `CallTree` re-enters the monitor's [`TreeHost`] through a type-erased
-//! trampoline, which selects the inner tree's own native buffer when one
-//! is installed (native→native) or bridges to the decoded tier when it
-//! isn't. Helper/nested-tree errors land in an out-of-band slot and
-//! unwind the buffer through the epilogue, so [`NativeTree::execute`]
-//! returns `Result` exactly like the decoded [`crate::executor::execute`].
-//! The only remaining whole-tree fallback is a `CallHelper` whose arity
-//! exceeds the inline argument buffer ([`unsupported_op`]).
+//! buffer and dispatches through a per-tree [`Helper`] side table.
+//!
+//! `CallTree` (§4.1: the outer trace calls the inner tree "like a
+//! subroutine") takes one of two forms. At a [`DirectSite`] — a site the
+//! monitor found deferred, with a native callee and no move that needs
+//! the heap — the caller's code does the call itself: it converts the
+//! argument words from its own record into the callee's (zeroed first),
+//! fills a callee ctx carved out of its own run (`NativeCtx::inner`,
+//! with a zeroed register file and spill area and what is left of the
+//! step budget), `call`s the callee's code, and on the expected exit
+//! stages the refresh words from both records before storing any into its
+//! own, counting the call for the host to fold in
+//! ([`crate::executor::TreeHost::fold`]). Interpreter variables are read
+//! and written by one thin shim ([`crate::executor::TreeHost::variables`]);
+//! a call that does not come back as expected — another exit, a refused
+//! refresh word, a spent budget, a helper error in the callee — is
+//! finished by the host from the callee's record
+//! ([`crate::executor::TreeHost::finish_call`]); a refused argument has
+//! changed nothing and takes the host path whole. Every other site
+//! re-enters the monitor's [`TreeHost`] through a type-erased trampoline,
+//! which runs the inner tree's own native buffer when one is installed
+//! or bridges to the decoded tier when it isn't. Helper/nested-tree
+//! errors land in an out-of-band slot and unwind the buffer through the
+//! epilogue, so [`NativeTree::execute`] returns `Result` exactly like the
+//! decoded [`crate::executor::execute`]. The only remaining whole-tree
+//! fallback is a `CallHelper` whose arity exceeds the inline argument
+//! buffer ([`unsupported_op`]).
 //!
 //! On non-x86-64 or non-Linux targets the stub module below reports
 //! native support as unavailable and the tier disables itself.
+
+use std::sync::Arc;
+
+use tm_lir::{ArSlot, LirType};
 
 use crate::machinst::MachInst;
 
@@ -94,19 +116,98 @@ pub fn unsupported_op(inst: &MachInst) -> Option<&'static str> {
     }
 }
 
+/// Where a word of a direct call's transfer is read ([`DirectSite`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WordFrom {
+    /// A slot of the calling tree's record, holding a value of this type.
+    Outer(ArSlot, LirType),
+    /// A slot of the called tree's record, holding a value of this type.
+    Inner(ArSlot, LirType),
+    /// An interpreter variable, read by the host
+    /// ([`crate::executor::TreeHost::variables`]).
+    Host,
+}
+
+/// One word a direct call moves: slot `to` gets `from`, converted to
+/// `ty` the way a round trip through the interpreter would convert it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WordMove {
+    /// Where the word is read.
+    pub from: WordFrom,
+    /// The slot it is written to.
+    pub to: ArSlot,
+    /// The type the slot holds.
+    pub ty: LirType,
+}
+
+impl WordMove {
+    /// Whether native code makes this move itself: the conversions that
+    /// need no heap — an integer to an integer (refused outside the
+    /// boxable 31 bits) or a double, a double to a double or to an
+    /// integer (refused unless integral, not `-0` and in range), and a
+    /// boolean, object or string to its own type. Host words are the
+    /// host's to convert.
+    pub fn lowers(&self) -> bool {
+        use LirType::{Bool, Double, Int, Object, String};
+        match self.from {
+            WordFrom::Host => true,
+            WordFrom::Outer(_, from) | WordFrom::Inner(_, from) => matches!(
+                (from, self.ty),
+                (Int | Double, Int | Double)
+                    | (Bool, Bool)
+                    | (Object, Object)
+                    | (String, String)
+            ),
+        }
+    }
+}
+
+/// A nested-call site whose `CallTree` the caller's code runs itself: it
+/// moves the words of the site's transfer plan and calls the callee's
+/// machine code, with no host in between unless interpreter variables
+/// are read or written, or the call does not come back as expected.
+#[derive(Debug, Clone)]
+pub struct DirectSite {
+    /// The callee's code. Held, so that every address the caller's code
+    /// calls stays mapped while that code exists.
+    pub callee: Arc<NativeTree>,
+    /// Words in the callee's activation record.
+    pub callee_ar: usize,
+    /// The callee's arguments, into its record (zeroed first): from the
+    /// caller's record or the host.
+    pub args: Vec<WordMove>,
+    /// The callee exit `(fragment, exit)` the site expects.
+    pub expected: (u32, u16),
+    /// After the expected exit, into the caller's record, every word
+    /// read before any is written: from either record or the host.
+    pub refresh: Vec<WordMove>,
+    /// Whether the host then writes returned variables back.
+    pub flush: bool,
+}
+
+impl PartialEq for DirectSite {
+    fn eq(&self, other: &DirectSite) -> bool {
+        Arc::ptr_eq(&self.callee, &other.callee)
+            && (self.callee_ar, &self.args, self.expected, &self.refresh, self.flush)
+                == (other.callee_ar, &other.args, other.expected, &other.refresh, other.flush)
+    }
+}
+
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod imp {
     use std::collections::HashMap;
     use std::mem::offset_of;
 
-    use tm_lir::{AluOp, ChkOp, CmpOp, FOp, Tag, NO_EXIT};
+    use tm_lir::{AluOp, ChkOp, CmpOp, FOp, LirType, Tag, NO_EXIT};
     use tm_runtime::trace_helpers::{
         call_helper, f64_from_word, heap_ops, word_from_f64, Helper,
     };
     use tm_runtime::{Realm, RuntimeError};
 
-    use super::{unsupported_op, Unsupported, MAX_HELPER_ARGS};
-    use crate::executor::{box_word, unbox_word, TraceExit, TreeHost};
+    use super::{unsupported_op, DirectSite, Unsupported, WordFrom, WordMove, MAX_HELPER_ARGS};
+    use crate::executor::{
+        box_word, unbox_word, DirectCounts, TraceExit, TreeHost, Variables,
+    };
     use crate::machinst::{
         as_imm, Fragment, MachInst, Reg, EXIT_UNSTITCHED, REG_FILE_WORDS, REG_MASK,
     };
@@ -171,9 +272,30 @@ mod imp {
         /// Out: error raised by a helper or nested tree. Points at an
         /// `Option<RuntimeError>` on `execute`'s stack; when a shim
         /// reports status 2 the native code unwinds through the epilogue
-        /// and `execute` returns `Err` instead of a `TraceExit`.
+        /// and `execute` returns `Err` instead of a `TraceExit`. A
+        /// callee's ctx points at its caller's.
         error: *mut Option<RuntimeError>,
+        /// The ctx a direct site runs its callee in, whose `ar`, `regs`
+        /// and `spill` are carved out of this run (null when the tree
+        /// has no direct site). Its `ar_len` is the room for any callee.
+        inner: *mut NativeCtx,
+        /// Per site id, the direct calls completed since the host last
+        /// folded them ([`TreeHost::fold`]); `sites` entries.
+        counts: *mut DirectCounts,
+        sites: u64,
+        /// Where a direct site's refresh words wait until all are read;
+        /// `stage_len` words.
+        stage: *mut u64,
+        stage_len: u64,
+        /// Steps the next callee run may take: `fuel`, less what this
+        /// run's direct calls have retired since the host last folded
+        /// them. A callee run that uses all of it goes to the host.
+        budget: u64,
     }
+
+    /// `exit_fragment` of a callee run a helper error ended: a direct
+    /// site presets it, and only exit trampolines overwrite it.
+    const RAISED: u32 = u32::MAX;
 
     const CTX_AR: i32 = offset_of!(NativeCtx, ar) as i32;
     const CTX_REGS: i32 = offset_of!(NativeCtx, regs) as i32;
@@ -189,6 +311,11 @@ mod imp {
     const CTX_EXIT_ID: i32 = offset_of!(NativeCtx, exit_id) as i32;
     const CTX_HARGS: i32 = offset_of!(NativeCtx, helper_args) as i32;
     const CTX_HRESULT: i32 = offset_of!(NativeCtx, helper_result) as i32;
+    const CTX_HELPERS: i32 = offset_of!(NativeCtx, helpers) as i32;
+    const CTX_INNER: i32 = offset_of!(NativeCtx, inner) as i32;
+    const CTX_COUNTS: i32 = offset_of!(NativeCtx, counts) as i32;
+    const CTX_STAGE: i32 = offset_of!(NativeCtx, stage) as i32;
+    const CTX_BUDGET: i32 = offset_of!(NativeCtx, budget) as i32;
 
     // ---- runtime shims --------------------------------------------------
     //
@@ -325,35 +452,120 @@ mod imp {
         }
     }
 
-    /// Monomorphic trampoline stored behind `ctx.host`: recovers the
-    /// `&mut dyn TreeHost` and forwards. Kept out of line so the shim
-    /// below never names the trait object's fat-pointer layout.
-    unsafe fn call_host(
-        host: *mut core::ffi::c_void,
-        site: u32,
-        ar: &mut [u64],
-        realm: &mut Realm,
-    ) -> Result<bool, RuntimeError> {
-        let host = unsafe { &mut **(host as *mut &mut dyn TreeHost) };
-        host.call_tree(site, ar, realm)
+    /// What a shim works on, rebuilt from the ctx `NativeTree::execute`
+    /// filled: the ctx, the run's `TreeHost`, realm and record, and, when
+    /// the tree has direct sites, the callee ctx's record and the staged
+    /// refresh words (empty otherwise).
+    struct Run<'a> {
+        ctx: &'a mut NativeCtx,
+        host: &'a mut dyn TreeHost,
+        realm: &'a mut Realm,
+        ar: &'a mut [u64],
+        callee_ar: &'a mut [u64],
+        staged: &'a mut [u64],
     }
 
-    /// `CallTree`: re-enters the monitor's [`TreeHost`] for nested-tree
-    /// site `site`. The host marshals the AR, runs the inner tree — its
-    /// *own* native buffer when one is installed, the decoded executor
-    /// otherwise (the native→decoded bridge) — and reports whether the
-    /// call completed on the expected exit.
-    extern "sysv64" fn call_tree_shim(ctx: *mut NativeCtx, site: u32) -> u32 {
-        let ctx = unsafe { &mut *ctx };
-        let realm = unsafe { &mut *ctx.realm };
-        let ar = unsafe { std::slice::from_raw_parts_mut(ctx.ar, ctx.ar_len as usize) };
-        match unsafe { call_host(ctx.host, site, ar, realm) } {
-            Ok(true) => ST_OK,
-            Ok(false) => ST_EXIT,
-            Err(e) => {
-                unsafe { *ctx.error = Some(e) };
-                ST_ERR
+    impl Run<'_> {
+        /// # Safety
+        ///
+        /// `ctx` is the ctx of a run in progress, suspended in this call.
+        unsafe fn of(ctx: *mut NativeCtx) -> Self {
+            // SAFETY: every pointer in a run's ctx outlives the run and
+            // names memory nothing else touches while native code is
+            // suspended — the callee's record and the staged words are
+            // carved out of the run apart from each other and from the
+            // record; `host` is a thin pointer to the `&mut dyn TreeHost`
+            // on `execute`'s stack (a raw fat pointer has no stable
+            // `repr(C)` layout, so only Rust code dereferences it).
+            unsafe {
+                let ctx = &mut *ctx;
+                let host = &mut **(ctx.host as *mut &mut dyn TreeHost);
+                let realm = &mut *ctx.realm;
+                let ar = std::slice::from_raw_parts_mut(ctx.ar, ctx.ar_len as usize);
+                let (callee_ar, staged) = match ctx.inner.as_ref() {
+                    Some(inner) => (
+                        std::slice::from_raw_parts_mut(inner.ar, inner.ar_len as usize),
+                        std::slice::from_raw_parts_mut(ctx.stage, ctx.stage_len as usize),
+                    ),
+                    None => (&mut [][..], &mut [][..]),
+                };
+                Run { ctx, host, realm, ar, callee_ar, staged }
             }
+        }
+
+        /// Hands the direct calls counted so far to the host, before it
+        /// reads any state they changed, and takes the budget it leaves.
+        fn fold(&mut self) {
+            if !self.ctx.counts.is_null() {
+                // SAFETY: as in `of`.
+                let counts =
+                    unsafe { std::slice::from_raw_parts_mut(self.ctx.counts, self.ctx.sites as usize) };
+                self.ctx.budget = self.host.fold(counts);
+            }
+        }
+
+        /// The host's answer as a status word; an error is parked in
+        /// `ctx.error`.
+        fn status(&mut self, r: Result<bool, RuntimeError>) -> u32 {
+            match r {
+                Ok(true) => ST_OK,
+                Ok(false) => ST_EXIT,
+                Err(e) => {
+                    // SAFETY: as in `of`.
+                    unsafe { *self.ctx.error = Some(e) };
+                    ST_ERR
+                }
+            }
+        }
+    }
+
+    /// `CallTree` through the host, for nested-tree site `site`. The host
+    /// marshals the AR, runs the inner tree — its *own* native buffer
+    /// when one is installed, the decoded executor otherwise (the
+    /// native→decoded bridge) — and reports whether the call completed
+    /// on the expected exit.
+    extern "sysv64" fn call_tree_shim(ctx: *mut NativeCtx, site: u32) -> u32 {
+        // SAFETY: native code passes its own ctx.
+        let mut run = unsafe { Run::of(ctx) };
+        run.fold();
+        let returned = run.host.call_tree(site, run.ar, run.realm);
+        run.fold();
+        run.status(returned)
+    }
+
+    /// A direct site's interpreter variables ([`TreeHost::variables`];
+    /// `part` 0, 1, 2 = args, refresh, flush): 1 when they were moved,
+    /// 0 on a refusal. Reads or writes interpreter variables only.
+    extern "sysv64" fn variables_shim(ctx: *mut NativeCtx, site: u32, part: u32) -> u32 {
+        // SAFETY: native code passes its own ctx.
+        let run = unsafe { Run::of(ctx) };
+        let part = [Variables::Args, Variables::Refresh, Variables::Flush][part.min(2) as usize];
+        u32::from(run.host.variables(site, part, run.callee_ar, run.staged, run.realm))
+    }
+
+    /// A direct call that did not come back as its site expects — a
+    /// callee exit other than the expected one, a refused refresh, a
+    /// spent budget, or a helper error in the callee: the host finishes
+    /// it from the callee's record and exit ([`TreeHost::finish_call`]).
+    extern "sysv64" fn return_shim(ctx: *mut NativeCtx, site: u32) -> u32 {
+        // SAFETY: native code passes its own ctx.
+        let mut run = unsafe { Run::of(ctx) };
+        run.fold();
+        // SAFETY: as in `Run::of`; the callee ctx is read only.
+        let inner = unsafe { &*run.ctx.inner };
+        let exit = (inner.exit_fragment != RAISED).then_some(TraceExit {
+            fragment: inner.exit_fragment,
+            exit: inner.exit_id as u16,
+            insts: inner.insts,
+            dispatched: inner.insts,
+            iterations: inner.iterations,
+        });
+        let finished = run.host.finish_call(site, run.ar, run.callee_ar, exit, run.realm);
+        run.fold();
+        match exit {
+            // The callee's error is already in `ctx.error`.
+            None => ST_ERR,
+            Some(_) => run.status(finished),
         }
     }
 
@@ -483,6 +695,9 @@ mod imp {
     const RBX: u8 = 3;
     const RSI: u8 = 6;
     const RDI: u8 = 7;
+    const R8: u8 = 8;
+    const R9: u8 = 9;
+    const R10: u8 = 10;
     const R12: u8 = 12;
     const R13: u8 = 13;
     const R14: u8 = 14;
@@ -806,6 +1021,27 @@ mod imp {
             self.op_mem(true, &[0xFF], 0, base, disp);
         }
 
+        /// `add qword [base+disp], src`.
+        fn add_mem_r64(&mut self, base: u8, disp: i32, src: u8) {
+            self.op_mem(true, &[0x01], src, base, disp);
+        }
+
+        /// `sub qword [base+disp], src`.
+        fn sub_mem_r64(&mut self, base: u8, disp: i32, src: u8) {
+            self.op_mem(true, &[0x29], src, base, disp);
+        }
+
+        /// `cmp dword [base+disp], imm32`.
+        fn cmp_mem32_imm(&mut self, base: u8, disp: i32, imm: i32) {
+            self.op_mem(false, &[0x81], 7, base, disp);
+            self.imm32(imm);
+        }
+
+        /// `rep stosq`: `rcx` words of `rax` from `rdi` up.
+        fn rep_stosq(&mut self) {
+            self.bytes(&[0xF3, 0x48, 0xAB]);
+        }
+
         /// `btc r64, imm8` (used to flip the f64 sign bit).
         fn btc_r64_imm8(&mut self, rm: u8, imm: u8) {
             self.op_reg(true, &[0x0F, 0xBA], 7, rm);
@@ -863,6 +1099,11 @@ mod imp {
         /// `cvtsi2sd xmm, r32/r64`.
         fn cvtsi2sd_reg(&mut self, xmm: u8, gpr: u8, wide: bool) {
             self.sse_reg(0xF2, wide, &[0x0F, 0x2A], xmm, gpr);
+        }
+
+        /// `movq r64, xmm`.
+        fn movq_r64_xmm(&mut self, gpr: u8, xmm: u8) {
+            self.sse_reg(0x66, true, &[0x0F, 0x7E], xmm, gpr);
         }
 
         /// `cvttsd2si r64, xmm`.
@@ -982,6 +1223,8 @@ mod imp {
         /// The vreg `rax` still holds, just stored by the instruction
         /// before: an AR store of it needs no reload.
         rax: Option<Reg>,
+        /// The tree's direct sites by site id ([`NativeTree::direct`]).
+        direct: Vec<Option<DirectSite>>,
     }
 
     /// Register-file byte offset of virtual register `v` (off `r13`).
@@ -1100,6 +1343,29 @@ mod imp {
             self.asm.mov_r32_imm(RDX, 0x8000_0000);
             self.asm.cmp_rr64(RCX, RDX);
             self.asm.jcc(CC_AE, site);
+        }
+
+        /// `rax` = the double at `[base+disp]` as an integer; exits to
+        /// `site` unless it is integral, not `-0` and in the boxable
+        /// 31-bit range. Clobbers rcx/rdx/xmm0/xmm1.
+        fn double_to_int(&mut self, base: u8, disp: i32, site: Label) {
+            self.asm.movsd_load(XMM0, base, disp);
+            self.asm.cvttsd2si_r64(RAX, XMM0);
+            self.asm.cvtsi2sd_reg(XMM1, RAX, true);
+            // Round trip differs ⇔ fractional / NaN / out of i64 range
+            // (the cvttsd2si sentinel never converts back).
+            self.asm.ucomisd_reg(XMM0, XMM1);
+            self.asm.jcc(CC_P, site);
+            self.asm.jcc(CC_NE, site);
+            let l_range = self.local();
+            self.asm.test_rr64(RAX, RAX);
+            self.asm.jcc(CC_NE, l_range);
+            // rax == 0 with nonzero bits ⇔ -0.0.
+            self.asm.mov_r64_mem(RCX, base, disp);
+            self.asm.test_rr64(RCX, RCX);
+            self.asm.jcc(CC_NE, site);
+            self.asm.bind(l_range);
+            self.range_check_i31(site);
         }
 
         // -- grouped op bodies --
@@ -1371,6 +1637,186 @@ mod imp {
             self.asm.jmp(Label::Trunk);
         }
 
+        /// Calls `shim(ctx, site)` and dispatches on its status: an error
+        /// leaves through the epilogue, `ST_EXIT` takes the `CallTree`'s
+        /// side exit `site_exit`.
+        fn call_site_shim(&mut self, shim: usize, s: u32, site_exit: Label) {
+            self.asm.mov_rr64(RDI, R15);
+            self.asm.mov_r32_imm(RSI, s);
+            self.call_shim(shim);
+            self.asm.cmp_r32_imm32(RAX, ST_ERR as i32);
+            self.asm.jcc(CC_E, Label::Epilogue);
+            self.asm.test_rr32(RAX, RAX);
+            self.asm.jcc(CC_NE, site_exit);
+        }
+
+        /// `CallTree` at site `s` through the host ([`call_tree_shim`]).
+        fn host_call(&mut self, s: u32, site_exit: Label) {
+            self.asm.note(|| format!("; host call: site {s}"));
+            let shim = call_tree_shim as extern "sysv64" fn(*mut NativeCtx, u32) -> u32;
+            self.call_site_shim(shim as usize, s, site_exit);
+        }
+
+        /// Zeroes the `n` words the pointer at `[base+disp]` names.
+        /// Clobbers rax/rcx/rdi.
+        fn zero_words(&mut self, base: u8, disp: i32, n: usize) {
+            if n == 0 {
+                return;
+            }
+            self.asm.mov_r64_mem(RDI, base, disp);
+            self.asm.xor_rr32(RAX);
+            if n <= 8 {
+                for k in 0..n {
+                    self.asm.mov_mem_r64(RDI, k as i32 * 8, RAX);
+                }
+            } else {
+                self.asm.mov_r32_imm(RCX, n as u32);
+                self.asm.rep_stosq();
+            }
+        }
+
+        /// `rax` = the word at `[base + slot*8]`, of type `from`,
+        /// converted to `to` as `tm-core`'s `activation::transfer` does;
+        /// a refusal goes to `refuse`. Only pairs [`WordMove::lowers`]
+        /// admits reach here. Clobbers rcx/rdx/xmm0/xmm1.
+        fn transfer_word(&mut self, base: u8, slot: u16, from: LirType, to: LirType, refuse: Label)
+        {
+            let disp = ar_disp(slot);
+            match (from, to) {
+                (LirType::Int, LirType::Int) => {
+                    self.asm.movsxd_r64_mem(RAX, base, disp);
+                    self.range_check_i31(refuse);
+                }
+                (LirType::Int, LirType::Double) => {
+                    self.asm.cvtsi2sd_mem32(XMM0, base, disp);
+                    self.asm.movq_r64_xmm(RAX, XMM0);
+                }
+                (LirType::Double, LirType::Int) => self.double_to_int(base, disp, refuse),
+                (LirType::Bool, _) => {
+                    self.asm.mov_r64_mem(RAX, base, disp);
+                    self.asm.test_rr64(RAX, RAX);
+                    self.asm.setcc(CC_NE, RAX);
+                    self.asm.movzx_r32_r8(RAX, RAX);
+                }
+                (LirType::Object | LirType::String, _) => self.asm.mov_r32_mem(RAX, base, disp),
+                // Double to double.
+                _ => self.asm.mov_r64_mem(RAX, base, disp),
+            }
+        }
+
+        /// Calls [`variables_shim`] for `part` of site `s`; `eax` = 0 on a
+        /// refusal.
+        fn variables_call(&mut self, s: u32, part: Variables) {
+            self.asm.mov_rr64(RDI, R15);
+            self.asm.mov_r32_imm(RSI, s);
+            self.asm.mov_r32_imm(RDX, part as u32);
+            let shim = variables_shim as extern "sysv64" fn(*mut NativeCtx, u32, u32) -> u32;
+            self.call_shim(shim as usize);
+        }
+
+        /// `CallTree` at direct site `s`: the site's moves and the call
+        /// of the callee's code, inline, in the callee ctx carved out of
+        /// this run (`ctx.inner`). The host is called for interpreter
+        /// variables only ([`variables_shim`]), and for a call that does
+        /// not come back as expected ([`return_shim`]). A refused argument
+        /// has changed nothing the host reads: that call goes through the
+        /// host whole ([`call_tree_shim`]). Clobbers every caller-saved
+        /// register.
+        fn direct_call(&mut self, s: u32, d: &DirectSite, site_exit: Label) {
+            let callee = &*d.callee;
+            let from_host = |moves: &[WordMove]| moves.iter().any(|m| m.from == WordFrom::Host);
+            let (l_host, l_back, l_done) = (self.local(), self.local(), self.local());
+            let code = callee.buf.ptr;
+            self.asm.note(|| format!("; direct call: site {s} -> tree code at {code:p}"));
+            // The callee's record, zeroed, then its arguments: r9 = the
+            // callee's ctx, r8 = its record.
+            self.asm.mov_r64_mem(R9, R15, CTX_INNER);
+            self.zero_words(R9, CTX_AR, d.callee_ar);
+            self.asm.mov_r64_mem(R8, R9, CTX_AR);
+            for m in &d.args {
+                if let WordFrom::Outer(slot, ty) = m.from {
+                    self.transfer_word(R14, slot, ty, m.ty, l_host);
+                    self.asm.mov_mem_r64(R8, ar_disp(m.to), RAX);
+                }
+            }
+            if from_host(&d.args) {
+                self.variables_call(s, Variables::Args);
+                self.asm.test_rr32(RAX, RAX);
+                self.asm.jcc(CC_E, l_host);
+                self.asm.mov_r64_mem(R9, R15, CTX_INNER);
+            }
+            // The callee's ctx: a fresh run from its trunk on what is
+            // left of this run's budget.
+            self.zero_words(R9, CTX_REGS, REG_FILE_WORDS);
+            self.zero_words(R9, CTX_SPILL, callee.max_spills);
+            // SAFETY: a fragment offset lies inside the callee's mapping.
+            let entry = unsafe { callee.buf.ptr.add(callee.frag_offsets[0] as usize) };
+            self.asm.movabs(RAX, entry as u64);
+            self.asm.mov_mem_r64(R9, CTX_ENTRY, RAX);
+            self.asm.movabs(RAX, callee.helpers.as_ptr() as u64);
+            self.asm.mov_mem_r64(R9, CTX_HELPERS, RAX);
+            self.asm.mov_r64_mem(RAX, R15, CTX_BUDGET);
+            self.asm.mov_mem_r64(R9, CTX_FUEL, RAX);
+            self.asm.xor_rr32(RAX);
+            self.asm.mov_mem_r64(R9, CTX_ITER, RAX);
+            self.asm.mov_mem32_imm(R9, CTX_EXIT_FRAG, RAISED as i32);
+            self.asm.mov_rr64(RDI, R9);
+            self.call_shim(callee.buf.ptr as usize);
+            // Back: the expected exit, with budget left?
+            self.asm.mov_r64_mem(R9, R15, CTX_INNER);
+            self.asm.cmp_mem32_imm(R9, CTX_EXIT_FRAG, d.expected.0 as i32);
+            self.asm.jcc(CC_NE, l_back);
+            self.asm.cmp_mem32_imm(R9, CTX_EXIT_ID, i32::from(d.expected.1));
+            self.asm.jcc(CC_NE, l_back);
+            self.asm.mov_r64_mem(RAX, R9, CTX_INSTS);
+            self.asm.cmp_r64_mem(RAX, R15, CTX_BUDGET);
+            self.asm.jcc(CC_AE, l_back);
+            // The refresh: every word staged (r10) before any is stored.
+            if from_host(&d.refresh) {
+                self.variables_call(s, Variables::Refresh);
+                self.asm.test_rr32(RAX, RAX);
+                self.asm.jcc(CC_E, l_back);
+                self.asm.mov_r64_mem(R9, R15, CTX_INNER);
+            }
+            self.asm.mov_r64_mem(R8, R9, CTX_AR);
+            self.asm.mov_r64_mem(R10, R15, CTX_STAGE);
+            for (i, m) in d.refresh.iter().enumerate() {
+                let (base, slot, ty) = match m.from {
+                    WordFrom::Outer(slot, ty) => (R14, slot, ty),
+                    WordFrom::Inner(slot, ty) => (R8, slot, ty),
+                    WordFrom::Host => continue,
+                };
+                self.transfer_word(base, slot, ty, m.ty, l_back);
+                self.asm.mov_mem_r64(R10, i as i32 * 8, RAX);
+            }
+            for (i, m) in d.refresh.iter().enumerate() {
+                self.asm.mov_r64_mem(RAX, R10, i as i32 * 8);
+                self.store_ar64(m.to, RAX);
+            }
+            if d.flush {
+                self.variables_call(s, Variables::Flush);
+                self.asm.mov_r64_mem(R9, R15, CTX_INNER);
+            }
+            // Counted for the host to fold in.
+            let at = s as i32 * std::mem::size_of::<DirectCounts>() as i32;
+            self.asm.mov_r64_mem(RAX, R9, CTX_INSTS);
+            self.asm.sub_mem_r64(R15, CTX_BUDGET, RAX);
+            self.asm.mov_r64_mem(RCX, R15, CTX_COUNTS);
+            self.asm.inc_mem64(RCX, at + offset_of!(DirectCounts, calls) as i32);
+            self.asm.add_mem_r64(RCX, at + offset_of!(DirectCounts, insts) as i32, RAX);
+            self.asm.mov_r64_mem(RAX, R9, CTX_ITER);
+            self.asm.add_mem_r64(RCX, at + offset_of!(DirectCounts, iterations) as i32, RAX);
+            self.asm.jmp(l_done);
+            self.asm.bind(l_back);
+            self.asm.note(|| format!("; return shim: site {s}"));
+            let shim = return_shim as extern "sysv64" fn(*mut NativeCtx, u32) -> u32;
+            self.call_site_shim(shim as usize, s, site_exit);
+            self.asm.jmp(l_done);
+            self.asm.bind(l_host);
+            self.host_call(s, site_exit);
+            self.asm.bind(l_done);
+        }
+
         /// Emits one virtual-ISA instruction of fragment `k`. `path`
         /// includes this instruction (an exiting instruction counts as
         /// retired). Selection is local: a known-constant operand becomes
@@ -1552,23 +1998,7 @@ mod imp {
                 }
                 MachInst::D2IChk { d, a, exit } => {
                     let site = self.site(k, exit, path);
-                    self.asm.movsd_load(XMM0, R13, vdisp(a));
-                    self.asm.cvttsd2si_r64(RAX, XMM0);
-                    self.asm.cvtsi2sd_reg(XMM1, RAX, true);
-                    // Round trip differs ⇔ fractional / NaN / out of i64
-                    // range (the cvttsd2si sentinel never converts back).
-                    self.asm.ucomisd_reg(XMM0, XMM1);
-                    self.asm.jcc(CC_P, site);
-                    self.asm.jcc(CC_NE, site);
-                    let l_range = self.local();
-                    self.asm.test_rr64(RAX, RAX);
-                    self.asm.jcc(CC_NE, l_range);
-                    // rax == 0 with nonzero bits ⇔ -0.0.
-                    self.load_vreg64(RCX, a);
-                    self.asm.test_rr64(RCX, RCX);
-                    self.asm.jcc(CC_NE, site);
-                    self.asm.bind(l_range);
-                    self.range_check_i31(site);
+                    self.double_to_int(R13, vdisp(a), site);
                     self.store_vreg64(d, RAX);
                 }
                 MachInst::D2I32 { d, a } => {
@@ -1880,17 +2310,10 @@ mod imp {
                 }
                 MachInst::CallTree { tree, exit } => {
                     let site = self.site(k, exit, path);
-                    self.asm.mov_rr64(RDI, R15);
-                    self.asm.mov_r32_imm(RSI, tree);
-                    self.call_shim(
-                        call_tree_shim as extern "sysv64" fn(*mut NativeCtx, u32) -> u32 as usize,
-                    );
-                    self.asm.cmp_r32_imm32(RAX, ST_ERR as i32);
-                    self.asm.jcc(CC_E, Label::Epilogue);
-                    // ST_EXIT: the inner call left on an unexpected
-                    // exit; take this instruction's side exit.
-                    self.asm.test_rr32(RAX, RAX);
-                    self.asm.jcc(CC_NE, site);
+                    match self.direct.get(tree as usize).cloned().flatten() {
+                        Some(d) => self.direct_call(tree, &d, site),
+                        None => self.host_call(tree, site),
+                    }
                 }
             }
         }
@@ -1976,15 +2399,19 @@ mod imp {
     /// native subset, or when the OS refuses an executable mapping. The
     /// caller falls back to the decoded executor for the whole tree.
     pub fn emit_tree(fragments: &[Fragment]) -> Result<NativeTree, Unsupported> {
-        NativeTree::unmapped(None).append(fragments)
+        NativeTree::emit(fragments, &[])
     }
 
     /// [`emit_tree`], additionally collecting the per-instruction and
     /// exit-trampoline annotations [`NativeTree::hexdump`] interleaves
-    /// with the code bytes. Diagnostics only: formatting the annotations
-    /// costs more than the emission itself.
-    pub fn emit_tree_annotated(fragments: &[Fragment]) -> Result<NativeTree, Unsupported> {
-        NativeTree::unmapped(Some(Vec::new())).append(fragments)
+    /// with the code bytes, with `CallTree`s at the sites `sites` names
+    /// made direct. Diagnostics only: formatting the annotations costs
+    /// more than the emission itself.
+    pub fn emit_tree_annotated(
+        fragments: &[Fragment],
+        sites: &[Option<DirectSite>],
+    ) -> Result<NativeTree, Unsupported> {
+        NativeTree::unmapped(Some(Vec::new())).append(fragments, sites)
     }
 
     /// Spill words [`NativeTree::execute`] keeps on its own frame. On the
@@ -2016,6 +2443,12 @@ mod imp {
         /// `Helper` enum carries a payload variant, so it cannot be an
         /// immediate in the code stream).
         helpers: Vec<Helper>,
+        /// The `CallTree` sites emitted direct, by site id; `None` for
+        /// those that go through the host.
+        direct: Vec<Option<DirectSite>>,
+        /// The room a run carves out for the direct sites' callees: the
+        /// largest callee record, spill area and refresh.
+        callee_room: (usize, usize, usize),
     }
 
     impl std::fmt::Debug for NativeTree {
@@ -2023,6 +2456,7 @@ mod imp {
             f.debug_struct("NativeTree")
                 .field("code_len", &self.code_len)
                 .field("num_frags", &self.frag_offsets.len())
+                .field("direct_sites", &self.direct.iter().flatten().count())
                 .finish_non_exhaustive()
         }
     }
@@ -2038,6 +2472,49 @@ mod imp {
                 max_spills: 0,
                 notes,
                 helpers: Vec::new(),
+                direct: Vec::new(),
+                callee_room: (0, 0, 0),
+            }
+        }
+
+        /// Translates a whole trace tree into one executable buffer, as
+        /// [`emit_tree`] does, with the `CallTree` of every site `sites`
+        /// names (by site id) made direct.
+        ///
+        /// # Errors
+        ///
+        /// As [`emit_tree`].
+        pub fn emit(
+            fragments: &[Fragment],
+            sites: &[Option<DirectSite>],
+        ) -> Result<NativeTree, Unsupported> {
+            NativeTree::unmapped(None).append(fragments, sites)
+        }
+
+        /// The sites whose `CallTree` this code runs directly, by site id.
+        pub fn direct_sites(&self) -> &[Option<DirectSite>] {
+            &self.direct
+        }
+
+        /// Takes `sites`' entries for the `CallTree`s of `new` fragments
+        /// whose moves all lower, and grows the callee room to fit them.
+        fn take_sites(&mut self, new: &[Fragment], sites: &[Option<DirectSite>]) {
+            let calls = new.iter().flat_map(|f| &f.code).filter_map(|inst| match *inst {
+                MachInst::CallTree { tree, .. } => Some(tree as usize),
+                _ => None,
+            });
+            for s in calls {
+                let Some(Some(d)) = sites.get(s) else { continue };
+                if !d.args.iter().chain(&d.refresh).all(WordMove::lowers) {
+                    continue;
+                }
+                if self.direct.len() <= s {
+                    self.direct.resize(s + 1, None);
+                }
+                let (ar, spill, stage) = &mut self.callee_room;
+                (*ar, *spill) = ((*ar).max(d.callee_ar), (*spill).max(d.callee.max_spills));
+                *stage = (*stage).max(d.refresh.len());
+                self.direct[s] = Some(d.clone());
             }
         }
 
@@ -2058,12 +2535,17 @@ mod imp {
         /// [`Unsupported::FULL`] when the new code does not fit the
         /// reserved capacity — rebuild with [`emit_tree`]; otherwise an
         /// op the emitter refuses or a refused `mmap`/`mprotect`.
-        pub fn append(mut self, fragments: &[Fragment]) -> Result<NativeTree, Unsupported> {
+        pub fn append(
+            mut self,
+            fragments: &[Fragment],
+            sites: &[Option<DirectSite>],
+        ) -> Result<NativeTree, Unsupported> {
             let first = self.frag_offsets.len();
             let new = &fragments[first..];
             if let Some(what) = new.iter().flat_map(|f| &f.code).find_map(unsupported_op) {
                 return Err(Unsupported { what });
             }
+            self.take_sites(new, sites);
             let mut e = Emitter {
                 asm: Asm { base: self.code_len, notes: self.notes.take(), ..Asm::default() },
                 sites: Vec::new(),
@@ -2072,6 +2554,7 @@ mod imp {
                 known: [None; REG_FILE_WORDS],
                 flags: None,
                 rax: None,
+                direct: std::mem::take(&mut self.direct),
             };
             if self.code_len == 0 {
                 e.prologue();
@@ -2092,6 +2575,7 @@ mod imp {
             self.tails.extend(e.emit_sites());
             e.asm.finalize();
             self.helpers = e.helpers;
+            self.direct = e.direct;
 
             let new_len = self.code_len + e.asm.code.len();
             if self.buf.len == 0 {
@@ -2139,7 +2623,10 @@ mod imp {
         /// Mirrors `executor::execute` — same signature shape, same
         /// semantics: fresh zeroed register file and spill area, loop
         /// edges poll `realm.interrupt` / `realm.heap.gc_pending` and
-        /// the `fuel` budget, `CallTree` sites re-enter `host`.
+        /// the `fuel` budget, `CallTree` sites re-enter `host` — or, at
+        /// a direct site, call the callee's code and leave the host what
+        /// it would have counted ([`TreeHost::fold`], before this
+        /// returns).
         ///
         /// # Errors
         ///
@@ -2191,16 +2678,43 @@ mod imp {
                 ar_len: ar.len() as u64,
                 host: (&raw mut host).cast::<core::ffi::c_void>(),
                 error: &raw mut error,
+                inner: std::ptr::null_mut(),
+                counts: std::ptr::null_mut(),
+                sites: 0,
+                stage: std::ptr::null_mut(),
+                stage_len: 0,
+                budget: fuel,
             };
+            // Direct sites run their callee in room carved out of this
+            // run; the callee ctx shares the realm, host and error slot.
+            let (mut words, mut counts, mut callee) = (Vec::new(), Vec::new(), None);
+            if self.direct.iter().any(Option::is_some) {
+                let (callee_ar, spill, stage) = self.callee_room;
+                words.resize(REG_FILE_WORDS + spill + callee_ar + stage, 0u64);
+                counts.resize(self.direct.len(), DirectCounts::default());
+                let base = words.as_mut_ptr();
+                // SAFETY: the register file, spill area, record and
+                // staged refresh lie in `words`, in that order.
+                let at = |n: usize| unsafe { base.add(n) };
+                let (regs, spill_at) = (base, at(REG_FILE_WORDS));
+                let (ar, ar_len) = (at(REG_FILE_WORDS + spill), callee_ar as u64);
+                ctx.inner = callee.insert(NativeCtx { regs, spill: spill_at, ar, ar_len, ..ctx });
+                (ctx.counts, ctx.sites) = (counts.as_mut_ptr(), counts.len() as u64);
+                (ctx.stage, ctx.stage_len) = (at(REG_FILE_WORDS + spill + callee_ar), stage as u64);
+            }
             // SAFETY: `buf` starts with the prologue this module emitted
             // for exactly this signature and is `r-x`: `append` is the
             // only writer and takes the tree by value, so it cannot run
-            // while `&self` is live. Every pointer in `ctx` outlives the
-            // call.
+            // while `&self` is live. Every pointer in `ctx` (and in the
+            // callee ctx) outlives the call; a direct site's callee code
+            // is held by `self.direct`.
             let run = unsafe {
                 std::mem::transmute::<*mut u8, extern "sysv64" fn(*mut NativeCtx)>(self.buf.ptr)
             };
             run(&mut ctx);
+            if callee.is_some() {
+                host.fold(&mut counts);
+            }
             if let Some(e) = error {
                 return Err(e);
             }
@@ -2255,7 +2769,7 @@ mod imp {
 mod imp {
     use tm_runtime::{Realm, RuntimeError};
 
-    use super::Unsupported;
+    use super::{DirectSite, Unsupported};
     use crate::executor::{box_word, unbox_word, TraceExit, TreeHost};
     use crate::machinst::Fragment;
 
@@ -2287,7 +2801,28 @@ mod imp {
 
         /// Unreachable: a stub `NativeTree` cannot be constructed.
         #[allow(clippy::missing_errors_doc)]
-        pub fn append(self, _fragments: &[Fragment]) -> Result<NativeTree, Unsupported> {
+        pub fn append(
+            self,
+            _fragments: &[Fragment],
+            _sites: &[Option<DirectSite>],
+        ) -> Result<NativeTree, Unsupported> {
+            match self.never {}
+        }
+
+        /// Native code generation is unavailable on this target.
+        ///
+        /// # Errors
+        ///
+        /// Always returns [`Unsupported`].
+        pub fn emit(
+            fragments: &[Fragment],
+            _sites: &[Option<DirectSite>],
+        ) -> Result<NativeTree, Unsupported> {
+            emit_tree(fragments)
+        }
+
+        /// Unreachable: a stub `NativeTree` cannot be constructed.
+        pub fn direct_sites(&self) -> &[Option<DirectSite>] {
             match self.never {}
         }
 
@@ -2326,7 +2861,10 @@ mod imp {
     /// # Errors
     ///
     /// Always returns [`Unsupported`].
-    pub fn emit_tree_annotated(_fragments: &[Fragment]) -> Result<NativeTree, Unsupported> {
+    pub fn emit_tree_annotated(
+        _fragments: &[Fragment],
+        _sites: &[Option<DirectSite>],
+    ) -> Result<NativeTree, Unsupported> {
         Err(Unsupported { what: "target (requires x86-64 linux)" })
     }
 }
@@ -2884,7 +3422,7 @@ mod tests {
         );
         // The monitor's emission path skips annotations entirely.
         assert!(emit_tree(&tree).unwrap().hexdump().is_empty());
-        let nt = super::emit_tree_annotated(&tree).unwrap();
+        let nt = super::emit_tree_annotated(&tree, &[]).unwrap();
         let dump = nt.hexdump();
         assert!(dump.contains("; fragment 0"));
         assert!(dump.contains("GuardTrue"));
@@ -2923,7 +3461,7 @@ mod tests {
         let (trunk, full) = growth_tree();
         let nt = emit_tree(&trunk).unwrap();
         assert_wx(&nt);
-        let nt = nt.append(&full).unwrap();
+        let nt = nt.append(&full, &[]).unwrap();
         assert_wx(&nt);
     }
 
@@ -2989,7 +3527,7 @@ mod tests {
         let ptr = grown.code_ptr();
         let trunk_size = grown.code_size();
 
-        let grown = grown.append(&full).unwrap();
+        let grown = grown.append(&full, &[]).unwrap();
         assert_eq!(grown.code_ptr(), ptr, "an in-capacity append does not move the code");
         assert_eq!(grown.num_fragments(), 2);
         let whole = emit_tree(&full).unwrap();
@@ -3010,7 +3548,7 @@ mod tests {
         code.append(&mut full[1].code);
         full[1].code = code;
         let grown = emit_tree(&trunk).unwrap();
-        assert_eq!(grown.append(&full).unwrap_err(), super::Unsupported::FULL);
+        assert_eq!(grown.append(&full, &[]).unwrap_err(), super::Unsupported::FULL);
         let rebuilt = emit_tree(&full).unwrap();
         let exit = agree(&rebuilt, &full, &[w(0), w(20), w(0)]);
         assert_eq!((exit.fragment, exit.exit), (0, 0));
@@ -3019,7 +3557,7 @@ mod tests {
         more[0].stitch_exit(0, 2);
         more.push(Fragment::new(vec![MachInst::End { exit: 0 }], 0, 1));
         let ptr = rebuilt.code_ptr();
-        let grown = rebuilt.append(&more).unwrap();
+        let grown = rebuilt.append(&more, &[]).unwrap();
         assert_eq!(grown.code_ptr(), ptr);
         assert_eq!(agree(&grown, &more, &[w(0), w(20), w(0)]).fragment, 2);
     }
@@ -3040,7 +3578,7 @@ mod tests {
             0,
             1,
         ));
-        let nt = emit_tree(&trunk).unwrap().append(&full).unwrap();
+        let nt = emit_tree(&trunk).unwrap().append(&full, &[]).unwrap();
         for source in 0..3 {
             let setup = |realm: &mut Realm| match source {
                 0 => realm.interrupt = true,
@@ -3066,7 +3604,7 @@ mod tests {
     #[test]
     fn hexdump_of_an_appended_tree_annotates_everything() {
         let (trunk, full) = growth_tree();
-        let nt = super::emit_tree_annotated(&trunk).unwrap().append(&full).unwrap();
+        let nt = super::emit_tree_annotated(&trunk, &[]).unwrap().append(&full, &[]).unwrap();
         let dump = nt.hexdump();
         for (k, frag) in full.iter().enumerate() {
             assert!(dump.contains(&format!("; fragment {k}\n")), "{dump}");
@@ -3108,7 +3646,7 @@ mod tests {
         // The mprotect of an append.
         let nt = emit_tree(&trunk).unwrap();
         REFUSE_NEXT.set(Some(SYS_MPROTECT));
-        let refused = nt.append(&full);
+        let refused = nt.append(&full, &[]);
         assert_eq!(refused.as_ref().unwrap_err().what, "mprotect");
         assert_eq!(run(refused), decoded);
 
@@ -3120,7 +3658,7 @@ mod tests {
 
         // The switch is spent: the next tree emits and agrees.
         assert!(REFUSE_NEXT.get().is_none());
-        assert_eq!(run(emit_tree(&trunk).unwrap().append(&full)), decoded);
+        assert_eq!(run(emit_tree(&trunk).unwrap().append(&full, &[])), decoded);
     }
 
     // ---- full-coverage tier: heap ops, helper calls, nested trees ----
@@ -3436,7 +3974,7 @@ mod tests {
             ],
             2,
         );
-        let dump = super::emit_tree_annotated(&tree).unwrap().hexdump();
+        let dump = super::emit_tree_annotated(&tree, &[]).unwrap().hexdump();
         assert!(
             dump.contains("; helper table[0] = Sqrt"),
             "hexdump resolves the helper name, not just a table index:\n{dump}"

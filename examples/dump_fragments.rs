@@ -8,9 +8,12 @@
 //! lines print their operation as a field — `AluI { op: Add, .. }`,
 //! `ChkAluI { op: Mul, .. }`, `CmpD { op: Lt, .. }`.
 //! Each nested-call site (§4) follows its tree: the inner tree, the exit it
-//! must return through, whether the call-site export is deferred, and how
+//! must return through, whether the call-site export is deferred, how
 //! many of the transfer plan's bindings are read from the outer activation
-//! record, the inner one, or interpreter state:
+//! record, the inner one, or interpreter state, and what the native tier
+//! does with the site — `native: direct` (the caller's code calls the
+//! callee's itself) or `native: host (<reason>)`, the reason one of
+//! `eager plan`, `callee decoded`, `boxed move`:
 //!
 //! ```sh
 //! cargo run --release --example dump_fragments -- 'var s=0; for (var i=0;i<500;i++) s+=i; s'
@@ -34,7 +37,10 @@
 //! and the exit trampolines (`exit site: ... -> return` materializes the
 //! exit index for the monitor; a following `stitched: jmp fragment N`
 //! line is the direct jump patched over it when a branch was stitched
-//! to the exit). `CallHelper` sites carry a
+//! to the exit). A live tree is dumped with its direct sites: `direct
+//! call: site N` opens the inline sequence, `return shim: site N` the
+//! call that hands a call not coming back as expected to the host, and
+//! `host call: site N` the whole host path. `CallHelper` sites carry a
 //! `; helper table[i] = <name>` line resolving the per-tree helper-table
 //! index to the helper it dispatches (e.g. `ConcatStrings`, or
 //! `CallNative(id)` for registered builtins). Works in the offline
@@ -42,7 +48,10 @@
 
 use tracemonkey::jit::nest::TransferPlan;
 use tracemonkey::jit::persist::{read_cache_file, read_index};
-use tracemonkey::nanojit::{emit_tree_annotated, native_supported, Fragment, EXIT_UNSTITCHED};
+use tracemonkey::jit::tree::ExecCode;
+use tracemonkey::nanojit::{
+    emit_tree_annotated, native_supported, DirectSite, Fragment, EXIT_UNSTITCHED,
+};
 use tracemonkey::{Engine, Vm};
 
 fn main() {
@@ -72,12 +81,24 @@ fn main() {
             println!("=== tree {t} fragment {f} ===");
             println!("{}", frag.listing());
         }
+        let direct = match &tree.exec {
+            ExecCode::Native(nt) => nt.direct_sites(),
+            _ => &[],
+        };
         for (s, site) in tree.nested_sites.iter().enumerate() {
             let plan = TransferPlan::build(tree, site, m.cache.tree(site.returns));
             let (outer_ar, inner_ar, interp) = plan.sources();
+            let route = match direct.get(s) {
+                Some(Some(_)) => "direct".to_owned(),
+                _ => {
+                    let why = plan.direct_site(site, m.cache.tree(site.inner)).err();
+                    format!("host ({})", why.unwrap_or("caller decoded"))
+                }
+            };
             println!(
                 "=== tree {t} nested site {s}: calls tree {} expecting tree {} exit {:?}, \
-                 call-site export {}; bindings from outer AR {}, inner AR {}, interpreter {} ===",
+                 call-site export {}; bindings from outer AR {}, inner AR {}, interpreter {}; \
+                 native: {route} ===",
                 site.inner.0,
                 site.returns.0,
                 site.expected_exit,
@@ -88,24 +109,26 @@ fn main() {
             );
         }
         if native {
-            dump_native(t, &tree.fragments);
+            dump_native(t, &tree.fragments, direct);
         }
     }
     let stats = &m.profiler.stats;
     println!(
-        "=== {} tree runs: {} nested calls ({} with the call-site export deferred), {} from the monitor ===",
+        "=== {} tree runs: {} nested calls ({} with the call-site export deferred, {} direct), \
+         {} from the monitor ===",
         stats.trace_enters,
         stats.nested_calls,
         stats.nested_deferred,
+        stats.nested_direct,
         stats.trace_enters - stats.nested_calls,
     );
 }
 
-/// Emits tree `t`'s fragments through the native backend and prints the
-/// annotated hexdump (one buffer per tree: trunk, branches, then the
-/// shared exit trampolines).
-fn dump_native(t: usize, fragments: &[Fragment]) {
-    match emit_tree_annotated(fragments) {
+/// Emits tree `t`'s fragments through the native backend, with `sites`
+/// direct, and prints the annotated hexdump (one buffer per tree: trunk,
+/// branches, then the shared exit trampolines).
+fn dump_native(t: usize, fragments: &[Fragment], sites: &[Option<DirectSite>]) {
+    match emit_tree_annotated(fragments, sites) {
         Ok(nt) => {
             println!(
                 "=== tree {t} native code ({} bytes, {} fragments) ===",
@@ -211,7 +234,7 @@ fn dump_cache(path: &std::path::Path, native: bool) {
                 println!("{}", frag.listing());
             }
             if native {
-                dump_native(t, &tree.fragments);
+                dump_native(t, &tree.fragments, &[]);
             }
         }
     }

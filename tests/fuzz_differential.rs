@@ -610,11 +610,18 @@ fn fuzz_nested_0_to_100() {
 /// nested-call family.
 #[test]
 fn fuzz_extended_sweep() {
-    let Ok(range) = std::env::var("TM_FUZZ_RANGE") else { return };
+    for seed in seed_range_from_env().unwrap_or_default() {
+        fuzz_one(seed);
+    }
+}
+
+/// The seeds `TM_FUZZ_RANGE=start..end` names, if it is set.
+fn seed_range_from_env() -> Option<Vec<Seed>> {
+    let range = std::env::var("TM_FUZZ_RANGE").ok()?;
     let (a, b) = range.split_once("..").expect("TM_FUZZ_RANGE: start..end");
     let (a, b) = (Seed::parse(a, "TM_FUZZ_RANGE"), Seed::parse(b, "TM_FUZZ_RANGE"));
     assert_eq!(a.nested, b.nested, "TM_FUZZ_RANGE: both ends in one family");
-    fuzz_range(a.nested, a.n..b.n);
+    Some((a.n..b.n).map(|n| Seed { nested: a.nested, n }).collect())
 }
 
 /// Replays specific seeds: `TM_FUZZ_SEEDS=3,17,n250` (comma-separated;
@@ -629,8 +636,7 @@ fn fuzz_replay_seeds() {
 
 /// Runs `src` under the tracing JIT with the native x86-64 tier forced
 /// on or off (off = the decoded dispatch-loop executor, the portable
-/// reference). Returns the displayed result plus the monitor's
-/// `(native_exits, native_fallbacks, trace_enters)` counters.
+/// reference). Returns the displayed result plus the monitor's counters.
 /// `background` additionally attaches a two-worker compiler pool and
 /// turns on `background_compile`, so traces compile off the request
 /// thread and their native code is appended when the monitor installs
@@ -639,7 +645,7 @@ fn run_tracing_native(
     src: &str,
     native: bool,
     background: bool,
-) -> (Result<String, String>, (u64, u64, u64)) {
+) -> (Result<String, String>, tracemonkey::jit::profiler::ProfileStats) {
     let mut opts = tracemonkey::JitOptions::default();
     opts.native_backend = native;
     opts.background_compile = background;
@@ -653,8 +659,7 @@ fn run_tracing_native(
         Ok(v) => Ok(tracemonkey::runtime::ops::to_display(&mut vm.realm, v)),
         Err(e) => Err(format!("{e}")),
     };
-    let s = vm.profile().expect("tracing engine profiles");
-    (r, (s.native_exits, s.native_fallbacks, s.trace_enters))
+    (r, vm.profile().expect("tracing engine profiles").clone())
 }
 
 /// Native-tier differential mode: `TM_FUZZ_NATIVE=1` runs every seed's
@@ -662,9 +667,13 @@ fn run_tracing_native(
 /// reference interpreter — and requires all three results to match
 /// byte-for-byte. Also checks the accounting invariant that with the
 /// native backend requested, every trace entry is counted as exactly one
-/// native exit or one fallback. Trivially passes (with a note) where the
+/// native exit or one fallback, and, unless the native pass compiles in
+/// the background (whose installs land at other loop edges), that both
+/// tiers made the same nested calls, tree runs and side exits — direct
+/// nested calls included. Trivially passes (with a note) where the
 /// backend doesn't exist, so `ci.sh` can invoke it unconditionally.
-/// Seeds come from `TM_FUZZ_SEEDS` when set, else a built-in smoke set.
+/// Seeds come from `TM_FUZZ_SEEDS` when set, else from `TM_FUZZ_RANGE`,
+/// else a built-in smoke set.
 #[test]
 fn fuzz_native_tier() {
     if std::env::var("TM_FUZZ_NATIVE").as_deref() != Ok("1") {
@@ -675,14 +684,26 @@ fn fuzz_native_tier() {
         return;
     }
     let seeds = Seed::list_from_env()
+        .or_else(seed_range_from_env)
         .unwrap_or_else(|| (0..40).map(|n| Seed { nested: false, n }).collect());
     let mut total_native_exits = 0;
     for seed in seeds {
         let src = seed.program();
         let baseline = run(Engine::Interp, &src);
         let background = std::env::var("TM_FUZZ_BG").as_deref() == Ok("1");
-        let (decoded, _) = run_tracing_native(&src, false, false);
-        let (native, (exits, fallbacks, enters)) = run_tracing_native(&src, true, background);
+        let (decoded, d) = run_tracing_native(&src, false, false);
+        let (native, n) = run_tracing_native(&src, true, background);
+        let (exits, fallbacks, enters) = (n.native_exits, n.native_fallbacks, n.trace_enters);
+        let counts = |s: &tracemonkey::jit::profiler::ProfileStats| {
+            (s.nested_calls, s.nested_deferred, s.trace_enters, s.side_exits)
+        };
+        assert!(
+            background || counts(&n) == counts(&d),
+            "seed {seed}: (nested calls, deferred, trace enters, side exits) native {:?}, \
+             decoded {:?}:\n{src}",
+            counts(&n),
+            counts(&d)
+        );
         assert_eq!(
             decoded, baseline,
             "seed {seed}: decoded executor disagrees with the interpreter:\n{src}"

@@ -5,9 +5,14 @@
 //! deferred one (nothing exported at the call site) or the eager one.
 //! The plan-level property test is in `crates/core/src/nest.rs`.
 
+use std::sync::Arc;
+
 use tracemonkey::jit::activation::SlotKey;
 use tracemonkey::jit::profiler::ProfileStats;
+use tracemonkey::jit::tree::ExecCode;
+use tracemonkey::nanojit::native_supported;
 use tracemonkey::runtime::ops::to_display;
+use tracemonkey::runtime::{NativeEffects, Realm, Value};
 use tracemonkey::{Engine, JitOptions, RuntimeError, Vm, VmError};
 
 /// What a run leaves for a program to see: output, completion value and
@@ -45,11 +50,22 @@ fn differential_with(src: &str, globals: &[&str], tune: fn(&mut Vm)) -> Vm {
         ran.push(vm);
     }
     let [decoded, native] = [0, 1].map(|i| ran[i].profile().expect("tracing"));
-    assert_eq!(
-        (decoded.nested_calls, decoded.nested_deferred, decoded.trace_enters),
-        (native.nested_calls, native.nested_deferred, native.trace_enters),
-        "the tiers run the same plans"
-    );
+    let counts = |s: &ProfileStats| {
+        [
+            s.nested_calls,
+            s.nested_deferred,
+            s.trace_enters,
+            s.side_exits,
+            s.bytecodes_native,
+            s.native_insts,
+        ]
+    };
+    assert_eq!(counts(decoded), counts(native), "the tiers run the same plans, and count the same");
+    assert_eq!(decoded.nested_direct, 0, "the decoded tier calls through the host");
+    if native_supported() {
+        assert_eq!(native.native_exits + native.native_fallbacks, native.trace_enters);
+    }
+    assert!(native.nested_direct <= native.nested_deferred);
     assert!(native.nested_deferred <= native.nested_calls);
     assert!(native.nested_calls < native.trace_enters, "the monitor entered the outer tree");
     ran.pop().expect("two runs")
@@ -59,10 +75,12 @@ fn differential(src: &str, globals: &[&str]) -> ProfileStats {
     differential_with(src, globals, |_| {}).profile().expect("tracing").clone()
 }
 
-/// All calls deferred, and there were some.
+/// All calls deferred, and there were some; on the native tier, some
+/// made directly.
 fn assert_all_deferred(s: &ProfileStats, at_least: u64) {
     assert!(s.nested_calls >= at_least, "{s:?}");
     assert_eq!(s.nested_deferred, s.nested_calls, "{s:?}");
+    assert!(s.nested_direct > 0 || !native_supported(), "{s:?}");
 }
 
 #[test]
@@ -440,6 +458,129 @@ fn the_step_budget_running_out_inside_a_nested_call() {
         assert!(spins > 1000.0 && i > 20.0, "spins {spins}, i {i}");
         assert!(spins >= i * 50.0 && spins <= (i + 1.0) * 50.0, "spins {spins}, i {i}");
     }
+}
+
+// ---- direct calls (the native tier calls the inner tree's code itself) ---
+
+/// Defines the global native `name` for `f`, traced as a helper call.
+fn define(vm: &mut Vm, name: &str, f: fn(&mut Realm, &[Value]) -> Result<Value, RuntimeError>) {
+    let effects = NativeEffects { may_reenter: false, accesses_globals: false, allocates: false };
+    let id = vm.realm.register_native(name, f, effects, None);
+    let f = vm.realm.new_native_function(id);
+    vm.realm.define_global(name, f);
+}
+
+/// The integer argument of a native.
+fn int_arg(realm: &Realm, args: &[Value]) -> Option<f64> {
+    realm.heap.number_value(args.get(1).copied().unwrap_or(Value::ZERO))
+}
+
+/// `failAt(n)`: `n`, but a range error at 1000.
+fn fail_at(realm: &mut Realm, args: &[Value]) -> Result<Value, RuntimeError> {
+    match int_arg(realm, args) {
+        Some(1000.0) => Err(RuntimeError::RangeError("failAt".into())),
+        _ => Ok(args.get(1).copied().unwrap_or(Value::ZERO)),
+    }
+}
+
+/// `armAt(n)`: `n`, and the interrupt flag set at 1002.
+fn arm_at(realm: &mut Realm, args: &[Value]) -> Result<Value, RuntimeError> {
+    if int_arg(realm, args) == Some(1002.0) {
+        realm.interrupt = true;
+    }
+    Ok(args.get(1).copied().unwrap_or(Value::ZERO))
+}
+
+const CALLS_A_NATIVE: &str = "var total = 0;
+     for (var i = 0; i < 300; i++) {
+         for (var j = 0; j < 4; j++) total = total + NATIVE(i * 4 + j);
+     }
+     total";
+
+#[test]
+fn a_helper_error_inside_a_directly_called_inner_tree() {
+    let vm = differential_with(
+        &CALLS_A_NATIVE.replace("NATIVE", "failAt"),
+        &["total", "i", "j"],
+        |vm| define(vm, "failAt", fail_at),
+    );
+    let s = vm.profile().expect("tracing");
+    assert_all_deferred(s, 200);
+}
+
+#[test]
+fn an_interrupt_set_while_a_directly_called_inner_tree_runs() {
+    let vm = differential_with(
+        &CALLS_A_NATIVE.replace("NATIVE", "armAt"),
+        &["total", "i", "j"],
+        |vm| define(vm, "armAt", arm_at),
+    );
+    let s = vm.profile().expect("tracing");
+    assert_all_deferred(s, 200);
+}
+
+/// Whether every direct site of `vm`'s native trees calls its callee's
+/// current code.
+fn direct_callees_are_current(vm: &Vm) -> bool {
+    let m = vm.monitor().expect("tracing");
+    m.cache.iter().all(|t| match &t.exec {
+        ExecCode::Native(nt) => nt.direct_sites().iter().enumerate().all(|(s, d)| match d {
+            Some(d) => match &m.cache.tree(t.nested_sites[s].inner).exec {
+                ExecCode::Native(callee) => Arc::ptr_eq(callee, &d.callee),
+                _ => false,
+            },
+            None => true,
+        }),
+        _ => true,
+    })
+}
+
+#[test]
+fn a_callee_grown_after_its_callers_code_was_emitted() {
+    // The inner tree gains a branch (the odd arm) from `i == 100`, long
+    // after the outer tree's code was emitted calling its trunk: the
+    // callee grows in place and the caller is emitted again.
+    let vm = differential_with(
+        "var even = 0; var odd = 0;
+         for (var i = 0; i < 400; i++) {
+             for (var j = 0; j < 6; j++) {
+                 if (i < 100 || (j & 1) == 0) even = even + j; else odd = odd + j;
+             }
+         }
+         even * 100000 + odd",
+        &["even", "odd", "i", "j"],
+        |_| {},
+    );
+    let s = vm.profile().expect("tracing");
+    assert_all_deferred(s, 350);
+    if !native_supported() {
+        return;
+    }
+    assert!(s.nested_direct * 10 >= s.nested_calls * 9, "direct again after the growth: {s:?}");
+    let m = vm.monitor().expect("tracing");
+    let grown = m.cache.iter().find(|t| t.nested_sites.is_empty() && t.fragments.len() > 1);
+    let grown = grown.expect("the inner tree grew a branch");
+    let frags = grown.fragments.len();
+    assert!(matches!(&grown.exec, ExecCode::Native(nt) if nt.num_fragments() == frags));
+    assert!(direct_callees_are_current(&vm), "a caller still calls the callee's old code");
+}
+
+#[test]
+fn a_site_with_a_boxed_move_stays_on_the_host_path() {
+    // `z` reaches the inner tree as `null`: a move the plan makes by
+    // boxing, which native code does not.
+    let s = differential(
+        "var t = 0; var z = null;
+         for (var i = 0; i < 300; i++) {
+             z = null;
+             for (var j = 0; j < 4; j++) { if (z === null) t = t + j; }
+         }
+         t",
+        &["t", "z", "i", "j"],
+    );
+    assert!(s.nested_calls >= 250, "{s:?}");
+    assert_eq!(s.nested_deferred, s.nested_calls, "{s:?}");
+    assert_eq!(s.nested_direct, 0, "{s:?}");
 }
 
 // ---- convergence --------------------------------------------------------
