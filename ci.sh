@@ -69,14 +69,15 @@ if git ls-files '*.rs' | grep -vE '^crates/nanojit/src/(peephole|executor)\.rs$'
 fi
 echo "    OK: the fused forms are named only in crates/nanojit/src/{peephole,executor}.rs"
 
-echo "==> report: Rust lines outside tests/ directories and outside each file's trailing #[cfg(test)] mod tests"
+echo "==> report: Rust lines outside tests/ directories, tests.rs files and each file's trailing #[cfg(test)] mod tests"
 # The number every PR reports ("net line count", ROADMAP north star #2):
 # run this stage on the parent and on the change and quote both. Tracked
-# files only; read-only; gates nothing. Every column-0 `#[cfg(test)]` in
-# this repository opens a file's trailing `mod tests`.
-git ls-files '*.rs' | grep -vE '(^|/)tests/' | xargs awk '
+# files only; read-only; gates nothing. Every column-0 `#[cfg(test)]` or
+# `#[cfg(all(test, ...))]` in this repository opens a file's trailing
+# `mod tests` (or declares one kept in its own `tests.rs`).
+git ls-files '*.rs' | grep -vE '(^|/)tests(/|\.rs$)' | xargs awk '
     FNR == 1 { in_tests = 0 }
-    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^#\[cfg\((all\()?test[,)]/ { in_tests = 1 }
     !in_tests {
         split(FILENAME, p, "/")
         crate = p[1] == "crates" ? "crates/" p[2] : (p[1] == "tm_bench" ? "tm_bench" : "root package")

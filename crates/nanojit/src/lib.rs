@@ -2,16 +2,16 @@
 //!
 //! The trace compilation backend of the TraceMonkey reproduction — the
 //! NanoJIT stand-in (§5): greedy one-pass register allocation onto a small
-//! virtual register ISA, plus the executor that runs compiled fragments.
+//! virtual register ISA (`MachInst`), and two tiers that run it — the
+//! decoded executor, portable and the reference, and the native x86-64
+//! backend ([`x64`]), which emits real machine code and is the default
+//! where it is supported.
 //!
 //! "The trace compilation subsystem ... is separate from the VM and can be
 //! used for other applications" — this crate depends only on `tm-lir` and
-//! `tm-runtime` (for helper calls); the tracing policy lives in `tm-core`
-//! and the method JIT reuses the same ISA.
-//!
-//! See DESIGN.md for the virtual-ISA substitution rationale (real x86
-//! emission → decode-loop ISA preserving the no-boxing/no-dispatch
-//! execution profile the paper measures).
+//! `tm-runtime` (for helper calls); the tracing policy lives in `tm-core`.
+//! The method JIT has an instruction set of its own (`tm-methodjit`'s
+//! `MInst`). DESIGN.md has the two-tier rationale.
 
 pub mod assembler;
 pub mod executor;

@@ -1,0 +1,952 @@
+//! Lowering: each `MachInst` of a fragment to x86-64 through the
+//! encoder, and the prologue, epilogue and exit trampolines around the
+//! bodies. What x86 gives NanoJIT for free the lowering takes by local
+//! selection, with no liveness: a forward table of the i32 constants each
+//! fragment loads turns an ALU, checked-ALU or compare operand into an
+//! immediate, and a guard on the vreg a compare just wrote branches on
+//! that compare's flags. (The decoded executor gets the same density by
+//! fusing superinstructions of its own, [`crate::peephole`].)
+
+use tm_lir::{AluOp, ChkOp, CmpOp, FOp, Tag, NO_EXIT};
+use tm_runtime::trace_helpers::Helper;
+
+use super::enc::{
+    Alu, ArithSd, Asm, Cc, Label, Shift, Src, CC_A, CC_AE, CC_E, CC_G, CC_GE, CC_L, CC_LE,
+    CC_NE, CC_NP, CC_P, CC_S, R12, R13, R14, R15, RAX, RBX, RCX, RDI, RDX, RSI, XMM0, XMM1,
+};
+use super::rt::{self, CTX_AR, CTX_ENTRY, CTX_EXIT_FRAG, CTX_EXIT_ID, CTX_GC, CTX_HARGS};
+use super::rt::{CTX_FUEL, CTX_HRESULT, CTX_INSTS, CTX_INTERRUPT, CTX_ITER, CTX_REALM};
+use super::rt::{CTX_REGS, CTX_SPILL, ST_ERR};
+use super::DirectSite;
+use crate::machinst::{as_imm, Fragment, MachInst, Reg, REG_FILE_WORDS, REG_MASK};
+
+/// One guard's exit trampoline: flush the path counts, then store the
+/// exit record and return. Once a branch is stitched to the exit, the
+/// part after the flush is overwritten with a jump to the branch.
+struct SiteInfo {
+    frag: u32,
+    exit: u16,
+    /// Raw instructions retired on the path from fragment entry
+    /// through the exiting one.
+    path: u32,
+}
+
+/// Where a laid exit trampoline of `(frag, exit)` is patched when a
+/// branch is stitched to it: `tail` is the mapping offset just past
+/// the count flush.
+pub(super) struct SiteTail {
+    pub(super) frag: u32,
+    pub(super) exit: u16,
+    pub(super) tail: u32,
+}
+
+/// Emits one chunk of a tree's code: the fragments of one
+/// [`NativeTree::append`], preceded by the prologue and epilogue when
+/// they are the tree's first.
+pub(super) struct Emitter {
+    pub(super) asm: Asm,
+    /// Trampolines the chunk's bodies registered, laid after them.
+    sites: Vec<SiteInfo>,
+    next_local: u32,
+    /// The tree's `CallHelper` side table, interned in emission
+    /// order; emitted sites pass an index into it to [`rt::helper_shim`].
+    pub(super) helpers: Vec<Helper>,
+    /// Per vreg, the i32 it holds since the fragment began by a
+    /// `ConstW`, so that a later ALU, compare or AR store takes it as
+    /// an immediate operand.
+    known: [Option<i32>; REG_FILE_WORDS],
+    /// The flags still hold the compare (or boolean not) that just
+    /// wrote this vreg: the vreg, and the condition code true when it
+    /// holds 1. A guard on it branches on the flags (compare + `jcc`
+    /// macro-fusion).
+    flags: Option<(Reg, Cc)>,
+    /// The vreg `rax` still holds, just stored by the instruction
+    /// before: an AR store of it needs no reload.
+    rax: Option<Reg>,
+    /// The tree's direct sites by site id (`NativeTree::direct`).
+    pub(super) direct: Vec<Option<DirectSite>>,
+}
+
+/// Register-file byte offset of virtual register `v` (off `r13`).
+fn vdisp(v: Reg) -> i32 {
+    i32::from(v & REG_MASK) * 8
+}
+
+pub(super) fn ar_disp(slot: u16) -> i32 {
+    i32::from(slot) * 8
+}
+
+/// The instruction of a double op, or `None` where SSE2 has none (the
+/// remainder calls [`rt::fmod_shim`]).
+fn arith_sd(op: FOp) -> Option<ArithSd> {
+    match op {
+        FOp::Add => Some(ArithSd::Add),
+        FOp::Sub => Some(ArithSd::Sub),
+        FOp::Mul => Some(ArithSd::Mul),
+        FOp::Div => Some(ArithSd::Div),
+        FOp::Mod => None,
+    }
+}
+
+/// Integer compare condition code for a signed 32-bit `cmp a, b`.
+fn int_cc(op: CmpOp) -> Cc {
+    match op {
+        CmpOp::Eq => CC_E,
+        CmpOp::Lt => CC_L,
+        CmpOp::Le => CC_LE,
+        CmpOp::Gt => CC_G,
+        CmpOp::Ge => CC_GE,
+    }
+}
+
+/// The right operand of a binary op: a vreg, or the constant it holds.
+#[derive(Clone, Copy)]
+enum Rhs {
+    Vreg(Reg),
+    Imm(i32),
+}
+
+/// An argument of a heap shim, by how it is loaded from its vreg.
+#[derive(Clone, Copy)]
+enum Arg {
+    /// An object or string id (32 bits, zero-extended).
+    Id(Reg),
+    /// An element index (sign-extended from 32 bits).
+    Index(Reg),
+    /// A whole word.
+    Word(Reg),
+    /// A constant.
+    Const(u32),
+}
+
+impl Emitter {
+    /// An emitter for the chunk laid at offset `base` of a tree's code,
+    /// growing the tree's `notes`, helper table and direct sites.
+    pub(super) fn new(
+        base: usize,
+        notes: Option<Vec<(usize, String)>>,
+        helpers: Vec<Helper>,
+        direct: Vec<Option<DirectSite>>,
+    ) -> Emitter {
+        Emitter {
+            asm: Asm::new(base, notes),
+            sites: Vec::new(),
+            next_local: 0,
+            helpers,
+            known: [None; REG_FILE_WORDS],
+            flags: None,
+            rax: None,
+            direct,
+        }
+    }
+
+    pub(super) fn local(&mut self) -> Label {
+        self.next_local += 1;
+        Label::Local(self.next_local - 1)
+    }
+
+    /// Registers an exit trampoline carrying `path`'s count.
+    fn site(&mut self, frag: u32, exit: u16, path: u32) -> Label {
+        self.sites.push(SiteInfo { frag, exit, path });
+        Label::Site(self.sites.len() as u32 - 1)
+    }
+
+    /// Index of `h` in the per-tree helper side table, interning it
+    /// on first use.
+    fn helper_index(&mut self, h: Helper) -> u32 {
+        if let Some(i) = self.helpers.iter().position(|&x| x == h) {
+            return i as u32;
+        }
+        self.helpers.push(h);
+        self.helpers.len() as u32 - 1
+    }
+
+    fn flush_counts(&mut self, path: u32) {
+        if path != 0 {
+            self.asm.alu64(Alu::Add, RBX, Src::Imm(path as i32));
+        }
+    }
+
+    // -- operand helpers --
+
+    fn load_vreg32(&mut self, gpr: u8, v: Reg) {
+        self.asm.mov_r32_mem(gpr, R13, vdisp(v));
+    }
+
+    fn load_vreg64(&mut self, gpr: u8, v: Reg) {
+        self.asm.mov_r64_mem(gpr, R13, vdisp(v));
+    }
+
+    fn store_vreg64(&mut self, v: Reg, gpr: u8) {
+        self.asm.mov_mem_r64(R13, vdisp(v), gpr);
+    }
+
+    /// `movsxd gpr, vreg` — exactly `i64::from(i32_from_word(w))`.
+    fn movsxd_vreg(&mut self, gpr: u8, v: Reg) {
+        self.asm.movsxd_r64_mem(gpr, R13, vdisp(v));
+    }
+
+    pub(super) fn store_ar64(&mut self, slot: u16, gpr: u8) {
+        self.asm.mov_mem_r64(R14, ar_disp(slot), gpr);
+    }
+
+    /// Materializes word `w` into `gpr` with the shortest encoding.
+    fn const_word(&mut self, gpr: u8, w: u64) {
+        if let Ok(u) = u32::try_from(w) {
+            self.asm.mov_r32_imm(gpr, u);
+        } else if let Ok(i) = i32::try_from(w as i64) {
+            self.asm.mov_r64_imm32(gpr, i);
+        } else {
+            self.asm.movabs(gpr, w);
+        }
+    }
+
+    /// `call shim(rdi, rsi)` — clobbers only caller-saved registers;
+    /// the pinned r12–r15/rbx/rbp survive per the System V ABI.
+    pub(super) fn call_shim(&mut self, addr: *const ()) {
+        self.asm.movabs(RAX, addr as u64);
+        self.asm.call_rax();
+    }
+
+    /// Exits to `site` unless `rax` (any i64) is in the boxable
+    /// 31-bit range `[-2^30, 2^30)`: `(rax + 2^30) mod 2^64 < 2^31`.
+    /// Clobbers rcx/rdx. The half-open upper bound is exact because
+    /// integer results are produced from i64 arithmetic whose only
+    /// out-of-range-by-one case (`2^30`) must exit anyway.
+    pub(super) fn range_check_i31(&mut self, site: Label) {
+        self.asm.mov_rr64(RCX, RAX);
+        self.asm.alu64(Alu::Add, RCX, Src::Imm(0x4000_0000));
+        self.asm.mov_r32_imm(RDX, 0x8000_0000);
+        self.asm.alu64(Alu::Cmp, RCX, Src::Reg(RDX));
+        self.asm.jcc(CC_AE, site);
+    }
+
+    /// `rax` = the double at `[base+disp]` as an integer; exits to
+    /// `site` unless it is integral, not `-0` and in the boxable
+    /// 31-bit range. Clobbers rcx/rdx/xmm0/xmm1.
+    pub(super) fn double_to_int(&mut self, base: u8, disp: i32, site: Label) {
+        self.asm.movsd_load(XMM0, base, disp);
+        self.asm.cvttsd2si_r64(RAX, XMM0);
+        self.asm.cvtsi2sd_reg(XMM1, RAX, true);
+        // Round trip differs ⇔ fractional / NaN / out of i64 range
+        // (the cvttsd2si sentinel never converts back).
+        self.asm.ucomisd_reg(XMM0, XMM1);
+        self.asm.jcc(CC_P, site);
+        self.asm.jcc(CC_NE, site);
+        let l_range = self.local();
+        self.asm.test64(RAX, RAX);
+        self.asm.jcc(CC_NE, l_range);
+        // rax == 0 with nonzero bits ⇔ -0.0.
+        self.asm.mov_r64_mem(RCX, base, disp);
+        self.asm.test64(RCX, RCX);
+        self.asm.jcc(CC_NE, site);
+        self.asm.bind(l_range);
+        self.range_check_i31(site);
+    }
+
+    // -- grouped op bodies --
+
+    /// `b` as a source operand: an immediate stays one; a vreg is
+    /// loaded into rcx, sign-extended to 64 bits when `wide`.
+    fn load_rhs(&mut self, b: Rhs, wide: bool) -> Src {
+        match b {
+            Rhs::Imm(imm) => return Src::Imm(imm),
+            Rhs::Vreg(v) if wide => self.movsxd_vreg(RCX, v),
+            Rhs::Vreg(v) => self.load_vreg32(RCX, v),
+        }
+        Src::Reg(RCX)
+    }
+
+    /// Unchecked 32-bit ALU: `eax = op.eval(a, b)`, then sign-extend
+    /// into rax (the executor stores `i64::from(result)`).
+    fn alu_i(&mut self, op: AluOp, a: Reg, b: Rhs) {
+        let b = self.load_rhs(b, false);
+        self.load_vreg32(RAX, a);
+        match op {
+            AluOp::Add => self.asm.alu32(Alu::Add, RAX, b),
+            AluOp::Sub => self.asm.alu32(Alu::Sub, RAX, b),
+            AluOp::And => self.asm.alu32(Alu::And, RAX, b),
+            AluOp::Or => self.asm.alu32(Alu::Or, RAX, b),
+            AluOp::Xor => self.asm.alu32(Alu::Xor, RAX, b),
+            AluOp::Mul => self.asm.imul32(RAX, b),
+            // 32-bit shifts take the count mod 32 — exactly the
+            // executor's `& 31`.
+            AluOp::Shl => self.asm.shift32(Shift::Shl, RAX, b),
+            AluOp::Shr => self.asm.shift32(Shift::Sar, RAX, b),
+            AluOp::UShr => self.asm.shift32(Shift::Shr, RAX, b),
+        }
+        self.asm.movsxd_r64_r32(RAX, RAX);
+    }
+
+    /// Checked ALU: result in rax (sign-extended, range-checked); exits
+    /// to `site` per `ChkOp::eval`. Clobbers rcx/rdx/rsi.
+    fn chk_alu(&mut self, op: ChkOp, a: Reg, b: Rhs, site: Label) {
+        match op {
+            ChkOp::Add | ChkOp::Sub => {
+                self.movsxd_vreg(RAX, a);
+                let b = self.load_rhs(b, true);
+                let alu = if op == ChkOp::Add { Alu::Add } else { Alu::Sub };
+                self.asm.alu64(alu, RAX, b);
+                self.range_check_i31(site);
+            }
+            ChkOp::Mul => {
+                self.movsxd_vreg(RAX, a);
+                let b = self.load_rhs(b, true);
+                // Save x: a -0 result (res == 0 with a negative
+                // factor) must exit to the double path.
+                self.asm.mov_rr64(RSI, RAX);
+                self.asm.imul64(RAX, b);
+                match b {
+                    // A negative constant factor makes any zero result
+                    // a -0 candidate.
+                    Src::Imm(imm) if imm < 0 => {
+                        self.asm.test64(RAX, RAX);
+                        self.asm.jcc(CC_E, site);
+                    }
+                    _ => {
+                        let l_range = self.local();
+                        self.asm.test64(RAX, RAX);
+                        self.asm.jcc(CC_NE, l_range);
+                        self.asm.test64(RSI, RSI);
+                        self.asm.jcc(CC_S, site);
+                        if let Src::Reg(y) = b {
+                            self.asm.test64(y, y);
+                            self.asm.jcc(CC_S, site);
+                        }
+                        self.asm.bind(l_range);
+                    }
+                }
+                self.range_check_i31(site);
+            }
+            ChkOp::Shl => {
+                let b = self.load_rhs(b, false);
+                self.load_vreg32(RAX, a);
+                self.asm.shift32(Shift::Shl, RAX, b);
+                self.asm.movsxd_r64_r32(RAX, RAX);
+                self.range_check_i31(site);
+            }
+            ChkOp::UShr => {
+                let b = self.load_rhs(b, false);
+                self.load_vreg32(RAX, a);
+                self.asm.shift32(Shift::Shr, RAX, b);
+                // Unsigned result: exit when above INT_MAX; the
+                // stored word is the zero-extended u32.
+                self.asm.alu32(Alu::Cmp, RAX, Src::Imm(0x3FFF_FFFF));
+                self.asm.jcc(CC_A, site);
+            }
+        }
+    }
+
+    /// Loads double operands and sets flags for `cmp_d(op, x, y)`.
+    /// Returns the condition code under which the compare is TRUE;
+    /// NaN operands leave A/AE false (and set PF for Eq, which the
+    /// caller handles explicitly).
+    fn cmp_d_flags(&mut self, op: CmpOp, a: Reg, b: Reg) -> Cc {
+        // x < y  ⇔  y above x (ucomisd's unordered ⇒ not-above).
+        let (x, y, cc) = match op {
+            CmpOp::Lt => (b, a, CC_A),
+            CmpOp::Le => (b, a, CC_AE),
+            CmpOp::Gt => (a, b, CC_A),
+            CmpOp::Ge => (a, b, CC_AE),
+            CmpOp::Eq => (a, b, CC_E),
+        };
+        self.asm.movsd_load(XMM0, R13, vdisp(x));
+        self.asm.ucomisd_mem(XMM0, R13, vdisp(y));
+        cc
+    }
+
+    /// Sets flags for `cmp_i(op, a, b)`, comparing with an immediate
+    /// when either operand is a known constant (`op.swapped()` when it
+    /// is `a`). Returns the condition code under which it is true.
+    fn cmp_i_flags(&mut self, op: CmpOp, a: Reg, b: Reg) -> Cc {
+        let (a, b, op) = match (self.imm(a), self.imm(b)) {
+            (Some(_), None) => (b, a, op.swapped()),
+            _ => (a, b, op),
+        };
+        let (a, b) = self.operands(a, b, false);
+        self.load_vreg32(RAX, a);
+        let b = self.load_rhs(b, false);
+        self.asm.alu32(Alu::Cmp, RAX, b);
+        int_cc(op)
+    }
+
+    /// The constant vreg `v` holds, if a `ConstW` of this fragment
+    /// wrote it an i32.
+    fn imm(&self, v: Reg) -> Option<i32> {
+        self.known[usize::from(v & REG_MASK)]
+    }
+
+    /// For a binary op over `a` and `b`: the left vreg and the right
+    /// operand — an immediate when `b` is a known constant, or when `a`
+    /// is and the op commutes (the two then swap).
+    fn operands(&self, a: Reg, b: Reg, commutative: bool) -> (Reg, Rhs) {
+        match (self.imm(a), self.imm(b)) {
+            (_, Some(imm)) => (a, Rhs::Imm(imm)),
+            (Some(imm), None) if commutative => (b, Rhs::Imm(imm)),
+            _ => (a, Rhs::Vreg(b)),
+        }
+    }
+
+    /// Exits to `site` unless the low three bits of `rax` (a boxed
+    /// value's tag) are `tag`. Clobbers rcx.
+    fn check_tag(&mut self, tag: i32, site: Label) {
+        self.asm.mov_rr32(RCX, RAX);
+        self.asm.alu32(Alu::And, RCX, Src::Imm(7));
+        self.asm.alu32(Alu::Cmp, RCX, Src::Imm(tag));
+        self.asm.jcc(CC_NE, site);
+    }
+
+    /// `rax` = the heap double boxed in `rax`; exits to `site` unless
+    /// it is one.
+    fn unbox_double(&mut self, site: Label) {
+        self.check_tag(2, site);
+        self.asm.mov_r64_mem(RDI, R15, CTX_REALM);
+        self.asm.mov_rr64(RSI, RAX);
+        self.call_shim(rt::unbox_double_shim as *const ());
+    }
+
+    /// Exits to `site` unless vreg `s` is `want` (1 or 0): a branch on
+    /// the flags when they still hold the compare (or boolean not)
+    /// that wrote `s`.
+    fn guard(&mut self, s: Reg, want: bool, flags: Option<(Reg, Cc)>, site: Label) {
+        let true_cc = match flags {
+            Some((d, cc)) if d == s => cc,
+            _ => {
+                self.load_vreg64(RAX, s);
+                self.asm.test64(RAX, RAX);
+                CC_NE
+            }
+        };
+        self.asm.jcc(if want { true_cc.inverse() } else { true_cc }, site);
+    }
+
+    /// The §6.4 loop edge: counts flushed, iteration recorded, then
+    /// interrupt/GC/fuel polls (each exits through a zero-add site)
+    /// before jumping back to the tree anchor.
+    fn loop_edge(&mut self, frag: u32, loop_exit: u16, path: u32) {
+        self.flush_counts(path);
+        let site = self.site(frag, loop_exit, 0);
+        self.asm.inc_mem64(R15, CTX_ITER);
+        for flag in [CTX_INTERRUPT, CTX_GC] {
+            self.asm.mov_r64_mem(RAX, R15, flag);
+            self.asm.cmp_byte_at_rax_0();
+            self.asm.jcc(CC_NE, site);
+        }
+        self.asm.cmp_r64_mem(RBX, R15, CTX_FUEL);
+        self.asm.jcc(CC_AE, site);
+        self.asm.jmp(Label::Trunk);
+    }
+
+    /// Calls `shim(ctx, site)` and dispatches on its status: an error
+    /// leaves through the epilogue, `ST_EXIT` takes the `CallTree`'s
+    /// side exit `site_exit`.
+    pub(super) fn call_site_shim(&mut self, shim: *const (), s: u32, site_exit: Label) {
+        self.asm.mov_rr64(RDI, R15);
+        self.asm.mov_r32_imm(RSI, s);
+        self.call_shim(shim);
+        self.asm.alu32(Alu::Cmp, RAX, Src::Imm(ST_ERR as i32));
+        self.asm.jcc(CC_E, Label::Epilogue);
+        self.asm.test32(RAX, RAX);
+        self.asm.jcc(CC_NE, site_exit);
+    }
+
+    /// `CallTree` at site `s` through the host ([`rt::call_tree_shim`]).
+    pub(super) fn host_call(&mut self, s: u32, site_exit: Label) {
+        self.asm.note(|| format!("; host call: site {s}"));
+        self.call_site_shim(rt::call_tree_shim as *const (), s, site_exit);
+    }
+
+    /// Calls `shim` with the realm in rdi and `args` in rsi, rdx, rcx;
+    /// the result is in rax. The pinned r12–r15/rbx survive the call, so
+    /// only the current instruction's scratch is live across it.
+    fn heap_call(&mut self, shim: *const (), args: &[Arg]) {
+        self.asm.mov_r64_mem(RDI, R15, CTX_REALM);
+        for (gpr, &arg) in [RSI, RDX, RCX].into_iter().zip(args) {
+            match arg {
+                Arg::Id(v) => self.load_vreg32(gpr, v),
+                Arg::Index(v) => self.movsxd_vreg(gpr, v),
+                Arg::Word(v) => self.load_vreg64(gpr, v),
+                Arg::Const(c) => self.asm.mov_r32_imm(gpr, c),
+            }
+        }
+        self.call_shim(shim);
+    }
+
+    /// Emits one virtual-ISA instruction of fragment `k`. `path`
+    /// includes this instruction (an exiting instruction counts as
+    /// retired). Selection is local: a known-constant operand becomes
+    /// an immediate, a guard right after the compare (or boolean not)
+    /// that wrote its vreg, or after AR stores, which leave the flags
+    /// alone, branches on the flags, and an AR store of the vreg just
+    /// computed stores it from `rax`.
+    #[allow(clippy::too_many_lines)]
+    fn emit_inst(&mut self, k: u32, inst: &MachInst, path: u32) {
+        let flags = self.flags.take();
+        let rax = self.rax.take();
+        match *inst {
+            MachInst::ConstW { d, w } => {
+                self.const_word(RAX, w);
+                self.store_vreg64(d, RAX);
+                self.rax = Some(d);
+            }
+            MachInst::Mov { d, s } => {
+                self.load_vreg64(RAX, s);
+                self.store_vreg64(d, RAX);
+                self.rax = Some(d);
+            }
+            MachInst::LoadSpill { d, slot } => {
+                self.asm.mov_r64_mem(RAX, R12, i32::from(slot) * 8);
+                self.store_vreg64(d, RAX);
+            }
+            MachInst::StoreSpill { slot, s } => {
+                self.load_vreg64(RAX, s);
+                self.asm.mov_mem_r64(R12, i32::from(slot) * 8, RAX);
+            }
+            MachInst::ReadAr { d, slot } => {
+                self.asm.mov_r64_mem(RAX, R14, ar_disp(slot));
+                self.store_vreg64(d, RAX);
+                self.rax = Some(d);
+            }
+            MachInst::WriteAr { slot, s } => {
+                if rax != Some(s) {
+                    self.load_vreg64(RAX, s);
+                }
+                self.store_ar64(slot, RAX);
+                self.rax = Some(s);
+                self.flags = flags;
+            }
+
+            MachInst::AluI { op, d, a, b } => {
+                let (a, b) = self.operands(a, b, op.commutative());
+                self.alu_i(op, a, b);
+                self.store_vreg64(d, RAX);
+                self.rax = Some(d);
+            }
+            MachInst::NotI { d, a } | MachInst::NegI { d, a } => {
+                self.load_vreg32(RAX, a);
+                if matches!(inst, MachInst::NotI { .. }) {
+                    self.asm.not32(RAX);
+                } else {
+                    self.asm.neg32(RAX);
+                }
+                self.asm.movsxd_r64_r32(RAX, RAX);
+                self.store_vreg64(d, RAX);
+            }
+
+            MachInst::ChkAluI { op, d, a, b, exit } => {
+                let site = self.site(k, exit, path);
+                let (a, b) = self.operands(a, b, op.commutative());
+                self.chk_alu(op, a, b, site);
+                self.store_vreg64(d, RAX);
+                self.rax = Some(d);
+            }
+            MachInst::NegIChk { d, a, exit } => {
+                let site = self.site(k, exit, path);
+                self.movsxd_vreg(RAX, a);
+                self.asm.test64(RAX, RAX);
+                self.asm.jcc(CC_E, site);
+                self.asm.neg64(RAX);
+                self.range_check_i31(site);
+                self.store_vreg64(d, RAX);
+            }
+            MachInst::ModIChk { d, a, b, exit } => {
+                let site = self.site(k, exit, path);
+                self.load_vreg32(RCX, b);
+                self.load_vreg32(RAX, a);
+                self.asm.test32(RCX, RCX);
+                self.asm.jcc(CC_E, site);
+                // y == -1 would trap on INT32_MIN / -1; the result is
+                // always 0, exiting only when x < 0 (a -0 result).
+                let l_div = self.local();
+                let l_store = self.local();
+                let l_done = self.local();
+                self.asm.alu32(Alu::Cmp, RCX, Src::Imm(-1));
+                self.asm.jcc(CC_NE, l_div);
+                self.asm.test32(RAX, RAX);
+                self.asm.jcc(CC_S, site);
+                self.asm.zero32(RAX);
+                self.asm.jmp(l_done);
+                self.asm.bind(l_div);
+                self.asm.mov_rr32(RSI, RAX);
+                self.asm.cdq();
+                self.asm.idiv32(RCX);
+                // Remainder 0 from a negative dividend is -0.
+                self.asm.test32(RDX, RDX);
+                self.asm.jcc(CC_NE, l_store);
+                self.asm.test32(RSI, RSI);
+                self.asm.jcc(CC_S, site);
+                self.asm.bind(l_store);
+                self.asm.mov_rr32(RAX, RDX);
+                self.asm.bind(l_done);
+                self.asm.movsxd_r64_r32(RAX, RAX);
+                self.store_vreg64(d, RAX);
+            }
+
+            MachInst::AluD { op, d, a, b } => match arith_sd(op) {
+                Some(op) => {
+                    self.asm.movsd_load(XMM0, R13, vdisp(a));
+                    self.asm.arith_sd_mem(op, XMM0, R13, vdisp(b));
+                    self.asm.movsd_store(R13, vdisp(d), XMM0);
+                }
+                None => {
+                    self.load_vreg64(RDI, a);
+                    self.load_vreg64(RSI, b);
+                    self.call_shim(rt::fmod_shim as *const ());
+                    self.store_vreg64(d, RAX);
+                }
+            },
+            MachInst::NegD { d, a } => {
+                self.load_vreg64(RAX, a);
+                self.asm.btc_r64_imm8(RAX, 63);
+                self.store_vreg64(d, RAX);
+            }
+
+            MachInst::CmpI { op, d, a, b } | MachInst::CmpD { op, d, a, b } => {
+                // `eax` = the result (0 or 1; NaN compares false), and
+                // `cc` the condition the flags leave true when it is 1.
+                let double = matches!(inst, MachInst::CmpD { .. });
+                let cc =
+                    if double { self.cmp_d_flags(op, a, b) } else { self.cmp_i_flags(op, a, b) };
+                let cc = if double && op == CmpOp::Eq {
+                    // Equal ⇔ ZF=1 ∧ PF=0 (PF flags the unordered case);
+                    // the `and` leaves ZF=0 exactly when both held.
+                    self.asm.setcc(CC_E, RAX);
+                    self.asm.setcc(CC_NP, RCX);
+                    self.asm.and_r8_r8(RAX, RCX);
+                    CC_NE
+                } else {
+                    self.asm.setcc(cc, RAX);
+                    cc
+                };
+                self.asm.movzx_r32_r8(RAX, RAX);
+                self.store_vreg64(d, RAX);
+                (self.flags, self.rax) = (Some((d, cc)), Some(d));
+            }
+            MachInst::NotB { d, a } => {
+                // Negating a compare's result is its inverse
+                // condition; either way the flags then hold `d`.
+                let cc = match flags {
+                    Some((f, cc)) if f == a => cc.inverse(),
+                    _ => {
+                        self.load_vreg64(RAX, a);
+                        self.asm.test64(RAX, RAX);
+                        CC_E
+                    }
+                };
+                self.asm.setcc(cc, RAX);
+                self.asm.movzx_r32_r8(RAX, RAX);
+                self.store_vreg64(d, RAX);
+                (self.flags, self.rax) = (Some((d, cc)), Some(d));
+            }
+
+            MachInst::I2D { d, a } => {
+                self.asm.cvtsi2sd_mem32(XMM0, R13, vdisp(a));
+                self.asm.movsd_store(R13, vdisp(d), XMM0);
+            }
+            MachInst::U2D { d, a } => {
+                // f64::from(u32): zero-extend then convert as i64.
+                self.load_vreg32(RAX, a);
+                self.asm.cvtsi2sd_reg(XMM0, RAX, true);
+                self.asm.movsd_store(R13, vdisp(d), XMM0);
+            }
+            MachInst::D2IChk { d, a, exit } => {
+                let site = self.site(k, exit, path);
+                self.double_to_int(R13, vdisp(a), site);
+                self.store_vreg64(d, RAX);
+            }
+            MachInst::D2I32 { d, a } => {
+                self.load_vreg64(RDI, a);
+                self.call_shim(rt::d2i32_shim as *const ());
+                self.store_vreg64(d, RAX);
+            }
+            MachInst::ChkRangeI { d, a, exit } => {
+                let site = self.site(k, exit, path);
+                self.movsxd_vreg(RAX, a);
+                self.range_check_i31(site);
+                self.store_vreg64(d, RAX);
+            }
+
+            MachInst::Box { tag, d, a } => {
+                match tag {
+                    Tag::Int => {
+                        // Fast path: in-range ints box inline (tag bit 0 = 1);
+                        // out-of-range values allocate a heap double.
+                        self.load_vreg32(RAX, a);
+                        let l_slow = self.local();
+                        let l_done = self.local();
+                        self.asm.mov_rr32(RCX, RAX);
+                        self.asm.alu32(Alu::Add, RCX, Src::Imm(0x4000_0000));
+                        self.asm.test32(RCX, RCX);
+                        self.asm.jcc(CC_S, l_slow);
+                        self.asm.shift64(Shift::Shl, RAX, 1);
+                        self.asm.alu64_imm8(Alu::Or, RAX, 1);
+                        self.asm.jmp(l_done);
+                        self.asm.bind(l_slow);
+                        self.asm.mov_r64_mem(RDI, R15, CTX_REALM);
+                        self.asm.mov_rr32(RSI, RAX);
+                        self.call_shim(rt::boxi_slow_shim as *const ());
+                        self.asm.bind(l_done);
+                    }
+                    Tag::Double => self.heap_call(rt::boxd_shim as *const (), &[Arg::Word(a)]),
+                    Tag::Bool => {
+                        // (b as u64) << 3 | SPECIAL tag: false → 6, true → 14.
+                        self.load_vreg64(RAX, a);
+                        self.asm.test64(RAX, RAX);
+                        self.asm.setcc(CC_NE, RAX);
+                        self.asm.movzx_r32_r8(RAX, RAX);
+                        self.asm.shift64(Shift::Shl, RAX, 3);
+                        self.asm.alu64_imm8(Alu::Add, RAX, 6);
+                    }
+                    Tag::Object | Tag::String => {
+                        self.load_vreg32(RAX, a);
+                        self.asm.shift64(Shift::Shl, RAX, 3);
+                        if tag == Tag::String {
+                            self.asm.alu64_imm8(Alu::Or, RAX, 4);
+                        }
+                    }
+                }
+                self.store_vreg64(d, RAX);
+            }
+
+            MachInst::Unbox { tag, d, a, exit } => {
+                let site = self.site(k, exit, path);
+                self.load_vreg64(RAX, a);
+                match tag {
+                    Tag::Int => {
+                        self.asm.test_al_imm8(1);
+                        self.asm.jcc(CC_E, site);
+                        // ((raw as u32) as i32) >> 1, stored sign-extended.
+                        self.asm.shift32(Shift::Sar, RAX, Src::Imm(1));
+                        self.asm.movsxd_r64_r32(RAX, RAX);
+                    }
+                    Tag::Double => self.unbox_double(site),
+                    Tag::Object | Tag::String => {
+                        if tag == Tag::Object {
+                            self.asm.test_al_imm8(7);
+                            self.asm.jcc(CC_NE, site);
+                        } else {
+                            self.check_tag(4, site);
+                        }
+                        self.asm.shift64(Shift::Shr, RAX, 3);
+                        // Ids are u32: truncate like `(raw >> 3) as u32`.
+                        self.asm.mov_rr32(RAX, RAX);
+                    }
+                    Tag::Bool => {
+                        let l_nottrue = self.local();
+                        let l_done = self.local();
+                        self.asm.alu64(Alu::Cmp, RAX, Src::Imm(14));
+                        self.asm.jcc(CC_NE, l_nottrue);
+                        self.asm.mov_r32_imm(RAX, 1);
+                        self.asm.jmp(l_done);
+                        self.asm.bind(l_nottrue);
+                        self.asm.alu64(Alu::Cmp, RAX, Src::Imm(6));
+                        self.asm.jcc(CC_NE, site);
+                        self.asm.zero32(RAX);
+                        self.asm.bind(l_done);
+                    }
+                }
+                self.store_vreg64(d, RAX);
+            }
+            MachInst::UnboxNumD { d, a, exit } => {
+                let site = self.site(k, exit, path);
+                self.load_vreg64(RAX, a);
+                let l_notint = self.local();
+                let l_done = self.local();
+                self.asm.test_al_imm8(1);
+                self.asm.jcc(CC_E, l_notint);
+                self.asm.shift32(Shift::Sar, RAX, Src::Imm(1));
+                self.asm.cvtsi2sd_reg(XMM0, RAX, false);
+                self.asm.movsd_store(R13, vdisp(d), XMM0);
+                self.asm.jmp(l_done);
+                self.asm.bind(l_notint);
+                self.unbox_double(site);
+                self.store_vreg64(d, RAX);
+                self.asm.bind(l_done);
+            }
+
+            MachInst::GuardTrue { s, exit } | MachInst::GuardFalse { s, exit } => {
+                let site = self.site(k, exit, path);
+                self.guard(s, matches!(inst, MachInst::GuardTrue { .. }), flags, site);
+            }
+            MachInst::GuardBoxedEq { s, w, exit } => {
+                let site = self.site(k, exit, path);
+                self.load_vreg64(RAX, s);
+                if let Ok(i) = i32::try_from(w as i64) {
+                    self.asm.alu64(Alu::Cmp, RAX, Src::Imm(i));
+                } else {
+                    self.const_word(RCX, w);
+                    self.asm.alu64(Alu::Cmp, RAX, Src::Reg(RCX));
+                }
+                self.asm.jcc(CC_NE, site);
+            }
+
+            MachInst::LoopBack { exit } => self.loop_edge(k, exit, path),
+            MachInst::End { exit } => {
+                let site = self.site(k, exit, path);
+                self.asm.jmp(site);
+            }
+
+            // -- heap-walking ops, through shims: arena data pointers
+            // are not stable enough to bake into code.
+
+            MachInst::GuardShape { obj, shape, exit } => {
+                let site = self.site(k, exit, path);
+                self.heap_call(rt::shape_of_shim as *const (), &[Arg::Id(obj)]);
+                self.asm.alu32(Alu::Cmp, RAX, Src::Imm(shape as i32));
+                self.asm.jcc(CC_NE, site);
+            }
+            MachInst::GuardClass { obj, class, exit } => {
+                let site = self.site(k, exit, path);
+                self.heap_call(rt::class_of_shim as *const (), &[Arg::Id(obj)]);
+                self.asm.alu32(Alu::Cmp, RAX, Src::Imm(i32::from(class)));
+                self.asm.jcc(CC_NE, site);
+            }
+            MachInst::GuardBound { arr, idx, exit } => {
+                let site = self.site(k, exit, path);
+                self.heap_call(rt::elems_len_shim as *const (), &[Arg::Id(arr)]);
+                // i64 index < 0, or >= the element count, exits.
+                self.movsxd_vreg(RCX, idx);
+                self.asm.test64(RCX, RCX);
+                self.asm.jcc(CC_S, site);
+                self.asm.alu64(Alu::Cmp, RCX, Src::Reg(RAX));
+                self.asm.jcc(CC_AE, site);
+            }
+            MachInst::LoadSlot { d, o, slot } => {
+                self.heap_call(rt::load_slot_shim as *const (), &[Arg::Id(o), Arg::Const(slot)]);
+                self.store_vreg64(d, RAX);
+            }
+            MachInst::StoreSlot { o, slot, s } => {
+                let args = [Arg::Id(o), Arg::Const(slot), Arg::Word(s)];
+                self.heap_call(rt::store_slot_shim as *const (), &args);
+            }
+            MachInst::LoadProto { d, o } => {
+                self.heap_call(rt::load_proto_shim as *const (), &[Arg::Id(o)]);
+                self.store_vreg64(d, RAX);
+            }
+            MachInst::LoadElem { d, a, i } => {
+                self.heap_call(rt::load_elem_shim as *const (), &[Arg::Id(a), Arg::Index(i)]);
+                self.store_vreg64(d, RAX);
+            }
+            MachInst::StoreElem { a, i, s } => {
+                let args = [Arg::Id(a), Arg::Index(i), Arg::Word(s)];
+                self.heap_call(rt::store_elem_shim as *const (), &args);
+            }
+            MachInst::ArrayLen { d, a } => {
+                self.heap_call(rt::array_len_shim as *const (), &[Arg::Id(a)]);
+                self.store_vreg64(d, RAX);
+            }
+            MachInst::StrLen { d, a } => {
+                self.heap_call(rt::str_len_shim as *const (), &[Arg::Id(a)]);
+                self.store_vreg64(d, RAX);
+            }
+
+            // -- runtime re-entry --
+
+            MachInst::CallHelper { d, helper, ref args, exit } => {
+                // The soft-float filter's helper calls cannot re-enter
+                // and carry the no-exit sentinel, which names no
+                // trampoline.
+                let site = (exit != NO_EXIT.0).then(|| self.site(k, exit, path));
+                let idx = self.helper_index(helper);
+                self.asm.note(|| format!("; helper table[{idx}] = {helper:?}"));
+                for (n, &s) in args.iter().enumerate() {
+                    self.load_vreg64(RAX, s);
+                    self.asm.mov_mem_r64(R15, CTX_HARGS + n as i32 * 8, RAX);
+                }
+                self.asm.mov_rr64(RDI, R15);
+                self.asm.mov_r32_imm(RSI, idx);
+                self.asm.mov_r32_imm(RDX, args.len() as u32);
+                self.call_shim(rt::helper_shim as *const ());
+                // The result store on the exit/error paths writes a
+                // stale scratch word into a dead vreg — harmless,
+                // and it keeps the status dispatch branch-light.
+                self.asm.mov_rr32(RCX, RAX);
+                self.asm.mov_r64_mem(RAX, R15, CTX_HRESULT);
+                self.store_vreg64(d, RAX);
+                self.asm.alu32(Alu::Cmp, RCX, Src::Imm(ST_ERR as i32));
+                self.asm.jcc(CC_E, Label::Epilogue);
+                if let Some(site) = site {
+                    self.asm.test32(RCX, RCX);
+                    self.asm.jcc(CC_NE, site);
+                }
+            }
+            MachInst::CallTree { tree, exit } => {
+                let site = self.site(k, exit, path);
+                match self.direct.get(tree as usize).cloned().flatten() {
+                    Some(d) => self.direct_call(tree, &d, site),
+                    None => self.host_call(tree, site),
+                }
+            }
+        }
+    }
+
+    /// Function prologue: save callee-saved registers (five pushes
+    /// over the return address leave the stack aligned for shim
+    /// calls), pin the ctx/AR/regs/spill pointers, zero the counter,
+    /// and jump to the body `ctx.entry` names.
+    pub(super) fn prologue(&mut self) {
+        self.asm.note(|| "; prologue".into());
+        for reg in [RBX, R12, R13, R14, R15] {
+            self.asm.push(reg);
+        }
+        self.asm.mov_rr64(R15, RDI);
+        self.asm.mov_r64_mem(R14, R15, CTX_AR);
+        self.asm.mov_r64_mem(R13, R15, CTX_REGS);
+        self.asm.mov_r64_mem(R12, R15, CTX_SPILL);
+        self.asm.zero32(RBX);
+        self.asm.note(|| "; entry dispatch: jmp [ctx.entry]".into());
+        self.asm.jmp_mem(R15, CTX_ENTRY);
+    }
+
+    pub(super) fn epilogue(&mut self) {
+        self.asm.note(|| "; epilogue".into());
+        self.asm.bind(Label::Epilogue);
+        self.asm.mov_mem_r64(R15, CTX_INSTS, RBX);
+        for reg in [R15, R14, R13, R12, RBX] {
+            self.asm.pop(reg);
+        }
+        self.asm.ret();
+    }
+
+    /// Emits the body of fragment `k`; its exits register sites.
+    pub(super) fn body(&mut self, k: u32, frag: &Fragment) {
+        self.asm.note(|| format!("; fragment {k}"));
+        // Nothing is known on entry: a fragment is entered from the
+        // loop edge and from every exit stitched to it.
+        self.known = [None; REG_FILE_WORDS];
+        (self.flags, self.rax) = (None, None);
+        for (i, inst) in frag.code.iter().enumerate() {
+            self.asm.note(|| format!("f{k} {i:4}: {inst:?}"));
+            self.emit_inst(k, inst, i as u32 + 1);
+            if let Some(d) = inst.dest() {
+                let w = match *inst {
+                    MachInst::ConstW { w, .. } => as_imm(w),
+                    _ => None,
+                };
+                self.known[usize::from(d & REG_MASK)] = w;
+            }
+        }
+        // Fragments end in LoopBack/End; anything past is a bug.
+        self.asm.ud2();
+    }
+
+    /// Emits every registered exit trampoline, unstitched: flush the
+    /// path counts, record the exit, leave through the epilogue.
+    /// Returns where each can later be patched into a stitch jump
+    /// (which then carries the counts in the pinned accumulators).
+    pub(super) fn emit_sites(&mut self) -> Vec<SiteTail> {
+        let mut tails = Vec::with_capacity(self.sites.len());
+        for n in 0..self.sites.len() {
+            let SiteInfo { frag, exit, path } = self.sites[n];
+            self.asm
+                .note(|| format!("; exit site: fragment {frag} exit {exit} -> return"));
+            self.asm.bind(Label::Site(n as u32));
+            self.flush_counts(path);
+            tails.push(SiteTail { frag, exit, tail: self.asm.here() as u32 });
+            self.asm.mov_mem32_imm(R15, CTX_EXIT_FRAG, frag as i32);
+            self.asm.mov_mem32_imm(R15, CTX_EXIT_ID, i32::from(exit));
+            self.asm.jmp(Label::Epilogue);
+        }
+        tails
+    }
+}

@@ -1,0 +1,184 @@
+//! Direct calls. At a [`DirectSite`] — a site the monitor found deferred,
+//! with a native callee and no move that needs the heap — the caller's
+//! code does the call itself: it converts the argument words from its own
+//! record into the callee's (zeroed first), fills a callee ctx carved out
+//! of its own run (`NativeCtx::inner`, with a zeroed register file and
+//! spill area and what is left of the step budget), `call`s the callee's
+//! code, and on the expected exit stages the refresh words from both
+//! records before storing any into its own, counting the call for the
+//! host to fold in ([`crate::executor::TreeHost::fold`]). Interpreter
+//! variables are read and written by one thin shim
+//! ([`crate::executor::TreeHost::variables`]); a call that does not come
+//! back as expected — another exit, a refused refresh word, a spent
+//! budget, a helper error in the callee — is finished by the host from
+//! the callee's record ([`crate::executor::TreeHost::finish_call`]); a
+//! refused argument has changed nothing and takes the host path whole.
+//! This is the only place a word move is lowered.
+
+use std::mem::offset_of;
+
+use tm_lir::LirType;
+
+use super::enc::{Label, CC_AE, CC_E, CC_NE, R10, R14, R15, R8, R9, RAX, RCX, RDI, RDX, RSI, XMM0};
+use super::lower::{ar_disp, Emitter};
+use super::rt::{self, CTX_AR, CTX_BUDGET, CTX_COUNTS, CTX_ENTRY, CTX_EXIT_FRAG, CTX_EXIT_ID};
+use super::rt::{CTX_FUEL, CTX_HELPERS, CTX_INNER, CTX_INSTS, CTX_ITER, CTX_REGS, CTX_SPILL};
+use super::rt::{CTX_STAGE, RAISED};
+use super::{DirectSite, WordFrom, WordMove};
+use crate::executor::{DirectCounts, Variables};
+use crate::machinst::REG_FILE_WORDS;
+
+impl Emitter {
+    /// Zeroes the `n` words the pointer at `[base+disp]` names.
+    /// Clobbers rax/rcx/rdi.
+    fn zero_words(&mut self, base: u8, disp: i32, n: usize) {
+        if n == 0 {
+            return;
+        }
+        self.asm.mov_r64_mem(RDI, base, disp);
+        self.asm.zero32(RAX);
+        if n <= 8 {
+            for k in 0..n {
+                self.asm.mov_mem_r64(RDI, k as i32 * 8, RAX);
+            }
+        } else {
+            self.asm.mov_r32_imm(RCX, n as u32);
+            self.asm.rep_stosq();
+        }
+    }
+
+    /// `rax` = the word at `[base + slot*8]`, of type `from`,
+    /// converted to `to` as `tm-core`'s `activation::transfer` does;
+    /// a refusal goes to `refuse`. Only pairs [`WordMove::lowers`]
+    /// admits reach here. Clobbers rcx/rdx/xmm0/xmm1.
+    fn transfer_word(&mut self, base: u8, slot: u16, from: LirType, to: LirType, refuse: Label) {
+        let disp = ar_disp(slot);
+        match (from, to) {
+            (LirType::Int, LirType::Int) => {
+                self.asm.movsxd_r64_mem(RAX, base, disp);
+                self.range_check_i31(refuse);
+            }
+            (LirType::Int, LirType::Double) => {
+                self.asm.cvtsi2sd_mem32(XMM0, base, disp);
+                self.asm.movq_r64_xmm(RAX, XMM0);
+            }
+            (LirType::Double, LirType::Int) => self.double_to_int(base, disp, refuse),
+            (LirType::Bool, _) => {
+                self.asm.mov_r64_mem(RAX, base, disp);
+                self.asm.test64(RAX, RAX);
+                self.asm.setcc(CC_NE, RAX);
+                self.asm.movzx_r32_r8(RAX, RAX);
+            }
+            (LirType::Object | LirType::String, _) => self.asm.mov_r32_mem(RAX, base, disp),
+            // Double to double.
+            _ => self.asm.mov_r64_mem(RAX, base, disp),
+        }
+    }
+
+    /// Calls [`rt::variables_shim`] for `part` of site `s`, going to
+    /// `refused` on a refusal, and reloads r9 (the callee's ctx).
+    fn variables_call(&mut self, s: u32, part: Variables, refused: Option<Label>) {
+        self.asm.mov_rr64(RDI, R15);
+        self.asm.mov_r32_imm(RSI, s);
+        self.asm.mov_r32_imm(RDX, part as u32);
+        self.call_shim(rt::variables_shim as *const ());
+        if let Some(refused) = refused {
+            self.asm.test32(RAX, RAX);
+            self.asm.jcc(CC_E, refused);
+        }
+        self.asm.mov_r64_mem(R9, R15, CTX_INNER);
+    }
+
+    /// `CallTree` at direct site `s`: the site's moves and the call
+    /// of the callee's code, inline, in the callee ctx carved out of
+    /// this run (`ctx.inner`). The host is called for interpreter
+    /// variables only ([`rt::variables_shim`]), and for a call that does
+    /// not come back as expected ([`rt::return_shim`]). A refused argument
+    /// has changed nothing the host reads: that call goes through the
+    /// host whole ([`rt::call_tree_shim`]). Clobbers every caller-saved
+    /// register.
+    pub(super) fn direct_call(&mut self, s: u32, d: &DirectSite, site_exit: Label) {
+        let callee = &*d.callee;
+        let from_host = |moves: &[WordMove]| moves.iter().any(|m| m.from == WordFrom::Host);
+        let (l_host, l_back, l_done) = (self.local(), self.local(), self.local());
+        let code = callee.code_ptr();
+        self.asm.note(|| format!("; direct call: site {s} -> tree code at {code:p}"));
+        // The callee's record, zeroed, then its arguments: r9 = the
+        // callee's ctx, r8 = its record.
+        self.asm.mov_r64_mem(R9, R15, CTX_INNER);
+        self.zero_words(R9, CTX_AR, d.callee_ar);
+        self.asm.mov_r64_mem(R8, R9, CTX_AR);
+        for m in &d.args {
+            if let WordFrom::Outer(slot, ty) = m.from {
+                self.transfer_word(R14, slot, ty, m.ty, l_host);
+                self.asm.mov_mem_r64(R8, ar_disp(m.to), RAX);
+            }
+        }
+        if from_host(&d.args) {
+            self.variables_call(s, Variables::Args, Some(l_host));
+        }
+        // The callee's ctx: a fresh run from its trunk on what is
+        // left of this run's budget.
+        self.zero_words(R9, CTX_REGS, REG_FILE_WORDS);
+        self.zero_words(R9, CTX_SPILL, callee.max_spills());
+        self.asm.movabs(RAX, callee.trunk() as u64);
+        self.asm.mov_mem_r64(R9, CTX_ENTRY, RAX);
+        self.asm.movabs(RAX, callee.helper_table() as u64);
+        self.asm.mov_mem_r64(R9, CTX_HELPERS, RAX);
+        self.asm.mov_r64_mem(RAX, R15, CTX_BUDGET);
+        self.asm.mov_mem_r64(R9, CTX_FUEL, RAX);
+        self.asm.zero32(RAX);
+        self.asm.mov_mem_r64(R9, CTX_ITER, RAX);
+        self.asm.mov_mem32_imm(R9, CTX_EXIT_FRAG, RAISED as i32);
+        self.asm.mov_rr64(RDI, R9);
+        self.call_shim(callee.code_ptr().cast());
+        // Back: the expected exit, with budget left?
+        self.asm.mov_r64_mem(R9, R15, CTX_INNER);
+        self.asm.cmp_mem32_imm(R9, CTX_EXIT_FRAG, d.expected.0 as i32);
+        self.asm.jcc(CC_NE, l_back);
+        self.asm.cmp_mem32_imm(R9, CTX_EXIT_ID, i32::from(d.expected.1));
+        self.asm.jcc(CC_NE, l_back);
+        self.asm.mov_r64_mem(RAX, R9, CTX_INSTS);
+        self.asm.cmp_r64_mem(RAX, R15, CTX_BUDGET);
+        self.asm.jcc(CC_AE, l_back);
+        // The refresh: every word staged (r10) before any is stored.
+        if from_host(&d.refresh) {
+            self.variables_call(s, Variables::Refresh, Some(l_back));
+        }
+        self.asm.mov_r64_mem(R8, R9, CTX_AR);
+        self.asm.mov_r64_mem(R10, R15, CTX_STAGE);
+        for (i, m) in d.refresh.iter().enumerate() {
+            let (base, slot, ty) = match m.from {
+                WordFrom::Outer(slot, ty) => (R14, slot, ty),
+                WordFrom::Inner(slot, ty) => (R8, slot, ty),
+                WordFrom::Host => continue,
+            };
+            self.transfer_word(base, slot, ty, m.ty, l_back);
+            self.asm.mov_mem_r64(R10, i as i32 * 8, RAX);
+        }
+        for (i, m) in d.refresh.iter().enumerate() {
+            self.asm.mov_r64_mem(RAX, R10, i as i32 * 8);
+            self.store_ar64(m.to, RAX);
+        }
+        if d.flush {
+            self.variables_call(s, Variables::Flush, None);
+        }
+        // Counted for the host to fold in.
+        let at = s as i32 * std::mem::size_of::<DirectCounts>() as i32;
+        self.asm.mov_r64_mem(RAX, R9, CTX_INSTS);
+        self.asm.sub_mem_r64(R15, CTX_BUDGET, RAX);
+        self.asm.mov_r64_mem(RCX, R15, CTX_COUNTS);
+        self.asm.inc_mem64(RCX, at + offset_of!(DirectCounts, calls) as i32);
+        self.asm.add_mem_r64(RCX, at + offset_of!(DirectCounts, insts) as i32, RAX);
+        self.asm.mov_r64_mem(RAX, R9, CTX_ITER);
+        self.asm.add_mem_r64(RCX, at + offset_of!(DirectCounts, iterations) as i32, RAX);
+        self.asm.jmp(l_done);
+        self.asm.bind(l_back);
+        self.asm.note(|| format!("; return shim: site {s}"));
+        self.call_site_shim(rt::return_shim as *const (), s, site_exit);
+        self.asm.jmp(l_done);
+        self.asm.bind(l_host);
+        self.host_call(s, site_exit);
+        self.asm.bind(l_done);
+    }
+}

@@ -48,7 +48,7 @@ pub fn i32_from_word(w: Word) -> i32 {
 
 /// The one definition of each heap-walking or allocating machine
 /// instruction. The decoded executor's match arms call these directly; the
-/// native tier's `extern "sysv64"` shims are wrappers around the same
+/// native tier's `extern "C"` shims are wrappers around the same
 /// functions, so the two tiers cannot drift. Object and string operands
 /// are handle words (zero-extended arena indexes), values are raw tagged
 /// words. Handles and slot indexes were guarded by the recording; an

@@ -16,7 +16,7 @@
 //! * every activation-record slot the code addresses is inside the tree's
 //!   activation record (both executors index it unchecked);
 //! * every `CallHelper` passes exactly the argument words its helper reads
-//!   (`call_helper` indexes them by position, inside an `extern "sysv64"`
+//!   (`call_helper` indexes them by position, inside an `extern "C"`
 //!   shim on the native tier, where a panic aborts the process);
 //! * the fragment ends with exactly one terminator (`LoopBack` or `End`),
 //!   and none appears earlier.

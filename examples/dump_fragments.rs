@@ -13,7 +13,9 @@
 //! record, the inner one, or interpreter state, and what the native tier
 //! does with the site — `native: direct` (the caller's code calls the
 //! callee's itself) or `native: host (<reason>)`, the reason one of
-//! `eager plan`, `callee decoded`, `boxed move`:
+//! `eager plan`, `callee decoded`, `boxed move`, `caller decoded`, or
+//! `caller has no code` (the caller's code was released, e.g. when
+//! probation disabled it):
 //!
 //! ```sh
 //! cargo run --release --example dump_fragments -- 'var s=0; for (var i=0;i<500;i++) s+=i; s'
@@ -91,8 +93,12 @@ fn main() {
             let route = match direct.get(s) {
                 Some(Some(_)) => "direct".to_owned(),
                 _ => {
+                    let caller = match tree.exec {
+                        ExecCode::NotBuilt => "caller has no code",
+                        _ => "caller decoded",
+                    };
                     let why = plan.direct_site(site, m.cache.tree(site.inner)).err();
-                    format!("host ({})", why.unwrap_or("caller decoded"))
+                    format!("host ({})", why.unwrap_or(caller))
                 }
             };
             println!(

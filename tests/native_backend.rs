@@ -3,7 +3,7 @@
 //! accounting, differential identity with the decoded executor, graceful
 //! degradation on targets without the backend, and in-place growth when a
 //! tree gains a branch fragment. The instruction-level differential
-//! tests live in `crates/nanojit/src/x64.rs`; these drive the tier
+//! tests live in `crates/nanojit/src/x64/tests.rs`; these drive the tier
 //! through whole programs, the way the monitor uses it.
 
 use tracemonkey::{Engine, JitOptions, Vm};
