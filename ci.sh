@@ -69,6 +69,18 @@ if git ls-files '*.rs' | grep -vE '^crates/nanojit/src/(peephole|executor)\.rs$'
 fi
 echo "    OK: the fused forms are named only in crates/nanojit/src/{peephole,executor}.rs"
 
+echo "==> policy: a word move is lowered in one place"
+# A direct call's word moves (arguments, sibling links, refresh) are all
+# lowered by `transfer_word` in crates/nanojit/src/x64/transfer.rs. No
+# other file may call it: a new kind of move reuses that sequence instead
+# of growing a second copy of the direct-call lowering.
+if git ls-files '*.rs' | grep -vE '^crates/nanojit/src/x64/transfer\.rs$' \
+    | xargs grep -nwE 'transfer_word'; then
+    echo "error: only crates/nanojit/src/x64/transfer.rs may call transfer_word" >&2
+    exit 1
+fi
+echo "    OK: transfer_word is named only in crates/nanojit/src/x64/transfer.rs"
+
 echo "==> report: Rust lines outside tests/ directories, tests.rs files and each file's trailing #[cfg(test)] mod tests"
 # The number every PR reports ("net line count", ROADMAP north star #2):
 # run this stage on the parent and on the change and quote both. Tracked

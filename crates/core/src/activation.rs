@@ -49,14 +49,13 @@ pub enum SlotKey {
 }
 
 impl SlotKey {
-    /// A variable key of a tree entered `depth` inline frames below the
-    /// entry frame, as the outer trace names it; `None` for anything but
-    /// a variable.
-    pub fn variable_from(self, depth: u8) -> Option<SlotKey> {
+    /// The key of a tree entered `depth` inline frames below the entry
+    /// frame, as the outer trace names it.
+    pub fn rebased(self, depth: u8) -> SlotKey {
         match self {
-            SlotKey::Global(_) => Some(self),
-            SlotKey::Local { depth: d, slot } => Some(SlotKey::Local { depth: d + depth, slot }),
-            SlotKey::Stack { .. } | SlotKey::Reimport { .. } => None,
+            SlotKey::Local { depth: d, slot } => SlotKey::Local { depth: d + depth, slot },
+            SlotKey::Stack { depth: d, idx } => SlotKey::Stack { depth: d + depth, idx },
+            SlotKey::Global(_) | SlotKey::Reimport { .. } => self,
         }
     }
 }

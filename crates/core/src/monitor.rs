@@ -24,7 +24,7 @@ use crate::blacklist::{Blacklist, Verdict};
 use crate::config::JitOptions;
 use crate::events::{AbortReason, EventLog, TraceEvent};
 use crate::exit::ExitKind;
-use crate::nest::{NestHost, SitePlans};
+use crate::nest::{NestHost, NestObserver, SitePlans};
 use crate::oracle::Oracle;
 use crate::pool::{compile_trace, CompileJob, CompileOutcome, CompilerPool, Ticket};
 use crate::profiler::{Activity, ProfileStats, Profiler};
@@ -126,6 +126,9 @@ pub struct Monitor {
     /// Side exits with a branch compile in flight (guards duplicate
     /// branch recordings; cleared on install or failure).
     in_flight_exits: HashSet<(TreeId, u32, u16)>,
+    /// Test support: sees nested calls' returns and links
+    /// ([`crate::vm::Vm::observe_nesting`]).
+    pub(crate) observer: Option<NestObserver>,
 }
 
 /// One background compile the monitor is waiting on.
@@ -195,6 +198,7 @@ impl Monitor {
             pool: None,
             in_flight: Vec::new(),
             in_flight_exits: HashSet::new(),
+            observer: None,
         }
     }
 
@@ -865,11 +869,12 @@ impl Monitor {
         let exec = match std::mem::take(&mut self.cache.tree_mut(tid).exec) {
             ExecCode::Native(native) => {
                 for caller in self.cache.iter_mut() {
-                    if let ExecCode::Native(nt) = &caller.exec {
-                        let mut callees = nt.direct_sites().iter().flatten();
-                        if callees.any(|d| Arc::ptr_eq(&d.callee, &native)) {
-                            caller.exec = ExecCode::NotBuilt;
-                        }
+                    let calls = |nt: &NativeTree| {
+                        let mut sites = nt.direct_sites().iter().flatten();
+                        sites.any(|d| d.callees().any(|c| Arc::ptr_eq(c, &native)))
+                    };
+                    if matches!(&caller.exec, ExecCode::Native(nt) if calls(nt)) {
+                        caller.exec = ExecCode::NotBuilt;
                     }
                 }
                 let mut plans = SitePlans::default().current(self.cache.installs());
@@ -955,15 +960,17 @@ impl Monitor {
         let mut sites = Vec::with_capacity(code.nested_sites.len());
         for (id, site) in code.nested_sites.iter().enumerate() {
             let id = id as u32;
-            if !plans.site(id, code, &self.cache).0.deferred {
-                sites.push(None);
-                continue;
-            }
-            if matches!(self.cache.tree(site.inner).exec, ExecCode::NotBuilt) {
-                self.build_exec(site.inner);
+            let plan = plans.site(id, code, &self.cache).0;
+            let callees: Vec<TreeId> = plan.trees(site).filter(|_| plan.deferred()).collect();
+            for tid in callees {
+                if matches!(self.cache.tree(tid).exec, ExecCode::NotBuilt) {
+                    self.build_exec(tid);
+                }
             }
             let (plan, _) = plans.site(id, code, &self.cache);
-            sites.push(plan.direct_site(site, self.cache.tree(site.inner)).ok());
+            let direct = plan.direct_site(site, &self.cache).ok();
+            let observed = self.observer.is_some();
+            sites.push(direct.map(|d| DirectSite { observed, ..d }));
         }
         sites
     }
@@ -1364,6 +1371,7 @@ impl Monitor {
     ) -> Result<Ran, RuntimeError> {
         let (tid, code) = (entered.tid, &*entered.code);
         self.profiler.stats.trace_enters += 1;
+        self.profiler.stats.host_transitions += 1;
 
         self.profiler.switch(Activity::Native);
         // The interpreter's step budget extends to native execution: trace

@@ -27,8 +27,11 @@ use std::sync::Arc;
 
 use tm_interp::Interp;
 use tm_lir::{ArSlot, LirType};
-use tm_nanojit::{DirectCounts, DirectSite, TraceExit, TreeHost, Variables, WordFrom, WordMove};
-use tm_runtime::{Realm, RuntimeError};
+use tm_nanojit::{
+    DirectCounts, DirectHop, DirectSite, Link, TraceExit, TreeHost, Variables, WordFrom,
+    WordMove, MAX_LINKS,
+};
+use tm_runtime::{Realm, RuntimeError, Unpacked};
 
 use crate::activation::{
     export, run_moves, unboxed, write_variables, Move, SlotBinding, SlotKey, Source,
@@ -36,26 +39,32 @@ use crate::activation::{
 use crate::exit::ExitKind;
 use crate::monitor::{Entered, Monitor, Ran};
 use crate::profiler::Activity;
-use crate::tree::{ExecCode, NestedSite, TraceTree, TreeCache, TreeCode, TreeId};
+use crate::tree::{ExecCode, NestedSite, TreeCache, TreeCode, TreeId};
 
 /// What one nested-call site does around the inner tree's run.
 ///
-/// A site whose inner tree calls no tree itself and returns itself,
-/// reached in the outer trace's entry frame, is **deferred**: the call
-/// site is not exported. Nothing reads interpreter state during such a run
-/// but the plan's own interpreter-sourced moves, and those name locations
-/// neither trace has written. The export is made up for whenever the call
-/// does not come back as expected. Every other site is eager: export, enter
-/// whichever sibling accepts the interpreter state (following type-unstable
-/// links, Figure 6), export, and a refresh with every source the
-/// interpreter.
+/// A site whose inner trees call no tree themselves is **deferred**: the
+/// call site is not exported. Nothing reads interpreter state during such
+/// a run but the plan's own interpreter-sourced moves, and those name
+/// locations neither trace has written. Inner slot keys are rebased by
+/// the call site's inline depth; an inlined frame has no interpreter
+/// frame until an export, so each of its locations the call reads or
+/// writes is one of the two records'. Type-unstable sibling links
+/// (Figure 6) are followed record to record (`hops`). The export is
+/// made up for whenever the call does not come back as expected. Every
+/// other site is eager ([`TransferPlan::direct_site`] says why): export,
+/// enter a sibling, follow its links, export, refresh from the interpreter.
 #[derive(Debug)]
 pub struct TransferPlan {
-    /// Whether the call-site export is deferred.
-    pub deferred: bool,
-    /// Deferred only: the inner tree's entry map, filled from the outer
-    /// record (the other one) or the interpreter.
-    args: Vec<Move>,
+    /// Why the call-site export is not deferred (`None`: it is).
+    eager: Option<&'static str>,
+    /// Deferred only: the trees of the chain a call may start in, tried in
+    /// order (the inner tree first), with that tree's entry map, filled
+    /// from the outer record (the other one) or the interpreter.
+    args: Vec<(usize, Vec<Move>)>,
+    /// Deferred only: the sibling links from `site.inner` to
+    /// `site.returns`.
+    hops: Vec<Hop>,
     /// Deferred only: the variables of the inner exit's write-back that no
     /// later exit of the outer trace restores (it never wrote them).
     flush: Vec<SlotBinding>,
@@ -67,6 +76,17 @@ pub struct TransferPlan {
     refresh: Vec<Move>,
 }
 
+/// A type-unstable sibling link a deferred call crosses (Figure 6).
+#[derive(Debug, Clone)]
+struct Hop {
+    /// The tree before's type-unstable exits that fill `moves` alike.
+    exits: Vec<(u32, u16)>,
+    /// The sibling entered, and its entry map from the record of the
+    /// tree before (the other one).
+    tree: TreeId,
+    moves: Vec<Move>,
+}
+
 fn is_variable(b: &&SlotBinding) -> bool {
     matches!(b.key, SlotKey::Global(_) | SlotKey::Local { .. })
 }
@@ -76,37 +96,135 @@ fn held(list: &[SlotBinding], key: SlotKey) -> Option<&SlotBinding> {
     list.iter().find(|b| b.key == key)
 }
 
+/// What a tree's record holds at `exit` of what the call has changed so
+/// far: the exit's write-back, and the entry slots of `changed`'s keys
+/// it did not write.
+fn left(code: &TreeCode, (frag, exit): (u32, u16), changed: &[SlotBinding]) -> Vec<SlotBinding> {
+    let written = &code.exits[frag as usize][exit as usize].write_back;
+    let kept = code.entry.iter().filter(|b| {
+        held(changed, b.key).is_some() && held(written, b.key).is_none()
+    });
+    written.iter().chain(kept).copied().collect()
+}
+
+/// Whether a word of type `from` may convert to `to` at run time.
+fn converts(from: LirType, to: LirType) -> bool {
+    let number = |t| matches!(t, LirType::Int | LirType::Double);
+    from == to || to == LirType::Boxed || (number(from) && number(to))
+}
+
+/// The moves into `next`'s entry map from the record `code` left `out`
+/// in, unless `next` drops a changed value or lacks a source or a type.
+fn hop_moves(code: &TreeCode, out: &[SlotBinding], next: &TreeCode) -> Option<Vec<Move>> {
+    if !out.iter().all(|b| is_variable(&b) && held(&next.entry, b.key).is_some()) {
+        return None;
+    }
+    let moves = next.entry.iter().map(|&to| {
+        let from = held(out, to.key).or_else(|| held(&code.entry, to.key))?;
+        converts(from.ty, to.ty).then_some(Move { from: Source::Other(from.ar, from.ty), to })
+    });
+    moves.collect()
+}
+
+/// The fewest sibling links, at most [`MAX_LINKS`], that take a call of
+/// `site` from `site.inner` to `site.returns`, and what the returning
+/// tree's record holds at the expected exit of what the call changed.
+fn links(site: &NestedSite, cache: &TreeCache) -> Option<(Vec<Hop>, Vec<SlotBinding>)> {
+    let mut paths = vec![(site.inner, Vec::new(), Vec::new())];
+    for _ in 0..=MAX_LINKS {
+        let mut next = Vec::new();
+        for (tid, changed, hops) in paths {
+            let code = &cache.tree(tid).code;
+            if tid == site.returns {
+                return Some((hops, left(code, site.expected_exit, &changed)));
+            }
+            let exits = code.exits.iter().enumerate().flat_map(|(f, exits)| {
+                let links = exits.iter().enumerate().map(move |(e, x)| ((f as u32, e as u16), x));
+                links.filter(|(_, x)| x.kind == ExitKind::Unstable && x.frames.len() == 1)
+            });
+            let exits: Vec<_> = exits.map(|(link, _)| (link, left(code, link, &changed))).collect();
+            let seen = |t: TreeId| t == site.inner || hops.iter().any(|h: &Hop| h.tree == t);
+            for sib in cache.iter().filter(|t| t.anchor == code.anchor && !seen(t.id)) {
+                let (mut hop, mut carried) = (None::<Hop>, Vec::new());
+                for (link, out) in &exits {
+                    let Some(moves) = hop_moves(code, out, &sib.code) else { continue };
+                    match &mut hop {
+                        None => hop = Some(Hop { exits: vec![*link], tree: sib.id, moves }),
+                        Some(h) if h.moves == moves => h.exits.push(*link),
+                        Some(_) => continue,
+                    }
+                    carried.extend_from_slice(out);
+                }
+                if let Some(hop) = hop {
+                    let mut hops = hops.clone();
+                    hops.push(hop);
+                    next.push((sib.id, carried, hops));
+                }
+            }
+        }
+        paths = next;
+    }
+    None
+}
+
 impl TransferPlan {
-    /// The plan of `site`, a nested-call site of `outer`, whose calls
-    /// return from `inner` (the tree `site.returns`).
-    pub fn build(outer: &TreeCode, site: &NestedSite, inner: &TreeCode) -> TransferPlan {
+    /// The plan of `site`, a nested-call site of `outer`, among the trees
+    /// of `cache`.
+    pub fn build(outer: &TreeCode, site: &NestedSite, cache: &TreeCache) -> TransferPlan {
         let (callsite, frames) = (&site.callsite.write_back, &site.callsite.frames);
-        let (frag, exit) = site.expected_exit;
-        let returned = &inner.exits[frag as usize][exit as usize].write_back;
+        let depth = (frames.len() - 1) as u8;
+        let rebase = |b: &SlotBinding| SlotBinding { key: b.key.rebased(depth), ..*b };
+        let chain = links(site, cache);
+        let (linked, (mut hops, returned)) = (chain.is_some(), chain.unwrap_or_default());
+        let returned: Vec<SlotBinding> = returned.iter().map(rebase).collect();
+        let entry = |t: TreeId| cache.tree(t).entry.iter().map(rebase).collect::<Vec<_>>();
         // With no export, the interpreter is only known to be current in
         // its globals and the entry frame's locals: whatever else the call
-        // reads, one of the records has to hold.
+        // reads or writes, one of the records has to hold.
         let in_place =
             |b: &SlotBinding| matches!(b.key, SlotKey::Global(_) | SlotKey::Local { depth: 0, .. });
         let holds = |list, b: &SlotBinding| in_place(b) || held(list, b.key).is_some();
-        // A sibling link is followed through interpreter state; without
-        // one, `inner` is also the tree the call enters.
-        let deferred = site.inner == site.returns
-            && inner.nested_sites.is_empty()
-            && frames.len() == 1
-            && inner.entry.iter().all(|b| holds(callsite, b))
-            && site.reimports.iter().all(|b| holds(returned, b) || holds(callsite, b));
+        let trees = || std::iter::once(site.inner).chain(hops.iter().map(|h| h.tree));
+        let eager = if trees().chain([site.returns]).any(|t| !cache.tree(t).nested_sites.is_empty())
+        {
+            Some("non-leaf callee")
+        } else if !linked {
+            Some("no link chain")
+        } else if !(entry(site.inner).iter().all(|b| holds(callsite, b))
+            && site.reimports.iter().all(|b| holds(&returned, b) || holds(callsite, b))
+            && returned.iter().filter(is_variable).all(|b| holds(callsite, b)))
+        {
+            Some("inlined-frame location")
+        } else {
+            None
+        };
+        let deferred = eager.is_none();
         // A record is a binding's source only while the interpreter has
         // not been brought up to date with it.
         let held_in = |list: &[SlotBinding], key, record: fn(ArSlot, LirType) -> Source| {
             held(list, key).filter(|_| deferred).map(|b| record(b.ar, b.ty))
         };
-        let args = inner.entry.iter().filter(|_| deferred).map(|&to| Move {
+        let arg = |&to: &SlotBinding| Move {
             from: held_in(callsite, to.key, Source::Other).unwrap_or(Source::Interp),
             to,
+        };
+        let may_convert =
+            |m: &Move| !matches!(m.from, Source::Other(_, ty) if !converts(ty, m.to.ty));
+        let args = trees().enumerate().filter(|_| deferred).filter_map(|(link, t)| {
+            let entry = entry(t);
+            let args: Vec<Move> = entry.iter().map(arg).collect();
+            let taken = link == 0 || args.iter().all(may_convert);
+            (taken && entry.iter().all(|b| holds(callsite, b))).then_some((link, args))
         });
+        let args = args.collect();
+        if !deferred {
+            hops.clear();
+        }
+        for m in hops.iter_mut().flat_map(|h| &mut h.moves) {
+            m.to = rebase(&m.to);
+        }
         let mut plan =
-            TransferPlan { deferred, args: args.collect(), flush: Vec::new(), refresh: Vec::new() };
+            TransferPlan { eager, args, hops, flush: Vec::new(), refresh: Vec::new() };
         let canonical = outer
             .entry
             .iter()
@@ -118,7 +236,7 @@ impl TransferPlan {
         let retype = |to: &SlotBinding| held(&site.retyped, to.key).copied().unwrap_or(*to);
         let reimports = site.reimports.iter().map(|&b| (b, true));
         for (to, reimport) in canonical.map(|b| (retype(b), false)).chain(reimports) {
-            let from = match held_in(returned, to.key, Source::Other)
+            let from = match held_in(&returned, to.key, Source::Other)
                 .or_else(|| held_in(callsite, to.key, Source::Own))
             {
                 Some(from) => from,
@@ -148,23 +266,35 @@ impl TransferPlan {
         plan
     }
 
-    /// The direct site the native tier runs this plan's calls of `callee`
-    /// (`site`'s inner tree) through, or why it goes through the host:
-    /// `"eager plan"`, `"callee decoded"` (or not built yet) or `"boxed
-    /// move"` — a conversion that takes the heap ([`WordMove::lowers`]).
+    /// Whether the call-site export is deferred.
+    pub fn deferred(&self) -> bool {
+        self.eager.is_none()
+    }
+
+    /// The trees a call of `site` runs under this plan, in order: the
+    /// inner tree, then the sibling each link enters.
+    pub fn trees<'a>(&'a self, site: &NestedSite) -> impl Iterator<Item = TreeId> + 'a {
+        std::iter::once(site.inner).chain(self.hops.iter().map(|h| h.tree))
+    }
+
+    /// The direct site the native tier runs calls of `site` through, or
+    /// why they go through the host: the plan's eager reason, `"callee
+    /// decoded"`, `"callee not built"` or `"boxed move"` ([`WordMove::lowers`]).
     pub fn direct_site(
         &self,
         site: &NestedSite,
-        callee: &TraceTree,
+        cache: &TreeCache,
     ) -> Result<DirectSite, &'static str> {
-        if !self.deferred {
-            return Err("eager plan");
+        if let Some(why) = self.eager {
+            return Err(why);
         }
-        let ExecCode::Native(code) = &callee.exec else {
-            return Err("callee decoded");
+        let native = |tid: TreeId| match &cache.tree(tid).exec {
+            ExecCode::Native(code) => Ok((Arc::clone(code), cache.tree(tid).layout.len())),
+            ExecCode::Decoded(_) => Err("callee decoded"),
+            ExecCode::NotBuilt => Err("callee not built"),
         };
         // `Other` is the outer record for an argument, the inner one for
-        // a refresh word.
+        // a hop or refresh word.
         let words = |moves: &[Move], other: fn(ArSlot, LirType) -> WordFrom| -> Vec<WordMove> {
             let from = |m: &Move| match m.from {
                 Source::Interp => WordFrom::Host,
@@ -173,30 +303,55 @@ impl TransferPlan {
             };
             moves.iter().map(|m| WordMove { from: from(m), to: m.to.ar, ty: m.to.ty }).collect()
         };
-        let args = words(&self.args, WordFrom::Outer);
-        let refresh = words(&self.refresh, WordFrom::Inner);
-        if !args.iter().chain(&refresh).all(WordMove::lowers) {
+        // An exit of tree `t` with the bytecodes the host counts for it.
+        let counted = |t: TreeId, (f, e): (u32, u16)| {
+            let bytecodes = cache.tree(t).fragment_bytecodes.get(f as usize);
+            ((f, e), bytecodes.map_or(0, |&b| u64::from(b) / 2))
+        };
+        let (callee, callee_ar) = native(site.inner)?;
+        let mut hops = Vec::with_capacity(self.hops.len());
+        for (before, h) in self.trees(site).zip(&self.hops) {
+            let (callee, callee_ar) = native(h.tree)?;
+            let moves = words(&h.moves, WordFrom::Inner);
+            let exits = h.exits.iter().map(|&exit| counted(before, exit)).collect();
+            hops.push(DirectHop { exits, callee, callee_ar, moves });
+        }
+        let d = DirectSite {
+            callee,
+            callee_ar,
+            args: self.args.iter().map(|(link, a)| (*link, words(a, WordFrom::Outer))).collect(),
+            hops,
+            expected: counted(site.returns, site.expected_exit),
+            refresh: words(&self.refresh, WordFrom::Inner),
+            flush: !self.flush.is_empty(),
+            observed: false,
+        };
+        if !d.moves().all(WordMove::lowers) {
             return Err("boxed move");
         }
-        Ok(DirectSite {
-            callee: Arc::clone(code),
-            callee_ar: callee.layout.len(),
-            args,
-            expected: site.expected_exit,
-            refresh,
-            flush: !self.flush.is_empty(),
-        })
+        Ok(d)
     }
 
-    /// How many of the plan's moves read the outer activation record, the
+    /// How many of the plan's moves read the outer activation record, an
     /// inner one, and interpreter state.
     pub fn sources(&self) -> (usize, usize, usize) {
-        let all = self.args.len() + self.refresh.len();
-        let interp = self.args.iter().chain(&self.refresh).filter(|m| m.from == Source::Interp);
-        let interp = interp.count();
+        let hops = self.hops.iter().map(|h| h.moves.len()).sum::<usize>();
+        let args = self.args.iter().flat_map(|(_, a)| a);
+        let all = args.clone().count() + hops + self.refresh.len();
+        let interp = args.chain(&self.refresh).filter(|m| m.from == Source::Interp).count();
         let inner = self.refresh.iter().filter(|m| matches!(m.from, Source::Other(..))).count();
-        (all - inner - interp, inner, interp)
+        (all - hops - inner - interp, hops + inner, interp)
     }
+}
+
+/// Test support: a line for every nested call's return and link, from the
+/// host path and machine code alike; unset, machine code pays nothing.
+pub type NestObserver = std::sync::mpsc::Sender<String>;
+
+/// The words `moves` wrote into `ar`.
+fn written(moves: &[Move], ar: &[u64]) -> String {
+    let word = |m: &Move| format!("{:#x}", ar.get(m.to.ar as usize).copied().unwrap_or_default());
+    moves.iter().map(word).collect::<Vec<_>>().join(" ")
 }
 
 /// One tree's transfer plans, by nested-site id: built at a site's first
@@ -237,8 +392,7 @@ impl SitePlans {
             self.sites.resize_with(outer.nested_sites.len(), || None);
         }
         let plan = self.sites[id as usize].get_or_insert_with(|| {
-            let site = &outer.nested_sites[id as usize];
-            TransferPlan::build(outer, site, &cache.tree(site.returns).code)
+            TransferPlan::build(outer, &outer.nested_sites[id as usize], cache)
         });
         (plan, &mut self.words)
     }
@@ -287,6 +441,7 @@ impl TreeHost for NestHost<'_> {
         &mut self,
         site_id: u32,
         part: Variables,
+        link: usize,
         inner: &mut [u64],
         staged: &mut [u64],
         realm: &mut Realm,
@@ -300,7 +455,8 @@ impl TreeHost for NestHost<'_> {
         let from_interp = |m: &&Move| m.from == Source::Interp;
         match part {
             Variables::Args => {
-                let mut moves = plan.args.iter().filter(from_interp);
+                let args = plan.args.iter().find(|&&(l, _)| l == link);
+                let mut moves = args.into_iter().flat_map(|(_, a)| a).filter(from_interp);
                 moves.all(|m| read(m, inner.get_mut(m.to.ar as usize)))
             }
             Variables::Refresh => {
@@ -317,6 +473,7 @@ impl TreeHost for NestHost<'_> {
     fn finish_call(
         &mut self,
         site_id: u32,
+        link: usize,
         ar: &mut [u64],
         inner: &[u64],
         exit: Option<TraceExit>,
@@ -324,39 +481,59 @@ impl TreeHost for NestHost<'_> {
     ) -> Result<bool, RuntimeError> {
         self.unexpected = None;
         self.monitor.profiler.switch(Activity::Monitor);
-        let returned = self.finish_direct(site_id, ar, inner, exit, realm);
+        let returned = self.finish_direct(site_id, link, ar, inner, exit, realm);
         self.monitor.profiler.switch(Activity::Native);
         returned
     }
 
-    /// Each completed direct call counts what `call_site` and the inner
-    /// tree's `run_entered` would have counted for it.
+    /// Each run of a direct call's tree that went on counts what
+    /// `call_site` and the tree's `run_entered` would have.
     fn fold(&mut self, counts: &mut [DirectCounts]) -> u64 {
-        let NestHost { monitor, interp, outer, .. } = self;
-        for (site, c) in outer.nested_sites.iter().zip(counts) {
+        let NestHost { monitor, interp, outer, plans, .. } = self;
+        for (id, (site, c)) in outer.nested_sites.iter().zip(counts).enumerate() {
             let c = std::mem::take(c);
-            let Some(callee) = monitor.cache.get_mut(site.inner).filter(|_| c.calls > 0) else {
-                continue;
-            };
-            callee.stats.iterations += c.iterations;
-            let bytecodes = |f: u32| callee.fragment_bytecodes.get(f as usize).map_or(0, |&b| b);
-            let exit_bc = u64::from(bytecodes(site.expected_exit.0)) / 2;
+            let ran = c.runs.iter().any(|&n| n > 0);
+            let Some(plan) = plans.built(id as u32).filter(|_| ran) else { continue };
+            let calls = c.runs[plan.hops.len()];
+            let runs = plan.trees(site).zip(c.runs.iter().zip(c.iterations));
+            for (tid, (&runs, iterations)) in runs {
+                let Some(callee) = monitor.cache.get_mut(tid) else { continue };
+                callee.stats.iterations += iterations;
+                let trunk = callee.fragment_bytecodes.first().map_or(0, |&b| u64::from(b));
+                let s = &mut monitor.profiler.stats;
+                s.bytecodes_native += iterations * trunk;
+                for n in [&mut s.trace_enters, &mut s.native_exits, &mut s.side_exits] {
+                    *n += runs;
+                }
+            }
             let s = &mut monitor.profiler.stats;
-            s.bytecodes_native += c.iterations * u64::from(bytecodes(0)) + c.calls * exit_bc;
+            s.bytecodes_native += c.bytecodes;
             s.native_insts += c.insts;
-            for n in [
-                &mut s.trace_enters,
-                &mut s.nested_calls,
-                &mut s.nested_deferred,
-                &mut s.nested_direct,
-                &mut s.native_exits,
-                &mut s.side_exits,
-            ] {
-                *n += c.calls;
+            for n in [&mut s.nested_calls, &mut s.nested_deferred, &mut s.nested_direct] {
+                *n += calls;
             }
             interp.steps_remaining = interp.steps_remaining.saturating_sub(c.insts);
         }
         interp.steps_remaining
+    }
+
+    fn observe(
+        &mut self,
+        site_id: u32,
+        link: Option<Link>,
+        ar: &[u64],
+        inner: &[u64],
+        realm: &mut Realm,
+    ) {
+        let site = &self.outer.nested_sites[site_id as usize];
+        let Some((link, exit)) = link else {
+            let (tid, exit) = (site.returns, site.expected_exit);
+            return self.observe_return(site_id, (tid, exit.0, exit.1), true, ar, realm);
+        };
+        let hop = self.plans.built(site_id).and_then(|p| p.hops.get(link));
+        if let (Some(o), Some(hop)) = (&self.monitor.observer, hop) {
+            let _ = o.send(hop_line(site_id, link, exit, hop, inner));
+        }
     }
 }
 
@@ -369,25 +546,26 @@ impl NestHost<'_> {
     ) -> Result<bool, RuntimeError> {
         let (outer, frame) = (self.outer, self.frame);
         let site = &outer.nested_sites[site_id as usize];
+        let inner_frame = frame + site.callsite.frames.len() - 1;
         let (plan, words) = self.plans.site(site_id, outer, &self.monitor.cache);
         let (monitor, interp) = (&mut *self.monitor, &mut *self.interp);
-        let deferred = plan.deferred;
+        let deferred = plan.deferred();
         monitor.profiler.stats.nested_calls += 1;
         monitor.profiler.stats.nested_deferred += u64::from(deferred);
+        let mut start = 0;
         let entered = if deferred {
-            let code = Arc::clone(&monitor.cache.tree(site.inner).code);
-            let mut inner = Entered {
-                tid: site.inner,
-                ar: monitor.ars.take(code.layout.len()),
-                code,
-                frame: frame + site.callsite.frames.len() - 1,
-            };
-            if run_moves(&plan.args, &mut inner.ar, outer_ar, interp, realm, inner.frame, words) {
-                Some(inner)
-            } else {
+            plan.args.iter().find_map(|(link, args)| {
+                let tid = plan.trees(site).nth(*link)?;
+                let code = Arc::clone(&monitor.cache.tree(tid).code);
+                let ar = monitor.ars.take(code.layout.len());
+                let mut inner = Entered { tid, ar, code, frame: inner_frame };
+                if run_moves(args, &mut inner.ar, outer_ar, interp, realm, frame, words) {
+                    start = *link;
+                    return Some(inner);
+                }
                 monitor.ars.give(inner.ar);
                 None
-            }
+            })
         } else {
             // From interpreter state, the call enters whichever sibling
             // accepts it, as a monitor run does.
@@ -402,51 +580,64 @@ impl NestHost<'_> {
             }
             return Ok(false);
         };
-        let mut ran = match monitor.run_entered(&mut inner, interp, realm) {
-            Ok(ran) => ran,
-            Err(e) => {
-                // A helper of the inner tree raised.
-                if deferred {
-                    export(&site.callsite, outer_ar, frame, interp, realm);
+        let mut hops = plan.hops.iter().enumerate().skip(start);
+        let ran = loop {
+            let ran = match monitor.run_entered(&mut inner, interp, realm) {
+                Ok(ran) => ran,
+                Err(e) => {
+                    // A helper of an inner tree raised.
+                    if deferred {
+                        export(&site.callsite, outer_ar, frame, interp, realm);
+                    }
+                    monitor.ars.give(inner.ar);
+                    return Err(e);
                 }
-                monitor.ars.give(inner.ar);
-                return Err(e);
-            }
-        };
-
-        if !deferred {
-            // Figure 6 inside the call: a type-unstable exit goes on in
-            // the sibling its state enters, as in a monitor run.
-            while monitor.settle(&inner.code, &inner.ar, inner.frame, &ran, interp, realm)?
+            };
+            // Figure 6 inside the call: deferred, the planned link moves
+            // the record on to the next tree; eager, a type-unstable exit
+            // goes on in the sibling its state enters, as in a monitor run.
+            let next = if deferred {
+                let exit = (ran.frag, ran.exit);
+                let hop = hops.next().filter(|(_, h)| !ran.out_of_fuel && h.exits.contains(&exit));
+                hop.and_then(|(link, hop)| {
+                    let code = Arc::clone(&monitor.cache.tree(hop.tree).code);
+                    let ar = monitor.ars.take(code.layout.len());
+                    let mut next = Entered { tid: hop.tree, ar, code, frame: inner_frame };
+                    if run_moves(&hop.moves, &mut next.ar, &inner.ar, interp, realm, frame, words) {
+                        if let Some(o) = &monitor.observer {
+                            let _ = o.send(hop_line(site_id, link, exit, hop, &next.ar));
+                        }
+                        return Some(next);
+                    }
+                    monitor.ars.give(next.ar);
+                    None
+                })
+            } else if monitor.settle(&inner.code, &inner.ar, inner.frame, &ran, interp, realm)?
                 == ExitKind::Unstable
             {
                 let (anchor, from) = (inner.code.anchor, Some(inner.tid));
-                let Some(next) = monitor.enter_sibling(anchor, from, true, interp, realm) else {
-                    break;
-                };
-                monitor.ars.give(std::mem::replace(&mut inner, next).ar);
-                ran = match monitor.run_entered(&mut inner, interp, realm) {
-                    Ok(ran) => ran,
-                    Err(e) => {
-                        monitor.ars.give(inner.ar);
-                        return Err(e);
-                    }
-                };
+                monitor.enter_sibling(anchor, from, true, interp, realm)
+            } else {
+                None
+            };
+            match next {
+                Some(next) => monitor.ars.give(std::mem::replace(&mut inner, next).ar),
+                None => break ran,
             }
-        }
+        };
         let callee = (inner.tid, &*inner.code, &inner.ar[..], inner.frame);
         let returned = self.returned(site_id, callee, &ran, outer_ar, realm);
         self.monitor.ars.give(inner.ar);
         returned
     }
 
-    /// The host's part of a direct call at site `site_id` that did not
-    /// come back as expected: the counting `call_site` and the callee's
-    /// `run_entered` do, then `call_site`'s tail from the callee's
-    /// record. `exit` is `None` when a helper of the callee raised.
+    /// A direct call of site `site_id` that did not come back as expected
+    /// from tree `link` of its plan (`exit` is `None` when a helper raised):
+    /// what `call_site` and `run_entered` count, then `call_site`'s tail.
     fn finish_direct(
         &mut self,
         site_id: u32,
+        link: usize,
         outer_ar: &mut [u64],
         inner_ar: &[u64],
         exit: Option<TraceExit>,
@@ -455,6 +646,8 @@ impl NestHost<'_> {
         let (outer, frame) = (self.outer, self.frame);
         let site = outer.nested_sites.get(site_id as usize);
         let site = site.ok_or_else(|| RuntimeError::Other("direct call at no site".into()))?;
+        let tid = self.plans.built(site_id).and_then(|p| p.trees(site).nth(link));
+        let tid = tid.ok_or_else(|| RuntimeError::Other("direct call of no tree".into()))?;
         let monitor = &mut *self.monitor;
         let s = &mut monitor.profiler.stats;
         let counted = [&mut s.trace_enters, &mut s.nested_calls, &mut s.nested_deferred];
@@ -465,17 +658,15 @@ impl NestHost<'_> {
             export(&site.callsite, outer_ar, frame, self.interp, realm);
             return Ok(false);
         };
-        let code = monitor.cache.get_mut(site.inner).map(|t| Arc::clone(&t.code));
-        let code = code.ok_or_else(|| RuntimeError::Other("direct call of no tree".into()))?;
-        let ran = monitor.account(site.inner, &code, &exit, None, self.interp);
-        self.returned(site_id, (site.inner, &code, inner_ar, frame), &ran, outer_ar, realm)
+        let code = Arc::clone(&monitor.cache.tree(tid).code);
+        let ran = monitor.account(tid, &code, &exit, None, self.interp);
+        let inner_frame = frame + site.callsite.frames.len() - 1;
+        self.returned(site_id, (tid, &code, inner_ar, inner_frame), &ran, outer_ar, realm)
     }
 
-    /// What a call does once its inner tree `callee` (its id, code,
-    /// record and frame) has run: §4.1's guard on the exit it took, the
-    /// refresh and, deferred, the flush — or, deferred, the export the
-    /// call put off and the inner exit's when the call did not come back
-    /// as expected.
+    /// What a call does once its last inner tree `callee` (its id, code,
+    /// record and frame) has run: §4.1's guard on its exit, the refresh
+    /// and, deferred, the flush — or the exports the call put off.
     fn returned(
         &mut self,
         site_id: u32,
@@ -497,7 +688,7 @@ impl NestHost<'_> {
         }
         let returned =
             expected && run_moves(&plan.refresh, outer_ar, inner_ar, interp, realm, *frame, words);
-        if plan.deferred {
+        if plan.deferred() {
             if returned {
                 // No collection here: the outer trace's roots are in its
                 // record. `gc_pending` stays set and its loop edge exits
@@ -511,8 +702,46 @@ impl NestHost<'_> {
                 monitor.settle(code, inner_ar, inner_frame, ran, interp, realm)?;
             }
         }
+        self.observe_return(site_id, (tid, ran.frag, ran.exit), returned, outer_ar, realm);
         Ok(returned)
     }
+
+    /// Hands the observer, if any, the state a call of site `site_id`
+    /// left after `(tree, fragment, exit)`: the words the refresh writes
+    /// in the outer record, and the globals the plan moves.
+    fn observe_return(
+        &mut self,
+        site_id: u32,
+        (tid, frag, exit): (TreeId, u32, u16),
+        returned: bool,
+        outer_ar: &[u64],
+        realm: &mut Realm,
+    ) {
+        let Some(o) = &self.monitor.observer else { return };
+        let Some(plan) = self.plans.built(site_id) else { return };
+        let args = plan.args.iter().flat_map(|(_, a)| a);
+        let bindings = args.chain(&plan.refresh).map(|m| m.to).chain(plan.flush.clone());
+        let realm = &*realm;
+        let global = |b: SlotBinding| match b.key {
+            SlotKey::Global(g) => Some(match realm.global(g).unpack() {
+                Unpacked::Double(d) => format!("g{g}={:#x}", realm.heap.double(d).to_bits()),
+                v => format!("g{g}={v:?}"),
+            }),
+            _ => None,
+        };
+        let globals = bindings.filter_map(global).collect::<Vec<_>>().join(" ");
+        let words = written(&plan.refresh, outer_ar);
+        let _ = o.send(format!(
+            "site {site_id}: tree {} exit {frag}.{exit} returned {returned}: {words} | {globals}",
+            tid.0
+        ));
+    }
+}
+
+/// The observer's line for link `link` of a call of site `site_id`.
+fn hop_line(site_id: u32, link: usize, exit: (u32, u16), hop: &Hop, next_ar: &[u64]) -> String {
+    let (words, (frag, exit)) = (written(&hop.moves, next_ar), exit);
+    format!("site {site_id} link {link}: exit {frag}.{exit} -> tree {}: {words}", hop.tree.0)
 }
 
 #[cfg(test)]
@@ -521,7 +750,7 @@ mod tests {
     use crate::activation::{box_from_word, import, ArLayout};
     use crate::exit::{ExitKind, FrameDesc, SideExitInfo};
     use crate::shared_cache::entry_digest;
-    use crate::tree::Anchor;
+    use crate::tree::{Anchor, TraceTree};
     use tm_runtime::{Unpacked, Value};
     use tm_support::prop::{self, Config};
     use tm_support::{prop_assert, prop_assert_eq, TmRng};
@@ -556,6 +785,8 @@ mod tests {
         later: SideExitInfo,
         /// The type each outer slot holds once the call has returned.
         outer_types: Vec<LirType>,
+        /// The call site's inline depth: the inner tree's frame.
+        depth: usize,
     }
 
     /// A word a slot of type `ty` can hold; the integers and doubles lean
@@ -633,6 +864,11 @@ mod tests {
 
     fn case(seed: u64) -> Case {
         let g = &mut TmRng::seed_from_u64(seed);
+        // A call site in the entry frame, or in a frame inlined into it
+        // (the same function): the inner tree's keys are then that
+        // frame's, and only the call site's write-back holds its locals.
+        let depth = g.below(2) as u8;
+        let (to_inner, to_outer) = (|k: SlotKey| unrebased(k, depth), |k: SlotKey| k.rebased(depth));
         let mut realm = Realm::new();
         let names: Vec<String> = (0..NVARS).map(|i| format!("g{i}")).collect();
         let params: Vec<String> = (1..NVARS).map(|i| format!("p{i}")).collect();
@@ -670,6 +906,12 @@ mod tests {
         let subset = |g: &mut TmRng, p: f64| -> Vec<usize> {
             (0..variables.len()).filter(|_| g.gen_bool(p)).collect()
         };
+        // The variables the inner tree sees, as the outer trace names
+        // them: the globals, and the locals of the call site's frame.
+        let inner_vars: Vec<SlotKey> = variables
+            .iter()
+            .map(|&k| if matches!(k, SlotKey::Local { .. }) { to_outer(k) } else { k })
+            .collect();
 
         // The outer tree: entry slots hold what the interpreter holds (an
         // integer sometimes widened), written slots whatever the trace put
@@ -710,8 +952,16 @@ mod tests {
         for idx in 0..outer_depth {
             written.push(bind(&mut layout, SlotKey::Stack { depth: 0, idx }, any_type(g)));
         }
+        // An inlined frame's locals are all written at the inline call.
+        for &key in inner_vars.iter().filter(|k| depth > 0 && matches!(k, SlotKey::Local { .. })) {
+            written.push(bind(&mut layout, key, TYPES[g.gen_range(0usize..7)]));
+        }
         let inner_depth = g.below(3) as u16;
         let mut callsite = exit(ExitKind::NestedUnexpected, func, outer_depth);
+        if depth > 0 {
+            callsite.frames.push(FrameDesc { callee_raw: Value::new_int(77).raw(), ..callsite.frames[0] });
+            callsite.frames[1].stack_depth = 0;
+        }
         callsite.write_back = written;
 
         // The inner tree: wants and returns what it likes.
@@ -721,24 +971,24 @@ mod tests {
             .map(|i| {
                 // Usually the type the value has, so that calls go through.
                 let ty = if g.gen_bool(0.95) {
-                    held(&callsite.write_back, variables[i]).map_or(observed[i], |b| b.ty)
+                    held(&callsite.write_back, inner_vars[i]).map_or(observed[i], |b| b.ty)
                 } else {
                     any_type(g)
                 };
-                bind(&mut inner_layout, variables[i], ty)
+                bind(&mut inner_layout, to_inner(inner_vars[i]), ty)
             })
             .collect();
         let mut expected = exit(ExitKind::LeaveLoop, func, inner_depth);
         for i in subset(g, 0.4) {
             // Usually at the type the outer trace holds the variable at.
             let ty = if g.gen_bool(0.95) {
-                held(&callsite.write_back, variables[i])
-                    .or_else(|| held(&entry, variables[i]))
+                held(&callsite.write_back, inner_vars[i])
+                    .or_else(|| held(&entry, inner_vars[i]))
                     .map_or_else(|| any_type(g), |b| b.ty)
             } else {
                 any_type(g)
             };
-            expected.write_back.push(bind(&mut inner_layout, variables[i], ty));
+            expected.write_back.push(bind(&mut inner_layout, to_inner(inner_vars[i]), ty));
         }
         for idx in 0..inner_depth {
             let key = SlotKey::Stack { depth: 0, idx };
@@ -751,10 +1001,10 @@ mod tests {
         // What the outer trace reads again after the call, usually at
         // the type it will find.
         let mut reimports = Vec::new();
-        let keys = subset(g, 0.3).into_iter().map(|i| variables[i]);
-        let keys = keys.chain((0..inner_depth).map(|idx| SlotKey::Stack { depth: 0, idx }));
+        let keys = subset(g, 0.3).into_iter().map(|i| inner_vars[i]);
+        let keys = keys.chain((0..inner_depth).map(|idx| to_outer(SlotKey::Stack { depth: 0, idx })));
         for (n, key) in keys.enumerate() {
-            let found = held(&expected.write_back, key)
+            let found = held(&expected.write_back, to_inner(key))
                 .or_else(|| held(&callsite.write_back, key))
                 .or_else(|| held(&entry, key));
             let ty = match found {
@@ -774,6 +1024,7 @@ mod tests {
             outer_ar[b.ar as usize] = word(g, &mut realm, handles, b.ty);
         }
         let mut later = exit(ExitKind::Branch, func, outer_depth);
+        later.frames = callsite.frames.clone();
         later.write_back = callsite.write_back.clone();
         let mut inner = tree(anchor, inner_layout, inner_entry, vec![expected]);
         let site = NestedSite {
@@ -808,6 +1059,17 @@ mod tests {
             inner_exit_words,
             later,
             outer_types,
+            depth: usize::from(depth),
+        }
+    }
+
+    /// `key` of the outer trace, as a tree entered `depth` frames below
+    /// its entry frame names it.
+    fn unrebased(key: SlotKey, depth: u8) -> SlotKey {
+        match key {
+            SlotKey::Local { depth: d, slot } => SlotKey::Local { depth: d - depth, slot },
+            SlotKey::Stack { depth: d, idx } => SlotKey::Stack { depth: d - depth, idx },
+            other => other,
         }
     }
 
@@ -838,15 +1100,15 @@ mod tests {
 
     /// The sequence a plan replaces: everything through the interpreter.
     fn reference(c: &mut Case) -> Outcome {
-        let Case { realm, interp, outer, inner, outer_ar, .. } = c;
+        let Case { realm, interp, outer, inner, outer_ar, depth, .. } = c;
         let site = &outer.nested_sites[0];
         export(&site.callsite, outer_ar, 0, interp, realm);
         let mut inner_ar = vec![0u64; inner.layout.len()];
-        if !import(&inner.entry, interp, realm, 0, &mut inner_ar) {
+        if !import(&inner.entry, interp, realm, *depth, &mut inner_ar) {
             return Outcome::ArgumentRefused;
         }
         inner_ar.copy_from_slice(&c.inner_exit_words);
-        export(&inner.exits[0][0], &inner_ar, 0, interp, realm);
+        export(&inner.exits[0][0], &inner_ar, *depth, interp, realm);
         let refresh = outer
             .entry
             .iter()
@@ -864,34 +1126,34 @@ mod tests {
     /// `NestHost::call_site` with the inner tree's run replaced by its
     /// effect on the inner record.
     fn planned(c: &mut Case, plan: &TransferPlan) -> Outcome {
-        let Case { realm, interp, outer, inner, outer_ar, .. } = c;
-        let site = &outer.nested_sites[0];
-        if !plan.deferred {
+        let Case { realm, interp, outer, inner, outer_ar, depth, .. } = c;
+        let (site, depth) = (&outer.nested_sites[0], *depth);
+        if !plan.deferred() {
             export(&site.callsite, outer_ar, 0, interp, realm);
         }
         let (mut inner_ar, words) = (vec![0u64; inner.layout.len()], &mut Vec::new());
         // An eager call enters the inner tree from interpreter state.
-        let loaded = match plan.deferred {
-            true => run_moves(&plan.args, &mut inner_ar, outer_ar, interp, realm, 0, words),
-            false => import(&inner.entry, interp, realm, 0, &mut inner_ar),
+        let loaded = match plan.deferred() {
+            true => run_moves(&plan.args[0].1, &mut inner_ar, outer_ar, interp, realm, 0, words),
+            false => import(&inner.entry, interp, realm, depth, &mut inner_ar),
         };
         if !loaded {
-            if plan.deferred {
+            if plan.deferred() {
                 export(&site.callsite, outer_ar, 0, interp, realm);
             }
             return Outcome::ArgumentRefused;
         }
         inner_ar.copy_from_slice(&c.inner_exit_words);
-        if !plan.deferred {
-            export(&inner.exits[0][0], &inner_ar, 0, interp, realm);
+        if !plan.deferred() {
+            export(&inner.exits[0][0], &inner_ar, depth, interp, realm);
         }
         let returned = run_moves(&plan.refresh, outer_ar, &inner_ar, interp, realm, 0, words);
-        if plan.deferred {
+        if plan.deferred() {
             if returned {
                 write_variables(&plan.flush, &inner_ar, 0, interp, realm);
             } else {
                 export(&site.callsite, outer_ar, 0, interp, realm);
-                export(&inner.exits[0][0], &inner_ar, 0, interp, realm);
+                export(&inner.exits[0][0], &inner_ar, depth, interp, realm);
             }
         }
         if returned {
@@ -903,13 +1165,15 @@ mod tests {
 
     #[test]
     fn a_plan_leaves_what_the_round_trip_through_the_interpreter_leaves() {
-        let (mut deferred, mut eager, mut refused) = (0, 0, 0);
+        let (mut deferred, mut eager, mut refused, mut inlined) = (0, 0, 0, 0);
         prop::check("nest_plan_matches_reference", &Config::with_cases(2000), |g| {
             let seed = g.next_u64();
             let (mut a, mut b) = (case(seed), case(seed));
             let site = &b.outer.nested_sites[0];
-            let plan = TransferPlan::build(&b.outer, site, &b.inner);
-            prop_assert_eq!(plan.deferred, b.inner.nested_sites.is_empty());
+            let mut cache = TreeCache::new();
+            cache.insert(TraceTree::new(Arc::new(b.inner.clone())));
+            let plan = TransferPlan::build(&b.outer, site, &cache);
+            prop_assert_eq!(plan.deferred(), b.inner.nested_sites.is_empty());
             let (want, got) = (reference(&mut a), planned(&mut b, &plan));
             prop_assert_eq!(&want, &got);
             if want == Outcome::Returned {
@@ -929,7 +1193,8 @@ mod tests {
                 let (later_a, later_b) = (a.later.clone(), b.later.clone());
                 export(&later_a, &a.outer_ar, 0, &mut a.interp, &mut a.realm);
                 export(&later_b, &b.outer_ar, 0, &mut b.interp, &mut b.realm);
-                *if plan.deferred { &mut deferred } else { &mut eager } += 1;
+                *if plan.deferred() { &mut deferred } else { &mut eager } += 1;
+                inlined += u32::from(plan.deferred() && a.depth > 0);
             } else {
                 refused += 1;
             }
@@ -938,7 +1203,8 @@ mod tests {
             Ok(())
         });
         if std::env::var_os("TM_PROP_SEED").is_none() {
-            assert!(deferred > 200 && eager > 50 && refused > 200, "{deferred} {eager} {refused}");
+            let counts = format!("{deferred} {eager} {refused} {inlined}");
+            assert!(deferred > 200 && eager > 50 && refused > 200 && inlined > 100, "{counts}");
         }
     }
 
@@ -955,16 +1221,17 @@ mod tests {
         let m = vm.monitor().unwrap();
         let outer = m.cache.iter().find(|t| !t.nested_sites.is_empty()).expect("a nest");
         let site = &outer.nested_sites[0];
-        let plan = TransferPlan::build(outer, site, m.cache.tree(site.returns));
-        assert!(plan.deferred);
+        let plan = TransferPlan::build(outer, site, &m.cache);
+        assert!(plan.deferred());
         let n = SlotKey::Global(vm.realm.lookup_global("n").unwrap());
-        assert!(plan.args.iter().any(|m| m.to.key == n && m.from == Source::Interp));
+        assert_eq!(plan.args.len(), 1, "no links: {plan:#?}");
+        assert!(plan.args[0].1.iter().any(|m| m.to.key == n && m.from == Source::Interp));
         for (i, m) in plan.refresh.iter().enumerate() {
             assert!(!plan.refresh[i + 1..].contains(m), "{plan:#?}");
         }
         assert!(plan.flush.is_empty(), "the outer trace wrote g, i and j itself: {plan:#?}");
         let (outer_ar, inner_ar, interp) = plan.sources();
-        assert_eq!(outer_ar + inner_ar + interp, plan.args.len() + plan.refresh.len());
+        assert_eq!(outer_ar + inner_ar + interp, plan.args[0].1.len() + plan.refresh.len());
         assert_eq!(interp, 1, "only n: {plan:#?}");
         assert_eq!(m.profiler.stats.nested_calls, m.profiler.stats.nested_deferred);
         assert!(m.profiler.stats.nested_calls >= 40, "{:?}", m.profiler.stats);

@@ -74,6 +74,9 @@ pub struct ProfileStats {
     /// direct site (`tm-nanojit::x64::DirectSite`) without entering the
     /// host; a call the host finished after the callee ran is not one.
     pub nested_direct: u64,
+    /// Of `trace_enters`, the runs Rust started: monitor entries, host-path
+    /// nested calls and the sibling links Rust follows.
+    pub host_transitions: u64,
     /// Tree runs that ended, one per run of `trace_enters`: back to the
     /// monitor, or, for a nested call, back to the calling trace
     /// (docs/DIAGNOSTICS.md).

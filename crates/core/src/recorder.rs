@@ -2065,8 +2065,9 @@ impl Recorder {
         self.active_site = Some(local);
         // The inner exit's keys are relative to the inner loop's frame.
         let depth = self.depth() as u8;
-        self.returned =
-            returned.iter().filter_map(|b| Some((b.key.variable_from(depth)?, b.ty))).collect();
+        let variables =
+            returned.iter().filter(|b| matches!(b.key, SlotKey::Global(_) | SlotKey::Local { .. }));
+        self.returned = variables.map(|b| (b.key.rebased(depth), b.ty)).collect();
         // The host refreshes a variable the inner exit writes back at the
         // exit's type: where this trace knew the slot at another, it
         // takes the refreshed value through a re-import, so that its

@@ -10,6 +10,7 @@ use tm_runtime::{Realm, RuntimeError, Value};
 
 use crate::config::JitOptions;
 use crate::monitor::Monitor;
+use crate::nest::NestObserver;
 use crate::persist::{cache_path_from_env, CacheError, CacheHandle};
 use crate::pool::CompilerPool;
 use crate::profiler::ProfileStats;
@@ -96,6 +97,8 @@ pub struct Vm {
     shared: Option<Arc<SharedCodeCache>>,
     /// Background compiler pool (used when `opts.background_compile`).
     pool: Option<Arc<CompilerPool>>,
+    /// Test support: handed to each tracing run's monitor.
+    observer: Option<NestObserver>,
 }
 
 impl Vm {
@@ -117,7 +120,16 @@ impl Vm {
             last_cache_error: None,
             shared: None,
             pool: None,
+            observer: None,
         }
+    }
+
+    /// Test support: a line for every nested call's return and link in
+    /// later tracing runs ([`crate::nest::NestObserver`]).
+    pub fn observe_nesting(&mut self) -> std::sync::mpsc::Receiver<String> {
+        let (observer, lines) = std::sync::mpsc::channel();
+        self.observer = Some(observer);
+        lines
     }
 
     /// Attaches a process-wide shared code cache: compiled trees this VM
@@ -206,6 +218,7 @@ impl Vm {
                         self.last_cache_error = Some(e);
                     }
                 }
+                monitor.observer = self.observer.clone();
                 let r = monitor.run_program(&mut interp, &mut self.realm);
                 if let (Some(h), Ok(_)) = (&handle, &r) {
                     if let Err(e) = monitor.save_cache(h, &self.realm) {

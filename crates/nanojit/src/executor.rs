@@ -40,14 +40,15 @@ pub trait TreeHost {
     ) -> Result<bool, RuntimeError>;
 
     /// A direct call's interpreter variables at site `tree` (native tier,
-    /// [`crate::x64::DirectSite`]): `Args` fills the callee's record
-    /// `inner`, `Refresh` fills `staged[i]` for the `i`-th refresh move,
-    /// `Flush` writes the callee's returned variables back. `false` on a
+    /// [`crate::x64::DirectSite`]): `Args` fills the record `inner` of its
+    /// chain's tree `link`, `Refresh` fills `staged[i]` for the `i`-th
+    /// refresh move, `Flush` writes returned variables back. `false` on a
     /// value that does not match its type.
     fn variables(
         &mut self,
         _tree: u32,
         _part: Variables,
+        _link: usize,
         _inner: &mut [u64],
         _staged: &mut [u64],
         _realm: &mut Realm,
@@ -56,9 +57,9 @@ pub trait TreeHost {
     }
 
     /// Finishes a direct call at site `tree` that did not come back as
-    /// expected, from the callee's record `inner` and its exit (`None`: a
-    /// helper of the callee raised). Returns what
-    /// [`TreeHost::call_tree`] would have.
+    /// expected, from the record `inner` of the callee at `link` of the
+    /// site's chain (0: the first) and its exit (`None`: a helper of the
+    /// callee raised). Returns what [`TreeHost::call_tree`] would have.
     ///
     /// # Errors
     ///
@@ -66,6 +67,7 @@ pub trait TreeHost {
     fn finish_call(
         &mut self,
         _tree: u32,
+        _link: usize,
         _ar: &mut [u64],
         _inner: &[u64],
         _exit: Option<TraceExit>,
@@ -79,6 +81,12 @@ pub trait TreeHost {
     fn fold(&mut self, _counts: &mut [DirectCounts]) -> u64 {
         u64::MAX
     }
+
+    /// Test support ([`crate::x64::DirectSite::observed`]): a direct
+    /// call at site `tree` moved `inner` across its link `link` after the
+    /// exit `(fragment, exit)` (`Some`), or came back and refreshed `ar`:
+    /// `(tree, link, ar, inner, realm)`.
+    fn observe(&mut self, _: u32, _: Option<Link>, _: &[u64], _: &[u64], _: &mut Realm) {}
 }
 
 /// The parts of a direct call [`TreeHost::variables`] serves.
@@ -92,16 +100,26 @@ pub enum Variables {
     Flush,
 }
 
-/// The calls a direct site completed since the host last folded them.
+/// A link a direct call crossed: its position, and the exit before it.
+pub type Link = (usize, (u32, u16));
+
+/// The most type-unstable sibling links (Figure 6) a direct call crosses.
+pub const MAX_LINKS: usize = 3;
+
+/// The runs a direct site completed since the host last folded them, by
+/// position in its chain of trees: a run completes when the call goes on.
 #[repr(C)]
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DirectCounts {
-    /// Calls that came back through the expected exit.
-    pub calls: u64,
-    /// The callee's loop-edge crossings in them.
-    pub iterations: u64,
-    /// The callee's raw instructions retired in them.
+    /// Completed runs; those of the last tree are the calls that came
+    /// back through the expected exit.
+    pub runs: [u64; MAX_LINKS + 1],
+    /// The callees' loop-edge crossings in them.
+    pub iterations: [u64; MAX_LINKS + 1],
+    /// The callees' raw instructions retired in them.
     pub insts: u64,
+    /// The bytecodes counted for the exits they took.
+    pub bytecodes: u64,
 }
 
 /// A no-op host for trees without nested calls.

@@ -22,11 +22,11 @@ pub mod x64;
 
 pub use assembler::assemble;
 pub use executor::{
-    execute, DecodedTree, DirectCounts, NoNesting, TraceExit, TreeHost, Variables,
+    execute, DecodedTree, DirectCounts, Link, NoNesting, TraceExit, TreeHost, Variables, MAX_LINKS,
 };
 pub use x64::{
-    emit_tree, emit_tree_annotated, native_supported, DirectSite, NativeTree, Unsupported,
-    WordFrom, WordMove,
+    emit_tree, emit_tree_annotated, native_supported, DirectHop, DirectSite, NativeTree,
+    Unsupported, WordFrom, WordMove,
 };
 pub use machinst::{Fragment, MachInst, Reg, EXIT_UNSTITCHED, NREGS, REG_FILE_WORDS, REG_MASK};
 pub use peephole::{fuse, Decoded};

@@ -202,6 +202,14 @@ pub struct NativeTree {
     callee_room: (usize, usize, usize),
 }
 
+/// A tree's code is equal to itself only: a caller's direct site holds
+/// its callee's code by identity.
+impl PartialEq for NativeTree {
+    fn eq(&self, other: &NativeTree) -> bool {
+        std::ptr::eq(self, other)
+    }
+}
+
 impl std::fmt::Debug for NativeTree {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NativeTree")
@@ -256,15 +264,18 @@ impl NativeTree {
         });
         for s in calls {
             let Some(Some(d)) = sites.get(s) else { continue };
-            if !d.args.iter().chain(&d.refresh).all(WordMove::lowers) {
+            if !d.moves().all(WordMove::lowers) {
                 continue;
             }
             if self.direct.len() <= s {
                 self.direct.resize(s + 1, None);
             }
             let (ar, spill, stage) = &mut self.callee_room;
-            (*ar, *spill) = ((*ar).max(d.callee_ar), (*spill).max(d.callee.max_spills));
-            *stage = (*stage).max(d.refresh.len());
+            let hops = d.hops.iter().map(|h| (h.callee_ar, h.moves.len()));
+            for (callee_ar, words) in hops.chain([(d.callee_ar, d.refresh.len())]) {
+                (*ar, *stage) = ((*ar).max(callee_ar), (*stage).max(words));
+            }
+            *spill = d.callees().fold(*spill, |n, c| n.max(c.max_spills));
             self.direct[s] = Some(d.clone());
         }
     }
@@ -432,6 +443,8 @@ impl NativeTree {
             stage: std::ptr::null_mut(),
             stage_len: 0,
             budget: fuel,
+            link: 0,
+            link_bytecodes: 0,
         };
         // Direct sites run their callee in room carved out of this
         // run; the callee ctx shares the realm, host and error slot.

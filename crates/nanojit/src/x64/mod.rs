@@ -135,11 +135,12 @@ impl WordMove {
     /// Whether native code makes this move itself: the conversions that
     /// need no heap — an integer to an integer (refused outside the
     /// boxable 31 bits) or a double, a double to a double or to an
-    /// integer (refused unless integral, not `-0` and in range), and a
-    /// boolean, object or string to its own type. Host words are the
-    /// host's to convert.
+    /// integer (refused unless integral, not `-0` and in range), a
+    /// boolean, object or string to its own type, and `undefined` to
+    /// itself (a constant word: a `var` of a loop body before its first
+    /// assignment). Host words are the host's to convert.
     pub fn lowers(&self) -> bool {
-        use LirType::{Bool, Double, Int, Object, String};
+        use LirType::{Bool, Double, Int, Object, String, Undefined};
         match self.from {
             WordFrom::Host => true,
             WordFrom::Outer(_, from) | WordFrom::Inner(_, from) => matches!(
@@ -148,39 +149,67 @@ impl WordMove {
                     | (Bool, Bool)
                     | (Object, Object)
                     | (String, String)
+                    | (Undefined, Undefined)
             ),
         }
     }
 }
 
+/// A type-unstable sibling link (Figure 6) a [`DirectSite`]'s call
+/// crosses: from one of `exits` of the tree before, `callee` runs next.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DirectHop {
+    /// The link exits `(fragment, exit)` of the tree before, each with
+    /// the bytecodes the host counts for a run that leaves through it.
+    pub exits: Vec<((u32, u16), u64)>,
+    /// The next tree's code and record length, as for the site's callee.
+    pub callee: Arc<NativeTree>,
+    pub callee_ar: usize,
+    /// Its entry words (the record zeroed first), from the tree before's,
+    /// every word read before any is written.
+    pub moves: Vec<WordMove>,
+}
+
 /// A nested-call site whose `CallTree` the caller's code runs itself: it
 /// moves the words of the site's transfer plan and calls the callee's
-/// machine code, with no host in between unless interpreter variables
-/// are read or written, or the call does not come back as expected.
-#[derive(Debug, Clone)]
+/// machine code, and the code of each sibling its links lead to, with no
+/// host in between unless interpreter variables are read or written, or
+/// the call does not come back as expected.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DirectSite {
     /// The callee's code. Held, so that every address the caller's code
     /// calls stays mapped while that code exists.
     pub callee: Arc<NativeTree>,
     /// Words in the callee's activation record.
     pub callee_ar: usize,
-    /// The callee's arguments, into its record (zeroed first): from the
-    /// caller's record or the host.
-    pub args: Vec<WordMove>,
-    /// The callee exit `(fragment, exit)` the site expects.
-    pub expected: (u32, u16),
+    /// The trees of the chain a call may start in, tried in order (the
+    /// callee first), with the arguments into that tree's record (zeroed
+    /// first): from the caller's record or the host.
+    pub args: Vec<(usize, Vec<WordMove>)>,
+    /// The links from the callee to the tree the call returns from.
+    pub hops: Vec<DirectHop>,
+    /// The exit `(fragment, exit)` of the last tree the site expects,
+    /// with the bytecodes the host counts for it.
+    pub expected: ((u32, u16), u64),
     /// After the expected exit, into the caller's record, every word
     /// read before any is written: from either record or the host.
     pub refresh: Vec<WordMove>,
     /// Whether the host then writes returned variables back.
     pub flush: bool,
+    /// Test support: the code shows the host each link and return.
+    pub observed: bool,
 }
 
-impl PartialEq for DirectSite {
-    fn eq(&self, other: &DirectSite) -> bool {
-        Arc::ptr_eq(&self.callee, &other.callee)
-            && (self.callee_ar, &self.args, self.expected, &self.refresh, self.flush)
-                == (other.callee_ar, &other.args, other.expected, &other.refresh, other.flush)
+impl DirectSite {
+    /// Every word the site moves.
+    pub fn moves(&self) -> impl Iterator<Item = &WordMove> {
+        let args = self.args.iter().flat_map(|(_, a)| a);
+        args.chain(self.hops.iter().flat_map(|h| &h.moves)).chain(&self.refresh)
+    }
+
+    /// The code of every tree the site calls, in chain order.
+    pub fn callees(&self) -> impl Iterator<Item = &Arc<NativeTree>> {
+        std::iter::once(&self.callee).chain(self.hops.iter().map(|h| &h.callee))
     }
 }
 

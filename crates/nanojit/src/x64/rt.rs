@@ -83,6 +83,10 @@ pub(super) struct NativeCtx {
     /// run's direct calls have retired since the host last folded
     /// them. A callee run that uses all of it goes to the host.
     pub(super) budget: u64,
+    /// The position in its site's chain of the tree a direct call runs,
+    /// and the bytecodes counted for the link exit it left through.
+    pub(super) link: u64,
+    pub(super) link_bytecodes: u64,
 }
 
 impl NativeCtx {
@@ -118,6 +122,8 @@ pub(super) const CTX_HARGS: i32 = offset_of!(NativeCtx, helper_args) as i32;
 pub(super) const CTX_HRESULT: i32 = offset_of!(NativeCtx, helper_result) as i32;
 pub(super) const CTX_HELPERS: i32 = offset_of!(NativeCtx, helpers) as i32;
 pub(super) const CTX_INNER: i32 = offset_of!(NativeCtx, inner) as i32;
+pub(super) const CTX_LINK: i32 = offset_of!(NativeCtx, link) as i32;
+pub(super) const CTX_LINK_BC: i32 = offset_of!(NativeCtx, link_bytecodes) as i32;
 pub(super) const CTX_COUNTS: i32 = offset_of!(NativeCtx, counts) as i32;
 pub(super) const CTX_STAGE: i32 = offset_of!(NativeCtx, stage) as i32;
 pub(super) const CTX_BUDGET: i32 = offset_of!(NativeCtx, budget) as i32;
@@ -336,7 +342,8 @@ pub(super) extern "C" fn variables_shim(ctx: *mut NativeCtx, site: u32, part: u3
     // SAFETY: native code passes its own ctx.
     let run = unsafe { Run::of(ctx) };
     let part = [Variables::Args, Variables::Refresh, Variables::Flush][part.min(2) as usize];
-    u32::from(run.host.variables(site, part, run.callee_ar, run.staged, run.realm))
+    let link = run.ctx.link as usize;
+    u32::from(run.host.variables(site, part, link, run.callee_ar, run.staged, run.realm))
 }
 
 /// A direct call that did not come back as its site expects — a
@@ -350,11 +357,24 @@ pub(super) extern "C" fn return_shim(ctx: *mut NativeCtx, site: u32) -> u32 {
     // SAFETY: as in `Run::of`; the callee ctx is read only.
     let inner = unsafe { &*run.ctx.inner };
     let exit = (inner.exit_fragment != RAISED).then(|| inner.exit());
-    let finished = run.host.finish_call(site, run.ar, run.callee_ar, exit, run.realm);
+    let link = run.ctx.link as usize;
+    let finished = run.host.finish_call(site, link, run.ar, run.callee_ar, exit, run.realm);
     run.fold();
     match exit {
         // The callee's error is already in `ctx.error`.
         None => ST_ERR,
         Some(_) => run.status(finished),
     }
+}
+
+/// Test support: a direct call's link `link`, or (`u32::MAX`) its return
+/// ([`TreeHost::observe`]).
+pub(super) extern "C" fn observe_shim(ctx: *mut NativeCtx, site: u32, link: u32) {
+    // SAFETY: native code passes its own ctx.
+    let run = unsafe { Run::of(ctx) };
+    // SAFETY: as in `Run::of`; the callee ctx is read only.
+    let inner = unsafe { &*run.ctx.inner };
+    let exit = (inner.exit_fragment, inner.exit_id as u16);
+    let link = (link != u32::MAX).then_some((link as usize, exit));
+    run.host.observe(site, link, run.ar, run.callee_ar, run.realm);
 }

@@ -18,12 +18,13 @@
 use std::mem::offset_of;
 
 use tm_lir::LirType;
+use tm_runtime::Value;
 
 use super::enc::{Label, CC_AE, CC_E, CC_NE, R10, R14, R15, R8, R9, RAX, RCX, RDI, RDX, RSI, XMM0};
 use super::lower::{ar_disp, Emitter};
 use super::rt::{self, CTX_AR, CTX_BUDGET, CTX_COUNTS, CTX_ENTRY, CTX_EXIT_FRAG, CTX_EXIT_ID};
 use super::rt::{CTX_FUEL, CTX_HELPERS, CTX_INNER, CTX_INSTS, CTX_ITER, CTX_REGS, CTX_SPILL};
-use super::rt::{CTX_STAGE, RAISED};
+use super::rt::{CTX_LINK, CTX_LINK_BC, CTX_STAGE, RAISED};
 use super::{DirectSite, WordFrom, WordMove};
 use crate::executor::{DirectCounts, Variables};
 use crate::machinst::REG_FILE_WORDS;
@@ -70,6 +71,7 @@ impl Emitter {
                 self.asm.movzx_r32_r8(RAX, RAX);
             }
             (LirType::Object | LirType::String, _) => self.asm.mov_r32_mem(RAX, base, disp),
+            (LirType::Undefined, _) => self.asm.movabs(RAX, Value::UNDEFINED.raw()),
             // Double to double.
             _ => self.asm.mov_r64_mem(RAX, base, disp),
         }
@@ -78,10 +80,7 @@ impl Emitter {
     /// Calls [`rt::variables_shim`] for `part` of site `s`, going to
     /// `refused` on a refusal, and reloads r9 (the callee's ctx).
     fn variables_call(&mut self, s: u32, part: Variables, refused: Option<Label>) {
-        self.asm.mov_rr64(RDI, R15);
-        self.asm.mov_r32_imm(RSI, s);
-        self.asm.mov_r32_imm(RDX, part as u32);
-        self.call_shim(rt::variables_shim as *const ());
+        self.shim_call(rt::variables_shim as *const (), s, part as u32);
         if let Some(refused) = refused {
             self.asm.test32(RAX, RAX);
             self.asm.jcc(CC_E, refused);
@@ -89,36 +88,14 @@ impl Emitter {
         self.asm.mov_r64_mem(R9, R15, CTX_INNER);
     }
 
-    /// `CallTree` at direct site `s`: the site's moves and the call
-    /// of the callee's code, inline, in the callee ctx carved out of
-    /// this run (`ctx.inner`). The host is called for interpreter
-    /// variables only ([`rt::variables_shim`]), and for a call that does
-    /// not come back as expected ([`rt::return_shim`]). A refused argument
-    /// has changed nothing the host reads: that call goes through the
-    /// host whole ([`rt::call_tree_shim`]). Clobbers every caller-saved
-    /// register.
-    pub(super) fn direct_call(&mut self, s: u32, d: &DirectSite, site_exit: Label) {
-        let callee = &*d.callee;
-        let from_host = |moves: &[WordMove]| moves.iter().any(|m| m.from == WordFrom::Host);
-        let (l_host, l_back, l_done) = (self.local(), self.local(), self.local());
-        let code = callee.code_ptr();
-        self.asm.note(|| format!("; direct call: site {s} -> tree code at {code:p}"));
-        // The callee's record, zeroed, then its arguments: r9 = the
-        // callee's ctx, r8 = its record.
+    /// Runs tree `link` of `d`'s chain in the callee ctx on what is left
+    /// of the budget; goes to `back` unless it took one of its expected
+    /// exits within it, whose bytecodes go to `ctx.link_bytecodes`.
+    /// Leaves r9 = the callee's ctx, r8 = its record.
+    fn run_callee(&mut self, d: &DirectSite, link: usize, back: Label) {
+        let callee = d.callees().nth(link).expect("a tree of the chain");
+        let exits = d.hops.get(link).map_or(std::slice::from_ref(&d.expected), |h| &h.exits);
         self.asm.mov_r64_mem(R9, R15, CTX_INNER);
-        self.zero_words(R9, CTX_AR, d.callee_ar);
-        self.asm.mov_r64_mem(R8, R9, CTX_AR);
-        for m in &d.args {
-            if let WordFrom::Outer(slot, ty) = m.from {
-                self.transfer_word(R14, slot, ty, m.ty, l_host);
-                self.asm.mov_mem_r64(R8, ar_disp(m.to), RAX);
-            }
-        }
-        if from_host(&d.args) {
-            self.variables_call(s, Variables::Args, Some(l_host));
-        }
-        // The callee's ctx: a fresh run from its trunk on what is
-        // left of this run's budget.
         self.zero_words(R9, CTX_REGS, REG_FILE_WORDS);
         self.zero_words(R9, CTX_SPILL, callee.max_spills());
         self.asm.movabs(RAX, callee.trunk() as u64);
@@ -130,32 +107,125 @@ impl Emitter {
         self.asm.zero32(RAX);
         self.asm.mov_mem_r64(R9, CTX_ITER, RAX);
         self.asm.mov_mem32_imm(R9, CTX_EXIT_FRAG, RAISED as i32);
+        self.asm.mov_mem32_imm(R15, CTX_LINK, link as i32);
         self.asm.mov_rr64(RDI, R9);
         self.call_shim(callee.code_ptr().cast());
-        // Back: the expected exit, with budget left?
+        // Back: an expected exit, with budget left?
         self.asm.mov_r64_mem(R9, R15, CTX_INNER);
-        self.asm.cmp_mem32_imm(R9, CTX_EXIT_FRAG, d.expected.0 as i32);
-        self.asm.jcc(CC_NE, l_back);
-        self.asm.cmp_mem32_imm(R9, CTX_EXIT_ID, i32::from(d.expected.1));
-        self.asm.jcc(CC_NE, l_back);
+        let took = self.local();
+        for &((frag, exit), bytecodes) in exits {
+            let other = self.local();
+            self.asm.cmp_mem32_imm(R9, CTX_EXIT_FRAG, frag as i32);
+            self.asm.jcc(CC_NE, other);
+            self.asm.cmp_mem32_imm(R9, CTX_EXIT_ID, i32::from(exit));
+            self.asm.mov_mem32_imm(R15, CTX_LINK_BC, bytecodes as i32);
+            self.asm.jcc(CC_E, took);
+            self.asm.bind(other);
+        }
+        self.asm.jmp(back);
+        self.asm.bind(took);
         self.asm.mov_r64_mem(RAX, R9, CTX_INSTS);
         self.asm.cmp_r64_mem(RAX, R15, CTX_BUDGET);
-        self.asm.jcc(CC_AE, l_back);
-        // The refresh: every word staged (r10) before any is stored.
-        if from_host(&d.refresh) {
-            self.variables_call(s, Variables::Refresh, Some(l_back));
-        }
+        self.asm.jcc(CC_AE, back);
         self.asm.mov_r64_mem(R8, R9, CTX_AR);
+    }
+
+    /// Stages `moves`' converted words (r10) from either record; a
+    /// refusal goes to `refuse`. Host words are the host's.
+    fn stage_words(&mut self, moves: &[WordMove], refuse: Label) {
         self.asm.mov_r64_mem(R10, R15, CTX_STAGE);
-        for (i, m) in d.refresh.iter().enumerate() {
+        for (i, m) in moves.iter().enumerate() {
             let (base, slot, ty) = match m.from {
                 WordFrom::Outer(slot, ty) => (R14, slot, ty),
                 WordFrom::Inner(slot, ty) => (R8, slot, ty),
                 WordFrom::Host => continue,
             };
-            self.transfer_word(base, slot, ty, m.ty, l_back);
+            self.transfer_word(base, slot, ty, m.ty, refuse);
             self.asm.mov_mem_r64(R10, i as i32 * 8, RAX);
         }
+    }
+
+    /// Counts a completed run of tree `link` of site `s`'s chain (r9) for
+    /// the host, and takes its steps off the budget. Clobbers rax/rcx.
+    fn count_run(&mut self, s: u32, link: usize) {
+        let at = s as i32 * std::mem::size_of::<DirectCounts>() as i32;
+        let at_link = |field: usize| at + (field + link * 8) as i32;
+        self.asm.mov_r64_mem(RAX, R9, CTX_INSTS);
+        self.asm.sub_mem_r64(R15, CTX_BUDGET, RAX);
+        self.asm.mov_r64_mem(RCX, R15, CTX_COUNTS);
+        self.asm.inc_mem64(RCX, at_link(offset_of!(DirectCounts, runs)));
+        self.asm.add_mem_r64(RCX, at + offset_of!(DirectCounts, insts) as i32, RAX);
+        self.asm.mov_r64_mem(RAX, R9, CTX_ITER);
+        self.asm.add_mem_r64(RCX, at_link(offset_of!(DirectCounts, iterations)), RAX);
+        self.asm.mov_r64_mem(RAX, R15, CTX_LINK_BC);
+        self.asm.add_mem_r64(RCX, at + offset_of!(DirectCounts, bytecodes) as i32, RAX);
+    }
+
+    /// Calls `shim(ctx, s, arg)`.
+    fn shim_call(&mut self, shim: *const (), s: u32, arg: u32) {
+        self.asm.mov_rr64(RDI, R15);
+        self.asm.mov_r32_imm(RSI, s);
+        self.asm.mov_r32_imm(RDX, arg);
+        self.call_shim(shim);
+    }
+
+    /// `CallTree` at direct site `s`: its moves and its chain's calls,
+    /// inline, in the callee ctx carved out of this run (`ctx.inner`).
+    /// The host reads interpreter variables ([`rt::variables_shim`]),
+    /// finishes a call not back as expected ([`rt::return_shim`]; from
+    /// tree `ctx.link`), and makes a call whose arguments all refuse
+    /// ([`rt::call_tree_shim`]). Clobbers every caller-saved register.
+    pub(super) fn direct_call(&mut self, s: u32, d: &DirectSite, site_exit: Label) {
+        let from_host = |moves: &[WordMove]| moves.iter().any(|m| m.from == WordFrom::Host);
+        let (l_host, l_back, l_done) = (self.local(), self.local(), self.local());
+        let code = d.callee.code_ptr();
+        self.asm.note(|| format!("; direct call: site {s} -> tree code at {code:p}"));
+        // The arguments, into the first tree of the chain that takes them
+        // (r9 = the callee's ctx, r8 = its record, zeroed).
+        let starts: Vec<Label> = d.callees().map(|_| self.local()).collect();
+        for (i, (link, args)) in d.args.iter().enumerate() {
+            let refused = if i + 1 == d.args.len() { l_host } else { self.local() };
+            let callee_ar = if *link == 0 { d.callee_ar } else { d.hops[link - 1].callee_ar };
+            self.asm.mov_r64_mem(R9, R15, CTX_INNER);
+            self.zero_words(R9, CTX_AR, callee_ar);
+            self.asm.mov_r64_mem(R8, R9, CTX_AR);
+            for m in args {
+                if let WordFrom::Outer(slot, ty) = m.from {
+                    self.transfer_word(R14, slot, ty, m.ty, refused);
+                    self.asm.mov_mem_r64(R8, ar_disp(m.to), RAX);
+                }
+            }
+            if from_host(args) {
+                self.asm.mov_mem32_imm(R15, CTX_LINK, *link as i32);
+                self.variables_call(s, Variables::Args, Some(refused));
+            }
+            self.asm.jmp(starts[*link]);
+            if refused != l_host {
+                self.asm.bind(refused);
+            }
+        }
+        for (link, &start) in starts.iter().enumerate() {
+            self.asm.bind(start);
+            self.run_callee(d, link, l_back);
+            let Some(hop) = d.hops.get(link) else { break };
+            // Figure 6: the next tree's record from this one's.
+            self.stage_words(&hop.moves, l_back);
+            self.count_run(s, link);
+            self.zero_words(R9, CTX_AR, hop.callee_ar);
+            for (i, m) in hop.moves.iter().enumerate() {
+                self.asm.mov_r64_mem(RAX, R10, i as i32 * 8);
+                self.asm.mov_mem_r64(R8, ar_disp(m.to), RAX);
+            }
+            if d.observed {
+                self.shim_call(rt::observe_shim as *const (), s, link as u32);
+            }
+        }
+        // The refresh: every word staged (r10) before any is stored.
+        if from_host(&d.refresh) {
+            self.variables_call(s, Variables::Refresh, Some(l_back));
+            self.asm.mov_r64_mem(R8, R9, CTX_AR);
+        }
+        self.stage_words(&d.refresh, l_back);
         for (i, m) in d.refresh.iter().enumerate() {
             self.asm.mov_r64_mem(RAX, R10, i as i32 * 8);
             self.store_ar64(m.to, RAX);
@@ -163,15 +233,10 @@ impl Emitter {
         if d.flush {
             self.variables_call(s, Variables::Flush, None);
         }
-        // Counted for the host to fold in.
-        let at = s as i32 * std::mem::size_of::<DirectCounts>() as i32;
-        self.asm.mov_r64_mem(RAX, R9, CTX_INSTS);
-        self.asm.sub_mem_r64(R15, CTX_BUDGET, RAX);
-        self.asm.mov_r64_mem(RCX, R15, CTX_COUNTS);
-        self.asm.inc_mem64(RCX, at + offset_of!(DirectCounts, calls) as i32);
-        self.asm.add_mem_r64(RCX, at + offset_of!(DirectCounts, insts) as i32, RAX);
-        self.asm.mov_r64_mem(RAX, R9, CTX_ITER);
-        self.asm.add_mem_r64(RCX, at + offset_of!(DirectCounts, iterations) as i32, RAX);
+        self.count_run(s, d.hops.len());
+        if d.observed {
+            self.shim_call(rt::observe_shim as *const (), s, u32::MAX);
+        }
         self.asm.jmp(l_done);
         self.asm.bind(l_back);
         self.asm.note(|| format!("; return shim: site {s}"));

@@ -5,10 +5,10 @@
 
 use std::sync::Arc;
 
-use tm_lir::{CmpOp, FOp, LirType};
+use tm_lir::{AluOp, CmpOp, FOp, LirType};
 use tm_nanojit::{
-    emit_tree, execute, DirectCounts, DirectSite, Fragment, MachInst, NativeTree, NoNesting,
-    TraceExit, TreeHost, Variables, WordFrom, WordMove,
+    emit_tree, execute, DirectCounts, DirectHop, DirectSite, Fragment, MachInst, NativeTree,
+    NoNesting, TraceExit, TreeHost, Variables, WordFrom, WordMove,
 };
 use tm_runtime::trace_helpers::{word_from_f64, word_from_i32};
 use tm_runtime::{Helper, NativeEffects, Realm, RuntimeError, Value};
@@ -30,6 +30,8 @@ fn failing_native(_realm: &mut Realm, _args: &[Value]) -> Result<Value, RuntimeE
 struct DirectHost {
     host_calls: u32,
     finished: Vec<Option<TraceExit>>,
+    /// The chain position of each finished call's last tree.
+    links: Vec<usize>,
     folded: DirectCounts,
     budget: u64,
 }
@@ -44,6 +46,7 @@ impl TreeHost for DirectHost {
         &mut self,
         site: u32,
         part: Variables,
+        _link: usize,
         _inner: &mut [u64],
         staged: &mut [u64],
         _realm: &mut Realm,
@@ -56,20 +59,27 @@ impl TreeHost for DirectHost {
     fn finish_call(
         &mut self,
         _: u32,
+        link: usize,
         _: &mut [u64],
         _: &[u64],
         exit: Option<TraceExit>,
         _: &mut Realm,
     ) -> Result<bool, RuntimeError> {
         self.finished.push(exit);
+        self.links.push(link);
         Ok(false)
     }
 
     fn fold(&mut self, counts: &mut [DirectCounts]) -> u64 {
         let c = std::mem::take(&mut counts[0]);
-        self.folded.calls += c.calls;
-        self.folded.iterations += c.iterations;
-        self.folded.insts += c.insts;
+        let folded = &mut self.folded;
+        let runs = folded.runs.iter_mut().zip(c.runs);
+        let pairs = runs.chain(folded.iterations.iter_mut().zip(c.iterations));
+        for (n, c) in pairs {
+            *n += c;
+        }
+        folded.insts += c.insts;
+        folded.bytecodes += c.bytecodes;
         self.budget -= c.insts;
         self.budget
     }
@@ -84,13 +94,15 @@ fn direct_pair(callee: &[Fragment]) -> (Vec<Fragment>, Vec<Option<DirectSite>>) 
     let site = DirectSite {
         callee: Arc::new(emit_tree(callee).unwrap()),
         callee_ar: 2,
-        args: vec![word(WordFrom::Outer(0, LirType::Int), 0, LirType::Int)],
-        expected: (0, 0),
+        args: vec![(0, vec![word(WordFrom::Outer(0, LirType::Int), 0, LirType::Int)])],
+        hops: vec![],
+        expected: ((0, 0), 0),
         refresh: vec![
             word(WordFrom::Inner(1, LirType::Double), 1, LirType::Int),
             word(WordFrom::Host, 2, LirType::Int),
         ],
         flush: false,
+        observed: false,
     };
     (caller, vec![Some(site)])
 }
@@ -131,18 +143,19 @@ fn a_direct_call_runs_the_callee_and_hands_every_other_way_out_to_the_host() {
     let (exit, ar, host) = run(w(4), u64::MAX);
     assert_eq!((exit, ar), (0, vec![w(4), w(2), w(42)]));
     assert_eq!((host.host_calls, host.finished.len()), (0, 0));
-    assert_eq!(host.folded, DirectCounts { calls: 1, iterations: 0, insts: 9 });
+    let once = DirectCounts { runs: [1, 0, 0, 0], iterations: [0; 4], insts: 9, bytecodes: 0 };
+    assert_eq!(host.folded, once);
     // A refused refresh (2.5) and an unexpected exit go to the host with
     // the callee's exit; nothing was refreshed.
     for (n, want) in [(5, (0, 0)), (200, (0, 1))] {
         let (exit, ar, host) = run(w(n), u64::MAX);
         assert_eq!((exit, ar), (1, vec![w(n), 7, 7]));
         let took = host.finished[0].map(|e| (e.fragment, e.exit));
-        assert_eq!((took, host.folded.calls), (Some(want), 0));
+        assert_eq!((took, host.folded.runs[0]), (Some(want), 0));
     }
     // So does a callee run that spends the budget.
     let (_, _, host) = run(w(4), 9);
-    assert_eq!((host.finished.len(), host.folded.calls), (1, 0));
+    assert_eq!((host.finished.len(), host.folded.runs[0]), (1, 0));
     // A refused argument (outside the 31-bit range) takes the host path
     // whole.
     let (exit, _, host) = run(w(1 << 30), u64::MAX);
@@ -179,4 +192,63 @@ fn a_helper_error_in_a_direct_callee_leaves_through_the_host_and_the_epilogue() 
     let want = execute(&callee, &mut [w(1), 0], &mut realm, &mut NoNesting, u64::MAX);
     assert_eq!(err.unwrap_err(), want.unwrap_err());
     assert_eq!(host.finished, vec![None], "the host finished the call, with no exit");
+}
+
+/// `ar[1] = ar[0] + 1` through exit (0, 0) for `ar[0] < 100`, exit
+/// (0, 1) otherwise: the tree a linked call enters, (0, 0) its link.
+fn plus_one_callee() -> Vec<Fragment> {
+    frag(
+        vec![
+            MachInst::ReadAr { d: 0, slot: 0 },
+            MachInst::ConstW { d: 1, w: w(100) },
+            MachInst::CmpI { op: CmpOp::Lt, d: 2, a: 0, b: 1 },
+            MachInst::GuardTrue { s: 2, exit: 1 },
+            MachInst::ConstW { d: 3, w: w(1) },
+            MachInst::AluI { op: AluOp::Add, d: 4, a: 0, b: 3 },
+            MachInst::WriteAr { slot: 1, s: 4 },
+            MachInst::End { exit: 0 },
+        ],
+        2,
+    )
+}
+
+#[test]
+fn a_direct_call_follows_a_sibling_link_and_hands_each_tree_back_by_position() {
+    // Site 0 enters `plus_one` with the caller's slot 0; its link exit
+    // moves slot 1 into `half`'s slot 0, and `half` returns as expected.
+    let (caller, mut sites) = direct_pair(&plus_one_callee());
+    let half = Arc::new(emit_tree(&half_callee()).unwrap());
+    let word = |from, to, ty| WordMove { from, to, ty };
+    let d = sites[0].as_mut().unwrap();
+    d.hops.push(DirectHop {
+        exits: vec![((0, 0), 5)],
+        callee: half,
+        callee_ar: 2,
+        moves: vec![word(WordFrom::Inner(1, LirType::Int), 0, LirType::Int)],
+    });
+    let nt = NativeTree::emit(&caller, &sites).unwrap();
+    let run = |n: i32| {
+        let mut host = DirectHost { budget: u64::MAX, ..DirectHost::default() };
+        let mut ar = vec![w(n), 7, 7];
+        let exit = nt.execute(&mut ar, &mut Realm::new(), &mut host, u64::MAX).unwrap();
+        (exit.exit, ar, host)
+    };
+    // 3 + 1 = 4 crosses the link; half of 4 is refreshed as 2.
+    let (exit, ar, host) = run(3);
+    assert_eq!((exit, ar), (0, vec![w(3), w(2), w(42)]));
+    assert_eq!((host.folded.runs, host.folded.bytecodes), ([1, 1, 0, 0], 5));
+    assert_eq!(host.folded.insts, 8 + 9, "both trees' instructions");
+    // 4 + 1 = 5 crosses it too, but half of 5 refuses the refresh: the
+    // host finishes from the second tree, the first one's run counted.
+    let (exit, _, host) = run(4);
+    assert_eq!((exit, host.links, host.folded.runs), (1, vec![1], [1, 0, 0, 0]));
+    // 99 + 1 = 100 crosses it, and the second tree leaves through its
+    // other exit.
+    let (_, _, host) = run(99);
+    let took = host.finished[0].map(|e| (e.fragment, e.exit));
+    assert_eq!((took, host.links), (Some((0, 1)), vec![1]));
+    // 200 leaves the first tree through an exit that is not its link.
+    let (exit, _, host) = run(200);
+    let took = host.finished[0].map(|e| (e.fragment, e.exit));
+    assert_eq!((exit, took, host.links, host.folded.runs), (1, Some((0, 1)), vec![0], [0; 4]));
 }

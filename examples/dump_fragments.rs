@@ -10,12 +10,13 @@
 //! Each nested-call site (§4) follows its tree: the inner tree, the exit it
 //! must return through, whether the call-site export is deferred, how
 //! many of the transfer plan's bindings are read from the outer activation
-//! record, the inner one, or interpreter state, and what the native tier
-//! does with the site — `native: direct` (the caller's code calls the
-//! callee's itself) or `native: host (<reason>)`, the reason one of
-//! `eager plan`, `callee decoded`, `boxed move`, `caller decoded`, or
-//! `caller has no code` (the caller's code was released, e.g. when
-//! probation disabled it):
+//! record, an inner one (sibling links included), or interpreter state,
+//! and what the native tier does with the site — `native: direct` (the
+//! caller's code calls the callee's itself) or `native: host (<reason>)`,
+//! the reason an eager plan's (`non-leaf callee`, `no link chain`,
+//! `inlined-frame location`), `callee decoded`, `callee not built`,
+//! `boxed move`, `caller decoded`, or `caller has no code` (the caller's
+//! code was released, e.g. when probation disabled it):
 //!
 //! ```sh
 //! cargo run --release --example dump_fragments -- 'var s=0; for (var i=0;i<500;i++) s+=i; s'
@@ -88,7 +89,7 @@ fn main() {
             _ => &[],
         };
         for (s, site) in tree.nested_sites.iter().enumerate() {
-            let plan = TransferPlan::build(tree, site, m.cache.tree(site.returns));
+            let plan = TransferPlan::build(tree, site, &m.cache);
             let (outer_ar, inner_ar, interp) = plan.sources();
             let route = match direct.get(s) {
                 Some(Some(_)) => "direct".to_owned(),
@@ -97,7 +98,7 @@ fn main() {
                         ExecCode::NotBuilt => "caller has no code",
                         _ => "caller decoded",
                     };
-                    let why = plan.direct_site(site, m.cache.tree(site.inner)).err();
+                    let why = plan.direct_site(site, &m.cache).err();
                     format!("host ({})", why.unwrap_or(caller))
                 }
             };
@@ -108,7 +109,7 @@ fn main() {
                 site.inner.0,
                 site.returns.0,
                 site.expected_exit,
-                if plan.deferred { "deferred" } else { "eager" },
+                if plan.deferred() { "deferred" } else { "eager" },
                 outer_ar,
                 inner_ar,
                 interp,

@@ -634,18 +634,20 @@ fn fuzz_replay_seeds() {
     }
 }
 
+/// What a tracing run shows: the displayed result, the monitor's
+/// counters, the state every nested call's return and link left
+/// (`Vm::observe_nesting`), and whether every direct site of its native
+/// code is in an inlined frame.
+type Traced = (Result<String, String>, tracemonkey::jit::profiler::ProfileStats, Vec<String>, bool);
+
 /// Runs `src` under the tracing JIT with the native x86-64 tier forced
 /// on or off (off = the decoded dispatch-loop executor, the portable
-/// reference). Returns the displayed result plus the monitor's counters.
+/// reference).
 /// `background` additionally attaches a two-worker compiler pool and
 /// turns on `background_compile`, so traces compile off the request
 /// thread and their native code is appended when the monitor installs
 /// them (the `TM_FUZZ_BG=1` mode).
-fn run_tracing_native(
-    src: &str,
-    native: bool,
-    background: bool,
-) -> (Result<String, String>, tracemonkey::jit::profiler::ProfileStats) {
+fn run_tracing_native(src: &str, native: bool, background: bool) -> Traced {
     let mut opts = tracemonkey::JitOptions::default();
     opts.native_backend = native;
     opts.background_compile = background;
@@ -655,11 +657,21 @@ fn run_tracing_native(
         vm.attach_pool(std::sync::Arc::new(tracemonkey::CompilerPool::new(2)));
     }
     vm.step_budget = 30_000_000;
+    let log = vm.observe_nesting();
     let r = match vm.eval(src) {
         Ok(v) => Ok(tracemonkey::runtime::ops::to_display(&mut vm.realm, v)),
         Err(e) => Err(format!("{e}")),
     };
-    (r, vm.profile().expect("tracing engine profiles").clone())
+    let mut sites = vm.monitor().expect("tracing").cache.iter().flat_map(|t| {
+        let direct = match &t.exec {
+            tracemonkey::jit::tree::ExecCode::Native(nt) => nt.direct_sites().to_vec(),
+            _ => Vec::new(),
+        };
+        let frames = t.nested_sites.iter().map(|s| s.callsite.frames.len()).collect::<Vec<_>>();
+        direct.into_iter().zip(frames).filter_map(|(d, frames)| d.map(|_| frames))
+    });
+    let inlined = sites.next().is_some_and(|f| f > 1) && sites.all(|f| f > 1);
+    (r, vm.profile().expect("tracing engine profiles").clone(), log.try_iter().collect(), inlined)
 }
 
 /// Native-tier differential mode: `TM_FUZZ_NATIVE=1` runs every seed's
@@ -670,10 +682,12 @@ fn run_tracing_native(
 /// native exit or one fallback, and, unless the native pass compiles in
 /// the background (whose installs land at other loop edges), that both
 /// tiers made the same nested calls, tree runs and side exits — direct
-/// nested calls included. Trivially passes (with a note) where the
-/// backend doesn't exist, so `ci.sh` can invoke it unconditionally.
-/// Seeds come from `TM_FUZZ_SEEDS` when set, else from `TM_FUZZ_RANGE`,
-/// else a built-in smoke set.
+/// nested calls included — and left the same state at every call's
+/// return and link. A seed set with nested-family seeds must make direct
+/// calls from an inlined frame and across a sibling link. Trivially
+/// passes (with a note) where the backend doesn't exist, so `ci.sh` can
+/// invoke it unconditionally. Seeds come from `TM_FUZZ_SEEDS` when set,
+/// else from `TM_FUZZ_RANGE`, else a built-in smoke set.
 #[test]
 fn fuzz_native_tier() {
     if std::env::var("TM_FUZZ_NATIVE").as_deref() != Ok("1") {
@@ -686,14 +700,25 @@ fn fuzz_native_tier() {
     let seeds = Seed::list_from_env()
         .or_else(seed_range_from_env)
         .unwrap_or_else(|| (0..40).map(|n| Seed { nested: false, n }).collect());
-    let mut total_native_exits = 0;
+    let (mut total_native_exits, mut inlined, mut links) = (0, 0, 0);
+    let nested = seeds.iter().any(|s| s.nested);
     for seed in seeds {
         let src = seed.program();
         let baseline = run(Engine::Interp, &src);
         let background = std::env::var("TM_FUZZ_BG").as_deref() == Ok("1");
-        let (decoded, d) = run_tracing_native(&src, false, false);
-        let (native, n) = run_tracing_native(&src, true, background);
+        let (decoded, d, decoded_log, _) = run_tracing_native(&src, false, false);
+        let (native, n, native_log, inlined_only) = run_tracing_native(&src, true, background);
         let (exits, fallbacks, enters) = (n.native_exits, n.native_fallbacks, n.trace_enters);
+        let first = decoded_log.iter().zip(&native_log).position(|(d, n)| d != n);
+        let around = |i: usize| i.saturating_sub(2)..=i;
+        let at = |log: &[String]| first.and_then(|i| Some(log.get(around(i))?.to_vec()));
+        assert!(
+            background || decoded_log == native_log,
+            "seed {seed}: the tiers' nested calls leave different state from line {first:?}: \
+             decoded {:?}, native {:?}:\n{src}",
+            at(&decoded_log),
+            at(&native_log)
+        );
         let counts = |s: &tracemonkey::jit::profiler::ProfileStats| {
             (s.nested_calls, s.nested_deferred, s.trace_enters, s.side_exits)
         };
@@ -704,6 +729,7 @@ fn fuzz_native_tier() {
             counts(&n),
             counts(&d)
         );
+
         assert_eq!(
             decoded, baseline,
             "seed {seed}: decoded executor disagrees with the interpreter:\n{src}"
@@ -718,8 +744,17 @@ fn fuzz_native_tier() {
             "seed {seed}: every trace entry must be a native exit or a fallback"
         );
         total_native_exits += exits;
+        // Every direct site is in an inlined frame, so each direct call
+        // is one; the runs machine code made that no call ended are links.
+        inlined += n.nested_direct * u64::from(inlined_only);
+        links += n.trace_enters - n.host_transitions - n.nested_direct;
     }
     assert!(total_native_exits > 0, "the sweep must actually exercise the native tier");
+    assert!(
+        !nested || (inlined > 0 && links > 0),
+        "the nested seeds must call directly from an inlined frame ({inlined} calls) and across \
+         a sibling link ({links} links)"
+    );
 }
 
 /// Multi-realm fuzzing: `TM_FUZZ_THREADS=K` runs each seeded program on
