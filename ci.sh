@@ -81,6 +81,36 @@ if git ls-files '*.rs' | grep -vE '^crates/nanojit/src/x64/transfer\.rs$' \
 fi
 echo "    OK: transfer_word is named only in crates/nanojit/src/x64/transfer.rs"
 
+echo "==> policy: the native tier's extern \"C\" shims do not grow a panic"
+# A panic inside an `extern "C" fn` cannot unwind into the machine code that
+# called it: it aborts the process, and in a MultiTenantVm every tenant with
+# it. Every expect(, unwrap(, panic! and unreachable! in the body of one
+# under crates/nanojit/src/x64/ is listed, and the count may only fall.
+# Lower SHIM_PANICS with the change that removes one.
+SHIM_PANICS=0
+shim_panics=$(git ls-files 'crates/nanojit/src/x64/*.rs' | xargs awk '
+    /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?(unsafe[[:space:]]+)?extern "C" fn [A-Za-z_0-9]+/ {
+        inside = 1; depth = 0; opened = 0
+    }
+    inside {
+        code = $0
+        gsub(/"([^"\\]|\\.)*"/, "\"\"", code)
+        sub(/\/\/.*/, "", code)
+        hits = code
+        n = gsub(/expect\(|unwrap\(|panic!|unreachable!/, "", hits)
+        if (n) { print "    " FILENAME ":" FNR ": " $0 > "/dev/stderr"; count += n }
+        o = gsub(/\{/, "{", code); c = gsub(/\}/, "}", code)
+        depth += o - c
+        if (o) opened = 1
+        if (opened && depth <= 0) inside = 0
+    }
+    END { print count + 0 }')
+if [ "$shim_panics" -gt "$SHIM_PANICS" ]; then
+    echo "error: $shim_panics panicking calls in extern \"C\" shim bodies (listed above), $SHIM_PANICS allowed" >&2
+    exit 1
+fi
+echo "    OK: $shim_panics panicking calls in extern \"C\" shim bodies (at most $SHIM_PANICS)"
+
 echo "==> report: Rust lines outside tests/ directories, tests.rs files and each file's trailing #[cfg(test)] mod tests"
 # The number every PR reports ("net line count", ROADMAP north star #2):
 # run this stage on the parent and on the change and quote both. Tracked
@@ -134,7 +164,8 @@ echo "==> native-tier fuzz smoke: native x86-64 vs decoded vs interpreter"
 # balance (native_exits + native_fallbacks == trace_enters). Seeds 9/10/
 # 33/57/71 are object/string-heavy generator outputs that exercise the
 # full-coverage emitter families (shape guards, slot/element traffic,
-# string helpers). TM_FUZZ_BG=1 attaches a compiler pool and runs the
+# string helpers); each must run native code that reads the heap inline
+# (checked on a synchronous pass). TM_FUZZ_BG=1 attaches a compiler pool and runs the
 # native pass with background_compile on, so the differential covers
 # background compile followed by install-time append to the tree's
 # native code. The test self-skips on targets without the backend; the

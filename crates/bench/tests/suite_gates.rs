@@ -8,8 +8,9 @@
 //! * recursion: the two recursion-bound programs build no tree and record
 //!   almost nothing, and every other program builds the trees it did;
 //! * native tier: native and decoded runs are indistinguishable, every
-//!   trace entry is one native exit or one fallback, and no fragment is
-//!   emitted twice;
+//!   trace entry is one native exit or one fallback, no fragment is
+//!   emitted twice, and no suite tree calls a shim for a heap family
+//!   that lowers inline;
 //! * nesting: nested tree calls run under the transfer plans they are
 //!   pinned to — deferred where the inner trees are leaves, from an
 //!   inlined frame and across sibling links too — and leave the same
@@ -37,7 +38,7 @@ use std::sync::Mutex;
 
 use tm_bench::{by_name, run_program, BenchProgram};
 use tracemonkey::jit::profiler::ProfileStats;
-use tracemonkey::jit::tree::TraceTree;
+use tracemonkey::jit::tree::{ExecCode, TraceTree};
 use tracemonkey::{Engine, JitOptions, MultiTenantVm, RealmJob, Vm};
 
 fn prog(name: &str) -> &'static BenchProgram {
@@ -242,6 +243,41 @@ fn native_tier_is_invisible_and_its_accounting_balances() {
         observed.push((*name, "fallback_free", u64::from(native.native_fallbacks == 0)));
     }
     check_pins(&observed);
+}
+
+/// The heap families native code reads and writes inline, against the
+/// layout `tm_runtime::object::layout` publishes.
+const INLINE_HEAP: &[&str] = &[
+    "GuardShape",
+    "GuardClass",
+    "GuardBound",
+    "LoadSlot",
+    "StoreSlot",
+    "LoadElem",
+    "StoreElem",
+    "ArrayLen",
+    "Unbox(Double)",
+    "UnboxNumD",
+];
+
+#[test]
+fn native_code_calls_no_shim_for_an_inline_heap_family() {
+    if !tracemonkey::nanojit::native_supported() {
+        return;
+    }
+    let mut inline = 0;
+    for p in tm_bench::SUITE {
+        let run = run_program(p, Engine::Tracing, JitOptions::default(), 1);
+        for (t, tree) in run.vm.monitor().expect("tracing").cache.iter().enumerate() {
+            let ExecCode::Native(nt) = &tree.exec else { continue };
+            for (family, n) in nt.heap_sites() {
+                let shim = if INLINE_HEAP.contains(family) { n.shim } else { 0 };
+                assert_eq!(shim, 0, "{} tree {t}: {family} calls a shim", p.name);
+                inline += n.inline;
+            }
+        }
+    }
+    assert!(inline > 0, "the suite's native code reads the heap inline");
 }
 
 // ---- nesting ---------------------------------------------------------

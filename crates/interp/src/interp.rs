@@ -388,7 +388,7 @@ impl Interp {
                 let start = self.stack.len() - n;
                 let elems: Vec<Value> = self.stack.drain(start..).collect();
                 let id = realm.new_array(0);
-                realm.heap.object_mut(id).elements = elems;
+                realm.heap.object_mut(id).elements = elems.into();
                 push!(Value::new_object(id));
                 self.maybe_gc(realm);
             }

@@ -223,7 +223,7 @@ impl MethodVm {
                     let elems: Vec<Value> =
                         (0..count).map(|i| self.regs[r(start + i)]).collect();
                     let id = realm.new_array(0);
-                    realm.heap.object_mut(id).elements = elems;
+                    realm.heap.object_mut(id).elements = elems.into();
                     self.regs[r(d)] = Value::new_object(id);
                     self.maybe_gc(realm);
                 }

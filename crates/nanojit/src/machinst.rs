@@ -10,7 +10,10 @@
 //!   `MachInst` stream into real machine code in an
 //!   executable buffer (on by default on x86-64 Linux, selected per tree
 //!   by the monitor, with whole-tree fallback to the decoded executor for
-//!   any instruction it doesn't cover).
+//!   any instruction it doesn't cover). It reads the heap where the
+//!   interpreter does, through the object layout the runtime publishes:
+//!   a shape guard is a load and a compare, a slot access a load or a
+//!   store, with no call.
 //!
 //! What the evaluation depends on is preserved in both tiers: compiled
 //! trace instructions operate on **unboxed words in registers**, with no

@@ -8,7 +8,8 @@ use tm_runtime::{Realm, RuntimeError};
 use super::enc::{patch_jmp, Label};
 use super::lower::{Emitter, SiteTail};
 use super::rt::NativeCtx;
-use super::{native_supported, unsupported_op, DirectSite, Unsupported, WordMove, MAX_HELPER_ARGS};
+use super::{native_supported, unsupported_op, DirectSite, HeapSites, Unsupported, WordMove};
+use super::MAX_HELPER_ARGS;
 use crate::executor::{DirectCounts, TraceExit, TreeHost};
 use crate::machinst::{Fragment, MachInst, EXIT_UNSTITCHED, REG_FILE_WORDS};
 
@@ -200,6 +201,7 @@ pub struct NativeTree {
     /// The room a run carves out for the direct sites' callees: the
     /// largest callee record, spill area and refresh.
     callee_room: (usize, usize, usize),
+    heap_sites: HeapSites,
 }
 
 /// A tree's code is equal to itself only: a caller's direct site holds
@@ -233,6 +235,7 @@ impl NativeTree {
             helpers: Vec::new(),
             direct: Vec::new(),
             callee_room: (0, 0, 0),
+            heap_sites: HeapSites::new(),
         }
     }
 
@@ -248,6 +251,11 @@ impl NativeTree {
         sites: &[Option<DirectSite>],
     ) -> Result<NativeTree, Unsupported> {
         NativeTree::unmapped(None).append(fragments, sites)
+    }
+
+    /// The heap accesses this code holds, by family and lowering.
+    pub fn heap_sites(&self) -> &HeapSites {
+        &self.heap_sites
     }
 
     /// The sites whose `CallTree` this code runs directly, by site id.
@@ -316,6 +324,7 @@ impl NativeTree {
             self.notes.take(),
             std::mem::take(&mut self.helpers),
             std::mem::take(&mut self.direct),
+            std::mem::take(&mut self.heap_sites),
         );
         if self.code_len == 0 {
             e.prologue();
@@ -337,6 +346,7 @@ impl NativeTree {
         let (chunk, mut notes) = e.asm.finish();
         self.helpers = e.helpers;
         self.direct = e.direct;
+        self.heap_sites = e.heap_sites;
 
         let new_len = self.code_len + chunk.len();
         if self.buf.len == 0 {

@@ -32,6 +32,7 @@ impl Cc {
     }
 }
 
+pub(super) const CC_O: Cc = Cc(0x0);
 pub(super) const CC_AE: Cc = Cc(0x3);
 pub(super) const CC_E: Cc = Cc(0x4);
 pub(super) const CC_NE: Cc = Cc(0x5);
@@ -164,6 +165,22 @@ impl Asm {
         self.imm32(disp);
     }
 
+    /// ModRM + SIB for `[base + index*8]` (mod=01 with a zero disp8,
+    /// so that rbp/r13 as a base need no special case).
+    fn modrm_idx8(&mut self, reg: u8, base: u8, index: u8) {
+        debug_assert_ne!(index & 7, 4, "rsp/r12 cannot be an index");
+        self.byte(0b0100_0100 | ((reg & 7) << 3));
+        self.byte(0b1100_0000 | ((index & 7) << 3) | (base & 7));
+        self.byte(0);
+    }
+
+    /// `op reg, [base + index*8]` with REX.W.
+    fn op_idx8(&mut self, opc: u8, reg: u8, base: u8, index: u8) {
+        self.byte(0x48 | (((reg >> 3) & 1) << 2) | (((index >> 3) & 1) << 1) | ((base >> 3) & 1));
+        self.byte(opc);
+        self.modrm_idx8(reg, base, index);
+    }
+
     fn modrm_reg(&mut self, reg: u8, rm: u8) {
         self.byte(0b1100_0000 | ((reg & 7) << 3) | (rm & 7));
     }
@@ -230,6 +247,16 @@ impl Asm {
 
     pub(super) fn mov_mem_r64(&mut self, base: u8, disp: i32, src: u8) {
         self.op_mem(true, &[0x89], src, base, disp);
+    }
+
+    /// `mov r64, [base + index*8]`.
+    pub(super) fn mov_r64_idx8(&mut self, dst: u8, base: u8, index: u8) {
+        self.op_idx8(0x8B, dst, base, index);
+    }
+
+    /// `mov [base + index*8], r64`.
+    pub(super) fn mov_idx8_r64(&mut self, base: u8, index: u8, src: u8) {
+        self.op_idx8(0x89, src, base, index);
     }
 
     /// `mov dword [base+disp], imm32`.
@@ -337,6 +364,17 @@ impl Asm {
     /// `test al, imm8`.
     pub(super) fn test_al_imm8(&mut self, imm: u8) {
         self.bytes(&[0xA8, imm]);
+    }
+
+    /// `add r64, [base+disp]`.
+    pub(super) fn add_r64_mem(&mut self, reg: u8, base: u8, disp: i32) {
+        self.op_mem(true, &[0x03], reg, base, disp);
+    }
+
+    /// `cmp byte [base+disp], imm8`.
+    pub(super) fn cmp_mem8_imm(&mut self, base: u8, disp: i32, imm: u8) {
+        self.op_mem(false, &[0x80], 7, base, disp);
+        self.byte(imm);
     }
 
     /// `cmp r64, [base+disp]`.
@@ -577,6 +615,15 @@ mod tests {
         check("jmp [r15+0x38]", |a| a.jmp_mem(R15, 0x38), &[0x41, 0xFF, 0xA7, 0x38, 0, 0, 0]);
         check("movsd xmm0, [r13+8]", |a| a.movsd_load(XMM0, R13, 8),
             &[0xF2, 0x41, 0x0F, 0x10, 0x85, 8, 0, 0, 0]);
+        // Scaled index: SIB with scale 8, a zero disp8 for any base.
+        check("mov rax, [rax+rcx*8]", |a| a.mov_r64_idx8(RAX, RAX, RCX),
+            &[0x48, 0x8B, 0x44, 0xC8, 0]);
+        check("mov [r13+r9*8], r10", |a| a.mov_idx8_r64(R13, R9, R10),
+            &[0x4F, 0x89, 0x54, 0xCD, 0]);
+        check("add rax, [rdx+0x10]", |a| a.add_r64_mem(RAX, RDX, 0x10),
+            &[0x48, 0x03, 0x82, 0x10, 0, 0, 0]);
+        check("cmp byte [rax+1], 2", |a| a.cmp_mem8_imm(RAX, 1, 2),
+            &[0x80, 0xB8, 1, 0, 0, 0, 2]);
         // No REX when it would be a bare 0x40.
         check("mov eax, ecx", |a| a.mov_rr32(RAX, RCX), &[0x89, 0xC8]);
         check("mov edx, [rbx+4]", |a| a.mov_r32_mem(RDX, RBX, 4), &[0x8B, 0x93, 4, 0, 0, 0]);

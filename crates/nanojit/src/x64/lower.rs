@@ -8,16 +8,18 @@
 //! fusing superinstructions of its own, [`crate::peephole`].)
 
 use tm_lir::{AluOp, ChkOp, CmpOp, FOp, Tag, NO_EXIT};
+use tm_runtime::object::layout;
 use tm_runtime::trace_helpers::Helper;
 
 use super::enc::{
     Alu, ArithSd, Asm, Cc, Label, Shift, Src, CC_A, CC_AE, CC_E, CC_G, CC_GE, CC_L, CC_LE,
-    CC_NE, CC_NP, CC_P, CC_S, R12, R13, R14, R15, RAX, RBX, RCX, RDI, RDX, RSI, XMM0, XMM1,
+    CC_NE, CC_NP, CC_O, CC_P, CC_S, R12, R13, R14, R15, RAX, RBX, RCX, RDI, RDX, RSI, XMM0,
+    XMM1,
 };
 use super::rt::{self, CTX_AR, CTX_ENTRY, CTX_EXIT_FRAG, CTX_EXIT_ID, CTX_GC, CTX_HARGS};
 use super::rt::{CTX_FUEL, CTX_HRESULT, CTX_INSTS, CTX_INTERRUPT, CTX_ITER, CTX_REALM};
 use super::rt::{CTX_REGS, CTX_SPILL, ST_ERR};
-use super::DirectSite;
+use super::{DirectSite, HeapSites};
 use crate::machinst::{as_imm, Fragment, MachInst, Reg, REG_FILE_WORDS, REG_MASK};
 
 /// One guard's exit trampoline: flush the path counts, then store the
@@ -65,6 +67,9 @@ pub(super) struct Emitter {
     rax: Option<Reg>,
     /// The tree's direct sites by site id (`NativeTree::direct`).
     pub(super) direct: Vec<Option<DirectSite>>,
+    /// The tree's heap accesses by family and lowering
+    /// (`NativeTree::heap_sites`).
+    pub(super) heap_sites: HeapSites,
 }
 
 /// Register-file byte offset of virtual register `v` (off `r13`).
@@ -75,6 +80,11 @@ fn vdisp(v: Reg) -> i32 {
 pub(super) fn ar_disp(slot: u16) -> i32 {
     i32::from(slot) * 8
 }
+
+/// The data address and length fields of an object's slots.
+const SLOTS: (usize, usize) = (layout::SLOTS_PTR, layout::SLOTS_LEN);
+/// The data address and length fields of an object's elements.
+const ELEMS: (usize, usize) = (layout::ELEMS_PTR, layout::ELEMS_LEN);
 
 /// The instruction of a double op, or `None` where SSE2 has none (the
 /// remainder calls [`rt::fmod_shim`]).
@@ -127,6 +137,7 @@ impl Emitter {
         notes: Option<Vec<(usize, String)>>,
         helpers: Vec<Helper>,
         direct: Vec<Option<DirectSite>>,
+        heap_sites: HeapSites,
     ) -> Emitter {
         Emitter {
             asm: Asm::new(base, notes),
@@ -137,6 +148,7 @@ impl Emitter {
             flags: None,
             rax: None,
             direct,
+            heap_sites,
         }
     }
 
@@ -396,13 +408,76 @@ impl Emitter {
         self.asm.jcc(CC_NE, site);
     }
 
-    /// `rax` = the heap double boxed in `rax`; exits to `site` unless
-    /// it is one.
-    fn unbox_double(&mut self, site: Label) {
+    /// `rax` = the heap double boxed in `rax`, read from the double
+    /// arena; exits to `site` unless it is one. Clobbers rcx.
+    fn unbox_double(&mut self, family: &'static str, site: Label) {
         self.check_tag(2, site);
-        self.asm.mov_r64_mem(RDI, R15, CTX_REALM);
-        self.asm.mov_rr64(RSI, RAX);
-        self.call_shim(rt::unbox_double_shim as *const ());
+        self.asm.shift64(Shift::Shr, RAX, 3);
+        self.asm.mov_rr32(RAX, RAX);
+        self.asm.mov_r64_mem(RCX, R15, CTX_REALM);
+        self.asm.mov_r64_mem(RCX, RCX, layout::DOUBLE_BASE as i32);
+        self.asm.mov_r64_idx8(RAX, RCX, RAX);
+        self.count_heap(family, true);
+    }
+
+    /// Counts a heap access of `family` the code lowers inline, or as a
+    /// shim call.
+    fn count_heap(&mut self, family: &'static str, inline: bool) {
+        let n = self.heap_sites.entry(family).or_default();
+        if inline {
+            n.inline += 1;
+        } else {
+            n.shim += 1;
+        }
+    }
+
+    /// `gpr` = the address of the object whose id vreg `v` holds. The
+    /// object arena's base is read from the heap at every access: any
+    /// allocation since the last one (a helper, a nested call, a slow
+    /// path) may have moved the arena. Clobbers rdx.
+    fn object_addr(&mut self, gpr: u8, v: Reg) {
+        self.asm.mov_r64_mem(RDX, R15, CTX_REALM);
+        self.load_vreg32(gpr, v);
+        self.asm.imul64(gpr, Src::Imm(layout::OBJECT_SIZE as i32));
+        self.asm.add_r64_mem(gpr, RDX, layout::OBJECT_BASE as i32);
+    }
+
+    /// A slot or element load or store of the object whose id vreg `obj`
+    /// holds, at `index` (a constant slot or a sign-extended element
+    /// vreg): inline when the index is below the live length read from
+    /// `len` (a negative one compares as a huge unsigned one), through
+    /// the storage address read from `ptr`; else a call of `shim`, the
+    /// decoded tier's own semantics (growing the array, or panicking).
+    /// A load's value is left in rax.
+    fn slot_or_elem(
+        &mut self,
+        family: &'static str,
+        (ptr, len): (usize, usize),
+        (obj, index): (Reg, Arg),
+        store: Option<Reg>,
+        shim: *const (),
+    ) {
+        let (slow, done) = (self.local(), self.local());
+        self.object_addr(RAX, obj);
+        self.load_arg(RCX, index);
+        self.asm.cmp_r64_mem(RCX, RAX, len as i32);
+        self.asm.jcc(CC_AE, slow);
+        self.asm.mov_r64_mem(RAX, RAX, ptr as i32);
+        match store {
+            Some(s) => {
+                self.load_vreg64(RDX, s);
+                self.asm.mov_idx8_r64(RAX, RCX, RDX);
+            }
+            None => self.asm.mov_r64_idx8(RAX, RAX, RCX),
+        }
+        self.asm.jmp(done);
+        self.asm.bind(slow);
+        match store {
+            Some(s) => self.heap_call(shim, &[Arg::Id(obj), index, Arg::Word(s)]),
+            None => self.heap_call(shim, &[Arg::Id(obj), index]),
+        }
+        self.asm.bind(done);
+        self.count_heap(family, true);
     }
 
     /// Exits to `site` unless vreg `s` is `want` (1 or 0): a branch on
@@ -462,14 +537,18 @@ impl Emitter {
     fn heap_call(&mut self, shim: *const (), args: &[Arg]) {
         self.asm.mov_r64_mem(RDI, R15, CTX_REALM);
         for (gpr, &arg) in [RSI, RDX, RCX].into_iter().zip(args) {
-            match arg {
-                Arg::Id(v) => self.load_vreg32(gpr, v),
-                Arg::Index(v) => self.movsxd_vreg(gpr, v),
-                Arg::Word(v) => self.load_vreg64(gpr, v),
-                Arg::Const(c) => self.asm.mov_r32_imm(gpr, c),
-            }
+            self.load_arg(gpr, arg);
         }
         self.call_shim(shim);
+    }
+
+    fn load_arg(&mut self, gpr: u8, arg: Arg) {
+        match arg {
+            Arg::Id(v) => self.load_vreg32(gpr, v),
+            Arg::Index(v) => self.movsxd_vreg(gpr, v),
+            Arg::Word(v) => self.load_vreg64(gpr, v),
+            Arg::Const(c) => self.asm.mov_r32_imm(gpr, c),
+        }
     }
 
     /// Emits one virtual-ISA instruction of fragment `k`. `path`
@@ -655,8 +734,20 @@ impl Emitter {
                 self.store_vreg64(d, RAX);
             }
             MachInst::D2I32 { d, a } => {
+                // The low 32 bits of the truncation are ToInt32 for every
+                // |x| < 2^63; NaN, ±Inf and the rest convert to the one
+                // word `cmp rax, 1` overflows on, i64::MIN.
+                let (slow, done) = (self.local(), self.local());
+                self.asm.movsd_load(XMM0, R13, vdisp(a));
+                self.asm.cvttsd2si_r64(RAX, XMM0);
+                self.asm.alu64_imm8(Alu::Cmp, RAX, 1);
+                self.asm.jcc(CC_O, slow);
+                self.asm.movsxd_r64_r32(RAX, RAX);
+                self.asm.jmp(done);
+                self.asm.bind(slow);
                 self.load_vreg64(RDI, a);
                 self.call_shim(rt::d2i32_shim as *const ());
+                self.asm.bind(done);
                 self.store_vreg64(d, RAX);
             }
             MachInst::ChkRangeI { d, a, exit } => {
@@ -687,7 +778,10 @@ impl Emitter {
                         self.call_shim(rt::boxi_slow_shim as *const ());
                         self.asm.bind(l_done);
                     }
-                    Tag::Double => self.heap_call(rt::boxd_shim as *const (), &[Arg::Word(a)]),
+                    Tag::Double => {
+                        self.heap_call(rt::boxd_shim as *const (), &[Arg::Word(a)]);
+                        self.count_heap("Box(Double)", false);
+                    }
                     Tag::Bool => {
                         // (b as u64) << 3 | SPECIAL tag: false → 6, true → 14.
                         self.load_vreg64(RAX, a);
@@ -719,7 +813,7 @@ impl Emitter {
                         self.asm.shift32(Shift::Sar, RAX, Src::Imm(1));
                         self.asm.movsxd_r64_r32(RAX, RAX);
                     }
-                    Tag::Double => self.unbox_double(site),
+                    Tag::Double => self.unbox_double("Unbox(Double)", site),
                     Tag::Object | Tag::String => {
                         if tag == Tag::Object {
                             self.asm.test_al_imm8(7);
@@ -759,7 +853,7 @@ impl Emitter {
                 self.asm.movsd_store(R13, vdisp(d), XMM0);
                 self.asm.jmp(l_done);
                 self.asm.bind(l_notint);
-                self.unbox_double(site);
+                self.unbox_double("UnboxNumD", site);
                 self.store_vreg64(d, RAX);
                 self.asm.bind(l_done);
             }
@@ -786,58 +880,71 @@ impl Emitter {
                 self.asm.jmp(site);
             }
 
-            // -- heap-walking ops, through shims: arena data pointers
-            // are not stable enough to bake into code.
+            // -- heap-walking ops, inline against the layout the
+            // runtime publishes (`tm_runtime::object::layout`).
 
             MachInst::GuardShape { obj, shape, exit } => {
                 let site = self.site(k, exit, path);
-                self.heap_call(rt::shape_of_shim as *const (), &[Arg::Id(obj)]);
-                self.asm.alu32(Alu::Cmp, RAX, Src::Imm(shape as i32));
+                self.object_addr(RAX, obj);
+                self.asm.cmp_mem32_imm(RAX, layout::SHAPE as i32, shape as i32);
                 self.asm.jcc(CC_NE, site);
+                self.count_heap("GuardShape", true);
             }
             MachInst::GuardClass { obj, class, exit } => {
                 let site = self.site(k, exit, path);
-                self.heap_call(rt::class_of_shim as *const (), &[Arg::Id(obj)]);
-                self.asm.alu32(Alu::Cmp, RAX, Src::Imm(i32::from(class)));
+                self.object_addr(RAX, obj);
+                self.asm.cmp_mem8_imm(RAX, layout::CLASS as i32, class);
                 self.asm.jcc(CC_NE, site);
+                self.count_heap("GuardClass", true);
             }
             MachInst::GuardBound { arr, idx, exit } => {
                 let site = self.site(k, exit, path);
-                self.heap_call(rt::elems_len_shim as *const (), &[Arg::Id(arr)]);
-                // i64 index < 0, or >= the element count, exits.
+                // An index below 0 (huge unsigned), or not below the
+                // element count, exits.
+                self.object_addr(RAX, arr);
                 self.movsxd_vreg(RCX, idx);
-                self.asm.test64(RCX, RCX);
-                self.asm.jcc(CC_S, site);
-                self.asm.alu64(Alu::Cmp, RCX, Src::Reg(RAX));
+                self.asm.cmp_r64_mem(RCX, RAX, layout::ELEMS_LEN as i32);
                 self.asm.jcc(CC_AE, site);
+                self.count_heap("GuardBound", true);
             }
             MachInst::LoadSlot { d, o, slot } => {
-                self.heap_call(rt::load_slot_shim as *const (), &[Arg::Id(o), Arg::Const(slot)]);
+                let shim = rt::load_slot_shim as *const ();
+                self.slot_or_elem("LoadSlot", SLOTS, (o, Arg::Const(slot)), None, shim);
                 self.store_vreg64(d, RAX);
             }
             MachInst::StoreSlot { o, slot, s } => {
-                let args = [Arg::Id(o), Arg::Const(slot), Arg::Word(s)];
-                self.heap_call(rt::store_slot_shim as *const (), &args);
-            }
-            MachInst::LoadProto { d, o } => {
-                self.heap_call(rt::load_proto_shim as *const (), &[Arg::Id(o)]);
-                self.store_vreg64(d, RAX);
+                let shim = rt::store_slot_shim as *const ();
+                self.slot_or_elem("StoreSlot", SLOTS, (o, Arg::Const(slot)), Some(s), shim);
             }
             MachInst::LoadElem { d, a, i } => {
-                self.heap_call(rt::load_elem_shim as *const (), &[Arg::Id(a), Arg::Index(i)]);
+                let shim = rt::load_elem_shim as *const ();
+                self.slot_or_elem("LoadElem", ELEMS, (a, Arg::Index(i)), None, shim);
                 self.store_vreg64(d, RAX);
             }
             MachInst::StoreElem { a, i, s } => {
-                let args = [Arg::Id(a), Arg::Index(i), Arg::Word(s)];
-                self.heap_call(rt::store_elem_shim as *const (), &args);
+                let shim = rt::store_elem_shim as *const ();
+                self.slot_or_elem("StoreElem", ELEMS, (a, Arg::Index(i)), Some(s), shim);
             }
             MachInst::ArrayLen { d, a } => {
-                self.heap_call(rt::array_len_shim as *const (), &[Arg::Id(a)]);
+                // `array_length()` is the count truncated to u32.
+                self.object_addr(RAX, a);
+                self.asm.mov_r32_mem(RAX, RAX, layout::ELEMS_LEN as i32);
                 self.store_vreg64(d, RAX);
+                self.count_heap("ArrayLen", true);
+            }
+
+            // -- through shims: the prototype link (an `Option`) and
+            // the string arena's lengths.
+
+            MachInst::LoadProto { d, o } => {
+                self.heap_call(rt::load_proto_shim as *const (), &[Arg::Id(o)]);
+                self.store_vreg64(d, RAX);
+                self.count_heap("LoadProto", false);
             }
             MachInst::StrLen { d, a } => {
                 self.heap_call(rt::str_len_shim as *const (), &[Arg::Id(a)]);
                 self.store_vreg64(d, RAX);
+                self.count_heap("StrLen", false);
             }
 
             // -- runtime re-entry --

@@ -22,9 +22,12 @@
 //! instructions — for every program.
 //!
 //! Every `MachInst` family is covered. Pure int/double arithmetic,
-//! guards, and AR traffic emit inline; ops that walk realm heap
-//! structures (shape/class/bound guards, slot/element/proto loads and
-//! stores, `ArrayLen`/`StrLen`) call tiny `extern "C"` shims (`rt.rs`)
+//! guards, and AR traffic emit inline, and so do the object and double
+//! families — shape/class/bound guards, slot and element loads and
+//! stores, `ArrayLen` and double unboxes — against the layout
+//! `tm_runtime::object::layout` publishes, re-reading the arena base at
+//! every access. An index not below the live length, `LoadProto`,
+//! `StrLen` and `Box(Double)` call tiny `extern "C"` shims (`rt.rs`)
 //! that forward to the `tm_runtime::trace_helpers::heap_ops` functions
 //! the decoded executor's match arms call. `CallHelper` marshals its
 //! arguments into a ctx-inline buffer and dispatches through a per-tree
@@ -49,6 +52,7 @@
 //! On targets other than x86-64 Linux [`native_supported`] is false:
 //! every emission is refused and the tier disables itself.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use tm_lir::{ArSlot, LirType};
@@ -62,6 +66,21 @@ mod rt;
 mod transfer;
 
 pub use buf::{emit_tree, emit_tree_annotated, NativeTree};
+
+/// A tree's heap accesses by family (`GuardShape`, `LoadElem`,
+/// `Unbox(Double)`, ...): how many sites its code lowers inline and
+/// how many as a call of a heap shim.
+pub type HeapSites = BTreeMap<&'static str, SiteCount>;
+
+/// Sites of one heap family in a tree's code ([`HeapSites`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SiteCount {
+    /// Inline against the object and double layout the runtime
+    /// publishes (`tm_runtime::object::layout`).
+    pub inline: u32,
+    /// Calls of a shim.
+    pub shim: u32,
+}
 
 /// Why a tree could not be translated to native code. Carried as an
 /// `Err` from [`emit_tree`] and [`NativeTree::append`]; the monitor falls

@@ -9,7 +9,7 @@ use tm_runtime::trace_helpers::{call_helper, f64_from_word, heap_ops, word_from_
 use tm_runtime::{Realm, RuntimeError};
 
 use super::MAX_HELPER_ARGS;
-use crate::executor::{box_word, unbox_word, DirectCounts, TraceExit, TreeHost, Variables};
+use crate::executor::{box_word, DirectCounts, TraceExit, TreeHost, Variables};
 
 /// Everything native code needs, passed by pointer in `rdi`. Pinned
 /// callee-saved registers cache the hot fields: `r15` = ctx, `r14` =
@@ -23,7 +23,8 @@ pub(super) struct NativeCtx {
     pub(super) regs: *mut u64,
     /// Spill area base (max spills over all fragments, zeroed).
     pub(super) spill: *mut u64,
-    /// The realm, for the few ops that allocate or read heap numbers.
+    /// The realm: inline heap accesses read its arena bases
+    /// (`tm_runtime::object::layout`), and the heap shims get it.
     pub(super) realm: *mut Realm,
     /// `&realm.interrupt`, polled at loop edges (§6.4).
     pub(super) interrupt: *const bool,
@@ -129,10 +130,10 @@ pub(super) const CTX_STAGE: i32 = offset_of!(NativeCtx, stage) as i32;
 pub(super) const CTX_BUDGET: i32 = offset_of!(NativeCtx, budget) as i32;
 
 // Native code calls the shims with the C convention — System V on
-// x86-64 Linux — so the pinned callee-saved registers survive. The heap and box shims hold no
-// semantics of their own: each forwards to the `tm_runtime` function
-// (`trace_helpers::heap_ops`) that the decoded executor's match arm
-// for the same instruction calls.
+// x86-64 Linux — so the pinned callee-saved registers survive. The
+// heap and box shims hold no semantics of their own: each forwards to
+// the `tm_runtime` function (`trace_helpers::heap_ops`) that the
+// decoded executor's match arm for the same instruction calls.
 //
 // Every `realm` argument is `NativeCtx::realm`, which
 // `NativeTree::execute` fills from the `&mut Realm` it holds for the
@@ -144,6 +145,8 @@ pub(super) extern "C" fn fmod_shim(a: u64, b: u64) -> u64 {
     word_from_f64(FOp::Mod.eval(f64_from_word(a), f64_from_word(b)))
 }
 
+/// `D2I32` of a double `cvttsd2si` cannot convert (NaN, ±Inf, or
+/// |x| ≥ 2^63); every other one is converted inline.
 pub(super) extern "C" fn d2i32_shim(a: u64) -> u64 {
     i64::from(tm_runtime::ops::double_to_int32(f64_from_word(a))) as u64
 }
@@ -160,35 +163,10 @@ pub(super) extern "C" fn boxd_shim(realm: *mut Realm, bits: u64) -> u64 {
     box_word(unsafe { &mut *realm }, Tag::Double, bits)
 }
 
-/// Reads the heap double behind an already-tag-checked boxed value.
-pub(super) extern "C" fn unbox_double_shim(realm: *const Realm, raw: u64) -> u64 {
-    // SAFETY: `realm` is the run's realm (section comment).
-    unbox_word(unsafe { &*realm }, Tag::Double, raw).expect("tag checked by native code")
-}
-
-// Heap-walking ops (shape/class/bound guards, slot/element/proto
-// access, lengths). The heap's object and string arenas are growable
-// `Vec`s whose data pointers move on reallocation, so the emitter
-// calls these stable shims instead of baking arena addresses into
-// code; surrounding arithmetic still runs fully native.
-
-/// `GuardShape` probe.
-pub(super) extern "C" fn shape_of_shim(realm: *const Realm, obj: u64) -> u64 {
-    // SAFETY: `realm` is the run's realm (section comment).
-    heap_ops::shape_of(unsafe { &*realm }, obj)
-}
-
-/// `GuardClass` probe.
-pub(super) extern "C" fn class_of_shim(realm: *const Realm, obj: u64) -> u64 {
-    // SAFETY: `realm` is the run's realm (section comment).
-    heap_ops::class_of(unsafe { &*realm }, obj)
-}
-
-/// `GuardBound` probe.
-pub(super) extern "C" fn elems_len_shim(realm: *const Realm, obj: u64) -> u64 {
-    // SAFETY: `realm` is the run's realm (section comment).
-    heap_ops::elems_len(unsafe { &*realm }, obj)
-}
+// Heap accesses that call a shim: the slow paths of the inline slot
+// and element accesses (an index not below the live length: the
+// decoded tier's semantics, growing an array or panicking), and the
+// ops with no inline form (`LoadProto`, `StrLen`).
 
 pub(super) extern "C" fn load_slot_shim(realm: *const Realm, obj: u64, slot: u64) -> u64 {
     // SAFETY: `realm` is the run's realm (section comment).
@@ -214,11 +192,6 @@ pub(super) extern "C" fn load_elem_shim(realm: *const Realm, obj: u64, idx: i64)
 pub(super) extern "C" fn store_elem_shim(realm: *mut Realm, obj: u64, idx: i64, v: u64) {
     // SAFETY: `realm` is the run's realm (section comment).
     heap_ops::store_elem(unsafe { &mut *realm }, obj, idx as i32, v);
-}
-
-pub(super) extern "C" fn array_len_shim(realm: *const Realm, obj: u64) -> u64 {
-    // SAFETY: `realm` is the run's realm (section comment).
-    heap_ops::array_len(unsafe { &*realm }, obj)
 }
 
 pub(super) extern "C" fn str_len_shim(realm: *const Realm, s: u64) -> u64 {

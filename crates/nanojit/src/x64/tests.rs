@@ -794,7 +794,7 @@ fn refused_syscalls_fail_one_tree_and_leave_the_process_running() {
 fn setup_heap(realm: &mut Realm) -> (u64, u64, u64) {
     let proto = realm.new_plain_object();
     let mut o = Object::new_plain(Some(proto));
-    o.slots = vec![Value::new_int(7), Value::new_int(-3)];
+    o.slots = vec![Value::new_int(7), Value::new_int(-3)].into();
     let obj = realm.heap.alloc_object(o);
     let arr = realm.heap.alloc_object(Object::new_array(3, None));
     for (i, v) in [10, 20, 30].into_iter().enumerate() {
@@ -953,6 +953,196 @@ fn proto_array_len_str_len_differential() {
     run_both_with(&tree, &[obj_w, arr_w, str_w], u64::MAX, |r| {
         setup_heap(r);
     });
+}
+
+/// `D2I32` is the truncation's low 32 bits, inline, for |x| < 2^63 and
+/// `d2i32_shim` for the one sentinel word (NaN, ±Inf, out of range):
+/// both agree with `ops::double_to_int32` on the edges of each.
+#[test]
+fn d2i32_is_exact_toint32_inline_and_through_the_shim() {
+    let (p31, p53, p63) = (2f64.powi(31), 2f64.powi(53), 2f64.powi(63));
+    let mut cases = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, p63, -p63];
+    for x in [p31, p53] {
+        cases.extend([x, -x, x + 1.0, x - 1.0, -x + 1.0, -x - 1.0]);
+    }
+    let tree = unop_tree(MachInst::D2I32 { d: 2, a: 0 });
+    for x in cases {
+        run_both(&tree, &[d(x), 0, 0], u64::MAX);
+        let mut ar = [d(x), 0, 0];
+        emit_tree(&tree).unwrap().execute(&mut ar, &mut Realm::new(), &mut NoNesting, 0).unwrap();
+        let want = i64::from(tm_runtime::ops::double_to_int32(x)) as u64;
+        assert_eq!(ar[2], want, "ToInt32({x:e})");
+    }
+}
+
+/// The object and double families lower inline, and only `LoadProto`,
+/// `StrLen` and `Box(Double)` call a heap shim.
+#[test]
+fn heap_families_lower_inline() {
+    let tree = frag(
+        vec![
+            MachInst::ReadAr { d: 0, slot: 0 },
+            MachInst::ReadAr { d: 1, slot: 1 },
+            MachInst::GuardShape { obj: 0, shape: 0, exit: 1 },
+            MachInst::GuardClass { obj: 0, class: 0, exit: 1 },
+            MachInst::GuardBound { arr: 0, idx: 1, exit: 1 },
+            MachInst::LoadSlot { d: 2, o: 0, slot: 0 },
+            MachInst::StoreSlot { o: 0, slot: 0, s: 2 },
+            MachInst::LoadElem { d: 2, a: 0, i: 1 },
+            MachInst::StoreElem { a: 0, i: 1, s: 2 },
+            MachInst::ArrayLen { d: 2, a: 0 },
+            MachInst::Unbox { tag: Tag::Double, d: 2, a: 1, exit: 1 },
+            MachInst::UnboxNumD { d: 2, a: 1, exit: 1 },
+            MachInst::LoadProto { d: 2, o: 0 },
+            MachInst::StrLen { d: 2, a: 0 },
+            MachInst::Box { tag: Tag::Double, d: 2, a: 1 },
+            MachInst::End { exit: 0 },
+        ],
+        2,
+    );
+    let nt = emit_tree(&tree).unwrap();
+    let shims: Vec<_> = nt.heap_sites().iter().filter(|(_, n)| n.shim > 0).map(|(f, _)| *f).collect();
+    assert_eq!(shims, ["Box(Double)", "LoadProto", "StrLen"]);
+    let inline: Vec<_> = nt.heap_sites().iter().filter(|(_, n)| n.inline > 0).map(|(f, _)| *f).collect();
+    assert_eq!(inline.len(), 10, "{inline:?}");
+}
+
+/// A slot or element index not below the live length runs the shim,
+/// whose semantics is the decoded tier's: a panic, not a read past the
+/// storage. A panic inside an `extern "C"` shim aborts, so each case
+/// runs in a child process (this test binary, filtered to this test,
+/// with `TM_X64_OOB` naming the case) whose stderr must show it.
+#[test]
+fn out_of_range_slot_and_element_accesses_reach_the_shim() {
+    let (_, obj_w, arr_w, _) = probe_heap();
+    let cases = [
+        ("load-slot", MachInst::LoadSlot { d: 2, o: 0, slot: 2 }, obj_w),
+        ("store-slot", MachInst::StoreSlot { o: 0, slot: 5, s: 1 }, obj_w),
+        ("load-elem", MachInst::LoadElem { d: 2, a: 0, i: 1 }, arr_w),
+    ];
+    let tree = |op: &MachInst| {
+        frag(
+            vec![
+                MachInst::ReadAr { d: 0, slot: 0 },
+                MachInst::ReadAr { d: 1, slot: 1 },
+                op.clone(),
+                MachInst::End { exit: 0 },
+            ],
+            1,
+        )
+    };
+    let ar = |obj| [obj, w(3)];
+    if let Ok(case) = std::env::var("TM_X64_OOB") {
+        let (_, op, obj) = cases.iter().find(|c| c.0 == case).expect("a case name");
+        let mut realm = Realm::new();
+        setup_heap(&mut realm);
+        let nt = emit_tree(&tree(op)).unwrap();
+        let _ = nt.execute(&mut ar(*obj), &mut realm, &mut NoNesting, u64::MAX);
+        return;
+    }
+    for (case, op, obj) in &cases {
+        let decoded = std::panic::catch_unwind(|| {
+            let mut realm = Realm::new();
+            setup_heap(&mut realm);
+            execute(&tree(op), &mut ar(*obj), &mut realm, &mut NoNesting, u64::MAX)
+        });
+        assert!(decoded.is_err(), "{case}: the decoded tier panics");
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "x64::tests::out_of_range_slot_and_element_accesses_reach_the_shim"])
+            .args(["--nocapture", "--test-threads=1"])
+            .env("TM_X64_OOB", case)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{case}: the native run must not complete");
+        assert!(stderr.contains("index out of bounds"), "{case}: {stderr}");
+    }
+}
+
+/// Allocates enough objects to grow the object arena past any capacity
+/// a fresh realm starts with.
+fn allocating_native(realm: &mut Realm, _args: &[Value]) -> Result<Value, RuntimeError> {
+    for _ in 0..4096 {
+        realm.new_plain_object();
+    }
+    Ok(Value::UNDEFINED)
+}
+
+/// One object read before and after a helper that reallocates the
+/// object arena, in one fragment: every inline access re-reads the base.
+#[test]
+fn an_arena_that_moves_between_two_accesses_is_read_at_its_new_base() {
+    let (_, obj_w, _, _) = probe_heap();
+    let setup = |realm: &mut Realm| {
+        setup_heap(realm);
+        realm.register_native("test.alloc", allocating_native, NativeEffects::default(), None)
+    };
+    let id = setup(&mut Realm::new());
+    let tree = frag(
+        vec![
+            MachInst::ReadAr { d: 0, slot: 0 },
+            MachInst::LoadSlot { d: 1, o: 0, slot: 1 },
+            MachInst::CallHelper {
+                d: 2,
+                helper: Helper::CallNative(id),
+                args: vec![1].into(),
+                exit: 1,
+            },
+            MachInst::GuardClass { obj: 0, class: ObjectClass::Plain as u8, exit: 1 },
+            MachInst::LoadSlot { d: 2, o: 0, slot: 0 },
+            MachInst::StoreSlot { o: 0, slot: 1, s: 2 },
+            MachInst::LoadSlot { d: 3, o: 0, slot: 1 },
+            MachInst::WriteAr { slot: 0, s: 1 },
+            MachInst::WriteAr { slot: 1, s: 3 },
+            MachInst::End { exit: 0 },
+        ],
+        2,
+    );
+    let e = run_both_with(&tree, &[obj_w, 0], u64::MAX, |r| {
+        setup(r);
+    });
+    assert_eq!(e.exit, 0);
+    // The helper does move the arena.
+    let mut realm = Realm::new();
+    setup(&mut realm);
+    let at = |realm: &Realm| std::ptr::from_ref(realm.heap.object(ObjectId(obj_w as u32)));
+    let before = at(&realm);
+    allocating_native(&mut realm, &[]).unwrap();
+    assert_ne!(before, at(&realm), "the object arena reallocated");
+}
+
+/// `ArraySetElem` one past the end reallocates the array's elements;
+/// the `LoadElem` and `ArrayLen` after it read the new storage.
+#[test]
+fn elements_grown_by_a_helper_are_read_at_their_new_address() {
+    let (_, _, arr_w, _) = probe_heap();
+    let tree = frag(
+        vec![
+            MachInst::ReadAr { d: 0, slot: 0 },
+            MachInst::ReadAr { d: 1, slot: 1 },
+            MachInst::ReadAr { d: 2, slot: 2 },
+            MachInst::LoadElem { d: 3, a: 0, i: 1 },
+            MachInst::ConstW { d: 4, w: w(3) },
+            MachInst::CallHelper {
+                d: 5,
+                helper: Helper::ArraySetElem,
+                args: vec![0, 4, 2].into(),
+                exit: 1,
+            },
+            MachInst::GuardBound { arr: 0, idx: 4, exit: 1 },
+            MachInst::LoadElem { d: 5, a: 0, i: 4 },
+            MachInst::ArrayLen { d: 4, a: 0 },
+            MachInst::WriteAr { slot: 0, s: 3 },
+            MachInst::WriteAr { slot: 1, s: 5 },
+            MachInst::WriteAr { slot: 2, s: 4 },
+            MachInst::End { exit: 0 },
+        ],
+        2,
+    );
+    let e = run_both_with(&tree, &[arr_w, w(2), Value::new_int(77).raw()], u64::MAX, |r| {
+        setup_heap(r);
+    });
+    assert_eq!(e.exit, 0);
 }
 
 #[test]

@@ -392,7 +392,7 @@ fn array_join(realm: &mut Realm, args: &[Value]) -> Result<Value, RuntimeError> 
         Unpacked::Undefined => ",".to_owned(),
         _ => ops::to_display(realm, arg(args, 1)),
     };
-    let elems = realm.heap.object(id).elements.clone();
+    let elems = realm.heap.object(id).elements.to_vec();
     let parts: Vec<String> = elems
         .into_iter()
         .map(|e| {
@@ -415,7 +415,7 @@ fn array_reverse(realm: &mut Realm, args: &[Value]) -> Result<Value, RuntimeErro
 fn array_index_of(realm: &mut Realm, args: &[Value]) -> Result<Value, RuntimeError> {
     let id = recv_array(args)?;
     let needle = arg(args, 1);
-    let elems = realm.heap.object(id).elements.clone();
+    let elems = realm.heap.object(id).elements.to_vec();
     for (i, e) in elems.into_iter().enumerate() {
         if ops::strict_eq(realm, e, needle) {
             return Ok(Value::new_int(i as i32));
@@ -447,13 +447,13 @@ fn array_slice(realm: &mut Realm, args: &[Value]) -> Result<Value, RuntimeError>
     let slice: Vec<Value> =
         if a < b { realm.heap.object(id).elements[a as usize..b as usize].to_vec() } else { vec![] };
     let out = realm.new_array(slice.len());
-    realm.heap.object_mut(out).elements = slice;
+    realm.heap.object_mut(out).elements = slice.into();
     Ok(Value::new_object(out))
 }
 
 fn array_concat(realm: &mut Realm, args: &[Value]) -> Result<Value, RuntimeError> {
     let id = recv_array(args)?;
-    let mut elems = realm.heap.object(id).elements.clone();
+    let mut elems = realm.heap.object(id).elements.to_vec();
     for &a in &args[1..] {
         match a.as_object() {
             Some(oid) if realm.heap.object(oid).class == crate::object::ObjectClass::Array => {
@@ -463,7 +463,7 @@ fn array_concat(realm: &mut Realm, args: &[Value]) -> Result<Value, RuntimeError
         }
     }
     let out = realm.new_array(0);
-    realm.heap.object_mut(out).elements = elems;
+    realm.heap.object_mut(out).elements = elems.into();
     Ok(Value::new_object(out))
 }
 
@@ -472,7 +472,7 @@ fn array_sort(realm: &mut Realm, args: &[Value]) -> Result<Value, RuntimeError> 
     // would reenter the interpreter; this native does not support one and
     // is marked may_reenter=false accordingly.)
     let id = recv_array(args)?;
-    let elems = realm.heap.object(id).elements.clone();
+    let elems = realm.heap.object(id).elements.to_vec();
     let mut keyed: Vec<(String, Value)> =
         elems.into_iter().map(|e| (ops::to_display(realm, e), e)).collect();
     keyed.sort_by(|a, b| a.0.cmp(&b.0));

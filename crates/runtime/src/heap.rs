@@ -11,6 +11,8 @@
 //! set is reconstructible). This mirrors TraceMonkey's constraint that
 //! traces do not update interpreter state until exiting.
 
+use std::mem::offset_of;
+
 use crate::object::Object;
 use crate::value::{DoubleId, ObjectId, StringId, Unpacked, Value};
 
@@ -30,8 +32,16 @@ pub struct GcStats {
 /// The garbage-collected heap.
 #[derive(Debug)]
 pub struct Heap {
-    objects: Vec<Option<Object>>,
+    /// Every object cell, live or free (a free cell holds an empty
+    /// object and a `false` in `obj_live`).
+    objects: Vec<Object>,
+    obj_live: Vec<bool>,
     obj_free: Vec<u32>,
+    /// The addresses of `objects[0]` and `doubles[0]`, republished
+    /// whenever the arena grows: compiled code indexes the arenas from
+    /// these ([`crate::object::layout`]).
+    obj_base: usize,
+    dbl_base: usize,
     strings: Vec<Option<Box<[u8]>>>,
     str_free: Vec<u32>,
     doubles: Vec<f64>,
@@ -59,11 +69,19 @@ impl Heap {
     /// Default allocation budget between collections.
     pub const DEFAULT_GC_THRESHOLD: usize = 1 << 20;
 
+    /// Offset of the published object arena base.
+    pub(crate) const OBJECT_BASE: usize = offset_of!(Heap, obj_base);
+    /// Offset of the published double arena base.
+    pub(crate) const DOUBLE_BASE: usize = offset_of!(Heap, dbl_base);
+
     /// Creates an empty heap.
     pub fn new() -> Heap {
         Heap {
             objects: Vec::new(),
+            obj_live: Vec::new(),
             obj_free: Vec::new(),
+            obj_base: 0,
+            dbl_base: 0,
             strings: Vec::new(),
             str_free: Vec::new(),
             doubles: Vec::new(),
@@ -101,10 +119,13 @@ impl Heap {
     pub fn alloc_object(&mut self, obj: Object) -> ObjectId {
         self.allocated_since_gc += 1 + obj.slots.len() + obj.elements.len();
         if let Some(i) = self.obj_free.pop() {
-            self.objects[i as usize] = Some(obj);
+            self.objects[i as usize] = obj;
+            self.obj_live[i as usize] = true;
             ObjectId(i)
         } else {
-            self.objects.push(Some(obj));
+            self.objects.push(obj);
+            self.obj_live.push(true);
+            self.obj_base = self.objects.as_ptr() as usize;
             ObjectId((self.objects.len() - 1) as u32)
         }
     }
@@ -149,6 +170,7 @@ impl Heap {
         } else {
             self.doubles.push(d);
             self.dbl_live.push(true);
+            self.dbl_base = self.doubles.as_ptr() as usize;
             DoubleId((self.doubles.len() - 1) as u32)
         };
         Value::new_double(id)
@@ -187,7 +209,8 @@ impl Heap {
     /// Panics if the handle is stale (object was collected).
     #[inline]
     pub fn object(&self, id: ObjectId) -> &Object {
-        self.objects[id.0 as usize].as_ref().expect("stale object handle")
+        assert!(self.obj_live[id.0 as usize], "stale object handle");
+        &self.objects[id.0 as usize]
     }
 
     /// Mutable access to an object.
@@ -197,7 +220,8 @@ impl Heap {
     /// Panics if the handle is stale (object was collected).
     #[inline]
     pub fn object_mut(&mut self, id: ObjectId) -> &mut Object {
-        self.objects[id.0 as usize].as_mut().expect("stale object handle")
+        assert!(self.obj_live[id.0 as usize], "stale object handle");
+        &mut self.objects[id.0 as usize]
     }
 
     /// The code units of a heap string.
@@ -266,7 +290,8 @@ impl Heap {
                         continue;
                     }
                     obj_marks[i] = true;
-                    let obj = self.objects[i].as_ref().expect("marking stale object");
+                    assert!(self.obj_live[i], "marking stale object");
+                    let obj = &self.objects[i];
                     work.extend(obj.slots.iter().copied());
                     work.extend(obj.elements.iter().copied());
                     if let Some(proto) = obj.proto {
@@ -291,8 +316,10 @@ impl Heap {
 
         // Sweep.
         for (i, cell) in self.objects.iter_mut().enumerate() {
-            if cell.is_some() && !obj_marks[i] {
-                *cell = None;
+            if self.obj_live[i] && !obj_marks[i] {
+                // Free the storage; an empty object takes no heap memory.
+                *cell = Object::new_plain(None);
+                self.obj_live[i] = false;
                 self.obj_free.push(i as u32);
                 self.stats.objects_freed += 1;
             }
@@ -332,7 +359,7 @@ impl Heap {
 
     /// Number of live objects (diagnostic).
     pub fn live_objects(&self) -> usize {
-        self.objects.iter().filter(|c| c.is_some()).count()
+        self.obj_live.iter().filter(|&&b| b).count()
     }
 
     /// Number of live strings (diagnostic).

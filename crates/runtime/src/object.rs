@@ -1,5 +1,8 @@
 //! Heap objects: plain objects, dense arrays, and function objects.
 
+use std::mem::offset_of;
+use std::ops::{Deref, DerefMut};
+
 use crate::shape::{ShapeId, EMPTY_SHAPE};
 use crate::value::{ObjectId, Value};
 
@@ -28,6 +31,100 @@ pub enum Callee {
     Native(u32),
 }
 
+/// A growable run of values whose data address and length sit in
+/// fields of their own, kept current by every method that can move or
+/// resize the storage, so that compiled code reads them at the fixed
+/// offsets [`layout`] publishes (a `Vec`'s own fields have none). It
+/// derefs to `[Value]`; writing an element in place moves nothing.
+pub struct Values {
+    ptr: usize,
+    len: usize,
+    vec: Vec<Value>,
+}
+
+impl Values {
+    fn sync(&mut self) {
+        (self.ptr, self.len) = (self.vec.as_ptr() as usize, self.vec.len());
+    }
+
+    /// Appends `v`.
+    pub fn push(&mut self, v: Value) {
+        self.vec.push(v);
+        self.sync();
+    }
+
+    /// Removes and returns the last value.
+    pub fn pop(&mut self) -> Option<Value> {
+        let v = self.vec.pop();
+        self.sync();
+        v
+    }
+
+    /// Inserts `v` at `i`, shifting the rest up.
+    pub fn insert(&mut self, i: usize, v: Value) {
+        self.vec.insert(i, v);
+        self.sync();
+    }
+
+    /// Removes and returns the value at `i`, shifting the rest down.
+    pub fn remove(&mut self, i: usize) -> Value {
+        let v = self.vec.remove(i);
+        self.sync();
+        v
+    }
+
+    /// Grows or truncates to `len` values, filling with `v`.
+    pub fn resize(&mut self, len: usize, v: Value) {
+        self.vec.resize(len, v);
+        self.sync();
+    }
+}
+
+impl From<Vec<Value>> for Values {
+    fn from(vec: Vec<Value>) -> Values {
+        let mut values = Values { ptr: 0, len: 0, vec };
+        values.sync();
+        values
+    }
+}
+
+impl FromIterator<Value> for Values {
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Values {
+        Values::from(iter.into_iter().collect::<Vec<_>>())
+    }
+}
+
+impl Default for Values {
+    fn default() -> Values {
+        Values::from(Vec::new())
+    }
+}
+
+impl std::fmt::Debug for Values {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.vec.fmt(f)
+    }
+}
+
+impl Clone for Values {
+    fn clone(&self) -> Values {
+        Values::from(self.vec.clone())
+    }
+}
+
+impl Deref for Values {
+    type Target = [Value];
+    fn deref(&self) -> &[Value] {
+        &self.vec
+    }
+}
+
+impl DerefMut for Values {
+    fn deref_mut(&mut self) -> &mut [Value] {
+        &mut self.vec
+    }
+}
+
 /// A garbage-collected object.
 ///
 /// Named properties live in `slots`, indexed through the object's
@@ -41,9 +138,9 @@ pub struct Object {
     /// Structural description mapping property names to slot indexes.
     pub shape: ShapeId,
     /// Named property values, positioned by shape slot index.
-    pub slots: Vec<Value>,
+    pub slots: Values,
     /// Dense integer-indexed elements (arrays; holes are `undefined`).
-    pub elements: Vec<Value>,
+    pub elements: Values,
     /// Prototype link for property lookup.
     pub proto: Option<ObjectId>,
     /// Call target, for function objects.
@@ -56,8 +153,8 @@ impl Object {
         Object {
             class: ObjectClass::Plain,
             shape: EMPTY_SHAPE,
-            slots: Vec::new(),
-            elements: Vec::new(),
+            slots: Values::default(),
+            elements: Values::default(),
             proto,
             callee: None,
         }
@@ -68,8 +165,8 @@ impl Object {
         Object {
             class: ObjectClass::Array,
             shape: EMPTY_SHAPE,
-            slots: Vec::new(),
-            elements: vec![Value::UNDEFINED; len],
+            slots: Values::default(),
+            elements: vec![Value::UNDEFINED; len].into(),
             proto,
             callee: None,
         }
@@ -80,8 +177,8 @@ impl Object {
         Object {
             class: ObjectClass::Function,
             shape: EMPTY_SHAPE,
-            slots: Vec::new(),
-            elements: Vec::new(),
+            slots: Values::default(),
+            elements: Values::default(),
             proto,
             callee: Some(callee),
         }
@@ -110,6 +207,36 @@ impl Object {
     }
 }
 
+/// Where compiled code finds an object's fields, and the heap's
+/// arenas, by byte offset: an object is `OBJECT_SIZE` bytes at
+/// `object arena base + id * OBJECT_SIZE`, and a boxed double 8 bytes at
+/// `double arena base + id * 8`. The bases are re-read at every access
+/// ([`crate::Heap`] republishes them when an arena grows).
+pub mod layout {
+    use super::{offset_of, Object};
+    use crate::heap::Heap;
+    use crate::realm::Realm;
+
+    /// Bytes between consecutive objects of the arena.
+    pub const OBJECT_SIZE: usize = size_of::<Object>();
+    /// The `ObjectClass` byte.
+    pub const CLASS: usize = offset_of!(Object, class);
+    /// The `ShapeId` (a `u32`).
+    pub const SHAPE: usize = offset_of!(Object, shape.0);
+    /// The data address of `slots` (a `usize`).
+    pub const SLOTS_PTR: usize = offset_of!(Object, slots.ptr);
+    /// The length of `slots` (a `usize`).
+    pub const SLOTS_LEN: usize = offset_of!(Object, slots.len);
+    /// The data address of `elements` (a `usize`).
+    pub const ELEMS_PTR: usize = offset_of!(Object, elements.ptr);
+    /// The length of `elements` (a `usize`).
+    pub const ELEMS_LEN: usize = offset_of!(Object, elements.len);
+    /// The address of the object arena's first object, off a `Realm`.
+    pub const OBJECT_BASE: usize = offset_of!(Realm, heap) + Heap::OBJECT_BASE;
+    /// The address of the double arena's first double, off a `Realm`.
+    pub const DOUBLE_BASE: usize = offset_of!(Realm, heap) + Heap::DOUBLE_BASE;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,6 +250,28 @@ mod tests {
         assert_eq!(a.element(5).as_int(), Some(9));
         assert_eq!(a.element(3), Value::UNDEFINED);
         assert_eq!(a.element(100), Value::UNDEFINED);
+    }
+
+    /// Every method that resizes the storage republishes its address
+    /// and length.
+    #[test]
+    fn values_keep_their_published_address_and_length() {
+        let synced = |v: &Values| v.ptr == v.vec.as_ptr() as usize && v.len == v.vec.len();
+        let mut v = Values::default();
+        assert!(synced(&v));
+        for i in 0..100 {
+            v.push(Value::new_int(i));
+            assert!(synced(&v));
+        }
+        v.insert(0, Value::NULL);
+        assert!(synced(&v));
+        assert_eq!(v.remove(0), Value::NULL);
+        assert_eq!(v.pop(), Some(Value::new_int(99)));
+        v.resize(1000, Value::UNDEFINED);
+        assert!(synced(&v) && v.len() == 1000);
+        assert!(synced(&v.clone()));
+        assert!(synced(&Values::from(vec![Value::TRUE])));
+        assert!(synced(&(0..3).map(Value::new_int).collect::<Values>()));
     }
 
     #[test]

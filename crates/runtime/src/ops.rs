@@ -146,7 +146,7 @@ pub fn to_display(realm: &mut Realm, v: Value) -> String {
             let obj = realm.heap.object(id);
             match obj.class {
                 crate::object::ObjectClass::Array => {
-                    let elems: Vec<Value> = obj.elements.clone();
+                    let elems: Vec<Value> = obj.elements.to_vec();
                     let parts: Vec<String> = elems
                         .into_iter()
                         .map(|e| {

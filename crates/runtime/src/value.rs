@@ -70,6 +70,7 @@ pub struct DoubleId(pub u32);
 /// `is_int`) mirror the checks an interpreter performs on every operation —
 /// the costs that trace compilation eliminates.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(transparent)]
 pub struct Value(u64);
 
 /// A decoded view of a [`Value`], produced by [`Value::unpack`].

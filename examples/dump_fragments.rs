@@ -46,7 +46,10 @@
 //! `host call: site N` the whole host path. `CallHelper` sites carry a
 //! `; helper table[i] = <name>` line resolving the per-tree helper-table
 //! index to the helper it dispatches (e.g. `ConcatStrings`, or
-//! `CallNative(id)` for registered builtins). Works in the offline
+//! `CallNative(id)` for registered builtins). A `heap sites` line
+//! counts each heap family's sites by lowering: inline against the
+//! runtime's published object layout, or a call of a heap shim
+//! (`LoadProto`, `StrLen`, `Box(Double)`). Works in the offline
 //! `.tmc` mode too — the emitter only needs the fragments, not a VM.
 
 use tracemonkey::jit::nest::TransferPlan;
@@ -142,6 +145,12 @@ fn dump_native(t: usize, fragments: &[Fragment], sites: &[Option<DirectSite>]) {
                 nt.code_size(),
                 nt.num_fragments()
             );
+            let sites = nt.heap_sites().iter().map(|(family, n)| {
+                format!("{family} {} inline, {} shim", n.inline, n.shim)
+            });
+            let sites = sites.collect::<Vec<_>>();
+            let sites = if sites.is_empty() { "none".to_owned() } else { sites.join("; ") };
+            println!("=== tree {t} heap sites: {sites} ===");
             print!("{}", nt.hexdump());
         }
         Err(e) => println!("=== tree {t} native code: not emitted ({e}) ==="),

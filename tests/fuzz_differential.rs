@@ -636,9 +636,11 @@ fn fuzz_replay_seeds() {
 
 /// What a tracing run shows: the displayed result, the monitor's
 /// counters, the state every nested call's return and link left
-/// (`Vm::observe_nesting`), and whether every direct site of its native
-/// code is in an inlined frame.
-type Traced = (Result<String, String>, tracemonkey::jit::profiler::ProfileStats, Vec<String>, bool);
+/// (`Vm::observe_nesting`), whether every direct site of its native
+/// code is in an inlined frame, and the heap accesses lowered inline in
+/// the native trees that ran.
+type Traced =
+    (Result<String, String>, tracemonkey::jit::profiler::ProfileStats, Vec<String>, bool, u32);
 
 /// Runs `src` under the tracing JIT with the native x86-64 tier forced
 /// on or off (off = the decoded dispatch-loop executor, the portable
@@ -671,7 +673,18 @@ fn run_tracing_native(src: &str, native: bool, background: bool) -> Traced {
         direct.into_iter().zip(frames).filter_map(|(d, frames)| d.map(|_| frames))
     });
     let inlined = sites.next().is_some_and(|f| f > 1) && sites.all(|f| f > 1);
-    (r, vm.profile().expect("tracing engine profiles").clone(), log.try_iter().collect(), inlined)
+    let trees = vm.monitor().expect("tracing").cache.iter();
+    let heap_inline = trees
+        .filter(|t| t.stats.enters + t.stats.iterations > 0)
+        .filter_map(|t| match &t.exec {
+            tracemonkey::jit::tree::ExecCode::Native(nt) => {
+                Some(nt.heap_sites().values().map(|n| n.inline).sum::<u32>())
+            }
+            _ => None,
+        })
+        .sum();
+    let stats = vm.profile().expect("tracing engine profiles").clone();
+    (r, stats, log.try_iter().collect(), inlined, heap_inline)
 }
 
 /// Native-tier differential mode: `TM_FUZZ_NATIVE=1` runs every seed's
@@ -688,6 +701,10 @@ fn run_tracing_native(src: &str, native: bool, background: bool) -> Traced {
 /// passes (with a note) where the backend doesn't exist, so `ci.sh` can
 /// invoke it unconditionally. Seeds come from `TM_FUZZ_SEEDS` when set,
 /// else from `TM_FUZZ_RANGE`, else a built-in smoke set.
+/// The object- and string-heavy seeds of `ci.sh`'s native stage: each
+/// must run native code that reads the heap inline.
+const HEAP_SEEDS: [u64; 5] = [9, 10, 33, 57, 71];
+
 #[test]
 fn fuzz_native_tier() {
     if std::env::var("TM_FUZZ_NATIVE").as_deref() != Ok("1") {
@@ -706,8 +723,16 @@ fn fuzz_native_tier() {
         let src = seed.program();
         let baseline = run(Engine::Interp, &src);
         let background = std::env::var("TM_FUZZ_BG").as_deref() == Ok("1");
-        let (decoded, d, decoded_log, _) = run_tracing_native(&src, false, false);
-        let (native, n, native_log, inlined_only) = run_tracing_native(&src, true, background);
+        let (decoded, d, decoded_log, _, _) = run_tracing_native(&src, false, false);
+        let (native, n, native_log, inlined_only, mut heap_inline) =
+            run_tracing_native(&src, true, background);
+        if !seed.nested && HEAP_SEEDS.contains(&seed.n) {
+            // A background install may land after a short loop ended.
+            if background {
+                heap_inline = run_tracing_native(&src, true, false).4;
+            }
+            assert!(heap_inline > 0, "seed {seed}: no inline heap access ran natively:\n{src}");
+        }
         let (exits, fallbacks, enters) = (n.native_exits, n.native_fallbacks, n.trace_enters);
         let first = decoded_log.iter().zip(&native_log).position(|(d, n)| d != n);
         let around = |i: usize| i.saturating_sub(2)..=i;

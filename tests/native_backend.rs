@@ -275,3 +275,41 @@ fn boxing_an_out_of_range_int_on_trace_asks_for_gc() {
         );
     }
 }
+
+/// A collection at every safe point while the native tier calls inner
+/// trees directly. The outer body allocates on trace, which only flags
+/// the collection for the next exit, so every object and double the
+/// trees read inline, at the arena base of the moment, is still live.
+#[test]
+fn gc_at_every_safe_point_with_direct_nested_calls() {
+    const SRC: &str = "\
+        var pts = [];\n\
+        for (var k = 0; k < 16; k++) pts.push({ x: k * 0.5, y: k });\n\
+        var total = 0;\n\
+        for (var i = 0; i < 300; i++) {\n\
+            var acc = 0;\n\
+            for (var j = 0; j < 16; j++) { var p = pts[j]; acc = acc + p.x * p.y; p.y = (p.y + 1) | 0; }\n\
+            pts[i & 15] = { x: acc * 0.001, y: i & 7 };\n\
+            total = total + acc;\n\
+        }\n\
+        total";
+    let run = |engine: Engine, native: bool| {
+        let opts = JitOptions { native_backend: native, profile: true, ..JitOptions::default() };
+        let mut vm = Vm::with_options(engine, opts);
+        vm.realm.heap.set_gc_threshold(1);
+        let v = vm.eval(SRC).expect("program runs");
+        let shown = tracemonkey::runtime::ops::to_display(&mut vm.realm, v);
+        (shown, vm.realm.heap.gc_stats().collections, vm.profile().cloned())
+    };
+    let (expected, _, _) = run(Engine::Interp, false);
+    for native in [true, false] {
+        let (shown, collections, stats) = run(Engine::Tracing, native);
+        let stats = stats.expect("tracing engine profiles");
+        assert_eq!(shown, expected, "native={native}");
+        assert!(collections > 100, "native={native}: {collections} collections");
+        assert!(stats.nested_calls >= 50, "native={native}: {stats:?}");
+        if native && tracemonkey::nanojit::native_supported() {
+            assert!(stats.nested_direct >= 50, "{stats:?}");
+        }
+    }
+}
