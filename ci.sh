@@ -111,6 +111,39 @@ if [ "$shim_panics" -gt "$SHIM_PANICS" ]; then
 fi
 echo "    OK: $shim_panics panicking calls in extern \"C\" shim bodies (at most $SHIM_PANICS)"
 
+echo "==> policy: a vreg is reached through the register map only"
+# On the native tier vregs r0-r5 live in machine registers and the rest
+# in the memory file at [r13 + 8*v] (crates/nanojit/src/x64/lower.rs,
+# MAPPED). Only the operand helpers may name a vreg's memory-file address
+# (`vdisp(`): an instruction lowered against the file directly would
+# read a stale word, or write one nothing reads, whenever its vreg lives
+# in a register. Every use outside the helpers is listed and fails the
+# stage; the count may not exceed VDISP_SITES.
+VREG_HELPERS='vdisp|load_vreg32|load_vreg64|store_vreg64|movsxd_vreg|vreg_in|load_vreg_xmm|store_vreg_xmm|arith_sd_vreg|ucomisd_vreg|cvtsi2sd_vreg|save_live|reload_live'
+VDISP_SITES=13
+read -r vdisp_total vdisp_outside < <(git ls-files 'crates/nanojit/src/x64/*.rs' \
+    | xargs awk -v helpers="^($VREG_HELPERS)\$" '
+    FNR == 1 { fn = "" }
+    {
+        code = $0
+        sub(/\/\/.*/, "", code)
+        if (match(code, /fn [A-Za-z_0-9]+/)) fn = substr(code, RSTART + 3, RLENGTH - 3)
+        n = gsub(/vdisp\(/, "", code)
+        if (n) {
+            total += n
+            if (fn !~ helpers) {
+                print "    " FILENAME ":" FNR ": in fn " fn ": " $0 > "/dev/stderr"
+                outside += n
+            }
+        }
+    }
+    END { print total + 0, outside + 0 }')
+if [ "$vdisp_outside" -gt 0 ] || [ "$vdisp_total" -gt "$VDISP_SITES" ]; then
+    echo "error: $vdisp_total vdisp( sites, $vdisp_outside outside the operand helpers (listed above); $VDISP_SITES allowed, all in the helpers" >&2
+    exit 1
+fi
+echo "    OK: $vdisp_total vdisp( sites under crates/nanojit/src/x64/, all in the operand helpers (at most $VDISP_SITES)"
+
 echo "==> report: Rust lines outside tests/ directories, tests.rs files and each file's trailing #[cfg(test)] mod tests"
 # The number every PR reports ("net line count", ROADMAP north star #2):
 # run this stage on the parent and on the change and quote both. Tracked

@@ -1400,6 +1400,25 @@ mod tests {
         assert!(matches!(err, CacheError::VerifyFailed { .. }), "{err:?}");
     }
 
+    /// An entry whose trunk reads a register before writing it is refused
+    /// at load and never installed: the native tier keeps registers in
+    /// machine registers whose contents on entry are garbage, so the
+    /// register file's initial contents must be unobservable.
+    #[test]
+    fn a_fragment_reading_an_unwritten_register_is_refused() {
+        let mut read = None;
+        let opts = crate::JitOptions::default();
+        let err = run_with_corrupted_entry("unwritten", NESTED_LOOPS, opts, |t| {
+            let code = &mut Arc::get_mut(&mut t.fragments).unwrap()[0].code;
+            let reg = code[0].dest().expect("the trunk opens with a register write");
+            code.insert(0, MachInst::WriteAr { slot: 0, s: reg });
+            read = Some(reg);
+        });
+        let CacheError::VerifyFailed { fragment: 0, error, .. } = err else { panic!("{err:?}") };
+        let reg = read.unwrap();
+        assert_eq!(error, format!("pc 0: register r{reg} read before any write"));
+    }
+
     /// The same for the state-transfer recipes: each of these was an index
     /// or `expect` panic in the monitor, at tree entry or at a side exit.
     #[test]

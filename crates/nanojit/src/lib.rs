@@ -25,8 +25,8 @@ pub use executor::{
     execute, DecodedTree, DirectCounts, Link, NoNesting, TraceExit, TreeHost, Variables, MAX_LINKS,
 };
 pub use x64::{
-    emit_tree, emit_tree_annotated, native_supported, DirectHop, DirectSite, HeapSites,
-    NativeTree, SiteCount, Unsupported, WordFrom, WordMove,
+    emit_tree, emit_tree_annotated, native_supported, register_map, DirectHop, DirectSite,
+    HeapSites, NativeTree, SiteCount, Unsupported, WordFrom, WordMove,
 };
 pub use machinst::{Fragment, MachInst, Reg, EXIT_UNSTITCHED, NREGS, REG_FILE_WORDS, REG_MASK};
 pub use peephole::{fuse, Decoded};

@@ -49,11 +49,16 @@ use tm_runtime::Helper;
 pub type Reg = u8;
 
 /// Number of general registers the allocator may use (deliberately small,
-/// x86-like, so the spill logic of §5.2 is actually exercised).
+/// x86-like, so the spill logic of §5.2 is actually exercised). The
+/// native tier keeps the six lowest in machine registers and the rest in
+/// its memory file (`x64::register_map`); a fragment writes every
+/// register before reading it (`tm-verifier`), so neither tier's
+/// initial register contents are observable.
 pub const NREGS: usize = 12;
 
 /// Size of the executor's register file: `NREGS` rounded up to a power of
-/// two so indexing can be masked instead of bounds-checked.
+/// two so indexing can be masked instead of bounds-checked. The native
+/// tier's memory file has the same layout, with the spill area after it.
 pub const REG_FILE_WORDS: usize = NREGS.next_power_of_two();
 
 /// Mask deriving a register-file index from a [`Reg`]. Shared by the

@@ -166,8 +166,9 @@ pub fn emit_tree_annotated(
     NativeTree::unmapped(Some(Vec::new())).append(fragments, sites)
 }
 
-/// Spill words [`NativeTree::execute`] keeps on its own frame. The 117
-/// trees the 26 suite programs build spill 9 words or fewer (105 none).
+/// Spill words [`NativeTree::execute`] keeps on its own frame, after the
+/// memory file. The 117 trees the 26 suite programs build spill 9 words
+/// or fewer (105 none).
 const INLINE_SPILLS: usize = 16;
 
 /// A trace tree compiled to native x86-64 code.
@@ -392,9 +393,11 @@ impl NativeTree {
     /// Runs the tree from its trunk until an unstitched exit.
     ///
     /// Mirrors `executor::execute` — same signature shape, same
-    /// semantics: fresh zeroed register file and spill area, loop
-    /// edges poll `realm.interrupt` / `realm.heap.gc_pending` and
-    /// the `fuel` budget, `CallTree` sites re-enter `host` — or, at
+    /// semantics (the decoded tier zeroes its register file, which no
+    /// verified fragment can observe: it writes every vreg before
+    /// reading it), loop edges poll `realm.interrupt` /
+    /// `realm.heap.gc_pending` and the `fuel` budget, `CallTree` sites
+    /// re-enter `host` — or, at
     /// a direct site, call the callee's code and leave the host what
     /// it would have counted ([`TreeHost::fold`], before this
     /// returns).
@@ -411,24 +414,23 @@ impl NativeTree {
         host: &mut dyn TreeHost,
         fuel: u64,
     ) -> Result<TraceExit, RuntimeError> {
-        let mut regs = [0u64; REG_FILE_WORDS];
-        // The spill area lives on this frame; only a tree that spills
-        // more than `INLINE_SPILLS` words takes it from the heap.
-        let mut inline_spill = [0u64; INLINE_SPILLS];
-        let mut heap_spill = Vec::new();
-        let spill: &mut [u64] = if self.max_spills <= INLINE_SPILLS {
-            &mut inline_spill
+        // The memory file and, right after it, the spill area live on
+        // this frame; only a tree that spills more than `INLINE_SPILLS`
+        // words takes them from the heap.
+        let mut inline_file = [0u64; REG_FILE_WORDS + INLINE_SPILLS];
+        let mut heap_file = Vec::new();
+        let file: &mut [u64] = if self.max_spills <= INLINE_SPILLS {
+            &mut inline_file
         } else {
-            heap_spill.resize(self.max_spills, 0u64);
-            &mut heap_spill
+            heap_file.resize(REG_FILE_WORDS + self.max_spills, 0u64);
+            &mut heap_file
         };
         let mut error: Option<RuntimeError> = None;
         let mut host: &mut dyn TreeHost = host;
         let realm_ptr: *mut Realm = realm;
         let mut ctx = NativeCtx {
             ar: ar.as_mut_ptr(),
-            regs: regs.as_mut_ptr(),
-            spill: spill.as_mut_ptr(),
+            regs: file.as_mut_ptr(),
             realm: realm_ptr,
             // SAFETY: `realm_ptr` comes from the `&mut Realm` above;
             // taking a field address reads nothing.
@@ -464,12 +466,11 @@ impl NativeTree {
             words.resize(REG_FILE_WORDS + spill + callee_ar + stage, 0u64);
             counts.resize(self.direct.len(), DirectCounts::default());
             let base = words.as_mut_ptr();
-            // SAFETY: the register file, spill area, record and
-            // staged refresh lie in `words`, in that order.
+            // SAFETY: the memory file, spill area, record and staged
+            // refresh lie in `words`, in that order.
             let at = |n: usize| unsafe { base.add(n) };
-            let (regs, spill_at) = (base, at(REG_FILE_WORDS));
             let (ar, ar_len) = (at(REG_FILE_WORDS + spill), callee_ar as u64);
-            ctx.inner = callee.insert(NativeCtx { regs, spill: spill_at, ar, ar_len, ..ctx });
+            ctx.inner = callee.insert(NativeCtx { regs: base, ar, ar_len, ..ctx });
             (ctx.counts, ctx.sites) = (counts.as_mut_ptr(), counts.len() as u64);
             (ctx.stage, ctx.stage_len) = (at(REG_FILE_WORDS + spill + callee_ar), stage as u64);
         }
@@ -511,11 +512,6 @@ impl NativeTree {
     /// The `CallHelper` side table a run's ctx points at.
     pub(super) fn helper_table(&self) -> *const Helper {
         self.helpers.as_ptr()
-    }
-
-    /// Words of the largest spill area of a fragment.
-    pub(super) fn max_spills(&self) -> usize {
-        self.max_spills
     }
 
     /// Number of fragment bodies in the buffer.

@@ -9,11 +9,14 @@ pub(super) const RAX: u8 = 0;
 pub(super) const RCX: u8 = 1;
 pub(super) const RDX: u8 = 2;
 pub(super) const RBX: u8 = 3;
+pub(super) const RSP: u8 = 4;
+pub(super) const RBP: u8 = 5;
 pub(super) const RSI: u8 = 6;
 pub(super) const RDI: u8 = 7;
 pub(super) const R8: u8 = 8;
 pub(super) const R9: u8 = 9;
 pub(super) const R10: u8 = 10;
+pub(super) const R11: u8 = 11;
 pub(super) const R12: u8 = 12;
 pub(super) const R13: u8 = 13;
 pub(super) const R14: u8 = 14;
@@ -249,6 +252,11 @@ impl Asm {
         self.op_mem(true, &[0x89], src, base, disp);
     }
 
+    /// `lea r64, [base+disp]`.
+    pub(super) fn lea_r64_mem(&mut self, dst: u8, base: u8, disp: i32) {
+        self.op_mem(true, &[0x8D], dst, base, disp);
+    }
+
     /// `mov r64, [base + index*8]`.
     pub(super) fn mov_r64_idx8(&mut self, dst: u8, base: u8, index: u8) {
         self.op_idx8(0x8B, dst, base, index);
@@ -479,6 +487,11 @@ impl Asm {
         self.sse_mem(0xF2, false, &[0x0F, op as u8], xmm, base, disp);
     }
 
+    /// `addsd`/`subsd`/`mulsd`/`divsd xmm, xmm`.
+    pub(super) fn arith_sd_reg(&mut self, op: ArithSd, xmm: u8, src: u8) {
+        self.sse_reg(0xF2, false, &[0x0F, op as u8], xmm, src);
+    }
+
     /// `ucomisd xmm, [base+disp]`.
     pub(super) fn ucomisd_mem(&mut self, xmm: u8, base: u8, disp: i32) {
         self.sse_mem(0x66, false, &[0x0F, 0x2E], xmm, base, disp);
@@ -502,6 +515,11 @@ impl Asm {
     /// `movq r64, xmm`.
     pub(super) fn movq_r64_xmm(&mut self, gpr: u8, xmm: u8) {
         self.sse_reg(0x66, true, &[0x0F, 0x7E], xmm, gpr);
+    }
+
+    /// `movq xmm, r64`.
+    pub(super) fn movq_xmm_r64(&mut self, xmm: u8, gpr: u8) {
+        self.sse_reg(0x66, true, &[0x0F, 0x6E], xmm, gpr);
     }
 
     /// `cvttsd2si r64, xmm`.
@@ -620,6 +638,24 @@ mod tests {
             &[0x48, 0x8B, 0x44, 0xC8, 0]);
         check("mov [r13+r9*8], r10", |a| a.mov_idx8_r64(R13, R9, R10),
             &[0x4F, 0x89, 0x54, 0xCD, 0]);
+        check("lea rcx, [rax+0x40000000]", |a| a.lea_r64_mem(RCX, RAX, 0x4000_0000),
+            &[0x48, 0x8D, 0x88, 0, 0, 0, 0x40]);
+        check("lea r11, [r12-8]", |a| a.lea_r64_mem(R11, R12, -8),
+            &[0x4D, 0x8D, 0x9C, 0x24, 0xF8, 0xFF, 0xFF, 0xFF]);
+        check("shr rcx, 31", |a| a.shift64(Shift::Shr, RCX, 31), &[0x48, 0xC1, 0xE9, 31]);
+        check("sub rsp, 8", |a| a.alu64_imm8(Alu::Sub, RSP, 8), &[0x48, 0x83, 0xEC, 8]);
+        // Vregs mapped to rbp and r8-r12 as plain register operands.
+        check("mov ebp, r12d", |a| a.mov_rr32(RBP, R12), &[0x44, 0x89, 0xE5]);
+        check("test rbp, rbp", |a| a.test64(RBP, RBP), &[0x48, 0x85, 0xED]);
+        check("movq xmm1, r11", |a| a.movq_xmm_r64(XMM1, R11),
+            &[0x66, 0x49, 0x0F, 0x6E, 0xCB]);
+        check("movq rbp, xmm0", |a| a.movq_r64_xmm(RBP, XMM0), &[0x66, 0x48, 0x0F, 0x7E, 0xC5]);
+        check("addsd xmm0, xmm1", |a| a.arith_sd_reg(ArithSd::Add, XMM0, XMM1),
+            &[0xF2, 0x0F, 0x58, 0xC1]);
+        check("ucomisd xmm0, xmm1", |a| a.ucomisd_reg(XMM0, XMM1), &[0x66, 0x0F, 0x2E, 0xC1]);
+        check("cvtsi2sd xmm0, r9d", |a| a.cvtsi2sd_reg(XMM0, R9, false),
+            &[0xF2, 0x41, 0x0F, 0x2A, 0xC1]);
+        check("push rbp", |a| a.push(RBP), &[0x55]);
         check("add rax, [rdx+0x10]", |a| a.add_r64_mem(RAX, RDX, 0x10),
             &[0x48, 0x03, 0x82, 0x10, 0, 0, 0]);
         check("cmp byte [rax+1], 2", |a| a.cmp_mem8_imm(RAX, 1, 2),

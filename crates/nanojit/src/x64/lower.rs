@@ -1,11 +1,25 @@
 //! Lowering: each `MachInst` of a fragment to x86-64 through the
 //! encoder, and the prologue, epilogue and exit trampolines around the
-//! bodies. What x86 gives NanoJIT for free the lowering takes by local
-//! selection, with no liveness: a forward table of the i32 constants each
-//! fragment loads turns an ALU, checked-ALU or compare operand into an
-//! immediate, and a guard on the vreg a compare just wrote branches on
-//! that compare's flags. (The decoded executor gets the same density by
-//! fusing superinstructions of its own, [`crate::peephole`].)
+//! bodies.
+//!
+//! Vregs live in machine registers: `r0`..`r5` in the GPRs of [`MAPPED`]
+//! for the whole fragment, the others in the memory file at
+//! `[r13 + 8·v]`, which is also each mapped vreg's home while a call runs
+//! (the spill area follows the file, off the same base). Every vreg access
+//! goes through the operand helpers. No vreg is live where a fragment
+//! begins or leaves: the fragment verifier proves each one is written
+//! before it is read, and an exit's state is the activation record alone.
+//! So a machine register's contents on entry are never read, a stitch or
+//! the loop edge moves nothing, and a fragment's backward liveness scan
+//! says which vregs in caller-saved registers a call must save and
+//! reload.
+//!
+//! What x86 gives NanoJIT for free the lowering takes by local selection:
+//! a forward table of the i32 constants each fragment loads turns an ALU,
+//! checked-ALU or compare operand into an immediate, and a guard on the
+//! vreg a compare just wrote branches on that compare's flags. (The
+//! decoded executor gets the same density by fusing superinstructions of
+//! its own, [`crate::peephole`].)
 
 use tm_lir::{AluOp, ChkOp, CmpOp, FOp, Tag, NO_EXIT};
 use tm_runtime::object::layout;
@@ -13,14 +27,60 @@ use tm_runtime::trace_helpers::Helper;
 
 use super::enc::{
     Alu, ArithSd, Asm, Cc, Label, Shift, Src, CC_A, CC_AE, CC_E, CC_G, CC_GE, CC_L, CC_LE,
-    CC_NE, CC_NP, CC_O, CC_P, CC_S, R12, R13, R14, R15, RAX, RBX, RCX, RDI, RDX, RSI, XMM0,
-    XMM1,
+    CC_NE, CC_NP, CC_O, CC_P, CC_S, R10, R11, R12, R13, R14, R15, R8, R9, RAX, RBP, RBX, RCX,
+    RDI, RDX, RSI, RSP, XMM0, XMM1,
 };
 use super::rt::{self, CTX_AR, CTX_ENTRY, CTX_EXIT_FRAG, CTX_EXIT_ID, CTX_GC, CTX_HARGS};
 use super::rt::{CTX_FUEL, CTX_HRESULT, CTX_INSTS, CTX_INTERRUPT, CTX_ITER, CTX_REALM};
-use super::rt::{CTX_REGS, CTX_SPILL, ST_ERR};
+use super::rt::{CTX_REGS, ST_ERR};
 use super::{DirectSite, HeapSites};
-use crate::machinst::{as_imm, Fragment, MachInst, Reg, REG_FILE_WORDS, REG_MASK};
+use crate::machinst::{as_imm, Fragment, MachInst, Operand, Reg, REG_FILE_WORDS, REG_MASK};
+
+/// The machine register of each mapped vreg: vreg `v` lives in
+/// `MAPPED[v]`, the rest in the memory file. `Assembler::alloc_reg` hands
+/// out the lowest free index, so the low vregs carry most operand
+/// traffic. rbp and r12 are callee-saved: the prologue saves them and
+/// every call preserves them. r8–r11 are caller-saved: a call saves the
+/// live ones to their homes and reloads them after.
+const MAPPED: [u8; 6] = [RBP, R12, R8, R9, R10, R11];
+
+/// The machine register vreg `v` lives in, if it is mapped.
+fn mapped(v: Reg) -> Option<u8> {
+    MAPPED.get(usize::from(v & REG_MASK)).copied()
+}
+
+/// Whether a System V call preserves machine register `g`.
+fn callee_saved(g: u8) -> bool {
+    matches!(g, RBX | RBP | R12 | R13 | R14 | R15)
+}
+
+/// The machine registers the prologue saves: the pinned ones and each
+/// callee-saved register a vreg lives in.
+fn saved_gprs() -> Vec<u8> {
+    let pinned = [RBX, R13, R14, R15];
+    pinned.into_iter().chain(MAPPED.into_iter().filter(|&g| callee_saved(g))).collect()
+}
+
+/// The name of a machine register in [`MAPPED`].
+fn gpr_name(g: u8) -> &'static str {
+    match g {
+        RBP => "rbp",
+        R8 => "r8",
+        R9 => "r9",
+        R10 => "r10",
+        R11 => "r11",
+        R12 => "r12",
+        _ => "?",
+    }
+}
+
+/// Where each vreg lives on the native tier, e.g. `r0=rbp r1=r12 …
+/// r6–r11 memory`.
+pub fn register_map() -> String {
+    let regs = MAPPED.iter().enumerate().map(|(v, &g)| format!("r{v}={}", gpr_name(g)));
+    let rest = format!("r{}–r{} memory", MAPPED.len(), crate::machinst::NREGS - 1);
+    regs.chain([rest]).collect::<Vec<_>>().join(" ")
+}
 
 /// One guard's exit trampoline: flush the path counts, then store the
 /// exit record and return. Once a branch is stitched to the exit, the
@@ -65,6 +125,9 @@ pub(super) struct Emitter {
     /// The vreg `rax` still holds, just stored by the instruction
     /// before: an AR store of it needs no reload.
     rax: Option<Reg>,
+    /// Bit `v` set: vreg `v` is read after the current instruction
+    /// before it is written again, so a call it makes must keep it.
+    live: u16,
     /// The tree's direct sites by site id (`NativeTree::direct`).
     pub(super) direct: Vec<Option<DirectSite>>,
     /// The tree's heap accesses by family and lowering
@@ -72,9 +135,26 @@ pub(super) struct Emitter {
     pub(super) heap_sites: HeapSites,
 }
 
-/// Register-file byte offset of virtual register `v` (off `r13`).
+/// Memory-file byte offset of virtual register `v` (off `r13`).
 fn vdisp(v: Reg) -> i32 {
     i32::from(v & REG_MASK) * 8
+}
+
+/// Byte offset of spill slot `slot` (off `r13`): the spill area follows
+/// the memory file.
+fn spill_disp(slot: u16) -> i32 {
+    (REG_FILE_WORDS as i32 + i32::from(slot)) * 8
+}
+
+/// The machine register an instruction writing vreg `d` computes into:
+/// `d`'s own when it is mapped, else `rax` (then stored to the file).
+fn dest_gpr(d: Reg) -> u8 {
+    mapped(d).unwrap_or(RAX)
+}
+
+/// The vreg mask bit of `v`.
+fn bit(v: Reg) -> u16 {
+    1 << (v & REG_MASK)
 }
 
 pub(super) fn ar_disp(slot: u16) -> i32 {
@@ -147,6 +227,7 @@ impl Emitter {
             known: [None; REG_FILE_WORDS],
             flags: None,
             rax: None,
+            live: 0,
             direct,
             heap_sites,
         }
@@ -179,23 +260,117 @@ impl Emitter {
         }
     }
 
-    // -- operand helpers --
+    // -- operand helpers: the only code that names a vreg's location --
 
+    /// `gpr` = the low 32 bits of vreg `v`, zero-extended.
     fn load_vreg32(&mut self, gpr: u8, v: Reg) {
-        self.asm.mov_r32_mem(gpr, R13, vdisp(v));
+        match mapped(v) {
+            Some(g) => self.asm.mov_rr32(gpr, g),
+            None => self.asm.mov_r32_mem(gpr, R13, vdisp(v)),
+        }
     }
 
     fn load_vreg64(&mut self, gpr: u8, v: Reg) {
-        self.asm.mov_r64_mem(gpr, R13, vdisp(v));
+        match mapped(v) {
+            Some(g) if g == gpr => {}
+            Some(g) => self.asm.mov_rr64(gpr, g),
+            None => self.asm.mov_r64_mem(gpr, R13, vdisp(v)),
+        }
     }
 
     fn store_vreg64(&mut self, v: Reg, gpr: u8) {
-        self.asm.mov_mem_r64(R13, vdisp(v), gpr);
+        match mapped(v) {
+            Some(g) if g == gpr => {}
+            Some(g) => self.asm.mov_rr64(g, gpr),
+            None => self.asm.mov_mem_r64(R13, vdisp(v), gpr),
+        }
     }
 
     /// `movsxd gpr, vreg` — exactly `i64::from(i32_from_word(w))`.
     fn movsxd_vreg(&mut self, gpr: u8, v: Reg) {
-        self.asm.movsxd_r64_mem(gpr, R13, vdisp(v));
+        match mapped(v) {
+            Some(g) => self.asm.movsxd_r64_r32(gpr, g),
+            None => self.asm.movsxd_r64_mem(gpr, R13, vdisp(v)),
+        }
+    }
+
+    /// The machine register holding vreg `v`'s word: its own, or
+    /// `scratch` loaded from the memory file.
+    fn vreg_in(&mut self, scratch: u8, v: Reg) -> u8 {
+        match mapped(v) {
+            Some(g) => g,
+            None => {
+                self.asm.mov_r64_mem(scratch, R13, vdisp(v));
+                scratch
+            }
+        }
+    }
+
+    /// `xmm` = the double vreg `v` holds.
+    fn load_vreg_xmm(&mut self, xmm: u8, v: Reg) {
+        match mapped(v) {
+            Some(g) => self.asm.movq_xmm_r64(xmm, g),
+            None => self.asm.movsd_load(xmm, R13, vdisp(v)),
+        }
+    }
+
+    fn store_vreg_xmm(&mut self, v: Reg, xmm: u8) {
+        match mapped(v) {
+            Some(g) => self.asm.movq_r64_xmm(g, xmm),
+            None => self.asm.movsd_store(R13, vdisp(v), xmm),
+        }
+    }
+
+    /// `op xmm, vreg`. Clobbers xmm1.
+    fn arith_sd_vreg(&mut self, op: ArithSd, xmm: u8, v: Reg) {
+        match mapped(v) {
+            Some(g) => {
+                self.asm.movq_xmm_r64(XMM1, g);
+                self.asm.arith_sd_reg(op, xmm, XMM1);
+            }
+            None => self.asm.arith_sd_mem(op, xmm, R13, vdisp(v)),
+        }
+    }
+
+    /// `ucomisd xmm, vreg`. Clobbers xmm1.
+    fn ucomisd_vreg(&mut self, xmm: u8, v: Reg) {
+        match mapped(v) {
+            Some(g) => {
+                self.asm.movq_xmm_r64(XMM1, g);
+                self.asm.ucomisd_reg(xmm, XMM1);
+            }
+            None => self.asm.ucomisd_mem(xmm, R13, vdisp(v)),
+        }
+    }
+
+    /// `xmm` = the i32 in vreg `v`'s low 32 bits, converted.
+    fn cvtsi2sd_vreg(&mut self, xmm: u8, v: Reg) {
+        match mapped(v) {
+            Some(g) => self.asm.cvtsi2sd_reg(xmm, g, false),
+            None => self.asm.cvtsi2sd_mem32(xmm, R13, vdisp(v)),
+        }
+    }
+
+    /// The live vregs a call clobbers (`live`), with their registers.
+    fn clobbered(&self) -> Vec<(Reg, u8)> {
+        let live = self.live;
+        let regs = MAPPED.iter().enumerate().map(|(v, &g)| (v as Reg, g));
+        regs.filter(|&(v, g)| live & bit(v) != 0 && !callee_saved(g)).collect()
+    }
+
+    /// Before a call: each live vreg in a caller-saved register to its
+    /// home in the memory file.
+    fn save_live(&mut self) {
+        for (v, g) in self.clobbered() {
+            self.asm.mov_mem_r64(R13, vdisp(v), g);
+        }
+    }
+
+    /// After a call: the vregs [`Emitter::save_live`] saved, back.
+    fn reload_live(&mut self) {
+        for (v, g) in self.clobbered() {
+            self.asm.mov_r64_mem(g, R13, vdisp(v));
+        }
     }
 
     pub(super) fn store_ar64(&mut self, slot: u16, gpr: u8) {
@@ -213,31 +388,38 @@ impl Emitter {
         }
     }
 
-    /// `call shim(rdi, rsi)` — clobbers only caller-saved registers;
-    /// the pinned r12–r15/rbx/rbp survive per the System V ABI.
+    /// `call shim(rdi, rsi)` — clobbers the caller-saved registers
+    /// (r8–r11 among them, whose vregs the caller saves); the pinned
+    /// r13–r15/rbx and the vregs in rbp/r12 survive per the System V ABI.
     pub(super) fn call_shim(&mut self, addr: *const ()) {
         self.asm.movabs(RAX, addr as u64);
         self.asm.call_rax();
     }
 
-    /// Exits to `site` unless `rax` (any i64) is in the boxable
-    /// 31-bit range `[-2^30, 2^30)`: `(rax + 2^30) mod 2^64 < 2^31`.
-    /// Clobbers rcx/rdx. The half-open upper bound is exact because
-    /// integer results are produced from i64 arithmetic whose only
-    /// out-of-range-by-one case (`2^30`) must exit anyway.
-    pub(super) fn range_check_i31(&mut self, site: Label) {
-        self.asm.mov_rr64(RCX, RAX);
-        self.asm.alu64(Alu::Add, RCX, Src::Imm(0x4000_0000));
-        self.asm.mov_r32_imm(RDX, 0x8000_0000);
-        self.asm.alu64(Alu::Cmp, RCX, Src::Reg(RDX));
-        self.asm.jcc(CC_AE, site);
+    /// [`Emitter::call_shim`] for a call inside one instruction: the live
+    /// vregs in caller-saved registers wait in their homes meanwhile.
+    fn call_saving(&mut self, addr: *const ()) {
+        self.save_live();
+        self.call_shim(addr);
+        self.reload_live();
     }
 
-    /// `rax` = the double at `[base+disp]` as an integer; exits to
-    /// `site` unless it is integral, not `-0` and in the boxable
-    /// 31-bit range. Clobbers rcx/rdx/xmm0/xmm1.
-    pub(super) fn double_to_int(&mut self, base: u8, disp: i32, site: Label) {
-        self.asm.movsd_load(XMM0, base, disp);
+    /// Exits to `site` unless `rax` (any i64) is in the boxable
+    /// 31-bit range `[-2^30, 2^30)`: `(rax + 2^30) mod 2^64 < 2^31`,
+    /// i.e. bits 31–63 of the sum are clear. Clobbers rcx. The
+    /// half-open upper bound is exact because integer results are
+    /// produced from i64 arithmetic whose only out-of-range-by-one case
+    /// (`2^30`) must exit anyway.
+    pub(super) fn range_check_i31(&mut self, site: Label) {
+        self.asm.lea_r64_mem(RCX, RAX, 0x4000_0000);
+        self.asm.shift64(Shift::Shr, RCX, 31);
+        self.asm.jcc(CC_NE, site);
+    }
+
+    /// `rax` = the double in `xmm0` as an integer; exits to `site`
+    /// unless it is integral, not `-0` and in the boxable 31-bit range.
+    /// Clobbers rcx/xmm1.
+    pub(super) fn double_to_int(&mut self, site: Label) {
         self.asm.cvttsd2si_r64(RAX, XMM0);
         self.asm.cvtsi2sd_reg(XMM1, RAX, true);
         // Round trip differs ⇔ fractional / NaN / out of i64 range
@@ -249,7 +431,7 @@ impl Emitter {
         self.asm.test64(RAX, RAX);
         self.asm.jcc(CC_NE, l_range);
         // rax == 0 with nonzero bits ⇔ -0.0.
-        self.asm.mov_r64_mem(RCX, base, disp);
+        self.asm.movq_r64_xmm(RCX, XMM0);
         self.asm.test64(RCX, RCX);
         self.asm.jcc(CC_NE, site);
         self.asm.bind(l_range);
@@ -258,21 +440,37 @@ impl Emitter {
 
     // -- grouped op bodies --
 
-    /// `b` as a source operand: an immediate stays one; a vreg is
-    /// loaded into rcx, sign-extended to 64 bits when `wide`.
+    /// `b` as a source operand: an immediate stays one; a vreg is its
+    /// own register, or is loaded into rcx — sign-extended to 64 bits
+    /// into rcx when `wide`.
     fn load_rhs(&mut self, b: Rhs, wide: bool) -> Src {
         match b {
             Rhs::Imm(imm) => return Src::Imm(imm),
             Rhs::Vreg(v) if wide => self.movsxd_vreg(RCX, v),
-            Rhs::Vreg(v) => self.load_vreg32(RCX, v),
+            Rhs::Vreg(v) => match mapped(v) {
+                Some(g) => return Src::Reg(g),
+                None => self.load_vreg32(RCX, v),
+            },
         }
         Src::Reg(RCX)
+    }
+
+    /// A shift count: an immediate, or the vreg loaded into `cl`.
+    fn shift_count(&mut self, b: Rhs) -> Src {
+        match b {
+            Rhs::Imm(imm) => Src::Imm(imm),
+            Rhs::Vreg(v) => {
+                self.load_vreg32(RCX, v);
+                Src::Reg(RCX)
+            }
+        }
     }
 
     /// Unchecked 32-bit ALU: `eax = op.eval(a, b)`, then sign-extend
     /// into rax (the executor stores `i64::from(result)`).
     fn alu_i(&mut self, op: AluOp, a: Reg, b: Rhs) {
-        let b = self.load_rhs(b, false);
+        let shift = matches!(op, AluOp::Shl | AluOp::Shr | AluOp::UShr);
+        let b = if shift { self.shift_count(b) } else { self.load_rhs(b, false) };
         self.load_vreg32(RAX, a);
         match op {
             AluOp::Add => self.asm.alu32(Alu::Add, RAX, b),
@@ -291,7 +489,7 @@ impl Emitter {
     }
 
     /// Checked ALU: result in rax (sign-extended, range-checked); exits
-    /// to `site` per `ChkOp::eval`. Clobbers rcx/rdx/rsi.
+    /// to `site` per `ChkOp::eval`. Clobbers rcx/rsi.
     fn chk_alu(&mut self, op: ChkOp, a: Reg, b: Rhs, site: Label) {
         match op {
             ChkOp::Add | ChkOp::Sub => {
@@ -331,14 +529,14 @@ impl Emitter {
                 self.range_check_i31(site);
             }
             ChkOp::Shl => {
-                let b = self.load_rhs(b, false);
+                let b = self.shift_count(b);
                 self.load_vreg32(RAX, a);
                 self.asm.shift32(Shift::Shl, RAX, b);
                 self.asm.movsxd_r64_r32(RAX, RAX);
                 self.range_check_i31(site);
             }
             ChkOp::UShr => {
-                let b = self.load_rhs(b, false);
+                let b = self.shift_count(b);
                 self.load_vreg32(RAX, a);
                 self.asm.shift32(Shift::Shr, RAX, b);
                 // Unsigned result: exit when above INT_MAX; the
@@ -362,8 +560,8 @@ impl Emitter {
             CmpOp::Ge => (a, b, CC_AE),
             CmpOp::Eq => (a, b, CC_E),
         };
-        self.asm.movsd_load(XMM0, R13, vdisp(x));
-        self.asm.ucomisd_mem(XMM0, R13, vdisp(y));
+        self.load_vreg_xmm(XMM0, x);
+        self.ucomisd_vreg(XMM0, y);
         cc
     }
 
@@ -376,9 +574,9 @@ impl Emitter {
             _ => (a, b, op),
         };
         let (a, b) = self.operands(a, b, false);
-        self.load_vreg32(RAX, a);
+        let a = self.vreg_in(RAX, a);
         let b = self.load_rhs(b, false);
-        self.asm.alu32(Alu::Cmp, RAX, b);
+        self.asm.alu32(Alu::Cmp, a, b);
         int_cc(op)
     }
 
@@ -465,8 +663,8 @@ impl Emitter {
         self.asm.mov_r64_mem(RAX, RAX, ptr as i32);
         match store {
             Some(s) => {
-                self.load_vreg64(RDX, s);
-                self.asm.mov_idx8_r64(RAX, RCX, RDX);
+                let s = self.vreg_in(RDX, s);
+                self.asm.mov_idx8_r64(RAX, RCX, s);
             }
             None => self.asm.mov_r64_idx8(RAX, RAX, RCX),
         }
@@ -487,8 +685,8 @@ impl Emitter {
         let true_cc = match flags {
             Some((d, cc)) if d == s => cc,
             _ => {
-                self.load_vreg64(RAX, s);
-                self.asm.test64(RAX, RAX);
+                let s = self.vreg_in(RAX, s);
+                self.asm.test64(s, s);
                 CC_NE
             }
         };
@@ -532,14 +730,14 @@ impl Emitter {
     }
 
     /// Calls `shim` with the realm in rdi and `args` in rsi, rdx, rcx;
-    /// the result is in rax. The pinned r12–r15/rbx survive the call, so
-    /// only the current instruction's scratch is live across it.
+    /// the result is in rax. The current instruction's scratch dies,
+    /// and the live vregs survive it ([`Emitter::call_saving`]).
     fn heap_call(&mut self, shim: *const (), args: &[Arg]) {
         self.asm.mov_r64_mem(RDI, R15, CTX_REALM);
         for (gpr, &arg) in [RSI, RDX, RCX].into_iter().zip(args) {
             self.load_arg(gpr, arg);
         }
-        self.call_shim(shim);
+        self.call_saving(shim);
     }
 
     fn load_arg(&mut self, gpr: u8, arg: Arg) {
@@ -564,34 +762,36 @@ impl Emitter {
         let rax = self.rax.take();
         match *inst {
             MachInst::ConstW { d, w } => {
-                self.const_word(RAX, w);
-                self.store_vreg64(d, RAX);
-                self.rax = Some(d);
+                let g = dest_gpr(d);
+                self.const_word(g, w);
+                self.store_vreg64(d, g);
+                self.rax = (g == RAX).then_some(d);
             }
             MachInst::Mov { d, s } => {
-                self.load_vreg64(RAX, s);
-                self.store_vreg64(d, RAX);
-                self.rax = Some(d);
+                let g = dest_gpr(d);
+                self.load_vreg64(g, s);
+                self.store_vreg64(d, g);
+                self.rax = (g == RAX).then_some(d);
             }
             MachInst::LoadSpill { d, slot } => {
-                self.asm.mov_r64_mem(RAX, R12, i32::from(slot) * 8);
-                self.store_vreg64(d, RAX);
+                let g = dest_gpr(d);
+                self.asm.mov_r64_mem(g, R13, spill_disp(slot));
+                self.store_vreg64(d, g);
             }
             MachInst::StoreSpill { slot, s } => {
-                self.load_vreg64(RAX, s);
-                self.asm.mov_mem_r64(R12, i32::from(slot) * 8, RAX);
+                let s = self.vreg_in(RAX, s);
+                self.asm.mov_mem_r64(R13, spill_disp(slot), s);
             }
             MachInst::ReadAr { d, slot } => {
-                self.asm.mov_r64_mem(RAX, R14, ar_disp(slot));
-                self.store_vreg64(d, RAX);
-                self.rax = Some(d);
+                let g = dest_gpr(d);
+                self.asm.mov_r64_mem(g, R14, ar_disp(slot));
+                self.store_vreg64(d, g);
+                self.rax = (g == RAX).then_some(d);
             }
             MachInst::WriteAr { slot, s } => {
-                if rax != Some(s) {
-                    self.load_vreg64(RAX, s);
-                }
-                self.store_ar64(slot, RAX);
-                self.rax = Some(s);
+                let g = if rax == Some(s) { RAX } else { self.vreg_in(RAX, s) };
+                self.store_ar64(slot, g);
+                self.rax = (g == RAX).then_some(s);
                 self.flags = flags;
             }
 
@@ -663,14 +863,14 @@ impl Emitter {
 
             MachInst::AluD { op, d, a, b } => match arith_sd(op) {
                 Some(op) => {
-                    self.asm.movsd_load(XMM0, R13, vdisp(a));
-                    self.asm.arith_sd_mem(op, XMM0, R13, vdisp(b));
-                    self.asm.movsd_store(R13, vdisp(d), XMM0);
+                    self.load_vreg_xmm(XMM0, a);
+                    self.arith_sd_vreg(op, XMM0, b);
+                    self.store_vreg_xmm(d, XMM0);
                 }
                 None => {
                     self.load_vreg64(RDI, a);
                     self.load_vreg64(RSI, b);
-                    self.call_shim(rt::fmod_shim as *const ());
+                    self.call_saving(rt::fmod_shim as *const ());
                     self.store_vreg64(d, RAX);
                 }
             },
@@ -707,8 +907,8 @@ impl Emitter {
                 let cc = match flags {
                     Some((f, cc)) if f == a => cc.inverse(),
                     _ => {
-                        self.load_vreg64(RAX, a);
-                        self.asm.test64(RAX, RAX);
+                        let a = self.vreg_in(RAX, a);
+                        self.asm.test64(a, a);
                         CC_E
                     }
                 };
@@ -719,18 +919,19 @@ impl Emitter {
             }
 
             MachInst::I2D { d, a } => {
-                self.asm.cvtsi2sd_mem32(XMM0, R13, vdisp(a));
-                self.asm.movsd_store(R13, vdisp(d), XMM0);
+                self.cvtsi2sd_vreg(XMM0, a);
+                self.store_vreg_xmm(d, XMM0);
             }
             MachInst::U2D { d, a } => {
                 // f64::from(u32): zero-extend then convert as i64.
                 self.load_vreg32(RAX, a);
                 self.asm.cvtsi2sd_reg(XMM0, RAX, true);
-                self.asm.movsd_store(R13, vdisp(d), XMM0);
+                self.store_vreg_xmm(d, XMM0);
             }
             MachInst::D2IChk { d, a, exit } => {
                 let site = self.site(k, exit, path);
-                self.double_to_int(R13, vdisp(a), site);
+                self.load_vreg_xmm(XMM0, a);
+                self.double_to_int(site);
                 self.store_vreg64(d, RAX);
             }
             MachInst::D2I32 { d, a } => {
@@ -738,7 +939,7 @@ impl Emitter {
                 // |x| < 2^63; NaN, ±Inf and the rest convert to the one
                 // word `cmp rax, 1` overflows on, i64::MIN.
                 let (slow, done) = (self.local(), self.local());
-                self.asm.movsd_load(XMM0, R13, vdisp(a));
+                self.load_vreg_xmm(XMM0, a);
                 self.asm.cvttsd2si_r64(RAX, XMM0);
                 self.asm.alu64_imm8(Alu::Cmp, RAX, 1);
                 self.asm.jcc(CC_O, slow);
@@ -746,7 +947,7 @@ impl Emitter {
                 self.asm.jmp(done);
                 self.asm.bind(slow);
                 self.load_vreg64(RDI, a);
-                self.call_shim(rt::d2i32_shim as *const ());
+                self.call_saving(rt::d2i32_shim as *const ());
                 self.asm.bind(done);
                 self.store_vreg64(d, RAX);
             }
@@ -775,7 +976,7 @@ impl Emitter {
                         self.asm.bind(l_slow);
                         self.asm.mov_r64_mem(RDI, R15, CTX_REALM);
                         self.asm.mov_rr32(RSI, RAX);
-                        self.call_shim(rt::boxi_slow_shim as *const ());
+                        self.call_saving(rt::boxi_slow_shim as *const ());
                         self.asm.bind(l_done);
                     }
                     Tag::Double => {
@@ -784,8 +985,8 @@ impl Emitter {
                     }
                     Tag::Bool => {
                         // (b as u64) << 3 | SPECIAL tag: false → 6, true → 14.
-                        self.load_vreg64(RAX, a);
-                        self.asm.test64(RAX, RAX);
+                        let a = self.vreg_in(RAX, a);
+                        self.asm.test64(a, a);
                         self.asm.setcc(CC_NE, RAX);
                         self.asm.movzx_r32_r8(RAX, RAX);
                         self.asm.shift64(Shift::Shl, RAX, 3);
@@ -850,7 +1051,7 @@ impl Emitter {
                 self.asm.jcc(CC_E, l_notint);
                 self.asm.shift32(Shift::Sar, RAX, Src::Imm(1));
                 self.asm.cvtsi2sd_reg(XMM0, RAX, false);
-                self.asm.movsd_store(R13, vdisp(d), XMM0);
+                self.store_vreg_xmm(d, XMM0);
                 self.asm.jmp(l_done);
                 self.asm.bind(l_notint);
                 self.unbox_double("UnboxNumD", site);
@@ -864,12 +1065,12 @@ impl Emitter {
             }
             MachInst::GuardBoxedEq { s, w, exit } => {
                 let site = self.site(k, exit, path);
-                self.load_vreg64(RAX, s);
+                let s = self.vreg_in(RAX, s);
                 if let Ok(i) = i32::try_from(w as i64) {
-                    self.asm.alu64(Alu::Cmp, RAX, Src::Imm(i));
+                    self.asm.alu64(Alu::Cmp, s, Src::Imm(i));
                 } else {
                     self.const_word(RCX, w);
-                    self.asm.alu64(Alu::Cmp, RAX, Src::Reg(RCX));
+                    self.asm.alu64(Alu::Cmp, s, Src::Reg(RCX));
                 }
                 self.asm.jcc(CC_NE, site);
             }
@@ -957,13 +1158,13 @@ impl Emitter {
                 let idx = self.helper_index(helper);
                 self.asm.note(|| format!("; helper table[{idx}] = {helper:?}"));
                 for (n, &s) in args.iter().enumerate() {
-                    self.load_vreg64(RAX, s);
-                    self.asm.mov_mem_r64(R15, CTX_HARGS + n as i32 * 8, RAX);
+                    let s = self.vreg_in(RAX, s);
+                    self.asm.mov_mem_r64(R15, CTX_HARGS + n as i32 * 8, s);
                 }
                 self.asm.mov_rr64(RDI, R15);
                 self.asm.mov_r32_imm(RSI, idx);
                 self.asm.mov_r32_imm(RDX, args.len() as u32);
-                self.call_shim(rt::helper_shim as *const ());
+                self.call_saving(rt::helper_shim as *const ());
                 // The result store on the exit/error paths writes a
                 // stale scratch word into a dead vreg — harmless,
                 // and it keeps the status dispatch branch-light.
@@ -978,28 +1179,39 @@ impl Emitter {
                 }
             }
             MachInst::CallTree { tree, exit } => {
+                // A direct call's moves use r8–r10 as scratch, and the
+                // callee's code its own vregs: the live vregs in
+                // caller-saved registers wait in their homes for the
+                // whole sequence.
                 let site = self.site(k, exit, path);
+                self.save_live();
                 match self.direct.get(tree as usize).cloned().flatten() {
                     Some(d) => self.direct_call(tree, &d, site),
                     None => self.host_call(tree, site),
                 }
+                self.reload_live();
             }
         }
     }
 
-    /// Function prologue: save callee-saved registers (five pushes
-    /// over the return address leave the stack aligned for shim
-    /// calls), pin the ctx/AR/regs/spill pointers, zero the counter,
-    /// and jump to the body `ctx.entry` names.
+    /// Function prologue: save the callee-saved registers native code
+    /// pins or maps vregs to, keep the stack 16-byte aligned for shim
+    /// calls (the return address and an odd number of pushes leave it
+    /// so; an even number takes 8 bytes more), pin the ctx/AR/memory
+    /// file pointers, zero the counter, and jump to the body
+    /// `ctx.entry` names. Nothing a vreg register holds on entry is read.
     pub(super) fn prologue(&mut self) {
         self.asm.note(|| "; prologue".into());
-        for reg in [RBX, R12, R13, R14, R15] {
+        let saved = saved_gprs();
+        for &reg in &saved {
             self.asm.push(reg);
+        }
+        if saved.len().is_multiple_of(2) {
+            self.asm.alu64_imm8(Alu::Sub, RSP, 8);
         }
         self.asm.mov_rr64(R15, RDI);
         self.asm.mov_r64_mem(R14, R15, CTX_AR);
         self.asm.mov_r64_mem(R13, R15, CTX_REGS);
-        self.asm.mov_r64_mem(R12, R15, CTX_SPILL);
         self.asm.zero32(RBX);
         self.asm.note(|| "; entry dispatch: jmp [ctx.entry]".into());
         self.asm.jmp_mem(R15, CTX_ENTRY);
@@ -1009,7 +1221,11 @@ impl Emitter {
         self.asm.note(|| "; epilogue".into());
         self.asm.bind(Label::Epilogue);
         self.asm.mov_mem_r64(R15, CTX_INSTS, RBX);
-        for reg in [R15, R14, R13, R12, RBX] {
+        let saved = saved_gprs();
+        if saved.len().is_multiple_of(2) {
+            self.asm.alu64_imm8(Alu::Add, RSP, 8);
+        }
+        for &reg in saved.iter().rev() {
             self.asm.pop(reg);
         }
         self.asm.ret();
@@ -1022,8 +1238,25 @@ impl Emitter {
         // loop edge and from every exit stitched to it.
         self.known = [None; REG_FILE_WORDS];
         (self.flags, self.rax) = (None, None);
+        // Backward liveness: what each instruction's calls must keep.
+        let mut live_after = vec![0u16; frag.code.len()];
+        let mut live = 0u16;
+        for (i, inst) in frag.code.iter().enumerate().rev() {
+            live_after[i] = live;
+            let (mut defs, mut uses) = (0, 0);
+            inst.operands(|o| match o {
+                Operand::Def(d) => defs |= bit(d),
+                Operand::Use(s) => uses |= bit(s),
+                Operand::Exit(_) | Operand::Ar(_) => {}
+            });
+            live = (live & !defs) | uses;
+        }
+        // The fragment verifier's def-before-use rule: what a vreg's
+        // register holds on entry is never read.
+        debug_assert_eq!(live, 0, "fragment {k} reads vregs {live:#x} before writing them");
         for (i, inst) in frag.code.iter().enumerate() {
             self.asm.note(|| format!("f{k} {i:4}: {inst:?}"));
+            self.live = live_after[i] & !inst.dest().map_or(0, bit);
             self.emit_inst(k, inst, i as u32 + 1);
             if let Some(d) = inst.dest() {
                 let w = match *inst {

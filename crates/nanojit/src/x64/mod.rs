@@ -5,9 +5,14 @@
 //! the instructions the assembler emitted, as `.tmc` files store them —
 //! are translated to an executable W^X buffer, one buffer per trace tree,
 //! entered through a tiny JIT calling convention (`NativeCtx` in
-//! `rt.rs`): the activation record, register file, spill area, and realm
-//! travel as raw pointers; guards compile to compare-and-branch against
-//! per-exit trampolines that materialize the exit index. A tree's code
+//! `rt.rs`): the activation record, the memory file (with the spill area
+//! after it) and the realm travel as raw pointers; guards compile to
+//! compare-and-branch against per-exit trampolines that materialize the
+//! exit index. Vregs `r0`..`r5` live in machine registers (rbp, r12,
+//! r8–r11: [`register_map`]), the rest in the memory file. That needs no
+//! state at a fragment's edges: `tm-verifier` proves every fragment writes
+//! each vreg before reading it, and an exit hands over the activation
+//! record alone, so where a vreg lives is unobservable. A tree's code
 //! grows the way the tree does (§6.2): the mapping is reserved with spare
 //! capacity, a new branch fragment is appended at the tail, and the
 //! parent's exit trampoline is patched in place with a direct `jmp` to
@@ -66,6 +71,7 @@ mod rt;
 mod transfer;
 
 pub use buf::{emit_tree, emit_tree_annotated, NativeTree};
+pub use lower::register_map;
 
 /// A tree's heap accesses by family (`GuardShape`, `LoadElem`,
 /// `Unbox(Double)`, ...): how many sites its code lowers inline and

@@ -13,16 +13,20 @@ use crate::executor::{box_word, DirectCounts, TraceExit, TreeHost, Variables};
 
 /// Everything native code needs, passed by pointer in `rdi`. Pinned
 /// callee-saved registers cache the hot fields: `r15` = ctx, `r14` =
-/// `ar`, `r13` = `regs`, `r12` = `spill`; `rbx` accumulates the
-/// `insts` counter and is flushed to the ctx on exit.
+/// `ar`, `r13` = `regs`; `rbx` accumulates the `insts` counter and is
+/// flushed to the ctx on exit. Vregs `r0`..`r5` live in rbp, r12 and
+/// r8–r11 (`lower::MAPPED`).
 #[repr(C)]
 pub(super) struct NativeCtx {
     /// Trace activation record base.
     pub(super) ar: *mut u64,
-    /// Register file base (`REG_FILE_WORDS` words, zeroed per run).
+    /// Memory file base: `REG_FILE_WORDS` words, the home of the vregs
+    /// no machine register holds and the save area of those in r8–r11
+    /// around a call, followed by the spill area (the most spill slots
+    /// of any fragment). Never cleared, for a run or a nested call: a
+    /// verified fragment writes every vreg and spill slot before
+    /// reading it.
     pub(super) regs: *mut u64,
-    /// Spill area base (max spills over all fragments, zeroed).
-    pub(super) spill: *mut u64,
     /// The realm: inline heap accesses read its arena bases
     /// (`tm_runtime::object::layout`), and the heap shims get it.
     pub(super) realm: *mut Realm,
@@ -109,7 +113,6 @@ pub(super) const RAISED: u32 = u32::MAX;
 
 pub(super) const CTX_AR: i32 = offset_of!(NativeCtx, ar) as i32;
 pub(super) const CTX_REGS: i32 = offset_of!(NativeCtx, regs) as i32;
-pub(super) const CTX_SPILL: i32 = offset_of!(NativeCtx, spill) as i32;
 pub(super) const CTX_REALM: i32 = offset_of!(NativeCtx, realm) as i32;
 pub(super) const CTX_INTERRUPT: i32 = offset_of!(NativeCtx, interrupt) as i32;
 pub(super) const CTX_GC: i32 = offset_of!(NativeCtx, gc_pending) as i32;

@@ -344,7 +344,9 @@ fn loop_tail_differential() {
 /// A constant operand on either side of each int ALU and checked-ALU
 /// op, then AR stores of computed vregs and of the constant (a store
 /// of the vreg just computed reuses `rax`); words that are not
-/// sign-extended i32s must stay register operands.
+/// sign-extended i32s must stay register operands. Each op writes one
+/// of r2/r3 and both are stored, so both are read from the record
+/// first.
 #[test]
 fn constant_operands_become_immediates() {
     let consts =
@@ -363,6 +365,8 @@ fn constant_operands_become_immediates() {
         for c in consts {
             let tree = frag(
                 vec![
+                    MachInst::ReadAr { d: 2, slot: 2 },
+                    MachInst::ReadAr { d: 3, slot: 3 },
                     MachInst::ReadAr { d: 0, slot: 0 },
                     MachInst::ConstW { d: 1, w: c },
                     op.clone(),
@@ -444,9 +448,10 @@ fn guards_branch_on_the_compares_flags() {
 }
 
 #[test]
-fn stitched_fragments_transfer_registers_and_counts() {
+fn stitched_fragments_transfer_counts() {
     // Fragment 0 guards r0 and exits to fragment 1 through a stitched
-    // exit; fragment 1 continues with the register file intact.
+    // exit; fragment 1 writes every vreg it reads, r3 too (no vreg is
+    // live across a stitched transfer).
     let mut f0 = Fragment::new(
         vec![
             MachInst::ReadAr { d: 0, slot: 0 },
@@ -460,16 +465,15 @@ fn stitched_fragments_transfer_registers_and_counts() {
     f0.stitch_exit(1, 1);
     let f1 = Fragment::new(
         vec![
-            // Reads r3 written by fragment 0: registers persist
-            // across stitched transfers.
-            MachInst::WriteAr { slot: 1, s: 3 },
+            MachInst::ReadAr { d: 4, slot: 0 },
+            MachInst::ConstW { d: 3, w: w(17) },
+            MachInst::AluI { op: AluOp::Add, d: 5, a: 4, b: 3 },
+            MachInst::WriteAr { slot: 1, s: 5 },
             MachInst::End { exit: 0 },
         ],
         0,
         1,
     );
-    // Not for fusion, which assumes no register lives across a
-    // stitched transfer.
     let fragments = vec![f0, f1];
     let nt = emit_tree(&fragments).unwrap();
     assert_eq!(agree(&nt, &fragments, &[0, 0]).fragment, 1);
@@ -594,8 +598,9 @@ fn wx_mapping_is_never_writable_and_executable() {
 
 /// A counting loop and the branch its odd-`i` guard grows: the trunk
 /// alone, then trunk (exit 1 stitched) plus branch. AR: `i`, `limit`,
-/// `acc`; the branch adds `i` (left in r0 by the trunk) to `acc` and
-/// loops back.
+/// `acc`; the branch adds `i` (read back from the record the trunk
+/// wrote it to: no vreg is live across a stitch) to `acc` and loops
+/// back.
 fn growth_tree() -> (Vec<Fragment>, Vec<Fragment>) {
     let trunk = Fragment::new(
         vec![
@@ -615,6 +620,7 @@ fn growth_tree() -> (Vec<Fragment>, Vec<Fragment>) {
     );
     let branch = Fragment::new(
         vec![
+            MachInst::ReadAr { d: 0, slot: 0 },
             MachInst::ReadAr { d: 5, slot: 2 },
             MachInst::AluI { op: AluOp::Add, d: 5, a: 5, b: 0 },
             MachInst::WriteAr { slot: 2, s: 5 },
@@ -1354,4 +1360,118 @@ fn call_tree_reenters_host_and_bridges() {
         execute(&fragments, &mut ar, &mut Realm::new(), &mut NoNesting, u64::MAX)
             .unwrap_err();
     assert_eq!(dec_err, err);
+}
+
+// ---- vregs in machine registers ----
+
+/// The i31 range check (`lea`, `shr`, `jnz`) at its edges, through each
+/// instruction that runs it: `ChkRangeI`, checked add, sub and mul (with
+/// products far outside i32 too), `NegIChk` and `D2IChk`.
+#[test]
+fn the_i31_range_check_holds_at_its_edges() {
+    let in_range = |r: i64| (-(1 << 30)..1 << 30).contains(&r);
+    let edges = [-(1 << 30) - 1, -(1 << 30), (1 << 30) - 1, 1 << 30];
+    for x in edges {
+        let out = u16::from(!in_range(x.into()));
+        let chk = unop_tree(MachInst::ChkRangeI { d: 2, a: 0, exit: 1 });
+        assert_eq!(run_both(&chk, &[w(x), 0, 0], u64::MAX).exit, out, "ChkRangeI {x}");
+        let neg = unop_tree(MachInst::NegIChk { d: 2, a: 0, exit: 1 });
+        let out = u16::from(!in_range(-i64::from(x)));
+        assert_eq!(run_both(&neg, &[w(x), 0, 0], u64::MAX).exit, out, "NegIChk {x}");
+        let d2i = unop_tree(MachInst::D2IChk { d: 2, a: 0, exit: 1 });
+        let out = u16::from(!in_range(x.into()));
+        assert_eq!(run_both(&d2i, &[d(f64::from(x)), 0, 0], u64::MAX).exit, out, "D2IChk {x}");
+    }
+    let pairs = [
+        ((1 << 30) - 1, 1),
+        ((1 << 30) - 2, 1),
+        (-(1 << 30), -1),
+        (-(1 << 30) + 1, -1),
+        (1 << 15, 1 << 15),
+        (-(1 << 15), 1 << 15),
+        (-1, -(1 << 30)),
+        (i32::MIN, i32::MIN),
+        (i32::MAX, i32::MIN),
+        (i32::MAX, i32::MAX),
+    ];
+    for (x, y) in pairs {
+        let (x64, y64) = (i64::from(x), i64::from(y));
+        for (op, r) in [(ChkOp::Add, x64 + y64), (ChkOp::Sub, x64 - y64), (ChkOp::Mul, x64 * y64)] {
+            let tree = binop_tree(MachInst::ChkAluI { op, d: 2, a: 0, b: 1, exit: 1 });
+            let exit = run_both(&tree, &[w(x), w(y), 0], u64::MAX).exit;
+            assert_eq!(exit, u16::from(!in_range(r)), "{op:?} {x} {y}");
+        }
+    }
+}
+
+/// Every vreg holds a word of its own across `call`, an instruction that
+/// calls out of native code, and each is read back after it: `ar[0..12]`
+/// in, `ar[12..24]` out (the call's result among them, when it has one).
+fn across_call(call: MachInst, ins: [u64; 12], setup: impl Fn(&mut Realm)) -> TraceExit {
+    let mut code: Vec<MachInst> =
+        (0..12).map(|v| MachInst::ReadAr { d: v, slot: u16::from(v) }).collect();
+    code.push(call);
+    code.extend((0..12).map(|v| MachInst::WriteAr { slot: 12 + u16::from(v), s: v }));
+    code.push(MachInst::End { exit: 0 });
+    let mut ar = ins.to_vec();
+    ar.resize(24, 0);
+    run_both_with(&frag(code, 2), &ar, u64::MAX, setup)
+}
+
+#[test]
+fn every_vreg_survives_each_kind_of_call() {
+    let (_, _, arr_w, _) = probe_heap();
+    let ints = |k: i32| -> [u64; 12] { std::array::from_fn(|v| w(1000 * v as i32 + k)) };
+    // An element store at the length: the shim grows the array.
+    let mut ins = ints(1);
+    (ins[0], ins[1]) = (arr_w, w(3));
+    let store = MachInst::StoreElem { a: 0, i: 1, s: 5 };
+    across_call(store, ins, |r| {
+        setup_heap(r);
+    });
+    // A helper call, the remainder shim, and `D2I32` of NaN.
+    let mut ins = ints(2);
+    (ins[0], ins[1]) = (d(5.5), d(2.0));
+    let pow = MachInst::CallHelper { d: 11, helper: Helper::Pow, args: vec![0, 1].into(), exit: 1 };
+    assert_eq!(across_call(pow, ins, |_| {}).exit, 0);
+    across_call(MachInst::AluD { op: FOp::Mod, d: 11, a: 0, b: 1 }, ins, |_| {});
+    ins[0] = d(f64::NAN);
+    across_call(MachInst::D2I32 { d: 11, a: 0 }, ins, |_| {});
+    // Boxing an integer outside 31 bits, and a double: both allocate.
+    let mut ins = ints(3);
+    ins[0] = w(1 << 30);
+    across_call(MachInst::Box { tag: Tag::Int, d: 11, a: 0 }, ins, |_| {});
+    ins[0] = d(2.5);
+    across_call(MachInst::Box { tag: Tag::Double, d: 11, a: 0 }, ins, |_| {});
+}
+
+/// A guard taken into a stitched branch while every vreg is live: the
+/// branch writes what it reads, the trunk's path reads back all twelve.
+#[test]
+fn a_guard_taken_into_a_stitched_branch_with_every_vreg_live() {
+    let mut code: Vec<MachInst> =
+        (0..12).map(|v| MachInst::ReadAr { d: v, slot: u16::from(v) }).collect();
+    code.push(MachInst::GuardTrue { s: 6, exit: 1 });
+    code.extend((0..12).map(|v| MachInst::WriteAr { slot: 12 + u16::from(v), s: v }));
+    code.push(MachInst::End { exit: 0 });
+    let mut trunk = Fragment::new(code, 0, 2);
+    trunk.stitch_exit(1, 1);
+    let branch = Fragment::new(
+        vec![
+            MachInst::ReadAr { d: 2, slot: 3 },
+            MachInst::ReadAr { d: 5, slot: 4 },
+            MachInst::AluI { op: AluOp::Add, d: 3, a: 2, b: 5 },
+            MachInst::WriteAr { slot: 12, s: 3 },
+            MachInst::End { exit: 0 },
+        ],
+        0,
+        1,
+    );
+    let fragments = [trunk, branch];
+    for taken in [false, true] {
+        let mut ar: Vec<u64> = (0..24).map(|k| w(100 * k + 7)).collect();
+        ar[6] = u64::from(!taken);
+        let exit = run_both(&fragments, &ar, u64::MAX);
+        assert_eq!(exit.fragment, u32::from(taken));
+    }
 }

@@ -2,18 +2,22 @@
 //! with a native callee and no move that needs the heap — the caller's
 //! code does the call itself: it converts the argument words from its own
 //! record into the callee's (zeroed first), fills a callee ctx carved out
-//! of its own run (`NativeCtx::inner`, with a zeroed register file and
-//! spill area and what is left of the step budget), `call`s the callee's
-//! code, and on the expected exit stages the refresh words from both
-//! records before storing any into its own, counting the call for the
-//! host to fold in ([`crate::executor::TreeHost::fold`]). Interpreter
-//! variables are read and written by one thin shim
+//! of its own run (`NativeCtx::inner`, whose memory file and spill area
+//! are not cleared — the callee writes every vreg before reading it, as
+//! the fragment verifier proves — with what is left of the step budget),
+//! `call`s the callee's code, and on the expected exit stages the refresh
+//! words from both records before storing any into its own, counting the
+//! call for the host to fold in ([`crate::executor::TreeHost::fold`]).
+//! Interpreter variables are read and written by one thin shim
 //! ([`crate::executor::TreeHost::variables`]); a call that does not come
 //! back as expected — another exit, a refused refresh word, a spent
 //! budget, a helper error in the callee — is finished by the host from
 //! the callee's record ([`crate::executor::TreeHost::finish_call`]); a
 //! refused argument has changed nothing and takes the host path whole.
-//! This is the only place a word move is lowered.
+//! This is the only place a word move is lowered. The sequence uses
+//! r8–r10 as scratch and calls code that uses r8–r11 for its own vregs:
+//! the caller's vregs in those registers wait in their homes meanwhile
+//! (`MachInst::CallTree`'s lowering).
 
 use std::mem::offset_of;
 
@@ -23,11 +27,10 @@ use tm_runtime::Value;
 use super::enc::{Label, CC_AE, CC_E, CC_NE, R10, R14, R15, R8, R9, RAX, RCX, RDI, RDX, RSI, XMM0};
 use super::lower::{ar_disp, Emitter};
 use super::rt::{self, CTX_AR, CTX_BUDGET, CTX_COUNTS, CTX_ENTRY, CTX_EXIT_FRAG, CTX_EXIT_ID};
-use super::rt::{CTX_FUEL, CTX_HELPERS, CTX_INNER, CTX_INSTS, CTX_ITER, CTX_REGS, CTX_SPILL};
+use super::rt::{CTX_FUEL, CTX_HELPERS, CTX_INNER, CTX_INSTS, CTX_ITER};
 use super::rt::{CTX_LINK, CTX_LINK_BC, CTX_STAGE, RAISED};
 use super::{DirectSite, WordFrom, WordMove};
 use crate::executor::{DirectCounts, Variables};
-use crate::machinst::REG_FILE_WORDS;
 
 impl Emitter {
     /// Zeroes the `n` words the pointer at `[base+disp]` names.
@@ -51,7 +54,7 @@ impl Emitter {
     /// `rax` = the word at `[base + slot*8]`, of type `from`,
     /// converted to `to` as `tm-core`'s `activation::transfer` does;
     /// a refusal goes to `refuse`. Only pairs [`WordMove::lowers`]
-    /// admits reach here. Clobbers rcx/rdx/xmm0/xmm1.
+    /// admits reach here. Clobbers rcx/xmm0/xmm1.
     fn transfer_word(&mut self, base: u8, slot: u16, from: LirType, to: LirType, refuse: Label) {
         let disp = ar_disp(slot);
         match (from, to) {
@@ -63,7 +66,10 @@ impl Emitter {
                 self.asm.cvtsi2sd_mem32(XMM0, base, disp);
                 self.asm.movq_r64_xmm(RAX, XMM0);
             }
-            (LirType::Double, LirType::Int) => self.double_to_int(base, disp, refuse),
+            (LirType::Double, LirType::Int) => {
+                self.asm.movsd_load(XMM0, base, disp);
+                self.double_to_int(refuse);
+            }
             (LirType::Bool, _) => {
                 self.asm.mov_r64_mem(RAX, base, disp);
                 self.asm.test64(RAX, RAX);
@@ -96,8 +102,6 @@ impl Emitter {
         let callee = d.callees().nth(link).expect("a tree of the chain");
         let exits = d.hops.get(link).map_or(std::slice::from_ref(&d.expected), |h| &h.exits);
         self.asm.mov_r64_mem(R9, R15, CTX_INNER);
-        self.zero_words(R9, CTX_REGS, REG_FILE_WORDS);
-        self.zero_words(R9, CTX_SPILL, callee.max_spills());
         self.asm.movabs(RAX, callee.trunk() as u64);
         self.asm.mov_mem_r64(R9, CTX_ENTRY, RAX);
         self.asm.movabs(RAX, callee.helper_table() as u64);

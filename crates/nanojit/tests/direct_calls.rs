@@ -29,6 +29,8 @@ fn failing_native(_realm: &mut Realm, _args: &[Value]) -> Result<Value, RuntimeE
 #[derive(Default)]
 struct DirectHost {
     host_calls: u32,
+    /// Whether a call through the host returns as expected.
+    returns: bool,
     finished: Vec<Option<TraceExit>>,
     /// The chain position of each finished call's last tree.
     links: Vec<usize>,
@@ -39,7 +41,7 @@ struct DirectHost {
 impl TreeHost for DirectHost {
     fn call_tree(&mut self, _: u32, _: &mut [u64], _: &mut Realm) -> Result<bool, RuntimeError> {
         self.host_calls += 1;
-        Ok(false)
+        Ok(self.returns)
     }
 
     fn variables(
@@ -251,4 +253,35 @@ fn a_direct_call_follows_a_sibling_link_and_hands_each_tree_back_by_position() {
     let (exit, _, host) = run(200);
     let took = host.finished[0].map(|e| (e.fragment, e.exit));
     assert_eq!((exit, took, host.links, host.folded.runs), (1, Some((0, 1)), vec![0], [0; 4]));
+}
+
+/// A caller that holds a word in every vreg across its `CallTree` and
+/// stores each back after it: `ar[3..15]` in, `ar[15..27]` out.
+fn twelve_vreg_caller() -> Vec<Fragment> {
+    let mut code: Vec<MachInst> =
+        (0..12).map(|v| MachInst::ReadAr { d: v, slot: 3 + u16::from(v) }).collect();
+    code.push(MachInst::CallTree { tree: 0, exit: 1 });
+    code.extend((0..12).map(|v| MachInst::WriteAr { slot: 15 + u16::from(v), s: v }));
+    code.push(MachInst::End { exit: 0 });
+    frag(code, 2)
+}
+
+#[test]
+fn every_vreg_of_the_caller_survives_a_direct_and_a_host_call() {
+    // The callee's own vregs live in the same machine registers.
+    let (_, sites) = direct_pair(&half_callee());
+    let caller = twelve_vreg_caller();
+    let direct = NativeTree::emit(&caller, &sites).unwrap();
+    let through_host = emit_tree(&caller).unwrap();
+    assert!(direct.direct_sites()[0].is_some() && through_host.direct_sites().is_empty());
+    for (nt, host_calls) in [(&direct, 0), (&through_host, 1)] {
+        let mut ar: Vec<u64> = (0..27).map(|k| w(1000 + 7 * k)).collect();
+        ar[0] = w(4);
+        let mut host = DirectHost { budget: u64::MAX, returns: true, ..DirectHost::default() };
+        let exit = nt.execute(&mut ar, &mut Realm::new(), &mut host, u64::MAX).unwrap();
+        assert_eq!((exit.exit, host.host_calls), (0, host_calls));
+        assert_eq!(ar[15..27], ar[3..15], "every vreg read back after the call");
+        let want: Vec<u64> = (3..15).map(|k| w(1000 + 7 * k)).collect();
+        assert_eq!(ar[3..15], want[..]);
+    }
 }

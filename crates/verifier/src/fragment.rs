@@ -10,6 +10,11 @@
 //!
 //! * every register operand is in `0..NREGS` (the executor masks indexes,
 //!   so an out-of-range register would silently alias another);
+//! * every register is written before it is read: the register file's
+//!   initial contents are unobservable, so the native tier may keep
+//!   registers in machine registers that hold garbage on entry (a
+//!   fragment is entered from its tree's loop edge and from every exit
+//!   stitched to it, and no register is live across either);
 //! * every spill-slot reference is below `num_spills`, and every reload
 //!   reads a slot some earlier instruction stored;
 //! * every exit id has an entry in the exit table;
@@ -31,6 +36,14 @@ use tm_nanojit::machinst::{Fragment, MachInst, Operand, EXIT_UNSTITCHED, NREGS};
 pub enum FragmentError {
     /// A register operand is outside `0..NREGS`.
     RegOutOfRange {
+        /// Instruction index.
+        pc: usize,
+        /// The offending register.
+        reg: u8,
+    },
+    /// A register is read before any instruction of the fragment wrote
+    /// it (an instruction's reads come before its own write).
+    RegReadBeforeWrite {
         /// Instruction index.
         pc: usize,
         /// The offending register.
@@ -109,6 +122,9 @@ impl std::fmt::Display for FragmentError {
             FragmentError::RegOutOfRange { pc, reg } => {
                 write!(f, "pc {pc}: register r{reg} out of range (NREGS = {NREGS})")
             }
+            FragmentError::RegReadBeforeWrite { pc, reg } => {
+                write!(f, "pc {pc}: register r{reg} read before any write")
+            }
             FragmentError::SpillOutOfRange { pc, slot } => {
                 write!(f, "pc {pc}: spill slot {slot} >= num_spills")
             }
@@ -151,13 +167,26 @@ impl std::fmt::Display for FragmentError {
 /// Returns the first [`FragmentError`] found, scanning in program order.
 pub fn verify_fragment(frag: &Fragment, ar_slots: usize) -> Result<(), FragmentError> {
     let mut stored_spills = vec![false; frag.num_spills as usize];
+    let mut written = [false; NREGS];
     let last = frag.code.len().checked_sub(1);
     for (pc, inst) in frag.code.iter().enumerate() {
         let mut bad = None;
+        let mut unwritten = None;
         inst.operands(|o| {
             let err = match o {
                 Operand::Def(reg) | Operand::Use(reg) if usize::from(reg) >= NREGS => {
                     FragmentError::RegOutOfRange { pc, reg }
+                }
+                // `operands` visits reads before the write.
+                Operand::Def(reg) => {
+                    written[usize::from(reg)] = true;
+                    return;
+                }
+                Operand::Use(reg) => {
+                    if !written[usize::from(reg)] {
+                        unwritten.get_or_insert(FragmentError::RegReadBeforeWrite { pc, reg });
+                    }
+                    return;
                 }
                 Operand::Exit(exit) if usize::from(exit) >= frag.stitch.len() => {
                     FragmentError::ExitOutOfRange { pc, exit }
@@ -169,7 +198,7 @@ pub fn verify_fragment(frag: &Fragment, ar_slots: usize) -> Result<(), FragmentE
             };
             bad.get_or_insert(err);
         });
-        if let Some(err) = bad {
+        if let Some(err) = bad.or(unwritten) {
             return Err(err);
         }
 
@@ -282,6 +311,52 @@ mod tests {
             verify_fragment(&frag, AR),
             Err(FragmentError::RegOutOfRange { pc: 0, .. })
         ));
+    }
+
+    #[test]
+    fn rejects_a_register_read_before_any_write() {
+        // The first read of r1 comes before its first write.
+        let mut frag = ok_frag();
+        frag.code.insert(1, WriteAr { slot: 2, s: 1 });
+        assert_eq!(
+            verify_fragment(&frag, AR),
+            Err(FragmentError::RegReadBeforeWrite { pc: 1, reg: 1 })
+        );
+        // An instruction's reads come before its own write.
+        let mut frag = ok_frag();
+        frag.code[0] = AluI { op: tm_lir::AluOp::Add, d: 0, a: 0, b: 0 };
+        assert_eq!(
+            verify_fragment(&frag, AR),
+            Err(FragmentError::RegReadBeforeWrite { pc: 0, reg: 0 })
+        );
+        // So does a write of another register by the same instruction.
+        let mut frag = ok_frag();
+        frag.code[0] = Mov { d: 0, s: 5 };
+        assert_eq!(
+            verify_fragment(&frag, AR),
+            Err(FragmentError::RegReadBeforeWrite { pc: 0, reg: 5 })
+        );
+        // A guard's and a helper call's operands are reads too.
+        let mut frag = ok_frag();
+        frag.code.insert(0, GuardTrue { s: 3, exit: 0 });
+        assert_eq!(
+            verify_fragment(&frag, AR),
+            Err(FragmentError::RegReadBeforeWrite { pc: 0, reg: 3 })
+        );
+        let mut frag = ok_frag();
+        let args = vec![0, 2].into();
+        frag.code.insert(1, CallHelper { d: 2, helper: tm_runtime::Helper::Atan2, args, exit: 0 });
+        assert_eq!(
+            verify_fragment(&frag, AR),
+            Err(FragmentError::RegReadBeforeWrite { pc: 1, reg: 2 })
+        );
+        // A register out of range is reported as that, not as unwritten.
+        let mut frag = ok_frag();
+        frag.code[0] = Mov { d: NREGS as u8, s: 4 };
+        assert_eq!(
+            verify_fragment(&frag, AR),
+            Err(FragmentError::RegOutOfRange { pc: 0, reg: NREGS as u8 })
+        );
     }
 
     #[test]
@@ -402,9 +477,11 @@ mod tests {
         // One limit for registers, exits, AR slots and spills alike, so a
         // single probe value is out of range whatever role the byte has.
         const LIMIT: u8 = NREGS as u8;
+        // Every register is written first, so that only the probe fails.
         let wrap = |inst: MachInst| {
-            let mut code = vec![StoreSpill { slot: 0, s: 0 }, inst];
-            if !code[1].is_terminator() {
+            let mut code: Vec<MachInst> = (0..LIMIT).map(|d| ConstW { d, w: 0 }).collect();
+            code.extend([StoreSpill { slot: 0, s: 0 }, inst]);
+            if !code[code.len() - 1].is_terminator() {
                 code.push(End { exit: 0 });
             }
             Fragment::new(code, u16::from(LIMIT), usize::from(LIMIT))
@@ -441,7 +518,7 @@ mod tests {
                     continue; // an immediate, a spill slot, a site id
                 };
                 probed[k] = true;
-                let pc = 1;
+                let pc = usize::from(LIMIT) + 1;
                 let want = match ops[k] {
                     Operand::Def(reg) | Operand::Use(reg) => FragmentError::RegOutOfRange { pc, reg },
                     Operand::Exit(exit) => FragmentError::ExitOutOfRange { pc, exit },

@@ -49,14 +49,18 @@
 //! `CallNative(id)` for registered builtins). A `heap sites` line
 //! counts each heap family's sites by lowering: inline against the
 //! runtime's published object layout, or a call of a heap shim
-//! (`LoadProto`, `StrLen`, `Box(Double)`). Works in the offline
-//! `.tmc` mode too — the emitter only needs the fragments, not a VM.
+//! (`LoadProto`, `StrLen`, `Box(Double)`). A `registers` line gives
+//! the tree's register map: which vregs live in which machine register
+//! (`r0=rbp ...`), and which in the memory file off `r13` (`r6–r11
+//! memory`). Works in the offline `.tmc` mode too — the emitter only
+//! needs the fragments, not a VM.
 
 use tracemonkey::jit::nest::TransferPlan;
 use tracemonkey::jit::persist::{read_cache_file, read_index};
 use tracemonkey::jit::tree::ExecCode;
 use tracemonkey::nanojit::{
-    emit_tree_annotated, native_supported, DirectSite, Fragment, EXIT_UNSTITCHED,
+    emit_tree_annotated, native_supported, register_map, DirectSite, Fragment,
+    EXIT_UNSTITCHED,
 };
 use tracemonkey::{Engine, Vm};
 
@@ -151,6 +155,7 @@ fn dump_native(t: usize, fragments: &[Fragment], sites: &[Option<DirectSite>]) {
             let sites = sites.collect::<Vec<_>>();
             let sites = if sites.is_empty() { "none".to_owned() } else { sites.join("; ") };
             println!("=== tree {t} heap sites: {sites} ===");
+            println!("=== tree {t} registers: {} ===", register_map());
             print!("{}", nt.hexdump());
         }
         Err(e) => println!("=== tree {t} native code: not emitted ({e}) ==="),
