@@ -144,6 +144,26 @@ if [ "$vdisp_outside" -gt 0 ] || [ "$vdisp_total" -gt "$VDISP_SITES" ]; then
 fi
 echo "    OK: $vdisp_total vdisp( sites under crates/nanojit/src/x64/, all in the operand helpers (at most $VDISP_SITES)"
 
+echo "==> policy: one hasher for keys and checksums"
+# Program keys, realm fingerprints, entry digests and the .tmc checksums
+# all go through tm_support's word-at-a-time WordHasher (hash64). The
+# byte-serial FNV-1a hasher was deleted with the program key it computed
+# over the program's Debug string: no Rust source, manifest or design
+# document may name it, and no line under crates/core/src may feed a
+# format! rendering to a hash (hash the value's fields, numbers by their
+# bits).
+fnv_names='fnv1a64|Fnv1a64'
+if git ls-files '*.rs' '*.toml' 'docs/*.md' DESIGN.md README.md | xargs grep -nE "$fnv_names"; then
+    echo "error: the FNV hasher named above was replaced by tm_support::WordHasher; do not regrow it" >&2
+    exit 1
+fi
+if git ls-files 'crates/core/src/*.rs' | xargs grep -nE 'format!' \
+    | grep -E 'hash64\(|\.hash\(|Hasher|\.write(_str)?\(|\.update\('; then
+    echo "error: a format! rendering is hashed above; hash the value's fields instead" >&2
+    exit 1
+fi
+echo "    OK: no FNV hasher, and no format! rendering hashed under crates/core/src"
+
 echo "==> report: Rust lines outside tests/ directories, tests.rs files and each file's trailing #[cfg(test)] mod tests"
 # The number every PR reports ("net line count", ROADMAP north star #2):
 # run this stage on the parent and on the change and quote both. Tracked

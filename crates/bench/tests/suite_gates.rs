@@ -7,7 +7,9 @@
 //! * coverage: the date programs reach compiled code;
 //! * recursion: the two recursion-bound programs build no tree and record
 //!   almost nothing, and every other program builds the trees it did;
-//! * native tier: native and decoded runs are indistinguishable, every
+//! * native tier: native and decoded runs are indistinguishable and do
+//!   the same work (trees, recordings, enters, exits, nested calls,
+//!   interpreted bytecodes; also with a collection at every safe point), every
 //!   trace entry is one native exit or one fallback, no fragment is
 //!   emitted twice, and no suite tree calls a shim for a heap family
 //!   that lowers inline;
@@ -18,7 +20,8 @@
 //! * siblings: the trees at one loop header have distinct entry maps,
 //!   and the same ones in every process;
 //! * warm start: a `.tmc` written by one `Vm` lets a fresh `Vm` load
-//!   every tree and record nothing;
+//!   every tree and record nothing, and every suite program's entry
+//!   decodes to the trees it saved, field for field;
 //! * multi-tenant: concurrent realms answer like one realm and share
 //!   compiled trees.
 //!
@@ -38,7 +41,8 @@ use std::sync::Mutex;
 
 use tm_bench::{by_name, run_program, BenchProgram};
 use tracemonkey::jit::profiler::ProfileStats;
-use tracemonkey::jit::tree::{ExecCode, TraceTree};
+use tracemonkey::jit::persist::read_cache_file;
+use tracemonkey::jit::tree::{ExecCode, TraceTree, TreeCode};
 use tracemonkey::{Engine, JitOptions, MultiTenantVm, RealmJob, Vm};
 
 fn prog(name: &str) -> &'static BenchProgram {
@@ -243,6 +247,61 @@ fn native_tier_is_invisible_and_its_accounting_balances() {
         observed.push((*name, "fallback_free", u64::from(native.native_fallbacks == 0)));
     }
     check_pins(&observed);
+}
+
+/// The counters that say what the monitor did, not how fast a tier did
+/// it. Soundness is equivalence at exits (Dissegna et al.): a tier that
+/// prints the same output but leaves a loop at another point records,
+/// enters and interprets differently, and these show it.
+fn structural(s: &ProfileStats) -> [(&'static str, u64); 8] {
+    [
+        ("trees", s.trees),
+        ("fragments", s.fragments),
+        ("completed recordings", s.traces_completed),
+        ("aborted recordings", s.traces_aborted),
+        ("tree enters", s.trace_enters),
+        ("nested calls", s.nested_calls),
+        ("side exits", s.side_exits),
+        ("interpreted bytecodes", s.bytecodes_interp),
+    ]
+}
+
+/// The program of `tests/native_backend.rs`'
+/// `gc_at_every_safe_point_with_direct_nested_calls`: on-trace boxing and
+/// allocation with a collection due at every safe point.
+const GC_EVERY_SAFE_POINT: &str = "\
+    var pts = [];\n\
+    for (var k = 0; k < 16; k++) pts.push({ x: k * 0.5, y: k });\n\
+    var total = 0;\n\
+    for (var i = 0; i < 300; i++) {\n\
+        var acc = 0;\n\
+        for (var j = 0; j < 16; j++) {\n\
+            var p = pts[j]; acc = acc + p.x * p.y; p.y = (p.y + 1) | 0;\n\
+        }\n\
+        pts[i & 15] = { x: acc * 0.001, y: i & 7 };\n\
+        total = total + acc;\n\
+    }\n\
+    total";
+
+#[test]
+fn both_tiers_do_the_same_work() {
+    if !tracemonkey::nanojit::native_supported() {
+        return;
+    }
+    let run = |name: &str, src: &str, native_backend, gc_threshold: Option<usize>| {
+        let opts = JitOptions { native_backend, ..JitOptions::default() };
+        let mut vm = Vm::with_options(Engine::Tracing, opts);
+        if let Some(t) = gc_threshold {
+            vm.realm.heap.set_gc_threshold(t);
+        }
+        vm.eval(src).unwrap_or_else(|e| panic!("{name} failed under tracing: {e}"));
+        structural(vm.profile().expect("the tracing engine keeps a profile"))
+    };
+    let suite = tm_bench::SUITE.iter().map(|p| (p.name, p.source, None));
+    for (name, src, gc) in suite.chain([("gc at every safe point", GC_EVERY_SAFE_POINT, Some(1))]) {
+        let (decoded, native) = (run(name, src, false, gc), run(name, src, true, gc));
+        assert_eq!(decoded, native, "{name}: the decoded (left) and native tiers differ");
+    }
 }
 
 /// The heap families native code reads and writes inline, against the
@@ -474,6 +533,61 @@ fn a_warm_vm_loads_every_tree_and_records_nothing() {
     }
     let _ = std::fs::remove_dir_all(&dir);
     check_pins(&observed);
+}
+
+/// Every suite program's `.tmc` entry decodes to the trees its cold run
+/// saved, field for field.
+#[test]
+fn every_suite_entry_round_trips_field_for_field() {
+    let dir = std::env::temp_dir().join(format!("tm_suite_round_trip_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    for p in tm_bench::SUITE {
+        let cache = dir.join(format!("{}.tmc", p.name));
+        let mut vm = Vm::new(Engine::Tracing);
+        vm.set_cache_path(Some(cache.clone()));
+        vm.eval(p.source).unwrap_or_else(|e| panic!("{} failed under tracing: {e}", p.name));
+        let live: Vec<&TraceTree> = vm.monitor().expect("a tracing run").cache.iter().collect();
+        let entries = read_cache_file(&cache).unwrap_or_else(|e| panic!("{}: {e}", p.name));
+        assert_eq!(entries.len(), 1, "{}", p.name);
+        assert_eq!(entries[0].trees.len(), live.len(), "{}", p.name);
+        for (l, d) in live.iter().zip(&entries[0].trees) {
+            let what = format!("{} tree {}", p.name, l.id.0);
+            // Destructured, so that a field added to `TreeCode` is compared
+            // or fails to compile. `digest` is derived from the entry map
+            // on load, not stored.
+            let TreeCode {
+                anchor,
+                digest: _,
+                layout,
+                fragments,
+                exits,
+                fragment_bytecodes,
+                entry,
+                nested_sites,
+                loop_writes,
+                unstable,
+            } = &*l.code;
+            assert_eq!(*anchor, d.anchor, "{what}");
+            let keys = |t: &TraceTree| {
+                (0..t.layout.len()).map(|s| t.layout.key(s as u16)).collect::<Vec<_>>()
+            };
+            assert_eq!(layout.len(), d.layout.len(), "{what}");
+            assert_eq!(keys(l), keys(d), "{what}");
+            assert_eq!(**fragments, *d.fragments, "{what}");
+            assert_eq!(*exits, d.exits, "{what}");
+            assert_eq!(*fragment_bytecodes, d.fragment_bytecodes, "{what}");
+            assert_eq!(*entry, d.entry, "{what}");
+            assert_eq!(*nested_sites, d.nested_sites, "{what}");
+            assert_eq!(*loop_writes, d.loop_writes, "{what}");
+            assert_eq!(*unstable, d.unstable, "{what}");
+            let failures = |t: &TraceTree| {
+                t.exit_states.iter().flatten().map(|s| s.failures).collect::<Vec<_>>()
+            };
+            assert_eq!(failures(l), failures(d), "{what}");
+            assert_eq!(l.disabled, d.disabled, "{what}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---- multi-tenant ----------------------------------------------------

@@ -28,7 +28,7 @@ pub struct LoopId(pub u16);
 /// with a bounds check, so the sentinel simply never lands in it).
 pub const NO_PROP_SITE: u16 = u16::MAX;
 
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
 pub enum Op {
     // -- constants --
     /// Push an inline integer.
@@ -165,7 +165,7 @@ pub enum Op {
 }
 
 /// Static description of one loop in a function.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LoopInfo {
     /// The loop id (index into [`Function::loops`]).
     pub id: LoopId,
@@ -193,7 +193,7 @@ impl LoopInfo {
 }
 
 /// A compiled function.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Function {
     /// Diagnostic name (`"<main>"` for the script body).
     pub name: String,

@@ -21,8 +21,9 @@
 //! degrades to an ordinary cold start. Loaded code is never executed
 //! unverified, and a corrupt cache never aborts the VM.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs::File;
+use std::hash::{Hash, Hasher};
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -33,14 +34,14 @@ use tm_lir::{ArSlot, LirType};
 use tm_nanojit::serial::{decode_fragment, encode_fragment};
 use tm_nanojit::{Fragment, MachInst, EXIT_UNSTITCHED};
 use tm_runtime::{Helper, Realm, ShapeId};
-use tm_support::{fnv1a64, BinError, ByteReader, ByteWriter, Fnv1a64};
+use tm_support::{hash64, BinError, ByteReader, ByteWriter, WordHasher};
 
 use crate::activation::{ArLayout, SlotBinding, SlotKey};
 use crate::blacklist::PersistedEntry;
 use crate::exit::{ExitKind, FrameDesc, SideExitInfo};
 use crate::monitor::Monitor;
 use crate::oracle::{Site, VarKey};
-use crate::shared_cache::entry_digest;
+use crate::shared_cache::{entry_digest, SharedKey};
 use crate::tree::{Anchor, NestedSite, TraceTree, TreeCode};
 
 /// File magic: the first four bytes of every trace-cache file.
@@ -49,7 +50,7 @@ pub const MAGIC: [u8; 4] = *b"TMTC";
 /// Current format version. Readers reject any other value (there is no
 /// cross-version migration: a cache is a regenerable artifact, so version
 /// skew simply degrades to a cold start).
-pub const VERSION: u32 = 10;
+pub const VERSION: u32 = 11;
 
 /// Why a cache file or entry was rejected. Every variant degrades to a
 /// cold start; none is fatal to the VM.
@@ -67,7 +68,8 @@ pub enum CacheError {
     /// A structural decoding failure (truncation, bad tag, hostile
     /// length) anywhere in the file.
     Corrupt(BinError),
-    /// An entry's trailing FNV-1a checksum did not match its body.
+    /// The header's checksum did not match the index, or an entry's body
+    /// did not match the checksum its index record stores.
     ChecksumMismatch,
     /// The realm at load time differs from the realm the entry was
     /// installed against.
@@ -140,12 +142,27 @@ impl From<std::io::Error> for CacheError {
     }
 }
 
-/// FNV-1a over the compiled program's canonical `Debug` rendering — the
-/// cache-entry key. Any change to any function's bytecode, the constant
-/// pools, or the property-site allocation changes the key, so a stale
-/// entry is simply never found (a miss, not a revalidation failure).
+/// The cache-entry key: a [`WordHasher`] over the compiled program's
+/// structure — every function (name, parameter and local counts, ops,
+/// lines, loops), the entry function, the constant pools (numbers by their
+/// bits, so `0.0` and `-0.0` differ) and the property-site count. Any
+/// change to any of them changes the key, so a stale entry is simply never
+/// found (a miss, not a revalidation failure).
 pub fn program_checksum(prog: &Program) -> u64 {
-    fnv1a64(format!("{prog:?}").as_bytes())
+    // Destructured, so that a field added to `Program` is hashed or fails
+    // to compile.
+    let Program { functions, main, numbers, atoms, function_globals, prop_sites } = prog;
+    let mut h = WordHasher::new();
+    functions.hash(&mut h);
+    main.hash(&mut h);
+    h.write_usize(numbers.len());
+    for n in numbers {
+        h.write_u64(n.to_bits());
+    }
+    atoms.hash(&mut h);
+    function_globals.hash(&mut h);
+    prop_sites.hash(&mut h);
+    h.finish()
 }
 
 /// Fingerprint of the realm at trace-install time. Captured right after
@@ -162,44 +179,36 @@ pub fn program_checksum(prog: &Program) -> u64 {
 /// collected). Fresh realms that compiled the same program have equal
 /// layouts and no collections, so they still share.
 pub fn realm_fingerprint(realm: &Realm) -> u64 {
-    let mut h = Fnv1a64::new();
+    let mut h = WordHasher::new();
     for (cells, free) in realm.heap.arena_layout() {
-        h.update_u64(cells as u64);
-        h.update_u64(free.len() as u64);
-        for &cell in free {
-            h.update_u32(cell);
-        }
+        h.write_usize(cells);
+        free.hash(&mut h);
     }
-    h.update_u64(realm.heap.gc_stats().collections);
-    h.update_u64(realm.shapes.len() as u64);
-    h.update_u64(realm.symbols.len() as u64);
-    h.update_u64(realm.globals.len() as u64);
-    h.update_u64(realm.natives.len() as u64);
-    h.update_u64(realm.rng_state);
+    h.write_u64(realm.heap.gc_stats().collections);
+    h.write_usize(realm.shapes.len());
+    h.write_usize(realm.symbols.len());
+    h.write_usize(realm.globals.len());
+    h.write_usize(realm.natives.len());
+    h.write_u64(realm.rng_state);
     h.finish()
 }
 
-/// A cache file bound to one compiled program: the path plus the two
-/// values that key and guard its entry. Capture it right after
-/// compilation, before the program runs.
+/// A cache file bound to one compiled program: the path plus the key that
+/// finds and guards its entry (the same pair the shared code cache keys
+/// by). Capture it right after compilation, before the program runs.
 #[derive(Debug, Clone)]
 pub struct CacheHandle {
     /// The cache file.
     pub path: PathBuf,
-    /// [`program_checksum`] of the compiled program.
-    pub program_key: u64,
+    /// [`program_checksum`] of the compiled program and
     /// [`realm_fingerprint`] at the capture point.
-    pub fingerprint: u64,
+    pub key: SharedKey,
 }
 
 impl CacheHandle {
     /// Captures the key and fingerprint for `prog` in `realm`.
     pub fn capture(path: PathBuf, prog: &Program, realm: &Realm) -> CacheHandle {
-        CacheHandle {
-            path,
-            program_key: program_checksum(prog),
-            fingerprint: realm_fingerprint(realm),
-        }
+        CacheHandle { path, key: SharedKey::capture(prog, realm) }
     }
 }
 
@@ -319,6 +328,14 @@ fn r_bindings(r: &mut ByteReader) -> Result<Vec<SlotBinding>, BinError> {
     Ok(out)
 }
 
+/// `a` and `b` in one list ordered by AR slot, `a`'s binding first on a
+/// tie: an exit's type map from its write-back and the stored extras.
+fn merge_by_ar(a: &[SlotBinding], b: &[SlotBinding]) -> Vec<SlotBinding> {
+    let mut out = [a, b].concat();
+    out.sort_by_key(|b| b.ar);
+    out
+}
+
 fn w_exit(e: &SideExitInfo, w: &mut ByteWriter) {
     w_exitkind(e.kind, w);
     w.u32(e.frames.len() as u32);
@@ -334,7 +351,17 @@ fn w_exit(e: &SideExitInfo, w: &mut ByteWriter) {
     for &k in &e.oracle_hint {
         w_slotkey(k, w);
     }
-    w_bindings(&e.typemap, w);
+    // The type map as the bindings it adds to the write-back (§4), or in
+    // full when merging them back would not give the same list.
+    let extras: Vec<SlotBinding> =
+        e.typemap.iter().filter(|b| !e.write_back.contains(b)).copied().collect();
+    if merge_by_ar(&e.write_back, &extras) == e.typemap {
+        w.u8(0);
+        w_bindings(&extras, w);
+    } else {
+        w.u8(1);
+        w_bindings(&e.typemap, w);
+    }
     match e.arith_site {
         Some((f, pc)) => {
             w.bool(true);
@@ -364,7 +391,12 @@ fn r_exit(r: &mut ByteReader) -> Result<SideExitInfo, BinError> {
     for _ in 0..nhints {
         oracle_hint.push(r_slotkey(r)?);
     }
-    let typemap = r_bindings(r)?;
+    let at = r.pos();
+    let typemap = match r.u8()? {
+        0 => merge_by_ar(&write_back, &r_bindings(r)?),
+        1 => r_bindings(r)?,
+        tag => return Err(BinError::BadTag { at, tag: u64::from(tag), what: "type map form" }),
+    };
     let arith_site =
         if r.bool()? { Some((FuncId(r.u32()?), r.u32()?)) } else { None };
     Ok(SideExitInfo { kind, frames, write_back, oracle_hint, typemap, arith_site })
@@ -627,7 +659,7 @@ fn decode_entry_body(program_key: u64, body: &[u8]) -> Result<CacheEntry, CacheE
 // the entry bodies contiguously in index order.
 // ---------------------------------------------------------------------------
 
-/// One index record: program key, body offset, length and FNV-1a checksum.
+/// One index record: program key, body offset, length and checksum.
 /// The offset is derived from the lengths before it, not stored, so no
 /// record can point past EOF or into another entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -638,6 +670,10 @@ pub struct IndexRecord {
     pub checksum: u64,
 }
 
+/// The bytes at the head of a file that [`read_index`] reads at once: the
+/// header and an index of up to 203 records.
+const HEAD_READ: u64 = 4096;
+
 /// Reads and validates a file's header and index, leaving `f` at the first
 /// body. The entry count is bounded by the file length before anything is
 /// allocated; the index must match its checksum and hold each key once,
@@ -645,7 +681,7 @@ pub struct IndexRecord {
 pub fn read_index(f: &mut (impl Read + Seek)) -> Result<Vec<IndexRecord>, CacheError> {
     let file_len = f.seek(SeekFrom::End(0))?;
     f.rewind()?;
-    let mut header = vec![0u8; 12];
+    let mut header = vec![0u8; file_len.min(HEAD_READ) as usize];
     f.read_exact(&mut header)?;
     let mut r = ByteReader::new(&header);
     if r.raw(4)? != MAGIC.as_slice() {
@@ -659,18 +695,23 @@ pub fn read_index(f: &mut (impl Read + Seek)) -> Result<Vec<IndexRecord>, CacheE
     if header_len > file_len {
         return Err(BinError::BadLength { at: 8, len: count.into() }.into());
     }
+    let have = header.len();
     header.resize(header_len as usize, 0);
-    f.read_exact(&mut header[12..])?;
+    if let Some(rest) = header.get_mut(have..) {
+        f.read_exact(rest)?;
+    }
+    f.seek(SeekFrom::Start(header_len))?;
     let (covered, stored) = header.split_at(header.len() - 8);
-    if fnv1a64(covered).to_le_bytes() != stored {
+    if hash64(covered).to_le_bytes() != stored {
         return Err(CacheError::ChecksumMismatch);
     }
     let mut r = ByteReader::new(&covered[12..]);
     let mut index: Vec<IndexRecord> = Vec::with_capacity(count as usize);
+    let mut keys = HashSet::with_capacity(count as usize);
     let mut offset = header_len;
     for i in 0..count as usize {
         let e = IndexRecord { program_key: r.u64()?, offset, len: r.u32()?, checksum: r.u64()? };
-        if index.iter().any(|o| o.program_key == e.program_key) {
+        if !keys.insert(e.program_key) {
             let what = "duplicate program key";
             return Err(BinError::BadTag { at: 12 + 20 * i, tag: e.program_key, what }.into());
         }
@@ -688,7 +729,7 @@ fn read_body(f: &mut (impl Read + Seek), e: &IndexRecord) -> Result<Vec<u8>, Cac
     let mut body = vec![0u8; e.len as usize];
     f.seek(SeekFrom::Start(e.offset))?;
     f.read_exact(&mut body)?;
-    if fnv1a64(&body) != e.checksum {
+    if hash64(&body) != e.checksum {
         return Err(CacheError::ChecksumMismatch);
     }
     Ok(body)
@@ -712,7 +753,7 @@ fn join_file(entries: &[(u64, Vec<u8>, u64)]) -> Vec<u8> {
         w.u32(body.len() as u32);
         w.u64(*checksum);
     }
-    w.u64(fnv1a64(w.bytes()));
+    w.u64(hash64(w.bytes()));
     for (_, body, _) in entries {
         w.raw(body);
     }
@@ -812,47 +853,49 @@ fn validate_tree(prog: &Program, realm: &Realm, ntrees: u32, t: &TreeCode) -> Re
     }
     let nslots = t.layout.len() as u32;
     // Depth 0 is the frame the tree is entered in: the anchor's function.
+    // The checks return their message alone and the caller prefixes the
+    // location, so a tree that passes formats nothing.
     let entry_nlocals = func.nlocals;
-    let check_key = |key: SlotKey| -> Result<(), CacheError> {
+    let check_key = |key: SlotKey| -> Result<(), String> {
         match key {
-            SlotKey::Global(g) if g >= globals_len => bad(format!("global slot {g} out of range")),
+            SlotKey::Global(g) if g >= globals_len => Err(format!("global slot {g} out of range")),
             SlotKey::Local { depth: 0, slot } if slot >= entry_nlocals => {
-                bad(format!("entry-frame local {slot} out of range"))
+                Err(format!("entry-frame local {slot} out of range"))
             }
             _ => Ok(()),
         }
     };
-    let check_bindings = |what: &str, bs: &[SlotBinding]| -> Result<(), CacheError> {
+    let check_bindings = |bs: &[SlotBinding]| -> Result<(), String> {
         for b in bs {
             if u32::from(b.ar) >= nslots {
-                return bad(format!("{what}: AR slot {} out of range", b.ar));
+                return Err(format!("AR slot {} out of range", b.ar));
             }
             check_key(b.key)?;
         }
         Ok(())
     };
-    let check_exit = |what: &str, e: &SideExitInfo| -> Result<(), CacheError> {
+    let check_exit = |e: &SideExitInfo| -> Result<(), String> {
         if e.frames.is_empty() {
-            return bad(format!("{what}: exit with no frames"));
+            return Err("exit with no frames".into());
         }
         for f in &e.frames {
             if f.func.0 >= nfuncs {
-                return bad(format!("{what}: frame function {} out of range", f.func.0));
+                return Err(format!("frame function {} out of range", f.func.0));
             }
             let code_len = prog.functions[f.func.0 as usize].code.len() as u32;
             if f.resume_pc >= code_len {
-                return bad(format!("{what}: resume pc {} out of range", f.resume_pc));
+                return Err(format!("resume pc {} out of range", f.resume_pc));
             }
         }
-        check_bindings(what, &e.write_back)?;
-        check_bindings(what, &e.typemap)?;
+        check_bindings(&e.write_back)?;
+        check_bindings(&e.typemap)?;
         // A local an exit names is one of the function running at its
         // depth: a nested call's plan reads the call site's back from there.
         for b in e.write_back.iter().chain(&e.typemap) {
             if let SlotKey::Local { depth, slot } = b.key {
                 let f = e.frames.get(depth as usize);
                 if f.is_none_or(|f| slot >= prog.functions[f.func.0 as usize].nlocals) {
-                    return bad(format!("{what}: local {slot} of frame {depth} out of range"));
+                    return Err(format!("local {slot} of frame {depth} out of range"));
                 }
             }
         }
@@ -865,7 +908,7 @@ fn validate_tree(prog: &Program, realm: &Realm, ntrees: u32, t: &TreeCode) -> Re
             for idx in 0..f.stack_depth {
                 let key = SlotKey::Stack { depth: depth as u8, idx };
                 if !e.write_back.iter().any(|b| b.key == key) {
-                    return bad(format!("{what}: frame {depth} stack entry {idx} not written back"));
+                    return Err(format!("frame {depth} stack entry {idx} not written back"));
                 }
             }
         }
@@ -873,19 +916,22 @@ fn validate_tree(prog: &Program, realm: &Realm, ntrees: u32, t: &TreeCode) -> Re
     };
     for (i, exits) in t.exits.iter().enumerate() {
         for (j, e) in exits.iter().enumerate() {
-            check_exit(&format!("fragment {i} exit {j}"), e)?;
+            check_exit(e).map_err(|m| CacheError::BadTree(format!("fragment {i} exit {j}: {m}")))?;
         }
     }
-    check_bindings("entry type map", &t.entry)?;
-    check_bindings("loop writes", &t.loop_writes)?;
+    check_bindings(&t.entry).map_err(|m| CacheError::BadTree(format!("entry type map: {m}")))?;
+    check_bindings(&t.loop_writes).map_err(|m| CacheError::BadTree(format!("loop writes: {m}")))?;
     for (i, site) in t.nested_sites.iter().enumerate() {
         if site.inner.0 >= ntrees || site.returns.0 >= ntrees {
             let (inner, returns) = (site.inner.0, site.returns.0);
             return bad(format!("nested site {i}: tree {inner} or {returns} out of range"));
         }
-        check_bindings("nested reimports", &site.reimports)?;
-        check_bindings("nested retyped", &site.retyped)?;
-        check_exit(&format!("nested site {i} callsite"), &site.callsite)?;
+        let in_site = |what: &'static str| {
+            move |m| CacheError::BadTree(format!("nested site {i} {what}: {m}"))
+        };
+        check_bindings(&site.reimports).map_err(in_site("reimports"))?;
+        check_bindings(&site.retyped).map_err(in_site("retyped"))?;
+        check_exit(&site.callsite).map_err(in_site("callsite"))?;
     }
     Ok(())
 }
@@ -909,7 +955,7 @@ impl Monitor {
         realm: &Realm,
     ) -> Result<bool, CacheError> {
         let found = File::open(&handle.path)
-            .map_or(Ok(None), |mut f| read_entry(&mut f, handle.program_key));
+            .map_or(Ok(None), |mut f| read_entry(&mut f, handle.key.program_key));
         let installed = match found {
             Ok(None) => {
                 self.profiler.stats.cache_misses += 1;
@@ -944,11 +990,11 @@ impl Monitor {
         if !self.cache.is_empty() {
             return Err(CacheError::NotCold);
         }
-        let mut entry = decode_entry_body(handle.program_key, body)?;
-        if entry.fingerprint != handle.fingerprint {
+        let mut entry = decode_entry_body(handle.key.program_key, body)?;
+        if entry.fingerprint != handle.key.fingerprint {
             return Err(CacheError::FingerprintMismatch {
                 stored: entry.fingerprint,
-                current: handle.fingerprint,
+                current: handle.key.fingerprint,
             });
         }
         let remap = resolve_shapes(realm, &entry.shapes)?;
@@ -1061,7 +1107,7 @@ impl Monitor {
             })
             .collect();
         let body = encode_entry_body(
-            handle.fingerprint,
+            handle.key.fingerprint,
             &shapes,
             &oracle_vars,
             &oracle_sites,
@@ -1083,9 +1129,9 @@ impl Monitor {
                 }).collect()
             })
             .unwrap_or_default();
-        let checksum = fnv1a64(&body);
-        let own = (handle.program_key, body, checksum);
-        match entries.iter_mut().find(|e| e.0 == handle.program_key) {
+        let checksum = hash64(&body);
+        let own = (handle.key.program_key, body, checksum);
+        match entries.iter_mut().find(|e| e.0 == handle.key.program_key) {
             Some(slot) => *slot = own,
             None => entries.push(own),
         }
@@ -1204,7 +1250,7 @@ mod tests {
     fn three_entries() -> (Vec<u8>, Vec<Vec<u8>>) {
         let bodies = vec![vec![1, 2, 3], vec![9; 40], vec![7, 7]];
         let entries: Vec<_> =
-            KEYS.iter().zip(&bodies).map(|(&k, b)| (k, b.clone(), fnv1a64(b))).collect();
+            KEYS.iter().zip(&bodies).map(|(&k, b)| (k, b.clone(), hash64(b))).collect();
         (join_file(&entries), bodies)
     }
 
@@ -1216,7 +1262,7 @@ mod tests {
     /// Rewrites the header checksum after an edit to the index, so only
     /// the index's structure can object.
     fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
-        let sum = fnv1a64(&bytes[..SEAL_AT]);
+        let sum = hash64(&bytes[..SEAL_AT]);
         bytes[SEAL_AT..SEAL_AT + 8].copy_from_slice(&sum.to_le_bytes());
         bytes
     }
@@ -1346,7 +1392,7 @@ mod tests {
             &mut e.trees.iter(),
             e.trees.len() as u32,
         );
-        let checksum = fnv1a64(&body);
+        let checksum = hash64(&body);
         std::fs::write(&path, join_file(&[(key, body, checksum)])).unwrap();
 
         let mut vm = Vm::with_options(Engine::Tracing, opts);
@@ -1398,6 +1444,99 @@ mod tests {
             Arc::get_mut(&mut t.fragments).unwrap()[0].stitch_exit(0, past);
         });
         assert!(matches!(err, CacheError::VerifyFailed { .. }), "{err:?}");
+    }
+
+    /// Every field of `Program` enters the key: changing any one of them
+    /// makes the entry unfindable, so a stale entry is a miss.
+    #[test]
+    fn every_program_field_enters_the_key() {
+        use crate::vm::{Engine, Vm};
+        use tm_bytecode::Op;
+        let src = "function f(a, b) {
+                var t = a * 0.5;
+                for (var i = 0; i < 3; i++) t += b;
+                return t;
+            }
+            var o = { k: 'atom' };
+            var s = 0;
+            for (var j = 0; j < 4; j++) s += f(j, o.k.length);
+            s";
+        let base = Vm::new(Engine::Interp).compile(src).unwrap();
+        let key = program_checksum(&base);
+        assert_eq!(program_checksum(&base.clone()), key, "the key is a function of the program");
+        let f = base.functions.iter().position(|f| f.nparams == 2).expect("function f");
+        assert_ne!(base.main.0 as usize, f);
+        assert_ne!(base.functions[f].code[0], Op::Nop);
+        let edits: [(&str, &dyn Fn(&mut Program)); 11] = [
+            ("function name", &|p| p.functions[f].name.push('_')),
+            ("nparams", &|p| p.functions[f].nparams += 1),
+            ("nlocals", &|p| p.functions[f].nlocals += 1),
+            ("op", &|p| p.functions[f].code[0] = Op::Nop),
+            ("line", &|p| p.functions[f].lines[0] += 1),
+            ("loop", &|p| p.functions[f].loops[0].end += 1),
+            ("main", &|p| p.main = FuncId(f as u32)),
+            ("number", &|p| p.numbers[0] += 1.0),
+            ("atom", &|p| p.atoms[0].push(b'x')),
+            ("function_globals", &|p| p.function_globals[0].0 += 1),
+            ("prop_sites", &|p| p.prop_sites += 1),
+        ];
+        for (what, edit) in edits {
+            let mut p = base.clone();
+            edit(&mut p);
+            assert_ne!(program_checksum(&p), key, "{what}");
+        }
+        let number = |z: f64| {
+            let mut p = base.clone();
+            p.numbers[0] = z;
+            program_checksum(&p)
+        };
+        assert_ne!(number(0.0), number(-0.0), "numbers enter by their bits");
+    }
+
+    /// Flipping any bit pattern of any single byte of the header and index,
+    /// or of the loaded program's body, is a counted revalidation failure
+    /// that installs nothing: the checksums miss no change confined to one
+    /// byte, and the index fields are checked before they are trusted.
+    #[test]
+    fn every_single_byte_flip_of_the_index_and_the_body_is_refused() {
+        use crate::vm::{Engine, Vm};
+        let path = std::env::temp_dir()
+            .join(format!("tm_persist_unit_{}_byte_flips.tmc", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        const OTHER: &str = "var s = 0; for (var i = 0; i < 300; i++) s = (s + i) | 0; s";
+        for src in [OTHER, NESTED_LOOPS] {
+            let mut cold = Vm::new(Engine::Tracing);
+            cold.set_cache_path(Some(path.clone()));
+            cold.eval(src).unwrap();
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        // NESTED_LOOPS at its install point, as a fresh process loads it.
+        let mut vm = Vm::new(Engine::Tracing);
+        let mut interp = Interp::new(vm.compile(NESTED_LOOPS).unwrap(), &mut vm.realm);
+        let handle = CacheHandle::capture(path.clone(), interp.prog(), &vm.realm);
+        let index = read_index(&mut std::io::Cursor::new(&bytes)).unwrap();
+        assert_eq!(index.len(), 2, "two programs, so the index has two records");
+        let own = index.iter().find(|e| e.program_key == handle.key.program_key).unwrap();
+        let body = own.offset as usize..(own.offset + u64::from(own.len)) as usize;
+        let mut load = |file: &[u8]| {
+            std::fs::write(&path, file).unwrap();
+            let mut m = Monitor::new(crate::JitOptions::default());
+            let r = m.load_cache(&handle, &mut interp, &vm.realm);
+            (r, m.profiler.stats.cache_revalidation_failures, m.cache.len())
+        };
+        for at in (0..index[0].offset as usize).chain(body) {
+            for mask in [0x01, 0x80, 0xff] {
+                let mut bad = bytes.clone();
+                bad[at] ^= mask;
+                let (r, failures, trees) = load(&bad);
+                assert!(r.is_err(), "byte {at} ^ {mask:#x}: {r:?}");
+                assert_eq!((failures, trees), (1, 0), "byte {at} ^ {mask:#x}");
+            }
+        }
+        let (r, failures, trees) = load(&bytes);
+        assert_eq!((r, failures), (Ok(true), 0), "the unflipped file loads");
+        assert!(trees > 0);
+        let _ = std::fs::remove_file(&path);
     }
 
     /// An entry whose trunk reads a register before writing it is refused

@@ -36,12 +36,13 @@
 //! [`realm_fingerprint`]: crate::persist::realm_fingerprint
 
 use std::collections::HashMap;
+use std::hash::Hasher;
 use std::sync::{Arc, Mutex};
 
 use tm_bytecode::Program;
 use tm_nanojit::Fragment;
 use tm_runtime::Realm;
-use tm_support::{sched, Fnv1a64};
+use tm_support::{sched, WordHasher};
 
 use crate::activation::{SlotBinding, SlotKey};
 use crate::persist::{program_checksum, realm_fingerprint};
@@ -53,7 +54,7 @@ use crate::tree::{Anchor, TreeCode};
 /// like the persistent cache's [`crate::persist::CacheHandle`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SharedKey {
-    /// FNV-1a checksum of the compiled bytecode program.
+    /// [`program_checksum`] of the compiled bytecode program.
     pub program_key: u64,
     /// Fingerprint of the realm at the install point.
     pub fingerprint: u64,
@@ -72,14 +73,14 @@ impl SharedKey {
 /// Digest of a tree's identity within a program: its anchor plus its
 /// entry type map. Used as the sibling-level key component.
 pub fn entry_digest(anchor: Anchor, entry: &[SlotBinding]) -> u64 {
-    let mut h = Fnv1a64::new();
-    h.update_u64(u64::from(anchor.func.0));
-    h.update_u64(u64::from(anchor.pc));
-    h.update_u64(anchor.loop_id.0 as u64);
+    let mut h = WordHasher::new();
+    h.write_u32(anchor.func.0);
+    h.write_u32(anchor.pc);
+    h.write_u16(anchor.loop_id.0);
     for e in entry {
-        h.update_u64(u64::from(e.ar));
-        h.update_u64(slot_key_digest(e.key));
-        h.update_u64(e.ty as u64);
+        h.write_u16(e.ar);
+        h.write_u64(slot_key_digest(e.key));
+        h.write_u8(e.ty as u8);
     }
     h.finish()
 }

@@ -55,7 +55,7 @@ pub struct ExitState {
 }
 
 /// A nested-tree call site recorded in an outer trace (§4.1).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NestedSite {
     /// The inner tree called.
     pub inner: TreeId,

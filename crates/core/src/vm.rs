@@ -199,20 +199,21 @@ impl Vm {
             }
             Engine::Tracing => {
                 let mut monitor = Monitor::new(self.opts);
-                if let Some(cache) = &self.shared {
-                    let key = SharedKey::capture(interp.prog(), &self.realm);
+                // Capture the program key and realm fingerprint once, at the
+                // install point (post-compile, pre-run): the shared cache
+                // keys by them, and a warm process sees the same realm the
+                // saved traces were validated against.
+                let key = (self.shared.is_some() || self.cache_path.is_some())
+                    .then(|| SharedKey::capture(interp.prog(), &self.realm));
+                if let (Some(cache), Some(key)) = (&self.shared, key) {
                     monitor.attach_shared(Arc::clone(cache), key);
                 }
                 if let Some(pool) = &self.pool {
                     monitor.attach_pool(Arc::clone(pool));
                 }
                 self.last_cache_error = None;
-                // Capture the cache key/fingerprint at the install point
-                // (post-compile, pre-run) so a warm process sees the same
-                // realm the saved traces were validated against.
-                let handle = self.cache_path.as_ref().map(|p| {
-                    CacheHandle::capture(p.clone(), interp.prog(), &self.realm)
-                });
+                let handle =
+                    self.cache_path.clone().zip(key).map(|(path, key)| CacheHandle { path, key });
                 if let Some(h) = &handle {
                     if let Err(e) = monitor.load_cache(h, &mut interp, &self.realm) {
                         self.last_cache_error = Some(e);

@@ -365,7 +365,7 @@ impl MachInst {
 
 /// A compiled trace fragment: straight-line machine code whose only
 /// control flow is guard exits and the final loop-back/end.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fragment {
     /// The instructions.
     pub code: Vec<MachInst>,

@@ -125,12 +125,12 @@ pub mod heap_ops {
     /// `Box(Int)`: inline when `i` fits the 31-bit range, a heap double
     /// otherwise. Like every allocating box, an allocation that crosses the
     /// GC threshold only flags the collection ([`super::maybe_defer_gc`]);
-    /// the monitor runs it once the trace has exited.
+    /// the monitor runs it once the trace has exited. A box that allocated
+    /// nothing flags nothing, as the native tier's inline box does not.
     #[inline]
     pub fn box_i(realm: &mut Realm, i: i32) -> Word {
         let v = realm.heap.number_i32(i);
-        super::maybe_defer_gc(realm);
-        v.raw()
+        flag_if_allocated(realm, v)
     }
 
     /// `Box(Double)`: inline when the double is an in-range integer, a heap
@@ -138,7 +138,14 @@ pub mod heap_ops {
     #[inline]
     pub fn box_d(realm: &mut Realm, bits: Word) -> Word {
         let v = realm.heap.number(f64_from_word(bits));
-        super::maybe_defer_gc(realm);
+        flag_if_allocated(realm, v)
+    }
+
+    #[inline]
+    fn flag_if_allocated(realm: &mut Realm, v: Value) -> Word {
+        if v.as_double_id().is_some() {
+            super::maybe_defer_gc(realm);
+        }
         v.raw()
     }
 

@@ -3,7 +3,8 @@
 //! This is the serialization substrate for the persistent trace cache
 //! (`docs/PERSISTENCE.md`). It deliberately has no schema knowledge: it
 //! provides fixed-width little-endian primitives, length-prefixed byte
-//! strings, and an FNV-1a checksum, and the cache layer composes them.
+//! strings and the word-at-a-time [`hash64`], and the cache layer
+//! composes them.
 //!
 //! ## Contract
 //!
@@ -21,6 +22,7 @@
 //!   dependence.
 
 use std::fmt;
+use std::hash::Hasher;
 
 /// Error from a [`ByteReader`] operation.
 ///
@@ -205,43 +207,65 @@ impl<'a> ByteReader<'a> {
         self.pos == self.buf.len()
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], BinError> {
-        if self.remaining() < n {
-            return Err(BinError::Truncated { at: self.pos, want: n, have: self.remaining() });
+        match self.buf.get(self.pos..).and_then(|rest| rest.get(..n)) {
+            Some(s) => {
+                self.pos += n;
+                Ok(s)
+            }
+            None => Err(self.truncated(n)),
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+    }
+
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], BinError> {
+        match self.buf.get(self.pos..).and_then(<[u8]>::first_chunk::<N>) {
+            Some(a) => {
+                self.pos += N;
+                Ok(*a)
+            }
+            None => Err(self.truncated(N)),
+        }
+    }
+
+    #[cold]
+    fn truncated(&self, want: usize) -> BinError {
+        BinError::Truncated { at: self.pos, want, have: self.remaining() }
     }
 
     /// Reads a single byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, BinError> {
-        Ok(self.take(1)?[0])
+        Ok(self.array::<1>()?[0])
     }
 
     /// Reads a little-endian `u16`.
+    #[inline]
     pub fn u16(&mut self) -> Result<u16, BinError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, BinError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, BinError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `i32`.
     pub fn i32(&mut self) -> Result<i32, BinError> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(i32::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `i64`.
     pub fn i64(&mut self) -> Result<i64, BinError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(i64::from_le_bytes(self.array()?))
     }
 
     /// Reads an `f64` from its IEEE-754 bit pattern.
@@ -250,6 +274,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a bool byte; any value other than 0/1 is a [`BinError::BadTag`].
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, BinError> {
         let at = self.pos;
         match self.u8()? {
@@ -292,6 +317,7 @@ impl<'a> ByteReader<'a> {
     /// the remaining input. This is the guard that makes hostile length
     /// prefixes cheap to reject: a corrupt count fails here instead of
     /// after a huge reserve.
+    #[inline]
     pub fn seq_len(&mut self, min_elem_bytes: usize) -> Result<usize, BinError> {
         let at = self.pos;
         let n = self.u32()? as usize;
@@ -303,62 +329,100 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// Incremental FNV-1a 64-bit hasher.
+/// The one 64-bit hasher of the trace cache: program keys, realm
+/// fingerprints, entry digests and the `.tmc` checksums.
 ///
-/// Used for the cache file's section checksums and the bytecode-program
-/// fingerprint. FNV-1a is not cryptographic — it detects corruption and
-/// staleness, not adversaries (see the threat model in
-/// `docs/PERSISTENCE.md`).
+/// Word at a time: each 8-byte little-endian word (a byte string's last
+/// partial word zero-padded, each integer of the [`Hasher`] interface a
+/// word of its own) costs one rotate, one xor and one multiply. The byte
+/// count is folded in last and the state goes through the 64-bit
+/// avalanche of MurmurHash3 (`fmix64`). Every step is a bijection of the
+/// state for a fixed word and of the word for a fixed state, so a change
+/// confined to one word (any single-byte flip among them) always changes
+/// the hash. It detects corruption and staleness, not adversaries (see the
+/// threat model in `docs/PERSISTENCE.md`).
+///
+/// A hash is of the sequence of writes: two `write`s are not the `write`
+/// of their concatenation.
 #[derive(Debug, Clone, Copy)]
-pub struct Fnv1a64 {
+pub struct WordHasher {
     state: u64,
+    len: u64,
 }
 
-/// FNV-1a 64-bit offset basis.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Odd multiplier of each word step (2^64 / golden ratio).
+const WORD_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Initial state (the first hex digits of pi), so no input hashes to 0.
+const WORD_SEED: u64 = 0x243f_6a88_85a3_08d3;
 
-impl Default for Fnv1a64 {
-    fn default() -> Fnv1a64 {
-        Fnv1a64::new()
+impl Default for WordHasher {
+    fn default() -> WordHasher {
+        WordHasher::new()
     }
 }
 
-impl Fnv1a64 {
-    /// Creates a hasher at the FNV offset basis.
-    pub fn new() -> Fnv1a64 {
-        Fnv1a64 { state: FNV_OFFSET }
+impl WordHasher {
+    /// An empty hasher.
+    pub fn new() -> WordHasher {
+        WordHasher { state: WORD_SEED, len: 0 }
     }
 
-    /// Absorbs `bytes`.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(FNV_PRIME);
+    #[inline]
+    fn word(&mut self, w: u64, bytes: u64) {
+        self.state = (self.state.rotate_left(26) ^ w).wrapping_mul(WORD_MUL);
+        self.len += bytes;
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let (words, tail) = bytes.as_chunks::<8>();
+        for w in words {
+            self.word(u64::from_le_bytes(*w), 8);
+        }
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            self.word(u64::from_le_bytes(last), tail.len() as u64);
         }
     }
 
-    /// Absorbs a `u64` as its little-endian bytes.
-    pub fn update_u64(&mut self, v: u64) {
-        self.update(&v.to_le_bytes());
+    fn write_u8(&mut self, v: u8) {
+        self.word(v.into(), 1);
     }
 
-    /// Absorbs a `u32` as its little-endian bytes.
-    pub fn update_u32(&mut self, v: u32) {
-        self.update(&v.to_le_bytes());
+    fn write_u16(&mut self, v: u16) {
+        self.word(v.into(), 2);
     }
 
-    /// The current hash value.
-    pub fn finish(&self) -> u64 {
-        self.state
+    fn write_u32(&mut self, v: u32) {
+        self.word(v.into(), 4);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.word(v, 8);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.word(v as u64, 8);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut last = *self;
+        last.word(self.len, 0);
+        let mut h = last.state;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
     }
 }
 
-/// One-shot FNV-1a 64 of `bytes`.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a64::new();
-    h.update(bytes);
+/// One-shot [`WordHasher`] of `bytes`.
+pub fn hash64(bytes: &[u8]) -> u64 {
+    let mut h = WordHasher::new();
+    h.write(bytes);
     h.finish()
 }
 
@@ -445,19 +509,44 @@ mod tests {
     }
 
     #[test]
-    fn fnv_known_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    fn hash64_is_pinned_and_folds_in_the_length() {
+        // Pinned: the values are part of the .tmc format (a change is a
+        // version bump, docs/PERSISTENCE.md §7).
+        let pins = [hash64(b""), hash64(b"a"), hash64(b"foobar"), hash64(b"0123456789abcdef!")];
+        let want = [0x3ca1_b289_bc35_7f8c, 0x0f08_7da1_1cc6_0c55, 0xbf4b_a503_42e9_01f0];
+        assert_eq!(pins[..3], want, "{pins:#x?}");
+        assert_eq!(pins[3], 0x8d44_57cf_ff29_e707, "{pins:#x?}");
+        // A zero-padded tail is not the same input as the zeros written.
+        assert_ne!(hash64(b"ab"), hash64(b"ab\0"));
+        assert_ne!(hash64(b""), hash64(&[0; 8]));
     }
 
     #[test]
-    fn fnv_incremental_matches_oneshot() {
-        let mut h = Fnv1a64::new();
-        h.update(b"foo");
-        h.update(b"bar");
-        assert_eq!(h.finish(), fnv1a64(b"foobar"));
+    fn every_single_byte_change_changes_the_hash() {
+        let base: Vec<u8> = (0..37u8).map(|i| i.wrapping_mul(37)).collect();
+        let h = hash64(&base);
+        for at in 0..base.len() {
+            for delta in 1..=255u8 {
+                let mut v = base.clone();
+                v[at] ^= delta;
+                assert_ne!(hash64(&v), h, "byte {at} ^ {delta:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn integer_writes_are_one_word_each() {
+        let mut a = WordHasher::new();
+        a.write_u32(7);
+        a.write_u8(1);
+        let mut b = WordHasher::new();
+        b.write_u32(1);
+        b.write_u8(7);
+        assert_ne!(a.finish(), b.finish(), "the order of the words matters");
+        let mut c = WordHasher::new();
+        c.write_u64(7);
+        assert_ne!(c.finish(), hash64(&7u64.to_le_bytes()[..4]));
+        assert_eq!(c.finish(), hash64(&7u64.to_le_bytes()));
     }
 
     #[test]

@@ -745,12 +745,14 @@ fn fuzz_native_tier() {
             at(&native_log)
         );
         let counts = |s: &tracemonkey::jit::profiler::ProfileStats| {
-            (s.nested_calls, s.nested_deferred, s.trace_enters, s.side_exits)
+            let recordings = (s.trees, s.fragments, s.traces_completed, s.traces_aborted);
+            let runs = (s.nested_calls, s.nested_deferred, s.trace_enters, s.side_exits);
+            (recordings, runs, s.bytecodes_interp)
         };
         assert!(
             background || counts(&n) == counts(&d),
-            "seed {seed}: (nested calls, deferred, trace enters, side exits) native {:?}, \
-             decoded {:?}:\n{src}",
+            "seed {seed}: ((trees, fragments, completed, aborted), (nested calls, deferred, \
+             trace enters, side exits), interpreted bytecodes) native {:?}, decoded {:?}:\n{src}",
             counts(&n),
             counts(&d)
         );

@@ -346,8 +346,8 @@ fn a_silenced_anchor_past_the_last_loop_is_refused() {
     w.u32(1);
     w.u64(index[0].program_key);
     w.u32(forged.len() as u32);
-    w.u64(tm_support::fnv1a64(&forged));
-    w.u64(tm_support::fnv1a64(w.bytes()));
+    w.u64(tm_support::hash64(&forged));
+    w.u64(tm_support::hash64(w.bytes()));
     w.raw(&forged);
     std::fs::write(&cache.0, w.bytes()).unwrap();
 
