@@ -162,7 +162,46 @@ if git ls-files 'crates/core/src/*.rs' | xargs grep -nE 'format!' \
     echo "error: a format! rendering is hashed above; hash the value's fields instead" >&2
     exit 1
 fi
-echo "    OK: no FNV hasher, and no format! rendering hashed under crates/core/src"
+# Nor may a Rust file fold FNV-1a inline: its offset basis and prime are
+# found with or without `_` digit separators.
+fnv_literals=$(git ls-files '*.rs' | xargs awk '{
+    l = tolower($0); gsub(/_/, "", l)
+    if (l ~ /cbf29ce484222325|0x0*100000001b3([^0-9a-f]|$)/) print "    " FILENAME ":" FNR ": " $0
+}')
+if [ -n "$fnv_literals" ]; then
+    echo "$fnv_literals" >&2
+    echo "error: an FNV-1a constant is folded above; hash with tm_support::hash64" >&2
+    exit 1
+fi
+echo "    OK: no FNV hasher or constant, and no format! rendering hashed under crates/core/src"
+
+echo "==> policy: code is written by the kernel only"
+# The native tier's code lives in one shared code file mapped r-x once;
+# every byte of code goes in with pwrite (crates/nanojit/src/x64/buf.rs).
+# No page protection may flip and no writable view of code may exist:
+# no mprotect, no rw- protection and no mutable slice under
+# crates/nanojit/src/x64/, except the RT_MUT_VIEWS views rt.rs makes of
+# a run's activation records and counters (never of code). The recorder
+# and the backend key their tables by dense slot or WordMap, not std's
+# SipHash HashMap.
+RT_MUT_VIEWS=4
+x64_files=$(git ls-files 'crates/nanojit/src/x64/*.rs')
+if grep -nE 'SYS_MPROTECT|PROT_RW' $x64_files \
+    || grep -n 'from_raw_parts_mut' $(grep -v '/rt\.rs$' <<<"$x64_files"); then
+    echo "error: code memory is written through pwrite only: no mprotect, no rw- mapping, no mutable slice" >&2
+    exit 1
+fi
+rt_views=$(grep -c 'from_raw_parts_mut' crates/nanojit/src/x64/rt.rs || true)
+if [ "$rt_views" -gt "$RT_MUT_VIEWS" ]; then
+    echo "error: rt.rs makes $rt_views mutable views, $RT_MUT_VIEWS allowed (of run state, never code)" >&2
+    exit 1
+fi
+if git ls-files crates/core/src/recorder.rs crates/core/src/activation.rs 'crates/nanojit/src/x64/*.rs' \
+    | xargs grep -nE 'HashMap(::<[^;]*>)?::(new|with_capacity)|std::collections::[^;]*HashMap'; then
+    echo "error: the recorder's and the backend's tables are dense or WordMap, not SipHash HashMaps" >&2
+    exit 1
+fi
+echo "    OK: no mprotect, rw- mapping or mutable code slice under crates/nanojit/src/x64/; no SipHash table in the recorder or backend"
 
 echo "==> report: Rust lines outside tests/ directories, tests.rs files and each file's trailing #[cfg(test)] mod tests"
 # The number every PR reports ("net line count", ROADMAP north star #2):

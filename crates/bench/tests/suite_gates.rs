@@ -454,6 +454,32 @@ fn every_process_builds_the_same_entry_maps() {
     }
 }
 
+/// The recorder builds exit tables and loop writes by walking its slot
+/// tables in AR order, with no sort: every suite tree's tables must come
+/// out strictly ascending by AR slot. (An entry map lists its imports in
+/// the order the trace made them, and the sibling digest hashes that
+/// order; the loop-persistent writes a root recording appends to it come
+/// from the same walk, which the recorder asserts in debug builds.)
+#[test]
+fn exit_tables_stay_in_ar_order() {
+    let ascending = |list: &[tracemonkey::jit::activation::SlotBinding]| {
+        list.windows(2).all(|w| w[0].ar < w[1].ar)
+    };
+    for p in tm_bench::SUITE {
+        let run = run_program(p, Engine::Tracing, JitOptions::default(), 1);
+        for t in run.vm.monitor().expect("tracing").cache.iter() {
+            let what = format!("{}: tree {}", p.name, t.id.0);
+            assert!(ascending(&t.loop_writes), "{what}: loop writes {:?}", t.loop_writes);
+            for (f, exits) in t.exits.iter().enumerate() {
+                for (e, exit) in exits.iter().enumerate() {
+                    assert!(ascending(&exit.write_back), "{what} f{f} e{e}: write-back");
+                    assert!(ascending(&exit.typemap), "{what} f{f} e{e}: type map");
+                }
+            }
+        }
+    }
+}
+
 // ---- warm start ------------------------------------------------------
 
 /// Cheap programs covering loops, floating point, strings and recursion:

@@ -8,11 +8,10 @@
 //! ("identical type maps yield identical activation record layouts", §6.2
 //! — ours are identical by construction: one layout per tree).
 
-use std::collections::HashMap;
-
 use tm_interp::Interp;
 use tm_lir::{ArSlot, LirType};
 use tm_runtime::{Realm, Unpacked, Value};
+use tm_support::WordMap;
 
 use crate::exit::SideExitInfo;
 
@@ -77,7 +76,7 @@ pub struct SlotBinding {
 /// Maps slot keys to activation-record slots for one trace tree.
 #[derive(Debug, Clone, Default)]
 pub struct ArLayout {
-    slots: HashMap<SlotKey, ArSlot>,
+    slots: WordMap<SlotKey, ArSlot>,
     keys: Vec<SlotKey>,
 }
 

@@ -55,7 +55,7 @@ pub struct JitOptions {
     /// built at its first execution and grown in place by every branch
     /// install, so a tree runs decoded only when the emitter refused it
     /// (a `CallHelper` wider than the inline argument buffer, or a
-    /// refused `mmap`/`mprotect`). On by default where the
+    /// code file that refused it). On by default where the
     /// backend exists (x86-64 Linux) and forced off elsewhere, where
     /// turning it on silently degrades to the decoded executor.
     pub native_backend: bool,

@@ -138,11 +138,11 @@ pub struct ProfileStats {
     /// Fragment bodies emitted as native x86-64 code. Every fragment is
     /// emitted once — at its tree's first execution or when it is
     /// installed — so this exceeds `fragments` only by the rebuilds of
-    /// trees that outgrew their reserved mapping.
+    /// trees that outgrew their reserved range.
     pub native_fragments: u64,
     /// Tree executions that ran decoded with `native_backend` requested
     /// on: the emitter refused the tree (an oversized `CallHelper`, or a
-    /// refused `mmap`/`mprotect`), or the target has no native backend.
+    /// code file that refused it), or the target has no native backend.
     pub native_fallbacks: u64,
     /// Tree executions that ran through the native x86-64 backend (each
     /// contributes exactly one native exit).

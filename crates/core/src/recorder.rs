@@ -13,13 +13,12 @@
 //! (reconstructed) stack, so the interpreter simply re-executes the
 //! instruction down the unrecorded path.
 
-use std::collections::HashMap;
-
 use tm_bytecode::{FuncId, LoopId, Op};
 use tm_interp::Interp;
 use tm_lir::{AluOp, ArSlot, ChkOp, CmpOp, ExitId, FOp, Lir, LirBuffer, LirTrace, LirType, Tag};
 use tm_runtime::trace_helpers::FastTy;
 use tm_runtime::{ops as rt_ops, Callee, Helper, IcKind, NativeId, ObjectClass, PropIc, Realm, Sym, Value};
+use tm_support::WordMap;
 
 use crate::activation::{observed_type, ArLayout, SlotBinding, SlotKey};
 use crate::config::JitOptions;
@@ -201,21 +200,73 @@ impl StartTypes {
     }
 }
 
+/// A table indexed by a dense id: an AR slot ([`ArLayout::slot`] hands
+/// them out in order) or a global slot. Iteration visits the ids in
+/// ascending order, so the lists built from it come out sorted.
+#[derive(Debug)]
+struct Dense<T>(Vec<Option<T>>);
+
+impl<T: Copy> Dense<T> {
+    fn new() -> Dense<T> {
+        Dense(Vec::new())
+    }
+
+    fn get(&self, id: usize) -> Option<T> {
+        self.0.get(id).copied().flatten()
+    }
+
+    fn insert(&mut self, id: usize, v: T) {
+        if self.0.len() <= id {
+            self.0.resize(id + 1, None);
+        }
+        self.0[id] = Some(v);
+    }
+
+    fn retain(&mut self, keep: impl Fn(T) -> bool) {
+        for e in &mut self.0 {
+            if e.is_some_and(|v| !keep(v)) {
+                *e = None;
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
+/// What the recorder knows of each AR slot: the key it shadows and the
+/// type it holds.
+type SlotTable = Dense<(SlotKey, LirType)>;
+
+impl SlotTable {
+    /// The slots whose key `keep` accepts, in AR order.
+    fn bindings(&self, keep: impl Fn(SlotKey) -> bool) -> Vec<SlotBinding> {
+        let slots = self.0.iter().enumerate();
+        slots
+            .filter_map(|(ar, e)| {
+                let (key, ty) = (*e)?;
+                keep(key).then_some(SlotBinding { ar: ar as ArSlot, key, ty })
+            })
+            .collect()
+    }
+}
+
 /// The trace recorder. One instance per recording attempt.
 pub struct Recorder {
     buf: LirBuffer,
     layout: ArLayout,
     /// Known entry types per key (branch: seeded from the parent exit's
     /// type map; root: filled as imports happen).
-    entry_types: HashMap<SlotKey, LirType>,
+    entry_types: WordMap<SlotKey, LirType>,
     new_entry: Vec<SlotBinding>,
     frames: Vec<ShadowFrame>,
-    globals: HashMap<u32, Sv>,
+    globals: Dense<Sv>,
     /// Cumulative write set: AR slots whose interpreter locations are
     /// stale (includes the parent path for branch traces).
-    written: HashMap<ArSlot, (SlotKey, LirType)>,
+    written: SlotTable,
     /// Cumulative type knowledge (writes ∪ imports).
-    known: HashMap<ArSlot, (SlotKey, LirType)>,
+    known: SlotTable,
     exits: Vec<SideExitInfo>,
     anchor: Anchor,
     anchor_range: (u32, u32),
@@ -293,7 +344,7 @@ impl Recorder {
         Recorder {
             buf: LirBuffer::new(opts.filters),
             layout: ArLayout::new(),
-            entry_types: HashMap::new(),
+            entry_types: WordMap::default(),
             new_entry: Vec::new(),
             frames: vec![ShadowFrame {
                 func,
@@ -303,9 +354,9 @@ impl Recorder {
                 caller_resume: 0,
                 callee_raw: 0,
             }],
-            globals: HashMap::new(),
-            written: HashMap::new(),
-            known: HashMap::new(),
+            globals: Dense::new(),
+            written: Dense::new(),
+            known: Dense::new(),
             exits: Vec::new(),
             anchor,
             anchor_range,
@@ -354,12 +405,12 @@ impl Recorder {
         let mut rec = Recorder {
             buf: LirBuffer::new(opts.filters),
             layout,
-            entry_types: HashMap::new(),
+            entry_types: WordMap::default(),
             new_entry: Vec::new(),
             frames: Vec::new(),
-            globals: HashMap::new(),
-            written: HashMap::new(),
-            known: HashMap::new(),
+            globals: Dense::new(),
+            written: Dense::new(),
+            known: Dense::new(),
             exits: Vec::new(),
             anchor,
             anchor_range,
@@ -397,10 +448,10 @@ impl Recorder {
         // writes for later exits.
         for b in &parent_exit.typemap {
             rec.entry_types.insert(b.key, b.ty);
-            rec.known.insert(b.ar, (b.key, b.ty));
+            rec.known.insert(b.ar.into(), (b.key, b.ty));
         }
         for b in &parent_exit.write_back {
-            rec.written.insert(b.ar, (b.key, b.ty));
+            rec.written.insert(b.ar.into(), (b.key, b.ty));
         }
         // Rebuild shadow frames; locals import lazily (deeper-frame locals
         // not in the parent type map are still their initial undefined).
@@ -483,7 +534,9 @@ impl Recorder {
         if let Some(e) = self.cur_exit {
             return e;
         }
-        let e = self.snapshot_exit(ExitKind::Branch, self.pre_pc, Some(&self.pre_depths.clone()));
+        let depths = std::mem::take(&mut self.pre_depths);
+        let e = self.snapshot_exit(ExitKind::Branch, self.pre_pc, Some(&depths));
+        self.pre_depths = depths;
         self.cur_exit = Some(e);
         e
     }
@@ -530,20 +583,8 @@ impl Recorder {
                 SlotKey::Reimport { .. } => false,
             }
         };
-        let mut write_back: Vec<SlotBinding> = self
-            .written
-            .iter()
-            .filter(|&(_, &(key, _))| keep(key))
-            .map(|(&ar, &(key, ty))| SlotBinding { ar, key, ty })
-            .collect();
-        write_back.sort_by_key(|b| b.ar);
-        let mut typemap: Vec<SlotBinding> = self
-            .known
-            .iter()
-            .filter(|&(_, &(key, _))| keep(key))
-            .map(|(&ar, &(key, ty))| SlotBinding { ar, key, ty })
-            .collect();
-        typemap.sort_by_key(|b| b.ar);
+        let write_back = self.written.bindings(keep);
+        let typemap = self.known.bindings(keep);
 
         self.exits.push(SideExitInfo {
             kind,
@@ -590,7 +631,7 @@ impl Recorder {
             }
         };
         let id = self.emit(Lir::Import { slot: ar, ty });
-        self.known.insert(ar, (key, ty));
+        self.known.insert(ar.into(), (key, ty));
         Sv { id, ty }
     }
 
@@ -598,8 +639,8 @@ impl Recorder {
     fn write_ar(&mut self, key: SlotKey, sv: Sv) {
         let ar = self.layout.slot(key);
         self.emit(Lir::WriteAr { slot: ar, v: sv.id });
-        self.written.insert(ar, (key, sv.ty));
-        self.known.insert(ar, (key, sv.ty));
+        self.written.insert(ar.into(), (key, sv.ty));
+        self.known.insert(ar.into(), (key, sv.ty));
     }
 
     fn push(&mut self, sv: Sv) {
@@ -657,7 +698,7 @@ impl Recorder {
             || self
                 .layout
                 .lookup(key)
-                .is_some_and(|ar| self.known.contains_key(&ar) && self.active_site.is_some());
+                .is_some_and(|ar| self.known.get(ar.into()).is_some() && self.active_site.is_some());
         let sv = if importable {
             let v = interp.local(slot);
             self.oracle_adjust(key, v, oracle);
@@ -673,9 +714,7 @@ impl Recorder {
     /// Writes variable `key`, a local of a live frame or a global.
     fn set_var(&mut self, key: SlotKey, sv: Sv) {
         match key {
-            SlotKey::Global(g) => {
-                self.globals.insert(g, sv);
-            }
+            SlotKey::Global(g) => self.globals.insert(g as usize, sv),
             SlotKey::Local { depth, slot } => {
                 self.frames[depth as usize].locals[slot as usize] = Some(sv);
             }
@@ -685,14 +724,14 @@ impl Recorder {
     }
 
     fn global_sv(&mut self, slot: u32, realm: &Realm, oracle: &Oracle) -> Sv {
-        if let Some(&sv) = self.globals.get(&slot) {
+        if let Some(sv) = self.globals.get(slot as usize) {
             return sv;
         }
         let key = SlotKey::Global(slot);
         let v = realm.global(slot);
         self.oracle_adjust(key, v, oracle);
         let sv = self.import_slot(key, Some(v));
-        self.globals.insert(slot, sv);
+        self.globals.insert(slot as usize, sv);
         sv
     }
 
@@ -845,7 +884,8 @@ impl Recorder {
         // Reset the per-op guard-exit state.
         self.cur_exit = None;
         self.pre_pc = pc;
-        self.pre_depths = self.frames.iter().map(|f| f.stack.len() as u16).collect();
+        self.pre_depths.clear();
+        self.pre_depths.extend(self.frames.iter().map(|f| f.stack.len() as u16));
         self.site_ok = oracle.may_speculate_int_site((frame.func, pc));
         self.ops_recorded += 1;
 
@@ -1119,7 +1159,7 @@ impl Recorder {
                 // The returned frame's slots name nothing now, and a call
                 // inlined at this depth next may have fewer locals.
                 let gone = self.frames.len() as u8;
-                let alive = |_: &ArSlot, &mut (key, _): &mut (SlotKey, LirType)| match key {
+                let alive = |(key, _): (SlotKey, LirType)| match key {
                     SlotKey::Local { depth, .. } | SlotKey::Stack { depth, .. } => depth != gone,
                     _ => true,
                 };
@@ -2076,8 +2116,8 @@ impl Recorder {
             let retyped = self
                 .layout
                 .lookup(key)
-                .and_then(|ar| self.known.get(&ar))
-                .is_some_and(|&(_, was)| was != ty);
+                .and_then(|ar| self.known.get(ar.into()))
+                .is_some_and(|(_, was)| was != ty);
             if retyped {
                 let sv = self.import_slot(key, None);
                 self.set_var(key, sv);
@@ -2136,13 +2176,8 @@ impl Recorder {
         // start state and keeps it only if the loop closes stable, at its
         // edge type. Pushed in AR order: the entry map, and with it the
         // sibling digest, is the same in every process.
-        let mut fresh: Vec<SlotBinding> = self
-            .written
-            .iter()
-            .filter(|&(_, &(key, _))| is_persistent(key) && !self.is_entry(key))
-            .map(|(&ar, &(key, ty))| SlotBinding { ar, key, ty })
-            .collect();
-        fresh.sort_by_key(|b| b.ar);
+        let mut fresh = self.written.bindings(|key| is_persistent(key) && !self.is_entry(key));
+        debug_assert!(fresh.windows(2).all(|w| w[0].ar < w[1].ar), "slot tables walk in AR order");
         if let Some(start) = &self.start {
             for b in &mut fresh {
                 let at_start = start.of(b.key).expect("persistent keys have a start type");
@@ -2167,7 +2202,7 @@ impl Recorder {
         let mut unstable = false;
         let mut coerce: Vec<(SlotBinding, Sv)> = Vec::new();
         for e in &entries {
-            let cur_ty = self.known.get(&e.ar).map(|&(_, t)| t).unwrap_or(e.ty);
+            let cur_ty = self.known.get(e.ar.into()).map_or(e.ty, |(_, t)| t);
             if cur_ty == e.ty {
                 continue;
             }
@@ -2206,14 +2241,7 @@ impl Recorder {
                 self.entry_types.insert(b.key, b.ty);
                 self.new_entry.push(b);
             }
-            let mut loop_writes: Vec<SlotBinding> = self
-                .written
-                .iter()
-                .filter(|&(_, &(key, _))| is_persistent(key))
-                .map(|(&ar, &(key, ty))| SlotBinding { ar, key, ty })
-                .collect();
-            loop_writes.sort_by_key(|b| b.ar);
-            self.loop_writes = loop_writes;
+            self.loop_writes = self.written.bindings(is_persistent);
             let e = self.snapshot_exit(ExitKind::LoopEdge, self.anchor.pc, None);
             self.emit(Lir::LoopBack(e));
             for exit in &mut self.exits {
@@ -2248,7 +2276,7 @@ impl Recorder {
 
     fn current_sv_for(&self, key: SlotKey) -> Option<Sv> {
         match key {
-            SlotKey::Global(g) => self.globals.get(&g).copied(),
+            SlotKey::Global(g) => self.globals.get(g as usize),
             SlotKey::Local { depth, slot } => self
                 .frames
                 .get(depth as usize)

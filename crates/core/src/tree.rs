@@ -110,8 +110,8 @@ pub enum ExecCode {
     Native(Arc<NativeTree>),
     /// Every fragment decoded, and fused under
     /// `JitOptions::enable_fusion`: the native tier is off, or the emitter
-    /// refused the tree (an oversized `CallHelper`) or the OS refused
-    /// `mmap`/`mprotect`, and the tree runs decoded for good.
+    /// refused the tree (an oversized `CallHelper`) or the code file
+    /// could not take it, and the tree runs decoded for good.
     Decoded(Arc<DecodedTree>),
 }
 

@@ -1,11 +1,42 @@
-//! The code's home: [`ExecBuf`], a W^X mapping with room to grow, and
-//! [`NativeTree`], which lays each chunk of a tree's code in it, patches
-//! stitches over exit trampolines, and runs the code.
+//! The code's home: [`ExecBuf`], a range of the process's one code file
+//! with room to grow, and [`NativeTree`], which lays each chunk of a
+//! tree's code in it, patches stitches over exit trampolines, and runs
+//! the code.
+//!
+//! # The code file
+//!
+//! At the first emission the process creates one anonymous file
+//! (`memfd_create`), sizes it to [`RESERVATION`] bytes (sparse: pages
+//! nothing wrote cost nothing) and maps it once, `r-x` and shared. A
+//! tree's buffer is a range of that file, handed out by a small
+//! allocator behind a lock that reuses a freed range of the same length
+//! before it grows; dropping the tree returns the range. Code is written
+//! into the file with `pwrite` at the range's offset, the new chunk and
+//! each stitch's 5-byte `jmp` alike: the kernel stores into the page the
+//! mapping shares, so no user-space mapping of code is ever writable
+//! (W^X without a window), and a new tree changes no page protection
+//! and maps nothing. When the OS refuses any of these calls, or the
+//! reservation is spent, the one tree is refused ([`Unsupported`]) and
+//! runs on the decoded executor.
+//!
+//! Executing code written this way is sound because:
+//! - code is written only while its tree is owned by value
+//!   ([`NativeTree::append`] takes `self`; every run borrows the tree),
+//!   by the thread that then runs it, so no run is inside the bytes
+//!   being written;
+//! - x86 keeps instruction fetch coherent with stores by physical
+//!   address, so the mapping fetches what the kernel stored through the
+//!   file, with no cache flush;
+//! - a reused range's previous tree has been dropped: no run, and no
+//!   direct site of another tree (which holds its callee by `Arc`), can
+//!   still reach the old bytes.
+
+use std::sync::{Mutex, PoisonError};
 
 use tm_runtime::trace_helpers::Helper;
 use tm_runtime::{Realm, RuntimeError};
 
-use super::enc::{patch_jmp, Label};
+use super::enc::{jmp_rel32, Label};
 use super::lower::{Emitter, SiteTail};
 use super::rt::NativeCtx;
 use super::{native_supported, unsupported_op, DirectSite, HeapSites, Unsupported, WordMove};
@@ -13,27 +44,35 @@ use super::MAX_HELPER_ARGS;
 use crate::executor::{DirectCounts, TraceExit, TreeHost};
 use crate::machinst::{Fragment, MachInst, EXIT_UNSTITCHED, REG_FILE_WORDS};
 
+const SYS_CLOSE: isize = 3;
 pub(super) const SYS_MMAP: isize = 9;
-pub(super) const SYS_MPROTECT: isize = 10;
-const SYS_MUNMAP: isize = 11;
-const PROT_RW: usize = 0x3;
+pub(super) const SYS_PWRITE64: isize = 18;
+pub(super) const SYS_FTRUNCATE: isize = 77;
+pub(super) const SYS_MEMFD_CREATE: isize = 319;
 const PROT_RX: usize = 0x5;
-const MAP_PRIVATE_ANON: usize = 0x22;
+const MAP_SHARED: usize = 0x1;
+const MFD_CLOEXEC: usize = 0x1;
+
+/// Bytes of the code file, reserved at the first emission. Only the
+/// pages code was written to take memory; the rest is address space.
+/// The unit tests reserve less, so that one of them can spend it.
+pub(super) const RESERVATION: usize = if cfg!(test) { 64 << 20 } else { 1 << 30 };
 
 /// Spare room reserved behind a tree's first emission so that branch
-/// fragments append in place: the mapping is `CAPACITY_FACTOR` times
-/// the first emission, and at least `CAPACITY_FLOOR`. Pages of an
-/// anonymous mapping that are never written cost address space only,
-/// so the floor is sized for the large trees: of the 117 trees the 26
-/// suite programs build, the largest is 58 KB (`date-format-tofte`). A
-/// tree that outgrows its mapping is rebuilt whole into one
-/// `CAPACITY_FACTOR` times its new size.
+/// fragments append in place: the range is `CAPACITY_FACTOR` times
+/// the first emission, and at least `CAPACITY_FLOOR`. Pages of the
+/// code file that are never written cost address space only, so the
+/// floor is sized for the large trees: of the 117 trees the 26 suite
+/// programs build, the largest is 58 KB (`date-format-tofte`). A tree
+/// that outgrows its range is rebuilt whole into one `CAPACITY_FACTOR`
+/// times its new size.
 const CAPACITY_FACTOR: usize = 4;
-const CAPACITY_FLOOR: usize = 256 * 1024;
+pub(super) const CAPACITY_FLOOR: usize = 256 * 1024;
 
 thread_local! {
-    /// Test-only failure switch: the next `mmap` or `mprotect` (by
-    /// syscall number) issued on this thread is refused.
+    /// Test-only failure switch: the next `memfd_create`, `ftruncate`,
+    /// `mmap` or `pwrite64` (by syscall number) issued on this thread is
+    /// refused.
     #[cfg(test)]
     pub(super) static REFUSE_NEXT: std::cell::Cell<Option<isize>> =
         const { std::cell::Cell::new(None) };
@@ -45,10 +84,13 @@ thread_local! {
 /// # Safety
 ///
 /// `n` with `args` must be a system call that is sound to issue: here
-/// an anonymous `mmap` at a kernel-chosen address, or
-/// `mprotect`/`munmap` on a range this module mapped and nothing else
-/// references.
+/// the creation, sizing, mapping and closing of the code file, or a
+/// `pwrite64` from a live buffer into a range of it no run can reach.
 unsafe fn syscall(n: isize, args: [usize; 6]) -> isize {
+    #[cfg(test)]
+    if REFUSE_NEXT.with(|r| r.get() == Some(n) && r.replace(None).is_some()) {
+        return -1;
+    }
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     {
         let ret: isize;
@@ -78,78 +120,145 @@ unsafe fn syscall(n: isize, args: [usize; 6]) -> isize {
     }
 }
 
-/// A page-rounded mapping holding one tree's code, or nothing yet
-/// (`len == 0`). The pages are `rw-` while code is copied in or
-/// patched and `r-x` otherwise — never writable and executable at
-/// once.
+/// Whether a raw syscall return is an error (`-4095..0`).
+fn failed(ret: isize) -> bool {
+    (-4095..0).contains(&ret)
+}
+
+/// The process's code file: its descriptor, where it is mapped, and the
+/// ranges handed out.
+pub(super) struct CodeFile {
+    fd: usize,
+    base: usize,
+    /// Bytes handed out from offset 0: the high-water mark.
+    top: usize,
+    /// Ranges `(offset, len)` given back, for the next request of the
+    /// same length.
+    free: Vec<(usize, usize)>,
+}
+
+/// Created at the first emission; a refused creation leaves it `None`
+/// and the next emission tries again. Every update under the lock leaves
+/// it valid, so a poisoned lock is taken as it is.
+static CODE_FILE: Mutex<Option<CodeFile>> = Mutex::new(None);
+
+impl CodeFile {
+    fn open() -> Result<CodeFile, Unsupported> {
+        // SAFETY: creating, sizing and mapping a fresh file touches no
+        // memory the program holds; the name is NUL-terminated.
+        unsafe {
+            let name = c"tm-code".as_ptr() as usize;
+            let fd = syscall(SYS_MEMFD_CREATE, [name, MFD_CLOEXEC, 0, 0, 0, 0]);
+            if failed(fd) {
+                return Err(Unsupported { what: "memfd_create" });
+            }
+            let fd = fd as usize;
+            let refused = if failed(syscall(SYS_FTRUNCATE, [fd, RESERVATION, 0, 0, 0, 0])) {
+                "ftruncate"
+            } else {
+                let base = syscall(SYS_MMAP, [0, RESERVATION, PROT_RX, MAP_SHARED, fd, 0]);
+                if !failed(base) {
+                    return Ok(CodeFile { fd, base: base as usize, top: 0, free: Vec::new() });
+                }
+                "mmap"
+            };
+            syscall(SYS_CLOSE, [fd, 0, 0, 0, 0, 0]);
+            Err(Unsupported { what: refused })
+        }
+    }
+
+    /// Bytes of the code file handed out so far.
+    #[cfg(test)]
+    pub(super) fn top() -> usize {
+        CODE_FILE.lock().unwrap_or_else(PoisonError::into_inner).as_ref().map_or(0, |f| f.top)
+    }
+}
+
+/// A range of the code file holding one tree's code, or nothing yet
+/// (`len == 0`). It is mapped `r-x` only; [`ExecBuf::write`] stores
+/// into it through the file.
 struct ExecBuf {
-    ptr: *mut u8,
+    ptr: *const u8,
+    fd: usize,
+    off: usize,
     len: usize,
 }
 
-// SAFETY: `ptr` is this value's own mapping. Code in it only touches
-// memory through the ctx it is called with, so executing through
-// `&ExecBuf` from any thread is sound; the mapping is written only by
-// `NativeTree::append`, which owns the tree by value (no `&` to it can
-// exist), and trees are realm-local in the monitor.
+// SAFETY: `ptr` is this value's own range of the code file. Code in it
+// only touches memory through the ctx it is called with, so executing
+// through `&ExecBuf` from any thread is sound; the range is written only
+// by `NativeTree::append`, which owns the tree by value (no `&` to it
+// can exist), and trees are realm-local in the monitor.
 unsafe impl Send for ExecBuf {}
 // SAFETY: as above.
 unsafe impl Sync for ExecBuf {}
 
 impl ExecBuf {
-    const UNMAPPED: ExecBuf = ExecBuf { ptr: std::ptr::null_mut(), len: 0 };
+    const UNMAPPED: ExecBuf = ExecBuf { ptr: std::ptr::null(), fd: 0, off: 0, len: 0 };
 
-    #[cfg(test)]
-    fn refused(nr: isize) -> bool {
-        REFUSE_NEXT.with(|r| r.get() == Some(nr) && r.replace(None).is_some())
-    }
-
-    /// Maps `len` (a page multiple) bytes `rw-`.
-    fn map(len: usize) -> Option<ExecBuf> {
-        #[cfg(test)]
-        if ExecBuf::refused(SYS_MMAP) {
-            return None;
-        }
-        // SAFETY: a fresh private anonymous mapping aliases nothing.
-        let addr = unsafe {
-            syscall(SYS_MMAP, [0, len, PROT_RW, MAP_PRIVATE_ANON, usize::MAX, 0])
+    /// Hands out `len` (a page multiple) bytes of the code file,
+    /// creating it at the first call.
+    fn alloc(len: usize) -> Result<ExecBuf, Unsupported> {
+        let mut file = CODE_FILE.lock().unwrap_or_else(PoisonError::into_inner);
+        let f = match &mut *file {
+            Some(f) => f,
+            none @ None => none.insert(CodeFile::open()?),
         };
-        if (-4095..0).contains(&addr) {
-            return None;
-        }
-        Some(ExecBuf { ptr: addr as *mut u8, len })
+        let off = match f.free.iter().rposition(|&(_, l)| l == len) {
+            Some(i) => f.free.swap_remove(i).0,
+            None if f.top + len <= RESERVATION => {
+                f.top += len;
+                f.top - len
+            }
+            None => return Err(Unsupported { what: "reservation" }),
+        };
+        Ok(ExecBuf { ptr: (f.base + off) as *const u8, fd: f.fd, off, len })
     }
 
-    /// Flips the whole mapping to `prot`; `false` when the OS refuses.
-    fn protect(&self, prot: usize) -> bool {
-        #[cfg(test)]
-        if ExecBuf::refused(SYS_MPROTECT) {
-            return false;
+    /// Stores `bytes` at offset `at` of the range; `false` when the OS
+    /// refuses.
+    fn write(&self, at: usize, bytes: &[u8]) -> bool {
+        // Past the range lies another tree's code.
+        assert!(at + bytes.len() <= self.len, "code written past its range");
+        let mut done = 0;
+        while done < bytes.len() {
+            let rest = &bytes[done..];
+            let pos = self.off + at + done;
+            // SAFETY: reads `rest`, a live slice, and writes this
+            // value's own range of the code file, which no run is
+            // executing (see the module docs).
+            let n = unsafe {
+                syscall(SYS_PWRITE64, [self.fd, rest.as_ptr() as usize, rest.len(), pos, 0, 0])
+            };
+            if n <= 0 {
+                return false;
+            }
+            done += n as usize;
         }
-        // SAFETY: `ptr..ptr+len` is this value's own live mapping.
-        unsafe { syscall(SYS_MPROTECT, [self.ptr as usize, self.len, prot, 0, 0, 0]) == 0 }
+        true
     }
 }
 
 impl Drop for ExecBuf {
     fn drop(&mut self) {
         if self.len != 0 {
-            // SAFETY: `ptr..ptr+len` is this value's own mapping, and
-            // no code in it is running: every run borrows the tree.
-            unsafe { syscall(SYS_MUNMAP, [self.ptr as usize, self.len, 0, 0, 0, 0]) };
+            let mut file = CODE_FILE.lock().unwrap_or_else(PoisonError::into_inner);
+            if let Some(f) = file.as_mut() {
+                f.free.push((self.off, self.len));
+            }
         }
     }
 }
 
 /// Translates a whole trace tree (trunk fragment 0 plus stitched
-/// branch fragments) into one executable buffer: a tree with nothing
-/// mapped yet, grown by every fragment ([`NativeTree::append`]).
+/// branch fragments) into one executable buffer: a tree with no range
+/// yet, grown by every fragment ([`NativeTree::append`]).
 ///
 /// # Errors
 ///
 /// [`Unsupported`] when any fragment contains an op outside the
-/// native subset, or when the OS refuses an executable mapping. The
-/// caller falls back to the decoded executor for the whole tree.
+/// native subset, or when the code file cannot take it (module docs).
+/// The caller falls back to the decoded executor for the whole tree.
 pub fn emit_tree(fragments: &[Fragment]) -> Result<NativeTree, Unsupported> {
     NativeTree::emit(fragments, &[])
 }
@@ -291,21 +400,21 @@ impl NativeTree {
 
     /// Grows the tree to cover `fragments`: the bodies and exit
     /// trampolines of `fragments[self.num_fragments()..]` are laid at
-    /// the tail of the mapping, and every stitch in `fragments` not
+    /// the tail of its range, and every stitch in `fragments` not
     /// patched in yet overwrites the tail of the parent's exit
     /// trampoline(s) with a `jmp` to the target body. Code laid
     /// earlier is not emitted again and does not move.
     /// `fragments[..self.num_fragments()]` must be the fragments the
     /// tree was grown from so far, with stitches added at most. The
-    /// mapping is `rw-` while it is written and `r-x` again before
-    /// this returns.
+    /// bytes are written through the code file (module docs).
     ///
     /// # Errors
     ///
-    /// The tree is consumed and its mapping released.
+    /// The tree is consumed and its range released.
     /// [`Unsupported::FULL`] when the new code does not fit the
     /// reserved capacity — rebuild with [`emit_tree`]; otherwise an
-    /// op the emitter refuses or a refused `mmap`/`mprotect`.
+    /// op the emitter refuses, a refused syscall, or a spent
+    /// reservation.
     pub fn append(
         mut self,
         fragments: &[Fragment],
@@ -344,7 +453,7 @@ impl NativeTree {
             self.max_spills = self.max_spills.max(frag.num_spills as usize);
         }
         self.tails.extend(e.emit_sites());
-        let (chunk, mut notes) = e.asm.finish();
+        let (mut chunk, mut notes) = e.asm.finish();
         self.helpers = e.helpers;
         self.direct = e.direct;
         self.heap_sites = e.heap_sites;
@@ -353,33 +462,35 @@ impl NativeTree {
         if self.buf.len == 0 {
             let capacity =
                 (new_len * CAPACITY_FACTOR).max(CAPACITY_FLOOR).div_ceil(4096) * 4096;
-            self.buf = ExecBuf::map(capacity).ok_or(Unsupported { what: "mmap" })?;
+            self.buf = ExecBuf::alloc(capacity)?;
         } else if new_len > self.buf.len {
             return Err(Unsupported::FULL);
-        } else if !self.buf.protect(PROT_RW) {
-            return Err(Unsupported { what: "mprotect" });
         }
-        // SAFETY: the mapping is `rw-` (fresh, or just flipped), at
-        // least `new_len` bytes long, and this tree — owned by value,
-        // so nothing is running in it — is the only thing naming it.
-        let code = unsafe { std::slice::from_raw_parts_mut(self.buf.ptr, new_len) };
-        code[self.code_len..].copy_from_slice(&chunk);
         // Stitch: every trampoline whose exit now has a target jumps
-        // there and leaves the table of unstitched ones.
+        // there and leaves the table of unstitched ones. A trampoline in
+        // the new chunk is patched before the chunk is written; one in
+        // older code is written on its own.
+        let mut patches = Vec::new();
         self.tails.retain(|site| {
             let target = fragments[site.frag as usize].stitch[usize::from(site.exit)];
             if target == EXIT_UNSTITCHED {
                 return true;
             }
             let tail = site.tail as usize;
-            patch_jmp(code, tail, self.frag_offsets[target as usize] as usize);
+            let jmp = jmp_rel32(tail, self.frag_offsets[target as usize] as usize);
+            match tail.checked_sub(self.code_len) {
+                Some(at) => chunk[at..at + jmp.len()].copy_from_slice(&jmp),
+                None => patches.push((tail, jmp)),
+            }
             if let Some(notes) = &mut notes {
                 notes.push((tail, format!("; stitched: jmp fragment {target}")));
             }
             false
         });
-        if !self.buf.protect(PROT_RX) {
-            return Err(Unsupported { what: "mprotect" });
+        let written = self.buf.write(self.code_len, &chunk)
+            && patches.iter().all(|(at, jmp)| self.buf.write(*at, jmp));
+        if !written {
+            return Err(Unsupported { what: "pwrite" });
         }
         self.code_len = new_len;
         self.notes = notes;
@@ -475,13 +586,13 @@ impl NativeTree {
             (ctx.stage, ctx.stage_len) = (at(REG_FILE_WORDS + spill + callee_ar), stage as u64);
         }
         // SAFETY: `buf` starts with the prologue this module emitted
-        // for exactly this signature and is `r-x`: `append` is the
-        // only writer and takes the tree by value, so it cannot run
-        // while `&self` is live. Every pointer in `ctx` (and in the
-        // callee ctx) outlives the call; a direct site's callee code
-        // is held by `self.direct`.
+        // for exactly this signature and is mapped `r-x`: `append` is
+        // the only writer and takes the tree by value, so it cannot run
+        // while `&self` is live (module docs). Every pointer in `ctx`
+        // (and in the callee ctx) outlives the call; a direct site's
+        // callee code is held by `self.direct`.
         let run = unsafe {
-            std::mem::transmute::<*mut u8, extern "C" fn(*mut NativeCtx)>(self.buf.ptr)
+            std::mem::transmute::<*const u8, extern "C" fn(*mut NativeCtx)>(self.buf.ptr)
         };
         run(&mut ctx);
         if callee.is_some() {
@@ -498,14 +609,14 @@ impl NativeTree {
         self.code_len
     }
 
-    /// Base address of the executable mapping (diagnostics only).
+    /// Base address of the tree's code (diagnostics only).
     pub fn code_ptr(&self) -> *const u8 {
         self.buf.ptr
     }
 
     /// Address of the trunk's body, where every run starts.
     pub(super) fn trunk(&self) -> *const u8 {
-        // SAFETY: a fragment offset lies inside the mapping.
+        // SAFETY: a fragment offset lies inside the range.
         unsafe { self.buf.ptr.add(self.frag_offsets[0] as usize) }
     }
 
@@ -525,8 +636,8 @@ impl NativeTree {
     /// [`emit_tree_annotated`].
     pub fn hexdump(&self) -> String {
         let notes = self.notes.as_deref().unwrap_or(&[]);
-        // SAFETY: the first `code_len` bytes of the mapping are
-        // initialized code, readable (`r-x`) while `&self` is live.
+        // SAFETY: the first `code_len` bytes of the range hold the
+        // tree's code, readable (`r-x`) while `&self` is live.
         let code = unsafe { std::slice::from_raw_parts(self.buf.ptr, self.code_len) };
         let mut out = String::new();
         for (n, (off, text)) in notes.iter().enumerate() {

@@ -3,7 +3,7 @@
 //! SIB and REX prefixes are private to this file; lowering names registers,
 //! condition codes and operations only.
 
-use std::collections::HashMap;
+use tm_support::WordMap;
 
 pub(super) const RAX: u8 = 0;
 pub(super) const RCX: u8 = 1;
@@ -104,7 +104,7 @@ pub(super) enum Label {
 /// Byte-buffer assembler with rel32 label fixups and offset-keyed
 /// annotations (consumed by the hexdump disassembler). It assembles
 /// the chunk of a tree's code that starts at offset `base`; label,
-/// fixup and note positions are offsets into the tree's mapping, so a
+/// fixup and note positions are offsets into the tree's code, so a
 /// chunk can jump to code laid before it. Annotations are only
 /// collected when `notes` is `Some` — formatting every virtual
 /// instruction is far too expensive for the monitor's emission path,
@@ -112,7 +112,7 @@ pub(super) enum Label {
 pub(super) struct Asm {
     base: usize,
     code: Vec<u8>,
-    labels: HashMap<Label, usize>,
+    labels: WordMap<Label, usize>,
     fixups: Vec<(usize, Label)>,
     notes: Option<Vec<(usize, String)>>,
 }
@@ -121,7 +121,7 @@ impl Asm {
     /// An empty chunk laid at offset `base` of the tree's code, adding
     /// to `notes` when the tree collects them.
     pub(super) fn new(base: usize, notes: Option<Vec<(usize, String)>>) -> Asm {
-        Asm { base, code: Vec::new(), labels: HashMap::new(), fixups: Vec::new(), notes }
+        Asm { base, code: Vec::new(), labels: WordMap::default(), fixups: Vec::new(), notes }
     }
 
     pub(super) fn here(&self) -> usize {
@@ -596,13 +596,13 @@ impl Asm {
     }
 }
 
-/// Overwrites the five bytes at `code[at..]` with `jmp rel32` to
-/// offset `target` of the same buffer.
-pub(super) fn patch_jmp(code: &mut [u8], at: usize, target: usize) {
+/// The five bytes of a `jmp rel32` at offset `at` to offset `target`
+/// of the same buffer.
+pub(super) fn jmp_rel32(at: usize, target: usize) -> [u8; 5] {
     let rel = i32::try_from(target as i64 - (at as i64 + 5))
         .expect("jump displacement exceeds rel32");
-    code[at] = 0xE9;
-    code[at + 1..at + 5].copy_from_slice(&rel.to_le_bytes());
+    let [a, b, c, d] = rel.to_le_bytes();
+    [0xE9, a, b, c, d]
 }
 
 #[cfg(test)]
@@ -698,8 +698,6 @@ mod tests {
         let (code, _) = asm.finish();
         assert_eq!(code, [0xE9, 0x3B, 0xFF, 0xFF, 0xFF, 0x0F, 0x85, 1, 0, 0, 0, 0xC3]);
         // A stitch patched over an exit trampoline jumps back the same way.
-        let mut code = vec![0x90; 12];
-        patch_jmp(&mut code, 4, 0);
-        assert_eq!(code[4..9], [0xE9, 0xF7, 0xFF, 0xFF, 0xFF]);
+        assert_eq!(jmp_rel32(4, 0), [0xE9, 0xF7, 0xFF, 0xFF, 0xFF]);
     }
 }

@@ -94,7 +94,7 @@ struct SiteInfo {
 }
 
 /// Where a laid exit trampoline of `(frag, exit)` is patched when a
-/// branch is stitched to it: `tail` is the mapping offset just past
+/// branch is stitched to it: `tail` is the code offset just past
 /// the count flush.
 pub(super) struct SiteTail {
     pub(super) frag: u32,

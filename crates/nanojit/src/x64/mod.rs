@@ -3,7 +3,8 @@
 //! This is the second execution tier behind the decoded virtual-ISA
 //! executor ([`crate::executor`]). Raw [`Fragment`](crate::Fragment)s —
 //! the instructions the assembler emitted, as `.tmc` files store them —
-//! are translated to an executable W^X buffer, one buffer per trace tree,
+//! are translated to machine code in a range of the process's one code
+//! file, mapped `r-x` and written only with `pwrite`, one range per trace tree,
 //! entered through a tiny JIT calling convention (`NativeCtx` in
 //! `rt.rs`): the activation record, the memory file (with the spill area
 //! after it) and the realm travel as raw pointers; guards compile to
@@ -13,7 +14,7 @@
 //! state at a fragment's edges: `tm-verifier` proves every fragment writes
 //! each vreg before reading it, and an exit hands over the activation
 //! record alone, so where a vreg lives is unobservable. A tree's code
-//! grows the way the tree does (§6.2): the mapping is reserved with spare
+//! grows the way the tree does (§6.2): the range is reserved with spare
 //! capacity, a new branch fragment is appended at the tail, and the
 //! parent's exit trampoline is patched in place with a direct `jmp` to
 //! the new body — every fragment is emitted exactly once
@@ -52,7 +53,8 @@
 //! only file that names opcode bytes), `lower.rs` lowers each `MachInst`
 //! with local selection, `transfer.rs` lowers a direct site's word moves
 //! and call, `rt.rs` holds the ctx native code runs against and the shims
-//! it calls, and `buf.rs` maps the code, grows it and runs it.
+//! it calls, and `buf.rs` keeps the code file, grows a tree's code in it
+//! and runs it.
 //!
 //! On targets other than x86-64 Linux [`native_supported`] is false:
 //! every emission is refused and the tier disables itself.
@@ -93,16 +95,17 @@ pub struct SiteCount {
 /// back to the decoded executor for the whole tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Unsupported {
-    /// Mnemonic of the first op the emitter does not translate,
-    /// `"mmap"` / `"mprotect"` when the OS refused the call, or the
-    /// target when it has no backend.
+    /// Mnemonic of the first op the emitter does not translate, the
+    /// syscall the OS refused (`"memfd_create"`, `"ftruncate"`,
+    /// `"mmap"`, `"pwrite"`), `"reservation"` when the code file is
+    /// full, or the target when it has no backend.
     pub what: &'static str,
 }
 
 impl Unsupported {
     /// [`NativeTree::append`] ran out of reserved capacity. Unlike every
     /// other value this is no verdict on the tree: the caller rebuilds it
-    /// whole with [`emit_tree`], which reserves a larger mapping.
+    /// whole with [`emit_tree`], which reserves a larger range.
     pub const FULL: Unsupported = Unsupported { what: "capacity" };
 }
 

@@ -757,9 +757,35 @@ fn hexdump_of_an_appended_tree_annotates_everything() {
     assert_eq!(listed, nt.code_size());
 }
 
+/// Runs test `name` again, alone, in a child process of this test
+/// binary, and requires it to pass there: the code file is created once
+/// per process, so only a process that has not emitted yet can watch its
+/// creation or count every range it hands out. `true` in the child,
+/// which then runs the test's body.
+fn in_fresh_process(name: &str) -> bool {
+    if std::env::var_os("TM_X64_FRESH").is_some() {
+        return true;
+    }
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", &format!("x64::tests::{name}"), "--nocapture", "--test-threads=1"])
+        .env("TM_X64_FRESH", "1")
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{name} in a fresh process:\n{stdout}{stderr}");
+    assert!(stdout.contains("1 passed"), "{name} did not run:\n{stdout}");
+    false
+}
+
 #[test]
 fn refused_syscalls_fail_one_tree_and_leave_the_process_running() {
-    use super::buf::{REFUSE_NEXT, SYS_MMAP, SYS_MPROTECT};
+    use super::buf::{
+        REFUSE_NEXT, RESERVATION, SYS_FTRUNCATE, SYS_MEMFD_CREATE, SYS_MMAP, SYS_PWRITE64,
+    };
+    if !in_fresh_process("refused_syscalls_fail_one_tree_and_leave_the_process_running") {
+        return;
+    }
     let (trunk, full) = growth_tree();
     let ar = [w(0), w(20), w(0)];
     // What the monitor does with a tree: native code when it has it,
@@ -774,22 +800,84 @@ fn refused_syscalls_fail_one_tree_and_leave_the_process_running() {
     };
     let decoded = run(Err(super::Unsupported::FULL));
 
-    // The mprotect of an append.
+    // Each call that creates the code file, at the first emission: the
+    // tree is refused and the next emission tries again.
+    for (nr, what) in
+        [(SYS_MEMFD_CREATE, "memfd_create"), (SYS_FTRUNCATE, "ftruncate"), (SYS_MMAP, "mmap")]
+    {
+        REFUSE_NEXT.set(Some(nr));
+        let refused = emit_tree(&full);
+        assert_eq!(refused.as_ref().unwrap_err().what, what);
+        assert_eq!(run(refused), decoded);
+    }
+
+    // The pwrite of an append, and of a first emission.
     let nt = emit_tree(&trunk).unwrap();
-    REFUSE_NEXT.set(Some(SYS_MPROTECT));
+    REFUSE_NEXT.set(Some(SYS_PWRITE64));
     let refused = nt.append(&full, &[]);
-    assert_eq!(refused.as_ref().unwrap_err().what, "mprotect");
+    assert_eq!(refused.as_ref().unwrap_err().what, "pwrite");
     assert_eq!(run(refused), decoded);
-
-    // The mmap of a rebuild.
-    REFUSE_NEXT.set(Some(SYS_MMAP));
+    REFUSE_NEXT.set(Some(SYS_PWRITE64));
     let refused = emit_tree(&full);
-    assert_eq!(refused.as_ref().unwrap_err().what, "mmap");
+    assert_eq!(refused.as_ref().unwrap_err().what, "pwrite");
     assert_eq!(run(refused), decoded);
 
-    // The switch is spent: the next tree emits and agrees.
+    // A spent reservation: every range is held by a live tree.
+    let mut held = Vec::new();
+    let refused = loop {
+        match emit_tree(&trunk) {
+            Ok(nt) => held.push(nt),
+            Err(refused) => break refused,
+        }
+    };
+    assert_eq!(refused.what, "reservation");
+    assert_eq!(held.len(), RESERVATION / super::buf::CAPACITY_FLOOR);
+    assert_eq!(run(Err(refused)), decoded);
+    for nt in &held[..3] {
+        assert_eq!(agree(nt, &trunk, &ar), agree(&held[held.len() - 1], &trunk, &ar));
+    }
+
+    // The switch is spent, and a dropped tree makes room: the next tree
+    // emits and agrees.
     assert!(REFUSE_NEXT.get().is_none());
+    held.pop();
     assert_eq!(run(emit_tree(&trunk).unwrap().append(&full, &[])), decoded);
+}
+
+#[test]
+fn a_dropped_tree_gives_its_range_to_the_next() {
+    if !in_fresh_process("a_dropped_tree_gives_its_range_to_the_next") {
+        return;
+    }
+    let (trunk, full) = growth_tree();
+    let first = emit_tree(&trunk).unwrap();
+    let ptr = first.code_ptr();
+    drop(first);
+    let second = emit_tree(&full).unwrap();
+    assert_eq!(second.code_ptr(), ptr, "the freed range is reused");
+    agree(&second, &full, &[w(0), w(20), w(0)]);
+    drop(second);
+    for _ in 0..1000 {
+        drop(emit_tree(&trunk).unwrap());
+    }
+    assert_eq!(super::buf::CodeFile::top(), super::buf::CAPACITY_FLOOR, "one range, ever");
+}
+
+#[test]
+fn the_code_file_is_never_mapped_writable() {
+    let maps = || {
+        let maps = std::fs::read_to_string("/proc/self/maps").unwrap();
+        let code: Vec<String> =
+            maps.lines().filter(|l| l.contains("memfd:tm-code")).map(str::to_owned).collect();
+        assert_eq!(code.len(), 1, "the code file is mapped once:\n{maps}");
+        assert_eq!(code[0].split_whitespace().nth(1), Some("r-xs"), "{}", code[0]);
+    };
+    let (trunk, full) = growth_tree();
+    let nt = emit_tree(&trunk).unwrap();
+    maps();
+    let nt = nt.append(&full, &[]).unwrap();
+    maps();
+    agree(&nt, &full, &[w(0), w(20), w(0)]);
 }
 
 // ---- full-coverage tier: heap ops, helper calls, nested trees ----

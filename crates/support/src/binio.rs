@@ -22,7 +22,8 @@
 //!   dependence.
 
 use std::fmt;
-use std::hash::Hasher;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Error from a [`ByteReader`] operation.
 ///
@@ -418,6 +419,12 @@ impl Hasher for WordHasher {
         h ^ (h >> 33)
     }
 }
+
+/// A `HashMap` hashed by [`WordHasher`]: for tables keyed by the
+/// compiler's own small ids (slot keys, labels), where std's keyed
+/// SipHash costs more than the lookup. Tables keyed by program text
+/// (names, property keys) keep std's hasher, against hash flooding.
+pub type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 
 /// One-shot [`WordHasher`] of `bytes`.
 pub fn hash64(bytes: &[u8]) -> u64 {

@@ -33,7 +33,7 @@ pub mod prop;
 pub mod rng;
 pub mod sched;
 
-pub use binio::{hash64, BinError, ByteReader, ByteWriter, WordHasher};
+pub use binio::{hash64, BinError, ByteReader, ByteWriter, WordHasher, WordMap};
 pub use json::{Json, ParseError};
 pub use prop::{Config, Failure};
 pub use rng::TmRng;

@@ -414,3 +414,74 @@ fn one_tmc_warm_starts_all_realms() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A counting loop to `limit`, stepping by `step`, that adds the odd
+/// `i`s into `acc` on a stitched branch. AR: `i`, `limit`, `acc`.
+fn stitched_loop(step: i32) -> Vec<tracemonkey::nanojit::Fragment> {
+    use tracemonkey::lir::{AluOp, CmpOp};
+    use tracemonkey::nanojit::{Fragment, MachInst};
+    use tracemonkey::runtime::trace_helpers::word_from_i32;
+    let mut trunk = Fragment::new(
+        vec![
+            MachInst::ReadAr { d: 0, slot: 0 },
+            MachInst::ReadAr { d: 1, slot: 1 },
+            MachInst::ConstW { d: 2, w: word_from_i32(step) },
+            MachInst::AluI { op: AluOp::Add, d: 0, a: 0, b: 2 },
+            MachInst::WriteAr { slot: 0, s: 0 },
+            MachInst::CmpI { op: CmpOp::Lt, d: 3, a: 0, b: 1 },
+            MachInst::GuardTrue { s: 3, exit: 0 },
+            MachInst::AluI { op: AluOp::And, d: 4, a: 0, b: 2 },
+            MachInst::GuardFalse { s: 4, exit: 1 },
+            MachInst::LoopBack { exit: 2 },
+        ],
+        0,
+        3,
+    );
+    trunk.stitch_exit(1, 1);
+    let branch = Fragment::new(
+        vec![
+            MachInst::ReadAr { d: 0, slot: 0 },
+            MachInst::ReadAr { d: 5, slot: 2 },
+            MachInst::AluI { op: AluOp::Add, d: 5, a: 5, b: 0 },
+            MachInst::WriteAr { slot: 2, s: 5 },
+            MachInst::LoopBack { exit: 0 },
+        ],
+        0,
+        1,
+    );
+    vec![trunk, branch]
+}
+
+/// Two threads emit, run and drop native trees at once: they share the
+/// process's code file and the lock over its ranges, so a range one
+/// thread frees is soon written by the other. Every run must exit as the
+/// decoded executor does. Two threads, so that the ThreadSanitizer stage
+/// covers the lock without starting more.
+#[test]
+fn two_threads_emit_run_and_drop_native_trees() {
+    use tracemonkey::nanojit::{emit_tree, execute, native_supported, NoNesting};
+    use tracemonkey::runtime::trace_helpers::word_from_i32;
+    if !native_supported() {
+        return;
+    }
+    let worker = |step: i32| {
+        move || {
+            for round in 0..200 {
+                let frags = stitched_loop(step);
+                let (zero, limit) = (word_from_i32(0), word_from_i32(40 + round % 7));
+                let (mut ar_dec, mut ar_nat) = ([zero, limit, zero], [zero, limit, zero]);
+                let mut realm = tracemonkey::Realm::new();
+                let dec = execute(&frags, &mut ar_dec, &mut realm, &mut NoNesting, u64::MAX);
+                let nt = emit_tree(&frags).expect("native emission");
+                let mut realm = tracemonkey::Realm::new();
+                let nat = nt.execute(&mut ar_nat, &mut realm, &mut NoNesting, u64::MAX);
+                assert_eq!(dec.unwrap(), nat.unwrap(), "step {step}, round {round}");
+                assert_eq!(ar_dec, ar_nat, "step {step}, round {round}");
+            }
+        }
+    };
+    let threads = [std::thread::spawn(worker(1)), std::thread::spawn(worker(3))];
+    for t in threads {
+        t.join().expect("an emitting thread panicked");
+    }
+}

@@ -14,7 +14,7 @@
 //! reducer over the failing program and panics with the minimized source
 //! plus a ready-to-paste regression test.
 
-use tm_support::TmRng;
+use tm_support::{hash64, TmRng};
 use tracemonkey::{Engine, Vm};
 
 struct Gen {
@@ -885,16 +885,14 @@ fn reducer_shrinks_generated_program() {
 
 /// The generated programs are what the pinned seed lists in `ci.sh` and
 /// the regression tests above name: a change to a generator that moves
-/// them silently retires those seeds. FNV-1a over the programs of seeds
-/// 0..300 of each family.
+/// them silently retires those seeds. `tm_support::hash64` of the
+/// programs of seeds 0..300 of each family, concatenated.
 #[test]
 fn both_families_keep_their_programs() {
     let hash = |family: fn(u64) -> Gen| {
-        let programs = (0..300).map(|n| family(n).program());
-        programs.flat_map(String::into_bytes).fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-        })
+        let programs: String = (0..300).map(|n| family(n).program()).collect();
+        hash64(programs.as_bytes())
     };
-    assert_eq!(hash(Gen::new), 0x919c_d484_304f_71b1);
-    assert_eq!(hash(Gen::nested), 0x6b0c_1e3f_0260_ad90);
+    assert_eq!(hash(Gen::new), 0xa1c2_5fc6_68d8_d203);
+    assert_eq!(hash(Gen::nested), 0xf86e_6b0b_1214_47a6);
 }
