@@ -17,6 +17,7 @@
 //!   pinned to — deferred where the inner trees are leaves, from an
 //!   inlined frame and across sibling links too — and leave the same
 //!   state at every return and link on both tiers;
+//! * compiled code: every program's trees hash to the pinned value;
 //! * siblings: the trees at one loop header have distinct entry maps,
 //!   and the same ones in every process;
 //! * warm start: a `.tmc` written by one `Vm` lets a fresh `Vm` load
@@ -30,7 +31,8 @@
 //! `dispatched` and `warm_bytecodes` may not grow by more than 5 %,
 //! `nested_calls`, `nested_deferred`, `nested_direct`,
 //! `host_transitions`, `trees`, `fragments`, `traces_completed` and
-//! `duplicate_siblings` are exact, and a flag
+//! `duplicate_siblings` are exact, `code` (a hash of every compiled tree)
+//! is exact, and a flag
 //! (`ran_native`, `fallback_free`, `warm_started`) that is 1 there must
 //! still be 1. Regenerate with
 //! `TM_UPDATE_GOLDEN=1 cargo test -p tm-bench --test suite_gates`.
@@ -40,9 +42,13 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 
 use tm_bench::{by_name, run_program, BenchProgram};
-use tracemonkey::jit::profiler::ProfileStats;
+use tm_support::{hash64, ByteWriter};
+use tracemonkey::jit::activation::{SlotBinding, SlotKey};
+use tracemonkey::jit::exit::SideExitInfo;
 use tracemonkey::jit::persist::read_cache_file;
+use tracemonkey::jit::profiler::ProfileStats;
 use tracemonkey::jit::tree::{ExecCode, TraceTree, TreeCode};
+use tracemonkey::nanojit::serial::encode_fragment;
 use tracemonkey::{Engine, JitOptions, MultiTenantVm, RealmJob, Vm};
 
 fn prog(name: &str) -> &'static BenchProgram {
@@ -112,6 +118,7 @@ fn check_pins(observed: &[(&str, &str, u64)]) {
             | "trees" | "fragments" | "traces_completed" | "duplicate_siblings" => {
                 assert_eq!(now, was, "{p}: {c} moved from the accepted count")
             }
+            "code" => assert_eq!(now, was, "{p}: its compiled trees differ from the pinned ones"),
             _ => assert!(was == 0 || now != 0, "{p}: {c} was set in the accepted state, not now"),
         }
     }
@@ -412,6 +419,135 @@ fn nested_calls_leave_the_same_state_on_both_tiers() {
         let first = decoded.1.iter().zip(&native.1).position(|(d, n)| d != n);
         assert!(decoded == native, "{name}: the tiers differ from line {first:?}");
     }
+}
+
+// ---- compiled code ---------------------------------------------------
+
+fn w_key(k: SlotKey, w: &mut ByteWriter) {
+    match k {
+        SlotKey::Global(g) => {
+            w.u8(0);
+            w.u32(g);
+        }
+        SlotKey::Local { depth, slot } => {
+            w.u8(1);
+            w.u8(depth);
+            w.u16(slot);
+        }
+        SlotKey::Stack { depth, idx } => {
+            w.u8(2);
+            w.u8(depth);
+            w.u16(idx);
+        }
+        SlotKey::Reimport { site, idx } => {
+            w.u8(3);
+            w.u32(site);
+            w.u16(idx);
+        }
+    }
+}
+
+fn w_bindings(list: &[SlotBinding], w: &mut ByteWriter) {
+    w.u32(list.len() as u32);
+    for b in list {
+        w.u16(b.ar);
+        w_key(b.key, w);
+        w.u8(b.ty as u8);
+    }
+}
+
+fn w_exit(e: &SideExitInfo, w: &mut ByteWriter) {
+    w.u8(e.kind as u8);
+    w.u32(e.frames.len() as u32);
+    for f in &e.frames {
+        w.u32(f.func.0);
+        w.u32(f.resume_pc);
+        w.u16(f.stack_depth);
+        w.bool(f.is_construct);
+        w.u64(f.callee_raw);
+    }
+    w_bindings(&e.write_back, w);
+    w.u32(e.oracle_hint.len() as u32);
+    for &k in &e.oracle_hint {
+        w_key(k, w);
+    }
+    w_bindings(&e.typemap, w);
+    match e.arith_site {
+        Some((f, pc)) => {
+            w.u8(1);
+            w.u32(f.0);
+            w.u32(pc);
+        }
+        None => w.u8(0),
+    }
+}
+
+/// One hash of every tree a run compiled, field by field: each tree's
+/// fragments (the machine instructions the recorder's LIR compiled to,
+/// as `serial` encodes them), exit tables, entry map, loop writes,
+/// nested sites and per-fragment bytecode counts.
+fn code_hash(vm: &Vm) -> u64 {
+    let mut w = ByteWriter::new();
+    for t in vm.monitor().expect("tracing").cache.iter() {
+        // Destructured, so that a field added to `TreeCode` is hashed or
+        // named here. The layout and `unstable` show in the fragments'
+        // slots and ends; `digest` is derived from the entry map.
+        let TreeCode {
+            anchor,
+            digest: _,
+            layout: _,
+            fragments,
+            exits,
+            fragment_bytecodes,
+            entry,
+            nested_sites,
+            loop_writes,
+            unstable: _,
+        } = &*t.code;
+        w.u32(anchor.func.0);
+        w.u32(anchor.pc);
+        w.u32(fragments.len() as u32);
+        for f in fragments.iter() {
+            encode_fragment(f, &mut w);
+        }
+        for table in exits {
+            w.u32(table.len() as u32);
+            for e in table {
+                w_exit(e, &mut w);
+            }
+        }
+        w_bindings(entry, &mut w);
+        w_bindings(loop_writes, &mut w);
+        w.u32(nested_sites.len() as u32);
+        for n in nested_sites {
+            w.u32(n.inner.0);
+            w.u32(n.returns.0);
+            w.u32(n.expected_exit.0);
+            w.u16(n.expected_exit.1);
+            w_bindings(&n.reimports, &mut w);
+            w_bindings(&n.retyped, &mut w);
+            w_exit(&n.callsite, &mut w);
+            w.u16(n.callsite_exit);
+        }
+        for &bc in fragment_bytecodes {
+            w.u32(bc);
+        }
+    }
+    hash64(w.bytes())
+}
+
+/// A change that means to leave the recorder's output alone (a refactor,
+/// a cheaper recorder) leaves every suite program's compiled code exactly
+/// as pinned. The gate checks compiled code, not raw LIR: a reorder the
+/// filters and the assembler erase goes unseen.
+#[test]
+fn every_program_compiles_to_its_pinned_code() {
+    let mut observed = Vec::new();
+    for p in tm_bench::SUITE {
+        let run = run_program(p, Engine::Tracing, JitOptions::default(), 1);
+        observed.push((p.name, "code", code_hash(&run.vm)));
+    }
+    check_pins(&observed);
 }
 
 // ---- siblings --------------------------------------------------------

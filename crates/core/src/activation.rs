@@ -73,6 +73,31 @@ pub struct SlotBinding {
     pub ty: LirType,
 }
 
+/// Whether `list` is strictly ascending by AR slot, as every type map the
+/// recorder and the monitor build is.
+pub(crate) fn in_ar_order(list: &[SlotBinding]) -> bool {
+    list.windows(2).all(|w| w[0].ar < w[1].ar)
+}
+
+/// `a` and `b`, both in AR order, merged into one list in AR order; where
+/// both bind a slot, `a`'s binding is kept. Lists out of order merge
+/// without a panic, and the disorder survives: the result is in AR order
+/// only when both inputs are. A `.tmc` load merges lists before it can
+/// check them, and checks the result (`persist::revalidate`).
+pub(crate) fn merge_by_ar(a: &[SlotBinding], b: &[SlotBinding]) -> Vec<SlotBinding> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(if x.ar <= y.ar { x } else { y });
+        i += usize::from(x.ar <= y.ar);
+        j += usize::from(y.ar <= x.ar);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
 /// Maps slot keys to activation-record slots for one trace tree.
 #[derive(Debug, Clone, Default)]
 pub struct ArLayout {
@@ -508,6 +533,27 @@ mod tests {
         let w = unbox_to_word(&realm, Value::TRUE, LirType::Bool);
         assert_eq!(box_from_word(&mut realm, w, LirType::Bool), Value::TRUE);
         assert_eq!(box_from_word(&mut realm, 0, LirType::Undefined), Value::UNDEFINED);
+    }
+
+    #[test]
+    fn merge_by_ar_interleaves_and_keeps_the_first_binding_of_a_slot() {
+        let b = |ar, g, ty| SlotBinding { ar, key: SlotKey::Global(g), ty };
+        let first = [b(1, 1, LirType::Int), b(4, 4, LirType::Int)];
+        let second = [b(0, 0, LirType::Bool), b(4, 9, LirType::Double), b(6, 6, LirType::Null)];
+        let merged = merge_by_ar(&first, &second);
+        assert_eq!(merged, [second[0], first[0], first[1], second[2]]);
+        assert!(in_ar_order(&merged));
+        assert_eq!(merge_by_ar(&[], &second), second);
+        // An input out of AR order (a duplicate, or a descent) leaves the
+        // result out of order, even where a tie drops one of the pair.
+        let descent = [b(4, 4, LirType::Int), b(1, 1, LirType::Int)];
+        let duplicate = [b(4, 4, LirType::Int), b(4, 5, LirType::Int)];
+        for bad in [&descent, &duplicate] {
+            for good in [&first[..], &second[..], &[]] {
+                assert!(!in_ar_order(&merge_by_ar(bad, good)));
+                assert!(!in_ar_order(&merge_by_ar(good, bad)));
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use tm_bytecode::FuncId;
 use tm_lir::ArSlot;
 
-use crate::activation::{SlotBinding, SlotKey};
+use crate::activation::{merge_by_ar, SlotBinding, SlotKey};
 
 /// Why this exit exists — drives the monitor's policy on taking it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,6 +81,15 @@ impl SideExitInfo {
     /// The AR slots this exit reads (feeds LIR dead-store elimination).
     pub fn live_slots(&self) -> Vec<ArSlot> {
         self.write_back.iter().map(|b| b.ar).collect()
+    }
+
+    /// Adds the loop-persistent `writes` this exit lacks to its write-back
+    /// and type map; a slot it already binds keeps its more precise
+    /// per-exit type.
+    pub(crate) fn add_loop_writes(&mut self, writes: &[SlotBinding]) {
+        for list in [&mut self.write_back, &mut self.typemap] {
+            *list = merge_by_ar(list, writes);
+        }
     }
 }
 

@@ -15,7 +15,8 @@
 //!   the outer and the inner activation record, and the host that
 //!   executes them;
 //! * [`recorder`] — bytecode → type-specialized SSA LIR with guards
-//!   (§3.1, §6.3);
+//!   (§3.1, §6.3): the recording's bookkeeping, with the per-bytecode
+//!   lowering in the private `lowering` module;
 //! * [`tree`] — trace trees: the shared, immutable [`tree::TreeCode`] and
 //!   each realm's [`tree::TraceTree`] handle on it;
 //! * [`oracle`] — integer-demotion advisory (§3.2);
@@ -40,6 +41,7 @@ pub mod blacklist;
 pub mod config;
 pub mod events;
 pub mod exit;
+mod lowering;
 pub mod monitor;
 pub mod mt;
 pub mod nest;

@@ -19,7 +19,7 @@ use tm_nanojit::{
 };
 use tm_runtime::{Realm, RuntimeError, Value};
 
-use crate::activation::{export, import, ArPool, SlotBinding};
+use crate::activation::{export, import, merge_by_ar, ArPool, SlotBinding};
 use crate::blacklist::{Blacklist, Verdict};
 use crate::config::JitOptions;
 use crate::events::{AbortReason, EventLog, TraceEvent};
@@ -811,21 +811,15 @@ impl Monitor {
         // exits must restore the branch's new loop writes.
         let mut branch_exits = recorded.exits;
         for e in &mut branch_exits {
-            crate::recorder::union_writes(&mut e.write_back, &code.loop_writes);
-            crate::recorder::union_writes(&mut e.typemap, &code.loop_writes);
+            e.add_loop_writes(&code.loop_writes);
         }
-        let mut new_loop_writes = code.loop_writes.clone();
-        crate::recorder::union_writes(&mut new_loop_writes, &recorded.loop_writes);
+        let new_loop_writes = merge_by_ar(&code.loop_writes, &recorded.loop_writes);
         if new_loop_writes.len() != code.loop_writes.len() {
-            for frag_exits in &mut code.exits {
-                for e in frag_exits {
-                    crate::recorder::union_writes(&mut e.write_back, &new_loop_writes);
-                    crate::recorder::union_writes(&mut e.typemap, &new_loop_writes);
-                }
+            for e in code.exits.iter_mut().flatten() {
+                e.add_loop_writes(&new_loop_writes);
             }
             for site in &mut code.nested_sites {
-                crate::recorder::union_writes(&mut site.callsite.write_back, &new_loop_writes);
-                crate::recorder::union_writes(&mut site.callsite.typemap, &new_loop_writes);
+                site.callsite.add_loop_writes(&new_loop_writes);
             }
         }
         code.loop_writes = new_loop_writes;

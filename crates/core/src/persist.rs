@@ -36,7 +36,7 @@ use tm_nanojit::{Fragment, MachInst, EXIT_UNSTITCHED};
 use tm_runtime::{Helper, Realm, ShapeId};
 use tm_support::{hash64, BinError, ByteReader, ByteWriter, WordHasher};
 
-use crate::activation::{ArLayout, SlotBinding, SlotKey};
+use crate::activation::{in_ar_order, merge_by_ar, ArLayout, SlotBinding, SlotKey};
 use crate::blacklist::PersistedEntry;
 use crate::exit::{ExitKind, FrameDesc, SideExitInfo};
 use crate::monitor::Monitor;
@@ -326,14 +326,6 @@ fn r_bindings(r: &mut ByteReader) -> Result<Vec<SlotBinding>, BinError> {
         out.push(SlotBinding { ar: r.u16()?, key: r_slotkey(r)?, ty: r_lirtype(r)? });
     }
     Ok(out)
-}
-
-/// `a` and `b` in one list ordered by AR slot, `a`'s binding first on a
-/// tie: an exit's type map from its write-back and the stored extras.
-fn merge_by_ar(a: &[SlotBinding], b: &[SlotBinding]) -> Vec<SlotBinding> {
-    let mut out = [a, b].concat();
-    out.sort_by_key(|b| b.ar);
-    out
 }
 
 fn w_exit(e: &SideExitInfo, w: &mut ByteWriter) {
@@ -889,6 +881,10 @@ fn validate_tree(prog: &Program, realm: &Realm, ntrees: u32, t: &TreeCode) -> Re
         }
         check_bindings(&e.write_back)?;
         check_bindings(&e.typemap)?;
+        // Growing a tree's loop writes merges them into every exit's lists.
+        if !in_ar_order(&e.write_back) || !in_ar_order(&e.typemap) {
+            return Err("write-back or type map out of AR order".into());
+        }
         // A local an exit names is one of the function running at its
         // depth: a nested call's plan reads the call site's back from there.
         for b in e.write_back.iter().chain(&e.typemap) {
@@ -921,6 +917,9 @@ fn validate_tree(prog: &Program, realm: &Realm, ntrees: u32, t: &TreeCode) -> Re
     }
     check_bindings(&t.entry).map_err(|m| CacheError::BadTree(format!("entry type map: {m}")))?;
     check_bindings(&t.loop_writes).map_err(|m| CacheError::BadTree(format!("loop writes: {m}")))?;
+    if !in_ar_order(&t.loop_writes) {
+        return bad("loop writes out of AR order".into());
+    }
     for (i, site) in t.nested_sites.iter().enumerate() {
         if site.inner.0 >= ntrees || site.returns.0 >= ntrees {
             let (inner, returns) = (site.inner.0, site.returns.0);
@@ -1581,6 +1580,31 @@ mod tests {
             for e in t.exits.iter_mut().flatten() {
                 e.frames[0].stack_depth += 1;
             }
+        });
+        assert!(matches!(err, CacheError::BadTree(_)), "{err:?}");
+        // Binding lists out of AR order, which growing the tree's loop
+        // writes would merge into every exit: loop writes, write-backs,
+        // type maps and a nested call site's lists.
+        fn swap_first_two(list: &mut [SlotBinding]) {
+            assert!(list.len() >= 2, "a list with two bindings to swap");
+            list.swap(0, 1);
+        }
+        let err = run_with_corrupted_entry("loop_order", NESTED_LOOPS, opts, |t| {
+            swap_first_two(&mut t.loop_writes);
+        });
+        assert!(matches!(err, CacheError::BadTree(_)), "{err:?}");
+        let err = run_with_corrupted_entry("exit_order", NESTED_LOOPS, opts, |t| {
+            let e = t.exits[0].iter_mut().find(|e| e.write_back.len() >= 2).unwrap();
+            swap_first_two(&mut e.write_back);
+        });
+        assert!(matches!(err, CacheError::BadTree(_)), "{err:?}");
+        let err = run_with_corrupted_entry("map_order", NESTED_LOOPS, opts, |t| {
+            let e = t.exits[0].iter_mut().find(|e| e.typemap.len() >= 2).unwrap();
+            swap_first_two(&mut e.typemap);
+        });
+        assert!(matches!(err, CacheError::BadTree(_)), "{err:?}");
+        let err = run_with_corrupted_entry("site_order", NESTED_LOOPS, opts, |t| {
+            swap_first_two(&mut t.nested_sites[0].callsite.typemap);
         });
         assert!(matches!(err, CacheError::BadTree(_)), "{err:?}");
     }

@@ -262,13 +262,15 @@ pub fn decode(frag: &Fragment, fuse: bool, verify: bool) -> Decoded {
         .map(|i| Item { op: Op::Raw(raw[i as usize].clone()), start: i, end: i + 1 })
         .collect();
     let mut dce_removed = 0;
-    while fuse {
-        let folded = fold_immediates(&mut items);
-        let paired = fuse_pairs(&mut items);
-        let removed = remove_dead(&mut items);
-        dce_removed += removed;
-        if !folded && !paired && removed == 0 {
-            break;
+    if fuse {
+        loop {
+            let folded = fold_immediates(&mut items);
+            let paired = fuse_pairs(&mut items);
+            let removed = remove_dead(&mut items);
+            dce_removed += removed;
+            if !folded && !paired && removed == 0 {
+                break;
+            }
         }
     }
     if verify {

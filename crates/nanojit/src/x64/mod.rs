@@ -116,11 +116,10 @@ impl std::fmt::Display for Unsupported {
 }
 
 /// Capacity of the per-run inline `CallHelper` argument buffer in the
-/// JIT calling convention's ctx struct. No recorded helper call comes
-/// close (the recorder builds at most a handful of operands), but the
-/// pre-scan still rejects wider calls so emitted stores can never run
-/// off the end of the buffer.
-pub const MAX_HELPER_ARGS: usize = 8;
+/// JIT calling convention's ctx struct: the widest call the recorder
+/// records. The pre-scan still rejects wider calls (a `.tmc` could hold
+/// one) so emitted stores can never run off the end of the buffer.
+pub use tm_runtime::trace_helpers::MAX_HELPER_ARGS;
 
 /// The ops [`emit_tree`] refuses. Since the full-coverage tier landed
 /// this is only a `CallHelper` whose arity exceeds the inline argument

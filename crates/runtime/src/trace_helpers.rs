@@ -316,6 +316,12 @@ impl Helper {
 /// Sentinel "no prototype" handle argument for [`Helper::NewObject`].
 pub const NO_PROTO: Word = u64::MAX;
 
+/// The most argument words a recorded helper call passes: the recorder
+/// records no wider call (a generic native call passes `this` and its
+/// arguments), and the native tier's inline argument buffer holds this
+/// many.
+pub const MAX_HELPER_ARGS: usize = 10;
+
 #[inline]
 fn obj(w: Word) -> ObjectId {
     ObjectId(w as u32)

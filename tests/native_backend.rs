@@ -192,6 +192,31 @@ fn native_backend_degrades_without_error() {
     assert_eq!(stats.side_exits, decoded_stats.side_exits);
 }
 
+/// A generic native call passes `this` and its arguments to the runtime:
+/// `Math.max` with 8 and 9 arguments is a 9- and a 10-word helper call.
+/// The recorder records calls that wide, so the native tier must run them
+/// rather than refuse the tree and leave it to the decoded executor.
+#[test]
+fn widest_recorded_native_calls_run_native() {
+    if !tracemonkey::nanojit::native_supported() {
+        return;
+    }
+    for argc in [8, 9] {
+        let args: Vec<String> = (1..argc).map(|k| k.to_string()).collect();
+        let src = format!(
+            "var s = 0; for (var i = 0; i < 2000; i++) s += Math.max(i, {}); s",
+            args.join(", ")
+        );
+        let mut interp = Vm::new(Engine::Interp);
+        let v = interp.eval(&src).expect("program runs");
+        let expected = tracemonkey::runtime::ops::to_display(&mut interp.realm, v);
+        let (shown, stats) = run_with(&src, true);
+        assert_eq!(shown, expected, "{argc} arguments");
+        assert!(stats.trace_enters >= 1, "{argc} arguments: the loop must trace: {stats:?}");
+        assert_eq!(stats.native_fallbacks, 0, "{argc} arguments: a tree ran decoded: {stats:?}");
+    }
+}
+
 /// A branchy loop grows its tree by stitched branch fragments after the
 /// trunk was already emitted natively: each new fragment is appended to
 /// the tree's code and its parent's exit patched, so every fragment is
