@@ -912,8 +912,9 @@ impl Recorder {
                 // The helper takes `this` and the args, above the callee.
                 let popped = self.pop_n(argc + 2);
                 let shadow_args = &popped[1..];
-                let fast_call =
-                    fast.and_then(|f| Some((f, self.try_fast_native(f, shadow_args, argc)?)));
+                let fast_call = fast.and_then(|f| {
+                    Some((f, self.try_fast_native(f, shadow_args, argc, interp)?))
+                });
                 let (pending, call_id) = match fast_call {
                     Some((f, id)) => (PendingNative::Fast(f.helper, f.ret), id),
                     None => (PendingNative::Generic, self.generic_native_call(nid, shadow_args)?),
@@ -950,35 +951,52 @@ impl Recorder {
     }
 
     /// Attempts a typed fast call (§6.5). Returns the call SSA id on
-    /// success.
+    /// success. Every argument is checked before anything is emitted, so
+    /// a call that goes the generic way leaves no conversion guard behind.
+    /// A double passed for an int parameter is converted under a guard
+    /// only when the value the interpreter holds is an int (it holds every
+    /// integral double in the int range as one): any other value would
+    /// fail the guard on every run.
     fn try_fast_native(
         &mut self,
         fast: FastNative,
         shadow_args: &[Sv],
         argc: usize,
+        interp: &Interp,
     ) -> Option<u32> {
         // Figure out which values feed the helper: string methods take the
         // receiver, Math-style functions skip it.
         let takes_receiver = matches!(fast.args.first(), Some(FastTy::Str | FastTy::Obj));
-        let vals = if takes_receiver { shadow_args } else { &shadow_args[1..] };
+        let skip = usize::from(!takes_receiver);
+        let vals = &shadow_args[skip..];
         if vals.len() < fast.args.len() || argc > fast.args.len() {
             return None;
         }
+        let params = || vals.iter().zip(fast.args.iter());
+        // `vals[j]` is `argc - skip - j` below the top of the operand stack.
+        let fits = params().enumerate().all(|(j, (sv, &want))| match (want, sv.ty) {
+            (FastTy::Double, LirType::Double | LirType::Int | LirType::Bool)
+            | (FastTy::Int, LirType::Int)
+            | (FastTy::Str, LirType::String)
+            | (FastTy::Obj, LirType::Object) => true,
+            (FastTy::Int, LirType::Double) => {
+                top_value(interp, argc - skip - j).as_int().is_some()
+            }
+            _ => false,
+        });
+        if !fits {
+            return None;
+        }
         let mut lir_args = Vec::with_capacity(fast.args.len());
-        for (sv, &want) in vals.iter().zip(fast.args.iter()) {
-            let id = match (want, sv.ty) {
-                (FastTy::Double, LirType::Double) => sv.id,
+        for (sv, &want) in params() {
+            lir_args.push(match (want, sv.ty) {
                 (FastTy::Double, LirType::Int | LirType::Bool) => self.emit(Lir::I2D(sv.id)),
-                (FastTy::Int, LirType::Int) => sv.id,
                 (FastTy::Int, LirType::Double) => {
                     let e = self.guard_exit();
                     self.emit(Lir::D2IChk(sv.id, e))
                 }
-                (FastTy::Str, LirType::String) => sv.id,
-                (FastTy::Obj, LirType::Object) => sv.id,
-                _ => return None,
-            };
-            lir_args.push(id);
+                _ => sv.id,
+            });
         }
         Some(self.call(fast.helper, &lir_args, lir_type(fast.ret)))
     }

@@ -7,32 +7,37 @@
 //! exits, links type-unstable siblings (Figure 6), runs trees — for
 //! itself and for [`crate::nest`]'s nested calls (§4) — and applies
 //! blacklisting with nesting forgiveness (§3.3, §4.2).
+//!
+//! A recording, of a root or of a branch, is driven by one function
+//! (`Monitor::record`); what turns a finished one into code in its
+//! tree, on this thread or on the compiler pool, is the child module
+//! `install` (`monitor/install.rs`).
+
+mod install;
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use tm_bytecode::FuncId;
 use tm_interp::{Flow, Interp, RunExit};
-use tm_nanojit::{
-    Decoded, DecodedTree, DirectSite, Fragment, NativeTree, TraceExit, Unsupported,
-    EXIT_UNSTITCHED,
-};
+use tm_lir::{ArSlot, LirType};
+use tm_nanojit::{TraceExit, EXIT_UNSTITCHED};
 use tm_runtime::{Realm, RuntimeError, Value};
 
-use crate::activation::{export, import, merge_by_ar, ArPool, SlotBinding};
+use crate::activation::{export, import, ArPool, SlotBinding};
 use crate::blacklist::{Blacklist, Verdict};
 use crate::config::JitOptions;
 use crate::events::{AbortReason, EventLog, TraceEvent};
 use crate::exit::ExitKind;
-use crate::nest::{NestHost, NestObserver, SitePlans};
+use crate::nest::{NestHost, NestObserver};
 use crate::oracle::Oracle;
-use crate::pool::{compile_trace, CompileJob, CompileOutcome, CompilerPool, Ticket};
-use crate::profiler::{Activity, ProfileStats, Profiler};
-use crate::recorder::{self, RecordAction, RecordedTrace, Recorder};
-use crate::shared_cache::{entry_digest, SharedCodeCache, SharedKey};
-use crate::tree::{
-    Anchor, ExecCode, ExitState, NestedSite, TraceTree, TreeCache, TreeCode, TreeId,
-};
+use crate::pool::{CompilerPool, Ticket};
+use crate::profiler::{Activity, Profiler};
+use crate::recorder::{RecordAction, Recorder};
+use crate::shared_cache::{SharedCodeCache, SharedKey};
+use crate::tree::{Anchor, ExecCode, NestedSite, TraceTree, TreeCache, TreeCode, TreeId};
+
+pub(crate) use install::compile_trace;
 
 /// Maximum sibling trees per loop header before the monitor stops
 /// recording new type-permutation trees.
@@ -83,10 +88,6 @@ pub(crate) struct MonitorSlot {
     /// interpreter never reports this loop again, and the monitor must
     /// never touch the slot again either.
     pub(crate) silenced: bool,
-    /// A root recording for this anchor is compiling in the background;
-    /// the monitor keeps interpreting the loop and must not record a
-    /// duplicate until the fragment is installed (or fails).
-    pub(crate) compiling: bool,
 }
 
 /// The trace monitor.
@@ -109,7 +110,7 @@ pub struct Monitor {
     pub(crate) slots: Vec<Vec<MonitorSlot>>,
     /// Activation records not in use.
     pub(crate) ars: ArPool,
-    /// Completion value captured when the program finished while a branch
+    /// Completion value captured when the program finished while a
     /// recording was shadowing execution.
     finished_during_recording: Option<Value>,
     /// The process-wide shared code cache and this program's key in it,
@@ -120,12 +121,11 @@ pub struct Monitor {
     shared_seen: HashSet<u64>,
     /// Background compiler pool, when attached ([`Monitor::attach_pool`]).
     pool: Option<Arc<CompilerPool>>,
-    /// In-flight background compiles awaiting installation at the next
-    /// anchor hit.
+    /// In-flight background compiles, landed at a later anchor hit. What
+    /// is compiling is a query over it ([`Monitor::compiling`]): an anchor
+    /// whose root compiles is not recorded again, nor a branch of a tree
+    /// with one compiling.
     in_flight: Vec<PendingCompile>,
-    /// Side exits with a branch compile in flight (guards duplicate
-    /// branch recordings; cleared on install or failure).
-    in_flight_exits: HashSet<(TreeId, u32, u16)>,
     /// Test support: sees nested calls' returns and links
     /// ([`crate::vm::Vm::observe_nesting`]).
     pub(crate) observer: Option<NestObserver>,
@@ -135,20 +135,15 @@ pub struct Monitor {
 #[derive(Debug)]
 struct PendingCompile {
     ticket: Ticket,
-    kind: PendingKind,
+    target: Target,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum PendingKind {
-    /// A root trace for `anchor`.
-    Root { anchor: Anchor },
-    /// A branch trace extending `(tid, frag, exit)`.
-    Branch { tid: TreeId, frag: u32, exit: u16 },
-}
-
-enum RecResult {
-    Finished,
-    Abort(AbortReason),
+/// What a recording grows: a new tree at a loop header, or a branch
+/// stitched to exit `.2` of fragment `.1` of tree `.0`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Target {
+    Root(Anchor),
+    Branch(TreeId, u32, u16),
 }
 
 /// A tree entered but not yet run: the handle on its code, the
@@ -197,7 +192,6 @@ impl Monitor {
             shared_seen: HashSet::new(),
             pool: None,
             in_flight: Vec::new(),
-            in_flight_exits: HashSet::new(),
             observer: None,
         }
     }
@@ -223,12 +217,10 @@ impl Monitor {
         self.pool = Some(pool);
     }
 
-    /// The pool to submit to, when background compilation is active.
-    fn async_pool(&self) -> Option<Arc<CompilerPool>> {
-        if !self.opts.background_compile {
-            return None;
-        }
-        self.pool.clone()
+    /// Whether a background compile for a target `pick` accepts is in
+    /// flight.
+    fn compiling(&self, pick: impl Fn(Target) -> bool) -> bool {
+        self.in_flight.iter().any(|p| pick(p.target))
     }
 
     /// Runs a program under mixed-mode execution until completion.
@@ -249,14 +241,9 @@ impl Monitor {
                 Ok(RunExit::Finished(v)) => break Ok(v),
                 Ok(RunExit::LoopEdge { func, header_pc, loop_id }) => {
                     self.profiler.switch(Activity::Monitor);
-                    match self.on_loop_edge(
-                        Anchor::loop_header(func, header_pc, loop_id),
-                        interp,
-                        realm,
-                    ) {
-                        Ok(None) => {}
-                        Ok(Some(v)) => break Ok(v),
-                        Err(e) => break Err(e),
+                    let anchor = Anchor::loop_header(func, header_pc, loop_id);
+                    if let Err(e) = self.on_loop_edge(anchor, interp, realm) {
+                        break Err(e);
                     }
                     if let Some(v) = self.finished_during_recording.take() {
                         break Ok(v);
@@ -266,17 +253,17 @@ impl Monitor {
                 Err(e) => break Err(e),
             }
         };
-        // Drain in-flight background compiles so the monitor's final
-        // state (trees, counters, the persisted image) is deterministic
-        // regardless of worker timing.
-        if !self.in_flight.is_empty() {
-            self.drain_compiles(interp);
-        }
+        self.poll_compiles(true, interp);
         self.profiler.stats.bytecodes_interp = interp.ops_executed
             - self.profiler.stats.bytecodes_recorded;
         self.profiler.stats.ic = interp.ic_stats;
         self.profiler.stop();
         result
+    }
+
+    /// The monitor slot of `anchor`'s loop.
+    fn slot_mut(&mut self, anchor: Anchor) -> &mut MonitorSlot {
+        &mut self.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize]
     }
 
     /// Sizes the dense slot table to the installed program: one slot per
@@ -316,20 +303,14 @@ impl Monitor {
     }
 
     /// The trace-cache probe of §6.1 through the anchor's dense monitor
-    /// slot (no hash lookup): enters the first enabled sibling whose entry
-    /// type map the interpreter state matches.
-    fn enter_anchor(&mut self, anchor: Anchor, interp: &Interp, realm: &Realm) -> Option<Entered> {
-        self.enter_sibling(anchor, None, false, interp, realm)
-    }
-
-    /// The probe of a `nested` call (§4.1) or a monitor run, either at its
-    /// start or at the link a type-unstable exit of `from` takes (Figure
-    /// 6). Enabled siblings come first, then the disabled ones, which
-    /// only a nested call enters: §3.3 disables a tree whose entries from
-    /// the monitor cost more in transitions than they run, and a call
-    /// from an outer tree pays none. `from` comes last: the state its exit
-    /// left enters it again only where a double it left is integral,
-    /// which the interpreter holds as an int.
+    /// slot (no hash lookup), for a `nested` call (§4.1) or a monitor run,
+    /// either at its start or at the link a type-unstable exit of `from`
+    /// takes (Figure 6). Enabled siblings come first, then the disabled
+    /// ones, which only a nested call enters: §3.3 disables a tree whose
+    /// entries from the monitor cost more in transitions than they run,
+    /// and a call from an outer tree pays none. `from` comes last: the
+    /// state its exit left enters it again only where a double it left
+    /// is integral, which the interpreter holds as an int.
     pub(crate) fn enter_sibling(
         &mut self,
         anchor: Anchor,
@@ -353,26 +334,25 @@ impl Monitor {
         })
     }
 
-    /// Handles one loop-edge crossing. Returns `Ok(Some(value))` if the
-    /// program finished during recording.
+    /// Handles one loop-edge crossing. A program that finished during a
+    /// recording leaves its value in `finished_during_recording`.
     fn on_loop_edge(
         &mut self,
         anchor: Anchor,
         interp: &mut Interp,
         realm: &mut Realm,
-    ) -> Result<Option<Value>, RuntimeError> {
-        // 0. Background-compiled fragments ready? Install them now — the
+    ) -> Result<(), RuntimeError> {
+        // 0. Background-compiled fragments ready? Land them now — the
         // "next anchor hit" of the compiler-pool handoff. Cheap when
         // nothing is in flight (a Vec emptiness check).
         if !self.in_flight.is_empty() {
-            self.poll_compiles(interp);
+            self.poll_compiles(false, interp);
         }
 
         // 1. A matching compiled tree? Enter it. Pure dense-slot work.
-        if let Some(entered) = self.enter_anchor(anchor, interp, realm) {
+        if let Some(entered) = self.enter_sibling(anchor, None, false, interp, realm) {
             self.profiler.stats.monitor_slot_fast += 1;
-            self.run_tree(entered, interp, realm)?;
-            return Ok(None);
+            return self.run_tree(entered, interp, realm);
         }
 
         // 2. Hotness counting: an inline counter in the loop's slot.
@@ -383,26 +363,26 @@ impl Monitor {
             slot.hotness += 1;
             if slot.hotness < self.opts.hotness_threshold {
                 self.profiler.stats.monitor_slot_fast += 1;
-                return Ok(None);
+                return Ok(());
             }
         }
 
         // Past the threshold: the slow machinery (sibling policy, backoff
         // tables, recording). Warm loops never reach this point again.
         self.profiler.stats.monitor_slot_slow += 1;
-        let slot = &self.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize];
-        if slot.compiling {
+        if self.compiling(|t| t == Target::Root(anchor)) {
             // A root trace for this anchor is compiling in the background;
             // keep interpreting until it lands.
-            return Ok(None);
+            return Ok(());
         }
+        let slot = &self.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize];
         if slot.trees.len() >= MAX_SIBLING_TREES {
             if slot.trees.iter().all(|&t| self.cache.tree(t).disabled) {
                 // Every type permutation of this loop proved unprofitable:
                 // silence the monitor permanently (§3.3).
                 self.silence_header(anchor, interp);
             }
-            return Ok(None);
+            return Ok(());
         }
         let judged = slot.trees.iter().filter(|&&t| judged(self.cache.tree(t), &self.oracle));
         for &tid in judged {
@@ -410,7 +390,7 @@ impl Monitor {
                 // §3.3 already judged this type map: a new recording
                 // would only repeat it.
                 self.ars.give(e.ar);
-                return Ok(None);
+                return Ok(());
             }
         }
 
@@ -418,9 +398,9 @@ impl Monitor {
         match self.blacklist.check((anchor.func, anchor.pc)) {
             Verdict::Blacklisted => {
                 self.silence_header(anchor, interp);
-                return Ok(None);
+                return Ok(());
             }
-            Verdict::Skip => return Ok(None),
+            Verdict::Skip => return Ok(()),
             Verdict::Record => {}
         }
 
@@ -428,123 +408,83 @@ impl Monitor {
         // this anchor? Install every new shared-cache sibling and enter
         // one if it matches the current types.
         if self.try_shared_install(anchor) {
-            if let Some(entered) = self.enter_anchor(anchor, interp, realm) {
-                self.run_tree(entered, interp, realm)?;
-                return Ok(None);
+            if let Some(entered) = self.enter_sibling(anchor, None, false, interp, realm) {
+                return self.run_tree(entered, interp, realm);
             }
         }
 
         // 4. Record a root trace.
-        self.record_root(anchor, interp, realm)
-    }
-
-    /// Probes the shared code cache for `anchor`, installing every
-    /// sibling not yet present locally. Returns whether anything new was
-    /// installed.
-    fn try_shared_install(&mut self, anchor: Anchor) -> bool {
-        let Some((cache, key)) = self.shared.clone() else { return false };
-        let found = cache.lookup(key, anchor);
-        if found.is_empty() {
-            self.profiler.stats.shared_cache_misses += 1;
-            return false;
-        }
-        self.profiler.stats.shared_cache_hits += 1;
-        let mut installed = false;
-        for code in found {
-            if !self.shared_seen.insert(code.digest) {
-                continue;
-            }
-            let tid = self.cache.insert(TraceTree::new(code));
-            self.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize]
-                .trees
-                .push(tid);
-            self.profiler.stats.shared_cache_installed_trees += 1;
-            installed = true;
-        }
-        installed
-    }
-
-    /// Publishes tree `tid` to the shared code cache (no-op without an
-    /// attached cache, or for trees with nested-call sites).
-    pub(crate) fn publish_shared(&mut self, tid: TreeId) {
-        let Some((cache, key)) = &self.shared else { return };
-        let code = &self.cache.tree(tid).code;
-        if cache.publish(*key, code) {
-            self.shared_seen.insert(code.digest);
-            self.profiler.stats.shared_cache_publishes += 1;
-        }
-    }
-
-    fn record_root(
-        &mut self,
-        anchor: Anchor,
-        interp: &mut Interp,
-        realm: &mut Realm,
-    ) -> Result<Option<Value>, RuntimeError> {
         self.events.push(TraceEvent::RecordStartRoot { func: anchor.func, pc: anchor.pc });
         let range = anchor_range(anchor, interp);
-        let mut rec = Recorder::new_root(anchor, range, interp, realm, self.opts);
+        let rec = Recorder::new_root(anchor, range, interp, realm, self.opts);
+        self.record(Target::Root(anchor), rec, Vec::new(), interp, realm)
+    }
+
+    /// Drives `rec`, a recording for `target`, to its end. A finished
+    /// trace is verified against `verify_base` (the state a branch enters
+    /// with; empty for a root), then compiled and landed; an abort is
+    /// charged to `target`. The program finishing on the way leaves its
+    /// value in `finished_during_recording`.
+    fn record(
+        &mut self,
+        target: Target,
+        mut rec: Recorder,
+        verify_base: Vec<(ArSlot, LirType)>,
+        interp: &mut Interp,
+        realm: &mut Realm,
+    ) -> Result<(), RuntimeError> {
         self.profiler.switch(Activity::Record);
         let rec_start_ops = interp.ops_executed;
         let outcome = self.record_loop(&mut rec, interp, realm);
         self.profiler.stats.bytecodes_recorded += interp.ops_executed - rec_start_ops;
         self.profiler.switch(Activity::Monitor);
         match outcome {
-            Ok(RecResult::Finished) => {
+            Ok(()) => {
                 let recorded = rec.into_recorded();
-                if self.opts.verify {
-                    if let Err(err) = recorded.verify(&[]) {
-                        let reason = AbortReason::VerifyFailed(err);
-                        self.handle_record_failure(anchor, reason, None, interp);
-                        return Ok(None);
-                    }
+                let verified =
+                    if self.opts.verify { recorded.verify(&verify_base) } else { Ok(()) };
+                match verified {
+                    Ok(()) => self.compile(target, recorded, verify_base, interp),
+                    Err(err) => self.fail(target, AbortReason::VerifyFailed(err), None, interp),
                 }
-                if let Some(pool) = self.async_pool() {
-                    // Hand the pipeline to a worker; the realm goes back
-                    // to interpreting and the tree is installed at a
-                    // later anchor hit (`poll_compiles`).
-                    let ticket = pool.submit(CompileJob {
-                        recorded,
-                        verify_base: Vec::new(),
-                        opts: self.opts,
-                    });
-                    self.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize]
-                        .compiling = true;
-                    self.in_flight.push(PendingCompile {
-                        ticket,
-                        kind: PendingKind::Root { anchor },
-                    });
-                    self.profiler.stats.compile_jobs_submitted += 1;
-                    return Ok(None);
-                }
-                self.build_root_tree(anchor, recorded);
-                Ok(None)
             }
-            Ok(RecResult::Abort(reason)) => {
-                self.handle_record_failure(anchor, reason, rec.last_inner(), interp);
-                Ok(None)
-            }
-            Err(RecordError::Guest(e)) => Err(e),
-            Err(RecordError::ProgramFinished(v)) => Ok(Some(v)),
+            Err(RecordError::Abort(reason)) => self.fail(target, reason, rec.last_inner(), interp),
+            Err(RecordError::Guest(e)) => return Err(e),
+            Err(RecordError::ProgramFinished(v)) => self.finished_during_recording = Some(v),
         }
+        Ok(())
     }
 
-    /// Counts a failed root recording at `anchor`. A provisional abort is
-    /// charged to the inner loop header it reached last, the one it waited
-    /// on (§4.2).
-    fn handle_record_failure(
+    /// Counts a failed recording or compile for `target`. A root charges
+    /// its loop header in the blacklist; a provisional abort is charged
+    /// to the inner loop header it reached last, the one it `waited_on`
+    /// (§4.2). A branch charges its side exit, which at the blacklist
+    /// threshold stops being extended; its hotness counter is cleared so
+    /// dead exits don't keep live state around.
+    fn fail(
         &mut self,
-        anchor: Anchor,
+        target: Target,
         reason: AbortReason,
-        last_inner: Option<(FuncId, u32)>,
+        waited_on: Option<(FuncId, u32)>,
         interp: &mut Interp,
     ) {
         self.events.push(TraceEvent::RecordAbort { reason });
         self.profiler.stats.traces_aborted += 1;
-        let site = (anchor.func, anchor.pc);
-        let waited_on = last_inner.filter(|_| abort_is_provisional(&reason));
-        if self.blacklist.record_failure(site, waited_on) {
-            self.silence_header(anchor, interp);
+        match target {
+            Target::Root(anchor) => {
+                let waited_on = waited_on.filter(|_| abort_is_provisional(&reason));
+                if self.blacklist.record_failure((anchor.func, anchor.pc), waited_on) {
+                    self.silence_header(anchor, interp);
+                }
+            }
+            Target::Branch(tid, frag, exit) => {
+                let max_failures = self.opts.blacklist.max_failures;
+                let st = self.cache.tree_mut(tid).exit_state_mut(frag, exit);
+                st.failures += 1;
+                if st.failures >= max_failures {
+                    st.counter = 0;
+                }
+            }
         }
     }
 
@@ -553,186 +493,84 @@ impl Monitor {
     /// interpreter nor the monitor will ever touch this anchor again.
     pub(crate) fn silence_header(&mut self, anchor: Anchor, interp: &mut Interp) {
         interp.patch_loop_header(anchor.func, anchor.pc);
-        self.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize].silenced = true;
+        self.slot_mut(anchor).silenced = true;
         self.events.push(TraceEvent::Blacklist { func: anchor.func, pc: anchor.pc });
     }
 
-    /// Drives one recording to completion, stepping the interpreter.
+    /// Steps the interpreter through a recording until the recorder ends
+    /// it.
     fn record_loop(
         &mut self,
         rec: &mut Recorder,
         interp: &mut Interp,
         realm: &mut Realm,
-    ) -> Result<RecResult, RecordError> {
+    ) -> Result<(), RecordError> {
         loop {
             match rec.record_op(interp, realm, &self.oracle) {
-                RecordAction::Step { observe } => match interp.step(realm) {
-                    Ok(Flow::Normal | Flow::LoopHeader(_)) => {
-                        if observe {
-                            rec.after_step(interp, realm);
-                        }
+                RecordAction::Step { observe } => {
+                    step(interp, realm)?;
+                    if observe {
+                        rec.after_step(interp, realm);
                     }
-                    Ok(Flow::Finished(v)) => return Err(RecordError::ProgramFinished(v)),
-                    Err(e) => return Err(RecordError::Guest(e)),
-                },
+                }
                 RecordAction::Finished => {
                     self.profiler.stats.traces_completed += 1;
-                    return Ok(RecResult::Finished);
+                    return Ok(());
                 }
-                RecordAction::Abort(reason) => return Ok(RecResult::Abort(reason)),
+                RecordAction::Abort(reason) => return Err(RecordError::Abort(reason)),
                 RecordAction::InnerLoop { func, pc, loop_id } => {
-                    match self.handle_inner_loop(
-                        rec,
-                        Anchor::loop_header(func, pc, loop_id),
-                        interp,
-                        realm,
-                    )? {
-                        Ok(()) => {
-                            // Nested call recorded; the step that brought
-                            // us to the inner header was the LoopHeader op,
-                            // which the recorder never steps — the inner
-                            // tree execution advanced the interpreter.
-                        }
-                        Err(reason) => return Ok(RecResult::Abort(reason)),
-                    }
+                    // The step that brought us to the inner header was the
+                    // LoopHeader op, which the recorder never steps: the
+                    // nested call advances the interpreter.
+                    let inner = Anchor::loop_header(func, pc, loop_id);
+                    self.handle_inner_loop(rec, inner, interp, realm)?;
                 }
             }
         }
     }
 
     /// Attempts a nested tree call while recording (§4.1).
-    #[allow(clippy::type_complexity)]
     fn handle_inner_loop(
         &mut self,
         rec: &mut Recorder,
         inner_anchor: Anchor,
         interp: &mut Interp,
         realm: &mut Realm,
-    ) -> Result<Result<(), AbortReason>, RecordError> {
-        let Some(entered) = self.enter_sibling(inner_anchor, None, true, interp, realm) else {
+    ) -> Result<(), RecordError> {
+        let Some(mut entered) = self.enter_sibling(inner_anchor, None, true, interp, realm) else {
             // "We simply abort recording the first trace. The trace
             // monitor will see the inner loop header, and will immediately
             // start recording the inner loop."
-            return Ok(Err(AbortReason::InnerTreeNotReady));
+            return Err(RecordError::Abort(AbortReason::InnerTreeNotReady));
         };
         rec.begin_nested(inner_anchor.pc);
         // The LoopHeader op at the inner header has *not* been stepped;
         // step past it so interpreter state matches a normal tree entry.
-        match interp.step(realm) {
-            Ok(Flow::LoopHeader(_) | Flow::Normal) => {}
-            Ok(Flow::Finished(v)) => return Err(RecordError::ProgramFinished(v)),
-            Err(e) => return Err(RecordError::Guest(e)),
-        }
+        step(interp, realm)?;
         let inner = entered.tid;
         self.events.push(TraceEvent::NestedCall { tree: inner.0 });
-        let mut entered = entered;
         loop {
             let (tid, code) = (entered.tid, Arc::clone(&entered.code));
             // `ran.inner_exit` is not grown from here: the recording aborts.
-            let (ran, kind) = match self.execute_tree(entered, interp, realm) {
-                Ok(r) => r,
-                Err(e) => return Err(RecordError::Guest(e)),
-            };
+            let (ran, kind) =
+                self.execute_tree(entered, interp, realm).map_err(RecordError::Guest)?;
             if kind == ExitKind::Unstable {
                 // Figure 6 inside the call: go on in the sibling the
                 // exit state enters, as `run_tree` does.
-                if let Some(next) = self.enter_sibling(inner_anchor, Some(tid), true, interp, realm) {
+                let next = self.enter_sibling(inner_anchor, Some(tid), true, interp, realm);
+                if let Some(next) = next {
                     entered = next;
                     continue;
                 }
             }
-            let frames = &code.exits[ran.frag as usize][ran.exit as usize].frames;
-            if !matches!(kind, ExitKind::Branch | ExitKind::LeaveLoop) || frames.len() != 1 {
-                rec.cancel_nested();
-                return Ok(Err(AbortReason::InnerTreeCallFailed));
-            }
             let exit = &code.exits[ran.frag as usize][ran.exit as usize];
+            if !matches!(kind, ExitKind::Branch | ExitKind::LeaveLoop) || exit.frames.len() != 1 {
+                rec.cancel_nested();
+                return Err(RecordError::Abort(AbortReason::InnerTreeCallFailed));
+            }
             rec.finish_nested_with_stack(inner, tid, exit, (ran.frag, ran.exit), interp);
-            return Ok(Ok(()));
+            return Ok(());
         }
-    }
-
-    // ==== tree construction ====
-
-    /// `verify_base` is the fragment's pre-existing entry state (empty for
-    /// a root trace; the parent exit's type map plus the tree entry map
-    /// for a branch), used only for the post-filter verification pass.
-    fn compile_fragment(
-        &mut self,
-        recorded: &mut RecordedTrace,
-        verify_base: &[(tm_lir::ArSlot, tm_lir::LirType)],
-    ) -> Fragment {
-        self.profiler.switch(Activity::Compile);
-        // On the execution thread a verifier rejection is a bug in this
-        // program, not a condition to recover from.
-        let frag = compile_trace(recorded, verify_base, &self.opts)
-            .unwrap_or_else(|err| panic!("{err}"));
-        self.profiler.stats.fragments += 1;
-        self.profiler.switch(Activity::Monitor);
-        frag
-    }
-
-    /// Rolls a completed recording's typed fast-call sites into the
-    /// per-builtin trace counters.
-    fn count_fast_helpers(&mut self, recorded: &mut RecordedTrace) {
-        for h in recorded.fast_helpers.drain(..) {
-            *self
-                .profiler
-                .stats
-                .builtin_fast_records
-                .entry(format!("{h:?}"))
-                .or_insert(0) += 1;
-        }
-    }
-
-    fn build_root_tree(&mut self, anchor: Anchor, mut recorded: RecordedTrace) -> TreeId {
-        self.count_fast_helpers(&mut recorded);
-        let frag = self.compile_fragment(&mut recorded, &[]);
-        self.install_root_tree(anchor, recorded, frag)
-    }
-
-    /// Installs a compiled root fragment as a new tree: the tail of
-    /// `build_root_tree`, shared with the background-compile install path
-    /// (`poll_compiles`), which arrives here with a worker-built fragment.
-    fn install_root_tree(
-        &mut self,
-        anchor: Anchor,
-        mut recorded: RecordedTrace,
-        frag: Fragment,
-    ) -> TreeId {
-        for m in recorded.oracle_marks.drain(..) {
-            self.oracle.mark_double(m);
-        }
-        let mut tree = TraceTree::new(Arc::new(TreeCode {
-            anchor,
-            digest: entry_digest(anchor, &recorded.new_entry),
-            layout: recorded.layout,
-            fragments: Arc::new(vec![frag]),
-            exits: vec![recorded.exits],
-            fragment_bytecodes: vec![recorded.bytecodes],
-            entry: recorded.new_entry,
-            nested_sites: recorded.nested_sites,
-            loop_writes: recorded.loop_writes,
-            unstable: recorded.finish == recorder::FinishKind::UnstableLoop,
-        }));
-        if self.opts.log_events {
-            tree.lir.push(recorded.lir);
-        }
-        let tid = self.cache.insert(tree);
-        // Register the sibling in the loop's dense monitor slot — the
-        // structure the hot loop-edge path consults.
-        self.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize].trees.push(tid);
-        self.profiler.stats.trees += 1;
-        self.events.push(TraceEvent::RecordFinish {
-            tree: tid.0,
-            fragment: 0,
-            lir_len: self.cache.tree(tid).fragments[0].len() as u32,
-        });
-        self.publish_shared(tid);
-        // §4.2: outer loops that aborted waiting on this anchor may try
-        // again.
-        self.blacklist.forgive_waiting_on((anchor.func, anchor.pc));
-        tid
     }
 
     /// The state a branch fragment stitched to `(parent_frag,
@@ -755,232 +593,6 @@ impl Monitor {
             }
         }
         reqs
-    }
-
-    fn attach_branch(
-        &mut self,
-        tid: TreeId,
-        parent_frag: u32,
-        parent_exit: u16,
-        mut recorded: RecordedTrace,
-        verify_base: &[(tm_lir::ArSlot, tm_lir::LirType)],
-    ) {
-        self.count_fast_helpers(&mut recorded);
-        let frag = self.compile_fragment(&mut recorded, verify_base);
-        self.install_branch(tid, parent_frag, parent_exit, recorded, frag);
-    }
-
-    /// Installs a compiled branch fragment: the tail of `attach_branch`,
-    /// shared with the background-compile install path.
-    fn install_branch(
-        &mut self,
-        tid: TreeId,
-        parent_frag: u32,
-        parent_exit: u16,
-        mut recorded: RecordedTrace,
-        frag: Fragment,
-    ) {
-        for m in recorded.oracle_marks.drain(..) {
-            self.oracle.mark_double(m);
-        }
-        let tree = self.cache.tree_to_grow(tid);
-        // Grows the tree in place when this realm is its only holder; when
-        // the shared cache or another realm still holds this version, they
-        // keep it and this realm continues on one copy.
-        let code = Arc::make_mut(&mut tree.code);
-        let new_idx = code.fragments.len() as u32;
-        {
-            let frags = Arc::make_mut(&mut code.fragments);
-            frags.push(frag);
-            frags[parent_frag as usize].stitch_exit(parent_exit, new_idx);
-        }
-        code.layout = recorded.layout;
-        for e in recorded.new_entry {
-            // A branch runs on the activation record the monitor filled
-            // at tree entry (a stitched exit carries it over), so the
-            // entry map must cover every slot the branch reads before
-            // writing it. Appended in arrival order: a `.tmc` load
-            // recomputes the sibling digest from the map as saved.
-            if !code.entry.iter().any(|x| x.ar == e.ar) {
-                code.entry.push(e);
-            }
-        }
-        // The branch's exits must also restore the *tree's* loop-persistent
-        // writes (slots written by the trunk after the branch point carry
-        // stale values from earlier iterations), and vice versa: existing
-        // exits must restore the branch's new loop writes.
-        let mut branch_exits = recorded.exits;
-        for e in &mut branch_exits {
-            e.add_loop_writes(&code.loop_writes);
-        }
-        let new_loop_writes = merge_by_ar(&code.loop_writes, &recorded.loop_writes);
-        if new_loop_writes.len() != code.loop_writes.len() {
-            for e in code.exits.iter_mut().flatten() {
-                e.add_loop_writes(&new_loop_writes);
-            }
-            for site in &mut code.nested_sites {
-                site.callsite.add_loop_writes(&new_loop_writes);
-            }
-        }
-        code.loop_writes = new_loop_writes;
-        tree.exit_states.push(vec![ExitState::default(); branch_exits.len()]);
-        code.exits.push(branch_exits);
-        if self.opts.log_events {
-            tree.lir.push(recorded.lir);
-        }
-        code.fragment_bytecodes.push(recorded.bytecodes);
-        code.nested_sites.extend(recorded.nested_sites);
-        self.events.push(TraceEvent::Stitch {
-            tree: tid.0,
-            from_fragment: parent_frag,
-            exit: parent_exit,
-            to_fragment: new_idx,
-        });
-        self.events.push(TraceEvent::RecordFinish {
-            tree: tid.0,
-            fragment: new_idx,
-            lir_len: self.cache.tree(tid).fragments[new_idx as usize].len() as u32,
-        });
-        self.grow_exec(tid);
-        // Republish: the tree grew a fragment, so realms installing it
-        // from the shared cache later get the extended version.
-        self.publish_shared(tid);
-        let anchor = self.cache.tree(tid).anchor;
-        self.blacklist.forgive_waiting_on((anchor.func, anchor.pc));
-    }
-
-    /// Grows tree `tid`'s code by the fragment just installed. Native
-    /// code grows in place: the new body goes at the tail, with direct
-    /// sites from fresh plans, and the parent's exit is patched to jump
-    /// to it; the tree's older direct sites are checked at its next run
-    /// (`run_entered`). The trees whose direct sites call this code give
-    /// theirs up first, to be emitted again, whole, at their next run.
-    /// Out of reserved capacity, the tree is built again, whole, as first
-    /// execution does. A decoded tree decodes the new fragment and
-    /// follows the new stitch.
-    fn grow_exec(&mut self, tid: TreeId) {
-        let code = Arc::clone(&self.cache.tree(tid).code);
-        let exec = match std::mem::take(&mut self.cache.tree_mut(tid).exec) {
-            ExecCode::Native(native) => {
-                for caller in self.cache.iter_mut() {
-                    let calls = |nt: &NativeTree| {
-                        let mut sites = nt.direct_sites().iter().flatten();
-                        sites.any(|d| d.callees().any(|c| Arc::ptr_eq(c, &native)))
-                    };
-                    if matches!(&caller.exec, ExecCode::Native(nt) if calls(nt)) {
-                        caller.exec = ExecCode::NotBuilt;
-                    }
-                }
-                let mut plans = SitePlans::default().current(self.cache.installs());
-                let sites = self.direct_sites(&code, &mut plans);
-                let stats = &mut self.profiler.stats;
-                match Arc::try_unwrap(native).map(|nt| nt.append(&code.fragments, &sites)) {
-                    Ok(Ok(nt)) => {
-                        stats.native_fragments += 1;
-                        stats.native_emissions_sync += 1;
-                        ExecCode::Native(Arc::new(nt))
-                    }
-                    Ok(Err(refused)) if refused != Unsupported::FULL => {
-                        build_decoded(&code.fragments, &self.opts, stats)
-                    }
-                    _ => self.emit(&code, &sites),
-                }
-            }
-            ExecCode::Decoded(mut decoded) => {
-                let new = Arc::make_mut(&mut decoded).append(
-                    &code.fragments,
-                    self.opts.enable_fusion,
-                    self.opts.verify,
-                );
-                count_fusion(new, &mut self.profiler.stats);
-                ExecCode::Decoded(decoded)
-            }
-            ExecCode::NotBuilt => ExecCode::NotBuilt,
-        };
-        self.cache.tree_mut(tid).exec = exec;
-    }
-
-    /// Builds tree `tid`'s code from all its fragments, and its plans: at
-    /// its first execution, so that trees loaded from a cache that never
-    /// run cost nothing.
-    fn build_exec(&mut self, tid: TreeId) {
-        let code = Arc::clone(&self.cache.tree(tid).code);
-        let installs = self.cache.installs();
-        let mut plans = std::mem::take(&mut self.cache.tree_mut(tid).plans).current(installs);
-        let exec = if self.opts.native_backend {
-            let sites = self.direct_sites(&code, &mut plans);
-            self.emit(&code, &sites)
-        } else {
-            build_decoded(&code.fragments, &self.opts, &mut self.profiler.stats)
-        };
-        let tree = self.cache.tree_mut(tid);
-        (tree.exec, tree.plans) = (exec, plans);
-    }
-
-    /// The one staleness rule of direct sites: once any tree was
-    /// installed or grown since tree `tid`'s plans were built, they are
-    /// built again, and when a direct site of its native code no longer
-    /// matches its plan or its callee's code, the tree is emitted again,
-    /// whole, as at its first run. Nothing is patched.
-    fn refresh_exec(&mut self, tid: TreeId) {
-        let installs = self.cache.installs();
-        let tree = self.cache.tree_mut(tid);
-        let mut plans = std::mem::take(&mut tree.plans).current(installs);
-        let native = match &tree.exec {
-            ExecCode::Native(nt) if nt.direct_sites().iter().any(Option::is_some) => {
-                Some(Arc::clone(nt))
-            }
-            _ => None,
-        };
-        if let Some(native) = native {
-            let code = Arc::clone(&self.cache.tree(tid).code);
-            let sites = self.direct_sites(&code, &mut plans);
-            let stale = native.direct_sites().iter().enumerate().any(|(id, d)| {
-                d.is_some() && d.as_ref() != sites.get(id).and_then(Option::as_ref)
-            });
-            if stale {
-                drop(native);
-                self.cache.tree_mut(tid).exec = self.emit(&code, &sites);
-            }
-        }
-        self.cache.tree_mut(tid).plans = plans;
-    }
-
-    /// By site id, the direct site (`TransferPlan::direct_site`) of each
-    /// of `code`'s nested-call sites that has one, from `plans`. A
-    /// deferred site's callee has its code built first, as its first run
-    /// would.
-    fn direct_sites(&mut self, code: &TreeCode, plans: &mut SitePlans) -> Vec<Option<DirectSite>> {
-        let mut sites = Vec::with_capacity(code.nested_sites.len());
-        for (id, site) in code.nested_sites.iter().enumerate() {
-            let id = id as u32;
-            let plan = plans.site(id, code, &self.cache).0;
-            let callees: Vec<TreeId> = plan.trees(site).filter(|_| plan.deferred()).collect();
-            for tid in callees {
-                if matches!(self.cache.tree(tid).exec, ExecCode::NotBuilt) {
-                    self.build_exec(tid);
-                }
-            }
-            let (plan, _) = plans.site(id, code, &self.cache);
-            let direct = plan.direct_site(site, &self.cache).ok();
-            let observed = self.observer.is_some();
-            sites.push(direct.map(|d| DirectSite { observed, ..d }));
-        }
-        sites
-    }
-
-    /// `code`'s fragments as native code with `sites` direct, or decoded
-    /// when the emitter refuses them.
-    fn emit(&mut self, code: &TreeCode, sites: &[Option<DirectSite>]) -> ExecCode {
-        let stats = &mut self.profiler.stats;
-        match NativeTree::emit(&code.fragments, sites) {
-            Ok(nt) => {
-                stats.native_fragments += code.fragments.len() as u64;
-                stats.native_emissions_sync += 1;
-                ExecCode::Native(Arc::new(nt))
-            }
-            Err(_) => build_decoded(&code.fragments, &self.opts, stats),
-        }
     }
 
     // ==== tree execution ====
@@ -1039,7 +651,7 @@ impl Monitor {
                         return Err(RuntimeError::Interrupted);
                     }
                     // Re-enter if still matching (the common case).
-                    match self.enter_anchor(anchor, interp, realm) {
+                    match self.enter_sibling(anchor, None, false, interp, realm) {
                         Some(next) => {
                             (first, chain_bytecodes) = (next.tid, 0);
                             entered = next;
@@ -1102,7 +714,7 @@ impl Monitor {
         interp: &mut Interp,
         realm: &mut Realm,
     ) -> Result<(), RuntimeError> {
-        if self.in_flight_exits.iter().any(|&(t, _, _)| t == tid) {
+        if self.compiling(|t| matches!(t, Target::Branch(b, ..) if b == tid)) {
             // A branch of this tree is already compiling in the
             // background. Branch recordings extend the tree's AR layout
             // from its current state, so two in-flight branches of one
@@ -1153,83 +765,28 @@ impl Monitor {
             self.oracle.mark_site(site);
         }
         let anchor = self.cache.tree(tid).anchor;
-        let range = anchor_range(anchor, interp);
         self.events.push(TraceEvent::RecordStartBranch { func: anchor.func, pc: anchor.pc });
-        let (layout, entry, site_base, parent_exit) = {
-            let tree = self.cache.tree(tid);
-            (
-                tree.layout.clone(),
-                tree.entry.clone(),
-                tree.nested_sites.len() as u32,
-                tree.exits[frag as usize][exit as usize].clone(),
-            )
-        };
+        let tree = self.cache.tree(tid);
+        let rec = Recorder::new_branch(
+            anchor,
+            anchor_range(anchor, interp),
+            tree.layout.clone(),
+            tree.entry.clone(),
+            &tree.exits[frag as usize][exit as usize],
+            tree.nested_sites.len() as u32,
+            interp,
+            self.opts,
+        );
         // The branch fragment enters with everything the parent path
         // established (its exit type map) plus the tree's entry slots —
         // the base state the verifier checks imports and exit maps
         // against.
-        let verify_base: Vec<(tm_lir::ArSlot, tm_lir::LirType)> = if self.opts.verify {
+        let verify_base = if self.opts.verify {
             self.branch_parent_reqs(tid, frag, exit).iter().map(|b| (b.ar, b.ty)).collect()
         } else {
             Vec::new()
         };
-        let mut rec = Recorder::new_branch(
-            anchor,
-            range,
-            layout,
-            entry,
-            &parent_exit,
-            site_base,
-            interp,
-            self.opts,
-        );
-        self.profiler.switch(Activity::Record);
-        let rec_start_ops = interp.ops_executed;
-        let outcome = self.record_loop(&mut rec, interp, realm);
-        self.profiler.stats.bytecodes_recorded += interp.ops_executed - rec_start_ops;
-        self.profiler.switch(Activity::Monitor);
-        match outcome {
-            Ok(RecResult::Finished) => {
-                let recorded = rec.into_recorded();
-                if self.opts.verify {
-                    if let Err(err) = recorded.verify(&verify_base) {
-                        self.events.push(TraceEvent::RecordAbort {
-                            reason: AbortReason::VerifyFailed(err),
-                        });
-                        self.profiler.stats.traces_aborted += 1;
-                        self.record_exit_failure(tid, frag, exit);
-                        return Ok(());
-                    }
-                }
-                if let Some(pool) = self.async_pool() {
-                    let ticket = pool.submit(CompileJob {
-                        recorded,
-                        verify_base,
-                        opts: self.opts,
-                    });
-                    self.in_flight_exits.insert((tid, frag, exit));
-                    self.in_flight.push(PendingCompile {
-                        ticket,
-                        kind: PendingKind::Branch { tid, frag, exit },
-                    });
-                    self.profiler.stats.compile_jobs_submitted += 1;
-                    return Ok(());
-                }
-                self.attach_branch(tid, frag, exit, recorded, &verify_base);
-                Ok(())
-            }
-            Ok(RecResult::Abort(reason)) => {
-                self.events.push(TraceEvent::RecordAbort { reason });
-                self.profiler.stats.traces_aborted += 1;
-                self.record_exit_failure(tid, frag, exit);
-                Ok(())
-            }
-            Err(RecordError::Guest(e)) => Err(e),
-            Err(RecordError::ProgramFinished(v)) => {
-                self.finished_during_recording = Some(v);
-                Ok(())
-            }
-        }
+        self.record(Target::Branch(tid, frag, exit), rec, verify_base, interp, realm)
     }
 
     /// Whether `(frag, exit)` of tree `tid` is the `expected_exit` of any
@@ -1241,101 +798,6 @@ impl Monitor {
                 .iter()
                 .any(|s| s.returns == tid && s.expected_exit == (frag, exit))
         })
-    }
-
-    /// Counts a branch-recording failure at `(frag, exit)`. At the
-    /// blacklist threshold the exit stops being extended; its hotness
-    /// counter is cleared so dead exits don't keep live state around.
-    fn record_exit_failure(&mut self, tid: TreeId, frag: u32, exit: u16) {
-        let max_failures = self.opts.blacklist.max_failures;
-        let st = self.cache.tree_mut(tid).exit_state_mut(frag, exit);
-        st.failures += 1;
-        if st.failures >= max_failures {
-            st.counter = 0;
-        }
-    }
-
-    // ==== background compilation ====
-
-    /// Non-blocking sweep over in-flight compile jobs, installing every
-    /// finished fragment. Called on each anchor hit (the handoff point:
-    /// "installing at the next anchor hit").
-    fn poll_compiles(&mut self, interp: &mut Interp) {
-        let mut i = 0;
-        while i < self.in_flight.len() {
-            match self.in_flight[i].ticket.try_ready() {
-                None => i += 1,
-                Some(outcome) => {
-                    let pending = self.in_flight.swap_remove(i);
-                    self.finish_compile(pending.kind, outcome, interp);
-                }
-            }
-        }
-    }
-
-    /// Blocking drain, called when the program finishes: the monitor's
-    /// final state (trees, counters, the persisted cache image) must not
-    /// depend on how fast the workers were.
-    fn drain_compiles(&mut self, interp: &mut Interp) {
-        while let Some(pending) = self.in_flight.pop() {
-            let outcome = pending.ticket.wait();
-            self.finish_compile(pending.kind, outcome, interp);
-        }
-    }
-
-    /// Absorbs one finished background compile: install on success,
-    /// site-failure accounting on pipeline failure (mirroring the sync
-    /// path's abort handling).
-    fn finish_compile(
-        &mut self,
-        kind: PendingKind,
-        outcome: CompileOutcome,
-        interp: &mut Interp,
-    ) {
-        match (kind, outcome) {
-            (PendingKind::Root { anchor }, CompileOutcome::Done { recorded, fragment }) => {
-                self.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize]
-                    .compiling = false;
-                let mut recorded = *recorded;
-                self.count_fast_helpers(&mut recorded);
-                self.profiler.stats.fragments += 1;
-                self.install_root_tree(anchor, recorded, *fragment);
-                self.profiler.stats.compile_jobs_installed += 1;
-            }
-            (PendingKind::Root { anchor }, CompileOutcome::Failed(_)) => {
-                self.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize]
-                    .compiling = false;
-                self.profiler.stats.compile_jobs_failed += 1;
-                self.handle_record_failure(anchor, AbortReason::CompileFailed, None, interp);
-            }
-            (
-                PendingKind::Branch { tid, frag, exit },
-                CompileOutcome::Done { recorded, fragment },
-            ) => {
-                self.in_flight_exits.remove(&(tid, frag, exit));
-                if self.cache.tree(tid).fragments[frag as usize].stitch[exit as usize]
-                    != EXIT_UNSTITCHED
-                {
-                    // Raced with another install path (e.g. the whole tree
-                    // arrived from the shared cache meanwhile); drop it.
-                    return;
-                }
-                let mut recorded = *recorded;
-                self.count_fast_helpers(&mut recorded);
-                self.profiler.stats.fragments += 1;
-                self.install_branch(tid, frag, exit, recorded, *fragment);
-                self.profiler.stats.compile_jobs_installed += 1;
-            }
-            (PendingKind::Branch { tid, frag, exit }, CompileOutcome::Failed(_)) => {
-                self.in_flight_exits.remove(&(tid, frag, exit));
-                self.events.push(TraceEvent::RecordAbort {
-                    reason: AbortReason::CompileFailed,
-                });
-                self.profiler.stats.traces_aborted += 1;
-                self.profiler.stats.compile_jobs_failed += 1;
-                self.record_exit_failure(tid, frag, exit);
-            }
-        }
     }
 
     /// Runs an entered tree from the monitor and restores interpreter
@@ -1479,21 +941,6 @@ impl Monitor {
     }
 }
 
-/// Decodes all of `frags` for the decoded executor.
-fn build_decoded(frags: &[Fragment], opts: &JitOptions, stats: &mut ProfileStats) -> ExecCode {
-    let mut decoded = DecodedTree::default();
-    count_fusion(decoded.append(frags, opts.enable_fusion, opts.verify), stats);
-    ExecCode::Decoded(Arc::new(decoded))
-}
-
-/// The static fusion counters of newly decoded fragments.
-fn count_fusion(new: &[Decoded], stats: &mut ProfileStats) {
-    for d in new {
-        stats.fused_superinsts += d.superinsts() as u64;
-        stats.fuse_insts_removed += (d.raw_len() - d.len()) as u64;
-    }
-}
-
 /// Whether §3.3's verdict on `t` covers a new recording from a state it
 /// accepts: it is disabled, and a recording would find what it found —
 /// unless its entries never ran an iteration (a trunk that leaves the loop
@@ -1510,16 +957,30 @@ fn judged(t: &TraceTree, oracle: &Oracle) -> bool {
         && t.entry.iter().all(speculates)
 }
 
-/// Errors internal to the recording driver.
+/// How a recording ended short of a finished trace.
 enum RecordError {
+    /// The recorder gave up on the trace.
+    Abort(AbortReason),
+    /// The guest program threw.
     Guest(RuntimeError),
+    /// The guest program finished, with this completion value.
     ProgramFinished(Value),
+}
+
+/// One interpreter step under a recording.
+fn step(interp: &mut Interp, realm: &mut Realm) -> Result<(), RecordError> {
+    match interp.step(realm) {
+        Ok(Flow::Normal | Flow::LoopHeader(_)) => Ok(()),
+        Ok(Flow::Finished(v)) => Err(RecordError::ProgramFinished(v)),
+        Err(e) => Err(RecordError::Guest(e)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::activation::SlotKey;
+    use crate::shared_cache::entry_digest;
     use crate::vm::{Engine, Vm};
 
     fn traced(src: &str) -> Vm {
@@ -1685,7 +1146,7 @@ mod tests {
             let entry = vec![SlotBinding { ar: 0, key: SlotKey::Global(g), ty }];
             let mut layout = crate::activation::ArLayout::new();
             layout.slot(SlotKey::Global(g));
-            let tid = m.cache.insert(TraceTree::new(Arc::new(TreeCode {
+            m.adopt(TraceTree::new(Arc::new(TreeCode {
                 anchor,
                 digest: entry_digest(anchor, &entry),
                 layout,
@@ -1696,11 +1157,8 @@ mod tests {
                 nested_sites: vec![],
                 loop_writes: vec![],
                 unstable: false,
-            })));
-            m.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize].trees.push(tid);
-            tid
+            })))
         };
-        use tm_lir::LirType;
         let (undef, int, dbl) =
             (sibling(LirType::Undefined), sibling(LirType::Int), sibling(LirType::Double));
         assert_eq!(
@@ -1708,7 +1166,7 @@ mod tests {
             [undef, int, dbl]
         );
         let entered = |m: &mut Monitor, realm: &Realm| {
-            m.enter_anchor(anchor, &interp, realm).map(|e| (e.tid, e.ar))
+            m.enter_sibling(anchor, None, false, &interp, realm).map(|e| (e.tid, e.ar))
         };
 
         realm.set_global(g, Value::new_int(5));

@@ -1039,9 +1039,7 @@ impl Monitor {
                 }
             }
             loaded_fragments += tree.fragments.len() as u64;
-            let anchor = tree.anchor;
-            let tid = self.cache.insert(tree);
-            self.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize].trees.push(tid);
+            let tid = self.adopt(tree);
             self.profiler.stats.cache_loaded_trees += 1;
             // In a multi-tenant process, trees revalidated from disk are
             // as shareable as freshly compiled ones: publish them so the

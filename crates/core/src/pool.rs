@@ -5,27 +5,30 @@
 //! recorded the trace — acceptable when compiles are rare and the realm
 //! is alone in the process. A multi-tenant VM wants the execution thread
 //! back as soon as recording finishes: the realm keeps *interpreting*
-//! while a worker runs the compile pipeline (backward filters →
-//! register allocation → peephole fusion → fragment verification), and
-//! the finished fragment is installed by the monitor at the next anchor
-//! hit (see `Monitor::poll_compiles`). Until installation the loop
+//! while a worker runs the compile pipeline (the monitor's
+//! `compile_trace`: backward filters → register allocation → fragment
+//! verification), and the monitor lands the finished fragment at the
+//! next anchor hit, through the same `Monitor::land` a synchronous
+//! compile goes through (`monitor/install.rs`). Until then the loop
 //! simply stays in the interpreter — semantically identical, just not
-//! yet fast.
+//! yet fast. This module keeps only the queue, the workers and the panic
+//! fence.
 //!
 //! A job carries the [`RecordedTrace`] by value and returns it alongside
 //! the compiled [`Fragment`]; the monitor needs the (filtered) recording
 //! back to build the tree (entry maps, exits, oracle marks). Results are
 //! handed off on a per-job channel ([`Ticket`]), so a pool can serve any
 //! number of realms without routing state. Compile jobs are the pool's
-//! only job kind: native code is emitted one fragment at a time — a
-//! single linear pass, comparable to `assemble` — by the thread that
-//! installs the fragment (`Monitor::install_branch`).
+//! only job kind: native code is emitted by the thread that runs or
+//! grows the tree (at its first run, and at each branch install).
 //!
-//! A compile-pipeline panic (a filter or backend defect) is caught in
-//! the worker and surfaces as [`CompileOutcome::Failed`]; the submitting
-//! monitor treats it like a recording abort (the §3.3 failure budget),
-//! so one realm's miscompile cannot take down the process — matching the
-//! sync path's behaviour of failing that site, not the VM.
+//! The two paths treat a failed compile differently. On a worker, a
+//! verifier rejection or a compile-pipeline panic (a filter or backend
+//! defect) is caught and surfaces as [`CompileOutcome::Failed`]; the
+//! submitting monitor charges it to the site like a recording abort (the
+//! §3.3 failure budget), so one realm's miscompile cannot take down the
+//! process. On the execution thread the same rejection is a bug, and the
+//! synchronous compile panics.
 //!
 //! Determinism: the interleaving test rig drives the handoff through
 //! `tm_support::sched` yield points (`pool.submit`, `pool.take`,
@@ -37,12 +40,12 @@ use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use tm_lir::{run_backward_filters, ArSlot, ExitLiveness, LirType};
-use tm_nanojit::{assemble, Fragment};
+use tm_lir::{ArSlot, LirType};
+use tm_nanojit::Fragment;
 use tm_support::sched;
 
 use crate::config::JitOptions;
-use crate::exit::SideExitInfo;
+use crate::monitor::compile_trace;
 use crate::recorder::RecordedTrace;
 
 /// A unit of compilation: one finished recording plus everything the
@@ -81,6 +84,13 @@ pub struct Ticket {
 }
 
 impl Ticket {
+    /// A ticket whose job will never report, as when the pool shut down
+    /// under it: it resolves to [`CompileOutcome::Failed`].
+    #[cfg(test)]
+    pub(crate) fn orphaned() -> Ticket {
+        Ticket { rx: channel().1 }
+    }
+
     /// Non-blocking poll. `None` while the job is still queued or
     /// compiling. A dead worker (channel disconnect) reports as
     /// [`CompileOutcome::Failed`].
@@ -239,41 +249,6 @@ fn worker_loop(shared: &PoolShared) {
         let _ = tx.send(outcome);
         sched::wake_all();
     }
-}
-
-/// The compile pipeline, written once for both callers (the monitor's
-/// synchronous `compile_fragment` and the pool worker): backward filters,
-/// the post-filter trace verification, assembly, and the backend
-/// fragment verification. `Err` is a verifier rejection; what to do with
-/// it (panic on the execution thread, fail the job on a worker) is the
-/// caller's policy.
-pub(crate) fn compile_trace(
-    recorded: &mut RecordedTrace,
-    verify_base: &[(ArSlot, LirType)],
-    opts: &JitOptions,
-) -> Result<Fragment, String> {
-    let liveness = ExitLiveness {
-        live_slots: recorded.exits.iter().map(SideExitInfo::live_slots).collect(),
-    };
-    run_backward_filters(&mut recorded.lir, &liveness, &recorded.loop_live);
-    if opts.verify {
-        // The recorder's output was already verified; what is handed to
-        // the backend is re-checked so a backward-filter defect (bad id
-        // compaction, dropped store an exit needs) surfaces here instead
-        // of as compiled garbage.
-        recorded
-            .verify(verify_base)
-            .map_err(|err| format!("backward filters produced a malformed trace: {err}"))?;
-    }
-    let frag = assemble(&recorded.lir);
-    if opts.verify {
-        // Backend output check: register allocation must hand both tiers
-        // structurally sound code, addressing only the activation record
-        // the recording laid out.
-        tm_verifier::verify_fragment(&frag, recorded.layout.len())
-            .map_err(|err| format!("backend produced a malformed fragment: {err}"))?;
-    }
-    Ok(frag)
 }
 
 /// The text of a caught panic payload.

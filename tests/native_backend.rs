@@ -338,3 +338,24 @@ fn gc_at_every_safe_point_with_direct_nested_calls() {
         }
     }
 }
+
+/// `charCodeAt` takes an int index. A double index gets the typed fast
+/// call's conversion guard only when the recording saw it integral; half
+/// of these indexes are not, and they take the generic call instead of a
+/// guard that fails on every run. A guard emitted regardless grew one
+/// tree to the 32-fragment cap, each branch recording the same failing
+/// guard, and left it 64 times.
+#[test]
+fn a_fractional_index_to_a_typed_fast_call_is_not_guarded_as_an_int() {
+    let src = "var s = \"abcdefgh\"; var n = 0;\n\
+               for (var i = 0; i < 400; i++) { n += s.charCodeAt((i & 7) * 0.5); } n";
+    let mut interp = Vm::new(Engine::Interp);
+    let v = interp.eval(src).expect("interpreter runs");
+    let interp_shown = tracemonkey::runtime::ops::to_display(&mut interp.realm, v);
+    for native in [true, false] {
+        let (shown, stats) = run_with(src, native);
+        assert_eq!(shown, interp_shown, "native: {native}");
+        let counts = (stats.trees, stats.fragments, stats.trace_enters);
+        assert_eq!(counts, (2, 3, 3), "trees, fragments, runs (native: {native}): {stats:?}");
+    }
+}
