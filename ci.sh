@@ -56,6 +56,21 @@ if git ls-files '*.rs' | xargs grep -nE "$switch_names"; then
 fi
 echo "    OK: no tracked .rs file names a deleted ablation switch"
 
+echo "==> policy: the paper's thresholds are constants and the soft-float filter is gone"
+# The hotness thresholds, the blacklist budget and the inline depth are
+# the paper's numbers, kept as constants next to their one use
+# (HOTNESS_THRESHOLD, HOT_EXIT_THRESHOLD, MAX_FAILURES, BACKOFF,
+# MAX_INLINE_DEPTH), not JitOptions fields. The soft-float filter (§5.1)
+# targets CPUs without floating-point hardware, and no backend here is
+# one; it was deleted with its helpers and the no-exit sentinel. None of
+# the deleted names may come back.
+knob_names='hotness_threshold|hot_exit_threshold|BlacklistConfig|max_inline_depth|MAX_SHADOW_FRAMES|softfloat|soft_helper|Soft(Add|Sub|Mul|Div)|NO_EXIT'
+if git ls-files '*.rs' | xargs grep -nE "$knob_names"; then
+    echo "error: the JitOptions knobs or soft-float names above were deleted; do not regrow them" >&2
+    exit 1
+fi
+echo "    OK: no tracked .rs file names a deleted knob or the soft-float filter"
+
 echo "==> policy: superinstructions are the decoded executor's own"
 # The shared ISA (`MachInst`) is the raw instructions the assembler emits:
 # what .tmc files store, tm-verifier checks and the native tier lowers

@@ -2,8 +2,7 @@
 //!
 //! JTS ports of the 26 SunSpider programs (the paper's evaluation
 //! workload, [`SUITE`]) — what the benchmark harness in `tm_bench/`
-//! imports — plus the `ablation` binary behind EXPERIMENTS.md's
-//! Ablations table and the deterministic suite gates in
+//! imports — plus the deterministic suite gates in
 //! `tests/suite_gates.rs`.
 
 pub mod harness;

@@ -57,7 +57,7 @@ fn prog(name: &str) -> &'static BenchProgram {
 
 /// One fresh tracing run: the displayed result and the run's counters.
 fn traced(name: &str, opts: JitOptions) -> (String, ProfileStats) {
-    let run = run_program(prog(name), Engine::Tracing, opts, 1);
+    let run = run_program(prog(name), Engine::Tracing, opts);
     let stats = run.vm.profile().expect("the tracing engine keeps a profile").clone();
     (run.value, stats)
 }
@@ -333,7 +333,7 @@ fn native_code_calls_no_shim_for_an_inline_heap_family() {
     }
     let mut inline = 0;
     for p in tm_bench::SUITE {
-        let run = run_program(p, Engine::Tracing, JitOptions::default(), 1);
+        let run = run_program(p, Engine::Tracing, JitOptions::default());
         for (t, tree) in run.vm.monitor().expect("tracing").cache.iter().enumerate() {
             let ExecCode::Native(nt) = &tree.exec else { continue };
             for (family, n) in nt.heap_sites() {
@@ -544,7 +544,7 @@ fn code_hash(vm: &Vm) -> u64 {
 fn every_program_compiles_to_its_pinned_code() {
     let mut observed = Vec::new();
     for p in tm_bench::SUITE {
-        let run = run_program(p, Engine::Tracing, JitOptions::default(), 1);
+        let run = run_program(p, Engine::Tracing, JitOptions::default());
         observed.push((p.name, "code", code_hash(&run.vm)));
     }
     check_pins(&observed);
@@ -568,7 +568,7 @@ fn duplicate_siblings(vm: &Vm) -> u64 {
 fn siblings_at_one_anchor_have_distinct_entry_maps() {
     let mut observed = Vec::new();
     for p in tm_bench::SUITE {
-        let run = run_program(p, Engine::Tracing, JitOptions::default(), 1);
+        let run = run_program(p, Engine::Tracing, JitOptions::default());
         observed.push((p.name, "duplicate_siblings", duplicate_siblings(&run.vm)));
     }
     check_pins(&observed);
@@ -580,7 +580,7 @@ const DIGEST_SMOKE: &[&str] = &["3d-raytrace", "crypto-aes"];
 #[test]
 fn every_process_builds_the_same_entry_maps() {
     let digests = |name| {
-        let run = run_program(prog(name), Engine::Tracing, JitOptions::default(), 1);
+        let run = run_program(prog(name), Engine::Tracing, JitOptions::default());
         let m = run.vm.monitor().expect("tracing");
         m.cache.iter().map(|t| t.digest).collect::<Vec<_>>()
     };
@@ -602,7 +602,7 @@ fn exit_tables_stay_in_ar_order() {
         list.windows(2).all(|w| w[0].ar < w[1].ar)
     };
     for p in tm_bench::SUITE {
-        let run = run_program(p, Engine::Tracing, JitOptions::default(), 1);
+        let run = run_program(p, Engine::Tracing, JitOptions::default());
         for t in run.vm.monitor().expect("tracing").cache.iter() {
             let what = format!("{}: tree {}", p.name, t.id.0);
             assert!(ascending(&t.loop_writes), "{what}: loop writes {:?}", t.loop_writes);

@@ -33,20 +33,12 @@ struct Entry {
     waiting_on: Option<FragmentStart>,
 }
 
-/// Blacklist policy configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlacklistConfig {
-    /// Failures before permanent blacklisting (paper: 2).
-    pub max_failures: u32,
-    /// Passes to skip after a failure (paper: 32).
-    pub backoff: u32,
-}
+/// Recording failures before a fragment is permanently blacklisted
+/// (§3.3: 2).
+pub const MAX_FAILURES: u32 = 2;
 
-impl Default for BlacklistConfig {
-    fn default() -> Self {
-        BlacklistConfig { max_failures: 2, backoff: 32 }
-    }
-}
+/// Passes a fragment is skipped after a recording failure (§3.3: 32).
+pub const BACKOFF: u32 = 32;
 
 /// The durable part of one blacklist entry, as stored in the persistent
 /// trace cache (`docs/PERSISTENCE.md` §6).
@@ -75,13 +67,12 @@ pub enum Verdict {
 #[derive(Debug, Default)]
 pub struct Blacklist {
     entries: HashMap<FragmentStart, Entry>,
-    config: BlacklistConfig,
 }
 
 impl Blacklist {
-    /// Creates a blacklist with the given policy.
-    pub fn new(config: BlacklistConfig) -> Blacklist {
-        Blacklist { entries: HashMap::new(), config }
+    /// Creates an empty blacklist.
+    pub fn new() -> Blacklist {
+        Blacklist::default()
     }
 
     /// Consults the table before attempting to record at `start`,
@@ -106,19 +97,17 @@ impl Blacklist {
         start: FragmentStart,
         waited_on: Option<FragmentStart>,
     ) -> bool {
-        let max_failures = self.config.max_failures;
-        let backoff = self.config.backoff;
         let e = self.entries.entry(start).or_default();
         e.failures += 1;
         if waited_on.is_some() {
             e.provisional += 1;
             e.waiting_on = waited_on;
         }
-        if e.failures >= max_failures {
+        if e.failures >= MAX_FAILURES {
             e.blacklisted = true;
             return true;
         }
-        e.backoff = backoff;
+        e.backoff = BACKOFF;
         false
     }
 
@@ -189,16 +178,21 @@ mod tests {
     const START: FragmentStart = (FuncId(0), 5);
     const INNER: FragmentStart = (FuncId(1), 2);
 
+    /// Skips `start` through the backoff a failure armed.
+    fn sit_out_backoff(bl: &mut Blacklist, start: FragmentStart) {
+        for _ in 0..BACKOFF {
+            assert_eq!(bl.check(start), Verdict::Skip);
+        }
+        assert_eq!(bl.check(start), Verdict::Record);
+    }
+
     #[test]
     fn failure_backoff_then_blacklist() {
-        let mut bl = Blacklist::new(BlacklistConfig { max_failures: 2, backoff: 3 });
+        let mut bl = Blacklist::new();
         assert_eq!(bl.check(START), Verdict::Record);
         assert!(!bl.record_failure(START, None));
-        // Backing off for 3 passes.
-        assert_eq!(bl.check(START), Verdict::Skip);
-        assert_eq!(bl.check(START), Verdict::Skip);
-        assert_eq!(bl.check(START), Verdict::Skip);
-        assert_eq!(bl.check(START), Verdict::Record);
+        // Backing off for exactly `BACKOFF` passes.
+        sit_out_backoff(&mut bl, START);
         // Second failure: permanent.
         assert!(bl.record_failure(START, None));
         assert_eq!(bl.check(START), Verdict::Blacklisted);
@@ -207,8 +201,21 @@ mod tests {
     }
 
     #[test]
+    fn blacklists_exactly_at_max_failures() {
+        let mut bl = Blacklist::new();
+        for _ in 1..MAX_FAILURES {
+            assert!(!bl.record_failure(START, None));
+            sit_out_backoff(&mut bl, START);
+        }
+        // The `MAX_FAILURES`-th failure arms no backoff: it is final.
+        assert!(bl.record_failure(START, None));
+        assert_eq!(bl.check(START), Verdict::Blacklisted);
+        assert_eq!(bl.blacklisted_count(), 1);
+    }
+
+    #[test]
     fn forgiveness_undoes_provisional_failures() {
-        let mut bl = Blacklist::new(BlacklistConfig { max_failures: 2, backoff: 32 });
+        let mut bl = Blacklist::new();
         assert!(!bl.record_failure(START, Some(INNER)));
         assert_eq!(bl.check(START), Verdict::Skip);
         // Inner tree completed: outer is forgiven and retried immediately.
@@ -221,7 +228,7 @@ mod tests {
 
     #[test]
     fn forgiveness_is_keyed_on_the_inner_header_waited_on() {
-        let mut bl = Blacklist::new(BlacklistConfig { max_failures: 2, backoff: 32 });
+        let mut bl = Blacklist::new();
         assert!(!bl.record_failure(START, Some(INNER)));
         // A tree at another header, even in the outer loop's own function,
         // forgives nothing.
@@ -237,22 +244,14 @@ mod tests {
     }
 
     #[test]
-    fn single_failure_threshold_blacklists_immediately() {
-        let mut bl =
-            Blacklist::new(BlacklistConfig { max_failures: 1, backoff: 32 });
-        assert_eq!(bl.check(START), Verdict::Record);
-        // With the threshold at one there is no backoff phase at all.
-        assert!(bl.record_failure(START, None));
-        assert_eq!(bl.check(START), Verdict::Blacklisted);
-        assert_eq!(bl.blacklisted_count(), 1);
-    }
-
-    #[test]
     fn forgiveness_does_not_resurrect_blacklisted_fragments() {
-        let mut bl =
-            Blacklist::new(BlacklistConfig { max_failures: 1, backoff: 2 });
+        let mut bl = Blacklist::new();
+        for _ in 1..MAX_FAILURES {
+            assert!(!bl.record_failure(START, None));
+            sit_out_backoff(&mut bl, START);
+        }
         assert!(bl.record_failure(START, Some(INNER)));
-        // Even though the failure was provisional, blacklisting is final.
+        // Even though the last failure was provisional, blacklisting is final.
         bl.forgive_waiting_on(INNER);
         assert_eq!(bl.check(START), Verdict::Blacklisted);
         assert!(bl.is_blacklisted(START));
@@ -260,8 +259,7 @@ mod tests {
 
     #[test]
     fn forgiveness_only_covers_provisional_failures() {
-        let mut bl =
-            Blacklist::new(BlacklistConfig { max_failures: 3, backoff: 4 });
+        let mut bl = Blacklist::new();
         assert!(!bl.record_failure(START, None)); // a real abort, not inner-not-ready
         bl.forgive_waiting_on(INNER);
         // Nothing was provisional: the failure stands and the backoff holds.
@@ -270,16 +268,16 @@ mod tests {
 
     #[test]
     fn fragments_fail_independently() {
-        let mut bl =
-            Blacklist::new(BlacklistConfig { max_failures: 2, backoff: 2 });
+        let mut bl = Blacklist::new();
         let other: FragmentStart = (FuncId(1), 9);
         assert!(!bl.record_failure(START, None));
         assert_eq!(bl.check(START), Verdict::Skip);
         // The other fragment is unaffected by START's backoff...
         assert_eq!(bl.check(other), Verdict::Record);
         // ...and blacklists on its own count.
-        bl.record_failure(other, None);
-        bl.record_failure(other, None);
+        for _ in 0..MAX_FAILURES {
+            bl.record_failure(other, None);
+        }
         assert!(bl.is_blacklisted(other));
         assert!(!bl.is_blacklisted(START));
         assert_eq!(bl.blacklisted_count(), 1);

@@ -1,28 +1,17 @@
 //! Tracing JIT configuration.
 
-use tm_lir::FilterOptions;
-
-use crate::blacklist::BlacklistConfig;
-
-/// Tunables of the tracing JIT. Defaults follow the paper's reported
-/// constants (hotness 2, side-exit hotness 2, blacklist after 2 failures
-/// with a 32-pass backoff). Nested trees (§4), trace stitching (§6.2),
-/// the integer-demotion oracle (§3.2), type-unstable sibling linking
-/// (Figure 6) and blacklisting (§3.3) are the design, not options:
-/// nothing here turns them off.
+/// Switches of the tracing JIT, each set differently by some caller. The
+/// paper's numbers are constants next to their one use, not options:
+/// the hotness thresholds (`monitor::HOTNESS_THRESHOLD`,
+/// `monitor::HOT_EXIT_THRESHOLD`), the blacklist budget
+/// (`blacklist::MAX_FAILURES`, `blacklist::BACKOFF`) and the inline depth
+/// (`recorder::MAX_INLINE_DEPTH`); every forward filter (§5.1) always
+/// runs. Nested trees (§4), trace stitching (§6.2), the integer-demotion
+/// oracle (§3.2), type-unstable sibling linking (Figure 6) and
+/// blacklisting (§3.3) are the design, not options: nothing here turns
+/// them off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JitOptions {
-    /// Loop-edge crossings before a loop is considered hot (paper: 2).
-    pub hotness_threshold: u32,
-    /// Side-exit passes before a branch trace is recorded (paper-narrative:
-    /// the second taking of an exit makes it hot).
-    pub hot_exit_threshold: u32,
-    /// Blacklisting policy (§3.3).
-    pub blacklist: BlacklistConfig,
-    /// Forward filter configuration (§5.1).
-    pub filters: FilterOptions,
-    /// Maximum function-inlining depth on trace.
-    pub max_inline_depth: usize,
     /// Collect per-activity wall-clock times (Figure 12).
     pub profile: bool,
     /// Record trace events (tests / diagnostics).
@@ -64,11 +53,6 @@ pub struct JitOptions {
 impl Default for JitOptions {
     fn default() -> Self {
         JitOptions {
-            hotness_threshold: 2,
-            hot_exit_threshold: 2,
-            blacklist: BlacklistConfig::default(),
-            filters: FilterOptions::default(),
-            max_inline_depth: 8,
             profile: false,
             log_events: false,
             verify: cfg!(debug_assertions),

@@ -25,7 +25,7 @@ use tm_nanojit::{TraceExit, EXIT_UNSTITCHED};
 use tm_runtime::{Realm, RuntimeError, Value};
 
 use crate::activation::{export, import, ArPool, SlotBinding};
-use crate::blacklist::{Blacklist, Verdict};
+use crate::blacklist::{Blacklist, Verdict, MAX_FAILURES};
 use crate::config::JitOptions;
 use crate::events::{AbortReason, EventLog, TraceEvent};
 use crate::exit::ExitKind;
@@ -38,6 +38,13 @@ use crate::shared_cache::{SharedCodeCache, SharedKey};
 use crate::tree::{Anchor, ExecCode, NestedSite, TraceTree, TreeCache, TreeCode, TreeId};
 
 pub(crate) use install::compile_trace;
+
+/// Loop-header crossings before a loop is hot and gets recorded (paper: 2).
+pub const HOTNESS_THRESHOLD: u32 = 2;
+
+/// Passes through a side exit before a branch trace is recorded there
+/// (paper: the second taking of an exit makes it hot).
+pub const HOT_EXIT_THRESHOLD: u32 = 2;
 
 /// Maximum sibling trees per loop header before the monitor stops
 /// recording new type-permutation trees.
@@ -176,7 +183,7 @@ impl Monitor {
     pub fn new(opts: JitOptions) -> Monitor {
         Monitor {
             cache: TreeCache::new(),
-            blacklist: Blacklist::new(opts.blacklist),
+            blacklist: Blacklist::new(),
             oracle: Oracle::new(),
             profiler: Profiler::new(opts.profile),
             events: {
@@ -361,7 +368,7 @@ impl Monitor {
                 &mut self.slots[anchor.func.0 as usize][anchor.loop_id.0 as usize];
             debug_assert!(!slot.silenced, "silenced headers are patched to Nop");
             slot.hotness += 1;
-            if slot.hotness < self.opts.hotness_threshold {
+            if slot.hotness < HOTNESS_THRESHOLD {
                 self.profiler.stats.monitor_slot_fast += 1;
                 return Ok(());
             }
@@ -416,7 +423,7 @@ impl Monitor {
         // 4. Record a root trace.
         self.events.push(TraceEvent::RecordStartRoot { func: anchor.func, pc: anchor.pc });
         let range = anchor_range(anchor, interp);
-        let rec = Recorder::new_root(anchor, range, interp, realm, self.opts);
+        let rec = Recorder::new_root(anchor, range, interp, realm);
         self.record(Target::Root(anchor), rec, Vec::new(), interp, realm)
     }
 
@@ -478,10 +485,9 @@ impl Monitor {
                 }
             }
             Target::Branch(tid, frag, exit) => {
-                let max_failures = self.opts.blacklist.max_failures;
                 let st = self.cache.tree_mut(tid).exit_state_mut(frag, exit);
                 st.failures += 1;
-                if st.failures >= max_failures {
+                if st.failures >= MAX_FAILURES {
                     st.counter = 0;
                 }
             }
@@ -732,14 +738,12 @@ impl Monitor {
                 // Already extended since the exit was taken.
                 return Ok(());
             }
-            let max_failures = self.opts.blacklist.max_failures;
-            let hot = self.opts.hot_exit_threshold;
             let st = tree.exit_state_mut(frag, exit);
-            if st.failures >= max_failures {
+            if st.failures >= MAX_FAILURES {
                 return Ok(());
             }
             st.counter += 1;
-            if st.counter < hot {
+            if st.counter < HOT_EXIT_THRESHOLD {
                 return Ok(());
             }
         }
@@ -750,9 +754,8 @@ impl Monitor {
         // (`NestedUnexpected`) and §3.3 would disable the callers one by
         // one. Refuse, permanently.
         if self.exit_is_nested_contract(tid, frag, exit) {
-            let max_failures = self.opts.blacklist.max_failures;
             let st = self.cache.tree_mut(tid).exit_state_mut(frag, exit);
-            st.failures = max_failures;
+            st.failures = MAX_FAILURES;
             st.counter = 0;
             return Ok(());
         }
@@ -775,7 +778,6 @@ impl Monitor {
             &tree.exits[frag as usize][exit as usize],
             tree.nested_sites.len() as u32,
             interp,
-            self.opts,
         );
         // The branch fragment enters with everything the parent path
         // established (its exit type map) plus the tree's entry slots —
@@ -1012,12 +1014,21 @@ mod tests {
     }
 
     #[test]
-    fn hotness_threshold_is_respected() {
-        let mut opts = JitOptions::default();
-        opts.hotness_threshold = 1000;
-        let mut vm = Vm::with_options(Engine::Tracing, opts);
-        vm.eval("var s = 0; for (var i = 0; i < 100; i++) s += i; s").unwrap();
-        assert_eq!(vm.monitor().unwrap().cache.len(), 0, "loop never reaches 1000 crossings");
+    fn a_loop_turns_hot_at_the_threshold_crossing() {
+        // Recording starts at the `HOTNESS_THRESHOLD`-th header crossing,
+        // not before: a loop crossing its header one time fewer stays cold.
+        let crossings = |src| {
+            let vm = traced(src);
+            let m = vm.monitor().unwrap();
+            let recordings = m.events.events().iter().filter(|e| {
+                matches!(e, TraceEvent::RecordStartRoot { .. })
+            });
+            (m.slots[0][0].hotness, recordings.count())
+        };
+        let cold = crossings("var s = 0; for (var i = 0; i < 0; i++) s += i; s");
+        assert_eq!(cold, (HOTNESS_THRESHOLD - 1, 0));
+        let hot = crossings("var s = 0; for (var i = 0; i < 1; i++) s += i; s");
+        assert_eq!(hot, (HOTNESS_THRESHOLD, 1));
     }
 
     #[test]
@@ -1036,14 +1047,20 @@ mod tests {
 
     #[test]
     fn exit_counters_gate_branch_recording() {
-        let mut opts = JitOptions::default();
-        opts.hot_exit_threshold = u32::MAX; // branches never become hot
-        let mut vm = Vm::with_options(Engine::Tracing, opts);
-        vm.eval("var a = 0; for (var i = 0; i < 500; i++) { if (i % 2) a++; else a--; } a")
-            .unwrap();
-        let m = vm.monitor().unwrap();
-        for t in m.cache.iter() {
-            assert_eq!(t.fragments.len(), 1, "no branch fragments without hot exits");
+        // The odd path's exit is taken once (i == 299) or twice (i == 199,
+        // 399): only the second pass makes it hot and grows a branch.
+        const _: () = assert!(HOT_EXIT_THRESHOLD == 2);
+        for (period, fragments) in [(300, 1), (200, 2)] {
+            let src = format!(
+                "var a = 0;
+                 for (var i = 0; i < 500; i++) {{ if (i % {period} == {period} - 1) a += 2; else a++; }}
+                 a"
+            );
+            let vm = traced(&src);
+            let m = vm.monitor().unwrap();
+            assert_eq!(m.cache.len(), 1);
+            let t = m.cache.iter().next().unwrap();
+            assert_eq!(t.fragments.len(), fragments, "period {period}");
         }
     }
 

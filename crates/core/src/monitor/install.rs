@@ -467,7 +467,7 @@ mod tests {
     use tm_runtime::Realm;
 
     use super::*;
-    use crate::blacklist::{BlacklistConfig, PersistedEntry};
+    use crate::blacklist::PersistedEntry;
     use crate::pool::Ticket;
 
     /// Hands a compile for `target` to a pool that will never report it,
@@ -492,10 +492,9 @@ mod tests {
         let header = prog.function(prog.main).loops[0].header;
         let anchor = Anchor::loop_header(prog.main, header, tm_bytecode::LoopId(0));
         let mut interp = Interp::new(prog, &mut realm);
-        // Without backoff a charged loop header records again at its next
-        // hot crossing.
-        let blacklist = BlacklistConfig { backoff: 0, ..BlacklistConfig::default() };
-        let opts = JitOptions { log_events: true, blacklist, ..JitOptions::default() };
+        // A charged loop header sits out `BACKOFF` passes, silently, and
+        // then records again: the loop runs long enough for both.
+        let opts = JitOptions { log_events: true, ..JitOptions::default() };
         let mut m = Monitor::new(opts);
         m.ensure_slots(&interp);
 

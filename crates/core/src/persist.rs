@@ -1144,8 +1144,11 @@ impl Monitor {
         let tmp = handle
             .path
             .with_extension(format!("tmp.{}.{}", std::process::id(), seq));
-        std::fs::write(&tmp, &out)?;
-        std::fs::rename(&tmp, &handle.path).inspect_err(|_| drop(std::fs::remove_file(&tmp)))?;
+        // A write that fails part-way (a full disk) leaves a partial temp
+        // file behind, as does a failed rename: remove it either way.
+        std::fs::write(&tmp, &out)
+            .and_then(|()| std::fs::rename(&tmp, &handle.path))
+            .inspect_err(|_| drop(std::fs::remove_file(&tmp)))?;
         Ok(true)
     }
 }

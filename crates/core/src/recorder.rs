@@ -21,22 +21,24 @@
 
 use tm_bytecode::{FuncId, LoopId};
 use tm_interp::Interp;
-use tm_lir::{ArSlot, ExitId, Lir, LirBuffer, LirTrace, LirType};
+use tm_lir::{ArSlot, ExitId, FilterOptions, Lir, LirBuffer, LirTrace, LirType};
 use tm_runtime::{Helper, Realm, Value};
 use tm_support::WordMap;
 
 use crate::activation::{observed_type, ArLayout, SlotBinding, SlotKey};
-use crate::config::JitOptions;
 use crate::events::AbortReason;
 use crate::exit::{ExitKind, FrameDesc, SideExitInfo};
 use crate::lowering::PendingNative;
 use crate::oracle::{var_key, Oracle, VarKey};
 use crate::tree::{Anchor, NestedSite, TreeId};
 
-/// Hard cap on shadow frames per recording: `SlotKey::Local` keys frame
-/// depth in a `u8`, so side exits cannot describe deeper inlining no
-/// matter what `max_inline_depth` is configured to.
-const MAX_SHADOW_FRAMES: usize = 200;
+/// Shadow frames a recording may hold, the entry frame included: a call
+/// that would inline one more aborts with `TooDeep`.
+pub const MAX_INLINE_DEPTH: usize = 8;
+
+// `SlotKey::Local` keys the frame depth in a `u8`: side exits cannot
+// describe a deeper frame.
+const _: () = assert!(MAX_INLINE_DEPTH <= u8::MAX as usize);
 
 /// Recording aborts (`TraceTooLong`) beyond this many LIR instructions.
 const MAX_TRACE_LEN: usize = 2048;
@@ -270,7 +272,6 @@ pub struct Recorder {
     /// The tree entry map the loop edge must re-establish (empty for root
     /// recordings, which build their own in `new_entry`).
     existing_entry: Vec<SlotBinding>,
-    opts: JitOptions,
     ops_recorded: u32,
     nested_sites: Vec<NestedSite>,
     nested_site_base: u32,
@@ -321,7 +322,6 @@ impl std::fmt::Debug for Recorder {
 impl Recorder {
     /// The one constructor: a recording at `anchor` with nothing shadowed
     /// yet but `frames`.
-    #[allow(clippy::too_many_arguments)]
     fn new(
         anchor: Anchor,
         anchor_range: (u32, u32),
@@ -330,10 +330,9 @@ impl Recorder {
         nested_site_base: u32,
         frames: Vec<ShadowFrame>,
         start: Option<StartTypes>,
-        opts: JitOptions,
     ) -> Recorder {
         Recorder {
-            buf: LirBuffer::new(opts.filters),
+            buf: LirBuffer::new(FilterOptions::default()),
             layout,
             entry_types: WordMap::default(),
             new_entry: Vec::new(),
@@ -345,7 +344,6 @@ impl Recorder {
             anchor,
             anchor_range,
             existing_entry,
-            opts,
             ops_recorded: 0,
             nested_sites: Vec::new(),
             nested_site_base,
@@ -374,7 +372,6 @@ impl Recorder {
         anchor_range: (u32, u32),
         interp: &Interp,
         realm: &Realm,
-        opts: JitOptions,
     ) -> Recorder {
         let func = interp.frame().func;
         let nlocals = interp.prog().function(func).nlocals;
@@ -391,13 +388,12 @@ impl Recorder {
             callee_raw: 0,
         };
         let (layout, entry) = (ArLayout::new(), Vec::new());
-        Recorder::new(anchor, anchor_range, layout, entry, 0, vec![frame], Some(start), opts)
+        Recorder::new(anchor, anchor_range, layout, entry, 0, vec![frame], Some(start))
     }
 
     /// Starts recording a branch trace from a side exit of an existing
     /// tree. The interpreter must be positioned at the exit's resume
     /// state.
-    #[allow(clippy::too_many_arguments)]
     pub fn new_branch(
         anchor: Anchor,
         anchor_range: (u32, u32),
@@ -406,7 +402,6 @@ impl Recorder {
         parent_exit: &SideExitInfo,
         nested_site_base: u32,
         interp: &Interp,
-        opts: JitOptions,
     ) -> Recorder {
         // A branch recorded from anywhere but where its parent exit
         // resumes describes another state.
@@ -435,7 +430,6 @@ impl Recorder {
             nested_site_base,
             frames,
             None,
-            opts,
         );
         // Every existing tree-entry slot is already populated at tree
         // entry: seed its type first so the branch never re-adds it as a
@@ -809,10 +803,7 @@ impl Recorder {
         if self.frames.iter().any(|f| f.func == func) {
             return Err(AbortReason::Recursive);
         }
-        // Inline at most `max_inline_depth` frames, and never more than
-        // exits can describe (`SlotKey::Local` carries the frame depth in
-        // a u8).
-        if self.frames.len() >= MAX_SHADOW_FRAMES.min(self.opts.max_inline_depth) {
+        if self.frames.len() >= MAX_INLINE_DEPTH {
             return Err(AbortReason::TooDeep);
         }
         Ok(())

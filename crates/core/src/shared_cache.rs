@@ -338,23 +338,27 @@ mod tests {
     }
 
     impl Tenant {
-        fn new(cache: &Arc<SharedCodeCache>, src: &str, hot_exit_threshold: u32) -> Tenant {
+        fn new(cache: &Arc<SharedCodeCache>, src: &str) -> Tenant {
             let mut realm = Realm::new();
             let prog =
                 tm_bytecode::compile(&tm_frontend::parse(src).unwrap(), &mut realm).unwrap();
             let key = SharedKey::capture(&prog, &realm);
             let interp = Interp::new(prog, &mut realm);
-            let opts = JitOptions {
-                background_compile: false,
-                hot_exit_threshold,
-                ..JitOptions::default()
-            };
+            let opts = JitOptions { background_compile: false, ..JitOptions::default() };
             let mut monitor = Monitor::new(opts);
             monitor.attach_shared(Arc::clone(cache), key);
             Tenant { key, realm, interp, monitor }
         }
 
-        fn run(&mut self) -> String {
+        /// Runs the program with each global of `globals`, which it reads
+        /// but never assigns, set first. A global's value is not part of
+        /// the shared key: every tenant of one program shares its trees
+        /// whatever values they run with.
+        fn run(&mut self, globals: &[(&str, i32)]) -> String {
+            for &(name, v) in globals {
+                let slot = self.realm.lookup_global(name).expect("the program reads it");
+                self.realm.set_global(slot, tm_runtime::Value::new_int(v));
+            }
             self.interp.reset();
             let v = self.monitor.run_program(&mut self.interp, &mut self.realm).expect("runs");
             tm_runtime::ops::to_display(&mut self.realm, v)
@@ -365,36 +369,41 @@ mod tests {
         }
     }
 
+    /// A loop whose exits the host steers through two globals the program
+    /// never assigns: the odd path is taken at `i == odd`, and the loop is
+    /// left through its condition (`last` = -1) or through the `break` at
+    /// `i == last`. An exit is hot at its second pass
+    /// (`HOT_EXIT_THRESHOLD`), so a tenant that leaves by another exit
+    /// in each of its two runs grows no branch at the loop's end.
+    const STEERED: &str = "var a = 0;
+        for (var i = 0; i < 200; i++) { if (i == odd) a += 2; else a++; if (i == last) break; }
+        a";
+    const _: () = assert!(crate::monitor::HOT_EXIT_THRESHOLD == 2);
+
     /// The sharing contract: a tenant install is the publisher's record by
     /// reference; a branch install in one realm leaves every other holder
     /// on the version it has, and republishes the extended version under
     /// the same identity.
     #[test]
     fn installs_share_the_record_and_extensions_copy_it_once() {
-        // The odd branch is taken four times a run: below the publisher's
-        // hot-exit threshold in its first run, above it in its second.
-        let src = "var a = 0;
-                   for (var i = 0; i < 200; i++) { if (i % 50 == 49) a += 2; else a++; }
-                   a";
-        let mut interp_vm = Vm::new(Engine::Interp);
-        let v = interp_vm.eval(src).unwrap();
-        let expected = tm_runtime::ops::to_display(&mut interp_vm.realm, v);
-
+        // The publisher takes the odd path once a run: its exit turns hot
+        // in the second run. The other tenants never take it.
+        let (taken, not_taken) = ("201", "200");
         let cache = Arc::new(SharedCodeCache::default());
-        let mut publisher = Tenant::new(&cache, src, 6);
-        assert_eq!(publisher.run(), expected);
+        let mut publisher = Tenant::new(&cache, STEERED);
+        assert_eq!(publisher.run(&[("odd", 150), ("last", -1)]), taken);
         let v1 = Arc::clone(&publisher.tree().code);
         assert_eq!(v1.fragments.len(), 1);
 
         // (i) Installing is taking a reference.
-        let mut installer = Tenant::new(&cache, src, u32::MAX);
-        assert_eq!(installer.run(), expected);
+        let mut installer = Tenant::new(&cache, STEERED);
+        assert_eq!(installer.run(&[("odd", -1), ("last", -1)]), not_taken);
         assert_eq!(installer.monitor.profiler.stats.shared_cache_installed_trees, 1);
         assert!(Arc::ptr_eq(&installer.tree().code, &v1));
 
         // (ii) The publisher grows its tree; the installer's does not move.
         let before = cache.stats();
-        assert_eq!(publisher.run(), expected);
+        assert_eq!(publisher.run(&[("last", 199)]), taken);
         let v2 = Arc::clone(&publisher.tree().code);
         assert_eq!(v2.fragments.len(), 2, "the hot exit was extended");
         assert_eq!(v2.exits.len(), 2);
@@ -404,29 +413,30 @@ mod tests {
         assert!(Arc::ptr_eq(&installer.tree().code, &v1));
         assert_eq!((v1.fragments.len(), v1.exits.len()), (1, 1));
         assert!(v1.fragments[0].stitch.iter().all(|&e| e == tm_nanojit::EXIT_UNSTITCHED));
-        assert_eq!(installer.run(), expected);
+        assert_eq!(installer.run(&[("last", 199)]), not_taken);
         let after = cache.stats();
         assert_eq!((after.replaced, after.entries), (before.replaced + 1, before.entries));
 
         // A realm started afterwards gets the extended version.
-        let mut late = Tenant::new(&cache, src, u32::MAX);
-        assert_eq!(late.run(), expected);
+        let mut late = Tenant::new(&cache, STEERED);
+        assert_eq!(late.run(&[("odd", -1), ("last", -1)]), not_taken);
         assert!(Arc::ptr_eq(&late.tree().code, &v2));
     }
 
     /// (iii) Eviction only drops the cache's reference.
     #[test]
     fn lru_evicts_under_small_budget_but_in_use_trees_survive() {
-        let mut publisher = Tenant::new(&Arc::new(SharedCodeCache::default()), HOT, u32::MAX);
-        let expected = publisher.run();
+        let first = [("odd", -1), ("last", -1)];
+        let mut publisher = Tenant::new(&Arc::new(SharedCodeCache::default()), STEERED);
+        let expected = publisher.run(&first);
         let code = Arc::clone(&publisher.tree().code);
         let insts: usize = code.fragments.iter().map(Fragment::len).sum();
         // Budget fits exactly two copies of this tree.
         let cache = Arc::new(SharedCodeCache::new(insts * 2));
-        let mut holder = Tenant::new(&cache, HOT, u32::MAX);
+        let mut holder = Tenant::new(&cache, STEERED);
         let key = holder.key;
         assert!(cache.publish(key, &code));
-        assert_eq!(holder.run(), expected);
+        assert_eq!(holder.run(&first), expected);
         assert!(Arc::ptr_eq(&holder.tree().code, &code), "the realm runs the cached record");
         for i in 1..4u64 {
             assert!(cache.publish(key, &with_digest(&code, code.digest.wrapping_add(i))));
@@ -437,8 +447,9 @@ mod tests {
             cache.lookup(key, code.anchor).iter().all(|c| !Arc::ptr_eq(c, &code)),
             "the held record was evicted"
         );
-        // ...and the realm holding it keeps running it.
-        assert_eq!(holder.run(), expected);
+        // ...and the realm holding it keeps running it, leaving the loop
+        // by the other exit.
+        assert_eq!(holder.run(&[("last", 199)]), expected);
         assert!(Arc::ptr_eq(&holder.tree().code, &code));
         assert!(holder.tree().stats.enters >= 2);
     }

@@ -21,11 +21,11 @@
 
 use std::collections::HashMap;
 
-use crate::ir::{ExitId, Lir, LirId, LirTrace, LirType, NO_EXIT};
+use crate::ir::{ExitId, Lir, LirId, LirTrace};
 use crate::opclass::{AluOp, FOp, Tag};
 
-/// Which forward filters run (all on by default; individually toggleable
-/// for the ablation benchmarks).
+/// Which forward filters run. All are on by default, which is what the
+/// recorder uses; tests turn them off for an unoptimized reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FilterOptions {
     /// Constant folding + algebraic simplification.
@@ -34,13 +34,11 @@ pub struct FilterOptions {
     pub cse: bool,
     /// INT↔DOUBLE demotion identities.
     pub demote: bool,
-    /// Soft-float lowering of double arithmetic.
-    pub softfloat: bool,
 }
 
 impl Default for FilterOptions {
     fn default() -> Self {
-        FilterOptions { fold: true, cse: true, demote: true, softfloat: false }
+        FilterOptions { fold: true, cse: true, demote: true }
     }
 }
 
@@ -114,7 +112,6 @@ impl LirBuffer {
     /// the resulting value. Returns [`NO_VALUE`] when an effect-only
     /// instruction was dropped.
     pub fn emit(&mut self, inst: Lir) -> LirId {
-        let inst = if self.opts.softfloat { softfloat(inst) } else { inst };
         let inst = if self.opts.fold {
             match self.fold(inst) {
                 Filtered::Value(id) => return id,
@@ -276,24 +273,6 @@ impl LirBuffer {
     }
 }
 
-/// Soft-float filter: double arithmetic becomes a helper call. The helpers
-/// cannot bail, so the call carries the no-exit sentinel instead of
-/// allocating a real side exit (which would desynchronize the recorder's
-/// exit table).
-fn softfloat(inst: Lir) -> Lir {
-    if let Lir::AluD(op, a, b) = inst {
-        if let Some(helper) = op.soft_helper() {
-            return Lir::Call {
-                helper,
-                args: vec![a, b].into_boxed_slice(),
-                ret: LirType::Double,
-                exit: NO_EXIT,
-            };
-        }
-    }
-    inst
-}
-
 /// The algebraic identities `fold` applies to one binary op, as data. Every
 /// row is checked against the op's `eval` by the tests below.
 struct Identities<T> {
@@ -395,8 +374,8 @@ fn cse_guarded(inst: &Lir) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::LirType;
     use crate::opclass::{ChkOp, CmpOp};
-    use tm_runtime::Helper;
 
     fn buf() -> LirBuffer {
         LirBuffer::new(FilterOptions::default())
@@ -516,28 +495,11 @@ mod tests {
     }
 
     #[test]
-    fn softfloat_rewrites_double_arith() {
-        let mut b = LirBuffer::new(FilterOptions {
-            softfloat: true,
-            ..FilterOptions::default()
-        });
-        let x = b.emit(Lir::Import { slot: 0, ty: LirType::Double });
-        let y = b.emit(Lir::Import { slot: 1, ty: LirType::Double });
-        let sum = b.emit(Lir::AluD(FOp::Add, x, y));
-        assert!(
-            matches!(b.inst(sum), Lir::Call { helper: Helper::SoftAdd, .. }),
-            "soft-float converts double add to a call: {:?}",
-            b.inst(sum)
-        );
-    }
-
-    #[test]
     fn filters_can_be_disabled() {
         let mut b = LirBuffer::new(FilterOptions {
             fold: false,
             cse: false,
             demote: false,
-            softfloat: false,
         });
         let two = b.emit(Lir::ConstI(2));
         let three = b.emit(Lir::ConstI(3));

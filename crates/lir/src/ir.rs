@@ -24,10 +24,6 @@ pub type LirId = u32;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ExitId(pub u16);
 
-/// Sentinel exit for operations that carry an exit field structurally but
-/// can never take it (e.g. soft-float helper calls).
-pub const NO_EXIT: ExitId = ExitId(u16::MAX);
-
 /// Index of a slot in the trace activation record.
 pub type ArSlot = u16;
 

@@ -28,6 +28,6 @@ pub mod printer;
 
 pub use backward::{run_backward_filters, BackwardStats, ExitLiveness};
 pub use buffer::{FilterOptions, FilterStats, LirBuffer, NO_VALUE};
-pub use ir::{ArSlot, ExitId, Lir, LirId, LirTrace, LirType, NO_EXIT};
+pub use ir::{ArSlot, ExitId, Lir, LirId, LirTrace, LirType};
 pub use opclass::{AluOp, ChkOp, CmpOp, FOp, Tag};
 pub use printer::print_trace;

@@ -8,7 +8,7 @@
 //! observed-result computation all call it, and the x86-64 encoder is
 //! differentially tested against it.
 
-use tm_runtime::{Helper, Value};
+use tm_runtime::Value;
 
 use crate::ir::LirType;
 
@@ -258,18 +258,6 @@ impl FOp {
             FOp::Mul => "muld",
             FOp::Div => "divd",
             FOp::Mod => "modd",
-        }
-    }
-
-    /// The out-of-line helper the soft-float filter (§5.1) calls instead,
-    /// for the ops that have one.
-    pub fn soft_helper(self) -> Option<Helper> {
-        match self {
-            FOp::Add => Some(Helper::SoftAdd),
-            FOp::Sub => Some(Helper::SoftSub),
-            FOp::Mul => Some(Helper::SoftMul),
-            FOp::Div => Some(Helper::SoftDiv),
-            FOp::Mod => None,
         }
     }
 }

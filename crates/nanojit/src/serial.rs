@@ -155,12 +155,13 @@ macro_rules! helper_codec {
 
 // Index 0 is the one helper that takes no arguments, so the all-zero
 // `CallHelper` (no argument registers) is a well-formed call.
+// Indices 18–21 named the deleted soft-float helpers. They stay unused,
+// so no other helper's byte moves and a file naming one is `BadTag`.
 helper_codec!(
     0 => Random,
     1 => Sin, 2 => Cos, 3 => Tan, 4 => Asin, 5 => Acos, 6 => Atan,
     7 => Exp, 8 => Log, 9 => Sqrt, 10 => Floor, 11 => Ceil, 12 => Round,
     13 => AbsD, 14 => Atan2, 15 => Pow, 16 => MinD, 17 => MaxD,
-    18 => SoftAdd, 19 => SoftSub, 20 => SoftMul, 21 => SoftDiv,
     22 => NumberToString, 23 => IntToString, 24 => ConcatStrings,
     25 => StrEq, 26 => StrCmp, 27 => CharCodeAt, 28 => CharAt,
     29 => Substring, 30 => FromCharCode, 31 => StrToNum,

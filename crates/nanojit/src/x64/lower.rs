@@ -21,7 +21,7 @@
 //! decoded executor gets the same density by fusing superinstructions of
 //! its own, [`crate::peephole`].)
 
-use tm_lir::{AluOp, ChkOp, CmpOp, FOp, Tag, NO_EXIT};
+use tm_lir::{AluOp, ChkOp, CmpOp, FOp, Tag};
 use tm_runtime::object::layout;
 use tm_runtime::trace_helpers::Helper;
 
@@ -1151,10 +1151,7 @@ impl Emitter {
             // -- runtime re-entry --
 
             MachInst::CallHelper { d, helper, ref args, exit } => {
-                // The soft-float filter's helper calls cannot re-enter
-                // and carry the no-exit sentinel, which names no
-                // trampoline.
-                let site = (exit != NO_EXIT.0).then(|| self.site(k, exit, path));
+                let site = self.site(k, exit, path);
                 let idx = self.helper_index(helper);
                 self.asm.note(|| format!("; helper table[{idx}] = {helper:?}"));
                 for (n, &s) in args.iter().enumerate() {
@@ -1173,10 +1170,8 @@ impl Emitter {
                 self.store_vreg64(d, RAX);
                 self.asm.alu32(Alu::Cmp, RCX, Src::Imm(ST_ERR as i32));
                 self.asm.jcc(CC_E, Label::Epilogue);
-                if let Some(site) = site {
-                    self.asm.test32(RCX, RCX);
-                    self.asm.jcc(CC_NE, site);
-                }
+                self.asm.test32(RCX, RCX);
+                self.asm.jcc(CC_NE, site);
             }
             MachInst::CallTree { tree, exit } => {
                 // A direct call's moves use r8–r10 as scratch, and the

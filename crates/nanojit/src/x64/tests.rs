@@ -1262,15 +1262,6 @@ fn call_helper_differential_pure_and_allocating() {
     let e = run_both_with(&tree, &[d(0.5), d(3.0)], u64::MAX, |_| {});
     assert_eq!(e.exit, 0, "pure helpers never take the reenter exit");
 
-    // The soft-float filter's calls carry the no-exit sentinel.
-    let tree = binop_tree(MachInst::CallHelper {
-        d: 2,
-        helper: Helper::SoftMul,
-        args: vec![0, 1].into(),
-        exit: tm_lir::NO_EXIT.0,
-    });
-    run_both(&tree, &[d(1.5), d(-4.0), 0], u64::MAX);
-
     // An allocating string helper: both realms allocate identically.
     let (_, _, _, str_w) = probe_heap();
     let tree = frag(

@@ -366,11 +366,6 @@ impl Heap {
     pub fn live_strings(&self) -> usize {
         self.strings.iter().filter(|c| c.is_some()).count()
     }
-
-    /// Number of live boxed doubles (diagnostic).
-    pub fn live_doubles(&self) -> usize {
-        self.dbl_live.iter().filter(|&&b| b).count()
-    }
 }
 
 #[cfg(test)]

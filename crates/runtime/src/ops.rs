@@ -75,11 +75,6 @@ pub fn double_to_int32(d: f64) -> i32 {
     m as i32
 }
 
-/// JS `ToUint32` on a raw double.
-pub fn double_to_uint32(d: f64) -> u32 {
-    double_to_int32(d) as u32
-}
-
 /// JS truthiness.
 pub fn truthy(realm: &Realm, v: Value) -> bool {
     match v.unpack() {

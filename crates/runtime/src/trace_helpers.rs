@@ -13,7 +13,6 @@
 //! and boxed values as raw tagged words.
 
 use crate::error::RuntimeError;
-use crate::object::ObjectClass;
 use crate::ops;
 use crate::realm::{NativeId, Realm};
 use crate::shape::Sym;
@@ -225,16 +224,6 @@ pub enum Helper {
     MinD,
     /// `Math.max` (2-arg double case)
     MaxD,
-    // -- soft-float (§5.1's soft-float forward filter targets: double
-    //    arithmetic as out-of-line calls for FP-less ISAs) --
-    /// Soft-float add: (double bits, double bits) -> double bits
-    SoftAdd,
-    /// Soft-float subtract.
-    SoftSub,
-    /// Soft-float multiply.
-    SoftMul,
-    /// Soft-float divide.
-    SoftDiv,
     // -- misc --
     /// `Math.random`: () -> double
     Random,
@@ -304,9 +293,8 @@ impl Helper {
             Sin | Cos | Tan | Asin | Acos | Atan | Exp | Log | Sqrt | Floor | Ceil | Round
             | AbsD | NumberToString | IntToString | FromCharCode | StrToNum | ToLowerCase
             | ToUpperCase | NewArray | NewObject => 1,
-            Atan2 | Pow | MinD | MaxD | SoftAdd | SoftSub | SoftMul | SoftDiv | ConcatStrings
-            | StrEq | StrCmp | CharCodeAt | CharAt | LtAny | LeAny | GtAny | GeAny | EqAny
-            | GetElemAny => 2,
+            Atan2 | Pow | MinD | MaxD | ConcatStrings | StrEq | StrCmp | CharCodeAt | CharAt | LtAny
+            | LeAny | GtAny | GeAny | EqAny | GetElemAny => 2,
             Substring | ArraySetElem | SetPropSlow | SetElemAny => 3,
             CallNative(_) => return None,
         })
@@ -405,10 +393,6 @@ pub fn call_helper(realm: &mut Realm, h: Helper, args: &[Word]) -> Result<Word, 
                 b
             })
         }
-        Helper::SoftAdd => word_from_f64(f64_from_word(args[0]) + f64_from_word(args[1])),
-        Helper::SoftSub => word_from_f64(f64_from_word(args[0]) - f64_from_word(args[1])),
-        Helper::SoftMul => word_from_f64(f64_from_word(args[0]) * f64_from_word(args[1])),
-        Helper::SoftDiv => word_from_f64(f64_from_word(args[0]) / f64_from_word(args[1])),
         Helper::Random => word_from_f64(realm.next_random()),
         Helper::NumberToString => {
             let s = ops::format_number(f64_from_word(args[0]));
@@ -553,12 +537,6 @@ pub fn call_helper(realm: &mut Realm, h: Helper, args: &[Word]) -> Result<Word, 
     Ok(r)
 }
 
-/// True when the object's class word matches `Array` — the check behind the
-/// paper's Figure 3 class guard.
-pub fn is_array(realm: &Realm, id: ObjectId) -> bool {
-    realm.heap.object(id).class == ObjectClass::Array
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -622,12 +600,12 @@ mod tests {
         use Helper::*;
         let all = [
             Sin, Cos, Tan, Asin, Acos, Atan, Exp, Log, Sqrt, Floor, Ceil, Round, AbsD, Atan2, Pow,
-            MinD, MaxD, SoftAdd, SoftSub, SoftMul, SoftDiv, Random, NumberToString, IntToString,
-            ConcatStrings, StrEq, StrCmp, CharCodeAt, CharAt, Substring, FromCharCode, StrToNum,
-            ToLowerCase, ToUpperCase, ArraySetElem, NewArray, NewObject, SetPropSlow, LtAny,
-            LeAny, GtAny, GeAny, EqAny, GetElemAny, SetElemAny,
+            MinD, MaxD, Random, NumberToString, IntToString, ConcatStrings, StrEq, StrCmp,
+            CharCodeAt, CharAt, Substring, FromCharCode, StrToNum, ToLowerCase, ToUpperCase,
+            ArraySetElem, NewArray, NewObject, SetPropSlow, LtAny, LeAny, GtAny, GeAny, EqAny,
+            GetElemAny, SetElemAny,
         ];
-        assert_eq!(all.len(), 45, "every helper but CallNative");
+        assert_eq!(all.len(), 41, "every helper but CallNative");
         assert_eq!(CallNative(NativeId(0)).arity(), None);
         for h in all {
             let n = h.arity().expect("fixed arity");

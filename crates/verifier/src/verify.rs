@@ -19,7 +19,7 @@
 //!    type map, and map types must be consistent with the types the trace
 //!    (or its entry map) actually puts in those activation-record slots.
 
-use tm_lir::{ArSlot, CmpOp, Lir, LirId, LirTrace, LirType, Tag, NO_EXIT};
+use tm_lir::{ArSlot, CmpOp, Lir, LirId, LirTrace, LirType, Tag};
 
 /// What an operand position accepts. Coarser than [`LirType`] because the
 /// recorder works on raw words: a `Bool` is a 0/1 word and is valid
@@ -356,15 +356,12 @@ pub fn verify_trace(
             }
         }
 
-        // 2. Exit references. `NO_EXIT` marks structurally-carried exits
-        // that can never be taken (soft-float helper calls).
+        // 2. Exit references.
         if let Some(e) = op.exit() {
-            if e != NO_EXIT {
-                if e.0 >= trace.num_exits {
-                    return Err(VerifyError::MissingExit { at, exit: e.0 });
-                }
-                reachable[e.0 as usize] = true;
+            if e.0 >= trace.num_exits {
+                return Err(VerifyError::MissingExit { at, exit: e.0 });
             }
+            reachable[e.0 as usize] = true;
         }
 
         // 3. Terminator discipline: exactly one, in last position.

@@ -3,13 +3,12 @@
 //! program runs, not just unit-level table manipulation.
 
 use tracemonkey::bytecode::FuncId;
+use tracemonkey::jit::blacklist::{BACKOFF, MAX_FAILURES};
 use tracemonkey::jit::events::TraceEvent;
 use tracemonkey::{Engine, JitOptions, Vm};
 
-fn traced_vm_with(src: &str, tweak: impl FnOnce(&mut JitOptions)) -> Vm {
-    let mut opts = JitOptions::default();
-    opts.log_events = true;
-    tweak(&mut opts);
+fn traced_vm(src: &str) -> Vm {
+    let opts = JitOptions { log_events: true, ..JitOptions::default() };
     let mut vm = Vm::with_options(Engine::Tracing, opts);
     vm.eval(src).expect("program runs");
     vm
@@ -43,7 +42,7 @@ const OVERFLOW_SITE_SRC: &str = "var s = 0;
 
 #[test]
 fn hot_overflow_guard_demotes_the_arith_site() {
-    let vm = traced_vm_with(OVERFLOW_SITE_SRC, |_| {});
+    let vm = traced_vm(OVERFLOW_SITE_SRC);
     let m = vm.monitor().unwrap();
     // The overflow exit went hot and the monitor told the oracle about the
     // arithmetic *site*.
@@ -66,23 +65,28 @@ fn hot_overflow_guard_demotes_the_arith_site() {
 
 #[test]
 fn site_demotion_does_not_change_results() {
-    let mut vm = traced_vm_with(OVERFLOW_SITE_SRC, |_| {});
+    let mut vm = traced_vm(OVERFLOW_SITE_SRC);
     // Same program again in the same VM: this run records with the site
     // already demoted (double path + truncation), and must agree with the
     // pure interpreter.
     assert_eq!(traced_result(&mut vm, OVERFLOW_SITE_SRC), interp_result(OVERFLOW_SITE_SRC));
 }
 
-/// A loop the recorder always aborts on (ToString of an object is outside
-/// the traceable subset), used to probe blacklist thresholds.
-const UNTRACEABLE_SRC: &str = "var s = 0;
-     var o = {x: 1};
-     var t = '';
-     for (var i = 0; i < 3000; i++) {
-         t = '' + o;
-         s += 1;
-     }
-     s";
+/// A loop of `iterations` the recorder always aborts on (ToString of an
+/// object is outside the traceable subset), used to probe blacklist
+/// thresholds.
+fn untraceable(iterations: u32) -> String {
+    format!(
+        "var s = 0;
+         var o = {{x: 1}};
+         var t = '';
+         for (var i = 0; i < {iterations}; i++) {{
+             t = '' + o;
+             s += 1;
+         }}
+         s"
+    )
+}
 
 fn abort_and_blacklist_counts(vm: &Vm) -> (usize, usize) {
     let m = vm.monitor().unwrap();
@@ -95,29 +99,24 @@ fn abort_and_blacklist_counts(vm: &Vm) -> (usize, usize) {
 
 #[test]
 fn blacklist_attempt_budget_follows_max_failures() {
-    let one = traced_vm_with(UNTRACEABLE_SRC, |o| o.blacklist.max_failures = 1);
-    let (aborts_one, blacklists_one) = abort_and_blacklist_counts(&one);
-    assert_eq!(aborts_one, 1, "max_failures=1 allows exactly one recording attempt");
-    assert!(blacklists_one >= 1, "the loop header still gets patched");
-
-    let three = traced_vm_with(UNTRACEABLE_SRC, |o| o.blacklist.max_failures = 3);
-    let (aborts_three, blacklists_three) = abort_and_blacklist_counts(&three);
-    assert_eq!(aborts_three, 3, "max_failures=3 allows exactly three attempts");
-    assert!(blacklists_three >= 1);
+    // Exactly `MAX_FAILURES` recording attempts, then the header is
+    // patched: the loop's remaining iterations record nothing.
+    let vm = traced_vm(&untraceable(3000));
+    let (aborts, blacklists) = abort_and_blacklist_counts(&vm);
+    assert_eq!(aborts, MAX_FAILURES as usize, "one attempt per allowed failure");
+    assert_eq!(blacklists, 1, "the loop header gets patched once");
 }
 
 #[test]
 fn backoff_spaces_attempts_but_does_not_change_the_budget() {
-    // A tiny backoff burns through the attempt budget within the loop's
-    // 3000 iterations just like the default 32-pass backoff does; the
-    // total attempt count is set by max_failures alone.
-    let vm = traced_vm_with(UNTRACEABLE_SRC, |o| {
-        o.blacklist.max_failures = 2;
-        o.blacklist.backoff = 2;
-    });
-    let (aborts, blacklists) = abort_and_blacklist_counts(&vm);
-    assert_eq!(aborts, 2);
-    assert!(blacklists >= 1);
+    // The first attempt fails within the loop's first few crossings; a
+    // loop that ends before its `BACKOFF` skipped passes are over gets no
+    // second attempt and keeps its header.
+    let vm = traced_vm(&untraceable(BACKOFF));
+    assert_eq!(abort_and_blacklist_counts(&vm), (1, 0));
+    // A longer loop sits the backoff out and spends the whole budget.
+    let vm = traced_vm(&untraceable(BACKOFF + 16));
+    assert_eq!(abort_and_blacklist_counts(&vm), (MAX_FAILURES as usize, 1));
 }
 
 #[test]

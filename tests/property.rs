@@ -181,7 +181,7 @@ fn filters_preserve_semantics() {
         let node = gen_node(g, 5);
         let (a, b) = (gen_i32(g), gen_i32(g));
         let unopt = eval_node(&node, a, b, FilterOptions {
-            fold: false, cse: false, demote: false, softfloat: false,
+            fold: false, cse: false, demote: false,
         });
         let opt = eval_node(&node, a, b, FilterOptions::default());
         prop_assert_eq!(unopt, opt);

@@ -8,6 +8,7 @@
 //! `MAX_RECORDED` bytecodes), and every abort is `Recursive`.
 
 use tracemonkey::jit::events::{AbortReason, TraceEvent};
+use tracemonkey::jit::recorder::MAX_INLINE_DEPTH;
 use tracemonkey::{Engine, JitOptions, Vm};
 
 /// Bytecodes a program may record before the recursion stops it: one
@@ -22,15 +23,14 @@ fn interp_number(src: &str) -> Option<f64> {
 /// Runs `src` under tracing on the decoded executor and on the native tier
 /// (where the target has one), each against the interpreter, and returns
 /// the VMs in that order.
-fn traced_both(src: &str, tweak: impl Fn(&mut JitOptions)) -> Vec<Vm> {
+fn traced_both(src: &str) -> Vec<Vm> {
     let expected = interp_number(src);
     let tiers = if tracemonkey::nanojit::native_supported() { &[false, true][..] } else { &[false] };
     tiers
         .iter()
         .map(|&native| {
-            let mut opts =
+            let opts =
                 JitOptions { log_events: true, native_backend: native, ..JitOptions::default() };
-            tweak(&mut opts);
             let mut vm = Vm::with_options(Engine::Tracing, opts);
             let traced = vm.eval_number(src).expect("traced program runs");
             assert_eq!(traced, expected, "tracing (native: {native}) disagrees on: {src}");
@@ -41,8 +41,8 @@ fn traced_both(src: &str, tweak: impl Fn(&mut JitOptions)) -> Vec<Vm> {
 
 /// The contract for a program whose functions named in `recursive` call
 /// themselves (directly or through each other).
-fn check_untraced_with(src: &str, recursive: &[&str], tweak: impl Fn(&mut JitOptions)) -> Vec<Vm> {
-    let vms = traced_both(src, tweak);
+fn check_untraced(src: &str, recursive: &[&str]) -> Vec<Vm> {
+    let vms = traced_both(src);
     for vm in &vms {
         let m = vm.monitor().expect("tracing monitor");
         let prog = vm.interp().expect("interpreter").prog();
@@ -56,15 +56,7 @@ fn check_untraced_with(src: &str, recursive: &[&str], tweak: impl Fn(&mut JitOpt
             "recorded {} bytecodes: {src}",
             p.bytecodes_recorded
         );
-        let aborts: Vec<AbortReason> = m
-            .events
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::RecordAbort { reason } => Some(*reason),
-                _ => None,
-            })
-            .collect();
+        let aborts = aborts(vm);
         assert!(!aborts.is_empty(), "the driver loop records into the recursion: {src}");
         assert!(
             aborts.iter().all(|r| *r == AbortReason::Recursive),
@@ -74,8 +66,16 @@ fn check_untraced_with(src: &str, recursive: &[&str], tweak: impl Fn(&mut JitOpt
     vms
 }
 
-fn check_untraced(src: &str, recursive: &[&str]) -> Vec<Vm> {
-    check_untraced_with(src, recursive, |_| {})
+/// Every abort reason `vm`'s recordings ended with.
+fn aborts(vm: &Vm) -> Vec<AbortReason> {
+    let events = vm.monitor().expect("tracing monitor").events.events();
+    events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::RecordAbort { reason } => Some(*reason),
+            _ => None,
+        })
+        .collect()
 }
 
 #[test]
@@ -161,22 +161,38 @@ fn hot_side_exits_off_a_recursive_trace_grow_branches() {
     );
 }
 
+/// A loop calling down a chain of distinct functions `f1` … `fN` that
+/// fills the recorder's inline budget (the loop's own frame and one per
+/// function), whose last function then calls `last_call`.
+fn budget_filling_chain(last_call: &str) -> String {
+    let n = MAX_INLINE_DEPTH - 1;
+    let mut src = String::new();
+    for k in 1..n {
+        src += &format!("function f{k}(n) {{ return f{}(n) + 1; }}\n", k + 1);
+    }
+    src += &format!(
+        "function f{n}(n) {{ if (n < 2) return 1; return n * {last_call}(n - 1); }}
+        function leaf(n) {{ return n; }}
+        var s = 0;
+        for (var i = 0; i < 200; i++) s = (s + f1(12)) % 1000003;
+        s"
+    );
+    src
+}
+
 #[test]
 fn deep_recursion_under_tiny_inline_budget_still_compiles() {
-    // With max_inline_depth=2 the recursive call of `fact` is also past
-    // the depth budget: the recursion check comes first, so the abort is
+    // The recursive call of the chain's last function is also past the
+    // depth budget: the recursion check comes first, so the abort is
     // `Recursive`, never `TooDeep`.
-    check_untraced_with(
-        "function fact(n) {
-            if (n < 2) return 1;
-            return n * fact(n - 1);
-        }
-        var s = 0;
-        for (var i = 0; i < 200; i++) s = (s + fact(12)) % 1000003;
-        s",
-        &["fact"],
-        |o| o.max_inline_depth = 2,
-    );
+    let last = format!("f{}", MAX_INLINE_DEPTH - 1);
+    check_untraced(&budget_filling_chain(&last), &[&last]);
+    // The budget is full at that call: a call of a fresh function from the
+    // same place aborts `TooDeep`.
+    for vm in traced_both(&budget_filling_chain("leaf")) {
+        let aborts = aborts(&vm);
+        assert!(!aborts.is_empty() && aborts.iter().all(|r| *r == AbortReason::TooDeep), "{aborts:?}");
+    }
 }
 
 #[test]
@@ -200,7 +216,7 @@ fn recursion_in_constructors_stays_correct() {
 
 #[test]
 fn shallow_recursion_in_a_hot_loop_runs_interpreted() {
-    // `fib(3)` is three frames deep, well inside `max_inline_depth`, and
+    // `fib(3)` is three frames deep, well inside `MAX_INLINE_DEPTH`, and
     // an inlining recorder could unroll it whole. It is still a recursion:
     // the loop aborts, is blacklisted, and loop and recursion both run in
     // the interpreter. This is the price of the abort rule (DESIGN.md §8).
@@ -208,7 +224,7 @@ fn shallow_recursion_in_a_hot_loop_runs_interpreted() {
         var s = 0;
         for (var i = 0; i < 2000; i++) s += fib(3);
         s";
-    assert!(JitOptions::default().max_inline_depth > 3);
+    const _: () = assert!(MAX_INLINE_DEPTH > 3);
     for vm in check_untraced(src, &["fib"]) {
         let p = vm.profile().unwrap();
         assert_eq!(p.trees, 0, "the loop that calls the recursion compiles nothing");
@@ -225,7 +241,7 @@ fn a_non_recursive_call_chain_three_deep_still_compiles_and_runs_natively() {
         var s = 0;
         for (var i = 0; i < 2000; i++) s = (s + a(i)) | 0;
         s";
-    for vm in traced_both(src, |_| {}) {
+    for vm in traced_both(src) {
         let p = vm.profile().unwrap();
         assert_eq!(p.traces_aborted, 0, "nothing aborts");
         assert!(p.trees >= 1, "the loop compiles");
